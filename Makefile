@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-record bench-compare bench-parallel bench-compiled bench-storage bench-ivm bench-faults
+.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-record bench-compare bench-parallel bench-compiled bench-storage bench-ivm bench-faults
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -17,7 +17,8 @@ lint: lint-engine
 	fi
 
 ## Engine-contract linter: chunk-path purity, law conditions, operator
-## name/properties pairing.  Pure stdlib — always runs.
+## name/properties pairing, the division key-column seam.  Pure stdlib —
+## always runs.
 lint-engine:
 	$(PYTHON) scripts/lint_engine.py
 
@@ -57,6 +58,11 @@ bench-smoke:
 ## Full timed benchmark run.
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+## End-to-end + per-layer benchmark (BENCHMARK.json): every workload,
+## untraced and traced, every metric printed by name and unit.
+bench-e2e:
+	$(PYTHON) -m bench
 
 ## Record the division and storage microbenchmarks to the committed
 ## baseline files.  Refuses to run with uncommitted changes anywhere the

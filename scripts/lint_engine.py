@@ -26,6 +26,14 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   also declare ``properties`` (its own cost descriptor) in its body or in
   a base class defined in the same file.
 
+* **RP405** — a division operator (any class deriving from a
+  ``*DivisionOperator`` base) must read its key columns through the
+  key-column seam (``repro.physical.division.keys.encode_keys``): none of
+  its methods may touch ``chunk.tuples`` or extract keys itself with a
+  ``TupleProjector`` (``keys_of`` / ``tuples_of``).  One seam means one
+  place that decides between cached dictionary codes and on-the-fly
+  encoding — and no per-algorithm copy of that loop.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -170,6 +178,55 @@ def _check_physical_file(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP405: division operators read keys through the key-column seam
+# ----------------------------------------------------------------------
+#: Attribute reads / calls that mean "this operator walks key values itself".
+KEY_EXTRACTORS = {"tuples", "keys_of", "tuples_of"}
+
+
+def _is_division_class(class_node: ast.ClassDef, classes: dict[str, ast.ClassDef]) -> bool:
+    """True when the class derives (within this file) from a
+    ``*DivisionOperator`` base."""
+    queue = list(_base_names(class_node))
+    seen: set[str] = set()
+    while queue:
+        base = queue.pop()
+        if base in seen:
+            continue
+        seen.add(base)
+        if base.endswith("DivisionOperator"):
+            return True
+        if base in classes:
+            queue.extend(_base_names(classes[base]))
+    return False
+
+
+def _check_division_keys(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    for class_node in classes.values():
+        if not _is_division_class(class_node, classes):
+            continue
+        for method in (n for n in class_node.body if isinstance(n, ast.FunctionDef)):
+            offenders = sorted(
+                {
+                    node.attr if isinstance(node, ast.Attribute) else "TupleProjector"
+                    for node in ast.walk(method)
+                    if (isinstance(node, ast.Attribute) and node.attr in KEY_EXTRACTORS)
+                    or (isinstance(node, ast.Name) and node.id == "TupleProjector")
+                }
+            )
+            if offenders:
+                yield finding(
+                    "RP405",
+                    f"{class_node.name}.{method.name} extracts key values itself "
+                    f"({', '.join(offenders)}); go through encode_keys()",
+                    _where(path, method),
+                    "engine",
+                )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -276,6 +333,7 @@ def run() -> list[Finding]:
     for path in _python_files(PHYSICAL_DIR):
         findings.extend(_check_physical_file(path))
         findings.extend(_check_operator_declarations(path))
+        findings.extend(_check_division_keys(path))
     for path in _python_files(LAWS_DIR):
         findings.extend(_check_laws_file(path))
     return findings

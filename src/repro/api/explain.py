@@ -95,7 +95,8 @@ def render_explain(
     if compilation is None:
         lines.append("compiled    : no (compilation off)")
     else:
-        lines.append(f"compiled    : {compilation.summary()}")
+        filters = _filter_summary(prepared.plan, analyze)
+        lines.append(f"compiled    : {compilation.summary()}{filters}")
     if verify:
         from repro.analysis.check import verify_prepared
 
@@ -230,6 +231,26 @@ def _fallback_estimate(operator: PhysicalOperator, estimates: dict[int, float]) 
     return max(children, default=1.0)
 
 
+def _filter_summary(plan: PhysicalOperator, analyzed: bool) -> str:
+    """How the analyzed execution's compiled segments evaluated their filters.
+
+    ``on the dictionary``: once per dictionary entry, then masks over the
+    scanned code columns; ``per tuple``: the generated per-tuple loop (no
+    code columns in the input, or a predicate the dictionary cannot decide).
+    """
+    if not analyzed:
+        return ""
+    modes = [
+        operator._filter_mode
+        for operator in plan.walk()
+        if operator._compiled_producer is not None and operator._filter_mode is not None
+    ]
+    if not modes:
+        return ""
+    dictionary = modes.count("dictionary")
+    return f" · filters: {dictionary} on the dictionary, {len(modes) - dictionary} per tuple"
+
+
 def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
     """Exchange annotation for partition-parallel operators.
 
@@ -298,11 +319,19 @@ def _physical_lines(
         lines.append(f"  {'  ' * indent}{operator.describe()}  [{annotation} rows]")
         if operator.decision is not None:
             lines.append(f"  {'  ' * indent}  · {operator.decision.describe()}")
-        if getattr(operator, "_compiled_producer", None) is not None:
+        if operator._compiled_producer is not None:
             fused = getattr(operator, "_compiled_fused", 1)
+            filtered = ""
+            if actual is not None and operator._filter_mode is not None:
+                how = "on the dictionary" if operator._filter_mode == "dictionary" else "per tuple"
+                filtered = f", filtered {how}"
             lines.append(
-                f"  {'  ' * indent}  · compiled segment ({fused} operator(s) fused)"
+                f"  {'  ' * indent}  · compiled segment ({fused} operator(s) fused{filtered})"
             )
+        key_source = getattr(operator, "key_source", None)
+        if actual is not None and key_source is not None:
+            kernel = getattr(operator, "kernel_name", None)
+            lines.append(f"  {'  ' * indent}  · keys: {key_source}, kernel: {kernel}")
         exchange = _exchange_line(operator, analyzed=actual is not None)
         if exchange is not None:
             lines.append(f"  {'  ' * indent}  · {exchange}")

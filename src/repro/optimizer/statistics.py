@@ -11,7 +11,6 @@ estimates feed the cost model that ranks rewrite alternatives.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -134,10 +133,13 @@ class TableStatistics:
     def from_relation(cls, relation: Relation) -> "TableStatistics":
         """Gather exact statistics from an in-memory relation.
 
-        One columnar pass: ``zip(*aligned_tuples)`` transposes the cached
-        tuple block, and every per-attribute statistic (distinct set,
-        min/max, sortedness of the scan order) is computed from its column —
-        no intermediate :class:`Relation` per attribute.
+        Reads the relation's cached dictionary encoding
+        (:meth:`~repro.relation.relation.Relation.encoded_columns`) instead
+        of making a pass of its own: the distinct count is the dictionary
+        size, min/max range over the dictionary, the top frequency is a
+        bincount of the codes, and the scan is sorted on an attribute iff
+        its codes never step down over a non-decreasing dictionary.  The
+        first scan of the same relation value reuses the encoding.
 
         Stored tables (:class:`~repro.storage.store.StoredRelation`) carry
         statistics gathered at save time in their file header; for them
@@ -157,16 +159,17 @@ class TableStatistics:
         top_frequencies: dict[str, int] = {}
         prefix: tuple[str, ...] = ()
         if tuples:
-            for name, column in zip(names, zip(*tuples)):
-                counts = Counter(column)
-                distinct[name] = len(counts)
-                top_frequencies[name] = max(counts.values())
+            for name, column in zip(names, relation.encoded_columns()):
+                dictionary = column.dictionary
+                distinct[name] = len(dictionary)
+                top_frequencies[name] = column.top_frequency()
                 try:
-                    minima[name] = min(counts)
-                    maxima[name] = max(counts)
+                    bounds = min(dictionary), max(dictionary)
                 except TypeError:
-                    pass
-                if _non_decreasing(column):
+                    pass  # incomparable values: neither bound is known
+                else:
+                    minima[name], maxima[name] = bounds
+                if column.is_non_decreasing() and _non_decreasing(dictionary):
                     sorted_names.add(name)
             prefix = names[: _lexicographic_prefix_length(tuples, len(names))]
         return cls(

@@ -1,8 +1,10 @@
 """Volcano-style physical operators with a columnar chunk pull model.
 
 Physical operators produce streams of :class:`Chunk` objects — an interned
-:class:`~repro.relation.schema.Schema` plus a block of value tuples aligned
-with it (:data:`DEFAULT_BATCH_SIZE` tuples each).  Flowing bare value tuples
+:class:`~repro.relation.schema.Schema` plus a block of
+:data:`DEFAULT_BATCH_SIZE` tuples, held as dictionary-code columns (when
+the block comes from a scan) beside a lazily materialized list of value
+tuples aligned with the schema.  Flowing codes and bare value tuples
 instead of :class:`~repro.relation.row.Row` objects removes the per-tuple
 ``Row`` allocation and order-insensitive hash from every operator boundary;
 rows are only materialized at the executor/result boundary (and by the
@@ -24,11 +26,12 @@ lists, or row-at-a-time ``_produce``) keep working through adapter defaults.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ExecutionError
+from repro.relation.encoding import CodeColumn, select_items
 from repro.relation.relation import Relation
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
@@ -98,28 +101,68 @@ class PhysicalProperties:
 
 
 class Chunk:
-    """A block of value tuples aligned with one interned schema.
+    """A block of tuples aligned with one interned schema, in two forms.
 
-    The columnar unit of the physical layer: ``tuples[i][j]`` is the value
-    of attribute ``schema.names[j]`` in the chunk's ``i``-th tuple, so a
-    whole column is ``[t[j] for t in tuples]`` and any attribute subset is
-    one cached :func:`operator.itemgetter` application per tuple (see
-    :meth:`~repro.relation.schema.Schema.getters`).  No :class:`Row` objects
-    exist inside a chunk; :meth:`rows` materializes them on demand at the
-    consumer boundary.
+    The columnar unit of the physical layer.  ``columns`` (when not
+    ``None``) holds one :class:`~repro.relation.encoding.CodeColumn` per
+    schema attribute — dictionary codes sliced from the scanned relation's
+    cached encoding — which the division operators and dictionary-filtered
+    segments read directly.  ``tuples`` is the row-major view:
+    ``tuples[i][j]`` is the value of attribute ``schema.names[j]`` in the
+    ``i``-th tuple.  Chunks derived by selecting or permuting another chunk
+    materialize it lazily, on first access, so a pipeline that only ever
+    reads the codes never builds the tuple list; every other consumer
+    (joins, aggregates, the exchange, the result boundary) keeps reading
+    ``chunk.tuples`` unchanged.  No :class:`Row` objects exist inside a
+    chunk; :meth:`rows` materializes them on demand.
     """
 
-    __slots__ = ("schema", "tuples")
+    __slots__ = ("schema", "columns", "_tuples", "_length", "_thunk")
 
-    def __init__(self, schema: Schema, tuples: list[tuple[Any, ...]]) -> None:
+    def __init__(
+        self,
+        schema: Schema,
+        tuples: list[tuple[Any, ...]],
+        columns: Optional[tuple[CodeColumn, ...]] = None,
+    ) -> None:
         self.schema = schema
-        self.tuples = tuples
+        self.columns = columns
+        self._tuples: Optional[list[tuple[Any, ...]]] = tuples
+        self._length = len(tuples)
+        self._thunk: Optional[Callable[[], list[tuple[Any, ...]]]] = None
+
+    @classmethod
+    def deferred(
+        cls,
+        schema: Schema,
+        columns: Optional[tuple[CodeColumn, ...]],
+        length: int,
+        thunk: Callable[[], list[tuple[Any, ...]]],
+    ) -> "Chunk":
+        """A chunk of ``length`` tuples that ``thunk`` builds on first use."""
+        chunk = object.__new__(cls)
+        chunk.schema = schema
+        chunk.columns = columns
+        chunk._tuples = None
+        chunk._length = length
+        chunk._thunk = thunk
+        return chunk
+
+    @property
+    def tuples(self) -> list[tuple[Any, ...]]:
+        """The value tuples (materialized on first access, then kept)."""
+        tuples = self._tuples
+        if tuples is None:
+            tuples = self._tuples = self._thunk()  # type: ignore[misc]
+            self._thunk = None
+        return tuples
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return self._length
 
     def __repr__(self) -> str:
-        return f"<Chunk schema={self.schema.names!r} tuples={len(self.tuples)}>"
+        coded = "" if self.columns is None else " coded"
+        return f"<Chunk schema={self.schema.names!r} tuples={self._length}{coded}>"
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Iterable[Row]) -> "Chunk":
@@ -133,16 +176,35 @@ class Chunk:
         return [from_schema(schema, values) for values in self.tuples]
 
     def aligned(self, schema: Schema) -> "Chunk":
-        """This chunk's tuples realigned with ``schema``'s attribute order.
+        """This chunk realigned with ``schema``'s attribute order.
 
-        Returns ``self`` (zero copy) when the orders already agree; otherwise
-        one cached-picker pass permutes every tuple.
+        Returns ``self`` (zero copy) when the orders already agree;
+        otherwise the code columns are reordered and one cached-picker pass
+        permutes the tuples when (if) they are read.
         """
         own = self.schema
         if schema is own or schema.names == own.names:
             return self
         get = own.tuple_getter(schema.names)
-        return Chunk(schema, list(map(get, self.tuples)))
+        columns = self.columns
+        if columns is not None:
+            columns = tuple(columns[own.position(name)] for name in schema.names)
+        return Chunk.deferred(schema, columns, self._length, lambda: list(map(get, self.tuples)))
+
+    def relabeled(self, schema: Schema) -> "Chunk":
+        """The same block under ``schema`` (positions unchanged: a rename)."""
+        if schema is self.schema:
+            return self
+        return Chunk.deferred(schema, self.columns, self._length, lambda: self.tuples)
+
+    def selected(self, mask: Any, count: int) -> "Chunk":
+        """The ``count`` tuples where ``mask`` (a code-buffer mask) is set."""
+        columns = self.columns
+        if columns is not None:
+            columns = tuple(column.select(mask) for column in columns)
+        return Chunk.deferred(
+            self.schema, columns, count, lambda: select_items(self.tuples, mask)
+        )
 
     def column(self, name: str) -> list[Any]:
         """One attribute's values, in tuple order."""
@@ -370,6 +432,12 @@ class PhysicalOperator:
     #: emptiness probes) deliberately keeps the interpreted reference path.
     _compiled_producer = None
 
+    #: How the compiled segment rooted here evaluated its filters in the
+    #: most recent execution: "dictionary" (once per dictionary entry, then
+    #: masks over the code columns) or "per tuple"; ``None`` when the
+    #: segment has no filter (or nothing is compiled here).
+    _filter_mode: Optional[str] = None
+
     #: Wall-clock seconds this operator spent inside worker pools (exchange
     #: operators fill it; everything else stays at 0.0).
     worker_seconds = 0.0
@@ -506,8 +574,9 @@ class PhysicalOperator:
         producer = self._compiled_producer
         stream = self._produce_chunks() if producer is None else producer()
         for chunk in stream:
-            if chunk.tuples:
-                self.tuples_out += len(chunk.tuples)
+            count = len(chunk)
+            if count:
+                self.tuples_out += count
                 yield chunk
 
     def batches(self) -> Iterator[list[Row]]:

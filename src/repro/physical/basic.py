@@ -115,7 +115,7 @@ class RenameOp(PhysicalOperator):
         schema = self._schema
         source = self._children[0].schema
         for chunk in self._children[0].chunks():
-            yield Chunk(schema, chunk.aligned(source).tuples)
+            yield chunk.aligned(source).relabeled(schema)
 
 
 class DuplicateElimination(PhysicalOperator):

@@ -1,22 +1,24 @@
 """Vectorized kernels for the bitset-division inner loops.
 
 All eight division algorithms funnel their hot loops through one dispatch
-seam (:func:`active_kernel`): the *mask sweep* that ORs per-tuple divisor
-bits into per-candidate bitmasks, and the *match scan* that finds the
-candidates whose bitmask is full / a superset / has the required popcount.
-Two implementations exist:
+seam (:func:`active_kernel`): the *gather sweep* that ORs each dividend
+tuple's divisor bit into its candidate's bitmask, and the *match scan*
+that finds the candidates whose bitmask is full / a superset / has the
+required popcount.  Both work on the integer key codes the key-column
+seam (:mod:`repro.physical.division.keys`) hands out.  Two implementations
+exist:
 
 * :class:`PythonBitsetKernel` — the reference: plain loops over Python
   ``int`` bitmasks (arbitrary precision, always available);
-* :class:`NumpyBitsetKernel` — batch operations over ``uint64`` arrays
-  (``np.bitwise_or.at`` sweeps, vectorized compare/popcount scans), picked
-  automatically when numpy is importable.  Any mask that does not fit in
-  64 bits (or any conversion overflow) falls back to the Python reference
-  *per call*, so results never depend on the kernel in use.
+* :class:`NumpyBitsetKernel` — batch operations over *multi-word* masks:
+  ``(n, ⌈bits/64⌉)`` ``uint64`` arrays, so a divisor of any width stays
+  vectorized (one ``np.bitwise_or.at`` sweep, word-wise compare / subset /
+  popcount scans).  Picked automatically when numpy is importable.
 
-The partition-parallel wrappers run the unchanged serial operators inside
-their workers, so the kernel dispatch applies per partition without any
-further wiring.  Tests pin a kernel with :func:`use_kernel`.
+Results never depend on the kernel in use.  The partition-parallel
+wrappers run the unchanged serial operators inside their workers, so the
+kernel dispatch applies per partition without any further wiring.  Tests
+pin a kernel with :func:`use_kernel`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
+from repro.relation.encoding import iter_codes
 
-try:  # pragma: no cover - exercised via both CI (absent) and local (present)
+try:  # pragma: no cover - CI runs one leg with numpy and one without
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -47,6 +50,10 @@ __all__ = [
 #: numpy kernel — the array conversion would cost more than it saves.
 _MIN_VECTOR_SIZE = 32
 
+#: Tuples per pass of the numpy gather sweep: bounds its index/bit
+#: temporaries (a few arrays of this length) whatever the input size.
+_SWEEP_SLAB = 1 << 16
+
 
 class PythonBitsetKernel:
     """Reference implementation: loops over Python ``int`` bitmasks."""
@@ -54,32 +61,27 @@ class PythonBitsetKernel:
     name = "python"
 
     # -- sweeps ---------------------------------------------------------
-    def prepare_indices(self, indices: Sequence[int]) -> Any:
-        """Pre-convert an index list reused across several sweeps."""
-        return indices
-
-    def prepare_masks(self, masks: Sequence[int]) -> Any:
-        """Pre-convert a mask list reused across several match scans."""
-        return masks
-
-    def sweep_masks(self, count: int, indices: Sequence[int], bits: Sequence[int]) -> Any:
-        """``masks[indices[i]] |= bits[i]`` over ``count`` zeroed masks."""
-        masks = [0] * count
-        for index, bit in zip(indices, bits):
-            if bit:
-                masks[index] |= bit
-        return masks
+    def prepare_indices(self, indices: Any) -> Any:
+        """Pre-convert a code column reused across several sweeps."""
+        return iter_codes(indices)
 
     def gather_sweep(
         self,
         count: int,
-        candidate_indices: Any,
-        value_indices: Any,
-        bits: Sequence[int],
+        candidate_codes: Any,
+        value_codes: Any,
+        positions: Sequence[int],
+        width: int,
     ) -> Any:
-        """``masks[c] |= bits[v]`` for every ``(c, v)`` pair."""
+        """``masks[c] |= 1 << positions[v]`` for every ``(c, v)`` pair.
+
+        ``positions[v]`` is the divisor bit of value code ``v`` (below
+        ``width``), or ``-1`` when the value is not in the divisor.
+        """
+        bits = [1 << position if position >= 0 else 0 for position in positions]
         masks = [0] * count
-        for candidate, value in zip(candidate_indices, value_indices):
+        pairs = zip(self.prepare_indices(candidate_codes), self.prepare_indices(value_codes))
+        for candidate, value in pairs:
             masks[candidate] |= bits[value]
         return masks
 
@@ -102,118 +104,120 @@ class PythonBitsetKernel:
 
 
 class NumpyBitsetKernel(PythonBitsetKernel):
-    """Batch kernel over ``uint64`` arrays; falls back per call on overflow.
+    """Batch kernel over ``(n, words)`` ``uint64`` mask arrays.
 
-    ``np.fromiter(..., dtype=np.uint64)`` raises :class:`OverflowError` for
-    masks wider than 64 bits, which routes that call to the inherited
-    Python reference — wide divisors stay correct, they just lose the
-    vectorization.
+    A mask of ``b`` bits occupies ``⌈b/64⌉`` little-endian words, so no
+    divisor is too wide to vectorize.  The sweeps return such arrays; the
+    match scans accept them as well as plain lists of Python ``int`` masks
+    (which the sort- and run-based algorithms build themselves).
     """
 
     name = "numpy"
 
-    def _masks_array(self, masks: Any) -> Any:
-        if isinstance(masks, _np.ndarray):
-            return masks
-        return _np.fromiter(masks, dtype=_np.uint64, count=len(masks))
+    #: Set bits per byte value, for the word-width-independent popcount.
+    _POPCOUNT = (
+        None
+        if _np is None
+        else _np.array([bin(byte).count("1") for byte in range(256)], dtype=_np.uint8)
+    )
 
-    def prepare_indices(self, indices: Sequence[int]) -> Any:
-        if len(indices) < _MIN_VECTOR_SIZE:
+    @staticmethod
+    def _index_array(indices: Any) -> Any:
+        if isinstance(indices, _np.ndarray):
             return indices
         return _np.fromiter(indices, dtype=_np.intp, count=len(indices))
 
-    def prepare_masks(self, masks: Sequence[int]) -> Any:
-        if len(masks) < _MIN_VECTOR_SIZE:
-            return masks
-        try:
-            return self._masks_array(masks)
-        except (OverflowError, TypeError, ValueError):
-            return masks
+    @staticmethod
+    def _words(masks: Sequence[int], words: int) -> Any:
+        """Python ``int`` masks as an ``(n, words)`` ``uint64`` array."""
+        size = words * 8
+        buffer = b"".join([mask.to_bytes(size, "little") for mask in masks])
+        return _np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words)
 
-    def sweep_masks(self, count: int, indices: Sequence[int], bits: Sequence[int]) -> Any:
-        if len(indices) < _MIN_VECTOR_SIZE:
-            return super().sweep_masks(count, indices, bits)
-        try:
-            bit_array = _np.fromiter(bits, dtype=_np.uint64, count=len(bits))
-            index_array = (
-                indices
-                if isinstance(indices, _np.ndarray)
-                else _np.fromiter(indices, dtype=_np.intp, count=len(indices))
-            )
-            masks = _np.zeros(count, dtype=_np.uint64)
-            _np.bitwise_or.at(masks, index_array, bit_array)
+    def _mask_array(self, masks: Any, *scalars: int) -> Any:
+        """``masks`` as a word array wide enough for ``scalars`` too."""
+        if isinstance(masks, _np.ndarray):
             return masks
-        except (OverflowError, TypeError, ValueError):
-            return super().sweep_masks(count, list(indices), bits)
+        widest = max(max(masks, default=0), *scalars, 0)
+        return self._words(masks, max(1, -(-widest.bit_length() // 64)))
+
+    def _scalar(self, value: int, array: Any) -> Optional[Any]:
+        """``value`` as one row of ``array``'s width (None: it cannot fit)."""
+        words = array.shape[1]
+        if value.bit_length() > 64 * words:
+            return None
+        return self._words([value], words)[0]
+
+    def prepare_indices(self, indices: Any) -> Any:
+        if len(indices) < _MIN_VECTOR_SIZE:
+            return super().prepare_indices(indices)
+        return self._index_array(indices)
 
     def gather_sweep(
         self,
         count: int,
-        candidate_indices: Any,
-        value_indices: Any,
-        bits: Sequence[int],
+        candidate_codes: Any,
+        value_codes: Any,
+        positions: Sequence[int],
+        width: int,
     ) -> Any:
-        if len(candidate_indices) < _MIN_VECTOR_SIZE:
-            return super().gather_sweep(count, candidate_indices, value_indices, bits)
-        try:
-            bit_array = _np.fromiter(bits, dtype=_np.uint64, count=len(bits))
-            candidates = (
-                candidate_indices
-                if isinstance(candidate_indices, _np.ndarray)
-                else _np.fromiter(candidate_indices, dtype=_np.intp, count=len(candidate_indices))
-            )
-            values = (
-                value_indices
-                if isinstance(value_indices, _np.ndarray)
-                else _np.fromiter(value_indices, dtype=_np.intp, count=len(value_indices))
-            )
-            masks = _np.zeros(count, dtype=_np.uint64)
-            _np.bitwise_or.at(masks, candidates, bit_array[values])
-            return masks
-        except (OverflowError, TypeError, ValueError):
-            return super().gather_sweep(count, candidate_indices, value_indices, bits)
+        if len(candidate_codes) < _MIN_VECTOR_SIZE:
+            return super().gather_sweep(count, candidate_codes, value_codes, positions, width)
+        words = max(1, -(-width // 64))
+        position = _np.fromiter(positions, dtype=_np.int64, count=len(positions))
+        valid = position >= 0
+        # Per value code: the mask word its bit lives in and the bit itself
+        # (0 for values outside the divisor — ORing it in is a no-op).
+        word_of = _np.where(valid, position >> 6, 0)
+        bit = _np.uint64(1) << (position & 63).astype(_np.uint64)
+        bit_of = _np.where(valid, bit, _np.uint64(0))
+        candidates = self._index_array(candidate_codes)
+        values = self._index_array(value_codes)
+        # Most values miss the divisor?  Then drop their tuples before the sweep.
+        sparse = 2 * _np.count_nonzero(valid) < len(valid)
+        masks = _np.zeros(count * words, dtype=_np.uint64)
+        for start in range(0, len(values), _SWEEP_SLAB):
+            slab = slice(start, start + _SWEEP_SLAB)
+            candidate, value = candidates[slab], values[slab]
+            if sparse:
+                hit = _np.flatnonzero(valid[value])
+                candidate, value = candidate[hit], value[hit]
+            if words > 1:
+                candidate = candidate.astype(_np.intp) * words + word_of[value]
+            _np.bitwise_or.at(masks, candidate, bit_of[value])
+        return masks.reshape(count, words)
 
     def full_matches(self, masks: Any, full: int) -> list[int]:
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):
             return super().full_matches(masks, full)
-        try:
-            if full.bit_length() > 64:
-                return super().full_matches(masks, full)
-            return _np.flatnonzero(self._masks_array(masks) == full).tolist()
-        except (OverflowError, TypeError, ValueError):
-            return super().full_matches(masks, full)
+        array = self._mask_array(masks, full)
+        wanted = self._scalar(full, array)
+        if wanted is None:
+            return []
+        return _np.flatnonzero((array == wanted).all(axis=1)).tolist()
 
     def popcount_matches(self, masks: Any, required: int) -> list[int]:
-        if not hasattr(_np, "bitwise_count"):
-            return super().popcount_matches(masks, required)
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):
             return super().popcount_matches(masks, required)
-        try:
-            array = self._masks_array(masks)
-            return _np.flatnonzero(_np.bitwise_count(array) == required).tolist()
-        except (OverflowError, TypeError, ValueError):
-            return super().popcount_matches(masks, required)
+        array = _np.ascontiguousarray(self._mask_array(masks))
+        counts = self._POPCOUNT[array.view(_np.uint8)].sum(axis=1, dtype=_np.int64)
+        return _np.flatnonzero(counts == required).tolist()
 
     def subset_matches(self, masks: Any, needed: int) -> list[int]:
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):
             return super().subset_matches(masks, needed)
-        try:
-            if needed.bit_length() > 64:
-                return super().subset_matches(masks, needed)
-            array = self._masks_array(masks)
-            return _np.flatnonzero((array & _np.uint64(needed)) == _np.uint64(needed)).tolist()
-        except (OverflowError, TypeError, ValueError):
-            return super().subset_matches(masks, needed)
+        array = self._mask_array(masks, needed)
+        wanted = self._scalar(needed, array)
+        if wanted is None:
+            return []
+        return _np.flatnonzero(((array & wanted) == wanted).all(axis=1)).tolist()
 
     def equal_matches(self, masks: Any, fulls: Sequence[int]) -> list[int]:
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):
             return super().equal_matches(masks, fulls)
-        try:
-            array = self._masks_array(masks)
-            full_array = _np.fromiter(fulls, dtype=_np.uint64, count=len(fulls))
-            return _np.flatnonzero(array == full_array).tolist()
-        except (OverflowError, TypeError, ValueError):
-            return super().equal_matches(masks, fulls)
+        array = self._mask_array(masks, max(fulls, default=0))
+        wanted = self._words(fulls, array.shape[1])
+        return _np.flatnonzero((array == wanted).all(axis=1)).tolist()
 
 
 #: Shared kernel instances (both are stateless).

@@ -25,6 +25,19 @@ The generated function is a generator over the segment *input*'s chunks:
   per-operator tuple counts — the paper's max-intermediate metric — are
   bit-identical to the interpreted pipeline.
 
+On top of the generated per-tuple function sits a **dictionary path**
+(:class:`_ColumnPath`) for chains without a duplicate-eliminating
+projection whose filters compare attributes with literals: when the
+incoming chunks carry code columns (a scan of an in-memory relation), each
+comparison is evaluated once per *dictionary entry* — cached per
+dictionary, so a re-executed plan pays nothing — and becomes a per-chunk
+mask over the codes; renames relabel and attribute-permuting projections
+reorder the columns.  The tuples of a filtered chunk are only built if a
+consumer asks for them.  A predicate that raises on any dictionary entry
+(or a chunk without code columns) sends that chunk through the generated
+per-tuple function instead, so errors, results and per-operator counts
+are those of the per-tuple segment.
+
 Only literal values, schemas, getters and operator references differ
 between structurally identical segments, and they all travel through the
 ``_bind`` tuple — the generated *source* is identical, so a module-level
@@ -40,8 +53,11 @@ using it, with identical row-at-a-time accounting).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional, Union
 
 from repro.algebra.predicates import (
     And,
@@ -56,6 +72,15 @@ from repro.algebra.predicates import (
 )
 from repro.physical.base import Chunk, PhysicalOperator
 from repro.physical.basic import Filter, ProjectOp, RenameOp
+from repro.relation.encoding import (
+    CodeColumn,
+    flag_table,
+    mask_and,
+    mask_count,
+    mask_not,
+    mask_or,
+    take,
+)
 from repro.relation.row import Row
 from repro.relation.schema import Schema
 
@@ -74,6 +99,16 @@ FUSABLE_OPERATORS = (Filter, ProjectOp, RenameOp)
 
 #: Predicate AST operator → Python comparison source.
 _COMPARISON_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+#: The same comparisons as functions, for per-dictionary-entry evaluation.
+_COMPARISON_FUNCTION = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 #: Module-wide ``source → code object`` cache (segment-structure keyed:
 #: values are bindings, so equal-shaped segments emit identical source).
@@ -212,6 +247,212 @@ def _chain(root: PhysicalOperator) -> list[PhysicalOperator]:
 
 
 # ----------------------------------------------------------------------
+# the dictionary path
+# ----------------------------------------------------------------------
+class _EntryTable:
+    """A predicate over one attribute, evaluated per dictionary entry.
+
+    ``build(dictionary)`` returns the truth table (a mask over the
+    dictionary) and may raise whatever the comparison raises.  The outcome
+    is cached for the dictionary it was computed from — dictionaries live
+    as long as their relation value, so a cached plan re-executes for free.
+    """
+
+    __slots__ = ("position", "build", "_dictionary", "_table")
+
+    def __init__(self, position: int, build: Callable[[list[Any]], Any]) -> None:
+        self.position = position
+        self.build = build
+        self._dictionary: Optional[list[Any]] = None
+        self._table: Any = None
+
+    def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
+        """The chunk's mask, or None when the predicate raises on an entry."""
+        column = columns[self.position]
+        if column.dictionary is not self._dictionary:
+            try:
+                self._table = self.build(column.dictionary)
+            except Exception:
+                # Whether a tuple carrying the offending entry ever reaches
+                # the comparison is the per-tuple segment's call
+                # (short-circuits, earlier filters): it runs instead and
+                # raises exactly what, and where, it always did.
+                self._table = None
+            self._dictionary = column.dictionary
+        return None if self._table is None else take(self._table, column.codes)
+
+
+class _MaskCombination:
+    """A connective over sub-masks that read different attributes."""
+
+    __slots__ = ("combine", "operands")
+
+    def __init__(self, combine: Callable[[list[Any]], Any], operands: list["_MaskNode"]) -> None:
+        self.combine = combine
+        self.operands = operands
+
+    def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
+        masks = [operand.mask(columns) for operand in self.operands]
+        return None if any(mask is None for mask in masks) else self.combine(masks)
+
+
+_MaskNode = Union[_EntryTable, _MaskCombination]
+
+
+def _merged(tables: list[_EntryTable], pairwise: Callable[[Any, Any], Any]) -> _EntryTable:
+    """Tables over one attribute, combined per dictionary entry."""
+    if len(tables) == 1:
+        return tables[0]
+    builds = [table.build for table in tables]
+    return _EntryTable(
+        tables[0].position, lambda d: functools.reduce(pairwise, [build(d) for build in builds])
+    )
+
+
+def _mask_node(predicate: Predicate, positions: dict[str, int]) -> Optional[_MaskNode]:
+    """Dictionary-evaluable form of ``predicate`` (None: keep it per tuple).
+
+    ``positions`` maps attribute names to *entry* column positions.
+    Operands of one connective that read the same attribute merge into one
+    table, so ``lo <= a AND a < hi`` costs one gather per chunk.
+    """
+    if isinstance(predicate, Comparison):
+        compare = _COMPARISON_FUNCTION.get(predicate.operator)
+        left, right = predicate.left, predicate.right
+        if compare is None:
+            return None
+        if isinstance(left, AttributeRef) and isinstance(right, Literal):
+            name, value = left.name, right.value
+
+            def build(d: list[Any]) -> Any:
+                return flag_table(map(compare, d, itertools.repeat(value)), len(d))
+
+        elif isinstance(left, Literal) and isinstance(right, AttributeRef):
+            name, value = right.name, left.value
+
+            def build(d: list[Any]) -> Any:
+                return flag_table(map(compare, itertools.repeat(value), d), len(d))
+
+        else:
+            return None
+        return _EntryTable(positions[name], build) if name in positions else None
+    if isinstance(predicate, Not):
+        inner = _mask_node(predicate.operand, positions)
+        if isinstance(inner, _EntryTable):
+            return _EntryTable(inner.position, lambda d: mask_not(inner.build(d)))
+        if inner is None:
+            return None
+        return _MaskCombination(lambda masks: mask_not(masks[0]), [inner])
+    if isinstance(predicate, (And, Or)):
+        pairwise = mask_and if isinstance(predicate, And) else mask_or
+        operands = [_mask_node(operand, positions) for operand in predicate.operands]
+        if not operands or any(operand is None for operand in operands):
+            return None
+        nodes: list[_MaskNode] = []
+        tables: dict[int, list[_EntryTable]] = {}
+        for operand in operands:
+            if isinstance(operand, _EntryTable):
+                tables.setdefault(operand.position, []).append(operand)
+            else:
+                nodes.append(operand)
+        nodes.extend(_merged(group, pairwise) for group in tables.values())
+        if len(nodes) == 1:
+            return nodes[0]
+        return _MaskCombination(lambda masks: functools.reduce(pairwise, masks), nodes)
+    return None
+
+
+class _ColumnPath:
+    """The fused chain as operations on code columns (see module docstring).
+
+    ``steps`` lists the chain bottom-up as ``(mask node or None, interior
+    operator or None)``.  Filters contribute a mask over the *entry*
+    columns — masks commute with relabeling, so every filter is evaluated
+    against the unfiltered chunk and the masks are ANDed — and interior
+    stages get their ``tuples_out`` bumped with the running count, exactly
+    as the generated per-tuple function does.
+    """
+
+    def __init__(
+        self,
+        root: PhysicalOperator,
+        entry: Schema,
+        arranged: Schema,
+        steps: list[tuple[Optional[_MaskNode], Optional[PhysicalOperator]]],
+    ) -> None:
+        self.root = root
+        self.entry = entry
+        #: The entry attributes in output order (permuting projections).
+        self.arranged = arranged
+        self.steps = steps
+
+    def run(
+        self, pull: Callable[[], Any], per_tuple: Callable[..., Any], bindings: tuple[Any, ...]
+    ) -> Iterator[Chunk]:
+        root = self.root
+        root._filter_mode = "dictionary"
+        for chunk in pull():
+            produced = self._apply(chunk)
+            if produced is NotImplemented:
+                root._filter_mode = "per tuple"
+                yield from per_tuple(lambda chunk=chunk: (chunk,), bindings)
+            elif produced is not None:
+                yield produced
+
+    def _apply(self, chunk: Chunk) -> Any:
+        """The output chunk, None when empty, NotImplemented: go per tuple."""
+        chunk = chunk.aligned(self.entry)
+        columns = chunk.columns
+        if columns is None:
+            return NotImplemented
+        masks = []
+        for node, _interior in self.steps:
+            mask = None if node is None else node.mask(columns)
+            if node is not None and mask is None:
+                return NotImplemented
+            masks.append(mask)
+        selection = None
+        count = len(chunk)
+        for mask, (_node, interior) in zip(masks, self.steps):
+            if mask is not None:
+                selection = mask if selection is None else mask_and(selection, mask)
+                count = mask_count(selection)
+            if interior is not None:
+                interior.tuples_out += count
+        if count == 0:
+            return None
+        if count < len(chunk):
+            chunk = chunk.selected(selection, count)
+        return chunk.aligned(self.arranged).relabeled(self.root.schema)
+
+
+def _column_path(root: PhysicalOperator, stages: list[PhysicalOperator]) -> Optional[_ColumnPath]:
+    """The dictionary path of a chain, or None when a stage rules it out."""
+    entry = stages[0].children[0].schema
+    #: current attribute name → entry column position
+    positions = {name: position for position, name in enumerate(entry.names)}
+    steps: list[tuple[Optional[_MaskNode], Optional[PhysicalOperator]]] = []
+    for stage in stages:
+        node = None
+        if isinstance(stage, Filter):
+            node = _mask_node(stage.predicate, positions)
+            if node is None:
+                return None
+        elif isinstance(stage, RenameOp):
+            renamed = zip(stage.children[0].schema.names, stage.schema.names)
+            positions = {new: positions[old] for old, new in renamed}
+        elif len(stage.schema) == len(stage.children[0].schema):
+            positions = {name: positions[name] for name in stage.schema.names}
+        else:
+            return None  # the projection drops attributes: it eliminates duplicates
+        steps.append((node, stage if stage is not root else None))
+    if all(node is None for node, _interior in steps):
+        return None  # nothing to filter: the generated function is already free
+    arranged = [entry.names[positions[name]] for name in root.schema.names]
+    return _ColumnPath(root, entry, Schema.interned(arranged), steps)
+
+
+# ----------------------------------------------------------------------
 # codegen
 # ----------------------------------------------------------------------
 def _compile_segment(
@@ -294,8 +535,12 @@ def _compile_segment(
     function = namespace["_segment"]
     bindings = tuple(builder.bindings)
     pull = input_operator.chunks
+    columns = _column_path(root, stages)
+    root._filter_mode = "per tuple" if any(isinstance(s, Filter) for s in stages) else None
 
     def producer() -> Any:
+        if columns is not None:
+            return columns.run(pull, function, bindings)
         return function(pull, bindings)
 
     return producer, source, tuple(stages), shared

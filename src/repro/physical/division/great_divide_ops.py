@@ -14,11 +14,12 @@ Three algorithms in the spirit of Rantzau et al. [36]:
   over the divisor groups and run an ordinary hash-division per group
   (pipelines well when the divisor has few groups).
 
-All algorithms pull their inputs as chunks, extract the ``A`` (candidate),
-``B`` (shared) and ``C`` (group) value tuples positionally, and
-dictionary-encode every key side once per operator open: candidates and
-groups become dense integer ids, divisor values become single-bit masks, so
-the hot loops manipulate small ints instead of sets of value tuples.
+All algorithms read their inputs through the key-column seam
+(:func:`~repro.physical.division.keys.encode_keys`): the ``A`` (candidate),
+``B`` (shared) and ``C`` (group) keys arrive as one integer code per tuple
+plus code → key lists — cached dictionary codes when the input carries
+them, encoded on the fly otherwise — so the hot loops manipulate small
+ints and every per-key lookup happens once per dictionary entry.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import ExecutionError
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, TupleProjector, chunked
-from repro.physical.compile.kernels import active_kernel
+from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, chunked
+from repro.physical.compile.kernels import PythonBitsetKernel
+from repro.physical.division.keys import KeyedDivisionOperator, KeySide, encode_keys
+from repro.relation.encoding import iter_codes
 
 __all__ = [
     "GreatDivisionOperator",
@@ -55,13 +58,8 @@ def _great_division_schemas(dividend: PhysicalOperator, divisor: PhysicalOperato
     return quotient_a, shared, group_c
 
 
-class GreatDivisionOperator(PhysicalOperator):
+class GreatDivisionOperator(KeyedDivisionOperator):
     """Common base for the physical great-divide algorithms."""
-
-    #: Dividend groups are keyed by A; partitioning on A keeps each group
-    #: (and its containment test against every divisor group) within one
-    #: partition, so per-partition results union to the global result.
-    key_disjoint_safe = True
 
     def __init__(self, dividend: PhysicalOperator, divisor: PhysicalOperator) -> None:
         quotient_a, shared, group_c = _great_division_schemas(dividend, divisor)
@@ -70,6 +68,20 @@ class GreatDivisionOperator(PhysicalOperator):
         self.b = shared
         self.c = group_c
 
+    def _encoded_inputs(
+        self,
+    ) -> tuple[PythonBitsetKernel, KeySide, KeySide, KeySide, KeySide]:
+        """Drain both inputs once.
+
+        Returns ``(kernel, groups, divisor values, candidates, dividend
+        values)``: the divisor's ``C`` and ``B`` sides (dense codes, so a
+        divisor value's code doubles as its bit position in the shared
+        dictionary) and the dividend's ``A`` and ``B`` sides.
+        """
+        groups, divisor_values = encode_keys(self._children[1], self.c, self.b).sides
+        kernel, candidates, values = self._dividend_keys(self.a, self.b)
+        return kernel, groups, divisor_values, candidates, values
+
 
 class NestedLoopsGreatDivision(GreatDivisionOperator):
     """Materialize both group collections as bitmasks and test every pair.
@@ -77,7 +89,7 @@ class NestedLoopsGreatDivision(GreatDivisionOperator):
     One shared dictionary assigns each distinct divisor ``B``-value a bit;
     dividend groups accumulate the bits of their values (values outside the
     divisor dictionary cannot influence containment and are dropped), and
-    the pairwise test ``needed ⊆ available`` is one ``int`` AND/compare.
+    the pairwise test ``needed ⊆ available`` is one bitmask AND/compare.
     """
 
     name = "nested_loops_great_division"
@@ -94,35 +106,23 @@ class NestedLoopsGreatDivision(GreatDivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        c_of, divisor_b = TupleProjector(self.c), TupleProjector(self.b)
-        bit_of: dict[Any, int] = {}
-        divisor_groups: dict[Any, int] = {}
-        get_group = divisor_groups.get
-        for chunk in divisor.chunks():
-            for c_key, b_key in zip(c_of.keys_of(chunk), divisor_b.keys_of(chunk)):
-                bit = bit_of.get(b_key)
-                if bit is None:
-                    bit_of[b_key] = bit = 1 << len(bit_of)
-                divisor_groups[c_key] = get_group(c_key, 0) | bit
+        kernel, groups, divisor_values, candidates, values = self._encoded_inputs()
+        needed_masks = [0] * len(groups.keys)
+        for group, value in zip(iter_codes(groups.codes), iter_codes(divisor_values.codes)):
+            needed_masks[group] |= 1 << value
 
-        a_of, b_of = TupleProjector(self.a), TupleProjector(self.b)
-        lookup = bit_of.get
-        dividend_groups: dict[Any, int] = {}
-        get_candidate = dividend_groups.get
-        for chunk in dividend.chunks():
-            for a_key, b_key in zip(a_of.keys_of(chunk), b_of.keys_of(chunk)):
-                bit = lookup(b_key)
-                dividend_groups[a_key] = get_candidate(a_key, 0) | (bit or 0)
-
-        a_tuple, c_tuple = a_of.key_tuple, c_of.key_tuple
-        candidate_keys = list(dividend_groups)
-        candidate_masks = kernel.prepare_masks(list(dividend_groups.values()))
+        position_of = {key: position for position, key in enumerate(divisor_values.keys)}
+        candidate_masks = kernel.gather_sweep(
+            len(candidates.keys),
+            candidates.codes,
+            values.codes,
+            values.table(position_of, -1),
+            len(position_of),
+        )
         quotient = (
-            a_tuple(candidate_keys[i]) + c_tuple(c_key)
-            for c_key, needed in divisor_groups.items()
-            for i in kernel.subset_matches(candidate_masks, needed)
+            candidates.value_tuple(candidate) + groups.value_tuple(group)
+            for group, needed in enumerate(needed_masks)
+            for candidate in kernel.subset_matches(candidate_masks, needed)
         )
         yield from chunked(quotient, self._schema, self.batch_size)
 
@@ -130,10 +130,10 @@ class NestedLoopsGreatDivision(GreatDivisionOperator):
 class HashGreatDivision(GreatDivisionOperator):
     """Hash-division generalized to many divisor groups.
 
-    Builds an index ``b-value → [(group id, bit)]`` over the divisor, then
+    Builds an index ``b-value → [(group, bit)]`` over the divisor, then
     scans the dividend once; for every match it ORs the bit into a bitmask
-    keyed by the packed integer ``candidate_id * num_groups + group_id``.
-    Pairs whose bitmask reaches the group's full mask are emitted.
+    keyed by the packed integer ``candidate * num_groups + group``.  Pairs
+    whose bitmask reaches the group's full mask are emitted.
     """
 
     name = "hash_great_division"
@@ -144,58 +144,34 @@ class HashGreatDivision(GreatDivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        c_of, divisor_b = TupleProjector(self.c), TupleProjector(self.b)
-        group_id_of: dict[Any, int] = {}
-        group_keys: list[Any] = []
-        group_sizes: list[int] = []
+        kernel, groups, divisor_values, candidates, values = self._encoded_inputs()
+        num_groups = len(groups.keys)
+        group_sizes = [0] * num_groups
         hits_of: dict[Any, list[tuple[int, int]]] = {}
-        seen_divisor: set[tuple[int, Any]] = set()
-        for chunk in divisor.chunks():
-            for c_key, b_key in zip(c_of.keys_of(chunk), divisor_b.keys_of(chunk)):
-                group_id = group_id_of.get(c_key)
-                if group_id is None:
-                    group_id_of[c_key] = group_id = len(group_keys)
-                    group_keys.append(c_key)
-                    group_sizes.append(0)
-                if (group_id, b_key) in seen_divisor:
-                    continue
-                seen_divisor.add((group_id, b_key))
-                hits_of.setdefault(b_key, []).append((group_id, 1 << group_sizes[group_id]))
-                group_sizes[group_id] += 1
-        num_groups = len(group_keys)
+        divisor_pairs = zip(iter_codes(groups.codes), iter_codes(divisor_values.codes))
+        for group, value in dict.fromkeys(divisor_pairs):  # each (group, value) once
+            key = divisor_values.keys[value]
+            hits_of.setdefault(key, []).append((group, 1 << group_sizes[group]))
+            group_sizes[group] += 1
         group_full = [(1 << size) - 1 for size in group_sizes]
 
-        a_of, b_of = TupleProjector(self.a), TupleProjector(self.b)
-        candidate_id_of: dict[Any, int] = {}
-        candidate_keys: list[Any] = []
+        hits_by_code = values.table(hits_of, None)
         masks: dict[int, int] = {}
-        lookup = hits_of.get
-        get_candidate = candidate_id_of.get
         get_mask = masks.get
-        for chunk in dividend.chunks():
-            for a_key, b_key in zip(a_of.keys_of(chunk), b_of.keys_of(chunk)):
-                hits = lookup(b_key)
-                if not hits:
-                    continue
-                candidate_id = get_candidate(a_key)
-                if candidate_id is None:
-                    candidate_id_of[a_key] = candidate_id = len(candidate_keys)
-                    candidate_keys.append(a_key)
-                base = candidate_id * num_groups
-                for group_id, bit in hits:
-                    code = base + group_id
+        for candidate, value in zip(iter_codes(candidates.codes), iter_codes(values.codes)):
+            hits = hits_by_code[value]
+            if hits:
+                base = candidate * num_groups
+                for group, bit in hits:
+                    code = base + group
                     masks[code] = get_mask(code, 0) | bit
 
-        a_tuple, c_tuple = a_of.key_tuple, c_of.key_tuple
         codes = list(masks)
-        mask_values = list(masks.values())
         fulls = [group_full[code % num_groups] for code in codes]
         quotient = (
-            a_tuple(candidate_keys[codes[i] // num_groups])
-            + c_tuple(group_keys[codes[i] % num_groups])
-            for i in kernel.equal_matches(mask_values, fulls)
+            candidates.value_tuple(codes[i] // num_groups)
+            + groups.value_tuple(codes[i] % num_groups)
+            for i in kernel.equal_matches(list(masks.values()), fulls)
         )
         yield from chunked(quotient, self._schema, self.batch_size)
 
@@ -203,9 +179,9 @@ class HashGreatDivision(GreatDivisionOperator):
 class GroupwiseSmallDivision(GreatDivisionOperator):
     """Definition 4 as an execution strategy: one hash-division per divisor group.
 
-    The dividend is dictionary-encoded once — candidates and ``B``-values to
-    dense ids — so each per-group pass is a flat sweep over integer pairs,
-    ORing the group's per-value bits into one mask slot per candidate.
+    The dividend arrives as candidate and ``B``-value codes, so each
+    per-group pass is one flat gather sweep: the group's values each get a
+    bit, ORed into one mask slot per candidate.
     """
 
     name = "groupwise_small_division"
@@ -222,59 +198,32 @@ class GroupwiseSmallDivision(GreatDivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        c_of, divisor_b = TupleProjector(self.c), TupleProjector(self.b)
-        divisor_groups: dict[Any, set[Any]] = {}
-        for chunk in divisor.chunks():
-            for c_key, b_key in zip(c_of.keys_of(chunk), divisor_b.keys_of(chunk)):
-                divisor_groups.setdefault(c_key, set()).add(b_key)
-
-        a_of, b_of = TupleProjector(self.a), TupleProjector(self.b)
-        candidate_id_of: dict[Any, int] = {}
-        candidate_keys: list[Any] = []
-        value_id_of: dict[Any, int] = {}
-        pair_candidates: list[int] = []
-        pair_values: list[int] = []
-        get_candidate = candidate_id_of.get
-        get_value = value_id_of.get
-        append_candidate = pair_candidates.append
-        append_value = pair_values.append
-        for chunk in dividend.chunks():
-            for a_key, b_key in zip(a_of.keys_of(chunk), b_of.keys_of(chunk)):
-                candidate_id = get_candidate(a_key)
-                if candidate_id is None:
-                    candidate_id_of[a_key] = candidate_id = len(candidate_keys)
-                    candidate_keys.append(a_key)
-                value_id = get_value(b_key)
-                if value_id is None:
-                    value_id_of[b_key] = value_id = len(value_id_of)
-                append_candidate(candidate_id)
-                append_value(value_id)
-        num_values = len(value_id_of)
+        kernel, groups, divisor_values, candidates, values = self._encoded_inputs()
+        needed_of: list[dict[int, None]] = [{} for _ in groups.keys]
+        for group, value in zip(iter_codes(groups.codes), iter_codes(divisor_values.codes)):
+            needed_of[group][value] = None
+        # Dividend code of each divisor value (-1: the dividend never has it).
+        code_of = {key: code for code, key in enumerate(values.keys)}
+        dividend_code = divisor_values.table(code_of, -1)
         # The encoded dividend is swept once per divisor group; convert the
-        # index columns up front so the kernel reuses them across groups.
-        prepared_candidates = kernel.prepare_indices(pair_candidates)
-        prepared_values = kernel.prepare_indices(pair_values)
-
-        a_tuple, c_tuple = a_of.key_tuple, c_of.key_tuple
+        # code columns up front so the kernel reuses them across groups.
+        candidate_codes = kernel.prepare_indices(candidates.codes)
+        value_codes = kernel.prepare_indices(values.codes)
 
         def quotient() -> Iterator[tuple[Any, ...]]:
-            for c_key, needed in divisor_groups.items():
+            for group, needed in enumerate(needed_of):
                 # hash-division of the encoded dividend by this group: give
                 # each needed value (that the dividend knows at all) a bit.
-                bits = [0] * num_values
-                for ordinal, b_key in enumerate(needed):
-                    value_id = get_value(b_key)
-                    if value_id is not None:
-                        bits[value_id] = 1 << ordinal
-                full = (1 << len(needed)) - 1
+                positions = [-1] * len(values.keys)
+                for ordinal, value in enumerate(needed):
+                    if dividend_code[value] >= 0:
+                        positions[dividend_code[value]] = ordinal
                 masks = kernel.gather_sweep(
-                    len(candidate_keys), prepared_candidates, prepared_values, bits
+                    len(candidates.keys), candidate_codes, value_codes, positions, len(needed)
                 )
-                group_tuple = c_tuple(c_key)
-                for candidate_id in kernel.full_matches(masks, full):
-                    yield a_tuple(candidate_keys[candidate_id]) + group_tuple
+                group_tuple = groups.value_tuple(group)
+                for candidate in kernel.full_matches(masks, (1 << len(needed)) - 1):
+                    yield candidates.value_tuple(candidate) + group_tuple
 
         yield from chunked(quotient(), self._schema, self.batch_size)
 

@@ -20,12 +20,15 @@ that repertoire:
   operators.  Its intermediate result ``π_A(r1) × r2`` is |π_A(r1)|·|r2|
   tuples — the quadratic blow-up the special-purpose algorithms avoid.
 
-All algorithms pull their inputs as chunks, extract the ``A`` (quotient) and
-``B`` (divisor) value tuples positionally, and run on **dictionary-encoded
-bitsets**: the divisor values are mapped to single-bit masks (``b → 1 <<
-ordinal``) once per operator open, quotient candidates to dense integer
-ids, and the containment test per candidate becomes one ``int`` equality /
-subset check instead of per-row set-of-tuples bookkeeping.
+All algorithms read their inputs through the key-column seam
+(:func:`~repro.physical.division.keys.encode_keys`), which hands every
+operator the same thing: one integer code per dividend tuple for the ``A``
+(quotient) and ``B`` (divisor) keys — read straight from the scanned
+relation's cached dictionary codes when the input carries them, encoded on
+the fly otherwise — plus the code → key lists.  Each divisor value owns one
+bit, looked up once per *dictionary entry*; the containment test per
+candidate is then one bitmask equality / popcount check in the bitset
+kernel instead of per-row set-of-tuples bookkeeping.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from typing import Any
 
 from repro.division.schemas import DivisionSchemas
 from repro.errors import ExecutionError
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, TupleProjector, chunked
+from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, chunked
 from repro.physical.basic import DifferenceOp, ProductOp, ProjectOp
-from repro.physical.compile.kernels import active_kernel
+from repro.physical.compile.kernels import PythonBitsetKernel
+from repro.physical.division.keys import KeyedDivisionOperator, KeySide, encode_keys
+from repro.relation.encoding import iter_codes
 from repro.relation.schema import Schema
 
 __all__ = [
@@ -73,38 +78,40 @@ def _division_schemas(dividend: PhysicalOperator, divisor: PhysicalOperator) -> 
     )
 
 
-class DivisionOperator(PhysicalOperator):
+class DivisionOperator(KeyedDivisionOperator):
     """Common base for all physical small-divide algorithms."""
-
-    #: A quotient group is one A-value's B-set; partitioning the dividend
-    #: on A keeps every group whole, so per-partition quotients union to
-    #: the global quotient (the PartitionedDivision wrapper relies on it).
-    key_disjoint_safe = True
 
     def __init__(self, dividend: PhysicalOperator, divisor: PhysicalOperator) -> None:
         schemas = _division_schemas(dividend, divisor)
         super().__init__(schemas.quotient, (dividend, divisor))
         self.schemas = schemas
 
-    def _projectors(self) -> tuple[TupleProjector, TupleProjector]:
-        """(A-values, B-values) extractors for dividend/divisor chunks."""
-        return TupleProjector(self.schemas.a), TupleProjector(self.schemas.b)
+    def _encoded_inputs(self) -> tuple[PythonBitsetKernel, KeySide, Any, list[int], int]:
+        """Drain both inputs once: ``(kernel, candidates, B-codes, positions, width)``.
 
-    def _divisor_bits(self, divisor: PhysicalOperator) -> dict[Any, int]:
-        """Dictionary-encode the divisor: ``b-key → single-bit mask``.
-
-        Runs exactly once per operator open (not per probe); the bit
-        positions are assigned in first-seen order, so ``len(bit_of)`` is
-        the number of distinct divisor values and the all-ones mask
-        ``(1 << len(bit_of)) - 1`` encodes "contains the whole divisor".
+        The divisor's distinct ``B`` keys are numbered ``0 .. width-1`` (one
+        bit each, so the all-ones mask ``(1 << width) - 1`` encodes
+        "contains the whole divisor"); ``positions[code]`` is the bit of the
+        dividend ``B`` key with that code, or ``-1`` when the divisor lacks
+        it — one lookup per dictionary entry, not per tuple.
         """
-        divisor_b = TupleProjector(self.schemas.b)
-        bit_of: dict[Any, int] = {}
-        for chunk in divisor.chunks():
-            for key in divisor_b.keys_of(chunk):
-                if key not in bit_of:
-                    bit_of[key] = 1 << len(bit_of)
-        return bit_of
+        (divisor_side,) = encode_keys(self._children[1], self.schemas.b).sides
+        position_of = {key: position for position, key in enumerate(divisor_side.keys)}
+        kernel, candidates, values = self._dividend_keys(self.schemas.a, self.schemas.b)
+        return kernel, candidates, values.codes, values.table(position_of, -1), len(position_of)
+
+    def _emit(self, candidates: KeySide, matches: list[int]) -> Iterator[Chunk]:
+        """The quotient chunks for the matching candidate codes."""
+        quotient = map(candidates.value_tuple, matches)
+        return chunked(quotient, self._schema, self.batch_size)
+
+
+def _pair_bits(
+    candidates: KeySide, value_codes: Any, positions: list[int]
+) -> Iterator[tuple[int, int]]:
+    """``(candidate code, divisor bit)`` per dividend tuple (bit 0: no match)."""
+    bits = [1 << position if position >= 0 else 0 for position in positions]
+    return zip(iter_codes(candidates.codes), map(bits.__getitem__, iter_codes(value_codes)))
 
 
 class NestedLoopsDivision(DivisionOperator):
@@ -129,39 +136,26 @@ class NestedLoopsDivision(DivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        a_of, b_of = self._projectors()
-        bit_of = self._divisor_bits(divisor)
-        full = (1 << len(bit_of)) - 1
-        lookup = bit_of.get
-        candidate_keys: list[Any] = []
-        bits: list[int] = []
-        for chunk in dividend.chunks():
-            candidate_keys.extend(a_of.keys_of(chunk))
-            bits.extend(lookup(value, 0) for value in b_of.keys_of(chunk))
-        pairs = list(zip(candidate_keys, bits))
-        candidates = list(dict.fromkeys(candidate_keys))
+        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+        pairs = list(_pair_bits(candidates, value_codes, positions))
 
         # Deliberately quadratic: one full pair scan per candidate.  Only the
         # final full-mask scan goes through the kernel.
         or_ = int.__or__
         masks = [
             reduce(or_, [bit for pair_candidate, bit in pairs if pair_candidate == candidate], 0)
-            for candidate in candidates
+            for candidate in range(len(candidates.keys))
         ]
-        key_tuple = a_of.key_tuple
-        quotient = (key_tuple(candidates[i]) for i in kernel.full_matches(masks, full))
-        yield from chunked(quotient, self._schema, self.batch_size)
+        yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
 
 
 class HashDivision(DivisionOperator):
     """Graefe's hash-division.
 
     The divisor is loaded into a hash table assigning each tuple a bit; the
-    dividend is scanned once, maintaining one ``int`` bitmask per quotient
-    candidate (candidates are dictionary-encoded to dense ids indexing a
-    flat mask array).  A candidate is output when its bitmask is full.
+    dividend is swept once, ORing each tuple's divisor bit into one bitmask
+    per quotient candidate (candidate codes index a flat mask array).  A
+    candidate is output when its bitmask is full.
     """
 
     name = "hash_division"
@@ -172,51 +166,27 @@ class HashDivision(DivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        a_of, b_of = self._projectors()
-        bit_of = self._divisor_bits(divisor)
-        full = (1 << len(bit_of)) - 1
-        lookup = bit_of.get
-
-        # Dictionary-encode candidates to dense ids and gather the per-tuple
-        # divisor bits; the OR-sweep and the full-mask scan run in the kernel.
-        id_of: dict[Any, int] = {}
-        candidate_ids: list[int] = []
-        bits: list[int] = []
-        get_id = id_of.get
-        append_id = candidate_ids.append
-        for chunk in dividend.chunks():
-            for candidate in a_of.keys_of(chunk):
-                candidate_id = get_id(candidate)
-                if candidate_id is None:
-                    id_of[candidate] = candidate_id = len(id_of)
-                append_id(candidate_id)
-            bits.extend(lookup(value, 0) for value in b_of.keys_of(chunk))
-        masks = kernel.sweep_masks(len(id_of), candidate_ids, bits)
-        candidates = list(id_of)
-
-        key_tuple = a_of.key_tuple
-        quotient = (key_tuple(candidates[i]) for i in kernel.full_matches(masks, full))
-        yield from chunked(quotient, self._schema, self.batch_size)
+        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+        masks = kernel.gather_sweep(
+            len(candidates.keys), candidates.codes, value_codes, positions, width
+        )
+        yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
 
 
 class MergeSortDivision(DivisionOperator):
     """Merge-sort division over dictionary codes.
 
-    Both inputs are dictionary-encoded to integers (candidates → dense ids,
-    divisor values → bit masks), the dividend pairs are sorted by code —
-    integer sort, no ``repr`` keys — and one interleaved merge scan
-    accumulates each candidate run's bitmask against the divisor.
+    The dividend pairs are sorted by candidate code — integer sort, no
+    ``repr`` keys — and one interleaved merge scan accumulates each
+    candidate run's bitmask against the divisor.
 
     With ``assume_clustered=True`` (set by the cost-based planner when the
     statistics show the dividend's scan order is already sorted on the
-    quotient attributes) the sort — and the candidate dictionary — are
-    skipped entirely: the merge scan streams the dividend, accumulating one
-    bitmask per contiguous candidate run.  A run boundary writes the mask
-    into a per-candidate dictionary, so the result stays correct even when
-    the clustering assumption turns out to be wrong — only the performance
-    degrades toward hash-division."""
+    quotient attributes) the sort is skipped entirely: the merge scan
+    streams the dividend, accumulating one bitmask per contiguous candidate
+    run.  A run boundary ORs the mask into the candidate's slot, so the
+    result stays correct even when the clustering assumption turns out to
+    be wrong — only the performance degrades toward hash-division."""
 
     name = "merge_sort_division"
 
@@ -245,102 +215,33 @@ class MergeSortDivision(DivisionOperator):
         return f"{self.name}(streaming)" if self.assume_clustered else self.name
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        if self.assume_clustered:
-            yield from self._produce_streaming()
-            return
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        a_of, b_of = self._projectors()
-        bit_of = self._divisor_bits(divisor)
-        full = (1 << len(bit_of)) - 1
-        lookup = bit_of.get
+        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+        pairs: Any = _pair_bits(candidates, value_codes, positions)
+        if not self.assume_clustered:
+            pairs = sorted(pair for pair in pairs if pair[1])
 
-        id_of: dict[Any, int] = {}
-        get_id = id_of.get
-        encoded: list[tuple[int, int]] = []
-        append_pair = encoded.append
-        next_id = 0
-        for chunk in dividend.chunks():
-            for candidate, value in zip(a_of.keys_of(chunk), b_of.keys_of(chunk)):
-                candidate_id = get_id(candidate)
-                if candidate_id is None:
-                    id_of[candidate] = candidate_id = next_id
-                    next_id += 1
-                bit = lookup(value)
-                if bit is not None:
-                    append_pair((candidate_id, bit))
-        encoded.sort()
-        candidates = list(id_of)
-        key_tuple = a_of.key_tuple
-
-        if full == 0:
-            # Empty divisor: every candidate trivially contains it (no pair
-            # carries a bit, so the merge scan below would see nothing).
-            quotient = (key_tuple(candidate) for candidate in candidates)
-            yield from chunked(quotient, self._schema, self.batch_size)
-            return
-
-        # Merge each sorted candidate run into one mask slot; candidates
-        # without pairs keep mask 0 ≠ full.  The final scan is kernelized.
-        masks = [0] * len(candidates)
+        # Merge each candidate run into its mask slot (ORing, so a
+        # non-contiguous run under a wrong clustering assumption still
+        # lands in the same slot); candidates without pairs keep mask 0.
+        masks = [0] * len(candidates.keys)
         current = -1
         mask = 0
-        for candidate_id, bit in encoded:
-            if candidate_id != current:
+        for candidate, bit in pairs:
+            if candidate != current:
                 if current >= 0:
-                    masks[current] = mask
-                current = candidate_id
+                    masks[current] |= mask
+                current = candidate
                 mask = 0
             mask |= bit
         if current >= 0:
-            masks[current] = mask
-
-        quotient = (key_tuple(candidates[i]) for i in kernel.full_matches(masks, full))
-        yield from chunked(quotient, self._schema, self.batch_size)
-
-    def _produce_streaming(self) -> Iterator[Chunk]:
-        """Merge-group scan over a (presumably) clustered dividend.
-
-        One bitmask accumulates per contiguous candidate run; run boundaries
-        OR the mask into ``mask_of`` keyed by the candidate, which both
-        preserves first-seen emission order and absorbs non-contiguous runs
-        (wrong clustering assumption) without changing the result.
-        """
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        a_of, b_of = self._projectors()
-        bit_of = self._divisor_bits(divisor)
-        full = (1 << len(bit_of)) - 1
-        lookup = bit_of.get
-        mask_of: dict[Any, int] = {}
-        get_mask = mask_of.get
-        sentinel = object()
-        current: Any = sentinel
-        mask = 0
-        for chunk in dividend.chunks():
-            for candidate, value in zip(a_of.keys_of(chunk), b_of.keys_of(chunk)):
-                if candidate != current:
-                    if current is not sentinel:
-                        mask_of[current] = get_mask(current, 0) | mask
-                    current = candidate
-                    mask = get_mask(candidate, 0)
-                bit = lookup(value)
-                if bit is not None:
-                    mask |= bit
-        if current is not sentinel:
-            mask_of[current] = get_mask(current, 0) | mask
-
-        key_tuple = a_of.key_tuple
-        candidates = list(mask_of)
-        masks = list(mask_of.values())
-        quotient = (key_tuple(candidates[i]) for i in kernel.full_matches(masks, full))
-        yield from chunked(quotient, self._schema, self.batch_size)
+            masks[current] |= mask
+        yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
 
 
 class MergeCountDivision(DivisionOperator):
     """Counting division: semi-join the dividend with the divisor, count the
-    matched divisor values per candidate (``int.bit_count`` over the
-    candidate's bitmask) and compare with |divisor|."""
+    matched divisor values per candidate (the popcount of the candidate's
+    bitmask) and compare with |divisor|."""
 
     name = "merge_count_division"
 
@@ -350,31 +251,11 @@ class MergeCountDivision(DivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel = active_kernel()
-        dividend, divisor = self._children
-        a_of, b_of = self._projectors()
-        bit_of = self._divisor_bits(divisor)
-        required = len(bit_of)
-        lookup = bit_of.get
-
-        id_of: dict[Any, int] = {}
-        candidate_ids: list[int] = []
-        bits: list[int] = []
-        get_id = id_of.get
-        append_id = candidate_ids.append
-        for chunk in dividend.chunks():
-            for candidate in a_of.keys_of(chunk):
-                candidate_id = get_id(candidate)
-                if candidate_id is None:
-                    id_of[candidate] = candidate_id = len(id_of)
-                append_id(candidate_id)
-            bits.extend(lookup(value, 0) for value in b_of.keys_of(chunk))
-        masks = kernel.sweep_masks(len(id_of), candidate_ids, bits)
-        candidates = list(id_of)
-
-        key_tuple = a_of.key_tuple
-        quotient = (key_tuple(candidates[i]) for i in kernel.popcount_matches(masks, required))
-        yield from chunked(quotient, self._schema, self.batch_size)
+        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+        masks = kernel.gather_sweep(
+            len(candidates.keys), candidates.codes, value_codes, positions, width
+        )
+        yield from self._emit(candidates, kernel.popcount_matches(masks, width))
 
 
 class AlgebraSimulationDivision(DivisionOperator):
@@ -412,10 +293,8 @@ class AlgebraSimulationDivision(DivisionOperator):
         self._children = (self._plan,)
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        # No bitset loop of its own by design (the blow-up *is* the point);
-        # consulting the seam keeps the dispatch uniform across all eight
-        # algorithms and lets tests pin a kernel without special cases.
-        self.kernel = active_kernel()
+        # No bitset loop and no key columns of its own by design (the
+        # blow-up *is* the point): the basic operators below do the work.
         return self._plan.chunks()
 
 

@@ -1,10 +1,11 @@
 """Leaf physical operators: table scans and literal relations.
 
 Scans are the chunk producers at the bottom of every plan: they slice the
-relation's cached aligned-tuple block (see
-:meth:`~repro.relation.relation.Relation.aligned_tuples`) into
+relation's cached aligned-tuple block and its cached dictionary codes (see
+:meth:`~repro.relation.relation.Relation.aligned_tuples` and
+:meth:`~repro.relation.relation.Relation.encoded_columns`) into
 :class:`~repro.physical.base.Chunk` objects — no per-tuple work at all
-beyond the list slice.
+beyond the slices.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ __all__ = ["TableScan", "RelationScan"]
 class _ScanBase(PhysicalOperator):
     """Shared chunk producer for leaf scans over an in-memory relation."""
 
-    #: Pure list slicing over the cached tuple block; delivers the
-    #: relation's physical scan order unchanged (clustered layouts survive).
+    #: Pure slicing over the cached tuple block and code columns; delivers
+    #: the relation's physical scan order unchanged (clustered layouts survive).
     properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5, preserves_order=True)
 
     relation: Relation
@@ -30,9 +31,17 @@ class _ScanBase(PhysicalOperator):
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
         tuples = self.relation.aligned_tuples()
+        columns = self.relation.encoded_columns()
+        total = len(tuples)
         size = self.batch_size
-        for start in range(0, len(tuples), size):
-            yield Chunk(schema, tuples[start : start + size])
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            yield Chunk.deferred(
+                schema,
+                tuple(column.slice(start, stop) for column in columns),
+                stop - start,
+                lambda start=start, stop=stop: tuples[start:stop],
+            )
 
 
 class RelationScan(_ScanBase):

@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any, Optional, Union
 
 from repro.errors import RelationError, SchemaError
+from repro.relation.encoding import CodeColumn, encode_columns
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
 
@@ -74,7 +75,7 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_rows", "_tuples")
+    __slots__ = ("_schema", "_rows", "_tuples", "_encoding")
 
     def __init__(
         self,
@@ -86,6 +87,7 @@ class Relation:
         self._schema = schema
         self._rows: frozenset[Row] = frozenset(coerce(schema, raw) for raw in rows)
         self._tuples: Optional[list[tuple[Any, ...]]] = None
+        self._encoding: Optional[tuple[CodeColumn, ...]] = None
 
     @staticmethod
     def _coerce_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> Row:
@@ -133,6 +135,7 @@ class Relation:
         relation._schema = schema
         relation._rows = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._tuples = None
+        relation._encoding = None
         return relation
 
     @classmethod
@@ -149,6 +152,7 @@ class Relation:
         relation._schema = schema
         relation._rows = frozenset(from_schema(schema, values) for values in tuples)
         relation._tuples = None
+        relation._encoding = None
         return relation
 
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
@@ -163,6 +167,30 @@ class Relation:
             tuples = [row._values for row in self._rows]
             self._tuples = tuples
         return tuples
+
+    def encoded_columns(self) -> tuple[CodeColumn, ...]:
+        """Per-attribute dictionary codes of :meth:`aligned_tuples` (cached).
+
+        One :class:`~repro.relation.encoding.CodeColumn` per schema
+        attribute, aligned with the scan order.  Relations are immutable —
+        a table mutation swaps in a *new* relation value — so the cache
+        never needs invalidating: a new table version starts without one
+        and builds it on its first scan or statistics pass.
+        """
+        encoding = self._encoding
+        if encoding is None:
+            encoding = encode_columns(self.aligned_tuples(), len(self._schema))
+            self._encoding = encoding
+        return encoding
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        """Pickle the value and its scan order, not the derived encoding."""
+        return None, {
+            "_schema": self._schema,
+            "_rows": self._rows,
+            "_tuples": self._tuples,
+            "_encoding": None,
+        }
 
     def _align(self, row: Row) -> Row:
         """Realign a same-attribute-set row with this relation's schema."""

@@ -113,6 +113,12 @@ class Schema:
             _INTERNED[names] = schema
         return schema
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickle as the attribute names: the getter caches hold closures
+        (unpicklable, and derived data anyway), and the copy rejoins the
+        receiving process's intern table."""
+        return Schema.interned, (self._names,)
+
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------

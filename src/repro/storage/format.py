@@ -73,6 +73,7 @@ __all__ = [
     "block_zones",
     "build_dictionaries",
     "decode_block",
+    "decode_columns",
     "encode_block",
     "write_table_file",
 ]
@@ -140,20 +141,28 @@ def encode_block(
     return pickle.dumps(columns, protocol=_PROTOCOL)
 
 
-def decode_block(
-    payload: bytes,
+def decode_columns(
+    columns: Sequence[Sequence[Any]],
     attributes: Sequence[str],
     dictionaries: dict[str, list[Any]],
 ) -> list[tuple[Any, ...]]:
-    """Inverse of :func:`encode_block`: payload bytes → aligned tuples."""
-    columns = pickle.loads(payload)
-    decoded: list[list[Any]] = []
+    """A block's stored columns (codes where a page exists) → aligned tuples."""
+    decoded: list[Sequence[Any]] = []
     for name, column in zip(attributes, columns):
         page = dictionaries.get(name)
         if page is not None:
             column = [page[code] for code in column]
         decoded.append(column)
     return list(zip(*decoded))
+
+
+def decode_block(
+    payload: bytes,
+    attributes: Sequence[str],
+    dictionaries: dict[str, list[Any]],
+) -> list[tuple[Any, ...]]:
+    """Inverse of :func:`encode_block`: payload bytes → aligned tuples."""
+    return decode_columns(pickle.loads(payload), attributes, dictionaries)
 
 
 def block_zones(
@@ -353,9 +362,10 @@ class TableReader:
         with open(self._path, "rb") as stream:
             stream.seek(self._data_start + meta["offset"])
             payload = stream.read(meta["length"])
-        return self._decode(meta, payload)
+        return self._tuples(self._columns(meta, payload))
 
-    def _decode(self, meta: dict[str, Any], payload: bytes) -> list[tuple[Any, ...]]:
+    def _columns(self, meta: dict[str, Any], payload: bytes) -> list[list[Any]]:
+        """Verify one block payload and unpickle its stored columns."""
         payload = fault_registry.fire("storage.block_read", payload)
         if len(payload) != meta["length"]:
             raise StorageError(f"{self._path} is truncated (block payload incomplete)")
@@ -373,7 +383,17 @@ class TableReader:
                     actual=actual,
                 )
         try:
-            return decode_block(payload, self.attributes, self.dictionaries)
+            columns = pickle.loads(payload)
+        except Exception as error:
+            raise StorageError(f"{self._path} has an unreadable block: {error}") from None
+        width = len(self._header["attributes"])
+        if not isinstance(columns, list) or len(columns) != width:
+            raise StorageError(f"{self._path} has an unreadable block: not {width} columns")
+        return columns
+
+    def _tuples(self, columns: list[list[Any]]) -> list[tuple[Any, ...]]:
+        try:
+            return decode_columns(columns, self.attributes, self.dictionaries)
         except Exception as error:
             raise StorageError(f"{self._path} has an unreadable block: {error}") from None
 
@@ -384,14 +404,17 @@ class TableReader:
                 return number
         return None
 
-    def iter_blocks(
+    def iter_block_columns(
         self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
-    ) -> Iterator[tuple[dict[str, Any], list[tuple[Any, ...]]]]:
-        """Yield ``(index_entry, tuples)`` per block, in file order.
+    ) -> Iterator[tuple[dict[str, Any], list[list[Any]]]]:
+        """Yield ``(index_entry, stored columns)`` per block, in file order.
 
-        ``should_read`` sees each index entry (with its zone maps) before
-        the payload is touched; returning ``False`` skips the block
-        without any disk read beyond the already-loaded header.
+        The columns come back as stored — column-major, integer codes into
+        :attr:`dictionaries` wherever a page exists, raw values otherwise —
+        verified (length, CRC) but not decoded.  ``should_read`` sees each
+        index entry (with its zone maps) before the payload is touched;
+        returning ``False`` skips the block without any disk read beyond
+        the already-loaded header.
         """
         with open(self._path, "rb") as stream:
             for meta in self.blocks:
@@ -399,7 +422,15 @@ class TableReader:
                     continue
                 stream.seek(self._data_start + meta["offset"])
                 payload = stream.read(meta["length"])
-                yield meta, self._decode(meta, payload)
+                yield meta, self._columns(meta, payload)
+
+    def iter_blocks(
+        self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
+    ) -> Iterator[tuple[dict[str, Any], list[tuple[Any, ...]]]]:
+        """Yield ``(index_entry, tuples)`` per block: the decoded view of
+        :meth:`iter_block_columns`."""
+        for meta, columns in self.iter_block_columns(should_read):
+            yield meta, self._tuples(columns)
 
     def sample_tuples(self, limit: int) -> list[tuple[Any, ...]]:
         """Up to ``limit`` tuples from the leading blocks (for type checks)."""

@@ -1,9 +1,13 @@
 """``StoredScan``: stream a stored table's blocks into the chunk pipeline.
 
 The stored counterpart of ``TableScan``: instead of slicing a
-materialized relation's cached tuple list, it decodes the table file block
-by block and re-slices into chunks — the backing
-:class:`~repro.storage.store.StoredRelation` stays on disk.
+materialized relation's cached tuples and codes, it reads the table file
+block by block and re-slices into chunks — the backing
+:class:`~repro.storage.store.StoredRelation` stays on disk.  A block is
+stored column-major as codes into table-wide dictionary pages, which is
+exactly a chunk's code-column form: the codes go up **untransposed**, and
+the page lookups plus the transpose into tuples only happen for a chunk
+whose consumer reads ``chunk.tuples``.
 
 With a *skip predicate* attached (the optimizer pushes a query's leaf
 predicate down when its attributes are covered by the scan schema), each
@@ -16,15 +20,21 @@ anyway, and the ``blocks_skipped`` counter it maintains is surfaced by
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.algebra.predicates import Predicate, conjunction
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, StorageError
 from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
+from repro.relation.encoding import CodeColumn, code_buffer
 from repro.storage.format import block_may_match
 from repro.storage.store import StoredRelation
 
 __all__ = ["StoredScan"]
+
+
+def block_tuples(columns: tuple[CodeColumn, ...]) -> Callable[[], list[tuple[Any, ...]]]:
+    """Deferred decode of one chunk: page lookups, then the transpose."""
+    return lambda: list(zip(*(column.values() for column in columns)))
 
 
 class StoredScan(PhysicalOperator):
@@ -87,9 +97,23 @@ class StoredScan(PhysicalOperator):
                 self.blocks_skipped += 1
                 return False
 
-        for _meta, tuples in reader.iter_blocks(selector):
-            for start in range(0, len(tuples), size):
-                yield Chunk(schema, tuples[start : start + size])
+        pages = [reader.dictionaries.get(name) for name in schema.names]
+        if None in pages:  # a column stored raw has no codes to hand up
+            for _meta, tuples in reader.iter_blocks(selector):
+                for start in range(0, len(tuples), size):
+                    yield Chunk(schema, tuples[start : start + size])
+            return
+        for meta, stored in reader.iter_block_columns(selector):
+            count = meta["count"]
+            try:
+                buffers = [code_buffer(codes, count) for codes in stored]
+            except (TypeError, ValueError, OverflowError) as error:
+                raise StorageError(f"{reader.path} has an unreadable block: {error}") from None
+            columns = [CodeColumn(page, buffer) for page, buffer in zip(pages, buffers)]
+            for start in range(0, count, size):
+                stop = min(start + size, count)
+                block = tuple(column.slice(start, stop) for column in columns)
+                yield Chunk.deferred(schema, block, stop - start, block_tuples(block))
 
     def describe(self) -> str:
         description = (

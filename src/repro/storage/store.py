@@ -111,6 +111,13 @@ class StoredRelation(Relation):
         self._reader = reader
         self._cached_rows: Optional[frozenset[Row]] = None
         self._cached_tuples: Optional[list[tuple[Any, ...]]] = None
+        # The inherited encoding cache stays empty until something scans the
+        # materialized tuples; opening a store must not decode a block.
+        self._encoding = None
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickle as "reopen this file": no rows, tuples or codes travel."""
+        return StoredRelation, (self._reader,)
 
     # -- lazy materialization ------------------------------------------
     @property

@@ -111,3 +111,54 @@ class TestExplainAnalyzeQError:
         assert q_error(5, 20) == 4.0
         assert q_error(20, 5) == 4.0
         assert q_error(0, 0) == 1.0
+
+
+class TestKeyColumnAnnotations:
+    """``explain(analyze=True)`` says where each division read its keys,
+    which kernel ran, and how each compiled segment filtered."""
+
+    SELECTIVE = (
+        "SELECT s_no FROM (SELECT s_no, p_no FROM supplies WHERE s_no >= 's2') AS s "
+        "DIVIDE BY (SELECT p_no FROM parts WHERE color = 'red') AS p ON s.p_no = p.p_no"
+    )
+
+    @staticmethod
+    def physical_section(text):
+        section = text.split("Physical plan", 1)[1]
+        # estimates, costs and timings vary; the annotations are the snapshot
+        return [line.strip() for line in section.splitlines() if line.strip().startswith("·")]
+
+    def test_snapshot_of_a_dictionary_filtered_division(self, db):
+        from repro.physical import active_kernel
+
+        text = db.sql(self.SELECTIVE).explain(analyze=True)
+        assert (
+            "compiled    : yes · 2 segments · filters: 1 on the dictionary, 1 per tuple" in text
+        )
+        annotations = [
+            line for line in self.physical_section(text) if not line.startswith("· algorithm=")
+        ]
+        assert annotations == [
+            f"· keys: cached codes, kernel: {active_kernel().name}",
+            "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
+            # the divisor's projection drops ``color``: it eliminates duplicates
+            "· compiled segment (2 operator(s) fused, filtered per tuple)",
+        ]
+
+    def test_plain_explain_claims_nothing_about_an_execution(self, db):
+        text = db.sql(self.SELECTIVE).explain()
+        assert "compiled    : yes · 2 segments\n" in text
+        assert "keys:" not in text and "filtered" not in text
+
+    def test_interpreted_filter_encodes_on_the_fly(self):
+        db = connect(textbook_catalog, compile=False)
+        text = db.sql(self.SELECTIVE).explain(analyze=True)
+        assert "· keys: encoded on the fly, kernel: " in text
+        assert "filters:" not in text
+
+    def test_pinned_kernel_is_reported(self, db):
+        from repro.physical import use_kernel
+
+        with use_kernel("python"):
+            text = db.sql(Q2).explain(analyze=True)
+        assert "· keys: cached codes, kernel: python" in text

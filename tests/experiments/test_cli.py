@@ -154,6 +154,21 @@ class TestExplainCommand:
         assert "Physical plan" in output
         assert "actual=" in output
 
+    def test_explain_reports_key_source_kernel_and_filter_mode(self, capsys):
+        assert main(["explain", "Q2"]) == 0
+        output = capsys.readouterr().out
+        # Q2's only filter sits under a duplicate-eliminating projection.
+        assert "compiled    : yes · 1 segment · filters: 0 on the dictionary, 1 per tuple" in output
+        assert "· keys: cached codes, kernel: " in output
+        assert "fused, filtered per tuple)" in output
+
+    def test_sql_explain_reports_dictionary_filter(self, capsys):
+        text = "SELECT s_no, p_no FROM supplies WHERE s_no >= 's2'"
+        assert main(["sql", text, "--explain"]) == 0
+        output = capsys.readouterr().out
+        assert "· filters: 1 on the dictionary, 0 per tuple" in output
+        assert "fused, filtered on the dictionary)" in output
+
     def test_explain_reports_coordinator_worker_split(self, capsys):
         assert main(["explain", "Q2"]) == 0
         output = capsys.readouterr().out

@@ -133,6 +133,45 @@ class TestExtendedStatistics:
         assert not stats.is_sorted("a")
         assert stats.minimum("a") is None
 
+    def test_bounds_are_all_or_nothing(self):
+        """A value type whose ``<`` works but whose ``>`` raises used to
+        leave a minimum without a maximum."""
+
+        class OnlyLess:
+            def __init__(self, rank):
+                self.rank = rank
+
+            def __hash__(self):
+                return hash(self.rank)
+
+            def __eq__(self, other):
+                return self.rank == other.rank
+
+            def __lt__(self, other):
+                return self.rank < other.rank
+
+            def __gt__(self, other):
+                raise TypeError("no > for OnlyLess")
+
+        stats = TableStatistics.from_relation(Relation(["a"], [(OnlyLess(1),), (OnlyLess(2),)]))
+        assert stats.minimum("a") is None and stats.maximum("a") is None
+        assert stats.distinct("a") == 2
+
+    def test_statistics_come_from_the_cached_encoding(self):
+        """One pass, not two: collecting statistics builds the relation's
+        encoding, and the scan that follows reuses it."""
+        relation = Relation(["a", "b"], [(i % 3, f"v{i % 8}") for i in range(24)])
+        stats = TableStatistics.from_relation(relation)
+        encoding = relation._encoding
+        assert encoding is not None and relation.encoded_columns() is encoding
+        assert stats.distinct_values == {"a": 3, "b": 8}
+        assert stats.top_frequency("a") == 8 and stats.top_frequency("b") == 3
+        assert (stats.minimum("b"), stats.maximum("b")) == ("v0", "v7")
+
+    def test_equal_values_of_different_types_count_once(self):
+        stats = TableStatistics.from_relation(Relation(["a", "b"], [(1, 0), (1.0, 1), (True, 2)]))
+        assert stats.distinct("a") == 1 and stats.top_frequency("a") == 3
+
     def test_one_pass_matches_per_attribute_projection(self, workload):
         """The columnar one-pass collection computes the same distinct
         counts as the old one-Relation-per-attribute implementation."""

@@ -1,9 +1,9 @@
-"""Bitset-kernel dispatch: python/numpy parity, fallbacks, selection.
+"""Bitset-kernel dispatch: python/numpy parity, wide masks, selection.
 
-Results must never depend on the kernel in use: the numpy fast path falls
-back to the Python reference per call whenever a mask does not fit in
-``uint64`` (wide divisors) or a conversion fails, and the match scans
-return ascending indices — the same emission order as the reference.
+Results must never depend on the kernel in use: the numpy kernel keeps
+masks as multi-word ``uint64`` arrays, so divisors wider than 64 bits stay
+vectorized (no per-call Python fallback), and the match scans return
+ascending indices — the same emission order as the reference.
 """
 
 import pytest
@@ -52,8 +52,7 @@ def great_workload():
 
 @pytest.fixture(scope="module")
 def wide_workload():
-    """A 96-value divisor: masks exceed 64 bits, forcing the numpy kernel
-    onto its per-call Python fallback."""
+    """A 96-value divisor: masks need two ``uint64`` words."""
     workload = make_division_workload(
         num_groups=40, divisor_size=96, containing_fraction=0.3, extra_values_per_group=4, seed=15
     )
@@ -141,11 +140,8 @@ class TestKernelParity:
         )
 
     @pytest.mark.parametrize("algorithm", sorted(SMALL_DIVIDE_ALGORITHMS))
-    def test_wide_divisor_falls_back_without_changing_results(
-        self, wide_workload, algorithm
-    ):
-        """Masks wider than 64 bits overflow ``uint64`` — the numpy kernel
-        must route those calls to the Python reference, not truncate."""
+    def test_wide_divisor_does_not_change_results(self, wide_workload, algorithm):
+        """Masks wider than 64 bits span several words — never truncated."""
         operator_class = SMALL_DIVIDE_ALGORITHMS[algorithm]
 
         def run():
@@ -172,18 +168,42 @@ class TestKernelPrimitives:
         vectorized = NumpyBitsetKernel().full_matches(list(masks), 7)
         assert vectorized == python == sorted(python)
 
-    def test_sweep_masks_matches_reference(self):
+    @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 120, 200])
+    def test_gather_sweep_matches_reference(self, width):
         count = 40
-        indices = [i % count for i in range(200)]
-        bits = [1 << (i % 7) for i in range(200)]
-        python = PythonBitsetKernel().sweep_masks(count, indices, bits)
-        vectorized = NumpyBitsetKernel().sweep_masks(count, indices, bits)
-        assert [int(m) for m in vectorized] == python
+        candidates = [i % count for i in range(400)]
+        values = [(i * 7) % 250 for i in range(400)]
+        positions = [code if code < width else -1 for code in range(250)]
+        python = PythonBitsetKernel().gather_sweep(count, candidates, values, positions, width)
+        vectorized = NumpyBitsetKernel().gather_sweep(count, candidates, values, positions, width)
+        assert vectorized.shape == (count, -(-width // 64))
+        as_ints = [sum(int(word) << (64 * i) for i, word in enumerate(row)) for row in vectorized]
+        assert as_ints == python
+        full = (1 << width) - 1
+        for scan in ("full_matches", "subset_matches"):
+            assert getattr(NumpyBitsetKernel(), scan)(vectorized, full) == getattr(
+                PythonBitsetKernel(), scan
+            )(python, full)
+        assert NumpyBitsetKernel().popcount_matches(vectorized, 2) == (
+            PythonBitsetKernel().popcount_matches(python, 2)
+        )
 
-    def test_wide_masks_overflow_to_python_reference(self):
-        wide = [(1 << 80) - 1] * 40
+    def test_wide_masks_stay_vectorized(self, monkeypatch):
+        """No width-based fallback: the Python reference is never consulted."""
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("numpy kernel fell back to the Python reference")
+
+        for name in ("full_matches", "subset_matches", "equal_matches", "popcount_matches"):
+            monkeypatch.setattr(PythonBitsetKernel, name, forbidden)
+        wide = [(1 << 80) - 1] * 39 + [1 << 79]
         full = (1 << 80) - 1
-        assert NumpyBitsetKernel().full_matches(wide, full) == list(range(40))
+        kernel = NumpyBitsetKernel()
+        assert kernel.full_matches(wide, full) == list(range(39))
+        assert kernel.subset_matches(wide, 1 << 79) == list(range(40))
+        assert kernel.equal_matches(wide, [full] * 40) == list(range(39))
+        assert kernel.popcount_matches(wide, 1) == [39]
+        assert kernel.full_matches(wide, (1 << 200) - 1) == []
 
     def test_popcount_matches_reference(self):
         masks = [0b1011, 0b0110, 0b1111, 0b0001] * 10

@@ -1,0 +1,207 @@
+"""The key-column seam: cached codes ≡ on-the-fly encoding, everywhere.
+
+A division operator's input either carries code columns (a scan of an
+in-memory relation: the keys are read from the relation's cached
+dictionary codes) or it does not (a partition worker's ``PartitionSource``,
+join output: the keys are encoded on the fly).  The two must be
+indistinguishable: same quotient, same per-operator tuple counts — for
+every algorithm, kernel, batch size and divisor width, for single and
+composite keys, mixed-type columns, ``1 == 1.0 == True`` key collisions
+and the empty divisor.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.physical import (
+    GREAT_DIVIDE_ALGORITHMS,
+    SMALL_DIVIDE_ALGORITHMS,
+    PartitionSource,
+    PhysicalOperator,
+    RelationScan,
+    available_kernels,
+    execute_plan,
+    numpy_available,
+    use_kernel,
+)
+from repro.physical.compile.kernels import PythonBitsetKernel
+from repro.physical.division.keys import encode_keys
+from repro.relation import Relation
+from repro.relation.schema import Schema
+
+BATCH_SIZES = (1, 3, 1024)
+DIVISOR_WIDTHS = (1, 63, 64, 65, 120, 200)
+ALGORITHMS = [("small", name) for name in sorted(SMALL_DIVIDE_ALGORITHMS)] + [
+    ("great", name) for name in sorted(GREAT_DIVIDE_ALGORITHMS)
+]
+
+#: How a key's integer identity is dressed up as a value.
+FLAVOURS = {
+    "ints": lambda i: i,
+    "strings": lambda i: f"v{i:04d}",
+    # ints and strings in one column: min/max and ``<`` raise on it
+    "mixed": lambda i: i if i % 2 else f"v{i:04d}",
+    # 1, 1.0 and True are one key: equal and hash-equal
+    "colliding": lambda i: (i, float(i), i == 1)[i % 3] if i < 2 else i,
+}
+
+
+def plain(relation: Relation) -> PartitionSource:
+    """The same tuples as a leaf without code columns (an un-encoded copy)."""
+    return PartitionSource(relation.schema.names, list(relation.aligned_tuples()))
+
+
+@st.composite
+def divisions(draw, kind: str, width: int):
+    """A dividend/divisor pair whose divisor has ``width`` distinct values
+    (``width`` split over a few groups for the great divide)."""
+    candidates = draw(st.integers(min_value=1, max_value=40))
+    composite = draw(st.booleans())
+    value_of = FLAVOURS[draw(st.sampled_from(sorted(FLAVOURS)))]
+    key_of = FLAVOURS[draw(st.sampled_from(sorted(FLAVOURS)))]
+    empty_divisor = draw(st.integers(min_value=0, max_value=9)) == 0
+    # Candidates below `complete` own every divisor value; the others own a
+    # drawn share of the value domain (which is wider than the divisor).
+    complete = draw(st.integers(min_value=0, max_value=min(candidates, 3)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    picks = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    domain = width + 5
+    rows = []
+    for candidate in range(candidates):
+        if candidate < complete:
+            owned = range(domain)
+        else:
+            owned = [value for value in range(domain) if picks.random() < share] or [domain - 1]
+        key = (key_of(candidate), f"g{candidate % 3}") if composite else (key_of(candidate),)
+        rows.extend(key + (value_of(value),) for value in owned)
+    names = ("a1", "a2", "b") if composite else ("a1", "b")
+    dividend = Relation(names, rows)
+    values = [] if empty_divisor else range(width)
+    if kind == "small":
+        divisor = Relation(["b"], [(value_of(value),) for value in values])
+    else:
+        divisor = Relation(["b", "c"], [(value_of(value), f"c{value % 4}") for value in values])
+    return dividend, divisor
+
+
+def operator_class(kind: str, algorithm: str):
+    return (SMALL_DIVIDE_ALGORITHMS if kind == "small" else GREAT_DIVIDE_ALGORITHMS)[algorithm]
+
+
+@pytest.mark.parametrize("width", DIVISOR_WIDTHS)
+@pytest.mark.parametrize("kind,algorithm", ALGORITHMS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_cached_codes_equal_on_the_fly_encoding(kind, algorithm, width, data):
+    dividend, divisor = data.draw(divisions(kind, width))
+    build = operator_class(kind, algorithm)
+    reference = None
+    for kernel in available_kernels():
+        for batch_size in BATCH_SIZES:
+            with use_kernel(kernel):
+                coded_plan = build(RelationScan(dividend), RelationScan(divisor))
+                coded = execute_plan(coded_plan, batch_size=batch_size)
+                plain_plan = build(plain(dividend), plain(divisor))
+                uncoded = execute_plan(plain_plan, batch_size=batch_size)
+            if algorithm != "algebra_simulation":  # it has no key columns of its own
+                assert coded_plan.key_source == "cached codes"
+                assert plain_plan.key_source == "encoded on the fly"
+            assert coded.relation == uncoded.relation
+            counts = [
+                list(outcome.statistics.tuples_by_operator.values()) for outcome in (coded, uncoded)
+            ]
+            assert counts[0] == counts[1]  # labels differ only in the leaf's name
+            if reference is None:
+                reference = coded
+            assert coded.relation == reference.relation
+            assert (
+                coded.statistics.tuples_by_operator == reference.statistics.tuples_by_operator
+            )
+
+
+class TestEncodeKeys:
+    """The seam itself: dense codes, compaction, composite keys."""
+
+    def test_cached_and_on_the_fly_sides_decode_to_the_same_keys(self):
+        relation = Relation(["a", "b", "c"], [(i % 5, f"x{i % 3}", i % 2) for i in range(60)])
+        schemas = (Schema(["a"]), Schema(["b", "c"]))
+        cached = encode_keys(RelationScan(relation), *schemas)
+        fresh = encode_keys(plain(relation), *schemas)
+        assert (cached.source, fresh.source) == ("cached codes", "encoded on the fly")
+        for coded, uncoded in zip(cached.sides, fresh.sides):
+            decode = [coded.value_tuple(code) for code in list(coded.codes)]
+            assert decode == [uncoded.value_tuple(code) for code in uncoded.codes]
+            assert sorted(set(map(int, coded.codes))) == list(range(len(coded.keys)))
+
+    def test_compaction_drops_keys_no_tuple_carries(self):
+        """Under a dictionary filter the relation-wide dictionary holds keys
+        the surviving tuples no longer carry; candidates must not see them
+        (an empty divisor would otherwise emit them)."""
+        import repro
+
+        supplies = Relation(["s", "p"], [(f"s{i}", f"p{i % 4}") for i in range(40)])
+        db = repro.connect({"supplies": supplies, "wanted": Relation(["p"], [])})
+        query = db.sql(
+            "SELECT s FROM (SELECT s, p FROM supplies WHERE s < 's2') AS d "
+            "DIVIDE BY wanted AS w ON d.p = w.p"
+        )
+        expected = {(f"s{i}",) for i in range(40) if f"s{i}" < "s2"}
+        assert query.run().relation.to_tuples(["s"]) == expected
+
+    def test_mixed_chunk_streams_encode_on_the_fly(self):
+        """Coded chunks over *different* dictionaries (two scans passed
+        through unchanged) cannot share cached codes; the seam must notice
+        and encode the values."""
+
+        class Concatenation(PhysicalOperator):
+            name = "concatenation"
+
+            def _produce_chunks(self):
+                for child in self.children:
+                    yield from child.chunks()
+
+        left = Relation(["a", "b"], [(1, 1), (1, 2)])
+        right = Relation(["a", "b"], [(2, 1), (2, 2), (3, 1)])
+        divisor = Relation(["b"], [(1,), (2,)])
+        both = Concatenation(left.schema, (RelationScan(left), RelationScan(right)))
+        plan = SMALL_DIVIDE_ALGORITHMS["hash"](both, RelationScan(divisor))
+        assert execute_plan(plan).relation.to_tuples(["a"]) == {(1,), (2,)}
+        assert plan.key_source == "encoded on the fly"
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("kind,algorithm", ALGORITHMS)
+def test_120_bit_divisor_runs_the_numpy_kernel_without_python_fallback(
+    kind, algorithm, monkeypatch
+):
+    """A 120-value divisor needs two mask words; every sweep and match scan
+    must stay in the numpy kernel (the reference methods are booby-trapped)."""
+    rows = [(candidate, value) for candidate in range(50) for value in range(125 - candidate % 9)]
+    dividend = Relation(["a", "b"], rows)
+    if kind == "small":
+        divisor = Relation(["b"], [(value,) for value in range(120)])
+    else:
+        divisor = Relation(["b", "c"], [(value, 0) for value in range(120)])
+    with use_kernel("python"):
+        expected = execute_plan(
+            operator_class(kind, algorithm)(RelationScan(dividend), RelationScan(divisor))
+        ).relation
+    assert len(expected) == sum(1 for candidate in range(50) if 125 - candidate % 9 >= 120)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("numpy kernel fell back to the Python reference")
+
+    for name in (
+        "gather_sweep",
+        "full_matches",
+        "popcount_matches",
+        "subset_matches",
+        "equal_matches",
+    ):
+        monkeypatch.setattr(PythonBitsetKernel, name, forbidden)
+    with use_kernel("numpy"):
+        plan = operator_class(kind, algorithm)(RelationScan(dividend), RelationScan(divisor))
+        assert execute_plan(plan).relation == expected

@@ -93,6 +93,63 @@ class TestLaziness:
         assert relation.sample_tuples(3) == [(0, "blue"), (1, "red"), (2, "blue")]
 
 
+class TestEncodingCacheSlot:
+    """``Relation`` grew an encoding cache slot; the stored subclass shadows
+    the row/tuple slots with properties and must keep the new one inert."""
+
+    def test_open_and_q1_read_one_block_per_scanned_table(self, tmp_path, monkeypatch):
+        """Two block payloads — one per single-block table Q1 scans, none
+        at ``connect`` — is what the pre-encoding engine read (its
+        ``storage.blocks_read``); the encoding cache must not turn a stored
+        scan into a table load.  And because the division reads the stored
+        codes, no block is ever decoded into tuples."""
+        from repro.experiments import Q1
+        from repro.storage.format import TableReader
+        from repro.workloads import textbook_catalog
+
+        calls = {"_columns": 0, "_tuples": 0}
+
+        def counting(name):
+            original = getattr(TableReader, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(TableReader, name, wrapper)
+
+        counting("_columns")
+        counting("_tuples")
+        repro.connect(textbook_catalog).save(tmp_path / "textbook")
+        db = repro.connect(tmp_path / "textbook")
+        assert calls == {"_columns": 0, "_tuples": 0}
+        assert len(db.sql(Q1).run().relation) == 4
+        assert calls == {"_columns": 2, "_tuples": 0}
+        assert not any(db.relation(name).is_loaded for name in ("supplies", "parts"))
+
+    def test_pickle_reopens_instead_of_loading(self, store_path):
+        import pickle
+
+        relation = load_catalog(store_path)["parts"]
+        clone = pickle.loads(pickle.dumps(relation))
+        assert not relation.is_loaded and not clone.is_loaded
+        assert isinstance(clone, StoredRelation) and clone == relation
+
+    def test_in_memory_relations_pickle_without_their_codes(self):
+        import pickle
+
+        relation = make_catalog()["parts"]
+        # A populated getter cache (closures) must not travel with the schema.
+        relation.schema.tuple_getter(("color",))
+        size_before = len(pickle.dumps(relation))
+        relation.encoded_columns()
+        payload = pickle.dumps(relation)
+        assert len(payload) == size_before
+        clone = pickle.loads(payload)
+        assert clone._encoding is None
+        assert clone.aligned_tuples() == relation.aligned_tuples()  # the clustered order travels
+
+
 class TestStoredStatistics:
     def test_matches_a_full_scan(self, store_path):
         relation = load_catalog(store_path)["parts"]

@@ -151,6 +151,45 @@ class TestRP404OperatorDeclarations:
         assert list(lint._check_operator_declarations(path)) == []
 
 
+class TestRP405KeyColumnSeam:
+    def test_division_operator_walking_tuples_is_flagged(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class MyDivision(DivisionOperator):\n"
+            "    def _produce_chunks(self):\n"
+            "        for chunk in self._children[0].chunks():\n"
+            "            for values in chunk.tuples:\n"
+            "                yield values\n",
+        )
+        assert codes(lint._check_division_keys(path)) == ["RP405"]
+
+    def test_own_tuple_projector_in_a_helper_method_is_flagged(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class Base(GreatDivisionOperator):\n"
+            "    pass\n"
+            "class MyDivision(Base):\n"
+            "    def _keys(self, chunk):\n"
+            "        return TupleProjector(self.a).keys_of(chunk)\n",
+        )
+        findings = list(lint._check_division_keys(path))
+        assert codes(findings) == ["RP405"]
+        assert "TupleProjector, keys_of" in findings[0].message
+
+    def test_seam_users_and_other_operators_are_clean(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class MyDivision(DivisionOperator):\n"
+            "    def _produce_chunks(self):\n"
+            "        keys = encode_keys(self._children[0], self.schemas.a)\n"
+            "        yield from chunked(keys.sides[0].keys, self._schema, 1)\n"
+            "class Join(PhysicalOperator):\n"
+            "    def _produce_chunks(self):\n"
+            "        return [chunk.tuples for chunk in self._children[0].chunks()]\n",
+        )
+        assert list(lint._check_division_keys(path)) == []
+
+
 class TestRepositoryIsClean:
     def test_engine_lint_passes_on_the_repo(self, lint):
         assert lint.run() == []
