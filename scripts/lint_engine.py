@@ -34,6 +34,13 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   place that decides between cached dictionary codes and on-the-fly
   encoding — and no per-algorithm copy of that loop.
 
+* **RP406** — inside ``src/repro/physical/parallel/`` a partition is a
+  block of code columns: ``chunk.tuples`` and ``keys_of`` / ``tuples_of``
+  may be read in exactly one function, the exchange's tuple route
+  (``HashPartitionExchange._route_tuples``), which uncoded chunks and
+  budgeted runs go through.  Anything else that walks tuples there has
+  brought the per-tuple exchange back.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -53,6 +60,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.findings import Finding, finding  # noqa: E402
 
 PHYSICAL_DIR = REPO_ROOT / "src" / "repro" / "physical"
+PARALLEL_DIR = PHYSICAL_DIR / "parallel"
 LAWS_DIR = REPO_ROOT / "src" / "repro" / "laws"
 
 PRAGMA = "# contract: rows-ok"
@@ -227,6 +235,36 @@ def _check_division_keys(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP406: the exchange routes code columns; one function routes tuples
+# ----------------------------------------------------------------------
+#: The one function under physical/parallel/ that may read tuples.
+TUPLE_ROUTE = "_route_tuples"
+
+
+def _check_exchange_file(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    for function in functions:
+        if function.name == TUPLE_ROUTE:
+            continue
+        offenders = sorted(
+            {
+                node.attr
+                for node in ast.walk(function)
+                if isinstance(node, ast.Attribute) and node.attr in KEY_EXTRACTORS
+            }
+        )
+        if offenders:
+            yield finding(
+                "RP406",
+                f"{function.name} reads tuples in the exchange layer "
+                f"({', '.join(offenders)}); only {TUPLE_ROUTE} may",
+                _where(path, function),
+                "engine",
+            )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -334,6 +372,8 @@ def run() -> list[Finding]:
         findings.extend(_check_physical_file(path))
         findings.extend(_check_operator_declarations(path))
         findings.extend(_check_division_keys(path))
+        if path.parent == PARALLEL_DIR:
+            findings.extend(_check_exchange_file(path))
     for path in _python_files(LAWS_DIR):
         findings.extend(_check_laws_file(path))
     return findings

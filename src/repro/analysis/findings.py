@@ -83,6 +83,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP403": (Severity.ERROR, "law class does not declare its conditions"),
     "RP404": (Severity.ERROR, "physical operator class misses name/properties declarations"),
     "RP405": (Severity.ERROR, "division operator extracts key values outside the key-column seam"),
+    "RP406": (Severity.ERROR, "exchange layer reads tuples outside its one tuple route"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),

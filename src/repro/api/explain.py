@@ -257,7 +257,8 @@ def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
     Static explain reports the configured shape (partitions, DOP); after an
     ``analyze=True`` execution the line adds the measured per-partition
     input-cardinality skew — max partition size over mean partition size,
-    1.00 meaning perfectly balanced.
+    1.00 meaning perfectly balanced — and the form the exchange shipped
+    its input in (``code columns`` or ``tuples``).
     """
     if not operator.parallel:
         return None
@@ -274,6 +275,9 @@ def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
             f", {populated}/{len(sizes)} partitions populated, "
             f"input skew max/mean={skew:.2f}"
         )
+        shipped = getattr(operator, "exchange_input", None)
+        if shipped is not None:
+            summary += f", input: {shipped}"
     spill = getattr(operator, "spill_statistics", None)
     if analyzed and spill:
         summary += (

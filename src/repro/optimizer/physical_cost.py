@@ -49,8 +49,11 @@ __all__ = ["PlanAlternative", "PlanDecision", "PhysicalCostModel", "decision_for
 #: parallel execution starts to pay off around ~15–20k input tuples).
 PARALLEL_WORKER_STARTUP = 4000.0
 
-#: Per-input-tuple cost of the hash-partition exchange pass (hash + bucket
-#: append + cross-process copy of the aligned tuple blocks).
+#: Per-input-tuple cost of the hash-partition exchange pass.  Priced for the
+#: tuple route (hash + bucket append + cross-process copy of value tuples);
+#: coded chunks pay a table lookup and ship integers, several times less.
+#: Left as it is on purpose: lowering it would move the parallel threshold
+#: and with it which plans run, which is a change of its own to measure.
 EXCHANGE_PER_TUPLE = 0.5
 
 

@@ -148,6 +148,17 @@ class Chunk:
         chunk._thunk = thunk
         return chunk
 
+    @classmethod
+    def coded(cls, schema: Schema, columns: tuple[CodeColumn, ...]) -> "Chunk":
+        """A chunk over code columns; first use of its tuples decodes them
+        (dictionary lookups, then the transpose)."""
+        return cls.deferred(
+            schema,
+            columns,
+            len(columns[0]),
+            lambda: list(zip(*(column.values() for column in columns))),
+        )
+
     @property
     def tuples(self) -> list[tuple[Any, ...]]:
         """The value tuples (materialized on first access, then kept)."""
@@ -618,6 +629,15 @@ class PhysicalOperator:
             for operator, size in saved:
                 operator.batch_size = size
 
+    def drain(self) -> list[tuple[Any, ...]]:
+        """Run to completion; the output as one block of aligned tuples."""
+        schema = self._schema
+        tuples: list[tuple[Any, ...]] = []
+        extend = tuples.extend
+        for chunk in self.chunks():
+            extend(chunk.aligned(schema).tuples)
+        return tuples
+
     def execute(self) -> Relation:
         """Materialize the output as a set-semantics relation.
 
@@ -625,12 +645,7 @@ class PhysicalOperator:
         operator straight into the relation; rows exist only inside the
         resulting :class:`Relation`.
         """
-        schema = self._schema
-        tuples: list[tuple[Any, ...]] = []
-        extend = tuples.extend
-        for chunk in self.chunks():
-            extend(chunk.aligned(schema).tuples)
-        return Relation.from_aligned(schema, tuples)
+        return Relation.from_aligned(self._schema, self.drain())
 
     def reset_counters(self) -> None:
         """Reset tuple counters in the whole subtree (before a fresh run)."""

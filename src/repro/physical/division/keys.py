@@ -6,12 +6,14 @@ per key side (quotient candidates ``A``, shared values ``B``, divisor groups
 keys.  :func:`encode_keys` is the single place that produces them:
 
 * when every chunk of the input carries code columns over one shared
-  dictionary (a scan, possibly under a dictionary-filtered segment), the
-  cached codes are **read directly** — concatenated, compacted to the keys
+  dictionary (a scan, possibly under a dictionary-filtered segment, or a
+  partition worker's input: the exchange ships code columns), the cached
+  codes are **read directly** — concatenated, compacted to the keys
   actually present, composite keys combined by mixed radix — so whatever
   the operator then looks up per key costs one lookup per *dictionary
   entry*, not per tuple;
-* otherwise (join output, a partition worker's input) the key values are
+* otherwise (join output, a stream that changes dictionaries mid-way, a
+  partition that was spilled or routed as tuples) the key values are
   dictionary-encoded **on the fly**, one ``dict`` operation per tuple —
   the cost of the per-algorithm loops this replaces.
 

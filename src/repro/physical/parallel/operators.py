@@ -11,7 +11,11 @@ and the wrapper's own output counter equals the serial operator's.
 The wrappers record per-partition statistics after execution:
 
 * :attr:`PartitionedOperator.partition_input_sizes` — tuples routed to each
-  partition (the skew figure ``explain(analyze=True)`` reports);
+  partition (the skew figure ``explain(analyze=True)`` reports), and
+  :attr:`PartitionedOperator.exchange_input` — in what form they were
+  shipped (``code columns`` or ``tuples``);
+* :attr:`PartitionedOperator.key_source` / ``kernel_name`` — what the
+  partitions' division operators recorded about their key columns;
 * :attr:`PartitionedOperator.partition_statistics` — each partition
   sub-plan's per-operator tuple counters, aggregated as a *maximum* over
   partitions by :meth:`PartitionedOperator.partition_peaks` — partitions
@@ -29,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ExecutionError
 from repro.physical.aggregate import HashAggregate
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, chunked
+from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
 from repro.physical.division.great_divide_ops import (
     GREAT_DIVIDE_ALGORITHMS,
     _great_division_schemas,
@@ -94,6 +98,14 @@ class PartitionedOperator(PhysicalOperator):
         self.partition_input_sizes: list[int] = []
         #: Per-partition sub-plan counters of the most recent execution.
         self.partition_statistics: list[dict[str, int]] = []
+        #: How the most recent execution shipped its partitioned input(s):
+        #: "code columns", "tuples" or both (``None``: no exchange ran).
+        self.exchange_input: Optional[str] = None
+        #: Where the partitions' division operators read their dividend
+        #: keys from and which bitset kernel ran (what the serial operators
+        #: record; differing partitions are joined with " / ").
+        self.key_source: Optional[str] = None
+        self.kernel_name: Optional[str] = None
         #: Spill counters of the most recent execution (empty without a
         #: budget): spilled_blocks/tuples/partitions plus the buffered
         #: high-water marks, summed over this operator's exchanges.
@@ -102,6 +114,9 @@ class PartitionedOperator(PhysicalOperator):
         #: directory they write to (alive only while the tasks run).
         self._exchanges: list[HashPartitionExchange] = []
         self._spill_directory: Optional[str] = None
+        #: Route tables of the key dictionaries seen so far, kept across
+        #: executions of this plan (see ``HashPartitionExchange``).
+        self._route_tables: dict[tuple[int, int], tuple[list[Any], Any]] = {}
 
     @property
     def partition_key(self) -> Schema:
@@ -139,6 +154,7 @@ class PartitionedOperator(PhysicalOperator):
             self.partitions,
             memory_budget_mb=self.memory_budget_mb,
             spill_directory=self._spill_directory,
+            route_tables=self._route_tables,
         )
         self._exchanges.append(exchange)
         return exchange
@@ -167,6 +183,7 @@ class PartitionedOperator(PhysicalOperator):
         self.partition_input_sizes = []
         self.partition_statistics = []
         self.spill_statistics = {}
+        self.exchange_input = self.key_source = self.kernel_name = None
         if self.partitions == 1:
             # Zero-overhead serial fallback: no hash pass, no block
             # materialization, no pool — the serial operator streams
@@ -181,6 +198,8 @@ class PartitionedOperator(PhysicalOperator):
         try:
             tasks = self._tasks()
             self.spill_statistics = self._collect_spill_statistics()
+            forms = set().union(*(exchange.input_forms for exchange in self._exchanges))
+            self.exchange_input = " + ".join(sorted(forms)) or None
             # run_tasks drains the pool before returning, so this interval is
             # exactly the time spent inside worker execution; explain(analyze)
             # reports it as the coordinator/worker elapsed split.  Spill files
@@ -197,10 +216,17 @@ class PartitionedOperator(PhysicalOperator):
             self._exchanges = []
             if spill_directory is not None:
                 shutil.rmtree(spill_directory, ignore_errors=True)
+        keys = [keys for _tuples, _counters, keys in results if keys is not None]
+        if keys:
+            sources, kernels = zip(*keys)
+            self.key_source = " / ".join(sorted(set(sources)))
+            self.kernel_name = " / ".join(sorted(set(kernels)))
         schema = self._schema
-        for tuples, counters in results:
+        size = self.batch_size
+        for tuples, counters, _keys in results:
             self.partition_statistics.append(counters)
-            yield from chunked(tuples, schema, self.batch_size)
+            for start in range(0, len(tuples), size):
+                yield Chunk(schema, tuples[start : start + size])
 
     def _produce_inline(self) -> Iterator[Chunk]:
         operator = self._inline_operator()
@@ -212,6 +238,8 @@ class PartitionedOperator(PhysicalOperator):
             sum(child.tuples_out for child in self._children)
         ]
         self.partition_statistics = [{f"00:{operator.name}": operator.tuples_out}]
+        self.key_source = getattr(operator, "key_source", None)
+        self.kernel_name = getattr(operator, "kernel_name", None)
 
     def _exchange_summary(self) -> str:
         summary = f"partitions={self.partitions}, workers={self.workers}"

@@ -1,13 +1,18 @@
 """Worker-pool execution of partition sub-plans, under supervision.
 
 A partition task is a small, pickle-friendly description of one serial
-sub-plan: the algorithm's *registry name* (not a class object), the input
-partitions as compact ``(attribute names, aligned tuple block)`` pairs, and
-any extra operator options.  Workers rebuild the sub-plan over
+sub-plan: the algorithm's *registry name* (not a class object), the inputs
+as ``(attribute names, partition)`` pairs — a
+:class:`~repro.physical.parallel.exchange.Partition` is dictionaries plus
+int32 / ``array('i')`` code buffers, so the payload is integers and each
+distinct value once, O(partition) — and any extra operator options.
+Workers rebuild the sub-plan over
 :class:`~repro.physical.parallel.exchange.PartitionSource` leaves, run it to
-completion and ship back the output block plus the sub-plan's per-operator
+completion and ship back the output block, the sub-plan's per-operator
 tuple counters (so the parent can aggregate intermediate-result statistics
-across partitions).
+across partitions) and where its key columns came from.  Tasks that run
+inline — one worker, or degraded after retries — are the same values run by
+the same :func:`execute_task`, minus the pickling.
 
 Execution strategy, in order of preference:
 
@@ -59,7 +64,7 @@ from repro.physical.base import PhysicalOperator
 from repro.physical.division.great_divide_ops import GREAT_DIVIDE_ALGORITHMS
 from repro.physical.division.small_divide_ops import SMALL_DIVIDE_ALGORITHMS
 from repro.physical.joins import JOIN_ALGORITHMS
-from repro.physical.parallel.exchange import PartitionSource
+from repro.physical.parallel.exchange import Partition, PartitionSource
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
@@ -72,14 +77,16 @@ __all__ = [
     "shutdown_pool",
 ]
 
-#: One input of a partition task: attribute names plus either an aligned
-#: in-memory tuple block or a picklable, block-streaming
-#: :class:`~repro.storage.spill.SpilledPartition` handle (when the
-#: exchange ran under a memory budget) — :class:`PartitionSource` accepts
-#: both, so workers re-stream spilled partitions from disk.
-InputBlock = tuple[tuple[str, ...], Any]
+#: One input of a partition task: attribute names plus the partition
+#: (code columns; tuple lists for uncoded chunks; a picklable,
+#: block-streaming :class:`~repro.storage.spill.SpilledPartition` handle
+#: when the exchange ran under a memory budget, which workers re-stream
+#: from disk).
+InputBlock = tuple[tuple[str, ...], Partition]
 
-TaskResult = tuple[list[tuple[Any, ...]], dict[str, int]]
+#: Output block, per-operator counters and the sub-plan root's
+#: ``(key_source, kernel_name)`` (None for operators without key columns).
+TaskResult = tuple[list[tuple[Any, ...]], dict[str, int], Optional[tuple[str, str]]]
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ class SupervisionReport:
 
 def build_subplan(task: PartitionTask) -> PhysicalOperator:
     """Reconstruct the serial sub-plan a :class:`PartitionTask` describes."""
-    sources = tuple(PartitionSource(names, tuples) for names, tuples in task.inputs)
+    sources = tuple(PartitionSource(names, partition) for names, partition in task.inputs)
     options = dict(task.options)
     if task.kind == "small_divide":
         return SMALL_DIVIDE_ALGORITHMS[task.algorithm](*sources, **options)
@@ -160,21 +167,20 @@ def execute_task(task: PartitionTask) -> TaskResult:
     """Run one partition sub-plan to completion.
 
     Returns the output as a block of tuples aligned with the sub-plan's
-    schema, plus the sub-plan's per-operator tuple counters keyed in the
-    same ``"NN:name"`` walk-position format
-    :func:`~repro.physical.base.collect_statistics` uses.
+    schema, the sub-plan's per-operator tuple counters keyed in the same
+    ``"NN:name"`` walk-position format
+    :func:`~repro.physical.base.collect_statistics` uses, and what a
+    division root recorded about its key columns.
     """
     plan = build_subplan(task)
-    schema = plan.schema
-    tuples: list[tuple[Any, ...]] = []
-    extend = tuples.extend
-    for chunk in plan.chunks():
-        extend(chunk.aligned(schema).tuples)
+    tuples = plan.drain()
     counters = {
         f"{index:02d}:{operator.name}": operator.tuples_out
         for index, operator in enumerate(plan.walk())
     }
-    return tuples, counters
+    key_source = getattr(plan, "key_source", None)
+    keys = None if key_source is None else (key_source, plan.kernel_name)
+    return tuples, counters, keys
 
 
 def _execute_task_with_fault(task: PartitionTask, effect: tuple[str, float]) -> TaskResult:
@@ -264,11 +270,11 @@ def shutdown_pool() -> None:
 def _ships_cleanly(tasks: list[PartitionTask]) -> bool:
     """Whether the tasks' *options* survive a process boundary.
 
-    The input blocks are plain tuples of relation values and almost always
-    pickle; the options can carry arbitrary callables (aggregate functions),
-    which is where pickling realistically fails.  Checking just the options
-    keeps the pre-flight cheap — a block that still fails to pickle is
-    caught at dispatch time and falls back to inline execution.
+    The input partitions are code buffers and relation values and almost
+    always pickle; the options can carry arbitrary callables (aggregate
+    functions), which is where pickling realistically fails.  Checking just
+    the options keeps the pre-flight cheap — a partition that still fails to
+    pickle is caught at dispatch time and falls back to inline execution.
     """
     try:
         pickle.dumps([task.options for task in tasks])

@@ -16,9 +16,10 @@ Code buffers are ``numpy.int32`` arrays when numpy imports and
 ``array('i')`` otherwise — never lists of ``int`` objects.  Everything
 that depends on that flavour lives here: :func:`merge_code_columns` (the
 concatenate / compact / mixed-radix step behind the division operators'
-key columns) and the mask helpers at the bottom (boolean arrays or
-``bytes`` of 0 and 1; callers treat masks as opaque values produced and
-consumed by these functions only).
+key columns), :func:`split_code_columns` (the exchange's partition pass)
+and the mask helpers at the bottom (boolean arrays or ``bytes`` of 0 and
+1; callers treat masks as opaque values produced and consumed by these
+functions only).
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ __all__ = [
     "CodeColumn",
     "DenseEncoder",
     "code_buffer",
+    "concatenate_codes",
     "encode_columns",
     "iter_codes",
     "merge_code_columns",
+    "route_codes",
+    "split_code_columns",
     "flag_table",
     "take",
     "mask_and",
@@ -67,14 +71,34 @@ class CodeColumn:
     def __len__(self) -> int:
         return len(self.codes)
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        """Pickles narrow: the codes travel in the smallest unsigned type
+        that holds the dictionary (1, 2 or 4 bytes a tuple) and are widened
+        again on load — what a partition costs to ship is mostly its bytes."""
+        codes = self.codes
+        for entries, typecode in ((1 << 8, "B"), (1 << 16, "H")):
+            if len(self.dictionary) <= entries:
+                codes = codes.astype(typecode) if _np is not None else array(typecode, codes)
+                break
+        return _widened, (self.dictionary, codes)
+
     def slice(self, start: int, stop: int) -> "CodeColumn":
         return CodeColumn(self.dictionary, self.codes[start:stop])
 
     def select(self, mask: Any) -> "CodeColumn":
-        """The codes where ``mask`` (from the helpers below) is set."""
+        """The codes where ``mask`` (from the helpers below) is set (with
+        numpy also: the codes at an array of positions)."""
         if _np is not None:
             return CodeColumn(self.dictionary, self.codes[mask])
         return CodeColumn(self.dictionary, array("i", itertools.compress(self.codes, mask)))
+
+    def bounded(self) -> "CodeColumn":
+        """This column, over a dictionary of just the entries it carries if
+        the dictionary outgrows the codes (so neither dominates the other)."""
+        if len(self.dictionary) <= len(self.codes):
+            return self
+        codes, dictionary = _compact(self.codes, self.dictionary)
+        return CodeColumn(dictionary, codes)
 
     def values(self) -> list[Any]:
         """The decoded values, in tuple order."""
@@ -97,11 +121,25 @@ class CodeColumn:
         return all(map(operator.le, codes, itertools.islice(codes, 1, None)))
 
 
+def _widened(dictionary: list[Any], codes: Any) -> CodeColumn:
+    """Unpickle a :class:`CodeColumn` (see its ``__reduce__``)."""
+    return CodeColumn(dictionary, codes.astype(_np.int32) if _np is not None else array("i", codes))
+
+
 def code_buffer(codes: Iterable[int], count: int) -> Any:
     """``count`` integer codes as a compact buffer (int32 / ``array('i')``)."""
     if _np is not None:
         return _np.fromiter(codes, dtype=_np.int32, count=count)
     return array("i", codes)
+
+
+def concatenate_codes(buffers: Sequence[Any]) -> Any:
+    """Code buffers over one dictionary joined in order (one: as it is)."""
+    if len(buffers) == 1:
+        return buffers[0]
+    if _np is not None:
+        return _np.concatenate(buffers)
+    return array("i", itertools.chain.from_iterable(buffers))
 
 
 def iter_codes(codes: Any) -> Iterable[int]:
@@ -162,15 +200,9 @@ def merge_code_columns(
     if _np is None:
         columns = [[code for buffer in buffers for code in buffer] for buffers in parts]
         return _merge_by_dict(columns, dictionaries)
-    arrays = [buffers[0] if len(buffers) == 1 else _np.concatenate(buffers) for buffers in parts]
+    arrays = [concatenate_codes(buffers) for buffers in parts]
     if single:
-        (codes,), (dictionary,) = arrays, dictionaries
-        present = _np.flatnonzero(_np.bincount(codes, minlength=len(dictionary)))
-        if len(present) == len(dictionary):
-            return codes, dictionary
-        remap = _np.zeros(len(dictionary), dtype=_np.int32)
-        remap[present] = _np.arange(len(present), dtype=_np.int32)
-        return remap[codes], [dictionary[code] for code in present.tolist()]
+        return _compact(arrays[0], dictionaries[0])
     if math.prod(map(len, dictionaries)) >= 1 << 62:
         # The mixed-radix product overflows int64: combine as code tuples.
         return _merge_by_dict([array.tolist() for array in arrays], dictionaries)
@@ -185,8 +217,22 @@ def merge_code_columns(
     return codes, list(zip(*reversed(digits)))
 
 
+def _compact(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
+    """A code buffer renumbered onto the dictionary entries it carries
+    (buffer and dictionary as they are when every entry occurs)."""
+    if _np is None:
+        renumbered, present = _merge_by_dict([codes], [dictionary])
+        return array("i", renumbered), present
+    present = _np.flatnonzero(_np.bincount(codes, minlength=len(dictionary)))
+    if len(present) == len(dictionary):
+        return codes, dictionary
+    remap = _np.zeros(len(dictionary), dtype=_np.int32)
+    remap[present] = _np.arange(len(present), dtype=_np.int32)
+    return remap[codes], list(map(dictionary.__getitem__, present.tolist()))
+
+
 def _merge_by_dict(
-    columns: list[list[int]], dictionaries: list[list[Any]]
+    columns: list[Iterable[int]], dictionaries: list[list[Any]]
 ) -> tuple[list[int], list[Any]]:
     """:func:`merge_code_columns` through a ``dict`` over codes / code tuples."""
     encoder = DenseEncoder()
@@ -199,6 +245,42 @@ def _merge_by_dict(
         for combination in encoder.finish()
     ]
     return encoder.codes, keys
+
+
+def route_codes(keys: Sequence[Any], count: int) -> Any:
+    """``hash(key) % count`` per key: the table :func:`split_code_columns`
+    routes by (Python's modulo in both flavours: never negative)."""
+    if _np is not None:
+        return _np.fromiter(map(hash, keys), dtype=_np.int64, count=len(keys)) % count
+    return array("i", (hash(key) % count for key in keys))
+
+
+def split_code_columns(
+    columns: Sequence[CodeColumn], key_codes: Any, routes: Any, count: int
+) -> list[tuple[CodeColumn, ...]]:
+    """Aligned code columns split into ``count`` blocks, stream order kept.
+
+    Block ``routes[code]`` takes every tuple whose ``key_codes`` entry is
+    ``code`` (``routes`` from :func:`route_codes` over the key's dictionary) — one
+    table lookup per tuple, no value is touched.  A column whose
+    dictionary is larger than its block comes over a dictionary compacted
+    to the entries the block carries, so what a block costs to ship is
+    bounded by its size, not by the table it was cut from.  With one block
+    there is nothing to look up.
+    """
+    if count == 1:
+        blocks = [list(columns)]
+    else:
+        if _np is not None:
+            # Positions, not boolean masks: on scattered keys one gather
+            # per column is several times faster than a mask per column.
+            block_of = routes[key_codes]
+            masks = [_np.flatnonzero(block_of == block) for block in range(count)]
+        else:
+            block_of = list(map(routes.__getitem__, key_codes))
+            masks = [bytes(map(block.__eq__, block_of)) for block in range(count)]
+        blocks = [[column.select(mask) for column in columns] for mask in masks]
+    return [tuple(column.bounded() for column in block) for block in blocks]
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ anyway, and the ``blocks_skipped`` counter it maintains is surfaced by
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.algebra.predicates import Predicate, conjunction
 from repro.errors import ExecutionError, StorageError
@@ -30,11 +30,6 @@ from repro.storage.format import block_may_match
 from repro.storage.store import StoredRelation
 
 __all__ = ["StoredScan"]
-
-
-def block_tuples(columns: tuple[CodeColumn, ...]) -> Callable[[], list[tuple[Any, ...]]]:
-    """Deferred decode of one chunk: page lookups, then the transpose."""
-    return lambda: list(zip(*(column.values() for column in columns)))
 
 
 class StoredScan(PhysicalOperator):
@@ -112,8 +107,7 @@ class StoredScan(PhysicalOperator):
             columns = [CodeColumn(page, buffer) for page, buffer in zip(pages, buffers)]
             for start in range(0, count, size):
                 stop = min(start + size, count)
-                block = tuple(column.slice(start, stop) for column in columns)
-                yield Chunk.deferred(schema, block, stop - start, block_tuples(block))
+                yield Chunk.coded(schema, tuple(column.slice(start, stop) for column in columns))
 
     def describe(self) -> str:
         description = (

@@ -78,6 +78,39 @@ class TestExplainExchange:
         assert "partitions populated" in text
         assert "input skew max/mean=" in text
 
+    def test_analyze_explain_snapshot_of_a_coded_exchange(self, tables):
+        """The exchange ships code columns and its partitions' division
+        operators read them as cached codes."""
+        from repro.physical import active_kernel
+
+        db = repro.connect(tables, workers=2)
+        text = db.sql(DIVIDE_SQL).explain(analyze=True)
+        section = text.split("Physical plan", 1)[1]
+        annotations = [
+            line.strip()
+            for line in section.splitlines()
+            if line.strip().startswith("·") and "algorithm=" not in line
+        ]
+        assert annotations == [
+            f"· keys: cached codes, kernel: {active_kernel().name}",
+            "· exchange: partitions=2, workers=2, 2/2 partitions populated, "
+            f"input skew max/mean={self.skew(tables):.2f}, input: code columns",
+        ]
+        assert "input:" not in db.sql(DIVIDE_SQL).explain()
+
+    @staticmethod
+    def skew(tables):
+        sizes = [0, 0]
+        for values in tables["r1"].aligned_tuples():
+            sizes[hash(values[0]) % 2] += 1
+        return max(sizes) / (sum(sizes) / 2)
+
+    def test_budgeted_exchange_reports_tuples(self, tables):
+        db = repro.connect(tables, workers=2, memory_budget_mb=0.05)
+        text = db.sql(DIVIDE_SQL).explain(analyze=True)
+        assert "input: tuples" in text
+        assert "· keys: encoded on the fly, kernel: " in text
+
     def test_serial_explain_has_no_exchange_line(self, tables):
         text = repro.connect(tables).sql(DIVIDE_SQL).explain(analyze=True)
         assert "exchange:" not in text
@@ -103,6 +136,17 @@ class TestCLIWorkers:
         )
         assert code == 0
         assert "result" in capsys.readouterr().out
+
+    def test_sql_explain_reports_the_exchange_input(self, capsys, tables, tmp_path):
+        repro.connect(tables).save(tmp_path / "store")
+        code = main(
+            ["sql", DIVIDE_SQL, "--db", str(tmp_path / "store"), "--workers", "2", "--explain"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "PartitionedDivision" in output
+        assert ", input: code columns" in output
+        assert "· keys: cached codes, kernel: " in output
 
     def test_sql_rejects_bad_workers(self, capsys):
         code = main(["sql", "SELECT s_no FROM supplies AS s", "--workers", "0"])

@@ -2,7 +2,7 @@
 
 A division operator's input either carries code columns (a scan of an
 in-memory relation: the keys are read from the relation's cached
-dictionary codes) or it does not (a partition worker's ``PartitionSource``,
+dictionary codes) or it does not (a ``PartitionSource`` over plain tuples,
 join output: the keys are encoded on the fly).  The two must be
 indistinguishable: same quotient, same per-operator tuple counts — for
 every algorithm, kernel, batch size and divisor width, for single and

@@ -7,10 +7,14 @@ never splits a candidate group.  The same holds for hash joins partitioned
 on the join key and aggregation partitioned on the grouping key.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
+from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan, reset_counters
 from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
     SMALL_DIVIDE_ALGORITHMS,
@@ -25,7 +29,9 @@ from repro.physical import (
     RelationScan,
     execute_plan,
 )
+from repro.physical.base import Chunk, PhysicalOperator
 from repro.relation import Relation
+from repro.relation.encoding import CodeColumn, code_buffer
 from repro.relation.aggregates import count, sum_of
 from repro.workloads import make_division_workload, make_great_division_workload
 from tests.strategies import dividends, divisors, great_divisors
@@ -266,10 +272,130 @@ class TestPartitionedJoinAndAggregate:
             PartitionedAggregate(RelationScan(source), [], {"n": count()})
 
 
+# ----------------------------------------------------------------------
+# streams for the exchange property: what a chunk stream can be made of
+# ----------------------------------------------------------------------
+class Uncoded(PhysicalOperator):
+    """The child's stream with the code columns stripped (the tuple route)."""
+
+    name = "uncoded"
+
+    def __init__(self, child):
+        super().__init__(child.schema, (child,))
+
+    def _produce_chunks(self):
+        for chunk in self._children[0].chunks():
+            yield Chunk(chunk.schema, chunk.tuples)
+
+
+class Padded(PhysicalOperator):
+    """The child's coded stream over dictionaries with entries no tuple
+    carries (what a dictionary-filtered segment leaves behind)."""
+
+    name = "padded"
+
+    def __init__(self, child):
+        super().__init__(child.schema, (child,))
+
+    def _produce_chunks(self):
+        padded = {}
+        for chunk in self._children[0].chunks():
+            columns = []
+            for column in chunk.columns:
+                dictionary = padded.setdefault(
+                    id(column.dictionary), ["unused", -7, *column.dictionary, ("never",)]
+                )
+                shifted = (code + 2 for code in column.codes.tolist())
+                columns.append(CodeColumn(dictionary, code_buffer(shifted, len(column.codes))))
+            yield Chunk.coded(chunk.schema, tuple(columns))
+
+
+class Concatenated(PhysicalOperator):
+    """One stream after the other (same schema, their own dictionaries)."""
+
+    name = "concatenated"
+
+    def __init__(self, *children):
+        super().__init__(children[0].schema, children)
+
+    def _produce_chunks(self):
+        for child in self._children:
+            yield from child.chunks()
+
+
+class BoobyTrapped(PhysicalOperator):
+    """The child's coded stream; asking a chunk for its tuples raises."""
+
+    name = "booby_trapped"
+
+    def __init__(self, child):
+        super().__init__(child.schema, (child,))
+
+    def _produce_chunks(self):
+        def explode():
+            raise AssertionError("the coordinator decoded a coded chunk")
+
+        for chunk in self._children[0].chunks():
+            yield Chunk.deferred(chunk.schema, chunk.columns, len(chunk), explode)
+
+
+EXCHANGE_ALGORITHMS = [("small", name) for name in sorted(SMALL_DIVIDE_ALGORITHMS)] + [
+    ("great", name) for name in sorted(GREAT_DIVIDE_ALGORITHMS)
+]
+
+#: 1, 1.0 and True are one key (equal and hash-equal); 2.0 and 2 as well.
+COLLIDING = st.sampled_from([0, 1, 1.0, True, 2, 2.0, "x", "y", None])
+
+
+def partitioned(kind, algorithm, dividend, divisor, partitions):
+    return PartitionedDivision(
+        dividend, RelationScan(divisor), algorithm=algorithm, kind=kind, partitions=partitions
+    )
+
+
+@st.composite
+def exchange_streams(draw, kind):
+    """A dividend stream factory (scans, padded dictionaries, uncoded
+    chunks, dictionary changes mid-way — in drawn order) and a divisor."""
+    composite = draw(st.booleans())
+    names = ("a1", "a2", "b") if composite else ("a1", "b")
+    keys = st.tuples(COLLIDING, st.integers(0, 1)) if composite else st.tuples(COLLIDING)
+    row = st.tuples(keys, st.integers(0, 3)).map(lambda pair: pair[0] + (pair[1],))
+    parts = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["scan", "padded", "uncoded"]), st.lists(row, max_size=10)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    seen = set()
+    relations = []
+    for form, rows in parts:  # one tuple must not arrive twice in one stream
+        fresh = [values for values in dict.fromkeys(rows) if values not in seen]
+        seen.update(fresh)
+        relations.append((form, Relation(names, fresh)))
+    wrap = {"scan": lambda scan: scan, "padded": Padded, "uncoded": Uncoded}
+    if kind == "small":
+        divisor = draw(divisors())
+    else:
+        divisor = draw(great_divisors())
+    return (
+        lambda: Concatenated(*(wrap[form](RelationScan(relation)) for form, relation in relations)),
+        divisor,
+    )
+
+
+def bucket_tuples(source, partitions):
+    """Each partition of one exchange pass over ``source``, as tuple lists."""
+    names = source.schema.names
+    return [PartitionSource(names, partition).drain() for partition in partitions]
+
+
 class TestExchange:
     def test_partitions_are_key_disjoint_and_complete(self, workload):
         exchange = HashPartitionExchange(["a"], 5)
-        buckets = exchange.partition(RelationScan(workload.dividend))
+        scan = RelationScan(workload.dividend)
+        buckets = bucket_tuples(scan, exchange.partition(scan))
         assert len(buckets) == 5
         all_tuples = [values for bucket in buckets for values in bucket]
         assert sorted(all_tuples) == sorted(workload.dividend.aligned_tuples())
@@ -280,7 +406,8 @@ class TestExchange:
 
     def test_single_partition_is_passthrough(self, workload):
         exchange = HashPartitionExchange(["a"], 1)
-        (bucket,) = exchange.partition(RelationScan(workload.dividend))
+        scan = RelationScan(workload.dividend)
+        (bucket,) = bucket_tuples(scan, exchange.partition(scan))
         assert bucket == workload.dividend.aligned_tuples()
 
     def test_partitioning_preserves_clustered_runs(self):
@@ -290,7 +417,8 @@ class TestExchange:
             ["a", "b"], [(group, value) for group in range(30) for value in range(3)]
         ).clustered(["a"])
         exchange = HashPartitionExchange(["a"], 4)
-        for bucket in exchange.partition(RelationScan(clustered)):
+        scan = RelationScan(clustered)
+        for bucket in bucket_tuples(scan, exchange.partition(scan)):
             seen: list[int] = []
             for values in bucket:
                 if not seen or seen[-1] != values[0]:
@@ -334,6 +462,148 @@ class TestExchange:
         sizes = [len(chunk) for chunk in source.chunks()]
         assert sizes == [3, 3, 3, 1]
         assert source.tuples_out == 10
+
+    def test_coded_partition_ships_codes_not_tuples(self, workload):
+        """What crosses the pipe: per attribute a dictionary and one code
+        buffer — and a partition source over it yields coded chunks."""
+        exchange = HashPartitionExchange(["a"], 2)
+        scan = RelationScan(workload.dividend)
+        partitions = exchange.partition(scan)
+        assert exchange.input_forms == {"code columns"}
+        for partition in partitions:
+            (piece,) = partition.pieces
+            assert all(isinstance(column, CodeColumn) for column in piece)
+            assert partition.coded_size == len(partition) == len(piece[0].codes)
+            shipped = pickle.loads(pickle.dumps(partition))
+            source = PartitionSource(scan.schema.names, shipped)
+            assert all(chunk.columns is not None for chunk in source.chunks())
+            assert source.drain() == PartitionSource(scan.schema.names, partition).drain()
+
+    def test_dictionary_larger_than_partition_is_compacted(self):
+        """Payload is O(partition): a partition never ships a dictionary
+        bigger than its own code buffer."""
+        relation = Relation(["a", "b"], [(f"k{i:03d}", i) for i in range(200)])
+        exchange = HashPartitionExchange(["a"], 4)
+        for partition in exchange.partition(RelationScan(relation)):
+            for piece in partition.pieces:
+                for column in piece:
+                    assert len(column.dictionary) <= len(column.codes)
+
+    def test_route_table_is_kept_across_executions(self, workload):
+        """One ``hash(value) % K`` per dictionary entry, once per plan: a
+        re-executed plan routes by the table it built the first time."""
+        _result, operator = partitioned_small(workload.dividend, workload.divisor, "hash", 3)
+        ((dictionary, routes),) = operator._route_tables.values()
+        assert dictionary is workload.dividend.encoded_columns()[0].dictionary
+        assert list(routes) == [hash(value) % 3 for value in dictionary]
+        execute_plan(operator)
+        ((_dictionary, again),) = operator._route_tables.values()
+        assert again is routes
+
+    def test_route_is_chosen_per_chunk(self):
+        """Coded, uncoded, coded over other dictionaries: three pieces per
+        partition, in stream order."""
+        first = Relation(["a", "b"], [(i, 0) for i in range(40)])
+        second = Relation(["a", "b"], [(i, 1) for i in range(40)])
+        third = Relation(["a", "b"], [(i, 2) for i in range(40)])
+        stream = Concatenated(
+            RelationScan(first), Uncoded(RelationScan(second)), RelationScan(third)
+        )
+        exchange = HashPartitionExchange(["a"], 2)
+        partitions = exchange.partition(stream)
+        assert exchange.input_forms == {"code columns", "tuples"}
+        for partition in partitions:
+            assert [type(piece) for piece in partition.pieces] == [tuple, list, tuple]
+            assert partition.coded_size == len(partition) - len(partition.pieces[1])
+        expected = [[], []]
+        for relation in (first, second, third):
+            for values in relation.aligned_tuples():
+                expected[hash(values[0]) % 2].append(values)
+        assert bucket_tuples(stream, partitions) == expected
+
+    @pytest.mark.parametrize("kind,algorithm", EXCHANGE_ALGORITHMS)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_coded_exchange_equals_tuple_route(self, kind, algorithm, data):
+        """Coded exchange ≡ ``hash(key) % K`` per tuple on the same stream:
+        bucket contents and order, input sizes, quotient, per-partition
+        counters — whatever the stream is made of."""
+        stream, divisor = data.draw(exchange_streams(kind))
+        key = [name for name in stream().schema.names if name.startswith("a")]
+        serial = execute_plan(partitioned(kind, algorithm, Uncoded(stream()), divisor, 1))
+        for partitions in (2, 3, 5):
+            for batch_size in (1, 3, 1024):
+                buckets = []
+                for source in (stream(), Uncoded(stream())):
+                    source.set_batch_size(batch_size)
+                    exchange = HashPartitionExchange(key, partitions)
+                    buckets.append(bucket_tuples(source, exchange.partition(source)))
+                assert buckets[0] == buckets[1]
+                runs = []
+                for source in (stream(), Uncoded(stream())):
+                    operator = partitioned(kind, algorithm, source, divisor, partitions)
+                    result = execute_plan(operator, batch_size=batch_size)
+                    assert result.relation == serial.relation
+                    runs.append(
+                        (
+                            operator.partition_input_sizes,
+                            operator.partition_statistics,
+                            list(result.statistics.tuples_by_operator.values())[0],
+                        )
+                    )
+                assert runs[0] == runs[1]
+                assert runs[0][0] == [len(bucket) for bucket in buckets[0]]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_coded_dividend_is_never_decoded_in_the_coordinator(self, workload, workers):
+        """Booby trap: every chunk of the dividend raises when its tuples
+        are asked for; the exchange must route it by its codes alone."""
+        operator = PartitionedDivision(
+            BoobyTrapped(RelationScan(workload.dividend)),
+            RelationScan(workload.divisor),
+            partitions=3,
+            workers=workers,
+        )
+        result = execute_plan(operator)
+        assert result.relation == serial_small(workload.dividend, workload.divisor, "hash").relation
+        assert operator.exchange_input == "code columns"
+        assert operator.key_source == "cached codes"
+
+    def test_inline_partitions_read_cached_codes(self, workload):
+        """``partitions > 1`` with one worker: same coded tasks, run inline."""
+        result, operator = partitioned_small(workload.dividend, workload.divisor, "hash", 4)
+        assert operator.workers == 1
+        assert operator.key_source == "cached codes"
+        assert operator.exchange_input == "code columns"
+        assert result.relation == serial_small(workload.dividend, workload.divisor, "hash").relation
+
+    def test_uncoded_input_is_encoded_on_the_fly(self, workload):
+        operator = PartitionedDivision(
+            Uncoded(RelationScan(workload.dividend)), RelationScan(workload.divisor), partitions=3
+        )
+        execute_plan(operator)
+        assert operator.exchange_input == "tuples"
+        assert operator.key_source == "encoded on the fly"
+
+    def test_degraded_tasks_return_the_identical_block(self, workload):
+        """Tasks that fall back inline after retries are the same coded
+        values run by the same function: identical output, identical counters."""
+        clean, clean_operator = partitioned_small(
+            workload.dividend, workload.divisor, "hash", 4, workers=2
+        )
+        install_plan(FaultPlan((FaultSpec(point="pool.dispatch"),), seed=5))
+        try:
+            degraded, operator = partitioned_small(
+                workload.dividend, workload.divisor, "hash", 4, workers=2
+            )
+        finally:
+            clear_plan()
+            reset_counters()
+        assert degraded.statistics.tasks_degraded == 4
+        assert list(degraded.relation) == list(clean.relation)
+        assert operator.partition_statistics == clean_operator.partition_statistics
+        assert operator.partition_input_sizes == clean_operator.partition_input_sizes
+        assert operator.key_source == clean_operator.key_source == "cached codes"
 
 
 class TestWorkersPlumbing:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.physical import RelationScan
-from repro.physical.parallel.exchange import HashPartitionExchange
+from repro.physical.parallel.exchange import HashPartitionExchange, PartitionSource
 from repro.relation.relation import Relation
 from repro.storage.spill import SPILL_BLOCK_TUPLES, SpilledPartition, SpillWriter
 
@@ -99,17 +99,20 @@ class TestExchangeSpilling:
         # mark may overshoot the budget by at most one input chunk.
         assert exchange.peak_buffered_tuples <= exchange.budget_tuples + 1024
         # Spilling never changes a bucket's content or order.
-        gathered = [
-            bucket.read_all() if isinstance(bucket, SpilledPartition) else bucket
-            for bucket in spilled
-        ]
-        assert gathered == in_memory
+        gathered = [PartitionSource(ATTRIBUTES, bucket).drain() for bucket in spilled]
+        assert gathered == [PartitionSource(ATTRIBUTES, bucket).drain() for bucket in in_memory]
+        assert [len(bucket) for bucket in spilled] == [len(bucket) for bucket in gathered]
         assert sum(len(bucket) for bucket in gathered) == len(relation)
+        assert any(
+            isinstance(piece, SpilledPartition) for bucket in spilled for piece in bucket.pieces
+        )
 
     def test_no_budget_means_no_spill(self, tmp_path):
         _relation, exchange, buckets = self.partition(5000, None, tmp_path)
         assert exchange.spilled_tuples == 0
-        assert all(isinstance(bucket, list) for bucket in buckets)
+        assert not any(
+            isinstance(piece, SpilledPartition) for bucket in buckets for piece in bucket.pieces
+        )
 
     def test_budget_without_directory_is_rejected(self):
         from repro.errors import ExecutionError

@@ -140,19 +140,27 @@ class TestCompareParallel:
         _, failures = module.compare_parallel(run, workers=4)
         assert any("workers=4" in failure for failure in failures)
 
-    def test_multicore_pessimization_fails_only_with_enough_cores(self, monkeypatch):
+    def test_slowdown_bound_is_enforced_from_two_cores_up(self, monkeypatch):
         module = load_module()
-        run = payload(
-            {
-                "test_serial_division": 0.100,
-                "test_partitioned_division[4]": 0.140,
-            }
-        )
-        monkeypatch.setattr(module.os, "cpu_count", lambda: 8)
-        _, failures = module.compare_parallel(run, workers=4)
-        assert any("SLOWER" in failure for failure in failures)
+        bound = module.PARALLEL_SLOWDOWN_BOUND
+
+        def run(ratio):
+            return payload(
+                {
+                    "test_serial_division": 0.100,
+                    "test_partitioned_division[2]": 0.100 * ratio,
+                }
+            )
+
+        monkeypatch.setattr(module.os, "cpu_count", lambda: 2)
+        lines, failures = module.compare_parallel(run(bound - 0.5), workers=2)
+        assert failures == []
+        assert not any("informational" in line for line in lines)
+        _, failures = module.compare_parallel(run(bound + 0.5), workers=2)
+        assert len(failures) == 1 and f"allowed {bound:.2f}x" in failures[0]
+        # One core cannot run a worker beside the coordinator at all.
         monkeypatch.setattr(module.os, "cpu_count", lambda: 1)
-        _, failures = module.compare_parallel(run, workers=4)
+        _, failures = module.compare_parallel(run(bound + 0.5), workers=2)
         assert failures == []
 
 

@@ -190,6 +190,36 @@ class TestRP405KeyColumnSeam:
         assert list(lint._check_division_keys(path)) == []
 
 
+class TestRP406ExchangeTupleRoute:
+    def test_tuple_reads_outside_the_tuple_route_are_flagged(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class Exchange:\n"
+            "    def partition(self, source):\n"
+            "        return [chunk.tuples for chunk in source.chunks()]\n"
+            "    def _route_tuples(self, chunk, buckets):\n"
+            "        for values, key in zip(chunk.tuples, self._key_of.keys_of(chunk)):\n"
+            "            buckets[hash(key) % len(buckets)].append(values)\n"
+            "def collect(source, projector):\n"
+            "    return [projector.keys_of(chunk) for chunk in source.chunks()]\n",
+        )
+        findings = list(lint._check_exchange_file(path))
+        assert codes(findings) == ["RP406", "RP406"]
+        messages = sorted(finding.message for finding in findings)
+        assert messages[0].startswith("collect reads tuples in the exchange layer (keys_of)")
+        assert messages[1].startswith("partition reads tuples in the exchange layer (tuples)")
+
+    def test_rule_covers_the_parallel_package_only(self, lint):
+        checked = [
+            path
+            for path in lint._python_files(lint.PHYSICAL_DIR)
+            if path.parent == lint.PARALLEL_DIR
+        ]
+        assert {path.name for path in checked} >= {"exchange.py", "operators.py", "pool.py"}
+        for path in checked:
+            assert list(lint._check_exchange_file(path)) == []
+
+
 class TestRepositoryIsClean:
     def test_engine_lint_passes_on_the_repo(self, lint):
         assert lint.run() == []
