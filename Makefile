@@ -110,7 +110,7 @@ bench-storage:
 bench-ivm:
 	$(PYTHON) scripts/bench_compare.py --ivm
 
-## Compare checksummed (v2) vs checksum-free (v1) storage and the
+## Compare checksummed vs checksums=False table files (one layout) and the
 ## disarmed fault-point query path (same-run timings, <=5% overhead gate).
 bench-faults:
 	$(PYTHON) scripts/bench_compare.py --faults

@@ -5,12 +5,15 @@ CRC32 checksums on the storage read path, checksummed writes on the save
 path, and the fault-point consultations sprinkled through pool/storage/
 spill code (a single module-level ``None`` check with no plan armed).
 
-Each scenario times a **same-run pair**: the ``plain`` arm uses the
-checksum-free legacy v1 file format (and, for the query scenario, the same
-engine with no plan armed — the fault points are always compiled in, which
-is exactly the overhead being measured), the ``guarded`` arm the default
-checksummed v2 format.  ``scripts/bench_compare.py --faults`` runs this
-file once and gates ``guarded / plain`` at ≤5% overhead
+Each scenario times a **same-run pair** over one file layout (format 3):
+the ``plain`` arm is written with ``checksums=False`` — no per-block CRCs,
+nothing to verify on read — the ``guarded`` arm is the default checksummed
+file.  (For the query scenario both are the same engine with no plan armed
+— the fault points are always compiled in, which is exactly the overhead
+being measured.)  The table is written from its code columns, encoded once
+outside the timed region, as ``Database.save`` writes it.
+``scripts/bench_compare.py --faults`` runs this file once and gates
+``guarded / plain`` at ≤5% overhead
 (:data:`FAULTS_OVERHEAD_BOUND` there), with an absolute jitter floor so
 micro-scenarios cannot trip the gate on scheduler noise.
 """
@@ -19,9 +22,9 @@ import pytest
 
 from repro.faults import active_plan
 from repro.physical import SMALL_DIVIDE_ALGORITHMS, RelationScan, execute_plan
+from repro.relation.encoding import encode_columns
 from repro.relation.relation import Relation
-from repro.relation.schema import Schema
-from repro.storage.format import TableReader, write_table_file
+from repro.storage.format import TableReader, column_blocks, write_table_file
 
 ROWS = 120_000
 BLOCK_SIZE = 2048
@@ -31,28 +34,29 @@ MODES = ("plain", "guarded")
 ATTRIBUTES = ("k", "g", "s")
 
 
-def _table_rows():
-    return [(i, i % 97, f"s{i % 13}") for i in range(ROWS)]
+@pytest.fixture(scope="module")
+def table_columns():
+    """The table as code columns (what a relation caches and a save writes)."""
+    return encode_columns([(i, i % 97, f"s{i % 13}") for i in range(ROWS)], len(ATTRIBUTES))
+
+
+def _write(path, columns, mode):
+    return write_table_file(
+        path,
+        "big",
+        ATTRIBUTES,
+        [column.dictionary for column in columns],
+        column_blocks([column.codes for column in columns], BLOCK_SIZE),
+        block_size=BLOCK_SIZE,
+        checksums=(mode == "guarded"),
+    )
 
 
 @pytest.fixture(scope="module")
-def table_files(tmp_path_factory):
-    """The same table written twice: legacy v1 (plain) and v2 (guarded)."""
+def table_files(tmp_path_factory, table_columns):
+    """The same table written twice: without (plain) and with block CRCs."""
     directory = tmp_path_factory.mktemp("fault-bench")
-    rows = _table_rows()
-    paths = {}
-    for mode in MODES:
-        path = directory / f"table-{mode}.rpb"
-        write_table_file(
-            path,
-            "big",
-            ATTRIBUTES,
-            rows,
-            block_size=BLOCK_SIZE,
-            checksums=(mode == "guarded"),
-        )
-        paths[mode] = path
-    return paths
+    return {mode: _write(directory / f"table-{mode}.rpb", table_columns, mode) for mode in MODES}
 
 
 def _decode_all(path):
@@ -65,26 +69,21 @@ def _decode_all(path):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_stored_read(benchmark, table_files, mode):
-    """Full decode of every block: v2 pays one CRC32 per block payload."""
+    """Full decode of every block: the guarded arm pays one CRC32 per block
+    payload."""
     assert active_plan() is None  # measuring the disarmed fast path
     total = benchmark(_decode_all, table_files[mode])
     assert total == ROWS
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_table_write(benchmark, tmp_path, mode):
-    """Full table save: v2 pays CRC32 per block + header checksum + fsync
-    discipline (both arms fsync, so the delta is the checksums)."""
-    rows = _table_rows()
+def test_table_write(benchmark, tmp_path, table_columns, mode):
+    """Full table save: the guarded arm pays one CRC32 per block (both arms
+    checksum the header and fsync, so the delta is the block checksums)."""
     counter = iter(range(1_000_000))
 
     def save():
-        path = tmp_path / f"write-{mode}-{next(counter)}.rpb"
-        write_table_file(
-            path, "big", ATTRIBUTES, rows, block_size=BLOCK_SIZE,
-            checksums=(mode == "guarded"),
-        )
-        return path
+        return _write(tmp_path / f"write-{mode}-{next(counter)}.rpb", table_columns, mode)
 
     benchmark(save)
 

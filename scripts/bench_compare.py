@@ -48,9 +48,9 @@ ratios so the subsampling is never silent.
 
 ``--faults`` switches to the reliability-overhead comparison: it runs
 ``benchmarks/test_bench_faults.py`` once and gates the same-run ratios —
-the checksummed v2 storage format (per-block CRC32 + header checksum) may
-cost at most ~5% over the checksum-free legacy format on both the read
-and the write path, with an absolute jitter floor so a microsecond of
+the checksummed storage format (a CRC32 per block) may cost at most ~5%
+over the same layout written with ``checksums=False`` on both the read and
+the write path, with an absolute jitter floor so a microsecond of
 scheduler noise cannot trip the gate.  The disarmed fault-point check
 itself is a module-level ``None`` test; its query scenario is recorded
 for drift tracking rather than gated against a pair.
@@ -114,8 +114,8 @@ IVM_SPEEDUP_BOUND = 10.0
 #: ≥100k-tuple dividend per edit takes minutes), so timings are divided
 #: by these counts before the gate is applied.
 IVM_EDITS = {"maintained": 1000, "recompute": 20}
-#: The checksummed (v2) storage format may cost at most this much over the
-#: checksum-free legacy format, read path and write path alike.
+#: Checksummed table files may cost at most this much over the same layout
+#: without block CRCs (``checksums=False``), read path and write path alike.
 FAULTS_OVERHEAD_BOUND = 0.05
 #: Absolute jitter floor for the faults gate: an overhead below this many
 #: seconds never fails, whatever the ratio says (the paired scenarios run
@@ -411,8 +411,8 @@ def compare_faults(payload: dict) -> tuple[list[str], list[str]]:
     """Compare checksum-free vs checksummed storage timings from one run.
 
     Same process, same machine — the ``plain``/``guarded`` arms write and
-    read the identical table, differing only in the v1 (no checksums) vs
-    v2 (per-block CRC32 + header checksum) file format.  Gate: ``guarded``
+    read the identical table in the one file layout, differing only in
+    ``checksums=False`` vs the default per-block CRC32s.  Gate: ``guarded``
     costs at most ``FAULTS_OVERHEAD_BOUND`` over ``plain`` on each paired
     scenario, with ``FAULTS_FLOOR_SECONDS`` shielding scheduler jitter.
     The unpaired query scenario is reported for drift tracking only.
@@ -438,8 +438,8 @@ def compare_faults(payload: dict) -> tuple[list[str], list[str]]:
         )
         if overhead > FAULTS_OVERHEAD_BOUND and (guarded - plain) > FAULTS_FLOOR_SECONDS:
             failures.append(
-                f"{label}: checksummed format costs {overhead:+.1%} over the legacy "
-                f"format (allowed {FAULTS_OVERHEAD_BOUND:+.0%})"
+                f"{label}: block checksums cost {overhead:+.1%} over checksums=False "
+                f"(allowed {FAULTS_OVERHEAD_BOUND:+.0%})"
             )
     if not paired:
         return ["no faults scenarios in the benchmark run"], ["missing scenarios"]
@@ -539,8 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--faults",
         action="store_true",
-        help="compare the checksum-free legacy storage format vs the "
-        f"checksummed v2 format (same-run timings from {FAULTS_BENCH_FILE}) "
+        help="compare table files written with checksums=False vs the "
+        f"checksummed default (same-run timings from {FAULTS_BENCH_FILE}) "
         "instead of comparing against the committed baseline",
     )
     args = parser.parse_args(argv)

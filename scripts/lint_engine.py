@@ -41,6 +41,16 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   budgeted runs go through.  Anything else that walks tuples there has
   brought the per-tuple exchange back.
 
+* **RP407** — inside ``src/repro/storage/`` a block is a set of typed code
+  buffers.  Per-value Python lists may be built from one — a call to
+  ``decode_columns`` or ``.tolist()``, a comprehension or ``map`` that
+  looks a dictionary up per element (``page[code] for code in codes``) —
+  only in the decoded views: ``decode_columns`` itself, the reader's
+  ``iter_blocks`` (which the scan's raw-page branch reads) and
+  ``StoredRelation.aligned_tuples``.  And nothing on the save path
+  (``save_database`` and what it writes through) may ask for tuples at
+  all: saving a reopened store streams pages, it does not load tables.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -62,6 +72,7 @@ from repro.analysis.findings import Finding, finding  # noqa: E402
 PHYSICAL_DIR = REPO_ROOT / "src" / "repro" / "physical"
 PARALLEL_DIR = PHYSICAL_DIR / "parallel"
 LAWS_DIR = REPO_ROOT / "src" / "repro" / "laws"
+STORAGE_DIR = REPO_ROOT / "src" / "repro" / "storage"
 
 PRAGMA = "# contract: rows-ok"
 
@@ -265,6 +276,86 @@ def _check_exchange_file(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP407: stored blocks stay code buffers; a save never asks for tuples
+# ----------------------------------------------------------------------
+#: Calls that turn a block's buffers into one Python object per value.
+BLOCK_DECODERS = {"decode_columns", "tolist"}
+#: The functions under storage/ that may: the decoded views of a block.
+DECODED_VIEWS = {"decode_columns", "iter_blocks", "aligned_tuples"}
+#: The save path, and what it may not call.
+SAVE_PATH = {"save_database", "_table_source", "write_table_file", "block_zones"}
+TUPLE_SOURCES = {"aligned_tuples", "iter_blocks", "decode_columns"}
+
+
+def _called_name(call: ast.Call) -> Optional[str]:
+    callee = call.func
+    if isinstance(callee, ast.Attribute):
+        return callee.attr
+    return callee.id if isinstance(callee, ast.Name) else None
+
+
+def _per_value_builders(function: ast.FunctionDef) -> set[str]:
+    """How ``function`` builds a Python object per stored value, if it does."""
+    found: set[str] = set()
+    for node in ast.walk(function):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            bound = {
+                name.id
+                for generator in node.generators
+                for name in ast.walk(generator.target)
+                if isinstance(name, ast.Name)
+            }
+            element = node.elt
+            if (
+                isinstance(element, ast.Subscript)
+                and isinstance(element.slice, ast.Name)
+                and element.slice.id in bound
+            ):
+                found.add("a lookup per element")
+        elif isinstance(node, ast.Call):
+            name = _called_name(node)
+            if name in BLOCK_DECODERS:
+                found.add(name)
+            elif name == "map" and node.args:
+                mapped = node.args[0]
+                if isinstance(mapped, ast.Attribute) and mapped.attr == "__getitem__":
+                    found.add("a lookup per element")
+    return found
+
+
+def _check_storage_file(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        if function.name not in DECODED_VIEWS:
+            builders = sorted(_per_value_builders(function))
+            if builders:
+                yield finding(
+                    "RP407",
+                    f"{function.name} builds per-value lists from a stored block "
+                    f"({', '.join(builders)}); only {', '.join(sorted(DECODED_VIEWS))} may",
+                    _where(path, function),
+                    "engine",
+                )
+        if function.name in SAVE_PATH:
+            asked = sorted(
+                {
+                    name
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and (name := _called_name(node)) in TUPLE_SOURCES
+                }
+            )
+            if asked:
+                yield finding(
+                    "RP407",
+                    f"{function.name} is on the save path and asks for tuples "
+                    f"({', '.join(asked)}); write from code columns",
+                    _where(path, function),
+                    "engine",
+                )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -376,6 +467,8 @@ def run() -> list[Finding]:
             findings.extend(_check_exchange_file(path))
     for path in _python_files(LAWS_DIR):
         findings.extend(_check_laws_file(path))
+    for path in _python_files(STORAGE_DIR):
+        findings.extend(_check_storage_file(path))
     return findings
 
 

@@ -84,6 +84,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP404": (Severity.ERROR, "physical operator class misses name/properties declarations"),
     "RP405": (Severity.ERROR, "division operator extracts key values outside the key-column seam"),
     "RP406": (Severity.ERROR, "exchange layer reads tuples outside its one tuple route"),
+    "RP407": (Severity.ERROR, "storage layer builds per-value lists from a block outside its decoded views"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),
@@ -96,7 +97,6 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP603": (Severity.ERROR, "view's applied versions are not monotone with the tables"),
     "RP604": (Severity.ERROR, "view is defined over another view"),
     # -- RP7xx: fault-tolerance invariants ---------------------------------
-    "RP701": (Severity.WARNING, "stored table file predates per-block checksums (legacy v1 format)"),
     "RP702": (Severity.ERROR, "checksummed table file has a block without a CRC entry"),
     "RP703": (Severity.ERROR, "operator retry policy is unsound (negative retries/backoff or non-positive timeout)"),
     "RP704": (Severity.ERROR, "active fault plan targets an unregistered fault point"),

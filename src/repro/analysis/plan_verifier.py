@@ -591,13 +591,7 @@ def _check_stored_scan(operator: StoredScan, findings: list[Finding], where: str
             f"table file header {sorted(stored)!r} ({reader.path})",
         )
         return
-    checksummed = reader.format_version >= 2
-    if not checksummed:
-        emit(
-            "RP701",
-            f"table file {reader.path} predates per-block checksums (format v1); "
-            "re-save the store to upgrade it to the checksummed v2 format",
-        )
+    checksummed = reader.checksummed
     indexed = 0
     for number, meta in enumerate(reader.blocks):
         indexed += meta.get("count", 0)

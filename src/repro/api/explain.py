@@ -292,17 +292,19 @@ def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
 def _storage_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
     """Zone-map annotation for stored-table scans.
 
-    Static explain shows the block count and any pushed-down skip
-    predicate; after an ``analyze=True`` execution the line adds how many
-    blocks the zone maps actually skipped.
+    Static explain shows the block count, how the blocks' pages reach the
+    plan (``code buffers``, or ``raw`` when a column has no dictionary and
+    blocks are decoded to tuples) and any pushed-down skip predicate; after
+    an ``analyze=True`` execution the line adds how many blocks the zone
+    maps actually skipped and how many payload bytes the run read.
     """
     if not isinstance(operator, StoredScan):
         return None
-    summary = f"storage: blocks={operator.blocks_total}"
+    summary = f"storage: blocks={operator.blocks_total}, pages: {operator.page_kind}"
     if operator.skip_predicate is not None:
         summary += f", zone-map skip on {operator.skip_predicate!r}"
     if analyzed:
-        summary += f", skipped={operator.blocks_skipped}"
+        summary += f", skipped={operator.blocks_skipped}, read {operator.bytes_read} bytes"
     return summary
 
 

@@ -2,9 +2,11 @@
 
 All eight division algorithms funnel their hot loops through one dispatch
 seam (:func:`active_kernel`): the *gather sweep* that ORs each dividend
-tuple's divisor bit into its candidate's bitmask, and the *match scan*
-that finds the candidates whose bitmask is full / a superset / has the
-required popcount.  Both work on the integer key codes the key-column
+tuple's divisor bit into its candidate's bitmask, the *run merge* of
+merge-sort division (the same masks, one candidate run at a time in the
+Python reference, the gather sweep itself once vectorized) and the *match
+scan* that finds the candidates whose bitmask is full / a superset / has
+the required popcount.  All work on the integer key codes the key-column
 seam (:mod:`repro.physical.division.keys`) hands out.  Two implementations
 exist:
 
@@ -83,6 +85,46 @@ class PythonBitsetKernel:
         pairs = zip(self.prepare_indices(candidate_codes), self.prepare_indices(value_codes))
         for candidate, value in pairs:
             masks[candidate] |= bits[value]
+        return masks
+
+    def merge_runs(
+        self,
+        count: int,
+        candidate_codes: Any,
+        value_codes: Any,
+        positions: Sequence[int],
+        width: int,
+        sort: bool = False,
+    ) -> Any:
+        """The masks of :meth:`gather_sweep`, merged run by run.
+
+        Each contiguous run of one candidate code accumulates its mask and
+        is ORed into the candidate's slot at the run boundary — one slot
+        access per run instead of per tuple when the input is clustered on
+        the candidate, and still correct when it is not (a candidate's runs
+        land in the same slot).  ``sort`` orders the pairs by candidate
+        first: the merge-sort variant for unclustered input.  This loop
+        serves inputs under 32 tuples and processes without numpy.
+        """
+        bits = [1 << position if position >= 0 else 0 for position in positions]
+        pairs: Any = zip(
+            self.prepare_indices(candidate_codes),
+            map(bits.__getitem__, self.prepare_indices(value_codes)),
+        )
+        if sort:
+            pairs = sorted(pair for pair in pairs if pair[1])
+        masks = [0] * count
+        current = -1
+        mask = 0
+        for candidate, bit in pairs:
+            if candidate != current:
+                if current >= 0:
+                    masks[current] |= mask
+                current = candidate
+                mask = 0
+            mask |= bit
+        if current >= 0:
+            masks[current] |= mask
         return masks
 
     # -- match scans ----------------------------------------------------
@@ -186,6 +228,21 @@ class NumpyBitsetKernel(PythonBitsetKernel):
                 candidate = candidate.astype(_np.intp) * words + word_of[value]
             _np.bitwise_or.at(masks, candidate, bit_of[value])
         return masks.reshape(count, words)
+
+    def merge_runs(
+        self,
+        count: int,
+        candidate_codes: Any,
+        value_codes: Any,
+        positions: Sequence[int],
+        width: int,
+        sort: bool = False,
+    ) -> Any:
+        if len(candidate_codes) < _MIN_VECTOR_SIZE:
+            return super().merge_runs(count, candidate_codes, value_codes, positions, width, sort)
+        # ORs into a slot commute: the sweep builds these masks whatever the
+        # order of the pairs, so there are no runs to find and nothing to sort.
+        return self.gather_sweep(count, candidate_codes, value_codes, positions, width)
 
     def full_matches(self, masks: Any, full: int) -> list[int]:
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):

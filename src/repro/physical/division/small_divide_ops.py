@@ -178,7 +178,9 @@ class MergeSortDivision(DivisionOperator):
 
     The dividend pairs are sorted by candidate code — integer sort, no
     ``repr`` keys — and one interleaved merge scan accumulates each
-    candidate run's bitmask against the divisor.
+    candidate run's bitmask against the divisor (the kernel's
+    ``merge_runs``; vectorized, sort and merge collapse into one order-blind
+    gather sweep that builds the same masks).
 
     With ``assume_clustered=True`` (set by the cost-based planner when the
     statistics show the dividend's scan order is already sorted on the
@@ -216,25 +218,14 @@ class MergeSortDivision(DivisionOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         kernel, candidates, value_codes, positions, width = self._encoded_inputs()
-        pairs: Any = _pair_bits(candidates, value_codes, positions)
-        if not self.assume_clustered:
-            pairs = sorted(pair for pair in pairs if pair[1])
-
-        # Merge each candidate run into its mask slot (ORing, so a
-        # non-contiguous run under a wrong clustering assumption still
-        # lands in the same slot); candidates without pairs keep mask 0.
-        masks = [0] * len(candidates.keys)
-        current = -1
-        mask = 0
-        for candidate, bit in pairs:
-            if candidate != current:
-                if current >= 0:
-                    masks[current] |= mask
-                current = candidate
-                mask = 0
-            mask |= bit
-        if current >= 0:
-            masks[current] |= mask
+        masks = kernel.merge_runs(
+            len(candidates.keys),
+            candidates.codes,
+            value_codes,
+            positions,
+            width,
+            sort=not self.assume_clustered,
+        )
         yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
 
 

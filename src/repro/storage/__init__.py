@@ -3,8 +3,8 @@
 The out-of-core layer of the library (ROADMAP item 3):
 
 * :mod:`repro.storage.format` — the on-disk block format: per-table files
-  of fixed-size column-major blocks with per-column dictionary pages and
-  per-block min/max zone maps.
+  of fixed-size column-major blocks — typed code pages over per-column
+  dictionary pages — with per-block min/max zone maps.
 * :mod:`repro.storage.store` — directory stores (``Database.save(path)`` /
   ``repro.connect(path)``) and the lazy :class:`StoredRelation`.
 * :mod:`repro.storage.scan` — the :class:`StoredScan` physical operator

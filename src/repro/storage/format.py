@@ -2,42 +2,47 @@
 
 A table file mirrors the in-memory :class:`~repro.physical.base.Chunk`
 layout: the tuples of one relation, in their saved (typically clustered)
-order, cut into fixed-size blocks.  Each block is stored column-major with
-per-column **dictionary pages** — a column whose values are hashable is
-encoded as integer codes into a table-wide value dictionary, exactly like
-the PR 3 dictionary-encoded chunk format — so repeated values cost one
-integer per occurrence.
+order, cut into fixed-size blocks, each stored column-major as one **column
+page** per attribute.  A column whose values all hash has a table-wide
+**dictionary page** in the header and *code pages*: the raw little-endian
+bytes of the block's dictionary codes in the narrowest unsigned type that
+holds the dictionary (1, 2 or 4 bytes a tuple,
+:func:`repro.relation.encoding.narrow_codes`), read back with one
+``frombuffer`` and no Python object per value.  Any other column has *raw
+pages*: the pickled list of the block's values.
 
-File layout (format 2, magic ``RPROBLK2``)::
+File layout (format 3, magic ``RPROBLK3``; older magics are refused with a
+typed error — every store is re-written by the version that reads it)::
 
     MAGIC (8 bytes)
     header length (8 bytes, big-endian)
     header CRC32 (4 bytes, big-endian, over the pickled header)
-    header (pickled dict: attributes, block index, dictionary pages,
-            zone maps, per-block CRC32 checksums, statistics payload)
-    block payloads, concatenated (offsets in the header are relative
-    to the first payload byte)
+    header (pickled dict: attributes, dictionary pages, statistics
+            payload, block index)
+    block payloads, concatenated (offsets relative to the first one)
 
-Format-1 files (magic ``RPROBLK1``, no header CRC, no block checksums)
-remain fully readable; the header CRC sits *before* the pickled header so
-a torn header is rejected by checksum — never fed to ``pickle.loads`` —
-and a corrupted format field cannot masquerade as the other version
-(the magic, outside the checksummed region, picks the layout).  Block
-payload checksums are verified on every read; a mismatch raises
-:class:`~repro.errors.StorageCorruptionError` naming the file, block
-number and expected-vs-actual CRC.  The ``storage.block_read`` fault
-point (:mod:`repro.faults`) hooks each payload read.
+    block payload = column page 0 | column page 1 | …
+    block index entry = offset, length, count, pages (byte length of each
+                        column page), zones, crc
 
-Every block's header entry carries a per-attribute ``(min, max)`` **zone
-map**, computed at save time; attributes whose block values are not
-mutually comparable are simply omitted from that block's zones, which keeps
-pruning conservative.  :func:`block_may_match` is the matching side: it
-walks a predicate structurally and answers "could any tuple in a block with
-these zones satisfy it?", defaulting to ``True`` whenever it cannot tell.
+The header CRC sits *before* the pickled header, so a torn header never
+reaches ``pickle.loads``.  Every read verifies its payload: a CRC mismatch
+raises :class:`~repro.errors.StorageCorruptionError` (file, block,
+expected-vs-actual CRC), and a checksum-valid page of the wrong length or
+with a code outside its dictionary (a foreign writer) raises
+:class:`~repro.errors.StorageError` the same way — never an ``IndexError``
+in a kernel later.  ``checksums=False`` leaves the block CRCs out (the
+control arm of the ``--faults`` benchmark gate).  The ``storage.block_read``
+fault point (:mod:`repro.faults`) hooks each payload read.
 
-This module is deliberately free of optimizer/physical imports — the
-statistics payload stays a plain dict here and is converted by
-:mod:`repro.storage.store`.
+A block's index entry carries per-attribute ``(min, max)`` **zone maps**
+taken from its *distinct* codes; an attribute whose block values are not
+mutually comparable gets none, which keeps pruning conservative.
+:func:`block_may_match` answers "could any tuple in a block with these
+zones satisfy this predicate?", ``True`` whenever it cannot tell.
+
+Free of optimizer/physical imports: the statistics payload stays a plain
+dict here and is converted by :mod:`repro.storage.store`.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import os
 import pickle
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.algebra.predicates import (
     And,
@@ -61,34 +66,31 @@ from repro.algebra.predicates import (
 )
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
+from repro.relation.encoding import CodeColumn, code_width, narrow_codes, widen_codes
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FORMAT_VERSION",
-    "LEGACY_FORMAT_VERSION",
-    "LEGACY_MAGIC",
     "MAGIC",
     "TableReader",
     "block_may_match",
     "block_zones",
-    "build_dictionaries",
-    "decode_block",
+    "column_blocks",
     "decode_columns",
-    "encode_block",
+    "decode_raw_page",
+    "encode_raw_page",
     "write_table_file",
 ]
 
-#: Format 1 (PR 8): no header CRC, no block checksums.  Still readable.
-LEGACY_MAGIC = b"RPROBLK1"
-LEGACY_FORMAT_VERSION = 1
+MAGIC = b"RPROBLK3"
+FORMAT_VERSION = 3
 
-MAGIC = b"RPROBLK2"
-FORMAT_VERSION = 2
+#: Magics of the formats this one replaced; recognized only to say so.
+_OLDER_MAGICS = {b"RPROBLK1": 1, b"RPROBLK2": 2}
 
-#: Tuples per block.  4096 aligned tuples keeps a block in the hundreds of
-#: kilobytes for typical schemas — large enough that the per-block pickle
-#: overhead vanishes, small enough that zone maps prune at useful
-#: granularity on clustered tables.
+#: Tuples per block.  4096 tuples keep a code page at 4–16 KB — large enough
+#: that the per-block index entry vanishes, small enough that zone maps
+#: prune at useful granularity on clustered tables.
 DEFAULT_BLOCK_SIZE = 4096
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -98,97 +100,76 @@ _HEADER_KEYS = ("format", "table", "attributes", "block_size", "tuple_count", "d
 
 PathLike = Union[str, Path]
 
+#: One block: per attribute a code buffer, or (raw column) its value list.
+Columns = Sequence[Any]
+
 
 # ----------------------------------------------------------------------
-# encoding
+# pages
 # ----------------------------------------------------------------------
-def build_dictionaries(
-    attributes: Sequence[str], tuples: Sequence[tuple[Any, ...]]
-) -> dict[str, dict[Any, int]]:
-    """Value → code mapping per dictionary-encodable column.
-
-    A column qualifies when every value is hashable; columns with an
-    unhashable value anywhere are stored raw.  Codes are assigned in first
-    appearance order, so the page round-trips deterministically.
-    """
-    encodings: dict[str, dict[Any, int]] = {}
-    for position, name in enumerate(attributes):
-        mapping: dict[Any, int] = {}
-        try:
-            for values in tuples:
-                value = values[position]
-                if value not in mapping:
-                    mapping[value] = len(mapping)
-        except TypeError:
-            continue
-        encodings[name] = mapping
-    return encodings
+def encode_raw_page(values: Iterable[Any]) -> bytes:
+    """A raw page: the pickled list of ``values`` (no dictionary exists)."""
+    return pickle.dumps(list(values), protocol=_PROTOCOL)
 
 
-def encode_block(
-    attributes: Sequence[str],
-    tuples: Sequence[tuple[Any, ...]],
-    encodings: dict[str, dict[Any, int]],
-) -> bytes:
-    """One block, column-major, dictionary codes where a page exists."""
-    columns: list[list[Any]] = []
-    for position, name in enumerate(attributes):
-        mapping = encodings.get(name)
-        if mapping is None:
-            columns.append([values[position] for values in tuples])
-        else:
-            columns.append([mapping[values[position]] for values in tuples])
-    return pickle.dumps(columns, protocol=_PROTOCOL)
+def decode_raw_page(payload: bytes, count: int) -> list[Any]:
+    """Inverse of :func:`encode_raw_page`; ``ValueError`` unless the bytes
+    unpickle to a list of ``count`` entries."""
+    try:
+        values = pickle.loads(payload)
+    except Exception as error:
+        raise ValueError(f"raw page does not unpickle: {error}") from None
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"raw page is not a list of {count} entries")
+    return values
 
 
-def decode_columns(
-    columns: Sequence[Sequence[Any]],
-    attributes: Sequence[str],
-    dictionaries: dict[str, list[Any]],
-) -> list[tuple[Any, ...]]:
-    """A block's stored columns (codes where a page exists) → aligned tuples."""
-    decoded: list[Sequence[Any]] = []
-    for name, column in zip(attributes, columns):
-        page = dictionaries.get(name)
-        if page is not None:
-            column = [page[code] for code in column]
-        decoded.append(column)
+def column_blocks(columns: Columns, block_size: int) -> Iterator[Columns]:
+    """Whole-table columns (code buffers / value lists) cut into blocks."""
+    for start in range(0, len(columns[0]) if columns else 0, block_size):
+        yield [column[start : start + block_size] for column in columns]
+
+
+def decode_columns(columns: Columns, pages: Sequence[Optional[list[Any]]]) -> list[tuple[Any, ...]]:
+    """One block's columns → aligned tuples (``pages``: the dictionary page
+    per attribute, ``None`` for a raw column)."""
+    decoded = [
+        column if page is None else CodeColumn(page, column).values()
+        for column, page in zip(columns, pages)
+    ]
     return list(zip(*decoded))
 
 
-def decode_block(
-    payload: bytes,
-    attributes: Sequence[str],
-    dictionaries: dict[str, list[Any]],
-) -> list[tuple[Any, ...]]:
-    """Inverse of :func:`encode_block`: payload bytes → aligned tuples."""
-    return decode_columns(pickle.loads(payload), attributes, dictionaries)
-
-
 def block_zones(
-    attributes: Sequence[str], tuples: Sequence[tuple[Any, ...]]
+    attributes: Sequence[str], columns: Columns, pages: Sequence[Optional[list[Any]]]
 ) -> dict[str, tuple[Any, Any]]:
-    """Per-attribute ``(min, max)`` over one block.
-
-    Attributes whose values are not mutually comparable (mixed types,
-    ``None``) are omitted — absence means "no pruning", never wrong
-    pruning.
-    """
+    """Per-attribute ``(min, max)`` over one block, a coded column looked
+    up once per *distinct* code.  Attributes whose values are not mutually
+    comparable (mixed types, ``None``) are omitted — absence means "no
+    pruning", never wrong pruning."""
     zones: dict[str, tuple[Any, Any]] = {}
-    for position, name in enumerate(attributes):
-        column = [values[position] for values in tuples]
+    for name, column, page in zip(attributes, columns, pages):
+        values = column if page is None else CodeColumn(page, column).distinct_values()
         try:
-            zones[name] = (min(column), max(column))
+            low, high = min(values), max(values)
+            # min/max never compare a lone value: ask, so that an
+            # unorderable one (None) gets no zone either.
+            if low <= high:
+                zones[name] = (low, high)
         except (TypeError, ValueError):
             continue
     return zones
 
 
+# ----------------------------------------------------------------------
+# writing
+# ----------------------------------------------------------------------
 def write_table_file(
     path: PathLike,
     table: str,
     attributes: Sequence[str],
-    tuples: Sequence[tuple[Any, ...]],
+    pages: Sequence[Optional[list[Any]]],
+    blocks: Iterable[Columns],
     block_size: int = DEFAULT_BLOCK_SIZE,
     statistics: Optional[dict[str, Any]] = None,
     checksums: bool = True,
@@ -196,56 +177,64 @@ def write_table_file(
 ) -> Path:
     """Write one table to ``path`` in the block format described above.
 
-    ``tuples`` are written in the order given — save a clustered relation
-    and the zone maps become disjoint ranges that prune hard.
-
-    ``checksums=False`` writes the legacy format-1 layout (no header CRC,
-    no per-block checksums) — kept as the no-overhead baseline for the
-    ``--faults`` benchmark gate and to exercise the legacy read path;
-    ``fsync=False`` skips the flush-to-disk barrier (spill-grade scratch
-    data that never outlives the process).
+    ``pages`` holds, per attribute, the column's dictionary (code → value)
+    or ``None`` for a raw column; ``blocks`` yields the table cut into
+    ``block_size`` tuples, each block one code buffer / value list per
+    attribute — what :meth:`TableReader.iter_block_columns` reads back and
+    :func:`column_blocks` cuts.  Blocks are written in the order given: a
+    clustered relation gets disjoint zone maps that prune hard.
+    ``checksums=False`` leaves the per-block CRCs out; ``fsync=False`` skips
+    the flush-to-disk barrier.
     """
     if block_size < 1:
         raise StorageError(f"block size must be at least 1, got {block_size}")
     attributes = tuple(attributes)
-    encodings = build_dictionaries(attributes, tuples)
+    if not attributes:
+        # Its tuple count has no column to live in; refused, not saved as empty.
+        raise StorageError(f"table {table!r} has no attributes and cannot be stored")
     payloads: list[bytes] = []
     index: list[dict[str, Any]] = []
-    offset = 0
-    for start in range(0, len(tuples), block_size):
-        block = tuples[start : start + block_size]
-        payload = encode_block(attributes, block, encodings)
+    offset = tuple_count = 0
+    for columns in blocks:
+        encoded = [
+            encode_raw_page(column) if page is None else narrow_codes(column, len(page))
+            for column, page in zip(columns, pages)
+        ]
+        payload = b"".join(encoded)
         entry = {
             "offset": offset,
             "length": len(payload),
-            "count": len(block),
-            "zones": block_zones(attributes, block),
+            "count": len(columns[0]),
+            "pages": tuple(map(len, encoded)),
+            "zones": block_zones(attributes, columns, pages),
         }
         if checksums:
             entry["crc"] = zlib.crc32(payload)
         index.append(entry)
         payloads.append(payload)
         offset += len(payload)
+        tuple_count += entry["count"]
     header = {
-        "format": FORMAT_VERSION if checksums else LEGACY_FORMAT_VERSION,
+        "format": FORMAT_VERSION,
         "table": table,
         "attributes": attributes,
         "block_size": block_size,
-        "tuple_count": len(tuples),
-        "dictionaries": {name: list(mapping) for name, mapping in encodings.items()},
+        "tuple_count": tuple_count,
+        "checksums": checksums,
+        "dictionaries": {
+            name: page for name, page in zip(attributes, pages) if page is not None
+        },
         "blocks": index,
         "statistics": statistics,
     }
     header_bytes = pickle.dumps(header, protocol=_PROTOCOL)
     path = Path(path)
     with open(path, "wb") as stream:
-        stream.write(MAGIC if checksums else LEGACY_MAGIC)
+        stream.write(MAGIC)
         stream.write(len(header_bytes).to_bytes(8, "big"))
-        if checksums:
-            stream.write(zlib.crc32(header_bytes).to_bytes(4, "big"))
+        stream.write(zlib.crc32(header_bytes).to_bytes(4, "big"))
         stream.write(header_bytes)
-        for payload in payloads:
-            stream.write(payload)
+        stream.writelines(payloads)
         if fsync:
             stream.flush()
             os.fsync(stream.fileno())
@@ -259,73 +248,63 @@ class TableReader:
     """Metadata-first reader for one table file.
 
     Construction reads only the header (attributes, block index, zone
-    maps, dictionary pages, statistics payload); block payloads are
-    decoded on demand by :meth:`iter_blocks` / :meth:`read_block`.
+    maps, dictionary pages, statistics payload); block payloads are read
+    and verified on demand by :meth:`iter_block_columns` /
+    :meth:`iter_blocks`.
     """
 
-    __slots__ = ("_path", "_header", "_data_start", "_format_version")
+    __slots__ = ("_path", "_header", "_data_start", "_pages")
 
     def __init__(self, path: PathLike) -> None:
         self._path = Path(path)
         try:
             with open(self._path, "rb") as stream:
                 magic = stream.read(len(MAGIC))
-                if magic == MAGIC:
-                    version = FORMAT_VERSION
-                elif magic == LEGACY_MAGIC:
-                    version = LEGACY_FORMAT_VERSION
-                else:
+                if magic in _OLDER_MAGICS:
+                    raise StorageError(
+                        f"{self._path} is a format-{_OLDER_MAGICS[magic]} table file; this "
+                        f"version reads only format {FORMAT_VERSION} — re-save with this version"
+                    )
+                if magic != MAGIC:
                     raise StorageError(f"{self._path} is not a stored table file (bad magic)")
                 header_length = int.from_bytes(stream.read(8), "big")
-                expected_crc: Optional[int] = None
-                if version == FORMAT_VERSION:
-                    crc_bytes = stream.read(4)
-                    if len(crc_bytes) != 4:
-                        raise StorageError(f"{self._path} is truncated (header incomplete)")
-                    expected_crc = int.from_bytes(crc_bytes, "big")
+                crc_bytes = stream.read(4)
                 header_bytes = stream.read(header_length)
-                if len(header_bytes) != header_length:
+                if len(crc_bytes) != 4 or len(header_bytes) != header_length:
                     raise StorageError(f"{self._path} is truncated (header incomplete)")
-                if expected_crc is not None:
-                    # Verified *before* unpickling: a torn header never
-                    # reaches pickle.loads, and the error names the CRCs.
-                    actual_crc = zlib.crc32(header_bytes)
-                    if actual_crc != expected_crc:
-                        raise StorageCorruptionError(
-                            f"{self._path} header checksum mismatch "
-                            f"(expected {expected_crc:#010x}, got {actual_crc:#010x})",
-                            file=str(self._path),
-                            expected=expected_crc,
-                            actual=actual_crc,
-                        )
+                # Verified *before* unpickling: a torn header never reaches
+                # pickle.loads, and the error names the CRCs.
+                expected_crc = int.from_bytes(crc_bytes, "big")
+                actual_crc = zlib.crc32(header_bytes)
+                if actual_crc != expected_crc:
+                    raise StorageCorruptionError(
+                        f"{self._path} header checksum mismatch "
+                        f"(expected {expected_crc:#010x}, got {actual_crc:#010x})",
+                        file=str(self._path),
+                        expected=expected_crc,
+                        actual=actual_crc,
+                    )
                 try:
                     header = pickle.loads(header_bytes)
                 except Exception as error:
                     raise StorageError(f"{self._path} has an unreadable header: {error}") from None
-                self._data_start = (
-                    len(MAGIC) + 8 + (4 if expected_crc is not None else 0) + header_length
-                )
+                self._data_start = len(MAGIC) + 8 + 4 + header_length
         except OSError as error:
             raise StorageError(f"cannot open stored table file {self._path}: {error}") from None
         if not isinstance(header, dict) or any(key not in header for key in _HEADER_KEYS):
             raise StorageError(f"{self._path} has a malformed header")
-        if header["format"] != version:
+        if header["format"] != FORMAT_VERSION:
             raise StorageError(
                 f"{self._path} declares format version {header['format']}, "
-                f"but its magic says {version}"
+                f"but its magic says {FORMAT_VERSION}"
             )
-        self._format_version = version
         self._header = header
+        self._pages = [header["dictionaries"].get(name) for name in header["attributes"]]
 
     # -- metadata (no block reads) -------------------------------------
     @property
     def path(self) -> Path:
         return self._path
-
-    @property
-    def format_version(self) -> int:
-        """1 for legacy checksum-free files, 2 for checksummed files."""
-        return self._format_version
 
     @property
     def table(self) -> str:
@@ -344,85 +323,83 @@ class TableReader:
         return self._header["block_size"]
 
     @property
+    def checksummed(self) -> bool:
+        """Whether the writer recorded a CRC32 per block."""
+        return self._header.get("checksums", True)
+
+    @property
     def blocks(self) -> list[dict[str, Any]]:
-        """The block index: offset/length/count/zones per block."""
+        """The block index: offset/length/count/pages/zones/crc per block."""
         return self._header["blocks"]
 
     @property
-    def dictionaries(self) -> dict[str, list[Any]]:
-        return self._header["dictionaries"]
+    def dictionary_pages(self) -> list[Optional[list[Any]]]:
+        """Per attribute: the dictionary page (code → value), or ``None``
+        for a column stored as raw pages."""
+        return self._pages
 
     @property
     def statistics_payload(self) -> Optional[dict[str, Any]]:
         return self._header.get("statistics")
 
     # -- block access ---------------------------------------------------
-    def read_block(self, meta: dict[str, Any]) -> list[tuple[Any, ...]]:
-        """Decode one block given its index entry."""
-        with open(self._path, "rb") as stream:
-            stream.seek(self._data_start + meta["offset"])
-            payload = stream.read(meta["length"])
-        return self._tuples(self._columns(meta, payload))
-
-    def _columns(self, meta: dict[str, Any], payload: bytes) -> list[list[Any]]:
-        """Verify one block payload and unpickle its stored columns."""
+    def _columns(self, number: int, meta: dict[str, Any], payload: bytes) -> Columns:
+        """Verify one block payload and cut it into its column pages."""
         payload = fault_registry.fire("storage.block_read", payload)
         if len(payload) != meta["length"]:
-            raise StorageError(f"{self._path} is truncated (block payload incomplete)")
+            raise StorageError(f"{self._path} is truncated (block {number} payload incomplete)")
         expected = meta.get("crc")
         if expected is not None:
             actual = zlib.crc32(payload)
             if actual != expected:
-                block = self._block_number(meta)
                 raise StorageCorruptionError(
-                    f"{self._path} block {block} checksum mismatch "
+                    f"{self._path} block {number} checksum mismatch "
                     f"(expected {expected:#010x}, got {actual:#010x})",
                     file=str(self._path),
-                    block=block,
+                    block=number,
                     expected=expected,
                     actual=actual,
                 )
         try:
-            columns = pickle.loads(payload)
-        except Exception as error:
-            raise StorageError(f"{self._path} has an unreadable block: {error}") from None
-        width = len(self._header["attributes"])
-        if not isinstance(columns, list) or len(columns) != width:
-            raise StorageError(f"{self._path} has an unreadable block: not {width} columns")
+            count, lengths = meta["count"], meta["pages"]
+            if len(lengths) != len(self._pages) or sum(lengths) != len(payload):
+                raise ValueError(f"page lengths {lengths!r} do not add up to the payload")
+            columns = []
+            start = 0
+            view = memoryview(payload)
+            for length, page in zip(lengths, self._pages):
+                data = view[start : start + length]
+                start += length
+                if page is None:
+                    columns.append(decode_raw_page(data, count))
+                    continue
+                width = code_width(len(page))
+                if length != count * width:
+                    raise ValueError(
+                        f"a code page of {length} bytes for {count} tuples of {width} byte(s)"
+                    )
+                columns.append(widen_codes(data, len(page)))
+        except (KeyError, TypeError, ValueError) as error:
+            raise StorageError(f"{self._path} block {number} is unreadable: {error}") from None
         return columns
-
-    def _tuples(self, columns: list[list[Any]]) -> list[tuple[Any, ...]]:
-        try:
-            return decode_columns(columns, self.attributes, self.dictionaries)
-        except Exception as error:
-            raise StorageError(f"{self._path} has an unreadable block: {error}") from None
-
-    def _block_number(self, meta: dict[str, Any]) -> Optional[int]:
-        """Zero-based index of ``meta`` in the block index (error paths)."""
-        for number, entry in enumerate(self.blocks):
-            if entry is meta:
-                return number
-        return None
 
     def iter_block_columns(
         self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
-    ) -> Iterator[tuple[dict[str, Any], list[list[Any]]]]:
-        """Yield ``(index_entry, stored columns)`` per block, in file order.
+    ) -> Iterator[tuple[dict[str, Any], Columns]]:
+        """Yield ``(index_entry, columns)`` per block, in file order.
 
-        The columns come back as stored — column-major, integer codes into
-        :attr:`dictionaries` wherever a page exists, raw values otherwise —
-        verified (length, CRC) but not decoded.  ``should_read`` sees each
-        index entry (with its zone maps) before the payload is touched;
-        returning ``False`` skips the block without any disk read beyond
-        the already-loaded header.
+        The columns come back as stored — a code buffer over the
+        attribute's :attr:`dictionary_pages` entry, or the raw value list —
+        verified (length, CRC, code range) but not decoded.  ``should_read``
+        sees each index entry (with its zone maps) first; ``False`` skips
+        the block without any disk read.
         """
         with open(self._path, "rb") as stream:
-            for meta in self.blocks:
+            for number, meta in enumerate(self.blocks):
                 if should_read is not None and not should_read(meta):
                     continue
                 stream.seek(self._data_start + meta["offset"])
-                payload = stream.read(meta["length"])
-                yield meta, self._columns(meta, payload)
+                yield meta, self._columns(number, meta, stream.read(meta["length"]))
 
     def iter_blocks(
         self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
@@ -430,16 +407,7 @@ class TableReader:
         """Yield ``(index_entry, tuples)`` per block: the decoded view of
         :meth:`iter_block_columns`."""
         for meta, columns in self.iter_block_columns(should_read):
-            yield meta, self._tuples(columns)
-
-    def sample_tuples(self, limit: int) -> list[tuple[Any, ...]]:
-        """Up to ``limit`` tuples from the leading blocks (for type checks)."""
-        sample: list[tuple[Any, ...]] = []
-        for _meta, block in self.iter_blocks():
-            sample.extend(block[: limit - len(sample)])
-            if len(sample) >= limit:
-                break
-        return sample
+            yield meta, decode_columns(columns, self._pages)
 
 
 # ----------------------------------------------------------------------

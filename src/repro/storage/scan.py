@@ -3,11 +3,12 @@
 The stored counterpart of ``TableScan``: instead of slicing a
 materialized relation's cached tuples and codes, it reads the table file
 block by block and re-slices into chunks — the backing
-:class:`~repro.storage.store.StoredRelation` stays on disk.  A block is
-stored column-major as codes into table-wide dictionary pages, which is
-exactly a chunk's code-column form: the codes go up **untransposed**, and
-the page lookups plus the transpose into tuples only happen for a chunk
-whose consumer reads ``chunk.tuples``.
+:class:`~repro.storage.store.StoredRelation` stays on disk.  A block's
+column pages are typed code buffers over table-wide dictionary pages —
+exactly a chunk's code-column form: the verified buffers go up **as they
+are**, and the page lookups plus the transpose into tuples only happen for
+a chunk whose consumer reads ``chunk.tuples`` (or, block by block, for a
+table with a raw column).  Every scan reads and checks its pages anew.
 
 With a *skip predicate* attached (the optimizer pushes a query's leaf
 predicate down when its attributes are covered by the scan schema), each
@@ -15,7 +16,8 @@ block's zone maps are tested first and provably non-matching blocks are
 never read.  The predicate is advisory: the plan keeps its ``Filter``, so
 skipping only ever removes whole blocks the filter would have emptied
 anyway, and the ``blocks_skipped`` counter it maintains is surfaced by
-``explain(analyze=True)``.
+``explain(analyze=True)``, as is ``bytes_read`` (the payload bytes the
+most recent execution read).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.algebra.predicates import Predicate, conjunction
-from repro.errors import ExecutionError, StorageError
+from repro.errors import ExecutionError
 from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
-from repro.relation.encoding import CodeColumn, code_buffer
+from repro.relation.encoding import CodeColumn
 from repro.storage.format import block_may_match
 from repro.storage.store import StoredRelation
 
@@ -58,6 +60,10 @@ class StoredScan(PhysicalOperator):
         self.skip_predicate: Optional[Predicate] = None
         self.blocks_total = len(relation.reader.blocks)
         self.blocks_skipped = 0
+        #: Block payload bytes read by the most recent execution.
+        self.bytes_read = 0
+        #: "code buffers", or "raw": a column has no dictionary page.
+        self.page_kind = "raw" if None in relation.reader.dictionary_pages else "code buffers"
         if predicate is not None:
             self.set_skip_predicate(predicate)
 
@@ -80,31 +86,24 @@ class StoredScan(PhysicalOperator):
         predicate = self.skip_predicate
         reader = self.relation.reader
         self.blocks_total = len(reader.blocks)
-        self.blocks_skipped = 0
+        self.blocks_skipped = self.bytes_read = 0
 
-        if predicate is None:
-            selector = None
-        else:
+        def selector(meta: dict[str, Any]) -> bool:
+            if predicate is None or block_may_match(predicate, meta.get("zones") or {}):
+                self.bytes_read += meta["length"]
+                return True
+            self.blocks_skipped += 1
+            return False
 
-            def selector(meta: dict[str, Any]) -> bool:
-                if block_may_match(predicate, meta.get("zones") or {}):
-                    return True
-                self.blocks_skipped += 1
-                return False
-
-        pages = [reader.dictionaries.get(name) for name in schema.names]
-        if None in pages:  # a column stored raw has no codes to hand up
+        if self.page_kind == "raw":  # no codes to hand up: the reader's decoded view
             for _meta, tuples in reader.iter_blocks(selector):
                 for start in range(0, len(tuples), size):
                     yield Chunk(schema, tuples[start : start + size])
             return
-        for meta, stored in reader.iter_block_columns(selector):
+        pages = reader.dictionary_pages
+        for meta, buffers in reader.iter_block_columns(selector):
             count = meta["count"]
-            try:
-                buffers = [code_buffer(codes, count) for codes in stored]
-            except (TypeError, ValueError, OverflowError) as error:
-                raise StorageError(f"{reader.path} has an unreadable block: {error}") from None
-            columns = [CodeColumn(page, buffer) for page, buffer in zip(pages, buffers)]
+            columns = tuple(map(CodeColumn, pages, buffers))
             for start in range(0, count, size):
                 stop = min(start + size, count)
                 yield Chunk.coded(schema, tuple(column.slice(start, stop) for column in columns))

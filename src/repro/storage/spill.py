@@ -9,11 +9,11 @@ behave like the list they replace), and streams its tuples back block by
 block — a worker re-reading a spilled partition never holds more than one
 block of it in memory.
 
-Spill files reuse the stored-table block encoding
-(:func:`repro.storage.format.encode_block` — column-major blocks of
-:data:`SPILL_BLOCK_TUPLES` tuples), just without dictionary pages: spills
-are written mid-stream, before any table-wide value dictionary could
-exist.
+Spill files reuse the stored-table codec's raw-page branch
+(:func:`repro.storage.format.encode_raw_page` — one page per block of
+:data:`SPILL_BLOCK_TUPLES` tuples, column-major): spills are written
+mid-stream, before any table-wide value dictionary could exist, so there
+are no code pages.
 
 Every spill block carries a CRC32, verified on re-read: a spill file a
 worker re-streams is the *only* copy of that partition's data, so a torn
@@ -33,16 +33,13 @@ from typing import Any, Iterator, Sequence
 
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
-from repro.storage.format import PathLike, decode_block, encode_block
+from repro.storage.format import PathLike, decode_raw_page, encode_raw_page
 
 __all__ = ["SPILL_BLOCK_TUPLES", "SpillWriter", "SpilledPartition"]
 
 #: Tuples per spill block — the unit the peak-buffered-blocks counters and
 #: the re-streaming granularity are measured in.
 SPILL_BLOCK_TUPLES = 4096
-
-#: No table-wide dictionaries exist for spill blocks.
-_NO_DICTIONARIES: dict[str, list[Any]] = {}
 
 #: Block index entry: (offset, payload length, tuple count, payload CRC32).
 BlockEntry = tuple[int, int, int, int]
@@ -77,7 +74,7 @@ class SpillWriter:
         """
         if not tuples:
             return
-        payload = encode_block(self.attributes, tuples, {})
+        payload = encode_raw_page(zip(*tuples))
         # The checksum is taken before the fault point so an injected
         # corruption of the bytes that reach disk is caught on re-read.
         crc = zlib.crc32(payload)
@@ -171,7 +168,13 @@ class SpilledPartition:
                             expected=expected,
                             actual=actual,
                         )
-                    yield decode_block(payload, self.attributes, _NO_DICTIONARIES)
+                    try:
+                        columns = decode_raw_page(payload, len(self.attributes))
+                    except ValueError as error:
+                        raise StorageError(
+                            f"spill file {self.path} block {number} is unreadable: {error}"
+                        ) from None
+                    yield list(zip(*columns))
         except OSError as error:
             raise StorageError(f"cannot read spill file {self.path}: {error}") from None
 

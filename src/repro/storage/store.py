@@ -5,6 +5,10 @@ A *store* is a directory holding one block file per table (see
 to files and recording the catalog's declared keys and foreign keys, so a
 reopened store keeps the same rewrite-law preconditions available.
 
+A save writes every table from its **code columns**, never from tuples:
+an in-memory relation's cached encoding, or a reopened store's verified
+pages streamed block by block (no tuple is built, nothing stays loaded).
+
 Saves are **crash-safe**: table files are written under fresh
 generation-suffixed names (never overwriting the files the current
 manifest references), fsynced, and the manifest — carrying a SHA-256
@@ -30,7 +34,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.algebra.catalog import Catalog
 from repro.errors import StorageCorruptionError, StorageError
@@ -39,7 +43,9 @@ from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
 from repro.relation.row import Row
 from repro.relation.schema import Schema
-from repro.storage.format import DEFAULT_BLOCK_SIZE, PathLike, TableReader, write_table_file
+from repro.relation.encoding import concatenate_codes
+from repro.storage.format import DEFAULT_BLOCK_SIZE, Columns, PathLike, TableReader
+from repro.storage.format import column_blocks, write_table_file
 
 __all__ = [
     "MANIFEST_NAME",
@@ -180,7 +186,8 @@ class StoredRelation(Relation):
         """Up to ``limit`` leading tuples without materializing the table."""
         if self._cached_tuples is not None:
             return self._cached_tuples[:limit]
-        return self._reader.sample_tuples(limit)
+        blocks = (block for _meta, block in self._reader.iter_blocks())
+        return list(itertools.islice(itertools.chain.from_iterable(blocks), limit))
 
     def __repr__(self) -> str:
         state = "loaded" if self.is_loaded else "on disk"
@@ -241,6 +248,30 @@ def _sweep_orphans(path: Path, keep: "set[str]") -> None:
             continue
 
 
+def _table_source(
+    relation: Relation, block_size: int
+) -> "tuple[tuple[str, ...], list[Optional[list[Any]]], Iterator[Columns]]":
+    """``(attributes, dictionary pages, blocks)`` for :func:`write_table_file`:
+    an in-memory relation's cached encoding, or a stored one's verified
+    pages (joined and re-cut only for another ``block_size``) under the
+    header's own name strings — pickle shares strings by identity, so this
+    is what makes a re-saved file byte-identical to its source."""
+    if isinstance(relation, StoredRelation):
+        reader = relation.reader
+        pages = reader.dictionary_pages
+        blocks = (columns for _meta, columns in reader.iter_block_columns())
+        if reader.block_size != block_size:
+            whole = [
+                concatenate_codes(parts) if page is not None else list(itertools.chain(*parts))
+                for page, parts in zip(pages, zip(*blocks))
+            ]
+            blocks = column_blocks(whole, block_size)
+        return reader.attributes, pages, blocks
+    columns = relation.encoded_columns()
+    blocks = column_blocks([column.codes for column in columns], block_size)
+    return relation.schema.names, [column.dictionary for column in columns], blocks
+
+
 def save_database(
     path: PathLike,
     catalog: Catalog,
@@ -250,7 +281,7 @@ def save_database(
 ) -> Path:
     """Save every table of ``catalog`` to the store directory ``path``.
 
-    Tuples are written in each relation's scan order (so a pre-clustered
+    Code columns are written in each relation's scan order (so a pre-clustered
     relation gets tight, disjoint zone maps), exact statistics are gathered
     once and embedded in each file header, and the manifest — written last
     — records the table files plus declared keys and foreign keys.
@@ -283,8 +314,7 @@ def save_database(
             write_table_file(
                 path / filename,
                 name,
-                relation.schema.names,
-                relation.aligned_tuples(),
+                *_table_source(relation, block_size),
                 block_size=block_size,
                 statistics=statistics_payload(statistics),
             )

@@ -20,11 +20,10 @@ class TestRegistry:
         assert prefixes == {"RP1", "RP2", "RP3", "RP4", "RP5", "RP6", "RP7"}
 
     def test_sampled_warnings_stay_warnings(self):
-        """RP112 (data-sampled types), RP204 (degradable payloads) and RP701
-        (readable legacy files) must not gate CI; everything else is an
-        error."""
+        """RP112 (data-sampled types) and RP204 (degradable payloads) must
+        not gate CI; everything else is an error."""
         warnings = {code for code, (sev, _) in FINDING_CODES.items() if sev is Severity.WARNING}
-        assert warnings == {"RP112", "RP204", "RP701"}
+        assert warnings == {"RP112", "RP204"}
 
     def test_factory_applies_registry_severity(self):
         f = finding("RP101", "boom", "node")

@@ -145,6 +145,42 @@ class TestKeyColumnAnnotations:
             "· compiled segment (2 operator(s) fused, filtered per tuple)",
         ]
 
+    def test_snapshot_of_a_stored_division(self, tmp_path):
+        """The storage line: how the pages reach the plan (typed code
+        buffers, 1 byte a code at these dictionary sizes) and what the
+        analyzed run read — supplies: 8 tuples x 2 columns, parts: 5 x 2."""
+        from repro.physical import active_kernel
+
+        connect(textbook_catalog).save(tmp_path / "store")
+        stored = connect(tmp_path / "store")
+        text = stored.sql(self.SELECTIVE).explain(analyze=True)
+        annotations = [
+            line for line in self.physical_section(text) if not line.startswith("· algorithm=")
+        ]
+        assert annotations == [
+            f"· keys: cached codes, kernel: {active_kernel().name}",
+            "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
+            "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2', "
+            "skipped=0, read 16 bytes",
+            "· compiled segment (2 operator(s) fused, filtered per tuple)",
+            "· storage: blocks=1, pages: code buffers, zone-map skip on color = 'red', "
+            "skipped=0, read 10 bytes",
+        ]
+        static = self.physical_section(stored.sql(self.SELECTIVE).explain())
+        assert "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2'" in static
+        assert not any("read" in line or "skipped=" in line for line in static)
+
+    def test_raw_pages_are_reported(self, tmp_path):
+        """A column without a dictionary page: blocks are decoded to tuples."""
+        from repro.storage import StoredRelation, StoredScan, TableReader
+        from tests.storage.tables import write_tuples
+
+        write_tuples(tmp_path / "t.rpb", "t", ("a", "b"), [(1, [1]), (2, [2, 3])])
+        scan = StoredScan(StoredRelation(TableReader(tmp_path / "t.rpb")))
+        assert scan.page_kind == "raw"
+        assert [chunk.tuples for chunk in scan.chunks()] == [[(1, [1]), (2, [2, 3])]]
+        assert scan.bytes_read == sum(meta["length"] for meta in scan.relation.reader.blocks)
+
     def test_plain_explain_claims_nothing_about_an_execution(self, db):
         text = db.sql(self.SELECTIVE).explain()
         assert "compiled    : yes · 2 segments\n" in text

@@ -147,6 +147,11 @@ class TestCLIWorkers:
         assert "PartitionedDivision" in output
         assert ", input: code columns" in output
         assert "· keys: cached codes, kernel: " in output
+        storage = [line.strip() for line in output.splitlines() if "· storage:" in line]
+        assert len(storage) == 2  # dividend and divisor, both from the store
+        for line in storage:
+            assert line.startswith("· storage: blocks=") and ", pages: code buffers, " in line
+            assert line.split("skipped=0, read ")[1].endswith(" bytes")
 
     def test_sql_rejects_bad_workers(self, capsys):
         code = main(["sql", "SELECT s_no FROM supplies AS s", "--workers", "0"])

@@ -27,7 +27,7 @@ from repro.physical import (
     numpy_available,
     use_kernel,
 )
-from repro.physical.compile.kernels import PythonBitsetKernel
+from repro.physical.compile.kernels import PythonBitsetKernel, active_kernel
 from repro.physical.division.keys import encode_keys
 from repro.relation import Relation
 from repro.relation.schema import Schema
@@ -196,6 +196,7 @@ def test_120_bit_divisor_runs_the_numpy_kernel_without_python_fallback(
 
     for name in (
         "gather_sweep",
+        "merge_runs",
         "full_matches",
         "popcount_matches",
         "subset_matches",
@@ -205,3 +206,113 @@ def test_120_bit_divisor_runs_the_numpy_kernel_without_python_fallback(
     with use_kernel("numpy"):
         plan = operator_class(kind, algorithm)(RelationScan(dividend), RelationScan(divisor))
         assert execute_plan(plan).relation == expected
+
+
+# ----------------------------------------------------------------------
+# the run-merge kernel (merge-sort division)
+# ----------------------------------------------------------------------
+MERGE_WIDTHS = (1, 63, 64, 65, 200)
+
+
+def mask_ints(masks) -> list[int]:
+    """Kernel masks (Python ints, or rows of little-endian uint64 words)."""
+    if isinstance(masks, list):
+        return masks
+    return [sum(int(word) << (64 * index) for index, word in enumerate(row)) for row in masks]
+
+
+def merge_input(width: int, order: str, seed: int):
+    """``(count, candidate codes, value codes, positions)``: 40 candidates
+    over ``width + 5`` value codes, five of them outside the divisor."""
+    rng = random.Random(seed)
+    count, values = 40, width + 5
+    pairs = [
+        (candidate, value)
+        for candidate in range(count)
+        for value in rng.sample(range(values), rng.randint(0, values))
+    ]
+    if order == "clustered":
+        pairs.sort(key=lambda pair: pair[0])
+    else:
+        rng.shuffle(pairs)
+    bits = list(range(width)) + [-1] * 5
+    rng.shuffle(bits)  # positions[value code] = divisor bit, or -1
+    return count, [c for c, _ in pairs], [v for _, v in pairs], bits
+
+
+def reference_masks(count, candidates, values, positions):
+    """The definition: OR every tuple's divisor bit into its candidate."""
+    masks = [0] * count
+    for candidate, value in zip(candidates, values):
+        if positions[value] >= 0:
+            masks[candidate] |= 1 << positions[value]
+    return masks
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("width", MERGE_WIDTHS)
+@pytest.mark.parametrize(
+    "order,sort",
+    [("clustered", False), ("unclustered", True), ("unclustered", False)],
+    ids=["clustered", "unclustered-sorted", "wrongly-assumed-clustered"],
+)
+def test_merge_runs_equals_the_definition(kernel, width, order, sort):
+    from array import array
+
+    count, candidates, values, positions = merge_input(width, order, seed=width)
+    expected = reference_masks(count, candidates, values, positions)
+    assert any(expected) and len(candidates) >= 32
+    with use_kernel(kernel):
+        active = active_kernel()
+        for buffers in (list, lambda codes: array("i", codes)):
+            merged = active.merge_runs(
+                count, buffers(candidates), buffers(values), positions, width, sort=sort
+            )
+            assert mask_ints(merged) == expected
+            swept = active.gather_sweep(count, buffers(candidates), buffers(values), positions, width)
+            assert mask_ints(swept) == expected
+        # Below the vector threshold the numpy kernel takes the Python body.
+        few = active.merge_runs(count, candidates[:20], values[:20], positions, width, sort=sort)
+        assert mask_ints(few) == reference_masks(count, candidates[:20], values[:20], positions)
+        assert mask_ints(active.merge_runs(count, [], [], positions, width, sort=sort)) == [0] * count
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+def test_runs_cut_by_a_slab_boundary_land_in_one_slot(kernel, monkeypatch):
+    from repro.physical.compile import kernels
+
+    monkeypatch.setattr(kernels, "_SWEEP_SLAB", 7)
+    count, candidates, values, positions = merge_input(65, "clustered", seed=5)
+    with use_kernel(kernel):
+        merged = active_kernel().merge_runs(count, candidates, values, positions, 65)
+    assert mask_ints(merged) == reference_masks(count, candidates, values, positions)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("assume_clustered", [True, False])
+def test_merge_sort_division_never_iterates_pairs_in_python(assume_clustered, monkeypatch):
+    """From 32 tuples up both variants — the streaming merge and the sort
+    before it — are one array sweep in the kernel, no ``for candidate, bit
+    in pairs``."""
+    from repro.physical.division import small_divide_ops
+
+    dividend = Relation(
+        ["a", "b"], [(a, b) for a in range(40) for b in range(70) if (a + b) % 11]
+    ).clustered(["a"])
+    divisor = Relation(["b"], [(b,) for b in range(0, 70, 2) if b % 11])
+    merge_sort = SMALL_DIVIDE_ALGORITHMS["merge_sort"]
+    with use_kernel("python"):
+        expected = execute_plan(
+            merge_sort(RelationScan(dividend), RelationScan(divisor), assume_clustered)
+        ).relation
+    assert expected.to_tuples(["a"]) == {(0,), (11,), (22,), (33,)}
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("merge-sort division walked its pairs in Python")
+
+    monkeypatch.setattr(PythonBitsetKernel, "merge_runs", forbidden)
+    monkeypatch.setattr(small_divide_ops, "_pair_bits", forbidden)
+    with use_kernel("numpy"):
+        plan = merge_sort(RelationScan(dividend), RelationScan(divisor), assume_clustered)
+        assert execute_plan(plan).relation == expected
+        assert (plan.key_source, plan.kernel_name) == ("cached codes", "numpy")

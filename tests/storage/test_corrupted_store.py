@@ -120,3 +120,81 @@ class TestTargetedCorruption:
         manifest.write_bytes(manifest.read_bytes()[: len(manifest.read_bytes()) // 2])
         with pytest.raises(StorageError):
             load_store(target)
+
+
+class TestForeignWriter:
+    """Checksum-valid files a foreign or buggy writer could produce: the
+    bytes are what was written, so no CRC trips — the page boundary itself
+    must refuse them, naming file and block, before a kernel indexes a
+    dictionary with a code it does not have."""
+
+    def _rewrite(self, source, tmp_path, mutate):
+        """Copy the store, apply ``mutate(header)`` to the ``facts`` file
+        and re-frame it with a *valid* header checksum."""
+        import pickle
+        import zlib
+
+        target = tmp_path / "store"
+        shutil.copytree(source, target)
+        victim = next(p for p in sorted(target.iterdir()) if "facts" in p.name)
+        data = victim.read_bytes()
+        length = int.from_bytes(data[8:16], "big")
+        header = pickle.loads(data[20 : 20 + length])
+        mutate(header)
+        body = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
+        victim.write_bytes(
+            data[:8]
+            + len(body).to_bytes(8, "big")
+            + zlib.crc32(body).to_bytes(4, "big")
+            + body
+            + data[20 + length :]
+        )
+        return target, victim
+
+    def _assert_refused(self, target, victim, match):
+        import repro
+
+        with pytest.raises(StorageError, match=match) as caught:
+            _read_all(target)
+        assert str(victim) in str(caught.value) and "block 0" in str(caught.value)
+        # The same through a query: the scan hands code buffers to the
+        # division, which must never see the bad page.
+        db = repro.connect(target)
+        with pytest.raises(StorageError, match=match):
+            db.sql("SELECT a FROM facts AS f DIVIDE BY dims AS d ON f.b = d.b").run()
+
+    def test_code_outside_the_dictionary(self, pristine, tmp_path):
+        def shorten(header):
+            del header["dictionaries"]["b"][3:]  # codes 3..6 now point nowhere
+
+        target, victim = self._rewrite(pristine[0], tmp_path, shorten)
+        self._assert_refused(target, victim, "outside a dictionary of 3")
+
+    def test_page_length_is_not_count_times_width(self, pristine, tmp_path):
+        def widen(header):  # 257 entries: two bytes a code, the pages hold one
+            header["dictionaries"]["b"].extend(range(100, 350))
+
+        target, victim = self._rewrite(pristine[0], tmp_path, widen)
+        self._assert_refused(target, victim, "a code page of 200 bytes for 200 tuples of 2 byte")
+
+    def test_count_disagrees_with_the_pages(self, pristine, tmp_path):
+        def miscount(header):
+            header["blocks"][0]["count"] += 1
+
+        target, victim = self._rewrite(pristine[0], tmp_path, miscount)
+        self._assert_refused(target, victim, "a code page of")
+
+    def test_page_lengths_do_not_add_up(self, pristine, tmp_path):
+        def shift(header):
+            first, *rest = header["blocks"][0]["pages"]
+            header["blocks"][0]["pages"] = (first + 1, *rest)
+
+        target, victim = self._rewrite(pristine[0], tmp_path, shift)
+        self._assert_refused(target, victim, "do not add up")
+
+    def test_index_entry_without_page_lengths(self, pristine, tmp_path):
+        def forget(header):
+            del header["blocks"][0]["pages"]
+
+        target, victim = self._rewrite(pristine[0], tmp_path, forget)
+        self._assert_refused(target, victim, "is unreadable")

@@ -69,6 +69,22 @@ class TestRoundtrip:
         assert [values[0] for values in tuples] == list(range(200))
 
 
+class TestNullaryTable:
+    """A table file keeps its tuple count in its columns; a relation
+    without attributes has none, so a save refuses it (typed, atomically)
+    instead of writing its one tuple as none."""
+
+    @pytest.mark.parametrize("rows", [[()], []], ids=["one tuple", "empty"])
+    def test_save_refuses_it_and_keeps_the_previous_store(self, store_path, rows):
+        before = sorted(path.name for path in store_path.iterdir())
+        catalog = make_catalog()
+        catalog.add_table("unit", Relation((), rows))
+        with pytest.raises(StorageError, match="'unit' has no attributes"):
+            save_database(store_path, catalog)
+        assert sorted(path.name for path in store_path.iterdir()) == before
+        assert load_catalog(store_path)["parts"] == make_catalog()["parts"]
+
+
 class TestLaziness:
     def test_open_is_metadata_only(self, store_path):
         relation = load_catalog(store_path)["parts"]
@@ -107,24 +123,26 @@ class TestEncodingCacheSlot:
         from repro.storage.format import TableReader
         from repro.workloads import textbook_catalog
 
-        calls = {"_columns": 0, "_tuples": 0}
+        import repro.storage.format as format_module
 
-        def counting(name):
-            original = getattr(TableReader, name)
+        calls = {"_columns": 0, "decode_columns": 0}
 
-            def wrapper(self, *args):
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
                 calls[name] += 1
-                return original(self, *args)
+                return original(*args)
 
-            monkeypatch.setattr(TableReader, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counting("_columns")
-        counting("_tuples")
+        counting(TableReader, "_columns")
+        counting(format_module, "decode_columns")
         repro.connect(textbook_catalog).save(tmp_path / "textbook")
         db = repro.connect(tmp_path / "textbook")
-        assert calls == {"_columns": 0, "_tuples": 0}
+        assert calls == {"_columns": 0, "decode_columns": 0}
         assert len(db.sql(Q1).run().relation) == 4
-        assert calls == {"_columns": 2, "_tuples": 0}
+        assert calls == {"_columns": 2, "decode_columns": 0}
         assert not any(db.relation(name).is_loaded for name in ("supplies", "parts"))
 
     def test_pickle_reopens_instead_of_loading(self, store_path):
@@ -215,6 +233,35 @@ class TestDatabaseApi:
             3,
             4,
         ]
+
+    def test_saving_a_reopened_store_loads_no_table(self, tmp_path, monkeypatch):
+        """Regression: ``save`` used to call ``aligned_tuples()`` on every
+        stored relation — all blocks decoded and every tuple pinned on the
+        relation for the rest of the session, though no query asked for a
+        row.  The pages go from file to file as code buffers."""
+        import repro.storage.format as format_module
+        from repro.experiments import Q1, Q2, Q3
+        from repro.workloads import textbook_catalog
+
+        repro.connect(textbook_catalog).save(tmp_path / "source")
+        source = repro.connect(tmp_path / "source")
+
+        def trap(*_args, **_kwargs):
+            raise AssertionError("a save decoded a block into tuples")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(format_module, "decode_columns", trap)
+            patched.setattr(StoredRelation, "aligned_tuples", trap)
+            source.save(tmp_path / "other")
+        assert not any(relation.is_loaded for relation in source.catalog.values())
+
+        other = repro.connect(tmp_path / "other")
+        for name, relation in source.catalog.items():
+            twin = other.catalog[name]
+            assert twin.reader.statistics_payload == relation.reader.statistics_payload
+            assert twin.stored_statistics() == relation.stored_statistics()
+        for text in (Q1, Q2, Q3):
+            assert other.sql(text).run().relation == source.sql(text).run().relation
 
     def test_analyze_is_metadata_only(self, store_path):
         db = repro.connect(str(store_path))

@@ -220,6 +220,53 @@ class TestRP406ExchangeTupleRoute:
             assert list(lint._check_exchange_file(path)) == []
 
 
+class TestRP407StoredBlocksStayCodeBuffers:
+    def test_per_value_lists_outside_the_decoded_views_are_flagged(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "def decode_columns(columns, pages):\n"
+            "    return list(zip(*(CodeColumn(p, c).values() for p, c in zip(pages, columns))))\n"
+            "class StoredScan:\n"
+            "    def _produce_chunks(self):\n"
+            "        for meta, columns in self.reader.iter_block_columns():\n"
+            "            yield [[page[code] for code in codes] for page, codes in columns]\n"
+            "    def iter_blocks(self, should_read=None):\n"
+            "        return decode_columns(self.columns, self.pages)\n"
+            "def block_bytes(codes, page):\n"
+            "    return list(map(page.__getitem__, codes.tolist()))\n"
+            "def sizes(blocks):\n"
+            "    return [entry[2] for entry in blocks]\n",
+        )
+        findings = list(lint._check_storage_file(path))
+        assert codes(findings) == ["RP407", "RP407"]
+        messages = sorted(finding.message for finding in findings)
+        assert messages[0].startswith("_produce_chunks builds per-value lists from a stored block")
+        assert messages[1].startswith(
+            "block_bytes builds per-value lists from a stored block (a lookup per element, tolist)"
+        )
+
+    def test_the_save_path_may_not_ask_for_tuples(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "def save_database(path, catalog):\n"
+            "    for name in catalog:\n"
+            "        write_table_file(path, name, catalog[name].aligned_tuples())\n"
+            "def load_rows(relation):\n"
+            "    return relation.aligned_tuples()\n",
+        )
+        findings = list(lint._check_storage_file(path))
+        assert codes(findings) == ["RP407"]
+        assert findings[0].message.startswith(
+            "save_database is on the save path and asks for tuples (aligned_tuples)"
+        )
+
+    def test_rule_covers_the_storage_package(self, lint):
+        checked = list(lint._python_files(lint.STORAGE_DIR))
+        assert {path.name for path in checked} >= {"format.py", "scan.py", "spill.py", "store.py"}
+        for path in checked:
+            assert list(lint._check_storage_file(path)) == []
+
+
 class TestRepositoryIsClean:
     def test_engine_lint_passes_on_the_repo(self, lint):
         assert lint.run() == []
