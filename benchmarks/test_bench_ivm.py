@@ -3,10 +3,19 @@
 The acceptance contract of the view subsystem: **1000 single-row edits
 against a ≥100k-tuple dividend, reading the quotient view after every
 edit, beat recompute-per-edit by ≥10× per edit**, measured same-run.
-Both arms pay the same copy-on-write mutation cost; the difference is
-the read after each edit — an O(delta) counter update plus a counter
-scan for the maintained view, a full division of the 100k-tuple
-dividend for the recompute baseline.
+The edit itself is O(delta) in both arms — the catalog records the row
+in the table's pending delta, nothing is copied.  The arms differ in
+what the read after each edit costs: the maintained view applies an
+O(delta) counter update and scans its counter table without touching
+the base table, while the recompute baseline folds the pending row into
+the 100k-tuple dividend (one vectorized pass that carries the scan
+block over) and divides it from scratch.
+
+A second contract pins the edit path itself: **the cost of a single-row
+edit does not depend on the size of the table** (``test_edit_cost`` /
+``test_edit_cost_is_flat``: per-edit time at a 200k-tuple dividend
+within 2× of the time at 20k, two maintained views registered, no read
+between the edits so nothing folds).
 
 The edit stream is delete/re-insert pairs over existing dividend rows,
 so every full pass restores the starting state (timed passes are
@@ -19,7 +28,8 @@ full recomputes takes minutes, so it replays only the first
 per-edit.  This cap is load-bearing for every consumer: the benchmark
 ids ``test_churn[edits-maintained]`` / ``test_churn[edits-recompute]``
 feed ``scripts/bench_compare.py --ivm``, which normalizes by the
-mirrored edit counts before applying the ≥10× gate.
+mirrored edit counts before applying the ≥10× gate; the same run's
+``test_edit_cost[rows-20k]`` / ``[rows-200k]`` feed its ≤2× gate.
 
 Wall-clock assertions use single timed passes (each runs seconds, far
 above scheduler noise) and are skipped under ``--benchmark-disable``
@@ -33,6 +43,7 @@ import pytest
 
 from repro.api import connect
 from repro.division import small_divide
+from repro.relation import Relation
 from repro.workloads import make_division_workload
 
 #: Maintained churn must beat recompute-per-edit by this factor, per edit.
@@ -46,6 +57,18 @@ RECOMPUTE_EDITS = 20
 ROWS_FLOOR = 100_000
 
 CHURN_MODES = ("maintained", "recompute")
+
+#: Quotient groups of the edit-cost dividends (~11.6 tuples a group):
+#: about 20k and 200k tuples.
+EDIT_COST_GROUPS = {"20k": 1_800, "200k": 18_000}
+#: Edits in one edit-cost pass: this many deletes of distinct rows, then
+#: their re-inserts (state-restoring; the pending delta grows to half of it).
+EDIT_COST_EDITS = 400
+#: A single-row edit at 200k tuples may cost at most this many times one
+#: at 20k.  Mirrored in scripts/bench_compare.py.
+EDIT_COST_RATIO_BOUND = 2.0
+#: … and at most this long at either size (seconds; measured here: 25 µs).
+EDIT_COST_CEILING = 100e-6
 
 assert MAINTAINED_EDITS % 2 == 0 and RECOMPUTE_EDITS % 2 == 0
 
@@ -114,6 +137,72 @@ def _recompute_pass(db, query, edits):
         _apply_edit(db, op, row)
         db.clear_cache()
         query.run()
+
+
+def _edit_cost_session(size):
+    """Two maintained views over a dividend of the given size, plus the
+    edit stream: deletes of distinct existing rows, then their re-inserts."""
+    workload = make_division_workload(
+        num_groups=EDIT_COST_GROUPS[size],
+        divisor_size=10,
+        containing_fraction=0.2,
+        extra_values_per_group=6,
+        seed=11,
+    )
+    db = connect()
+    db.add_table("r1", workload.dividend)
+    db.add_table("r2", workload.divisor)
+    db.add_table("r3", Relation(["b"], sorted(workload.divisor.aligned_tuples())[:5]))
+    for name, divisor in (("q", "r2"), ("half", "r3")):
+        view = db.create_view(name, db.table("r1").divide(db.table(divisor), on=["b"]))
+        view.run()
+        assert view.maintained
+    rows = random.Random(17).sample(sorted(workload.dividend.aligned_tuples()), EDIT_COST_EDITS // 2)
+    return db, [("delete", row) for row in rows] + [("insert", row) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def edit_cost_sessions():
+    """One session per size, shared: every pass restores the state."""
+    return {size: _edit_cost_session(size) for size in EDIT_COST_GROUPS}
+
+
+def _edit_pass(db, edits):
+    """Apply every edit; nothing reads the table, so nothing folds."""
+    for op, row in edits:
+        _apply_edit(db, op, row)
+
+
+@pytest.mark.parametrize(
+    "size", [pytest.param(size, id=f"rows-{size}") for size in EDIT_COST_GROUPS]
+)
+def test_edit_cost(benchmark, edit_cost_sessions, size):
+    """Single-row edits against a small and a ten times larger dividend
+    (the names feed ``scripts/bench_compare.py --ivm``'s ≤2× gate)."""
+    db, edits = edit_cost_sessions[size]
+    before = db.relation("r1")
+    quotient = db.view("q").relation()
+    benchmark.pedantic(lambda: _edit_pass(db, edits), rounds=5, iterations=1, warmup_rounds=1)
+    # Every pass restores the state: nothing is left to fold, and the
+    # views are where they started.
+    assert db.relation("r1") is before
+    assert db.view("q").relation() == quotient
+    assert db.view("q").deltas_applied >= EDIT_COST_EDITS
+
+
+def test_edit_cost_is_flat(request, edit_cost_sessions):
+    """Same-run gate: an edit costs the same whatever the table's size."""
+    if not _timing_enabled(request):
+        pytest.skip("wall-clock gate; --benchmark-disable runs test_edit_cost for parity")
+    best = dict.fromkeys(edit_cost_sessions, float("inf"))
+    for _round in range(6):  # alternating, so a noisy spell hits both sizes
+        for size, (db, edits) in edit_cost_sessions.items():
+            start = time.perf_counter()
+            _edit_pass(db, edits)
+            best[size] = min(best[size], (time.perf_counter() - start) / EDIT_COST_EDITS)
+    report = ", ".join(f"{size}: {seconds * 1e6:.1f} µs/edit" for size, seconds in best.items())
+    assert best["200k"] <= EDIT_COST_RATIO_BOUND * best["20k"], report
+    assert max(best.values()) <= EDIT_COST_CEILING, report
 
 
 def _timing_enabled(request) -> bool:

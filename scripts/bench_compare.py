@@ -44,7 +44,10 @@ arms time different edit counts (the recompute arm replays only a
 prefix of the stream — full recomputes per edit take minutes), so the
 comparison normalizes each timing by its arm's edit count first; the
 counts are mirrored from the benchmark file and printed with the
-ratios so the subsampling is never silent.
+ratios so the subsampling is never silent.  The same run's edit-cost
+scenarios gate the write path: a single-row edit against a 200k-tuple
+dividend may cost at most 2× one against 20k (an edit records a delta;
+it must not depend on the table's size).
 
 ``--faults`` switches to the reliability-overhead comparison: it runs
 ``benchmarks/test_bench_faults.py`` once and gates the same-run ratios —
@@ -114,6 +117,10 @@ IVM_SPEEDUP_BOUND = 10.0
 #: ≥100k-tuple dividend per edit takes minutes), so timings are divided
 #: by these counts before the gate is applied.
 IVM_EDITS = {"maintained": 1000, "recompute": 20}
+#: A single-row edit at the large edit-cost size may take at most this
+#: many times one at the small size — mirrors EDIT_COST_RATIO_BOUND.
+IVM_EDIT_COST_BOUND = 2.0
+IVM_EDIT_COST_SIZES = ("20k", "200k")
 #: Checksummed table files may cost at most this much over the same layout
 #: without block CRCs (``checksums=False``), read path and write path alike.
 FAULTS_OVERHEAD_BOUND = 0.05
@@ -377,7 +384,9 @@ def compare_ivm(payload: dict) -> tuple[list[str], list[str]]:
     counts** (see ``IVM_EDITS``), so each timing is normalized to
     milliseconds per edit before the ratio is taken.  Gate: the
     delta-maintained view beats recompute-per-edit by
-    ≥``IVM_SPEEDUP_BOUND`` on every churn scenario.
+    ≥``IVM_SPEEDUP_BOUND`` on every churn scenario, and the edit-cost
+    passes (equal edit counts) stay within ``IVM_EDIT_COST_BOUND`` of
+    each other across table sizes.
     """
     times = load_times(payload)
     churn = _mode_pairs(times, "test_churn")
@@ -403,6 +412,24 @@ def compare_ivm(payload: dict) -> tuple[list[str], list[str]]:
                 f"churn scenario {scenario}: the maintained view is only "
                 f"{speedup:.2f}x faster per edit than recompute "
                 f"(need {IVM_SPEEDUP_BOUND}x)"
+            )
+    small, large = IVM_EDIT_COST_SIZES
+    edit_cost = _mode_pairs(times, "test_edit_cost")
+    if not edit_cost:
+        failures.append("no edit-cost scenarios in the benchmark run")
+    for scenario, sizes in sorted(edit_cost.items()):
+        if small not in sizes or large not in sizes:
+            failures.append(f"edit-cost scenario {scenario} is missing a size")
+            continue
+        ratio = sizes[large] / sizes[small]
+        lines.append(
+            f"edit cost {scenario}: {small} {sizes[small] * 1000:9.3f} ms/pass, "
+            f"{large} {sizes[large] * 1000:9.3f} ms/pass ({ratio:.2f}x)"
+        )
+        if ratio > IVM_EDIT_COST_BOUND:
+            failures.append(
+                f"edit-cost scenario {scenario}: an edit at {large} tuples costs "
+                f"{ratio:.2f}x one at {small} (at most {IVM_EDIT_COST_BOUND}x)"
             )
     return lines, failures
 

@@ -51,6 +51,14 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   (``save_database`` and what it writes through) may ask for tuples at
   all: saving a reopened store streams pages, it does not load tables.
 
+* **RP408** — a table edit is O(delta).  ``Database.insert`` and
+  ``Database.delete`` record their rows through ``Catalog.apply_delta``:
+  neither may call ``.union(`` / ``.difference(`` / ``.intersection(`` or
+  ``replace_table(``, and ``self.relation(`` (which folds the table) only
+  inside ``delete``'s predicate branch.  Inside ``Catalog`` an existing
+  table's value is written only where the pending delta is accounted for:
+  ``add_table``, ``replace_table``, ``__getitem__`` and the fold helper.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -73,6 +81,8 @@ PHYSICAL_DIR = REPO_ROOT / "src" / "repro" / "physical"
 PARALLEL_DIR = PHYSICAL_DIR / "parallel"
 LAWS_DIR = REPO_ROOT / "src" / "repro" / "laws"
 STORAGE_DIR = REPO_ROOT / "src" / "repro" / "storage"
+DATABASE_FILE = REPO_ROOT / "src" / "repro" / "api" / "database.py"
+CATALOG_FILE = REPO_ROOT / "src" / "repro" / "algebra" / "catalog.py"
 
 PRAGMA = "# contract: rows-ok"
 
@@ -356,6 +366,89 @@ def _check_storage_file(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP408: edits record a delta; only the fold writes a table's value
+# ----------------------------------------------------------------------
+#: Whole-table work an edit must not do.
+TABLE_OPERATIONS = {"union", "difference", "intersection", "replace_table"}
+EDIT_METHODS = {"insert", "delete"}
+#: The Catalog methods that may assign ``self._tables[name]``.
+TABLE_WRITERS = {"add_table", "replace_table", "__getitem__", "_fold"}
+
+
+def _methods(tree: ast.AST, class_name: str) -> Iterator[ast.FunctionDef]:
+    for class_node in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        if class_node.name == class_name:
+            yield from (n for n in class_node.body if isinstance(n, ast.FunctionDef))
+
+
+def _is_self_call(node: ast.AST, method: str) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    )
+
+
+def _check_edit_methods(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in _methods(tree, "Database"):
+        if function.name not in EDIT_METHODS:
+            continue
+        offenders = {
+            name
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and (name := _called_name(node)) in TABLE_OPERATIONS
+        }
+        # ``self.relation(...)`` folds the table: only a predicate needs that.
+        allowed = {
+            id(node)
+            for branch in ast.walk(function)
+            if isinstance(branch, ast.If)
+            and any(isinstance(n, ast.Name) and n.id == "Predicate" for n in ast.walk(branch.test))
+            for statement in branch.body
+            for node in ast.walk(statement)
+        }
+        if any(
+            _is_self_call(node, "relation") and id(node) not in allowed
+            for node in ast.walk(function)
+        ):
+            offenders.add("self.relation")
+        if offenders:
+            yield finding(
+                "RP408",
+                f"Database.{function.name} does whole-table work on the edit path "
+                f"({', '.join(sorted(offenders))}); record the rows with Catalog.apply_delta",
+                _where(path, function),
+                "engine",
+            )
+
+
+def _check_catalog_writes(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in _methods(tree, "Catalog"):
+        if function.name in TABLE_WRITERS:
+            continue
+        for node in ast.walk(function):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                for element in ast.walk(target):
+                    if (
+                        isinstance(element, ast.Subscript)
+                        and isinstance(element.value, ast.Attribute)
+                        and element.value.attr == "_tables"
+                    ):
+                        yield finding(
+                            "RP408",
+                            f"Catalog.{function.name} assigns a table's value; only "
+                            f"{', '.join(sorted(TABLE_WRITERS))} may",
+                            _where(path, node),
+                            "engine",
+                        )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -469,6 +562,8 @@ def run() -> list[Finding]:
         findings.extend(_check_laws_file(path))
     for path in _python_files(STORAGE_DIR):
         findings.extend(_check_storage_file(path))
+    findings.extend(_check_edit_methods(DATABASE_FILE))
+    findings.extend(_check_catalog_writes(CATALOG_FILE))
     return findings
 
 

@@ -85,6 +85,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP405": (Severity.ERROR, "division operator extracts key values outside the key-column seam"),
     "RP406": (Severity.ERROR, "exchange layer reads tuples outside its one tuple route"),
     "RP407": (Severity.ERROR, "storage layer builds per-value lists from a block outside its decoded views"),
+    "RP408": (Severity.ERROR, "table edit does whole-table work or writes a table's value outside the fold"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),

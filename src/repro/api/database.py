@@ -54,6 +54,7 @@ from repro.physical.compile import CompilationReport
 from repro.physical.executor import execute_plan
 from repro.relation.relation import Relation
 from repro.relation.row import Row
+from repro.relation.schema import Schema
 from repro.sql.translator import SQLTranslator
 
 __all__ = ["Database", "PreparedPlan", "connect"]
@@ -75,44 +76,52 @@ RowsLike = Union[Relation, Iterable[Any]]
 DeleteSpec = Union[Predicate, Callable[[Row], bool], Relation, Iterable[Any]]
 
 
-def _coerce_rows(target: Relation, rows: RowsLike) -> Relation:
-    """Normalize mutation input to a Relation over the target's schema."""
-    schema = target.schema
+def _coerce_rows(schema: Schema, rows: RowsLike) -> list[Row]:
+    """Normalize mutation input to rows aligned with the table's schema.
+
+    Every row is built (and hashed) before the caller records anything, so
+    a malformed k-th row fails the whole batch with nothing applied.
+    """
+    names = schema.names
+    tuples: Iterable[tuple[Any, ...]]
     if isinstance(rows, Relation):
         if rows.schema.name_set != schema.name_set:
             raise SchemaError(
                 f"mutation rows have attributes {rows.schema.names!r}, "
-                f"table has {schema.names!r}"
+                f"table has {names!r}"
             )
-        return Relation.from_aligned(schema, rows.to_tuples(schema.names))
-    names = schema.names
-    tuples: list[tuple[Any, ...]] = []
-    for row in rows:
-        if isinstance(row, Row):
-            tuples.append(row.values_for(names))
-        elif isinstance(row, Mapping):
-            missing = [name for name in names if name not in row]
-            if missing:
-                raise SchemaError(f"mutation row {row!r} misses attributes {missing!r}")
-            tuples.append(tuple(row[name] for name in names))
-        elif isinstance(row, (tuple, list)):
-            if len(row) != len(names):
-                raise SchemaError(
-                    f"mutation tuple {row!r} has {len(row)} values, "
-                    f"schema {names!r} needs {len(names)}"
-                )
-            tuples.append(tuple(row))
-        else:
+        tuples = rows.to_tuples(names)
+    else:
+        try:
+            candidates = iter(rows)
+        except TypeError:
             raise ReproError(
-                f"cannot interpret {row!r} as a row; pass a Row, a mapping, "
-                "or a value tuple aligned with the schema"
+                f"cannot interpret {rows!r} as rows; pass a Relation or an "
+                "iterable of Rows, mappings or value tuples"
+            ) from None
+        tuples = [_coerce_row(names, row) for row in candidates]
+    return [Row.from_schema(schema, values) for values in tuples]
+
+
+def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:
+    if isinstance(row, Row):
+        return row.values_for(names)
+    if isinstance(row, Mapping):
+        missing = [name for name in names if name not in row]
+        if missing:
+            raise SchemaError(f"mutation row {row!r} misses attributes {missing!r}")
+        return tuple(row[name] for name in names)
+    if isinstance(row, (tuple, list)):
+        if len(row) != len(names):
+            raise SchemaError(
+                f"mutation tuple {row!r} has {len(row)} values, "
+                f"schema {names!r} needs {len(names)}"
             )
-    return Relation.from_aligned(schema, tuples)
-
-
-def _empty_like(relation: Relation) -> Relation:
-    """An empty relation sharing the table's interned schema."""
-    return Relation.from_aligned(relation.schema, ())
+        return tuple(row)
+    raise ReproError(
+        f"cannot interpret {row!r} as a row; pass a Row, a mapping, "
+        "or a value tuple aligned with the schema"
+    )
 
 
 @dataclass(frozen=True)
@@ -464,47 +473,50 @@ class Database:
         self._refresh(name)
 
     # ------------------------------------------------------------------
-    # mutations (copy-on-write, version-counted)
+    # mutations (O(delta), version-counted)
     # ------------------------------------------------------------------
     def insert(self, table: str, rows: "RowsLike") -> MutationResult:
         """Insert rows into a table (set semantics: duplicates are no-ops).
 
-        The relation is immutable, so the mutation is a copy-on-write
-        union of the old row set with the effective delta; the table's
-        version counter bumps only when the delta is non-empty, and every
-        maintained view over the table incorporates the delta through its
-        counter table (O(delta), not O(table)).
+        O(delta): the catalog records the effective rows beside the
+        table's immutable relation value and the next *read* of the table
+        folds them in (:meth:`Catalog.apply_delta`); the version counter
+        bumps only when the delta is non-empty, and every maintained view
+        over the table incorporates the delta through its counter table.
+        A malformed row, or one that would break a declared key, fails the
+        whole batch with nothing changed.
         """
-        current = self.relation(table)
-        addition = _coerce_rows(current, rows)
-        inserted = addition.difference(current)
-        empty = _empty_like(current)
-        if len(inserted):
-            self.catalog.replace_table(table, current.union(inserted))
-        version = self._note_mutation(table, inserted, empty)
-        return MutationResult(table=table, inserted=inserted, deleted=empty, version=version)
+        schema = self.catalog.schema(table)
+        delta = self.catalog.apply_delta(table, _coerce_rows(schema, rows), ())
+        return self._note_edit(table, schema, *delta)
 
     def delete(self, table: str, rows_or_predicate: "DeleteSpec") -> MutationResult:
         """Delete rows from a table, by predicate/callable or by value.
 
         ``rows_or_predicate`` may be a predicate AST node, any row
         callable, or the same row forms :meth:`insert` accepts; rows not
-        currently present are no-ops (set semantics).  Copy-on-write like
-        :meth:`insert`: the new relation masks the deleted rows out.
+        currently present are no-ops (set semantics).  By value the edit
+        is O(delta) like :meth:`insert`; a predicate is evaluated over the
+        (folded) table, which is O(table) by nature.
         """
-        current = self.relation(table)
+        schema = self.catalog.schema(table)
+        doomed: Iterable[Row]
         if isinstance(rows_or_predicate, Predicate) or (
             callable(rows_or_predicate) and not isinstance(rows_or_predicate, Relation)
         ):
-            deleted = current.select(rows_or_predicate)
+            doomed = self.relation(table).select(rows_or_predicate)
         else:
-            requested = _coerce_rows(current, rows_or_predicate)
-            deleted = current.intersection(requested)
-        empty = _empty_like(current)
-        if len(deleted):
-            self.catalog.replace_table(table, current.difference(deleted))
-        version = self._note_mutation(table, empty, deleted)
-        return MutationResult(table=table, inserted=empty, deleted=deleted, version=version)
+            doomed = _coerce_rows(schema, rows_or_predicate)
+        delta = self.catalog.apply_delta(table, (), doomed)
+        return self._note_edit(table, schema, *delta)
+
+    def _note_edit(
+        self, table: str, schema: Schema, inserted: list[Row], deleted: list[Row]
+    ) -> MutationResult:
+        """Wrap an edit's effective rows; bump the version, notify views."""
+        added, removed = Relation(schema, inserted), Relation(schema, deleted)
+        version = self._note_mutation(table, added, removed)
+        return MutationResult(table=table, inserted=added, deleted=removed, version=version)
 
     def table_version(self, name: str) -> int:
         """The table's current version counter (0 = never mutated)."""

@@ -37,7 +37,11 @@ class CounterTableScan(PhysicalOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
-        tuples = sorted(self.view.quotient_tuples())
+        quotient = self.view.quotient_tuples()
+        try:
+            tuples = sorted(quotient)
+        except TypeError:  # unorderable keys (None next to a number): any order
+            tuples = list(quotient)
         size = self.batch_size
         for start in range(0, len(tuples), size):
             yield Chunk(schema, tuples[start : start + size])

@@ -16,8 +16,9 @@ Code buffers are ``numpy.int32`` arrays when numpy imports and
 ``array('i')`` otherwise — never lists of ``int`` objects.  Everything
 that depends on that flavour lives here: :func:`merge_code_columns` (the
 concatenate / compact / mixed-radix step behind the division operators'
-key columns), :func:`split_code_columns` (the exchange's partition pass)
-and the mask helpers at the bottom (boolean arrays or ``bytes`` of 0 and
+key columns), :func:`split_code_columns` (the exchange's partition pass),
+:func:`patch_code_columns` (a table edit carried over to the encoding) and
+the mask helpers at the bottom (boolean arrays or ``bytes`` of 0 and
 1; callers treat masks as opaque values produced and consumed by these
 functions only).
 """
@@ -31,7 +32,7 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
-from typing import Any
+from typing import Any, Optional
 
 try:
     import numpy as _np
@@ -44,10 +45,12 @@ __all__ = [
     "code_buffer",
     "code_width",
     "concatenate_codes",
+    "drop_positions",
     "encode_columns",
     "iter_codes",
     "merge_code_columns",
     "narrow_codes",
+    "patch_code_columns",
     "route_codes",
     "split_code_columns",
     "widen_codes",
@@ -208,8 +211,7 @@ def encode_columns(tuples: Sequence[tuple[Any, ...]], width: int) -> tuple[CodeC
     for position in range(width):
         getter = operator.itemgetter(position)
         dictionary = list(dict.fromkeys(map(getter, tuples)))
-        code_of = dict(zip(dictionary, range(len(dictionary))))
-        codes = map(code_of.__getitem__, map(getter, tuples))
+        codes = map(_code_table(dictionary).__getitem__, map(getter, tuples))
         columns.append(CodeColumn(dictionary, code_buffer(codes, len(tuples))))
     return tuple(columns)
 
@@ -257,18 +259,27 @@ def merge_code_columns(
     arrays = [concatenate_codes(buffers) for buffers in parts]
     if single:
         return _compact(arrays[0], dictionaries[0])
-    if math.prod(map(len, dictionaries)) >= 1 << 62:
-        # The mixed-radix product overflows int64: combine as code tuples.
+    combined = _combine_codes(arrays, dictionaries)
+    if combined is None:
         return _merge_by_dict([array.tolist() for array in arrays], dictionaries)
-    combined = arrays[0].astype(_np.int64)
-    for array_, dictionary in zip(arrays[1:], dictionaries[1:]):
-        combined = combined * len(dictionary) + array_
     unique, codes = _np.unique(combined, return_inverse=True)
     digits = []
     for dictionary in reversed(dictionaries):
         unique, digit = _np.divmod(unique, len(dictionary))
         digits.append([dictionary[code] for code in digit.tolist()])
     return codes, list(zip(*reversed(digits)))
+
+
+def _combine_codes(arrays: Sequence[Any], dictionaries: Sequence[list[Any]]) -> Any:
+    """Aligned numpy code buffers as one int64 buffer of mixed-radix
+    composites; ``None`` when the radix product overflows int64 (callers
+    combine as code tuples, or do without)."""
+    if math.prod(map(len, dictionaries)) >= 1 << 62:
+        return None
+    combined = arrays[0].astype(_np.int64)
+    for array_, dictionary in zip(arrays[1:], dictionaries[1:]):
+        combined = combined * len(dictionary) + array_
+    return combined
 
 
 def _compact(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
@@ -335,6 +346,122 @@ def split_code_columns(
             masks = [bytes(map(block.__eq__, block_of)) for block in range(count)]
         blocks = [[column.select(mask) for column in columns] for mask in masks]
     return [tuple(column.bounded() for column in block) for block in blocks]
+
+
+def patch_code_columns(
+    columns: Sequence[CodeColumn],
+    removed: Sequence[tuple[Any, ...]],
+    added: Sequence[tuple[Any, ...]],
+) -> Optional[tuple[list[int], tuple[CodeColumn, ...]]]:
+    """The encoding of a tuple block after an edit, from the block's own.
+
+    ``columns`` encode the block; the edit drops the tuples ``removed``
+    (each of them in the block) and appends the tuples ``added`` (none of
+    them in it).  Returns ``(dropped, columns)``: the ascending positions
+    of the removed tuples in the old block (for :func:`drop_positions`) and
+    the columns :func:`encode_columns` would build from the edited block —
+    dictionaries hold the values still carried, in first-seen order —
+    found without reading a kept tuple: the removed tuples' positions come
+    from the composite of the code columns, added values take the next
+    free codes.  A dictionary that changes is a new list (older blocks and
+    chunk slices share the old one).  ``None`` when the columns cannot say
+    where the removed tuples are (no attribute, or a composite past
+    int64): the caller encodes the edited block afresh.
+    """
+    dropped: Optional[list[int]] = []
+    if removed:
+        if not columns:
+            return None
+        targets = [
+            list(map(_code_table(column.dictionary).__getitem__, values))
+            for column, values in zip(columns, zip(*removed))
+        ]
+        dropped = _positions_of(columns, targets)
+        if dropped is None:
+            return None
+    patched = []
+    for position, column in enumerate(columns):
+        codes, dictionary = column.codes, column.dictionary
+        if dropped:
+            codes, dictionary = _first_seen(drop_positions(codes, dropped), dictionary)
+        if added:
+            values = [values[position] for values in added]
+            table = _code_table(dictionary)
+            fresh = [value for value in dict.fromkeys(values) if value not in table]
+            if fresh:
+                table.update(zip(fresh, range(len(dictionary), len(dictionary) + len(fresh))))
+                dictionary = dictionary + fresh
+            tail = code_buffer(map(table.__getitem__, values), len(values))
+            codes = concatenate_codes([codes, tail])
+        patched.append(CodeColumn(dictionary, codes))
+    return dropped, tuple(patched)
+
+
+def _code_table(dictionary: list[Any]) -> dict[Any, int]:
+    """value → code of a dictionary."""
+    return dict(zip(dictionary, range(len(dictionary))))
+
+
+def _positions_of(columns: Sequence[CodeColumn], targets: list[list[int]]) -> Optional[list[int]]:
+    """Ascending positions of the tuples that are one of ``targets`` (one
+    code list per column, aligned); ``None`` when the composite overflows."""
+    if _np is None:
+        wanted = set(zip(*targets))
+        rows = zip(*(column.codes for column in columns))
+        return [position for position, codes in enumerate(rows) if codes in wanted]
+    dictionaries = [column.dictionary for column in columns]
+    combined = _combine_codes([column.codes for column in columns], dictionaries)
+    if combined is None:
+        return None
+    wanted = _combine_codes([_np.array(codes, dtype=_np.int32) for codes in targets], dictionaries)
+    return _np.flatnonzero(_np.isin(combined, wanted)).tolist()
+
+
+def drop_positions(items: Any, positions: list[int]) -> Any:
+    """A list or code buffer without the elements at the ascending
+    ``positions``: the runs between them joined, no per-element work."""
+    if _np is not None and not isinstance(items, list):
+        return _np.delete(items, positions)
+    kept = items[:0]
+    start = 0
+    for position in positions:
+        kept += items[start:position]
+        start = position + 1
+    kept += items[start:]
+    return kept
+
+
+def _first_seen(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
+    """A code buffer renumbered so that its dictionary lists the values it
+    carries in first-seen order (both as they are when it already does).
+
+    With numpy the first occurrences come from the running maximum — a code
+    above everything before it is seen for the first time — and only the
+    codes that are not (a value whose first tuple went away resurfaces
+    behind larger codes, or not at all) are looked for one by one.
+    """
+    size, entries = len(codes), len(dictionary)
+    if _np is None:
+        order = list(dict.fromkeys(codes))
+        if order == list(range(entries)):
+            return codes, dictionary
+        renumbered = {old: new for new, old in enumerate(order)}
+        return array("i", map(renumbered.__getitem__, codes)), [dictionary[code] for code in order]
+    first = _np.full(entries, size, dtype=_np.int64)
+    if size:
+        records = _np.flatnonzero(codes[1:] > _np.maximum.accumulate(codes)[:-1]) + 1
+        first[codes[0]] = 0
+        first[codes[records]] = records
+    late = first == size
+    if not late.any():
+        return codes, dictionary
+    positions = _np.flatnonzero(late[codes])
+    _np.minimum.at(first, codes[positions], positions)
+    order = _np.argsort(first, kind="stable")
+    carried = entries - int(_np.count_nonzero(first == size))
+    renumbered = _np.empty(entries, dtype=_np.int32)
+    renumbered[order] = _np.arange(entries, dtype=_np.int32)
+    return renumbered[codes], [dictionary[code] for code in order[:carried].tolist()]
 
 
 # ----------------------------------------------------------------------

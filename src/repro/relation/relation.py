@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any, Optional, Union
 
 from repro.errors import RelationError, SchemaError
-from repro.relation.encoding import CodeColumn, encode_columns
+from repro.relation.encoding import CodeColumn, drop_positions, encode_columns, patch_code_columns
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
 
@@ -155,6 +155,38 @@ class Relation:
         relation._encoding = None
         return relation
 
+    def with_delta(self, added: Iterable[Row], removed: Iterable[Row]) -> "Relation":
+        """This value minus ``removed`` plus ``added``: a table after its edits.
+
+        ``removed`` are rows of this relation and ``added`` rows it does
+        not hold (the catalog's pending delta guarantees both).  The row
+        set is one C-level copy per non-empty side; a cached scan block is
+        *carried over* instead of dropped — scan order "this one's minus
+        the removed tuples, then the added ones", and the encoding patched
+        to match (:func:`~repro.relation.encoding.patch_code_columns`), so
+        ``encoded_columns()`` still decodes to ``aligned_tuples()`` position
+        by position and is what a fresh encode of that block would give.
+        Without a cached encoding (or one that cannot be patched) both
+        stay unset and are rebuilt on first use, as for any new value.
+        """
+        added = [self._align(row) for row in added]
+        removed = [self._align(row) for row in removed]
+        rows = self._rows
+        if removed:
+            rows = rows.difference(removed)
+        if added:
+            rows = rows.union(added)
+        relation = Relation._from_parts(self._schema, rows)
+        encoding, tuples = self._encoding, self._tuples
+        if encoding is not None and tuples is not None:
+            appended = [row._values for row in added]
+            patched = patch_code_columns(encoding, [row._values for row in removed], appended)
+            if patched is not None:
+                dropped, relation._encoding = patched
+                relation._tuples = drop_positions(tuples, dropped)
+                relation._tuples += appended
+        return relation
+
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
         """Value tuples of all rows, aligned with the schema (cached).
 
@@ -173,9 +205,10 @@ class Relation:
 
         One :class:`~repro.relation.encoding.CodeColumn` per schema
         attribute, aligned with the scan order.  Relations are immutable —
-        a table mutation swaps in a *new* relation value — so the cache
-        never needs invalidating: a new table version starts without one
-        and builds it on its first scan or statistics pass.
+        a table's edits fold into a *new* relation value — so the cache
+        never needs invalidating; :meth:`with_delta` hands the new value a
+        patched copy, any other new value builds its own on its first scan
+        or statistics pass.
         """
         encoding = self._encoding
         if encoding is None:

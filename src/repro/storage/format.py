@@ -269,7 +269,9 @@ class TableReader:
                     raise StorageError(f"{self._path} is not a stored table file (bad magic)")
                 header_length = int.from_bytes(stream.read(8), "big")
                 crc_bytes = stream.read(4)
-                header_bytes = stream.read(header_length)
+                # Never ask for more than the file holds: a flipped bit in
+                # the length must not become a multi-gigabyte allocation.
+                header_bytes = stream.read(min(header_length, os.fstat(stream.fileno()).st_size))
                 if len(crc_bytes) != 4 or len(header_bytes) != header_length:
                     raise StorageError(f"{self._path} is truncated (header incomplete)")
                 # Verified *before* unpickling: a torn header never reaches

@@ -199,6 +199,15 @@ class TestTableFile:
         with pytest.raises(StorageError, match="truncated"):  # … block reads must not
             list(reader.iter_blocks())
 
+    def test_a_flipped_header_length_is_a_typed_error_not_an_allocation(self, tmp_path):
+        path = tmp_path / "t.rpb"
+        write_tuples(path, "t", ATTRIBUTES, rows(10))
+        data = bytearray(path.read_bytes())
+        data[len(MAGIC)] ^= 0x40  # the length's top byte: 2^62 more bytes of "header"
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="truncated"):
+            TableReader(path)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(StorageError):
             TableReader(tmp_path / "absent.rpb")

@@ -228,3 +228,46 @@ class TestCompareStorage:
         run = payload({"test_selective_scan[selective-full]": 0.1})
         _, failures = module.compare_storage(run)
         assert any("missing a mode" in failure for failure in failures)
+
+
+class TestCompareIvm:
+    """The view-maintenance gates: maintained vs recompute, and a flat edit cost."""
+
+    def run_payload(self, speedup: float, edit_ratio: float) -> dict:
+        module = load_module()
+        edits = module.IVM_EDITS
+        return payload(
+            {
+                "test_churn[edits-maintained]": 0.001 * edits["maintained"],
+                "test_churn[edits-recompute]": 0.001 * speedup * edits["recompute"],
+                "test_edit_cost[rows-20k]": 0.006,
+                "test_edit_cost[rows-200k]": 0.006 * edit_ratio,
+            }
+        )
+
+    def test_a_fast_view_and_a_flat_edit_pass(self):
+        module = load_module()
+        lines, failures = module.compare_ivm(self.run_payload(40.0, 1.1))
+        assert failures == []
+        assert any("(40.00x)" in line for line in lines)
+        assert any("edit cost rows" in line and "(1.10x)" in line for line in lines)
+
+    def test_an_edit_that_grows_with_the_table_fails(self):
+        module = load_module()
+        _, failures = module.compare_ivm(self.run_payload(40.0, 9.0))
+        assert len(failures) == 1 and "an edit at 200k tuples costs 9.00x" in failures[0]
+
+    def test_a_slow_view_still_fails_its_own_gate(self):
+        module = load_module()
+        _, failures = module.compare_ivm(self.run_payload(4.0, 1.0))
+        assert len(failures) == 1 and "maintained view is only 4.00x" in failures[0]
+
+    def test_missing_edit_cost_scenarios_fail_loudly(self):
+        module = load_module()
+        run = self.run_payload(40.0, 1.0)
+        run["benchmarks"] = [b for b in run["benchmarks"] if "200k" not in b["name"]]
+        _, failures = module.compare_ivm(run)
+        assert failures == ["edit-cost scenario rows is missing a size"]
+        run["benchmarks"] = [b for b in run["benchmarks"] if "edit_cost" not in b["name"]]
+        _, failures = module.compare_ivm(run)
+        assert failures == ["no edit-cost scenarios in the benchmark run"]

@@ -267,6 +267,81 @@ class TestRP407StoredBlocksStayCodeBuffers:
             assert list(lint._check_storage_file(path)) == []
 
 
+class TestRP408EditsRecordADelta:
+    def test_whole_table_work_in_an_edit_is_flagged(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class Database:\n"
+            "    def insert(self, table, rows):\n"
+            "        current = self.relation(table)\n"
+            "        self.catalog.replace_table(table, current.union(rows))\n"
+            "    def delete(self, table, rows_or_predicate):\n"
+            "        if isinstance(rows_or_predicate, Predicate):\n"
+            "            doomed = self.relation(table).select(rows_or_predicate)\n"
+            "        else:\n"
+            "            doomed = self.relation(table).intersection(rows_or_predicate)\n"
+            "    def replace_table(self, name, relation):\n"
+            "        old = self.relation(name)\n"
+            "        self.catalog.replace_table(name, relation)\n"
+            "        return relation.difference(old)\n"
+            "class Other:\n"
+            "    def insert(self, table, rows):\n"
+            "        return self.relation(table).union(rows)\n",
+        )
+        findings = list(lint._check_edit_methods(path))
+        assert codes(findings) == ["RP408", "RP408"]
+        assert findings[0].message.startswith(
+            "Database.insert does whole-table work on the edit path "
+            "(replace_table, self.relation, union)"
+        )
+        assert findings[1].message.startswith(
+            "Database.delete does whole-table work on the edit path (intersection, self.relation)"
+        )
+
+    def test_the_predicate_branch_may_read_the_table(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class Database:\n"
+            "    def delete(self, table, rows_or_predicate):\n"
+            "        if isinstance(rows_or_predicate, Predicate) or callable(rows_or_predicate):\n"
+            "            doomed = self.relation(table).select(rows_or_predicate)\n"
+            "        else:\n"
+            "            doomed = coerce(rows_or_predicate)\n"
+            "        return self.catalog.apply_delta(table, (), doomed)\n",
+        )
+        assert list(lint._check_edit_methods(path)) == []
+
+    def test_only_the_fold_writes_an_existing_table(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class Catalog:\n"
+            "    def add_table(self, name, relation):\n"
+            "        self._tables[name] = relation\n"
+            "    def replace_table(self, name, relation):\n"
+            "        self._tables[name] = relation\n"
+            "    def __getitem__(self, name):\n"
+            "        return self._fold(name)\n"
+            "    def _fold(self, name):\n"
+            "        relation = self._tables[name] = self._tables[name].with_delta({}, set())\n"
+            "        return relation\n"
+            "    def apply_delta(self, name, inserted, deleted):\n"
+            "        self._tables[name] = self._tables[name].union(inserted)\n"
+            "    def declare_key(self, name, attributes):\n"
+            "        relation = self._tables[name]\n",
+        )
+        findings = list(lint._check_catalog_writes(path))
+        assert codes(findings) == ["RP408"]
+        assert findings[0].message.startswith("Catalog.apply_delta assigns a table's value")
+
+    def test_rule_covers_the_session_and_the_catalog(self, lint):
+        assert list(lint._check_edit_methods(lint.DATABASE_FILE)) == []
+        assert list(lint._check_catalog_writes(lint.CATALOG_FILE)) == []
+        names = {function.name for function in lint._methods(
+            lint.ast.parse(lint.DATABASE_FILE.read_text()), "Database"
+        )}
+        assert names >= lint.EDIT_METHODS
+
+
 class TestRepositoryIsClean:
     def test_engine_lint_passes_on_the_repo(self, lint):
         assert lint.run() == []

@@ -1,11 +1,13 @@
-"""Table mutations: set-semantics insert/delete, versions, copy-on-write."""
+"""Table mutations: set-semantics insert/delete, versions, held values stay intact."""
 
 import pytest
 
 from repro.algebra import predicates as P
 from repro.api import MutationResult, connect
-from repro.errors import SchemaError, ViewError
+from repro.division import small_divide
+from repro.errors import ReproError, SchemaError, ViewError
 from repro.relation import Relation
+from repro.relation.row import Row
 
 
 @pytest.fixture
@@ -128,3 +130,77 @@ class TestViewErrorSurface:
             db.view("missing")
         with pytest.raises(ViewError):
             db.drop_view("missing")
+
+
+class TestDeclaredKeys:
+    """Law 11 trusts ``catalog.has_key`` without looking at the data, so an
+    edit must never leave a declared key violated."""
+
+    QUERY = "SELECT a FROM r1 DIVIDE BY r2 ON r1.b = r2.b"
+
+    @pytest.fixture
+    def keyed(self):
+        database = connect()
+        database.add_table("r1", Relation(["a", "b"], [(1, 10), (2, 20)]), key=["a"])
+        database.add_table("r2", Relation(["b"], [(10,), (11,)]))
+        return database
+
+    def test_law_11_fires_on_the_unedited_table(self, keyed):
+        result = keyed.sql(self.QUERY).run()
+        assert "law_11_grouped_dividend" in result.rules_fired
+        assert result.relation.to_tuples() == set()
+
+    def test_insert_that_breaks_the_key_is_a_typed_refusal(self, keyed):
+        view = keyed.create_view("q", keyed.table("r1").divide(keyed.table("r2"), on=["b"]))
+        view.run()
+        keyed.sql(self.QUERY).run()
+        before = keyed.relation("r1"), keyed.versions, keyed.cache_info(), view.deltas_applied
+        with pytest.raises(SchemaError, match=r"key \['a'\] of table 'r1'.*a=1, b=11"):
+            keyed.insert("r1", [(3, 30), (1, 11)])
+        after = keyed.relation("r1"), keyed.versions, keyed.cache_info(), view.deltas_applied
+        assert after == before and after[0] is before[0]
+        # the query still runs through Law 11, and is still right
+        result = keyed.sql(self.QUERY).run()
+        assert "law_11_grouped_dividend" in result.rules_fired
+        assert result.relation == small_divide(keyed.relation("r1"), keyed.relation("r2"))
+        keyed.catalog.validate()
+
+    def test_replace_table_that_breaks_the_key_is_refused(self, keyed):
+        before = keyed.relation("r1"), keyed.versions, keyed.cache_info()
+        with pytest.raises(SchemaError, match=r"key \['a'\] of table 'r1'"):
+            keyed.replace_table("r1", Relation(["a", "b"], [(1, 10), (1, 11)]))
+        assert (keyed.relation("r1"), keyed.versions, keyed.cache_info()) == before
+
+    def test_moving_a_key_value_takes_a_delete_first(self, keyed):
+        keyed.delete("r1", [(1, 10)])
+        keyed.insert("r1", [(1, 11)])
+        assert keyed.relation("r1").to_tuples() == {(1, 11), (2, 20)}
+        keyed.catalog.validate()
+
+
+class TestBoundary:
+    """Bad input is a typed error, and a failing batch changes nothing."""
+
+    @pytest.mark.parametrize("edit", ["insert", "delete"])
+    def test_a_non_iterable_is_not_a_bare_type_error(self, db, edit):
+        with pytest.raises(ReproError, match="cannot interpret 5 as rows"):
+            getattr(db, edit)("r1", 5)
+
+    @pytest.mark.parametrize("edit", ["insert", "delete"])
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 2, 3), (1, [2]), {"a": 1}, 7, Row({"a": 1, "z": 2})],
+        ids=["arity", "unhashable", "missing-attribute", "not-a-row", "foreign-row"],
+    )
+    def test_a_malformed_kth_row_leaves_everything_as_it_was(self, db, edit, bad):
+        view = db.create_view("q", db.table("r1").divide(db.table("r2"), on=["b"]))
+        view.run()
+        db.insert("r1", [(5, 5)])  # a pending delta the failed batch must not touch
+        pending = {name: (dict(a), set(r)) for name, (a, r) in db.catalog._pending.items()}
+        before = db.versions, db.cache_info(), view.deltas_applied, view.relation()
+        good = (9, 9) if edit == "insert" else (1, 1)
+        with pytest.raises(ReproError):
+            getattr(db, edit)("r1", [good, bad])
+        assert db.catalog._pending == pending
+        assert (db.versions, db.cache_info(), view.deltas_applied, view.relation()) == before
+        assert db.relation("r1").to_tuples() == {(1, 1), (1, 2), (2, 1), (5, 5)}
