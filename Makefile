@@ -106,7 +106,8 @@ bench-storage:
 	$(PYTHON) scripts/bench_compare.py --storage
 
 ## Compare delta-maintained views vs recompute-per-edit on the churn
-## workload (same-run per-edit timings, >=10x gate).
+## workload (same-run per-edit timings, >=10x gate), and a single-row edit
+## and the rewrite right after it at 20k vs 200k tuples (<=2x gates).
 bench-ivm:
 	$(PYTHON) scripts/bench_compare.py --ivm
 

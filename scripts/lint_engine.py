@@ -59,6 +59,14 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   table's value is written only where the pending delta is accounted for:
   ``add_table``, ``replace_table``, ``__getitem__`` and the fold helper.
 
+* **RP409** — the law preconditions in ``src/repro/laws/conditions.py``
+  read a relation through its code columns or one sweep over its aligned
+  tuples: no ``for … in <relation>`` (a loop or comprehension over a
+  ``Relation`` parameter), no ``.rows``, no ``.project(`` and no
+  ``values_for(``.  The conditions that still work on rows
+  (``condition_c1``, ``is_superset_of``) carry the RP401 waiver pragma
+  with their reason.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -81,6 +89,7 @@ PHYSICAL_DIR = REPO_ROOT / "src" / "repro" / "physical"
 PARALLEL_DIR = PHYSICAL_DIR / "parallel"
 LAWS_DIR = REPO_ROOT / "src" / "repro" / "laws"
 STORAGE_DIR = REPO_ROOT / "src" / "repro" / "storage"
+CONDITIONS_FILE = LAWS_DIR / "conditions.py"
 DATABASE_FILE = REPO_ROOT / "src" / "repro" / "api" / "database.py"
 CATALOG_FILE = REPO_ROOT / "src" / "repro" / "algebra" / "catalog.py"
 
@@ -449,6 +458,49 @@ def _check_catalog_writes(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP409: law preconditions read code columns, not a Row per tuple
+# ----------------------------------------------------------------------
+#: Calls that build a Row set or a value tuple per row.
+ROW_PROJECTIONS = {"project", "values_for"}
+
+
+def _per_row_reads(function: ast.FunctionDef) -> set[str]:
+    """How ``function`` reads a relation row by row, if it does."""
+    arguments = function.args
+    relations = {
+        argument.arg
+        for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        if isinstance(argument.annotation, ast.Name) and argument.annotation.id == "Relation"
+    }
+    found: set[str] = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and node.attr == "rows":
+            found.add(".rows")
+        elif isinstance(node, ast.Call) and (name := _called_name(node)) in ROW_PROJECTIONS:
+            found.add(f"{name}(")
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            if isinstance(node.iter, ast.Name) and node.iter.id in relations:
+                found.add(f"for … in {node.iter.id}")
+    return found
+
+
+def _check_conditions_file(path: Path) -> Iterator[Finding]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    for function in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        reads = sorted(_per_row_reads(function))
+        if reads and not _has_rows_ok_pragma(lines, function.lineno):
+            yield finding(
+                "RP409",
+                f"{function.name} reads a relation row by row ({', '.join(reads)}) "
+                f"without a '{PRAGMA} (reason)' waiver; ask _distinct_values",
+                _where(path, function),
+                "engine",
+            )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -562,6 +614,7 @@ def run() -> list[Finding]:
         findings.extend(_check_laws_file(path))
     for path in _python_files(STORAGE_DIR):
         findings.extend(_check_storage_file(path))
+    findings.extend(_check_conditions_file(CONDITIONS_FILE))
     findings.extend(_check_edit_methods(DATABASE_FILE))
     findings.extend(_check_catalog_writes(CATALOG_FILE))
     return findings

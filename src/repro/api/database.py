@@ -124,6 +124,10 @@ def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:
     )
 
 
+#: Per-table version counters an entry was built against, sorted by name.
+_TableVersions = tuple[tuple[str, int], ...]
+
+
 @dataclass(frozen=True)
 class PreparedPlan:
     """One cached unit: everything derivable from a canonical expression."""
@@ -138,10 +142,10 @@ class PreparedPlan:
     decisions: tuple[PlanDecision, ...] = ()
     #: Segment-compilation report for ``plan`` (``None`` = compilation off).
     compilation: Optional[CompilationReport] = None
-    #: Per-table version counters the plan was built against, sorted by
-    #: name.  A lookup whose current versions differ sees a stale entry:
-    #: the plan embedded the old relation contents at build time.
-    table_versions: tuple[tuple[str, int], ...] = ()
+    #: The table versions the plan was built against.  A lookup whose
+    #: current versions differ sees a stale entry: the plan embedded the
+    #: old relation contents at build time.
+    table_versions: _TableVersions = ()
     #: The full plan-cache key (fingerprint + optimizer configuration).
     cache_key: str = ""
 
@@ -152,6 +156,11 @@ class PreparedPlan:
     @property
     def rules_fired(self) -> list[str]:
         return self.rewrite_report.rules_fired
+
+
+def _reads_other_version(built: _TableVersions, table: str, version: int) -> bool:
+    """Whether ``built`` names ``table`` at a version other than ``version``."""
+    return any(name == table and seen != version for name, seen in built)
 
 
 class _PlanCache:
@@ -166,18 +175,7 @@ class _PlanCache:
         self.invalidations = 0
         self._entries: "OrderedDict[str, PreparedPlan]" = OrderedDict()
 
-    def get(self, key: str) -> Optional[PreparedPlan]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def lookup(
-        self, key: str, table_versions: tuple[tuple[str, int], ...]
-    ) -> Optional[PreparedPlan]:
+    def lookup(self, key: str, table_versions: _TableVersions) -> Optional[PreparedPlan]:
         """Version-checked lookup: a cached plan built against other table
         versions is *stale* (its scans pinned the old relations) — it is
         evicted, counted as an invalidation, and the lookup misses."""
@@ -191,6 +189,20 @@ class _PlanCache:
             del self._entries[key]
             self.invalidations += 1
         return None
+
+    def sweep(self, table: str, version: int) -> None:
+        """Evict every plan built against another version of ``table`` —
+        each pins that version's whole relation value through its scans —
+        and count it as an invalidation (once: :meth:`lookup` can no
+        longer find it)."""
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if _reads_other_version(entry.table_versions, table, version)
+        ]
+        for key in stale:
+            del self._entries[key]
+        self.invalidations += len(stale)
 
     def put(self, key: str, value: PreparedPlan) -> None:
         if self.maxsize == 0:
@@ -220,15 +232,16 @@ class _PlanCache:
 
 
 #: Result-cache key: (full plan-cache key, table versions at build time).
-_ResultKey = tuple[str, tuple[tuple[str, int], ...]]
+_ResultKey = tuple[str, _TableVersions]
 
 
 class _ResultCache:
     """Version-keyed LRU of whole :class:`QueryResult` objects.
 
     Keys embed the input-table versions, so a mutation *is* the
-    invalidation — the bumped version simply never matches again and the
-    stale entry ages out of the LRU.  ``maxsize=0`` disables caching.
+    invalidation — the bumped version simply never matches again, and the
+    first query that sees the new version sweeps the unreachable entries
+    out (:meth:`sweep`).  ``maxsize=0`` disables caching.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -247,6 +260,13 @@ class _ResultCache:
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
+
+    def sweep(self, table: str, version: int) -> None:
+        """Drop every result keyed on another version of ``table``: no
+        lookup can reach it again, it only pushes live results out."""
+        stale = [key for key in self._entries if _reads_other_version(key[1], table, version)]
+        for key in stale:
+            del self._entries[key]
 
     def put(self, key: _ResultKey, value: QueryResult) -> None:
         if self.maxsize == 0:
@@ -661,7 +681,12 @@ class Database:
     # plan cache
     # ------------------------------------------------------------------
     def cache_info(self) -> CacheInfo:
-        """Hit/miss counters of the prepared-plan and result caches."""
+        """Hit/miss counters of the prepared-plan and result caches.
+
+        ``invalidations`` counts stale plans evicted — plans built against
+        a table version that has since moved — each once, whichever found
+        it: the sweep at the first query after the edit, or a lookup.
+        """
         return replace(
             self._cache.info(),
             result_hits=self._result_cache.hits,
@@ -717,8 +742,11 @@ class Database:
         return prepared, False
 
     def _refresh_stale_statistics(self, names: Iterable[str]) -> None:
-        """Recollect statistics for tables whose version moved past the
-        statistics snapshot (mutations defer this work to prepare time)."""
+        """Catch up with tables whose version moved past the statistics
+        snapshot (mutations defer this work to prepare time): recollect
+        the statistics, and sweep out what the caches still hold of the
+        table's other versions — plans that pin a dead relation value,
+        results no key can reach."""
         for name in names:
             if name not in self.catalog:
                 continue
@@ -728,6 +756,8 @@ class Database:
                     name, TableStatistics.from_relation(self.catalog[name])
                 )
                 self._stats_versions[name] = version
+                self._cache.sweep(name, version)
+                self._result_cache.sweep(name, version)
 
     @property
     def workers(self) -> int:

@@ -216,6 +216,13 @@ class Relation:
             self._encoding = encoding
         return encoding
 
+    @property
+    def cached_encoding(self) -> Optional[tuple[CodeColumn, ...]]:
+        """:meth:`encoded_columns` if this value already carries it, else
+        ``None`` — asking builds nothing.  Every entry of these dictionaries
+        occurs in the relation, which no slice or copy of them promises."""
+        return self._encoding
+
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
         """Pickle the value and its scan order, not the derived encoding."""
         return None, {

@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 from repro.algebra import builders as B
 from repro.algebra import predicates as P
+from repro.algebra.catalog import Catalog
 from repro.algebra.expressions import Expression
 from repro.errors import SQLTranslationError
 from repro.relation.relation import Relation
@@ -134,10 +135,7 @@ class SQLTranslator:
         raise SQLTranslationError(f"unsupported table reference {reference!r}")
 
     def _translate_table_name(self, table: ast.TableName) -> tuple[Expression, dict[str, str]]:
-        if table.name not in self.catalog:
-            raise SQLTranslationError(f"unknown table {table.name!r}")
-        relation = self.catalog[table.name]
-        expression: Expression = B.ref(table.name, relation.schema)
+        expression: Expression = B.ref(table.name, self._table_schema(table.name))
         return self._qualify(expression, table.effective_name)
 
     @staticmethod
@@ -250,20 +248,20 @@ class SQLTranslator:
     def _translate_universal(
         self, statement: ast.SelectStatement, pattern: UniversalQuantificationPattern
     ) -> Expression:
-        dividend_relation = self._require_table(pattern.dividend_table)
-        divisor_relation = self._require_table(pattern.divisor_table)
+        dividend_schema = self._table_schema(pattern.dividend_table)
+        divisor_schema = self._table_schema(pattern.divisor_table)
 
         dividend_b = [pair[0] for pair in pattern.b_pairs]
         divisor_b = [pair[1] for pair in pattern.b_pairs]
-        dividend_a = [name for name in dividend_relation.attributes if name not in dividend_b]
+        dividend_a = [name for name in dividend_schema.names if name not in dividend_b]
         if sorted(pattern.a_columns) != sorted(dividend_a):
             raise SQLTranslationError(
                 "the inner NOT EXISTS must correlate on every non-divisor attribute of the "
                 f"dividend; expected {sorted(dividend_a)}, found {sorted(pattern.a_columns)}"
             )
 
-        dividend: Expression = B.ref(pattern.dividend_table, dividend_relation.schema)
-        divisor: Expression = B.ref(pattern.divisor_table, divisor_relation.schema)
+        dividend: Expression = B.ref(pattern.dividend_table, dividend_schema)
+        divisor: Expression = B.ref(pattern.divisor_table, divisor_schema)
         if pattern.divisor_filters:
             divisor = B.select(
                 divisor,
@@ -316,10 +314,13 @@ class SQLTranslator:
         missing = B.project(B.difference(left, B.project(joined, all_attributes)), dividend_a + c_attributes)
         return B.difference(candidates, missing)
 
-    def _require_table(self, name: str) -> Relation:
-        if name not in self.catalog:
+    def _table_schema(self, name: str) -> Schema:
+        """The schema of a catalog table.  Translation reads nothing else
+        of it: a :class:`Catalog` answers without folding pending edits."""
+        catalog = self.catalog
+        if name not in catalog:
             raise SQLTranslationError(f"unknown table {name!r}")
-        return self.catalog[name]
+        return catalog.schema(name) if isinstance(catalog, Catalog) else catalog[name].schema
 
 
 def translate_sql(

@@ -231,9 +231,10 @@ class TestCompareStorage:
 
 
 class TestCompareIvm:
-    """The view-maintenance gates: maintained vs recompute, and a flat edit cost."""
+    """The view-maintenance gates: maintained vs recompute, and a flat
+    edit cost and rewrite-after-an-edit cost."""
 
-    def run_payload(self, speedup: float, edit_ratio: float) -> dict:
+    def run_payload(self, speedup: float, edit_ratio: float, rewrite_ratio: float = 1.2) -> dict:
         module = load_module()
         edits = module.IVM_EDITS
         return payload(
@@ -242,6 +243,8 @@ class TestCompareIvm:
                 "test_churn[edits-recompute]": 0.001 * speedup * edits["recompute"],
                 "test_edit_cost[rows-20k]": 0.006,
                 "test_edit_cost[rows-200k]": 0.006 * edit_ratio,
+                "test_rewrite_cost[rows-20k]": 0.0002,
+                "test_rewrite_cost[rows-200k]": 0.0002 * rewrite_ratio,
             }
         )
 
@@ -251,11 +254,17 @@ class TestCompareIvm:
         assert failures == []
         assert any("(40.00x)" in line for line in lines)
         assert any("edit cost rows" in line and "(1.10x)" in line for line in lines)
+        assert any("rewrite cost rows" in line and "(1.20x)" in line for line in lines)
 
     def test_an_edit_that_grows_with_the_table_fails(self):
         module = load_module()
         _, failures = module.compare_ivm(self.run_payload(40.0, 9.0))
-        assert len(failures) == 1 and "an edit at 200k tuples costs 9.00x" in failures[0]
+        assert len(failures) == 1 and "one edit at 200k tuples costs 9.00x" in failures[0]
+
+    def test_a_rewrite_that_grows_with_the_table_fails(self):
+        module = load_module()
+        _, failures = module.compare_ivm(self.run_payload(40.0, 1.0, rewrite_ratio=10.0))
+        assert len(failures) == 1 and "one rewrite at 200k tuples costs 10.00x" in failures[0]
 
     def test_a_slow_view_still_fails_its_own_gate(self):
         module = load_module()
@@ -267,7 +276,13 @@ class TestCompareIvm:
         run = self.run_payload(40.0, 1.0)
         run["benchmarks"] = [b for b in run["benchmarks"] if "200k" not in b["name"]]
         _, failures = module.compare_ivm(run)
-        assert failures == ["edit-cost scenario rows is missing a size"]
-        run["benchmarks"] = [b for b in run["benchmarks"] if "edit_cost" not in b["name"]]
+        assert failures == [
+            "edit-cost scenario rows is missing a size",
+            "rewrite-cost scenario rows is missing a size",
+        ]
+        run["benchmarks"] = [b for b in run["benchmarks"] if "_cost" not in b["name"]]
         _, failures = module.compare_ivm(run)
-        assert failures == ["no edit-cost scenarios in the benchmark run"]
+        assert failures == [
+            "no edit-cost scenarios in the benchmark run",
+            "no rewrite-cost scenarios in the benchmark run",
+        ]

@@ -342,6 +342,55 @@ class TestRP408EditsRecordADelta:
         assert names >= lint.EDIT_METHODS
 
 
+class TestRP409ConditionsReadCodeColumns:
+    def test_per_row_reads_are_flagged_by_name(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "def inclusion_holds(source: Relation, target: Relation, attributes) -> bool:\n"
+            "    values = {row.values_for(attributes) for row in source}\n"
+            "    return values <= set(target.project(attributes).rows)\n"
+            "def attribute_is_key(relation: Relation, attributes) -> bool:\n"
+            "    for row in relation:\n"
+            "        pass\n"
+            "def projections_disjoint(left: Relation, right: Relation, attributes) -> bool:\n"
+            "    return frozenset(_distinct_values(left, attributes)).isdisjoint(\n"
+            "        key(values) for values in right.aligned_tuples()\n"
+            "    )\n",
+        )
+        findings = list(lint._check_conditions_file(path))
+        assert codes(findings) == ["RP409", "RP409"]
+        assert findings[0].message.startswith(
+            "inclusion_holds reads a relation row by row "
+            "(.rows, for … in source, project(, values_for()"
+        )
+        assert findings[1].message.startswith(
+            "attribute_is_key reads a relation row by row (for … in relation)"
+        )
+
+    def test_waiver_pragma_suppresses(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "# contract: rows-ok (C-level set operations on the row sets)\n"
+            "def is_superset_of(left: Relation, right: Relation) -> bool:\n"
+            "    return set(right.rows) <= set(left.rows)\n",
+        )
+        assert list(lint._check_conditions_file(path)) == []
+
+    def test_rule_covers_the_conditions_module(self, lint):
+        assert list(lint._check_conditions_file(lint.CONDITIONS_FILE)) == []
+        tree = lint.ast.parse(lint.CONDITIONS_FILE.read_text())
+        reads = {
+            function.name: lint._per_row_reads(function)
+            for function in tree.body
+            if isinstance(function, lint.ast.FunctionDef)
+        }
+        assert {name for name, found in reads.items() if found} == {
+            "condition_c1",
+            "is_superset_of",
+        }
+        assert {"attribute_is_key", "inclusion_holds", "projections_disjoint"} <= set(reads)
+
+
 class TestRepositoryIsClean:
     def test_engine_lint_passes_on_the_repo(self, lint):
         assert lint.run() == []

@@ -8,7 +8,9 @@ followed by ``connect(path)``.  The model is plain Python sets.  After
 every step the session must agree with it on contents, on the carried scan
 block (``encoded_columns()`` decodes to ``aligned_tuples()`` position by
 position), on statistics, on both views and on the version counters; held
-relation values never change.
+relation values never change.  A key check (``attribute_is_key``, which
+reads the carried dictionaries) on the folded table gives the model's
+answer.
 
 Values include ``1`` / ``1.0`` / ``True`` (one dictionary entry) and
 ``None`` (unorderable next to numbers).  The file must also pass with
@@ -25,6 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import connect
 from repro.division import great_divide, small_divide
+from repro.laws.conditions import attribute_is_key
 from repro.optimizer.statistics import TableStatistics
 from repro.relation import Relation
 
@@ -123,6 +126,14 @@ class EditSession(RuleBasedStateMachine):
     def adhoc_divide(self):
         result = self.db.table("r1").divide(self.db.table("r2"), on=["b"]).run()
         assert result.relation == small_divide(fresh("r1", self.model["r1"]), fresh("r2", self.model["r2"]))
+
+    @rule(table=TABLES, positions=st.lists(st.integers(0, 1), unique=True))
+    def key_check(self, table, positions):
+        positions = [p for p in positions if p < len(SCHEMAS[table])]
+        rows = self.model[table]
+        distinct = {tuple(row[p] for p in positions) for row in rows}
+        names = [SCHEMAS[table][p] for p in positions]
+        assert attribute_is_key(self.db.relation(table), names) == (len(distinct) == len(rows))
 
     @rule()
     def analyze(self):

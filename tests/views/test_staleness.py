@@ -4,11 +4,16 @@ The two staleness bugs this file pins down:
 
 * a **stale plan** — physical scans pin relation contents at plan-build
   time, so a cached plan from before a mutation would serve pre-mutation
-  rows forever;
+  rows forever — and, while it sits in the cache, pins that whole
+  relation value in memory, so the first query after an edit sweeps out
+  *every* plan and result built against the table's other versions;
 * **stale statistics** — mutations defer statistics recollection to
   prepare time, so a query planned right after a big mutation must see
   the new cardinalities, not the build-time snapshot.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -47,6 +52,31 @@ class TestStalePlans:
         assert info.invalidations == 1
         # The evicted entry was replaced by the replan, so a third run hits.
         assert q(db).run().cache_hit
+
+    def test_first_query_after_an_edit_sweeps_every_stale_plan_once(self, db):
+        """Eight plans over ``r1`` are cached; after an edit the first
+        query evicts all of them (not only its own fingerprint), counts
+        each once, and nothing keeps the pre-edit value alive."""
+        db.add_table("other", Relation(["x"], [(1,)]))
+        queries = [q(db).where(a=value) for value in range(8)]
+        for query in queries:
+            query.run()
+        db.table("other").run()
+        assert (db.cache_info().size, db.cache_info().result_size) == (9, 9)
+        # Relation has __slots__ and takes no weak reference; its row set does.
+        before = weakref.ref(db.relation("r1").rows)
+        db.insert("r1", [(2, 2)])
+        assert db.cache_info().size == 9  # the edit path sweeps nothing
+        queries[0].run()
+        info = db.cache_info()
+        assert info.invalidations == 8
+        assert (info.size, info.result_size) == (2, 2)  # the replan + `other`
+        gc.collect()
+        assert before() is None, "a cached plan still pins the pre-edit table value"
+        for query in queries[1:]:
+            assert not query.run().cache_hit
+        assert db.cache_info().invalidations == 8  # a swept plan is not counted again
+        assert db.table("other").run().result_cache_hit
 
     def test_prepared_plan_records_build_versions(self, db):
         db.insert("r1", [(9, 1)])
