@@ -89,8 +89,10 @@ bench-record:
 bench-compare:
 	$(PYTHON) scripts/bench_compare.py
 
-## Compare serial vs partition-parallel execution on the large (>=100k
-## tuple) division scenarios; WORKERS picks the pool size (default 2).
+## Time serial vs partition-parallel execution on the large (>=100k
+## tuple) division and join scenarios and fail when the planner's pick
+## between the two is >1.2x slower than the faster arm; WORKERS picks the
+## pool size (default 2).
 WORKERS ?= 2
 bench-parallel:
 	$(PYTHON) scripts/bench_compare.py --parallel $(WORKERS)

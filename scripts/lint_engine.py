@@ -67,6 +67,12 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   (``condition_c1``, ``is_superset_of``) carry the RP401 waiver pragma
   with their reason.
 
+* **RP410** — ``src/repro/optimizer/physical_cost.py`` binds no
+  module-level name to a number.  Cost coefficients live on the operator
+  classes' ``PhysicalProperties`` (RP404), next to the code whose cost they
+  state and where a measurement can be held against them; a constant in the
+  cost model is a price nobody owns.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -92,6 +98,7 @@ STORAGE_DIR = REPO_ROOT / "src" / "repro" / "storage"
 CONDITIONS_FILE = LAWS_DIR / "conditions.py"
 DATABASE_FILE = REPO_ROOT / "src" / "repro" / "api" / "database.py"
 CATALOG_FILE = REPO_ROOT / "src" / "repro" / "algebra" / "catalog.py"
+COST_MODEL_FILE = REPO_ROOT / "src" / "repro" / "optimizer" / "physical_cost.py"
 
 PRAGMA = "# contract: rows-ok"
 
@@ -501,6 +508,26 @@ def _check_conditions_file(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP410: the cost model declares no coefficients of its own
+# ----------------------------------------------------------------------
+def _check_cost_model_file(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not isinstance(value, ast.Constant):
+            continue
+        if type(value.value) in (int, float):
+            name = ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+            yield finding(
+                "RP410",
+                f"module-level cost coefficient {name}; declare it on the operator's "
+                "PhysicalProperties and read it from there",
+                _where(path, node),
+                "engine",
+            )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -617,6 +644,7 @@ def run() -> list[Finding]:
     findings.extend(_check_conditions_file(CONDITIONS_FILE))
     findings.extend(_check_edit_methods(DATABASE_FILE))
     findings.extend(_check_catalog_writes(CATALOG_FILE))
+    findings.extend(_check_cost_model_file(COST_MODEL_FILE))
     return findings
 
 

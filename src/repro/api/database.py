@@ -315,10 +315,12 @@ class Database:
         per-operator tuple counts are independent of it.
     workers:
         Worker-pool size for partition-parallel execution (shorthand for
-        ``PlannerOptions(workers=...)``).  The cost-based planner only
-        parallelizes operators whose estimated input is large enough to
-        amortize the worker startup, so small queries stay serial even at
-        ``workers=8``; results are identical either way.
+        ``PlannerOptions(workers=...)``): an upper bound the planner uses
+        only where the exchange pays — for operators whose serial work per
+        tuple costs more than moving the tuple to another process
+        (tuple-at-a-time joins and aggregates, a quadratic division).  A
+        division on dictionary codes stays serial at any worker count;
+        results are identical either way.
     compile:
         Segment-compilation mode (shorthand for
         ``PlannerOptions(compile=...)``): ``None``/``"auto"`` compiles every
@@ -329,8 +331,11 @@ class Database:
         Spill budget (in MB) for partition-parallel exchanges: once the
         buffered partitions of an exchange outgrow it, the largest ones
         are spilled to disk in the columnar block format and re-streamed
-        by the workers.  A pure runtime knob — results, per-operator tuple
-        counts and plan choices are identical with or without it.
+        by the workers.  Only an exchange honours the budget, so at
+        ``workers > 1`` an operator whose input is estimated above it is
+        planned behind one whatever the exchange costs; with ``workers=1``
+        nothing is partitioned and the budget has no effect.  Results and
+        per-operator tuple counts are identical with or without it.
     faults:
         A :class:`~repro.faults.FaultPlan` to install process-wide for
         deterministic fault injection (testing/chaos runs only): the
@@ -391,6 +396,7 @@ class Database:
             planner_options=self.planner_options,
             cost_based=cost_based,
             allow_data_inspection=allow_data_inspection,
+            memory_budget_mb=memory_budget_mb,
         )
         self._configuration = optimizer_signature(
             cost_based, self.planner_options, allow_data_inspection
@@ -850,10 +856,12 @@ def connect(source: DatabaseSource = None, **options) -> Database:
     are forwarded to :class:`Database` — e.g.
     ``repro.connect(textbook_catalog, batch_size=4096)`` sets the executor
     chunk size for every query of the session,
-    ``repro.connect(catalog, workers=4)`` lets the planner parallelize
-    large divisions/joins/aggregations over a 4-worker pool, and
-    ``repro.connect(path, memory_budget_mb=64)`` makes those parallel
-    exchanges spill partitions to disk once they outgrow the budget, and
+    ``repro.connect(catalog, workers=4)`` lets the planner run joins,
+    aggregations and quadratic divisions over a pool of up to 4 workers
+    where the exchange pays, and
+    ``repro.connect(path, workers=4, memory_budget_mb=64)`` keeps operators
+    whose input outgrows the budget behind an exchange that spills
+    partitions to disk, and
     ``repro.connect(catalog, faults=FaultPlan.parse("pool.worker:raise"))``
     arms deterministic fault injection for chaos testing (also available
     without code changes via the ``REPRO_FAULTS`` environment variable).

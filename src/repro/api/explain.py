@@ -16,7 +16,10 @@ estimate.
 
 Operators chosen by the cost-based planner additionally render their
 :class:`~repro.optimizer.physical_cost.PlanDecision` — the chosen
-algorithm, its estimated cost, and the priced alternatives it beat.
+algorithm, its estimated cost, and the priced alternatives it beat; in a
+``workers > 1`` session also the three charges the exchange was priced at
+(on the parallel variant that lost to a serial one, or on the winner), or
+``serial: over memory budget`` where the budget left no serial candidate.
 """
 
 from __future__ import annotations

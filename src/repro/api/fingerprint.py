@@ -55,7 +55,6 @@ def optimizer_signature(
         planner_options.join_algorithm or "auto",
         f"workers={planner_options.workers or 1}",
         f"partitions={planner_options.partitions or planner_options.workers or 1}",
-        repr(sorted(planner_options.extras.items())),
         _compile_part(planner_options),
     )
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]

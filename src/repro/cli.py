@@ -14,10 +14,10 @@ Commands
     the plan instead; ``--db`` picks a built-in database *or* the path of
     a store directory written by ``Database.save`` — stored tables stream
     lazily from disk; ``--batch-size N`` sets the executor chunk size;
-    ``--workers N`` lets the planner parallelize large operators over a
-    worker pool; ``--memory-budget-mb M`` makes those exchanges spill to
-    disk; ``--compile``/``--no-compile`` force or disable segment
-    compilation).
+    ``--workers N`` is an upper bound on the worker pool the planner uses
+    where an exchange pays; ``--memory-budget-mb M`` keeps inputs above it
+    behind an exchange that spills to disk; ``--compile``/``--no-compile``
+    force or disable segment compilation).
 ``explain {Q1,Q2,Q3}``
     EXPLAIN ANALYZE one of the Section 4 queries (``--verbose`` appends the
     generated source of every compiled segment).
@@ -125,18 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker-pool size for partition-parallel execution; the planner "
-        "only parallelizes operators whose input is large enough to pay off "
-        "(results are unaffected)",
+        help="upper bound on the worker pool for partition-parallel execution; "
+        "the planner uses it only where the exchange pays (tuple-at-a-time "
+        "joins and aggregates, quadratic divisions; results are unaffected)",
     )
     sql.add_argument(
         "--memory-budget-mb",
         type=float,
         default=None,
         metavar="M",
-        help="spill budget for partition-parallel exchanges: buffered "
-        "partitions beyond it spill to disk and are re-streamed "
-        "(results are unaffected)",
+        help="spill budget for partition-parallel exchanges (needs --workers "
+        "above 1): an input estimated above it runs behind an exchange whose "
+        "buffered partitions spill to disk (results are unaffected)",
     )
     compilation = sql.add_mutually_exclusive_group()
     compilation.add_argument(

@@ -64,6 +64,7 @@ class Optimizer:
         planner_options: Optional[PlannerOptions] = None,
         cost_based: bool = False,
         allow_data_inspection: bool = True,
+        memory_budget_mb: Optional[float] = None,
     ) -> None:
         self.catalog = catalog
         self.statistics = StatisticsCatalog.from_database(catalog)
@@ -73,7 +74,9 @@ class Optimizer:
             self._rewriter = CostBasedRewriter(self.cost_model, rules=rules, context=context)
         else:
             self._rewriter = HeuristicRewriter(rules=rules, context=context)
-        self._planner = PhysicalPlanner(catalog, planner_options, statistics=self.statistics)
+        self._planner = PhysicalPlanner(
+            catalog, planner_options, statistics=self.statistics, memory_budget_mb=memory_budget_mb
+        )
 
     # ------------------------------------------------------------------
     # public API — the pipeline phases, callable separately so that the

@@ -22,7 +22,8 @@ estimated cost, and the costs of the alternatives it beat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.algebra.expressions import (
@@ -38,23 +39,18 @@ from repro.algebra.expressions import (
     SmallDivide,
 )
 from repro.optimizer.statistics import CardinalityEstimator, StatisticsCatalog, TableStatistics
-from repro.physical import JOIN_ALGORITHMS, HashAggregate, PhysicalOperator
+from repro.physical import (
+    JOIN_ALGORITHMS,
+    HashAggregate,
+    PartitionedAggregate,
+    PartitionedDivision,
+    PartitionedHashJoin,
+    PhysicalOperator,
+)
 from repro.physical.division import GREAT_DIVIDE_ALGORITHMS, SMALL_DIVIDE_ALGORITHMS
+from repro.physical.parallel import HashPartitionExchange
 
 __all__ = ["PlanAlternative", "PlanDecision", "PhysicalCostModel", "decision_for"]
-
-#: Abstract-cost charge per pool worker: process dispatch, block pickling
-#: and result shipping.  Sets the estimated-cardinality threshold below
-#: which the planner refuses to parallelize (with the default coefficients,
-#: parallel execution starts to pay off around ~15–20k input tuples).
-PARALLEL_WORKER_STARTUP = 4000.0
-
-#: Per-input-tuple cost of the hash-partition exchange pass.  Priced for the
-#: tuple route (hash + bucket append + cross-process copy of value tuples);
-#: coded chunks pay a table lookup and ship integers, several times less.
-#: Left as it is on purpose: lowering it would move the parallel threshold
-#: and with it which plans run, which is a change of its own to measure.
-EXCHANGE_PER_TUPLE = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,11 +63,16 @@ class PlanAlternative:
     #: Whether the price assumes (and the operator should exploit) an input
     #: clustered on the grouping attributes.
     clustered: bool = False
-    #: Degree of parallelism this price assumes (1 = serial execution;
-    #: > 1 = the algorithm wrapped in a hash-partition exchange).
+    #: Pool size this price assumes (1 = serial execution; > 1 = the
+    #: algorithm wrapped in a hash-partition exchange).
     workers: int = 1
     #: Number of hash partitions the exchange splits the input into.
     partitions: int = 1
+    #: Of a parallel variant's ``cost``: the partition pass plus what
+    #: crosses to the workers, and the pool round trips.  The rest is the
+    #: sub-plan (serial cost over the effective DOP, output shipped back).
+    exchange: float = 0.0
+    tasks: float = 0.0
 
     def __lt__(self, other: "PlanAlternative") -> bool:
         return (self.cost, self.name, self.workers) < (other.cost, other.name, other.workers)
@@ -79,6 +80,11 @@ class PlanAlternative:
     def label(self) -> str:
         """Display label distinguishing the parallel variant of a name."""
         return self.name if self.workers == 1 else f"{self.name}[dop={self.workers}]"
+
+    def charges(self) -> str:
+        """The three charges a parallel variant's price is made of."""
+        sub_plan = self.cost - self.exchange - self.tasks
+        return f"exchange={self.exchange:.0f} tasks={self.tasks:.0f} sub-plan={sub_plan:.0f}"
 
 
 @dataclass(frozen=True)
@@ -95,18 +101,33 @@ class PlanDecision:
     alternatives: tuple[PlanAlternative, ...]
 
     def describe(self) -> str:
-        """One-line rationale for EXPLAIN output."""
+        """One-line rationale for EXPLAIN output.
+
+        A parallel session always shows what the exchange was priced at:
+        on the chosen variant when it won, on the cheapest parallel variant
+        next to the serial price that beat it otherwise.
+        """
+        chosen = self.chosen
         mode = "forced" if self.forced else "cost-based"
-        parts = [f"algorithm={self.chosen.name} ({mode}, est cost {self.chosen.cost:.0f}"]
-        if self.chosen.clustered:
+        parts = [f"algorithm={chosen.name} ({mode}, est cost {chosen.cost:.0f}"]
+        if chosen.clustered:
             parts.append(", clustered input: sort waived")
-        if self.chosen.workers > 1:
-            parts.append(f", dop={self.chosen.workers}, partitions={self.chosen.partitions}")
+        if chosen.workers > 1:
+            parts.append(
+                f", dop={chosen.workers}, partitions={chosen.partitions}: {chosen.charges()}"
+            )
         parts.append(")")
-        others = [alt for alt in self.alternatives if alt is not self.chosen]
+        others = [alt for alt in self.alternatives if alt is not chosen]
+        runner_up = next((alt for alt in others if alt.workers > chosen.workers), None)
         if others:
-            listed = ", ".join(f"{alt.label()}={alt.cost:.0f}" for alt in others)
+            listed = ", ".join(
+                f"{alt.label()}={alt.cost:.0f}"
+                + (f" ({alt.charges()})" if alt is runner_up else "")
+                for alt in others
+            )
             parts.append(f"; alternatives: {listed}")
+        if all(alt.workers > 1 for alt in self.alternatives):
+            parts.append("; serial: over memory budget")
         return "".join(parts)
 
 
@@ -114,13 +135,27 @@ class PhysicalCostModel:
     """Prices algorithm alternatives from operator descriptors + statistics.
 
     With ``workers > 1`` every partitionable algorithm is additionally
-    priced as a *parallel* variant: the serial cost divided by the
-    effective degree of parallelism, plus a per-worker startup charge and a
-    per-tuple exchange charge.  The startup charge makes parallelism lose
-    below an input-cardinality threshold, and the effective DOP is
-    discounted by the partition-key *skew* (top-key frequency gathered by
-    ``analyze()``) — hash partitioning cannot split one key's rows, so the
-    speedup is capped at ``1 / skew``.
+    priced as a *parallel* variant, from the descriptor of the exchange
+    operator that would run it (``PartitionedDivision`` /
+    ``PartitionedHashJoin`` / ``PartitionedAggregate``), as three charges:
+
+    * **exchange** — every partitioned input tuple crosses to a worker, as
+      codes (``per_input_cost``) when its input is a base table under the
+      wrappers that keep code columns, as a value tuple
+      (``per_output_cost``) otherwise and always under a memory budget;
+      the broadcast side crosses once per partition;
+    * **tasks** — one pool round trip (``startup_cost``) per partition;
+    * **sub-plan** — the serial price over the effective degree of
+      parallelism, plus the output shipped back as value tuples.
+
+    The effective DOP is capped by the pool, the partitions, the CPUs this
+    process may use and the partition-key *skew* (top-key frequency
+    gathered by ``analyze()``): hash partitioning cannot split one key's
+    rows, so the speedup is capped at ``1 / skew``.
+
+    ``memory_budget_mb`` is the one thing a price does not decide.  Only an
+    exchange honours the budget, so where a partitioned input is estimated
+    above it the serial alternatives are not candidates.
     """
 
     def __init__(
@@ -128,11 +163,13 @@ class PhysicalCostModel:
         statistics: StatisticsCatalog,
         workers: int = 1,
         partitions: Optional[int] = None,
+        memory_budget_mb: Optional[float] = None,
     ) -> None:
         self._statistics = statistics
         self._estimator = CardinalityEstimator(statistics)
         self._workers = max(1, workers)
         self._partitions = partitions if partitions is not None else self._workers
+        self._memory_budget_mb = memory_budget_mb
 
     # ------------------------------------------------------------------
     # interesting orders
@@ -186,31 +223,22 @@ class PhysicalCostModel:
     # ------------------------------------------------------------------
     def small_divide_alternatives(self, expression: SmallDivide) -> list[PlanAlternative]:
         """All small-divide algorithms priced for this dividend/divisor shape."""
-        dividend = self._estimator.estimate(expression.left)
-        divisor = self._estimator.estimate(expression.right)
-        quotient_names = expression.schema.names
-        candidates = self._group_count(dividend, quotient_names)
-        quantities = {
-            "left": dividend.cardinality,
-            "right": divisor.cardinality,
-            "candidates": candidates,
-            "divisor_groups": 1.0,
-        }
-        output = self._estimator.cardinality(expression)
-        clustered = self._clustered_on(expression.left, quotient_names)
-        serial = [
-            self._price(name, operator, quantities, output, clustered)
-            for name, operator in SMALL_DIVIDE_ALGORITHMS.items()
-        ]
-        return self._with_parallel(serial, quantities, self._partition_skew(expression.left, quotient_names))
+        return self._divide_alternatives(
+            expression, SMALL_DIVIDE_ALGORITHMS, expression.schema.names, ()
+        )
 
     def great_divide_alternatives(self, expression: GreatDivide) -> list[PlanAlternative]:
         """All great-divide algorithms priced for this shape."""
-        dividend = self._estimator.estimate(expression.left)
-        divisor = self._estimator.estimate(expression.right)
         shared = expression.left.schema.intersection(expression.right.schema)
         a_names = expression.left.schema.difference(shared).names
         c_names = expression.right.schema.difference(shared).names
+        return self._divide_alternatives(expression, GREAT_DIVIDE_ALGORITHMS, a_names, c_names)
+
+    def _divide_alternatives(self, expression, registry, a_names, c_names) -> list[PlanAlternative]:
+        """A division's algorithms: ``a_names`` are the quotient candidates'
+        attributes (the partition key), ``c_names`` the divisor groups'."""
+        dividend = self._estimator.estimate(expression.left)
+        divisor = self._estimator.estimate(expression.right)
         quantities = {
             "left": dividend.cardinality,
             "right": divisor.cardinality,
@@ -221,9 +249,12 @@ class PhysicalCostModel:
         clustered = self._clustered_on(expression.left, a_names)
         serial = [
             self._price(name, operator, quantities, output, clustered)
-            for name, operator in GREAT_DIVIDE_ALGORITHMS.items()
+            for name, operator in registry.items()
         ]
-        return self._with_parallel(serial, quantities, self._partition_skew(expression.left, a_names))
+        skew = self._partition_skew(expression.left, a_names)
+        return self._with_parallel(
+            serial, PartitionedDivision, output, skew, [expression.left], expression.right
+        )
 
     def natural_join_alternatives(self, expression: NaturalJoin) -> list[PlanAlternative]:
         """Hash join vs nested loops, priced on the input sizes."""
@@ -239,28 +270,22 @@ class PhysicalCostModel:
         if not len(shared):
             # A cross product has no join key to partition on.
             return sorted(serial)
-        skew = max(
-            self._partition_skew(expression.left, shared.names),
-            self._partition_skew(expression.right, shared.names),
+        skew = max(self._partition_skew(side, shared.names) for side in expression.children)
+        return self._with_parallel(
+            serial, PartitionedHashJoin, output, skew, [expression.left, expression.right]
         )
-        return self._with_parallel(serial, quantities, skew)
 
     def aggregate_alternatives(self, expression: GroupBy) -> list[PlanAlternative]:
         """Serial hash aggregation vs its hash-partitioned parallel variant."""
-        child = self._estimator.estimate(expression.child)
-        quantities = {
-            "left": child.cardinality,
-            "right": 0.0,
-            "candidates": child.cardinality,
-            "divisor_groups": 1.0,
-        }
+        size = self._estimator.cardinality(expression.child)
+        quantities = {"left": size, "right": 0.0, "candidates": size, "divisor_groups": 1.0}
         output = self._estimator.cardinality(expression)
         serial = [self._price("hash", HashAggregate, quantities, output, clustered=False)]
         if not len(expression.grouping):
             # A grand total is one global group; it cannot be partitioned.
             return serial
         skew = self._partition_skew(expression.child, expression.grouping.names)
-        return self._with_parallel(serial, quantities, skew)
+        return self._with_parallel(serial, PartitionedAggregate, output, skew, [expression.child])
 
     # ------------------------------------------------------------------
     # internals
@@ -296,101 +321,141 @@ class PhysicalCostModel:
     def _with_parallel(
         self,
         alternatives: list[PlanAlternative],
-        quantities: dict[str, float],
+        wrapper: type[PhysicalOperator],
+        output: float,
         skew: float,
+        partitioned: list[Expression],
+        broadcast: Optional[Expression] = None,
     ) -> list[PlanAlternative]:
         """Extend serial alternatives with their parallel variants (ranked).
 
-        No-op at ``workers=1``; otherwise each serial price also competes
-        as ``startup·W + exchange·inputs + serial/DOP``, and the cheapest
-        overall wins — so the planner only parallelizes when the input is
-        big enough to amortize the worker startup, and never on keys whose
-        skew caps the achievable DOP.
+        No-op at ``workers=1``.  Otherwise each serial price also competes
+        wrapped in ``wrapper``'s exchange over the ``partitioned`` inputs
+        (the three charges of the class docstring, in
+        ``wrapper.properties``' units, which are those of the algorithms it
+        wraps), and the cheapest overall wins: the planner parallelizes an
+        operator only where its serial work per tuple costs more than
+        moving the tuple to another process.  Under a memory budget that a
+        partitioned input outgrows only the parallel variants are returned.
         """
         if self._workers <= 1:
             return sorted(alternatives)
-        extended = list(alternatives)
-        for alternative in alternatives:
-            parallel = self._parallel_variant(alternative, quantities, skew)
-            if parallel is not None:
-                extended.append(parallel)
-        return sorted(extended)
+        costs = wrapper.properties
+        cardinality = self._estimator.cardinality
 
-    def _parallel_variant(
-        self,
-        alternative: PlanAlternative,
-        quantities: dict[str, float],
-        skew: float,
-    ) -> Optional[PlanAlternative]:
+        def crossing(expression: Expression, coded: bool) -> float:
+            coded = coded and self._ships_codes(expression)
+            price = costs.per_input_cost if coded else costs.per_output_cost
+            return cardinality(expression) * price
+
+        exchange = sum(crossing(each, self._memory_budget_mb is None) for each in partitioned)
+        if broadcast is not None:
+            # Collected once (never against the budget), pickled into every task.
+            exchange += crossing(broadcast, True) * self._partitions
+        tasks = costs.startup_cost * self._partitions
         dop = self.effective_dop(skew)
-        if dop <= 1.0:
-            return None
-        inputs = quantities["left"] + quantities["right"]
-        cost = (
-            self._workers * PARALLEL_WORKER_STARTUP
-            + EXCHANGE_PER_TUPLE * inputs
-            + alternative.cost / dop
-        )
-        return PlanAlternative(
-            name=alternative.name,
-            operator=alternative.operator,
-            cost=cost,
-            clustered=alternative.clustered,
-            workers=self._workers,
-            partitions=self._partitions,
-        )
+        parallel = [
+            replace(
+                alternative,
+                cost=exchange + tasks + alternative.cost / dop + costs.per_output_cost * output,
+                workers=self._workers,
+                partitions=self._partitions,
+                exchange=exchange,
+                tasks=tasks,
+            )
+            for alternative in alternatives
+        ]
+        if any(self._over_budget(each) for each in partitioned):
+            return sorted(parallel)
+        return sorted(alternatives + parallel)
 
     def effective_dop(self, skew: float) -> float:
-        """The speedup ceiling: workers, partitions and key skew combined.
+        """The speedup ceiling: workers, partitions, CPUs and key skew combined.
 
-        Hash partitioning cannot split one key's rows, so when the top key
+        More tasks than CPUs this process may run on take turns.  Hash
+        partitioning cannot split one key's rows, so when the top key
         holds fraction ``skew`` of the input the largest partition holds at
         least that fraction and the speedup is capped at ``1 / skew`` —
         heavily skewed keys price parallelism out of the running.
         """
-        dop = float(min(self._workers, self._partitions))
+        dop = float(min(self._workers, self._partitions, _available_cpus()))
         if skew > 0.0:
             dop = min(dop, 1.0 / skew)
         return dop
 
+    def _ships_codes(self, expression: Expression) -> bool:
+        """Whether an exchange over ``expression`` sees code columns.
+
+        A base table's scan hands up its cached codes and selections,
+        renamings and attribute-keeping projections pass them on; anything
+        else (a join's or an aggregate's output, a duplicate-eliminating
+        projection) produces value tuples, which take the tuple route.
+        """
+        while isinstance(expression, (Select, Rename, Project)):
+            if len(expression.schema) < len(expression.child.schema):
+                return False
+            expression = expression.child
+        return isinstance(expression, (RelationRef, LiteralRelation))
+
+    def _over_budget(self, expression: Expression) -> bool:
+        """Whether the session's memory budget is below this exchange input.
+
+        The budget is converted to tuples by the exchange's own estimate
+        (:meth:`HashPartitionExchange.budget_in_tuples`), fed each
+        attribute's maximum from the statistics in place of the sample the
+        exchange takes from its first chunk (``None`` where none is known).
+        """
+        if self._memory_budget_mb is None:
+            return False
+        statistics, names = self._base_attributes(expression, expression.schema.names)
+        maxima = {} if statistics is None else statistics.maxima
+        sample = tuple(maxima.get(name) for name in names)
+        budget = HashPartitionExchange.budget_in_tuples(self._memory_budget_mb, [sample])
+        return self._estimator.cardinality(expression) > budget
+
     def _partition_skew(self, expression: Expression, names) -> float:
         """Top-key frequency fraction of the partition key, when known.
 
-        Like :meth:`ordered_attributes`, the lookup traverses the
-        streaming wrappers a base scan typically sits under — selection,
-        renaming (with the key names mapped back to the base attributes)
-        and projection (whose duplicate elimination can only *reduce* the
-        top-key share, so the child's figure is a safe upper bound).
-        Anywhere else the skew is unknown and reported as 0.0 (no
-        discount).  Multi-attribute keys can only be less skewed than
-        their most selective component, so the minimum over the attributes
-        bounds the composite skew from above.
+        Read off the base table the key comes from
+        (:meth:`_base_attributes`); anywhere else the skew is unknown and
+        reported as 0.0 (no discount).  A projection's duplicate
+        elimination can only *reduce* the top-key share, so the base
+        table's figure is a safe upper bound, and multi-attribute keys can
+        only be less skewed than their most selective component, so the
+        minimum over the attributes bounds the composite skew from above.
         """
-        if isinstance(expression, (Select, Project)):
-            return self._partition_skew(expression.child, names)
-        if isinstance(expression, Rename):
-            inverse = {new: old for old, new in expression.mapping.items()}
-            return self._partition_skew(
-                expression.child, tuple(inverse.get(name, name) for name in names)
-            )
-        statistics = self._base_statistics(expression)
+        statistics, base_names = self._base_attributes(expression, names)
         if statistics is None or not statistics.cardinality:
             return 0.0
         fractions = [
             statistics.partition_skew(name)
-            for name in names
+            for name in base_names
             if statistics.top_frequency(name)
         ]
-        if not fractions:
-            return 0.0
-        return min(fractions)
+        return min(fractions, default=0.0)
 
-    def _base_statistics(self, expression: Expression) -> Optional[TableStatistics]:
+    def _base_attributes(
+        self, expression: Expression, names
+    ) -> tuple[Optional[TableStatistics], tuple[str, ...]]:
+        """The base table's statistics behind ``expression`` and what
+        ``names`` are called there.
+
+        Like :meth:`ordered_attributes`, the lookup traverses the
+        streaming wrappers a base scan typically sits under — selection,
+        projection and renaming (with the names mapped back to the base
+        attributes).  Anywhere else there is no base table: ``None``.
+        """
+        names = tuple(names)
+        while isinstance(expression, (Select, Project, Rename)):
+            if isinstance(expression, Rename):
+                inverse = {new: old for old, new in expression.mapping.items()}
+                names = tuple(inverse.get(name, name) for name in names)
+            expression = expression.child
         if isinstance(expression, RelationRef):
-            return self._statistics.table(expression.name)
+            return self._statistics.table(expression.name), names
         if isinstance(expression, LiteralRelation):
-            return self._estimator.literal_statistics(expression.relation)
-        return None
+            return self._estimator.literal_statistics(expression.relation), names
+        return None, names
 
     def _group_count(self, estimate, names) -> float:
         """Estimated number of distinct groups over ``names`` (≥ 1)."""
@@ -420,6 +485,14 @@ class PhysicalCostModel:
     def estimator(self) -> CardinalityEstimator:
         """The underlying cardinality estimator (shared with callers)."""
         return self._estimator
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or the machine's
+    count on platforms without one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def decision_for(

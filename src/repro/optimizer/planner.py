@@ -22,7 +22,7 @@ rationale.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union as TypingUnion
 
 from repro.algebra.expressions import (
@@ -101,16 +101,17 @@ class PlannerOptions:
     great_divide_algorithm: Optional[str] = None
     #: Natural-join algorithm (``JOIN_ALGORITHMS``) or ``None``.
     join_algorithm: Optional[str] = None
-    #: Worker-pool size for partition-parallel execution.  ``None``/1 keeps
-    #: every operator serial; above 1 the cost model *additionally* prices
-    #: a hash-partitioned parallel variant of each algorithm and the
-    #: cheaper of serial vs parallel wins per operator — small inputs stay
-    #: serial even at ``workers=8``.
+    #: Worker-pool size for partition-parallel execution: an upper bound,
+    #: not a request.  ``None``/1 keeps every operator serial; above 1 the
+    #: cost model *additionally* prices each algorithm wrapped in a
+    #: hash-partition exchange and uses the pool only where the exchange
+    #: pays — where an operator's serial work per tuple costs more than
+    #: moving the tuple to another process (tuple-at-a-time joins and
+    #: aggregates, a quadratic division).  A division on dictionary codes
+    #: stays serial at any worker count.
     workers: Optional[int] = None
     #: Hash partitions per exchange (``None`` = same as ``workers``).
     partitions: Optional[int] = None
-    #: Extra keyword arguments reserved for future algorithm tuning.
-    extras: Mapping[str, str] = field(default_factory=dict)
     #: Segment-compilation mode: ``None``/``"auto"`` lets the planner compile
     #: every fusable segment (the current heuristic — compilation never
     #: loses), ``True``/``"on"`` forces it, ``False``/``"off"`` keeps the
@@ -149,10 +150,14 @@ class PhysicalPlanner:
         database: Mapping[str, Relation],
         options: Optional[PlannerOptions] = None,
         statistics: Optional[StatisticsCatalog] = None,
+        memory_budget_mb: Optional[float] = None,
     ) -> None:
         self.database = database
         self.options = options or PlannerOptions()
         self._statistics = statistics
+        #: The session's exchange spill budget: where an input outgrows it
+        #: the cost model keeps the exchange (see ``PhysicalCostModel``).
+        self._memory_budget_mb = memory_budget_mb
         self._cost_model: Optional[PhysicalCostModel] = None
         #: Algorithm decisions of the most recent :meth:`plan` call.
         self.decisions: list[PlanDecision] = []
@@ -212,6 +217,7 @@ class PhysicalPlanner:
                 statistics,
                 workers=self.options.workers or 1,
                 partitions=self.options.partitions,
+                memory_budget_mb=self._memory_budget_mb,
             )
         return self._cost_model
 

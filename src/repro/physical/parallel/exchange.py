@@ -336,7 +336,7 @@ class HashPartitionExchange:
                 tuples = self._route_tuples(chunk.aligned(schema), buckets)
                 buffered += len(tuples)
                 if self.budget_tuples is None and tuples:
-                    self.budget_tuples = self._budget_in_tuples(tuples)
+                    self.budget_tuples = self.budget_in_tuples(self.memory_budget_mb, tuples)
                 if buffered > peak:
                     peak = buffered
                 # Flush the largest buffered bucket until back under budget;
@@ -379,12 +379,15 @@ class HashPartitionExchange:
             raise
         return results
 
-    def _budget_in_tuples(self, sample: list[tuple[Any, ...]]) -> int:
-        """Convert the MB budget into a tuple count via a shallow sample.
+    @staticmethod
+    def budget_in_tuples(memory_budget_mb: float, sample: list[tuple[Any, ...]]) -> int:
+        """Convert an MB budget into a tuple count via a shallow sample.
 
         Measures tuple + per-value ``sys.getsizeof`` over the leading
         tuples of the first chunk — an estimate, but the budget is a
         coarse knob and the floor of one tuple keeps progress guaranteed.
+        The planner asks the same question of the statistics' maxima to
+        tell whether an input will outgrow the budget.
         """
         measured = sample[:64]
         total = 0
@@ -393,7 +396,7 @@ class HashPartitionExchange:
             for value in values:
                 total += sys.getsizeof(value)
         per_tuple = max(total // max(len(measured), 1), 1)
-        budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
+        budget_bytes = int(memory_budget_mb * 1024 * 1024)
         return max(budget_bytes // per_tuple, 1)
 
     def __repr__(self) -> str:

@@ -3,6 +3,11 @@
 ``repro.connect(workers=N)`` → ``PlannerOptions.workers`` → cost-based
 exchange placement → ``execute_plan(..., workers=N)``; plus the
 ``explain(analyze=True)`` exchange annotation and the CLI flag.
+
+A hash division on dictionary codes is never worth an exchange, so the
+sessions below get theirs the two ways a real one does: from a quadratic
+algorithm (forced here; coded input) and from a memory budget the input
+outgrows (tuple input, spills).
 """
 
 import pytest
@@ -17,11 +22,21 @@ from repro.workloads import make_division_workload
 DIVIDE_SQL = "SELECT a FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b"
 
 
+#: The quadratic small-divide algorithm: candidates × dividend tuples.
+QUADRATIC = PlannerOptions(small_divide_algorithm="nested_loops")
+
+
+@pytest.fixture(autouse=True)
+def four_cpus(cpus):
+    cpus(4)
+
+
 @pytest.fixture(scope="module")
 def medium_workload():
-    """Big enough (~23k dividend tuples) to cross the parallelism threshold."""
+    """~7k dividend tuples: enough for a quadratic division to be worth an
+    exchange, and many times a 0.05 MB budget."""
     return make_division_workload(
-        num_groups=2000, divisor_size=10, containing_fraction=0.25, extra_values_per_group=6, seed=21
+        num_groups=600, divisor_size=10, containing_fraction=0.25, extra_values_per_group=6, seed=21
     )
 
 
@@ -33,11 +48,17 @@ def tables(medium_workload):
 class TestConnectWorkers:
     def test_parallel_session_matches_serial_results(self, tables):
         serial = repro.connect(tables).sql(DIVIDE_SQL).run()
-        parallel = repro.connect(tables, workers=4).sql(DIVIDE_SQL).run()
+        parallel = repro.connect(tables, planner_options=QUADRATIC, workers=4).sql(DIVIDE_SQL).run()
         assert parallel.relation == serial.relation
         decision = parallel.decisions[0]
         assert decision.chosen.workers == 4
         assert "dop=4" in decision.describe()
+
+    def test_coded_hash_division_stays_serial_at_any_worker_count(self, tables):
+        result = repro.connect(tables, workers=4).sql(DIVIDE_SQL).run()
+        decision = result.decisions[0]
+        assert (decision.chosen.name, decision.chosen.workers) == ("hash", 1)
+        assert "hash[dop=4]=" in decision.describe()
 
     def test_workers_property_and_validation(self, tables):
         assert repro.connect(tables).workers == 1
@@ -66,14 +87,14 @@ class TestConnectWorkers:
 
 class TestExplainExchange:
     def test_static_explain_reports_partitions_and_workers(self, tables):
-        db = repro.connect(tables, workers=2)
+        db = repro.connect(tables, planner_options=QUADRATIC, workers=2)
         text = db.sql(DIVIDE_SQL).explain()
         assert "PartitionedDivision" in text
         assert "exchange: partitions=2, workers=2" in text
         assert "dop=2" in text
 
     def test_analyze_explain_reports_partition_skew(self, tables):
-        db = repro.connect(tables, workers=2)
+        db = repro.connect(tables, planner_options=QUADRATIC, workers=2)
         text = db.sql(DIVIDE_SQL).explain(analyze=True)
         assert "partitions populated" in text
         assert "input skew max/mean=" in text
@@ -83,7 +104,7 @@ class TestExplainExchange:
         operators read them as cached codes."""
         from repro.physical import active_kernel
 
-        db = repro.connect(tables, workers=2)
+        db = repro.connect(tables, planner_options=QUADRATIC, workers=2)
         text = db.sql(DIVIDE_SQL).explain(analyze=True)
         section = text.split("Physical plan", 1)[1]
         annotations = [
@@ -106,10 +127,23 @@ class TestExplainExchange:
         return max(sizes) / (sum(sizes) / 2)
 
     def test_budgeted_exchange_reports_tuples(self, tables):
+        """A budget the input outgrows keeps the exchange (the hash
+        division would otherwise stay serial and the budget unhonoured);
+        it takes the tuple route and spills."""
         db = repro.connect(tables, workers=2, memory_budget_mb=0.05)
-        text = db.sql(DIVIDE_SQL).explain(analyze=True)
-        assert "input: tuples" in text
+        query = db.sql(DIVIDE_SQL)
+        text = query.explain(analyze=True)
+        assert "PartitionedDivision[hash, partitions=2, workers=2, budget=0.05MB]" in text
+        assert "; serial: over memory budget" in text
+        assert "input: tuples, spilled " in text
         assert "· keys: encoded on the fly, kernel: " in text
+        assert query.run().relation == repro.connect(tables).sql(DIVIDE_SQL).run().relation
+
+    def test_budgeted_session_stays_serial_below_the_budget(self, tables):
+        db = repro.connect(tables, workers=2, memory_budget_mb=64)
+        text = db.sql(DIVIDE_SQL).explain(analyze=True)
+        assert "hash_division" in text and "PartitionedDivision" not in text
+        assert "over memory budget" not in text and "exchange:" not in text
 
     def test_serial_explain_has_no_exchange_line(self, tables):
         text = repro.connect(tables).sql(DIVIDE_SQL).explain(analyze=True)
@@ -139,14 +173,13 @@ class TestCLIWorkers:
 
     def test_sql_explain_reports_the_exchange_input(self, capsys, tables, tmp_path):
         repro.connect(tables).save(tmp_path / "store")
-        code = main(
-            ["sql", DIVIDE_SQL, "--db", str(tmp_path / "store"), "--workers", "2", "--explain"]
-        )
+        arguments = ["sql", DIVIDE_SQL, "--db", str(tmp_path / "store"), "--workers", "2"]
+        code = main([*arguments, "--memory-budget-mb", "0.05", "--explain"])
         assert code == 0
         output = capsys.readouterr().out
         assert "PartitionedDivision" in output
-        assert ", input: code columns" in output
-        assert "· keys: cached codes, kernel: " in output
+        assert ", input: tuples" in output
+        assert "· keys: encoded on the fly, kernel: " in output
         storage = [line.strip() for line in output.splitlines() if "· storage:" in line]
         assert len(storage) == 2  # dividend and divisor, both from the store
         for line in storage:

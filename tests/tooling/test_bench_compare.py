@@ -96,20 +96,70 @@ class TestCompare:
 
 
 class TestCompareParallel:
-    """The serial-vs-parallel gate on the large division scenarios."""
+    """The decision gate on the large serial-vs-partitioned scenarios."""
 
-    def test_workers1_near_serial_passes(self):
+    @staticmethod
+    def run(times: dict[str, float], **picks: str) -> dict:
+        """A benchmark payload; ``picks`` maps scenario → the planner's pick
+        recorded by its ``workers=2`` partitioned benchmark."""
+        document = payload(times)
+        for bench in document["benchmarks"]:
+            scenario = bench["name"].removeprefix("test_partitioned_").split("[")[0]
+            if bench["name"].endswith("[2]") and scenario in picks:
+                bench["extra_info"] = {"planner_pick": picks[scenario]}
+        return document
+
+    def test_picking_the_faster_arm_passes_and_prints_both_arms(self):
         module = load_module()
-        run = payload(
+        run = self.run(
             {
-                "test_serial_division": 0.100,
-                "test_partitioned_division[1]": 0.105,
-                "test_partitioned_division[2]": 0.060,
-            }
+                "test_serial_division": 0.0033,
+                "test_partitioned_division[1]": 0.0034,
+                "test_partitioned_division[2]": 0.0080,
+                "test_serial_join": 0.300,
+                "test_partitioned_join[2]": 0.200,
+            },
+            division="serial",
+            join="partitioned",
         )
         lines, failures = module.compare_parallel(run, workers=2)
         assert failures == []
-        assert any("workers=2" in line for line in lines)
+        assert lines[0].startswith("nproc = ")
+        assert (
+            "division workers=2: serial 3.300 ms, partitioned 8.000 ms (0.41x vs serial); "
+            "planner picks serial (1.00x the faster arm)"
+        ) in lines
+        assert any(line.endswith("planner picks partitioned (1.00x the faster arm)") for line in lines)
+
+    def test_mispriced_pick_fails_in_either_direction(self):
+        module = load_module()
+        bound = module.PARALLEL_PICK_BOUND
+        times = {
+            "test_serial_division": 0.100,
+            "test_partitioned_division[2]": 0.100 * (bound + 0.3),
+            "test_serial_join": 0.100 * (bound + 0.3),
+            "test_partitioned_join[2]": 0.100,
+        }
+        _, failures = module.compare_parallel(
+            self.run(times, division="partitioned", join="serial"), workers=2
+        )
+        assert len(failures) == 2
+        assert failures[0].startswith("division: at workers=2 the planner picks the partitioned plan")
+        assert failures[1].startswith("join: at workers=2 the planner picks the serial plan")
+        assert all(f"allowed {bound:.2f}x" in failure for failure in failures)
+        # inside the bound either pick is accepted: the arms are a tie
+        times["test_partitioned_division[2]"] = 0.100 * (bound - 0.1)
+        times["test_serial_join"] = 0.100 * (bound - 0.1)
+        _, failures = module.compare_parallel(
+            self.run(times, division="partitioned", join="serial"), workers=2
+        )
+        assert failures == []
+
+    def test_run_without_a_recorded_pick_fails(self):
+        module = load_module()
+        run = self.run({"test_serial_division": 0.1, "test_partitioned_division[2]": 0.2})
+        _, failures = module.compare_parallel(run, workers=2)
+        assert len(failures) == 1 and "picks the None plan" in failures[0]
 
     def test_workers1_overhead_fails(self):
         module = load_module()
@@ -139,29 +189,6 @@ class TestCompareParallel:
         )
         _, failures = module.compare_parallel(run, workers=4)
         assert any("workers=4" in failure for failure in failures)
-
-    def test_slowdown_bound_is_enforced_from_two_cores_up(self, monkeypatch):
-        module = load_module()
-        bound = module.PARALLEL_SLOWDOWN_BOUND
-
-        def run(ratio):
-            return payload(
-                {
-                    "test_serial_division": 0.100,
-                    "test_partitioned_division[2]": 0.100 * ratio,
-                }
-            )
-
-        monkeypatch.setattr(module.os, "cpu_count", lambda: 2)
-        lines, failures = module.compare_parallel(run(bound - 0.5), workers=2)
-        assert failures == []
-        assert not any("informational" in line for line in lines)
-        _, failures = module.compare_parallel(run(bound + 0.5), workers=2)
-        assert len(failures) == 1 and f"allowed {bound:.2f}x" in failures[0]
-        # One core cannot run a worker beside the coordinator at all.
-        monkeypatch.setattr(module.os, "cpu_count", lambda: 1)
-        _, failures = module.compare_parallel(run(bound + 0.5), workers=2)
-        assert failures == []
 
 
 class TestMissingBaselineEntries:

@@ -398,3 +398,29 @@ class TestRepositoryIsClean:
     def test_main_exit_codes(self, lint, capsys):
         assert lint.main([]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+
+class TestRP410CostModelDeclaresNoCoefficients:
+    def test_module_level_numbers_are_flagged_by_name(self, lint, tmp_path):
+        """The fixture is the pair of constants the rule was written for:
+        prices of the tuple-route exchange that outlived it by six PRs."""
+        path = write(
+            tmp_path,
+            "PARALLEL_WORKER_STARTUP = 4000.0\n"
+            "EXCHANGE_PER_TUPLE: float = 0.5\n"
+            "__all__ = ['PhysicalCostModel']\n"
+            "class PhysicalCostModel:\n"
+            "    LITERAL_CACHE_SIZE = 256\n"
+            "    def _price(self, output):\n"
+            "        half_a_touch = 0.5\n"
+            "        return half_a_touch * output\n",
+        )
+        findings = list(lint._check_cost_model_file(path))
+        assert codes(findings) == ["RP410", "RP410"]
+        assert findings[0].message.startswith(
+            "module-level cost coefficient PARALLEL_WORKER_STARTUP;"
+        )
+        assert findings[1].message.startswith("module-level cost coefficient EXCHANGE_PER_TUPLE;")
+
+    def test_rule_covers_the_cost_model(self, lint):
+        assert list(lint._check_cost_model_file(lint.COST_MODEL_FILE)) == []
