@@ -73,6 +73,12 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   state and where a measurement can be held against them; a constant in the
   cost model is a price nobody owns.
 
+* **RP411** — numpy stays behind its two seams.  Under ``src/repro/`` only
+  ``relation/encoding.py`` (code buffers and masks) and
+  ``physical/compile/kernels.py`` (the bitset kernel) may import it, at
+  any depth; everything else calls their helpers, which all have a
+  numpy-free twin, so the engine runs, and is tested, without numpy.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -91,7 +97,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.findings import Finding, finding  # noqa: E402
 
-PHYSICAL_DIR = REPO_ROOT / "src" / "repro" / "physical"
+SOURCE_DIR = REPO_ROOT / "src" / "repro"
+PHYSICAL_DIR = SOURCE_DIR / "physical"
 PARALLEL_DIR = PHYSICAL_DIR / "parallel"
 LAWS_DIR = REPO_ROOT / "src" / "repro" / "laws"
 STORAGE_DIR = REPO_ROOT / "src" / "repro" / "storage"
@@ -99,6 +106,7 @@ CONDITIONS_FILE = LAWS_DIR / "conditions.py"
 DATABASE_FILE = REPO_ROOT / "src" / "repro" / "api" / "database.py"
 CATALOG_FILE = REPO_ROOT / "src" / "repro" / "algebra" / "catalog.py"
 COST_MODEL_FILE = REPO_ROOT / "src" / "repro" / "optimizer" / "physical_cost.py"
+NUMPY_SEAMS = (SOURCE_DIR / "relation" / "encoding.py", PHYSICAL_DIR / "compile" / "kernels.py")
 
 PRAGMA = "# contract: rows-ok"
 
@@ -528,6 +536,29 @@ def _check_cost_model_file(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP411: numpy is imported by its two seams only
+# ----------------------------------------------------------------------
+def _check_numpy_imports(path: Path) -> Iterator[Finding]:
+    if path in NUMPY_SEAMS:
+        return
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            yield finding(
+                "RP411",
+                "numpy imported outside relation/encoding.py and physical/compile/kernels.py; "
+                "call their helpers (each has a numpy-free twin)",
+                _where(path, node),
+                "engine",
+            )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -645,6 +676,8 @@ def run() -> list[Finding]:
     findings.extend(_check_edit_methods(DATABASE_FILE))
     findings.extend(_check_catalog_writes(CATALOG_FILE))
     findings.extend(_check_cost_model_file(COST_MODEL_FILE))
+    for path in _python_files(SOURCE_DIR):
+        findings.extend(_check_numpy_imports(path))
     return findings
 
 

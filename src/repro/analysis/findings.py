@@ -88,6 +88,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP408": (Severity.ERROR, "table edit does whole-table work or writes a table's value outside the fold"),
     "RP409": (Severity.ERROR, "law precondition reads a relation row by row without a waiver"),
     "RP410": (Severity.ERROR, "physical cost model declares a module-level cost coefficient"),
+    "RP411": (Severity.ERROR, "numpy imported outside relation/encoding.py and physical/compile/kernels.py"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),

@@ -310,9 +310,11 @@ class Database:
         served.  0 disables result caching.
     batch_size:
         Chunk size used by the physical executor for every query this
-        session runs (defaults to the engine-wide
-        :data:`~repro.physical.base.DEFAULT_BATCH_SIZE`).  Results and
-        per-operator tuple counts are independent of it.
+        session runs.  Unset, operators that produce tuples emit chunks of
+        :data:`~repro.physical.base.DEFAULT_BATCH_SIZE` and a scan hands
+        up its whole block as one chunk (a stored scan: one stored block);
+        set, it bounds the scans' chunks too.  Results and per-operator
+        tuple counts are independent of it.
     workers:
         Worker-pool size for partition-parallel execution (shorthand for
         ``PlannerOptions(workers=...)``): an upper bound the planner uses
@@ -855,7 +857,8 @@ def connect(source: DatabaseSource = None, **options) -> Database:
     blocks from disk), or ``None`` for an empty session.  Keyword options
     are forwarded to :class:`Database` — e.g.
     ``repro.connect(textbook_catalog, batch_size=4096)`` sets the executor
-    chunk size for every query of the session,
+    chunk size for every query of the session (scans included, which
+    otherwise hand up whole blocks),
     ``repro.connect(catalog, workers=4)`` lets the planner run joins,
     aggregations and quadratic divisions over a pool of up to 4 workers
     where the exchange pays, and

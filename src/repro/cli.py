@@ -13,7 +13,8 @@ Commands
     Parse, optimize and execute an arbitrary query (``--explain`` prints
     the plan instead; ``--db`` picks a built-in database *or* the path of
     a store directory written by ``Database.save`` — stored tables stream
-    lazily from disk; ``--batch-size N`` sets the executor chunk size;
+    lazily from disk; ``--batch-size N`` sets the executor chunk size (unset,
+    scans hand up whole blocks);
     ``--workers N`` is an upper bound on the worker pool the planner uses
     where an exchange pays; ``--memory-budget-mb M`` keeps inputs above it
     behind an exchange that spills to disk; ``--compile``/``--no-compile``
@@ -118,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="executor chunk size (tuples per chunk; results are unaffected)",
+        help="executor chunk size (tuples per chunk, scans included; unset, a scan's "
+        "chunk is its whole block; results are unaffected)",
     )
     sql.add_argument(
         "--workers",

@@ -1,12 +1,13 @@
 """Volcano-style physical operators with a columnar chunk pull model.
 
 Physical operators produce streams of :class:`Chunk` objects — an interned
-:class:`~repro.relation.schema.Schema` plus a block of
-:data:`DEFAULT_BATCH_SIZE` tuples, held as dictionary-code columns (when
-the block comes from a scan) beside a lazily materialized list of value
-tuples aligned with the schema.  Flowing codes and bare value tuples
-instead of :class:`~repro.relation.row.Row` objects removes the per-tuple
-``Row`` allocation and order-insensitive hash from every operator boundary;
+:class:`~repro.relation.schema.Schema` plus a block of tuples (a scan's
+whole block, :data:`DEFAULT_BATCH_SIZE` from an operator that builds
+tuples), held as dictionary-code columns (when the block comes from a scan)
+beside a lazily materialized list of value tuples aligned with the schema.
+Flowing codes and bare value tuples instead of
+:class:`~repro.relation.row.Row` objects removes the per-tuple ``Row``
+allocation and order-insensitive hash from every operator boundary;
 rows are only materialized at the executor/result boundary (and by the
 :meth:`PhysicalOperator.rows` compatibility shim).
 
@@ -14,9 +15,9 @@ Every operator counts the tuples it emits, so the benchmark harness can
 report *intermediate result sizes* — the metric behind the paper's argument
 (after Leinders & Van den Bussche) that division must be a first-class
 operator: any simulation through the basic algebra produces quadratically
-large intermediate results, a special-purpose operator does not.  Chunk
-boundaries coincide with the historical row-batch boundaries, so the
-per-operator counts are bit-identical to the row-at-a-time model.
+large intermediate results, a special-purpose operator does not.  Counts
+are sums over chunks, so where the chunk boundaries fall never moves them:
+the per-operator counts are bit-identical to the row-at-a-time model.
 
 Subclasses implement :meth:`PhysicalOperator._produce_chunks`; legacy
 subclasses written against the older interfaces (``_produce_batches`` row
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ExecutionError
-from repro.relation.encoding import CodeColumn, select_items
+from repro.relation.encoding import CodeColumn, mask_positions, select_items
 from repro.relation.relation import Relation
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
@@ -49,7 +50,10 @@ __all__ = [
     "collect_statistics",
 ]
 
-#: Number of tuples per chunk pulled through the physical operators.
+#: Tuples per chunk of every operator that *produces* tuples (joins,
+#: projections, aggregates, quotients).  Scans are not bound by it: unless a
+#: batch size is set their chunk is the whole block, and what only selects
+#: or relabels a chunk passes it on at the size it came.
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -105,8 +109,8 @@ class Chunk:
 
     The columnar unit of the physical layer.  ``columns`` (when not
     ``None``) holds one :class:`~repro.relation.encoding.CodeColumn` per
-    schema attribute — dictionary codes sliced from the scanned relation's
-    cached encoding — which the division operators and dictionary-filtered
+    schema attribute — the scanned relation's cached encoding, or a slice
+    or selection of it — which the division operators and dictionary-filtered
     segments read directly.  ``tuples`` is the row-major view:
     ``tuples[i][j]`` is the value of attribute ``schema.names[j]`` in the
     ``i``-th tuple.  Chunks derived by selecting or permuting another chunk
@@ -210,12 +214,32 @@ class Chunk:
 
     def selected(self, mask: Any, count: int) -> "Chunk":
         """The ``count`` tuples where ``mask`` (a code-buffer mask) is set."""
+        # The mask becomes positions once and every column gathers by those
+        # (see ``CodeColumn.select``); the tuples, if read, compress by it.
         columns = self.columns
         if columns is not None:
-            columns = tuple(column.select(mask) for column in columns)
+            positions = mask_positions(mask)
+            columns = tuple(column.select(positions) for column in columns)
         return Chunk.deferred(
             self.schema, columns, count, lambda: select_items(self.tuples, mask)
         )
+
+    def pieces(self, size: int) -> Iterator["Chunk"]:
+        """This chunk as it is when it holds at most ``size`` tuples, else
+        in slices of ``size`` (code columns now, tuples if they are read)."""
+        total = self._length
+        if total <= size:
+            yield self
+            return
+        columns = self.columns
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            yield Chunk.deferred(
+                self.schema,
+                None if columns is None else tuple(c.slice(start, stop) for c in columns),
+                stop - start,
+                lambda start=start, stop=stop: self.tuples[start:stop],
+            )
 
     def column(self, name: str) -> list[Any]:
         """One attribute's values, in tuple order."""

@@ -14,8 +14,9 @@ exist:
   ``int`` bitmasks (arbitrary precision, always available);
 * :class:`NumpyBitsetKernel` — batch operations over *multi-word* masks:
   ``(n, ⌈bits/64⌉)`` ``uint64`` arrays, so a divisor of any width stays
-  vectorized (one ``np.bitwise_or.at`` sweep, word-wise compare / subset /
-  popcount scans).  Picked automatically when numpy is importable.
+  vectorized (a byte-flag scatter packed into words — ``np.bitwise_or.at``
+  where the flags would outgrow the input — then word-wise compare /
+  subset / popcount scans).  Picked automatically when numpy is importable.
 
 Results never depend on the kernel in use.  The partition-parallel
 wrappers run the unchanged serial operators inside their workers, so the
@@ -190,6 +191,19 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             return None
         return self._words([value], words)[0]
 
+    @staticmethod
+    def _matching_rows(array: Any, wanted: Any, subset: bool = False) -> list[int]:
+        """Rows of ``array`` equal to ``wanted`` (one row, or a row each) —
+        with ``subset``, holding every bit of it — compared one word column
+        at a time: ``.all(axis=1)`` over an axis one or two words wide costs
+        five times as much."""
+        hit = None
+        for word in range(array.shape[1]):
+            column, want = array[:, word], wanted[..., word]
+            match = ((column & want) if subset else column) == want
+            hit = match if hit is None else hit & match
+        return _np.flatnonzero(hit).tolist()
+
     def prepare_indices(self, indices: Any) -> Any:
         if len(indices) < _MIN_VECTOR_SIZE:
             return super().prepare_indices(indices)
@@ -206,24 +220,42 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         if len(candidate_codes) < _MIN_VECTOR_SIZE:
             return super().gather_sweep(count, candidate_codes, value_codes, positions, width)
         words = max(1, -(-width // 64))
-        position = _np.fromiter(positions, dtype=_np.int64, count=len(positions))
+        position = _np.fromiter(positions, dtype=_np.intp, count=len(positions))
         valid = position >= 0
+        candidates = self._index_array(candidate_codes)
+        values = self._index_array(value_codes)
+        # One byte flag per (candidate, bit), set by plain assignment and
+        # packed into words at the end: a third of the time of
+        # ``bitwise_or.at``, and repeated pairs stay harmless (a flag is as
+        # idempotent as an OR).  Not where the flag matrix would outgrow the
+        # index arrays it replaces — many candidates with few tuples each.
+        scatter = count * words * 64 <= 16 * len(values)
+        # Values outside the divisor carry no bit.  A flag has no "OR in
+        # nothing", so the scatter drops their tuples; the OR sweep only
+        # when they are the majority.
+        drop = not valid.all() if scatter else 2 * _np.count_nonzero(valid) < len(valid)
+
+        def slabs() -> Iterator[tuple[Any, Any]]:
+            for start in range(0, len(values), _SWEEP_SLAB):
+                slab = slice(start, start + _SWEEP_SLAB)
+                candidate, value = candidates[slab], values[slab]
+                if drop:
+                    hit = _np.flatnonzero(valid[value])
+                    candidate, value = candidate[hit], value[hit]
+                yield candidate, value
+
+        if scatter:
+            flags = _np.zeros(count * words * 64, dtype=_np.uint8)
+            for candidate, value in slabs():
+                flags[candidate.astype(_np.intp) * (words * 64) + position[value]] = 1
+            return _np.packbits(flags, bitorder="little").view("<u8").reshape(count, words)
         # Per value code: the mask word its bit lives in and the bit itself
         # (0 for values outside the divisor — ORing it in is a no-op).
         word_of = _np.where(valid, position >> 6, 0)
         bit = _np.uint64(1) << (position & 63).astype(_np.uint64)
         bit_of = _np.where(valid, bit, _np.uint64(0))
-        candidates = self._index_array(candidate_codes)
-        values = self._index_array(value_codes)
-        # Most values miss the divisor?  Then drop their tuples before the sweep.
-        sparse = 2 * _np.count_nonzero(valid) < len(valid)
         masks = _np.zeros(count * words, dtype=_np.uint64)
-        for start in range(0, len(values), _SWEEP_SLAB):
-            slab = slice(start, start + _SWEEP_SLAB)
-            candidate, value = candidates[slab], values[slab]
-            if sparse:
-                hit = _np.flatnonzero(valid[value])
-                candidate, value = candidate[hit], value[hit]
+        for candidate, value in slabs():
             if words > 1:
                 candidate = candidate.astype(_np.intp) * words + word_of[value]
             _np.bitwise_or.at(masks, candidate, bit_of[value])
@@ -251,7 +283,7 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         wanted = self._scalar(full, array)
         if wanted is None:
             return []
-        return _np.flatnonzero((array == wanted).all(axis=1)).tolist()
+        return self._matching_rows(array, wanted)
 
     def popcount_matches(self, masks: Any, required: int) -> list[int]:
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):
@@ -267,14 +299,13 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         wanted = self._scalar(needed, array)
         if wanted is None:
             return []
-        return _np.flatnonzero(((array & wanted) == wanted).all(axis=1)).tolist()
+        return self._matching_rows(array, wanted, subset=True)
 
     def equal_matches(self, masks: Any, fulls: Sequence[int]) -> list[int]:
         if len(masks) < _MIN_VECTOR_SIZE and not isinstance(masks, _np.ndarray):
             return super().equal_matches(masks, fulls)
         array = self._mask_array(masks, max(fulls, default=0))
-        wanted = self._words(fulls, array.shape[1])
-        return _np.flatnonzero((array == wanted).all(axis=1)).tolist()
+        return self._matching_rows(array, self._words(fulls, array.shape[1]))
 
 
 #: Shared kernel instances (both are stateless).

@@ -61,7 +61,8 @@ class EncodedKeys(NamedTuple):
     """The key sides of one drained input, in the order they were asked for."""
 
     sides: tuple[KeySide, ...]
-    #: "cached codes" or "encoded on the fly" (what ``explain`` prints).
+    #: "cached codes (N chunks)" or "encoded on the fly" (what ``explain``
+    #: prints): an unset batch size reads one chunk per scan block.
     source: str
 
 
@@ -105,7 +106,8 @@ def encode_keys(source: PhysicalOperator, *attribute_sets: Schema) -> EncodedKey
         ]
         if _shares_dictionaries(chunks, source.schema, {p for side in positions for p in side}):
             sides = tuple(_cached_side(chunks, side) for side in positions)
-            return EncodedKeys(sides, "cached codes")
+            count = "1 chunk" if len(chunks) == 1 else f"{len(chunks)} chunks"
+            return EncodedKeys(sides, f"cached codes ({count})")
         stream = iter(chunks)
     elif first is not None:
         stream = itertools.chain((first,), stream)
@@ -138,8 +140,10 @@ def _shares_dictionaries(chunks: list[Chunk], schema: Schema, positions: set[int
 
 def _cached_side(chunks: list[Chunk], positions: list[int]) -> KeySide:
     """One key side read from the chunks' cached code columns."""
+    first = chunks[0].columns
     codes, keys = merge_code_columns(
         [[chunk.columns[position].codes for chunk in chunks] for position in positions],
-        [chunks[0].columns[position].dictionary for position in positions],
+        [first[position].dictionary for position in positions],
+        complete=len(chunks) == 1 and all(first[position].complete for position in positions),
     )
     return KeySide(codes, keys, len(positions) == 1)

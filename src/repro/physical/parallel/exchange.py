@@ -51,7 +51,8 @@ from collections.abc import Iterator
 from typing import Any, Optional, Union
 
 from repro.errors import ExecutionError
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, TupleProjector
+from repro.physical.base import DEFAULT_BATCH_SIZE, Chunk, PhysicalOperator
+from repro.physical.base import PhysicalProperties, TupleProjector
 from repro.relation.encoding import (
     CodeColumn,
     concatenate_codes,
@@ -131,14 +132,11 @@ class PartitionSource(PhysicalOperator):
         size = self.batch_size
         for piece in self._block.pieces:
             if isinstance(piece, tuple):
-                for start in range(0, len(piece[0]), size):
-                    columns = tuple(column.slice(start, start + size) for column in piece)
-                    yield Chunk.coded(schema, columns)
+                yield from Chunk.coded(schema, piece).pieces(size)
                 continue
             iter_spill_blocks = getattr(piece, "iter_blocks", None)
             for block in (piece,) if iter_spill_blocks is None else iter_spill_blocks():
-                for start in range(0, len(block), size):
-                    yield Chunk(schema, block[start : start + size])
+                yield from Chunk(schema, block).pieces(size)
 
     def describe(self) -> str:
         spilled = any(hasattr(piece, "iter_blocks") for piece in self._block.pieces)
@@ -332,8 +330,11 @@ class HashPartitionExchange:
         buffered = 0
         peak = self.peak_buffered_tuples
         try:
-            for chunk in source.chunks():
-                tuples = self._route_tuples(chunk.aligned(schema), buckets)
+            # A scan's chunk is its whole block: cut what is larger than a
+            # batch, or the first chunk alone buffers past any budget.
+            cut = (chunk.aligned(schema).pieces(DEFAULT_BATCH_SIZE) for chunk in source.chunks())
+            for piece in itertools.chain.from_iterable(cut):
+                tuples = self._route_tuples(piece, buckets)
                 buffered += len(tuples)
                 if self.budget_tuples is None and tuples:
                     self.budget_tuples = self.budget_in_tuples(self.memory_budget_mb, tuples)

@@ -230,7 +230,7 @@ class PartitionedOperator(PhysicalOperator):
 
     def _produce_inline(self) -> Iterator[Chunk]:
         operator = self._inline_operator()
-        operator.set_batch_size(self.batch_size)
+        operator.batch_size = self.batch_size  # the children carry their own
         schema = self._schema
         for chunk in operator.chunks():
             yield chunk.aligned(schema)
@@ -270,7 +270,9 @@ class PartitionedDivision(PartitionedOperator):
 
     #: What the exchange adds to the wrapped algorithm's serial price, in
     #: the division operators' units (≈10 ns: the coded hash division
-    #: spends 19 ns a tuple at ``per_input_cost=2.0``), as
+    #: spent 19 ns a tuple at ``per_input_cost=2.0`` when these were set;
+    #: 12 ns since scans hand up whole blocks, which only makes the
+    #: declined exchange dearer — ARCHITECTURE §7), as
     #: ``PhysicalCostModel._with_parallel`` reads them: ``startup_cost`` is
     #: one pool round trip, charged per task (0.5–0.7 ms measured; the pool
     #: is reused, there is no worker startup); ``per_input_cost`` a tuple

@@ -1,15 +1,19 @@
 """Leaf physical operators: table scans and literal relations.
 
-Scans are the chunk producers at the bottom of every plan: they slice the
-relation's cached aligned-tuple block and its cached dictionary codes (see
+Scans are the chunk producers at the bottom of every plan.  A scan's chunk
+is its block: the relation's cached aligned-tuple list beside its cached
+dictionary codes (see
 :meth:`~repro.relation.relation.Relation.aligned_tuples` and
-:meth:`~repro.relation.relation.Relation.encoded_columns`) into
-:class:`~repro.physical.base.Chunk` objects — no per-tuple work at all
-beyond the slices.
+:meth:`~repro.relation.relation.Relation.encoded_columns`), handed up as
+one :class:`~repro.physical.base.Chunk` — nothing sliced, nothing copied.
+Only a plan whose batch size was set (``set_batch_size``,
+``connect(batch_size=N)``, an emptiness probe) gets the block in slices of
+that size.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Mapping
 
 from repro.errors import ExecutionError
@@ -22,26 +26,22 @@ __all__ = ["TableScan", "RelationScan"]
 class _ScanBase(PhysicalOperator):
     """Shared chunk producer for leaf scans over an in-memory relation."""
 
-    #: Pure slicing over the cached tuple block and code columns; delivers
-    #: the relation's physical scan order unchanged (clustered layouts survive).
+    #: The cached tuple block and code columns as they are; delivers the
+    #: relation's physical scan order unchanged (clustered layouts survive).
     properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5, preserves_order=True)
 
-    relation: Relation
+    def __init__(self, relation: Relation) -> None:
+        super().__init__(relation.schema)
+        self.relation = relation
+        # The block already sits in memory and everything above a scan works
+        # on whole code columns, so re-slicing it only multiplies the
+        # per-chunk overheads: unless a batch size is set, one chunk.
+        self.batch_size = sys.maxsize
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        schema = self._schema
-        tuples = self.relation.aligned_tuples()
-        columns = self.relation.encoded_columns()
-        total = len(tuples)
-        size = self.batch_size
-        for start in range(0, total, size):
-            stop = min(start + size, total)
-            yield Chunk.deferred(
-                schema,
-                tuple(column.slice(start, stop) for column in columns),
-                stop - start,
-                lambda start=start, stop=stop: tuples[start:stop],
-            )
+        relation = self.relation
+        block = Chunk(self._schema, relation.aligned_tuples(), relation.encoded_columns())
+        return block.pieces(self.batch_size)
 
 
 class RelationScan(_ScanBase):
@@ -50,8 +50,7 @@ class RelationScan(_ScanBase):
     name = "relation_scan"
 
     def __init__(self, relation: Relation, label: str = "relation") -> None:
-        super().__init__(relation.schema)
-        self.relation = relation
+        super().__init__(relation)
         self._label = label
 
     def describe(self) -> str:
@@ -66,10 +65,8 @@ class TableScan(_ScanBase):
     def __init__(self, database: Mapping[str, Relation], table: str) -> None:
         if table not in database:
             raise ExecutionError(f"unknown table {table!r}")
-        relation = database[table]
-        super().__init__(relation.schema)
+        super().__init__(database[table])
         self.table = table
-        self.relation = relation
 
     def describe(self) -> str:
         return f"TableScan({self.table}, {len(self.relation)} rows)"

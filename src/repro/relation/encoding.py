@@ -60,6 +60,7 @@ __all__ = [
     "mask_or",
     "mask_not",
     "mask_count",
+    "mask_positions",
     "select_items",
 ]
 
@@ -67,13 +68,16 @@ __all__ = [
 class CodeColumn:
     """One attribute as dictionary codes (a slice shares the dictionary)."""
 
-    __slots__ = ("dictionary", "codes")
+    __slots__ = ("dictionary", "codes", "complete")
 
-    def __init__(self, dictionary: list[Any], codes: Any) -> None:
+    def __init__(self, dictionary: list[Any], codes: Any, complete: bool = False) -> None:
         #: code → value, first-seen order; shared by every slice of a column.
         self.dictionary = dictionary
         #: One code per tuple, in scan order.
         self.codes = codes
+        #: Every dictionary entry is known to occur: a relation's own whole
+        #: column (no slice or selection of it promises that).
+        self.complete = complete
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -86,12 +90,19 @@ class CodeColumn:
     def slice(self, start: int, stop: int) -> "CodeColumn":
         return CodeColumn(self.dictionary, self.codes[start:stop])
 
-    def select(self, mask: Any) -> "CodeColumn":
-        """The codes where ``mask`` (from the helpers below) is set (with
-        numpy also: the codes at an array of positions)."""
+    def select(self, selection: Any) -> "CodeColumn":
+        """The codes ``selection`` keeps: a mask from the helpers below, or
+        the positions :func:`mask_positions` makes of one.  Pass positions:
+        on a 306k-code column a boolean gather takes 2.6 ms and a gather by
+        position 0.12 ms (20×), so the 0.26 ms that turn the mask into
+        positions are paid back by the first column that takes them."""
         if _np is not None:
-            return CodeColumn(self.dictionary, self.codes[mask])
-        return CodeColumn(self.dictionary, array("i", itertools.compress(self.codes, mask)))
+            return CodeColumn(self.dictionary, self.codes[selection])
+        if isinstance(selection, bytes):
+            kept = itertools.compress(self.codes, selection)
+        else:
+            kept = map(self.codes.__getitem__, selection)
+        return CodeColumn(self.dictionary, array("i", kept))
 
     def bounded(self) -> "CodeColumn":
         """This column, over a dictionary of just the entries it carries if
@@ -212,7 +223,7 @@ def encode_columns(tuples: Sequence[tuple[Any, ...]], width: int) -> tuple[CodeC
         getter = operator.itemgetter(position)
         dictionary = list(dict.fromkeys(map(getter, tuples)))
         codes = map(_code_table(dictionary).__getitem__, map(getter, tuples))
-        columns.append(CodeColumn(dictionary, code_buffer(codes, len(tuples))))
+        columns.append(CodeColumn(dictionary, code_buffer(codes, len(tuples)), complete=True))
     return tuple(columns)
 
 
@@ -241,7 +252,7 @@ class DenseEncoder:
 
 
 def merge_code_columns(
-    parts: list[list[Any]], dictionaries: list[list[Any]]
+    parts: list[list[Any]], dictionaries: list[list[Any]], complete: bool = False
 ) -> tuple[Any, list[Any]]:
     """One dense key column out of per-attribute code buffers.
 
@@ -251,8 +262,13 @@ def merge_code_columns(
     least once (selections leave dictionary entries no tuple carries; they
     are compacted away), and ``keys[code]`` the bare value for a single
     attribute, the value tuple for several (combined by mixed radix).
+    ``complete``: every part is one whole :attr:`CodeColumn.complete`
+    column, so a single attribute has nothing to compact (the count over
+    the codes that would find that out is a third of a coded division).
     """
     single = len(parts) == 1
+    if single and complete:
+        return parts[0][0], dictionaries[0]
     if _np is None:
         columns = [[code for buffer in buffers for code in buffer] for buffers in parts]
         return _merge_by_dict(columns, dictionaries)
@@ -393,7 +409,7 @@ def patch_code_columns(
                 dictionary = dictionary + fresh
             tail = code_buffer(map(table.__getitem__, values), len(values))
             codes = concatenate_codes([codes, tail])
-        patched.append(CodeColumn(dictionary, codes))
+        patched.append(CodeColumn(dictionary, codes, complete=True))
     return dropped, tuple(patched)
 
 
@@ -477,7 +493,7 @@ def flag_table(flags: Iterable[Any], count: int) -> Any:
 def take(table: Any, codes: Any) -> Any:
     """The mask ``table[code]`` for every code of a buffer."""
     if _np is not None:
-        return table[codes]
+        return _np.take(table, codes)  # half the time of ``table[codes]`` at block sizes
     return bytes(map(table.__getitem__, codes))
 
 
@@ -503,6 +519,14 @@ def mask_count(mask: Any) -> int:
     if _np is not None:
         return int(_np.count_nonzero(mask))
     return mask.count(1)
+
+
+def mask_positions(mask: Any) -> Any:
+    """The ascending positions where ``mask`` is set (what
+    :meth:`CodeColumn.select` gathers by)."""
+    if _np is not None:
+        return _np.flatnonzero(mask)
+    return array("l", itertools.compress(range(len(mask)), mask))
 
 
 def select_items(items: Sequence[Any], mask: Any) -> list[Any]:

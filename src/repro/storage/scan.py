@@ -1,8 +1,9 @@
 """``StoredScan``: stream a stored table's blocks into the chunk pipeline.
 
-The stored counterpart of ``TableScan``: instead of slicing a
+The stored counterpart of ``TableScan``: instead of handing up a
 materialized relation's cached tuples and codes, it reads the table file
-block by block and re-slices into chunks — the backing
+block by block, one chunk per stored block (sliced further only when a
+batch size is set) — the backing
 :class:`~repro.storage.store.StoredRelation` stays on disk.  A block's
 column pages are typed code buffers over table-wide dictionary pages —
 exactly a chunk's code-column form: the verified buffers go up **as they
@@ -22,6 +23,7 @@ most recent execution read).
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterator, Optional
 
 from repro.algebra.predicates import Predicate, conjunction
@@ -56,6 +58,7 @@ class StoredScan(PhysicalOperator):
     ) -> None:
         super().__init__(relation.schema)
         self.relation = relation
+        self.batch_size = sys.maxsize  # a chunk is a stored block, as for the in-memory scans
         self.table = table if table is not None else relation.reader.table
         self.skip_predicate: Optional[Predicate] = None
         self.blocks_total = len(relation.reader.blocks)
@@ -97,16 +100,11 @@ class StoredScan(PhysicalOperator):
 
         if self.page_kind == "raw":  # no codes to hand up: the reader's decoded view
             for _meta, tuples in reader.iter_blocks(selector):
-                for start in range(0, len(tuples), size):
-                    yield Chunk(schema, tuples[start : start + size])
+                yield from Chunk(schema, tuples).pieces(size)
             return
         pages = reader.dictionary_pages
-        for meta, buffers in reader.iter_block_columns(selector):
-            count = meta["count"]
-            columns = tuple(map(CodeColumn, pages, buffers))
-            for start in range(0, count, size):
-                stop = min(start + size, count)
-                yield Chunk.coded(schema, tuple(column.slice(start, stop) for column in columns))
+        for _meta, buffers in reader.iter_block_columns(selector):
+            yield from Chunk.coded(schema, tuple(map(CodeColumn, pages, buffers))).pieces(size)
 
     def describe(self) -> str:
         description = (

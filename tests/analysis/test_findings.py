@@ -9,7 +9,7 @@ from repro.analysis import FINDING_CODES, Finding, Severity, VerificationReport,
 
 class TestRegistry:
     def test_every_code_is_stable_and_described(self):
-        assert len(FINDING_CODES) == 42
+        assert len(FINDING_CODES) == 43
         for code, (severity, description) in FINDING_CODES.items():
             assert code.startswith("RP") and len(code) == 5
             assert isinstance(severity, Severity)

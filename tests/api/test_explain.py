@@ -139,11 +139,21 @@ class TestKeyColumnAnnotations:
             line for line in self.physical_section(text) if not line.startswith("· algorithm=")
         ]
         assert annotations == [
-            f"· keys: cached codes, kernel: {active_kernel().name}",
+            f"· keys: cached codes (1 chunk), kernel: {active_kernel().name}",
             "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
             # the divisor's projection drops ``color``: it eliminates duplicates
             "· compiled segment (2 operator(s) fused, filtered per tuple)",
         ]
+
+    def test_keys_line_counts_the_chunks_a_set_batch_size_cuts(self):
+        """Batch size unset: the scan's block is one chunk.  Set, the eight
+        ``supplies`` tuples come in slices: at one tuple a slice, the four
+        with ``s_no >= 's2'`` are four chunks (whatever the scan order)."""
+        for batch_size, chunks in ((None, "1 chunk"), (8, "1 chunk"), (1, "4 chunks")):
+            text = connect(textbook_catalog, batch_size=batch_size).sql(self.SELECTIVE).explain(
+                analyze=True
+            )
+            assert f"· keys: cached codes ({chunks}), kernel: " in text
 
     def test_snapshot_of_a_stored_division(self, tmp_path):
         """The storage line: how the pages reach the plan (typed code
@@ -158,7 +168,7 @@ class TestKeyColumnAnnotations:
             line for line in self.physical_section(text) if not line.startswith("· algorithm=")
         ]
         assert annotations == [
-            f"· keys: cached codes, kernel: {active_kernel().name}",
+            f"· keys: cached codes (1 chunk), kernel: {active_kernel().name}",
             "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
             "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2', "
             "skipped=0, read 16 bytes",
@@ -197,7 +207,7 @@ class TestKeyColumnAnnotations:
 
         with use_kernel("python"):
             text = db.sql(Q2).explain(analyze=True)
-        assert "· keys: cached codes, kernel: python" in text
+        assert "· keys: cached codes (1 chunk), kernel: python" in text
 
 
 class TestWhyItStayedSerial:

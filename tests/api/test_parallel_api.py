@@ -113,7 +113,7 @@ class TestExplainExchange:
             if line.strip().startswith("·") and "algorithm=" not in line
         ]
         assert annotations == [
-            f"· keys: cached codes, kernel: {active_kernel().name}",
+            f"· keys: cached codes (1 chunk), kernel: {active_kernel().name}",
             "· exchange: partitions=2, workers=2, 2/2 partitions populated, "
             f"input skew max/mean={self.skew(tables):.2f}, input: code columns",
         ]

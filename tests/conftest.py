@@ -23,6 +23,42 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
+def ufunc_at_calls(monkeypatch):
+    """A list that receives ``(ufunc name, indices)`` for every
+    ``numpy.<ufunc>.at`` call the engine makes.  A ufunc's attributes cannot
+    be patched, so the two modules that import numpy see a stand-in whose
+    ufuncs record ``.at`` and pass everything else through."""
+    numpy = pytest.importorskip("numpy")
+    from repro.physical.compile import kernels
+    from repro.relation import encoding
+
+    calls = []
+
+    class Ufunc:
+        def __init__(self, ufunc):
+            self._ufunc = ufunc
+
+        def __call__(self, *args, **kwargs):
+            return self._ufunc(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._ufunc, name)
+
+        def at(self, target, indices, *operands):
+            calls.append((self._ufunc.__name__, len(indices)))
+            return self._ufunc.at(target, indices, *operands)
+
+    class Numpy:
+        def __getattr__(self, name):
+            value = getattr(numpy, name)
+            return Ufunc(value) if isinstance(value, numpy.ufunc) else value
+
+    for module in (encoding, kernels):
+        monkeypatch.setattr(module, "_np", Numpy())
+    return calls
+
+
+@pytest.fixture
 def figure1_dividend() -> Relation:
     """Relation r1 of Figure 1 (also used in Figure 2)."""
     return Relation(

@@ -134,13 +134,15 @@ def test_keyless_semijoin_probe_does_not_inflate_counts():
     big = Relation(["b"], [(i,) for i in range(5000)])
     left = Relation(["a"], [(1,), (2,)])
     plan = HashSemiJoin(RelationScan(left), Filter(RelationScan(big), lambda row: True))
+    configured = [operator.batch_size for operator in plan.walk()]
     outcome = execute_plan(plan)
     counts = outcome.statistics.tuples_by_operator
     assert counts["02:filter"] == 1
     assert counts["03:relation_scan"] == 1
     assert outcome.max_intermediate == 2
-    # the probe must restore the configured batch size afterwards
-    assert all(operator.batch_size == plan.batch_size for operator in plan.walk())
+    # the probe must restore the configured batch sizes afterwards (a scan's
+    # own is "the whole block", not the plan's)
+    assert [operator.batch_size for operator in plan.walk()] == configured
 
 
 def test_set_batch_size_rejects_nonpositive():

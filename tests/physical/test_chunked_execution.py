@@ -6,25 +6,36 @@ per-operator tuple counts.  These tests sweep batch sizes 1, 3 and 1024
 over randomized and property-generated division workloads for every small-
 and great-divide algorithm, pin the Chunk↔Row round-trip invariants, and
 check the dictionary-encoded divisor is consumed exactly once per open.
+With no batch size set a scan's chunk is its whole block (a stored scan's:
+one stored block); ``TestBlockAtATime`` holds that run to the sliced ones.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algebra import predicates as P
+from repro.division import great_divide, small_divide
 from repro.errors import ReproError
 from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
     SMALL_DIVIDE_ALGORITHMS,
     Chunk,
+    Filter,
     RelationScan,
+    compile_plan,
     execute_plan,
 )
 from repro.relation import Relation, Row
 from repro.relation.schema import Schema
+from repro.storage import StoredRelation, StoredScan, TableReader
 
 from tests import strategies  # noqa: E402  (repo-root import, like tests.division)
+from tests.storage.tables import write_tuples
 
 BATCH_SIZES = (1, 3, 1024)
 
@@ -111,6 +122,102 @@ class TestBatchSizeInvariance:
                 outcome.statistics.tuples_by_operator
                 == reference.statistics.tuples_by_operator
             )
+
+
+#: How the dividend is selected (``a < threshold``) below the division, as
+#: ``(predicate of the threshold, the mode the compiled segment must report)``.
+FILTERS = {
+    "no filter": (None, None),
+    # an AST comparison with a literal: once per dictionary entry, then a mask
+    "dictionary filter": (lambda t: P.less_than(P.attr("a"), t), "dictionary"),
+    # an opaque callable: the generated per-tuple function
+    "per-tuple filter": (lambda t: (lambda row: row["a"] < t), "per tuple"),
+    "filter that empties the input": (lambda t: P.less_than(P.attr("a"), -1), "dictionary"),
+}
+ALGORITHMS = [(SMALL_DIVIDE_ALGORITHMS, name) for name in sorted(SMALL_DIVIDE_ALGORITHMS)] + [
+    (GREAT_DIVIDE_ALGORITHMS, name) for name in sorted(GREAT_DIVIDE_ALGORITHMS)
+]
+
+
+class TestBlockAtATime:
+    """Batch size unset (whole blocks) ≡ batch sizes 1, 2, 7 and 1 024, for
+    every division algorithm over every way a selection reaches it, from
+    in-memory and from stored scans (three-tuple blocks): the same quotient,
+    the same ``tuples_out`` operator by operator, the same
+    ``max_intermediate``."""
+
+    @pytest.mark.parametrize("selection", sorted(FILTERS))
+    @pytest.mark.parametrize(
+        "registry,algorithm", ALGORITHMS, ids=[f"{name}-{len(r)}" for r, name in ALGORITHMS]
+    )
+    @settings(max_examples=8, deadline=None)
+    @given(
+        dividend=strategies.dividends(max_rows=14),
+        divisor_rows=st.lists(st.tuples(strategies.VALUES, strategies.VALUES), max_size=6),
+        threshold=st.integers(min_value=0, max_value=4),
+    )
+    def test_every_batch_size_and_scan_agree(
+        self, registry, algorithm, selection, dividend, divisor_rows, threshold
+    ):
+        great = registry is GREAT_DIVIDE_ALGORITHMS
+        divisor = Relation(
+            ["b", "c"] if great else ["b"], divisor_rows if great else [r[:1] for r in divisor_rows]
+        )
+        predicate_of, mode = FILTERS[selection]
+        predicate = None if predicate_of is None else predicate_of(threshold)
+        with tempfile.TemporaryDirectory() as directory:
+            scans = {"memory": RelationScan}
+            if len(dividend) and len(divisor):  # a table file wants a tuple to take its types from
+                scans["stored"] = lambda relation: self.stored(relation, directory)
+            seen = set()
+            for build_scan in scans.values():
+                for batch_size in (None, 1, 2, 7, 1024):
+                    source = build_scan(dividend)
+                    filtered = source if predicate is None else Filter(source, predicate)
+                    plan = registry[algorithm](filtered, build_scan(divisor))
+                    compile_plan(plan)
+                    outcome = execute_plan(plan, batch_size=batch_size)
+                    assert filtered._filter_mode == mode
+                    counts = outcome.statistics.tuples_by_operator
+                    seen.add(
+                        (
+                            frozenset(outcome.relation.to_tuples(outcome.relation.schema.names)),
+                            tuple(counts[label] for label in sorted(counts)),  # leaf names differ
+                            outcome.max_intermediate,
+                        )
+                    )
+            ((quotient, _counts, _largest),) = seen
+        kept = {
+            "no filter": lambda row: True,
+            "filter that empties the input": lambda row: False,
+        }.get(selection, lambda row: row["a"] < threshold)
+        divide = great_divide if great else small_divide
+        expected = divide(dividend.select(kept), divisor)
+        assert quotient == expected.to_tuples(expected.schema.names)
+
+    @staticmethod
+    def stored(relation, directory):
+        path = Path(directory) / f"{'_'.join(relation.schema.names)}.rpb"
+        if not path.exists():
+            names = relation.schema.names
+            write_tuples(path, path.stem, names, relation.aligned_tuples(), block_size=3)
+        return StoredScan(StoredRelation(TableReader(path)))
+
+    def test_an_unset_batch_size_reads_blocks_and_a_set_one_slices_them(self, tmp_path):
+        relation = Relation(["a", "b"], [(i % 4, i) for i in range(10)])
+        path = write_tuples(tmp_path / "t.rpb", "t", ("a", "b"), relation.aligned_tuples(), 4)
+        for scan, blocks in (
+            (RelationScan(relation), [10]),
+            (StoredScan(StoredRelation(TableReader(path))), [4, 4, 2]),
+        ):
+            assert [len(chunk) for chunk in scan.chunks()] == blocks
+            scan.set_batch_size(3)
+            sliced = [len(chunk) for chunk in scan.chunks()]
+            assert sliced == [n for block in blocks for n in [3] * (block // 3) + [block % 3] if n]
+        # the in-memory block is the relation's cached list and columns themselves
+        (chunk,) = RelationScan(relation).chunks()
+        assert chunk.tuples is relation.aligned_tuples()
+        assert chunk.columns is relation.encoded_columns()
 
 
 class TestChunkRowRoundTrip:

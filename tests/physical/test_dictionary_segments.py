@@ -108,7 +108,7 @@ class TestDictionaryPath:
         expected, counts, _plan = outcome(build, compiled=False)
         actual, compiled_counts, plan = outcome(build, compiled=True)
         assert actual == expected and compiled_counts == counts
-        assert plan.key_source == "cached codes"
+        assert plan.key_source == "cached codes (1 chunk)"
 
 
 class TestPerTupleFallback:

@@ -107,7 +107,7 @@ def test_cached_codes_equal_on_the_fly_encoding(kind, algorithm, width, data):
                 plain_plan = build(plain(dividend), plain(divisor))
                 uncoded = execute_plan(plain_plan, batch_size=batch_size)
             if algorithm != "algebra_simulation":  # it has no key columns of its own
-                assert coded_plan.key_source == "cached codes"
+                assert coded_plan.key_source.startswith("cached codes (")
                 assert plain_plan.key_source == "encoded on the fly"
             assert coded.relation == uncoded.relation
             counts = [
@@ -130,7 +130,7 @@ class TestEncodeKeys:
         schemas = (Schema(["a"]), Schema(["b", "c"]))
         cached = encode_keys(RelationScan(relation), *schemas)
         fresh = encode_keys(plain(relation), *schemas)
-        assert (cached.source, fresh.source) == ("cached codes", "encoded on the fly")
+        assert (cached.source, fresh.source) == ("cached codes (1 chunk)", "encoded on the fly")
         for coded, uncoded in zip(cached.sides, fresh.sides):
             decode = [coded.value_tuple(code) for code in list(coded.codes)]
             assert decode == [uncoded.value_tuple(code) for code in uncoded.codes]
@@ -288,6 +288,104 @@ def test_runs_cut_by_a_slab_boundary_land_in_one_slot(kernel, monkeypatch):
     assert mask_ints(merged) == reference_masks(count, candidates, values, positions)
 
 
+# ----------------------------------------------------------------------
+# the gather sweep: byte flags scattered and packed, or ``bitwise_or.at``
+# ----------------------------------------------------------------------
+SWEEP_WIDTHS = (0, 1, 63, 64, 65, 130)
+
+
+def sweep_input(width: int, missing: str, candidates: int, seed: int):
+    """400 ``(candidate, value)`` pairs drawn with replacement — pairs
+    repeat, as a join's output does — over ``candidates`` candidates;
+    ``missing`` says how many value codes sit outside the divisor."""
+    rng = random.Random(seed)
+    positions = {
+        "all": [-1] * (width + 5),
+        "some": list(range(width)) + [-1] * 5,
+        "none": list(range(width)),
+    }[missing]
+    rng.shuffle(positions)
+    pairs = [(rng.randrange(candidates), rng.randrange(len(positions))) for _ in range(400)]
+    assert len(set(pairs)) < len(pairs)
+    return [c for c, _ in pairs], [v for _, v in pairs], positions
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("slab", [1 << 16, 50], ids=["one-slab", "eight-slabs"])
+@pytest.mark.parametrize("candidates", [5, 300], ids=["scatter", "ufunc.at"])
+@pytest.mark.parametrize(
+    "width,missing",
+    [  # an empty divisor leaves no value inside it: no (0, "none")
+        (width, missing)
+        for width in SWEEP_WIDTHS
+        for missing in ("all", "some", "none")
+        if width or missing != "none"
+    ],
+)
+def test_gather_sweep_equals_the_python_reference(
+    width, missing, candidates, slab, monkeypatch, ufunc_at_calls
+):
+    """Both routes of the numpy sweep, on either side of their rule (the
+    flag matrix against 16 bytes a tuple: 5 candidates scatter, 300 go
+    through ``ufunc.at``), build the masks of the Python loop bit for bit."""
+    from array import array
+
+    from repro.physical.compile import kernels
+
+    monkeypatch.setattr(kernels, "_SWEEP_SLAB", slab)
+    codes, values, positions = sweep_input(width, missing, candidates, seed=width + candidates)
+    expected = PythonBitsetKernel().gather_sweep(candidates, codes, values, positions, width)
+    assert mask_ints(expected) == reference_masks(candidates, codes, values, positions)
+    with use_kernel("numpy"):
+        swept = active_kernel().gather_sweep(
+            candidates, array("i", codes), array("i", values), positions, width
+        )
+    assert swept.shape == (candidates, max(1, -(-width // 64)))
+    assert mask_ints(swept) == expected
+    scatter = candidates * swept.shape[1] * 64 <= 16 * len(codes)
+    assert scatter == (candidates == 5)
+    assert bool(ufunc_at_calls) != scatter
+    if not scatter:
+        assert len(ufunc_at_calls) == -(-len(codes) // slab)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_a_selected_dividend_is_divided_without_a_slice_or_a_ufunc_at(monkeypatch, ufunc_at_calls):
+    """``σ(r1) ÷ r2`` through the front door at 100k tuples: the scan hands
+    up its block, the selection gathers it by position and the sweep
+    scatters — the dividend's code columns are never cut into chunks, and
+    no ``bitwise_or.at`` walks the pairs."""
+    from repro.api import connect
+    from repro.division import small_divide
+    from repro.relation.encoding import CodeColumn
+    from repro.workloads import make_division_workload
+
+    workload = make_division_workload(
+        num_groups=9000, divisor_size=10, containing_fraction=0.2,
+        extra_values_per_group=6, seed=11,
+    )  # fmt: skip
+    assert len(workload.dividend) >= 100_000
+    db = connect({"r1": workload.dividend, "r2": workload.divisor})
+    query = db.sql(
+        "SELECT a FROM (SELECT a, b FROM r1 WHERE a < 4500) AS x DIVIDE BY r2 AS y ON x.b = y.b"
+    )
+    slices = []
+    cut = CodeColumn.slice
+
+    def counted_slice(self, start, stop):
+        slices.append(len(self))
+        return cut(self, start, stop)
+
+    monkeypatch.setattr(CodeColumn, "slice", counted_slice)
+    result = query.run()
+    assert slices == [] and ufunc_at_calls == []
+    assert result.statistics.max_intermediate == len(workload.dividend)
+    assert "· keys: cached codes (1 chunk), kernel: numpy" in query.explain(analyze=True)
+    half = workload.dividend.select(lambda row: row["a"] < 4500)
+    assert 0 < len(half) < len(workload.dividend)
+    assert result.relation == small_divide(half, workload.divisor)
+
+
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @pytest.mark.parametrize("assume_clustered", [True, False])
 def test_merge_sort_division_never_iterates_pairs_in_python(assume_clustered, monkeypatch):
@@ -315,4 +413,4 @@ def test_merge_sort_division_never_iterates_pairs_in_python(assume_clustered, mo
     with use_kernel("numpy"):
         plan = merge_sort(RelationScan(dividend), RelationScan(divisor), assume_clustered)
         assert execute_plan(plan).relation == expected
-        assert (plan.key_source, plan.kernel_name) == ("cached codes", "numpy")
+        assert (plan.key_source, plan.kernel_name) == ("cached codes (1 chunk)", "numpy")

@@ -424,3 +424,29 @@ class TestRP410CostModelDeclaresNoCoefficients:
 
     def test_rule_covers_the_cost_model(self, lint):
         assert list(lint._check_cost_model_file(lint.COST_MODEL_FILE)) == []
+
+
+class TestRP411NumpyStaysBehindItsSeams:
+    def test_every_import_form_is_flagged_at_any_depth(self, lint, tmp_path):
+        """The fixture is what a block-at-a-time ``Chunk.selected`` is one
+        line away from: ``np.flatnonzero`` called where the mask is held."""
+        path = write(
+            tmp_path,
+            "import numpy as np\n"
+            "from numpy.lib import stride_tricks\n"
+            "import itertools, numpy.linalg\n"
+            "from . import numpy\n"
+            "import numpyish\n"
+            "class Chunk:\n"
+            "    def selected(self, mask):\n"
+            "        from numpy import flatnonzero\n"
+            "        return flatnonzero(mask)\n",
+        )
+        findings = list(lint._check_numpy_imports(path))
+        assert codes(findings) == ["RP411"] * 4
+        assert [f.where.rsplit(":", 1)[1] for f in findings] == ["1", "2", "3", "8"]
+
+    def test_the_seams_are_exempt_and_exist(self, lint):
+        for seam in lint.NUMPY_SEAMS:
+            assert "import numpy" in seam.read_text()
+            assert list(lint._check_numpy_imports(seam)) == []
