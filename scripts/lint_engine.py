@@ -32,7 +32,11 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   its methods may touch ``chunk.tuples`` or extract keys itself with a
   ``TupleProjector`` (``keys_of`` / ``tuples_of``).  One seam means one
   place that decides between cached dictionary codes and on-the-fly
-  encoding — and no per-algorithm copy of that loop.
+  encoding — and no per-algorithm copy of that loop.  The way out is the
+  seam's too: under ``src/repro/physical/division/`` outside ``keys.py``
+  nothing may call ``chunked(`` or ``value_tuple(`` or concatenate key
+  tuples in a generator or comprehension — a quotient leaves as code
+  buffers through ``KeyedDivisionOperator._emit``.
 
 * **RP406** — inside ``src/repro/physical/parallel/`` a partition is a
   block of code columns: ``chunk.tuples`` and ``keys_of`` / ``tuples_of``
@@ -100,6 +104,7 @@ from repro.analysis.findings import Finding, finding  # noqa: E402
 SOURCE_DIR = REPO_ROOT / "src" / "repro"
 PHYSICAL_DIR = SOURCE_DIR / "physical"
 PARALLEL_DIR = PHYSICAL_DIR / "parallel"
+DIVISION_DIR = PHYSICAL_DIR / "division"
 LAWS_DIR = REPO_ROOT / "src" / "repro" / "laws"
 STORAGE_DIR = REPO_ROOT / "src" / "repro" / "storage"
 CONDITIONS_FILE = LAWS_DIR / "conditions.py"
@@ -277,6 +282,46 @@ def _check_division_keys(path: Path) -> Iterator[Finding]:
                     _where(path, method),
                     "engine",
                 )
+
+
+#: Calls that build a quotient tuple by tuple.
+TUPLE_EMITTERS = {"chunked", "value_tuple"}
+
+
+def _is_key_lookup(node: ast.AST) -> bool:
+    """``<side>.keys[...]``: one key of a key side."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "keys"
+    )
+
+
+def _check_division_output(path: Path) -> Iterator[Finding]:
+    """A division module outside the seam: output goes through ``_emit``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        offender = None
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if name in TUPLE_EMITTERS:
+                offender = f"{name}()"
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+            element = node.elt
+            if (
+                isinstance(element, ast.BinOp)
+                and isinstance(element.op, ast.Add)
+                and any(_is_key_lookup(operand) for operand in (element.left, element.right))
+            ):
+                offender = "key tuples concatenated per row"
+        if offender:
+            yield finding(
+                "RP405",
+                f"division output built tuple by tuple ({offender}); emit code buffers "
+                "through KeyedDivisionOperator._emit()",
+                _where(path, node),
+                "engine",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -666,6 +711,8 @@ def run() -> list[Finding]:
         findings.extend(_check_physical_file(path))
         findings.extend(_check_operator_declarations(path))
         findings.extend(_check_division_keys(path))
+        if path.parent == DIVISION_DIR and path.name != "keys.py":
+            findings.extend(_check_division_output(path))
         if path.parent == PARALLEL_DIR:
             findings.extend(_check_exchange_file(path))
     for path in _python_files(LAWS_DIR):

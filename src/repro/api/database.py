@@ -100,7 +100,7 @@ def _coerce_rows(schema: Schema, rows: RowsLike) -> list[Row]:
                 "iterable of Rows, mappings or value tuples"
             ) from None
         tuples = [_coerce_row(names, row) for row in candidates]
-    return [Row.from_schema(schema, values) for values in tuples]
+    return Row.block(schema, tuples)
 
 
 def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:

@@ -186,9 +186,7 @@ class Chunk:
 
     def rows(self) -> list[Row]:
         """Materialize the chunk as :class:`Row` objects (boundary only)."""
-        schema = self.schema
-        from_schema = Row.from_schema
-        return [from_schema(schema, values) for values in self.tuples]
+        return Row.block(self.schema, self.tuples)
 
     def aligned(self, schema: Schema) -> "Chunk":
         """This chunk realigned with ``schema``'s attribute order.

@@ -28,10 +28,10 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import ExecutionError
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, chunked
+from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
 from repro.physical.compile.kernels import PythonBitsetKernel
 from repro.physical.division.keys import KeyedDivisionOperator, KeySide, encode_keys
-from repro.relation.encoding import iter_codes
+from repro.relation.encoding import code_buffer, concatenate_codes, iter_codes, repeat_codes
 
 __all__ = [
     "GreatDivisionOperator",
@@ -74,13 +74,21 @@ class GreatDivisionOperator(KeyedDivisionOperator):
         """Drain both inputs once.
 
         Returns ``(kernel, groups, divisor values, candidates, dividend
-        values)``: the divisor's ``C`` and ``B`` sides (dense codes, so a
-        divisor value's code doubles as its bit position in the shared
-        dictionary) and the dividend's ``A`` and ``B`` sides.
+        values)``: the divisor's ``C`` and ``B`` sides, ``dense`` — only
+        groups that still have a tuple are groups, and a divisor value's
+        code doubles as its bit position in the shared dictionary — and
+        the dividend's ``A`` and ``B`` sides as they come.
         """
         groups, divisor_values = encode_keys(self._children[1], self.c, self.b).sides
         kernel, candidates, values = self._dividend_keys(self.a, self.b)
-        return kernel, groups, divisor_values, candidates, values
+        return kernel, groups.dense(), divisor_values.dense(), candidates, values
+
+    def _emit_groups(
+        self, candidates: KeySide, groups: KeySide, matches: list[Any]
+    ) -> Iterator[Chunk]:
+        """The quotient from one match scan per group code, in group order."""
+        group_codes = repeat_codes(range(len(matches)), list(map(len, matches)))
+        return self._emit((candidates, groups), (concatenate_codes(matches), group_codes))
 
 
 class NestedLoopsGreatDivision(GreatDivisionOperator):
@@ -119,12 +127,8 @@ class NestedLoopsGreatDivision(GreatDivisionOperator):
             values.table(position_of, -1),
             len(position_of),
         )
-        quotient = (
-            candidates.value_tuple(candidate) + groups.value_tuple(group)
-            for group, needed in enumerate(needed_masks)
-            for candidate in kernel.subset_matches(candidate_masks, needed)
-        )
-        yield from chunked(quotient, self._schema, self.batch_size)
+        matches = [kernel.subset_matches(candidate_masks, needed) for needed in needed_masks]
+        yield from self._emit_groups(candidates, groups, matches)
 
 
 class HashGreatDivision(GreatDivisionOperator):
@@ -168,12 +172,11 @@ class HashGreatDivision(GreatDivisionOperator):
 
         codes = list(masks)
         fulls = [group_full[code % num_groups] for code in codes]
-        quotient = (
-            candidates.value_tuple(codes[i] // num_groups)
-            + groups.value_tuple(codes[i] % num_groups)
-            for i in kernel.equal_matches(list(masks.values()), fulls)
-        )
-        yield from chunked(quotient, self._schema, self.batch_size)
+        hits = kernel.equal_matches(list(masks.values()), fulls).tolist()
+        matched = [divmod(codes[hit], num_groups) for hit in hits]
+        candidate_codes = code_buffer((candidate for candidate, _ in matched), len(matched))
+        group_codes = code_buffer((group for _, group in matched), len(matched))
+        yield from self._emit((candidates, groups), (candidate_codes, group_codes))
 
 
 class GroupwiseSmallDivision(GreatDivisionOperator):
@@ -210,22 +213,19 @@ class GroupwiseSmallDivision(GreatDivisionOperator):
         candidate_codes = kernel.prepare_indices(candidates.codes)
         value_codes = kernel.prepare_indices(values.codes)
 
-        def quotient() -> Iterator[tuple[Any, ...]]:
-            for group, needed in enumerate(needed_of):
-                # hash-division of the encoded dividend by this group: give
-                # each needed value (that the dividend knows at all) a bit.
-                positions = [-1] * len(values.keys)
-                for ordinal, value in enumerate(needed):
-                    if dividend_code[value] >= 0:
-                        positions[dividend_code[value]] = ordinal
-                masks = kernel.gather_sweep(
-                    len(candidates.keys), candidate_codes, value_codes, positions, len(needed)
-                )
-                group_tuple = groups.value_tuple(group)
-                for candidate in kernel.full_matches(masks, (1 << len(needed)) - 1):
-                    yield candidates.value_tuple(candidate) + group_tuple
-
-        yield from chunked(quotient(), self._schema, self.batch_size)
+        matches = []
+        for needed in needed_of:
+            # hash-division of the encoded dividend by this group: give
+            # each needed value (that the dividend knows at all) a bit.
+            positions = [-1] * len(values.keys)
+            for ordinal, value in enumerate(needed):
+                if dividend_code[value] >= 0:
+                    positions[dividend_code[value]] = ordinal
+            masks = kernel.gather_sweep(
+                len(candidates.keys), candidate_codes, value_codes, positions, len(needed)
+            )
+            matches.append(kernel.full_matches(masks, (1 << len(needed)) - 1))
+        yield from self._emit_groups(candidates, groups, matches)
 
 
 #: Algorithm registry used by tests and benches.

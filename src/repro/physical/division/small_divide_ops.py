@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.division.schemas import DivisionSchemas
 from repro.errors import ExecutionError
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties, chunked
+from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
 from repro.physical.basic import DifferenceOp, ProductOp, ProjectOp
 from repro.physical.compile.kernels import PythonBitsetKernel
 from repro.physical.division.keys import KeyedDivisionOperator, KeySide, encode_keys
@@ -93,17 +93,17 @@ class DivisionOperator(KeyedDivisionOperator):
         bit each, so the all-ones mask ``(1 << width) - 1`` encodes
         "contains the whole divisor"); ``positions[code]`` is the bit of the
         dividend ``B`` key with that code, or ``-1`` when the divisor lacks
-        it — one lookup per dictionary entry, not per tuple.
+        it — one lookup per dictionary entry, not per tuple.  The divisor's
+        keys are counted as they occur (``dense``); the dividend's are not,
+        except that under an empty divisor every candidate matches, and
+        then only the candidates that occur may.
         """
         (divisor_side,) = encode_keys(self._children[1], self.schemas.b).sides
-        position_of = {key: position for position, key in enumerate(divisor_side.keys)}
+        position_of = {key: position for position, key in enumerate(divisor_side.dense().keys)}
         kernel, candidates, values = self._dividend_keys(self.schemas.a, self.schemas.b)
+        if not position_of:
+            candidates = candidates.dense()
         return kernel, candidates, values.codes, values.table(position_of, -1), len(position_of)
-
-    def _emit(self, candidates: KeySide, matches: list[int]) -> Iterator[Chunk]:
-        """The quotient chunks for the matching candidate codes."""
-        quotient = map(candidates.value_tuple, matches)
-        return chunked(quotient, self._schema, self.batch_size)
 
 
 def _pair_bits(
@@ -139,14 +139,15 @@ class NestedLoopsDivision(DivisionOperator):
         kernel, candidates, value_codes, positions, width = self._encoded_inputs()
         pairs = list(_pair_bits(candidates, value_codes, positions))
 
-        # Deliberately quadratic: one full pair scan per candidate.  Only the
-        # final full-mask scan goes through the kernel.
+        # Deliberately quadratic: one full pair scan per candidate that
+        # occurs.  Only the final full-mask scan goes through the kernel.
         or_ = int.__or__
-        masks = [
-            reduce(or_, [bit for pair_candidate, bit in pairs if pair_candidate == candidate], 0)
-            for candidate in range(len(candidates.keys))
-        ]
-        yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
+        masks = [0] * len(candidates.keys)
+        for candidate in set(iter_codes(candidates.codes)):
+            masks[candidate] = reduce(
+                or_, [bit for pair_candidate, bit in pairs if pair_candidate == candidate], 0
+            )
+        yield from self._emit([candidates], [kernel.full_matches(masks, (1 << width) - 1)])
 
 
 class HashDivision(DivisionOperator):
@@ -170,7 +171,7 @@ class HashDivision(DivisionOperator):
         masks = kernel.gather_sweep(
             len(candidates.keys), candidates.codes, value_codes, positions, width
         )
-        yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
+        yield from self._emit([candidates], [kernel.full_matches(masks, (1 << width) - 1)])
 
 
 class MergeSortDivision(DivisionOperator):
@@ -226,7 +227,7 @@ class MergeSortDivision(DivisionOperator):
             width,
             sort=not self.assume_clustered,
         )
-        yield from self._emit(candidates, kernel.full_matches(masks, (1 << width) - 1))
+        yield from self._emit([candidates], [kernel.full_matches(masks, (1 << width) - 1)])
 
 
 class MergeCountDivision(DivisionOperator):
@@ -246,7 +247,7 @@ class MergeCountDivision(DivisionOperator):
         masks = kernel.gather_sweep(
             len(candidates.keys), candidates.codes, value_codes, positions, width
         )
-        yield from self._emit(candidates, kernel.popcount_matches(masks, width))
+        yield from self._emit([candidates], [kernel.popcount_matches(masks, width)])
 
 
 class AlgebraSimulationDivision(DivisionOperator):

@@ -15,8 +15,11 @@ slot in the ``dict``-based encoders this replaces.
 Code buffers are ``numpy.int32`` arrays when numpy imports and
 ``array('i')`` otherwise — never lists of ``int`` objects.  Everything
 that depends on that flavour lives here: :func:`merge_code_columns` (the
-concatenate / compact / mixed-radix step behind the division operators'
-key columns), :func:`split_code_columns` (the exchange's partition pass),
+concatenate / mixed-radix step behind the division operators' key columns;
+:meth:`CodeColumn.dense` renumbers one onto the entries it carries, for the
+few callers that must count them), :func:`repeat_codes` and
+:func:`as_code_buffer` (a quotient's code columns out of the kernels' match
+scans), :func:`split_code_columns` (the exchange's partition pass),
 :func:`patch_code_columns` (a table edit carried over to the encoding) and
 the mask helpers at the bottom (boolean arrays or ``bytes`` of 0 and
 1; callers treat masks as opaque values produced and consumed by these
@@ -42,6 +45,7 @@ except ImportError:
 __all__ = [
     "CodeColumn",
     "DenseEncoder",
+    "as_code_buffer",
     "code_buffer",
     "code_width",
     "concatenate_codes",
@@ -51,6 +55,7 @@ __all__ = [
     "merge_code_columns",
     "narrow_codes",
     "patch_code_columns",
+    "repeat_codes",
     "route_codes",
     "split_code_columns",
     "widen_codes",
@@ -68,16 +73,13 @@ __all__ = [
 class CodeColumn:
     """One attribute as dictionary codes (a slice shares the dictionary)."""
 
-    __slots__ = ("dictionary", "codes", "complete")
+    __slots__ = ("dictionary", "codes")
 
-    def __init__(self, dictionary: list[Any], codes: Any, complete: bool = False) -> None:
+    def __init__(self, dictionary: list[Any], codes: Any) -> None:
         #: code → value, first-seen order; shared by every slice of a column.
         self.dictionary = dictionary
         #: One code per tuple, in scan order.
         self.codes = codes
-        #: Every dictionary entry is known to occur: a relation's own whole
-        #: column (no slice or selection of it promises that).
-        self.complete = complete
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -104,13 +106,17 @@ class CodeColumn:
             kept = map(self.codes.__getitem__, selection)
         return CodeColumn(self.dictionary, array("i", kept))
 
-    def bounded(self) -> "CodeColumn":
-        """This column, over a dictionary of just the entries it carries if
-        the dictionary outgrows the codes (so neither dominates the other)."""
-        if len(self.dictionary) <= len(self.codes):
-            return self
+    def dense(self) -> "CodeColumn":
+        """This column over a dictionary of just the entries it carries (one
+        count over the codes finds them; the column itself when every entry
+        occurs)."""
         codes, dictionary = _compact(self.codes, self.dictionary)
-        return CodeColumn(dictionary, codes)
+        return self if dictionary is self.dictionary else CodeColumn(dictionary, codes)
+
+    def bounded(self) -> "CodeColumn":
+        """This column, :meth:`dense` if the dictionary outgrows the codes
+        (so neither dominates the other)."""
+        return self if len(self.dictionary) <= len(self.codes) else self.dense()
 
     def values(self) -> list[Any]:
         """The decoded values, in tuple order."""
@@ -205,9 +211,23 @@ def concatenate_codes(buffers: Sequence[Any]) -> Any:
     """Code buffers over one dictionary joined in order (one: as it is)."""
     if len(buffers) == 1:
         return buffers[0]
-    if _np is not None:
+    if _np is not None and buffers:
         return _np.concatenate(buffers)
-    return array("i", itertools.chain.from_iterable(buffers))
+    return code_buffer(itertools.chain.from_iterable(buffers), sum(map(len, buffers)))
+
+
+def as_code_buffer(indices: Any) -> Any:
+    """An integer buffer that is not a code buffer yet — a bitset kernel's
+    match scan: an index array, or an ``array('i')`` from its Python loops —
+    as one (a view or one cast; never a pass in Python)."""
+    return indices if _np is None else _np.asarray(indices, dtype=_np.int32)
+
+
+def repeat_codes(codes: Sequence[int], counts: Sequence[int]) -> Any:
+    """``codes[i]`` repeated ``counts[i]`` times, in order, as a code buffer."""
+    if _np is not None:
+        return _np.repeat(_np.asarray(codes, dtype=_np.int32), counts)
+    return array("i", itertools.chain.from_iterable(map(itertools.repeat, codes, counts)))
 
 
 def iter_codes(codes: Any) -> Iterable[int]:
@@ -223,7 +243,7 @@ def encode_columns(tuples: Sequence[tuple[Any, ...]], width: int) -> tuple[CodeC
         getter = operator.itemgetter(position)
         dictionary = list(dict.fromkeys(map(getter, tuples)))
         codes = map(_code_table(dictionary).__getitem__, map(getter, tuples))
-        columns.append(CodeColumn(dictionary, code_buffer(codes, len(tuples)), complete=True))
+        columns.append(CodeColumn(dictionary, code_buffer(codes, len(tuples))))
     return tuple(columns)
 
 
@@ -252,29 +272,24 @@ class DenseEncoder:
 
 
 def merge_code_columns(
-    parts: list[list[Any]], dictionaries: list[list[Any]], complete: bool = False
+    parts: list[list[Any]], dictionaries: list[list[Any]]
 ) -> tuple[Any, list[Any]]:
-    """One dense key column out of per-attribute code buffers.
+    """One key column out of per-attribute code buffers.
 
     ``parts[i]`` lists attribute ``i``'s code buffers in stream order (one
     per chunk, all over ``dictionaries[i]``).  Returns ``(codes, keys)``:
-    one code per tuple, every code in ``range(len(keys))`` occurring at
-    least once (selections leave dictionary entries no tuple carries; they
-    are compacted away), and ``keys[code]`` the bare value for a single
-    attribute, the value tuple for several (combined by mixed radix).
-    ``complete``: every part is one whole :attr:`CodeColumn.complete`
-    column, so a single attribute has nothing to compact (the count over
-    the codes that would find that out is a third of a coded division).
+    one code per tuple and ``keys[code]`` its key.  A single attribute
+    comes back as it is — its buffers joined, ``keys`` the column's own
+    dictionary, so a key may not occur (a selection leaves entries no tuple
+    carries; :meth:`CodeColumn.dense` renumbers for a caller that must
+    count what occurs).  Several attributes are combined by mixed radix into
+    value tuples, each of which occurs.
     """
-    single = len(parts) == 1
-    if single and complete:
-        return parts[0][0], dictionaries[0]
-    if _np is None:
-        columns = [[code for buffer in buffers for code in buffer] for buffers in parts]
-        return _merge_by_dict(columns, dictionaries)
     arrays = [concatenate_codes(buffers) for buffers in parts]
-    if single:
-        return _compact(arrays[0], dictionaries[0])
+    if len(arrays) == 1:
+        return arrays[0], dictionaries[0]
+    if _np is None:
+        return _merge_by_dict(arrays, dictionaries)
     combined = _combine_codes(arrays, dictionaries)
     if combined is None:
         return _merge_by_dict([array.tolist() for array in arrays], dictionaries)
@@ -303,6 +318,8 @@ def _compact(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
     (buffer and dictionary as they are when every entry occurs)."""
     if _np is None:
         renumbered, present = _merge_by_dict([codes], [dictionary])
+        if len(present) == len(dictionary):
+            return codes, dictionary
         return array("i", renumbered), present
     present = _np.flatnonzero(_np.bincount(codes, minlength=len(dictionary)))
     if len(present) == len(dictionary):
@@ -409,7 +426,7 @@ def patch_code_columns(
                 dictionary = dictionary + fresh
             tail = code_buffer(map(table.__getitem__, values), len(values))
             codes = concatenate_codes([codes, tail])
-        patched.append(CodeColumn(dictionary, codes, complete=True))
+        patched.append(CodeColumn(dictionary, codes))
     return dropped, tuple(patched)
 
 

@@ -147,13 +147,7 @@ class Relation:
         no per-row mapping coercion or length checking is needed.
         """
         schema = Schema.interned(as_schema(attributes).names)
-        from_schema = Row.from_schema
-        relation = object.__new__(cls)
-        relation._schema = schema
-        relation._rows = frozenset(from_schema(schema, values) for values in tuples)
-        relation._tuples = None
-        relation._encoding = None
-        return relation
+        return cls._from_parts(schema, frozenset(Row.block(schema, tuples)))
 
     def with_delta(self, added: Iterable[Row], removed: Iterable[Row]) -> "Relation":
         """This value minus ``removed`` plus ``added``: a table after its edits.
@@ -376,9 +370,7 @@ class Relation:
         target = Schema.interned(self._schema.project(attributes).names)
         get = self._schema.tuple_getter(target)
         projected = {get(row.values_tuple) for row in self._rows}
-        return Relation._from_parts(
-            target, frozenset(Row.from_schema(target, values) for values in projected)
-        )
+        return Relation._from_parts(target, frozenset(Row.block(target, projected)))
 
     def select(self, predicate: RowPredicate) -> "Relation":
         """Selection ``σ_θ(r)``; ``predicate`` is evaluated on every row."""
@@ -389,10 +381,8 @@ class Relation:
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename attributes according to ``mapping`` (ρ operator)."""
         new_schema = Schema.interned(self._schema.rename(dict(mapping)).names)
-        return Relation._from_parts(
-            new_schema,
-            frozenset(Row.from_schema(new_schema, row.values_tuple) for row in self._rows),
-        )
+        renamed = Row.block(new_schema, [row._values for row in self._rows])
+        return Relation._from_parts(new_schema, frozenset(renamed))
 
     def prefix(self, prefix: str, separator: str = ".") -> "Relation":
         """Rename every attribute to ``prefix`` + separator + name.
@@ -587,10 +577,7 @@ class Relation:
             for row in self._rows
             if fixed_get(row.values_tuple) == fixed_values
         }
-        return Relation._from_parts(
-            over_schema,
-            frozenset(Row.from_schema(over_schema, values) for values in projected),
-        )
+        return Relation._from_parts(over_schema, frozenset(Row.block(over_schema, projected)))
 
     def partition_horizontal(self, predicate: RowPredicate) -> tuple["Relation", "Relation"]:
         """Split rows into (matching, non-matching) relations."""

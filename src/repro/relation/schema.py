@@ -64,7 +64,7 @@ class Schema:
         "_names",
         "_name_set",
         "_index",
-        "_canonical_perm",
+        "_canonical_getter",
         "_picker_cache",
         "_getter_cache",
         "__weakref__",
@@ -86,8 +86,10 @@ class Schema:
         self._name_set: frozenset[str] = frozenset(names)
         self._index: dict[str, int] = index
         order = sorted(range(len(names)), key=names.__getitem__)
-        self._canonical_perm: Optional[tuple[int, ...]] = (
-            tuple(order) if any(i != j for i, j in enumerate(order)) else None
+        #: Permutes an aligned value tuple into canonical (sorted-name) order;
+        #: ``None`` when the declaration order already is canonical.
+        self._canonical_getter: Optional[Callable] = (
+            itemgetter(*order) if any(i != j for i, j in enumerate(order)) else None
         )
         self._picker_cache: Optional[dict[tuple[str, ...], tuple[int, ...]]] = None
         self._getter_cache: Optional[dict[tuple[str, ...], tuple[Callable, Callable]]] = None
@@ -225,9 +227,9 @@ class Schema:
         hashing, so equal rows hash equally regardless of the attribute
         order their schemas were declared in.
         """
-        perm = self._canonical_perm
-        if perm is not None:
-            values = tuple(values[i] for i in perm)
+        canonical = self._canonical_getter
+        if canonical is not None:
+            values = canonical(values)
         return hash((self._name_set, values))
 
     # ------------------------------------------------------------------

@@ -130,9 +130,7 @@ class StoredRelation(Relation):
     def _rows(self) -> frozenset[Row]:
         rows = self._cached_rows
         if rows is None:
-            schema = self._schema
-            from_schema = Row.from_schema
-            rows = frozenset(from_schema(schema, values) for values in self.aligned_tuples())
+            rows = frozenset(Row.block(self._schema, self.aligned_tuples()))
             self._cached_rows = rows
         return rows
 

@@ -139,11 +139,28 @@ class TestKeyColumnAnnotations:
             line for line in self.physical_section(text) if not line.startswith("· algorithm=")
         ]
         assert annotations == [
-            f"· keys: cached codes (1 chunk), kernel: {active_kernel().name}",
+            f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
             "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
             # the divisor's projection drops ``color``: it eliminates duplicates
             "· compiled segment (2 operator(s) fused, filtered per tuple)",
         ]
+
+    def test_keys_line_says_what_the_division_emitted(self):
+        """Single-attribute key sides leave as code columns over their own
+        dictionaries (Q1's great divide: ``s_no`` and ``color``); a quotient
+        side of several attributes decodes through its key tuples."""
+        from repro.relation import Relation
+
+        great = connect(textbook_catalog).sql(Q1).explain(analyze=True)
+        assert "· keys: cached codes (1 chunk) → coded quotient, kernel: " in great
+        composite = connect(
+            {
+                "r1": Relation(["a1", "a2", "b"], [(a, -a, b) for a in range(4) for b in range(a + 1)]),
+                "r2": Relation(["b"], [(0,), (1,)]),
+            }
+        ).sql("SELECT a1, a2 FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b")
+        assert composite.run().relation.to_tuples(["a1", "a2"]) == {(1, -1), (2, -2), (3, -3)}
+        assert "· keys: cached codes (1 chunk) → tuples, kernel: " in composite.explain(analyze=True)
 
     def test_keys_line_counts_the_chunks_a_set_batch_size_cuts(self):
         """Batch size unset: the scan's block is one chunk.  Set, the eight
@@ -153,7 +170,7 @@ class TestKeyColumnAnnotations:
             text = connect(textbook_catalog, batch_size=batch_size).sql(self.SELECTIVE).explain(
                 analyze=True
             )
-            assert f"· keys: cached codes ({chunks}), kernel: " in text
+            assert f"· keys: cached codes ({chunks}) → coded quotient, kernel: " in text
 
     def test_snapshot_of_a_stored_division(self, tmp_path):
         """The storage line: how the pages reach the plan (typed code
@@ -168,7 +185,7 @@ class TestKeyColumnAnnotations:
             line for line in self.physical_section(text) if not line.startswith("· algorithm=")
         ]
         assert annotations == [
-            f"· keys: cached codes (1 chunk), kernel: {active_kernel().name}",
+            f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
             "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
             "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2', "
             "skipped=0, read 16 bytes",
@@ -199,7 +216,7 @@ class TestKeyColumnAnnotations:
     def test_interpreted_filter_encodes_on_the_fly(self):
         db = connect(textbook_catalog, compile=False)
         text = db.sql(self.SELECTIVE).explain(analyze=True)
-        assert "· keys: encoded on the fly, kernel: " in text
+        assert "· keys: encoded on the fly → coded quotient, kernel: " in text
         assert "filters:" not in text
 
     def test_pinned_kernel_is_reported(self, db):
@@ -207,7 +224,7 @@ class TestKeyColumnAnnotations:
 
         with use_kernel("python"):
             text = db.sql(Q2).explain(analyze=True)
-        assert "· keys: cached codes (1 chunk), kernel: python" in text
+        assert "· keys: cached codes (1 chunk) → coded quotient, kernel: python" in text
 
 
 class TestWhyItStayedSerial:

@@ -113,7 +113,7 @@ class TestExplainExchange:
             if line.strip().startswith("·") and "algorithm=" not in line
         ]
         assert annotations == [
-            f"· keys: cached codes (1 chunk), kernel: {active_kernel().name}",
+            f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
             "· exchange: partitions=2, workers=2, 2/2 partitions populated, "
             f"input skew max/mean={self.skew(tables):.2f}, input: code columns",
         ]
@@ -136,7 +136,7 @@ class TestExplainExchange:
         assert "PartitionedDivision[hash, partitions=2, workers=2, budget=0.05MB]" in text
         assert "; serial: over memory budget" in text
         assert "input: tuples, spilled " in text
-        assert "· keys: encoded on the fly, kernel: " in text
+        assert "· keys: encoded on the fly → coded quotient, kernel: " in text
         assert query.run().relation == repro.connect(tables).sql(DIVIDE_SQL).run().relation
 
     def test_budgeted_session_stays_serial_below_the_budget(self, tables):
@@ -179,7 +179,7 @@ class TestCLIWorkers:
         output = capsys.readouterr().out
         assert "PartitionedDivision" in output
         assert ", input: tuples" in output
-        assert "· keys: encoded on the fly, kernel: " in output
+        assert "· keys: encoded on the fly → coded quotient, kernel: " in output
         storage = [line.strip() for line in output.splitlines() if "· storage:" in line]
         assert len(storage) == 2  # dividend and divisor, both from the store
         for line in storage:

@@ -159,7 +159,7 @@ class TestExplainCommand:
         output = capsys.readouterr().out
         # Q2's only filter sits under a duplicate-eliminating projection.
         assert "compiled    : yes · 1 segment · filters: 0 on the dictionary, 1 per tuple" in output
-        assert "· keys: cached codes (1 chunk), kernel: " in output
+        assert "· keys: cached codes (1 chunk) → coded quotient, kernel: " in output
         assert "fused, filtered per tuple)" in output
 
     def test_sql_explain_reports_dictionary_filter(self, capsys):

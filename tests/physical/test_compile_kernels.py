@@ -6,6 +6,8 @@ vectorized (no per-call Python fallback), and the match scans return
 ascending indices — the same emission order as the reference.
 """
 
+from array import array
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -166,7 +168,11 @@ class TestKernelPrimitives:
         masks = [3, 7, 7, 1, 7] * 10  # ≥32 entries to cross the threshold
         python = PythonBitsetKernel().full_matches(list(masks), 7)
         vectorized = NumpyBitsetKernel().full_matches(list(masks), 7)
-        assert vectorized == python == sorted(python)
+        assert list(vectorized) == list(python) == sorted(python)
+        # Code buffers, not lists of boxed ints: the quotient's code column.
+        import numpy
+
+        assert isinstance(python, array) and isinstance(vectorized, numpy.ndarray)
 
     @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 120, 200])
     def test_gather_sweep_matches_reference(self, width):
@@ -181,12 +187,38 @@ class TestKernelPrimitives:
         assert as_ints == python
         full = (1 << width) - 1
         for scan in ("full_matches", "subset_matches"):
-            assert getattr(NumpyBitsetKernel(), scan)(vectorized, full) == getattr(
-                PythonBitsetKernel(), scan
-            )(python, full)
-        assert NumpyBitsetKernel().popcount_matches(vectorized, 2) == (
+            assert list(getattr(NumpyBitsetKernel(), scan)(vectorized, full)) == list(
+                getattr(PythonBitsetKernel(), scan)(python, full)
+            )
+        assert list(NumpyBitsetKernel().popcount_matches(vectorized, 2)) == list(
             PythonBitsetKernel().popcount_matches(python, 2)
         )
+
+    @pytest.mark.parametrize("limit", [None, 0], ids=["int32 indices", "intp indices"])
+    @pytest.mark.parametrize("outside", [False, True], ids=["all in divisor", "some outside"])
+    def test_scatter_index_widths_agree_across_a_slab_boundary(self, monkeypatch, limit, outside):
+        """The scatter computes flag indices in ``int32`` below 2³¹ flags and
+        in ``intp`` from there on; a limit of 0 reaches the wide branch
+        without a 2 GB flag matrix.  Both equal the reference loop, also
+        where the input spans several slabs (the last one partial)."""
+        import numpy
+
+        from repro.physical.compile import kernels
+
+        monkeypatch.setattr(kernels, "_SWEEP_SLAB", 1 << 10)
+        if limit is not None:
+            monkeypatch.setattr(NumpyBitsetKernel, "_NARROW_INDEX_LIMIT", limit)
+        count, width, entries, tuples = 50, 70, 90, 2_500 + 37
+        candidates = numpy.array([(i * 31) % count for i in range(tuples)], dtype=numpy.int32)
+        values = numpy.array([(i * 7) % entries for i in range(tuples)], dtype=numpy.int32)
+        positions = [code if code < width else -1 for code in range(entries)]
+        if not outside:
+            positions = [code % width for code in range(entries)]
+        assert count * 128 <= 16 * tuples  # the scatter branch, two words
+        python = PythonBitsetKernel().gather_sweep(count, candidates, values, positions, width)
+        vectorized = NumpyBitsetKernel().gather_sweep(count, candidates, values, positions, width)
+        as_ints = [sum(int(word) << (64 * i) for i, word in enumerate(row)) for row in vectorized]
+        assert as_ints == python
 
     def test_wide_masks_stay_vectorized(self, monkeypatch):
         """No width-based fallback: the Python reference is never consulted."""
@@ -199,26 +231,25 @@ class TestKernelPrimitives:
         wide = [(1 << 80) - 1] * 39 + [1 << 79]
         full = (1 << 80) - 1
         kernel = NumpyBitsetKernel()
-        assert kernel.full_matches(wide, full) == list(range(39))
-        assert kernel.subset_matches(wide, 1 << 79) == list(range(40))
-        assert kernel.equal_matches(wide, [full] * 40) == list(range(39))
-        assert kernel.popcount_matches(wide, 1) == [39]
-        assert kernel.full_matches(wide, (1 << 200) - 1) == []
+        assert list(kernel.full_matches(wide, full)) == list(range(39))
+        assert list(kernel.subset_matches(wide, 1 << 79)) == list(range(40))
+        assert list(kernel.equal_matches(wide, [full] * 40)) == list(range(39))
+        assert list(kernel.popcount_matches(wide, 1)) == [39]
+        assert list(kernel.full_matches(wide, (1 << 200) - 1)) == []
 
     def test_popcount_matches_reference(self):
         masks = [0b1011, 0b0110, 0b1111, 0b0001] * 10
         python = PythonBitsetKernel().popcount_matches(list(masks), 2)
         vectorized = NumpyBitsetKernel().popcount_matches(list(masks), 2)
-        assert vectorized == python
+        assert list(vectorized) == list(python) == sorted(python)
 
     def test_subset_and_equal_matches_reference(self):
         masks = [0b101, 0b111, 0b010, 0b110] * 10
         python = PythonBitsetKernel()
         vectorized = NumpyBitsetKernel()
-        assert vectorized.subset_matches(list(masks), 0b100) == python.subset_matches(
-            list(masks), 0b100
-        )
+        for needed in (0b100, 0):
+            subset = list(python.subset_matches(list(masks), needed))
+            assert list(vectorized.subset_matches(list(masks), needed)) == subset == sorted(subset)
         fulls = [0b101, 0b011, 0b010, 0b110] * 10
-        assert vectorized.equal_matches(list(masks), fulls) == python.equal_matches(
-            list(masks), fulls
-        )
+        equal = list(python.equal_matches(list(masks), fulls))
+        assert list(vectorized.equal_matches(list(masks), fulls)) == equal == sorted(equal)

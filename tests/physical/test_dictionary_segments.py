@@ -108,7 +108,35 @@ class TestDictionaryPath:
         expected, counts, _plan = outcome(build, compiled=False)
         actual, compiled_counts, plan = outcome(build, compiled=True)
         assert actual == expected and compiled_counts == counts
-        assert plan.key_source == "cached codes (1 chunk)"
+        assert plan.key_source == "cached codes (1 chunk) → tuples"
+
+    @pytest.mark.parametrize("great", [False, True], ids=["small divide", "great divide"])
+    def test_selection_above_a_division_runs_on_the_dictionary(self, great):
+        """Law 3's left-hand side, ``σ_p(A)(r1 ÷ r2)``, planned as written
+        (no rule may push the selection down): the quotient is a coded
+        chunk over the dividend's own dictionary, so the segment above it
+        evaluates ``p`` once per dictionary entry."""
+        from repro.algebra import Catalog, GreatDivide, Select, SmallDivide
+        from repro.division import great_divide, small_divide
+        from repro.optimizer import Optimizer
+
+        r1 = Relation(["a", "b"], [(a, b) for a in range(50) for b in range(6) if (a + b) % 4])
+        r2 = Relation(["b", "c"], [(b, b % 2) for b in (1, 2, 5)]) if great else Relation(["b"], [(1,), (2,)])
+        catalog = Catalog()
+        catalog.add_table("r1", r1)
+        catalog.add_table("r2", r2)
+        divide = GreatDivide if great else SmallDivide
+        expression = Select(
+            divide(catalog.ref("r1"), catalog.ref("r2")), P.less_than(P.attr("a"), 20)
+        )
+        plan = Optimizer(catalog, rules=[]).plan(expression)
+        assert plan.name == "filter" and "division" in plan.children[0].name
+        result = execute_plan(plan)
+        quotient = (great_divide if great else small_divide)(r1, r2)
+        assert result.relation == quotient.select(lambda row: row["a"] < 20)
+        assert 0 < len(result.relation) < len(quotient)
+        assert plan._filter_mode == "dictionary"
+        assert plan.children[0].key_source == "cached codes (1 chunk) → coded quotient"
 
 
 class TestPerTupleFallback:

@@ -8,21 +8,33 @@ indistinguishable: same quotient, same per-operator tuple counts — for
 every algorithm, kernel, batch size and divisor width, for single and
 composite keys, mixed-type columns, ``1 == 1.0 == True`` key collisions
 and the empty divisor.
+
+A cached single-attribute side is the column *as it is* — codes over the
+column's own dictionary, where a selection below the division leaves keys no
+tuple carries — so the second half of this file filters dividend and
+divisor every way that matters (on ``A``, on ``B``, down to nothing, down to
+one group fewer) and holds every algorithm to the definition.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra import predicates as P
+from repro.division import great_divide, small_divide
 from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
     SMALL_DIVIDE_ALGORITHMS,
+    Filter,
     PartitionSource,
     PhysicalOperator,
     RelationScan,
     available_kernels,
+    compile_plan,
     execute_plan,
     numpy_available,
     use_kernel,
@@ -108,7 +120,9 @@ def test_cached_codes_equal_on_the_fly_encoding(kind, algorithm, width, data):
                 uncoded = execute_plan(plain_plan, batch_size=batch_size)
             if algorithm != "algebra_simulation":  # it has no key columns of its own
                 assert coded_plan.key_source.startswith("cached codes (")
-                assert plain_plan.key_source == "encoded on the fly"
+                assert plain_plan.key_source.startswith("encoded on the fly → ")
+                emitted = coded_plan.key_source.rpartition(" → ")[2]
+                assert emitted == ("tuples" if len(dividend.schema) > 2 else "coded quotient")
             assert coded.relation == uncoded.relation
             counts = [
                 list(outcome.statistics.tuples_by_operator.values()) for outcome in (coded, uncoded)
@@ -123,7 +137,7 @@ def test_cached_codes_equal_on_the_fly_encoding(kind, algorithm, width, data):
 
 
 class TestEncodeKeys:
-    """The seam itself: dense codes, compaction, composite keys."""
+    """The seam itself: codes index keys, ``dense()`` on demand, composite keys."""
 
     def test_cached_and_on_the_fly_sides_decode_to_the_same_keys(self):
         relation = Relation(["a", "b", "c"], [(i % 5, f"x{i % 3}", i % 2) for i in range(60)])
@@ -132,24 +146,99 @@ class TestEncodeKeys:
         fresh = encode_keys(plain(relation), *schemas)
         assert (cached.source, fresh.source) == ("cached codes (1 chunk)", "encoded on the fly")
         for coded, uncoded in zip(cached.sides, fresh.sides):
-            decode = [coded.value_tuple(code) for code in list(coded.codes)]
-            assert decode == [uncoded.value_tuple(code) for code in uncoded.codes]
+            decode = [coded.keys[code] for code in list(coded.codes)]
+            assert decode == [uncoded.keys[code] for code in uncoded.codes]
+            assert coded.single == uncoded.single == (not isinstance(decode[0], tuple))
             assert sorted(set(map(int, coded.codes))) == list(range(len(coded.keys)))
 
-    def test_compaction_drops_keys_no_tuple_carries(self):
-        """Under a dictionary filter the relation-wide dictionary holds keys
-        the surviving tuples no longer carry; candidates must not see them
-        (an empty divisor would otherwise emit them)."""
-        import repro
+    def test_a_single_attribute_side_is_the_column_as_it_is_until_asked_dense(self):
+        """A selection leaves dictionary entries no tuple carries: the side
+        is the column's own codes over its own dictionary (a key may not
+        occur), ``dense()`` renumbers onto the keys that do — and returns
+        the side itself where that is already known."""
+        relation = Relation(["a", "b"], [(i % 6, f"x{i}") for i in range(60)])
+        scan = RelationScan(relation)
+        column = relation.encoded_columns()[0]
+        (whole,) = encode_keys(scan, Schema(["a"])).sides
+        assert whole.codes is column.codes and whole.keys is column.dictionary
+        assert whole.dense().keys is column.dictionary  # every entry occurs: nothing to do
 
-        supplies = Relation(["s", "p"], [(f"s{i}", f"p{i % 4}") for i in range(40)])
-        db = repro.connect({"supplies": supplies, "wanted": Relation(["p"], [])})
-        query = db.sql(
-            "SELECT s FROM (SELECT s, p FROM supplies WHERE s < 's2') AS d "
-            "DIVIDE BY wanted AS w ON d.p = w.p"
+        class Kept(PhysicalOperator):
+            name = "kept"
+
+            def _produce_chunks(self):
+                for chunk in self.children[0].chunks():
+                    mask = flag_table((values[0] % 2 for values in chunk.tuples), len(chunk))
+                    yield chunk.selected(mask, mask_count(mask))
+
+        from repro.relation.encoding import flag_table, mask_count
+
+        (side,) = encode_keys(Kept(relation.schema, (scan,)), Schema(["a"])).sides
+        assert side.keys is column.dictionary and len(side.codes) == 30
+        dense = side.dense()
+        assert sorted(dense.keys) == [1, 3, 5] and dense.dense() is dense
+        assert [dense.keys[code] for code in list(dense.codes)] == [
+            side.keys[code] for code in list(side.codes)
+        ]
+        for composite in encode_keys(scan, Schema(["a", "b"])).sides + encode_keys(
+            plain(relation), Schema(["a"])
+        ).sides:
+            assert composite.dense() is composite
+
+    @pytest.mark.parametrize("algorithm", sorted(SMALL_DIVIDE_ALGORITHMS))
+    def test_an_empty_divisor_yields_the_candidates_that_occur(self, algorithm):
+        """``width == 0``: every mask matches, so the candidates must be
+        asked ``dense()`` — under a dictionary filter the table-wide
+        dictionary holds suppliers the surviving tuples no longer carry,
+        and they are not in the quotient.  (The divisor is emptied by a
+        selection too: its keys are all still in ``parts``' dictionary.)"""
+        import repro
+        from repro.optimizer.planner import PlannerOptions
+
+        supplies = Relation(
+            ["s", "p"], [(f"s{i:02d}", f"p{j}") for i in range(40) for j in range(1 + i % 3)]
         )
-        expected = {(f"s{i}",) for i in range(40) if f"s{i}" < "s2"}
-        assert query.run().relation.to_tuples(["s"]) == expected
+        parts = Relation(["p", "color"], [(f"p{j}", "red") for j in range(4)])
+        db = repro.connect(
+            {"supplies": supplies, "parts": parts},
+            planner_options=PlannerOptions(small_divide_algorithm=algorithm),
+        )
+        query = db.sql(
+            "SELECT s FROM (SELECT s, p FROM supplies WHERE s < 's20') AS d "
+            "DIVIDE BY (SELECT p FROM parts WHERE color = 'blue') AS w ON d.p = w.p"
+        )
+        assert query.run().relation.to_tuples(["s"]) == {(f"s{i:02d}",) for i in range(20)}
+        if algorithm != "algebra_simulation":
+            assert "· keys: cached codes (1 chunk) → coded quotient" in query.explain(analyze=True)
+
+    @pytest.mark.parametrize("algorithm", sorted(GREAT_DIVIDE_ALGORITHMS))
+    def test_a_divisor_group_selected_away_is_no_group(self, algorithm):
+        """``σ`` on the divisor removes every red part: ``red`` stays in
+        ``parts``' dictionary but must not be a group — it would need
+        nothing, and every supplier in the dictionary (selected away or
+        not) would supply all of it."""
+        import repro
+        from repro.optimizer.planner import PlannerOptions
+
+        supplies = Relation(
+            ["s", "p"], [(f"s{i:02d}", f"p{j}") for i in range(40) for j in range(6) if (i + j) % 5]
+        )
+        parts = Relation(["p", "color"], [(f"p{j}", ("red", "blue", "green")[j % 3]) for j in range(6)])
+        db = repro.connect(
+            {"supplies": supplies, "parts": parts},
+            planner_options=PlannerOptions(great_divide_algorithm=algorithm),
+        )
+        query = db.sql(
+            "SELECT s, color FROM (SELECT s, p FROM supplies WHERE s < 's20') AS d "
+            "DIVIDE BY (SELECT p, color FROM parts WHERE color <> 'red') AS w ON d.p = w.p"
+        )
+        expected = great_divide(
+            supplies.select(lambda row: row["s"] < "s20"),
+            parts.select(lambda row: row["color"] != "red"),
+        )
+        assert query.run().relation == expected
+        assert 0 < len(expected) and "red" not in expected.to_set("color")
+        assert "· keys: cached codes (1 chunk) → coded quotient" in query.explain(analyze=True)
 
     def test_mixed_chunk_streams_encode_on_the_fly(self):
         """Coded chunks over *different* dictionaries (two scans passed
@@ -169,7 +258,7 @@ class TestEncodeKeys:
         both = Concatenation(left.schema, (RelationScan(left), RelationScan(right)))
         plan = SMALL_DIVIDE_ALGORITHMS["hash"](both, RelationScan(divisor))
         assert execute_plan(plan).relation.to_tuples(["a"]) == {(1,), (2,)}
-        assert plan.key_source == "encoded on the fly"
+        assert plan.key_source == "encoded on the fly → coded quotient"
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -353,8 +442,9 @@ def test_gather_sweep_equals_the_python_reference(
 def test_a_selected_dividend_is_divided_without_a_slice_or_a_ufunc_at(monkeypatch, ufunc_at_calls):
     """``σ(r1) ÷ r2`` through the front door at 100k tuples: the scan hands
     up its block, the selection gathers it by position and the sweep
-    scatters — the dividend's code columns are never cut into chunks, and
-    no ``bitwise_or.at`` walks the pairs."""
+    scatters — the dividend's code columns are never cut into chunks (the
+    quotient's are: 1 800 candidates in pieces of 1 024), and no
+    ``bitwise_or.at`` walks the pairs."""
     from repro.api import connect
     from repro.division import small_divide
     from repro.relation.encoding import CodeColumn
@@ -378,12 +468,79 @@ def test_a_selected_dividend_is_divided_without_a_slice_or_a_ufunc_at(monkeypatc
 
     monkeypatch.setattr(CodeColumn, "slice", counted_slice)
     result = query.run()
-    assert slices == [] and ufunc_at_calls == []
+    assert [size for size in slices if size > len(result.relation)] == []
+    assert ufunc_at_calls == []
     assert result.statistics.max_intermediate == len(workload.dividend)
-    assert "· keys: cached codes (1 chunk), kernel: numpy" in query.explain(analyze=True)
+    assert "· keys: cached codes (1 chunk) → coded quotient, kernel: numpy" in query.explain(analyze=True)
     half = workload.dividend.select(lambda row: row["a"] < 4500)
     assert 0 < len(half) < len(workload.dividend)
     assert result.relation == small_divide(half, workload.divisor)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("kind", ["small", "great"])
+def test_a_quotient_stays_columns_until_the_result(kind, monkeypatch):
+    """``σ(r1) ÷ r2`` and ``σ(r1) ÷* r2`` at 100k tuples through the front
+    door, plans warm: between the match scan and the result nothing counts
+    the dividend's codes to renumber them (``bincount``), nothing builds a
+    key tuple per quotient row, and the rows are built and hashed as one
+    block — a handful of calls, none sized by the dividend or the quotient."""
+    import numpy
+
+    from repro.api import connect
+    from repro.physical.division.keys import KeySide
+    from repro.relation.row import Row
+    from repro.workloads import make_division_workload, make_great_division_workload
+
+    if kind == "small":
+        workload = make_division_workload(
+            num_groups=9000, divisor_size=10, containing_fraction=0.2,
+            extra_values_per_group=6, seed=11,
+        )  # fmt: skip
+        text = "SELECT a FROM (SELECT a, b FROM r1 WHERE a < 4500) AS x DIVIDE BY r2 AS y ON x.b = y.b"
+    else:
+        workload = make_great_division_workload(
+            dividend_groups=9000, dividend_group_size=12, divisor_groups=8,
+            divisor_group_size=3, domain_size=24, seed=12,
+        )  # fmt: skip
+        text = "SELECT a, c FROM (SELECT a, b FROM r1 WHERE a < 4500) AS x DIVIDE BY r2 AS y ON x.b = y.b"
+    assert len(workload.dividend) >= 100_000
+    db = connect({"r1": workload.dividend, "r2": workload.divisor}, result_cache_size=0)
+    expected = db.sql(text).run().relation  # statistics, plan and caches warm
+    half = workload.dividend.select(lambda row: row["a"] < 4500)
+    assert expected == (small_divide if kind == "small" else great_divide)(half, workload.divisor)
+    assert len(expected) > 500
+
+    counted = {"bincount": [], "from_schema": 0, "value_tuple": 0, "hash_values": 0}
+    bincount, from_schema, hash_values = numpy.bincount, Row.from_schema.__func__, Schema.hash_values
+    value_tuple = getattr(KeySide, "value_tuple", None)  # gone; trapped should it return
+
+    def counted_bincount(codes, *args, **kwargs):
+        counted["bincount"].append(len(codes))
+        return bincount(codes, *args, **kwargs)
+
+    def counted_from_schema(cls, schema, values):
+        counted["from_schema"] += 1
+        return from_schema(cls, schema, values)
+
+    def counted_value_tuple(self, code):
+        counted["value_tuple"] += 1
+        return value_tuple(self, code)
+
+    def counted_hash_values(self, values):
+        counted["hash_values"] += 1
+        return hash_values(self, values)
+
+    monkeypatch.setattr(numpy, "bincount", counted_bincount)
+    monkeypatch.setattr(Row, "from_schema", classmethod(counted_from_schema))
+    monkeypatch.setattr(KeySide, "value_tuple", counted_value_tuple, raising=False)
+    monkeypatch.setattr(Schema, "hash_values", counted_hash_values)
+    result = db.sql(text).run()
+    monkeypatch.undo()
+    assert result.relation == expected
+    assert result.statistics.max_intermediate == len(workload.dividend)
+    assert [size for size in counted["bincount"] if size > len(workload.divisor)] == []
+    assert (counted["from_schema"], counted["value_tuple"], counted["hash_values"]) == (0, 0, 0)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -413,4 +570,136 @@ def test_merge_sort_division_never_iterates_pairs_in_python(assume_clustered, mo
     with use_kernel("numpy"):
         plan = merge_sort(RelationScan(dividend), RelationScan(divisor), assume_clustered)
         assert execute_plan(plan).relation == expected
-        assert (plan.key_source, plan.kernel_name) == ("cached codes (1 chunk)", "numpy")
+        assert plan.key_source == "cached codes (1 chunk) → coded quotient"
+        assert plan.kernel_name == "numpy"
+
+
+# ----------------------------------------------------------------------
+# the seam's contract under selections: a key may not occur
+# ----------------------------------------------------------------------
+SELECTIONS = ("none", "on A", "on B", "empty dividend", "empty divisor", "a divisor group")
+SET_BATCH_SIZES = (None, 1, 7, 1024)
+
+
+def selected_division(kind, algorithm, selection, dividend, divisor, leaf):
+    """``(plan, expected)``: the compiled plan ``σ(dividend) ÷ σ(divisor)``
+    over ``leaf`` scans — literal comparisons, so the filters run on the
+    dictionaries and hand the division selected code columns — and the
+    quotient the definition gives for the same selections."""
+    half = max(dividend.to_set("a")) // 2
+    kept_a = (P.less_equal(P.attr("a"), half), lambda row: row["a"] <= half)
+    on_dividend = {
+        "on A": kept_a,
+        "on B": (P.greater_than(P.attr("b"), 1), lambda row: row["b"] > 1),
+        "empty dividend": (P.less_than(P.attr("a"), -1), lambda row: False),
+        # the divisor's selections meet a dividend whose candidates do not
+        # all occur either
+        "empty divisor": kept_a,
+        "a divisor group": kept_a,
+    }.get(selection)
+    group = (
+        (P.not_equals(P.attr("c"), "c0"), lambda row: row["c"] != "c0")
+        if kind == "great"
+        else (P.not_equals(P.attr("b"), 0), lambda row: row["b"] != 0)
+    )
+    on_divisor = {
+        "empty divisor": (P.less_than(P.attr("b"), -1), lambda row: False),
+        "a divisor group": group,
+    }.get(selection)
+    inputs, expected = [], []
+    for relation, choice in ((dividend, on_dividend), (divisor, on_divisor)):
+        scan = leaf(relation)
+        inputs.append(scan if choice is None else Filter(scan, choice[0]))
+        expected.append(relation if choice is None else relation.select(choice[1]))
+    plan = operator_class(kind, algorithm)(*inputs)
+    compile_plan(plan)
+    return plan, (small_divide if kind == "small" else great_divide)(*expected)
+
+
+@st.composite
+def filtered_divisions(draw, kind: str):
+    """Up to 45 candidates (both sides of the kernels' vector threshold)
+    over eight ``b`` values; the divisor takes a drawn few of them."""
+    candidates = draw(st.integers(min_value=2, max_value=45))
+    picks = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    share = draw(st.sampled_from([0.4, 0.8, 1.0]))
+    rows = [
+        (candidate, value)
+        for candidate in range(candidates)
+        for value in range(8)
+        if candidate % 4 == 0 or picks.random() < share
+    ]
+    wanted = sorted(picks.sample(range(8), draw(st.integers(min_value=1, max_value=5))))
+    if kind == "small":
+        divisor = Relation(["b"], [(value,) for value in wanted])
+    else:
+        divisor = Relation(["b", "c"], [(value, f"c{value % 3}") for value in wanted])
+    return Relation(["a", "b"], rows), divisor
+
+
+def stored_leaf(directory: Path):
+    """A leaf that writes the relation as a table file of 16-tuple blocks
+    and scans that: one coded chunk per block over table-wide dictionaries."""
+    from repro.storage import StoredRelation, StoredScan, TableReader
+    from tests.storage.tables import write_tuples
+
+    def leaf(relation):
+        path = directory / f"t{len(list(directory.iterdir()))}.rpb"
+        write_tuples(path, "t", relation.schema.names, relation.aligned_tuples(), block_size=16)
+        return StoredScan(StoredRelation(TableReader(path)))
+
+    return leaf
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("kind,algorithm", ALGORITHMS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_selected_inputs_divide_by_the_definition(kind, algorithm, selection, data):
+    dividend, divisor = data.draw(filtered_divisions(kind))
+    with tempfile.TemporaryDirectory() as directory:
+        for leaf in (RelationScan, stored_leaf(Path(directory))):
+            counts = None
+            for batch_size in SET_BATCH_SIZES:
+                plan, expected = selected_division(
+                    kind, algorithm, selection, dividend, divisor, leaf
+                )
+                outcome = execute_plan(plan, batch_size=batch_size)
+                assert outcome.relation == expected
+                statistics = outcome.statistics
+                run = (list(statistics.tuples_by_operator.values()), statistics.max_intermediate)
+                assert counts in (None, run)  # where chunks are cut moves no count
+                counts = run
+            assert counts[0][0] == len(expected)
+
+
+#: Per-operator counts of three fixed plans as the parent of the PR that made
+#: the quotient a coded chunk produced them (walk order; the last number is
+#: ``max_intermediate``).
+FIXED_COUNTS = {
+    # division, filter, scan, divisor scan
+    ("small", "hash", "on A"): (14, 176, 352, 3, 352),
+    # division, filter, scan, divisor filter, divisor scan
+    ("great", "nested_loops", "a divisor group"): (44, 176, 352, 3, 5, 352),
+    ("great", "groupwise", "on B"): (88, 264, 352, 5, 352),
+}
+
+
+@pytest.mark.parametrize("kind,algorithm,selection", sorted(FIXED_COUNTS))
+def test_per_operator_counts_are_the_recorded_ones(kind, algorithm, selection):
+    dividend = Relation(
+        ["a", "b"], [(a, b) for a in range(60) for b in range(8) if a % 5 == 0 or (a + b) % 3]
+    )
+    if kind == "small":
+        divisor = Relation(["b"], [(b,) for b in (0, 2, 5)])
+    else:
+        divisor = Relation(["b", "c"], [(b, f"c{b % 3}") for b in (0, 2, 3, 5, 7)])
+    for batch_size in SET_BATCH_SIZES:
+        plan, expected = selected_division(
+            kind, algorithm, selection, dividend, divisor, RelationScan
+        )
+        outcome = execute_plan(plan, batch_size=batch_size)
+        assert outcome.relation == expected
+        statistics = outcome.statistics
+        counts = (*statistics.tuples_by_operator.values(), statistics.max_intermediate)
+        assert counts == FIXED_COUNTS[kind, algorithm, selection]

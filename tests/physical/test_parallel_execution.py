@@ -567,13 +567,13 @@ class TestExchange:
         result = execute_plan(operator)
         assert result.relation == serial_small(workload.dividend, workload.divisor, "hash").relation
         assert operator.exchange_input == "code columns"
-        assert operator.key_source == "cached codes (1 chunk)"
+        assert operator.key_source == "cached codes (1 chunk) → coded quotient"
 
     def test_inline_partitions_read_cached_codes(self, workload):
         """``partitions > 1`` with one worker: same coded tasks, run inline."""
         result, operator = partitioned_small(workload.dividend, workload.divisor, "hash", 4)
         assert operator.workers == 1
-        assert operator.key_source == "cached codes (1 chunk)"
+        assert operator.key_source == "cached codes (1 chunk) → coded quotient"
         assert operator.exchange_input == "code columns"
         assert result.relation == serial_small(workload.dividend, workload.divisor, "hash").relation
 
@@ -583,7 +583,7 @@ class TestExchange:
         )
         execute_plan(operator)
         assert operator.exchange_input == "tuples"
-        assert operator.key_source == "encoded on the fly"
+        assert operator.key_source == "encoded on the fly → coded quotient"
 
     def test_degraded_tasks_return_the_identical_block(self, workload):
         """Tasks that fall back inline after retries are the same coded
@@ -603,7 +603,7 @@ class TestExchange:
         assert list(degraded.relation) == list(clean.relation)
         assert operator.partition_statistics == clean_operator.partition_statistics
         assert operator.partition_input_sizes == clean_operator.partition_input_sizes
-        assert operator.key_source == clean_operator.key_source == "cached codes (1 chunk)"
+        assert operator.key_source == clean_operator.key_source == "cached codes (1 chunk) → coded quotient"
 
 
 class TestWorkersPlumbing:

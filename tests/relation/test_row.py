@@ -56,3 +56,50 @@ class TestRowOperations:
 
     def test_with_values(self):
         assert Row({"a": 1}).with_values({"b": 2, "a": 5}) == Row({"a": 5, "b": 2})
+
+
+class TestRowBlock:
+    """``Row.block`` is the per-row constructor, a block at a time."""
+
+    @pytest.mark.parametrize(
+        "names",
+        [("s_no", "color"), ("a", "b", "c"), ("x",)],
+        ids=["permuted", "identity", "single attribute"],
+    )
+    def test_equals_the_per_row_constructor(self, names):
+        from repro.relation.schema import Schema
+
+        schema = Schema.interned(names)
+        tuples = [tuple(f"{name}{i % 7}" for name in names) for i in range(40)] + [
+            (1,) * len(names),
+            (1.0,) * len(names),  # equal and hash-equal to the row before
+            (None,) * len(names),
+        ]
+        block = Row.block(schema, tuples)
+        rows = [Row.from_schema(schema, values) for values in tuples]
+        assert block == rows  # same order
+        assert [hash(row) for row in block] == [hash(row) for row in rows]
+        assert all(row.schema is schema for row in block)
+        assert [row.values_tuple for row in block] == tuples
+        assert frozenset(block) == frozenset(rows) and len(frozenset(block)) == 9
+        # ... and the mapping-built row over another attribute order
+        assert block[0] == Row(dict(zip(reversed(names), reversed(tuples[0]))))
+        assert hash(block[0]) == hash(Row(dict(zip(reversed(names), reversed(tuples[0])))))
+
+    def test_empty_block_and_generator_input(self):
+        from repro.relation.schema import Schema
+
+        schema = Schema.interned(("b", "a"))
+        assert Row.block(schema, []) == [] == Row.block(schema, iter(()))
+        lazily = Row.block(schema, ((i, -i) for i in range(5)))
+        assert lazily == [Row.from_schema(schema, (i, -i)) for i in range(5)]
+
+    def test_unhashable_value_names_the_tuple(self):
+        from repro.relation.schema import Schema
+
+        schema = Schema.interned(("b", "a"))
+        with pytest.raises(RelationError, match=r"row values must be hashable: \(2, \[3\]\)"):
+            Row.block(schema, [(0, 1), (2, [3]), (4, [5])])
+        with pytest.raises(RelationError) as raised:
+            Row.from_schema(schema, (2, [3]))
+        assert "row values must be hashable: (2, [3])" in str(raised.value)

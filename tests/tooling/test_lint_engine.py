@@ -182,12 +182,44 @@ class TestRP405KeyColumnSeam:
             "class MyDivision(DivisionOperator):\n"
             "    def _produce_chunks(self):\n"
             "        keys = encode_keys(self._children[0], self.schemas.a)\n"
-            "        yield from chunked(keys.sides[0].keys, self._schema, 1)\n"
+            "        yield from self._emit(keys.sides, [kernel.full_matches(masks, 1)])\n"
             "class Join(PhysicalOperator):\n"
             "    def _produce_chunks(self):\n"
             "        return [chunk.tuples for chunk in self._children[0].chunks()]\n",
         )
         assert list(lint._check_division_keys(path)) == []
+        assert list(lint._check_division_output(path)) == []
+
+    def test_the_way_out_is_the_seams_too(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class MyDivision(GreatDivisionOperator):\n"
+            "    def _produce_chunks(self):\n"
+            "        quotient = (\n"
+            "            candidates.keys[candidate] + groups.keys[group]\n"
+            "            for candidate, group in matches\n"
+            "        )\n"
+            "        yield from chunked(quotient, self._schema, self.batch_size)\n"
+            "    def _one(self, side, code):\n"
+            "        return side.value_tuple(code)\n"
+            "    def _sizes(self, sides):\n"
+            "        return [len(side.keys) + 1 for side in sides]\n",  # no tuple is built
+        )
+        findings = list(lint._check_division_output(path))
+        assert codes(findings) == ["RP405"] * 3
+        assert sorted(finding.message.split("(")[1].split(")")[0] for finding in findings) == [
+            "chunked",
+            "key tuples concatenated per row",
+            "value_tuple",
+        ]
+
+    def test_output_rule_covers_the_division_package_outside_the_seam(self, lint):
+        checked = [
+            path.name
+            for path in lint._python_files(lint.PHYSICAL_DIR)
+            if path.parent == lint.DIVISION_DIR and path.name != "keys.py"
+        ]
+        assert sorted(checked) == ["__init__.py", "great_divide_ops.py", "small_divide_ops.py"]
 
 
 class TestRP406ExchangeTupleRoute:
