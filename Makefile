@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-record bench-compare bench-parallel bench-compiled bench-storage bench-ivm bench-faults
+.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-record bench-compare bench-parallel bench-storage bench-ivm bench-faults
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -32,8 +32,8 @@ typecheck:
 		echo "mypy not installed — skipping typecheck (pip install mypy)"; \
 	fi
 
-## Statically verify every paper workload across all algorithm/compile/
-## worker configurations (no execution; exit 1 on any error finding).
+## Statically verify every paper workload across all algorithm/worker
+## configurations (no execution; exit 1 on any error finding).
 verify-plans:
 	$(PYTHON) -m repro check --all-workloads
 
@@ -96,11 +96,6 @@ bench-compare:
 WORKERS ?= 2
 bench-parallel:
 	$(PYTHON) scripts/bench_compare.py --parallel $(WORKERS)
-
-## Compare interpreted vs compiled execution on the fused-pipeline and
-## pipeline-breaker scenarios (same-run timings, >=2x gate on fusion).
-bench-compiled:
-	$(PYTHON) scripts/bench_compare.py --compiled
 
 ## Compare full-scan vs zone-map-skipping and fullscan-ANALYZE vs
 ## metadata-ANALYZE on stored tables (same-run timings, >=5x gates).

@@ -22,13 +22,6 @@ at ``workers=N`` the arm the session's planner picks (recorded by the
 benchmark beside the timings) may be at most ``PARALLEL_PICK_BOUND`` times
 slower than the faster of the two.
 
-``--compiled`` switches to the interpreted-vs-compiled comparison: it runs
-``benchmarks/test_bench_compiled.py`` once and gates the same-run ratios —
-compiled fused pipelines must beat the interpreter by ≥2× on at least two
-scenarios and pipeline breakers must not regress under compilation.  As
-with ``--parallel``, both timings come from one process on one machine, so
-no normalization or jitter floor is needed.
-
 ``--storage`` switches to the persistent-store comparison: it runs
 ``benchmarks/test_bench_storage.py`` once and gates the same-run ratios —
 zone-map block skipping must beat the full stored scan by ≥5× on the
@@ -64,7 +57,6 @@ Usage::
     python scripts/bench_compare.py [--baseline BENCH_division.json]
                                     [--threshold 0.25] [--json out.json]
     python scripts/bench_compare.py --parallel 2
-    python scripts/bench_compare.py --compiled
     python scripts/bench_compare.py --storage
     python scripts/bench_compare.py --ivm
     python scripts/bench_compare.py --faults
@@ -84,7 +76,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = "benchmarks/test_bench_division_algorithms.py"
 PARALLEL_BENCH_FILE = "benchmarks/test_bench_parallel_division.py"
-COMPILED_BENCH_FILE = "benchmarks/test_bench_compiled.py"
 STORAGE_BENCH_FILE = "benchmarks/test_bench_storage.py"
 IVM_BENCH_FILE = "benchmarks/test_bench_ivm.py"
 FAULTS_BENCH_FILE = "benchmarks/test_bench_faults.py"
@@ -94,12 +85,6 @@ PARALLEL_FALLBACK_OVERHEAD = 0.15
 #: At workers>1 the planner's pick (serial or partitioned) may be at most
 #: this many times slower than the faster arm of the same run.
 PARALLEL_PICK_BOUND = 1.2
-#: Compiled fused segments must beat the interpreter by this factor …
-COMPILED_SPEEDUP_BOUND = 2.0
-#: … on at least this many fused-pipeline scenarios.
-COMPILED_SCENARIOS_REQUIRED = 2
-#: Compilation may cost at most this much on pipeline-breaker scenarios.
-COMPILED_BREAKER_OVERHEAD = 0.10
 #: Zone-map block skipping must beat the full stored scan by this factor
 #: on the selective clustered scenario.
 STORAGE_SKIP_SPEEDUP_BOUND = 5.0
@@ -262,75 +247,6 @@ def _mode_pairs(times: dict[str, float], prefix: str) -> dict[str, dict[str, flo
         scenario, _, mode = name.split("[", 1)[1].rstrip("]").rpartition("-")
         pairs.setdefault(scenario, {})[mode] = value
     return pairs
-
-
-def compare_compiled(payload: dict) -> tuple[list[str], list[str]]:
-    """Compare interpreted vs compiled timings from one benchmark run.
-
-    Same process, same machine — ratios are directly meaningful (no
-    normalization, no jitter floor; the scenarios run tens to hundreds of
-    milliseconds).  Gates: compiled fused pipelines beat the interpreter by
-    ≥2× on at least two scenarios and never regress anywhere; compilation
-    costs at most ~10% on pipeline-breaker scenarios (in practice it only
-    helps — a fused segment below the breaker gets faster too).  The
-    python-vs-numpy kernel timings are reported when present; their 1.3×
-    acceptance bound lives in the benchmark file, where it skips itself
-    when numpy is not installed.
-    """
-    times = load_times(payload)
-    fused = _mode_pairs(times, "test_fused_segment")
-    breakers = _mode_pairs(times, "test_breaker_division")
-    if not fused:
-        return ["no fused-segment scenarios in the benchmark run"], ["missing scenarios"]
-    lines: list[str] = []
-    failures: list[str] = []
-    fast = 0
-    for scenario in sorted(fused):
-        modes = fused[scenario]
-        if "interpreted" not in modes or "compiled" not in modes:
-            failures.append(f"fused scenario {scenario} is missing a mode")
-            continue
-        speedup = modes["interpreted"] / modes["compiled"]
-        fast += speedup >= COMPILED_SPEEDUP_BOUND
-        lines.append(
-            f"fused {scenario}: interpreted {modes['interpreted'] * 1000:9.3f} ms, "
-            f"compiled {modes['compiled'] * 1000:9.3f} ms ({speedup:.2f}x)"
-        )
-        if speedup < 1.0:
-            failures.append(f"fused scenario {scenario} REGRESSED under compilation "
-                            f"({speedup:.2f}x)")
-    if fast < COMPILED_SCENARIOS_REQUIRED:
-        failures.append(
-            f"only {fast} fused scenario(s) reached {COMPILED_SPEEDUP_BOUND}x "
-            f"(need {COMPILED_SCENARIOS_REQUIRED})"
-        )
-    for scenario in sorted(breakers):
-        modes = breakers[scenario]
-        if "interpreted" not in modes or "compiled" not in modes:
-            failures.append(f"breaker scenario {scenario} is missing a mode")
-            continue
-        ratio = modes["compiled"] / modes["interpreted"]
-        lines.append(
-            f"breaker {scenario}: interpreted {modes['interpreted'] * 1000:9.3f} ms, "
-            f"compiled {modes['compiled'] * 1000:9.3f} ms ({ratio:.2f}x)"
-        )
-        if ratio > 1.0 + COMPILED_BREAKER_OVERHEAD:
-            failures.append(
-                f"breaker scenario {scenario} costs {ratio:.2f}x under compilation "
-                f"(allowed {1.0 + COMPILED_BREAKER_OVERHEAD:.2f}x)"
-            )
-    kernels = {
-        name.split("[", 1)[1].rstrip("]"): value
-        for name, value in times.items()
-        if name.startswith("test_bitset_kernel_great_divide[")
-    }
-    if "python" in kernels and "numpy" in kernels:
-        lines.append(
-            f"bitset kernel (great divide): python {kernels['python'] * 1000:9.3f} ms, "
-            f"numpy {kernels['numpy'] * 1000:9.3f} ms "
-            f"({kernels['python'] / kernels['numpy']:.2f}x)"
-        )
-    return lines, failures
 
 
 def compare_storage(payload: dict) -> tuple[list[str], list[str]]:
@@ -547,14 +463,6 @@ def main(argv: list[str] | None = None) -> int:
         "planner's pick between them instead of the committed baseline",
     )
     parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="compare interpreted vs compiled execution on the fused-pipeline "
-        "and pipeline-breaker scenarios (same-run timings from "
-        f"{COMPILED_BENCH_FILE}) instead of comparing against the committed "
-        "baseline",
-    )
-    parser.add_argument(
         "--storage",
         action="store_true",
         help="compare full-scan vs zone-map-skipping and fullscan-ANALYZE vs "
@@ -616,12 +524,6 @@ def main(argv: list[str] | None = None) -> int:
             compare_storage(payload(STORAGE_BENCH_FILE)),
             "storage check(s) failed",
             "stored tables within bounds (block skipping + metadata ANALYZE).",
-        )
-    if args.compiled:
-        return report(
-            compare_compiled(payload(COMPILED_BENCH_FILE)),
-            "compilation check(s) failed",
-            "compiled segments within bounds vs the interpreted path.",
         )
     if args.parallel is not None:
         run = payload(PARALLEL_BENCH_FILE, extra=["--workers", str(args.parallel)])

@@ -83,6 +83,10 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   any depth; everything else calls their helpers, which all have a
   numpy-free twin, so the engine runs, and is tested, without numpy.
 
+* **RP412** — nothing under ``src/repro/`` calls the builtins ``compile``,
+  ``exec`` or ``eval``: no code is generated at run time, so there is no
+  generated source to audit.  Attribute calls (``re.compile``) are fine.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -604,6 +608,25 @@ def _check_numpy_imports(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP412: no generated code runs
+# ----------------------------------------------------------------------
+#: The builtins that turn text into running code.
+CODE_RUNNERS = {"compile", "exec", "eval"}
+
+
+def _check_code_runners(path: Path) -> Iterator[Finding]:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in CODE_RUNNERS:
+                yield finding(
+                    "RP412",
+                    f"{node.func.id}() runs code built at run time; build closures instead",
+                    _where(path, node),
+                    "engine",
+                )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -725,6 +748,7 @@ def run() -> list[Finding]:
     findings.extend(_check_cost_model_file(COST_MODEL_FILE))
     for path in _python_files(SOURCE_DIR):
         findings.extend(_check_numpy_imports(path))
+        findings.extend(_check_code_runners(path))
     return findings
 
 

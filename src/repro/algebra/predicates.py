@@ -10,6 +10,7 @@ equality, and to negation, while still being directly evaluable on rows.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping
 from typing import Any, Callable
 
@@ -177,13 +178,14 @@ class Predicate:
         return self.negate()
 
 
-_OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+#: Comparison symbol → function (the physical ``Filter`` evaluates with these too).
+_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _NEGATED_OPERATOR = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}

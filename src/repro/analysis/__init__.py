@@ -1,13 +1,10 @@
-"""Static analysis of plans, compiled segments and engine contracts.
+"""Static analysis of plans and engine contracts.
 
-Three passes, one currency (:class:`~repro.analysis.findings.Finding`):
+Two passes, one currency (:class:`~repro.analysis.findings.Finding`):
 
 * the **plan verifier** (:mod:`repro.analysis.plan_verifier`) checks
   schema soundness of logical expressions and physical plans plus the
   operator contracts (RP1xx/RP2xx);
-* the **codegen auditor** (:mod:`repro.analysis.codegen_auditor`) proves
-  each compiled segment's generated source effect-free and structurally
-  faithful to the chain it replaced (RP3xx);
 * the **engine-contract linter** (``scripts/lint_engine.py``) enforces
   repo-wide source rules (RP4xx) and shares the finding registry.
 
@@ -24,7 +21,6 @@ from repro.analysis.check import (
     verify_plan,
     verify_prepared,
 )
-from repro.analysis.codegen_auditor import audit_plan, audit_source
 from repro.analysis.findings import (
     FINDING_CODES,
     Finding,
@@ -42,8 +38,6 @@ __all__ = [
     "Severity",
     "VerificationReport",
     "WorkloadCheck",
-    "audit_plan",
-    "audit_source",
     "check_workloads",
     "finding",
     "verify_expression",

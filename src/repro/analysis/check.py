@@ -3,13 +3,13 @@
 This module glues the verification passes together:
 
 * :func:`verify_expression_tree` — the logical pass alone;
-* :func:`verify_plan` — the physical + codegen passes over one plan;
+* :func:`verify_plan` — the physical pass over one plan;
 * :func:`verify_prepared` — everything a :class:`PreparedPlan` carries:
-  the canonical expression, the rewritten expression, the physical plan,
-  and any compiled segments;
+  the canonical expression, the rewritten expression and the physical
+  plan;
 * :func:`check_workloads` — the sweep the CLI and CI run: every paper
   query (Q1–Q3 and the NOT-EXISTS variant), optionally crossed with every
-  division algorithm × compile mode × worker count, each prepared on a
+  division algorithm × worker count, each prepared on a
   fresh database and verified.  Nothing is executed — preparation is
   planning only — so the sweep is safe to run anywhere.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.analysis.codegen_auditor import audit_plan
 from repro.analysis.findings import VerificationReport
 from repro.analysis.plan_verifier import verify_expression, verify_physical
 from repro.physical.base import PhysicalOperator
@@ -41,17 +40,9 @@ def verify_expression_tree(expression: Any, catalog: Any = None) -> Verification
 
 
 def verify_plan(plan: PhysicalOperator) -> VerificationReport:
-    """Run the physical-contract and codegen passes over one physical plan."""
+    """Run the physical-contract pass over one physical plan."""
     findings, checked = verify_physical(plan)
-    report = VerificationReport(findings=tuple(findings), passes=("physical",), checked=checked)
-    codegen_findings, audited = audit_plan(plan)
-    if audited:
-        report = report.merged(
-            VerificationReport(
-                findings=tuple(codegen_findings), passes=("codegen",), checked=audited
-            )
-        )
-    return report
+    return VerificationReport(findings=tuple(findings), passes=("physical",), checked=checked)
 
 
 def verify_prepared(prepared: Any, catalog: Any = None) -> VerificationReport:
@@ -59,8 +50,7 @@ def verify_prepared(prepared: Any, catalog: Any = None) -> VerificationReport:
 
     The canonical and rewritten logical expressions are both checked (a
     law that corrupts schemas shows up as the *rewritten* tree failing
-    while the canonical one is clean), then the physical plan and its
-    compiled segments.
+    while the canonical one is clean), then the physical plan.
     """
     report = verify_expression_tree(prepared.canonical, catalog)
     rewritten = prepared.rewritten
@@ -144,18 +134,11 @@ def _configurations(all_workloads: bool, query_name: str) -> list[tuple[str, dic
     else:
         option = "small_divide_algorithm"
         algorithms = sorted(SMALL_DIVIDE_ALGORITHMS)
-    cells = []
-    for algorithm in algorithms:
-        for compile_mode in ("off", "on"):
-            for workers in (1, 4):
-                label = f"algorithm={algorithm} compile={compile_mode} workers={workers}"
-                cells.append(
-                    (
-                        label,
-                        {option: algorithm, "compile": compile_mode, "workers": workers},
-                    )
-                )
-    return cells
+    return [
+        (f"algorithm={algorithm} workers={workers}", {option: algorithm, "workers": workers})
+        for algorithm in algorithms
+        for workers in (1, 4)
+    ]
 
 
 def check_workloads(
@@ -165,7 +148,7 @@ def check_workloads(
 
     ``source`` is a catalog source (defaults to the textbook catalog);
     ``all_workloads`` crosses each query with every applicable division
-    algorithm × compile mode ("off"/"on") × worker count (1/4).
+    algorithm × worker count (1/4).
     """
     from repro.api.database import connect
     from repro.optimizer.planner import PlannerOptions

@@ -1,8 +1,7 @@
 """Findings: the common currency of every static-analysis pass.
 
 A finding is one defect (or suspicion) located somewhere in a logical
-expression, a physical plan, a compiled segment's generated source, or the
-engine's own source code.  Findings carry a **stable code** (``RP101`` …)
+expression, a physical plan, or the engine's own source code.  Findings carry a **stable code** (``RP101`` …)
 so tests, CI gates and documentation can refer to a check without matching
 message text, and a severity so CI can fail on errors while letting
 warnings through.
@@ -11,8 +10,7 @@ Code ranges
 -----------
 * ``RP1xx`` — schema soundness of logical expressions and physical plans;
 * ``RP2xx`` — operator-contract completeness (properties, parallel safety,
-  partition keys, pickle-safety, streaming segments, exchange shape);
-* ``RP3xx`` — codegen audit of compiled-segment source;
+  partition keys, pickle-safety, exchange shape);
 * ``RP4xx`` — engine-contract lint rules (``scripts/lint_engine.py``);
 * ``RP5xx`` — storage invariants (stored-scan headers, zone maps, spill
   budgets);
@@ -20,6 +18,9 @@ Code ranges
   delta-rule coverage, version monotonicity, view-over-view rejection);
 * ``RP7xx`` — fault-tolerance invariants (checksum coverage of stored
   files, retry-policy sanity, fault-point registration).
+
+Retired codes are never reused: RP205 and RP301–RP305 audited generated
+segment source, which the engine no longer produces.
 """
 
 from __future__ import annotations
@@ -69,14 +70,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP202": (Severity.ERROR, "parallel wrapper wraps an algorithm not marked key-disjoint safe"),
     "RP203": (Severity.ERROR, "exchange partition key does not cover the operator's grouping keys"),
     "RP204": (Severity.WARNING, "task payload is not statically pickle-safe"),
-    "RP205": (Severity.ERROR, "compiled producer attached to a non-fusable/non-streaming chain"),
     "RP206": (Severity.ERROR, "exchange shape invalid (partitions/workers below 1)"),
-    # -- RP3xx: codegen audit ----------------------------------------------
-    "RP301": (Severity.ERROR, "generated source calls outside the binding whitelist"),
-    "RP302": (Severity.ERROR, "generated source writes state outside the counter contract"),
-    "RP303": (Severity.ERROR, "generated source shadows a _bind binding name"),
-    "RP304": (Severity.ERROR, "generated source does not match the fused operator chain"),
-    "RP305": (Severity.ERROR, "generated source does not parse"),
     # -- RP4xx: engine-contract lint ---------------------------------------
     "RP401": (Severity.ERROR, "_produce_chunks materializes Row objects without a waiver"),
     "RP402": (Severity.ERROR, "physical operator pulls rows() from a child operator"),
@@ -89,6 +83,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP409": (Severity.ERROR, "law precondition reads a relation row by row without a waiver"),
     "RP410": (Severity.ERROR, "physical cost model declares a module-level cost coefficient"),
     "RP411": (Severity.ERROR, "numpy imported outside relation/encoding.py and physical/compile/kernels.py"),
+    "RP412": (Severity.ERROR, "engine source calls the builtin compile, exec or eval"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),
@@ -120,7 +115,7 @@ class Finding:
     #: Where the defect sits: an operator label, a node rendering, a
     #: ``file:line`` pair — whatever locates it for the reader.
     where: str
-    #: Which pass produced it: "logical", "physical", "codegen", "engine".
+    #: Which pass produced it: "logical", "physical", "engine".
     origin: str = ""
 
     def to_dict(self) -> dict[str, str]:

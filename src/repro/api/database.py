@@ -50,7 +50,6 @@ from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rewriter import RewriteReport
 from repro.optimizer.statistics import TableStatistics
 from repro.physical.base import PhysicalOperator
-from repro.physical.compile import CompilationReport
 from repro.physical.executor import execute_plan
 from repro.relation.relation import Relation
 from repro.relation.row import Row
@@ -140,8 +139,6 @@ class PreparedPlan:
     plan: PhysicalOperator
     #: Algorithm decisions the cost-based planner made while building ``plan``.
     decisions: tuple[PlanDecision, ...] = ()
-    #: Segment-compilation report for ``plan`` (``None`` = compilation off).
-    compilation: Optional[CompilationReport] = None
     #: The table versions the plan was built against.  A lookup whose
     #: current versions differ sees a stale entry: the plan embedded the
     #: old relation contents at build time.
@@ -323,12 +320,6 @@ class Database:
         (tuple-at-a-time joins and aggregates, a quadratic division).  A
         division on dictionary codes stays serial at any worker count;
         results are identical either way.
-    compile:
-        Segment-compilation mode (shorthand for
-        ``PlannerOptions(compile=...)``): ``None``/``"auto"`` compiles every
-        fusable streaming segment, ``True``/``"on"`` forces compilation,
-        ``False``/``"off"`` keeps the interpreted pipeline.  Results and
-        statistics are identical either way.
     memory_budget_mb:
         Spill budget (in MB) for partition-parallel exchanges: once the
         buffered partitions of an exchange outgrow it, the largest ones
@@ -359,7 +350,6 @@ class Database:
         result_cache_size: int = 64,
         batch_size: Optional[int] = None,
         workers: Optional[int] = None,
-        compile: Union[None, bool, str] = None,
         memory_budget_mb: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -388,8 +378,6 @@ class Database:
         self.planner_options = planner_options or PlannerOptions()
         if workers is not None and self.planner_options.workers != workers:
             self.planner_options = replace(self.planner_options, workers=workers)
-        if compile is not None and self.planner_options.compile != compile:
-            self.planner_options = replace(self.planner_options, compile=compile)
         self.cost_based = cost_based
         self.recognize_division = recognize_division
         self.allow_data_inspection = allow_data_inspection
@@ -459,16 +447,13 @@ class Database:
         self,
         query: Union[Query, Expression, str],
         analyze: bool = False,
-        verbose: bool = False,
         verify: bool = False,
     ) -> str:
         """Explain SQL text, a query or an expression in one call.
 
-        ``verbose=True`` appends the generated source of every compiled
-        pipeline segment; ``verify=True`` adds the static verifier's
-        status line and findings.
+        ``verify=True`` adds the static verifier's status line and findings.
         """
-        return self._as_query(query).explain(analyze=analyze, verbose=verbose, verify=verify)
+        return self._as_query(query).explain(analyze=analyze, verify=verify)
 
     def verify(self, query: Union[Query, Expression, str]) -> "VerificationReport":
         """Statically verify the prepared plan for SQL text, a query or an
@@ -742,7 +727,6 @@ class Database:
             rewritten_cost=self._optimizer.cost_report(rewrite_report.result),
             plan=plan,
             decisions=self._optimizer.planner_decisions,
-            compilation=self._optimizer.planner_compilation,
             table_versions=versions,
             cache_key=key,
         )

@@ -20,6 +20,8 @@ algorithm, its estimated cost, and the priced alternatives it beat; in a
 ``workers > 1`` session also the three charges the exchange was priced at
 (on the parallel variant that lost to a serial one, or on the winner), or
 ``serial: over memory budget`` where the budget left no serial candidate.
+After an analyzed run each ``Filter`` says whether it filtered on the
+dictionary or (for at least one chunk) per tuple.
 """
 
 from __future__ import annotations
@@ -63,15 +65,13 @@ def render_explain(
     database: "Database",
     query: "Query",
     analyze: bool = False,
-    verbose: bool = False,
     verify: bool = False,
 ) -> str:
     """Multi-section EXPLAIN (optionally EXPLAIN ANALYZE) for ``query``.
 
-    ``verbose=True`` appends the generated source of every compiled
-    pipeline segment; ``verify=True`` runs the static verifier over the
-    prepared plan and adds a ``verification`` status line plus any
-    findings (with their stable RP codes).
+    ``verify=True`` runs the static verifier over the prepared plan and
+    adds a ``verification`` status line plus any findings (with their
+    stable RP codes).
     """
     expression = query.expression
     prepared, cache_hit = database._prepare(expression)
@@ -94,12 +94,6 @@ def render_explain(
         lines.append("")
     lines.append(f"fingerprint : {prepared.fingerprint[:16]}  (plan cache: "
                  f"{'hit' if cache_hit else 'miss'})")
-    compilation = prepared.compilation
-    if compilation is None:
-        lines.append("compiled    : no (compilation off)")
-    else:
-        filters = _filter_summary(prepared.plan, analyze)
-        lines.append(f"compiled    : {compilation.summary()}{filters}")
     if verify:
         from repro.analysis.check import verify_prepared
 
@@ -151,16 +145,6 @@ def render_explain(
                 f"{statistics.tasks_degraded} degraded to inline, "
                 f"faults injected: {injected}"
             )
-    if verbose and compilation is not None and compilation.segments:
-        lines.append("")
-        lines.append("Compiled segments")
-        for number, segment in enumerate(compilation.segments, start=1):
-            origin = "shared code object" if segment.shared else "freshly compiled"
-            lines.append(
-                f"  segment {number}: {segment.root} "
-                f"({segment.fused_count} operator(s) fused, {origin})"
-            )
-            lines.extend("    " + line for line in segment.source.splitlines())
     return "\n".join(lines)
 
 
@@ -232,26 +216,6 @@ def _fallback_estimate(operator: PhysicalOperator, estimates: dict[int, float]) 
     if isinstance(operator, DifferenceOp):
         return children[0]
     return max(children, default=1.0)
-
-
-def _filter_summary(plan: PhysicalOperator, analyzed: bool) -> str:
-    """How the analyzed execution's compiled segments evaluated their filters.
-
-    ``on the dictionary``: once per dictionary entry, then masks over the
-    scanned code columns; ``per tuple``: the generated per-tuple loop (no
-    code columns in the input, or a predicate the dictionary cannot decide).
-    """
-    if not analyzed:
-        return ""
-    modes = [
-        operator._filter_mode
-        for operator in plan.walk()
-        if operator._compiled_producer is not None and operator._filter_mode is not None
-    ]
-    if not modes:
-        return ""
-    dictionary = modes.count("dictionary")
-    return f" · filters: {dictionary} on the dictionary, {len(modes) - dictionary} per tuple"
 
 
 def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
@@ -328,15 +292,9 @@ def _physical_lines(
         lines.append(f"  {'  ' * indent}{operator.describe()}  [{annotation} rows]")
         if operator.decision is not None:
             lines.append(f"  {'  ' * indent}  · {operator.decision.describe()}")
-        if operator._compiled_producer is not None:
-            fused = getattr(operator, "_compiled_fused", 1)
-            filtered = ""
-            if actual is not None and operator._filter_mode is not None:
-                how = "on the dictionary" if operator._filter_mode == "dictionary" else "per tuple"
-                filtered = f", filtered {how}"
-            lines.append(
-                f"  {'  ' * indent}  · compiled segment ({fused} operator(s) fused{filtered})"
-            )
+        if actual is not None and isinstance(operator, Filter) and operator._filter_mode:
+            how = "on the dictionary" if operator._filter_mode == "dictionary" else "per tuple"
+            lines.append(f"  {'  ' * indent}  · filtered {how}")
         key_source = getattr(operator, "key_source", None)
         if actual is not None and key_source is not None:
             kernel = getattr(operator, "kernel_name", None)

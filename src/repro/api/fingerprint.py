@@ -17,23 +17,9 @@ import hashlib
 
 from repro.algebra.canonical import expression_fingerprint
 from repro.algebra.expressions import Expression
-from repro.errors import PlanningError
 from repro.optimizer.planner import PlannerOptions
 
 __all__ = ["expression_fingerprint", "optimizer_signature", "plan_cache_key"]
-
-
-def _compile_part(planner_options: PlannerOptions) -> str:
-    """The compile-mode component of the signature.
-
-    Invalid values still produce a (distinct) signature here — the
-    :class:`PlanningError` is deferred to prepare time, matching how unknown
-    algorithm names are reported.
-    """
-    try:
-        return f"compile={planner_options.compile_mode()}"
-    except PlanningError:
-        return f"compile={planner_options.compile!r}"
 
 
 def optimizer_signature(
@@ -55,7 +41,6 @@ def optimizer_signature(
         planner_options.join_algorithm or "auto",
         f"workers={planner_options.workers or 1}",
         f"partitions={planner_options.partitions or planner_options.workers or 1}",
-        _compile_part(planner_options),
     )
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 

@@ -103,28 +103,24 @@ class Query:
         self._database._prepare(self.expression)
         return self
 
-    def explain(self, analyze: bool = False, verbose: bool = False, verify: bool = False) -> str:
+    def explain(self, analyze: bool = False, verify: bool = False) -> str:
         """Before/after logical trees plus the physical plan.
 
         With ``analyze=True`` the plan is executed once and actual
         per-operator tuple counts are shown next to the estimates.  With
-        ``verbose=True`` the generated source of every compiled pipeline
-        segment is appended.  With ``verify=True`` the static verifier runs
-        over the prepared plan and a ``verification`` status line (plus any
-        findings) is included.
+        ``verify=True`` the static verifier runs over the prepared plan and
+        a ``verification`` status line (plus any findings) is included.
         """
         from repro.api.explain import render_explain
 
-        return render_explain(
-            self._database, self, analyze=analyze, verbose=verbose, verify=verify
-        )
+        return render_explain(self._database, self, analyze=analyze, verify=verify)
 
     def verify(self) -> "VerificationReport":
         """Statically verify this query's prepared plan.
 
-        Runs the logical, physical and codegen passes over the canonical
-        expression, the rewritten expression and the physical plan (with
-        any compiled segments), returning a
+        Runs the logical and physical passes over the canonical
+        expression, the rewritten expression and the physical plan,
+        returning a
         :class:`~repro.analysis.findings.VerificationReport`.  Nothing is
         executed.
         """

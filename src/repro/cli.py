@@ -17,20 +17,18 @@ Commands
     scans hand up whole blocks);
     ``--workers N`` is an upper bound on the worker pool the planner uses
     where an exchange pays; ``--memory-budget-mb M`` keeps inputs above it
-    behind an exchange that spills to disk; ``--compile``/``--no-compile``
-    force or disable segment compilation).
+    behind an exchange that spills to disk).
 ``explain {Q1,Q2,Q3}``
-    EXPLAIN ANALYZE one of the Section 4 queries (``--verbose`` appends the
-    generated source of every compiled segment).
+    EXPLAIN ANALYZE one of the Section 4 queries.
 ``analyze``
     Collect table statistics (cardinality, distinct counts, min/max,
     scan-order sortedness) for a database — the input the cost-based
     physical planner consumes.
 ``check``
     Statically verify the prepared plans of the paper workloads — schema
-    soundness, operator contracts and compiled-segment audits — without
-    executing anything (``--all-workloads`` sweeps every division
-    algorithm × compile mode × worker count; ``--json`` emits the findings
+    soundness and operator contracts — without executing anything
+    (``--all-workloads`` sweeps every division algorithm × worker count;
+    ``--json`` emits the findings
     for CI gating; exit code 1 on any severity-``error`` finding).
 ``views``
     Maintained-view demo: register Q1 as a delta-maintained view over the
@@ -140,31 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         "above 1): an input estimated above it runs behind an exchange whose "
         "buffered partitions spill to disk (results are unaffected)",
     )
-    compilation = sql.add_mutually_exclusive_group()
-    compilation.add_argument(
-        "--compile",
-        dest="compile_mode",
-        action="store_const",
-        const="on",
-        default=None,
-        help="force segment compilation of the physical plan "
-        "(results are unaffected)",
-    )
-    compilation.add_argument(
-        "--no-compile",
-        dest="compile_mode",
-        action="store_const",
-        const="off",
-        help="run the interpreted pipeline without segment compilation",
-    )
 
     explain = subparsers.add_parser("explain", help="EXPLAIN ANALYZE a Section 4 query")
     explain.add_argument("name", choices=sorted(_QUERIES), help="which query to explain")
-    explain.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print the generated source of every compiled segment",
-    )
 
     analyze = subparsers.add_parser(
         "analyze", help="collect table statistics (ANALYZE) for a database"
@@ -193,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--all-workloads",
         action="store_true",
-        help="sweep every division algorithm × compile mode × worker count "
+        help="sweep every division algorithm × worker count "
         "(default: each query once with default planner options)",
     )
     check.add_argument(
@@ -256,7 +232,6 @@ def _command_sql(
     use_recognizer: bool,
     batch_size: Optional[int],
     workers: Optional[int],
-    compile_mode: Optional[str] = None,
     memory_budget_mb: Optional[float] = None,
 ) -> int:
     try:
@@ -264,7 +239,6 @@ def _command_sql(
             _database_source(db_name),
             batch_size=batch_size,
             workers=workers,
-            compile=compile_mode,
             memory_budget_mb=memory_budget_mb,
         )
         query = database.sql(text, recognize_division=use_recognizer)
@@ -286,9 +260,9 @@ def _command_sql(
     return 0
 
 
-def _command_explain(name: str, verbose: bool = False) -> int:
+def _command_explain(name: str) -> int:
     database = connect(textbook_catalog)
-    print(database.sql(_QUERIES[name]).explain(analyze=True, verbose=verbose))
+    print(database.sql(_QUERIES[name]).explain(analyze=True))
     return 0
 
 
@@ -400,11 +374,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             not args.no_recognizer,
             args.batch_size,
             args.workers,
-            args.compile_mode,
             args.memory_budget_mb,
         )
     if args.command == "explain":
-        return _command_explain(args.name, args.verbose)
+        return _command_explain(args.name)
     if args.command == "analyze":
         return _command_analyze(args.db, args.tables)
     if args.command == "check":

@@ -20,7 +20,6 @@ from repro.optimizer.planner import PhysicalPlanner, PlannerOptions
 from repro.optimizer.rewriter import CostBasedRewriter, HeuristicRewriter, RewriteReport
 from repro.optimizer.statistics import StatisticsCatalog, TableStatistics
 from repro.physical.base import PhysicalOperator
-from repro.physical.compile import CompilationReport
 from repro.physical.executor import ExecutionResult, execute_plan
 
 __all__ = ["OptimizationResult", "Optimizer"]
@@ -38,8 +37,6 @@ class OptimizationResult:
     plan: PhysicalOperator
     #: Cost-based algorithm decisions made while building ``plan``.
     decisions: tuple[PlanDecision, ...] = ()
-    #: Segment-compilation report (``None`` when compilation was off).
-    compilation: Optional[CompilationReport] = None
 
     @property
     def rules_fired(self) -> list[str]:
@@ -104,10 +101,10 @@ class Optimizer:
         """Algorithm decisions recorded by the most recent planning call."""
         return tuple(self._planner.decisions)
 
-    @property
-    def planner_compilation(self) -> Optional[CompilationReport]:
-        """Compilation report of the most recent planning call."""
-        return self._planner.compilation
+    #: Always ``None``: plans are not compiled.  ``bench/layers.py`` still
+    #: reads it; the [benchmark] change that rewrites that file (ROADMAP
+    #: item 1) deletes it together with the ``physical.compile*`` metrics.
+    planner_compilation = None
 
     def analyze(self, names: Optional[Sequence[str]] = None) -> dict[str, TableStatistics]:
         """Recollect table statistics from the catalog's current relations.
@@ -141,7 +138,6 @@ class Optimizer:
             rewritten_cost=self.cost_report(rewritten),
             plan=plan,
             decisions=self.planner_decisions,
-            compilation=self.planner_compilation,
         )
 
     def execute(self, expression: Expression) -> ExecutionResult:

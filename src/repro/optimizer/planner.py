@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional, Union as TypingUnion
+from typing import Optional
 
 from repro.algebra.expressions import (
     AntiJoin,
@@ -68,7 +68,6 @@ from repro.physical import (
     TableScan,
     UnionOp,
 )
-from repro.physical.compile import CompilationReport, compile_plan
 from repro.physical.division import MergeSortDivision
 from repro.physical.parallel import (
     PartitionedAggregate,
@@ -112,26 +111,6 @@ class PlannerOptions:
     workers: Optional[int] = None
     #: Hash partitions per exchange (``None`` = same as ``workers``).
     partitions: Optional[int] = None
-    #: Segment-compilation mode: ``None``/``"auto"`` lets the planner compile
-    #: every fusable segment (the current heuristic — compilation never
-    #: loses), ``True``/``"on"`` forces it, ``False``/``"off"`` keeps the
-    #: interpreted pipeline.  Unknown values raise :class:`PlanningError` at
-    #: prepare time, like the algorithm overrides above.
-    compile: TypingUnion[None, bool, str] = None
-
-    def compile_mode(self) -> str:
-        """Normalize :attr:`compile` to ``"auto"`` / ``"on"`` / ``"off"``."""
-        value = self.compile
-        if value is None or value == "auto":
-            return "auto"
-        if value is True or value == "on":
-            return "on"
-        if value is False or value == "off":
-            return "off"
-        raise PlanningError(
-            f"PlannerOptions.compile: unknown compile mode {value!r}; "
-            "choose from ['auto', 'off', 'on'] (or None/True/False)"
-        )
 
 
 #: (option attribute, registry, human-readable operator kind)
@@ -161,19 +140,15 @@ class PhysicalPlanner:
         self._cost_model: Optional[PhysicalCostModel] = None
         #: Algorithm decisions of the most recent :meth:`plan` call.
         self.decisions: list[PlanDecision] = []
-        #: Compilation report of the most recent :meth:`plan` call (``None``
-        #: when compilation was off).
-        self.compilation: Optional[CompilationReport] = None
 
     def plan(self, expression: Expression) -> PhysicalOperator:
         """Build the physical plan for ``expression``.
 
         Raises :class:`PlanningError` here — at prepare time — when an
-        algorithm override names an unknown algorithm (or compile mode).
+        algorithm override names an unknown algorithm.
         """
         self.validate_options()
         self.decisions = []
-        self.compilation = None
         if self._statistics is None:
             # No injected statistics (standalone planner): re-snapshot the
             # database per planning call so catalog mutations between plans
@@ -181,13 +156,7 @@ class PhysicalPlanner:
             # (The Optimizer injects its shared, analyze()-refreshed
             # catalog, so it never pays this re-collection.)
             self._cost_model = None
-        plan = self._plan(expression)
-        mode = self.options.compile_mode()
-        if mode != "off":
-            # "auto" and "on" currently coincide: fusing streaming segments
-            # never loses, so the heuristic compiles everything fusable.
-            self.compilation = compile_plan(plan, mode=mode)
-        return plan
+        return self._plan(expression)
 
     def validate_options(self) -> None:
         """Check every forced algorithm against its kind's registry."""
@@ -204,7 +173,6 @@ class PhysicalPlanner:
                 raise PlanningError(
                     f"PlannerOptions.{attribute} must be at least 1, got {value}"
                 )
-        self.options.compile_mode()
 
     @property
     def cost_model(self) -> PhysicalCostModel:

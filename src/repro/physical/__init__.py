@@ -52,15 +52,13 @@ from repro.physical.joins import (
     NestedLoopsNaturalJoin,
 )
 from repro.physical.compile import (
-    CompilationReport,
-    CompiledSegment,
     active_kernel,
     available_kernels,
-    compile_plan,
     numpy_available,
     set_kernel,
     use_kernel,
 )
+from repro.physical.compile.segments import compile_plan  # noqa: F401 - benchmark replay stub
 from repro.physical.scans import RelationScan, TableScan
 from repro.physical.view_ops import CounterTableScan
 
@@ -117,10 +115,7 @@ __all__ = [
     "HashGreatDivision",
     "GroupwiseSmallDivision",
     "GREAT_DIVIDE_ALGORITHMS",
-    # compilation backend
-    "CompilationReport",
-    "CompiledSegment",
-    "compile_plan",
+    # bitset kernels
     "active_kernel",
     "available_kernels",
     "numpy_available",

@@ -110,8 +110,8 @@ class Chunk:
     The columnar unit of the physical layer.  ``columns`` (when not
     ``None``) holds one :class:`~repro.relation.encoding.CodeColumn` per
     schema attribute — the scanned relation's cached encoding, or a slice
-    or selection of it — which the division operators and dictionary-filtered
-    segments read directly.  ``tuples`` is the row-major view:
+    or selection of it — which the division operators and filters read
+    directly.  ``tuples`` is the row-major view:
     ``tuples[i][j]`` is the value of attribute ``schema.names[j]`` in the
     ``i``-th tuple.  Chunks derived by selecting or permuting another chunk
     materialize it lazily, on first access, so a pipeline that only ever
@@ -459,18 +459,6 @@ class PhysicalOperator:
     #: key; anything else must stay False and never be wrapped.
     key_disjoint_safe = False
 
-    #: Zero-argument callable returning a chunk iterator, installed by the
-    #: compilation backend on segment roots; ``None`` means interpreted.
-    #: :meth:`chunks` dispatches through it, while :meth:`rows` (and with it
-    #: emptiness probes) deliberately keeps the interpreted reference path.
-    _compiled_producer = None
-
-    #: How the compiled segment rooted here evaluated its filters in the
-    #: most recent execution: "dictionary" (once per dictionary entry, then
-    #: masks over the code columns) or "per tuple"; ``None`` when the
-    #: segment has no filter (or nothing is compiled here).
-    _filter_mode: Optional[str] = None
-
     #: Wall-clock seconds this operator spent inside worker pools (exchange
     #: operators fill it; everything else stays at 0.0).
     worker_seconds = 0.0
@@ -598,15 +586,8 @@ class PhysicalOperator:
         )
 
     def chunks(self) -> Iterator[Chunk]:
-        """Stream the output chunks, counting tuples as chunks are pulled.
-
-        When the compilation backend installed a fused producer for the
-        segment rooted here, it replaces the interpreted generator stack;
-        the counting wrapper is identical either way.
-        """
-        producer = self._compiled_producer
-        stream = self._produce_chunks() if producer is None else producer()
-        for chunk in stream:
+        """Stream the output chunks, counting tuples as chunks are pulled."""
+        for chunk in self._produce_chunks():
             count = len(chunk)
             if count:
                 self.tuples_out += count

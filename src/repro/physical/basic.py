@@ -10,9 +10,23 @@ always compare as equal tuples.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Callable, Iterator, Mapping
-from typing import Any
+from typing import Any, Optional, Union
 
+from repro.algebra.predicates import (
+    _OPERATORS,
+    And,
+    AttributeRef,
+    Comparison,
+    FalsePredicate,
+    Literal,
+    Not,
+    Or,
+    TruePredicate,
+)
+from repro.errors import PredicateError
 from repro.physical.base import (
     Chunk,
     PhysicalOperator,
@@ -20,6 +34,15 @@ from repro.physical.base import (
     TupleProjector,
     batched,
     chunked,
+)
+from repro.relation.encoding import (
+    CodeColumn,
+    flag_table,
+    mask_and,
+    mask_count,
+    mask_not,
+    mask_or,
+    take,
 )
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, as_schema
@@ -35,32 +58,234 @@ __all__ = [
     "DuplicateElimination",
 ]
 
+#: A test on one value tuple aligned with the filter's schema.
+TupleTest = Callable[[tuple[Any, ...]], Any]
+
+
+# ----------------------------------------------------------------------
+# the dictionary path: one evaluation per dictionary entry, then masks
+# ----------------------------------------------------------------------
+class _EntryTable:
+    """A predicate over one attribute, evaluated per dictionary entry.
+
+    ``build(dictionary)`` returns the truth table (a mask over the
+    dictionary) and may raise whatever the comparison raises.  The outcome
+    is cached for the dictionary it was computed from — dictionaries live
+    as long as their relation value, so a cached plan re-executes for free.
+    """
+
+    __slots__ = ("position", "build", "_dictionary", "_table")
+
+    def __init__(self, position: int, build: Callable[[list[Any]], Any]) -> None:
+        self.position = position
+        self.build = build
+        self._dictionary: Optional[list[Any]] = None
+        self._table: Any = None
+
+    def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
+        """The chunk's mask, or None when the predicate raises on an entry."""
+        column = columns[self.position]
+        if column.dictionary is not self._dictionary:
+            try:
+                self._table = self.build(column.dictionary)
+            except Exception:
+                # Whether a tuple carrying the offending entry ever reaches
+                # the comparison is the per-tuple test's call
+                # (short-circuits, earlier filters): it runs instead.
+                self._table = None
+            self._dictionary = column.dictionary
+        return None if self._table is None else take(self._table, column.codes)
+
+
+class _MaskCombination:
+    """A connective over sub-masks that read different attributes."""
+
+    __slots__ = ("combine", "operands")
+
+    def __init__(self, combine: Callable[[list[Any]], Any], operands: list["_MaskNode"]) -> None:
+        self.combine = combine
+        self.operands = operands
+
+    def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
+        masks = [operand.mask(columns) for operand in self.operands]
+        return None if any(mask is None for mask in masks) else self.combine(masks)
+
+
+_MaskNode = Union[_EntryTable, _MaskCombination]
+
+
+def _merged(tables: list[_EntryTable], pairwise: Callable[[Any, Any], Any]) -> _EntryTable:
+    """Tables over one attribute, combined per dictionary entry."""
+    if len(tables) == 1:
+        return tables[0]
+    builds = [table.build for table in tables]
+    return _EntryTable(
+        tables[0].position, lambda d: functools.reduce(pairwise, [build(d) for build in builds])
+    )
+
+
+def _mask_node(predicate: Any, positions: dict[str, int]) -> Optional[_MaskNode]:
+    """Dictionary-evaluable form of ``predicate`` (None: test it per tuple).
+
+    Comparisons of an attribute with a literal under ``And`` / ``Or`` /
+    ``Not`` qualify.  Operands of one connective that read the same
+    attribute merge into one table, so ``lo <= a AND a < hi`` costs one
+    gather per chunk.
+    """
+    if isinstance(predicate, Comparison):
+        compare = _OPERATORS[predicate.operator]
+        left, right = predicate.left, predicate.right
+        if isinstance(left, AttributeRef) and isinstance(right, Literal):
+            name, value = left.name, right.value
+
+            def build(d: list[Any]) -> Any:
+                return flag_table(map(compare, d, itertools.repeat(value)), len(d))
+
+        elif isinstance(left, Literal) and isinstance(right, AttributeRef):
+            name, value = right.name, left.value
+
+            def build(d: list[Any]) -> Any:
+                return flag_table(map(compare, itertools.repeat(value), d), len(d))
+
+        else:
+            return None
+        return _EntryTable(positions[name], build) if name in positions else None
+    if isinstance(predicate, Not):
+        inner = _mask_node(predicate.operand, positions)
+        if isinstance(inner, _EntryTable):
+            return _EntryTable(inner.position, lambda d: mask_not(inner.build(d)))
+        if inner is None:
+            return None
+        return _MaskCombination(lambda masks: mask_not(masks[0]), [inner])
+    if isinstance(predicate, (And, Or)):
+        pairwise = mask_and if isinstance(predicate, And) else mask_or
+        operands = [_mask_node(operand, positions) for operand in predicate.operands]
+        if any(operand is None for operand in operands):
+            return None
+        nodes: list[_MaskNode] = []
+        tables: dict[int, list[_EntryTable]] = {}
+        for operand in operands:
+            if isinstance(operand, _EntryTable):
+                tables.setdefault(operand.position, []).append(operand)
+            else:
+                nodes.append(operand)
+        nodes.extend(_merged(group, pairwise) for group in tables.values())
+        if len(nodes) == 1:
+            return nodes[0]
+        return _MaskCombination(lambda masks: functools.reduce(pairwise, masks), nodes)
+    return None
+
+
+# ----------------------------------------------------------------------
+# the per-tuple path: a positional test built once from the AST
+# ----------------------------------------------------------------------
+def _comparison_test(comparison: Comparison, positions: dict[str, int]) -> Optional[TupleTest]:
+    """``t[i] < v``-style test (None: an attribute outside the schema)."""
+    terms = []
+    for term in (comparison.left, comparison.right):
+        if isinstance(term, AttributeRef):
+            if term.name not in positions:
+                return None
+            terms.append((positions[term.name], None))
+        else:
+            terms.append((None, term.value))
+    (i, x), (j, y) = terms
+    compare = _OPERATORS[comparison.operator]
+
+    def test(t: tuple[Any, ...]) -> Any:
+        a = x if i is None else t[i]
+        b = y if j is None else t[j]
+        try:
+            return compare(a, b)
+        except TypeError as error:
+            raise PredicateError(
+                f"cannot evaluate {comparison!r}: {type(a).__name__} "
+                f"{comparison.operator} {type(b).__name__} is not supported"
+            ) from error
+
+    return test
+
+
+def _both(first: TupleTest, second: TupleTest) -> TupleTest:
+    return lambda t: first(t) and second(t)
+
+
+def _either(first: TupleTest, second: TupleTest) -> TupleTest:
+    return lambda t: first(t) or second(t)
+
+
+def _tuple_test(predicate: Any, positions: dict[str, int]) -> Optional[TupleTest]:
+    """``predicate`` as a test on aligned value tuples (None: opaque)."""
+    if isinstance(predicate, Comparison):
+        return _comparison_test(predicate, positions)
+    if isinstance(predicate, (And, Or)):
+        tests = [_tuple_test(operand, positions) for operand in predicate.operands]
+        if any(test is None for test in tests):
+            return None
+        return functools.reduce(_both if isinstance(predicate, And) else _either, tests)
+    if isinstance(predicate, Not):
+        inner = _tuple_test(predicate.operand, positions)
+        return None if inner is None else (lambda t: not inner(t))
+    if isinstance(predicate, TruePredicate):
+        return lambda t: True
+    if isinstance(predicate, FalsePredicate):
+        return lambda t: False
+    return None
+
 
 class Filter(PhysicalOperator):
     """Streaming selection σ_p.
 
-    Predicates take :class:`Row` objects (the public predicate API), so this
-    is the one mid-pipeline operator that materializes a row per tuple — the
-    row is dropped immediately after the predicate call.
+    The predicate runs on each chunk one of two ways.  On a chunk with code
+    columns, a predicate of attribute-vs-literal comparisons under ``And`` /
+    ``Or`` / ``Not`` is evaluated once per *dictionary entry* (cached per
+    dictionary) and selects the chunk by a mask over its codes; the
+    filtered chunk keeps its code columns and builds its tuples only if a
+    consumer asks.  On any other chunk, or when the predicate raises on
+    some entry of the chunk's dictionary, a positional test built once from
+    the predicate's AST runs over the value tuples — an entry no tuple
+    reaches (short-circuits, an earlier filter) then never raises.  Only an
+    opaque callable gets a :class:`Row` per tuple (the public predicate
+    API).  A comparison the values do not support raises
+    :class:`PredicateError`.
     """
 
     name = "filter"
 
-    #: Streams, but materializes one Row per tuple for the predicate call.
+    #: Streams; one predicate test per tuple (or per dictionary entry).
     properties = PhysicalProperties(per_input_cost=1.2, per_output_cost=0.0, preserves_order=True)
+
+    #: How the most recent execution filtered: "dictionary" (every chunk on
+    #: the dictionary) or "per tuple" (at least one chunk fell back).
+    _filter_mode: Optional[str] = None
 
     def __init__(self, child: PhysicalOperator, predicate: Callable[[Row], bool]) -> None:
         super().__init__(child.schema, (child,))
         self.predicate = predicate
+        positions = {name: position for position, name in enumerate(self._schema.names)}
+        self._masks = _mask_node(predicate, positions)
+        self._test = _tuple_test(predicate, positions)
 
-    # contract: rows-ok (the public predicate API takes a Row; compilation inlines it away)
+    # contract: rows-ok (an opaque predicate callable takes a Row)
     def _produce_chunks(self) -> Iterator[Chunk]:
-        predicate = self.predicate
-        schema = self._schema
+        schema, predicate, masks = self._schema, self.predicate, self._masks
         from_schema = Row.from_schema
+        test = self._test or (lambda values: predicate(from_schema(schema, values)))
+        self._filter_mode = "per tuple" if masks is None else "dictionary"
         for chunk in self._children[0].chunks():
-            tuples = chunk.aligned(schema).tuples
-            matched = [values for values in tuples if predicate(from_schema(schema, values))]
+            chunk = chunk.aligned(schema)
+            columns = chunk.columns
+            mask = None if masks is None or columns is None else masks.mask(columns)
+            if mask is not None:
+                count = mask_count(mask)
+                if count:
+                    yield chunk if count == len(chunk) else chunk.selected(mask, count)
+                continue
+            self._filter_mode = "per tuple"
+            try:
+                matched = [values for values in chunk.tuples if test(values)]
+            except TypeError as error:  # an opaque callable's (AST comparisons wrap their own)
+                raise PredicateError(f"cannot evaluate {predicate!r}: {error}") from error
             if matched:
                 yield Chunk(schema, matched)
 
@@ -69,7 +294,14 @@ class Filter(PhysicalOperator):
 
 
 class ProjectOp(PhysicalOperator):
-    """Projection with duplicate elimination (set semantics)."""
+    """Projection with duplicate elimination (set semantics).
+
+    A projection that keeps every attribute only permutes: a chunk with
+    code columns passes through reordered, codes and all.  Coded chunks
+    come from scans and quotients (sets, possibly filtered), so permuting
+    one cannot create a duplicate.  Every other chunk goes through the
+    seen-set.
+    """
 
     name = "project"
 
@@ -84,17 +316,16 @@ class ProjectOp(PhysicalOperator):
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
         project = TupleProjector(schema)
+        permutes = len(schema) == len(self._children[0].schema)
         seen: set[tuple[Any, ...]] = set()
         add = seen.add
-
-        def fresh_tuples() -> Iterator[tuple[Any, ...]]:
-            for chunk in self._children[0].chunks():
-                for values in project.tuples_of(chunk):
-                    if values not in seen:
-                        add(values)
-                        yield values
-
-        yield from chunked(fresh_tuples(), schema, self.batch_size)
+        for chunk in self._children[0].chunks():
+            if permutes and chunk.columns is not None:
+                yield chunk.aligned(schema)
+                continue
+            tuples = project.tuples_of(chunk)
+            fresh = [values for values in tuples if not (values in seen or add(values))]
+            yield from Chunk(schema, fresh).pieces(self.batch_size)
 
     def describe(self) -> str:
         return f"Project[{', '.join(self._schema.names)}]"

@@ -1,11 +1,8 @@
-"""Query compilation backend: fused pipeline segments + vectorized kernels.
+"""The bitset-division kernel seam.
 
-``segments`` turns maximal ``Filter``/``ProjectOp``/``RenameOp`` chains of a
-physical plan into single generated Python functions (textual codegen +
-:func:`compile`), leaving division, joins, aggregation and exchanges as
-pipeline breakers.  ``kernels`` provides the bitset-division kernel dispatch
-seam shared by all eight division algorithms, with an optional numpy fast
-path.  The interpreted operators remain the reference implementation.
+``kernels`` provides the bitset-division kernel dispatch seam shared by all
+eight division algorithms, with an optional numpy fast path.  ``segments``
+holds two no-op stubs the benchmark replay still resolves.
 """
 
 from repro.physical.compile.kernels import (
@@ -19,14 +16,6 @@ from repro.physical.compile.kernels import (
     set_kernel,
     use_kernel,
 )
-from repro.physical.compile.segments import (
-    FUSABLE_OPERATORS,
-    CompilationReport,
-    CompiledSegment,
-    clear_code_cache,
-    code_cache_size,
-    compile_plan,
-)
 
 __all__ = [
     "BitsetKernel",
@@ -38,10 +27,4 @@ __all__ = [
     "numpy_available",
     "set_kernel",
     "use_kernel",
-    "FUSABLE_OPERATORS",
-    "CompilationReport",
-    "CompiledSegment",
-    "clear_code_cache",
-    "code_cache_size",
-    "compile_plan",
 ]

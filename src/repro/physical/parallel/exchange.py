@@ -11,7 +11,7 @@ outputs are exactly the unpartitioned result (no key spans two partitions,
 so no merge step and no cross-partition duplicate elimination is needed).
 
 A :class:`Partition` is a block of **code columns**, not a list of tuples.
-Chunks that carry dictionary codes (scans, dictionary-filtered segments)
+Chunks that carry dictionary codes (scans, filters over them)
 are routed without their values being touched: ``hash(value) % K`` is
 computed once per *dictionary entry* (a route table, kept per dictionary
 object by whoever owns the plan; composite keys go through

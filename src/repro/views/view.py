@@ -270,13 +270,13 @@ class MaintainedView:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def explain(self, analyze: bool = False, verbose: bool = False, verify: bool = False) -> str:
+    def explain(self, analyze: bool = False, verify: bool = False) -> str:
         """The query's EXPLAIN output, headed by the maintenance status."""
         if self.maintained:
             status = f"maintained  : yes · deltas applied={self.deltas_applied}"
         else:
             status = f"maintained  : no ({self.unsupported_reason}) · full recompute on read"
-        body = self.query.explain(analyze=analyze, verbose=verbose, verify=verify)
+        body = self.query.explain(analyze=analyze, verify=verify)
         return f"view        : {self.name}\n{status}\n\n{body}"
 
     def __repr__(self) -> str:

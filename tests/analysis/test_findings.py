@@ -9,7 +9,7 @@ from repro.analysis import FINDING_CODES, Finding, Severity, VerificationReport,
 
 class TestRegistry:
     def test_every_code_is_stable_and_described(self):
-        assert len(FINDING_CODES) == 43
+        assert len(FINDING_CODES) == 38
         for code, (severity, description) in FINDING_CODES.items():
             assert code.startswith("RP") and len(code) == 5
             assert isinstance(severity, Severity)
@@ -17,7 +17,11 @@ class TestRegistry:
 
     def test_code_ranges_map_to_passes(self):
         prefixes = {code[:3] for code in FINDING_CODES}
-        assert prefixes == {"RP1", "RP2", "RP3", "RP4", "RP5", "RP6", "RP7"}
+        assert prefixes == {"RP1", "RP2", "RP4", "RP5", "RP6", "RP7"}
+
+    def test_retired_codes_stay_retired(self):
+        """The audit of generated segment source is gone with the segments."""
+        assert not {"RP205", "RP301", "RP302", "RP303", "RP304", "RP305"} & set(FINDING_CODES)
 
     def test_sampled_warnings_stay_warnings(self):
         """RP112 (data-sampled types) and RP204 (degradable payloads) must

@@ -96,7 +96,7 @@ class TestPhysicalPass:
         findings, _ = verify_physical(HashJoin(left, right))
         assert findings == []
 
-    def test_verify_plan_merges_codegen_pass_only_when_segments_exist(self):
+    def test_verify_plan_runs_the_physical_pass(self):
         scan = RelationScan(Relation(["a"], [(1,)]), "r")
         report = verify_plan(scan)
         assert report.passes == ("physical",)

@@ -115,7 +115,7 @@ class TestExplainAnalyzeQError:
 
 class TestKeyColumnAnnotations:
     """``explain(analyze=True)`` says where each division read its keys,
-    which kernel ran, and how each compiled segment filtered."""
+    which kernel ran, and how each ``Filter`` filtered."""
 
     SELECTIVE = (
         "SELECT s_no FROM (SELECT s_no, p_no FROM supplies WHERE s_no >= 's2') AS s "
@@ -132,17 +132,14 @@ class TestKeyColumnAnnotations:
         from repro.physical import active_kernel
 
         text = db.sql(self.SELECTIVE).explain(analyze=True)
-        assert (
-            "compiled    : yes · 2 segments · filters: 1 on the dictionary, 1 per tuple" in text
-        )
         annotations = [
             line for line in self.physical_section(text) if not line.startswith("· algorithm=")
         ]
         assert annotations == [
             f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
-            "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
-            # the divisor's projection drops ``color``: it eliminates duplicates
-            "· compiled segment (2 operator(s) fused, filtered per tuple)",
+            "· filtered on the dictionary",
+            # the divisor's projection above its filter eliminates duplicates
+            "· filtered on the dictionary",
         ]
 
     def test_keys_line_says_what_the_division_emitted(self):
@@ -186,10 +183,10 @@ class TestKeyColumnAnnotations:
         ]
         assert annotations == [
             f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
-            "· compiled segment (1 operator(s) fused, filtered on the dictionary)",
+            "· filtered on the dictionary",
             "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2', "
             "skipped=0, read 16 bytes",
-            "· compiled segment (2 operator(s) fused, filtered per tuple)",
+            "· filtered on the dictionary",
             "· storage: blocks=1, pages: code buffers, zone-map skip on color = 'red', "
             "skipped=0, read 10 bytes",
         ]
@@ -210,14 +207,17 @@ class TestKeyColumnAnnotations:
 
     def test_plain_explain_claims_nothing_about_an_execution(self, db):
         text = db.sql(self.SELECTIVE).explain()
-        assert "compiled    : yes · 2 segments\n" in text
         assert "keys:" not in text and "filtered" not in text
 
-    def test_interpreted_filter_encodes_on_the_fly(self):
-        db = connect(textbook_catalog, compile=False)
-        text = db.sql(self.SELECTIVE).explain(analyze=True)
-        assert "· keys: encoded on the fly → coded quotient, kernel: " in text
-        assert "filters:" not in text
+    def test_a_filter_that_fell_back_says_per_tuple(self):
+        """``n >= 2`` raises on the dictionary's string entries, which the
+        first conjunct keeps from every comparison a tuple makes."""
+        from repro.relation import Relation
+
+        rows = [(i, i % 5) for i in range(20)] + [(100 + i, f"x{i}") for i in range(5)]
+        db = connect({"t": Relation(["k", "n"], rows)})
+        text = db.sql("SELECT k FROM t WHERE k < 100 AND n >= 2").explain(analyze=True)
+        assert "· filtered per tuple" in self.physical_section(text)
 
     def test_pinned_kernel_is_reported(self, db):
         from repro.physical import use_kernel

@@ -2,10 +2,9 @@
 
 An unknown value in :class:`PlannerOptions` used to report only the
 operator kind ("unknown small divide algorithm ..."); with three algorithm
-overrides, two pool sizes and a compile mode on the same dataclass, the
-message must say *which attribute* to fix.  All three kinds of validation
-are covered: algorithm registries, the compile mode, and the positive
-worker/partition counts.
+overrides and two pool sizes on the same dataclass, the message must say
+*which attribute* to fix.  Both kinds of validation are covered: algorithm
+registries and the positive worker/partition counts.
 """
 
 import pytest
@@ -54,20 +53,6 @@ class TestAlgorithmOptionNaming:
         message = str(excinfo.value)
         assert "hash" in message and "merge_sort" in message
         assert "None for cost-based selection" in message
-
-
-class TestCompileOptionNaming:
-    def test_unknown_compile_mode_names_the_attribute(self, catalog):
-        with pytest.raises(PlanningError) as excinfo:
-            plan_with(catalog, compile="quantum")
-        message = str(excinfo.value)
-        assert "PlannerOptions.compile" in message
-        assert "unknown compile mode 'quantum'" in message
-        assert "'auto'" in message and "'off'" in message and "'on'" in message
-
-    def test_valid_modes_do_not_raise(self, catalog):
-        for mode in (None, True, False, "auto", "on", "off"):
-            plan_with(catalog, compile=mode)
 
 
 class TestPoolSizeOptionNaming:

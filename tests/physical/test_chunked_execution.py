@@ -27,7 +27,6 @@ from repro.physical import (
     Chunk,
     Filter,
     RelationScan,
-    compile_plan,
     execute_plan,
 )
 from repro.relation import Relation, Row
@@ -125,12 +124,12 @@ class TestBatchSizeInvariance:
 
 
 #: How the dividend is selected (``a < threshold``) below the division, as
-#: ``(predicate of the threshold, the mode the compiled segment must report)``.
+#: ``(predicate of the threshold, the mode the filter must report)``.
 FILTERS = {
     "no filter": (None, None),
     # an AST comparison with a literal: once per dictionary entry, then a mask
     "dictionary filter": (lambda t: P.less_than(P.attr("a"), t), "dictionary"),
-    # an opaque callable: the generated per-tuple function
+    # an opaque callable: one Row per tuple
     "per-tuple filter": (lambda t: (lambda row: row["a"] < t), "per tuple"),
     "filter that empties the input": (lambda t: P.less_than(P.attr("a"), -1), "dictionary"),
 }
@@ -175,9 +174,8 @@ class TestBlockAtATime:
                     source = build_scan(dividend)
                     filtered = source if predicate is None else Filter(source, predicate)
                     plan = registry[algorithm](filtered, build_scan(divisor))
-                    compile_plan(plan)
                     outcome = execute_plan(plan, batch_size=batch_size)
-                    assert filtered._filter_mode == mode
+                    assert getattr(filtered, "_filter_mode", None) == mode
                     counts = outcome.statistics.tuples_by_operator
                     seen.add(
                         (

@@ -34,7 +34,6 @@ from repro.physical import (
     PhysicalOperator,
     RelationScan,
     available_kernels,
-    compile_plan,
     execute_plan,
     numpy_available,
     use_kernel,
@@ -582,7 +581,7 @@ SET_BATCH_SIZES = (None, 1, 7, 1024)
 
 
 def selected_division(kind, algorithm, selection, dividend, divisor, leaf):
-    """``(plan, expected)``: the compiled plan ``σ(dividend) ÷ σ(divisor)``
+    """``(plan, expected)``: the plan ``σ(dividend) ÷ σ(divisor)``
     over ``leaf`` scans — literal comparisons, so the filters run on the
     dictionaries and hand the division selected code columns — and the
     quotient the definition gives for the same selections."""
@@ -612,7 +611,6 @@ def selected_division(kind, algorithm, selection, dividend, divisor, leaf):
         inputs.append(scan if choice is None else Filter(scan, choice[0]))
         expected.append(relation if choice is None else relation.select(choice[1]))
     plan = operator_class(kind, algorithm)(*inputs)
-    compile_plan(plan)
     return plan, (small_divide if kind == "small" else great_divide)(*expected)
 
 

@@ -290,7 +290,7 @@ class Uncoded(PhysicalOperator):
 
 class Padded(PhysicalOperator):
     """The child's coded stream over dictionaries with entries no tuple
-    carries (what a dictionary-filtered segment leaves behind)."""
+    carries (what a filter leaves behind)."""
 
     name = "padded"
 

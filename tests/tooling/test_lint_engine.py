@@ -482,3 +482,25 @@ class TestRP411NumpyStaysBehindItsSeams:
         for seam in lint.NUMPY_SEAMS:
             assert "import numpy" in seam.read_text()
             assert list(lint._check_numpy_imports(seam)) == []
+
+
+class TestRP412NoGeneratedCodeRuns:
+    def test_the_builtins_are_flagged_and_attribute_calls_are_not(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "import re\n"
+            "code = compile('x + 1', '<segment>', 'eval')\n"
+            "exec(code, {})\n"
+            "value = eval('1 + 1')\n"
+            "pattern = re.compile(r'_b\\d+')\n"
+            "self.compile(plan)\n"
+            "compiled = compile_plan\n",
+        )
+        findings = list(lint._check_code_runners(path))
+        assert codes(findings) == ["RP412"] * 3
+        assert [f.where.rsplit(":", 1)[1] for f in findings] == ["2", "3", "4"]
+        assert findings[0].message.startswith("compile() runs code built at run time")
+
+    def test_rule_covers_the_whole_package(self, lint):
+        for path in lint._python_files(lint.SOURCE_DIR):
+            assert list(lint._check_code_runners(path)) == [], path
