@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-record bench-compare bench-parallel bench-storage bench-ivm bench-faults
+.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -51,11 +51,13 @@ chaos:
 	$(PYTHON) -m pytest tests/faults tests/physical/test_pool_supervision.py \
 		tests/storage/test_atomic_save.py tests/storage/test_corrupted_store.py -q
 
-## Benchmark smoke: run every benchmark once with timing disabled.
+## Benchmark smoke: run every benchmark once with timing disabled (every
+## parity assertion runs; no same-run gate is timed).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-disable
 
-## Full timed benchmark run.
+## Full timed benchmark run: every scenario, plus every same-run gate of
+## benchmarks/gates.py, each listed with its measured ratio at the end.
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
@@ -63,52 +65,3 @@ bench:
 ## untraced and traced, every metric printed by name and unit.
 bench-e2e:
 	$(PYTHON) -m bench
-
-## Record the division and storage microbenchmarks to the committed
-## baseline files.  Refuses to run with uncommitted changes anywhere the
-## timings depend on (sources, benchmarks, the compare script, this
-## Makefile): a baseline recorded against a dirty tree cannot be
-## reproduced from the commit it lands in.
-bench-record:
-	@if ! git diff --quiet -- src benchmarks scripts Makefile || ! git diff --cached --quiet -- src benchmarks scripts Makefile; then \
-		echo "bench-record: src/, benchmarks/, scripts/ or the Makefile has uncommitted changes;"; \
-		echo "commit (or stash) them first so the baseline matches a commit."; \
-		exit 1; \
-	fi
-	$(PYTHON) -m pytest benchmarks/test_bench_division_algorithms.py -q \
-		--benchmark-json=BENCH_division.json
-	$(PYTHON) -m pytest benchmarks/test_bench_storage.py -q \
-		--benchmark-json=BENCH_storage.json
-	$(PYTHON) -m pytest benchmarks/test_bench_ivm.py -q \
-		--benchmark-json=BENCH_ivm.json
-	$(PYTHON) -m pytest benchmarks/test_bench_faults.py -q \
-		--benchmark-json=BENCH_faults.json
-
-## Rerun the division microbenchmarks and fail on >25% relative regression
-## against the committed BENCH_division.json (hardware-normalized).
-bench-compare:
-	$(PYTHON) scripts/bench_compare.py
-
-## Time serial vs partition-parallel execution on the large (>=100k
-## tuple) division and join scenarios and fail when the planner's pick
-## between the two is >1.2x slower than the faster arm; WORKERS picks the
-## pool size (default 2).
-WORKERS ?= 2
-bench-parallel:
-	$(PYTHON) scripts/bench_compare.py --parallel $(WORKERS)
-
-## Compare full-scan vs zone-map-skipping and fullscan-ANALYZE vs
-## metadata-ANALYZE on stored tables (same-run timings, >=5x gates).
-bench-storage:
-	$(PYTHON) scripts/bench_compare.py --storage
-
-## Compare delta-maintained views vs recompute-per-edit on the churn
-## workload (same-run per-edit timings, >=10x gate), and a single-row edit
-## and the rewrite right after it at 20k vs 200k tuples (<=2x gates).
-bench-ivm:
-	$(PYTHON) scripts/bench_compare.py --ivm
-
-## Compare checksummed vs checksums=False table files (one layout) and the
-## disarmed fault-point query path (same-run timings, <=5% overhead gate).
-bench-faults:
-	$(PYTHON) scripts/bench_compare.py --faults

@@ -3,6 +3,8 @@
 Sizes are chosen so the full suite runs in a few minutes on a laptop while
 still showing the asymptotic effects the paper appeals to (quadratic
 intermediate results, partitioning benefits, join-elimination savings).
+The same-run gates live in ``gates.py``; the terminal summary lists every
+gate the run measured.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import os
 
 import pytest
 
+from gates import MEASURED
 from repro.algebra.catalog import Catalog
 from repro.workloads import (
     generate_catalog,
@@ -18,33 +21,24 @@ from repro.workloads import (
     make_great_division_workload,
 )
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--workers",
-        action="store",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the partition-parallel benchmarks with exactly N workers "
-        "(default: 1, 2 and — on machines with ≥4 cores — 4)",
-    )
-
-
-def worker_counts(config) -> list[int]:
-    """Worker counts the parallel benchmarks are parametrized over."""
-    override = config.getoption("--workers")
-    if override:
-        return sorted({1, override})
-    counts = [1, 2]
-    if (os.cpu_count() or 1) >= 4:
-        counts.append(4)
-    return counts
+#: Worker counts the parallel benchmarks are parametrized over.
+WORKER_COUNTS = [1, 2, 4] if (os.cpu_count() or 1) >= 4 else [1, 2]
 
 
 def pytest_generate_tests(metafunc):
     if "exchange_workers" in metafunc.fixturenames:
-        metafunc.parametrize("exchange_workers", worker_counts(metafunc.config))
+        metafunc.parametrize("exchange_workers", WORKER_COUNTS)
+    if "pool_workers" in metafunc.fixturenames:  # the counts that start a pool
+        metafunc.parametrize("pool_workers", WORKER_COUNTS[1:])
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """Print every same-run gate the run measured (``gates.check_gate``)."""
+    measured = config.stash.get(MEASURED, [])
+    if measured:
+        terminalreporter.section("same-run gates: arm / reference")
+        for line in measured:
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture(scope="session")

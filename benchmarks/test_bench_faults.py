@@ -11,15 +11,18 @@ nothing to verify on read — the ``guarded`` arm is the default checksummed
 file.  (For the query scenario both are the same engine with no plan armed
 — the fault points are always compiled in, which is exactly the overhead
 being measured.)  The table is written from its code columns, encoded once
-outside the timed region, as ``Database.save`` writes it.
-``scripts/bench_compare.py --faults`` runs this file once and gates
-``guarded / plain`` at ≤5% overhead
-(:data:`FAULTS_OVERHEAD_BOUND` there), with an absolute jitter floor so
-micro-scenarios cannot trip the gate on scheduler noise.
+outside the timed region, as ``Database.save`` writes it.  The
+``checksum-read`` and ``checksum-write`` rows of ``gates.py`` bound
+``guarded`` at ≤5% over ``plain``, with an absolute jitter floor so
+scheduler noise cannot trip them.
 """
+
+import itertools
+from functools import partial
 
 import pytest
 
+from gates import check_gate
 from repro.faults import active_plan
 from repro.physical import SMALL_DIVIDE_ALGORITHMS, RelationScan, execute_plan
 from repro.relation.encoding import encode_columns
@@ -67,6 +70,10 @@ def _decode_all(path):
     return total
 
 
+def _blocks(path):
+    return [block for _meta, block in TableReader(path).iter_blocks()]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_stored_read(benchmark, table_files, mode):
     """Full decode of every block: the guarded arm pays one CRC32 per block
@@ -88,11 +95,34 @@ def test_table_write(benchmark, tmp_path, table_columns, mode):
     benchmark(save)
 
 
+def test_checksum_read_overhead(request, table_files):
+    """Same-run gate: checking one CRC32 per block costs ≤5% on a full read."""
+    assert _blocks(table_files["guarded"]) == _blocks(table_files["plain"])
+    check_gate(
+        request,
+        "checksum-read",
+        lambda: partial(_decode_all, table_files["guarded"]),
+        lambda: partial(_decode_all, table_files["plain"]),
+    )
+
+
+def test_checksum_write_overhead(request, tmp_path, table_columns):
+    """Same-run gate: writing one CRC32 per block costs ≤5% on a full save."""
+    paths = (tmp_path / f"gate-{number}.rpb" for number in itertools.count())
+    written = {mode: _write(next(paths), table_columns, mode) for mode in MODES}
+    assert _blocks(written["guarded"]) == _blocks(written["plain"])
+
+    def save(mode):
+        """Pick a fresh file off the clock; time the write."""
+        return partial(_write, next(paths), table_columns, mode)
+
+    check_gate(request, "checksum-write", partial(save, "guarded"), partial(save, "plain"))
+
+
 def test_query_fault_points_disarmed(benchmark):
     """A serial division with no plan armed: every fault-point check on the
     execution path must amount to a module-load + ``None`` test.  There is
-    no pairless gate for this scenario — it is recorded so the committed
-    baseline tracks drift in the disarmed path itself."""
+    no pair to gate this scenario against; its timing is informational."""
     assert active_plan() is None
     dividend = Relation(
         ("a", "b"), [(a, b) for a in range(2_000) for b in ((1, 2, 3) if a % 2 else (1, 3))]

@@ -35,36 +35,31 @@ repeatable) while still flipping quotient membership whenever the
 deleted row carries a divisor value.
 
 **The recompute arm is subsampled**: replaying all 1000 edits through
-full recomputes takes minutes, so it replays only the first
-``RECOMPUTE_EDITS`` edits (complete pairs) and the comparison is
-per-edit.  This cap is load-bearing for every consumer: the benchmark
-ids ``test_churn[edits-maintained]`` / ``test_churn[edits-recompute]``
-feed ``scripts/bench_compare.py --ivm``, which normalizes by the
-mirrored edit counts before applying the ≥10× gate; the same run's
-``test_edit_cost[rows-20k]`` / ``[rows-200k]`` and
-``test_rewrite_cost[rows-20k]`` / ``[rows-200k]`` feed its ≤2× gates.
+full recomputes takes minutes, so the gate (``test_ivm_speedup_bound``)
+times both arms over the same first ``RECOMPUTE_EDITS`` edits (complete
+pairs), which makes the ratio of two passes the ratio per edit; the
+``test_churn[edits-maintained]`` benchmark replays the whole stream.
 
-Wall-clock assertions use single timed passes (each runs seconds, far
-above scheduler noise) and are skipped under ``--benchmark-disable``
-(CI smoke on shared runners); the result-parity assertions always run.
+Every bound is a row of ``gates.py`` (``view-per-edit``,
+``edit-cost-flat``, ``rewrite-cost-flat``); ``gates.check_gate`` times the
+arms unless ``--benchmark-disable``, and the result-parity assertions
+always run.
 """
 
 import random
-import time
+from functools import partial
 
 import pytest
 
+from gates import check_gate
 from repro.api import connect
 from repro.division import small_divide
 from repro.relation import Relation
 from repro.workloads import make_division_workload
 
-#: Maintained churn must beat recompute-per-edit by this factor, per edit.
-IVM_SPEEDUP_BOUND = 10.0
 #: Edits in one full churn pass (delete/re-insert pairs, state-restoring).
 MAINTAINED_EDITS = 1000
-#: The recompute arm replays only this prefix of the stream (whole pairs);
-#: timings are compared per-edit.  Mirrored in scripts/bench_compare.py.
+#: The recompute arm replays only this prefix of the stream (whole pairs).
 RECOMPUTE_EDITS = 20
 #: The dividend must be at least this large for the contract to mean much.
 ROWS_FLOOR = 100_000
@@ -77,18 +72,10 @@ EDIT_COST_GROUPS = {"20k": 1_800, "200k": 18_000}
 #: Edits in one edit-cost pass: this many deletes of distinct rows, then
 #: their re-inserts (state-restoring; the pending delta grows to half of it).
 EDIT_COST_EDITS = 400
-#: A single-row edit at 200k tuples may cost at most this many times one
-#: at 20k.  Mirrored in scripts/bench_compare.py.
-EDIT_COST_RATIO_BOUND = 2.0
-#: … and at most this long at either size (seconds; measured here: 25 µs).
-EDIT_COST_CEILING = 100e-6
 
 #: Rewrites of the re-query in one timed pass after a single-row edit (no
 #: verdict is cached, so each checks every precondition again).
 REWRITES_PER_EDIT = 20
-#: A pass after an edit at 200k tuples may cost at most this many times
-#: one at 20k.  Mirrored in scripts/bench_compare.py.
-REWRITE_COST_RATIO_BOUND = 2.0
 #: The re-query whose rewrite is timed (the end-to-end benchmark's shape).
 DIVIDE_BY_COLOUR = (
     "SELECT a FROM r1 DIVIDE BY (SELECT b FROM parts WHERE color = 'blue') AS p ON r1.b = p.b"
@@ -209,8 +196,7 @@ def _edit_pass(db, edits):
     "size", [pytest.param(size, id=f"rows-{size}") for size in EDIT_COST_GROUPS]
 )
 def test_edit_cost(benchmark, edit_cost_sessions, size):
-    """Single-row edits against a small and a ten times larger dividend
-    (the names feed ``scripts/bench_compare.py --ivm``'s ≤2× gate)."""
+    """Single-row edits against a small and a ten times larger dividend."""
     db, edits = edit_cost_sessions[size]
     before = db.relation("r1")
     quotient = db.view("q").relation()
@@ -224,17 +210,12 @@ def test_edit_cost(benchmark, edit_cost_sessions, size):
 
 def test_edit_cost_is_flat(request, edit_cost_sessions):
     """Same-run gate: an edit costs the same whatever the table's size."""
-    if not _timing_enabled(request):
-        pytest.skip("wall-clock gate; --benchmark-disable runs test_edit_cost for parity")
-    best = dict.fromkeys(edit_cost_sessions, float("inf"))
-    for _round in range(6):  # alternating, so a noisy spell hits both sizes
-        for size, (db, edits) in edit_cost_sessions.items():
-            start = time.perf_counter()
-            _edit_pass(db, edits)
-            best[size] = min(best[size], (time.perf_counter() - start) / EDIT_COST_EDITS)
-    report = ", ".join(f"{size}: {seconds * 1e6:.1f} µs/edit" for size, seconds in best.items())
-    assert best["200k"] <= EDIT_COST_RATIO_BOUND * best["20k"], report
-    assert max(best.values()) <= EDIT_COST_CEILING, report
+    check_gate(
+        request,
+        "edit-cost-flat",
+        lambda: partial(_edit_pass, *edit_cost_sessions["200k"]),
+        lambda: partial(_edit_pass, *edit_cost_sessions["20k"]),
+    )
 
 
 class _RewriteAfterEdit:
@@ -274,8 +255,7 @@ def rewrite_sessions(sized_workloads):
 )
 def test_rewrite_cost(benchmark, rewrite_sessions, size):
     """The rewrite of the re-query right after a single-row edit, against
-    a small and a ten times larger dividend (the names feed
-    ``scripts/bench_compare.py --ivm``'s ≤2× gate)."""
+    a small and a ten times larger dividend."""
     session = rewrite_sessions[size]
     report = benchmark.pedantic(
         session.rewrite_pass, setup=session.edit, rounds=10, iterations=1, warmup_rounds=2
@@ -288,31 +268,26 @@ def test_rewrite_cost(benchmark, rewrite_sessions, size):
 def test_rewrite_cost_is_flat(request, rewrite_sessions):
     """Same-run gate: checking the laws' preconditions after an edit costs
     the same whatever the table's size."""
-    if not _timing_enabled(request):
-        pytest.skip("wall-clock gate; --benchmark-disable runs test_rewrite_cost for parity")
-    best = dict.fromkeys(rewrite_sessions, float("inf"))
-    for _round in range(10):  # alternating, so a noisy spell hits both sizes
-        for size, session in rewrite_sessions.items():
-            session.edit()
-            start = time.perf_counter()
-            session.rewrite_pass()
-            best[size] = min(best[size], (time.perf_counter() - start) / REWRITES_PER_EDIT)
-    report = ", ".join(f"{size}: {seconds * 1e3:.3f} ms/rewrite" for size, seconds in best.items())
-    assert best["200k"] <= REWRITE_COST_RATIO_BOUND * best["20k"], report
 
+    def after_edit(session):
+        """Edit and catch the session up off the clock; time the rewrites."""
+        session.edit()
+        return session.rewrite_pass
 
-def _timing_enabled(request) -> bool:
-    """False under ``--benchmark-disable`` (CI smoke on shared runners)."""
-    return not request.config.getoption("--benchmark-disable")
+    check_gate(
+        request,
+        "rewrite-cost-flat",
+        partial(after_edit, rewrite_sessions["200k"]),
+        partial(after_edit, rewrite_sessions["20k"]),
+    )
 
 
 @pytest.mark.parametrize(
     "mode", [pytest.param(mode, id=f"edits-{mode}") for mode in CHURN_MODES]
 )
 def test_churn(benchmark, churn_workload, mode):
-    """The churn workload, maintained vs recompute-per-edit (same names
-    feed ``scripts/bench_compare.py --ivm``, which divides each timing by
-    its arm's edit count before gating).
+    """The churn workload, maintained vs recompute-per-edit (the recompute
+    arm replays the ``RECOMPUTE_EDITS`` prefix).
 
     ``pedantic(rounds=1)``: a pass runs for seconds (far above jitter),
     and auto-calibrated rounds would replay the multi-second stateful
@@ -343,12 +318,11 @@ def test_churn(benchmark, churn_workload, mode):
 
 
 def test_ivm_speedup_bound(request, churn_workload):
-    """Same-run gate: maintained churn beats recompute-per-edit ≥10×.
+    """Same-run gate: a maintained view costs a tenth of recompute per edit.
 
     Parity always: along the recompute prefix the maintained view and the
-    from-scratch division must agree after **every** edit.  Timing only
-    when enabled: one full maintained pass vs the subsampled recompute
-    pass, compared per-edit.
+    from-scratch division must agree after **every** edit.  Then both arms
+    replay that prefix, so their passes compare per edit.
     """
     workload, edits = churn_workload
     db, view = _view_session(workload)
@@ -359,20 +333,10 @@ def test_ivm_speedup_bound(request, churn_workload):
         base.clear_cache()
         assert view.relation() == query.run().relation, (op, row)
 
-    if not _timing_enabled(request):
-        # --benchmark-disable (CI smoke): per-edit parity only.
-        return
-    start = time.perf_counter()
-    _maintained_pass(db, view, edits)
-    maintained_per_edit = (time.perf_counter() - start) / MAINTAINED_EDITS
-    start = time.perf_counter()
-    _recompute_pass(base, query, edits[:RECOMPUTE_EDITS])
-    recompute_per_edit = (time.perf_counter() - start) / RECOMPUTE_EDITS
-    speedup = recompute_per_edit / maintained_per_edit
-    assert speedup >= IVM_SPEEDUP_BOUND, (
-        f"maintained churn {maintained_per_edit * 1000:.2f} ms/edit "
-        f"({MAINTAINED_EDITS} edits) vs recompute "
-        f"{recompute_per_edit * 1000:.2f} ms/edit "
-        f"({RECOMPUTE_EDITS}-edit subsample) — only {speedup:.2f}x "
-        f"(need {IVM_SPEEDUP_BOUND}x)"
+    prefix = edits[:RECOMPUTE_EDITS]
+    check_gate(
+        request,
+        "view-per-edit",
+        lambda: partial(_maintained_pass, db, view, prefix),
+        lambda: partial(_recompute_pass, base, query, prefix),
     )

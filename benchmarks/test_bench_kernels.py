@@ -3,17 +3,15 @@
 The numpy bitset kernel must measurably beat the reference python kernel on
 the subset-scan-heavy great-divide scenario (the largest division workload
 in the suite), measured **same-run** (same machine, same process — no
-cross-machine normalization needed).
-
-Wall-clock assertions use best-of-N timings and are skipped entirely under
-``--benchmark-disable`` (CI smoke on shared runners); the result-equality
-assertions always run.
+cross-machine normalization needed): the ``numpy-kernel`` row of
+``gates.py``.  The result-equality assertions always run.
 """
 
-import time
+from functools import partial
 
 import pytest
 
+from gates import check_gate
 from repro.physical import (
     NestedLoopsGreatDivision,
     RelationScan,
@@ -22,27 +20,6 @@ from repro.physical import (
     use_kernel,
 )
 from repro.workloads import make_great_division_workload
-
-#: The numpy kernel must beat the python kernel by this factor on the
-#: great-divide subset scans (measured ~4× locally; bound kept loose).
-KERNEL_SPEEDUP_BOUND = 1.3
-REPEATS = 5
-
-
-def _best_time(plan_factory) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        plan = plan_factory()
-        start = time.perf_counter()
-        execute_plan(plan)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _timing_enabled(request) -> bool:
-    """False under ``--benchmark-disable`` (CI smoke on shared runners)."""
-    return not request.config.getoption("--benchmark-disable")
-
 
 @pytest.fixture(scope="session")
 def huge_great_divide_workload():
@@ -94,15 +71,15 @@ def test_numpy_kernel_speedup_on_great_divide(request, huge_great_divide_workloa
     with use_kernel("numpy"):
         vectorized = execute_plan(_plan(workload))
     assert vectorized.relation == reference.relation
-    if not _timing_enabled(request):
-        return
-    with use_kernel("python"):
-        python_time = _best_time(lambda: _plan(workload))
-    with use_kernel("numpy"):
-        numpy_time = _best_time(lambda: _plan(workload))
-    speedup = python_time / numpy_time
-    assert speedup >= KERNEL_SPEEDUP_BOUND, (
-        f"numpy kernel {numpy_time * 1000:.1f} ms vs python "
-        f"{python_time * 1000:.1f} ms — only {speedup:.2f}x "
-        f"(need {KERNEL_SPEEDUP_BOUND}x)"
-    )
+
+    def under(kernel):
+        """Build the plan off the clock; time it under ``kernel``."""
+        plan = _plan(workload)
+
+        def run():
+            with use_kernel(kernel):
+                return execute_plan(plan)
+
+        return run
+
+    check_gate(request, "numpy-kernel", partial(under, "numpy"), partial(under, "python"))

@@ -6,29 +6,26 @@ whose measured runtime is within 1.5× of the best forced-algorithm runtime
 on the same inputs, and ``explain(analyze=True)`` must report estimated and
 actual cardinality (with q-error) for every plan node.
 
-Timings use the best of several runs so the assertions stay stable on
-noisy machines; a small absolute floor shields the sub-millisecond
-scenarios from scheduler jitter, and the wall-clock bound is skipped
-entirely under ``--benchmark-disable`` (the CI smoke job on shared
-runners) — the algorithm-choice and explain assertions still run there.
+The bound is the ``planner-choice`` row of ``gates.py``: best-of-N
+timings, with a small absolute floor that shields the sub-millisecond
+scenarios from scheduler jitter.  ``gates.check_gate`` skips the timing
+under ``--benchmark-disable`` (the CI smoke job on shared runners); the
+algorithm-choice and explain assertions still run there.
 """
 
-import time
+from functools import partial
 
 import pytest
 
+from gates import check_gate
 from repro.api import connect
+from repro.division import small_divide
 from repro.optimizer import PhysicalPlanner, PlannerOptions
 from repro.physical import SMALL_DIVIDE_ALGORITHMS
 from repro.physical.executor import execute_plan
 from repro.workloads import make_division_workload
 
 DIVIDE_SQL = "SELECT a FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b"
-
-#: Acceptance bound: chosen runtime ≤ max(1.5 × best forced, best + floor).
-RELATIVE_BOUND = 1.5
-ABSOLUTE_FLOOR_SECONDS = 0.003
-REPEATS = 5
 
 
 def _scenarios():
@@ -48,18 +45,8 @@ def _scenarios():
 SCENARIOS = _scenarios()
 
 
-def _best_time(plan_factory) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        plan = plan_factory()
-        start = time.perf_counter()
-        execute_plan(plan)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_cost_chosen_algorithm_is_competitive(benchmark, scenario):
+def test_cost_chosen_algorithm_is_competitive(request, scenario):
     """The chosen algorithm runs within 1.5× of the best forced algorithm."""
     dividend, divisor = SCENARIOS[scenario]
     db = connect({"r1": dividend, "r2": divisor})
@@ -68,36 +55,19 @@ def test_cost_chosen_algorithm_is_competitive(benchmark, scenario):
     explain_text = query.explain()
     assert "cost-based" in explain_text
     assert "algorithm=" in explain_text
+    assert query.run().relation == small_divide(dividend, divisor)
 
-    result = query.run()
-    chosen = result.decisions[0].chosen.name
-    catalog = db.catalog
-    chosen_planner = PhysicalPlanner(catalog)
-    chosen_time = benchmark(lambda: _best_time(lambda: chosen_planner.plan(query.expression)))
-    if not benchmark.enabled:
-        # --benchmark-disable (the CI smoke job): the plan-choice and explain
-        # assertions above already ran; skip the wall-clock bound — and the
-        # forced-algorithm timing sweeps feeding it — which are only
-        # meaningful on an otherwise idle machine.
-        return
+    def planned(options=None):
+        """Plan off the clock; time the execution."""
+        plan = PhysicalPlanner(db.catalog, options).plan(query.expression)
+        return partial(execute_plan, plan)
 
-    def forced_factory(algorithm):
-        planner = PhysicalPlanner(catalog, PlannerOptions(small_divide_algorithm=algorithm))
-        return lambda: planner.plan(query.expression)
-
-    timings = {
-        algorithm: _best_time(forced_factory(algorithm))
+    forced = {
+        algorithm: partial(planned, PlannerOptions(small_divide_algorithm=algorithm))
         for algorithm in SMALL_DIVIDE_ALGORITHMS
         if algorithm != "nested_loops"  # 40× slower at this size; skip the wait
     }
-    best_forced = min(timings.values())
-    bound = max(RELATIVE_BOUND * best_forced, best_forced + ABSOLUTE_FLOOR_SECONDS)
-    assert chosen_time <= bound, (
-        f"{scenario}: cost-chosen {chosen!r} took {chosen_time * 1000:.3f} ms, "
-        f"best forced {min(timings, key=timings.get)!r} took {best_forced * 1000:.3f} ms "
-        f"(bound {bound * 1000:.3f} ms); forced timings: "
-        + ", ".join(f"{name}={value * 1000:.3f}ms" for name, value in sorted(timings.items()))
-    )
+    check_gate(request, "planner-choice", planned, forced)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -19,9 +19,7 @@ large intermediate results, a special-purpose operator does not.  Counts
 are sums over chunks, so where the chunk boundaries fall never moves them:
 the per-operator counts are bit-identical to the row-at-a-time model.
 
-Subclasses implement :meth:`PhysicalOperator._produce_chunks`; legacy
-subclasses written against the older interfaces (``_produce_batches`` row
-lists, or row-at-a-time ``_produce``) keep working through adapter defaults.
+Every subclass implements :meth:`PhysicalOperator._produce_chunks`.
 """
 
 from __future__ import annotations
@@ -429,8 +427,8 @@ class PhysicalOperator:
 
     Subclasses implement :meth:`_produce_chunks` (a generator of
     :class:`Chunk` objects).  The public :meth:`chunks` wraps it with tuple
-    counting; :meth:`batches` and :meth:`rows` are row-materializing
-    compatibility views; :meth:`execute` materializes the stream into a
+    counting; :meth:`rows` is the row-at-a-time view the emptiness probe
+    pulls; :meth:`execute` materializes the stream into a
     :class:`Relation` without per-operator row objects.
     """
 
@@ -562,28 +560,9 @@ class PhysicalOperator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    # contract: rows-ok (legacy adapter: _produce_batches/_produce are row-based by definition)
     def _produce_chunks(self) -> Iterator[Chunk]:
-        """Produce the output as aligned-tuple chunks.
-
-        The default implementation adapts a legacy row-batch
-        :meth:`_produce_batches` generator (which itself adapts a legacy
-        row-at-a-time :meth:`_produce`), so external subclasses written
-        against the old interfaces keep working.
-        """
-        schema = self._schema
-        for batch in self._produce_batches():
-            yield Chunk.from_rows(schema, batch)
-
-    def _produce_batches(self) -> Iterator[list[Row]]:
-        """Legacy extension hook: produce the output as row batches."""
-        yield from batched(self._produce(), self.batch_size)
-
-    def _produce(self) -> Iterator[Row]:
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _produce_chunks() "
-            "(or legacy _produce_batches()/_produce())"
-        )
+        """Produce the output as aligned-tuple chunks (every subclass)."""
+        raise NotImplementedError(f"{type(self).__name__} must implement _produce_chunks()")
 
     def chunks(self) -> Iterator[Chunk]:
         """Stream the output chunks, counting tuples as chunks are pulled."""
@@ -592,11 +571,6 @@ class PhysicalOperator:
             if count:
                 self.tuples_out += count
                 yield chunk
-
-    def batches(self) -> Iterator[list[Row]]:
-        """Row-batch view of the output stream (counts whole chunks)."""
-        for chunk in self.chunks():
-            yield chunk.rows()
 
     def rows(self) -> Iterator[Row]:
         """Row-at-a-time view of the output stream.

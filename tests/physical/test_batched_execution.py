@@ -1,6 +1,6 @@
 """Batched execution invariants.
 
-Every physical operator streams via ``_produce_batches()``; the batch size
+Every physical operator streams chunks via ``_produce_chunks()``; the batch size
 is an execution detail that must never change the produced relation or the
 per-operator tuple counts.  These tests sweep batch sizes 1, 2 and 1024 over
 randomized division workloads and over a composite plan of the basic
