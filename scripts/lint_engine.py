@@ -13,10 +13,10 @@ the stable-code registry of :mod:`repro.analysis.findings`:
 
       # contract: rows-ok (the public predicate API takes a Row)
 
-* **RP402** — physical operators must never pull ``rows()`` from a child
-  operator (``self._children[i].rows()`` or a name bound from
-  ``self._children``): children are consumed through ``chunks()`` so the
-  per-operator counters stay correct.
+* **RP402** — an operator has no row view: nothing in the physical layer
+  calls ``rows()`` on a child operator (``self._children[i].rows()`` or a
+  name bound from ``self._children``); children are consumed through
+  ``chunks()``, so the per-operator counters stay correct.
 
 * **RP403** — every concrete law class under ``src/repro/laws/`` must
   declare its ``conditions`` tuple in the class body (empty tuple =
@@ -86,6 +86,11 @@ the stable-code registry of :mod:`repro.analysis.findings`:
 * **RP412** — nothing under ``src/repro/`` calls the builtins ``compile``,
   ``exec`` or ``eval``: no code is generated at run time, so there is no
   generated source to audit.  Attribute calls (``re.compile``) are fine.
+
+* **RP413** — under ``src/repro/physical/`` a result stays a tuple block:
+  ``Row.block``, ``Row.from_schema`` and ``Relation.from_aligned`` may be
+  named only inside a function carrying the RP401 waiver pragma (on it or
+  on a function around it), so no operator builds rows nobody asked for.
 
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
@@ -213,8 +218,8 @@ def _check_physical_file(path: Path) -> Iterator[Finding]:
                 if pulls_child:
                     yield finding(
                         "RP402",
-                        f"{class_node.name}.{method.name} pulls rows() from a child "
-                        "operator; consume children through chunks()",
+                        f"{class_node.name}.{method.name} calls rows() on a child "
+                        "operator; operators have no row view, consume chunks()",
                         _where(path, call),
                         "engine",
                     )
@@ -627,6 +632,40 @@ def _check_code_runners(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP413: the physical layer builds rows only where it is waived
+# ----------------------------------------------------------------------
+#: (receiver, attribute) pairs that build ``Row`` objects or a row set.
+ROW_BUILDERS = {("Row", "block"), ("Row", "from_schema"), ("Relation", "from_aligned")}
+
+
+def _check_row_builders(path: Path) -> Iterator[Finding]:
+    source = path.read_text()
+    lines = source.splitlines()
+
+    def visit(node: ast.AST, waived: bool) -> Iterator[Finding]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from visit(child, waived or _has_rows_ok_pragma(lines, child.lineno))
+                continue
+            if (
+                not waived
+                and isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and (child.value.id, child.attr) in ROW_BUILDERS
+            ):
+                yield finding(
+                    "RP413",
+                    f"{child.value.id}.{child.attr} builds rows outside a '{PRAGMA} (reason)' "
+                    "function; hand the tuple block on",
+                    _where(path, child),
+                    "engine",
+                )
+            yield from visit(child, waived)
+
+    yield from visit(ast.parse(source, filename=str(path)), False)
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -732,6 +771,7 @@ def run() -> list[Finding]:
     findings: list[Finding] = []
     for path in _python_files(PHYSICAL_DIR):
         findings.extend(_check_physical_file(path))
+        findings.extend(_check_row_builders(path))
         findings.extend(_check_operator_declarations(path))
         findings.extend(_check_division_keys(path))
         if path.parent == DIVISION_DIR and path.name != "keys.py":

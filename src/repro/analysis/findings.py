@@ -73,7 +73,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP206": (Severity.ERROR, "exchange shape invalid (partitions/workers below 1)"),
     # -- RP4xx: engine-contract lint ---------------------------------------
     "RP401": (Severity.ERROR, "_produce_chunks materializes Row objects without a waiver"),
-    "RP402": (Severity.ERROR, "physical operator pulls rows() from a child operator"),
+    "RP402": (Severity.ERROR, "physical operator calls rows() on a child (operators have no row view)"),
     "RP403": (Severity.ERROR, "law class does not declare its conditions"),
     "RP404": (Severity.ERROR, "physical operator class misses name/properties declarations"),
     "RP405": (Severity.ERROR, "division operator extracts key values outside the key-column seam"),
@@ -84,6 +84,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP410": (Severity.ERROR, "physical cost model declares a module-level cost coefficient"),
     "RP411": (Severity.ERROR, "numpy imported outside relation/encoding.py and physical/compile/kernels.py"),
     "RP412": (Severity.ERROR, "engine source calls the builtin compile, exec or eval"),
+    "RP413": (Severity.ERROR, "physical layer builds rows outside a rows-ok function"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),

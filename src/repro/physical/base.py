@@ -7,9 +7,9 @@ tuples), held as dictionary-code columns (when the block comes from a scan)
 beside a lazily materialized list of value tuples aligned with the schema.
 Flowing codes and bare value tuples instead of
 :class:`~repro.relation.row.Row` objects removes the per-tuple ``Row``
-allocation and order-insensitive hash from every operator boundary;
-rows are only materialized at the executor/result boundary (and by the
-:meth:`PhysicalOperator.rows` compatibility shim).
+allocation and order-insensitive hash from every operator boundary; a
+plan's result is a relation in the block state, whose rows are built only
+when someone asks for them (:meth:`PhysicalOperator.execute`).
 
 Every operator counts the tuples it emits, so the benchmark harness can
 report *intermediate result sizes* — the metric behind the paper's argument
@@ -182,6 +182,7 @@ class Chunk:
         """Build a chunk over ``schema`` from rows (realigned as needed)."""
         return cls(schema, [aligned_values(row, schema) for row in rows])
 
+    # contract: rows-ok (the public Row API of predicates and aggregates)
     def rows(self) -> list[Row]:
         """Materialize the chunk as :class:`Row` objects (boundary only)."""
         return Row.block(self.schema, self.tuples)
@@ -572,34 +573,21 @@ class PhysicalOperator:
                 self.tuples_out += count
                 yield chunk
 
-    def rows(self) -> Iterator[Row]:
-        """Row-at-a-time view of the output stream.
-
-        Counts per row actually pulled, so consumers that stop early (e.g.
-        emptiness probes) charge this operator only for what they consumed —
-        the same accounting as the historical row-at-a-time model.
-        """
-        from_schema = Row.from_schema
-        for chunk in self._produce_chunks():
-            schema = chunk.schema
-            for values in chunk.tuples:
-                self.tuples_out += 1
-                yield from_schema(schema, values)
-
     def produces_any(self) -> bool:
-        """Emptiness probe: does this operator emit at least one row?
+        """Emptiness probe: does this operator emit at least one tuple?
 
-        Temporarily forces batch size 1 throughout the subtree so the
-        partially-consumed pipeline charges every operator the same tuple
-        counts as the historical row-at-a-time model (a 1024-tuple chunk
-        pulled for a one-row peek would otherwise inflate the counts of
-        inner operators — and with them ``max_intermediate``).
+        Temporarily forces batch size 1 throughout the subtree, so every
+        chunk pulled holds one tuple and the partially-consumed pipeline
+        charges every operator the same tuple counts as the historical
+        row-at-a-time model (a 1024-tuple chunk pulled for a one-row peek
+        would otherwise inflate the counts of inner operators — and with
+        them ``max_intermediate``).
         """
         saved = [(operator, operator.batch_size) for operator in self.walk()]
         for operator, _ in saved:
             operator.batch_size = 1
         try:
-            for _ in self.rows():
+            for _ in self.chunks():
                 return True
             return False
         finally:
@@ -616,13 +604,13 @@ class PhysicalOperator:
         return tuples
 
     def execute(self) -> Relation:
-        """Materialize the output as a set-semantics relation.
+        """The output as a set-semantics relation in the block state.
 
         Consumes :meth:`chunks` directly — value tuples flow from the last
-        operator straight into the relation; rows exist only inside the
-        resulting :class:`Relation`.
+        operator straight into the relation, de-duplicated there; its
+        ``Row`` objects and row set are built only if someone asks.
         """
-        return Relation.from_aligned(self._schema, self.drain())
+        return Relation._from_block(self._schema, self.drain())
 
     def reset_counters(self) -> None:
         """Reset tuple counters in the whole subtree (before a fresh run)."""

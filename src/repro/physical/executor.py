@@ -2,9 +2,9 @@
 
 The driver consumes the plan's chunk stream directly
 (:meth:`~repro.physical.base.PhysicalOperator.execute` pulls
-``_produce_chunks()`` through the counting ``chunks()`` wrapper); ``Row``
-objects are materialized only inside the resulting
-:class:`~repro.relation.relation.Relation`.
+``_produce_chunks()`` through the counting ``chunks()`` wrapper) into a
+:class:`~repro.relation.relation.Relation` that holds the tuple block;
+``Row`` objects are built only when someone asks for them.
 """
 
 from __future__ import annotations

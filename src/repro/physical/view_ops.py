@@ -14,7 +14,6 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
-from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 
 if TYPE_CHECKING:
@@ -46,10 +45,6 @@ class CounterTableScan(PhysicalOperator):
         size = self.batch_size
         for start in range(0, len(tuples), size):
             yield Chunk(schema, tuples[start : start + size])
-
-    def execute(self) -> Relation:
-        """Materialize through the view, which reuses the rows of its last read."""
-        return self.view.quotient_relation(self.drain())
 
     def describe(self) -> str:
         return (

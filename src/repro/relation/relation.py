@@ -15,6 +15,11 @@ Representation invariant: every row of a relation shares the relation's
 attribute order.  The operators exploit this with precomputed attribute
 index arrays ("pickers"): projection, joins, semi-joins and grouping pick
 values positionally out of the tuples instead of rebuilding per-row dicts.
+
+A relation is held in one of two states: a ``frozenset`` of rows (what the
+constructor and the algebra build), or a de-duplicated block of aligned
+value tuples (what a physical plan's execution and a stored table hand
+over), whose rows are built the first time something needs them.
 """
 
 from __future__ import annotations
@@ -57,6 +62,13 @@ NULL = _Null()
 class Relation:
     """An immutable relation: a schema plus a *set* of rows.
 
+    The set may be held as a de-duplicated tuple block instead (see the
+    module docstring): ``len``, ``aligned_tuples``, ``encoded_columns``,
+    ``to_tuples`` and ``to_set`` read the block, and the first iteration,
+    membership test, ``rows``, ``==``, ``hash`` or algebra call builds the
+    ``frozenset`` once.  Both states answer every method alike; only the
+    scan order of :meth:`aligned_tuples` follows how the value was built.
+
     Parameters
     ----------
     attributes:
@@ -75,7 +87,7 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_rows", "_tuples", "_encoding")
+    __slots__ = ("_schema", "_set", "_tuples", "_encoding")
 
     def __init__(
         self,
@@ -85,7 +97,7 @@ class Relation:
         schema = Schema.interned(as_schema(attributes).names)
         coerce = self._coerce_row
         self._schema = schema
-        self._rows: frozenset[Row] = frozenset(coerce(schema, raw) for raw in rows)
+        self._set: Optional[frozenset[Row]] = frozenset(coerce(schema, raw) for raw in rows)
         self._tuples: Optional[list[tuple[Any, ...]]] = None
         self._encoding: Optional[tuple[CodeColumn, ...]] = None
 
@@ -133,8 +145,27 @@ class Relation:
         already aligned with it — no coercion."""
         relation = object.__new__(cls)
         relation._schema = schema
-        relation._rows = rows if isinstance(rows, frozenset) else frozenset(rows)
+        relation._set = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._tuples = None
+        relation._encoding = None
+        return relation
+
+    @classmethod
+    def _from_block(cls, schema: Schema, tuples: list[tuple[Any, ...]]) -> "Relation":
+        """Internal constructor of the block state: ``schema`` is interned,
+        every tuple aligned with it, and the list is the relation's to keep.
+        Duplicates go here (the first one stays, as in a set built from the
+        same tuples); no ``Row`` is built."""
+        try:
+            if len(set(tuples)) != len(tuples):
+                tuples = list(dict.fromkeys(tuples))
+        except TypeError:
+            Row.block(schema, tuples)  # raises RelationError, naming the tuple
+            raise
+        relation = object.__new__(cls)
+        relation._schema = schema
+        relation._set = None
+        relation._tuples = tuples
         relation._encoding = None
         return relation
 
@@ -142,9 +173,11 @@ class Relation:
     def from_aligned(cls, attributes: AttributeNames, tuples: Iterable[Sequence[Any]]) -> "Relation":
         """Build a relation from value tuples already aligned with the schema.
 
-        The columnar executor's boundary constructor: each element of
-        ``tuples`` must be a tuple of values in schema attribute order, so
-        no per-row mapping coercion or length checking is needed.
+        Each element of ``tuples`` must be a tuple of values in schema
+        attribute order, so no per-row mapping coercion or length checking
+        is needed.  The rows are built at once and the scan order is the
+        set's own; a plan's result is a block instead
+        (:meth:`~repro.physical.base.PhysicalOperator.execute`).
         """
         schema = Schema.interned(as_schema(attributes).names)
         return cls._from_parts(schema, frozenset(Row.block(schema, tuples)))
@@ -190,9 +223,22 @@ class Relation:
         """
         tuples = self._tuples
         if tuples is None:
-            tuples = [row._values for row in self._rows]
-            self._tuples = tuples
+            tuples = self._tuples = [row._values for row in self._set]  # type: ignore[union-attr]
         return tuples
+
+    @property
+    def _rows(self) -> frozenset[Row]:
+        """The row set, built from the block the first time it is asked for."""
+        rows = self._set
+        if rows is None:
+            rows = self._set = frozenset(Row.block(self._schema, self.aligned_tuples()))
+        return rows
+
+    def _value_tuples(self) -> Iterable[tuple[Any, ...]]:
+        """Every value tuple once, from whichever state holds them."""
+        if self._tuples is None and self._set is not None:
+            return (row._values for row in self._set)
+        return self.aligned_tuples()
 
     def encoded_columns(self) -> tuple[CodeColumn, ...]:
         """Per-attribute dictionary codes of :meth:`aligned_tuples` (cached).
@@ -218,11 +264,13 @@ class Relation:
         return self._encoding
 
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
-        """Pickle the value and its scan order, not the derived encoding."""
+        """Pickle the value as its block (the row set if it has none), not
+        the derived encoding."""
+        tuples = self._tuples
         return None, {
             "_schema": self._schema,
-            "_rows": self._rows,
-            "_tuples": self._tuples,
+            "_set": self._set if tuples is None else None,
+            "_tuples": tuples,
             "_encoding": None,
         }
 
@@ -284,13 +332,11 @@ class Relation:
         return self._rows
 
     def __len__(self) -> int:
-        return len(self._rows)
+        rows = self._set
+        return len(self._tuples) if rows is None else len(rows)  # type: ignore[arg-type]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)
-
-    def __bool__(self) -> bool:
-        return bool(self._rows)
 
     def __contains__(self, row: object) -> bool:
         if isinstance(row, Mapping) and not isinstance(row, Row):
@@ -299,7 +345,7 @@ class Relation:
 
     def is_empty(self) -> bool:
         """Return ``True`` if the relation has no rows."""
-        return not self._rows
+        return not len(self)
 
     def sorted_rows(self, attributes: Optional[AttributeNames] = None) -> list[Row]:
         """Rows sorted by the given attributes (defaults to the full schema).
@@ -339,14 +385,14 @@ class Relation:
         """Values of a single attribute as a Python set."""
         self._schema.require([attribute], "to_set")
         position = self._schema.position(attribute)
-        return {row.values_tuple[position] for row in self._rows}
+        return {values[position] for values in self._value_tuples()}
 
     def to_tuples(self, attributes: Optional[AttributeNames] = None) -> set[tuple[Any, ...]]:
         """Rows as value tuples (ordered by ``attributes`` or the schema)."""
         schema = self._schema if attributes is None else as_schema(attributes)
         self._schema.require(schema, "to_tuples")
         get = self._schema.tuple_getter(schema)
-        return {get(row.values_tuple) for row in self._rows}
+        return {get(values) for values in self._value_tuples()}
 
     # ------------------------------------------------------------------
     # value semantics
@@ -360,7 +406,7 @@ class Relation:
         return hash((self._schema, self._rows))
 
     def __repr__(self) -> str:
-        return f"Relation(attributes={self._schema.names!r}, rows={len(self._rows)})"
+        return f"Relation(attributes={self._schema.names!r}, rows={len(self)})"
 
     # ------------------------------------------------------------------
     # unary operators
@@ -489,7 +535,7 @@ class Relation:
         """Left semi-join ``r1 ⋉ r2``: rows of ``r1`` with a join partner."""
         shared = self._schema.intersection(other._schema)
         if not len(shared):
-            return self if other._rows else Relation.empty(self._schema)
+            return self if other else Relation.empty(self._schema)
         left_key = self._schema.key_getter(shared)
         right_key = other._schema.key_getter(shared)
         keys = {right_key(row.values_tuple) for row in other._rows}

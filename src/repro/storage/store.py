@@ -41,7 +41,6 @@ from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
 from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
-from repro.relation.row import Row
 from repro.relation.schema import Schema
 from repro.relation.encoding import concatenate_codes
 from repro.storage.format import DEFAULT_BLOCK_SIZE, Columns, PathLike, TableReader
@@ -99,24 +98,25 @@ def statistics_from_payload(payload: dict[str, Any]) -> TableStatistics:
 class StoredRelation(Relation):
     """A relation backed by a stored table file, materialized on demand.
 
-    The subclass shadows the ``_rows``/``_tuples`` slots with properties,
-    so every inherited algebra method works unchanged — the first one that
-    actually touches rows triggers a full block read.  Length, schema and
-    :meth:`stored_statistics` are answered from the header alone, which is
-    what keeps ``repro.connect(path)`` and ``db.analyze()`` metadata-only.
+    A stored table is a relation in the block state whose block is read
+    from the file the first time something asks for it
+    (:meth:`aligned_tuples`), so every inherited algebra method works
+    unchanged.  Length, schema and :meth:`stored_statistics` are answered
+    from the header alone, which is what keeps ``repro.connect(path)`` and
+    ``db.analyze()`` metadata-only.
 
     Derived relations (projections, quotients, …) are always plain
     in-memory :class:`Relation` values: the base class builds results via
     ``Relation._from_parts`` explicitly.
     """
 
-    __slots__ = ("_reader", "_cached_rows", "_cached_tuples")
+    __slots__ = ("_reader",)
 
     def __init__(self, reader: TableReader) -> None:
         self._schema = Schema.interned(reader.attributes)
         self._reader = reader
-        self._cached_rows: Optional[frozenset[Row]] = None
-        self._cached_tuples: Optional[list[tuple[Any, ...]]] = None
+        self._set = None
+        self._tuples = None
         # The inherited encoding cache stays empty until something scans the
         # materialized tuples; opening a store must not decode a block.
         self._encoding = None
@@ -125,37 +125,17 @@ class StoredRelation(Relation):
         """Pickle as "reopen this file": no rows, tuples or codes travel."""
         return StoredRelation, (self._reader,)
 
-    # -- lazy materialization ------------------------------------------
-    @property
-    def _rows(self) -> frozenset[Row]:
-        rows = self._cached_rows
-        if rows is None:
-            rows = frozenset(Row.block(self._schema, self.aligned_tuples()))
-            self._cached_rows = rows
-        return rows
-
-    @property
-    def _tuples(self) -> Optional[list[tuple[Any, ...]]]:
-        return self._cached_tuples
-
-    @_tuples.setter
-    def _tuples(self, value: Optional[list[tuple[Any, ...]]]) -> None:
-        self._cached_tuples = value
-
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
         """All tuples in stored (block) order — reads every block, cached."""
-        tuples = self._cached_tuples
+        tuples = self._tuples
         if tuples is None:
             tuples = [values for _meta, block in self._reader.iter_blocks() for values in block]
-            self._cached_tuples = tuples
+            self._tuples = tuples
         return tuples
 
     # -- metadata-only answers -----------------------------------------
     def __len__(self) -> int:
         return self._reader.tuple_count
-
-    def __bool__(self) -> bool:
-        return self._reader.tuple_count > 0
 
     @property
     def reader(self) -> TableReader:
@@ -165,7 +145,7 @@ class StoredRelation(Relation):
     @property
     def is_loaded(self) -> bool:
         """Whether the tuples have been materialized into memory."""
-        return self._cached_rows is not None or self._cached_tuples is not None
+        return self._tuples is not None
 
     def stored_statistics(self) -> TableStatistics:
         """Exact statistics from the file header — a metadata read.
@@ -182,8 +162,8 @@ class StoredRelation(Relation):
 
     def sample_tuples(self, limit: int) -> list[tuple[Any, ...]]:
         """Up to ``limit`` leading tuples without materializing the table."""
-        if self._cached_tuples is not None:
-            return self._cached_tuples[:limit]
+        if self._tuples is not None:
+            return self._tuples[:limit]
         blocks = (block for _meta, block in self._reader.iter_blocks())
         return list(itertools.islice(itertools.chain.from_iterable(blocks), limit))
 

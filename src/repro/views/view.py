@@ -14,7 +14,6 @@ falls back to full recompute through the ordinary prepared-plan path and
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.api.result import QueryResult
@@ -22,7 +21,6 @@ from repro.errors import ViewError
 from repro.laws.registry import delta_rules
 from repro.physical.executor import execute_plan
 from repro.relation.relation import Relation
-from repro.relation.row import Row
 from repro.relation.schema import Schema
 from repro.views.counters import CounterTable
 from repro.views.shapes import DivisionShape, InputShape, UnsupportedViewShape, analyze_division
@@ -104,8 +102,6 @@ class MaintainedView:
         self._dividend_extract: Optional[_SideExtractor] = None
         self._divisor_extract: Optional[_SideExtractor] = None
         self._cached_result: Optional[QueryResult] = None
-        #: What the last maintained read returned: quotient tuples, their rows.
-        self._last_read: tuple[frozenset[Values], frozenset[Row]] = (frozenset(), frozenset())
         self._dirty = True
 
         # One-time prepare: fingerprint + cost estimates for results served
@@ -208,21 +204,6 @@ class MaintainedView:
         self._ensure_built()
         assert self.counters is not None
         return self.counters.quotient_tuples()
-
-    def quotient_relation(self, tuples: list[Values]) -> Relation:
-        """The scanned quotient as a relation: the previous read's row set
-        minus the tuples that left the quotient plus those that entered it
-        (C-level set operations), so the read after a single-row edit
-        builds a handful of ``Row`` objects, not one per quotient tuple."""
-        schema = Schema.interned(self.schema_names)
-        quotient = frozenset(tuples)
-        last_quotient, last_rows = self._last_read
-        row = partial(Row.from_schema, schema)
-        rows = last_rows.difference(map(row, last_quotient - quotient)).union(
-            map(row, quotient - last_quotient)
-        )
-        self._last_read = (quotient, rows)
-        return Relation._from_parts(schema, rows)
 
     def run(self) -> QueryResult:
         """Answer the view: counter-table scan, or recompute on fallback."""

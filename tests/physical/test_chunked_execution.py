@@ -266,22 +266,24 @@ class TestChunkRowRoundTrip:
 
 
 class TestExecutorChunkConsumption:
-    """The executor's hot loop consumes chunks; rows() stays equivalent."""
+    """The executor's hot loop consumes chunks into a tuple block."""
 
-    def test_execute_matches_rows_shim(self):
+    def test_execute_holds_the_drained_block(self):
         dividend, divisor = _random_small_workload(3)
         plan = SMALL_DIVIDE_ALGORITHMS["hash"](RelationScan(dividend), RelationScan(divisor))
         via_chunks = plan.execute()
-        shim = SMALL_DIVIDE_ALGORITHMS["hash"](RelationScan(dividend), RelationScan(divisor))
-        via_rows = Relation(shim.schema, list(shim.rows()))
-        assert via_chunks == via_rows
+        twin = SMALL_DIVIDE_ALGORITHMS["hash"](RelationScan(dividend), RelationScan(divisor))
+        drained = twin.drain()
+        assert via_chunks.aligned_tuples() == drained  # a quotient is a set already
+        assert via_chunks == Relation(twin.schema, drained)
 
-    def test_rows_shim_counts_per_row(self):
+    def test_emptiness_probe_charges_one_tuple(self):
         relation = Relation(["a"], [(i,) for i in range(10)])
         scan = RelationScan(relation)
-        iterator = scan.rows()
-        next(iterator)
-        assert scan.tuples_out == 1  # partial consumption charges per row
+        unset = scan.batch_size
+        assert scan.produces_any()
+        assert scan.tuples_out == 1  # partial consumption charges per tuple
+        assert scan.batch_size == unset  # the probe restores the batch size
 
     def test_divisor_scanned_once_per_execution(self):
         """Dictionary encoding happens at operator open: the divisor side is

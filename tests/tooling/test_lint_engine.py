@@ -504,3 +504,43 @@ class TestRP412NoGeneratedCodeRuns:
     def test_rule_covers_the_whole_package(self, lint):
         for path in lint._python_files(lint.SOURCE_DIR):
             assert list(lint._check_code_runners(path)) == [], path
+
+
+class TestRP413PhysicalResultsStayBlocks:
+    def test_row_builders_outside_a_waived_function_are_flagged(self, lint, tmp_path):
+        """The fixture is the result boundary the rule was written for:
+        ``execute`` turning a drained block into rows nobody asked for."""
+        path = write(
+            tmp_path,
+            "class Operator(PhysicalOperator):\n"
+            "    def execute(self):\n"
+            "        return Relation.from_aligned(self._schema, self.drain())\n"
+            "    def rows(self):\n"
+            "        from_schema = Row.from_schema\n"
+            "        return [from_schema(self._schema, values) for values in self.drain()]\n"
+            "    # contract: rows-ok (the public Row API of aggregates)\n"
+            "    def groups(self, chunk):\n"
+            "        def members(tuples):\n"
+            "            return Row.block(chunk.schema, tuples)\n"
+            "        return members\n"
+            "    def result(self):\n"
+            "        return Relation._from_block(self._schema, self.drain())\n"
+            "SHARED = Row.block\n",
+        )
+        findings = list(lint._check_row_builders(path))
+        assert codes(findings) == ["RP413"] * 3
+        assert [f.where.rsplit(":", 1)[1] for f in findings] == ["3", "5", "14"]
+        assert findings[0].message.startswith("Relation.from_aligned builds rows outside")
+
+    def test_the_waived_sites_are_the_public_row_apis(self, lint, monkeypatch):
+        for path in lint._python_files(lint.PHYSICAL_DIR):
+            assert list(lint._check_row_builders(path)) == [], path
+        monkeypatch.setattr(lint, "_has_rows_ok_pragma", lambda lines, line: False)
+        sites = sorted(
+            finding.message.split(" ")[0] + " in " + Path(finding.where.split(":")[0]).name
+            for path in lint._python_files(lint.PHYSICAL_DIR)
+            for finding in lint._check_row_builders(path)
+        )
+        # Chunk.rows (joins and aggregates hand rows to user code) and a
+        # Filter over an opaque callable: nothing builds a result's rows.
+        assert sites == ["Row.block in base.py", "Row.from_schema in basic.py"]
