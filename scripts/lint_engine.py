@@ -67,9 +67,8 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   read a relation through its code columns or one sweep over its aligned
   tuples: no ``for … in <relation>`` (a loop or comprehension over a
   ``Relation`` parameter), no ``.rows``, no ``.project(`` and no
-  ``values_for(``.  The conditions that still work on rows
-  (``condition_c1``, ``is_superset_of``) carry the RP401 waiver pragma
-  with their reason.
+  ``values_for(``.  The condition that still works on rows
+  (``condition_c1``) carries the RP401 waiver pragma with its reason.
 
 * **RP410** — ``src/repro/optimizer/physical_cost.py`` binds no
   module-level name to a number.  Cost coefficients live on the operator
@@ -91,6 +90,13 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   ``Row.block``, ``Row.from_schema`` and ``Relation.from_aligned`` may be
   named only inside a function carrying the RP401 waiver pragma (on it or
   on a function around it), so no operator builds rows nobody asked for.
+
+* **RP414** — a law precondition is answered by the physical engine: under
+  ``src/repro/{laws,optimizer,api,views}/`` nothing names ``.evaluate``,
+  the logical interpreter, except on ``context`` (a ``RewriteContext``,
+  which plans an operand and executes it).  The context's leaf case returns
+  the catalog's own value and carries ``# contract: evaluate-ok (reason)``
+  on its line.
 
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
@@ -123,6 +129,9 @@ COST_MODEL_FILE = REPO_ROOT / "src" / "repro" / "optimizer" / "physical_cost.py"
 NUMPY_SEAMS = (SOURCE_DIR / "relation" / "encoding.py", PHYSICAL_DIR / "compile" / "kernels.py")
 
 PRAGMA = "# contract: rows-ok"
+EVALUATE_PRAGMA = "# contract: evaluate-ok"
+#: The packages on the query path, where no expression is interpreted.
+QUERY_PATH_PACKAGES = ("laws", "optimizer", "api", "views")
 
 #: Calls inside _produce_chunks that mean "a Row object was materialized".
 ROW_MATERIALIZERS = {"rows", "from_schema", "from_rows", "batched"}
@@ -666,6 +675,25 @@ def _check_row_builders(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP414: the query path interprets no expression
+# ----------------------------------------------------------------------
+def _check_interpreter_calls(path: Path) -> Iterator[Finding]:
+    source = path.read_text()
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if not isinstance(node, ast.Attribute) or node.attr != "evaluate":
+            continue
+        if ast.unparse(node.value) != "context" and EVALUATE_PRAGMA not in lines[node.lineno - 1]:
+            yield finding(
+                "RP414",
+                f"{ast.unparse(node)} runs the logical interpreter on the query path; "
+                "ask context.evaluate, which plans and executes the operand",
+                _where(path, node),
+                "engine",
+            )
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -789,6 +817,8 @@ def run() -> list[Finding]:
     for path in _python_files(SOURCE_DIR):
         findings.extend(_check_numpy_imports(path))
         findings.extend(_check_code_runners(path))
+        if path.relative_to(SOURCE_DIR).parts[0] in QUERY_PATH_PACKAGES:
+            findings.extend(_check_interpreter_calls(path))
     return findings
 
 

@@ -16,18 +16,22 @@ here a rule may consult the :class:`RewriteContext`:
 
 * ``context.catalog`` gives declared keys/foreign keys (Laws 9, 11, 12);
 * ``context.database`` (if provided) lets the rule *verify* a semantic
-  precondition by evaluating subexpressions — rules that need this return
+  precondition on the operands' values — rules that need this return
   ``False`` from ``matches`` when no database is available, so the rewriter
-  stays conservative.
+  stays conservative.  :meth:`RewriteContext.evaluate` answers a base table
+  or a literal with the catalog's own relation value (and its cached
+  dictionary encoding); any other operand is planned by a physical planner
+  of the context's own and run by the physical executor, so a condition
+  reads a tuple block and no ``Row`` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.algebra.catalog import Catalog
-from repro.algebra.expressions import DatabaseLike, Expression
+from repro.algebra.expressions import DatabaseLike, Expression, LiteralRelation, RelationRef
 from repro.errors import RewriteError
 
 __all__ = ["RewriteContext", "RewriteRule", "Rewrite"]
@@ -43,6 +47,9 @@ class RewriteContext:
     catalog: Optional[Catalog] = None
     #: When True, rules must not evaluate data even if a database is present.
     static_only: bool = False
+    #: Plans composite operands; built over ``database`` on first use.  Not
+    #: the query's planner, whose ``decisions`` are the query plan's own.
+    _planner: Any = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_catalog(cls, catalog: Catalog, static_only: bool = False) -> "RewriteContext":
@@ -55,12 +62,18 @@ class RewriteContext:
         return self.database is not None and not self.static_only
 
     def evaluate(self, expression: Expression):
-        """Evaluate a subexpression for a data-dependent precondition check."""
+        """The value of an operand, for a data-dependent precondition check."""
         if not self.can_inspect_data:
             raise RewriteError(
                 "this precondition is data-dependent and the rewrite context has no database"
             )
-        return expression.evaluate(self.database)
+        if isinstance(expression, (RelationRef, LiteralRelation)):
+            return expression.evaluate(self.database)  # contract: evaluate-ok (a leaf's own value)
+        if self._planner is None:
+            from repro.optimizer.planner import PhysicalPlanner
+
+            self._planner = PhysicalPlanner(self.database)
+        return self._planner.plan(expression).execute()
 
 
 @dataclass(frozen=True)

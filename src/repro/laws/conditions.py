@@ -110,12 +110,14 @@ def projections_disjoint(left: Relation, right: Relation, attributes: AttributeN
     return frozenset(_distinct_values(left, schema)).isdisjoint(_distinct_values(right, schema))
 
 
-# contract: rows-ok (two C-level set operations on the row sets, no per-row Python)
 def is_superset_of(left: Relation, right: Relation) -> bool:
-    """``left ⊇ right`` over identical schemas (precondition of Law 6)."""
-    if left.schema != right.schema:
-        return False
-    return set(right.rows) <= set(left.rows)
+    """``left ⊇ right`` over identical schemas (precondition of Law 6).
+
+    Inclusion over the whole schema, read from both value blocks in
+    ``left``'s column order (two equal schemas may list their attributes in
+    different orders).
+    """
+    return left.schema == right.schema and inclusion_holds(right, left, left.schema)
 
 
 def inclusion_holds(source: Relation, target: Relation, attributes: AttributeNames) -> bool:

@@ -163,7 +163,7 @@ class Law12GroupedDivisorKey(RewriteRule):
         divide: SmallDivide = expression  # type: ignore[assignment]
         quotient_attributes = divide.schema
         candidate = Project(SemiJoin(divide.left, divide.right), quotient_attributes)
-        if len(candidate.evaluate(context.database)) == 1:
+        if len(context.evaluate(candidate)) == 1:
             return candidate
         return LiteralRelation(Relation.empty(quotient_attributes), label="empty_quotient")
 

@@ -36,7 +36,9 @@ class Optimizer:
     ) -> None:
         self.catalog = catalog
         self.statistics = StatisticsCatalog.from_database(catalog)
-        context = RewriteContext.from_catalog(catalog, static_only=not allow_data_inspection)
+        # Operands of law preconditions are planned apart from the query.
+        operands = PhysicalPlanner(catalog, statistics=self.statistics)
+        context = RewriteContext(catalog, catalog, not allow_data_inspection, _planner=operands)
         self._rewriter = Rewriter(rules=rules, context=context)
         self._planner = PhysicalPlanner(
             catalog, planner_options, statistics=self.statistics, memory_budget_mb=memory_budget_mb

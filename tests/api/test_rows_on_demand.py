@@ -4,7 +4,10 @@ A σ-small and a σ-great divide over a 100k-tuple dividend run through
 ``db.sql(...).run()`` with warm plans and no result cache, and a maintained
 view is read after an edit.  ``Row.block``, ``Row.from_schema`` and
 ``Row.__init__`` are trapped; none may run until ``result.rows()``, and
-what the rows then say must be the reference quotient.
+what the rows then say must be the reference quotient.  A cold σ-small
+divide covers the rewrite too: the laws' preconditions run on the physical
+engine, so the logical interpreter (every ``Expression.evaluate``) and
+``Relation.select`` are trapped as well.
 """
 
 import random
@@ -14,6 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro
+from repro.algebra.expressions import Expression
 from repro.division import great_divide, small_divide
 from repro.relation import Relation, Row
 
@@ -46,25 +50,64 @@ def reference(kind, supplies, parts):
     return small_divide(dividend, parts.select(lambda row: row["color"] == "red").project(["p_no"]))
 
 
+def counted(calls, name, function):
+    """``function``, counting its calls in ``calls[name]``."""
+
+    def trapped(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return trapped
+
+
 @contextmanager
 def trapped_rows(monkeypatch):
     """Count every call of the three ways a ``Row`` comes to exist."""
     calls = Counter()
-
-    def counted(name, function):
-        def trapped(*args, **kwargs):
-            calls[name] += 1
-            return function(*args, **kwargs)
-
-        return trapped
-
     with monkeypatch.context() as patch:
-        patch.setattr(Row, "block", classmethod(counted("block", Row.block.__func__)))
+        patch.setattr(Row, "block", classmethod(counted(calls, "block", Row.block.__func__)))
         patch.setattr(
-            Row, "from_schema", classmethod(counted("from_schema", Row.from_schema.__func__))
+            Row,
+            "from_schema",
+            classmethod(counted(calls, "from_schema", Row.from_schema.__func__)),
         )
-        patch.setattr(Row, "__init__", counted("__init__", Row.__init__))
+        patch.setattr(Row, "__init__", counted(calls, "__init__", Row.__init__))
         yield calls
+
+
+def interpreters():
+    """Every class that defines its own ``Expression.evaluate``."""
+    found, pending = [], [Expression]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "evaluate" in vars(cls):
+            found.append(cls)
+    return found
+
+
+def test_a_cold_selected_division_interprets_nothing_and_builds_no_rows(tables, monkeypatch):
+    """A first-seen text: the rewrite asks Laws 11 and 12 about both
+    σ-operands, and the physical engine answers without a ``Row``."""
+    db = repro.connect(tables, result_cache_size=0)
+    with trapped_rows(monkeypatch) as calls, monkeypatch.context() as patch:
+        for cls in interpreters():
+            patch.setattr(cls, "evaluate", counted(calls, "evaluate", vars(cls)["evaluate"]))
+        patch.setattr(Relation, "select", counted(calls, "select", Relation.select))
+        result = db.sql(QUERIES["small"]).run()
+        assert not result.cache_hit and not result.rules_fired
+        assert len(result) > 0 and sum(calls.values()) == 0, dict(calls)
+        rows = set(result.rows())
+        assert calls["block"] == 1 and calls["evaluate"] == calls["select"] == 0
+    expected = reference("small", tables["supplies"], tables["parts"])
+    assert rows == set(expected.rows) and result.relation == expected
+    # The operands were planned apart from the query: its decisions and
+    # explain() name its one division only.
+    assert [decision.kind for decision in result.decisions] == ["small divide"]
+    assert [decision.kind for decision in db.optimizer.planner_decisions] == ["small divide"]
+    explained = db.sql(QUERIES["small"]).explain().splitlines()
+    algorithms = [line for line in explained if "algorithm=" in line]
+    assert len(algorithms) == 1 and algorithms[0].strip().startswith("· algorithm=hash")
 
 
 @pytest.mark.parametrize("kind", sorted(QUERIES))

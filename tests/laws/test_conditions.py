@@ -165,6 +165,12 @@ class TestCodedConditionsEqualTheTupleDefinitions:
         assert projections_disjoint(left, right, attributes) == expected
         assert condition_c2(left, right, attributes) == expected
 
+    @given(operands(), operands())
+    def test_is_superset_of_over_any_column_order(self, left, right):
+        """Both operands span ``NAMES`` in independently drawn orders."""
+        assert is_superset_of(left, right) == (set(right.rows) <= set(left.rows))
+        assert is_superset_of(left, left.intersection(right))
+
     def test_a_dictionary_entry_emptied_and_brought_back(self):
         """The one invariant the coded path leans on: every entry of a
         relation's own dictionary occurs, also after the fold of an edit."""

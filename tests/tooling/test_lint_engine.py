@@ -416,11 +416,13 @@ class TestRP409ConditionsReadCodeColumns:
             for function in tree.body
             if isinstance(function, lint.ast.FunctionDef)
         }
-        assert {name for name, found in reads.items() if found} == {
-            "condition_c1",
+        assert {name for name, found in reads.items() if found} == {"condition_c1"}
+        assert {
+            "attribute_is_key",
+            "inclusion_holds",
             "is_superset_of",
-        }
-        assert {"attribute_is_key", "inclusion_holds", "projections_disjoint"} <= set(reads)
+            "projections_disjoint",
+        } <= set(reads)
 
 
 class TestRepositoryIsClean:
@@ -544,3 +546,40 @@ class TestRP413PhysicalResultsStayBlocks:
         # Chunk.rows (joins and aggregates hand rows to user code) and a
         # Filter over an opaque callable: nothing builds a result's rows.
         assert sites == ["Row.block in base.py", "Row.from_schema in basic.py"]
+
+
+class TestRP414QueryPathInterpretsNoExpression:
+    def test_interpreter_calls_off_the_context_are_flagged(self, lint, tmp_path):
+        """The fixture is the two sites the rule was written for: Law 12's
+        ``apply`` interpreting its candidate, and the context's leaf case."""
+        path = write(
+            tmp_path,
+            "class Law12(RewriteRule):\n"
+            "    def apply(self, expression, context=None):\n"
+            "        candidate = Project(SemiJoin(expression.left, expression.right), attrs)\n"
+            "        if len(candidate.evaluate(context.database)) == 1:\n"
+            "            return candidate\n"
+            "        dividend = context.evaluate(expression.left)\n"
+            "        interpret = Expression.evaluate\n"
+            "class RewriteContext:\n"
+            "    def evaluate(self, expression):\n"
+            "        if isinstance(expression, RelationRef):\n"
+            "            return expression.evaluate(self.database)  # contract: evaluate-ok (a)\n"
+            "        return expression.evaluate(self.database)\n",
+        )
+        findings = list(lint._check_interpreter_calls(path))
+        assert codes(findings) == ["RP414"] * 3
+        findings.sort(key=lambda f: int(f.where.rsplit(":", 1)[1]))
+        assert [f.where.rsplit(":", 1)[1] for f in findings] == ["4", "7", "12"]
+        assert findings[0].message.startswith(
+            "candidate.evaluate runs the logical interpreter on the query path"
+        )
+
+    def test_the_one_waived_site_is_the_context_leaf(self, lint, monkeypatch):
+        monkeypatch.setattr(lint, "EVALUATE_PRAGMA", "# no waiver matches this")
+        sites = [
+            "/".join(Path(found.where.split(":")[0]).parts[-2:])
+            for found in lint.run()
+            if found.code == "RP414"
+        ]
+        assert sites == ["laws/base.py"]
