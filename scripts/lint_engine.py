@@ -86,10 +86,11 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   ``exec`` or ``eval``: no code is generated at run time, so there is no
   generated source to audit.  Attribute calls (``re.compile``) are fine.
 
-* **RP413** — under ``src/repro/physical/`` a result stays a tuple block:
-  ``Row.block``, ``Row.from_schema`` and ``Relation.from_aligned`` may be
-  named only inside a function carrying the RP401 waiver pragma (on it or
-  on a function around it), so no operator builds rows nobody asked for.
+* **RP413** — under ``src/repro/physical/`` a result stays code columns
+  or a tuple block: ``Row.block``, ``Row.from_schema`` and
+  ``Relation.from_aligned`` may be named only inside a function carrying
+  the RP401 waiver pragma (on it or on a function around it), so no
+  operator builds rows nobody asked for.
 
 * **RP414** — a law precondition is answered by the physical engine: under
   ``src/repro/{laws,optimizer,api,views}/`` nothing names ``.evaluate``,
@@ -665,7 +666,7 @@ def _check_row_builders(path: Path) -> Iterator[Finding]:
                 yield finding(
                     "RP413",
                     f"{child.value.id}.{child.attr} builds rows outside a '{PRAGMA} (reason)' "
-                    "function; hand the tuple block on",
+                    "function; hand the code columns or the tuple block on",
                     _where(path, child),
                     "engine",
                 )

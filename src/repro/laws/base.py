@@ -22,7 +22,10 @@ here a rule may consult the :class:`RewriteContext`:
   or a literal with the catalog's own relation value (and its cached
   dictionary encoding); any other operand is planned by a physical planner
   of the context's own and run by the physical executor, so a condition
-  reads a tuple block and no ``Row`` is built.
+  reads code columns or a tuple block and no ``Row`` is built.  Within one
+  :meth:`~repro.optimizer.rewriter.Rewriter.rewrite` call each such operand
+  runs once: the rewriter opens a memo on the context at the start and
+  drops it at the end, so no value outlives the query that asked for it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class RewriteContext:
     #: Plans composite operands; built over ``database`` on first use.  Not
     #: the query's planner, whose ``decisions`` are the query plan's own.
     _planner: Any = field(default=None, repr=False, compare=False)
+    #: operand → value, while a rewrite runs (see the module docstring).
+    _operands: Optional[dict[Expression, Any]] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_catalog(cls, catalog: Catalog, static_only: bool = False) -> "RewriteContext":
@@ -69,11 +74,17 @@ class RewriteContext:
             )
         if isinstance(expression, (RelationRef, LiteralRelation)):
             return expression.evaluate(self.database)  # contract: evaluate-ok (a leaf's own value)
-        if self._planner is None:
-            from repro.optimizer.planner import PhysicalPlanner
+        memo = self._operands
+        value = None if memo is None else memo.get(expression)
+        if value is None:
+            if self._planner is None:
+                from repro.optimizer.planner import PhysicalPlanner
 
-            self._planner = PhysicalPlanner(self.database)
-        return self._planner.plan(expression).execute()
+                self._planner = PhysicalPlanner(self.database)
+            value = self._planner.plan(expression).execute()
+            if memo is not None:
+                memo[expression] = value
+        return value
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ ask one helper, :func:`_distinct_values`, for the distinct values of
 ``π_attributes(operand)``.  A relation that already carries its dictionary
 encoding — every base table a query names does, statistics read it before
 the rewriter runs and an edit's fold carries it over — answers from the
-dictionaries; anything else takes one sweep over its aligned tuples.  No
+dictionaries; a coded operand (a plan's result held as code columns)
+answers one attribute from the codes it carries, without decoding a
+tuple; anything else takes one sweep over its aligned tuples.  No
 condition builds a ``Row`` or an intermediate relation; the tuple
 definitions they replaced live on in ``tests/laws/test_conditions.py`` as
 the reference these are compared against.
@@ -48,16 +50,21 @@ def _distinct_values(operand: Relation, schema: Schema) -> Collection[Any]:
     :func:`~repro.relation.encoding.encode_columns` by construction, a
     folded edit by :func:`~repro.relation.encoding.patch_code_columns`'
     first-seen canonicalisation).  That holds for the relation's own cache
-    only — a chunk's slice, a ``bounded()`` column or a stored page share
-    dictionaries with entries they do not carry.  Several attributes (or
-    none) take the sweep whether or not the operand is encoded.
+    only — a chunk's slice, a ``bounded()`` column, a stored page or a
+    plan result's :attr:`~repro.relation.relation.Relation.code_columns`
+    share dictionaries with entries they do not carry, so the last answers
+    from its codes (each distinct code looked up once).  Several attributes
+    (or none) take the sweep whether or not the operand is encoded.
     """
     operand.schema.require(schema, "precondition check")
     picks = operand.schema.picker(schema)
-    encoding = operand.cached_encoding
-    if encoding is None or len(picks) != 1:
-        return frozenset(map(operand.schema.key_getter(schema), operand.aligned_tuples()))
-    return encoding[picks[0]].dictionary
+    if len(picks) == 1:
+        encoding = operand.cached_encoding
+        if encoding is not None:
+            return encoding[picks[0]].dictionary
+        if operand.code_columns is not None:
+            return operand.code_columns[picks[0]].distinct_values()
+    return frozenset(map(operand.schema.key_getter(schema), operand.aligned_tuples()))
 
 
 # contract: rows-ok (on no workload's path; moves to the kernel seam with ROADMAP 1(b))

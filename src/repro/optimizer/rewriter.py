@@ -56,11 +56,15 @@ class Rewriter:
         """Rewrite ``expression`` to fixpoint and report the applied rules."""
         report = RewriteReport(original=expression, result=expression)
         current = expression
-        for _ in range(self.max_passes):
-            rewritten = self._one_pass(current, report)
-            if rewritten == current:
-                break
-            current = rewritten
+        self.context._operands = {}  # each precondition operand runs once per rewrite
+        try:
+            for _ in range(self.max_passes):
+                rewritten = self._one_pass(current, report)
+                if rewritten == current:
+                    break
+                current = rewritten
+        finally:
+            self.context._operands = None
         report.result = current
         return report
 

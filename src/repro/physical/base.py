@@ -8,8 +8,9 @@ beside a lazily materialized list of value tuples aligned with the schema.
 Flowing codes and bare value tuples instead of
 :class:`~repro.relation.row.Row` objects removes the per-tuple ``Row``
 allocation and order-insensitive hash from every operator boundary; a
-plan's result is a relation in the block state, whose rows are built only
-when someone asks for them (:meth:`PhysicalOperator.execute`).
+plan's result is a relation held as code columns or as a tuple block,
+whose rows are built only when someone asks for them
+(:meth:`PhysicalOperator.execute`).
 
 Every operator counts the tuples it emits, so the benchmark harness can
 report *intermediate result sizes* — the metric behind the paper's argument
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ExecutionError
-from repro.relation.encoding import CodeColumn, mask_positions, select_items
+from repro.relation.encoding import CodeColumn, concatenate_codes, mask_positions, select_items
 from repro.relation.relation import Relation
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
@@ -114,8 +115,8 @@ class Chunk:
     ``i``-th tuple.  Chunks derived by selecting or permuting another chunk
     materialize it lazily, on first access, so a pipeline that only ever
     reads the codes never builds the tuple list; every other consumer
-    (joins, aggregates, the exchange, the result boundary) keeps reading
-    ``chunk.tuples`` unchanged.  No :class:`Row` objects exist inside a
+    (joins, aggregates, the exchange, a result that cannot stay coded)
+    keeps reading ``chunk.tuples`` unchanged.  No :class:`Row` objects exist inside a
     chunk; :meth:`rows` materializes them on demand.
     """
 
@@ -610,13 +611,34 @@ class PhysicalOperator:
         return tuples
 
     def execute(self) -> Relation:
-        """The output as a set-semantics relation in the block state.
+        """The output as a set-semantics relation, in the coded or the
+        block state.
 
-        Consumes :meth:`chunks` directly — value tuples flow from the last
-        operator straight into the relation, de-duplicated there; its
-        ``Row`` objects and row set are built only if someone asks.
+        When every chunk carries code columns over one shared dictionary
+        per attribute, the stream is a set by construction — a scan, a
+        dictionary filter, a permuting projection, a rename, a quotient or
+        an exchange partition of one — and the relation is handed the
+        joined code buffers: no tuple is decoded and no set pass runs.
+        Otherwise value tuples flow from the last operator straight into
+        the relation, de-duplicated there.  Either way its ``Row`` objects
+        and row set are built only if someone asks.
         """
-        return Relation._from_block(self._schema, self.drain())
+        schema = self._schema
+        stream = (chunk.aligned(schema) for chunk in self.chunks())
+        chunks = list(itertools.islice(stream, 1))
+        if chunks and chunks[0].columns:
+            # Coded chunks are cheap to hold (their tuples are deferred).
+            chunks += stream
+            if _shares_dictionaries(chunks, schema, range(len(schema))):
+                columns = tuple(
+                    CodeColumn(parts[0].dictionary, concatenate_codes([p.codes for p in parts]))
+                    for parts in zip(*(chunk.columns for chunk in chunks))
+                )
+                return Relation._from_columns(schema, columns)
+        tuples: list[tuple[Any, ...]] = []
+        for chunk in itertools.chain(chunks, stream):
+            tuples.extend(chunk.tuples)
+        return Relation._from_block(schema, tuples)
 
     def reset_counters(self) -> None:
         """Reset tuple counters in the whole subtree (before a fresh run)."""
@@ -651,6 +673,20 @@ class PhysicalOperator:
     def _require_children(children: tuple["PhysicalOperator", ...], count: int, name: str) -> None:
         if len(children) != count:
             raise ExecutionError(f"{name} expects {count} input(s), got {len(children)}")
+
+
+def _shares_dictionaries(chunks: list[Chunk], schema: Schema, positions: Iterable[int]) -> bool:
+    """Do all chunks carry code columns, aligned with ``schema``, over the
+    same dictionaries (as the first chunk's) at ``positions``?"""
+    first = chunks[0].columns
+    for chunk in chunks:
+        columns = chunk.columns
+        if columns is None or chunk.schema.names != schema.names:
+            return False
+        for position in positions:
+            if columns[position].dictionary is not first[position].dictionary:
+                return False
+    return True
 
 
 def collect_statistics(plan: PhysicalOperator) -> PlanStatistics:

@@ -43,7 +43,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from typing import Any, NamedTuple, Optional
 
-from repro.physical.base import Chunk, PhysicalOperator, TupleProjector
+from repro.physical.base import Chunk, PhysicalOperator, TupleProjector, _shares_dictionaries
 from repro.physical.compile.kernels import PythonBitsetKernel, active_kernel
 from repro.relation.encoding import CodeColumn, DenseEncoder, as_code_buffer, merge_code_columns
 from repro.relation.schema import Schema
@@ -170,20 +170,6 @@ def encode_keys(source: PhysicalOperator, *attribute_sets: Schema) -> EncodedKey
         for encoder, attributes in zip(encoders, attribute_sets)
     )
     return EncodedKeys(sides, "encoded on the fly")
-
-
-def _shares_dictionaries(chunks: list[Chunk], schema: Schema, positions: set[int]) -> bool:
-    """Do all chunks carry code columns, aligned with ``schema``, over the
-    same dictionaries (as the first chunk's) at ``positions``?"""
-    first = chunks[0].columns
-    for chunk in chunks:
-        columns = chunk.columns
-        if columns is None or chunk.schema.names != schema.names:
-            return False
-        for position in positions:
-            if columns[position].dictionary is not first[position].dictionary:
-                return False
-    return True
 
 
 def _cached_side(chunks: list[Chunk], positions: list[int]) -> KeySide:

@@ -113,6 +113,13 @@ class CodeColumn:
         codes, dictionary = _compact(self.codes, self.dictionary)
         return self if dictionary is self.dictionary else CodeColumn(dictionary, codes)
 
+    def first_seen(self) -> "CodeColumn":
+        """This column as :func:`encode_columns` would build it from its
+        values: over just the entries it carries, in first-seen order (the
+        column itself when its dictionary already is that)."""
+        codes, dictionary = _first_seen(self.codes, self.dictionary)
+        return self if dictionary is self.dictionary else CodeColumn(dictionary, codes)
+
     def bounded(self) -> "CodeColumn":
         """This column, :meth:`dense` if the dictionary outgrows the codes
         (so neither dominates the other)."""

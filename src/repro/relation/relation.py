@@ -16,10 +16,14 @@ attribute order.  The operators exploit this with precomputed attribute
 index arrays ("pickers"): projection, joins, semi-joins and grouping pick
 values positionally out of the tuples instead of rebuilding per-row dicts.
 
-A relation is held in one of two states: a ``frozenset`` of rows (what the
-constructor and the algebra build), or a de-duplicated block of aligned
-value tuples (what a physical plan's execution and a stored table hand
-over), whose rows are built the first time something needs them.
+A relation is held in one of three states: a ``frozenset`` of rows (what
+the constructor and the algebra build), a de-duplicated block of aligned
+value tuples (what a stored table and a plan emitting tuples hand over), or
+one dictionary-code column per attribute (what a plan whose every chunk is
+coded over shared dictionaries hands over: a set by construction, whose
+dictionaries may carry entries no tuple holds).  The block is decoded from
+the codes, and the rows built from the block, the first time something
+needs them.
 """
 
 from __future__ import annotations
@@ -62,12 +66,14 @@ NULL = _Null()
 class Relation:
     """An immutable relation: a schema plus a *set* of rows.
 
-    The set may be held as a de-duplicated tuple block instead (see the
-    module docstring): ``len``, ``aligned_tuples``, ``encoded_columns``,
-    ``to_tuples`` and ``to_set`` read the block, and the first iteration,
-    membership test, ``rows``, ``==``, ``hash`` or algebra call builds the
-    ``frozenset`` once.  Both states answer every method alike; only the
-    scan order of :meth:`aligned_tuples` follows how the value was built.
+    The set may be held as a de-duplicated tuple block or as code columns
+    instead (see the module docstring): ``len`` reads either, ``to_tuples``
+    and ``to_set`` read the block (decoded once from the codes), and
+    ``encoded_columns`` renumbers the codes or encodes the block; the first
+    iteration, membership test, ``rows``, ``==``, ``hash`` or algebra call
+    builds the ``frozenset`` once.  Every state answers every method alike;
+    only the scan order of :meth:`aligned_tuples` follows how the value was
+    built.
 
     Parameters
     ----------
@@ -87,7 +93,7 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_set", "_tuples", "_encoding")
+    __slots__ = ("_schema", "_set", "_tuples", "_encoding", "_codes")
 
     def __init__(
         self,
@@ -100,6 +106,7 @@ class Relation:
         self._set: Optional[frozenset[Row]] = frozenset(coerce(schema, raw) for raw in rows)
         self._tuples: Optional[list[tuple[Any, ...]]] = None
         self._encoding: Optional[tuple[CodeColumn, ...]] = None
+        self._codes: Optional[tuple[CodeColumn, ...]] = None
 
     @staticmethod
     def _coerce_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> Row:
@@ -146,8 +153,7 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = rows if isinstance(rows, frozenset) else frozenset(rows)
-        relation._tuples = None
-        relation._encoding = None
+        relation._tuples = relation._encoding = relation._codes = None
         return relation
 
     @classmethod
@@ -164,9 +170,19 @@ class Relation:
             raise
         relation = object.__new__(cls)
         relation._schema = schema
-        relation._set = None
+        relation._set = relation._encoding = relation._codes = None
         relation._tuples = tuples
-        relation._encoding = None
+        return relation
+
+    @classmethod
+    def _from_columns(cls, schema: Schema, columns: tuple[CodeColumn, ...]) -> "Relation":
+        """Internal constructor of the coded state: one aligned code column
+        per attribute of ``schema`` (at least one), no tuple twice; nothing
+        is decoded."""
+        relation = object.__new__(cls)
+        relation._schema = schema
+        relation._set = relation._tuples = relation._encoding = None
+        relation._codes = columns
         return relation
 
     @classmethod
@@ -218,12 +234,17 @@ class Relation:
         """Value tuples of all rows, aligned with the schema (cached).
 
         Every row of a relation shares the relation's interned schema, so
-        this is a plain attribute sweep; the result is cached because scans
-        re-chunk the same relation on every execution.
+        this is a plain attribute sweep (one decode per column in the coded
+        state); the result is cached because scans re-chunk the same
+        relation on every execution.
         """
         tuples = self._tuples
         if tuples is None:
-            tuples = self._tuples = [row._values for row in self._set]  # type: ignore[union-attr]
+            if self._set is None:
+                tuples = list(zip(*map(CodeColumn.values, self._codes)))  # type: ignore[arg-type]
+            else:
+                tuples = [row._values for row in self._set]
+            self._tuples = tuples
         return tuples
 
     @property
@@ -252,7 +273,10 @@ class Relation:
         """
         encoding = self._encoding
         if encoding is None:
-            encoding = encode_columns(self.aligned_tuples(), len(self._schema))
+            if self._codes is None:
+                encoding = encode_columns(self.aligned_tuples(), len(self._schema))
+            else:  # renumbered onto the entries the codes carry: nothing decoded
+                encoding = tuple(column.first_seen() for column in self._codes)
             self._encoding = encoding
         return encoding
 
@@ -260,18 +284,28 @@ class Relation:
     def cached_encoding(self) -> Optional[tuple[CodeColumn, ...]]:
         """:meth:`encoded_columns` if this value already carries it, else
         ``None`` — asking builds nothing.  Every entry of these dictionaries
-        occurs in the relation, which no slice or copy of them promises."""
+        occurs in the relation, which no slice or copy of them promises, nor
+        the :attr:`code_columns` a plan's result is held as."""
         return self._encoding
 
+    @property
+    def code_columns(self) -> Optional[tuple[CodeColumn, ...]]:
+        """The code columns this value is held as (a plan's result, see the
+        module docstring), else ``None``; a dictionary may carry entries no
+        tuple holds."""
+        return self._codes
+
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
-        """Pickle the value as its block (the row set if it has none), not
-        the derived encoding."""
-        tuples = self._tuples
+        """Pickle the value as its code columns, else its block, else its
+        row set — not the derived encoding."""
+        codes = self._codes
+        tuples = self._tuples if codes is None else None
         return None, {
             "_schema": self._schema,
-            "_set": self._set if tuples is None else None,
+            "_set": self._set if tuples is None and codes is None else None,
             "_tuples": tuples,
             "_encoding": None,
+            "_codes": codes,
         }
 
     def _align(self, row: Row) -> Row:
@@ -332,8 +366,8 @@ class Relation:
         return self._rows
 
     def __len__(self) -> int:
-        rows = self._set
-        return len(self._tuples) if rows is None else len(rows)  # type: ignore[arg-type]
+        held = self._set if self._set is not None else self._tuples
+        return len(self._codes[0] if held is None else held)  # type: ignore[index]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)

@@ -7,7 +7,11 @@ view is read after an edit.  ``Row.block``, ``Row.from_schema`` and
 what the rows then say must be the reference quotient.  A cold σ-small
 divide covers the rewrite too: the laws' preconditions run on the physical
 engine, so the logical interpreter (every ``Expression.evaluate``) and
-``Relation.select`` are trapped as well.
+``Relation.select`` are trapped as well.  The same query also holds every
+result to its code columns — no ``CodeColumn.values`` decode and no
+``Relation._from_block`` set pass before the tuples are asked for — and the
+rewrite to one plan per operand, the divisor none at all when Law 12 refuses
+its dividend.
 """
 
 import random
@@ -19,7 +23,9 @@ import pytest
 import repro
 from repro.algebra.expressions import Expression
 from repro.division import great_divide, small_divide
+from repro.laws.small_divide.grouping import Law12GroupedDivisorKey
 from repro.relation import Relation, Row
+from repro.relation.encoding import CodeColumn
 
 SELECTED = "(SELECT s_no, p_no FROM supplies WHERE s_no < 2000) AS s"
 QUERIES = {
@@ -108,6 +114,39 @@ def test_a_cold_selected_division_interprets_nothing_and_builds_no_rows(tables, 
     explained = db.sql(QUERIES["small"]).explain().splitlines()
     algorithms = [line for line in explained if "algorithm=" in line]
     assert len(algorithms) == 1 and algorithms[0].strip().startswith("· algorithm=hash")
+
+
+def test_a_cold_selected_division_decodes_nothing_and_runs_each_operand_once(tables, monkeypatch):
+    """Every result of a first-seen σ-small divide — the operand a law asks
+    about and the quotient — stays code columns until the tuples are asked
+    for; the rewrite plans the σ-dividend once for Laws 11 and 12 together,
+    and Law 12 refuses it (``p_no`` is no key) without planning the divisor."""
+    db = repro.connect(tables, result_cache_size=0)
+    planner = db.optimizer._rewriter.context._planner
+    plan, planned, calls = planner.plan, [], Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(CodeColumn, "values", counted(calls, "values", CodeColumn.values))
+        patch.setattr(
+            Relation,
+            "_from_block",
+            classmethod(counted(calls, "_from_block", Relation._from_block.__func__)),
+        )
+        patch.setattr(
+            Law12GroupedDivisorKey,
+            "matches",
+            counted(calls, "law 12", Law12GroupedDivisorKey.matches),
+        )
+        patch.setattr(planner, "plan", lambda operand: planned.append(operand) or plan(operand))
+        result = db.sql(QUERIES["small"]).run()
+        assert not result.cache_hit and not result.rules_fired and len(result) > 0
+        assert calls.pop("law 12") > 0
+        assert dict(calls) == {}
+        assert planned and len(set(planned)) == len(planned)
+        assert all(expression.relation_names() == {"supplies"} for expression in planned)
+        tuples = result.to_tuples()
+        assert calls["values"] > 0 and calls["_from_block"] == 0
+    expected = reference("small", tables["supplies"], tables["parts"])
+    assert set(tuples) == expected.to_tuples() and result.relation == expected
 
 
 @pytest.mark.parametrize("kind", sorted(QUERIES))

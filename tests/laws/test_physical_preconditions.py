@@ -233,3 +233,65 @@ def test_an_operand_plan_leaves_the_query_plans_decisions_alone():
     optimizer.rewrite(SmallDivide(inner, Rename(below("s2", "b", 3), {"b": "b1"})))
     assert "small divide" in operand_kinds
     assert optimizer.planner_decisions == before and len(before) == 1
+
+
+# ----------------------------------------------------------------------
+# one run per operand and rewrite: errors and scope stay right
+# ----------------------------------------------------------------------
+SUPPLIERS = "(SELECT s_no, p_no FROM supplies WHERE s_no < 8) AS s"
+
+
+def supplier_tables():
+    """Suppliers 0-7 hold one part each (``s_no`` keys the σ-dividend, so
+    Law 11 fires on it); suppliers 10-13 hold every part."""
+    supplies = [(s, s % 4) for s in range(8)] + [(s, p) for s in range(10, 14) for p in range(4)]
+    return {
+        "supplies": Relation(["s_no", "p_no"], supplies),
+        "parts": Relation(["p_no", "color"], [(p, ("red", "blue")[p % 2]) for p in range(4)]),
+        "wanted": Relation(["p_no"], [(1,)]),
+    }
+
+
+def test_a_divisor_law_12_skips_still_raises_typed_from_the_query():
+    """Law 12 refuses a dividend whose divisor attributes are no key before
+    it runs the divisor, so a σ comparing text with a number there fails
+    in the query's own execution instead of the rewrite: still typed."""
+    tables = supplier_tables()
+    tables["supplies"] = tables["supplies"].union(Relation(["s_no", "p_no"], [(0, 1)]))
+    db = repro.connect(tables, result_cache_size=0)
+    operand_planner, planned = db.optimizer._rewriter.context._planner, []
+    plan = operand_planner.plan
+    operand_planner.plan = lambda expression: planned.append(expression) or plan(expression)
+    text = (
+        "SELECT s_no FROM (SELECT s_no, p_no FROM supplies WHERE s_no < 12) AS s DIVIDE BY "
+        "(SELECT p_no FROM parts WHERE color < 3) AS p ON s.p_no = p.p_no"
+    )
+    with pytest.raises(PredicateError, match="cannot evaluate color < 3"):
+        db.sql(text).run()
+    assert planned and all(expression.relation_names() == {"supplies"} for expression in planned)
+    assert db.optimizer._rewriter.context._operands is None
+
+
+def test_an_insert_between_two_identical_queries_is_seen():
+    """The operand memo lives for one rewrite: after an insert gives
+    supplier 0 a second part, the same text asks Law 11 again, on the new
+    σ-dividend, and the law refuses."""
+    db = repro.connect(supplier_tables(), result_cache_size=0)
+    text = f"SELECT s_no FROM {SUPPLIERS} DIVIDE BY wanted AS p ON s.p_no = p.p_no"
+    before = db.sql(text).run()
+    assert "law_11_grouped_dividend" in before.rules_fired
+    assert sorted(before.to_tuples()) == [(1,), (5,)]
+    db.insert("supplies", [(0, 1)])
+    after = db.sql(text).run()
+    assert "law_11_grouped_dividend" not in after.rules_fired
+    assert sorted(after.to_tuples()) == [(0,), (1,), (5,)]
+    assert db.optimizer._rewriter.context._operands is None
+
+
+def test_an_operand_error_leaves_no_memo_behind():
+    tables = fixed_tables()
+    tables["r1"] = Relation(["a", "b"], [("x", 0), ("y", 1)])
+    session = Optimizer(catalog_of(tables))._rewriter.context
+    with pytest.raises(PredicateError):
+        Rewriter(context=session).rewrite(SmallDivide(below("r1", "a", 2), ref("r2")))
+    assert session._operands is None
