@@ -14,7 +14,9 @@ being measured.)  The table is written from its code columns, encoded once
 outside the timed region, as ``Database.save`` writes it.  The
 ``checksum-read`` and ``checksum-write`` rows of ``gates.py`` bound
 ``guarded`` at ≤5% over ``plain``, with an absolute jitter floor so
-scheduler noise cannot trip them.
+scheduler noise cannot trip them.  The read gate times the engine's read
+path (``iter_block_columns``: read, verify, cut into code pages), not the
+decode into tuples, whose spread alone exceeded the 5% it bounds.
 """
 
 import itertools
@@ -70,6 +72,15 @@ def _decode_all(path):
     return total
 
 
+def _read_columns(path):
+    """The engine's read path (``StoredScan``): verify and cut every block
+    into its code pages, decoding nothing -- the work a CRC is a share of."""
+    total = 0
+    for meta, _columns in TableReader(path).iter_block_columns():
+        total += meta["count"]
+    return total
+
+
 def _blocks(path):
     return [block for _meta, block in TableReader(path).iter_blocks()]
 
@@ -96,13 +107,16 @@ def test_table_write(benchmark, tmp_path, table_columns, mode):
 
 
 def test_checksum_read_overhead(request, table_files):
-    """Same-run gate: checking one CRC32 per block costs ≤5% on a full read."""
+    """Same-run gate: checking one CRC32 per block costs ≤5% on a full read
+    of the code pages (decoding them into tuples is the same work in both
+    arms and about 50 times the CRC's)."""
     assert _blocks(table_files["guarded"]) == _blocks(table_files["plain"])
+    assert _read_columns(table_files["guarded"]) == ROWS
     check_gate(
         request,
         "checksum-read",
-        lambda: partial(_decode_all, table_files["guarded"]),
-        lambda: partial(_decode_all, table_files["plain"]),
+        lambda: partial(_read_columns, table_files["guarded"]),
+        lambda: partial(_read_columns, table_files["plain"]),
     )
 
 

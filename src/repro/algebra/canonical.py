@@ -91,7 +91,7 @@ def expression_fingerprint(expression: Expression, *, assume_canonical: bool = F
     redundant pull-up pass — it cannot change the digest).
     """
     canonical = expression if assume_canonical else canonicalize(expression)
-    encoded = _encode(canonical._signature())
+    encoded = _encode(canonical._cached_signature())
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 

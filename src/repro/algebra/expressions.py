@@ -56,8 +56,10 @@ class Expression:
     :meth:`with_children` or the node constructors.
     """
 
-    #: Cached output schema, computed on first access.
+    #: Cached output schema, signature and hash, computed on first access.
     _schema: Optional[Schema] = None
+    _sig: Optional[tuple] = None
+    _hash: Optional[int] = None
 
     # ------------------------------------------------------------------
     # tree structure
@@ -146,16 +148,38 @@ class Expression:
     # value semantics and rendering
     # ------------------------------------------------------------------
     def _signature(self) -> tuple:
-        """A hashable structural signature; subclasses extend it."""
+        """This node's structural signature, nesting each child's
+        :meth:`_cached_signature`; every subclass defines it."""
         raise NotImplementedError
 
+    def _cached_signature(self) -> tuple:
+        """:meth:`_signature`, computed once per node (nodes are immutable).
+
+        A child's cached tuple is nested by reference, so building a tree's
+        signature touches each node once and comparing two trees that share
+        a subtree skips it on identity.
+        """
+        signature = self._sig
+        if signature is None:
+            signature = self._sig = self._signature()
+        return signature
+
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, Expression):
-            return self._signature() == other._signature()
+            return self._cached_signature() == other._cached_signature()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._signature())
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._cached_signature())
+        return value
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A str hash is salted per process: a pickled copy recomputes it.
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
 
     def to_text(self) -> str:
         """Compact single-line rendering, e.g. ``project[a](divide(r1, r2))``."""
@@ -278,7 +302,7 @@ class Project(Expression):
         return self.child.evaluate(database).project(self.attributes)
 
     def _signature(self) -> tuple:
-        return ("project", self.attributes.name_set, self.child._signature())
+        return ("project", self.attributes.name_set, self.child._cached_signature())
 
     def to_text(self) -> str:
         return f"project[{', '.join(self.attributes.names)}]({self.child.to_text()})"
@@ -319,7 +343,7 @@ class Select(Expression):
         return self.child.evaluate(database).select(self.predicate)
 
     def _signature(self) -> tuple:
-        return ("select", self.predicate, self.child._signature())
+        return ("select", self.predicate, self.child._cached_signature())
 
     def to_text(self) -> str:
         return f"select[{self.predicate!r}]({self.child.to_text()})"
@@ -350,7 +374,7 @@ class Rename(Expression):
         return self.child.evaluate(database).rename(self.mapping)
 
     def _signature(self) -> tuple:
-        return ("rename", tuple(sorted(self.mapping.items())), self.child._signature())
+        return ("rename", tuple(sorted(self.mapping.items())), self.child._cached_signature())
 
     def to_text(self) -> str:
         renames = ", ".join(f"{old}->{new}" for old, new in sorted(self.mapping.items()))
@@ -434,7 +458,7 @@ class GroupBy(Expression):
         )
 
     def _signature(self) -> tuple:
-        return ("group", self.grouping.name_set, self.aggregates, self.child._signature())
+        return ("group", self.grouping.name_set, self.aggregates, self.child._cached_signature())
 
     def to_text(self) -> str:
         aggs = ", ".join(spec.to_text() for spec in self.aggregates)
@@ -462,7 +486,7 @@ class _Binary(Expression):
         return self.__class__(left, right)
 
     def _signature(self) -> tuple:
-        return (self._symbol, self.left._signature(), self.right._signature())
+        return (self._symbol, self.left._cached_signature(), self.right._cached_signature())
 
     def to_text(self) -> str:
         return f"{self._symbol}({self.left.to_text()}, {self.right.to_text()})"
@@ -559,7 +583,8 @@ class ThetaJoin(Expression):
         )
 
     def _signature(self) -> tuple:
-        return ("theta_join", self.predicate, self.left._signature(), self.right._signature())
+        left, right = self.left._cached_signature(), self.right._cached_signature()
+        return ("theta_join", self.predicate, left, right)
 
     def to_text(self) -> str:
         return f"theta_join[{self.predicate!r}]({self.left.to_text()}, {self.right.to_text()})"

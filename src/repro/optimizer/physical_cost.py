@@ -299,8 +299,13 @@ class PhysicalCostModel:
         over the estimated sizes of its logical node's inputs and output.
         The planner maps every logical node to one operator built over the
         plans of the node's inputs (:attr:`PhysicalOperator.inputs`), so
-        plan and expression are walked side by side.
+        plan and expression are walked side by side, each node estimated
+        once per call.
         """
+        with self._estimator._memoized():
+            return self._plan_cost(plan, expression)
+
+    def _plan_cost(self, plan: PhysicalOperator, expression: Expression) -> float:
         if plan.decision is not None:
             own = plan.decision.chosen.cost
         else:
@@ -318,7 +323,7 @@ class PhysicalCostModel:
                 operator.__name__, operator, quantities, cardinality(expression), clustered=False
             ).cost
         return own + sum(
-            self.plan_cost(child, node) for child, node in zip(plan.inputs, expression.children)
+            self._plan_cost(child, node) for child, node in zip(plan.inputs, expression.children)
         )
 
     # ------------------------------------------------------------------

@@ -156,7 +156,10 @@ class PhysicalPlanner:
             # (The Optimizer injects its shared, analyze()-refreshed
             # catalog, so it never pays this re-collection.)
             self._cost_model = None
-        return self._plan(expression)
+            return self._plan(expression)
+        # Each node is estimated once per call, however often it is priced.
+        with self.cost_model.estimator._memoized():
+            return self._plan(expression)
 
     def validate_options(self) -> None:
         """Check every forced algorithm against its kind's registry."""

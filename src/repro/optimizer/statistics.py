@@ -6,14 +6,21 @@ operators: the selectivity of a small divide is estimated as the
 probability that a dividend group of average size ``g`` drawn from a domain
 of ``d`` distinct ``B``-values contains all ``|r2|`` divisor values.  These
 estimates feed the cost model that ranks rewrite alternatives.
+
+A node's estimate is built from its inputs' estimates.  While a caller
+holds :meth:`CardinalityEstimator._memoized` open (a planning call, a plan
+pricing) each node is estimated once, however often it is priced; the
+memo is dropped when the call ends, so statistics refreshed between two
+calls are always read.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, Optional
 
 from repro.algebra.expressions import (
     AntiJoin,
@@ -256,7 +263,10 @@ class StatisticsCatalog:
 
     def table(self, name: str) -> TableStatistics:
         """Statistics of a table; unknown tables get a neutral default."""
-        return self._tables.get(name, TableStatistics(cardinality=1000, distinct_values={}))
+        statistics = self._tables.get(name)
+        if statistics is None:
+            return TableStatistics(cardinality=1000, distinct_values={})
+        return statistics
 
     def tables(self) -> dict[str, TableStatistics]:
         """A snapshot of all stored per-table statistics."""
@@ -296,17 +306,40 @@ class CardinalityEstimator:
         # id() can be recycled, which the identity check in
         # :meth:`literal_statistics` guards against.
         self._literal_statistics: dict[int, tuple[Relation, TableStatistics]] = {}
+        #: Estimates by node identity while a caller holds :meth:`_memoized`
+        #: open (the node is pinned beside its estimate, so no id is
+        #: recycled); ``None`` otherwise.
+        self._memo: Optional[dict[int, tuple[Expression, Estimate]]] = None
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def cardinality(self, expression: Expression) -> float:
         """Estimated number of output tuples of ``expression``."""
-        return self._estimate(expression).cardinality
+        return self.estimate(expression).cardinality
 
     def estimate(self, expression: Expression) -> Estimate:
         """Full estimate (cardinality plus per-attribute distinct counts)."""
-        return self._estimate(expression)
+        memo = self._memo
+        if memo is None:
+            return self._estimate(expression)
+        entry = memo.get(id(expression))
+        if entry is None:
+            entry = memo[id(expression)] = (expression, self._estimate(expression))
+        return entry[1]
+
+    @contextmanager
+    def _memoized(self) -> Iterator[None]:
+        """Estimate each node once while the holder runs.
+
+        Nothing outlives it, so statistics refreshed between two calls are
+        always seen.
+        """
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
 
     def literal_statistics(self, relation: Relation) -> TableStatistics:
         """Exact (cached) statistics of an in-memory literal relation."""
@@ -325,6 +358,7 @@ class CardinalityEstimator:
     # recursive estimation
     # ------------------------------------------------------------------
     def _estimate(self, expression: Expression) -> _Estimate:
+        """One node's estimate, its inputs' through :meth:`estimate`."""
         if isinstance(expression, RelationRef):
             stats = self._statistics.table(expression.name)
             return _Estimate(
@@ -340,7 +374,7 @@ class CardinalityEstimator:
                 distinct_values={k: float(v) for k, v in stats.distinct_values.items()},
             )
         if isinstance(expression, (Project, Rename)):
-            child = self._estimate(expression.child)
+            child = self.estimate(expression.child)
             kept = {
                 name: child.distinct(name)
                 for name in expression.schema.names
@@ -352,12 +386,12 @@ class CardinalityEstimator:
                 return _Estimate(cardinality=min(child.cardinality, bound), distinct_values=kept)
             return _Estimate(cardinality=child.cardinality, distinct_values=kept)
         if isinstance(expression, Select):
-            child = self._estimate(expression.child)
+            child = self.estimate(expression.child)
             selectivity = self._selectivity(expression, child)
             scaled = {name: value * selectivity for name, value in child.distinct_values.items()}
             return _Estimate(cardinality=child.cardinality * selectivity, distinct_values=scaled)
         if isinstance(expression, GroupBy):
-            child = self._estimate(expression.child)
+            child = self.estimate(expression.child)
             groups = math.prod(child.distinct(name) for name in expression.grouping.names) if len(expression.grouping) else 1.0
             cardinality = min(child.cardinality, groups)
             return _Estimate(
@@ -365,7 +399,7 @@ class CardinalityEstimator:
                 distinct_values={name: cardinality for name in expression.schema.names},
             )
         if isinstance(expression, Union):
-            left, right = self._estimate(expression.left), self._estimate(expression.right)
+            left, right = self.estimate(expression.left), self.estimate(expression.right)
             return _Estimate(
                 cardinality=left.cardinality + right.cardinality,
                 distinct_values={
@@ -374,21 +408,21 @@ class CardinalityEstimator:
                 },
             )
         if isinstance(expression, Intersection):
-            left, right = self._estimate(expression.left), self._estimate(expression.right)
+            left, right = self.estimate(expression.left), self.estimate(expression.right)
             cardinality = min(left.cardinality, right.cardinality) * 0.5
             return _Estimate(
                 cardinality=cardinality,
                 distinct_values={name: min(left.distinct(name), right.distinct(name)) for name in expression.schema.names},
             )
         if isinstance(expression, Difference):
-            return self._estimate(expression.left)
+            return self.estimate(expression.left)
         if isinstance(expression, (Product,)):
-            left, right = self._estimate(expression.left), self._estimate(expression.right)
+            left, right = self.estimate(expression.left), self.estimate(expression.right)
             distinct = dict(left.distinct_values)
             distinct.update(right.distinct_values)
             return _Estimate(cardinality=left.cardinality * right.cardinality, distinct_values=distinct)
         if isinstance(expression, ThetaJoin):
-            left, right = self._estimate(expression.left), self._estimate(expression.right)
+            left, right = self.estimate(expression.left), self.estimate(expression.right)
             distinct = dict(left.distinct_values)
             distinct.update(right.distinct_values)
             selectivity = self._join_selectivity(expression, left, right)
@@ -397,7 +431,7 @@ class CardinalityEstimator:
                 distinct_values=distinct,
             )
         if isinstance(expression, (NaturalJoin, LeftOuterJoin)):
-            left, right = self._estimate(expression.left), self._estimate(expression.right)
+            left, right = self.estimate(expression.left), self.estimate(expression.right)
             shared = expression.left.schema.intersection(expression.right.schema)
             denominator = math.prod(max(left.distinct(n), right.distinct(n)) for n in shared.names) if len(shared) else 1.0
             cardinality = left.cardinality * right.cardinality / max(denominator, 1.0)
@@ -407,8 +441,8 @@ class CardinalityEstimator:
             distinct.update(right.distinct_values)
             return _Estimate(cardinality=cardinality, distinct_values=distinct)
         if isinstance(expression, (SemiJoin, AntiJoin)):
-            left = self._estimate(expression.left)
-            right = self._estimate(expression.right)
+            left = self.estimate(expression.left)
+            right = self.estimate(expression.right)
             shared = expression.left.schema.intersection(expression.right.schema)
             if len(shared):
                 # Fraction of the left rows whose shared-attribute value also
@@ -430,7 +464,7 @@ class CardinalityEstimator:
         if isinstance(expression, GreatDivide):
             return self._estimate_great_divide(expression)
         # Unknown node type: be conservative.
-        children = [self._estimate(child) for child in expression.children]
+        children = [self.estimate(child) for child in expression.children]
         cardinality = max((child.cardinality for child in children), default=1.0)
         return _Estimate(cardinality=cardinality, distinct_values={})
 
@@ -553,8 +587,8 @@ class CardinalityEstimator:
         return DEFAULT_SELECTIVITY
 
     def _estimate_small_divide(self, expression: SmallDivide) -> _Estimate:
-        dividend = self._estimate(expression.left)
-        divisor = self._estimate(expression.right)
+        dividend = self.estimate(expression.left)
+        divisor = self.estimate(expression.right)
         quotient_schema = expression.schema
         b_schema = expression.right.schema
         candidates = math.prod(dividend.distinct(name) for name in quotient_schema.names)
@@ -572,8 +606,8 @@ class CardinalityEstimator:
         )
 
     def _estimate_great_divide(self, expression: GreatDivide) -> _Estimate:
-        dividend = self._estimate(expression.left)
-        divisor = self._estimate(expression.right)
+        dividend = self.estimate(expression.left)
+        divisor = self.estimate(expression.right)
         shared = expression.left.schema.intersection(expression.right.schema)
         a_schema = expression.left.schema.difference(shared)
         c_schema = expression.right.schema.difference(shared)

@@ -262,17 +262,17 @@ class Schema:
         """Attributes of ``self`` followed by the new attributes of ``other``."""
         other = as_schema(other)
         extra = [name for name in other.names if name not in self._name_set]
-        return Schema(self._names + tuple(extra))
+        return Schema.interned(self._names + tuple(extra))
 
     def intersection(self, other: AttributeNames) -> "Schema":
         """Attributes of ``self`` that also appear in ``other``."""
         other_set = as_schema(other).name_set
-        return Schema(tuple(name for name in self._names if name in other_set))
+        return Schema.interned(tuple(name for name in self._names if name in other_set))
 
     def difference(self, other: AttributeNames) -> "Schema":
         """Attributes of ``self`` that do not appear in ``other``."""
         other_set = as_schema(other).name_set
-        return Schema(tuple(name for name in self._names if name not in other_set))
+        return Schema.interned(tuple(name for name in self._names if name not in other_set))
 
     def __or__(self, other: AttributeNames) -> "Schema":
         return self.union(other)
@@ -302,7 +302,7 @@ class Schema:
         unknown = set(mapping) - self._name_set
         if unknown:
             raise SchemaError(f"rename: unknown attributes {sorted(unknown)!r}")
-        return Schema(tuple(mapping.get(name, name) for name in self._names))
+        return Schema.interned(tuple(mapping.get(name, name) for name in self._names))
 
     def project(self, attributes: AttributeNames) -> "Schema":
         """Return a schema restricted to ``attributes`` (in the given order)."""

@@ -4,12 +4,18 @@ The subset covers the queries of Section 4 of the paper: SELECT/FROM/WHERE,
 table subqueries, ``AS`` aliases, ``NOT EXISTS`` subqueries, comparison
 predicates combined with AND/OR/NOT, and the paper's proposed
 ``DIVIDE BY … ON …`` table reference.
+
+:func:`tokenize` scans the text with one compiled pattern, one match per
+token, and returns :class:`Token` tuples; its tokens are those of the
+character-by-character reading the grammar is stated in (``str.isspace``,
+``str.isdigit``, ``str.isalpha``, ``str.isalnum``), non-ASCII text included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -51,11 +57,23 @@ KEYWORDS = frozenset(
     }
 )
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
+#: One token per match, after any whitespace (``\s`` is ``str.isspace``).
+#: Each group is named after its token type; a ``WORD`` is a keyword or an
+#: identifier.  ``\w`` is ``str.isalnum`` or ``_``, but ``\d`` is only
+#: ``str.isdecimal``, so :func:`tokenize` finishes the two cases where the
+#: classes differ from the ``str`` predicates the grammar is stated in: a
+#: number runs over every ``str.isdigit`` character ("1²"), and a ``WORD``
+#: starting on a numeric non-letter ("²", "½") is a number or no token.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<OPERATOR><=|>=|<>|!=|[=<>])|(?P<COMMA>,)|(?P<DOT>\.)|(?P<LPAREN>\()"
+    r"|(?P<RPAREN>\))|(?P<STAR>\*)|(?P<STRING>'[^']*')|(?P<NUMBER>\d[\d.]*)"
+    r"|(?P<WORD>[^\W\d][\w#]*))?"
+)
+
+_TYPES = {token_type.name: token_type for token_type in TokenType}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its position in the input text."""
 
     type: TokenType
@@ -70,70 +88,37 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`SQLSyntaxError` on unknown characters."""
     tokens: list[Token] = []
-    index = 0
+    match = _TOKEN.match
     length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char == ",":
-            tokens.append(Token(TokenType.COMMA, ",", index))
-            index += 1
-            continue
-        if char == ".":
-            tokens.append(Token(TokenType.DOT, ".", index))
-            index += 1
-            continue
-        if char == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", index))
-            index += 1
-            continue
-        if char == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", index))
-            index += 1
-            continue
-        if char == "*":
-            tokens.append(Token(TokenType.STAR, "*", index))
-            index += 1
-            continue
-        if char == "'":
-            end = text.find("'", index + 1)
-            if end == -1:
+    index = 0
+    while True:
+        found = match(text, index)
+        kind = found.lastgroup
+        if kind is None:
+            index = found.end()
+            if index == length:
+                break
+            if text[index] == "'":
                 raise SQLSyntaxError("unterminated string literal", index)
-            tokens.append(Token(TokenType.STRING, text[index + 1 : end], index))
-            index = end + 1
-            continue
-        operator = _match_operator(text, index)
-        if operator:
-            tokens.append(Token(TokenType.OPERATOR, operator, index))
-            index += len(operator)
-            continue
-        if char.isdigit():
-            end = index
-            while end < length and (text[end].isdigit() or text[end] == "."):
-                end += 1
-            tokens.append(Token(TokenType.NUMBER, text[index:end], index))
-            index = end
-            continue
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (text[end].isalnum() or text[end] in "_#"):
-                end += 1
-            word = text[index:end]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, word.upper(), index))
+            raise SQLSyntaxError(f"unexpected character {text[index]!r}", index)
+        start, index = found.span(kind)
+        value = text[start:index]
+        if kind == "WORD":
+            first = value[0]
+            if first > "\x7f" and not first.isalpha():
+                if not first.isdigit():
+                    raise SQLSyntaxError(f"unexpected character {first!r}", start)
+                kind, index = "NUMBER", start + 1  # "²": a digit, though no \d
+            elif value.upper() in KEYWORDS:
+                kind, value = "KEYWORD", value.upper()
             else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, index))
-            index = end
-            continue
-        raise SQLSyntaxError(f"unexpected character {char!r}", index)
+                kind = "IDENTIFIER"
+        elif kind == "STRING":
+            value = value[1:-1]
+        if kind == "NUMBER":
+            while index < length and (text[index].isdigit() or text[index] == "."):
+                index += 1
+            value = text[start:index]
+        tokens.append(Token(_TYPES[kind], value, start))
     tokens.append(Token(TokenType.END, "", length))
     return tokens
-
-
-def _match_operator(text: str, index: int) -> str | None:
-    for operator in _OPERATORS:
-        if text.startswith(operator, index):
-            return operator
-    return None

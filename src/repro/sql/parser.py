@@ -211,8 +211,11 @@ class _Parser:
 
     def parse_operand(self) -> Operand:
         if self.current.type is TokenType.NUMBER:
-            text = self.advance().value
-            value = float(text) if "." in text else int(text)
+            token = self.advance()
+            try:
+                value = float(token.value) if "." in token.value else int(token.value)
+            except ValueError:  # "1.2.3", or a digit int() does not read ("²")
+                raise SQLSyntaxError(f"malformed number {token.value!r}", token.position) from None
             return Literal(value=value)
         if self.current.type is TokenType.STRING:
             return Literal(value=self.advance().value)

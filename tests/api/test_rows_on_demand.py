@@ -11,7 +11,9 @@ engine, so the logical interpreter (every ``Expression.evaluate``) and
 result to its code columns — no ``CodeColumn.values`` decode and no
 ``Relation._from_block`` set pass before the tuples are asked for — and the
 rewrite to one plan per operand, the divisor none at all when Law 12 refuses
-its dividend.
+its dividend.  Its front end is held to computing each derived fact once:
+every node's raw signature at most once in the whole query, and every
+node's cardinality estimate at most once per ``plan()`` call.
 """
 
 import random
@@ -24,6 +26,8 @@ import repro
 from repro.algebra.expressions import Expression
 from repro.division import great_divide, small_divide
 from repro.laws.small_divide.grouping import Law12GroupedDivisorKey
+from repro.optimizer.planner import PhysicalPlanner
+from repro.optimizer.statistics import CardinalityEstimator
 from repro.relation import Relation, Row
 from repro.relation.encoding import CodeColumn
 
@@ -81,15 +85,28 @@ def trapped_rows(monkeypatch):
         yield calls
 
 
-def interpreters():
-    """Every class that defines its own ``Expression.evaluate``."""
+def defining(method):
+    """Every ``Expression`` class that defines its own ``method``."""
     found, pending = [], [Expression]
     while pending:
         cls = pending.pop()
         pending.extend(cls.__subclasses__())
-        if "evaluate" in vars(cls):
+        if method in vars(cls):
             found.append(cls)
     return found
+
+
+def per_node(counts, function, position):
+    """``function``, counting its calls per ``args[position]`` in ``counts``
+    (the node is pinned beside its count, so no id is recycled)."""
+
+    def trapped(*args):
+        node = args[position]
+        pinned, count = counts.get(id(node), (node, 0))
+        counts[id(node)] = (pinned, count + 1)
+        return function(*args)
+
+    return trapped
 
 
 def test_a_cold_selected_division_interprets_nothing_and_builds_no_rows(tables, monkeypatch):
@@ -97,7 +114,7 @@ def test_a_cold_selected_division_interprets_nothing_and_builds_no_rows(tables, 
     σ-operands, and the physical engine answers without a ``Row``."""
     db = repro.connect(tables, result_cache_size=0)
     with trapped_rows(monkeypatch) as calls, monkeypatch.context() as patch:
-        for cls in interpreters():
+        for cls in defining("evaluate"):
             patch.setattr(cls, "evaluate", counted(calls, "evaluate", vars(cls)["evaluate"]))
         patch.setattr(Relation, "select", counted(calls, "select", Relation.select))
         result = db.sql(QUERIES["small"]).run()
@@ -179,3 +196,36 @@ def test_a_maintained_view_read_builds_no_rows_until_asked(tables, monkeypatch):
     assert rows == set(expected.rows) and (0, "red") not in result.to_tuples(["s_no", "color"])
     recompute = "SELECT s_no, color FROM supplies AS s DIVIDE BY parts AS p ON s.p_no = p.p_no"
     assert result.relation == expected == db.sql(recompute).run().relation
+
+
+def test_a_cold_selected_division_derives_each_fact_once(tables, monkeypatch):
+    """A first-seen σ-small divide computes each node's raw signature once
+    in the whole query, and each node's estimate once per ``plan()`` call,
+    however often the node is compared, hashed or priced."""
+    db = repro.connect(tables, result_cache_size=0)
+    signatures, estimates, per_plan = {}, {}, []
+    plan = PhysicalPlanner.plan
+
+    def recorded_plan(self, expression):
+        estimates.clear()
+        try:
+            return plan(self, expression)
+        finally:
+            per_plan.append(max((count for _, count in estimates.values()), default=0))
+
+    with monkeypatch.context() as patch:
+        for cls in defining("_signature"):
+            patch.setattr(cls, "_signature", per_node(signatures, vars(cls)["_signature"], 0))
+        patch.setattr(
+            CardinalityEstimator,
+            "_estimate",
+            per_node(estimates, CardinalityEstimator._estimate, 1),
+        )
+        patch.setattr(PhysicalPlanner, "plan", recorded_plan)
+        result = db.sql(QUERIES["small"]).run()
+    assert not result.cache_hit and len(result) > 0
+    assert signatures and max(count for _, count in signatures.values()) == 1
+    # The query's own plan prices its division, so estimates ran; none twice.
+    assert per_plan and max(per_plan) == 1, per_plan
+    expected = reference("small", tables["supplies"], tables["parts"])
+    assert result.relation == expected

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro
 from repro.errors import SQLSyntaxError
+from repro.relation import Relation
 from repro.sql import ast, parse, tokenize
 from repro.sql.lexer import TokenType
 
@@ -76,6 +78,24 @@ class TestParserBasics:
     def test_trailing_garbage_is_rejected(self):
         with pytest.raises(SQLSyntaxError):
             parse("SELECT a FROM t extra garbage !")
+
+    @pytest.mark.parametrize("number", ["1.2.3", "²", "1²", "7."])
+    def test_a_malformed_number_is_a_syntax_error_at_its_token(self, number):
+        text = f"SELECT a FROM r WHERE a = {number}"
+        if number == "7.":  # float() reads it: not malformed
+            assert parse(text).where.right.value == 7.0
+            return
+        with pytest.raises(SQLSyntaxError, match="malformed number") as raised:
+            parse(text)
+        assert raised.value.position == text.index(number)
+
+    def test_a_malformed_number_is_typed_at_the_front_door(self):
+        db = repro.connect({"r": Relation(["a"], [(1,)])})
+        for text in ("SELECT a FROM r WHERE a = 1.2.3", "SELECT a FROM r WHERE a = ²"):
+            with pytest.raises(SQLSyntaxError, match="malformed number"):
+                db.sql(text).run()
+        # Digits of other scripts are numbers ("٣" is 3).
+        assert db.sql("SELECT a FROM r WHERE a < ٣").run().to_tuples() == {(1,)}
 
 
 class TestDivideBySyntax:
