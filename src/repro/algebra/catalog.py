@@ -15,11 +15,16 @@ check them declaratively, and it doubles as the database (name → relation
 mapping) the evaluator and the physical executor read from.
 
 Edits are O(delta): :meth:`Catalog.apply_delta` records the rows an edit
-adds and removes beside the table's immutable relation value, and the
-first *read* of the table (``catalog[name]`` — the one way every reader
-gets at a relation) folds what is pending into a new value.  Declared keys
-are enforced on the way in, so a law that trusts ``has_key`` never sees a
-table that breaks it.
+adds and removes beside the table's immutable relation value, tests
+membership against one live set of the table's current rows (built by its
+first edit, kept up to date by every edit), and the first *read* of the
+table (``catalog[name]`` — the one way every reader gets at a relation)
+folds what is pending into a new value: a patch of the carried scan block
+that copies no row set (:meth:`Relation.with_delta`).  A reader that asks
+the folded value for its rows gets a copy of the live set, the same
+``Row`` objects, while the value is still the table's with nothing
+pending.  Declared keys are enforced on the way in, so a law that trusts
+``has_key`` never sees a table that breaks it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Optional
 
 from repro.algebra.expressions import RelationRef
 from repro.errors import SchemaError
@@ -67,6 +73,11 @@ class Catalog(Mapping[str, Relation]):
         #: Edits not yet folded into ``_tables``: per table the rows added
         #: (insertion-ordered) and the rows of the base value removed.
         self._pending: dict[str, tuple[dict[Row, None], set[Row]]] = {}
+        #: Per edited table its current rows, pending edits included: built
+        #: by the table's first edit, moved by every effective delta and
+        #: dropped by :meth:`replace_table`, so no edit reads a table value;
+        #: the fold's row source (:meth:`_live_rows`) copies it.
+        self._live: dict[str, set[Row]] = {}
         self._keys: dict[str, set[frozenset[str]]] = {}
         #: Per declared key the count of each key value among the table's
         #: current rows; built by the first edit of a table that has a key.
@@ -97,7 +108,18 @@ class Catalog(Mapping[str, Relation]):
         relation = self._tables[name]
         if added or removed:
             relation = self._tables[name] = relation.with_delta(added, removed)
+            # Asked for its rows, a folded block copies the live set.
+            relation._row_source = partial(self._live_rows, name)
         return relation
+
+    def _live_rows(self, name: str, relation: Relation) -> Optional[frozenset[Row]]:
+        """A copy of the live set of ``name`` while ``relation`` is the
+        table's value with nothing pending (the set then holds exactly its
+        rows, as the same ``Row`` objects), else ``None``."""
+        live = self._live.get(name)
+        if live is None or name in self._pending or self._tables.get(name) is not relation:
+            return None
+        return frozenset(live)
 
     # ------------------------------------------------------------------
     # definition API
@@ -108,9 +130,16 @@ class Catalog(Mapping[str, Relation]):
         relation: Relation,
         key: AttributeNames | None = None,
     ) -> RelationRef:
-        """Register a relation and return a :class:`RelationRef` to it."""
+        """Register a relation and return a :class:`RelationRef` to it.
+
+        Every argument is checked before anything is registered, so a
+        refused call (:class:`SchemaError`) leaves the catalog as it was.
+        """
+        _check_table_arguments("add_table", name, relation)
         if name in self._tables:
             raise SchemaError(f"table {name!r} is already defined")
+        if key is not None:
+            relation.schema.require(key, f"key of {name}")
         self._tables[name] = relation
         if key is not None:
             self.declare_key(name, key)
@@ -122,6 +151,7 @@ class Catalog(Mapping[str, Relation]):
         Refused with :class:`SchemaError` when the new contents violate a
         declared key; pending edits of the old contents are dropped.
         """
+        _check_table_arguments("replace_table", name, relation)
         schema = self.schema(name)
         if schema != relation.schema:
             raise SchemaError(
@@ -139,6 +169,7 @@ class Catalog(Mapping[str, Relation]):
                     )
             self._key_counts[name] = counts
         self._pending.pop(name, None)
+        self._live.pop(name, None)
         self._tables[name] = relation
 
     def apply_delta(
@@ -147,9 +178,9 @@ class Catalog(Mapping[str, Relation]):
         """Record an edit of ``name`` and return its *effective* rows.
 
         ``(current − deleted) ∪ inserted`` under set semantics, in
-        O(delta): membership is read off the base value and the pending
-        delta, nothing is copied and nothing is folded.  A row counts as
-        inserted when the table does not hold it (inserting a
+        O(delta): membership is read off the table's live row set (built
+        by its first edit), nothing is copied and nothing is folded.  A row
+        counts as inserted when the table does not hold it (inserting a
         pending-removed row cancels the removal), as deleted when it does
         (deleting a pending-added row cancels the addition).  Rows must be
         aligned with the table's schema (:meth:`schema`).  An edit that
@@ -160,18 +191,18 @@ class Catalog(Mapping[str, Relation]):
         if keyed and name not in self._key_counts:
             # Counts the folded table, so before any pending state is read.
             self._key_counts[name] = self._count_keys(name, self[name])
-        rows = self._require_table(name).rows
+        live = self._live.get(name)
+        if live is None:  # the table's first edit: nothing is pending
+            live = self._live[name] = set(self._require_table(name).rows)
         added, removed = self._pending.get(name) or ({}, set())
-
-        def held(row: Row) -> bool:
-            return row in added or (row in rows and row not in removed)
-
-        gone = dict.fromkeys(filter(held, deleted))
-        new = dict.fromkeys(row for row in inserted if row in gone or not held(row))
+        gone = dict.fromkeys(filter(live.__contains__, deleted))
+        new = dict.fromkeys(row for row in inserted if row in gone or row not in live)
         if not gone and not new:
             return [], []
         if keyed:
             self._claim_keys(name, new, gone)
+        live.difference_update(gone)
+        live.update(new)
         for row in gone:
             if row in added:
                 del added[row]
@@ -327,3 +358,14 @@ class Catalog(Mapping[str, Relation]):
         if name not in self._tables:
             raise SchemaError(f"table {name!r} is not defined")
         return self._tables[name]
+
+
+def _check_table_arguments(operation: str, name: object, relation: object) -> None:
+    """Refuse a table name that is not a nonempty string, or a value that
+    is not a :class:`Relation`, before the catalog is touched."""
+    if not isinstance(name, str) or not name:
+        raise SchemaError(f"{operation}: a table name must be a nonempty string, got {name!r}")
+    if not isinstance(relation, Relation):
+        raise SchemaError(
+            f"{operation}: table {name!r} must be a Relation, got {type(relation).__name__}"
+        )

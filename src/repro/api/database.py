@@ -481,9 +481,16 @@ class Database:
         routes the effective delta to maintained views, and invalidates
         cached plans."""
         old = self.relation(name)
+        # Read before the replacement drops the catalog's live set, which
+        # the rows of a folded table are copied from.
+        old_rows = old.rows
         self.catalog.replace_table(name, relation)
-        current = self.catalog[name]
-        self._note_mutation(name, current.difference(old), old.difference(current))
+        new_rows = self.catalog[name].rows
+        self._note_mutation(
+            name,
+            Relation(old.schema, new_rows - old_rows),
+            Relation(old.schema, old_rows - new_rows),
+        )
         self._refresh(name)
 
     # ------------------------------------------------------------------

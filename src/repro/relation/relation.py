@@ -18,12 +18,14 @@ values positionally out of the tuples instead of rebuilding per-row dicts.
 
 A relation is held in one of three states: a ``frozenset`` of rows (what
 the constructor and the algebra build), a de-duplicated block of aligned
-value tuples (what a stored table and a plan emitting tuples hand over), or
+value tuples (what a stored table and a plan emitting tuples hand over, and
+what a table's edits fold into when its block and encoding are cached), or
 one dictionary-code column per attribute (what a plan whose every chunk is
 coded over shared dictionaries hands over: a set by construction, whose
 dictionaries may carry entries no tuple holds).  The block is decoded from
 the codes, and the rows built from the block, the first time something
-needs them.
+needs them; a table's folded value first asks the catalog, which copies
+its live set of the table's rows while that still holds exactly them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ __all__ = ["Relation", "RowPredicate", "NULL"]
 
 #: Predicates used by :meth:`Relation.select` take a row and return a bool.
 RowPredicate = Callable[[Row], bool]
+
+#: A relation's row source: given the relation, its row set, or ``None``
+#: to have it built from the block.
+_RowSource = Callable[["Relation"], Optional[frozenset[Row]]]
 
 
 class _Null:
@@ -93,7 +99,7 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_set", "_tuples", "_encoding", "_codes")
+    __slots__ = ("_schema", "_set", "_tuples", "_encoding", "_codes", "_row_source")
 
     def __init__(
         self,
@@ -107,6 +113,10 @@ class Relation:
         self._tuples: Optional[list[tuple[Any, ...]]] = None
         self._encoding: Optional[tuple[CodeColumn, ...]] = None
         self._codes: Optional[tuple[CodeColumn, ...]] = None
+        #: Asked for the row set the first time it is needed, before the
+        #: block is: the catalog sets it on a table's folded value, to hand
+        #: over a copy of its live set (``None``: build from the block).
+        self._row_source: Optional[_RowSource] = None
 
     @staticmethod
     def _coerce_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> Row:
@@ -153,7 +163,7 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = rows if isinstance(rows, frozenset) else frozenset(rows)
-        relation._tuples = relation._encoding = relation._codes = None
+        relation._tuples = relation._encoding = relation._codes = relation._row_source = None
         return relation
 
     @classmethod
@@ -170,7 +180,7 @@ class Relation:
             raise
         relation = object.__new__(cls)
         relation._schema = schema
-        relation._set = relation._encoding = relation._codes = None
+        relation._set = relation._encoding = relation._codes = relation._row_source = None
         relation._tuples = tuples
         return relation
 
@@ -181,7 +191,7 @@ class Relation:
         is decoded."""
         relation = object.__new__(cls)
         relation._schema = schema
-        relation._set = relation._tuples = relation._encoding = None
+        relation._set = relation._tuples = relation._encoding = relation._row_source = None
         relation._codes = columns
         return relation
 
@@ -202,33 +212,39 @@ class Relation:
         """This value minus ``removed`` plus ``added``: a table after its edits.
 
         ``removed`` are rows of this relation and ``added`` rows it does
-        not hold (the catalog's pending delta guarantees both).  The row
-        set is one C-level copy per non-empty side; a cached scan block is
-        *carried over* instead of dropped — scan order "this one's minus
-        the removed tuples, then the added ones", and the encoding patched
-        to match (:func:`~repro.relation.encoding.patch_code_columns`), so
+        not hold (the catalog's pending delta guarantees both).  With a
+        cached scan block and encoding the new value is a *block*: scan
+        order "this one's minus the removed tuples, then the added ones",
+        the encoding patched to match
+        (:func:`~repro.relation.encoding.patch_code_columns`), so
         ``encoded_columns()`` still decodes to ``aligned_tuples()`` position
-        by position and is what a fresh encode of that block would give.
-        Without a cached encoding (or one that cannot be patched) both
-        stay unset and are rebuilt on first use, as for any new value.
+        by position and is what a fresh encode of that block would give;
+        this value's row set is neither read nor copied, and the new one is
+        built only if something asks for it (see :attr:`_row_source`).
+        Without a cached encoding (or one that cannot be patched) the row
+        set is one C-level copy per non-empty side, and block and encoding
+        are rebuilt on first use, as for any new value.
         """
         added = [self._align(row) for row in added]
         removed = [self._align(row) for row in removed]
-        rows = self._rows
-        if removed:
-            rows = rows.difference(removed)
-        if added:
-            rows = rows.union(added)
-        relation = Relation._from_parts(self._schema, rows)
         encoding, tuples = self._encoding, self._tuples
         if encoding is not None and tuples is not None:
             appended = [row._values for row in added]
             patched = patch_code_columns(encoding, [row._values for row in removed], appended)
             if patched is not None:
+                relation = object.__new__(Relation)
+                relation._schema, relation._set, relation._codes = self._schema, None, None
+                relation._row_source = None
                 dropped, relation._encoding = patched
                 relation._tuples = drop_positions(tuples, dropped)
                 relation._tuples += appended
-        return relation
+                return relation
+        rows = self._rows
+        if removed:
+            rows = rows.difference(removed)
+        if added:
+            rows = rows.union(added)
+        return Relation._from_parts(self._schema, rows)
 
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
         """Value tuples of all rows, aligned with the schema (cached).
@@ -249,10 +265,16 @@ class Relation:
 
     @property
     def _rows(self) -> frozenset[Row]:
-        """The row set, built from the block the first time it is asked for."""
+        """The row set, built the first time it is asked for: from the
+        value's row source if it has one that answers, else from the block."""
         rows = self._set
         if rows is None:
-            rows = self._set = frozenset(Row.block(self._schema, self.aligned_tuples()))
+            source, self._row_source = self._row_source, None
+            if source is not None:
+                rows = source(self)
+            if rows is None:
+                rows = frozenset(Row.block(self._schema, self.aligned_tuples()))
+            self._set = rows
         return rows
 
     def _value_tuples(self) -> Iterable[tuple[Any, ...]]:
@@ -306,6 +328,7 @@ class Relation:
             "_tuples": tuples,
             "_encoding": None,
             "_codes": codes,
+            "_row_source": None,
         }
 
     def _align(self, row: Row) -> Row:

@@ -196,6 +196,68 @@ class TestCatalogManagement:
         assert db.catalog.has_key("parts", ["p_no"])
 
 
+def session_state(db):
+    """Everything a refused table call must leave as it was."""
+    catalog = db.catalog
+    return (
+        db.tables,
+        db.versions,
+        catalog.declared_keys,
+        {name: catalog[name] for name in catalog},
+        db.cache_info(),
+    )
+
+
+class TestRefusedTableCallsChangeNothing:
+    """Arguments are checked before the catalog is touched: a refused call
+    raises a typed error and a retry with good arguments succeeds."""
+
+    RELATION = Relation(["a"], [(1,), (2,)])
+
+    @pytest.mark.parametrize(
+        "name, relation, key",
+        [
+            ("", RELATION, None),
+            (5, RELATION, None),
+            (None, RELATION, None),
+            ("t", [(1,)], None),
+            ("t", "x", None),
+            ("t", RELATION, ["missing"]),
+        ],
+    )
+    def test_add_table(self, db, name, relation, key):
+        db.sql(Q2).run()
+        before = session_state(db)
+        with pytest.raises(SchemaError):
+            db.add_table(name, relation, key=key)
+        with pytest.raises(SchemaError):
+            db.catalog.add_table(name, relation, key=key)
+        assert session_state(db) == before
+        assert "t" not in db.catalog and "" not in db.catalog
+        db.add_table("t", self.RELATION, key=["a"])
+        assert db.tables == (*before[0], "t") and db.catalog.has_key("t", ["a"])
+
+    @pytest.mark.parametrize("relation", ["x", [(1, 2)], None])
+    def test_replace_table_with_a_non_relation(self, db, relation):
+        before = session_state(db)
+        with pytest.raises(SchemaError, match="must be a Relation"):
+            db.replace_table("parts", relation)
+        with pytest.raises(SchemaError, match="must be a Relation"):
+            db.catalog.replace_table("parts", relation)
+        assert session_state(db) == before
+
+    def test_replace_table_under_a_bad_name(self, db):
+        with pytest.raises(SchemaError):
+            db.catalog.replace_table(7, self.RELATION)
+        with pytest.raises(SchemaError):
+            db.replace_table("missing", self.RELATION)
+
+    @pytest.mark.parametrize("name", [1, "", ("t",)])
+    def test_connect_refuses_a_name_that_is_not_a_nonempty_string(self, name):
+        with pytest.raises(ReproError, match="table name"):
+            connect({name: self.RELATION})
+
+
 class TestAnalyze:
     def test_analyze_refreshes_statistics(self):
         db = connect()

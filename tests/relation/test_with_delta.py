@@ -6,9 +6,15 @@ scan order gives — ``encoded_columns()`` equal to ``encode_columns`` of
 (scans, statistics, saves) can tell a folded value from a new one.
 """
 
-from hypothesis import given, settings
+import pickle
+from functools import partial
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.catalog import Catalog
+from repro.errors import SchemaError
 from repro.relation import Relation
 from repro.relation.encoding import CodeColumn, code_buffer, encode_columns, patch_code_columns
 from repro.relation.row import Row
@@ -140,3 +146,117 @@ def test_code_columns_are_not_mutated_in_place():
     assert dropped == [0, 2]
     assert after.dictionary == ["b", "c"] and list(after.codes) == [0, 1]
     assert column.dictionary == ["a", "b"] and list(column.codes) == [0, 1, 0]
+
+
+# ----------------------------------------------------------------------
+# A table under a sequence of edits and reads (the catalog's fold)
+# ----------------------------------------------------------------------
+ROW = st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 1.0, True, "x"]))
+BATCH = st.lists(ROW, max_size=4)
+STEP = st.one_of(
+    st.tuples(st.just("edit"), BATCH, BATCH),
+    st.tuples(st.just("churn"), BATCH),  # each row deleted and re-inserted in one call
+    st.tuples(st.just("read"), st.booleans()),
+    st.tuples(st.just("ask")),  # the rows of the last value read, without a read
+    st.tuples(st.just("replace"), st.lists(ROW, max_size=8)),
+)
+
+
+def effective(model, inserted, deleted):
+    """The rows an edit really changes, under set semantics."""
+    gone = list(dict.fromkeys(row for row in deleted if row in model))
+    new = list(dict.fromkeys(row for row in inserted if row in gone or row not in model))
+    return new, gone
+
+
+def keys_unique(rows):
+    return len({a for a, _b in rows}) == len(rows)
+
+
+def assert_read(catalog, model, ask_rows):
+    """A read of the folded value equals a fresh build of the same rows;
+    its row set is asked for now or left for later."""
+    relation = catalog["t"]
+    tuples = relation.aligned_tuples()
+    assert len(relation) == len(tuples) == len(model)
+    assert set(tuples) == model
+    fresh = encode_columns(tuples, 2)
+    for carried, built in zip(relation.encoded_columns(), fresh):
+        assert carried.dictionary == built.dictionary
+        assert list(carried.codes) == list(built.codes)
+    copy = pickle.loads(pickle.dumps(relation))
+    assert copy.aligned_tuples() == tuples
+    if ask_rows:  # the row set built on demand: the catalog's live set or the block
+        assert relation.rows == Relation(["a", "b"], model).rows
+        assert copy == relation == Relation(["a", "b"], model)
+    return relation
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    base=st.lists(ROW, max_size=10),
+    keyed=st.booleans(),
+    steps=st.lists(STEP, max_size=14),
+)
+# a folded value whose rows are first asked for after the table's next
+# fold, and one whose rows are asked for while an edit of it is pending
+@example(
+    base=[(0, 0)],
+    keyed=False,
+    steps=[("edit", [(1, 0)], []), ("read", False), ("edit", [(2, 0)], []), ("read", False)],
+)
+@example(
+    base=[(0, 0)],
+    keyed=True,
+    steps=[("edit", [(1, 0)], []), ("read", False), ("edit", [], [(0, 0)]), ("ask",)],
+)
+def test_a_table_under_edits_and_reads_stays_a_fresh_value(base, keyed, steps):
+    catalog = Catalog()
+    parent = Relation(["a", "b"], base)
+    if keyed and not keys_unique(parent.to_tuples()):
+        parent = Relation(["a", "b"], list({a: (a, b) for a, b in base}.values()))
+    catalog.add_table("t", parent, key=["a"] if keyed else None)
+    model = set(parent.to_tuples())
+    unasked = [(assert_read(catalog, model, False), frozenset(model))]
+    schema = catalog.schema("t")
+    for step in steps:
+        kind = step[0]
+        if kind == "read":
+            value = assert_read(catalog, model, step[1])
+            unasked.extend([] if step[1] else [(value, frozenset(model))])
+            continue
+        if kind == "ask":
+            for value, rows in unasked[-1:]:
+                assert value.rows == Relation(["a", "b"], rows).rows
+            continue
+        if kind == "replace":
+            replacement = Relation(["a", "b"], step[1])
+            rows = replacement.to_tuples()
+            if keyed and not keys_unique(rows):
+                with pytest.raises(SchemaError):
+                    catalog.replace_table("t", replacement)
+            else:
+                catalog.replace_table("t", replacement)
+                model = set(rows)
+            continue
+        inserted, deleted = (step[1], step[2]) if kind == "edit" else (step[1], step[1])
+        new, gone = effective(model, inserted, deleted)
+        after = (model - set(gone)) | set(new)
+        edit = partial(
+            catalog.apply_delta,
+            "t",
+            [Row.from_schema(schema, row) for row in inserted],
+            [Row.from_schema(schema, row) for row in deleted],
+        )
+        if keyed and not keys_unique(after):
+            with pytest.raises(SchemaError):
+                edit()
+            continue
+        added, removed = edit()
+        assert [row.values_tuple for row in added] == new
+        assert [row.values_tuple for row in removed] == gone
+        model = after
+    assert_read(catalog, model, True)
+    # values read before later edits, replacements and folds: rows asked last
+    for value, rows in unasked:
+        assert value.rows == Relation(["a", "b"], rows).rows

@@ -198,3 +198,110 @@ def test_maintained_read_after_an_edit_builds_only_the_rows_that_changed(workloa
     assert len(built) <= 4, f"{len(built)} Rows were built by two maintained reads"
     assert without == quotient.difference(Relation(["a"], [(member,)]))
     assert restored == quotient == small_divide(db.relation("r1"), db.relation("r2"))
+
+
+def test_the_fold_and_the_edits_after_it_copy_no_row_set(workload, monkeypatch):
+    """A folded table is a scan block: the re-query's fold patches the
+    parent's block and encoding without reading its row set, and the next
+    edits test membership against the catalog's live set, not a row set of
+    the folded value."""
+    db = connect({"r1": workload.dividend, "r2": workload.divisor})
+    view = db.create_view("q", db.table("r1").divide(db.table("r2"), on=["b"]))
+    view.run()
+    query = db.table("r1").divide(db.table("r2"), on=["b"])
+    query.run()
+    rng = random.Random(7)
+    present = rng.sample(sorted(workload.dividend.aligned_tuples()), 12)
+    for step, row in enumerate(present[:10]):
+        assert db.delete("r1", [row]).changed
+        assert db.insert("r1", [(10**6 + step, step)]).changed
+    schema = db.catalog.schema("r1")
+    row_set, block, from_schema = Relation._rows, Row.block.__func__, Row.from_schema.__func__
+    built = []
+
+    def guarded_rows(self):
+        assert len(self) < 1000, "a row set of the edited table was read or built"
+        return row_set.fget(self)
+
+    def counted_block(cls, block_schema, tuples):
+        rows = block(cls, block_schema, tuples)
+        built.extend(rows if block_schema == schema else ())
+        return rows
+
+    def counted_from_schema(cls, row_schema, values):
+        built.extend([values] if row_schema == schema else ())
+        return from_schema(cls, row_schema, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Relation, "_rows", property(guarded_rows))
+        patch.setattr(Row, "block", classmethod(counted_block))
+        patch.setattr(Row, "from_schema", classmethod(counted_from_schema))
+        result = query.run()
+        folded = db.catalog._tables["r1"]
+        assert folded.cached_encoding is not None and not db.catalog._pending
+        assert not built, f"the re-query built {len(built)} Rows of the edited table"
+        assert db.delete("r1", [present[10]]).changed
+        assert db.insert("r1", [present[10], present[11]]).changed  # one is held
+        assert not db.delete("r1", [(-5, -5)]).changed
+        assert db.catalog._tables["r1"] is folded
+        assert len(built) <= 5, f"{len(built)} Rows were built by three one-row edits"
+    assert db.catalog._tables["r1"]._set is None  # nothing asked for the rows
+    current = db.relation("r1")
+    expected = set(workload.dividend.aligned_tuples()) - set(present[:10])
+    expected |= {(10**6 + step, step) for step in range(10)}
+    assert current.to_tuples() == expected and len(current) == len(expected)
+    assert result.relation == small_divide(folded, db.relation("r2"))
+    assert query.run().relation == view.relation() == small_divide(current, db.relation("r2"))
+
+
+def test_row_reads_of_a_folded_table_share_the_live_rows(workload, monkeypatch):
+    """Asked for its rows, a folded table copies the catalog's live set
+    (the same ``Row`` objects) instead of building a ``Row`` per tuple:
+    iterating it, a predicate delete and ``replace_table`` after edits
+    build no ``Row`` of the table.  A value read before a later edit still
+    builds its own rows from its block, and they are its rows."""
+    db = connect({"r1": workload.dividend, "r2": workload.divisor})
+    db.table("r1").divide(db.table("r2"), on=["b"]).run()
+    rng = random.Random(8)
+    present = rng.sample(sorted(workload.dividend.aligned_tuples()), 6)
+    for row in present[:4]:
+        assert db.delete("r1", [row]).changed
+    assert db.insert("r1", [(10**6, 0)]).changed
+    expected = set(workload.dividend.aligned_tuples()) - set(present[:4]) | {(10**6, 0)}
+    schema = db.catalog.schema("r1")
+    replacement = Relation(["a", "b"], expected - {present[4], present[5]})
+    assert present[5] in expected
+    block = Row.block.__func__
+    built = []
+
+    def counted_block(cls, block_schema, tuples):
+        rows = block(cls, block_schema, tuples)
+        built.extend(rows if block_schema == schema else ())
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Row, "block", classmethod(counted_block))
+        folded = db.relation("r1")
+        assert folded._set is None
+        assert {row.values_tuple for row in folded} == expected
+        live = db.catalog._live["r1"]
+        assert {id(row) for row in folded.rows} == {id(row) for row in live}
+        assert not built, f"iterating the folded table built {len(built)} Rows"
+        deleted = db.delete("r1", lambda row: row.values_tuple == present[4])
+        assert deleted.deleted.to_tuples() == {present[4]}
+        assert not built, f"a predicate delete built {len(built)} Rows"
+        expected.discard(present[4])
+        stale = db.relation("r1")
+        assert stale is not folded and stale._set is None
+        assert db.insert("r1", [(10**6 + 1, 1)]).changed
+        del built[:]  # the inserted row
+        # ``stale`` was folded before that edit: its rows come from its block
+        assert stale.rows == Relation(["a", "b"], expected).rows
+        assert len(built) == len(expected)
+        del built[:]
+        expected.add((10**6 + 1, 1))
+        version = db.table_version("r1")
+        db.replace_table("r1", replacement)
+        assert db.table_version("r1") == version + 1
+        assert not built, f"replace_table built {len(built)} Rows"
+        assert db.relation("r1").to_tuples() == expected - {present[5], (10**6 + 1, 1)}
