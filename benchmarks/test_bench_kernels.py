@@ -16,7 +16,6 @@ from repro.physical import (
     NestedLoopsGreatDivision,
     RelationScan,
     execute_plan,
-    numpy_available,
     use_kernel,
 )
 from repro.workloads import make_great_division_workload
@@ -38,16 +37,7 @@ def _plan(workload):
     return NestedLoopsGreatDivision(RelationScan(workload.dividend), RelationScan(workload.divisor))
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        "python",
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(not numpy_available(), reason="numpy not installed"),
-        ),
-    ],
-)
+@pytest.mark.parametrize("kernel", ("python", "numpy"))
 def test_bitset_kernel_great_divide(benchmark, huge_great_divide_workload, kernel):
     """The subset-scan-heavy great divide under each bitset kernel."""
     workload = huge_great_divide_workload
@@ -62,7 +52,6 @@ def test_bitset_kernel_great_divide(benchmark, huge_great_divide_workload, kerne
     assert result.relation == reference.relation
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_numpy_kernel_speedup_on_great_divide(request, huge_great_divide_workload):
     """Same-run gate: the numpy kernel measurably beats the python kernel."""
     workload = huge_great_divide_workload

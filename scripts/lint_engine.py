@@ -79,8 +79,8 @@ the stable-code registry of :mod:`repro.analysis.findings`:
 * **RP411** — numpy stays behind its two seams.  Under ``src/repro/`` only
   ``relation/encoding.py`` (code buffers and masks) and
   ``physical/compile/kernels.py`` (the bitset kernel) may import it, at
-  any depth; everything else calls their helpers, which all have a
-  numpy-free twin, so the engine runs, and is tested, without numpy.
+  any depth; everything else calls their helpers, so the code-buffer
+  format is decided in one module and a change to it touches no operator.
 
 * **RP412** — nothing under ``src/repro/`` calls the builtins ``compile``,
   ``exec`` or ``eval``: no code is generated at run time, so there is no
@@ -616,7 +616,7 @@ def _check_numpy_imports(path: Path) -> Iterator[Finding]:
             yield finding(
                 "RP411",
                 "numpy imported outside relation/encoding.py and physical/compile/kernels.py; "
-                "call their helpers (each has a numpy-free twin)",
+                "call their helpers (the code-buffer format is decided in one module)",
                 _where(path, node),
                 "engine",
             )

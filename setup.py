@@ -12,4 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
+    python_requires=">=3.10",
+    install_requires=["numpy"],
 )

@@ -51,13 +51,7 @@ from repro.physical.joins import (
     NestedLoopsJoin,
     NestedLoopsNaturalJoin,
 )
-from repro.physical.compile import (
-    active_kernel,
-    available_kernels,
-    numpy_available,
-    set_kernel,
-    use_kernel,
-)
+from repro.physical.compile import active_kernel, use_kernel
 from repro.physical.compile.segments import compile_plan  # noqa: F401 - benchmark replay stub
 from repro.physical.scans import RelationScan, TableScan
 from repro.physical.view_ops import CounterTableScan
@@ -117,8 +111,5 @@ __all__ = [
     "GREAT_DIVIDE_ALGORITHMS",
     # bitset kernels
     "active_kernel",
-    "available_kernels",
-    "numpy_available",
-    "set_kernel",
     "use_kernel",
 ]

@@ -10,43 +10,37 @@ the required popcount.  All work on the integer key codes the key-column
 seam (:mod:`repro.physical.division.keys`) hands out.  Two implementations
 exist:
 
-* :class:`PythonBitsetKernel` — the reference: plain loops over Python
-  ``int`` bitmasks (arbitrary precision, always available);
-* :class:`NumpyBitsetKernel` — batch operations over *multi-word* masks:
-  ``(n, ⌈bits/64⌉)`` ``uint64`` arrays, so a divisor of any width stays
-  vectorized (a byte-flag scatter packed into words — ``np.bitwise_or.at``
-  where the flags would outgrow the input — then word-wise compare /
-  subset / popcount scans).  Picked automatically when numpy is importable.
+* :class:`NumpyBitsetKernel` — the one the engine runs: batch operations
+  over *multi-word* masks, ``(n, ⌈bits/64⌉)`` ``uint64`` arrays, so a
+  divisor of any width stays vectorized (a byte-flag scatter packed into
+  words — ``np.bitwise_or.at`` where the flags would outgrow the input —
+  then word-wise compare / subset / popcount scans);
+* :class:`PythonBitsetKernel` — plain loops over Python ``int`` bitmasks
+  (arbitrary precision).  The numpy kernel hands it the inputs it is
+  measured faster on — fewer than ``_MIN_VECTOR_SIZE`` tuples, or int-mask
+  lists that short — and the tests hold every result of the numpy kernel
+  against it.
 
 Results never depend on the kernel in use.  The partition-parallel
 wrappers run the unchanged serial operators inside their workers, so the
 kernel dispatch applies per partition without any further wiring.  Tests
-pin a kernel with :func:`use_kernel`.
+and the ``numpy-kernel`` gate pin a kernel with :func:`use_kernel`.
 """
 
 from __future__ import annotations
 
-from array import array as _buffer
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Sequence
+
+import numpy as _np
 
 from repro.errors import ExecutionError
 from repro.relation.encoding import iter_codes
 
-try:  # pragma: no cover - CI runs one leg with numpy and one without
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
-    "BitsetKernel",
     "PythonBitsetKernel",
     "NumpyBitsetKernel",
-    "KERNEL_NAMES",
     "active_kernel",
-    "available_kernels",
-    "numpy_available",
-    "set_kernel",
     "use_kernel",
 ]
 
@@ -106,7 +100,7 @@ class PythonBitsetKernel:
         the candidate, and still correct when it is not (a candidate's runs
         land in the same slot).  ``sort`` orders the pairs by candidate
         first: the merge-sort variant for unclustered input.  This loop
-        serves inputs under 32 tuples and processes without numpy.
+        serves inputs under 32 tuples.
         """
         bits = [1 << position if position >= 0 else 0 for position in positions]
         pairs: Any = zip(
@@ -130,25 +124,30 @@ class PythonBitsetKernel:
         return masks
 
     # -- match scans ----------------------------------------------------
-    # Each returns the matching indices ascending, as an integer buffer (an
-    # ``array`` here, an index array vectorized): candidate codes, which the
-    # operators hand on as the quotient's code column without boxing them.
+    # Each returns the matching indices ascending, as an index array:
+    # candidate codes, which the operators hand on as the quotient's code
+    # column without boxing them.
     def full_matches(self, masks: Any, full: int) -> Any:
         """Indices whose mask equals ``full``."""
-        return _buffer("i", [i for i, mask in enumerate(masks) if mask == full])
+        return _indices([i for i, mask in enumerate(masks) if mask == full])
 
     def popcount_matches(self, masks: Any, required: int) -> Any:
         """Indices whose mask has exactly ``required`` bits set."""
         counts = map(int.bit_count, map(int, masks))
-        return _buffer("i", [i for i, count in enumerate(counts) if count == required])
+        return _indices([i for i, count in enumerate(counts) if count == required])
 
     def subset_matches(self, masks: Any, needed: int) -> Any:
         """Indices whose mask contains every bit of ``needed``."""
-        return _buffer("i", [i for i, mask in enumerate(masks) if needed & mask == needed])
+        return _indices([i for i, mask in enumerate(masks) if needed & mask == needed])
 
     def equal_matches(self, masks: Any, fulls: Sequence[int]) -> Any:
         """Indices where ``masks[i] == fulls[i]`` (pairwise)."""
-        return _buffer("i", [i for i, (mask, full) in enumerate(zip(masks, fulls)) if mask == full])
+        return _indices([i for i, (mask, full) in enumerate(zip(masks, fulls)) if mask == full])
+
+
+def _indices(found: list[int]) -> Any:
+    """A match scan's indices as an ``int32`` index array."""
+    return _np.array(found, dtype=_np.int32)
 
 
 class NumpyBitsetKernel(PythonBitsetKernel):
@@ -167,11 +166,7 @@ class NumpyBitsetKernel(PythonBitsetKernel):
     _NARROW_INDEX_LIMIT = 1 << 31
 
     #: Set bits per byte value, for the word-width-independent popcount.
-    _POPCOUNT = (
-        None
-        if _np is None
-        else _np.array([bin(byte).count("1") for byte in range(256)], dtype=_np.uint8)
-    )
+    _POPCOUNT = _np.array([byte.bit_count() for byte in range(256)], dtype=_np.uint8)
 
     @staticmethod
     def _index_array(indices: Any) -> Any:
@@ -326,64 +321,33 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         return self._matching_rows(array, self._words(fulls, array.shape[1]))
 
 
-#: Shared kernel instances (both are stateless).
-_PYTHON_KERNEL = PythonBitsetKernel()
-_NUMPY_KERNEL = NumpyBitsetKernel() if _np is not None else None
+#: Shared kernel instances (both are stateless), by the name
+#: :func:`use_kernel` takes.
+_KERNELS = {"python": PythonBitsetKernel(), "numpy": NumpyBitsetKernel()}
 
-#: Valid kernel-selection names.
-KERNEL_NAMES = ("auto", "python", "numpy")
-
-BitsetKernel = PythonBitsetKernel
-
-#: Process-wide override set by :func:`set_kernel` (None = auto).
-_forced: Optional[str] = None
-
-
-def numpy_available() -> bool:
-    """True when the numpy fast path can be used in this process."""
-    return _NUMPY_KERNEL is not None
-
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernel names usable in this process."""
-    return ("python", "numpy") if numpy_available() else ("python",)
-
-
-def set_kernel(name: Optional[str]) -> None:
-    """Force one bitset kernel process-wide (``None``/"auto" restores auto)."""
-    global _forced
-    if name is None or name == "auto":
-        _forced = None
-        return
-    if name not in KERNEL_NAMES:
-        raise ExecutionError(
-            f"unknown bitset kernel {name!r}; choose from {sorted(KERNEL_NAMES)}"
-        )
-    if name == "numpy" and _NUMPY_KERNEL is None:
-        raise ExecutionError("bitset kernel 'numpy' requested but numpy is not importable")
-    _forced = name
+#: The kernel :func:`use_kernel` pinned (None: the numpy kernel).
+_forced: Optional[PythonBitsetKernel] = None
 
 
 def active_kernel() -> PythonBitsetKernel:
-    """The kernel division operators should use for this execution.
+    """The kernel division operators should use for this execution: the
+    numpy kernel unless :func:`use_kernel` pinned another.
 
     Consulted once per operator open, so :func:`use_kernel` affects any
     plan executed inside its scope.
     """
-    name = _forced
-    if name == "python":
-        return _PYTHON_KERNEL
-    if name == "numpy":
-        return _NUMPY_KERNEL  # type: ignore[return-value]  (set_kernel validated)
-    return _NUMPY_KERNEL if _NUMPY_KERNEL is not None else _PYTHON_KERNEL
+    return _forced or _KERNELS["numpy"]
 
 
 @contextmanager
-def use_kernel(name: Optional[str]) -> Iterator[None]:
-    """Context manager pinning the bitset kernel (parity tests and benches)."""
+def use_kernel(name: str) -> Iterator[None]:
+    """Context manager pinning the bitset kernel ``"python"`` or ``"numpy"``
+    (parity tests and benches)."""
     global _forced
+    if name not in _KERNELS:
+        raise ExecutionError(f"unknown bitset kernel {name!r}; choose from {sorted(_KERNELS)}")
     saved = _forced
-    set_kernel(name)
+    _forced = _KERNELS[name]
     try:
         yield
     finally:

@@ -21,7 +21,7 @@ partition takes its codes by that route, in stream order; a column whose
 dictionary is larger than the partition is compacted to the entries the
 partition carries.  What crosses a process boundary (see
 :mod:`repro.physical.parallel.pool`) is therefore ``(attribute names,
-dictionaries, int32 / array('i') code buffers)`` — integers plus distinct
+dictionaries, int32 code buffers)`` — integers plus distinct
 values, never more values than codes.  The buckets, their order and their
 sizes are exactly those of ``hash(key) % K`` per tuple.
 

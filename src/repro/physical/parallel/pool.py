@@ -4,7 +4,7 @@ A partition task is a small, pickle-friendly description of one serial
 sub-plan: the algorithm's *registry name* (not a class object), the inputs
 as ``(attribute names, partition)`` pairs — a
 :class:`~repro.physical.parallel.exchange.Partition` is dictionaries plus
-int32 / ``array('i')`` code buffers, so the payload is integers and each
+int32 code buffers, so the payload is integers and each
 distinct value once, O(partition) — and any extra operator options.
 Workers rebuild the sub-plan over
 :class:`~repro.physical.parallel.exchange.PartitionSource` leaves, run it to

@@ -12,18 +12,17 @@ Distinct means distinct under ``==``/``hash``: ``1``, ``1.0`` and ``True``
 share one dictionary entry (the first one seen), exactly as they share one
 slot in the ``dict``-based encoders this replaces.
 
-Code buffers are ``numpy.int32`` arrays when numpy imports and
-``array('i')`` otherwise — never lists of ``int`` objects.  Everything
-that depends on that flavour lives here: :func:`merge_code_columns` (the
+Code buffers are ``numpy.int32`` arrays — never lists of ``int`` objects
+— and every helper that builds or reshapes one lives here, so the format
+is decided in this module only: :func:`merge_code_columns` (the
 concatenate / mixed-radix step behind the division operators' key columns;
 :meth:`CodeColumn.dense` renumbers one onto the entries it carries, for the
 few callers that must count them), :func:`repeat_codes` and
 :func:`as_code_buffer` (a quotient's code columns out of the kernels' match
 scans), :func:`split_code_columns` (the exchange's partition pass),
 :func:`patch_code_columns` (a table edit carried over to the encoding) and
-the mask helpers at the bottom (boolean arrays or ``bytes`` of 0 and
-1; callers treat masks as opaque values produced and consumed by these
-functions only).
+the mask helpers at the bottom (boolean arrays; callers treat masks as
+opaque values produced and consumed by these functions only).
 """
 
 from __future__ import annotations
@@ -31,16 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
-from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from typing import Any, Optional
 
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
+import numpy as _np
 
 __all__ = [
     "CodeColumn",
@@ -98,13 +92,7 @@ class CodeColumn:
         on a 306k-code column a boolean gather takes 2.6 ms and a gather by
         position 0.12 ms (20×), so the 0.26 ms that turn the mask into
         positions are paid back by the first column that takes them."""
-        if _np is not None:
-            return CodeColumn(self.dictionary, self.codes[selection])
-        if isinstance(selection, bytes):
-            kept = itertools.compress(self.codes, selection)
-        else:
-            kept = map(self.codes.__getitem__, selection)
-        return CodeColumn(self.dictionary, array("i", kept))
+        return CodeColumn(self.dictionary, self.codes[selection])
 
     def dense(self) -> "CodeColumn":
         """This column over a dictionary of just the entries it carries (one
@@ -132,8 +120,6 @@ class CodeColumn:
     def distinct_values(self) -> list[Any]:
         """The values the column carries, each once (in no particular order):
         one dictionary lookup per distinct code, not per tuple."""
-        if _np is None:
-            return list(map(self.dictionary.__getitem__, set(self.codes)))
         # Sort and keep each run's head: at block sizes three to four times
         # faster than ``np.unique`` and independent of the dictionary size.
         ordered = _np.sort(self.codes)
@@ -145,27 +131,19 @@ class CodeColumn:
         """Tuple count of the most frequent value (0 for an empty column)."""
         if not len(self.codes):
             return 0
-        if _np is not None:
-            return int(_np.bincount(self.codes).max())
-        return max(Counter(self.codes).values())
+        return int(_np.bincount(self.codes).max())
 
     def is_non_decreasing(self) -> bool:
         """Whether the *codes* never step down (equal values are contiguous
         runs in first-seen order; the dictionary decides the value order)."""
         codes = self.codes
-        if _np is not None:
-            return bool((codes[1:] >= codes[:-1]).all())
-        return all(map(operator.le, codes, itertools.islice(codes, 1, None)))
+        return bool((codes[1:] >= codes[:-1]).all())
 
 
 def _widened(dictionary: list[Any], data: bytes) -> CodeColumn:
     """Unpickle a :class:`CodeColumn` (see its ``__reduce__``): bytes of
     our own, widened without the range check a file's pages get."""
     return CodeColumn(dictionary, widen_codes(data, len(dictionary), checked=False))
-
-
-#: Bytes per code → the ``array`` typecode of that unsigned width.
-_UNSIGNED = {1: "B", 2: "H", 4: "I"}
 
 
 def code_width(entries: int) -> int:
@@ -178,63 +156,43 @@ def narrow_codes(codes: Any, entries: int) -> bytes:
     """A code buffer as raw little-endian bytes, :func:`code_width` bytes a
     code — the form codes take on disk (a column page of a stored block)
     and on the wire (a pickled :class:`CodeColumn`)."""
-    width = code_width(entries)
-    if _np is not None:
-        return codes.astype(f"<u{width}").tobytes()
-    narrow = array(_UNSIGNED[width], codes)
-    if sys.byteorder == "big":
-        narrow.byteswap()
-    return narrow.tobytes()
+    return codes.astype(f"<u{code_width(entries)}").tobytes()
 
 
 def widen_codes(data: bytes, entries: int, checked: bool = True) -> Any:
-    """Inverse of :func:`narrow_codes`: the bytes as a code buffer (int32 /
-    ``array('i')``), copied once.  Raises ``ValueError`` for bytes that are
-    no whole number of codes or — unless ``checked`` is off: bytes the
-    engine narrowed itself, not a file's — hold a code outside the
-    dictionary."""
-    if _np is not None:
-        narrow = _np.frombuffer(data, dtype=f"<u{code_width(entries)}")
-    else:
-        narrow = array(_UNSIGNED[code_width(entries)])
-        narrow.frombytes(data)
-        if sys.byteorder == "big":
-            narrow.byteswap()
+    """Inverse of :func:`narrow_codes`: the bytes as an int32 code buffer,
+    copied once.  Raises ``ValueError`` for bytes that are no whole number
+    of codes or — unless ``checked`` is off: bytes the engine narrowed
+    itself, not a file's — hold a code outside the dictionary."""
+    narrow = _np.frombuffer(data, dtype=f"<u{code_width(entries)}")
     if checked and len(narrow):
-        highest = max(narrow) if _np is None else int(narrow.max())
+        highest = int(narrow.max())
         if highest >= entries:
             raise ValueError(f"code {highest} outside a dictionary of {entries}")
-    return array("i", narrow) if _np is None else narrow.astype(_np.int32)
+    return narrow.astype(_np.int32)
 
 
 def code_buffer(codes: Iterable[int], count: int) -> Any:
-    """``count`` integer codes as a compact buffer (int32 / ``array('i')``)."""
-    if _np is not None:
-        return _np.fromiter(codes, dtype=_np.int32, count=count)
-    return array("i", codes)
+    """``count`` integer codes as an int32 code buffer."""
+    return _np.fromiter(codes, dtype=_np.int32, count=count)
 
 
 def concatenate_codes(buffers: Sequence[Any]) -> Any:
     """Code buffers over one dictionary joined in order (one: as it is)."""
     if len(buffers) == 1:
         return buffers[0]
-    if _np is not None and buffers:
-        return _np.concatenate(buffers)
-    return code_buffer(itertools.chain.from_iterable(buffers), sum(map(len, buffers)))
+    return _np.concatenate(buffers) if buffers else code_buffer((), 0)
 
 
 def as_code_buffer(indices: Any) -> Any:
-    """An integer buffer that is not a code buffer yet — a bitset kernel's
-    match scan: an index array, or an ``array('i')`` from its Python loops —
-    as one (a view or one cast; never a pass in Python)."""
-    return indices if _np is None else _np.asarray(indices, dtype=_np.int32)
+    """An integer array that is not a code buffer yet — a bitset kernel's
+    match scan — as one (a view or one cast; never a pass in Python)."""
+    return _np.asarray(indices, dtype=_np.int32)
 
 
 def repeat_codes(codes: Sequence[int], counts: Sequence[int]) -> Any:
     """``codes[i]`` repeated ``counts[i]`` times, in order, as a code buffer."""
-    if _np is not None:
-        return _np.repeat(_np.asarray(codes, dtype=_np.int32), counts)
-    return array("i", itertools.chain.from_iterable(map(itertools.repeat, codes, counts)))
+    return _np.repeat(_np.asarray(codes, dtype=_np.int32), counts)
 
 
 def iter_codes(codes: Any) -> Iterable[int]:
@@ -295,8 +253,6 @@ def merge_code_columns(
     arrays = [concatenate_codes(buffers) for buffers in parts]
     if len(arrays) == 1:
         return arrays[0], dictionaries[0]
-    if _np is None:
-        return _merge_by_dict(arrays, dictionaries)
     combined = _combine_codes(arrays, dictionaries)
     if combined is None:
         return _merge_by_dict([array.tolist() for array in arrays], dictionaries)
@@ -309,7 +265,7 @@ def merge_code_columns(
 
 
 def _combine_codes(arrays: Sequence[Any], dictionaries: Sequence[list[Any]]) -> Any:
-    """Aligned numpy code buffers as one int64 buffer of mixed-radix
+    """Aligned code buffers as one int64 buffer of mixed-radix
     composites; ``None`` when the radix product overflows int64 (callers
     combine as code tuples, or do without)."""
     if math.prod(map(len, dictionaries)) >= 1 << 62:
@@ -323,11 +279,6 @@ def _combine_codes(arrays: Sequence[Any], dictionaries: Sequence[list[Any]]) -> 
 def _compact(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
     """A code buffer renumbered onto the dictionary entries it carries
     (buffer and dictionary as they are when every entry occurs)."""
-    if _np is None:
-        renumbered, present = _merge_by_dict([codes], [dictionary])
-        if len(present) == len(dictionary):
-            return codes, dictionary
-        return array("i", renumbered), present
     present = _np.flatnonzero(_np.bincount(codes, minlength=len(dictionary)))
     if len(present) == len(dictionary):
         return codes, dictionary
@@ -339,11 +290,9 @@ def _compact(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
 def _merge_by_dict(
     columns: list[Iterable[int]], dictionaries: list[list[Any]]
 ) -> tuple[list[int], list[Any]]:
-    """:func:`merge_code_columns` through a ``dict`` over codes / code tuples."""
+    """:func:`merge_code_columns` through a ``dict`` over code tuples, for
+    a composite past int64."""
     encoder = DenseEncoder()
-    if len(columns) == 1:
-        encoder.extend(columns[0])
-        return encoder.codes, [dictionaries[0][code] for code in encoder.finish()]
     encoder.extend(zip(*columns))
     keys = [
         tuple(dictionary[code] for dictionary, code in zip(dictionaries, combination))
@@ -354,10 +303,8 @@ def _merge_by_dict(
 
 def route_codes(keys: Sequence[Any], count: int) -> Any:
     """``hash(key) % count`` per key: the table :func:`split_code_columns`
-    routes by (Python's modulo in both flavours: never negative)."""
-    if _np is not None:
-        return _np.fromiter(map(hash, keys), dtype=_np.int64, count=len(keys)) % count
-    return array("i", (hash(key) % count for key in keys))
+    routes by (numpy's modulo, like Python's: never negative)."""
+    return _np.fromiter(map(hash, keys), dtype=_np.int64, count=len(keys)) % count
 
 
 def split_code_columns(
@@ -376,14 +323,10 @@ def split_code_columns(
     if count == 1:
         blocks = [list(columns)]
     else:
-        if _np is not None:
-            # Positions, not boolean masks: on scattered keys one gather
-            # per column is several times faster than a mask per column.
-            block_of = routes[key_codes]
-            masks = [_np.flatnonzero(block_of == block) for block in range(count)]
-        else:
-            block_of = list(map(routes.__getitem__, key_codes))
-            masks = [bytes(map(block.__eq__, block_of)) for block in range(count)]
+        # Positions, not boolean masks: on scattered keys one gather per
+        # column is several times faster than a mask per column.
+        block_of = routes[key_codes]
+        masks = [_np.flatnonzero(block_of == block) for block in range(count)]
         blocks = [[column.select(mask) for column in columns] for mask in masks]
     return [tuple(column.bounded() for column in block) for block in blocks]
 
@@ -445,10 +388,6 @@ def _code_table(dictionary: list[Any]) -> dict[Any, int]:
 def _positions_of(columns: Sequence[CodeColumn], targets: list[list[int]]) -> Optional[list[int]]:
     """Ascending positions of the tuples that are one of ``targets`` (one
     code list per column, aligned); ``None`` when the composite overflows."""
-    if _np is None:
-        wanted = set(zip(*targets))
-        rows = zip(*(column.codes for column in columns))
-        return [position for position, codes in enumerate(rows) if codes in wanted]
     dictionaries = [column.dictionary for column in columns]
     combined = _combine_codes([column.codes for column in columns], dictionaries)
     if combined is None:
@@ -460,7 +399,7 @@ def _positions_of(columns: Sequence[CodeColumn], targets: list[list[int]]) -> Op
 def drop_positions(items: Any, positions: list[int]) -> Any:
     """A list or code buffer without the elements at the ascending
     ``positions``: the runs between them joined, no per-element work."""
-    if _np is not None and not isinstance(items, list):
+    if not isinstance(items, list):
         return _np.delete(items, positions)
     kept = items[:0]
     start = 0
@@ -475,18 +414,12 @@ def _first_seen(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
     """A code buffer renumbered so that its dictionary lists the values it
     carries in first-seen order (both as they are when it already does).
 
-    With numpy the first occurrences come from the running maximum — a code
-    above everything before it is seen for the first time — and only the
-    codes that are not (a value whose first tuple went away resurfaces
-    behind larger codes, or not at all) are looked for one by one.
+    The first occurrences come from the running maximum — a code above
+    everything before it is seen for the first time — and only the codes
+    that are not (a value whose first tuple went away resurfaces behind
+    larger codes, or not at all) are looked for one by one.
     """
     size, entries = len(codes), len(dictionary)
-    if _np is None:
-        order = list(dict.fromkeys(codes))
-        if order == list(range(entries)):
-            return codes, dictionary
-        renumbered = {old: new for new, old in enumerate(order)}
-        return array("i", map(renumbered.__getitem__, codes)), [dictionary[code] for code in order]
     first = _np.full(entries, size, dtype=_np.int64)
     if size:
         records = _np.flatnonzero(codes[1:] > _np.maximum.accumulate(codes)[:-1]) + 1
@@ -509,50 +442,36 @@ def _first_seen(codes: Any, dictionary: list[Any]) -> tuple[Any, list[Any]]:
 # ----------------------------------------------------------------------
 def flag_table(flags: Iterable[Any], count: int) -> Any:
     """A per-dictionary-entry truth table (``count`` entries)."""
-    if _np is not None:
-        return _np.fromiter(map(bool, flags), dtype=bool, count=count)
-    return bytes(map(bool, flags))
+    return _np.fromiter(map(bool, flags), dtype=bool, count=count)
 
 
 def take(table: Any, codes: Any) -> Any:
     """The mask ``table[code]`` for every code of a buffer."""
-    if _np is not None:
-        return _np.take(table, codes)  # half the time of ``table[codes]`` at block sizes
-    return bytes(map(table.__getitem__, codes))
+    return _np.take(table, codes)  # half the time of ``table[codes]`` at block sizes
 
 
 def mask_and(left: Any, right: Any) -> Any:
-    if _np is not None:
-        return left & right
-    return bytes(map(operator.and_, left, right))
+    return left & right
 
 
 def mask_or(left: Any, right: Any) -> Any:
-    if _np is not None:
-        return left | right
-    return bytes(map(operator.or_, left, right))
+    return left | right
 
 
 def mask_not(mask: Any) -> Any:
-    if _np is not None:
-        return ~mask
-    return bytes(map(operator.not_, mask))
+    return ~mask
 
 
 def mask_count(mask: Any) -> int:
-    if _np is not None:
-        return int(_np.count_nonzero(mask))
-    return mask.count(1)
+    return int(_np.count_nonzero(mask))
 
 
 def mask_positions(mask: Any) -> Any:
     """The ascending positions where ``mask`` is set (what
     :meth:`CodeColumn.select` gathers by)."""
-    if _np is not None:
-        return _np.flatnonzero(mask)
-    return array("l", itertools.compress(range(len(mask)), mask))
+    return _np.flatnonzero(mask)
 
 
 def select_items(items: Sequence[Any], mask: Any) -> list[Any]:
     """The elements of a plain sequence where ``mask`` is set."""
-    return list(itertools.compress(items, mask.tolist() if _np is not None else mask))
+    return list(itertools.compress(items, mask.tolist()))

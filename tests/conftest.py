@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+import numpy
 import pytest
 
 from repro.relation import Relation
@@ -28,7 +29,6 @@ def ufunc_at_calls(monkeypatch):
     ``numpy.<ufunc>.at`` call the engine makes.  A ufunc's attributes cannot
     be patched, so the two modules that import numpy see a stand-in whose
     ufuncs record ``.at`` and pass everything else through."""
-    numpy = pytest.importorskip("numpy")
     from repro.physical.compile import kernels
     from repro.relation import encoding
 

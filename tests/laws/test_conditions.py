@@ -2,8 +2,7 @@
 
 The projection conditions read a relation's dictionary codes; the tuple
 definitions they replaced are kept here (``reference_*``) as the oracle of
-the ``coded ≡ tuple definition`` properties at the bottom.  The file must
-also pass with numpy blocked.
+the ``coded ≡ tuple definition`` properties at the bottom.
 """
 
 from hypothesis import given

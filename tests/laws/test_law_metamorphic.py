@@ -9,7 +9,6 @@ require that the rule does not fire (and the answer is still right).
 
 Half of every dividend arrives through ``db.insert``, so the conditions
 read dictionary codes carried over a fold, not only freshly built ones.
-The file must also pass with numpy blocked.
 """
 
 from hypothesis import assume, given

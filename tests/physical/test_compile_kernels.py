@@ -6,8 +6,7 @@ vectorized (no per-call Python fallback), and the match scans return
 ascending indices — the same emission order as the reference.
 """
 
-from array import array
-
+import numpy
 import pytest
 
 from repro.errors import ExecutionError
@@ -15,21 +14,15 @@ from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
     SMALL_DIVIDE_ALGORITHMS,
     RelationScan,
-    available_kernels,
     execute_plan,
-    numpy_available,
-    set_kernel,
     use_kernel,
 )
 from repro.physical.compile.kernels import (
-    KERNEL_NAMES,
     NumpyBitsetKernel,
     PythonBitsetKernel,
     active_kernel,
 )
 from repro.workloads import make_division_workload, make_great_division_workload
-
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
 @pytest.fixture(scope="module")
@@ -63,39 +56,31 @@ def wide_workload():
 
 
 class TestKernelSelection:
-    def test_available_kernels_always_include_python(self):
-        kernels = available_kernels()
-        assert kernels[0] == "python"
-        assert ("numpy" in kernels) == numpy_available()
-
-    def test_unknown_kernel_name_rejected_with_choices(self):
+    @pytest.mark.parametrize("name", ["quantum", "auto", None])
+    def test_use_kernel_rejects_an_unknown_name_listing_the_valid_ones(self, name):
+        baseline = active_kernel()
         with pytest.raises(ExecutionError) as excinfo:
-            set_kernel("quantum")
+            with use_kernel(name):
+                pass
         message = str(excinfo.value)
-        assert "unknown bitset kernel 'quantum'" in message
-        for name in KERNEL_NAMES:
-            assert name in message
+        assert f"unknown bitset kernel {name!r}" in message
+        assert "'numpy'" in message and "'python'" in message
+        assert active_kernel() is baseline
 
-    def test_numpy_request_fails_cleanly_when_unavailable(self):
-        if numpy_available():
-            pytest.skip("numpy is importable here; the guard fires on CI")
-        with pytest.raises(ExecutionError, match="numpy is not importable"):
-            set_kernel("numpy")
+    def test_the_unpinned_kernel_is_numpy(self):
+        assert isinstance(active_kernel(), NumpyBitsetKernel)
 
     def test_use_kernel_restores_the_previous_choice(self):
         baseline = active_kernel()
         with use_kernel("python"):
             assert isinstance(active_kernel(), PythonBitsetKernel)
             assert not isinstance(active_kernel(), NumpyBitsetKernel)
+            with use_kernel("numpy"):
+                assert isinstance(active_kernel(), NumpyBitsetKernel)
+            assert not isinstance(active_kernel(), NumpyBitsetKernel)
         assert active_kernel() is baseline
 
-    @requires_numpy
-    def test_auto_prefers_numpy_when_importable(self):
-        with use_kernel("auto"):
-            assert isinstance(active_kernel(), NumpyBitsetKernel)
 
-
-@requires_numpy
 class TestKernelParity:
     @pytest.mark.parametrize("algorithm", sorted(SMALL_DIVIDE_ALGORITHMS))
     def test_small_divide_algorithms(self, workload, algorithm):
@@ -162,17 +147,14 @@ class TestKernelParity:
         assert len(reference.relation) == wide_workload.expected_quotient_size
 
 
-@requires_numpy
 class TestKernelPrimitives:
     def test_full_matches_order_is_ascending(self):
         masks = [3, 7, 7, 1, 7] * 10  # ≥32 entries to cross the threshold
         python = PythonBitsetKernel().full_matches(list(masks), 7)
         vectorized = NumpyBitsetKernel().full_matches(list(masks), 7)
         assert list(vectorized) == list(python) == sorted(python)
-        # Code buffers, not lists of boxed ints: the quotient's code column.
-        import numpy
-
-        assert isinstance(python, array) and isinstance(vectorized, numpy.ndarray)
+        # Index arrays, not lists of boxed ints: the quotient's code column.
+        assert isinstance(python, numpy.ndarray) and isinstance(vectorized, numpy.ndarray)
 
     @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 120, 200])
     def test_gather_sweep_matches_reference(self, width):
@@ -201,8 +183,6 @@ class TestKernelPrimitives:
         in ``intp`` from there on; a limit of 0 reaches the wide branch
         without a 2 GB flag matrix.  Both equal the reference loop, also
         where the input spans several slabs (the last one partial)."""
-        import numpy
-
         from repro.physical.compile import kernels
 
         monkeypatch.setattr(kernels, "_SWEEP_SLAB", 1 << 10)

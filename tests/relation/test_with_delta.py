@@ -101,10 +101,6 @@ def test_a_clustered_order_survives_deletes():
 
 
 def test_a_composite_past_int64_rebuilds_instead():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # the tuple-keyed twin has no composite to overflow
-        return
     wide = 1 << 13  # five 8192-entry dictionaries: 2^65 combinations
     parent = Relation(list("abcde"), [(i,) * 5 for i in range(wide)])
     columns = parent.encoded_columns()

@@ -13,8 +13,7 @@ reads the carried dictionaries) on the folded table gives the model's
 answer.
 
 Values include ``1`` / ``1.0`` / ``True`` (one dictionary entry) and
-``None`` (unorderable next to numbers).  The file must also pass with
-numpy blocked (``array('i')`` code buffers).
+``None`` (unorderable next to numbers).
 """
 
 import shutil
