@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e
+.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -40,6 +40,13 @@ verify-plans:
 ## Unit tests only (skips the benchmarks directory).
 test:
 	$(PYTHON) -m pytest tests -x -q
+
+## Run every script under examples/; fails on the first that exits non-zero.
+examples:
+	@for script in examples/*.py; do \
+		echo "$$script"; \
+		$(PYTHON) "$$script" >/dev/null || { echo "FAILED: $$script"; exit 1; }; \
+	done
 
 ## Chaos suite: the deterministic fault-injection sweep (every registered
 ## fault point x every division algorithm x worker counts) plus the

@@ -16,6 +16,7 @@ calls are always read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
@@ -43,6 +44,7 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.errors import SchemaError
+from repro.relation.encoding import lexicographic_prefix
 from repro.relation.relation import Relation
 
 __all__ = [
@@ -57,54 +59,25 @@ __all__ = [
 DEFAULT_SELECTIVITY = 0.33
 
 
-def _non_decreasing(column: Iterable[Any]) -> bool:
-    """Whether a column's values appear in non-decreasing (scan) order."""
-    iterator = iter(column)
+def _ordered(previous: Any, value: Any) -> bool:
+    """Whether a scan step from ``previous`` to ``value`` keeps the order
+    non-decreasing: only if ``previous < value`` or ``previous == value``.
+    ``not value < previous`` would also pass NaN and incomparable members
+    of a partial order (two ``frozenset`` values neither of which holds the
+    other); mixed types that cannot be compared at all are not ordered
+    (equal values are, ``None`` included: ``==`` is asked first)."""
     try:
-        previous = next(iterator)
-    except StopIteration:
-        return True
-    try:
-        for value in iterator:
-            if value < previous:
-                return False
-            previous = value
+        return bool(previous == value or previous < value)
     except TypeError:
-        # Mixed incomparable types: no usable physical order.
         return False
-    return True
 
 
-def _lexicographic_prefix_length(tuples: list[tuple[Any, ...]], width: int) -> int:
-    """Longest prefix length ``k`` with the scan lexicographically
-    non-decreasing on the first ``k`` attributes.
-
-    Captures *composite* clustering that per-attribute flags cannot: after
-    ``relation.clustered(["a", "b"])`` the ``b`` column is not globally
-    sorted (it resets within each ``a`` group), but the (a, b) combination
-    is — equal (a, b) pairs are contiguous in the scan.
-    """
-    limit = width
-    previous: tuple[Any, ...] | None = None
-    for values in tuples:
-        if previous is not None and limit:
-            for index in range(limit):
-                a, b = previous[index], values[index]
-                if a == b:
-                    continue
-                try:
-                    descending = b < a
-                except TypeError:
-                    descending = True
-                if descending:
-                    limit = index
-                # The first differing column decides the lexicographic order
-                # of every longer prefix, so stop comparing here.
-                break
-        if limit == 0:
-            break
-        previous = values
-    return limit
+def _non_decreasing(column: list[Any]) -> bool:
+    """Whether a column's values appear in non-decreasing (scan) order:
+    each value ordered with itself (it may repeat) and with the next."""
+    return all(map(_ordered, column, column)) and all(
+        map(_ordered, column, itertools.islice(column, 1, None))
+    )
 
 
 @dataclass(frozen=True)
@@ -140,13 +113,15 @@ class TableStatistics:
     def from_relation(cls, relation: Relation) -> "TableStatistics":
         """Gather exact statistics from an in-memory relation.
 
-        Reads the relation's cached dictionary encoding
-        (:meth:`~repro.relation.relation.Relation.encoded_columns`) instead
-        of making a pass of its own: the distinct count is the dictionary
-        size, min/max range over the dictionary, the top frequency is a
-        bincount of the codes, and the scan is sorted on an attribute iff
-        its codes never step down over a non-decreasing dictionary.  The
-        first scan of the same relation value reuses the encoding.
+        Reads the relation's length and cached dictionary encoding
+        (:meth:`~repro.relation.relation.Relation.encoded_columns`) and
+        nothing else — no tuple is decoded: the distinct count is the
+        dictionary size, min/max range over the dictionary, the top
+        frequency is a bincount of the codes, the scan is sorted on an
+        attribute iff its codes never step down over a non-decreasing
+        dictionary, and the lexicographic prefix is read off the codes too
+        (:func:`~repro.relation.encoding.lexicographic_prefix`).  The first
+        scan of the same relation value reuses the encoding.
 
         Stored tables (:class:`~repro.storage.store.StoredRelation`) carry
         statistics gathered at save time in their file header; for them
@@ -157,7 +132,7 @@ class TableStatistics:
             statistics = stored()
             if statistics is not None:
                 return statistics
-        tuples = relation.aligned_tuples()
+        cardinality = len(relation)
         names = relation.schema.names
         distinct: dict[str, int] = {name: 0 for name in names}
         minima: dict[str, Any] = {}
@@ -165,8 +140,9 @@ class TableStatistics:
         sorted_names: set[str] = set()
         top_frequencies: dict[str, int] = {}
         prefix: tuple[str, ...] = ()
-        if tuples:
-            for name, column in zip(names, relation.encoded_columns()):
+        if cardinality:
+            columns = relation.encoded_columns()
+            for name, column in zip(names, columns):
                 dictionary = column.dictionary
                 distinct[name] = len(dictionary)
                 top_frequencies[name] = column.top_frequency()
@@ -178,9 +154,9 @@ class TableStatistics:
                     minima[name], maxima[name] = bounds
                 if column.is_non_decreasing() and _non_decreasing(dictionary):
                     sorted_names.add(name)
-            prefix = names[: _lexicographic_prefix_length(tuples, len(names))]
+            prefix = names[: lexicographic_prefix(columns, _ordered)]
         return cls(
-            cardinality=len(tuples),
+            cardinality=cardinality,
             distinct_values=distinct,
             minima=minima,
             maxima=maxima,

@@ -1,12 +1,14 @@
 """Leaf physical operators: table scans and literal relations.
 
 Scans are the chunk producers at the bottom of every plan.  A scan's chunk
-is its block: the relation's cached aligned-tuple list beside its cached
-dictionary codes (see
-:meth:`~repro.relation.relation.Relation.aligned_tuples` and
-:meth:`~repro.relation.relation.Relation.encoded_columns`), handed up as
-one :class:`~repro.physical.base.Chunk` — nothing sliced, nothing copied.
-Only a plan whose batch size was set (``set_batch_size``,
+is its block: the relation's cached dictionary codes (see
+:meth:`~repro.relation.relation.Relation.encoded_columns`) with its
+aligned-tuple list deferred — asked of the relation
+(:meth:`~repro.relation.relation.Relation.aligned_tuples`) only if an
+operator reads tuples, so a table's folded value, which holds codes, is
+scanned without building its list — handed up as one
+:class:`~repro.physical.base.Chunk`: nothing sliced, nothing copied.  Only
+a plan whose batch size was set (``set_batch_size``,
 ``connect(batch_size=N)``, an emptiness probe) gets the block in slices of
 that size.
 """
@@ -26,7 +28,7 @@ __all__ = ["TableScan", "RelationScan"]
 class _ScanBase(PhysicalOperator):
     """Shared chunk producer for leaf scans over an in-memory relation."""
 
-    #: The cached tuple block and code columns as they are; delivers the
+    #: The cached code columns and tuple block as they are; delivers the
     #: relation's physical scan order unchanged (clustered layouts survive).
     properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5, preserves_order=True)
 
@@ -40,7 +42,8 @@ class _ScanBase(PhysicalOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         relation = self.relation
-        block = Chunk(self._schema, relation.aligned_tuples(), relation.encoded_columns())
+        columns = relation.encoded_columns()
+        block = Chunk.deferred(self._schema, columns, len(relation), relation.aligned_tuples)
         return block.pieces(self.batch_size)
 
 

@@ -4,7 +4,9 @@
 but its source is the view's maintained quotient set rather than a base
 relation: the division was already "executed" incrementally by the delta
 rules, so reading the view is pure chunked emission of the counter table's
-A+C value tuples.  The operator reports the applied-delta count in
+A+C value tuples, in the quotient set's own order (the result is a set;
+sorting it on every read after an edit was most of what a read cost).  The
+operator reports the applied-delta count in
 ``describe()`` so ``explain(analyze=True)`` shows what the plan replaced.
 """
 
@@ -37,11 +39,7 @@ class CounterTableScan(PhysicalOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
-        quotient = self.view.quotient_tuples()
-        try:
-            tuples = sorted(quotient)
-        except TypeError:  # unorderable keys (None next to a number): any order
-            tuples = list(quotient)
+        tuples = list(self.view.quotient_tuples())
         size = self.batch_size
         for start in range(0, len(tuples), size):
             yield Chunk(schema, tuples[start : start + size])

@@ -31,7 +31,7 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any, Optional
 
 import numpy as _np
@@ -46,6 +46,7 @@ __all__ = [
     "drop_positions",
     "encode_columns",
     "iter_codes",
+    "lexicographic_prefix",
     "merge_code_columns",
     "narrow_codes",
     "patch_code_columns",
@@ -67,13 +68,20 @@ __all__ = [
 class CodeColumn:
     """One attribute as dictionary codes (a slice shares the dictionary)."""
 
-    __slots__ = ("dictionary", "codes")
+    __slots__ = ("dictionary", "codes", "_table", "_first")
 
     def __init__(self, dictionary: list[Any], codes: Any) -> None:
         #: code → value, first-seen order; shared by every slice of a column.
         self.dictionary = dictionary
         #: One code per tuple, in scan order.
         self.codes = codes
+        #: What :func:`patch_code_columns` reads of a relation's encoding,
+        #: carried from one table version to the next: value → code of the
+        #: dictionary (kept by :func:`encode_columns`, which builds it
+        #: anyway) and the position of each entry's first tuple (found by
+        #: the first edit).  ``None`` until then; never pickled.
+        self._table: Optional[dict[Any, int]] = None
+        self._first: Any = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -207,8 +215,11 @@ def encode_columns(tuples: Sequence[tuple[Any, ...]], width: int) -> tuple[CodeC
     for position in range(width):
         getter = operator.itemgetter(position)
         dictionary = list(dict.fromkeys(map(getter, tuples)))
-        codes = map(_code_table(dictionary).__getitem__, map(getter, tuples))
-        columns.append(CodeColumn(dictionary, code_buffer(codes, len(tuples))))
+        table = _code_table(dictionary)
+        codes = map(table.__getitem__, map(getter, tuples))
+        column = CodeColumn(dictionary, code_buffer(codes, len(tuples)))
+        column._table = table
+        columns.append(column)
     return tuple(columns)
 
 
@@ -343,40 +354,37 @@ def patch_code_columns(
     them in it).  Returns ``(dropped, columns)``: the ascending positions
     of the removed tuples in the old block (for :func:`drop_positions`) and
     the columns :func:`encode_columns` would build from the edited block —
-    dictionaries hold the values still carried, in first-seen order —
-    found without reading a kept tuple: the removed tuples' positions come
-    from the composite of the code columns, added values take the next
-    free codes.  A dictionary that changes is a new list (older blocks and
-    chunk slices share the old one).  ``None`` when the columns cannot say
-    where the removed tuples are (no attribute, or a composite past
-    int64): the caller encodes the edited block afresh.
+    dictionaries hold the values still carried, in first-seen order.
+
+    No kept tuple is read and nothing is redone per dictionary entry: the
+    removed tuples are found among the few that share their value of the
+    column with the largest dictionary (one gather over its codes); a
+    column is renumbered only when a removed tuple was its value's first
+    one, and then only the entries that move are looked at; added values
+    take the next free codes.  The value → code tables and first positions
+    this reads are carried from column to column (see :class:`CodeColumn`).
+    A dictionary that changes is a new list (older blocks and chunk slices
+    share the old one).  ``None`` when the columns cannot say where the
+    removed tuples are (no attribute, or a composite past int64): the
+    caller encodes the edited block afresh.
     """
-    dropped: Optional[list[int]] = []
+    dropped: list[int] = []
+    pivot, hits = -1, None
     if removed:
         if not columns:
             return None
-        targets = [
-            list(map(_code_table(column.dictionary).__getitem__, values))
-            for column, values in zip(columns, zip(*removed))
-        ]
-        dropped = _positions_of(columns, targets)
-        if dropped is None:
+        located = _positions_of(columns, removed)
+        if located is None:
             return None
+        dropped, pivot, hits = located
+    gone = _np.array(dropped, dtype=_np.int64)
     patched = []
     for position, column in enumerate(columns):
-        codes, dictionary = column.codes, column.dictionary
         if dropped:
-            codes, dictionary = _first_seen(drop_positions(codes, dropped), dictionary)
+            column = _without(column, gone, hits if position == pivot else None)
         if added:
-            values = [values[position] for values in added]
-            table = _code_table(dictionary)
-            fresh = [value for value in dict.fromkeys(values) if value not in table]
-            if fresh:
-                table.update(zip(fresh, range(len(dictionary), len(dictionary) + len(fresh))))
-                dictionary = dictionary + fresh
-            tail = code_buffer(map(table.__getitem__, values), len(values))
-            codes = concatenate_codes([codes, tail])
-        patched.append(CodeColumn(dictionary, codes))
+            column = _with_tail(column, [values[position] for values in added])
+        patched.append(column)
     return dropped, tuple(patched)
 
 
@@ -385,20 +393,215 @@ def _code_table(dictionary: list[Any]) -> dict[Any, int]:
     return dict(zip(dictionary, range(len(dictionary))))
 
 
-def _positions_of(columns: Sequence[CodeColumn], targets: list[list[int]]) -> Optional[list[int]]:
-    """Ascending positions of the tuples that are one of ``targets`` (one
-    code list per column, aligned); ``None`` when the composite overflows."""
+def _lookup(column: CodeColumn) -> dict[Any, int]:
+    """The column's value → code table (built here only for a column that
+    :func:`encode_columns` did not make)."""
+    table = column._table
+    if table is None:
+        table = column._table = _code_table(column.dictionary)
+    return table
+
+
+def _first_positions(column: CodeColumn) -> Any:
+    """Ascending position of each entry's first tuple in a first-seen
+    column that carries every entry (one pass over the codes, then kept)."""
+    first = column._first
+    if first is None:
+        codes = column.codes
+        # A code above everything before it is seen for the first time.
+        first = _np.flatnonzero(codes[1:] > _np.maximum.accumulate(codes)[:-1]) + 1
+        if len(codes):
+            first = _np.concatenate(([0], first))
+        column._first = first
+    return first
+
+
+def _carried(dictionary: list[Any], codes: Any, table: Any, first: Any) -> CodeColumn:
+    column = CodeColumn(dictionary, codes)
+    column._table, column._first = table, first
+    return column
+
+
+def _occurrences(codes: Any, wanted: Any, entries: int) -> Any:
+    """Ascending positions of the codes that are one of ``wanted``."""
+    flags = _np.zeros(entries, dtype=bool)
+    flags[wanted] = True
+    return _np.flatnonzero(_np.take(flags, codes))
+
+
+def _positions_of(
+    columns: Sequence[CodeColumn], removed: Sequence[tuple[Any, ...]]
+) -> Optional[tuple[list[int], int, Any]]:
+    """Where the ``removed`` tuples are: their ascending positions, the
+    column searched and the positions of every tuple that shares a removed
+    tuple's code there; ``None`` when the composite overflows int64.
+
+    The column with the largest dictionary is searched (one gather over
+    its codes) and only its hits are compared on every column."""
     dictionaries = [column.dictionary for column in columns]
-    combined = _combine_codes([column.codes for column in columns], dictionaries)
-    if combined is None:
+    targets = [
+        _np.array(list(map(_lookup(column).__getitem__, values)), dtype=_np.int64)
+        for column, values in zip(columns, zip(*removed))
+    ]
+    wanted = _combine_codes(targets, dictionaries)
+    if wanted is None:
         return None
-    wanted = _combine_codes([_np.array(codes, dtype=_np.int32) for codes in targets], dictionaries)
-    return _np.flatnonzero(_np.isin(combined, wanted)).tolist()
+    pivot = max(range(len(columns)), key=lambda position: len(dictionaries[position]))
+    hits = _occurrences(columns[pivot].codes, targets[pivot], len(dictionaries[pivot]))
+    found = _combine_codes([column.codes[hits] for column in columns], dictionaries)
+    wanted.sort()
+    matched = wanted[_np.minimum(_np.searchsorted(wanted, found), len(wanted) - 1)] == found
+    return hits[matched].tolist(), pivot, hits
 
 
-def drop_positions(items: Any, positions: list[int]) -> Any:
+def _without(column: CodeColumn, gone: Any, hits: Any) -> CodeColumn:
+    """The column without the tuples at the ascending positions ``gone``,
+    renumbered to first-seen order if a value lost its first tuple.
+
+    ``hits`` (``None``: searched here) holds the position of every tuple
+    whose code is a removed tuple's, which covers those values' tuples."""
+    codes, dictionary, first = column.codes, column.dictionary, _first_positions(column)
+    kept = drop_positions(codes, gone)
+    lost = codes[gone]
+    heads = lost[first[lost] == gone]  # values whose first tuple goes
+    if not len(heads):
+        return _carried(dictionary, kept, column._table, first - _np.searchsorted(gone, first))
+    entries, size = len(dictionary), len(codes)
+    flags = _np.zeros(entries, dtype=bool)
+    flags[heads] = True
+    if hits is None:
+        hits = _np.flatnonzero(_np.take(flags, codes))
+    else:
+        hits = hits[_np.take(flags, codes[hits])]
+    hits = hits[gone[_np.minimum(_np.searchsorted(gone, hits), len(gone) - 1)] != hits]
+    # Each such value's first tuple left (``size``: none is), then the
+    # entries in first-seen order again.
+    moved = first.copy()
+    moved[heads] = size
+    _np.minimum.at(moved, codes[hits], hits)
+    order = _np.argsort(moved, kind="stable")
+    carried = entries - int(_np.count_nonzero(moved == size))
+    survivors = order[:carried]
+    shifted = _np.flatnonzero(survivors != _np.arange(carried))
+    if carried == entries and not len(shifted):
+        return _carried(dictionary, kept, column._table, moved - _np.searchsorted(gone, moved))
+    renumbered = _np.empty(entries, dtype=_np.int32)
+    renumbered[order] = _np.arange(entries, dtype=_np.int32)
+    if len(shifted):
+        kept = _np.take(renumbered, kept)
+    # Only the heads moved: out of the list, then back in where they now
+    # are first seen (ascending), every other entry in its old order.
+    heads = sorted(heads.tolist())
+    carried_values = list(dictionary)
+    for code in reversed(heads):
+        del carried_values[code]
+    for code in sorted(heads, key=renumbered.__getitem__):
+        if renumbered[code] < carried:
+            carried_values.insert(int(renumbered[code]), dictionary[code])
+    table = column._table
+    if table is not None:  # the old table, less what went, moved entries re-coded
+        table = dict(table)
+        for code in order[carried:].tolist():
+            del table[dictionary[code]]
+        codes_moved = shifted.tolist()
+        table.update(zip(map(carried_values.__getitem__, codes_moved), codes_moved))
+    first = moved[survivors]
+    return _carried(carried_values, kept, table, first - _np.searchsorted(gone, first))
+
+
+def _with_tail(column: CodeColumn, values: list[Any]) -> CodeColumn:
+    """The column with one tuple per value of ``values`` appended; a value
+    the dictionary lacks takes the next free code."""
+    dictionary, table, first = column.dictionary, _lookup(column), column._first
+    fresh = [value for value in dict.fromkeys(values) if value not in table]
+    if fresh:
+        table = dict(table)
+        table.update(zip(fresh, range(len(dictionary), len(dictionary) + len(fresh))))
+        dictionary = dictionary + fresh
+        if first is not None:
+            at = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+            tail_first = [len(column.codes) + at[value] for value in fresh]
+            first = _np.concatenate((first, _np.array(tail_first, dtype=_np.int64)))
+    tail = code_buffer(map(table.__getitem__, values), len(values))
+    return _carried(dictionary, concatenate_codes([column.codes, tail]), table, first)
+
+
+#: Scan steps :func:`lexicographic_prefix` walks one by one before any
+#: whole-column pass: a scan in no particular order is decided within them.
+_PROBED_STEPS = 32
+
+
+def lexicographic_prefix(
+    columns: Sequence[CodeColumn], ordered: Callable[[Any, Any], bool]
+) -> int:
+    """Longest ``k`` with the scan lexicographically non-decreasing on the
+    first ``k`` columns (all of them for fewer than two tuples).
+
+    A scan step is decided by the first column whose value changes, and
+    counts as ordered only if ``ordered(previous, value)`` holds there; a
+    value that repeats is a change unless ``ordered(value, value)`` (so a
+    NaN never lets a later column decide).  Everything is read off the
+    codes of first-seen columns, whose distinct codes are distinct values:
+    the first steps one by one (a scan in no order is decided there), then
+    one pass per column over the steps no earlier column decided.  A column
+    whose dictionary is in order as first seen (a sorted column's is)
+    compares its codes; any other asks ``ordered`` once per distinct code
+    pair, never more often than the tuple walk this replaces.  Assumes
+    ``ordered`` is transitive on such a dictionary, as ``<`` is on numbers,
+    strings and nested sets.
+    """
+    limit = len(columns)
+    size = len(columns[0]) if limit else 0
+    if size < 2:
+        return limit
+    head = list(zip(*(
+        [column.dictionary[code] for code in column.codes[: _PROBED_STEPS + 1].tolist()]
+        for column in columns
+    )))
+    for previous, current in zip(head, head[1:]):
+        for position in range(limit):
+            before, after = previous[position], current[position]
+            if before is after and ordered(before, after):
+                continue
+            if not ordered(before, after):
+                limit = position
+            break
+        if not limit:
+            return 0
+    undecided = None  # steps ``i → i + 1`` no earlier column decided (None: all)
+    for position in range(limit):
+        column = columns[position]
+        codes, dictionary = column.codes, column.dictionary
+        if undecided is None:
+            previous, current = codes[:-1], codes[1:]
+        else:
+            previous, current = codes[undecided], codes[undecided + 1]
+        same = previous == current
+        changed = ~same
+        in_order = all(map(ordered, dictionary, dictionary)) and all(
+            map(ordered, dictionary, itertools.islice(dictionary, 1, None))
+        )
+        if in_order:
+            if (previous[changed] > current[changed]).any():
+                return position
+        else:
+            pairs = dict.fromkeys(zip(previous[changed].tolist(), current[changed].tolist()))
+            repeated = map(dictionary.__getitem__, set(previous[same].tolist()))
+            if not all(ordered(dictionary[before], dictionary[after]) for before, after in pairs):
+                return position
+            if not all(ordered(value, value) for value in repeated):
+                return position
+        steps = _np.flatnonzero(same)
+        undecided = steps if undecided is None else undecided[steps]
+        if not len(undecided):
+            break
+    return limit
+
+
+def drop_positions(items: Any, positions: Any) -> Any:
     """A list or code buffer without the elements at the ascending
-    ``positions``: the runs between them joined, no per-element work."""
+    ``positions`` (a list, or an int array for a buffer): the runs between
+    them joined, no per-element work."""
     if not isinstance(items, list):
         return _np.delete(items, positions)
     kept = items[:0]

@@ -18,14 +18,17 @@ values positionally out of the tuples instead of rebuilding per-row dicts.
 
 A relation is held in one of three states: a ``frozenset`` of rows (what
 the constructor and the algebra build), a de-duplicated block of aligned
-value tuples (what a stored table and a plan emitting tuples hand over, and
-what a table's edits fold into when its block and encoding are cached), or
+value tuples (what a stored table and a plan emitting tuples hand over), or
 one dictionary-code column per attribute (what a plan whose every chunk is
 coded over shared dictionaries hands over: a set by construction, whose
-dictionaries may carry entries no tuple holds).  The block is decoded from
-the codes, and the rows built from the block, the first time something
-needs them; a table's folded value first asks the catalog, which copies
-its live set of the table's rows while that still holds exactly them.
+dictionaries may carry entries no tuple holds; and what a table's edits
+fold into when its encoding is cached: the patched encoding itself).  The
+block is built from the codes, and the rows from the block, the first time
+something needs them.  A table's folded value first asks for both
+elsewhere: its block is the parent's tuple list less the removed tuples
+plus the added ones when that list had been built (one link, never a chain
+of versions; else the codes are decoded), and its rows a copy of the
+catalog's live set of the table's rows while that still holds exactly them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ RowPredicate = Callable[[Row], bool]
 #: A relation's row source: given the relation, its row set, or ``None``
 #: to have it built from the block.
 _RowSource = Callable[["Relation"], Optional[frozenset[Row]]]
+
+#: A folded value's block source: the parent's tuple list, the ascending
+#: positions the edit dropped from it and the tuples it appended.
+_BlockSource = tuple[list[tuple[Any, ...]], list[int], list[tuple[Any, ...]]]
 
 
 class _Null:
@@ -74,7 +81,8 @@ class Relation:
 
     The set may be held as a de-duplicated tuple block or as code columns
     instead (see the module docstring): ``len`` reads either, ``to_tuples``
-    and ``to_set`` read the block (decoded once from the codes), and
+    and ``to_set`` read the block (built once from its source or the
+    codes), and
     ``encoded_columns`` renumbers the codes or encodes the block; the first
     iteration, membership test, ``rows``, ``==``, ``hash`` or algebra call
     builds the ``frozenset`` once.  Every state answers every method alike;
@@ -99,7 +107,7 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_set", "_tuples", "_encoding", "_codes", "_row_source")
+    __slots__ = ("_schema", "_set", "_block", "_block_source", "_encoding", "_codes", "_row_source")
 
     def __init__(
         self,
@@ -110,7 +118,10 @@ class Relation:
         coerce = self._coerce_row
         self._schema = schema
         self._set: Optional[frozenset[Row]] = frozenset(coerce(schema, raw) for raw in rows)
-        self._tuples: Optional[list[tuple[Any, ...]]] = None
+        self._block: Optional[list[tuple[Any, ...]]] = None
+        #: Where a table's folded value gets its block without decoding
+        #: (see :meth:`with_delta`); dropped once the block is built.
+        self._block_source: Optional[_BlockSource] = None
         self._encoding: Optional[tuple[CodeColumn, ...]] = None
         self._codes: Optional[tuple[CodeColumn, ...]] = None
         #: Asked for the row set the first time it is needed, before the
@@ -163,7 +174,8 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = rows if isinstance(rows, frozenset) else frozenset(rows)
-        relation._tuples = relation._encoding = relation._codes = relation._row_source = None
+        relation._block = relation._block_source = relation._encoding = relation._codes = None
+        relation._row_source = None
         return relation
 
     @classmethod
@@ -181,7 +193,7 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = relation._encoding = relation._codes = relation._row_source = None
-        relation._tuples = tuples
+        relation._block, relation._block_source = tuples, None
         return relation
 
     @classmethod
@@ -191,7 +203,8 @@ class Relation:
         is decoded."""
         relation = object.__new__(cls)
         relation._schema = schema
-        relation._set = relation._tuples = relation._encoding = relation._row_source = None
+        relation._set = relation._block = relation._block_source = relation._encoding = None
+        relation._row_source = None
         relation._codes = columns
         return relation
 
@@ -213,32 +226,42 @@ class Relation:
 
         ``removed`` are rows of this relation and ``added`` rows it does
         not hold (the catalog's pending delta guarantees both).  With a
-        cached scan block and encoding the new value is a *block*: scan
-        order "this one's minus the removed tuples, then the added ones",
-        the encoding patched to match
-        (:func:`~repro.relation.encoding.patch_code_columns`), so
-        ``encoded_columns()`` still decodes to ``aligned_tuples()`` position
-        by position and is what a fresh encode of that block would give;
-        this value's row set is neither read nor copied, and the new one is
-        built only if something asks for it (see :attr:`_row_source`).
-        Without a cached encoding (or one that cannot be patched) the row
-        set is one C-level copy per non-empty side, and block and encoding
-        are rebuilt on first use, as for any new value.
+        cached encoding the new value is its *code columns*: the encoding
+        patched to the scan order "this one's minus the removed tuples,
+        then the added ones" (:func:`~repro.relation.encoding.patch_code_columns`),
+        which is what a fresh encode of that block would give.  Nothing
+        else is built: this value's row set is neither read nor copied, and
+        its tuple list, if it was built, becomes the new value's block
+        source — dropped to the new block only if something reads tuples
+        (:meth:`aligned_tuples`; a later fold links to that list, or to
+        none).  The new row set is built only if something asks for it (see
+        :attr:`_row_source`).  A zero-attribute value has no code column
+        to hold its count, so it folds into a block.  Without a cached
+        encoding (or one that cannot be patched) the row set is one C-level
+        copy per non-empty side, and block and encoding are rebuilt on first
+        use, as for any new value.
         """
         added = [self._align(row) for row in added]
         removed = [self._align(row) for row in removed]
-        encoding, tuples = self._encoding, self._tuples
-        if encoding is not None and tuples is not None:
+        encoding, block = self._encoding, self._block
+        if encoding is not None:
             appended = [row._values for row in added]
             patched = patch_code_columns(encoding, [row._values for row in removed], appended)
             if patched is not None:
-                relation = object.__new__(Relation)
-                relation._schema, relation._set, relation._codes = self._schema, None, None
-                relation._row_source = None
-                dropped, relation._encoding = patched
-                relation._tuples = drop_positions(tuples, dropped)
-                relation._tuples += appended
-                return relation
+                dropped, columns = patched
+                if columns:
+                    relation = Relation._from_columns(self._schema, columns)
+                    relation._encoding = columns
+                    if block is not None:
+                        relation._block_source = block, dropped, appended
+                    return relation
+                if block is not None:  # no attribute: nothing to drop
+                    relation = Relation._from_block(self._schema, block + appended)
+                    relation._encoding = columns
+                    return relation
+        # Superseded from here on: the live set a row source would copy
+        # already holds the edited rows, so this value's come from its block.
+        self._row_source = None
         rows = self._rows
         if removed:
             rows = rows.difference(removed)
@@ -246,21 +269,38 @@ class Relation:
             rows = rows.union(added)
         return Relation._from_parts(self._schema, rows)
 
+    @property
+    def _tuples(self) -> Optional[list[tuple[Any, ...]]]:
+        """The tuple block if this value holds it or can have it without
+        decoding (a folded value drops its source's list now), else
+        ``None``."""
+        block = self._block
+        if block is None and self._block_source is not None:
+            (tuples, dropped, appended), self._block_source = self._block_source, None
+            block = self._block = drop_positions(tuples, dropped)
+            block += appended
+        return block
+
+    @_tuples.setter
+    def _tuples(self, tuples: Optional[list[tuple[Any, ...]]]) -> None:
+        self._block, self._block_source = tuples, None
+
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
         """Value tuples of all rows, aligned with the schema (cached).
 
         Every row of a relation shares the relation's interned schema, so
         this is a plain attribute sweep (one decode per column in the coded
-        state); the result is cached because scans re-chunk the same
-        relation on every execution.
+        state, unless a folded value's block source has the list); the
+        result is cached because scans re-chunk the same relation on every
+        execution.
         """
         tuples = self._tuples
         if tuples is None:
-            if self._set is None:
-                tuples = list(zip(*map(CodeColumn.values, self._codes)))  # type: ignore[arg-type]
+            if self._codes is not None:
+                tuples = list(zip(*map(CodeColumn.values, self._codes)))
             else:
-                tuples = [row._values for row in self._set]
-            self._tuples = tuples
+                tuples = [row._values for row in self._set]  # type: ignore[union-attr]
+            self._block = tuples
         return tuples
 
     @property
@@ -278,8 +318,9 @@ class Relation:
         return rows
 
     def _value_tuples(self) -> Iterable[tuple[Any, ...]]:
-        """Every value tuple once, from whichever state holds them."""
-        if self._tuples is None and self._set is not None:
+        """Every value tuple once, from whichever state holds them most
+        cheaply: the row set only when no block is held or linked."""
+        if self._set is not None and self._block is None and self._block_source is None:
             return (row._values for row in self._set)
         return self.aligned_tuples()
 
@@ -312,9 +353,9 @@ class Relation:
 
     @property
     def code_columns(self) -> Optional[tuple[CodeColumn, ...]]:
-        """The code columns this value is held as (a plan's result, see the
-        module docstring), else ``None``; a dictionary may carry entries no
-        tuple holds."""
+        """The code columns this value is held as (a plan's result or a
+        table's folded value, see the module docstring), else ``None``; a
+        plan result's dictionary may carry entries no tuple holds."""
         return self._codes
 
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
@@ -325,7 +366,8 @@ class Relation:
         return None, {
             "_schema": self._schema,
             "_set": self._set if tuples is None and codes is None else None,
-            "_tuples": tuples,
+            "_block": tuples,
+            "_block_source": None,
             "_encoding": None,
             "_codes": codes,
             "_row_source": None,
@@ -389,7 +431,7 @@ class Relation:
         return self._rows
 
     def __len__(self) -> int:
-        held = self._set if self._set is not None else self._tuples
+        held = self._set if self._set is not None else self._block
         return len(self._codes[0] if held is None else held)  # type: ignore[index]
 
     def __iter__(self) -> Iterator[Row]:
@@ -432,7 +474,7 @@ class Relation:
         self._schema.require(schema, "clustered")
         picks = self._schema.picker(schema)
         relation = Relation._from_parts(self._schema, self._rows)
-        relation._tuples = sorted(
+        relation._block = sorted(
             self.aligned_tuples(),
             key=lambda values: tuple(_sort_key(values[i]) for i in picks),
         )

@@ -133,6 +133,29 @@ class TestExtendedStatistics:
         assert not stats.is_sorted("a")
         assert stats.minimum("a") is None
 
+    def test_nan_is_not_taken_for_an_ordered_step(self):
+        """``3.0 → nan → 1.0``: neither step is ``<`` nor ``==``, so ``a``
+        is neither sorted nor a prefix of the scan order."""
+        nan = float("nan")
+        rows = [(3.0, 1), (nan, 2), (1.0, 3)]
+        clustered = Relation.from_aligned(["a", "b"], rows).clustered(["b"])
+        stats = TableStatistics.from_relation(clustered)
+        assert stats.sorted_attributes == {"b"}
+        assert stats.lexicographic_prefix == ()
+        repeated = Relation.from_aligned(["a", "b"], [(nan, 1), (nan, 2)]).clustered(["b"])
+        stats = TableStatistics.from_relation(repeated)
+        assert stats.sorted_attributes == {"b"}
+        assert stats.lexicographic_prefix == ()
+
+    def test_incomparable_sets_are_not_taken_for_an_ordered_step(self):
+        """``{1} → {2} → {1}``: the ``{1}`` values are not contiguous, and
+        neither set is below the other."""
+        rows = [(frozenset({1}), 1), (frozenset({2}), 2), (frozenset({1}), 3)]
+        clustered = Relation.from_aligned(["a", "b"], rows).clustered(["b"])
+        stats = TableStatistics.from_relation(clustered)
+        assert stats.sorted_attributes == {"b"}
+        assert stats.lexicographic_prefix == ()
+
     def test_bounds_are_all_or_nothing(self):
         """A value type whose ``<`` works but whose ``>`` raises used to
         leave a minimum without a maximum."""

@@ -144,6 +144,33 @@ def test_code_columns_are_not_mutated_in_place():
     assert column.dictionary == ["a", "b"] and list(column.codes) == [0, 1, 0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.lists(st.tuples(st.integers(0, 5), VALUES), max_size=40, unique=True),
+    steps=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 39), max_size=6),
+            st.lists(st.tuples(st.integers(0, 7), VALUES), max_size=4),
+        ),
+        max_size=8,
+    ),
+)
+def test_patches_chained_over_carried_columns_stay_fresh_encodings(base, steps):
+    """Each patch reads what the one before carried on its columns (code
+    tables, first positions): values leave, come back and move ahead."""
+    tuples = list(dict.fromkeys(base))
+    columns = encode_columns(tuples, 2)
+    for picks, extra in steps:
+        removed = list(dict.fromkeys(tuples[i] for i in picks if i < len(tuples)))
+        added = [values for values in dict.fromkeys(extra) if values not in set(tuples)]
+        dropped, columns = patch_code_columns(columns, removed, added)
+        assert dropped == [i for i, values in enumerate(tuples) if values in set(removed)]
+        tuples = [values for values in tuples if values not in set(removed)] + added
+        for carried, built in zip(columns, encode_columns(tuples, 2)):
+            assert carried.dictionary == built.dictionary
+            assert list(carried.codes) == list(built.codes)
+
+
 # ----------------------------------------------------------------------
 # A table under a sequence of edits and reads (the catalog's fold)
 # ----------------------------------------------------------------------
@@ -256,3 +283,22 @@ def test_a_table_under_edits_and_reads_stays_a_fresh_value(base, keyed, steps):
     # values read before later edits, replacements and folds: rows asked last
     for value, rows in unasked:
         assert value.rows == Relation(["a", "b"], rows).rows
+
+
+def test_a_nullary_table_folds_through_its_block():
+    """No attribute, no code column to count the tuples: a zero-attribute
+    table with its encoding cached folds into a block (inserts) or a row
+    set (deletes) and reads right at every step."""
+    catalog = Catalog()
+    catalog.add_table("t", Relation([], []))
+    assert catalog["t"].encoded_columns() == ()
+    empty = Row.from_schema(catalog.schema("t"), ())
+    assert len(catalog["t"]) == 0
+    assert catalog.apply_delta("t", [empty], []) == ([empty], [])
+    inserted = catalog["t"]
+    assert len(inserted) == 1 and inserted.aligned_tuples() == [()]
+    assert inserted.encoded_columns() == () and inserted.to_tuples() == {()}
+    assert catalog.apply_delta("t", [], [empty]) == ([], [empty])
+    deleted = catalog["t"]
+    assert len(deleted) == 0 and deleted.aligned_tuples() == [] and not deleted.rows
+    assert len(inserted) == 1 and inserted.rows == Relation([], [()]).rows

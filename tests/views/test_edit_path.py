@@ -13,13 +13,16 @@ no projection of the table, no ``Row`` per tuple.
 
 import random
 
+import numpy as np
 import pytest
 
+import repro.relation.encoding as encoding_module
 import repro.relation.relation as relation_module
 from repro.algebra.catalog import Catalog
 from repro.api import connect
 from repro.division import small_divide
 from repro.relation import Relation
+from repro.relation.encoding import CodeColumn
 from repro.relation.row import Row
 from repro.workloads import make_division_workload
 
@@ -305,3 +308,88 @@ def test_row_reads_of_a_folded_table_share_the_live_rows(workload, monkeypatch):
         assert db.table_version("r1") == version + 1
         assert not built, f"replace_table built {len(built)} Rows"
         assert db.relation("r1").to_tuples() == expected - {present[5], (10**6 + 1, 1)}
+
+
+def test_the_requery_after_edits_decodes_nothing(workload, monkeypatch):
+    """The re-query's fold patches code columns and its statistics and
+    execution read them: no column is decoded, the edited table's tuples
+    are never asked for, no value → code table is rebuilt over a dictionary
+    that did not change and no membership test runs over the whole table."""
+    db = connect({"r1": workload.dividend, "r2": workload.divisor})
+    view = db.create_view("q", db.table("r1").divide(db.table("r2"), on=["b"]))
+    view.run()
+    query = db.table("r1").divide(db.table("r2"), on=["b"])
+    query.run()
+    rng = random.Random(9)
+    present = rng.sample(sorted(workload.dividend.aligned_tuples()), 12)
+    for step, row in enumerate(present):
+        assert db.delete("r1", [row]).changed
+        assert db.insert("r1", [(10**6 + step, step)]).changed
+    parent = db.catalog._tables["r1"]
+    dictionaries = [column.dictionary for column in parent.encoded_columns()]
+    code_table, isin, aligned = encoding_module._code_table, np.isin, Relation.aligned_tuples
+
+    def sprung(*_args, **_kwargs):
+        raise AssertionError("CodeColumn.values decoded a column on the re-query")
+
+    def guarded_code_table(dictionary):
+        assert all(dictionary is not kept for kept in dictionaries), "a code table was rebuilt"
+        return code_table(dictionary)
+
+    def guarded_isin(element, *args, **kwargs):
+        assert len(element) < 1000, "np.isin ran over the whole table"
+        return isin(element, *args, **kwargs)
+
+    def guarded_aligned(self):
+        assert len(self) < 1000, "the edited table's tuples were read"
+        return aligned(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CodeColumn, "values", sprung)
+        patch.setattr(encoding_module, "_code_table", guarded_code_table)
+        patch.setattr(np, "isin", guarded_isin)
+        patch.setattr(Relation, "aligned_tuples", guarded_aligned)
+        result = query.run()
+        folded = db.catalog._tables["r1"]
+        assert folded is not parent and not db.catalog._pending
+        assert folded.code_columns is not None
+        assert db.optimizer.statistics.table("r1").cardinality == len(parent)
+    assert result.relation == view.relation() == small_divide(folded, db.relation("r2"))
+
+
+def test_reading_a_folded_tables_tuples_drops_the_parents_list(workload, monkeypatch):
+    """A folded value whose parent's tuple list had been built gets its
+    own by dropping the removed tuples from that list — once, for a join
+    over the table and ``aligned_tuples`` alike — and decodes no column."""
+    db = connect({"r1": workload.dividend, "r2": workload.divisor})
+    db.table("r1").divide(db.table("r2"), on=["b"]).run()
+    parent = db.relation("r1")
+    order = list(parent.aligned_tuples())  # built when the scan encoded it
+    rng = random.Random(10)
+    present = rng.sample(order, 10)
+    for step, row in enumerate(present):
+        assert db.delete("r1", [row]).changed
+        assert db.insert("r1", [(10**6 + step, step)]).changed
+    values, drop = CodeColumn.values, relation_module.drop_positions
+    decoded, dropped = [], []
+
+    def counted_values(self):
+        decoded.append(len(self))
+        return values(self)
+
+    def counted_drop(items, positions):
+        dropped.append(len(items))
+        return drop(items, positions)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CodeColumn, "values", counted_values)
+        patch.setattr(relation_module, "drop_positions", counted_drop)
+        folded = db.relation("r1")
+        assert folded.code_columns is not None and not dropped
+        joined = db.table("r1").join(db.table("r2")).run().relation
+        tuples = folded.aligned_tuples()
+    assert not decoded, f"{len(decoded)} columns were decoded"
+    assert dropped == [len(order)]
+    gone = set(present)
+    assert tuples == [v for v in order if v not in gone] + [(10**6 + i, i) for i in range(10)]
+    assert joined == folded.natural_join(db.relation("r2"))
