@@ -32,8 +32,8 @@ typecheck:
 		echo "mypy not installed — skipping typecheck (pip install mypy)"; \
 	fi
 
-## Statically verify every paper workload across all algorithm/worker
-## configurations (no execution; exit 1 on any error finding).
+## Statically verify every paper workload across all division algorithms
+## (no execution; exit 1 on any error finding).
 verify-plans:
 	$(PYTHON) -m repro check --all-workloads
 
@@ -48,14 +48,14 @@ examples:
 		$(PYTHON) "$$script" >/dev/null || { echo "FAILED: $$script"; exit 1; }; \
 	done
 
-## Chaos suite: the deterministic fault-injection sweep (every registered
-## fault point x every division algorithm x worker counts) plus the
-## supervision, atomic-save and corrupted-store tests.  Proves the
-## fail-stop contract: under injected faults a query either returns the
+## Chaos suite: the deterministic fault-injection sweep (every storage and
+## spill fault point x every division algorithm x 1 and 4 partitions) plus
+## the atomic-save and corrupted-store tests.  Proves the fail-stop
+## contract: under injected faults a query either returns the
 ## bit-identical quotient or raises a documented typed error — never a
 ## wrong answer.
 chaos:
-	$(PYTHON) -m pytest tests/faults tests/physical/test_pool_supervision.py \
+	$(PYTHON) -m pytest tests/faults \
 		tests/storage/test_atomic_save.py tests/storage/test_corrupted_store.py -q
 
 ## Benchmark smoke: run every benchmark once with timing disabled (every

@@ -9,8 +9,6 @@ gate the run measured.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from gates import MEASURED
@@ -21,15 +19,13 @@ from repro.workloads import (
     make_great_division_workload,
 )
 
-#: Worker counts the parallel benchmarks are parametrized over.
-WORKER_COUNTS = [1, 2, 4] if (os.cpu_count() or 1) >= 4 else [1, 2]
+#: Partition counts the partitioned-plan benchmarks are parametrized over.
+PARTITION_COUNTS = [1, 4]
 
 
 def pytest_generate_tests(metafunc):
-    if "exchange_workers" in metafunc.fixturenames:
-        metafunc.parametrize("exchange_workers", WORKER_COUNTS)
-    if "pool_workers" in metafunc.fixturenames:  # the counts that start a pool
-        metafunc.parametrize("pool_workers", WORKER_COUNTS[1:])
+    if "exchange_partitions" in metafunc.fixturenames:
+        metafunc.parametrize("exchange_partitions", PARTITION_COUNTS)
 
 
 def pytest_terminal_summary(terminalreporter, config):
@@ -59,7 +55,7 @@ def large_divide_workload():
 
 @pytest.fixture(scope="session")
 def huge_divide_workload():
-    """A ≥100k-tuple dividend for the partition-parallel benchmarks."""
+    """A ≥100k-tuple dividend for the partitioned-plan benchmarks."""
     workload = make_division_workload(
         num_groups=9000, divisor_size=10, containing_fraction=0.2, extra_values_per_group=6, seed=5
     )

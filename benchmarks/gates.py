@@ -97,25 +97,6 @@ GATES = {
             floor=0.003,
         ),
         Gate(
-            "workers1-overhead",
-            "workers=1 partitioned division",
-            "the serial hash division",
-            1.10,
-            floor=0.005,
-        ),
-        Gate(
-            "parallel-pick-division",
-            "the planner's pick for the division",
-            "the faster of serial and partitioned",
-            1.2,
-        ),
-        Gate(
-            "parallel-pick-join",
-            "the planner's pick for the join",
-            "the faster of serial and partitioned",
-            1.2,
-        ),
-        Gate(
             "checksum-read",
             "reading checksummed blocks",
             "reading with checksums=False",

@@ -1,36 +1,14 @@
-"""Benchmarks for partition-parallel execution on ≥100k-tuple inputs.
+"""Benchmarks for partitioned plans on ≥100k-tuple inputs.
 
-The acceptance contract of the parallel subsystem, as rows of ``gates.py``:
-
-* ``workers1-overhead``: ``workers=1`` partitioned execution (one
-  partition, no hash pass, no pool) stays within ~10% of the plain serial
-  operator;
-* ``parallel-pick-division`` / ``parallel-pick-join``: at ``workers=N > 1``
-  the **planner's decision** is right.  The serial plan and the hand-built
-  partitioned plan are timed in the same run, the session's planner is
-  asked which of the two it picks, and its pick may be at most 1.2× the
-  faster arm.  Two scenarios, one on each side of the exchange's price:
-  the hash division on dictionary codes (3.3 ms serial against 8 ms
-  partitioned at ``workers=2`` — the exchange costs more per tuple than
-  the division) and a tuple-at-a-time hash join whose inputs take the
-  tuple route.
-
-There is no speed-up bound: the 2-vCPU box every number of this project is
-measured on gives two busy processes 1.0–1.7× the throughput of one, so it
-cannot show one.  The gate holds on any machine because it compares the
-planner's pick with what that machine measures.
-
-``gates.check_gate`` times the arms unless ``--benchmark-disable``; the
-result-equality assertions always run.
+A partitioned operator runs its partitions one after another in this
+process, so the timed arms show what the exchange costs over the plain
+serial operator: the partition pass, and one sub-plan per partition.
+The result-equality assertions always run; ``--benchmark-disable`` skips
+the timing.
 """
-
-from functools import partial
 
 import pytest
 
-from gates import check_gate
-from repro.algebra import builders as B
-from repro.api import connect
 from repro.physical import (
     HashDivision,
     HashJoin,
@@ -42,34 +20,18 @@ from repro.physical import (
 )
 from repro.relation import Relation
 
-DIVIDE_SQL = "SELECT a FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b"
-
-
-def _planner_pick(tables, query, workers) -> str:
-    """Which arm a ``workers=N`` session's planner picks for ``query`` (SQL
-    text, or a function from the session's catalog to an expression)."""
-    db = connect(tables, workers=workers)
-    (decision,) = db.execute(query(db.catalog) if callable(query) else query).decisions
-    return "partitioned" if decision.chosen.workers > 1 else "serial"
-
 
 def _serial_plan(workload):
     return HashDivision(RelationScan(workload.dividend), RelationScan(workload.divisor))
 
 
-def _partitioned_plan(workload, workers):
+def _partitioned_plan(workload, partitions):
     return PartitionedDivision(
         RelationScan(workload.dividend),
         RelationScan(workload.divisor),
         algorithm="hash",
-        partitions=workers,
-        workers=workers,
+        partitions=partitions,
     )
-
-
-def _timed(plan_factory, *args):
-    """A gate's run: build the plan off the clock, time its execution."""
-    return partial(execute_plan, plan_factory(*args))
 
 
 def test_serial_division(benchmark, huge_divide_workload):
@@ -78,38 +40,14 @@ def test_serial_division(benchmark, huge_divide_workload):
     assert len(result.relation) == huge_divide_workload.expected_quotient_size
 
 
-def test_partitioned_division(benchmark, huge_divide_workload, exchange_workers):
-    """Partitioned execution at each benchmarked worker count."""
+def test_partitioned_division(benchmark, huge_divide_workload, exchange_partitions):
+    """The same division behind an exchange of each benchmarked width."""
     result = benchmark(
-        lambda: execute_plan(_partitioned_plan(huge_divide_workload, exchange_workers))
+        lambda: execute_plan(_partitioned_plan(huge_divide_workload, exchange_partitions))
     )
     assert len(result.relation) == huge_divide_workload.expected_quotient_size
     serial = execute_plan(_serial_plan(huge_divide_workload))
     assert result.relation == serial.relation
-
-
-def test_workers1_partitioned_is_near_serial(request, huge_divide_workload):
-    """The zero-overhead fallback: K=1 skips the hash pass and the pool."""
-    result = execute_plan(_partitioned_plan(huge_divide_workload, workers=1))
-    assert len(result.relation) == huge_divide_workload.expected_quotient_size
-    check_gate(
-        request,
-        "workers1-overhead",
-        partial(_timed, _partitioned_plan, huge_divide_workload, 1),
-        partial(_timed, _serial_plan, huge_divide_workload),
-    )
-
-
-def test_division_pick_is_the_faster_arm(request, huge_divide_workload, pool_workers):
-    """Same-run gate: the planner's serial-or-partitioned pick for the
-    division is within the bound of the faster arm."""
-    tables = {"r1": huge_divide_workload.dividend, "r2": huge_divide_workload.divisor}
-    arms = {
-        "serial": partial(_timed, _serial_plan, huge_divide_workload),
-        "partitioned": partial(_timed, _partitioned_plan, huge_divide_workload, pool_workers),
-    }
-    pick = _planner_pick(tables, DIVIDE_SQL, pool_workers)
-    check_gate(request, "parallel-pick-division", arms[pick], arms)
 
 
 @pytest.fixture(scope="module")
@@ -125,11 +63,6 @@ def join_tables(huge_divide_workload):
     }
 
 
-def _join_query(catalog):
-    left, right = B.project(catalog.ref("l"), ["a", "b"]), B.project(catalog.ref("r"), ["a", "c"])
-    return B.natural_join(left, right)
-
-
 def _join_inputs(tables):
     return (
         ProjectOp(RelationScan(tables["l"]), ["a", "b"]),
@@ -141,8 +74,8 @@ def _serial_join(tables):
     return HashJoin(*_join_inputs(tables))
 
 
-def _partitioned_join(tables, workers):
-    return PartitionedHashJoin(*_join_inputs(tables), partitions=workers, workers=workers)
+def _partitioned_join(tables, partitions):
+    return PartitionedHashJoin(*_join_inputs(tables), partitions=partitions)
 
 
 def test_serial_join(benchmark, join_tables):
@@ -151,20 +84,9 @@ def test_serial_join(benchmark, join_tables):
     assert len(result.relation) == len(join_tables["l"])
 
 
-def test_partitioned_join(benchmark, join_tables, pool_workers):
+def test_partitioned_join(benchmark, join_tables, exchange_partitions):
     """The same join behind a tuple-route exchange."""
-    benchmark(lambda: execute_plan(_partitioned_join(join_tables, pool_workers)))
-    plan = _partitioned_join(join_tables, pool_workers)
+    benchmark(lambda: execute_plan(_partitioned_join(join_tables, exchange_partitions)))
+    plan = _partitioned_join(join_tables, exchange_partitions)
     assert plan.execute() == _serial_join(join_tables).execute()
     assert plan.exchange_input == "tuples"
-
-
-def test_join_pick_is_the_faster_arm(request, join_tables, pool_workers):
-    """Same-run gate: the planner's serial-or-partitioned pick for the
-    join is within the bound of the faster arm."""
-    arms = {
-        "serial": partial(_timed, _serial_join, join_tables),
-        "partitioned": partial(_timed, _partitioned_join, join_tables, pool_workers),
-    }
-    pick = _planner_pick(join_tables, _join_query, pool_workers)
-    check_gate(request, "parallel-pick-join", arms[pick], arms)

@@ -9,9 +9,9 @@ This module glues the verification passes together:
   plan;
 * :func:`check_workloads` — the sweep the CLI and CI run: every paper
   query (Q1–Q3 and the NOT-EXISTS variant), optionally crossed with every
-  division algorithm × worker count, each prepared on a
-  fresh database and verified.  Nothing is executed — preparation is
-  planning only — so the sweep is safe to run anywhere.
+  division algorithm, each prepared on a fresh database and verified.
+  Nothing is executed — preparation is planning only — so the sweep is
+  safe to run anywhere.
 """
 
 from __future__ import annotations
@@ -134,11 +134,7 @@ def _configurations(all_workloads: bool, query_name: str) -> list[tuple[str, dic
     else:
         option = "small_divide_algorithm"
         algorithms = sorted(SMALL_DIVIDE_ALGORITHMS)
-    return [
-        (f"algorithm={algorithm} workers={workers}", {option: algorithm, "workers": workers})
-        for algorithm in algorithms
-        for workers in (1, 4)
-    ]
+    return [(f"algorithm={algorithm}", {option: algorithm}) for algorithm in algorithms]
 
 
 def check_workloads(
@@ -148,7 +144,7 @@ def check_workloads(
 
     ``source`` is a catalog source (defaults to the textbook catalog);
     ``all_workloads`` crosses each query with every applicable division
-    algorithm × worker count (1/4).
+    algorithm.
     """
     from repro.api.database import connect
     from repro.optimizer.planner import PlannerOptions

@@ -9,18 +9,20 @@ warnings through.
 Code ranges
 -----------
 * ``RP1xx`` — schema soundness of logical expressions and physical plans;
-* ``RP2xx`` — operator-contract completeness (properties, parallel safety,
-  partition keys, pickle-safety, exchange shape);
+* ``RP2xx`` — operator-contract completeness (properties, partition
+  safety, partition keys, exchange shape);
 * ``RP4xx`` — engine-contract lint rules (``scripts/lint_engine.py``);
 * ``RP5xx`` — storage invariants (stored-scan headers, zone maps, spill
   budgets);
 * ``RP6xx`` — maintained-view invariants (counter-table/schema agreement,
   delta-rule coverage, version monotonicity, view-over-view rejection);
 * ``RP7xx`` — fault-tolerance invariants (checksum coverage of stored
-  files, retry-policy sanity, fault-point registration).
+  files, fault-point registration).
 
 Retired codes are never reused: RP205 and RP301–RP305 audited generated
-segment source, which the engine no longer produces.
+segment source, which the engine no longer produces; RP204 (aggregate task
+payloads pickle) and RP703 (retry-policy sanity) checked what a worker
+pool needed, and there is none.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP201": (Severity.ERROR, "physical operator class does not declare its own PhysicalProperties"),
     "RP202": (Severity.ERROR, "parallel wrapper wraps an algorithm not marked key-disjoint safe"),
     "RP203": (Severity.ERROR, "exchange partition key does not cover the operator's grouping keys"),
-    "RP204": (Severity.WARNING, "task payload is not statically pickle-safe"),
-    "RP206": (Severity.ERROR, "exchange shape invalid (partitions/workers below 1)"),
+    "RP206": (Severity.ERROR, "exchange shape invalid (partitions below 1)"),
     # -- RP4xx: engine-contract lint ---------------------------------------
     "RP401": (Severity.ERROR, "_produce_chunks materializes Row objects without a waiver"),
     "RP402": (Severity.ERROR, "physical operator calls rows() on a child (operators have no row view)"),
@@ -99,7 +100,6 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP604": (Severity.ERROR, "view is defined over another view"),
     # -- RP7xx: fault-tolerance invariants ---------------------------------
     "RP702": (Severity.ERROR, "checksummed table file has a block without a CRC entry"),
-    "RP703": (Severity.ERROR, "operator retry policy is unsound (negative retries/backoff or non-positive timeout)"),
     "RP704": (Severity.ERROR, "active fault plan targets an unregistered fault point"),
 }
 

@@ -12,11 +12,11 @@ Two passes share this module:
 * :func:`verify_physical` walks a **physical** plan and checks (a) the same
   schema laws against each operator class's semantics, (b) the operator
   contracts: every class declares its own
-  :class:`~repro.physical.base.PhysicalProperties`, parallel wrappers only
-  wrap algorithms marked
+  :class:`~repro.physical.base.PhysicalProperties`, partitioned wrappers
+  only wrap algorithms marked
   :attr:`~repro.physical.base.PhysicalOperator.key_disjoint_safe`, exchange
-  partition keys cover the grouping/quotient keys, exchange shapes are
-  sane, and task payloads are statically pickle-safe, and (c) join/division
+  partition keys cover the grouping/quotient keys and exchange shapes and
+  budgets are sane, and (c) join/division
   key **type agreement** by propagating sampled column types up from the
   leaf scans (a warning, since it is data-sampled, not declared).
 
@@ -26,7 +26,6 @@ All checks are static — nothing is executed, no operator state is consumed.
 from __future__ import annotations
 
 import itertools
-import pickle
 from typing import Any, Optional
 
 from repro.algebra.expressions import (
@@ -319,8 +318,8 @@ def verify_physical(plan: PhysicalOperator) -> tuple[list[Finding], int]:
 def _check_fault_plan(findings: list[Finding]) -> None:
     """RP704: every point of the active fault plan must be registered.
 
-    A typo in a ``REPRO_FAULTS`` entry (``pool.worker`` misspelled as
-    ``pool.workers``) would otherwise arm a plan that silently never
+    A typo in a ``REPRO_FAULTS`` entry (``spill.write`` misspelled as
+    ``spill.writes``) would otherwise arm a plan that silently never
     fires — the chaos run would pass without testing anything.
     """
     plan = fault_registry.active_plan()
@@ -645,7 +644,7 @@ def _check_stored_scan(operator: StoredScan, findings: list[Finding], where: str
 def _check_exchange_contract(
     operator: PartitionedOperator, findings: list[Finding], where: str
 ) -> None:
-    """RP202/RP204/RP206/RP505 for one exchange wrapper."""
+    """RP202/RP206/RP505 for one exchange wrapper."""
 
     def emit(code: str, message: str) -> None:
         findings.append(finding(code, message, where, "physical"))
@@ -654,32 +653,8 @@ def _check_exchange_contract(
     if budget is not None and budget <= 0:
         emit("RP505", f"exchange memory budget must be positive, got {budget!r}")
 
-    if operator.partitions < 1 or operator.workers < 1:
-        emit(
-            "RP206",
-            f"exchange shape invalid: partitions={operator.partitions}, "
-            f"workers={operator.workers}",
-        )
-
-    policy = getattr(operator, "retry_policy", None)
-    if policy is not None:
-        problems = []
-        if policy.max_retries < 0:
-            problems.append(f"max_retries={policy.max_retries} (must be >= 0)")
-        if policy.backoff_seconds < 0:
-            problems.append(f"backoff_seconds={policy.backoff_seconds} (must be >= 0)")
-        if policy.backoff_multiplier < 1.0:
-            problems.append(
-                f"backoff_multiplier={policy.backoff_multiplier} (must be >= 1)"
-            )
-        if policy.jitter < 0:
-            problems.append(f"jitter={policy.jitter} (must be >= 0)")
-        if policy.timeout_seconds is not None and policy.timeout_seconds <= 0:
-            problems.append(
-                f"timeout_seconds={policy.timeout_seconds} (must be positive or None)"
-            )
-        if problems:
-            emit("RP703", "retry policy is unsound: " + "; ".join(problems))
+    if operator.partitions < 1:
+        emit("RP206", f"exchange shape invalid: partitions={operator.partitions}")
 
     registry: Optional[dict[str, type]] = None
     if isinstance(operator, PartitionedDivision):
@@ -703,17 +678,6 @@ def _check_exchange_contract(
                 f"wrapped algorithm {algorithm!r} ({inner.__name__}) is not marked "
                 "key_disjoint_safe; running it per partition is not proven sound",
             )
-    if isinstance(operator, PartitionedAggregate):
-        payload: Any = operator._specs if operator._specs is not None else operator._aggregations
-        try:
-            pickle.dumps(payload)
-        except Exception as error:  # pickling raises a zoo of exception types
-            degrade = (
-                " (the pool layer will degrade to inline serial execution)"
-                if operator._specs is None
-                else ""
-            )
-            emit("RP204", f"aggregate payload does not pickle: {error}{degrade}")
 
 
 # ----------------------------------------------------------------------

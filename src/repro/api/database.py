@@ -24,11 +24,13 @@ and benchmarks.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Generic, Optional, TypeVar, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.findings import VerificationReport
@@ -125,6 +127,8 @@ def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:
 #: Per-table version counters an entry was built against, sorted by name.
 _TableVersions = tuple[tuple[str, int], ...]
 
+_Entry = TypeVar("_Entry")
+
 
 @dataclass(frozen=True)
 class PreparedPlan:
@@ -156,32 +160,31 @@ class PreparedPlan:
         return self.rewrite_report.rules_fired
 
 
-def _reads_other_version(built: _TableVersions, table: str, version: int) -> bool:
-    """Whether ``built`` names ``table`` at a version other than ``version``."""
-    return any(name == table and seen != version for name, seen in built)
+class _VersionedLRU(Generic[_Entry]):
+    """A small LRU with hit/miss/invalidation counters whose entries carry
+    the table versions they were built against; ``maxsize=0`` disables it.
 
-
-class _PlanCache:
-    """A small LRU with hit/miss counters; ``maxsize=0`` disables caching."""
+    The plan cache keeps :class:`PreparedPlan` s, the result cache whole
+    :class:`QueryResult` s: a plan pins the relations its scans read, a
+    result is exact only at the versions it ran against.
+    """
 
     def __init__(self, maxsize: int) -> None:
-        if maxsize < 0:
-            raise ReproError(f"cache size must be >= 0, got {maxsize}")
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self._entries: "OrderedDict[str, PreparedPlan]" = OrderedDict()
+        self._entries: "OrderedDict[str, tuple[_TableVersions, _Entry]]" = OrderedDict()
 
-    def lookup(self, key: str, table_versions: _TableVersions) -> Optional[PreparedPlan]:
-        """Version-checked lookup: a cached plan built against other table
-        versions is *stale* (its scans pinned the old relations) — it is
-        evicted, counted as an invalidation, and the lookup misses."""
+    def lookup(self, key: str, table_versions: _TableVersions) -> Optional[_Entry]:
+        """Version-checked lookup: an entry built against other table
+        versions is *stale* — it is evicted, counted as an invalidation,
+        and the lookup misses."""
         entry = self._entries.get(key)
-        if entry is not None and entry.table_versions == table_versions:
+        if entry is not None and entry[0] == table_versions:
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+            return entry[1]
         self.misses += 1
         if entry is not None:
             del self._entries[key]
@@ -189,23 +192,23 @@ class _PlanCache:
         return None
 
     def sweep(self, table: str, version: int) -> None:
-        """Evict every plan built against another version of ``table`` —
-        each pins that version's whole relation value through its scans —
-        and count it as an invalidation (once: :meth:`lookup` can no
-        longer find it)."""
+        """Evict every entry built against another version of ``table`` —
+        no lookup can serve it again, and a plan pins that version's whole
+        relation value through its scans — and count it as an invalidation
+        (once: :meth:`lookup` can no longer find it)."""
         stale = [
             key
-            for key, entry in self._entries.items()
-            if _reads_other_version(entry.table_versions, table, version)
+            for key, (built, _value) in self._entries.items()
+            if any(name == table and seen != version for name, seen in built)
         ]
         for key in stale:
             del self._entries[key]
         self.invalidations += len(stale)
 
-    def put(self, key: str, value: PreparedPlan) -> None:
+    def put(self, key: str, table_versions: _TableVersions, value: _Entry) -> None:
         if self.maxsize == 0:
             return
-        self._entries[key] = value
+        self._entries[key] = (table_versions, value)
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -216,71 +219,44 @@ class _PlanCache:
         self.misses = 0
         self.invalidations = 0
 
-    def info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            size=len(self._entries),
-            maxsize=self.maxsize,
-            invalidations=self.invalidations,
-        )
-
     def __len__(self) -> int:
         return len(self._entries)
 
 
-#: Result-cache key: (full plan-cache key, table versions at build time).
-_ResultKey = tuple[str, _TableVersions]
+def _check_options(
+    batch_size: Optional[int],
+    cache_size: int,
+    result_cache_size: int,
+    memory_budget_mb: Optional[float],
+) -> None:
+    """Reject a malformed session option by name, before anything is built."""
 
+    def require(ok: bool, name: str, rule: str, value: Any) -> None:
+        if not ok:
+            raise ReproError(f"{name} must be {rule}, got {value!r}")
 
-class _ResultCache:
-    """Version-keyed LRU of whole :class:`QueryResult` objects.
+    def number(value: Any, kind: type) -> bool:
+        return isinstance(value, kind) and not isinstance(value, bool)
 
-    Keys embed the input-table versions, so a mutation *is* the
-    invalidation — the bumped version simply never matches again, and the
-    first query that sees the new version sweeps the unreachable entries
-    out (:meth:`sweep`).  ``maxsize=0`` disables caching.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 0:
-            raise ReproError(f"result cache size must be >= 0, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[_ResultKey, QueryResult]" = OrderedDict()
-
-    def get(self, key: _ResultKey) -> Optional[QueryResult]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def sweep(self, table: str, version: int) -> None:
-        """Drop every result keyed on another version of ``table``: no
-        lookup can reach it again, it only pushes live results out."""
-        stale = [key for key in self._entries if _reads_other_version(key[1], table, version)]
-        for key in stale:
-            del self._entries[key]
-
-    def put(self, key: _ResultKey, value: QueryResult) -> None:
-        if self.maxsize == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    require(
+        batch_size is None or (number(batch_size, numbers.Integral) and batch_size >= 1),
+        "batch_size",
+        "an int >= 1 (batch size must be positive)",
+        batch_size,
+    )
+    for name, size in (("cache_size", cache_size), ("result_cache_size", result_cache_size)):
+        require(number(size, numbers.Integral) and size >= 0, name, "an int >= 0", size)
+    require(
+        memory_budget_mb is None
+        or (
+            number(memory_budget_mb, numbers.Real)
+            and math.isfinite(memory_budget_mb)
+            and memory_budget_mb > 0
+        ),
+        "memory_budget_mb",
+        "a finite number > 0",
+        memory_budget_mb,
+    )
 
 
 class Database:
@@ -311,36 +287,37 @@ class Database:
         up its whole block as one chunk (a stored scan: one stored block);
         set, it bounds the scans' chunks too.  Results and per-operator
         tuple counts are independent of it.
-    workers:
-        Worker-pool size for partition-parallel execution (shorthand for
-        ``PlannerOptions(workers=...)``): an upper bound the planner uses
-        only where the exchange pays — for operators whose serial work per
-        tuple costs more than moving the tuple to another process
-        (tuple-at-a-time joins and aggregates, a quadratic division).  A
-        division on dictionary codes stays serial at any worker count;
-        results are identical either way.
     memory_budget_mb:
-        Spill budget (in MB) for partition-parallel exchanges: once the
-        buffered partitions of an exchange outgrow it, the largest ones
-        are spilled to disk in the columnar block format and re-streamed
-        by the workers.  Only an exchange honours the budget, so at
-        ``workers > 1`` an operator whose input is estimated above it is
-        planned behind one whatever the exchange costs; with ``workers=1``
-        nothing is partitioned and the budget has no effect.  Results and
-        per-operator tuple counts are identical with or without it.
+        Memory budget (in MB) for an operator's input.  A division, natural
+        join or grouped aggregation whose partitioned input is estimated
+        above it is planned behind a hash-partition exchange, split into
+        enough partitions for each to fit (at least 2); the partitions run
+        one after another, and once the exchange's buffered partitions
+        outgrow the budget the largest ones are spilled to disk in the
+        columnar block format and re-streamed.  Results and per-operator
+        tuple counts are identical with or without it.
     faults:
         A :class:`~repro.faults.FaultPlan` to install process-wide for
         deterministic fault injection (testing/chaos runs only): the
-        registered fault points in the pool, storage and spill layers
-        consult it and raise/delay/corrupt/crash according to the plan's
-        seeded streams.  ``None`` leaves the current plan (possibly armed
-        via the ``REPRO_FAULTS`` environment variable) untouched.
+        registered fault points in the storage and spill layers consult
+        it and raise/delay/corrupt according to the plan's seeded
+        streams.  ``None`` leaves the current plan (possibly armed via the
+        ``REPRO_FAULTS`` environment variable) untouched.
+    workers:
+        Accepted and without effect: ``bench/`` reads it; the [benchmark]
+        PR (ROADMAP item 4) deletes it.
+
+    Every option is checked before anything is built; a malformed one
+    raises a :class:`ReproError` that names it.
     """
 
-    #: Always ``False``: there is one rewriter.  ``bench/layers.py`` still
-    #: reads it; the [benchmark] change that rewrites that file (ROADMAP
-    #: item 1) deletes it.
+    #: Always ``False``: there is one rewriter.  ``bench/`` reads it; the
+    #: [benchmark] PR (ROADMAP item 4) deletes it.
     cost_based = False
+
+    #: Always 1: plans run in this process.  ``bench/`` reads it; the
+    #: [benchmark] PR (ROADMAP item 4) deletes it.
+    workers = 1
 
     def __init__(
         self,
@@ -356,12 +333,7 @@ class Database:
         memory_budget_mb: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
-            raise ReproError(f"batch size must be positive, got {batch_size}")
-        if workers is not None and workers < 1:
-            raise ReproError(f"workers must be positive, got {workers}")
-        if memory_budget_mb is not None and memory_budget_mb <= 0:
-            raise ReproError(f"memory budget must be positive, got {memory_budget_mb}")
+        _check_options(batch_size, cache_size, result_cache_size, memory_budget_mb)
         if faults is not None:
             if not isinstance(faults, FaultPlan):
                 raise ReproError(
@@ -379,8 +351,6 @@ class Database:
         else:
             self.catalog = _coerce_catalog(source)
         self.planner_options = planner_options or PlannerOptions()
-        if workers is not None and self.planner_options.workers != workers:
-            self.planner_options = replace(self.planner_options, workers=workers)
         self.recognize_division = recognize_division
         self.allow_data_inspection = allow_data_inspection
         self._optimizer = Optimizer(
@@ -392,8 +362,8 @@ class Database:
         self._configuration = optimizer_signature(
             self.cost_based, self.planner_options, allow_data_inspection
         )
-        self._cache = _PlanCache(cache_size)
-        self._result_cache = _ResultCache(result_cache_size)
+        self._cache: _VersionedLRU[PreparedPlan] = _VersionedLRU(cache_size)
+        self._result_cache: _VersionedLRU[QueryResult] = _VersionedLRU(result_cache_size)
         #: Monotonically increasing per-table version counters.  The
         #: Optimizer constructor above snapshotted statistics from the
         #: catalog, so every table's statistics are fresh at its current
@@ -688,8 +658,13 @@ class Database:
         a table version that has since moved — each once, whichever found
         it: the sweep at the first query after the edit, or a lookup.
         """
-        return replace(
-            self._cache.info(),
+        plans = self._cache
+        return CacheInfo(
+            hits=plans.hits,
+            misses=plans.misses,
+            size=len(plans),
+            maxsize=plans.maxsize,
+            invalidations=plans.invalidations,
             result_hits=self._result_cache.hits,
             result_misses=self._result_cache.misses,
             result_size=len(self._result_cache),
@@ -743,7 +718,7 @@ class Database:
             table_versions=versions,
             cache_key=key,
         )
-        self._cache.put(key, prepared)
+        self._cache.put(key, versions, prepared)
         return prepared, False
 
     def _refresh_stale_statistics(self, names: Iterable[str]) -> None:
@@ -764,27 +739,19 @@ class Database:
                 self._cache.sweep(name, version)
                 self._result_cache.sweep(name, version)
 
-    @property
-    def workers(self) -> int:
-        """The session's degree of parallelism (1 = serial execution)."""
-        return self.planner_options.workers or 1
-
     def _run(self, query: Query) -> QueryResult:
         expression = query.expression
         prepared, cache_hit = self._prepare(expression)
-        result_key = (prepared.cache_key, prepared.table_versions)
-        cached = self._result_cache.get(result_key)
+        versions = prepared.table_versions
+        cached = self._result_cache.lookup(prepared.cache_key, versions)
         if cached is not None:
-            # The versions in the key were verified current by _prepare, so
-            # the cached relation is exact; no physical execution happens.
+            # The versions were verified current by _prepare, so the cached
+            # relation is exact; no physical execution happens.
             # ``cache_hit`` reflects *this* call's plan lookup, not the
             # snapshot taken when the entry was first executed.
             return replace(cached, cache_hit=cache_hit, result_cache_hit=True)
         execution = execute_plan(
-            prepared.plan,
-            batch_size=self.batch_size,
-            workers=self.workers,
-            memory_budget_mb=self.memory_budget_mb,
+            prepared.plan, batch_size=self.batch_size, memory_budget_mb=self.memory_budget_mb
         )
         result = QueryResult(
             relation=execution.relation,
@@ -798,7 +765,7 @@ class Database:
             estimated_cost_after=prepared.rewritten_cost,
             decisions=prepared.decisions,
         )
-        self._result_cache.put(result_key, result)
+        self._result_cache.put(prepared.cache_key, versions, result)
         return result
 
     def _as_query(self, query: Union[Query, Expression, str]) -> Query:
@@ -856,15 +823,14 @@ def connect(source: DatabaseSource = None, **options) -> Database:
     ``repro.connect(textbook_catalog, batch_size=4096)`` sets the executor
     chunk size for every query of the session (scans included, which
     otherwise hand up whole blocks),
-    ``repro.connect(catalog, workers=4)`` lets the planner run joins,
-    aggregations and quadratic divisions over a pool of up to 4 workers
-    where the exchange pays, and
-    ``repro.connect(path, workers=4, memory_budget_mb=64)`` keeps operators
-    whose input outgrows the budget behind an exchange that spills
-    partitions to disk, and
-    ``repro.connect(catalog, faults=FaultPlan.parse("pool.worker:raise"))``
+    ``repro.connect(path, memory_budget_mb=64)`` plans operators whose
+    input is estimated above the budget behind an exchange that runs its
+    partitions one after another and spills them to disk, and
+    ``repro.connect(path, faults=FaultPlan.parse("storage.block_read:corrupt"))``
     arms deterministic fault injection for chaos testing (also available
     without code changes via the ``REPRO_FAULTS`` environment variable).
+    Every option is checked first: a malformed one raises a
+    :class:`ReproError` that names it.
     """
     return Database(source, **options)
 

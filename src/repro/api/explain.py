@@ -19,12 +19,10 @@ for the expression as written and of the plan that runs, in the units of
 every ``est cost`` below it.  Operators chosen by the cost-based planner
 additionally render their
 :class:`~repro.optimizer.physical_cost.PlanDecision` — the chosen
-algorithm, its estimated cost, and the priced alternatives it beat; in a
-``workers > 1`` session also the three charges the exchange was priced at
-(on the parallel variant that lost to a serial one, or on the winner), or
-``serial: over memory budget`` where the budget left no serial candidate.
-After an analyzed run each ``Filter`` says whether it filtered on the
-dictionary or (for at least one chunk) per tuple.
+algorithm, its estimated cost, and the priced alternatives it beat.  An
+operator the memory budget put behind an exchange says so on its
+``· exchange:`` line.  After an analyzed run each ``Filter`` says whether
+it filtered on the dictionary or (for at least one chunk) per tuple.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ def render_explain(
         execution = execute_plan(
             prepared.plan,
             batch_size=database.batch_size,
-            workers=database.workers,
             memory_budget_mb=database.memory_budget_mb,
         )
         actual = {id(op): op.tuples_out for op in prepared.plan.walk()}
@@ -130,24 +127,14 @@ def render_explain(
     lines.extend(_physical_lines(prepared.plan, estimates, actual))
     if analyze:
         lines.append("")
-        worker_ms = execution.statistics.worker_seconds * 1000
-        coordinator_ms = max(execution.elapsed_seconds * 1000 - worker_ms, 0.0)
         lines.append(
             f"max intermediate = {execution.max_intermediate} tuples, "
-            f"elapsed = {execution.elapsed_seconds * 1000:.2f} ms "
-            f"(coordinator {coordinator_ms:.2f} ms + workers {worker_ms:.2f} ms)"
+            f"elapsed = {execution.elapsed_seconds * 1000:.2f} ms"
         )
-        statistics = execution.statistics
-        if statistics.tasks_retried or statistics.tasks_degraded or statistics.faults_injected:
-            injected = ", ".join(
-                f"{point}={count}"
-                for point, count in sorted(statistics.faults_injected.items())
-            ) or "none"
-            lines.append(
-                f"supervision: {statistics.tasks_retried} task(s) retried, "
-                f"{statistics.tasks_degraded} degraded to inline, "
-                f"faults injected: {injected}"
-            )
+        injected = execution.statistics.faults_injected
+        if injected:
+            listed = ", ".join(f"{point}={count}" for point, count in sorted(injected.items()))
+            lines.append(f"faults injected: {listed}")
     return "\n".join(lines)
 
 
@@ -222,17 +209,17 @@ def _fallback_estimate(operator: PhysicalOperator, estimates: dict[int, float]) 
 
 
 def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
-    """Exchange annotation for partition-parallel operators.
+    """Exchange annotation for partitioned operators.
 
-    Static explain reports the configured shape (partitions, DOP); after an
+    Static explain reports the configured shape (partitions, budget); after an
     ``analyze=True`` execution the line adds the measured per-partition
     input-cardinality skew — max partition size over mean partition size,
-    1.00 meaning perfectly balanced — and the form the exchange shipped
-    its input in (``code columns`` or ``tuples``).
+    1.00 meaning perfectly balanced — the form the exchange handed its
+    input on in (``code columns`` or ``tuples``) and what it spilled.
     """
     if not operator.parallel:
         return None
-    summary = f"exchange: partitions={operator.partitions}, workers={operator.workers}"
+    summary = f"exchange: partitions={operator.partitions}"
     budget = getattr(operator, "memory_budget_mb", None)
     if budget is not None:
         summary += f", budget={budget:g}MB"
@@ -245,9 +232,9 @@ def _exchange_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
             f", {populated}/{len(sizes)} partitions populated, "
             f"input skew max/mean={skew:.2f}"
         )
-        shipped = getattr(operator, "exchange_input", None)
-        if shipped is not None:
-            summary += f", input: {shipped}"
+        forms = getattr(operator, "exchange_input", None)
+        if forms is not None:
+            summary += f", input: {forms}"
     spill = getattr(operator, "spill_statistics", None)
     if analyzed and spill:
         summary += (

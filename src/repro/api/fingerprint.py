@@ -32,16 +32,14 @@ def optimizer_signature(
     Covers every knob that changes which plan the optimizer produces:
     whether rules may inspect data to establish their preconditions, and
     the physical algorithm choices.  ``cost_based`` is ignored (there is
-    one rewriter); ``bench/layers.py`` still passes it, and the
-    [benchmark] change that rewrites that file (ROADMAP item 1) drops it.
+    one rewriter): ``bench/`` passes it; the [benchmark] PR (ROADMAP item
+    4) drops it.
     """
     parts = (
         "inspecting" if allow_data_inspection else "static",
         planner_options.small_divide_algorithm or "auto",
         planner_options.great_divide_algorithm or "auto",
         planner_options.join_algorithm or "auto",
-        f"workers={planner_options.workers or 1}",
-        f"partitions={planner_options.partitions or planner_options.workers or 1}",
     )
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 

@@ -44,7 +44,7 @@ class AnalyzeReport:
                 if stats.is_sorted(attribute):
                     extras.append("sorted")
                 if stats.top_frequency(attribute):
-                    extras.append(f"skew={stats.partition_skew(attribute):.2f}")
+                    extras.append(f"top={stats.top_frequency(attribute)}")
                 lines.append(f"  {attribute}: {', '.join(extras)}")
         return "\n".join(lines)
 

@@ -14,10 +14,8 @@ Commands
     the plan instead; ``--db`` picks a built-in database *or* the path of
     a store directory written by ``Database.save`` — stored tables stream
     lazily from disk; ``--batch-size N`` sets the executor chunk size (unset,
-    scans hand up whole blocks);
-    ``--workers N`` is an upper bound on the worker pool the planner uses
-    where an exchange pays; ``--memory-budget-mb M`` keeps inputs above it
-    behind an exchange that spills to disk).
+    scans hand up whole blocks); ``--memory-budget-mb M`` plans inputs
+    estimated above it behind an exchange that spills to disk).
 ``explain {Q1,Q2,Q3}``
     EXPLAIN ANALYZE one of the Section 4 queries.
 ``analyze``
@@ -27,7 +25,7 @@ Commands
 ``check``
     Statically verify the prepared plans of the paper workloads — schema
     soundness and operator contracts — without executing anything
-    (``--all-workloads`` sweeps every division algorithm × worker count;
+    (``--all-workloads`` sweeps every division algorithm;
     ``--json`` emits the findings
     for CI gating; exit code 1 on any severity-``error`` finding).
 ``views``
@@ -121,22 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
         "chunk is its whole block; results are unaffected)",
     )
     sql.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="upper bound on the worker pool for partition-parallel execution; "
-        "the planner uses it only where the exchange pays (tuple-at-a-time "
-        "joins and aggregates, quadratic divisions; results are unaffected)",
-    )
-    sql.add_argument(
         "--memory-budget-mb",
         type=float,
         default=None,
         metavar="M",
-        help="spill budget for partition-parallel exchanges (needs --workers "
-        "above 1): an input estimated above it runs behind an exchange whose "
-        "buffered partitions spill to disk (results are unaffected)",
+        help="memory budget: an input estimated above it runs behind a "
+        "hash-partition exchange whose buffered partitions spill to disk "
+        "(results are unaffected)",
     )
 
     explain = subparsers.add_parser("explain", help="EXPLAIN ANALYZE a Section 4 query")
@@ -169,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--all-workloads",
         action="store_true",
-        help="sweep every division algorithm × worker count "
+        help="sweep every division algorithm "
         "(default: each query once with default planner options)",
     )
     check.add_argument(
@@ -231,15 +220,11 @@ def _command_sql(
     db_name: str,
     use_recognizer: bool,
     batch_size: Optional[int],
-    workers: Optional[int],
     memory_budget_mb: Optional[float] = None,
 ) -> int:
     try:
         database = connect(
-            _database_source(db_name),
-            batch_size=batch_size,
-            workers=workers,
-            memory_budget_mb=memory_budget_mb,
+            _database_source(db_name), batch_size=batch_size, memory_budget_mb=memory_budget_mb
         )
         query = database.sql(text, recognize_division=use_recognizer)
         if explain:
@@ -373,7 +358,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.db,
             not args.no_recognizer,
             args.batch_size,
-            args.workers,
             args.memory_budget_mb,
         )
     if args.command == "explain":

@@ -18,8 +18,6 @@ __all__ = [
     "RewriteError",
     "PlanningError",
     "ExecutionError",
-    "WorkerError",
-    "TaskTimeoutError",
     "StorageError",
     "StorageCorruptionError",
     "InjectedFaultError",
@@ -89,36 +87,6 @@ class PlanningError(ReproError):
 
 class ExecutionError(ReproError):
     """A physical operator failed during execution."""
-
-
-class WorkerError(ExecutionError):
-    """A pool worker failed a partition task after every retry.
-
-    Carries enough structure to locate the failed unit of work without
-    parsing the message: the task ``kind`` (``small_divide`` …), the
-    ``algorithm`` registry name, the ``partition`` index within the task
-    list, and how many ``attempts`` were made.  The last underlying
-    exception (if any) is chained as ``__cause__``.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        kind: str = "",
-        algorithm: str = "",
-        partition: int = -1,
-        attempts: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.kind = kind
-        self.algorithm = algorithm
-        self.partition = partition
-        self.attempts = attempts
-
-
-class TaskTimeoutError(WorkerError):
-    """A partition task exceeded the retry policy's per-task timeout."""
 
 
 class StorageError(ReproError):

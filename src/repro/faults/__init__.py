@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the parallel and storage layers.
+"""Deterministic fault injection for the storage and spill layers.
 
 Public surface::
 

@@ -35,9 +35,8 @@ __all__ = ["ACTIONS", "FaultPlan", "FaultSpec"]
 #: The injection actions a spec may request.  ``raise`` throws a typed
 #: :class:`~repro.errors.InjectedFaultError`; ``delay`` sleeps
 #: ``delay_seconds``; ``corrupt`` flips a byte in the payload at points
-#: that carry one (elsewhere it degrades to ``raise``); ``crash`` kills
-#: the worker process at ``pool.worker`` (elsewhere it degrades to
-#: ``raise`` — the coordinator process is never killed).
+#: that carry one (elsewhere it degrades to ``raise``); ``crash`` degrades
+#: to ``raise`` everywhere — no point kills a process.
 ACTIONS = frozenset({"raise", "delay", "corrupt", "crash"})
 
 #: Default sleep for ``delay`` specs parsed from ``REPRO_FAULTS`` (the
@@ -102,10 +101,10 @@ class FaultPlan:
         Entries are separated by ``;`` or ``,``; each entry is
         ``point[:action[:probability[:limit]]]`` — for example::
 
-            REPRO_FAULTS="storage.block_read:corrupt:0.5;pool.worker:crash:1:1"
+            REPRO_FAULTS="storage.block_read:corrupt:0.5;spill.write:raise:1:1"
 
-        arms a 50%-probability block corruption plus exactly one worker
-        crash.  The action defaults to ``raise``, probability to 1.0 and
+        arms a 50%-probability block corruption plus exactly one failed
+        spill write.  The action defaults to ``raise``, probability to 1.0 and
         the limit to unbounded.
         """
         specs: list[FaultSpec] = []

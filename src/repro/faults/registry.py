@@ -5,17 +5,12 @@ dotted name listed in :data:`FAULT_POINTS` — and consult this module at
 that location.  With no plan installed every consultation is a cheap
 ``None``-check, so production paths pay one attribute load; with a plan
 armed (``connect(faults=...)`` or ``REPRO_FAULTS``), the matching specs
-decide deterministically whether to raise, sleep, corrupt a payload or
-ask the call site to crash its worker.
+decide deterministically whether to raise, sleep or corrupt a payload.
 
-Two consultation styles:
-
-* :func:`fire` — for storage/spill call sites that can apply the effect
-  in place: ``payload = fire("spill.write", payload)`` raises/sleeps
-  here and returns a (possibly corrupted) payload.
-* :func:`draw` — for the pool layer, which must *ship* effects to worker
-  subprocesses rather than apply them in the coordinator; it returns the
-  firing spec (already counted) and lets the caller act.
+Call sites consult :func:`fire`, which applies the effect in place:
+``payload = fire("spill.write", payload)`` raises/sleeps here and returns
+a (possibly corrupted) payload.  :func:`draw` is the decision alone: it
+returns the firing spec (already counted) and lets the caller act.
 
 Injection counts are kept per point and surfaced through
 ``explain(analyze=True)`` — the executor snapshots
@@ -50,8 +45,6 @@ __all__ = [
 #: so the typo is *reportable* rather than silently inert).
 FAULT_POINTS = frozenset(
     {
-        "pool.dispatch",  # run_tasks, before a wave of tasks is submitted
-        "pool.worker",  # per task, applied inside the worker (or inline)
         "storage.block_read",  # TableReader, before a block payload is decoded
         "storage.manifest_load",  # load_store, before the manifest is parsed
         "storage.table_write",  # save_database, before each table file commit
@@ -132,7 +125,6 @@ def reset_counters() -> None:
 def draw(point: str) -> Optional[FaultSpec]:
     """Decide whether ``point`` fires now; count and return the spec.
 
-    The pool layer uses this to ship effects into worker subprocesses.
     Returns ``None`` with no plan armed or when every matching spec
     declines (probability miss or exhausted limit).
     """
@@ -158,8 +150,8 @@ def fire(point: str, payload: Any = None) -> Any:
     * ``delay`` → sleep, then ``payload`` unchanged;
     * ``corrupt`` with a ``bytes`` payload → the payload with one byte
       flipped (so downstream checksums must catch it);
-    * anything else (``raise``, ``crash`` outside a worker, ``corrupt``
-      without a payload) → :class:`InjectedFaultError`.
+    * anything else (``raise``, ``crash``, ``corrupt`` without a
+      payload) → :class:`InjectedFaultError`.
     """
     spec = draw(point)
     if spec is None:

@@ -23,14 +23,12 @@ estimated cost, and the costs of the alternatives it beat.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra.expressions import (
     Expression,
     GreatDivide,
-    GroupBy,
     LiteralRelation,
     NaturalJoin,
     Project,
@@ -40,16 +38,9 @@ from repro.algebra.expressions import (
     SmallDivide,
 )
 from repro.optimizer.statistics import CardinalityEstimator, StatisticsCatalog, TableStatistics
-from repro.physical import (
-    JOIN_ALGORITHMS,
-    HashAggregate,
-    PartitionedAggregate,
-    PartitionedDivision,
-    PartitionedHashJoin,
-    PhysicalOperator,
-)
+from repro.physical import JOIN_ALGORITHMS, PhysicalOperator
 from repro.physical.division import GREAT_DIVIDE_ALGORITHMS, SMALL_DIVIDE_ALGORITHMS
-from repro.physical.parallel import HashPartitionExchange
+from repro.physical.parallel.exchange import MAX_PLANNED_PARTITIONS, HashPartitionExchange
 
 __all__ = ["PlanAlternative", "PlanDecision", "PhysicalCostModel", "decision_for"]
 
@@ -64,28 +55,9 @@ class PlanAlternative:
     #: Whether the price assumes (and the operator should exploit) an input
     #: clustered on the grouping attributes.
     clustered: bool = False
-    #: Pool size this price assumes (1 = serial execution; > 1 = the
-    #: algorithm wrapped in a hash-partition exchange).
-    workers: int = 1
-    #: Number of hash partitions the exchange splits the input into.
-    partitions: int = 1
-    #: Of a parallel variant's ``cost``: the partition pass plus what
-    #: crosses to the workers, and the pool round trips.  The rest is the
-    #: sub-plan (serial cost over the effective DOP, output shipped back).
-    exchange: float = 0.0
-    tasks: float = 0.0
 
     def __lt__(self, other: "PlanAlternative") -> bool:
-        return (self.cost, self.name, self.workers) < (other.cost, other.name, other.workers)
-
-    def label(self) -> str:
-        """Display label distinguishing the parallel variant of a name."""
-        return self.name if self.workers == 1 else f"{self.name}[dop={self.workers}]"
-
-    def charges(self) -> str:
-        """The three charges a parallel variant's price is made of."""
-        sub_plan = self.cost - self.exchange - self.tasks
-        return f"exchange={self.exchange:.0f} tasks={self.tasks:.0f} sub-plan={sub_plan:.0f}"
+        return (self.cost, self.name) < (other.cost, other.name)
 
 
 @dataclass(frozen=True)
@@ -102,74 +74,34 @@ class PlanDecision:
     alternatives: tuple[PlanAlternative, ...]
 
     def describe(self) -> str:
-        """One-line rationale for EXPLAIN output.
-
-        A parallel session always shows what the exchange was priced at:
-        on the chosen variant when it won, on the cheapest parallel variant
-        next to the serial price that beat it otherwise.
-        """
+        """One-line rationale for EXPLAIN output."""
         chosen = self.chosen
         mode = "forced" if self.forced else "cost-based"
         parts = [f"algorithm={chosen.name} ({mode}, est cost {chosen.cost:.0f}"]
         if chosen.clustered:
             parts.append(", clustered input: sort waived")
-        if chosen.workers > 1:
-            parts.append(
-                f", dop={chosen.workers}, partitions={chosen.partitions}: {chosen.charges()}"
-            )
         parts.append(")")
         others = [alt for alt in self.alternatives if alt is not chosen]
-        runner_up = next((alt for alt in others if alt.workers > chosen.workers), None)
         if others:
-            listed = ", ".join(
-                f"{alt.label()}={alt.cost:.0f}"
-                + (f" ({alt.charges()})" if alt is runner_up else "")
-                for alt in others
-            )
+            listed = ", ".join(f"{alt.name}={alt.cost:.0f}" for alt in others)
             parts.append(f"; alternatives: {listed}")
-        if all(alt.workers > 1 for alt in self.alternatives):
-            parts.append("; serial: over memory budget")
         return "".join(parts)
 
 
 class PhysicalCostModel:
     """Prices algorithm alternatives from operator descriptors + statistics.
 
-    With ``workers > 1`` every partitionable algorithm is additionally
-    priced as a *parallel* variant, from the descriptor of the exchange
-    operator that would run it (``PartitionedDivision`` /
-    ``PartitionedHashJoin`` / ``PartitionedAggregate``), as three charges:
-
-    * **exchange** — every partitioned input tuple crosses to a worker, as
-      codes (``per_input_cost``) when its input is a base table under the
-      wrappers that keep code columns, as a value tuple
-      (``per_output_cost``) otherwise and always under a memory budget;
-      the broadcast side crosses once per partition;
-    * **tasks** — one pool round trip (``startup_cost``) per partition;
-    * **sub-plan** — the serial price over the effective degree of
-      parallelism, plus the output shipped back as value tuples.
-
-    The effective DOP is capped by the pool, the partitions, the CPUs this
-    process may use and the partition-key *skew* (top-key frequency
-    gathered by ``analyze()``): hash partitioning cannot split one key's
-    rows, so the speedup is capped at ``1 / skew``.
-
-    ``memory_budget_mb`` is the one thing a price does not decide.  Only an
-    exchange honours the budget, so where a partitioned input is estimated
-    above it the serial alternatives are not candidates.
+    ``memory_budget_mb`` is the one thing a price does not decide: where a
+    partitionable operator's input is estimated above it,
+    :meth:`exchange_partitions` says how many partitions the planner's
+    exchange splits it into.
     """
 
     def __init__(
-        self,
-        statistics: StatisticsCatalog,
-        workers: int = 1,
-        partitions: Optional[int] = None,
-        memory_budget_mb: Optional[float] = None,
+        self, statistics: StatisticsCatalog, memory_budget_mb: Optional[float] = None
     ) -> None:
         self._statistics = statistics
         self._estimator = CardinalityEstimator(statistics)
-        self._workers = max(1, workers)
-        self._partitions = partitions if partitions is not None else self._workers
         self._memory_budget_mb = memory_budget_mb
 
     # ------------------------------------------------------------------
@@ -248,13 +180,9 @@ class PhysicalCostModel:
         }
         output = self._estimator.cardinality(expression)
         clustered = self._clustered_on(expression.left, a_names)
-        serial = [
+        return sorted(
             self._price(name, operator, quantities, output, clustered)
             for name, operator in registry.items()
-        ]
-        skew = self._partition_skew(expression.left, a_names)
-        return self._with_parallel(
-            serial, PartitionedDivision, output, skew, [expression.left], expression.right
         )
 
     def natural_join_alternatives(self, expression: NaturalJoin) -> list[PlanAlternative]:
@@ -263,30 +191,32 @@ class PhysicalCostModel:
         right = self._estimator.cardinality(expression.right)
         quantities = {"left": left, "right": right, "candidates": left, "divisor_groups": 1.0}
         output = self._estimator.cardinality(expression)
-        serial = [
+        return sorted(
             self._price(name, operator, quantities, output, clustered=False)
             for name, operator in JOIN_ALGORITHMS.items()
-        ]
-        shared = expression.left.schema.intersection(expression.right.schema)
-        if not len(shared):
-            # A cross product has no join key to partition on.
-            return sorted(serial)
-        skew = max(self._partition_skew(side, shared.names) for side in expression.children)
-        return self._with_parallel(
-            serial, PartitionedHashJoin, output, skew, [expression.left, expression.right]
         )
 
-    def aggregate_alternatives(self, expression: GroupBy) -> list[PlanAlternative]:
-        """Serial hash aggregation vs its hash-partitioned parallel variant."""
-        size = self._estimator.cardinality(expression.child)
-        quantities = {"left": size, "right": 0.0, "candidates": size, "divisor_groups": 1.0}
-        output = self._estimator.cardinality(expression)
-        serial = [self._price("hash", HashAggregate, quantities, output, clustered=False)]
-        if not len(expression.grouping):
-            # A grand total is one global group; it cannot be partitioned.
-            return serial
-        skew = self._partition_skew(expression.child, expression.grouping.names)
-        return self._with_parallel(serial, PartitionedAggregate, output, skew, [expression.child])
+    def exchange_partitions(self, expression: Expression) -> int:
+        """Partitions for an exchange over ``expression``: 1 (no exchange)
+        where its estimate fits the session's memory budget, else enough
+        for each partition to fit it — at least 2, at most
+        :data:`~repro.physical.parallel.exchange.MAX_PLANNED_PARTITIONS`.
+
+        The budget is converted to tuples by the exchange's own estimate
+        (:meth:`HashPartitionExchange.budget_in_tuples`), fed each
+        attribute's maximum from the statistics in place of the sample the
+        exchange takes from its first chunk (``None`` where none is known).
+        """
+        if self._memory_budget_mb is None:
+            return 1
+        statistics, names = self._base_attributes(expression, expression.schema.names)
+        maxima = {} if statistics is None else statistics.maxima
+        sample = tuple(maxima.get(name) for name in names)
+        budget = HashPartitionExchange.budget_in_tuples(self._memory_budget_mb, [sample])
+        cardinality = self._estimator.cardinality(expression)
+        if cardinality <= budget:
+            return 1
+        return min(max(2, math.ceil(cardinality / budget)), MAX_PLANNED_PARTITIONS)
 
     # ------------------------------------------------------------------
     # whole plans
@@ -357,122 +287,6 @@ class PhysicalCostModel:
             cost += props.pairwise_factor * quantities[first] * quantities[second]
         return PlanAlternative(name=name, operator=operator, cost=cost, clustered=use_clustered)
 
-    def _with_parallel(
-        self,
-        alternatives: list[PlanAlternative],
-        wrapper: type[PhysicalOperator],
-        output: float,
-        skew: float,
-        partitioned: list[Expression],
-        broadcast: Optional[Expression] = None,
-    ) -> list[PlanAlternative]:
-        """Extend serial alternatives with their parallel variants (ranked).
-
-        No-op at ``workers=1``.  Otherwise each serial price also competes
-        wrapped in ``wrapper``'s exchange over the ``partitioned`` inputs
-        (the three charges of the class docstring, in
-        ``wrapper.properties``' units, which are those of the algorithms it
-        wraps), and the cheapest overall wins: the planner parallelizes an
-        operator only where its serial work per tuple costs more than
-        moving the tuple to another process.  Under a memory budget that a
-        partitioned input outgrows only the parallel variants are returned.
-        """
-        if self._workers <= 1:
-            return sorted(alternatives)
-        costs = wrapper.properties
-        cardinality = self._estimator.cardinality
-
-        def crossing(expression: Expression, coded: bool) -> float:
-            coded = coded and self._ships_codes(expression)
-            price = costs.per_input_cost if coded else costs.per_output_cost
-            return cardinality(expression) * price
-
-        exchange = sum(crossing(each, self._memory_budget_mb is None) for each in partitioned)
-        if broadcast is not None:
-            # Collected once (never against the budget), pickled into every task.
-            exchange += crossing(broadcast, True) * self._partitions
-        tasks = costs.startup_cost * self._partitions
-        dop = self.effective_dop(skew)
-        parallel = [
-            replace(
-                alternative,
-                cost=exchange + tasks + alternative.cost / dop + costs.per_output_cost * output,
-                workers=self._workers,
-                partitions=self._partitions,
-                exchange=exchange,
-                tasks=tasks,
-            )
-            for alternative in alternatives
-        ]
-        if any(self._over_budget(each) for each in partitioned):
-            return sorted(parallel)
-        return sorted(alternatives + parallel)
-
-    def effective_dop(self, skew: float) -> float:
-        """The speedup ceiling: workers, partitions, CPUs and key skew combined.
-
-        More tasks than CPUs this process may run on take turns.  Hash
-        partitioning cannot split one key's rows, so when the top key
-        holds fraction ``skew`` of the input the largest partition holds at
-        least that fraction and the speedup is capped at ``1 / skew`` —
-        heavily skewed keys price parallelism out of the running.
-        """
-        dop = float(min(self._workers, self._partitions, _available_cpus()))
-        if skew > 0.0:
-            dop = min(dop, 1.0 / skew)
-        return dop
-
-    def _ships_codes(self, expression: Expression) -> bool:
-        """Whether an exchange over ``expression`` sees code columns.
-
-        A base table's scan hands up its cached codes and selections,
-        renamings and attribute-keeping projections pass them on; anything
-        else (a join's or an aggregate's output, a duplicate-eliminating
-        projection) produces value tuples, which take the tuple route.
-        """
-        while isinstance(expression, (Select, Rename, Project)):
-            if len(expression.schema) < len(expression.child.schema):
-                return False
-            expression = expression.child
-        return isinstance(expression, (RelationRef, LiteralRelation))
-
-    def _over_budget(self, expression: Expression) -> bool:
-        """Whether the session's memory budget is below this exchange input.
-
-        The budget is converted to tuples by the exchange's own estimate
-        (:meth:`HashPartitionExchange.budget_in_tuples`), fed each
-        attribute's maximum from the statistics in place of the sample the
-        exchange takes from its first chunk (``None`` where none is known).
-        """
-        if self._memory_budget_mb is None:
-            return False
-        statistics, names = self._base_attributes(expression, expression.schema.names)
-        maxima = {} if statistics is None else statistics.maxima
-        sample = tuple(maxima.get(name) for name in names)
-        budget = HashPartitionExchange.budget_in_tuples(self._memory_budget_mb, [sample])
-        return self._estimator.cardinality(expression) > budget
-
-    def _partition_skew(self, expression: Expression, names) -> float:
-        """Top-key frequency fraction of the partition key, when known.
-
-        Read off the base table the key comes from
-        (:meth:`_base_attributes`); anywhere else the skew is unknown and
-        reported as 0.0 (no discount).  A projection's duplicate
-        elimination can only *reduce* the top-key share, so the base
-        table's figure is a safe upper bound, and multi-attribute keys can
-        only be less skewed than their most selective component, so the
-        minimum over the attributes bounds the composite skew from above.
-        """
-        statistics, base_names = self._base_attributes(expression, names)
-        if statistics is None or not statistics.cardinality:
-            return 0.0
-        fractions = [
-            statistics.partition_skew(name)
-            for name in base_names
-            if statistics.top_frequency(name)
-        ]
-        return min(fractions, default=0.0)
-
     def _base_attributes(
         self, expression: Expression, names
     ) -> tuple[Optional[TableStatistics], tuple[str, ...]]:
@@ -524,14 +338,6 @@ class PhysicalCostModel:
     def estimator(self) -> CardinalityEstimator:
         """The underlying cardinality estimator (shared with callers)."""
         return self._estimator
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, or the machine's
-    count on platforms without one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def decision_for(

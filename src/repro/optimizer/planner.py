@@ -17,6 +17,13 @@ Every cost-based (or forced) choice is recorded as a
 :class:`~repro.optimizer.physical_cost.PlanDecision` on the chosen operator
 and in :attr:`PhysicalPlanner.decisions`, so ``explain()`` can report the
 rationale.
+
+The session's memory budget is the one reason a plan is partitioned: a
+division, natural join or grouped aggregation whose partitioned input is
+estimated above it runs its algorithm behind a hash-partition exchange
+(ARCHITECTURE Invariant 6), split into as many partitions as
+:meth:`~repro.optimizer.physical_cost.PhysicalCostModel.exchange_partitions`
+derives from the estimate.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ from repro.physical.parallel import (
     PartitionedAggregate,
     PartitionedDivision,
     PartitionedHashJoin,
+    PartitionedOperator,
 )
 from repro.relation.relation import Relation
 from repro.storage.scan import StoredScan
@@ -100,17 +108,6 @@ class PlannerOptions:
     great_divide_algorithm: Optional[str] = None
     #: Natural-join algorithm (``JOIN_ALGORITHMS``) or ``None``.
     join_algorithm: Optional[str] = None
-    #: Worker-pool size for partition-parallel execution: an upper bound,
-    #: not a request.  ``None``/1 keeps every operator serial; above 1 the
-    #: cost model *additionally* prices each algorithm wrapped in a
-    #: hash-partition exchange and uses the pool only where the exchange
-    #: pays — where an operator's serial work per tuple costs more than
-    #: moving the tuple to another process (tuple-at-a-time joins and
-    #: aggregates, a quadratic division).  A division on dictionary codes
-    #: stays serial at any worker count.
-    workers: Optional[int] = None
-    #: Hash partitions per exchange (``None`` = same as ``workers``).
-    partitions: Optional[int] = None
 
 
 #: (option attribute, registry, human-readable operator kind)
@@ -135,7 +132,7 @@ class PhysicalPlanner:
         self.options = options or PlannerOptions()
         self._statistics = statistics
         #: The session's exchange spill budget: where an input outgrows it
-        #: the cost model keeps the exchange (see ``PhysicalCostModel``).
+        #: the operator is planned behind an exchange.
         self._memory_budget_mb = memory_budget_mb
         self._cost_model: Optional[PhysicalCostModel] = None
         #: Algorithm decisions of the most recent :meth:`plan` call.
@@ -170,12 +167,6 @@ class PhysicalPlanner:
                     f"PlannerOptions.{attribute}: unknown {kind} algorithm {forced!r}; "
                     f"choose from {sorted(registry)} (or None for cost-based selection)"
                 )
-        for attribute in ("workers", "partitions"):
-            value = getattr(self.options, attribute)
-            if value is not None and value < 1:
-                raise PlanningError(
-                    f"PlannerOptions.{attribute} must be at least 1, got {value}"
-                )
 
     @property
     def cost_model(self) -> PhysicalCostModel:
@@ -184,12 +175,7 @@ class PhysicalPlanner:
             statistics = self._statistics
             if statistics is None:
                 statistics = StatisticsCatalog.from_database(self.database)
-            self._cost_model = PhysicalCostModel(
-                statistics,
-                workers=self.options.workers or 1,
-                partitions=self.options.partitions,
-                memory_budget_mb=self._memory_budget_mb,
-            )
+            self._cost_model = PhysicalCostModel(statistics, self._memory_budget_mb)
         return self._cost_model
 
     # ------------------------------------------------------------------
@@ -265,15 +251,17 @@ class PhysicalPlanner:
         left = self._plan(expression.left)
         right = self._plan(expression.right)
         chosen = decision.chosen
-        if chosen.workers > 1:
-            operator: PhysicalOperator = PartitionedDivision(
-                left,
-                right,
-                algorithm=chosen.name,
-                kind="small" if kind == "small divide" else "great",
-                partitions=chosen.partitions,
-                workers=chosen.workers,
-                assume_clustered=chosen.clustered,
+        partitions = self.cost_model.exchange_partitions(expression.left)
+        if partitions > 1:
+            operator: PhysicalOperator = self._budgeted(
+                PartitionedDivision(
+                    left,
+                    right,
+                    algorithm=chosen.name,
+                    kind="small" if kind == "small divide" else "great",
+                    partitions=partitions,
+                    assume_clustered=chosen.clustered,
+                )
             )
         elif chosen.operator is MergeSortDivision:
             operator = MergeSortDivision(left, right, assume_clustered=chosen.clustered)
@@ -290,13 +278,13 @@ class PhysicalPlanner:
         left = self._plan(expression.left)
         right = self._plan(expression.right)
         chosen = decision.chosen
-        if chosen.workers > 1:
-            operator: PhysicalOperator = PartitionedHashJoin(
-                left,
-                right,
-                algorithm=chosen.name,
-                partitions=chosen.partitions,
-                workers=chosen.workers,
+        partitions = 1
+        if len(expression.left.schema.intersection(expression.right.schema)):
+            # A cross product has no join key to partition on.
+            partitions = max(map(self.cost_model.exchange_partitions, expression.children))
+        if partitions > 1:
+            operator: PhysicalOperator = self._budgeted(
+                PartitionedHashJoin(left, right, algorithm=chosen.name, partitions=partitions)
             )
         else:
             operator = chosen.operator(left, right)
@@ -305,27 +293,20 @@ class PhysicalPlanner:
     def _plan_group_by(self, expression: GroupBy) -> PhysicalOperator:
         aggregations = {spec.output: spec.build() for spec in expression.aggregates}
         child = self._plan(expression.child)
-        if (self.options.workers or 1) > 1 and len(expression.grouping):
-            # Parallel sessions cost serial vs partitioned aggregation; the
-            # decision is recorded either way so explain() shows the same
-            # rationale shape regardless of which variant won.
-            decision = decision_for(
-                "aggregate", self.cost_model.aggregate_alternatives(expression)
-            )
-            chosen = decision.chosen
-            if chosen.workers > 1:
-                operator: PhysicalOperator = PartitionedAggregate(
-                    child,
-                    expression.grouping,
-                    aggregations,
-                    partitions=chosen.partitions,
-                    workers=chosen.workers,
-                    specs=expression.aggregates,
+        if len(expression.grouping):
+            # A grand total is one global group; it cannot be partitioned.
+            partitions = self.cost_model.exchange_partitions(expression.child)
+            if partitions > 1:
+                return self._budgeted(
+                    PartitionedAggregate(child, expression.grouping, aggregations, partitions)
                 )
-            else:
-                operator = HashAggregate(child, expression.grouping, aggregations)
-            return self._record(operator, decision)
         return HashAggregate(child, expression.grouping, aggregations)
+
+    def _budgeted(self, exchange: PartitionedOperator) -> PartitionedOperator:
+        """An exchange the budget asked for, carrying the budget (so a
+        static ``explain`` shows why it is there)."""
+        exchange.memory_budget_mb = self._memory_budget_mb
+        return exchange
 
     def _record(self, operator: PhysicalOperator, decision: PlanDecision) -> PhysicalOperator:
         operator.decision = decision

@@ -101,12 +101,9 @@ class TableStatistics:
     #: on — records composite clustering (``clustered(["a", "b"])``) that
     #: the per-attribute ``sorted_attributes`` flags cannot express.
     lexicographic_prefix: tuple[str, ...] = ()
-    #: Per-attribute frequency of the *most common* value (the top key).
-    #: ``partition_skew`` derives from it: a hash-partition exchange on an
-    #: attribute can never split the rows of one value, so the largest
-    #: partition holds at least ``top_frequency / cardinality`` of the rows
-    #: — the cost model uses that fraction to discount parallelism on
-    #: heavily skewed keys.
+    #: Per-attribute frequency of the *most common* value (the top key):
+    #: a hash-partition exchange on an attribute can never split the rows
+    #: of one value, so its largest partition holds at least that many.
     top_frequencies: Mapping[str, int] = field(default_factory=dict)
 
     @classmethod
@@ -184,18 +181,6 @@ class TableStatistics:
     def top_frequency(self, attribute: str) -> int:
         """Row count of the attribute's most frequent value (0 when unknown)."""
         return self.top_frequencies.get(attribute, 0)
-
-    def partition_skew(self, attribute: str) -> float:
-        """Fraction of the rows carrying the attribute's most frequent value.
-
-        The lower bound on the largest hash partition when partitioning on
-        this attribute (equal keys cannot be split): 0.0 means unknown or
-        empty, 1.0 means every row shares one key and partitioning cannot
-        help at all.
-        """
-        if not self.cardinality:
-            return 0.0
-        return self.top_frequency(attribute) / self.cardinality
 
 
 class StatisticsCatalog:

@@ -258,15 +258,11 @@ class PlanStatistics:
     partition_peaks: dict[str, int] = field(default_factory=dict)
     #: wall-clock seconds spent executing the plan (filled by the executor)
     elapsed_seconds: float = 0.0
-    #: wall-clock seconds spent inside exchange worker pools (summed over
-    #: exchanges; the coordinator share is ``elapsed_seconds`` minus this)
-    worker_seconds: float = 0.0
-    #: partition-task resubmissions after transient worker failures
-    #: (summed over exchanges; see the pool supervisor's RetryPolicy)
-    tasks_retried: int = 0
-    #: partition tasks that fell back to inline execution after the pool
-    #: path exhausted its retry budget
-    tasks_degraded: int = 0
+    #: Always zero: there is no worker pool.  ``bench/`` reads them; the
+    #: [benchmark] PR (ROADMAP item 4) deletes them.
+    worker_seconds = 0.0
+    tasks_retried = 0
+    tasks_degraded = 0
     #: fault-point name → injections fired during this run (empty unless a
     #: :mod:`repro.faults` plan is armed; filled by the executor from the
     #: registry's counter delta)
@@ -444,12 +440,11 @@ class PhysicalOperator:
     #: planner on the instance; ``None`` for directly constructed plans).
     decision = None
 
-    #: True for exchange operators that fan work out over partitions; their
-    #: ``workers`` attribute is the runtime degree-of-parallelism knob
-    #: :meth:`set_workers` adjusts.
+    #: True for exchange operators, which run their work per partition;
+    #: :meth:`set_memory_budget` sets their spill budget.
     parallel = False
 
-    #: Contract flag consumed by the parallel wrappers and the static
+    #: Contract flag consumed by the partitioned wrappers and the static
     #: verifier (RP202): True only for algorithms whose result over a
     #: key-disjoint partitioning of their inputs equals the union of the
     #: per-partition results.  Division and great-division algorithms
@@ -457,15 +452,6 @@ class PhysicalOperator:
     #: key), as do equi-joins and grouped aggregation partitioned on their
     #: key; anything else must stay False and never be wrapped.
     key_disjoint_safe = False
-
-    #: Wall-clock seconds this operator spent inside worker pools (exchange
-    #: operators fill it; everything else stays at 0.0).
-    worker_seconds = 0.0
-
-    #: Supervision tallies (exchange operators fill them from the pool
-    #: supervisor's report; everything else stays at 0).
-    tasks_retried = 0
-    tasks_degraded = 0
 
     #: Process-wide construction counter backing collision-free labels.
     _construction_ids = itertools.count()
@@ -531,24 +517,10 @@ class PhysicalOperator:
         for operator in self.walk():
             operator.batch_size = size
 
-    def set_workers(self, workers: int) -> None:
-        """Set the degree of parallelism of every exchange in the subtree.
-
-        A runtime knob like :meth:`set_batch_size`: it retargets existing
-        exchange operators (``parallel = True``) without changing the plan
-        shape, so a plan built for N workers can execute with M.  Serial
-        plans are unaffected.
-        """
-        if workers < 1:
-            raise ExecutionError(f"workers must be positive, got {workers}")
-        for operator in self.walk():
-            if operator.parallel:
-                operator.workers = workers
-
     def set_memory_budget(self, memory_budget_mb: Optional[float]) -> None:
         """Set the spill budget of every exchange in the subtree.
 
-        A runtime knob like :meth:`set_workers`: exchange operators
+        A runtime knob like :meth:`set_batch_size`: exchange operators
         (``parallel = True``) buffer their hash partitions in memory and,
         with a budget set, spill the largest buffered partitions to disk
         once the buffered tuples outgrow it (see
@@ -644,9 +616,6 @@ class PhysicalOperator:
         """Reset tuple counters in the whole subtree (before a fresh run)."""
         for operator in self.walk():
             operator.tuples_out = 0
-            operator.worker_seconds = 0.0
-            operator.tasks_retried = 0
-            operator.tasks_degraded = 0
 
     # ------------------------------------------------------------------
     # rendering
@@ -700,9 +669,6 @@ def collect_statistics(plan: PhysicalOperator) -> PlanStatistics:
     stats = PlanStatistics()
     for index, operator in enumerate(plan.walk()):
         stats.tuples_by_operator[f"{index:02d}:{operator.name}"] = operator.tuples_out
-        stats.worker_seconds += operator.worker_seconds
-        stats.tasks_retried += operator.tasks_retried
-        stats.tasks_degraded += operator.tasks_degraded
         for label, value in operator.partition_peaks().items():
             stats.partition_peaks[f"{index:02d}:{operator.name}/{label}"] = value
     return stats

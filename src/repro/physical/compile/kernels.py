@@ -21,9 +21,9 @@ exist:
   lists that short — and the tests hold every result of the numpy kernel
   against it.
 
-Results never depend on the kernel in use.  The partition-parallel
-wrappers run the unchanged serial operators inside their workers, so the
-kernel dispatch applies per partition without any further wiring.  Tests
+Results never depend on the kernel in use.  The partitioned wrappers run
+the unchanged serial operators over each partition, so the kernel
+dispatch applies per partition without any further wiring.  Tests
 and the ``numpy-kernel`` gate pin a kernel with :func:`use_kernel`.
 """
 

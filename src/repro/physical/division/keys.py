@@ -7,8 +7,8 @@ answers with the codes of the keys in its quotient.  :func:`encode_keys` is
 the single place that produces the codes:
 
 * when every chunk of the input carries code columns over one shared
-  dictionary (a scan, possibly under filters, or a
-  partition worker's input: the exchange ships code columns), the cached
+  dictionary (a scan, possibly under filters, or an exchange partition:
+  the exchange hands on code columns), the cached
   codes are **read directly** — a single attribute's buffers joined and
   its dictionary *as they are*, composite keys combined by mixed radix —
   so whatever the operator then looks up per key costs one lookup per

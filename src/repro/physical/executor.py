@@ -87,11 +87,12 @@ def execute_plan(
     """Execute ``plan`` from a cold start and return result + statistics.
 
     ``batch_size`` (when given) sets the chunk size for the whole plan
-    before execution; ``workers`` (when given) retargets the degree of
-    parallelism of any exchange operators in the plan;
-    ``memory_budget_mb`` (when given) makes those exchanges spill buffered
-    partitions to disk once they outgrow the budget.  The produced
-    relation and per-operator tuple counts are independent of all three.
+    before execution; ``memory_budget_mb`` (when given) makes the plan's
+    exchange operators spill buffered partitions to disk once they
+    outgrow the budget.  The produced relation and per-operator tuple
+    counts are independent of both.  ``workers`` is accepted and has no
+    effect: ``bench/`` passes it; the [benchmark] PR (ROADMAP item 4)
+    deletes it.
 
     ``verify=True`` (or the process-wide debug switch, ``REPRO_VERIFY=1``
     in the environment or :func:`set_debug_verify`) statically verifies the
@@ -101,8 +102,6 @@ def execute_plan(
     """
     if batch_size is not None:
         plan.set_batch_size(batch_size)
-    if workers is not None:
-        plan.set_workers(workers)
     if memory_budget_mb is not None:
         plan.set_memory_budget(memory_budget_mb)
     plan.reset_counters()

@@ -1,12 +1,13 @@
-"""Partition-parallel execution: hash-partition exchange + worker pool.
+"""Partitioned plans: hash-partition exchange + per-partition serial plans.
 
 Division, natural joins and grouped aggregation are all independent per
-key group (quotient key, join key, grouping key), which makes them
-embarrassingly parallel under hash partitioning: split the input into
-key-disjoint partitions, run the existing *serial* algorithm per partition
-— on a process pool when ``workers > 1`` — and concatenate.  No key spans
-two partitions, so the concatenated result is bit-identical to the serial
-run and needs no merge step.
+key group (quotient key, join key, grouping key), so they run unchanged
+over key-disjoint partitions of their input: split the input by a hash of
+the key, run the existing *serial* algorithm over each partition in turn
+and concatenate.  No key spans two partitions, so the concatenated result
+is the unpartitioned one and needs no merge step.  What this buys is
+memory: a partition, not the whole input, is what one sub-plan holds, and
+an exchange under a memory budget spills the partitions it buffers.
 """
 
 from repro.physical.parallel.exchange import HashPartitionExchange, PartitionSource
@@ -16,13 +17,6 @@ from repro.physical.parallel.operators import (
     PartitionedHashJoin,
     PartitionedOperator,
 )
-from repro.physical.parallel.pool import (
-    PartitionTask,
-    build_subplan,
-    execute_task,
-    run_tasks,
-    shutdown_pool,
-)
 
 __all__ = [
     "HashPartitionExchange",
@@ -31,9 +25,11 @@ __all__ = [
     "PartitionedDivision",
     "PartitionedHashJoin",
     "PartitionedAggregate",
-    "PartitionTask",
-    "build_subplan",
-    "execute_task",
-    "run_tasks",
-    "shutdown_pool",
 ]
+
+
+def shutdown_pool() -> None:
+    """Does nothing: there is no worker pool.
+
+    ``bench/`` reads it; the [benchmark] PR (ROADMAP item 4) deletes it.
+    """

@@ -19,11 +19,10 @@ object by whoever owns the plan; composite keys go through
 over the key's code buffer turns it into one route per tuple, and every
 partition takes its codes by that route, in stream order; a column whose
 dictionary is larger than the partition is compacted to the entries the
-partition carries.  What crosses a process boundary (see
-:mod:`repro.physical.parallel.pool`) is therefore ``(attribute names,
-dictionaries, int32 code buffers)`` — integers plus distinct
-values, never more values than codes.  The buckets, their order and their
-sizes are exactly those of ``hash(key) % K`` per tuple.
+partition carries.  A partition is therefore dictionaries plus int32
+code buffers — integers plus distinct values, never more values than
+codes.  The buckets, their order and their sizes are exactly those of
+``hash(key) % K`` per tuple.
 
 Chunks without code columns (join output, raw-stored columns) and every
 chunk of a run under a memory budget take the *tuple route*
@@ -33,7 +32,7 @@ of aligned value tuples; the choice is made per chunk, so one partition may
 hold both kinds of piece, in stream order.
 
 :class:`PartitionSource` is the matching leaf operator: a scan over one
-partition, used to rebuild per-partition sub-plans on a worker.  Coded
+partition, the leaf of each per-partition sub-plan.  Coded
 pieces come back as coded chunks (tuples decoded only if a join or an
 aggregate asks for them), so the division operators in the sub-plan read
 cached codes just as they do over a table scan.  Bucket order is the scan
@@ -62,7 +61,12 @@ from repro.relation.encoding import (
 )
 from repro.relation.schema import AttributeNames, as_schema
 
-__all__ = ["HashPartitionExchange", "Partition", "PartitionSource"]
+__all__ = ["MAX_PLANNED_PARTITIONS", "HashPartitionExchange", "Partition", "PartitionSource"]
+
+#: The most partitions the planner splits one exchange into, however far an
+#: input's estimate outgrows the memory budget: each spilled partition
+#: holds its spill file open while the exchange runs.
+MAX_PLANNED_PARTITIONS = 64
 
 #: One run of a partition: code columns (one per attribute, over shared
 #: dictionaries), a list of aligned value tuples, or — once a memory budget
@@ -108,7 +112,7 @@ class PartitionSource(PhysicalOperator):
     pure slicing of code columns or tuple lists, no per-tuple work,
     preserves the partition's order (and with it any clustering the
     exchange preserved).  A spilled piece is streamed block by block — a
-    worker re-reading a spilled partition never holds more than one spill
+    sub-plan re-reading a spilled partition never holds more than one spill
     block of it.  A bare tuple list is accepted as a one-piece partition.
     """
 
@@ -122,9 +126,9 @@ class PartitionSource(PhysicalOperator):
             block, piece = Partition(), block
             block.add(piece)
         self._block = block
-        # A sub-plan is drained inside one task, so nothing is gained by
-        # re-slicing what already sits in memory: unless a batch size is
-        # set, every piece (every spill block) goes up as one chunk.
+        # Nothing is gained by re-slicing what already sits in memory:
+        # unless a batch size is set, every piece (every spill block) goes
+        # up as one chunk.
         self.batch_size = sys.maxsize
 
     def _produce_chunks(self) -> Iterator[Chunk]:
@@ -223,8 +227,8 @@ class HashPartitionExchange:
 
         Columns are aligned with ``source.schema`` so a
         :class:`PartitionSource` over a partition reproduces the source's
-        share exactly.  With one partition nothing is hashed — the
-        zero-overhead serial fallback.  Neither the coded route nor
+        share exactly.  With one partition nothing is hashed.  Neither
+        the coded route nor
         spilling changes a partition's content or order: both hold exactly
         the tuples ``hash(key) % partitions`` per tuple would have appended.
         """

@@ -3,17 +3,22 @@
 Each wrapper hash-partitions its probe input(s) on the attribute set that
 determines the result groups — quotient attributes for division, the shared
 attributes for a natural join, the grouping attributes for aggregation —
-then runs the *unchanged* serial algorithm per partition (on a worker pool
-when ``workers > 1``) and concatenates the outputs.  Because no key spans
-two partitions the concatenation is exactly the serial result: same tuples,
+then runs the *unchanged* serial algorithm over each partition in turn, in
+this process, and concatenates the outputs.  Because no key spans two
+partitions the concatenation is exactly the serial result: same tuples,
 and the wrapper's own output counter equals the serial operator's.
+
+The planner builds a wrapper where an input is estimated above the
+session's memory budget (ARCHITECTURE Invariant 6): a partition, not the
+whole input, is what one sub-plan holds, and the budgeted exchange spills
+the partitions it buffers.
 
 The wrappers record per-partition statistics after execution:
 
 * :attr:`PartitionedOperator.partition_input_sizes` — tuples routed to each
   partition (the skew figure ``explain(analyze=True)`` reports), and
-  :attr:`PartitionedOperator.exchange_input` — in what form they were
-  shipped (``code columns`` or ``tuples``);
+  :attr:`PartitionedOperator.exchange_input` — in what form the exchange
+  handed them on (``code columns`` or ``tuples``);
 * :attr:`PartitionedOperator.key_source` / ``kernel_name`` — what the
   partitions' division operators recorded about their key columns;
 * :attr:`PartitionedOperator.partition_statistics` — each partition
@@ -27,9 +32,8 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from collections.abc import Iterator, Mapping, Sequence
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Optional
+from collections.abc import Iterator, Mapping
+from typing import Any, Optional
 
 from repro.errors import ExecutionError
 from repro.physical.aggregate import HashAggregate
@@ -40,18 +44,9 @@ from repro.physical.division.great_divide_ops import (
 )
 from repro.physical.division.small_divide_ops import SMALL_DIVIDE_ALGORITHMS, _division_schemas
 from repro.physical.joins import JOIN_ALGORITHMS
-from repro.physical.parallel.exchange import HashPartitionExchange
-from repro.physical.parallel.pool import (
-    PartitionTask,
-    RetryPolicy,
-    SupervisionReport,
-    run_tasks,
-)
+from repro.physical.parallel.exchange import HashPartitionExchange, PartitionSource
 from repro.relation.aggregates import Aggregate
 from repro.relation.schema import AttributeNames, Schema, as_schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algebra.expressions import AggregateSpec
 
 __all__ = [
     "PartitionedOperator",
@@ -62,9 +57,9 @@ __all__ = [
 
 
 class PartitionedOperator(PhysicalOperator):
-    """Base of the exchange wrappers: partition, fan out, concatenate."""
+    """Base of the exchange wrappers: partition, run each, concatenate."""
 
-    #: Marks exchange operators for :meth:`PhysicalOperator.set_workers`.
+    #: Marks exchange operators for :meth:`PhysicalOperator.set_memory_budget`.
     parallel = True
 
     #: Spill budget in MB for the exchange's buffered partitions; ``None``
@@ -73,32 +68,23 @@ class PartitionedOperator(PhysicalOperator):
     #: ``connect(memory_budget_mb=...)``).
     memory_budget_mb: Optional[float] = None
 
-    #: Retry policy handed to the pool supervisor; ``None`` means
-    #: :data:`~repro.physical.parallel.pool.DEFAULT_RETRY_POLICY`.  The
-    #: RP703 verifier check validates an override's sanity statically.
-    retry_policy: Optional[RetryPolicy] = None
-
     def __init__(
         self,
         schema: Schema,
         children: tuple[PhysicalOperator, ...],
         key: AttributeNames,
         partitions: int,
-        workers: int,
     ) -> None:
         if partitions < 1:
             raise ExecutionError(f"partitions must be positive, got {partitions}")
-        if workers < 1:
-            raise ExecutionError(f"workers must be positive, got {workers}")
         super().__init__(schema, children)
         self._key = as_schema(key)
         self.partitions = partitions
-        self.workers = workers
         #: Tuples routed to each partition by the most recent execution.
         self.partition_input_sizes: list[int] = []
         #: Per-partition sub-plan counters of the most recent execution.
         self.partition_statistics: list[dict[str, int]] = []
-        #: How the most recent execution shipped its partitioned input(s):
+        #: How the most recent execution handed its partitioned input(s) on:
         #: "code columns", "tuples" or both (``None``: no exchange ran).
         self.exchange_input: Optional[str] = None
         #: Where the partitions' division operators read their dividend
@@ -110,8 +96,8 @@ class PartitionedOperator(PhysicalOperator):
         #: budget): spilled_blocks/tuples/partitions plus the buffered
         #: high-water marks, summed over this operator's exchanges.
         self.spill_statistics: dict[str, int] = {}
-        #: Exchanges built by the current ``_tasks()`` pass, and the spill
-        #: directory they write to (alive only while the tasks run).
+        #: Exchanges built by the current ``_subplans()`` pass, and the spill
+        #: directory they write to (alive only while the sub-plans run).
         self._exchanges: list[HashPartitionExchange] = []
         self._spill_directory: Optional[str] = None
         #: Route tables of the key dictionaries seen so far, kept across
@@ -139,12 +125,8 @@ class PartitionedOperator(PhysicalOperator):
                     peaks[label] = value
         return peaks
 
-    def _tasks(self) -> list[PartitionTask]:
-        """Consume the inputs and describe one serial sub-plan per partition."""
-        raise NotImplementedError
-
-    def _inline_operator(self) -> PhysicalOperator:
-        """The serial operator over the *actual* children (single-partition)."""
+    def _subplans(self) -> list[PhysicalOperator]:
+        """Consume the inputs; one serial sub-plan per populated partition."""
         raise NotImplementedError
 
     def _exchange(self) -> HashPartitionExchange:
@@ -184,65 +166,42 @@ class PartitionedOperator(PhysicalOperator):
         self.partition_statistics = []
         self.spill_statistics = {}
         self.exchange_input = self.key_source = self.kernel_name = None
-        if self.partitions == 1:
-            # Zero-overhead serial fallback: no hash pass, no block
-            # materialization, no pool — the serial operator streams
-            # straight over the wrapper's children.
-            yield from self._produce_inline()
-            return
         self._exchanges = []
         spill_directory: Optional[str] = None
         if self.memory_budget_mb is not None:
             spill_directory = tempfile.mkdtemp(prefix="repro-spill-")
         self._spill_directory = spill_directory
         try:
-            tasks = self._tasks()
+            subplans = self._subplans()
             self.spill_statistics = self._collect_spill_statistics()
             forms = set().union(*(exchange.input_forms for exchange in self._exchanges))
             self.exchange_input = " + ".join(sorted(forms)) or None
-            # run_tasks drains the pool before returning, so this interval is
-            # exactly the time spent inside worker execution; explain(analyze)
-            # reports it as the coordinator/worker elapsed split.  Spill files
-            # are only read by the tasks, so the directory can go as soon as
-            # all results are in.
-            started = perf_counter()
-            report = SupervisionReport()
-            results = run_tasks(tasks, self.workers, policy=self.retry_policy, report=report)
-            self.worker_seconds += perf_counter() - started
-            self.tasks_retried += report.tasks_retried
-            self.tasks_degraded += report.tasks_degraded
+            # The sub-plans stream the spill files, so the directory goes
+            # once the last of them has run.
+            schema = self._schema
+            keys: set[tuple[str, str]] = set()
+            for plan in subplans:
+                plan.batch_size = self.batch_size  # the leaves carry their own
+                for chunk in plan.chunks():
+                    yield chunk.aligned(schema)
+                self.partition_statistics.append(
+                    {f"{index:02d}:{op.name}": op.tuples_out for index, op in enumerate(plan.walk())}
+                )
+                key_source = getattr(plan, "key_source", None)
+                if key_source is not None:
+                    keys.add((key_source, plan.kernel_name))
         finally:
             self._spill_directory = None
             self._exchanges = []
             if spill_directory is not None:
                 shutil.rmtree(spill_directory, ignore_errors=True)
-        keys = [keys for _tuples, _counters, keys in results if keys is not None]
         if keys:
             sources, kernels = zip(*keys)
             self.key_source = " / ".join(sorted(set(sources)))
             self.kernel_name = " / ".join(sorted(set(kernels)))
-        schema = self._schema
-        size = self.batch_size
-        for tuples, counters, _keys in results:
-            self.partition_statistics.append(counters)
-            for start in range(0, len(tuples), size):
-                yield Chunk(schema, tuples[start : start + size])
-
-    def _produce_inline(self) -> Iterator[Chunk]:
-        operator = self._inline_operator()
-        operator.batch_size = self.batch_size  # the children carry their own
-        schema = self._schema
-        for chunk in operator.chunks():
-            yield chunk.aligned(schema)
-        self.partition_input_sizes = [
-            sum(child.tuples_out for child in self._children)
-        ]
-        self.partition_statistics = [{f"00:{operator.name}": operator.tuples_out}]
-        self.key_source = getattr(operator, "key_source", None)
-        self.kernel_name = getattr(operator, "kernel_name", None)
 
     def _exchange_summary(self) -> str:
-        summary = f"partitions={self.partitions}, workers={self.workers}"
+        summary = f"partitions={self.partitions}"
         if self.memory_budget_mb is not None:
             summary += f", budget={self.memory_budget_mb:g}MB"
         return summary
@@ -254,10 +213,10 @@ class PartitionedDivision(PartitionedOperator):
     Sound for every division algorithm because division is independent per
     quotient-key group: whether a candidate ``a`` belongs to the quotient
     depends only on the dividend tuples carrying ``a`` (all in one
-    partition) and on the divisor, which is *broadcast* — shipped whole to
-    every partition, exactly like the small relation of a Grace hash join.
-    For the great divide the same holds per ``(a, c)`` pair, so
-    partitioning on ``A`` alone is sufficient.
+    partition) and on the divisor, which is *broadcast* — collected once
+    and read by every partition, exactly like the small relation of a
+    Grace hash join.  For the great divide the same holds per ``(a, c)``
+    pair, so partitioning on ``A`` alone is sufficient.
 
     Hash partitioning keeps contiguous equal-key runs contiguous within
     their bucket, so a dividend that arrives clustered on the quotient
@@ -268,21 +227,12 @@ class PartitionedDivision(PartitionedOperator):
 
     name = "partitioned_division"
 
-    #: What the exchange adds to the wrapped algorithm's serial price, in
-    #: the division operators' units (≈10 ns: the coded hash division
-    #: spent 19 ns a tuple at ``per_input_cost=2.0`` when these were set;
-    #: 12 ns since scans hand up whole blocks, which only makes the
-    #: declined exchange dearer — ARCHITECTURE §7), as
-    #: ``PhysicalCostModel._with_parallel`` reads them: ``startup_cost`` is
-    #: one pool round trip, charged per task (0.5–0.7 ms measured; the pool
-    #: is reused, there is no worker startup); ``per_input_cost`` a tuple
-    #: crossing as codes (14 ns partition pass + 10 ns pickling);
-    #: ``per_output_cost`` a tuple crossing as a Python value tuple — the
-    #: tuple route in (≈500 ns: hash + append, pickle, unpickle) and the
-    #: quotient on its way back.
-    properties = PhysicalProperties(
-        streaming=False, startup_cost=60_000.0, per_input_cost=2.4, per_output_cost=50.0
-    )
+    #: What the exchange adds to the wrapped algorithm's price, in the
+    #: division operators' units (≈10 ns): a tuple through a budgeted
+    #: exchange — the tuple route, the spill write and the re-read, ≈0.9 µs
+    #: at 104k tuples (2 vCPU).  A planned partitioned division is priced
+    #: at its algorithm's decision; this prices a hand-built one.
+    properties = PhysicalProperties(streaming=False, per_input_cost=90.0)
 
     def __init__(
         self,
@@ -291,7 +241,6 @@ class PartitionedDivision(PartitionedOperator):
         algorithm: str = "hash",
         kind: str = "small",
         partitions: int = 2,
-        workers: int = 1,
         assume_clustered: bool = False,
     ) -> None:
         if kind == "small":
@@ -312,42 +261,33 @@ class PartitionedDivision(PartitionedOperator):
             schema = key.union(group)
         else:
             raise ExecutionError(f"unknown division kind {kind!r}; use 'small' or 'great'")
-        super().__init__(schema, (dividend, divisor), key, partitions, workers)
+        super().__init__(schema, (dividend, divisor), key, partitions)
         self.algorithm = algorithm
         self.kind = kind
         self.assume_clustered = assume_clustered
 
-    def _tasks(self) -> list[PartitionTask]:
+    def _subplans(self) -> list[PhysicalOperator]:
         dividend, divisor = self._children
         exchange = self._exchange()
         divisor_block = exchange.collect(divisor)
         buckets = exchange.partition(dividend)
         self.partition_input_sizes = [len(bucket) for bucket in buckets]
-        options: tuple[tuple[str, Any], ...] = ()
+        if self.kind == "great":
+            operator_class = GREAT_DIVIDE_ALGORITHMS[self.algorithm]
+        else:
+            operator_class = SMALL_DIVIDE_ALGORITHMS[self.algorithm]
+        options: dict[str, Any] = {}
         if self.kind == "small" and self.algorithm == "merge_sort" and self.assume_clustered:
-            options = (("assume_clustered", True),)
-        kind = "small_divide" if self.kind == "small" else "great_divide"
-        dividend_names = dividend.schema.names
-        divisor_names = divisor.schema.names
+            options["assume_clustered"] = True
         return [
-            PartitionTask(
-                kind=kind,
-                algorithm=self.algorithm,
-                inputs=((dividend_names, bucket), (divisor_names, divisor_block)),
-                options=options,
+            operator_class(
+                PartitionSource(dividend.schema.names, bucket),
+                PartitionSource(divisor.schema.names, divisor_block),
+                **options,
             )
             for bucket in buckets
             if bucket
         ]
-
-    def _inline_operator(self) -> PhysicalOperator:
-        dividend, divisor = self._children
-        if self.kind == "small":
-            operator_class = SMALL_DIVIDE_ALGORITHMS[self.algorithm]
-            if self.algorithm == "merge_sort" and self.assume_clustered:
-                return operator_class(dividend, divisor, assume_clustered=True)
-            return operator_class(dividend, divisor)
-        return GREAT_DIVIDE_ALGORITHMS[self.algorithm](dividend, divisor)
 
     def describe(self) -> str:
         mode = f"{self.algorithm}(streaming)" if self.assume_clustered else self.algorithm
@@ -366,13 +306,9 @@ class PartitionedHashJoin(PartitionedOperator):
 
     name = "partitioned_hash_join"
 
-    #: The exchange's charges (see ``PartitionedDivision.properties``) in
-    #: the join operators' units: a tuple-at-a-time hash join spends
-    #: ≈550 ns per unit (``per_input_cost=2.0``, ``per_output_cost=1.0``),
-    #: so the same 0.6 ms round trip is 1 000 units, a coded tuple (24 ns
-    #: plus ≈105 ns decoding it for the join on the worker) 0.25 and a
-    #: value tuple crossing (≈500 ns) 0.9.
-    properties = PhysicalProperties(startup_cost=1000.0, per_input_cost=0.25, per_output_cost=0.9)
+    #: The budgeted exchange's ≈0.9 µs a tuple (see ``PartitionedDivision``)
+    #: in the join operators' units (≈550 ns).
+    properties = PhysicalProperties(per_input_cost=1.6)
 
     def __init__(
         self,
@@ -380,7 +316,6 @@ class PartitionedHashJoin(PartitionedOperator):
         right: PhysicalOperator,
         algorithm: str = "hash",
         partitions: int = 2,
-        workers: int = 1,
     ) -> None:
         if algorithm not in JOIN_ALGORITHMS:
             raise ExecutionError(
@@ -393,10 +328,10 @@ class PartitionedHashJoin(PartitionedOperator):
                 "partitioned join needs shared attributes to partition on; "
                 "a cross product cannot be hash-partitioned"
             )
-        super().__init__(left.schema.union(right.schema), (left, right), key, partitions, workers)
+        super().__init__(left.schema.union(right.schema), (left, right), key, partitions)
         self.algorithm = algorithm
 
-    def _tasks(self) -> list[PartitionTask]:
+    def _subplans(self) -> list[PhysicalOperator]:
         left, right = self._children
         exchange = self._exchange()
         left_buckets = exchange.partition(left)
@@ -405,21 +340,15 @@ class PartitionedHashJoin(PartitionedOperator):
             len(left_bucket) + len(right_bucket)
             for left_bucket, right_bucket in zip(left_buckets, right_buckets)
         ]
-        left_names = left.schema.names
-        right_names = right.schema.names
+        operator_class = JOIN_ALGORITHMS[self.algorithm]
         return [
-            PartitionTask(
-                kind="natural_join",
-                algorithm=self.algorithm,
-                inputs=((left_names, left_bucket), (right_names, right_bucket)),
+            operator_class(
+                PartitionSource(left.schema.names, left_bucket),
+                PartitionSource(right.schema.names, right_bucket),
             )
             for left_bucket, right_bucket in zip(left_buckets, right_buckets)
             if left_bucket and right_bucket
         ]
-
-    def _inline_operator(self) -> PhysicalOperator:
-        left, right = self._children
-        return JOIN_ALGORITHMS[self.algorithm](left, right)
 
     def describe(self) -> str:
         keys = ", ".join(self._key.names)
@@ -434,23 +363,13 @@ class PartitionedAggregate(PartitionedOperator):
     (not partial) aggregates and the concatenation needs no re-merge.
     Requires a non-empty grouping key; the single global group of a
     grand total cannot be partitioned.
-
-    The built aggregate ``(label, fn)`` pairs are closures and do not
-    pickle, so when the declarative
-    :class:`~repro.algebra.expressions.AggregateSpec` list is available
-    (``specs``) the task ships *it* and the worker rebuilds the functions;
-    without specs, custom functions that cannot cross a process boundary
-    automatically degrade to inline execution in the pool layer — same
-    result, no parallelism.
     """
 
     name = "partitioned_aggregate"
 
-    #: The exchange's charges in the aggregate's units, which are the
-    #: join's (``HashAggregate`` reads tuples too: ≈550 ns a unit).
-    properties = PhysicalProperties(
-        streaming=False, startup_cost=1000.0, per_input_cost=0.25, per_output_cost=0.9
-    )
+    #: The budgeted exchange in the aggregate's units, which are the
+    #: join's (``HashAggregate`` reads tuples too).
+    properties = PhysicalProperties(streaming=False, per_input_cost=1.6)
 
     def __init__(
         self,
@@ -458,36 +377,23 @@ class PartitionedAggregate(PartitionedOperator):
         grouping: AttributeNames,
         aggregations: Mapping[str, Aggregate],
         partitions: int = 2,
-        workers: int = 1,
-        specs: Optional[Sequence["AggregateSpec"]] = None,
     ) -> None:
         grouping_schema = child.schema.project(as_schema(grouping))
         if len(grouping_schema) == 0:
             raise ExecutionError("partitioned aggregation needs grouping attributes")
         schema = Schema(grouping_schema.names + tuple(aggregations.keys()))
-        super().__init__(schema, (child,), grouping_schema, partitions, workers)
+        super().__init__(schema, (child,), grouping_schema, partitions)
         self._aggregations = dict(aggregations)
-        self._specs = tuple(specs) if specs is not None else None
 
-    def _tasks(self) -> list[PartitionTask]:
+    def _subplans(self) -> list[PhysicalOperator]:
         (child,) = self._children
-        exchange = self._exchange()
-        buckets = exchange.partition(child)
+        buckets = self._exchange().partition(child)
         self.partition_input_sizes = [len(bucket) for bucket in buckets]
-        child_names = child.schema.names
-        if self._specs is not None:
-            options = (("grouping", self._key.names), ("specs", self._specs))
-        else:
-            options = (("grouping", self._key.names), ("aggregations", self._aggregations))
         return [
-            PartitionTask(kind="aggregate", algorithm="hash", inputs=((child_names, bucket),), options=options)
+            HashAggregate(PartitionSource(child.schema.names, bucket), self._key.names, self._aggregations)
             for bucket in buckets
             if bucket
         ]
-
-    def _inline_operator(self) -> PhysicalOperator:
-        (child,) = self._children
-        return HashAggregate(child, self._key.names, self._aggregations)
 
     def describe(self) -> str:
         aggregates = ", ".join(
@@ -495,5 +401,3 @@ class PartitionedAggregate(PartitionedOperator):
         )
         keys = ", ".join(self._key.names)
         return f"PartitionedAggregate[{keys}; {aggregates}; {self._exchange_summary()}]"
-
-

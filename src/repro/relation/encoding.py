@@ -88,7 +88,7 @@ class CodeColumn:
 
     def __reduce__(self) -> tuple[Any, ...]:
         """Pickles narrow (:func:`narrow_codes`) and widens again on load —
-        what a partition costs to ship is mostly its bytes."""
+        a pickled coded relation costs its codes' narrow bytes."""
         return _widened, (self.dictionary, narrow_codes(self.codes, len(self.dictionary)))
 
     def slice(self, start: int, stop: int) -> "CodeColumn":
@@ -327,8 +327,8 @@ def split_code_columns(
     ``code`` (``routes`` from :func:`route_codes` over the key's dictionary) — one
     table lookup per tuple, no value is touched.  A column whose
     dictionary is larger than its block comes over a dictionary compacted
-    to the entries the block carries, so what a block costs to ship is
-    bounded by its size, not by the table it was cut from.  With one block
+    to the entries the block carries, so what a block holds is bounded by
+    its size, not by the table it was cut from.  With one block
     there is nothing to look up.
     """
     if count == 1:

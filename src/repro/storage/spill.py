@@ -2,12 +2,12 @@
 
 When an exchange runs under a memory budget
 (``connect(memory_budget_mb=...)``), buffered partitions that outgrow it
-are flushed to per-partition spill files and the task builders receive a
-:class:`SpilledPartition` handle instead of an in-memory tuple list.  The
-handle is picklable (it ships to pool workers), sized (``len``/``bool``
-behave like the list they replace), and streams its tuples back block by
-block — a worker re-reading a spilled partition never holds more than one
-block of it in memory.
+are flushed to per-partition spill files and the partition sub-plans
+receive a :class:`SpilledPartition` handle instead of an in-memory tuple
+list.  The handle is sized (``len``/``bool`` behave like the list it
+replaces) and streams its tuples back block by block — a sub-plan
+re-reading a spilled partition never holds more than one block of it in
+memory.
 
 Spill files reuse the stored-table codec's raw-page branch
 (:func:`repro.storage.format.encode_raw_page` — one page per block of
@@ -16,7 +16,7 @@ mid-stream, before any table-wide value dictionary could exist, so there
 are no code pages.
 
 Every spill block carries a CRC32, verified on re-read: a spill file a
-worker re-streams is the *only* copy of that partition's data, so a torn
+sub-plan re-streams is the *only* copy of that partition's data, so a torn
 or bit-flipped block must surface as a typed
 :class:`~repro.errors.StorageCorruptionError` rather than wrong tuples.
 A full disk mid-write raises :class:`~repro.errors.StorageError` from
@@ -112,10 +112,10 @@ class SpillWriter:
 
 
 class SpilledPartition:
-    """A picklable, sized, block-streaming handle to one spilled partition.
+    """A sized, block-streaming handle to one spilled partition.
 
     Drop-in for the in-memory tuple list a bucket would otherwise be: the
-    task builders' ``len(bucket)`` / ``if bucket`` checks work unchanged,
+    sub-plan builders' ``len(bucket)`` / ``if bucket`` checks work unchanged,
     and :class:`~repro.physical.parallel.exchange.PartitionSource` streams
     :meth:`iter_blocks` instead of slicing a list.
     """
@@ -132,9 +132,6 @@ class SpilledPartition:
         self.attributes = attributes
         self.blocks = blocks
         self._count = sum(entry[2] for entry in blocks)
-
-    def __reduce__(self):
-        return (SpilledPartition, (self.path, self.attributes, self.blocks))
 
     def __len__(self) -> int:
         return self._count

@@ -82,22 +82,13 @@ class MaintainedView:
         }
         self.shape: Optional[DivisionShape] = None
         self.unsupported_reason = ""
+        # Every delta rule matches exactly the expressions that have a
+        # shape, so a shape is full {dividend,divisor} × {insert,delete}
+        # coverage (RP602 re-checks the rules on the live view).
         try:
-            shape = analyze_division(self.expression)
+            self.shape = analyze_division(self.expression)
         except UnsupportedViewShape as error:
             self.unsupported_reason = error.reason
-        else:
-            # Maintenance needs full {dividend,divisor} × {insert,delete}
-            # coverage; a rule whose conditions don't hold disables it.
-            unmatched = [
-                f"{target} {operation}"
-                for (target, operation), rule in sorted(self.delta_rules.items())
-                if not rule.matches(self.expression)
-            ]
-            if unmatched:
-                self.unsupported_reason = f"delta rules do not cover: {', '.join(unmatched)}"
-            else:
-                self.shape = shape
         self.counters: Optional[CounterTable] = None
         self._dividend_extract: Optional[_SideExtractor] = None
         self._divisor_extract: Optional[_SideExtractor] = None

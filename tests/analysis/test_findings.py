@@ -9,7 +9,7 @@ from repro.analysis import FINDING_CODES, Finding, Severity, VerificationReport,
 
 class TestRegistry:
     def test_every_code_is_stable_and_described(self):
-        assert len(FINDING_CODES) == 40
+        assert len(FINDING_CODES) == 38
         for code, (severity, description) in FINDING_CODES.items():
             assert code.startswith("RP") and len(code) == 5
             assert isinstance(severity, Severity)
@@ -20,14 +20,16 @@ class TestRegistry:
         assert prefixes == {"RP1", "RP2", "RP4", "RP5", "RP6", "RP7"}
 
     def test_retired_codes_stay_retired(self):
-        """The audit of generated segment source is gone with the segments."""
-        assert not {"RP205", "RP301", "RP302", "RP303", "RP304", "RP305"} & set(FINDING_CODES)
+        """The audit of generated segment source is gone with the segments,
+        the pickle and retry-policy checks with the worker pool."""
+        retired = {"RP204", "RP205", "RP301", "RP302", "RP303", "RP304", "RP305", "RP703"}
+        assert not retired & set(FINDING_CODES)
 
     def test_sampled_warnings_stay_warnings(self):
-        """RP112 (data-sampled types) and RP204 (degradable payloads) must
-        not gate CI; everything else is an error."""
+        """RP112 (data-sampled types) must not gate CI; everything else is
+        an error."""
         warnings = {code for code, (sev, _) in FINDING_CODES.items() if sev is Severity.WARNING}
-        assert warnings == {"RP112", "RP204"}
+        assert warnings == {"RP112"}
 
     def test_factory_applies_registry_severity(self):
         f = finding("RP101", "boom", "node")
@@ -46,7 +48,7 @@ class TestFinding:
         assert "RP103" in line and "error" in line and "[divide#0001]" in line
 
     def test_to_dict_is_json_ready(self):
-        f = finding("RP204", "lambda payload", "agg#0002", "physical")
+        f = finding("RP112", "int vs str keys", "join#0002", "physical")
         payload = json.loads(json.dumps(f.to_dict()))
         assert payload["severity"] == "warning"
         assert payload["origin"] == "physical"

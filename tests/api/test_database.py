@@ -63,6 +63,29 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             db.relation("nope")
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("batch_size", 0),
+            ("batch_size", 1.5),
+            ("batch_size", "8"),
+            ("batch_size", True),
+            ("cache_size", -1),
+            ("cache_size", 2.5),
+            ("result_cache_size", -1),
+            ("result_cache_size", "64"),
+            ("memory_budget_mb", 0),
+            ("memory_budget_mb", "64"),
+            ("memory_budget_mb", float("nan")),
+            ("memory_budget_mb", float("inf")),
+        ],
+    )
+    def test_a_malformed_option_is_rejected_by_name(self, option, value):
+        """Checked at ``connect``, before anything is built: never a bare
+        ``TypeError`` from a comparison, nor a value that fails later."""
+        with pytest.raises(ReproError, match=option):
+            connect(textbook_catalog, **{option: value})
+
 
 class TestSingleExecutionPath:
     def test_run_bundles_everything_from_one_execution(self, db):

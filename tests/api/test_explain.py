@@ -271,14 +271,10 @@ class TestKeyColumnAnnotations:
         assert "· keys: cached codes (1 chunk) → coded quotient, kernel: python" in text
 
 
-class TestWhyItStayedSerial:
-    """With ``workers > 1`` the ``· algorithm=`` line shows what the
-    exchange was priced at: on the cheapest parallel variant next to the
-    serial price that beat it, or on the chosen variant when it won."""
-
-    @pytest.fixture(autouse=True)
-    def four_cpus(self, cpus):
-        cpus(4)
+class TestAlgorithmLine:
+    """The ``· algorithm=`` line: the chosen algorithm and the priced
+    alternatives it beat, budget or not (the budget shows on the
+    ``· exchange:`` line)."""
 
     @staticmethod
     def algorithm_line(**options):
@@ -286,25 +282,11 @@ class TestWhyItStayedSerial:
         (line,) = [line.strip() for line in text.splitlines() if "· algorithm=" in line]
         return line
 
-    def test_serial_winner_names_the_three_charges_of_the_cheapest_parallel_variant(self):
-        assert self.algorithm_line(workers=2) == (
-            "· algorithm=nested_loops (cost-based, est cost 22); alternatives: "
-            "algebra_simulation=36, merge_sort=41, hash=45, merge_count=47, "
-            "nested_loops[dop=2]=120249 (exchange=186 tasks=120000 sub-plan=63), "
-            "algebra_simulation[dop=2]=120256, merge_sort[dop=2]=120259, "
-            "hash[dop=2]=120261, merge_count[dop=2]=120262"
-        )
-
-    def test_serial_session_prices_no_exchange(self):
+    def test_the_slate_is_the_serial_algorithms(self):
         assert self.algorithm_line() == (
             "· algorithm=nested_loops (cost-based, est cost 22); alternatives: "
             "algebra_simulation=36, merge_sort=41, hash=45, merge_count=47"
         )
 
-    def test_budget_that_removed_the_serial_candidates_says_so(self):
-        assert self.algorithm_line(workers=2, memory_budget_mb=0.0001) == (
-            "· algorithm=nested_loops (cost-based, est cost 120630, dop=2, partitions=2: "
-            "exchange=567 tasks=120000 sub-plan=63); alternatives: "
-            "algebra_simulation[dop=2]=120637, merge_sort[dop=2]=120640, "
-            "hash[dop=2]=120642, merge_count[dop=2]=120643; serial: over memory budget"
-        )
+    def test_a_budget_partitions_but_does_not_reprice(self):
+        assert self.algorithm_line(memory_budget_mb=0.0001) == self.algorithm_line()

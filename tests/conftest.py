@@ -2,25 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy
 import pytest
 
 from repro.relation import Relation
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)``: the process may run on ``n`` CPUs (its affinity mask),
-    so a parallel plan does not depend on the machine the suite runs on."""
-
-    def pin(count: int) -> None:
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
-        )
-
-    return pin
 
 
 @pytest.fixture

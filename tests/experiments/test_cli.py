@@ -150,12 +150,6 @@ class TestExplainCommand:
         assert main(["sql", text, "--explain"]) == 0
         assert "· filtered on the dictionary" in capsys.readouterr().out
 
-    def test_explain_reports_coordinator_worker_split(self, capsys):
-        assert main(["explain", "Q2"]) == 0
-        output = capsys.readouterr().out
-        assert "(coordinator " in output
-        assert " ms + workers " in output
-
     def test_explain_has_no_verbose_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "Q2", "--verbose"])

@@ -1,17 +1,24 @@
-"""The chaos sweep: every fault point x every division algorithm.
+"""The chaos sweep: every fault point x every division algorithm x one
+and four partitions.
 
 The contract under injection is *fail-stop, never fail-wrong*: a run with
-an armed fault plan either produces the bit-identical quotient (faults
-absorbed by retries/degradation) or raises one of the documented typed
-errors — ``InjectedFaultError``, ``StorageError`` (including the
-corruption subclass) or ``WorkerError``.  A silently wrong quotient fails
-the sweep.
+an armed fault plan either produces the bit-identical quotient or raises
+one of the documented typed errors — ``InjectedFaultError`` or
+``StorageError`` (including the corruption subclass).  A silently wrong
+quotient fails the sweep.
 """
 
 import pytest
 
-from repro.errors import InjectedFaultError, StorageError, WorkerError
-from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan, reset_counters
+from repro.errors import InjectedFaultError, StorageError
+from repro.faults import (
+    FaultPlan,
+    FaultSpec,
+    clear_plan,
+    injection_counters,
+    install_plan,
+    reset_counters,
+)
 from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
     SMALL_DIVIDE_ALGORITHMS,
@@ -19,18 +26,14 @@ from repro.physical import (
     RelationScan,
     execute_plan,
 )
-from repro.physical.parallel import pool as pool_module
 from repro.relation import Relation
 from repro.storage.scan import StoredScan
 from repro.storage.store import load_store, save_database
 
 #: The fault points the sweep drives, with the action that exercises the
-#: most interesting recovery path at each: pool faults are retryable, a
-#: corrupted block/manifest must be *detected* (checksums), spill faults
-#: hit the out-of-core path.
+#: most interesting path at each: a corrupted block/manifest must be
+#: *detected* (checksums), spill faults hit the out-of-core path.
 SWEEP = {
-    "pool.dispatch": "raise",
-    "pool.worker": "raise",
     "storage.block_read": "corrupt",
     "storage.manifest_load": "corrupt",
     "spill.write": "raise",
@@ -38,13 +41,11 @@ SWEEP = {
 }
 
 #: Errors the contract allows a chaos run to surface.
-TYPED_ERRORS = (InjectedFaultError, StorageError, WorkerError)
+TYPED_ERRORS = (InjectedFaultError, StorageError)
 
 ALGORITHMS = [("small", name) for name in sorted(SMALL_DIVIDE_ALGORITHMS)] + [
     ("great", name) for name in sorted(GREAT_DIVIDE_ALGORITHMS)
 ]
-
-PARTITIONS = 4
 
 
 def _dividend():
@@ -99,7 +100,7 @@ def disarmed():
     reset_counters()
 
 
-def _build_plan(path, kind, algorithm, workers):
+def _build_plan(path, kind, algorithm, partitions):
     catalog, _versions, _views = load_store(path)
     divisor = "small_divisor" if kind == "small" else "great_divisor"
     return PartitionedDivision(
@@ -107,15 +108,14 @@ def _build_plan(path, kind, algorithm, workers):
         StoredScan(catalog[divisor], table=divisor),
         algorithm=algorithm,
         kind=kind,
-        partitions=PARTITIONS,
-        workers=workers,
+        partitions=partitions,
     )
 
 
-@pytest.mark.parametrize("workers", (1, 4))
+@pytest.mark.parametrize("partitions", (1, 4))
 @pytest.mark.parametrize("kind,algorithm", ALGORITHMS)
 @pytest.mark.parametrize("point", sorted(SWEEP))
-def test_chaos_sweep(store, point, kind, algorithm, workers):
+def test_chaos_sweep(store, point, kind, algorithm, partitions):
     """Armed fault at ``point``: exact quotient or a documented typed error."""
     path, expected = store
     install_plan(
@@ -125,56 +125,46 @@ def test_chaos_sweep(store, point, kind, algorithm, workers):
     # spill.* points actually sit on the executed path.
     budget = 0.01 if point.startswith("spill.") else None
     try:
-        plan = _build_plan(path, kind, algorithm, workers)
-        result = execute_plan(plan, workers=workers, memory_budget_mb=budget)
+        plan = _build_plan(path, kind, algorithm, partitions)
+        result = execute_plan(plan, memory_budget_mb=budget)
     except TYPED_ERRORS:
         return  # fail-stop: detected and typed, never silent
     assert result.relation == expected[kind]
 
 
-class TestRecoveryProducesExactQuotient:
-    """Bounded faults that the supervisor must fully absorb."""
+#: Every other action the registry applies at a payload-carrying point:
+#: each point is swept with all three, not only its most interesting one.
+OTHER_ACTIONS = [
+    (point, action)
+    for point in sorted(SWEEP)
+    for action in ("corrupt", "delay", "raise")
+    if action != SWEEP[point]
+]
 
-    def test_worker_raise_is_retried_to_success(self, store):
-        path, expected = store
-        install_plan(FaultPlan((FaultSpec(point="pool.worker", limit=2),), seed=3))
-        plan = _build_plan(path, "small", "hash", workers=4)
-        result = execute_plan(plan, workers=4)
-        assert result.relation == expected["small"]
-        assert result.statistics.tasks_retried >= 1
-        assert result.statistics.faults_injected.get("pool.worker", 0) >= 1
 
-    def test_worker_crash_rebuilds_pool_and_resubmits(self, store):
-        path, expected = store
-        install_plan(
-            FaultPlan((FaultSpec(point="pool.worker", action="crash", limit=1),), seed=3)
-        )
-        plan = _build_plan(path, "small", "merge_count", workers=4)
-        result = execute_plan(plan, workers=4)
-        assert result.relation == expected["small"]
-        assert result.statistics.tasks_retried >= 1
-        # The discarded pool must not leak into later queries.
-        clear_plan()
-        again = execute_plan(_build_plan(path, "small", "merge_count", workers=4), workers=4)
-        assert again.relation == expected["small"]
+@pytest.mark.parametrize("partitions", (1, 4))
+@pytest.mark.parametrize("kind,algorithm", ALGORITHMS)
+@pytest.mark.parametrize("point,action", OTHER_ACTIONS)
+def test_every_action_at_every_point(store, point, action, kind, algorithm, partitions):
+    """A delay fires and is absorbed: the exact quotient, no error.  A raise
+    fires and surfaces typed: nothing retries it.  A corruption is
+    fail-stop, as in the sweep above."""
+    path, expected = store
+    spec = FaultSpec(point=point, action=action, limit=3, delay_seconds=0.001)
+    install_plan(FaultPlan((spec,), seed=17))
+    budget = 0.01 if point.startswith("spill.") else None
+    try:
+        plan = _build_plan(path, kind, algorithm, partitions)
+        result = execute_plan(plan, memory_budget_mb=budget)
+    except TYPED_ERRORS as error:
+        assert action != "delay", f"a delay surfaced as {error!r}"
+    else:
+        assert action != "raise", "an injected raise was swallowed"
+        assert result.relation == expected[kind]
+    assert injection_counters().get(point, 0) >= 1  # the point is on the path
 
-    def test_exhausted_retries_degrade_inline(self, store):
-        """An unbounded dispatch fault still terminates — inline, correctly."""
-        path, expected = store
-        install_plan(FaultPlan((FaultSpec(point="pool.dispatch"),), seed=3))
-        plan = _build_plan(path, "great", "groupwise", workers=4)
-        result = execute_plan(plan, workers=4)
-        assert result.relation == expected["great"]
-        assert result.statistics.tasks_degraded == PARTITIONS
 
-    def test_inline_path_is_supervised_too(self, store):
-        path, expected = store
-        install_plan(FaultPlan((FaultSpec(point="pool.worker", limit=1),), seed=3))
-        plan = _build_plan(path, "small", "nested_loops", workers=1)
-        result = execute_plan(plan, workers=1)
-        assert result.relation == expected["small"]
-        assert result.statistics.tasks_retried == 1
-
+class TestCorruptionIsDetected:
     def test_probabilistic_corruption_never_yields_wrong_blocks(self, store):
         """50%-probability block corruption across many reads: every firing
         is either absorbed (impossible for corrupt) or typed — and a clean
@@ -189,17 +179,11 @@ class TestRecoveryProducesExactQuotient:
         outcomes = set()
         for _ in range(6):
             try:
-                plan = _build_plan(path, "small", "merge_sort", workers=1)
-                result = execute_plan(plan, workers=1)
+                plan = _build_plan(path, "small", "merge_sort", partitions=1)
+                result = execute_plan(plan)
             except TYPED_ERRORS:
                 outcomes.add("typed")
             else:
                 assert result.relation == expected["small"]
                 outcomes.add("exact")
         assert "typed" in outcomes  # the plan did fire at least once
-
-
-@pytest.fixture(scope="module", autouse=True)
-def teardown_pool():
-    yield
-    pool_module.shutdown_pool()

@@ -32,22 +32,22 @@ def disarmed():
 
 class TestFaultSpec:
     def test_defaults(self):
-        spec = FaultSpec(point="pool.worker")
+        spec = FaultSpec(point="spill.read")
         assert spec.action == "raise"
         assert spec.probability == 1.0
         assert spec.limit is None
 
     def test_rejects_unknown_action(self):
         with pytest.raises(ReproError, match="unknown fault action"):
-            FaultSpec(point="pool.worker", action="explode")
+            FaultSpec(point="spill.read", action="explode")
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ReproError, match="probability"):
-            FaultSpec(point="pool.worker", probability=1.5)
+            FaultSpec(point="spill.read", probability=1.5)
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ReproError, match="limit"):
-            FaultSpec(point="pool.worker", limit=0)
+            FaultSpec(point="spill.read", limit=0)
 
     def test_rejects_empty_point(self):
         with pytest.raises(ReproError, match="point"):
@@ -68,28 +68,28 @@ class TestFaultPlanParse:
         assert plan.seed == 7
 
     def test_parse_defaults(self):
-        plan = FaultPlan.parse("pool.worker")
+        plan = FaultPlan.parse("spill.read")
         (spec,) = plan.specs
         assert spec.action == "raise" and spec.probability == 1.0 and spec.limit is None
 
     def test_parse_multiple_entries(self):
-        plan = FaultPlan.parse("pool.worker:crash:1:1; spill.write:raise, storage.manifest_load")
-        assert plan.points() == ("pool.worker", "spill.write", "storage.manifest_load")
+        plan = FaultPlan.parse("spill.read:crash:1:1; spill.write:raise, storage.manifest_load")
+        assert plan.points() == ("spill.read", "spill.write", "storage.manifest_load")
 
     def test_parse_empty_is_falsy(self):
         assert not FaultPlan.parse("")
-        assert bool(FaultPlan.parse("pool.worker"))
+        assert bool(FaultPlan.parse("spill.read"))
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ReproError, match="REPRO_FAULTS"):
-            FaultPlan.parse("pool.worker:raise:not-a-number")
+            FaultPlan.parse("spill.read:raise:not-a-number")
         with pytest.raises(ReproError, match="REPRO_FAULTS"):
             FaultPlan.parse("a:b:c:d:e")
 
     def test_unregistered_points_are_constructible(self):
         """Typos are caught by the RP704 verifier, not at parse time."""
-        plan = FaultPlan.parse("pool.workerz")
-        assert plan.points() == ("pool.workerz",)
+        plan = FaultPlan.parse("spill.readz")
+        assert plan.points() == ("spill.readz",)
         install_plan(plan)
         assert active_plan() is plan
 
@@ -101,8 +101,8 @@ class TestRegistry:
             assert layer and name
 
     def test_no_plan_means_no_firing(self):
-        assert draw("pool.worker") is None
-        assert fire("pool.worker", b"data") == b"data"
+        assert draw("spill.read") is None
+        assert fire("spill.read", b"data") == b"data"
         assert injection_counters() == {}
 
     def test_raise_fires_typed_error_with_point(self):
@@ -130,16 +130,16 @@ class TestRegistry:
         assert diffs == [len(payload) // 2]
 
     def test_corrupt_without_payload_degrades_to_raise(self):
-        install_plan(FaultPlan((FaultSpec(point="pool.dispatch", action="corrupt"),)))
+        install_plan(FaultPlan((FaultSpec(point="storage.table_write", action="corrupt"),)))
         with pytest.raises(InjectedFaultError):
-            fire("pool.dispatch")
+            fire("storage.table_write")
 
     def test_probability_stream_is_deterministic(self):
         def decisions():
             install_plan(
-                FaultPlan((FaultSpec(point="pool.worker", probability=0.5),), seed=42)
+                FaultPlan((FaultSpec(point="spill.read", probability=0.5),), seed=42)
             )
-            return tuple(draw("pool.worker") is not None for _ in range(64))
+            return tuple(draw("spill.read") is not None for _ in range(64))
 
         first, second = decisions(), decisions()
         assert first == second
@@ -147,12 +147,12 @@ class TestRegistry:
 
     def test_per_point_streams_are_independent(self):
         """Adding a spec for one point never shifts another point's draws."""
-        spec_a = FaultSpec(point="pool.worker", probability=0.5)
+        spec_a = FaultSpec(point="storage.block_read", probability=0.5)
         spec_b = FaultSpec(point="spill.read", probability=0.5)
         install_plan(FaultPlan((spec_a,), seed=9))
-        alone = tuple(draw("pool.worker") is not None for _ in range(32))
+        alone = tuple(draw("storage.block_read") is not None for _ in range(32))
         install_plan(FaultPlan((spec_a, spec_b), seed=9))
-        together = tuple(draw("pool.worker") is not None for _ in range(32))
+        together = tuple(draw("storage.block_read") is not None for _ in range(32))
         assert alone == together
 
     def test_counters_survive_reinstall(self):
@@ -164,7 +164,7 @@ class TestRegistry:
 
     def test_install_rejects_non_plan(self):
         with pytest.raises(TypeError):
-            install_plan("pool.worker:raise")
+            install_plan("spill.read:raise")
 
     def test_injected_error_pickles(self):
         error = InjectedFaultError("injected fault at spill.read", point="spill.read")

@@ -2,9 +2,8 @@
 
 An unknown value in :class:`PlannerOptions` used to report only the
 operator kind ("unknown small divide algorithm ..."); with three algorithm
-overrides and two pool sizes on the same dataclass, the message must say
-*which attribute* to fix.  Both kinds of validation are covered: algorithm
-registries and the positive worker/partition counts.
+overrides on the same dataclass, the message must say *which attribute* to
+fix.
 """
 
 import pytest
@@ -53,17 +52,3 @@ class TestAlgorithmOptionNaming:
         message = str(excinfo.value)
         assert "hash" in message and "merge_sort" in message
         assert "None for cost-based selection" in message
-
-
-class TestPoolSizeOptionNaming:
-    def test_nonpositive_workers_names_the_attribute(self, catalog):
-        with pytest.raises(PlanningError) as excinfo:
-            plan_with(catalog, workers=0)
-        assert "PlannerOptions.workers" in str(excinfo.value)
-        assert "got 0" in str(excinfo.value)
-
-    def test_nonpositive_partitions_names_the_attribute(self, catalog):
-        with pytest.raises(PlanningError) as excinfo:
-            plan_with(catalog, partitions=-2)
-        assert "PlannerOptions.partitions" in str(excinfo.value)
-        assert "got -2" in str(excinfo.value)

@@ -3,10 +3,11 @@
 The oracle is not the code under test: ``Relation.select`` / ``project`` /
 ``rename`` (one predicate call per ``Row``), ``small_divide`` /
 ``great_divide`` by definition and ``Expression.evaluate``.  Every case runs
-at batch sizes 1, 3 and 1024 × workers 1 and 4 and must return the
-reference's relation with the same per-operator ``tuples_out`` in every
-configuration; where the reference raises ``TypeError`` (a comparison the
-values do not support) the engine raises ``PredicateError`` chained from it.
+at batch sizes 1, 3 and 1024 × 1 and 4 partitions (a division runs behind
+an exchange at 4) and must return the reference's relation with the same
+per-operator ``tuples_out`` in every configuration; where the reference
+raises ``TypeError`` (a comparison the values do not support) the engine
+raises ``PredicateError`` chained from it.
 
 A ``Filter`` runs on the dictionary when its chunk has code columns and its
 predicate compares attributes with literals; everything else — an opaque
@@ -33,6 +34,7 @@ from repro.physical import (
     SMALL_DIVIDE_ALGORITHMS,
     Filter,
     HashDivision,
+    PartitionedDivision,
     PartitionSource,
     ProjectOp,
     RelationScan,
@@ -41,34 +43,56 @@ from repro.physical import (
 )
 from repro.relation import Relation
 from repro.workloads import make_division_workload, make_great_division_workload, textbook_catalog
+from tests.partitioning import PARTITION_COUNTS, planned_partitions
 from tests.strategies import VALUES as SMALL_INTS
 from tests.strategies import relations
 
 BATCH_SIZES = (1, 3, 1024)
-WORKER_COUNTS = (1, 4)
-CONFIGURATIONS = list(itertools.product(BATCH_SIZES, WORKER_COUNTS))
+CONFIGURATIONS = list(itertools.product(BATCH_SIZES, PARTITION_COUNTS))
+
+DIVISIONS = [("small", name, op) for name, op in SMALL_DIVIDE_ALGORITHMS.items()] + [
+    ("great", name, op) for name, op in GREAT_DIVIDE_ALGORITHMS.items()
+]
+
+
+def partitioned(plan, partitions):
+    """``plan`` with its root division run over ``partitions`` partitions
+    (one partition, or any other root: ``plan`` itself)."""
+    for kind, name, operator in DIVISIONS:
+        if partitions > 1 and type(plan) is operator:
+            return PartitionedDivision(
+                *plan.inputs, algorithm=name, kind=kind, partitions=partitions
+            )
+    return plan
 
 
 def assert_matches_reference(build, reference):
     """Run ``build()`` in every configuration against ``reference()``.
 
-    Returns the last plan run (``None`` when the reference raised).
+    Returns the last plan run (``None`` when the reference raised).  Every
+    operator's count agrees across batch sizes; across partition counts the
+    root's does (a partitioned division runs its algorithm's own operators
+    per partition, and reads each input once where the algebra simulation
+    reads its dividend three times).
     """
     try:
         expected = reference()
     except TypeError:
-        for batch_size, workers in CONFIGURATIONS:
+        for batch_size, partitions in CONFIGURATIONS:
             with pytest.raises(PredicateError) as raised:
-                execute_plan(build(), batch_size=batch_size, workers=workers)
+                execute_plan(partitioned(build(), partitions), batch_size=batch_size)
             assert isinstance(raised.value.__cause__, TypeError)
         return None
-    counts = set()
-    for batch_size, workers in CONFIGURATIONS:
-        plan = build()
-        result = execute_plan(plan, batch_size=batch_size, workers=workers)
-        assert result.relation == expected, (batch_size, workers)
-        counts.add(tuple(sorted(result.statistics.tuples_by_operator.items())))
-    assert len(counts) == 1, counts
+    counts: dict[int, set] = {}
+    roots = set()
+    for batch_size, partitions in CONFIGURATIONS:
+        plan = partitioned(build(), partitions)
+        result = execute_plan(plan, batch_size=batch_size)
+        assert result.relation == expected, (batch_size, partitions)
+        counts.setdefault(partitions, set()).add(tuple(result.statistics.tuples_by_operator.items()))
+        roots.add(plan.tuples_out)
+    assert all(len(seen) == 1 for seen in counts.values()), counts
+    assert len(roots) == 1, roots
     return plan
 
 
@@ -444,14 +468,15 @@ def _apply(value, steps):
 @given(stack=streaming_stacks())
 @settings(max_examples=30, deadline=None)
 def test_random_streaming_stacks_match_the_reference(stack):
-    """Through the session, at every batch size and worker count."""
+    """Through the session, at every batch size and partition count."""
     relation, steps = stack
     expected = _apply(relation, steps)
     counts = set()
-    for batch_size, workers in CONFIGURATIONS:
-        db = repro.connect({"t": relation}, batch_size=batch_size, workers=workers)
-        result = _apply(db.table("t"), steps).run()
-        assert result.relation == expected, (batch_size, workers, steps)
+    for batch_size, partitions in CONFIGURATIONS:
+        with planned_partitions(partitions):
+            db = repro.connect({"t": relation}, batch_size=batch_size)
+            result = _apply(db.table("t"), steps).run()
+        assert result.relation == expected, (batch_size, partitions, steps)
         counts.add(tuple(sorted(result.tuple_counts.items())))
     assert len(counts) == 1, (steps, counts)
 
@@ -463,21 +488,22 @@ PAPER_QUERIES = {"Q1": Q1, "Q2": Q2, "Q3": Q3, "Q2_NOT_EXISTS": Q2_NOT_EXISTS}
 
 
 @pytest.mark.parametrize(
-    "batch_size,workers",
+    "batch_size,partitions",
     CONFIGURATIONS,
-    ids=[f"batch {batch_size}, workers {workers}" for batch_size, workers in CONFIGURATIONS],
+    ids=[f"batch {size}, partitions {partitions}" for size, partitions in CONFIGURATIONS],
 )
 @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
-def test_paper_queries_match_the_logical_plan(name, batch_size, workers, cpus):
+def test_paper_queries_match_the_logical_plan(name, batch_size, partitions):
     """Each configuration returns the logical plan's relation with the
-    per-operator counts of a serial run at the default batch size."""
-    cpus(4)
-    serial = repro.connect(textbook_catalog, workers=1).sql(PAPER_QUERIES[name]).run()
-    db = repro.connect(textbook_catalog, batch_size=batch_size, workers=workers)
-    query = db.sql(PAPER_QUERIES[name])
-    result = query.run()
+    per-operator counts (in walk order) of an unpartitioned run at the
+    default batch size."""
+    serial = repro.connect(textbook_catalog).sql(PAPER_QUERIES[name]).run()
+    with planned_partitions(partitions):
+        db = repro.connect(textbook_catalog, batch_size=batch_size)
+        query = db.sql(PAPER_QUERIES[name])
+        result = query.run()
     assert result.relation == query.expression.evaluate(db.catalog)
-    assert result.tuple_counts == serial.tuple_counts
+    assert list(result.tuple_counts.values()) == list(serial.tuple_counts.values())
 
 
 def _keep_all():

@@ -1,4 +1,4 @@
-"""Partition-parallel execution: exchange, worker pool, partitioned wrappers.
+"""Partitioned execution: the exchange and the partitioned wrappers.
 
 The load-bearing property: for every division algorithm and every partition
 count, the partitioned run returns *exactly* the serial quotient (tuples
@@ -7,19 +7,15 @@ never splits a candidate group.  The same holds for hash joins partitioned
 on the join key and aggregation partitioned on the grouping key.
 """
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan, reset_counters
 from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
     SMALL_DIVIDE_ALGORITHMS,
     HashAggregate,
-    HashDivision,
     HashJoin,
     HashPartitionExchange,
     PartitionSource,
@@ -44,13 +40,9 @@ def serial_small(dividend, divisor, algorithm):
     return execute_plan(operator)
 
 
-def partitioned_small(dividend, divisor, algorithm, partitions, workers=1):
+def partitioned_small(dividend, divisor, algorithm, partitions):
     operator = PartitionedDivision(
-        RelationScan(dividend),
-        RelationScan(divisor),
-        algorithm=algorithm,
-        partitions=partitions,
-        workers=workers,
+        RelationScan(dividend), RelationScan(divisor), algorithm=algorithm, partitions=partitions
     )
     return execute_plan(operator), operator
 
@@ -179,64 +171,15 @@ class TestStatisticsAccounting:
         )
 
 
-class TestWorkerPool:
-    def test_process_pool_matches_inline(self, workload):
-        serial = serial_small(workload.dividend, workload.divisor, "hash")
-        pooled, operator = partitioned_small(workload.dividend, workload.divisor, "hash", 4, workers=2)
-        assert pooled.relation == serial.relation
-        assert operator.workers == 2
-
-    def test_pool_reuse_across_executions(self, workload):
-        operator = PartitionedDivision(
-            RelationScan(workload.dividend),
-            RelationScan(workload.divisor),
-            algorithm="hash",
-            partitions=4,
-            workers=2,
-        )
-        first = execute_plan(operator)
-        second = execute_plan(operator)
-        assert first.relation == second.relation
-
-    def test_lowering_workers_caps_in_flight_tasks(self, workload, monkeypatch):
-        """The shared pool only grows; a later run with fewer workers must
-        still be throttled to the requested concurrency, not the pool size."""
-        from repro.physical.parallel import pool as pool_module
-
-        pool_module.shutdown_pool()
-        wide = PartitionedDivision(
-            RelationScan(workload.dividend),
-            RelationScan(workload.divisor),
-            partitions=4,
-            workers=4,
-        )
-        execute_plan(wide)  # grows the shared pool to 4 workers
-
-        observed: list[int] = []
-        original = pool_module._bounded_map
-
-        def spying_bounded_map(pool, tasks, limit):
-            observed.append(limit)
-            return original(pool, tasks, limit)
-
-        monkeypatch.setattr(pool_module, "_bounded_map", spying_bounded_map)
-        serial = serial_small(workload.dividend, workload.divisor, "hash")
-        result = execute_plan(wide, workers=2)
-        assert result.relation == serial.relation
-        assert observed == [2]
-
-    def test_unpicklable_aggregations_fall_back_inline(self):
+class TestPartitionedJoinAndAggregate:
+    def test_custom_aggregate_functions_run_per_partition(self):
         source = Relation(["g", "v"], [(i % 4, i) for i in range(40)])
         aggregations = {"peak": ("max", lambda rows: max(row["v"] for row in rows))}
         serial = execute_plan(HashAggregate(RelationScan(source), ["g"], aggregations))
-        operator = PartitionedAggregate(
-            RelationScan(source), ["g"], aggregations, partitions=4, workers=2
-        )
+        operator = PartitionedAggregate(RelationScan(source), ["g"], aggregations, partitions=4)
         result = execute_plan(operator)
         assert result.relation == serial.relation
 
-
-class TestPartitionedJoinAndAggregate:
     @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
     @pytest.mark.parametrize("algorithm", ["hash", "nested_loops"])
     def test_partitioned_join_equals_serial(self, algorithm, partitions):
@@ -333,7 +276,7 @@ class BoobyTrapped(PhysicalOperator):
 
     def _produce_chunks(self):
         def explode():
-            raise AssertionError("the coordinator decoded a coded chunk")
+            raise AssertionError("the exchange decoded a coded chunk")
 
         for chunk in self._children[0].chunks():
             yield Chunk.deferred(chunk.schema, chunk.columns, len(chunk), explode)
@@ -449,8 +392,8 @@ class TestExchange:
             HashPartitionExchange(["a"], 0)
         with pytest.raises(ExecutionError, match="partition-key"):
             HashPartitionExchange([], 2)
-        with pytest.raises(ExecutionError, match="workers"):
-            PartitionedDivision(scan, divisor, partitions=2, workers=0)
+        with pytest.raises(ExecutionError, match="partitions"):
+            PartitionedDivision(scan, divisor, partitions=0)
         with pytest.raises(ExecutionError, match="algorithm"):
             PartitionedDivision(scan, divisor, algorithm="bogus")
         with pytest.raises(ExecutionError, match="kind"):
@@ -463,8 +406,8 @@ class TestExchange:
         assert sizes == [3, 3, 3, 1]
         assert source.tuples_out == 10
 
-    def test_coded_partition_ships_codes_not_tuples(self, workload):
-        """What crosses the pipe: per attribute a dictionary and one code
+    def test_coded_partition_holds_codes_not_tuples(self, workload):
+        """What a partition holds: per attribute a dictionary and one code
         buffer — and a partition source over it yields coded chunks."""
         exchange = HashPartitionExchange(["a"], 2)
         scan = RelationScan(workload.dividend)
@@ -474,14 +417,12 @@ class TestExchange:
             (piece,) = partition.pieces
             assert all(isinstance(column, CodeColumn) for column in piece)
             assert partition.coded_size == len(partition) == len(piece[0].codes)
-            shipped = pickle.loads(pickle.dumps(partition))
-            source = PartitionSource(scan.schema.names, shipped)
+            source = PartitionSource(scan.schema.names, partition)
             assert all(chunk.columns is not None for chunk in source.chunks())
-            assert source.drain() == PartitionSource(scan.schema.names, partition).drain()
 
     def test_dictionary_larger_than_partition_is_compacted(self):
-        """Payload is O(partition): a partition never ships a dictionary
-        bigger than its own code buffer."""
+        """A partition is O(partition): it never holds a dictionary bigger
+        than its own code buffer."""
         relation = Relation(["a", "b"], [(f"k{i:03d}", i) for i in range(200)])
         exchange = HashPartitionExchange(["a"], 4)
         for partition in exchange.partition(RelationScan(relation)):
@@ -554,25 +495,19 @@ class TestExchange:
                 assert runs[0] == runs[1]
                 assert runs[0][0] == [len(bucket) for bucket in buckets[0]]
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_coded_dividend_is_never_decoded_in_the_coordinator(self, workload, workers):
+    def test_coded_dividend_is_never_decoded(self, workload):
         """Booby trap: every chunk of the dividend raises when its tuples
         are asked for; the exchange must route it by its codes alone."""
         operator = PartitionedDivision(
-            BoobyTrapped(RelationScan(workload.dividend)),
-            RelationScan(workload.divisor),
-            partitions=3,
-            workers=workers,
+            BoobyTrapped(RelationScan(workload.dividend)), RelationScan(workload.divisor), partitions=3
         )
         result = execute_plan(operator)
         assert result.relation == serial_small(workload.dividend, workload.divisor, "hash").relation
         assert operator.exchange_input == "code columns"
         assert operator.key_source == "cached codes (1 chunk) → coded quotient"
 
-    def test_inline_partitions_read_cached_codes(self, workload):
-        """``partitions > 1`` with one worker: same coded tasks, run inline."""
+    def test_partitions_read_cached_codes(self, workload):
         result, operator = partitioned_small(workload.dividend, workload.divisor, "hash", 4)
-        assert operator.workers == 1
         assert operator.key_source == "cached codes (1 chunk) → coded quotient"
         assert operator.exchange_input == "code columns"
         assert result.relation == serial_small(workload.dividend, workload.divisor, "hash").relation
@@ -584,63 +519,3 @@ class TestExchange:
         execute_plan(operator)
         assert operator.exchange_input == "tuples"
         assert operator.key_source == "encoded on the fly → coded quotient"
-
-    def test_degraded_tasks_return_the_identical_block(self, workload):
-        """Tasks that fall back inline after retries are the same coded
-        values run by the same function: identical output, identical counters."""
-        clean, clean_operator = partitioned_small(
-            workload.dividend, workload.divisor, "hash", 4, workers=2
-        )
-        install_plan(FaultPlan((FaultSpec(point="pool.dispatch"),), seed=5))
-        try:
-            degraded, operator = partitioned_small(
-                workload.dividend, workload.divisor, "hash", 4, workers=2
-            )
-        finally:
-            clear_plan()
-            reset_counters()
-        assert degraded.statistics.tasks_degraded == 4
-        assert list(degraded.relation) == list(clean.relation)
-        assert operator.partition_statistics == clean_operator.partition_statistics
-        assert operator.partition_input_sizes == clean_operator.partition_input_sizes
-        assert operator.key_source == clean_operator.key_source == "cached codes (1 chunk) → coded quotient"
-
-
-class TestWorkersPlumbing:
-    def test_set_workers_retargets_exchanges(self, workload):
-        operator = PartitionedDivision(
-            RelationScan(workload.dividend),
-            RelationScan(workload.divisor),
-            partitions=4,
-            workers=4,
-        )
-        operator.set_workers(1)
-        assert operator.workers == 1
-
-    def test_execute_plan_workers_override(self, workload):
-        operator = PartitionedDivision(
-            RelationScan(workload.dividend),
-            RelationScan(workload.divisor),
-            partitions=4,
-            workers=4,
-        )
-        serial = serial_small(workload.dividend, workload.divisor, "hash")
-        result = execute_plan(operator, workers=1)
-        assert operator.workers == 1
-        assert result.relation == serial.relation
-
-    def test_execute_plan_rejects_bad_workers(self, workload):
-        operator = PartitionedDivision(
-            RelationScan(workload.dividend), RelationScan(workload.divisor)
-        )
-        with pytest.raises(ExecutionError, match="workers"):
-            execute_plan(operator, workers=0)
-
-    def test_set_workers_is_noop_on_serial_plans(self, workload):
-        operator = HashDivision(
-            RelationScan(workload.dividend), RelationScan(workload.divisor)
-        )
-        operator.set_workers(4)  # nothing to retarget; must not raise
-        assert execute_plan(operator).relation == serial_small(
-            workload.dividend, workload.divisor, "hash"
-        ).relation

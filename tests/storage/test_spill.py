@@ -1,6 +1,4 @@
-"""Spill files: writer/handle units, pickling, and exchange integration."""
-
-import pickle
+"""Spill files: writer/handle units and exchange integration."""
 
 import pytest
 
@@ -59,14 +57,6 @@ class TestSpillWriter:
 
 
 class TestSpilledPartition:
-    def test_pickle_roundtrip(self, tmp_path):
-        writer = SpillWriter(tmp_path, "p3", ATTRIBUTES)
-        writer.spill(rows(50))
-        handle = writer.finish()
-        shipped = pickle.loads(pickle.dumps(handle))
-        assert shipped.read_all() == handle.read_all()
-        assert len(shipped) == 50
-
     def test_missing_file_raises_on_read(self, tmp_path):
         writer = SpillWriter(tmp_path, "p0", ATTRIBUTES)
         writer.spill(rows(5))

@@ -1,16 +1,16 @@
 """Satellite 3: spilled execution is bit-identical to in-memory execution.
 
 The sweep crosses ``memory_budget_mb`` ∈ {tiny-forcing-spill, unlimited} ×
-``workers`` ∈ {1, 4} × all 8 division algorithms (5 small-divide, 3
+``partitions`` ∈ {1, 4} × all 8 division algorithms (5 small-divide, 3
 great-divide) and asserts the quotient **and** the per-operator tuple
-counts match the unbudgeted single-worker reference exactly: spilling a
+counts match the unbudgeted one-partition reference exactly: spilling a
 partition to disk and streaming it back must be invisible to every
 counter the paper's experiments report.
 
 The scaled test at the bottom is the acceptance check in miniature: a
-dividend far larger than the budget divides correctly at ``workers=4``
+dividend far larger than the budget divides correctly over 4 partitions
 with spilling *proven* via the exchange counters.  Set ``REPRO_SCALE_TEST``
-to run the full 10M-tuple version from ISSUE 8.
+to run the full 10M-tuple version.
 """
 
 import os
@@ -26,6 +26,7 @@ from repro.physical import (
     execute_plan,
 )
 from repro.relation import Relation
+from tests.partitioning import PARTITION_COUNTS
 from tests.strategies import dividends, divisors, great_divisors
 
 #: Small enough that ``budget_tuples`` floors to 1 tuple, so any buffered
@@ -33,27 +34,27 @@ from tests.strategies import dividends, divisors, great_divisors
 #: spill path, not just the large ones.
 TINY_BUDGET_MB = 1e-6
 
-#: The sweep grid (budget × workers); the (None, 1) cell is the reference.
+#: The sweep grid (budget × partitions); the (None, 1) cell is the reference.
 GRID = [(None, 1), (None, 4), (TINY_BUDGET_MB, 1), (TINY_BUDGET_MB, 4)]
 
-def run(dividend, divisor, kind, algorithm, workers, budget):
+
+def run(dividend, divisor, kind, algorithm, partitions, budget):
     operator = PartitionedDivision(
         RelationScan(dividend),
         RelationScan(divisor),
         algorithm=algorithm,
         kind=kind,
-        partitions=4,
-        workers=workers,
+        partitions=partitions,
     )
     result = execute_plan(operator, memory_budget_mb=budget)
     return result, operator
 
 
 def assert_grid_matches_reference(dividend, divisor, kind, algorithm):
-    reference, _ = run(dividend, divisor, kind, algorithm, workers=1, budget=None)
-    for budget, workers in GRID[1:]:
-        result, operator = run(dividend, divisor, kind, algorithm, workers, budget)
-        label = f"{kind}/{algorithm} budget={budget} workers={workers}"
+    reference, _ = run(dividend, divisor, kind, algorithm, partitions=1, budget=None)
+    for budget, partitions in GRID[1:]:
+        result, operator = run(dividend, divisor, kind, algorithm, partitions, budget)
+        label = f"{kind}/{algorithm} budget={budget} partitions={partitions}"
         assert result.relation == reference.relation, label
         assert (
             dict(result.statistics.tuples_by_operator)
@@ -89,7 +90,7 @@ def qualifying_groups(groups: int, divisor_values: int):
 
 @pytest.mark.parametrize("algorithm", ["hash", "merge_sort"])
 def test_scaled_division_in_bounded_memory(tmp_path, algorithm):
-    """~200k-tuple dividend, workers=4, budget far below the dataset."""
+    """~200k-tuple dividend, 4 partitions, budget far below the dataset."""
     groups, divisor_values = 50_000, 4
     dividend = Relation.from_aligned(("a", "b"), qualifying_groups(groups, divisor_values))
     divisor = Relation.from_aligned(("b",), [(value,) for value in range(divisor_values)])
@@ -100,7 +101,6 @@ def test_scaled_division_in_bounded_memory(tmp_path, algorithm):
         RelationScan(divisor),
         algorithm=algorithm,
         partitions=4,
-        workers=4,
     )
     result = execute_plan(operator, memory_budget_mb=0.05)
     assert sorted(values[0] for values in result.relation.aligned_tuples()) == list(
@@ -120,8 +120,10 @@ def test_scaled_division_in_bounded_memory(tmp_path, algorithm):
     not os.environ.get("REPRO_SCALE_TEST"),
     reason="10M-tuple acceptance run; set REPRO_SCALE_TEST=1 to enable",
 )
-def test_ten_million_tuple_division_in_bounded_memory():
-    """ISSUE 8 acceptance: the 10M-tuple dividend divides at workers=4."""
+@pytest.mark.parametrize("partitions", PARTITION_COUNTS)
+def test_ten_million_tuple_division_in_bounded_memory(partitions):
+    """The 10M-tuple dividend divides in bounded memory over 1 or 4
+    partitions."""
     groups, divisor_values = 2_500_000, 4
     dividend = Relation.from_aligned(("a", "b"), qualifying_groups(groups, divisor_values))
     divisor = Relation.from_aligned(("b",), [(value,) for value in range(divisor_values)])
@@ -131,8 +133,7 @@ def test_ten_million_tuple_division_in_bounded_memory():
         RelationScan(dividend),
         RelationScan(divisor),
         algorithm="hash",
-        partitions=4,
-        workers=4,
+        partitions=partitions,
     )
     result = execute_plan(operator, memory_budget_mb=8.0)
     assert len(result.relation) == groups // 2

@@ -68,10 +68,10 @@ def test_check_gate_times_a_run_shared_by_both_sides_once_and_reports_it():
         return lambda: None
 
     request = _request(benchmark_disabled=False)
-    gates.check_gate(request, "parallel-pick-division", run, {"serial": run, "partitioned": run})
+    gates.check_gate(request, "planner-choice", run, {"hash": run, "merge_sort": run})
     assert len(prepared) == gates.REPEATS
     (line,) = request.config.stash[gates.MEASURED]
-    assert line.startswith("test_fake: parallel-pick-division 1.000×"), line
+    assert line.startswith("test_fake: planner-choice 1.000×"), line
 
 
 def test_check_gate_fails_a_slow_arm_with_every_timing():

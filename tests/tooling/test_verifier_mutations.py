@@ -54,7 +54,7 @@ def division_plan():
 
 def partitioned_division():
     return PartitionedDivision(
-        RelationScan(R1, "r1"), RelationScan(R2, "r2"), algorithm="hash", partitions=2, workers=2
+        RelationScan(R1, "r1"), RelationScan(R2, "r2"), algorithm="hash", partitions=2
     )
 
 
@@ -161,18 +161,9 @@ class TestPhysicalCorruptions:
 
     def test_aggregate_key_dropped_from_output_is_rp203(self):
         child = RelationScan(R1, "r1")
-        plan = PartitionedAggregate(child, ("a",), {"n": len}, partitions=2, workers=2)
+        plan = PartitionedAggregate(child, ("a",), {"n": len}, partitions=2)
         plan._key = as_schema(("z",))
         assert "RP203" in codes(verify_physical(plan)[0])
-
-    def test_unpicklable_aggregate_payload_is_rp204(self):
-        child = RelationScan(R1, "r1")
-        plan = PartitionedAggregate(
-            child, ("a",), {"n": lambda rows: len(rows)}, partitions=2, workers=2
-        )
-        findings, _ = verify_physical(plan)
-        assert "RP204" in codes(findings)
-        assert verify_plan(plan).ok  # a warning: the pool degrades, CI passes
 
     def test_invalid_exchange_shape_is_rp206(self):
         plan = partitioned_division()
@@ -299,12 +290,12 @@ class TestOptimizerPlansVerifyClean:
     @settings(max_examples=25, deadline=None)
     @given(
         catalog=random_catalogs(),
-        workers=st.sampled_from([1, 4]),
+        memory_budget_mb=st.sampled_from([None, 1e-4]),
     )
-    def test_prepared_plans_verify_clean_across_configurations(self, catalog, workers):
+    def test_prepared_plans_verify_clean_across_configurations(self, catalog, memory_budget_mb):
         from repro.api.database import connect
 
-        database = connect(catalog, planner_options=PlannerOptions(workers=workers))
+        database = connect(catalog, memory_budget_mb=memory_budget_mb)
         query = database.sql(
             "SELECT a FROM r1 AS s DIVIDE BY r2 AS p ON s.b = p.b"
         )

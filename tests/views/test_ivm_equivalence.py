@@ -4,7 +4,7 @@ The sweep drives a random insert/delete sequence against the dividend and
 divisor of a registered view and, after **every** edit, compares the
 maintained answer against a from-scratch recompute of the same query —
 crossed over all 8 division algorithms (5 small-divide, 3 great-divide)
-and ``workers`` ∈ {1, 4}, so the counter table must agree with every
+and 1 or 4 planned partitions, so the counter table must agree with every
 physical implementation of division the engine has.
 
 A second assertion digs below the quotient: the incrementally-updated
@@ -22,19 +22,18 @@ from repro.api import connect
 from repro.optimizer import PlannerOptions
 from repro.physical import GREAT_DIVIDE_ALGORITHMS, SMALL_DIVIDE_ALGORITHMS
 from repro.relation import Relation
+from tests.partitioning import PARTITION_COUNTS, planned_partitions
 from tests.strategies import VALUES, dividends, great_divisors
 
-WORKERS = [1, 4]
-
 SMALL_GRID = [
-    (algorithm, workers)
+    (algorithm, partitions)
     for algorithm in sorted(SMALL_DIVIDE_ALGORITHMS)
-    for workers in WORKERS
+    for partitions in PARTITION_COUNTS
 ]
 GREAT_GRID = [
-    (algorithm, workers)
+    (algorithm, partitions)
     for algorithm in sorted(GREAT_DIVIDE_ALGORITHMS)
-    for workers in WORKERS
+    for partitions in PARTITION_COUNTS
 ]
 
 
@@ -49,12 +48,12 @@ def edit_sequences(draw, row_width, max_edits=8):
     return draw(st.lists(edit, min_size=1, max_size=max_edits))
 
 
-def connect_pair(dividend, divisor, kind, algorithm, workers):
+def connect_pair(dividend, divisor, kind, algorithm):
     """(session with the view, expression factory for the recompute)."""
     options = (
-        PlannerOptions(small_divide_algorithm=algorithm, workers=workers)
+        PlannerOptions(small_divide_algorithm=algorithm)
         if kind == "small"
-        else PlannerOptions(great_divide_algorithm=algorithm, workers=workers)
+        else PlannerOptions(great_divide_algorithm=algorithm)
     )
     db = connect(planner_options=options)
     db.add_table("r1", dividend)
@@ -77,36 +76,30 @@ def edit_rows(edit, kind):
     return "r2", [row[:1] if kind == "small" else row[:2]]
 
 
-def drive(dividend, divisor, kind, algorithm, workers):
-    db, view, build = connect_pair(dividend, divisor, kind, algorithm, workers)
-    return db, view, build
+def assert_maintained_matches_recompute(dividend, divisor, kind, algorithm, partitions, edits):
+    with planned_partitions(partitions):
+        db, view, build = connect_pair(dividend, divisor, kind, algorithm)
+        assert view.maintained
+        for step, edit in enumerate(edits):
+            table, rows = edit_rows(edit, kind)
+            _target, operation, _row = edit
+            if operation == "insert":
+                db.insert(table, rows)
+            else:
+                db.delete(table, rows)
+            recomputed = build().run().relation
+            label = f"{kind}/{algorithm} partitions={partitions} step={step} edit={edit}"
+            assert view.relation() == recomputed, label
 
-
-def assert_maintained_matches_recompute(dividend, divisor, kind, algorithm, workers, edits):
-    db, view, build = drive(dividend, divisor, kind, algorithm, workers)
-    assert view.maintained
-    for step, edit in enumerate(edits):
-        table, rows = edit_rows(edit, kind)
-        _target, operation, _row = edit
-        if operation == "insert":
-            db.insert(table, rows)
-        else:
-            db.delete(table, rows)
-        recomputed = build().run().relation
-        label = f"{kind}/{algorithm} workers={workers} step={step} edit={edit}"
-        assert view.relation() == recomputed, label
-
-    # Below the quotient: incremental counters == rebuilt counters.
-    db2, view2, _build2 = connect_pair(
-        db.relation("r1"), db.relation("r2"), kind, algorithm, workers
-    )
+        # Below the quotient: incremental counters == rebuilt counters.
+        db2, view2, _build2 = connect_pair(db.relation("r1"), db.relation("r2"), kind, algorithm)
     assert view.counters.dividend_sets() == view2.counters.dividend_sets()
     assert view.counters.divisor_sets() == view2.counters.divisor_sets()
     assert view.quotient_tuples() == view2.quotient_tuples()
 
 
 class TestIVMEquivalenceSweep:
-    @pytest.mark.parametrize("algorithm,workers", SMALL_GRID)
+    @pytest.mark.parametrize("algorithm,partitions", SMALL_GRID)
     @settings(max_examples=5, deadline=None)
     @given(
         dividend=dividends(max_rows=10),
@@ -115,21 +108,21 @@ class TestIVMEquivalenceSweep:
         ),
         edits=edit_sequences(row_width=2),
     )
-    def test_small_divide_sequences(self, algorithm, workers, dividend, divisor, edits):
+    def test_small_divide_sequences(self, algorithm, partitions, dividend, divisor, edits):
         assert_maintained_matches_recompute(
-            dividend, divisor, "small", algorithm, workers, edits
+            dividend, divisor, "small", algorithm, partitions, edits
         )
 
-    @pytest.mark.parametrize("algorithm,workers", GREAT_GRID)
+    @pytest.mark.parametrize("algorithm,partitions", GREAT_GRID)
     @settings(max_examples=5, deadline=None)
     @given(
         dividend=dividends(max_rows=10),
         divisor=great_divisors(max_rows=6),
         edits=edit_sequences(row_width=2),
     )
-    def test_great_divide_sequences(self, algorithm, workers, dividend, divisor, edits):
+    def test_great_divide_sequences(self, algorithm, partitions, dividend, divisor, edits):
         assert_maintained_matches_recompute(
-            dividend, divisor, "great", algorithm, workers, edits
+            dividend, divisor, "great", algorithm, partitions, edits
         )
 
 
