@@ -99,6 +99,13 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   the catalog's own value and carries ``# contract: evaluate-ok (reason)``
   on its line.
 
+* **RP415** — no operator charges another's counter: ``tuples_out`` is
+  assigned only in ``physical/base.py``, by ``PhysicalOperator.chunks``
+  (the count of what an operator emits) and the two resets (``__init__``,
+  ``reset_counters``).  An operator that answers from a cache instead of
+  pulling its input leaves its children's counts as the chunks they
+  emitted made them.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -695,6 +702,43 @@ def _check_interpreter_calls(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP415: only the base class writes an operator's counter
+# ----------------------------------------------------------------------
+#: The functions of ``physical/base.py`` that may assign ``tuples_out``.
+COUNTER_WRITERS = {"__init__", "chunks", "reset_counters"}
+
+
+def _check_counter_writes(path: Path) -> Iterator[Finding]:
+    allowed = COUNTER_WRITERS if path == PHYSICAL_DIR / "base.py" else set()
+
+    def targets(node: ast.AST) -> list[ast.expr]:
+        if isinstance(node, ast.Assign):
+            return [t for target in node.targets for t in ast.walk(target)]
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    def visit(node: ast.AST, function: Optional[str]) -> Iterator[Finding]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            for target in targets(child):
+                if isinstance(target, ast.Attribute) and target.attr == "tuples_out":
+                    if function not in allowed:
+                        yield finding(
+                            "RP415",
+                            f"{ast.unparse(target)} is assigned outside PhysicalOperator.chunks "
+                            "and the resets; an operator's count is what its chunks() emitted",
+                            _where(path, target),
+                            "engine",
+                        )
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -818,6 +862,7 @@ def run() -> list[Finding]:
     for path in _python_files(SOURCE_DIR):
         findings.extend(_check_numpy_imports(path))
         findings.extend(_check_code_runners(path))
+        findings.extend(_check_counter_writes(path))
         if path.relative_to(SOURCE_DIR).parts[0] in QUERY_PATH_PACKAGES:
             findings.extend(_check_interpreter_calls(path))
     return findings

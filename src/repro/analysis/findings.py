@@ -87,6 +87,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP412": (Severity.ERROR, "engine source calls the builtin compile, exec or eval"),
     "RP413": (Severity.ERROR, "physical layer builds rows outside a rows-ok function"),
     "RP414": (Severity.ERROR, "query path runs the logical interpreter (Expression.evaluate)"),
+    "RP415": (Severity.ERROR, "tuples_out assigned outside PhysicalOperator.chunks and its resets"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),

@@ -110,6 +110,12 @@ def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:
         missing = [name for name in names if name not in row]
         if missing:
             raise SchemaError(f"mutation row {row!r} misses attributes {missing!r}")
+        unknown = [name for name in row if name not in names]
+        if unknown:
+            raise SchemaError(
+                f"mutation row {row!r} names attributes {unknown!r} the table lacks; "
+                f"schema {names!r}"
+            )
         return tuple(row[name] for name in names)
     if isinstance(row, (tuple, list)):
         if len(row) != len(names):
@@ -223,6 +229,12 @@ class _VersionedLRU(Generic[_Entry]):
         return len(self._entries)
 
 
+def _require(ok: bool, name: str, rule: str, value: Any) -> None:
+    """Refuse an argument by name: a :class:`ReproError` unless ``ok``."""
+    if not ok:
+        raise ReproError(f"{name} must be {rule}, got {value!r}")
+
+
 def _check_options(
     batch_size: Optional[int],
     cache_size: int,
@@ -231,22 +243,18 @@ def _check_options(
 ) -> None:
     """Reject a malformed session option by name, before anything is built."""
 
-    def require(ok: bool, name: str, rule: str, value: Any) -> None:
-        if not ok:
-            raise ReproError(f"{name} must be {rule}, got {value!r}")
-
     def number(value: Any, kind: type) -> bool:
         return isinstance(value, kind) and not isinstance(value, bool)
 
-    require(
+    _require(
         batch_size is None or (number(batch_size, numbers.Integral) and batch_size >= 1),
         "batch_size",
         "an int >= 1 (batch size must be positive)",
         batch_size,
     )
     for name, size in (("cache_size", cache_size), ("result_cache_size", result_cache_size)):
-        require(number(size, numbers.Integral) and size >= 0, name, "an int >= 0", size)
-    require(
+        _require(number(size, numbers.Integral) and size >= 0, name, "an int >= 0", size)
+    _require(
         memory_budget_mb is None
         or (
             number(memory_budget_mb, numbers.Real)
@@ -396,7 +404,15 @@ class Database:
     # query entry points
     # ------------------------------------------------------------------
     def sql(self, text: str, recognize_division: Optional[bool] = None) -> Query:
-        """A lazy query from SQL text (translated on first use)."""
+        """A lazy query from SQL text (translated on first use).  Both
+        arguments are checked here, not when the query first runs."""
+        _require(isinstance(text, str), "text", "a str of SQL", text)
+        _require(
+            recognize_division is None or isinstance(recognize_division, bool),
+            "recognize_division",
+            "a bool or None",
+            recognize_division,
+        )
         recognize = (
             self.recognize_division if recognize_division is None else recognize_division
         )

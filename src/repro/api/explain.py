@@ -22,7 +22,9 @@ additionally render their
 algorithm, its estimated cost, and the priced alternatives it beat.  An
 operator the memory budget put behind an exchange says so on its
 ``· exchange:`` line.  After an analyzed run each ``Filter`` says whether
-it filtered on the dictionary or (for at least one chunk) per tuple.
+it filtered on the dictionary or (for at least one chunk) per tuple, and a
+division that answered from its dividend's containment bitmap says which
+on a ``· bitmap:`` line.
 """
 
 from __future__ import annotations
@@ -289,6 +291,9 @@ def _physical_lines(
         if actual is not None and key_source is not None:
             kernel = getattr(operator, "kernel_name", None)
             lines.append(f"  {'  ' * indent}  · keys: {key_source}, kernel: {kernel}")
+        bitmap = getattr(operator, "_bitmap_source", None)
+        if actual is not None and bitmap is not None:
+            lines.append(f"  {'  ' * indent}  · bitmap: {bitmap}")
         exchange = _exchange_line(operator, analyzed=actual is not None)
         if exchange is not None:
             lines.append(f"  {'  ' * indent}  · {exchange}")

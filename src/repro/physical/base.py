@@ -25,13 +25,20 @@ Every subclass implements :meth:`PhysicalOperator._produce_chunks`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import ExecutionError
-from repro.relation.encoding import CodeColumn, concatenate_codes, mask_positions, select_items
+from repro.relation.encoding import (
+    CodeColumn,
+    concatenate_codes,
+    mask_positions,
+    select_items,
+    take,
+)
 from repro.relation.relation import Relation
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
@@ -103,6 +110,23 @@ class PhysicalProperties:
     preserves_order: bool = False
 
 
+class BaseBlock(NamedTuple):
+    """Where a chunk that is a relation's whole cached encoding came from.
+
+    A scan whose batch size is unset hands up its relation's block with
+    this mark; a :class:`~repro.physical.basic.Filter` whose predicate reads
+    one attribute hands up a *restricted block* under the same mark plus
+    the predicate's truth table over that attribute's dictionary.  The
+    division operators that sweep the dividend's codes read the mark
+    instead (the relation's containment bitmap, see
+    :mod:`repro.physical.division.keys`); everything else reads the chunk.
+    """
+
+    relation: Relation
+    #: ``(position, entry truth table)`` of a restricted block, else ``None``.
+    restriction: Optional[tuple[int, Any]] = None
+
+
 class Chunk:
     """A block of tuples aligned with one interned schema, in two forms.
 
@@ -117,10 +141,12 @@ class Chunk:
     reads the codes never builds the tuple list; every other consumer
     (joins, aggregates, the exchange, a result that cannot stay coded)
     keeps reading ``chunk.tuples`` unchanged.  No :class:`Row` objects exist inside a
-    chunk; :meth:`rows` materializes them on demand.
+    chunk; :meth:`rows` materializes them on demand.  ``_base`` marks a
+    relation's whole or restricted block (:class:`BaseBlock`); a restricted
+    block (:meth:`_restricted`) defers its code columns too.
     """
 
-    __slots__ = ("schema", "columns", "_tuples", "_length", "_thunk")
+    __slots__ = ("schema", "columns", "_tuples", "_length", "_thunk", "_base")
 
     def __init__(
         self,
@@ -133,6 +159,7 @@ class Chunk:
         self._tuples: Optional[list[tuple[Any, ...]]] = tuples
         self._length = len(tuples)
         self._thunk: Optional[Callable[[], list[tuple[Any, ...]]]] = None
+        self._base: Optional[BaseBlock] = None
 
     @classmethod
     def deferred(
@@ -149,6 +176,7 @@ class Chunk:
         chunk._tuples = None
         chunk._length = length
         chunk._thunk = thunk
+        chunk._base = None
         return chunk
 
     @classmethod
@@ -222,6 +250,11 @@ class Chunk:
             self.schema, columns, count, lambda: select_items(self.tuples, mask)
         )
 
+    def _restricted(self, position: int, table: Any, count: int) -> "Chunk":
+        """This chunk, a relation's whole block, cut to the ``count``
+        tuples whose entry of column ``position`` ``table`` sets."""
+        return _RestrictedBlock(self, position, table, count)
+
     def pieces(self, size: int) -> Iterator["Chunk"]:
         """This chunk as it is when it holds at most ``size`` tuples, else
         in slices of ``size`` (code columns now, tuples if they are read)."""
@@ -243,6 +276,29 @@ class Chunk:
         """One attribute's values, in tuple order."""
         position = self.schema.position(name)
         return [values[position] for values in self.tuples]
+
+
+class _RestrictedBlock(Chunk):
+    """A relation's whole block under a one-attribute predicate: the whole
+    block's mark plus the predicate's truth table.  Nothing is selected
+    until its ``columns`` or tuples are read; then :meth:`Chunk.selected`
+    cuts both once (take → nonzero → select).  ``columns`` is a property
+    here only, so every other chunk reads a plain slot."""
+
+    __slots__ = ("_cut",)
+
+    def __init__(self, whole: Chunk, position: int, table: Any, count: int) -> None:
+        codes = whole.columns[position].codes  # type: ignore[index]
+        cut = self._cut = functools.cache(lambda: whole.selected(take(table, codes), count))
+        self.schema = whole.schema
+        self._tuples = None
+        self._length = count
+        self._thunk = lambda: cut().tuples
+        self._base = BaseBlock(whole._base.relation, (position, table))  # type: ignore[union-attr]
+
+    @property  # type: ignore[override]
+    def columns(self) -> Optional[tuple[CodeColumn, ...]]:
+        return self._cut().columns
 
 
 @dataclass

@@ -37,11 +37,13 @@ from repro.physical.base import (
 )
 from repro.relation.encoding import (
     CodeColumn,
+    code_frequencies,
     flag_table,
     mask_and,
     mask_count,
     mask_not,
     mask_or,
+    passing_count,
     take,
 )
 from repro.relation.row import Row
@@ -82,8 +84,9 @@ class _EntryTable:
         self._dictionary: Optional[list[Any]] = None
         self._table: Any = None
 
-    def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
-        """The chunk's mask, or None when the predicate raises on an entry."""
+    def table(self, columns: tuple[CodeColumn, ...]) -> Any:
+        """The truth table over the chunk's dictionary, or None when the
+        predicate raises on an entry."""
         column = columns[self.position]
         if column.dictionary is not self._dictionary:
             try:
@@ -94,7 +97,12 @@ class _EntryTable:
                 # (short-circuits, earlier filters): it runs instead.
                 self._table = None
             self._dictionary = column.dictionary
-        return None if self._table is None else take(self._table, column.codes)
+        return self._table
+
+    def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
+        """The chunk's mask, or None when the predicate raises on an entry."""
+        table = self.table(columns)
+        return None if table is None else take(table, columns[self.position].codes)
 
 
 class _MaskCombination:
@@ -248,6 +256,13 @@ class Filter(PhysicalOperator):
     opaque callable gets a :class:`Row` per tuple (the public predicate
     API).  A comparison the values do not support raises
     :class:`PredicateError`.
+
+    On a relation's whole block (a scan's, see
+    :class:`~repro.physical.base.BaseBlock`) a predicate on one attribute
+    reads no code at all: it hands up a *restricted block*, whose length is
+    summed from the column's code frequencies over the entries that pass
+    and whose columns and tuples are selected only if something reads them
+    (a division reads the relation's containment bitmap instead).
     """
 
     name = "filter"
@@ -272,8 +287,16 @@ class Filter(PhysicalOperator):
         from_schema = Row.from_schema
         test = self._test or (lambda values: predicate(from_schema(schema, values)))
         self._filter_mode = "per tuple" if masks is None else "dictionary"
+        one_attribute = isinstance(masks, _EntryTable)
         for chunk in self._children[0].chunks():
             chunk = chunk.aligned(schema)
+            base = chunk._base
+            if one_attribute and base is not None and base.restriction is None:
+                restricted = self._restrict(chunk, base.relation, masks)  # type: ignore[arg-type]
+                if restricted is not None:
+                    if len(restricted):
+                        yield restricted
+                    continue
             columns = chunk.columns
             mask = None if masks is None or columns is None else masks.mask(columns)
             if mask is not None:
@@ -288,6 +311,20 @@ class Filter(PhysicalOperator):
                 raise PredicateError(f"cannot evaluate {predicate!r}: {error}") from error
             if matched:
                 yield Chunk(schema, matched)
+
+    @staticmethod
+    def _restrict(chunk: Chunk, relation: Any, entries: _EntryTable) -> Optional[Chunk]:
+        """A whole block under a one-attribute predicate: itself, or its
+        restricted block (None when the predicate raises on an entry)."""
+        table = entries.table(chunk.columns)  # type: ignore[arg-type]
+        if table is None:
+            return None
+        position = entries.position
+        frequencies = relation._summary(
+            ("frequencies", position), lambda columns: code_frequencies(columns[position])
+        )
+        count = passing_count(frequencies, table)
+        return chunk if count == len(chunk) else chunk._restricted(position, table, count)
 
     def describe(self) -> str:
         return f"Filter({self.predicate!r})"

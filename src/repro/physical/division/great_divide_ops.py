@@ -20,6 +20,12 @@ All algorithms read their inputs through the key-column seam
 plus code → key lists — cached dictionary codes when the input carries
 them, encoded on the fly otherwise — so the hot loops manipulate small
 ints and every per-key lookup happens once per dictionary entry.
+
+The nested-loops and groupwise algorithms answer a dividend that is a
+relation's whole or restricted block from its containment bitmap instead
+(see :mod:`~repro.physical.division.keys`): each divisor group is one
+need-mask over the dividend's ``B`` codes, found by the kernel's subset
+scan.  Hash great division keeps its per-(candidate, group) sweep.
 """
 
 from __future__ import annotations
@@ -68,20 +74,44 @@ class GreatDivisionOperator(KeyedDivisionOperator):
         self.b = shared
         self.c = group_c
 
-    def _encoded_inputs(
-        self,
-    ) -> tuple[PythonBitsetKernel, KeySide, KeySide, KeySide, KeySide]:
-        """Drain both inputs once.
+    #: Answer a whole or restricted block from its containment bitmap.
+    _reads_bitmap = True
 
-        Returns ``(kernel, groups, divisor values, candidates, dividend
-        values)``: the divisor's ``C`` and ``B`` sides, ``dense`` — only
-        groups that still have a tuple are groups, and a divisor value's
-        code doubles as its bit position in the shared dictionary — and
-        the dividend's ``A`` and ``B`` sides as they come.
-        """
+    def _divisor_sides(self) -> tuple[KeySide, KeySide]:
+        """The divisor's ``C`` and ``B`` sides, ``dense``: only groups that
+        still have a tuple are groups, and a divisor value's code doubles as
+        its bit position in the shared dictionary."""
         groups, divisor_values = encode_keys(self._children[1], self.c, self.b).sides
-        kernel, candidates, values = self._dividend_keys(self.a, self.b)
-        return kernel, groups.dense(), divisor_values.dense(), candidates, values
+        return groups.dense(), divisor_values.dense()
+
+    def _produce_chunks(self) -> Iterator[Chunk]:
+        """Drain both inputs once — the divisor's sides, the dividend's
+        ``A`` and ``B`` sides as they come — then one match scan per group
+        (:meth:`_matches`, or the containment bitmap's)."""
+        groups, divisor_values = self._divisor_sides()
+        kernel, candidates, values, containment = self._dividend_keys(
+            self.a, self.b, bitmap=self._reads_bitmap
+        )
+        if containment is not None:
+            value_sets: list[list[Any]] = [[] for _ in groups.keys]
+            pairs = zip(iter_codes(groups.codes), iter_codes(divisor_values.codes))
+            for group, value in pairs:
+                value_sets[group].append(divisor_values.keys[value])
+            matches = containment.matches(kernel, value_sets)
+        else:
+            matches = self._matches(kernel, groups, divisor_values, candidates, values)
+        yield from self._emit_groups(candidates, groups, matches)
+
+    def _matches(
+        self,
+        kernel: PythonBitsetKernel,
+        groups: KeySide,
+        divisor_values: KeySide,
+        candidates: KeySide,
+        values: KeySide,
+    ) -> list[Any]:
+        """Per group code, the codes of the candidates that contain it."""
+        raise NotImplementedError
 
     def _emit_groups(
         self, candidates: KeySide, groups: KeySide, matches: list[Any]
@@ -113,8 +143,7 @@ class NestedLoopsGreatDivision(GreatDivisionOperator):
         pairwise_operands=("candidates", "divisor_groups"),
     )
 
-    def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, groups, divisor_values, candidates, values = self._encoded_inputs()
+    def _matches(self, kernel, groups, divisor_values, candidates, values):
         needed_masks = [0] * len(groups.keys)
         for group, value in zip(iter_codes(groups.codes), iter_codes(divisor_values.codes)):
             needed_masks[group] |= 1 << value
@@ -127,8 +156,7 @@ class NestedLoopsGreatDivision(GreatDivisionOperator):
             values.table(position_of, -1),
             len(position_of),
         )
-        matches = [kernel.subset_matches(candidate_masks, needed) for needed in needed_masks]
-        yield from self._emit_groups(candidates, groups, matches)
+        return [kernel.subset_matches(candidate_masks, needed) for needed in needed_masks]
 
 
 class HashGreatDivision(GreatDivisionOperator):
@@ -141,6 +169,7 @@ class HashGreatDivision(GreatDivisionOperator):
     """
 
     name = "hash_great_division"
+    _reads_bitmap = False
 
     #: Per-(candidate, group) bitmask maintenance on every dividend match.
     properties = PhysicalProperties(
@@ -148,7 +177,8 @@ class HashGreatDivision(GreatDivisionOperator):
     )
 
     def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, groups, divisor_values, candidates, values = self._encoded_inputs()
+        groups, divisor_values = self._divisor_sides()
+        kernel, candidates, values, _ = self._dividend_keys(self.a, self.b)
         num_groups = len(groups.keys)
         group_sizes = [0] * num_groups
         hits_of: dict[Any, list[tuple[int, int]]] = {}
@@ -200,8 +230,7 @@ class GroupwiseSmallDivision(GreatDivisionOperator):
         pairwise_operands=("divisor_groups", "left"),
     )
 
-    def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, groups, divisor_values, candidates, values = self._encoded_inputs()
+    def _matches(self, kernel, groups, divisor_values, candidates, values):
         needed_of: list[dict[int, None]] = [{} for _ in groups.keys]
         for group, value in zip(iter_codes(groups.codes), iter_codes(divisor_values.codes)):
             needed_of[group][value] = None
@@ -225,7 +254,7 @@ class GroupwiseSmallDivision(GreatDivisionOperator):
                 len(candidates.keys), candidate_codes, value_codes, positions, len(needed)
             )
             matches.append(kernel.full_matches(masks, (1 << len(needed)) - 1))
-        yield from self._emit_groups(candidates, groups, matches)
+        return matches
 
 
 #: Algorithm registry used by tests and benches.

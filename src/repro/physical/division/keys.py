@@ -31,6 +31,23 @@ great divide's group and divisor-value sides (the group list, the bit
 width; hundreds of tuples), and the dividend's candidates only under an
 empty divisor, where the quotient is every candidate *that occurs*.
 
+The operators that sweep the dividend's codes ask for more: when the
+dividend is one chunk that is a relation's whole block, or a restricted
+block a :class:`~repro.physical.basic.Filter` made of one (see
+:class:`~repro.physical.base.BaseBlock`), and both key sides are single
+attributes, :func:`encode_keys` answers with a :class:`Containment`
+before anything reads the chunk's columns: the relation's *containment
+bitmap* (row ``a``, bit ``b`` set iff the tuple ``(a, b)`` exists; built
+once per relation value by the kernel's gather sweep at identity
+positions and kept on the value, :meth:`~repro.relation.relation.Relation._summary`)
+plus the restriction.  A divisor (group) then becomes a need-mask over the
+dividend's ``B`` codes and the kernel's subset scan compares it with every
+row; a restriction on ``A`` masks the candidates (Law 3 read right to left:
+``σ_p(A)(r1) ÷ r2 = σ_p(A)(r1 ÷ r2)``) and one on ``B`` the bits.  A bitmap
+is built only where its bytes are at most those of the two code buffers
+it summarises; elsewhere, and for every other input, the sides come back
+as above and the operator sweeps.
+
 :meth:`KeyedDivisionOperator._emit` is the single way out: the quotient
 is one chunk of code columns over the sides' own key lists (a composite
 side decodes through its key tuples), cut by the operator's batch size.
@@ -38,17 +55,26 @@ side decodes through its key tuples), cut by the operator's batch size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, NamedTuple, Optional
 
 from repro.physical.base import Chunk, PhysicalOperator, TupleProjector, _shares_dictionaries
 from repro.physical.compile.kernels import PythonBitsetKernel, active_kernel
-from repro.relation.encoding import CodeColumn, DenseEncoder, as_code_buffer, merge_code_columns
+from repro.relation.encoding import (
+    CodeColumn,
+    DenseEncoder,
+    as_code_buffer,
+    code_buffer,
+    entries_pass,
+    merge_code_columns,
+    passing_codes,
+)
 from repro.relation.schema import Schema
 
-__all__ = ["KeySide", "EncodedKeys", "KeyedDivisionOperator", "encode_keys"]
+__all__ = ["KeySide", "Containment", "EncodedKeys", "KeyedDivisionOperator", "encode_keys"]
 
 
 class KeySide:
@@ -81,6 +107,41 @@ class KeySide:
         return [get(key, default) for key in self.keys]
 
 
+class Containment(NamedTuple):
+    """A dividend answered from its relation's containment bitmap."""
+
+    #: Per candidate code, the mask of the value codes it holds (a kernel's
+    #: sweep result: ``(|A|, words)`` ``uint64`` rows, or Python ints).
+    masks: Any
+    #: The relation's value dictionary (code → key of ``B``).
+    values: list[Any]
+    #: Truth tables of a restricted block's predicate, over ``A`` or ``B``.
+    candidate_table: Any
+    value_table: Any
+    #: What ``explain`` prints on its ``· bitmap:`` line.
+    description: str
+
+    def matches(self, kernel: PythonBitsetKernel, key_sets: Iterable[Sequence[Any]]) -> list[Any]:
+        """Per non-empty set of divisor keys, the candidate codes (ascending)
+        whose tuples left hold every one of them: the set's need-mask over
+        the value codes, compared with every row by the kernel's subset scan."""
+        code_of = dict(zip(self.values, range(len(self.values))))
+        found = []
+        for keys in key_sets:
+            codes = [code_of.get(key, -1) for key in keys]
+            if -1 in codes or (
+                self.value_table is not None and not entries_pass(self.value_table, codes)
+            ):
+                found.append(code_buffer((), 0))  # a value no tuple left carries
+                continue
+            need = functools.reduce(operator.or_, (1 << code for code in codes), 0)
+            hits = kernel.subset_matches(self.masks, need)
+            if self.candidate_table is not None:
+                hits = passing_codes(hits, self.candidate_table)
+            found.append(hits)
+        return found
+
+
 class EncodedKeys(NamedTuple):
     """The key sides of one drained input, in the order they were asked for."""
 
@@ -88,6 +149,9 @@ class EncodedKeys(NamedTuple):
     #: "cached codes (N chunks)" or "encoded on the fly" (what ``explain``
     #: prints): an unset batch size reads one chunk per scan block.
     source: str
+    #: Set when the sides are a relation's own columns to be answered from
+    #: its containment bitmap (then nothing may sweep their codes).
+    containment: Optional[Containment] = None
 
 
 class KeyedDivisionOperator(PhysicalOperator):
@@ -107,13 +171,22 @@ class KeyedDivisionOperator(PhysicalOperator):
     #: ``explain(analyze=True)`` prints both.
     key_source: Optional[str] = None
     kernel_name: Optional[str] = None
+    #: The containment bitmap the most recent execution read (``None``: it
+    #: swept the codes); ``explain(analyze=True)`` prints it.
+    _bitmap_source: Optional[str] = None
 
-    def _dividend_keys(self, a: Schema, b: Schema) -> tuple[PythonBitsetKernel, KeySide, KeySide]:
-        """``(kernel, candidates, values)`` of the dividend (first child)."""
+    def _dividend_keys(
+        self, a: Schema, b: Schema, bitmap: bool = False
+    ) -> tuple[PythonBitsetKernel, KeySide, KeySide, Optional[Containment]]:
+        """``(kernel, candidates, values, containment)`` of the dividend
+        (first child); ``containment`` only if ``bitmap`` asks for it and
+        :func:`encode_keys` can answer with one."""
         kernel = active_kernel()
-        keys = encode_keys(self._children[0], a, b)
+        keys = encode_keys(self._children[0], a, b, bitmap_kernel=kernel if bitmap else None)
         self.key_source, self.kernel_name = keys.source, kernel.name
-        return (kernel, *keys.sides)
+        containment = keys.containment
+        self._bitmap_source = None if containment is None else containment.description
+        return (kernel, *keys.sides, containment)
 
     def _emit(self, sides: Sequence[KeySide], codes: Sequence[Any]) -> Iterator[Chunk]:
         """The quotient: tuple ``i`` is the keys ``sides[j].keys[codes[j][i]]``
@@ -140,10 +213,25 @@ class KeyedDivisionOperator(PhysicalOperator):
         return chunk.pieces(self.batch_size)
 
 
-def encode_keys(source: PhysicalOperator, *attribute_sets: Schema) -> EncodedKeys:
-    """Drain ``source`` and encode each attribute set as one key side."""
+def encode_keys(
+    source: PhysicalOperator,
+    *attribute_sets: Schema,
+    bitmap_kernel: Optional[PythonBitsetKernel] = None,
+) -> EncodedKeys:
+    """Drain ``source`` and encode each attribute set as one key side.
+
+    With ``bitmap_kernel`` (two single-attribute sets ``A``, ``B``), a
+    dividend that is one whole or restricted block comes back with its
+    relation's :class:`Containment`, built by that kernel if need be."""
     stream = source.chunks()
     first = next(stream, None)
+    if bitmap_kernel is not None and first is not None and first._base is not None:
+        rest = list(stream)
+        if not rest and first.schema.names == source.schema.names:
+            keys = _containment(first, source.schema, attribute_sets, bitmap_kernel)
+            if keys is not None:
+                return keys
+        stream = iter(rest)
     if first is not None and first.columns is not None:
         # Coded chunks are cheap to hold (their tuples are still deferred),
         # so keep them in case a later chunk breaks the shared-dictionary run.
@@ -170,6 +258,56 @@ def encode_keys(source: PhysicalOperator, *attribute_sets: Schema) -> EncodedKey
         for encoder, attributes in zip(encoders, attribute_sets)
     )
     return EncodedKeys(sides, "encoded on the fly")
+
+
+def _containment(
+    chunk: Chunk, schema: Schema, attribute_sets: Sequence[Schema], kernel: PythonBitsetKernel
+) -> Optional[EncodedKeys]:
+    """The keys of a whole or restricted block with its relation's
+    containment bitmap (None: a composite side, or a bitmap over the bound)."""
+    if any(len(attributes) != 1 for attributes in attribute_sets):
+        return None
+    a, b = (schema.position(attributes.names[0]) for attributes in attribute_sets)
+    relation, restriction = chunk._base  # type: ignore[misc]
+    tables: dict[int, Any] = {a: None, b: None}
+    if restriction is not None:
+        if restriction[0] not in tables:
+            return None
+        tables[restriction[0]] = restriction[1]
+    masks = relation._summary(
+        ("containment", a, b, kernel.name), functools.partial(_containment_bitmap, kernel, a, b)
+    )
+    if masks is None:
+        return None
+    columns = relation.encoded_columns()
+    candidates, values = columns[a], columns[b]
+    description = (
+        f"{schema.names[a]} → {schema.names[b]}, "
+        f"{len(candidates.dictionary)} rows × {len(values.dictionary)} bits"
+    )
+    if restriction is not None:
+        masked = "candidates" if restriction[0] == a else "values"
+        description += f", σ on {schema.names[restriction[0]]} masks {masked}"
+    sides = tuple(KeySide(c.codes, c.dictionary, True, False) for c in (candidates, values))
+    containment = Containment(masks, values.dictionary, tables[a], tables[b], description)
+    return EncodedKeys(sides, "cached codes (1 chunk)", containment)
+
+
+def _containment_bitmap(
+    kernel: PythonBitsetKernel, a: int, b: int, columns: tuple[CodeColumn, ...]
+) -> Any:
+    """Row ``a``, bit ``b`` set iff the relation holds ``(a, b)``: the
+    kernel's gather sweep at identity positions.  ``None`` when the bitmap's
+    bytes would exceed those of the two code buffers it summarises — a
+    structural bound, so no bitmap outgrows the encoding it sits beside."""
+    candidates, values = columns[a], columns[b]
+    width = len(values.dictionary)
+    summarised = candidates.codes.nbytes + values.codes.nbytes
+    if len(candidates.dictionary) * -(-width // 64) * 8 > summarised:
+        return None
+    return kernel.gather_sweep(
+        len(candidates.dictionary), candidates.codes, values.codes, range(width), width
+    )
 
 
 def _cached_side(chunks: list[Chunk], positions: list[int]) -> KeySide:

@@ -29,6 +29,13 @@ the fly otherwise — plus the code → key lists.  Each divisor value owns one
 bit, looked up once per *dictionary entry*; the containment test per
 candidate is then one bitmask equality / popcount check in the bitset
 kernel instead of per-row set-of-tuples bookkeeping.
+
+Hash, merge-count and merge-sort division answer a dividend that is a
+relation's whole or restricted block from its containment bitmap instead
+(see :mod:`~repro.physical.division.keys`): the divisor is one need-mask
+over the dividend's ``B`` codes and the kernel's subset scan finds the
+candidates that hold it.  The nested-loops division sweeps on purpose, and
+the algebra simulation has no sweep.
 """
 
 from __future__ import annotations
@@ -79,31 +86,56 @@ def _division_schemas(dividend: PhysicalOperator, divisor: PhysicalOperator) -> 
 
 
 class DivisionOperator(KeyedDivisionOperator):
-    """Common base for all physical small-divide algorithms."""
+    """Common base for all physical small-divide algorithms.
+
+    Drains both inputs once and hands the dividend's codes to the
+    algorithm's :meth:`_matches`, or answers from the dividend's
+    containment bitmap when ``_reads_bitmap`` and the input allow it.
+    """
+
+    #: Answer a whole or restricted block from its containment bitmap.
+    _reads_bitmap = True
 
     def __init__(self, dividend: PhysicalOperator, divisor: PhysicalOperator) -> None:
         schemas = _division_schemas(dividend, divisor)
         super().__init__(schemas.quotient, (dividend, divisor))
         self.schemas = schemas
 
-    def _encoded_inputs(self) -> tuple[PythonBitsetKernel, KeySide, Any, list[int], int]:
-        """Drain both inputs once: ``(kernel, candidates, B-codes, positions, width)``.
-
-        The divisor's distinct ``B`` keys are numbered ``0 .. width-1`` (one
-        bit each, so the all-ones mask ``(1 << width) - 1`` encodes
+    def _produce_chunks(self) -> Iterator[Chunk]:
+        """The divisor's distinct ``B`` keys are numbered ``0 .. width-1``
+        (one bit each, so the all-ones mask ``(1 << width) - 1`` encodes
         "contains the whole divisor"); ``positions[code]`` is the bit of the
         dividend ``B`` key with that code, or ``-1`` when the divisor lacks
         it — one lookup per dictionary entry, not per tuple.  The divisor's
         keys are counted as they occur (``dense``); the dividend's are not,
         except that under an empty divisor every candidate matches, and
-        then only the candidates that occur may.
+        then only the candidates that occur may (so an empty divisor sweeps).
         """
         (divisor_side,) = encode_keys(self._children[1], self.schemas.b).sides
-        position_of = {key: position for position, key in enumerate(divisor_side.dense().keys)}
-        kernel, candidates, values = self._dividend_keys(self.schemas.a, self.schemas.b)
-        if not position_of:
-            candidates = candidates.dense()
-        return kernel, candidates, values.codes, values.table(position_of, -1), len(position_of)
+        divisor_keys = divisor_side.dense().keys
+        kernel, candidates, values, containment = self._dividend_keys(
+            self.schemas.a, self.schemas.b, bitmap=self._reads_bitmap and bool(divisor_keys)
+        )
+        if containment is not None:
+            (matches,) = containment.matches(kernel, [divisor_keys])
+        else:
+            position_of = {key: position for position, key in enumerate(divisor_keys)}
+            if not position_of:
+                candidates = candidates.dense()
+            positions = values.table(position_of, -1)
+            matches = self._matches(kernel, candidates, values.codes, positions, len(position_of))
+        yield from self._emit([candidates], [matches])
+
+    def _matches(
+        self,
+        kernel: PythonBitsetKernel,
+        candidates: KeySide,
+        value_codes: Any,
+        positions: list[int],
+        width: int,
+    ) -> Any:
+        """The codes of the candidates holding every divisor bit, ascending."""
+        raise NotImplementedError
 
 
 def _pair_bits(
@@ -123,6 +155,7 @@ class NestedLoopsDivision(DivisionOperator):
     """
 
     name = "nested_loops_division"
+    _reads_bitmap = False
 
     #: No hash tables beyond the divisor dictionary, but one full pair scan
     #: per quotient candidate — the quadratic ``pairwise`` term.
@@ -135,8 +168,7 @@ class NestedLoopsDivision(DivisionOperator):
         pairwise_operands=("candidates", "left"),
     )
 
-    def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+    def _matches(self, kernel, candidates, value_codes, positions, width):
         pairs = list(_pair_bits(candidates, value_codes, positions))
 
         # Deliberately quadratic: one full pair scan per candidate that
@@ -147,7 +179,7 @@ class NestedLoopsDivision(DivisionOperator):
             masks[candidate] = reduce(
                 or_, [bit for pair_candidate, bit in pairs if pair_candidate == candidate], 0
             )
-        yield from self._emit([candidates], [kernel.full_matches(masks, (1 << width) - 1)])
+        return kernel.full_matches(masks, (1 << width) - 1)
 
 
 class HashDivision(DivisionOperator):
@@ -166,12 +198,11 @@ class HashDivision(DivisionOperator):
         streaming=False, startup_cost=24.0, per_input_cost=2.0, per_output_cost=1.0
     )
 
-    def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+    def _matches(self, kernel, candidates, value_codes, positions, width):
         masks = kernel.gather_sweep(
             len(candidates.keys), candidates.codes, value_codes, positions, width
         )
-        yield from self._emit([candidates], [kernel.full_matches(masks, (1 << width) - 1)])
+        return kernel.full_matches(masks, (1 << width) - 1)
 
 
 class MergeSortDivision(DivisionOperator):
@@ -217,8 +248,7 @@ class MergeSortDivision(DivisionOperator):
     def describe(self) -> str:
         return f"{self.name}(streaming)" if self.assume_clustered else self.name
 
-    def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+    def _matches(self, kernel, candidates, value_codes, positions, width):
         masks = kernel.merge_runs(
             len(candidates.keys),
             candidates.codes,
@@ -227,7 +257,7 @@ class MergeSortDivision(DivisionOperator):
             width,
             sort=not self.assume_clustered,
         )
-        yield from self._emit([candidates], [kernel.full_matches(masks, (1 << width) - 1)])
+        return kernel.full_matches(masks, (1 << width) - 1)
 
 
 class MergeCountDivision(DivisionOperator):
@@ -242,12 +272,11 @@ class MergeCountDivision(DivisionOperator):
         streaming=False, startup_cost=26.0, per_input_cost=2.0, per_output_cost=1.0
     )
 
-    def _produce_chunks(self) -> Iterator[Chunk]:
-        kernel, candidates, value_codes, positions, width = self._encoded_inputs()
+    def _matches(self, kernel, candidates, value_codes, positions, width):
         masks = kernel.gather_sweep(
             len(candidates.keys), candidates.codes, value_codes, positions, width
         )
-        yield from self._emit([candidates], [kernel.popcount_matches(masks, width)])
+        return kernel.popcount_matches(masks, width)
 
 
 class AlgebraSimulationDivision(DivisionOperator):

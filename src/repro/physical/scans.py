@@ -10,7 +10,9 @@ scanned without building its list — handed up as one
 :class:`~repro.physical.base.Chunk`: nothing sliced, nothing copied.  Only
 a plan whose batch size was set (``set_batch_size``,
 ``connect(batch_size=N)``, an emptiness probe) gets the block in slices of
-that size.
+that size.  The unsliced block carries a :class:`~repro.physical.base.BaseBlock`
+mark naming its relation, which the division operators answer from (the
+relation's containment bitmap).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from collections.abc import Iterator, Mapping
 
 from repro.errors import ExecutionError
-from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
+from repro.physical.base import BaseBlock, Chunk, PhysicalOperator, PhysicalProperties
 from repro.relation.relation import Relation
 
 __all__ = ["TableScan", "RelationScan"]
@@ -44,7 +46,10 @@ class _ScanBase(PhysicalOperator):
         relation = self.relation
         columns = relation.encoded_columns()
         block = Chunk.deferred(self._schema, columns, len(relation), relation.aligned_tuples)
-        return block.pieces(self.batch_size)
+        if self.batch_size != sys.maxsize:
+            return block.pieces(self.batch_size)
+        block._base = BaseBlock(relation)
+        return iter((block,))
 
 
 class RelationScan(_ScanBase):

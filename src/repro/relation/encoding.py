@@ -20,9 +20,12 @@ concatenate / mixed-radix step behind the division operators' key columns;
 few callers that must count them), :func:`repeat_codes` and
 :func:`as_code_buffer` (a quotient's code columns out of the kernels' match
 scans), :func:`split_code_columns` (the exchange's partition pass),
-:func:`patch_code_columns` (a table edit carried over to the encoding) and
-the mask helpers at the bottom (boolean arrays; callers treat masks as
-opaque values produced and consumed by these functions only).
+:func:`patch_code_columns` (a table edit carried over to the encoding),
+the mask helpers (boolean arrays; callers treat masks as opaque values
+produced and consumed by these functions only) and, at the bottom, what a
+restricted block and the division operators' containment bitmap read of
+a truth table: :func:`code_frequencies` (kept on the relation value),
+:func:`passing_count`, :func:`passing_codes` and :func:`entries_pass`.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ __all__ = [
     "mask_count",
     "mask_positions",
     "select_items",
+    "code_frequencies",
+    "passing_count",
+    "passing_codes",
+    "entries_pass",
 ]
 
 
@@ -678,3 +685,24 @@ def mask_positions(mask: Any) -> Any:
 def select_items(items: Sequence[Any], mask: Any) -> list[Any]:
     """The elements of a plain sequence where ``mask`` is set."""
     return list(itertools.compress(items, mask.tolist()))
+
+
+def code_frequencies(column: CodeColumn) -> Any:
+    """Tuples per dictionary entry of a column: one count over its codes."""
+    return _np.bincount(column.codes, minlength=len(column.dictionary))
+
+
+def passing_count(frequencies: Any, table: Any) -> int:
+    """Tuples whose entry ``table`` sets, from their column's
+    :func:`code_frequencies`: one pass over the dictionary, none over the codes."""
+    return int(frequencies[table].sum())
+
+
+def passing_codes(codes: Any, table: Any) -> Any:
+    """The codes of an index array whose entry ``table`` sets, in order."""
+    return codes[_np.take(table, codes)]
+
+
+def entries_pass(table: Any, codes: list[int]) -> bool:
+    """Whether ``table`` sets every entry of ``codes``."""
+    return bool(table[codes].all())

@@ -33,7 +33,7 @@ catalog's live set of the table's rows while that still holds exactly them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from typing import Any, Optional, Union
 
 from repro.errors import RelationError, SchemaError
@@ -107,7 +107,10 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_set", "_block", "_block_source", "_encoding", "_codes", "_row_source")
+    __slots__ = (
+        "_schema", "_set", "_block", "_block_source", "_encoding", "_codes", "_row_source",
+        "_summaries",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -128,6 +131,8 @@ class Relation:
         #: block is: the catalog sets it on a table's folded value, to hand
         #: over a copy of its live set (``None``: build from the block).
         self._row_source: Optional[_RowSource] = None
+        #: What :meth:`_summary` derived from the encoding (``None``: nothing yet).
+        self._summaries: Optional[dict[Hashable, Any]] = None
 
     @staticmethod
     def _coerce_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> Row:
@@ -175,7 +180,7 @@ class Relation:
         relation._schema = schema
         relation._set = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._block = relation._block_source = relation._encoding = relation._codes = None
-        relation._row_source = None
+        relation._row_source = relation._summaries = None
         return relation
 
     @classmethod
@@ -193,7 +198,7 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = relation._encoding = relation._codes = relation._row_source = None
-        relation._block, relation._block_source = tuples, None
+        relation._block, relation._block_source, relation._summaries = tuples, None, None
         return relation
 
     @classmethod
@@ -204,7 +209,7 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = relation._block = relation._block_source = relation._encoding = None
-        relation._row_source = None
+        relation._row_source = relation._summaries = None
         relation._codes = columns
         return relation
 
@@ -343,6 +348,22 @@ class Relation:
             self._encoding = encoding
         return encoding
 
+    def _summary(self, key: Hashable, build: Callable[[tuple[CodeColumn, ...]], Any]) -> Any:
+        """What ``build`` derives from :meth:`encoded_columns` — a column's
+        code frequencies, two columns' containment bitmap (the division
+        operators') — built on the first ask and kept under ``key``.
+
+        The summaries share the encoding's lifetime: they are this value's,
+        so they die with it, and a table's edit, which folds into a new
+        value, needs no invalidation (the new value builds its own).
+        """
+        summaries = self._summaries
+        if summaries is None:
+            summaries = self._summaries = {}
+        if key not in summaries:
+            summaries[key] = build(self.encoded_columns())
+        return summaries[key]
+
     @property
     def cached_encoding(self) -> Optional[tuple[CodeColumn, ...]]:
         """:meth:`encoded_columns` if this value already carries it, else
@@ -371,6 +392,7 @@ class Relation:
             "_encoding": None,
             "_codes": codes,
             "_row_source": None,
+            "_summaries": None,
         }
 
     def _align(self, row: Row) -> Row:

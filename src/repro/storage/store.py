@@ -115,7 +115,7 @@ class StoredRelation(Relation):
     def __init__(self, reader: TableReader) -> None:
         self._schema = Schema.interned(reader.attributes)
         self._reader = reader
-        self._set = self._tuples = self._codes = self._row_source = None
+        self._set = self._tuples = self._codes = self._row_source = self._summaries = None
         # The inherited encoding cache stays empty until something scans the
         # materialized tuples; opening a store must not decode a block.
         self._encoding = None

@@ -281,6 +281,54 @@ class TestRefusedTableCallsChangeNothing:
             connect({name: self.RELATION})
 
 
+class TestMutationRowsNameOnlyTheTablesAttributes:
+    """A mapping row that names an attribute the table lacks is refused
+    before anything is recorded, by insert and by delete alike."""
+
+    def test_insert_with_an_unknown_attribute(self, db):
+        db.sql(Q2).run()
+        before = session_state(db)
+        with pytest.raises(SchemaError, match="zzz"):
+            db.insert("supplies", [{"s_no": "s9", "p_no": "p1", "zzz": 9}])
+        assert session_state(db) == before
+        assert db.insert("supplies", [{"s_no": "s9", "p_no": "p1"}]).version == 1
+
+    def test_delete_with_an_unknown_attribute(self, db):
+        row = next(iter(db.relation("supplies")))
+        mapping = {"s_no": row["s_no"], "p_no": row["p_no"]}
+        db.sql(Q2).run()
+        before = session_state(db)
+        with pytest.raises(SchemaError, match="zzz"):
+            db.delete("supplies", [{**mapping, "zzz": 9}])
+        assert session_state(db) == before and row in db.relation("supplies")
+        assert len(db.delete("supplies", [mapping]).deleted) == 1
+
+    def test_one_bad_row_refuses_the_batch(self, db):
+        before = session_state(db)
+        rows = [{"s_no": "s9", "p_no": "p1"}, {"s_no": "s9", "p_no": "p2", "colour": "red"}]
+        with pytest.raises(SchemaError, match="colour"):
+            db.insert("supplies", rows)
+        assert session_state(db) == before
+
+
+class TestSqlArguments:
+    """``sql`` checks its arguments at the call and names the one it refuses."""
+
+    @pytest.mark.parametrize("text", [5, b"SELECT s_no FROM supplies", None, ["SELECT"]])
+    def test_text_must_be_a_str(self, db, text):
+        with pytest.raises(ReproError, match="text must be a str"):
+            db.sql(text)
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, "yes"])
+    def test_recognize_division_must_be_a_bool_or_none(self, db, flag):
+        with pytest.raises(ReproError, match="recognize_division must be a bool or None"):
+            db.sql(Q2, recognize_division=flag)
+
+    @pytest.mark.parametrize("flag", [None, True, False])
+    def test_good_arguments_run(self, db, flag):
+        assert db.sql(Q2, recognize_division=flag).run().relation == db.sql(Q2).run().relation
+
+
 class TestAnalyze:
     def test_analyze_refreshes_statistics(self):
         db = connect()

@@ -583,3 +583,33 @@ class TestRP414QueryPathInterpretsNoExpression:
             if found.code == "RP414"
         ]
         assert sites == ["laws/base.py"]
+
+
+class TestRP415NoOperatorChargesAnothersCounter:
+    def test_counter_writes_outside_the_base_class_are_flagged(self, lint, tmp_path):
+        """The fixture is the shortcut the rule was written against: an
+        operator answering from a cache and charging its input's count."""
+        path = write(
+            tmp_path,
+            "class Division(PhysicalOperator):\n"
+            "    def _produce_chunks(self):\n"
+            "        self._children[0].tuples_out += len(self.cached)\n"
+            "        scan = self._children[0]\n"
+            "        scan.tuples_out, other = 0, 1\n"
+            "        yield from self._emit()\n"
+            "    def chunks(self):\n"
+            "        self.tuples_out: int = 5\n"
+            "        return iter(())\n"
+            "count = scan.tuples_out\n",
+        )
+        findings = list(lint._check_counter_writes(path))
+        assert codes(findings) == ["RP415"] * 3
+        assert [f.where.rsplit(":", 1)[1] for f in findings] == ["3", "5", "8"]
+        assert findings[0].message.startswith("self._children[0].tuples_out is assigned outside")
+
+    def test_the_base_class_count_and_resets_are_the_only_writers(self, lint):
+        for path in lint._python_files(lint.SOURCE_DIR):
+            assert list(lint._check_counter_writes(path)) == [], path
+        base = lint.PHYSICAL_DIR / "base.py"
+        source = base.read_text()
+        assert source.count(".tuples_out = 0") == 2 and source.count(".tuples_out += ") == 1
