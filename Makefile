@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e
+.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-pairs
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -72,3 +72,11 @@ bench:
 ## untraced and traced, every metric printed by name and unit.
 bench-e2e:
 	$(PYTHON) -m bench
+
+## A speed claim: alternating parent/change runs of one workload (ten
+## counted pairs after one unused warm-up pair) and the house-rule verdict,
+## e.g. `make bench-pairs WORKLOAD=divide_mem PARENT=HEAD~1`.
+WORKLOAD ?= divide_mem
+PARENT ?= HEAD~1
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT)

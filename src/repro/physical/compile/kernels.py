@@ -5,8 +5,12 @@ seam (:func:`active_kernel`): the *gather sweep* that ORs each dividend
 tuple's divisor bit into its candidate's bitmask, the *run merge* of
 merge-sort division (the same masks, one candidate run at a time in the
 Python reference, the gather sweep itself once vectorized) and the *match
-scan* that finds the candidates whose bitmask is full / a superset / has
-the required popcount.  All work on the integer key codes the key-column
+scans* that find the candidates whose bitmask is full / a superset / has
+the required popcount.  A division over a relation's containment bitmap
+(value-major: the gather sweep with the value codes as rows, one row of
+candidate bits per value) has one scan of its own, the *intersection
+scan*: per divisor set, the AND of its values' rows, every set of the
+division in one call.  All work on the integer key codes the key-column
 seam (:mod:`repro.physical.division.keys`) hands out.  Two implementations
 exist:
 
@@ -14,12 +18,14 @@ exist:
   over *multi-word* masks, ``(n, ⌈bits/64⌉)`` ``uint64`` arrays, so a
   divisor of any width stays vectorized (a byte-flag scatter packed into
   words — ``np.bitwise_or.at`` where the flags would outgrow the input —
-  then word-wise compare / subset / popcount scans);
+  then word-wise compare / subset / popcount scans, and an intersection
+  scan that gathers every set's rows, ANDs them with one ``reduceat`` and
+  unpacks the result words with a hit in one pass);
 * :class:`PythonBitsetKernel` — plain loops over Python ``int`` bitmasks
   (arbitrary precision).  The numpy kernel hands it the inputs it is
-  measured faster on — fewer than ``_MIN_VECTOR_SIZE`` tuples, or int-mask
-  lists that short — and the tests hold every result of the numpy kernel
-  against it.
+  measured faster on — fewer than ``_MIN_VECTOR_SIZE`` tuples, int-mask
+  lists that short, or an intersection scan of that few values over short
+  rows — and the tests hold every result of the numpy kernel against it.
 
 Results never depend on the kernel in use.  The partitioned wrappers run
 the unchanged serial operators over each partition, so the kernel
@@ -29,8 +35,10 @@ and the ``numpy-kernel`` gate pin a kernel with :func:`use_kernel`.
 
 from __future__ import annotations
 
+import functools
+import operator
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as _np
 
@@ -48,9 +56,22 @@ __all__ = [
 #: numpy kernel — the array conversion would cost more than it saves.
 _MIN_VECTOR_SIZE = 32
 
+#: The numpy intersection scan hands the reference a scan of fewer than
+#: ``_MIN_VECTOR_SIZE`` divisor values that gathers fewer row words than this.
+_MIN_VECTOR_WORDS = 1024
+
+#: Masks up to this many bits are swept by the Python reference one OR per
+#: tuple; wider ones are built once per mask from their positions.
+_NARROW_MASK_BITS = 1024
+
 #: Tuples per pass of the numpy gather sweep: bounds its index/bit
 #: temporaries (a few arrays of this length) whatever the input size.
 _SWEEP_SLAB = 1 << 16
+
+#: Words of bitmap rows the numpy intersection scan gathers per pass: bounds
+#: its temporaries (2 MB of rows, at most 16 MB of result flags) however
+#: many sets it answers.
+_MATCH_SLAB = 1 << 18
 
 
 class PythonBitsetKernel:
@@ -76,12 +97,26 @@ class PythonBitsetKernel:
         ``positions[v]`` is the divisor bit of value code ``v`` (below
         ``width``), or ``-1`` when the value is not in the divisor.
         """
-        bits = [1 << position if position >= 0 else 0 for position in positions]
-        masks = [0] * count
-        pairs = zip(self.prepare_indices(candidate_codes), self.prepare_indices(value_codes))
-        for candidate, value in pairs:
-            masks[candidate] |= bits[value]
-        return masks
+        if width <= _NARROW_MASK_BITS:
+            bits = [1 << position if position >= 0 else 0 for position in positions]
+            masks = [0] * count
+            pairs = zip(self.prepare_indices(candidate_codes), self.prepare_indices(value_codes))
+            for candidate, value in pairs:
+                masks[candidate] |= bits[value]
+            return masks
+        # Wide masks (a containment bitmap's rows are ``|A|`` bits) are built
+        # once each from their positions: ORing ``1 << position`` per tuple
+        # copies the mask every time, and the list of those ints would hold
+        # ``width²/8`` bytes.
+        members: list[list[int]] = [[] for _ in range(count)]
+        pairs = zip(
+            self.prepare_indices(candidate_codes),
+            map(positions.__getitem__, self.prepare_indices(value_codes)),
+        )
+        for candidate, position in pairs:
+            if position >= 0:
+                members[candidate].append(position)
+        return [_mask_of(row, width) for row in members]
 
     def merge_runs(
         self,
@@ -144,10 +179,67 @@ class PythonBitsetKernel:
         """Indices where ``masks[i] == fulls[i]`` (pairwise)."""
         return _indices([i for i, (mask, full) in enumerate(zip(masks, fulls)) if mask == full])
 
+    def intersection_matches(
+        self,
+        rows: Any,
+        set_codes: Any,
+        value_codes: Any,
+        row_of: Sequence[int],
+        count: int,
+        allowed: Any = None,
+    ) -> tuple[Any, Any]:
+        """The ``(candidate, set)`` pairs whose candidate is in the row of
+        every value of the set — and in the truth table ``allowed`` over the
+        candidates, when given: per set, the AND of its values' rows.
+
+        Set ``s`` holds every value ``value_codes[i]`` with ``set_codes[i]
+        == s``; value ``v``'s row is ``rows[row_of[v]]`` (a :meth:`gather_sweep`
+        mask of width ``count``), a negative ``row_of`` entry an empty row.
+        Two index arrays, candidates and sets: by set code, candidates
+        ascending within a set."""
+        members: dict[int, list[int]] = {}
+        pairs = zip(self.prepare_indices(set_codes), self.prepare_indices(value_codes))
+        for set_code, value in pairs:
+            members.setdefault(set_code, []).append(row_of[value])
+        every = (1 << count) - 1
+        if allowed is not None:  # bit ``a`` of the packed table is candidate ``a``
+            every = int.from_bytes(_np.packbits(allowed, bitorder="little").tobytes(), "little")
+        candidates: list[int] = []
+        sets: list[int] = []
+        for set_code in sorted(members):
+            codes = members[set_code]
+            mask = 0
+            if min(codes) >= 0:
+                mask = functools.reduce(operator.and_, map(rows.__getitem__, codes), every)
+            hits = _set_bits(mask)
+            candidates += hits
+            sets += [set_code] * len(hits)
+        return _indices(candidates), _indices(sets)
+
 
 def _indices(found: list[int]) -> Any:
     """A match scan's indices as an ``int32`` index array."""
     return _np.array(found, dtype=_np.int32)
+
+
+def _mask_of(positions: Iterable[int], width: int) -> int:
+    """The ``int`` mask with the bits at ``positions`` (below ``width``) set:
+    one binary digit string, parsed once."""
+    digits = bytearray(b"0") * width
+    for position in positions:
+        digits[width - 1 - position] = 49  # ord("1")
+    return int(digits, 2) if width else 0
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of ``mask``'s set bits, ascending."""
+    digits = bin(mask)[:1:-1]  # bit i at index i
+    found = []
+    position = digits.find("1")
+    while position >= 0:
+        found.append(position)
+        position = digits.find("1", position + 1)
+    return found
 
 
 class NumpyBitsetKernel(PythonBitsetKernel):
@@ -224,7 +316,13 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         if len(candidate_codes) < _MIN_VECTOR_SIZE:
             return super().gather_sweep(count, candidate_codes, value_codes, positions, width)
         words = max(1, -(-width // 64))
-        position = _np.fromiter(positions, dtype=_np.intp, count=len(positions))
+        # Identity positions (a containment bitmap's): each value code is its
+        # own bit, so no position table is read per tuple.
+        identity = isinstance(positions, range) and positions == range(len(positions))
+        if identity:
+            position = _np.arange(len(positions), dtype=_np.intp)
+        else:
+            position = _np.fromiter(positions, dtype=_np.intp, count=len(positions))
         valid = position >= 0
         candidates = self._index_array(candidate_codes)
         values = self._index_array(value_codes)
@@ -259,7 +357,7 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             flags = _np.zeros(count * stride, dtype=_np.uint8)
             for candidate, value in slabs():
                 index = candidate.astype(index_type, copy=False) * stride
-                index += offset.take(value)
+                index += value if identity else offset.take(value)
                 flags[index] = 1
             return _np.packbits(flags, bitorder="little").view("<u8").reshape(count, words)
         # Per value code: the mask word its bit lives in and the bit itself
@@ -319,6 +417,87 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             return super().equal_matches(masks, fulls)
         array = self._mask_array(masks, max(fulls, default=0))
         return self._matching_rows(array, self._words(fulls, array.shape[1]))
+
+    def intersection_matches(
+        self,
+        rows: Any,
+        set_codes: Any,
+        value_codes: Any,
+        row_of: Sequence[int],
+        count: int,
+        allowed: Any = None,
+    ) -> tuple[Any, Any]:
+        if not isinstance(rows, _np.ndarray):  # a sweep of under 32 tuples
+            return super().intersection_matches(
+                rows, set_codes, value_codes, row_of, count, allowed
+            )
+        pairs, words = len(value_codes), rows.shape[1]
+        if pairs < _MIN_VECTOR_SIZE and pairs * words < _MIN_VECTOR_WORDS:
+            # Few values over short rows: numpy's per-call cost would be most
+            # of the time, so the reference ANDs them as ``int`` rows.
+            return super().intersection_matches(
+                _IntRows(rows), set_codes, value_codes, row_of, count, allowed
+            )
+        # The pairs set by set: each set's rows are one run of ``codes``.
+        sets = self._index_array(set_codes)
+        order = _np.argsort(sets, kind="stable")
+        sets = sets[order]
+        codes = _np.take(row_of, self._index_array(value_codes)[order])
+        starts = [0, *(_np.flatnonzero(sets[1:] != sets[:-1]) + 1).tolist()]
+        if allowed is not None:
+            packed = _np.zeros(words * 8, dtype=_np.uint8)
+            packed[: -(-count // 8)] = _np.packbits(allowed, bitorder="little")
+            allowed = packed.view("<u8")
+        candidates, owners = [], []
+        bounds = [*starts, len(codes)]
+        for first, stop in _passes(bounds, max(1, _MATCH_SLAB // words)):
+            low = bounds[first]
+            run = codes[low : bounds[stop]]
+            gathered = rows[run]
+            if run.min() < 0:
+                gathered[run < 0] = 0
+            offsets = [start - low for start in starts[first:stop]]
+            hits = _np.bitwise_and.reduceat(gathered, offsets, axis=0)
+            if allowed is not None:
+                hits &= allowed
+            # Only the words with a hit are unpacked.  Bit ``j`` of word ``w``
+            # of the pass's ``k``-th set is candidate ``64 w + j``, and the flat
+            # word order keeps every set's candidates ascending.
+            hits = hits.ravel()
+            nonzero = _np.flatnonzero(hits)
+            flags = _np.unpackbits(hits[nonzero].view(_np.uint8), bitorder="little")
+            position = _np.flatnonzero(flags.view(bool))  # a quarter of the time of bytes
+            set_index, word = _np.divmod(nonzero[position >> 6], words)
+            candidates.append((word << 6) | (position & 63))
+            owners.append(sets[_np.take(starts, set_index + first)])
+        return (
+            _np.concatenate(candidates).astype(_np.int32),
+            _np.concatenate(owners).astype(_np.int32),
+        )
+
+
+class _IntRows:
+    """Word-array rows read as Python ``int`` masks, a row at a time."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Any) -> None:
+        self._rows = rows
+
+    def __getitem__(self, code: int) -> int:
+        return int.from_bytes(self._rows[code].tobytes(), "little")
+
+
+def _passes(bounds: list[int], budget: int) -> Iterator[tuple[int, int]]:
+    """Runs ``[first, stop)`` of consecutive sets, set ``i`` being rows
+    ``bounds[i]:bounds[i + 1]``, of at most ``budget`` rows each (a larger
+    set alone)."""
+    first = 0
+    for stop in range(2, len(bounds)):
+        if bounds[stop] - bounds[first] > budget:
+            yield first, stop - 1
+            first = stop - 1
+    yield first, len(bounds) - 1
 
 
 #: Shared kernel instances (both are stateless), by the name

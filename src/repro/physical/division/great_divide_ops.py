@@ -23,9 +23,10 @@ ints and every per-key lookup happens once per dictionary entry.
 
 The nested-loops and groupwise algorithms answer a dividend that is a
 relation's whole or restricted block from its containment bitmap instead
-(see :mod:`~repro.physical.division.keys`): each divisor group is one
-need-mask over the dividend's ``B`` codes, found by the kernel's subset
-scan.  Hash great division keeps its per-(candidate, group) sweep.
+(see :mod:`~repro.physical.division.keys`): each divisor group is the set
+of its values' rows, and the kernel's intersection scan answers every
+group in one call.  Hash great division keeps its per-(candidate, group)
+sweep.
 """
 
 from __future__ import annotations
@@ -87,20 +88,21 @@ class GreatDivisionOperator(KeyedDivisionOperator):
     def _produce_chunks(self) -> Iterator[Chunk]:
         """Drain both inputs once — the divisor's sides, the dividend's
         ``A`` and ``B`` sides as they come — then one match scan per group
-        (:meth:`_matches`, or the containment bitmap's)."""
+        (:meth:`_matches`), or one intersection scan over the containment
+        bitmap for all of them."""
         groups, divisor_values = self._divisor_sides()
         kernel, candidates, values, containment = self._dividend_keys(
             self.a, self.b, bitmap=self._reads_bitmap
         )
         if containment is not None:
-            value_sets: list[list[Any]] = [[] for _ in groups.keys]
-            pairs = zip(iter_codes(groups.codes), iter_codes(divisor_values.codes))
-            for group, value in pairs:
-                value_sets[group].append(divisor_values.keys[value])
-            matches = containment.matches(kernel, value_sets)
+            codes = containment.matches(
+                kernel, groups.codes, divisor_values.codes, divisor_values.keys
+            )
         else:
             matches = self._matches(kernel, groups, divisor_values, candidates, values)
-        yield from self._emit_groups(candidates, groups, matches)
+            group_codes = repeat_codes(range(len(matches)), list(map(len, matches)))
+            codes = (concatenate_codes(matches), group_codes)
+        yield from self._emit((candidates, groups), codes)
 
     def _matches(
         self,
@@ -112,13 +114,6 @@ class GreatDivisionOperator(KeyedDivisionOperator):
     ) -> list[Any]:
         """Per group code, the codes of the candidates that contain it."""
         raise NotImplementedError
-
-    def _emit_groups(
-        self, candidates: KeySide, groups: KeySide, matches: list[Any]
-    ) -> Iterator[Chunk]:
-        """The quotient from one match scan per group code, in group order."""
-        group_codes = repeat_codes(range(len(matches)), list(map(len, matches)))
-        return self._emit((candidates, groups), (concatenate_codes(matches), group_codes))
 
 
 class NestedLoopsGreatDivision(GreatDivisionOperator):

@@ -37,16 +37,20 @@ block a :class:`~repro.physical.basic.Filter` made of one (see
 :class:`~repro.physical.base.BaseBlock`), and both key sides are single
 attributes, :func:`encode_keys` answers with a :class:`Containment`
 before anything reads the chunk's columns: the relation's *containment
-bitmap* (row ``a``, bit ``b`` set iff the tuple ``(a, b)`` exists; built
-once per relation value by the kernel's gather sweep at identity
-positions and kept on the value, :meth:`~repro.relation.relation.Relation._summary`)
-plus the restriction.  A divisor (group) then becomes a need-mask over the
-dividend's ``B`` codes and the kernel's subset scan compares it with every
-row; a restriction on ``A`` masks the candidates (Law 3 read right to left:
-``σ_p(A)(r1) ÷ r2 = σ_p(A)(r1 ÷ r2)``) and one on ``B`` the bits.  A bitmap
-is built only where its bytes are at most those of the two code buffers
-it summarises; elsewhere, and for every other input, the sides come back
-as above and the operator sweeps.
+bitmap* (value-major: row ``b`` holds, as ``⌈|A|/64⌉`` words, the
+candidates ``a`` with ``(a, b)`` a tuple; built once per relation value by
+the kernel's gather sweep with the value codes as rows, at identity
+positions, and kept on the value,
+:meth:`~repro.relation.relation.Relation._summary`) plus the restriction.
+A divisor (group) of ``d`` values is then the AND of those ``d`` rows, and
+every set of a division is answered in one kernel call
+(:meth:`~repro.physical.compile.kernels.PythonBitsetKernel.intersection_matches`);
+a restriction on ``A`` is one more row ANDed into every result (Law 3 read
+right to left: ``σ_p(A)(r1) ÷ r2 = σ_p(A)(r1 ÷ r2)``), and a value that a
+restriction on ``B`` fails, or that the dictionary lacks, empties its set.
+A bitmap is built only where its bytes, ``|B| · ⌈|A|/64⌉ · 8``, are at most
+those of the two code buffers it summarises; elsewhere, and for every other
+input, the sides come back as above and the operator sweeps.
 
 :meth:`KeyedDivisionOperator._emit` is the single way out: the quotient
 is one chunk of code columns over the sides' own key lists (a composite
@@ -58,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any, NamedTuple, Optional
 
 from repro.physical.base import Chunk, PhysicalOperator, TupleProjector, _shares_dictionaries
@@ -67,10 +71,7 @@ from repro.relation.encoding import (
     CodeColumn,
     DenseEncoder,
     as_code_buffer,
-    code_buffer,
-    entries_pass,
     merge_code_columns,
-    passing_codes,
 )
 from repro.relation.schema import Schema
 
@@ -108,38 +109,42 @@ class KeySide:
 
 
 class Containment(NamedTuple):
-    """A dividend answered from its relation's containment bitmap."""
+    """A dividend answered from its relation's containment bitmap.
 
-    #: Per candidate code, the mask of the value codes it holds (a kernel's
-    #: sweep result: ``(|A|, words)`` ``uint64`` rows, or Python ints).
-    masks: Any
+    The bitmap is value-major (one row of candidates per value code), so a
+    set of divisor values costs the AND of its rows — ``d`` rows of
+    ``⌈|A|/64⌉`` words — and not a compare with every candidate's row."""
+
+    #: Per value code, the candidates holding it (a kernel's sweep result:
+    #: ``(|B|, ⌈|A|/64⌉)`` ``uint64`` rows, or Python ints).
+    rows: Any
     #: The relation's value dictionary (code → key of ``B``).
     values: list[Any]
+    #: The relation's candidate count (``|A|``, the width of a row).
+    count: int
     #: Truth tables of a restricted block's predicate, over ``A`` or ``B``.
     candidate_table: Any
     value_table: Any
     #: What ``explain`` prints on its ``· bitmap:`` line.
     description: str
 
-    def matches(self, kernel: PythonBitsetKernel, key_sets: Iterable[Sequence[Any]]) -> list[Any]:
-        """Per non-empty set of divisor keys, the candidate codes (ascending)
-        whose tuples left hold every one of them: the set's need-mask over
-        the value codes, compared with every row by the kernel's subset scan."""
+    def matches(
+        self, kernel: PythonBitsetKernel, set_codes: Any, value_codes: Any, keys: Sequence[Any]
+    ) -> tuple[Any, Any]:
+        """The quotient's ``(candidate, set)`` code pairs: per set of the
+        divisor's ``(set, value)`` pairs (value codes indexing ``keys``), the
+        candidates whose tuples left hold every value of the set — the AND
+        of the values' rows, every set in one kernel call.  A value no tuple
+        left carries (missing from the dictionary, or failing a ``σ`` on
+        ``B``) is an empty row, so its set matches nothing."""
         code_of = dict(zip(self.values, range(len(self.values))))
-        found = []
-        for keys in key_sets:
-            codes = [code_of.get(key, -1) for key in keys]
-            if -1 in codes or (
-                self.value_table is not None and not entries_pass(self.value_table, codes)
-            ):
-                found.append(code_buffer((), 0))  # a value no tuple left carries
-                continue
-            need = functools.reduce(operator.or_, (1 << code for code in codes), 0)
-            hits = kernel.subset_matches(self.masks, need)
-            if self.candidate_table is not None:
-                hits = passing_codes(hits, self.candidate_table)
-            found.append(hits)
-        return found
+        row_of = [code_of.get(key, -1) for key in keys]
+        table = self.value_table
+        if table is not None:
+            row_of = [row if row >= 0 and table[row] else -1 for row in row_of]
+        return kernel.intersection_matches(
+            self.rows, set_codes, value_codes, row_of, self.count, self.candidate_table
+        )
 
 
 class EncodedKeys(NamedTuple):
@@ -274,39 +279,41 @@ def _containment(
         if restriction[0] not in tables:
             return None
         tables[restriction[0]] = restriction[1]
-    masks = relation._summary(
+    rows = relation._summary(
         ("containment", a, b, kernel.name), functools.partial(_containment_bitmap, kernel, a, b)
     )
-    if masks is None:
+    if rows is None:
         return None
     columns = relation.encoded_columns()
     candidates, values = columns[a], columns[b]
+    count = len(candidates.dictionary)
     description = (
         f"{schema.names[a]} → {schema.names[b]}, "
-        f"{len(candidates.dictionary)} rows × {len(values.dictionary)} bits"
+        f"{count} rows × {len(values.dictionary)} bits"
     )
     if restriction is not None:
         masked = "candidates" if restriction[0] == a else "values"
         description += f", σ on {schema.names[restriction[0]]} masks {masked}"
     sides = tuple(KeySide(c.codes, c.dictionary, True, False) for c in (candidates, values))
-    containment = Containment(masks, values.dictionary, tables[a], tables[b], description)
+    containment = Containment(rows, values.dictionary, count, tables[a], tables[b], description)
     return EncodedKeys(sides, "cached codes (1 chunk)", containment)
 
 
 def _containment_bitmap(
     kernel: PythonBitsetKernel, a: int, b: int, columns: tuple[CodeColumn, ...]
 ) -> Any:
-    """Row ``a``, bit ``b`` set iff the relation holds ``(a, b)``: the
-    kernel's gather sweep at identity positions.  ``None`` when the bitmap's
-    bytes would exceed those of the two code buffers it summarises — a
-    structural bound, so no bitmap outgrows the encoding it sits beside."""
+    """Row ``b``, bit ``a`` set iff the relation holds ``(a, b)``: the
+    kernel's gather sweep with the value codes as rows, at identity
+    positions.  ``None`` when the bitmap's bytes would exceed those of the
+    two code buffers it summarises — a structural bound, so no bitmap
+    outgrows the encoding it sits beside."""
     candidates, values = columns[a], columns[b]
-    width = len(values.dictionary)
+    width = len(candidates.dictionary)
     summarised = candidates.codes.nbytes + values.codes.nbytes
-    if len(candidates.dictionary) * -(-width // 64) * 8 > summarised:
+    if len(values.dictionary) * -(-width // 64) * 8 > summarised:
         return None
     return kernel.gather_sweep(
-        len(candidates.dictionary), candidates.codes, values.codes, range(width), width
+        len(values.dictionary), values.codes, candidates.codes, range(width), width
     )
 
 

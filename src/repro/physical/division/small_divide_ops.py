@@ -32,10 +32,10 @@ kernel instead of per-row set-of-tuples bookkeeping.
 
 Hash, merge-count and merge-sort division answer a dividend that is a
 relation's whole or restricted block from its containment bitmap instead
-(see :mod:`~repro.physical.division.keys`): the divisor is one need-mask
-over the dividend's ``B`` codes and the kernel's subset scan finds the
-candidates that hold it.  The nested-loops division sweeps on purpose, and
-the algebra simulation has no sweep.
+(see :mod:`~repro.physical.division.keys`): the candidates that hold the
+divisor are the AND of its values' rows, one kernel intersection scan.
+The nested-loops division sweeps on purpose, and the algebra simulation
+has no sweep.
 """
 
 from __future__ import annotations
@@ -111,13 +111,15 @@ class DivisionOperator(KeyedDivisionOperator):
         except that under an empty divisor every candidate matches, and
         then only the candidates that occur may (so an empty divisor sweeps).
         """
-        (divisor_side,) = encode_keys(self._children[1], self.schemas.b).sides
-        divisor_keys = divisor_side.dense().keys
+        (divisor,) = encode_keys(self._children[1], self.schemas.b).sides
+        divisor = divisor.dense()
+        divisor_keys = divisor.keys
         kernel, candidates, values, containment = self._dividend_keys(
             self.schemas.a, self.schemas.b, bitmap=self._reads_bitmap and bool(divisor_keys)
         )
-        if containment is not None:
-            (matches,) = containment.matches(kernel, [divisor_keys])
+        if containment is not None:  # one set: the whole divisor
+            one_set = [0] * len(divisor.codes)
+            matches, _ = containment.matches(kernel, one_set, divisor.codes, divisor_keys)
         else:
             position_of = {key: position for position, key in enumerate(divisor_keys)}
             if not position_of:

@@ -24,8 +24,8 @@ scans), :func:`split_code_columns` (the exchange's partition pass),
 the mask helpers (boolean arrays; callers treat masks as opaque values
 produced and consumed by these functions only) and, at the bottom, what a
 restricted block and the division operators' containment bitmap read of
-a truth table: :func:`code_frequencies` (kept on the relation value),
-:func:`passing_count`, :func:`passing_codes` and :func:`entries_pass`.
+a truth table: :func:`code_frequencies` (kept on the relation value) and
+:func:`passing_count`.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ __all__ = [
     "select_items",
     "code_frequencies",
     "passing_count",
-    "passing_codes",
-    "entries_pass",
 ]
 
 
@@ -695,14 +693,4 @@ def code_frequencies(column: CodeColumn) -> Any:
 def passing_count(frequencies: Any, table: Any) -> int:
     """Tuples whose entry ``table`` sets, from their column's
     :func:`code_frequencies`: one pass over the dictionary, none over the codes."""
-    return int(frequencies[table].sum())
-
-
-def passing_codes(codes: Any, table: Any) -> Any:
-    """The codes of an index array whose entry ``table`` sets, in order."""
-    return codes[_np.take(table, codes)]
-
-
-def entries_pass(table: Any, codes: list[int]) -> bool:
-    """Whether ``table`` sets every entry of ``codes``."""
-    return bool(table[codes].all())
+    return int(frequencies.sum(where=table))

@@ -6,6 +6,8 @@ vectorized (no per-call Python fallback), and the match scans return
 ascending indices — the same emission order as the reference.
 """
 
+import random
+
 import numpy
 import pytest
 
@@ -233,3 +235,179 @@ class TestKernelPrimitives:
         fulls = [0b101, 0b011, 0b010, 0b110] * 10
         equal = list(python.equal_matches(list(masks), fulls))
         assert list(vectorized.equal_matches(list(masks), fulls)) == equal == sorted(equal)
+
+
+# ----------------------------------------------------------------------
+# the intersection scan (a division over a containment bitmap)
+# ----------------------------------------------------------------------
+#: Candidate counts across the vectorization threshold and the word edges.
+INTERSECTION_COUNTS = (1, 31, 32, 33, 63, 64, 65, 200)
+#: Value codes: 0 is held by every candidate, 1 by none.
+INTERSECTION_VALUES = 80
+
+
+def containment_input(count: int, seed: int):
+    """``(value codes, candidate codes)`` of a relation whose candidate
+    ``a`` holds value 0, never value 1, and a random half of the rest —
+    at least 32 tuples, so the numpy sweep builds word rows."""
+    rng = random.Random(seed)
+    pairs = [
+        (candidate, value)
+        for candidate in range(count)
+        for value in [0, *rng.sample(range(2, INTERSECTION_VALUES), INTERSECTION_VALUES // 2)]
+    ]
+    rng.shuffle(pairs)
+    return [value for _, value in pairs], [candidate for candidate, _ in pairs]
+
+
+def containment_rows(kernel, count, values, candidates):
+    """Row ``b``: the candidates holding value ``b`` (the roles swapped)."""
+    return kernel.gather_sweep(INTERSECTION_VALUES, values, candidates, range(count), count)
+
+
+def intersection_sets(seed: int):
+    """More than 64 sets: a repeated code, one of more than 64 values, the
+    value every candidate holds, the one no candidate does."""
+    rng = random.Random(seed)
+    sets = [[0], [1], [0, 0], [5, 5, 9, 5], list(range(2, 70)), [0, 1]]
+    sets += [rng.sample(range(INTERSECTION_VALUES), rng.randint(1, 4)) for _ in range(64)]
+    return sets
+
+
+def as_pairs(code_sets, seed: int):
+    """The sets as ``(set codes, value codes)`` pairs, shuffled."""
+    pairs = [(number, code) for number, codes in enumerate(code_sets) for code in codes]
+    random.Random(seed).shuffle(pairs)
+    return [number for number, _ in pairs], [code for _, code in pairs]
+
+
+def intersection_definition(count, values, candidates, code_sets, allowed):
+    """``(candidate, set)`` pairs by set, candidates ascending."""
+    held = set(zip(candidates, values))
+    return [
+        (a, number)
+        for number, codes in enumerate(code_sets)
+        for a in range(count)
+        if all((a, b) in held for b in codes) and allowed[a]
+    ]
+
+
+def hit_pairs(found):
+    candidates, sets = found
+    assert isinstance(candidates, numpy.ndarray) and isinstance(sets, numpy.ndarray)
+    return list(zip(candidates.tolist(), sets.tolist()))
+
+
+#: Each value's row is its own code, except value 3: it has no row.
+ROW_OF = [code if code != 3 else -1 for code in range(INTERSECTION_VALUES)]
+
+
+@pytest.mark.parametrize("count", INTERSECTION_COUNTS)
+@pytest.mark.parametrize("table", ["none", "random", "no hits", "every candidate"])
+def test_intersection_matches_equals_the_python_reference(count, table):
+    values, candidates = containment_input(count, seed=count)
+    code_sets = intersection_sets(seed=count + 1) + [[3], [0, 3]]
+    set_codes, value_codes = as_pairs(code_sets, seed=count + 3)
+    rng = random.Random(count + 2)
+    allowed = {
+        "none": None,
+        "random": numpy.array([rng.random() < 0.5 for _ in range(count)]),
+        "no hits": numpy.zeros(count, dtype=bool),
+        "every candidate": numpy.ones(count, dtype=bool),
+    }[table]
+    python, vectorized = PythonBitsetKernel(), NumpyBitsetKernel()
+    rows = containment_rows(vectorized, count, values, candidates)
+    assert rows.shape == (INTERSECTION_VALUES, -(-count // 64))
+    reference_rows = containment_rows(python, count, values, candidates)
+    assert reference_rows == [
+        sum(int(word) << (64 * i) for i, word in enumerate(row)) for row in rows
+    ]
+    arguments = (set_codes, value_codes, ROW_OF, count, allowed)
+    reference = hit_pairs(python.intersection_matches(reference_rows, *arguments))
+    found = hit_pairs(vectorized.intersection_matches(rows, *arguments))
+    truth = allowed if allowed is not None else [True] * count
+    emptied = [[code if code != 3 else 1 for code in codes] for codes in code_sets]
+    expected = intersection_definition(count, values, candidates, emptied, truth)
+    assert found == reference == expected
+    # The value every candidate holds, the one none holds: no padding bit
+    # past ``count`` is ever reported.
+    assert [a for a, number in found if number == 0] == [a for a in range(count) if truth[a]]
+    assert all(a < count for a, _ in found)
+    assert not [number for _, number in found if number in (1, 5, 70, 71)]
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 200, 1100])
+def test_the_reference_builds_wide_masks_once_per_mask(width, monkeypatch):
+    """Past ``_NARROW_MASK_BITS`` the Python sweep groups each mask's
+    positions and builds it once; both ways give the same masks, values
+    outside the divisor (``-1``) included."""
+    from repro.physical.compile import kernels
+
+    rng = random.Random(width)
+    count, entries = 45, width + 7
+    candidates = [rng.randrange(count) for _ in range(600)]
+    values = [rng.randrange(entries) for _ in range(600)]
+    positions = list(range(width)) + [-1] * 7
+    rng.shuffle(positions)
+    sweep = {}
+    for name, limit in (("one OR per tuple", 1 << 20), ("once per mask", 0)):
+        monkeypatch.setattr(kernels, "_NARROW_MASK_BITS", limit)
+        sweep[name] = PythonBitsetKernel().gather_sweep(count, candidates, values, positions, width)
+    one_or_per_tuple, once_per_mask = sweep.values()
+    assert once_per_mask == one_or_per_tuple
+    assert any(one_or_per_tuple) and max(one_or_per_tuple).bit_length() <= width
+
+
+def test_intersection_matches_over_int_rows_is_the_reference():
+    """A sweep of under 32 tuples gives ``int`` rows: the reference answers."""
+    kernel = NumpyBitsetKernel()
+    rows = kernel.gather_sweep(3, [0, 1, 1, 2], [0, 0, 1, 1], range(2), 2)
+    assert rows == [0b01, 0b11, 0b10]
+    found = kernel.intersection_matches(rows, [2, 0, 1, 0, 2], [0, 1, 0, 2, 2], [0, 1, 2], 2)
+    assert hit_pairs(found) == [(1, 0), (0, 1)]
+    assert hit_pairs(kernel.intersection_matches(rows, [], [], [0, 1, 2], 2)) == []
+    assert hit_pairs(kernel.intersection_matches(numpy.zeros((3, 1), "<u8"), [], [], [], 2)) == []
+
+
+@pytest.mark.parametrize("count", [40, 2500])
+def test_few_values_over_short_rows_go_to_the_reference(count, monkeypatch):
+    """Under 32 divisor values gathering under ``_MIN_VECTOR_WORDS`` words,
+    the numpy kernel hands the scan to the reference, its word rows read as
+    ``int`` rows; the answer is the vectorized one."""
+    values, candidates = containment_input(count, seed=count)
+    set_codes, value_codes = as_pairs([[0, 7, 9], [4], [5, 5, 6, 8]], seed=1)
+    rows = containment_rows(NumpyBitsetKernel(), count, values, candidates)
+    arguments = (rows, set_codes, value_codes, list(range(INTERSECTION_VALUES)), count)
+    reference = PythonBitsetKernel.intersection_matches
+    handed = []
+
+    def spy(self, rows, *args):
+        handed.append(type(rows).__name__)
+        return reference(self, rows, *args)
+
+    monkeypatch.setattr(PythonBitsetKernel, "intersection_matches", spy)
+    found = hit_pairs(NumpyBitsetKernel().intersection_matches(*arguments))
+    assert handed == ["_IntRows"]
+    from repro.physical.compile import kernels
+
+    monkeypatch.setattr(kernels, "_MIN_VECTOR_WORDS", 0)
+    assert hit_pairs(NumpyBitsetKernel().intersection_matches(*arguments)) == found
+    assert handed == ["_IntRows"]  # vectorized this time
+    assert found  # value 0: every candidate
+
+
+def test_intersection_matches_cut_into_passes(monkeypatch):
+    """Sets whose rows outgrow one pass are answered over several."""
+    from repro.physical.compile import kernels
+
+    monkeypatch.setattr(kernels, "_MATCH_SLAB", 8)
+    count = 200  # four words a row: two rows a pass
+    values, candidates = containment_input(count, seed=7)
+    code_sets = intersection_sets(seed=8)
+    set_codes, value_codes = as_pairs(code_sets, seed=9)
+    rows = containment_rows(NumpyBitsetKernel(), count, values, candidates)
+    found = NumpyBitsetKernel().intersection_matches(
+        rows, set_codes, value_codes, list(range(INTERSECTION_VALUES)), count
+    )
+    expected = intersection_definition(count, values, candidates, code_sets, [True] * count)
+    assert hit_pairs(found) == expected

@@ -326,6 +326,42 @@ def test_120_bit_divisor_runs_the_numpy_kernel_without_python_fallback(
         assert execute_plan(plan).relation == expected
 
 
+#: The algorithms that answer a whole block from its containment bitmap.
+BITMAP_READERS = [
+    ("small", "hash"), ("small", "merge_count"), ("small", "merge_sort"),
+    ("great", "groupwise"), ("great", "nested_loops"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("kind,algorithm", BITMAP_READERS)
+def test_a_bitmap_division_runs_the_numpy_intersection_scan_without_python_fallback(
+    kind, algorithm, monkeypatch
+):
+    """The same 120-value divisor over the table's whole block: the division
+    reads the containment bitmap, and its intersection scan stays in the
+    numpy kernel (the reference method is booby-trapped)."""
+    rows = [(candidate, value) for candidate in range(50) for value in range(125 - candidate % 9)]
+    dividend = Relation(["a", "b"], rows)
+    if kind == "small":
+        divisor = Relation(["b"], [(value,) for value in range(120)])
+    else:
+        divisor = Relation(["b", "c"], [(value, value % 2) for value in range(120)])
+    with use_kernel("python"):
+        expected = execute_plan(
+            operator_class(kind, algorithm)(RelationScan(dividend), RelationScan(divisor))
+        ).relation
+    assert len(expected) > 0
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("numpy kernel fell back to the Python reference")
+
+    monkeypatch.setattr(PythonBitsetKernel, "intersection_matches", forbidden)
+    with use_kernel("numpy"):
+        plan = operator_class(kind, algorithm)(RelationScan(dividend), RelationScan(divisor))
+        assert execute_plan(plan).relation == expected
+    assert plan._bitmap_source is not None
+
+
 # ----------------------------------------------------------------------
 # the run-merge kernel (merge-sort division)
 # ----------------------------------------------------------------------
