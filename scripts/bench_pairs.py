@@ -4,8 +4,9 @@
 A speed claim on a noisy machine needs pairs: each pair runs the same
 workload and seed on the parent revision and on the change, in alternating
 order, so a slow spell hits both sides.  The claim holds (the house rule)
-when the change is better on at least nine pairs in ten and its median is
-further from the parent's than the distance between the parent's quartiles.
+when the change is better on at least nine pairs in ten, its median is
+further from the parent's than the distance between the parent's quartiles,
+and no more of its operations fail than the parent's.
 
     python3 scripts/bench_pairs.py --workload divide_mem --parent HEAD~1
     make bench-pairs WORKLOAD=divide_mem PARENT=HEAD~1
@@ -13,8 +14,10 @@ further from the parent's than the distance between the parent's quartiles.
 The parent is extracted with ``git archive`` into a temporary directory;
 the change is this checkout as it stands (uncommitted edits included).  A
 first pair on one more seed is run and not counted: it warms the file
-cache and the interpreter's bytecode on both sides.  Nothing here needs
-the network, and nothing under ``bench/`` is written except its ``out/``.
+cache and the interpreter's bytecode on both sides.  Every run lasts
+``BENCHMARK.json``'s ``run_seconds``; the seeds are ``FIRST_SEED`` (the
+unused pair) and the ones after it.  Nothing here needs the network, and
+nothing under ``bench/`` is written except its ``out/``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+FIRST_SEED = 30
 
 
 @dataclass(frozen=True)
@@ -44,19 +50,32 @@ class Verdict:
     change_median: float
     parent_iqr: float
     higher_is_better: bool
+    failed: tuple[int, int]  # failed operations over every run, parent's first
 
     @property
     def holds(self) -> bool:
-        """Better on at least nine pairs in ten, and the change's median
-        better than the parent's by more than the parent's inter-quartile
-        distance."""
+        """Better on at least nine pairs in ten, the change's median better
+        than the parent's by more than the parent's inter-quartile distance,
+        and no more of the change's operations failed."""
         sign = 1 if self.higher_is_better else -1
         gain = sign * (self.change_median - self.parent_median)
-        return self.pairs > 0 and 10 * self.wins >= 9 * self.pairs and gain > self.parent_iqr
+        return (
+            self.pairs > 0
+            and 10 * self.wins >= 9 * self.pairs
+            and gain > self.parent_iqr
+            and self.failed[1] <= self.failed[0]
+        )
 
 
-def verdict(parent: list[float], change: list[float], higher_is_better: bool) -> Verdict:
-    """Pair ``i`` is ``(parent[i], change[i])``; a tie is no win."""
+def verdict(
+    parent: list[float],
+    change: list[float],
+    higher_is_better: bool,
+    failed: tuple[int, int],
+) -> Verdict:
+    """Pair ``i`` is ``(parent[i], change[i])``; a tie is no win.
+    ``failed`` is each side's failed operations over its runs, the
+    parent's first."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one or more pairs, each with a parent and a change value")
     sign = 1 if higher_is_better else -1
@@ -71,6 +90,7 @@ def verdict(parent: list[float], change: list[float], higher_is_better: bool) ->
         statistics.median(change),
         high - low,
         higher_is_better,
+        failed,
     )
 
 
@@ -84,19 +104,19 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``python3 -m bench`` run in ``root``: its JSON line."""
+def run_bench(root: Path, workload: str, seed: int) -> dict:
+    """One ``python3 -m bench`` run in ``root``, as long as the driver's: its
+    JSON line."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     command = [sys.executable, "-m", "bench", "--workload", workload, "--seed", str(seed)]
-    command += ["--seconds", str(seconds), "--trace", "0"]
+    command += ["--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     done = subprocess.run(command, cwd=root, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def higher_is_better(metric: str) -> bool:
     """The metric's direction, as ``BENCHMARK.json`` declares it."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    for entry in declared:
+    for entry in SPEC["end_to_end"]:
         if entry["name"] == metric:
             return entry["better"] == "higher"
     raise SystemExit(f"{metric!r} is not an end-to-end metric of BENCHMARK.json")
@@ -110,27 +130,25 @@ def main(argv: list[str] | None = None) -> int:
         "--metric", action="append", help="an end-to-end metric (repeatable; ops_per_s if none)"
     )
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--first-seed", type=int, default=11, help="the unused warm-up seed")
     args = parser.parse_args(argv)
     metrics = {metric: higher_is_better(metric) for metric in args.metric or ["ops_per_s"]}
 
     values: dict[str, dict[str, list[float]]] = {
         metric: {"parent": [], "change": []} for metric in metrics
     }
+    failed: Counter[str] = Counter()  # over every run, the unused pair's too
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         parent_root = extract(args.parent, Path(scratch))
         for index in range(args.pairs + 1):
-            seed = args.first_seed + index
+            seed = FIRST_SEED + index
             sides = [("parent", parent_root), ("change", ROOT)]
             if index % 2:
                 sides.reverse()  # alternate which side runs first
-            results = {
-                name: run_bench(root, args.workload, seed, args.seconds) for name, root in sides
-            }
-            failed = {name: result["failed"] for name, result in results.items()}
-            if any(failed.values()):
-                print(f"seed {seed}: failed operations {failed}")
+            results = {name: run_bench(root, args.workload, seed) for name, root in sides}
+            seed_failed = {name: result["failed"] for name, result in results.items()}
+            failed.update(seed_failed)
+            if any(seed_failed.values()):
+                print(f"seed {seed}: failed operations {seed_failed}")
             unused = " (unused)" if index == 0 else ""
             for metric in metrics:
                 pair = {name: run["metrics"][metric]["value"] for name, run in results.items()}
@@ -144,13 +162,19 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
 
     for metric, higher in metrics.items():
-        result = verdict(values[metric]["parent"], values[metric]["change"], higher)
+        result = verdict(
+            values[metric]["parent"],
+            values[metric]["change"],
+            higher,
+            (failed["parent"], failed["change"]),
+        )
         print(
             f"{args.workload} {metric} ({'higher' if higher else 'lower'} is better): "
             f"wins {result.wins}/{result.pairs}, median parent {result.parent_median:.4g} → "
             f"change {result.change_median:.4g} "
             f"({result.change_median / result.parent_median:.3f}×), "
-            f"parent IQR {result.parent_iqr:.4g}; "
+            f"parent IQR {result.parent_iqr:.4g}, "
+            f"failed operations {failed['parent']} → {failed['change']}; "
             f"verdict: the claim {'holds' if result.holds else 'does not hold'}"
         )
     return 0

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -59,10 +60,6 @@ _MIN_VECTOR_SIZE = 32
 #: The numpy intersection scan hands the reference a scan of fewer than
 #: ``_MIN_VECTOR_SIZE`` divisor values that gathers fewer row words than this.
 _MIN_VECTOR_WORDS = 1024
-
-#: Masks up to this many bits are swept by the Python reference one OR per
-#: tuple; wider ones are built once per mask from their positions.
-_NARROW_MASK_BITS = 1024
 
 #: Tuples per pass of the numpy gather sweep: bounds its index/bit
 #: temporaries (a few arrays of this length) whatever the input size.
@@ -97,18 +94,10 @@ class PythonBitsetKernel:
         ``positions[v]`` is the divisor bit of value code ``v`` (below
         ``width``), or ``-1`` when the value is not in the divisor.
         """
-        if width <= _NARROW_MASK_BITS:
-            bits = [1 << position if position >= 0 else 0 for position in positions]
-            masks = [0] * count
-            pairs = zip(self.prepare_indices(candidate_codes), self.prepare_indices(value_codes))
-            for candidate, value in pairs:
-                masks[candidate] |= bits[value]
-            return masks
-        # Wide masks (a containment bitmap's rows are ``|A|`` bits) are built
-        # once each from their positions: ORing ``1 << position`` per tuple
-        # copies the mask every time, and the list of those ints would hold
-        # ``width²/8`` bytes.
-        members: list[list[int]] = [[] for _ in range(count)]
+        # Each mask is built once from its positions: ORing ``1 << position``
+        # per tuple copies the mask every time, and a containment bitmap's
+        # rows are ``|A|`` bits wide.
+        members: defaultdict[int, list[int]] = defaultdict(list)
         pairs = zip(
             self.prepare_indices(candidate_codes),
             map(positions.__getitem__, self.prepare_indices(value_codes)),
@@ -116,7 +105,10 @@ class PythonBitsetKernel:
         for candidate, position in pairs:
             if position >= 0:
                 members[candidate].append(position)
-        return [_mask_of(row, width) for row in members]
+        masks = [0] * count
+        for candidate, row in members.items():
+            masks[candidate] = _mask_of(row, width)
+        return masks
 
     def merge_runs(
         self,

@@ -158,12 +158,13 @@ class TestKernelPrimitives:
         # Index arrays, not lists of boxed ints: the quotient's code column.
         assert isinstance(python, numpy.ndarray) and isinstance(vectorized, numpy.ndarray)
 
-    @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 120, 200])
+    @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 120, 200, 1100])
     def test_gather_sweep_matches_reference(self, width):
         count = 40
+        entries = max(250, width + 7)  # some values outside the divisor
         candidates = [i % count for i in range(400)]
-        values = [(i * 7) % 250 for i in range(400)]
-        positions = [code if code < width else -1 for code in range(250)]
+        values = [(i * 7) % entries for i in range(400)]
+        positions = [code if code < width else -1 for code in range(entries)]
         python = PythonBitsetKernel().gather_sweep(count, candidates, values, positions, width)
         vectorized = NumpyBitsetKernel().gather_sweep(count, candidates, values, positions, width)
         assert vectorized.shape == (count, -(-width // 64))
@@ -334,28 +335,6 @@ def test_intersection_matches_equals_the_python_reference(count, table):
     assert [a for a, number in found if number == 0] == [a for a in range(count) if truth[a]]
     assert all(a < count for a, _ in found)
     assert not [number for _, number in found if number in (1, 5, 70, 71)]
-
-
-@pytest.mark.parametrize("width", [1, 63, 64, 65, 200, 1100])
-def test_the_reference_builds_wide_masks_once_per_mask(width, monkeypatch):
-    """Past ``_NARROW_MASK_BITS`` the Python sweep groups each mask's
-    positions and builds it once; both ways give the same masks, values
-    outside the divisor (``-1``) included."""
-    from repro.physical.compile import kernels
-
-    rng = random.Random(width)
-    count, entries = 45, width + 7
-    candidates = [rng.randrange(count) for _ in range(600)]
-    values = [rng.randrange(entries) for _ in range(600)]
-    positions = list(range(width)) + [-1] * 7
-    rng.shuffle(positions)
-    sweep = {}
-    for name, limit in (("one OR per tuple", 1 << 20), ("once per mask", 0)):
-        monkeypatch.setattr(kernels, "_NARROW_MASK_BITS", limit)
-        sweep[name] = PythonBitsetKernel().gather_sweep(count, candidates, values, positions, width)
-    one_or_per_tuple, once_per_mask = sweep.values()
-    assert once_per_mask == one_or_per_tuple
-    assert any(one_or_per_tuple) and max(one_or_per_tuple).bit_length() <= width
 
 
 def test_intersection_matches_over_int_rows_is_the_reference():

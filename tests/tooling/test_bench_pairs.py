@@ -19,11 +19,12 @@ def _load():
 
 bench_pairs = _load()
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 102.0, 98.0, 100.0, 101.0]
+CLEAN = {"failed": (0, 0)}  # no operation failed on either side
 
 
 def test_a_clear_gain_on_every_pair_holds():
     change = [value * 1.12 for value in PARENT]
-    result = bench_pairs.verdict(PARENT, change, higher_is_better=True)
+    result = bench_pairs.verdict(PARENT, change, higher_is_better=True, **CLEAN)
     assert (result.pairs, result.wins) == (10, 10)
     assert result.change_median == pytest.approx(1.12 * result.parent_median)
     assert result.holds
@@ -32,14 +33,14 @@ def test_a_clear_gain_on_every_pair_holds():
 def test_nine_wins_of_ten_hold_and_eight_do_not():
     change = [value * 1.12 for value in PARENT]
     change[0] = PARENT[0] - 1
-    assert bench_pairs.verdict(PARENT, change, True).holds
+    assert bench_pairs.verdict(PARENT, change, True, **CLEAN).holds
     change[1] = PARENT[1]  # a tie is no win
-    result = bench_pairs.verdict(PARENT, change, True)
+    result = bench_pairs.verdict(PARENT, change, True, **CLEAN)
     assert result.wins == 8 and not result.holds
 
 
 def test_a_gain_inside_the_parents_quartiles_does_not_hold():
-    result = bench_pairs.verdict(PARENT, [value + 0.6 for value in PARENT], True)
+    result = bench_pairs.verdict(PARENT, [value + 0.6 for value in PARENT], True, **CLEAN)
     assert result.wins == 10
     assert result.parent_iqr == pytest.approx(1.25)  # 100.875 - 99.625
     assert not result.holds
@@ -47,13 +48,21 @@ def test_a_gain_inside_the_parents_quartiles_does_not_hold():
 
 def test_lower_is_better_counts_the_other_way():
     faster = [value * 0.8 for value in PARENT]
-    assert bench_pairs.verdict(PARENT, faster, higher_is_better=False).holds
-    assert not bench_pairs.verdict(PARENT, faster, higher_is_better=True).holds
-    assert bench_pairs.verdict(PARENT, faster, higher_is_better=True).wins == 0
+    assert bench_pairs.verdict(PARENT, faster, higher_is_better=False, **CLEAN).holds
+    assert not bench_pairs.verdict(PARENT, faster, higher_is_better=True, **CLEAN).holds
+    assert bench_pairs.verdict(PARENT, faster, higher_is_better=True, **CLEAN).wins == 0
 
 
 def test_uneven_or_empty_pairs_are_refused():
     with pytest.raises(ValueError):
-        bench_pairs.verdict(PARENT, PARENT[:-1], True)
+        bench_pairs.verdict(PARENT, PARENT[:-1], True, **CLEAN)
     with pytest.raises(ValueError):
-        bench_pairs.verdict([], [], True)
+        bench_pairs.verdict([], [], True, **CLEAN)
+
+
+def test_a_gain_that_fails_more_operations_does_not_hold():
+    change = [value * 1.12 for value in PARENT]
+    more = bench_pairs.verdict(PARENT, change, True, failed=(0, 1))
+    assert more.wins == 10 and not more.holds
+    assert bench_pairs.verdict(PARENT, change, True, failed=(2, 2)).holds
+    assert bench_pairs.verdict(PARENT, change, True, failed=(2, 1)).holds
