@@ -5,6 +5,11 @@ the subset-scan-heavy great-divide scenario (the largest division workload
 in the suite), measured **same-run** (same machine, same process — no
 cross-machine normalization needed): the ``numpy-kernel`` row of
 ``gates.py``.  The result-equality assertions always run.
+
+The plans run at a set batch size (the whole dividend, one chunk), so the
+dividend is not a relation's marked block and both kernels take the sweep
+path — the gather sweep and one subset scan per group — rather than the
+containment bitmap a division over an unsliced scan reads.
 """
 
 from functools import partial
@@ -37,6 +42,12 @@ def _plan(workload):
     return NestedLoopsGreatDivision(RelationScan(workload.dividend), RelationScan(workload.divisor))
 
 
+def _execute(workload, plan=None):
+    """Run the plan (a fresh one by default) over the sweep path: at a set
+    batch size the scan's chunk carries no block mark."""
+    return execute_plan(plan or _plan(workload), batch_size=len(workload.dividend))
+
+
 @pytest.mark.parametrize("kernel", ("python", "numpy"))
 def test_bitset_kernel_great_divide(benchmark, huge_great_divide_workload, kernel):
     """The subset-scan-heavy great divide under each bitset kernel."""
@@ -44,21 +55,22 @@ def test_bitset_kernel_great_divide(benchmark, huge_great_divide_workload, kerne
 
     def run():
         with use_kernel(kernel):
-            return execute_plan(_plan(workload))
+            return _execute(workload)
 
     result = benchmark(run)
     with use_kernel("python"):
-        reference = execute_plan(_plan(workload))
+        reference = _execute(workload)
     assert result.relation == reference.relation
+    assert result.relation == execute_plan(_plan(workload)).relation  # the bitmap path
 
 
 def test_numpy_kernel_speedup_on_great_divide(request, huge_great_divide_workload):
     """Same-run gate: the numpy kernel measurably beats the python kernel."""
     workload = huge_great_divide_workload
     with use_kernel("python"):
-        reference = execute_plan(_plan(workload))
+        reference = _execute(workload)
     with use_kernel("numpy"):
-        vectorized = execute_plan(_plan(workload))
+        vectorized = _execute(workload)
     assert vectorized.relation == reference.relation
 
     def under(kernel):
@@ -67,7 +79,7 @@ def test_numpy_kernel_speedup_on_great_divide(request, huge_great_divide_workloa
 
         def run():
             with use_kernel(kernel):
-                return execute_plan(plan)
+                return _execute(workload, plan)
 
         return run
 

@@ -13,7 +13,7 @@ Code ranges
   safety, partition keys, exchange shape);
 * ``RP4xx`` — engine-contract lint rules (``scripts/lint_engine.py``);
 * ``RP5xx`` — storage invariants (stored-scan headers, zone maps, spill
-  budgets);
+  budgets, where a stored scan may hand up one block);
 * ``RP6xx`` — maintained-view invariants (counter-table/schema agreement,
   delta-rule coverage, version monotonicity, view-over-view rejection);
 * ``RP7xx`` — fault-tolerance invariants (checksum coverage of stored
@@ -94,6 +94,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP503": (Severity.ERROR, "skip predicate references attributes outside the scan schema"),
     "RP504": (Severity.ERROR, "block index tuple counts disagree with the header tuple count"),
     "RP505": (Severity.ERROR, "exchange memory budget is not positive"),
+    "RP506": (Severity.ERROR, "one-block stored scan is not a division's dividend (or its filter's)"),
     # -- RP6xx: maintained-view invariants ---------------------------------
     "RP601": (Severity.ERROR, "counter table disagrees with the view's quotient schema"),
     "RP602": (Severity.ERROR, "maintained view lacks full delta-rule coverage"),

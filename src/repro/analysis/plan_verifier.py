@@ -311,8 +311,47 @@ def verify_physical(plan: PhysicalOperator) -> tuple[list[Finding], int]:
         _check_operator_schema(operator, findings, where, type_cache)
         if isinstance(operator, PartitionedOperator):
             _check_exchange_contract(operator, findings, where)
+    _check_one_block_scans(plan, findings)
     _check_fault_plan(findings)
     return findings, count
+
+
+def _check_one_block_scans(plan: PhysicalOperator, findings: list[Finding]) -> None:
+    """RP506: a stored scan set to hand up one block is a division's
+    dividend, directly or under one ``Filter`` whose predicate is the only
+    one pushed into the scan.
+
+    The block is marked as the table's own, so whatever reads it answers
+    from the table's summaries: a division does, and a filter directly
+    above restricts it by the same summaries.  Anywhere else a whole
+    table's chunk would break a streaming consumer's block bound, and a
+    skip predicate other than the filter's own would make the mark claim
+    tuples the chunk lacks.
+    """
+    dividends: set[int] = set()
+    for operator in plan.walk():
+        if isinstance(operator, (DivisionOperator, GreatDivisionOperator)):
+            dividend = operator.children[0]
+            if isinstance(dividend, Filter):
+                scan = dividend.children[0]
+                if isinstance(scan, StoredScan) and scan.skip_predicate in (
+                    None,
+                    dividend.predicate,
+                ):
+                    dividends.add(id(scan))
+            elif isinstance(dividend, StoredScan) and dividend.skip_predicate is None:
+                dividends.add(id(dividend))
+    for operator in plan.walk():
+        if isinstance(operator, StoredScan) and operator.one_block and id(operator) not in dividends:
+            findings.append(
+                finding(
+                    "RP506",
+                    f"{operator.describe()} hands up one block but is not a division's "
+                    "dividend, directly or under one filter with the scan's skip predicate",
+                    operator.label,
+                    "storage",
+                )
+            )
 
 
 def _check_fault_plan(findings: list[Finding]) -> None:

@@ -253,13 +253,16 @@ def _storage_line(operator: PhysicalOperator, analyzed: bool) -> Optional[str]:
 
     Static explain shows the block count, how the blocks' pages reach the
     plan (``code buffers``, or ``raw`` when a column has no dictionary and
-    blocks are decoded to tuples) and any pushed-down skip predicate; after
+    blocks are decoded to tuples; ``one deferred block`` when a division
+    reads the table's summaries instead) and any pushed-down skip predicate; after
     an ``analyze=True`` execution the line adds how many blocks the zone
     maps actually skipped and how many payload bytes the run read.
     """
     if not isinstance(operator, StoredScan):
         return None
     summary = f"storage: blocks={operator.blocks_total}, pages: {operator.page_kind}"
+    if operator.one_block:
+        summary += ", one deferred block"
     if operator.skip_predicate is not None:
         summary += f", zone-map skip on {operator.skip_predicate!r}"
     if analyzed:

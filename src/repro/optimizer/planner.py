@@ -267,6 +267,15 @@ class PhysicalPlanner:
             operator = MergeSortDivision(left, right, assume_clustered=chosen.clustered)
         else:
             operator = chosen.operator(left, right)
+        if partitions == 1 and chosen.operator._reads_bitmap:
+            # A stored dividend, whole or under one single-attribute filter,
+            # is answered from the table's containment bitmap: one chunk,
+            # whose pages are read only if the operator sweeps after all.
+            scan = left.children[0] if isinstance(left, Filter) else left
+            if isinstance(scan, StoredScan) and (
+                scan is left or len(expression.left.predicate.attributes) == 1
+            ):
+                scan.set_one_block()
         return self._record(operator, decision)
 
     def _plan_natural_join(self, expression: NaturalJoin) -> PhysicalOperator:

@@ -111,20 +111,25 @@ class PhysicalProperties:
 
 
 class BaseBlock(NamedTuple):
-    """Where a chunk that is a relation's whole cached encoding came from.
+    """Where a chunk that is a relation's whole block came from.
 
     A scan whose batch size is unset hands up its relation's block with
-    this mark; a :class:`~repro.physical.basic.Filter` whose predicate reads
-    one attribute hands up a *restricted block* under the same mark plus
-    the predicate's truth table over that attribute's dictionary.  The
+    this mark (a stored table's scan does so only when the planner set it
+    to, and then reads no page until something reads the chunk's codes); a
+    :class:`~repro.physical.basic.Filter` whose predicate reads one
+    attribute hands up a *restricted block* under the same mark plus the
+    predicate's truth table over that attribute's dictionary.  The
     division operators that sweep the dividend's codes read the mark
     instead (the relation's containment bitmap, see
     :mod:`repro.physical.division.keys`); everything else reads the chunk.
+    Both read the relation's summaries
+    (:meth:`~repro.relation.relation.Relation._summary`), not the chunk.
     """
 
     relation: Relation
-    #: ``(position, entry truth table)`` of a restricted block, else ``None``.
-    restriction: Optional[tuple[int, Any]] = None
+    #: ``(position, entry truth table, the table's packed words)`` of a
+    #: restricted block, else ``None``.
+    restriction: Optional[tuple[int, Any, Any]] = None
 
 
 class Chunk:
@@ -143,7 +148,8 @@ class Chunk:
     keeps reading ``chunk.tuples`` unchanged.  No :class:`Row` objects exist inside a
     chunk; :meth:`rows` materializes them on demand.  ``_base`` marks a
     relation's whole or restricted block (:class:`BaseBlock`); a restricted
-    block (:meth:`_restricted`) defers its code columns too.
+    block (:meth:`_restricted`) and a stored table's whole block
+    (:meth:`base_block`) defer their code columns too.
     """
 
     __slots__ = ("schema", "columns", "_tuples", "_length", "_thunk", "_base")
@@ -189,6 +195,15 @@ class Chunk:
             len(columns[0]),
             lambda: list(zip(*(column.values() for column in columns))),
         )
+
+    @classmethod
+    def base_block(
+        cls, schema: Schema, length: int, relation: Relation, read: Callable[[], "Chunk"]
+    ) -> "Chunk":
+        """``relation``'s block of ``length`` tuples, marked :class:`BaseBlock`,
+        whose code columns and tuples are those of ``read()`` — called once,
+        and only if something reads them."""
+        return _DeferredBlock(schema, length, BaseBlock(relation), read)
 
     @property
     def tuples(self) -> list[tuple[Any, ...]]:
@@ -250,10 +265,19 @@ class Chunk:
             self.schema, columns, count, lambda: select_items(self.tuples, mask)
         )
 
-    def _restricted(self, position: int, table: Any, count: int) -> "Chunk":
+    def _restricted(self, position: int, table: Any, packed: Any, count: int) -> "Chunk":
         """This chunk, a relation's whole block, cut to the ``count``
-        tuples whose entry of column ``position`` ``table`` sets."""
-        return _RestrictedBlock(self, position, table, count)
+        tuples whose entry of column ``position`` ``table`` sets (``packed``:
+        the table's words).  Nothing is selected until the cut's columns or
+        tuples are read; then :meth:`selected` cuts both once (take →
+        nonzero → select)."""
+        base = BaseBlock(self._base.relation, (position, table, packed))  # type: ignore[union-attr]
+
+        def cut() -> Chunk:
+            codes = self.columns[position].codes  # type: ignore[index]
+            return self.selected(take(table, codes), count)
+
+        return _DeferredBlock(self.schema, count, base, cut)
 
     def pieces(self, size: int) -> Iterator["Chunk"]:
         """This chunk as it is when it holds at most ``size`` tuples, else
@@ -278,23 +302,23 @@ class Chunk:
         return [values[position] for values in self.tuples]
 
 
-class _RestrictedBlock(Chunk):
-    """A relation's whole block under a one-attribute predicate: the whole
-    block's mark plus the predicate's truth table.  Nothing is selected
-    until its ``columns`` or tuples are read; then :meth:`Chunk.selected`
-    cuts both once (take → nonzero → select).  ``columns`` is a property
-    here only, so every other chunk reads a plain slot."""
+class _DeferredBlock(Chunk):
+    """A marked block (:class:`BaseBlock`) whose length is known and whose
+    code columns and tuples are another chunk's, built by one call the
+    first time either is read.  ``columns`` is a property here only, so
+    every other chunk reads a plain slot."""
 
     __slots__ = ("_cut",)
 
-    def __init__(self, whole: Chunk, position: int, table: Any, count: int) -> None:
-        codes = whole.columns[position].codes  # type: ignore[index]
-        cut = self._cut = functools.cache(lambda: whole.selected(take(table, codes), count))
-        self.schema = whole.schema
+    def __init__(
+        self, schema: Schema, length: int, base: BaseBlock, build: Callable[[], Chunk]
+    ) -> None:
+        cut = self._cut = functools.cache(build)
+        self.schema = schema
         self._tuples = None
-        self._length = count
+        self._length = length
         self._thunk = lambda: cut().tuples
-        self._base = BaseBlock(whole._base.relation, (position, table))  # type: ignore[union-attr]
+        self._base = base
 
     @property  # type: ignore[override]
     def columns(self) -> Optional[tuple[CodeColumn, ...]]:

@@ -43,6 +43,7 @@ from repro.relation.encoding import (
     mask_count,
     mask_not,
     mask_or,
+    packed_table,
     passing_count,
     take,
 )
@@ -73,36 +74,45 @@ class _EntryTable:
     ``build(dictionary)`` returns the truth table (a mask over the
     dictionary) and may raise whatever the comparison raises.  The outcome
     is cached for the dictionary it was computed from — dictionaries live
-    as long as their relation value, so a cached plan re-executes for free.
+    as long as their relation value, so a cached plan re-executes for free
+    — and so are its packed words, which a restricted block hands the
+    containment bitmap.
     """
 
-    __slots__ = ("position", "build", "_dictionary", "_table")
+    __slots__ = ("position", "build", "_dictionary", "_table", "_packed")
 
     def __init__(self, position: int, build: Callable[[list[Any]], Any]) -> None:
         self.position = position
         self.build = build
         self._dictionary: Optional[list[Any]] = None
         self._table: Any = None
+        self._packed: Any = None
 
-    def table(self, columns: tuple[CodeColumn, ...]) -> Any:
-        """The truth table over the chunk's dictionary, or None when the
-        predicate raises on an entry."""
-        column = columns[self.position]
-        if column.dictionary is not self._dictionary:
+    def table(self, dictionary: list[Any]) -> Any:
+        """The truth table over ``dictionary``, or None when the predicate
+        raises on an entry."""
+        if dictionary is not self._dictionary:
             try:
-                self._table = self.build(column.dictionary)
+                self._table = self.build(dictionary)
             except Exception:
                 # Whether a tuple carrying the offending entry ever reaches
                 # the comparison is the per-tuple test's call
                 # (short-circuits, earlier filters): it runs instead.
                 self._table = None
-            self._dictionary = column.dictionary
+            self._dictionary, self._packed = dictionary, None
         return self._table
+
+    def packed(self) -> Any:
+        """The last :meth:`table` (not None) as bitmap words, packed once."""
+        if self._packed is None:
+            self._packed = packed_table(self._table)
+        return self._packed
 
     def mask(self, columns: tuple[CodeColumn, ...]) -> Any:
         """The chunk's mask, or None when the predicate raises on an entry."""
-        table = self.table(columns)
-        return None if table is None else take(table, columns[self.position].codes)
+        column = columns[self.position]
+        table = self.table(column.dictionary)
+        return None if table is None else take(table, column.codes)
 
 
 class _MaskCombination:
@@ -262,7 +272,13 @@ class Filter(PhysicalOperator):
     reads no code at all: it hands up a *restricted block*, whose length is
     summed from the column's code frequencies over the entries that pass
     and whose columns and tuples are selected only if something reads them
-    (a division reads the relation's containment bitmap instead).
+    (a division reads the relation's containment bitmap instead).  The
+    dictionary and the frequencies are a summary of the relation value
+    (built once per value), so neither the chunk's codes nor a stored
+    table's pages are read.  A stored block may lack blocks its zone maps
+    skipped; the planner pushes only this filter's own predicate into the
+    scan, so a skipped block holds no tuple that passes, and the count over
+    the whole table is the count over the block.
     """
 
     name = "filter"
@@ -316,15 +332,18 @@ class Filter(PhysicalOperator):
     def _restrict(chunk: Chunk, relation: Any, entries: _EntryTable) -> Optional[Chunk]:
         """A whole block under a one-attribute predicate: itself, or its
         restricted block (None when the predicate raises on an entry)."""
-        table = entries.table(chunk.columns)  # type: ignore[arg-type]
+        position = entries.position
+        dictionary, frequencies = relation._summary(
+            ("frequencies", position),
+            lambda columns: (columns[position].dictionary, code_frequencies(columns[position])),
+        )
+        table = entries.table(dictionary)
         if table is None:
             return None
-        position = entries.position
-        frequencies = relation._summary(
-            ("frequencies", position), lambda columns: code_frequencies(columns[position])
-        )
         count = passing_count(frequencies, table)
-        return chunk if count == len(chunk) else chunk._restricted(position, table, count)
+        if count == len(relation):  # every tuple passes: no block was skipped
+            return chunk
+        return chunk._restricted(position, table, entries.packed(), count)
 
     def describe(self) -> str:
         return f"Filter({self.predicate!r})"

@@ -181,8 +181,10 @@ class PythonBitsetKernel:
         allowed: Any = None,
     ) -> tuple[Any, Any]:
         """The ``(candidate, set)`` pairs whose candidate is in the row of
-        every value of the set — and in the truth table ``allowed`` over the
-        candidates, when given: per set, the AND of its values' rows.
+        every value of the set — and in ``allowed``, when given: a truth
+        table over the candidates packed as one row (``⌈count/64⌉``
+        ``uint64`` words, :func:`~repro.relation.encoding.packed_table`):
+        per set, the AND of its values' rows.
 
         Set ``s`` holds every value ``value_codes[i]`` with ``set_codes[i]
         == s``; value ``v``'s row is ``rows[row_of[v]]`` (a :meth:`gather_sweep`
@@ -194,8 +196,8 @@ class PythonBitsetKernel:
         for set_code, value in pairs:
             members.setdefault(set_code, []).append(row_of[value])
         every = (1 << count) - 1
-        if allowed is not None:  # bit ``a`` of the packed table is candidate ``a``
-            every = int.from_bytes(_np.packbits(allowed, bitorder="little").tobytes(), "little")
+        if allowed is not None:  # bit ``a`` of the packed row is candidate ``a``
+            every = int.from_bytes(allowed.tobytes(), "little")
         candidates: list[int] = []
         sets: list[int] = []
         for set_code in sorted(members):
@@ -436,10 +438,6 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         sets = sets[order]
         codes = _np.take(row_of, self._index_array(value_codes)[order])
         starts = [0, *(_np.flatnonzero(sets[1:] != sets[:-1]) + 1).tolist()]
-        if allowed is not None:
-            packed = _np.zeros(words * 8, dtype=_np.uint8)
-            packed[: -(-count // 8)] = _np.packbits(allowed, bitorder="little")
-            allowed = packed.view("<u8")
         candidates, owners = [], []
         bounds = [*starts, len(codes)]
         for first, stop in _passes(bounds, max(1, _MATCH_SLAB // words)):

@@ -40,8 +40,10 @@ before anything reads the chunk's columns: the relation's *containment
 bitmap* (value-major: row ``b`` holds, as ``⌈|A|/64⌉`` words, the
 candidates ``a`` with ``(a, b)`` a tuple; built once per relation value by
 the kernel's gather sweep with the value codes as rows, at identity
-positions, and kept on the value,
-:meth:`~repro.relation.relation.Relation._summary`) plus the restriction.
+positions, and kept on the value with the two dictionaries,
+:meth:`~repro.relation.relation.Relation._summary`; a stored table's value
+builds it from one checked read of its pages) plus the restriction —
+nothing reads the chunk's codes, or a stored table's pages.
 A divisor (group) of ``d`` values is then the AND of those ``d`` rows, and
 every set of a division is answered in one kernel call
 (:meth:`~repro.physical.compile.kernels.PythonBitsetKernel.intersection_matches`);
@@ -84,7 +86,8 @@ class KeySide:
     __slots__ = ("codes", "keys", "single", "_dense")
 
     def __init__(self, codes: Any, keys: list[Any], single: bool, dense: bool) -> None:
-        #: One integer per input tuple (a list, or a code buffer from cached codes).
+        #: One integer per input tuple (a list, or a code buffer from cached
+        #: codes); ``None`` beside a containment bitmap, which answers instead.
         self.codes = codes
         #: code → key: the bare value for one attribute, a value tuple otherwise.
         self.keys = keys
@@ -122,7 +125,8 @@ class Containment(NamedTuple):
     values: list[Any]
     #: The relation's candidate count (``|A|``, the width of a row).
     count: int
-    #: Truth tables of a restricted block's predicate, over ``A`` or ``B``.
+    #: A restricted block's predicate: over ``A`` as packed words (one more
+    #: row ANDed in), or over ``B`` as its truth table.
     candidate_table: Any
     value_table: Any
     #: What ``explain`` prints on its ``· bitmap:`` line.
@@ -154,8 +158,8 @@ class EncodedKeys(NamedTuple):
     #: "cached codes (N chunks)" or "encoded on the fly" (what ``explain``
     #: prints): an unset batch size reads one chunk per scan block.
     source: str
-    #: Set when the sides are a relation's own columns to be answered from
-    #: its containment bitmap (then nothing may sweep their codes).
+    #: Set when the sides are a relation's own key lists, to be answered
+    #: from its containment bitmap (then the sides carry no codes).
     containment: Optional[Containment] = None
 
 
@@ -274,47 +278,50 @@ def _containment(
         return None
     a, b = (schema.position(attributes.names[0]) for attributes in attribute_sets)
     relation, restriction = chunk._base  # type: ignore[misc]
-    tables: dict[int, Any] = {a: None, b: None}
+    candidate_table = value_table = None
     if restriction is not None:
-        if restriction[0] not in tables:
+        position, table, packed = restriction
+        if position not in (a, b):
             return None
-        tables[restriction[0]] = restriction[1]
-    rows = relation._summary(
+        if position == a:
+            candidate_table = packed
+        else:
+            value_table = table
+    bitmap = relation._summary(
         ("containment", a, b, kernel.name), functools.partial(_containment_bitmap, kernel, a, b)
     )
-    if rows is None:
+    if bitmap is None:
         return None
-    columns = relation.encoded_columns()
-    candidates, values = columns[a], columns[b]
-    count = len(candidates.dictionary)
-    description = (
-        f"{schema.names[a]} → {schema.names[b]}, "
-        f"{count} rows × {len(values.dictionary)} bits"
-    )
+    rows, candidates, values = bitmap
+    count = len(candidates)
+    description = f"{schema.names[a]} → {schema.names[b]}, {count} rows × {len(values)} bits"
     if restriction is not None:
         masked = "candidates" if restriction[0] == a else "values"
         description += f", σ on {schema.names[restriction[0]]} masks {masked}"
-    sides = tuple(KeySide(c.codes, c.dictionary, True, False) for c in (candidates, values))
-    containment = Containment(rows, values.dictionary, count, tables[a], tables[b], description)
+    # Only the key lists are read: the quotient's codes index them.
+    sides = tuple(KeySide(None, keys, True, False) for keys in (candidates, values))
+    containment = Containment(rows, values, count, candidate_table, value_table, description)
     return EncodedKeys(sides, "cached codes (1 chunk)", containment)
 
 
 def _containment_bitmap(
     kernel: PythonBitsetKernel, a: int, b: int, columns: tuple[CodeColumn, ...]
-) -> Any:
-    """Row ``b``, bit ``a`` set iff the relation holds ``(a, b)``: the
-    kernel's gather sweep with the value codes as rows, at identity
-    positions.  ``None`` when the bitmap's bytes would exceed those of the
-    two code buffers it summarises — a structural bound, so no bitmap
+) -> Optional[tuple[Any, list[Any], list[Any]]]:
+    """``(rows, candidate keys, value keys)``: row ``b``, bit ``a`` set iff
+    the relation holds ``(a, b)`` — the kernel's gather sweep with the
+    value codes as rows, at identity positions — over the two columns'
+    dictionaries.  ``None`` when the bitmap's bytes would exceed those of
+    the two code buffers it summarises — a structural bound, so no bitmap
     outgrows the encoding it sits beside."""
     candidates, values = columns[a], columns[b]
     width = len(candidates.dictionary)
     summarised = candidates.codes.nbytes + values.codes.nbytes
     if len(values.dictionary) * -(-width // 64) * 8 > summarised:
         return None
-    return kernel.gather_sweep(
+    rows = kernel.gather_sweep(
         len(values.dictionary), values.codes, candidates.codes, range(width), width
     )
+    return rows, candidates.dictionary, values.dictionary
 
 
 def _cached_side(chunks: list[Chunk], positions: list[int]) -> KeySide:

@@ -24,8 +24,8 @@ scans), :func:`split_code_columns` (the exchange's partition pass),
 the mask helpers (boolean arrays; callers treat masks as opaque values
 produced and consumed by these functions only) and, at the bottom, what a
 restricted block and the division operators' containment bitmap read of
-a truth table: :func:`code_frequencies` (kept on the relation value) and
-:func:`passing_count`.
+a truth table: :func:`code_frequencies` (kept on the relation value),
+:func:`passing_count` and :func:`packed_table` (the table as bitmap words).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "code_width",
     "concatenate_codes",
     "drop_positions",
+    "empty_codes",
     "encode_columns",
     "iter_codes",
     "lexicographic_prefix",
@@ -67,6 +68,7 @@ __all__ = [
     "select_items",
     "code_frequencies",
     "passing_count",
+    "packed_table",
 ]
 
 
@@ -188,6 +190,11 @@ def widen_codes(data: bytes, entries: int, checked: bool = True) -> Any:
 def code_buffer(codes: Iterable[int], count: int) -> Any:
     """``count`` integer codes as an int32 code buffer."""
     return _np.fromiter(codes, dtype=_np.int32, count=count)
+
+
+def empty_codes(count: int) -> Any:
+    """A code buffer of ``count`` codes, to be filled slice by slice."""
+    return _np.empty(count, dtype=_np.int32)
 
 
 def concatenate_codes(buffers: Sequence[Any]) -> Any:
@@ -694,3 +701,12 @@ def passing_count(frequencies: Any, table: Any) -> int:
     """Tuples whose entry ``table`` sets, from their column's
     :func:`code_frequencies`: one pass over the dictionary, none over the codes."""
     return int(frequencies.sum(where=table))
+
+
+def packed_table(table: Any) -> Any:
+    """A truth table as little-endian ``uint64`` words, bit ``i`` of the
+    words being entry ``i``: a row of the containment bitmap over the same
+    dictionary (``⌈len(table)/64⌉`` words; the padding bits are clear)."""
+    packed = _np.zeros(-(-len(table) // 64) * 8, dtype=_np.uint8)
+    packed[: -(-len(table) // 8)] = _np.packbits(table, bitorder="little")
+    return packed.view("<u8")

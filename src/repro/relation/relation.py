@@ -349,20 +349,26 @@ class Relation:
         return encoding
 
     def _summary(self, key: Hashable, build: Callable[[tuple[CodeColumn, ...]], Any]) -> Any:
-        """What ``build`` derives from :meth:`encoded_columns` — a column's
+        """What ``build`` derives from :meth:`_summary_columns` — a column's
         code frequencies, two columns' containment bitmap (the division
         operators') — built on the first ask and kept under ``key``.
 
         The summaries share the encoding's lifetime: they are this value's,
         so they die with it, and a table's edit, which folds into a new
-        value, needs no invalidation (the new value builds its own).
+        value, needs no invalidation (the new value builds its own).  A
+        build that raises keeps nothing.
         """
         summaries = self._summaries
         if summaries is None:
             summaries = self._summaries = {}
         if key not in summaries:
-            summaries[key] = build(self.encoded_columns())
+            summaries[key] = build(self._summary_columns())
         return summaries[key]
+
+    def _summary_columns(self) -> tuple[CodeColumn, ...]:
+        """The code columns :meth:`_summary` builds from: the encoding
+        (a stored table's value reads its pages instead)."""
+        return self.encoded_columns()
 
     @property
     def cached_encoding(self) -> Optional[tuple[CodeColumn, ...]]:

@@ -66,7 +66,7 @@ from repro.algebra.predicates import (
 )
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
-from repro.relation.encoding import CodeColumn, code_width, narrow_codes, widen_codes
+from repro.relation.encoding import CodeColumn, code_width, empty_codes, narrow_codes, widen_codes
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -402,6 +402,25 @@ class TableReader:
                     continue
                 stream.seek(self._data_start + meta["offset"])
                 yield meta, self._columns(number, meta, stream.read(meta["length"]))
+
+    def joined_columns(
+        self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
+    ) -> Columns:
+        """The columns of the blocks ``should_read`` keeps (asked once per
+        block), joined in file order: a code buffer, or a raw value list.
+        Each block is copied into place as it is read and dropped, so no
+        more than one block is held beside the joined columns."""
+        kept = [meta for meta in self.blocks if should_read is None or should_read(meta)]
+        wanted = {id(meta) for meta in kept}
+        count = sum(meta["count"] for meta in kept)
+        joined: Columns = [[] if page is None else empty_codes(count) for page in self._pages]
+        start = 0
+        for meta, columns in self.iter_block_columns(lambda meta: id(meta) in wanted):
+            stop = start + meta["count"]
+            for whole, part in zip(joined, columns):
+                whole[start:stop] = part  # a raw list grows by its slice
+            start = stop
+        return joined
 
     def iter_blocks(
         self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None

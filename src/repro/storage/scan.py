@@ -9,7 +9,20 @@ column pages are typed code buffers over table-wide dictionary pages —
 exactly a chunk's code-column form: the verified buffers go up **as they
 are**, and the page lookups plus the transpose into tuples only happen for
 a chunk whose consumer reads ``chunk.tuples`` (or, block by block, for a
-table with a raw column).  Every scan reads and checks its pages anew.
+table with a raw column).  A streaming scan reads and checks its pages
+anew on every execution, so joins, aggregates and exchanges over a stored
+table hold one block at a time.
+
+A division's dividend is the exception (:meth:`StoredScan.set_one_block`,
+set by the planner): the scan hands up **one** chunk marked as the
+relation's block (:class:`~repro.physical.base.BaseBlock`), whose length
+is the kept blocks' counts summed from the block index and whose pages are
+read — the kept blocks, checked and joined — only if something reads its
+codes.  The division answers from the containment bitmap, and a filter
+above it from the column frequencies, that the ``StoredRelation`` built
+from one checked read of its pages and keeps
+(:meth:`~repro.relation.relation.Relation._summary`), so a warm division
+over a stored table reads no page at all.
 
 With a *skip predicate* attached (the optimizer pushes a query's leaf
 predicate down when its attributes are covered by the scan schema), each
@@ -18,7 +31,7 @@ never read.  The predicate is advisory: the plan keeps its ``Filter``, so
 skipping only ever removes whole blocks the filter would have emptied
 anyway, and the ``blocks_skipped`` counter it maintains is surfaced by
 ``explain(analyze=True)``, as is ``bytes_read`` (the payload bytes the
-most recent execution read).
+most recent execution read: 0 when one block's codes were never read).
 """
 
 from __future__ import annotations
@@ -61,6 +74,11 @@ class StoredScan(PhysicalOperator):
         self.batch_size = sys.maxsize  # a chunk is a stored block, as for the in-memory scans
         self.table = table if table is not None else relation.reader.table
         self.skip_predicate: Optional[Predicate] = None
+        #: Hand up the kept blocks as one deferred, marked chunk
+        #: (:meth:`set_one_block`) instead of one chunk per block.
+        self.one_block = False
+        #: ``(skip predicate, kept blocks)`` of :meth:`_kept`.
+        self._zones: Optional[tuple[Optional[Predicate], frozenset[int]]] = None
         self.blocks_total = len(relation.reader.blocks)
         self.blocks_skipped = 0
         #: Block payload bytes read by the most recent execution.
@@ -83,27 +101,67 @@ class StoredScan(PhysicalOperator):
         else:
             self.skip_predicate = conjunction([self.skip_predicate, predicate])
 
+    def set_one_block(self) -> None:
+        """Hand up one chunk for the whole scan (the planner sets it, at
+        plan time, on a division's dividend only): the blocks the zone maps
+        keep, marked as the relation's block
+        (:class:`~repro.physical.base.BaseBlock`), their pages read only if
+        something reads the chunk's codes.  A batch size, when set, still
+        slices block by block."""
+        self.one_block = True
+
+    def _kept(self) -> frozenset[int]:
+        """The blocks (by index entry) the zone maps keep under the skip
+        predicate: tested once per predicate, since a scan's block index
+        never changes, and read by every re-execution of the plan."""
+        predicate = self.skip_predicate
+        if self._zones is None or self._zones[0] is not predicate:
+            kept = frozenset(
+                id(meta)
+                for meta in self.relation.reader.blocks
+                if predicate is None or block_may_match(predicate, meta.get("zones") or {})
+            )
+            self._zones = (predicate, kept)
+        return self._zones[1]
+
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
         size = self.batch_size
-        predicate = self.skip_predicate
         reader = self.relation.reader
+        kept = self._kept()
         self.blocks_total = len(reader.blocks)
         self.blocks_skipped = self.bytes_read = 0
 
-        def selector(meta: dict[str, Any]) -> bool:
-            if predicate is None or block_may_match(predicate, meta.get("zones") or {}):
-                self.bytes_read += meta["length"]
+        def reads(meta: dict[str, Any]) -> bool:
+            if id(meta) not in kept:
+                return False
+            self.bytes_read += meta["length"]
+            return True
+
+        def streams(meta: dict[str, Any]) -> bool:
+            if reads(meta):
                 return True
             self.blocks_skipped += 1
             return False
 
         if self.page_kind == "raw":  # no codes to hand up: the reader's decoded view
-            for _meta, tuples in reader.iter_blocks(selector):
+            for _meta, tuples in reader.iter_blocks(streams):
                 yield from Chunk(schema, tuples).pieces(size)
             return
         pages = reader.dictionary_pages
-        for _meta, buffers in reader.iter_block_columns(selector):
+        if self.one_block and size == sys.maxsize:
+            self.blocks_skipped = self.blocks_total - len(kept)
+            length = sum(meta["count"] for meta in reader.blocks if id(meta) in kept)
+            if length:
+
+                def read() -> Chunk:  # the kept blocks, checked and joined, if asked
+                    return Chunk.coded(
+                        schema, tuple(map(CodeColumn, pages, reader.joined_columns(reads)))
+                    )
+
+                yield Chunk.base_block(schema, length, self.relation, read)
+            return
+        for _meta, buffers in reader.iter_block_columns(streams):
             yield from Chunk.coded(schema, tuple(map(CodeColumn, pages, buffers))).pieces(size)
 
     def describe(self) -> str:

@@ -24,6 +24,11 @@ statistics come straight from the file headers (no data read), and the
 tuples materialize only if something actually asks for rows — the planner
 routes stored tables through :class:`~repro.storage.scan.StoredScan`,
 which streams blocks, so ordinary query execution never materializes them.
+What a division reads instead of a dividend's blocks — the containment
+bitmap, a column's code frequencies — a :class:`StoredRelation` builds
+from one checked read of its pages and keeps, as an in-memory value keeps
+its own (:meth:`~repro.relation.relation.Relation._summary`); the pages
+themselves are not kept, and a reopened store builds them again.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from repro.faults import registry as fault_registry
 from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
-from repro.relation.encoding import concatenate_codes
+from repro.relation.encoding import CodeColumn
 from repro.storage.format import DEFAULT_BLOCK_SIZE, Columns, PathLike, TableReader
 from repro.storage.format import column_blocks, write_table_file
 
@@ -103,7 +108,8 @@ class StoredRelation(Relation):
     (:meth:`aligned_tuples`), so every inherited algebra method works
     unchanged.  Length, schema and :meth:`stored_statistics` are answered
     from the header alone, which is what keeps ``repro.connect(path)`` and
-    ``db.analyze()`` metadata-only.
+    ``db.analyze()`` metadata-only.  Summaries are the inherited ones, built
+    from the pages (:meth:`_summary_columns`) and kept on this value.
 
     Derived relations (projections, quotients, …) are always plain
     in-memory :class:`Relation` values: the base class builds results via
@@ -131,6 +137,25 @@ class StoredRelation(Relation):
             tuples = [values for _meta, block in self._reader.iter_blocks() for values in block]
             self._tuples = tuples
         return tuples
+
+    def encoded_columns(self) -> tuple[CodeColumn, ...]:
+        """The stored pages joined, cached as any value's encoding is: over
+        the header's dictionary pages, as every summary is, so a scan of this
+        value and its summaries agree on every code.  A table with a raw
+        column encodes its tuples instead."""
+        if self._encoding is None and None not in self._reader.dictionary_pages:
+            self._encoding = self._summary_columns()
+        return super().encoded_columns()
+
+    def _summary_columns(self) -> tuple[CodeColumn, ...]:
+        """The code columns one summary is built from: the encoding if this
+        value holds one, else every block's pages read and checked (the
+        ``storage.block_read`` fault point fires per block) and joined,
+        which nothing keeps — the summary is what stays."""
+        if self._encoding is not None:
+            return self._encoding
+        reader = self._reader
+        return tuple(map(CodeColumn, reader.dictionary_pages, reader.joined_columns()))
 
     # -- metadata-only answers -----------------------------------------
     def __len__(self) -> int:
@@ -235,15 +260,11 @@ def _table_source(
     is what makes a re-saved file byte-identical to its source."""
     if isinstance(relation, StoredRelation):
         reader = relation.reader
-        pages = reader.dictionary_pages
-        blocks = (columns for _meta, columns in reader.iter_block_columns())
-        if reader.block_size != block_size:
-            whole = [
-                concatenate_codes(parts) if page is not None else list(itertools.chain(*parts))
-                for page, parts in zip(pages, zip(*blocks))
-            ]
-            blocks = column_blocks(whole, block_size)
-        return reader.attributes, pages, blocks
+        if reader.block_size == block_size:
+            blocks = (columns for _meta, columns in reader.iter_block_columns())
+        else:
+            blocks = column_blocks(reader.joined_columns(), block_size)
+        return reader.attributes, reader.dictionary_pages, blocks
     columns = relation.encoded_columns()
     blocks = column_blocks([column.codes for column in columns], block_size)
     return relation.schema.names, [column.dictionary for column in columns], blocks

@@ -11,7 +11,7 @@ import pytest
 from repro.algebra import predicates as P
 from repro.analysis import verify_physical
 from repro.analysis.findings import FINDING_CODES, Severity
-from repro.physical import PartitionedDivision, RelationScan
+from repro.physical import Filter, HashDivision, HashJoin, PartitionedDivision, RelationScan
 from repro.relation import Relation
 from repro.storage.scan import StoredScan
 from repro.storage.store import load_catalog, save_database
@@ -36,7 +36,7 @@ def codes(plan):
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("code", ["RP501", "RP502", "RP503", "RP504", "RP505"])
+    @pytest.mark.parametrize("code", ["RP501", "RP502", "RP503", "RP504", "RP505", "RP506"])
     def test_storage_codes_are_registered_errors(self, code):
         severity, _description = FINDING_CODES[code]
         assert severity is Severity.ERROR
@@ -80,6 +80,46 @@ class TestStoredScanFindings:
         scan.relation.reader.blocks[0]["zones"]["k"] = (5, 1)
         findings, _ = verify_physical(scan)
         assert [f.origin for f in findings] == ["storage"]
+
+
+class TestOneBlockScanFinding:
+    """RP506: a scan set to hand up one block feeds a division's dividend,
+    directly or under one filter whose predicate is the scan's skip
+    predicate; put anywhere else, the verifier says so."""
+
+    DIVISOR = Relation(["g"], [(1,), (2,)])
+
+    def test_a_dividend_is_clean(self, scan):
+        scan.set_one_block()
+        assert codes(HashDivision(scan, RelationScan(self.DIVISOR))) == []
+
+    def test_a_dividend_under_its_filter_is_clean(self, scan):
+        predicate = P.less_than(P.attr("k"), 30)
+        scan.set_skip_predicate(predicate)
+        scan.set_one_block()
+        assert codes(HashDivision(Filter(scan, predicate), RelationScan(self.DIVISOR))) == []
+
+    def test_under_a_join_is_rp506(self, scan):
+        scan.set_one_block()
+        assert codes(HashJoin(scan, RelationScan(self.DIVISOR))) == ["RP506"]
+
+    def test_a_divisor_is_rp506(self, scan):
+        scan.set_one_block()
+        dividend = RelationScan(Relation(["x", "k", "g"], [(1, 1, 1)]))
+        assert codes(HashDivision(dividend, scan)) == ["RP506"]
+
+    def test_another_skip_predicate_is_rp506(self, scan):
+        """Blocks skipped on a predicate the filter does not test may hold
+        tuples it passes: the one block would claim them."""
+        scan.set_skip_predicate(P.less_than(P.attr("k"), 10))
+        scan.set_one_block()
+        plan = HashDivision(Filter(scan, P.less_than(P.attr("k"), 30)), RelationScan(self.DIVISOR))
+        assert codes(plan) == ["RP506"]
+
+    def test_a_skip_predicate_without_its_filter_is_rp506(self, scan):
+        scan.set_skip_predicate(P.less_than(P.attr("k"), 10))
+        scan.set_one_block()
+        assert codes(HashDivision(scan, RelationScan(self.DIVISOR))) == ["RP506"]
 
 
 class TestExchangeBudgetFinding:

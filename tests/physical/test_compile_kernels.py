@@ -22,8 +22,10 @@ from repro.physical import (
 from repro.physical.compile.kernels import (
     NumpyBitsetKernel,
     PythonBitsetKernel,
+    _IntRows,
     active_kernel,
 )
+from repro.relation.encoding import packed_table
 from repro.workloads import make_division_workload, make_great_division_workload
 
 
@@ -323,7 +325,8 @@ def test_intersection_matches_equals_the_python_reference(count, table):
     assert reference_rows == [
         sum(int(word) << (64 * i) for i, word in enumerate(row)) for row in rows
     ]
-    arguments = (set_codes, value_codes, ROW_OF, count, allowed)
+    packed = None if allowed is None else packed_table(allowed)
+    arguments = (set_codes, value_codes, ROW_OF, count, packed)
     reference = hit_pairs(python.intersection_matches(reference_rows, *arguments))
     found = hit_pairs(vectorized.intersection_matches(rows, *arguments))
     truth = allowed if allowed is not None else [True] * count
@@ -335,6 +338,39 @@ def test_intersection_matches_equals_the_python_reference(count, table):
     assert [a for a, number in found if number == 0] == [a for a in range(count) if truth[a]]
     assert all(a < count for a, _ in found)
     assert not [number for _, number in found if number in (1, 5, 70, 71)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 63, 64, 65, 130])
+def test_packed_table_is_a_bitmap_row(count):
+    """A truth table packs into the words of a containment-bitmap row over
+    the same dictionary: bit ``i`` is entry ``i``, the padding is clear."""
+    rng = random.Random(count)
+    table = numpy.array([rng.random() < 0.5 for _ in range(count)], dtype=bool)
+    packed = packed_table(table)
+    assert packed.dtype == numpy.dtype("<u8") and packed.shape == (-(-count // 64),)
+    as_int = int.from_bytes(packed.tobytes(), "little")
+    assert as_int == sum(1 << i for i in range(count) if table[i])
+
+
+@pytest.mark.parametrize("count", [20, 200])
+def test_packed_candidates_restrict_both_kernels_alike(count):
+    """A packed candidate table is one more row ANDed into every set, on
+    the reference, on its ``int``-row fallback and vectorized."""
+    values, candidates = containment_input(count, seed=count + 5)
+    code_sets = intersection_sets(seed=count + 6)
+    set_codes, value_codes = as_pairs(code_sets, seed=count + 7)
+    rng = random.Random(count + 8)
+    allowed = numpy.array([rng.random() < 0.3 for _ in range(count)], dtype=bool)
+    python, vectorized = PythonBitsetKernel(), NumpyBitsetKernel()
+    rows = containment_rows(vectorized, count, values, candidates)
+    reference_rows = containment_rows(python, count, values, candidates)
+    arguments = (set_codes, value_codes, list(range(INTERSECTION_VALUES)), count)
+    expected = intersection_definition(count, values, candidates, code_sets, allowed)
+    packed = packed_table(allowed)
+    assert hit_pairs(python.intersection_matches(reference_rows, *arguments, packed)) == expected
+    assert hit_pairs(vectorized.intersection_matches(rows, *arguments, packed)) == expected
+    fallback = python.intersection_matches(_IntRows(rows), *arguments, packed)
+    assert hit_pairs(fallback) == expected
 
 
 def test_intersection_matches_over_int_rows_is_the_reference():
