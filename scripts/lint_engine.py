@@ -52,8 +52,10 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   only in the decoded views: ``decode_columns`` itself, the reader's
   ``iter_blocks`` (which the scan's raw-page branch reads) and
   ``StoredRelation.aligned_tuples``.  And nothing on the save path
-  (``save_database`` and what it writes through) may ask for tuples at
-  all: saving a reopened store streams pages, it does not load tables.
+  (``save_database`` and what it writes through: the source's
+  ``iter_block_payloads``, ``encode_blocks``, ``assemble_table_file``)
+  may ask for tuples at all: saving a reopened store streams verified
+  payloads or pages, it does not load tables.
 
 * **RP408** — a table edit is O(delta).  ``Database.insert`` and
   ``Database.delete`` record their rows through ``Catalog.apply_delta``:
@@ -388,7 +390,15 @@ BLOCK_DECODERS = {"decode_columns", "tolist"}
 #: The functions under storage/ that may: the decoded views of a block.
 DECODED_VIEWS = {"decode_columns", "iter_blocks", "aligned_tuples"}
 #: The save path, and what it may not call.
-SAVE_PATH = {"save_database", "_table_source", "write_table_file", "block_zones"}
+SAVE_PATH = {
+    "save_database",
+    "_table_source",
+    "write_table_file",
+    "encode_blocks",
+    "block_zones",
+    "iter_block_payloads",
+    "assemble_table_file",
+}
 TUPLE_SOURCES = {"aligned_tuples", "iter_blocks", "decode_columns"}
 
 

@@ -12,8 +12,9 @@ ask one helper, :func:`_distinct_values`, for the distinct values of
 encoding — every base table a query names does, statistics read it before
 the rewriter runs and an edit's fold carries it over — answers from the
 dictionaries; a coded operand (a plan's result held as code columns)
-answers one attribute from the codes it carries, without decoding a
-tuple; anything else takes one sweep over its aligned tuples.  No
+answers one attribute from the codes it carries, and a stored table
+from its pages' code frequencies, without decoding a tuple; anything else
+takes one sweep over its aligned tuples.  No
 condition builds a ``Row`` or an intermediate relation; the tuple
 definitions they replaced live on in ``tests/laws/test_conditions.py`` as
 the reference these are compared against.
@@ -25,6 +26,7 @@ from collections.abc import Collection
 from typing import Any
 
 from repro.division.schemas import small_divide_schemas
+from repro.relation.encoding import select_items
 from repro.relation.relation import Relation
 from repro.relation.schema import AttributeNames, Schema, as_schema
 
@@ -53,8 +55,11 @@ def _distinct_values(operand: Relation, schema: Schema) -> Collection[Any]:
     only — a chunk's slice, a ``bounded()`` column, a stored page or a
     plan result's :attr:`~repro.relation.relation.Relation.code_columns`
     share dictionaries with entries they do not carry, so the last answers
-    from its codes (each distinct code looked up once).  Several attributes
-    (or none) take the sweep whether or not the operand is encoded.
+    from its codes (each distinct code looked up once).  A stored table
+    answers from its ``("frequencies", p)`` summary, built from its pages
+    with no tuple kept: the dictionary entries some tuple holds (a stored
+    dictionary may carry entries no tuple does).  Several attributes (or
+    none) take the sweep whether or not the operand is encoded.
     """
     operand.schema.require(schema, "precondition check")
     picks = operand.schema.picker(schema)
@@ -64,6 +69,9 @@ def _distinct_values(operand: Relation, schema: Schema) -> Collection[Any]:
             return encoding[picks[0]].dictionary
         if operand.code_columns is not None:
             return operand.code_columns[picks[0]].distinct_values()
+        if operand.summaries_from_pages:
+            dictionary, frequencies = operand.column_frequencies(picks[0])
+            return select_items(dictionary, frequencies)
     return frozenset(map(operand.schema.key_getter(schema), operand.aligned_tuples()))
 
 

@@ -37,7 +37,6 @@ from repro.physical.base import (
 )
 from repro.relation.encoding import (
     CodeColumn,
-    code_frequencies,
     flag_table,
     mask_and,
     mask_count,
@@ -333,10 +332,7 @@ class Filter(PhysicalOperator):
         """A whole block under a one-attribute predicate: itself, or its
         restricted block (None when the predicate raises on an entry)."""
         position = entries.position
-        dictionary, frequencies = relation._summary(
-            ("frequencies", position),
-            lambda columns: (columns[position].dictionary, code_frequencies(columns[position])),
-        )
+        dictionary, frequencies = relation.column_frequencies(position)
         table = entries.table(dictionary)
         if table is None:
             return None

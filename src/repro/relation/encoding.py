@@ -688,7 +688,8 @@ def mask_positions(mask: Any) -> Any:
 
 
 def select_items(items: Sequence[Any], mask: Any) -> list[Any]:
-    """The elements of a plain sequence where ``mask`` is set."""
+    """The elements of a plain sequence where ``mask`` is set (or, for a
+    count per element such as :func:`code_frequencies`, nonzero)."""
     return list(itertools.compress(items, mask.tolist()))
 
 

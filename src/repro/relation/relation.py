@@ -37,7 +37,13 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Seq
 from typing import Any, Optional, Union
 
 from repro.errors import RelationError, SchemaError
-from repro.relation.encoding import CodeColumn, drop_positions, encode_columns, patch_code_columns
+from repro.relation.encoding import (
+    CodeColumn,
+    code_frequencies,
+    drop_positions,
+    encode_columns,
+    patch_code_columns,
+)
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
 
@@ -369,6 +375,21 @@ class Relation:
         """The code columns :meth:`_summary` builds from: the encoding
         (a stored table's value reads its pages instead)."""
         return self.encoded_columns()
+
+    def column_frequencies(self, position: int) -> tuple[list[Any], Any]:
+        """``(dictionary, tuples per entry)`` of the column at ``position``:
+        the ``("frequencies", position)`` summary, kept on this value."""
+        return self._summary(
+            ("frequencies", position),
+            lambda columns: (columns[position].dictionary, code_frequencies(columns[position])),
+        )
+
+    @property
+    def summaries_from_pages(self) -> bool:
+        """Whether a summary of this value is built from stored code pages
+        without decoding a tuple (a stored table whose every column is
+        coded); an in-memory value's summary encodes its tuples first."""
+        return False
 
     @property
     def cached_encoding(self) -> Optional[tuple[CodeColumn, ...]]:

@@ -41,6 +41,15 @@ mutually comparable gets none, which keeps pruning conservative.
 :func:`block_may_match` answers "could any tuple in a block with these
 zones satisfy this predicate?", ``True`` whenever it cannot tell.
 
+Writing has two steps: :func:`encode_blocks` turns a block's columns into
+its payload and index entry (pages, zone maps), and
+:func:`assemble_table_file` writes the header, the payloads and the fsync.
+:func:`write_table_file` is the two in a row.  A re-save of a stored table
+at its own block size skips the first: the source's payloads, verified as
+any read verifies them (:meth:`TableReader.iter_block_payloads`), go to
+the new file as they are, their zone maps and CRCs reused — the file is
+byte for byte the one an encode would write.
+
 Free of optimizer/physical imports: the statistics payload stays a plain
 dict here and is converted by :mod:`repro.storage.store`.
 """
@@ -72,12 +81,15 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FORMAT_VERSION",
     "MAGIC",
+    "EncodedBlock",
     "TableReader",
+    "assemble_table_file",
     "block_may_match",
     "block_zones",
     "column_blocks",
     "decode_columns",
     "decode_raw_page",
+    "encode_blocks",
     "encode_raw_page",
     "write_table_file",
 ]
@@ -164,6 +176,11 @@ def block_zones(
 # ----------------------------------------------------------------------
 # writing
 # ----------------------------------------------------------------------
+#: One block ready to write: its index entry (``count``, ``pages``,
+#: ``zones`` and, if known, ``crc``) and its payload bytes.
+EncodedBlock = tuple[dict[str, Any], bytes]
+
+
 def write_table_file(
     path: PathLike,
     table: str,
@@ -181,10 +198,57 @@ def write_table_file(
     or ``None`` for a raw column; ``blocks`` yields the table cut into
     ``block_size`` tuples, each block one code buffer / value list per
     attribute — what :meth:`TableReader.iter_block_columns` reads back and
-    :func:`column_blocks` cuts.  Blocks are written in the order given: a
-    clustered relation gets disjoint zone maps that prune hard.
-    ``checksums=False`` leaves the per-block CRCs out; ``fsync=False`` skips
-    the flush-to-disk barrier.
+    :func:`column_blocks` cuts.  Each block is encoded
+    (:func:`encode_blocks`) and the file assembled by
+    :func:`assemble_table_file`, whose options these are.
+    """
+    attributes = tuple(attributes)
+    encoded = encode_blocks(attributes, pages, blocks)
+    return assemble_table_file(
+        path, table, attributes, pages, encoded, block_size, statistics, checksums, fsync
+    )
+
+
+def encode_blocks(
+    attributes: Sequence[str], pages: Sequence[Optional[list[Any]]], blocks: Iterable[Columns]
+) -> Iterator[EncodedBlock]:
+    """Each block of columns as ``(index entry, payload)``: its code pages
+    narrowed (:func:`narrow_codes`), its raw pages pickled, its zone maps
+    taken (:func:`block_zones`); the CRC is left to the assembly."""
+    for columns in blocks:
+        encoded = [
+            encode_raw_page(column) if page is None else narrow_codes(column, len(page))
+            for column, page in zip(columns, pages)
+        ]
+        entry = {
+            "count": len(columns[0]),
+            "pages": tuple(map(len, encoded)),
+            "zones": block_zones(attributes, columns, pages),
+        }
+        yield entry, b"".join(encoded)
+
+
+def assemble_table_file(
+    path: PathLike,
+    table: str,
+    attributes: Sequence[str],
+    pages: Sequence[Optional[list[Any]]],
+    blocks: Iterable[EncodedBlock],
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    statistics: Optional[dict[str, Any]] = None,
+    checksums: bool = True,
+    fsync: bool = True,
+) -> Path:
+    """Write the header, then the payloads of ``blocks`` in the order given.
+
+    ``blocks`` yields ``(index entry, payload)`` per block: encoded by
+    :func:`encode_blocks`, or a stored table's verified payloads as
+    :meth:`TableReader.iter_block_payloads` hands them back, which a re-save
+    at the same ``block_size`` writes as they are — its entry's ``count``,
+    ``pages`` and ``zones`` reused, its ``crc`` too when it has one.  Blocks
+    go to disk in the order given: a clustered relation gets disjoint zone
+    maps that prune hard.  ``checksums=False`` leaves the per-block CRCs
+    out; ``fsync=False`` skips the flush-to-disk barrier.
     """
     if block_size < 1:
         raise StorageError(f"block size must be at least 1, got {block_size}")
@@ -195,21 +259,17 @@ def write_table_file(
     payloads: list[bytes] = []
     index: list[dict[str, Any]] = []
     offset = tuple_count = 0
-    for columns in blocks:
-        encoded = [
-            encode_raw_page(column) if page is None else narrow_codes(column, len(page))
-            for column, page in zip(columns, pages)
-        ]
-        payload = b"".join(encoded)
+    for given, payload in blocks:
         entry = {
             "offset": offset,
             "length": len(payload),
-            "count": len(columns[0]),
-            "pages": tuple(map(len, encoded)),
-            "zones": block_zones(attributes, columns, pages),
+            "count": given["count"],
+            "pages": given["pages"],
+            "zones": given["zones"],
         }
         if checksums:
-            entry["crc"] = zlib.crc32(payload)
+            crc = given.get("crc")
+            entry["crc"] = zlib.crc32(payload) if crc is None else crc
         index.append(entry)
         payloads.append(payload)
         offset += len(payload)
@@ -345,9 +405,22 @@ class TableReader:
         return self._header.get("statistics")
 
     # -- block access ---------------------------------------------------
+    def _payloads(
+        self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
+    ) -> Iterator[tuple[int, dict[str, Any], bytes]]:
+        """``(number, index_entry, payload)`` per block ``should_read``
+        keeps, as read (the ``storage.block_read`` fault point fires on
+        each), not yet verified."""
+        with open(self._path, "rb") as stream:
+            for number, meta in enumerate(self.blocks):
+                if should_read is not None and not should_read(meta):
+                    continue
+                stream.seek(self._data_start + meta["offset"])
+                payload = stream.read(meta["length"])
+                yield number, meta, fault_registry.fire("storage.block_read", payload)
+
     def _columns(self, number: int, meta: dict[str, Any], payload: bytes) -> Columns:
         """Verify one block payload and cut it into its column pages."""
-        payload = fault_registry.fire("storage.block_read", payload)
         if len(payload) != meta["length"]:
             raise StorageError(f"{self._path} is truncated (block {number} payload incomplete)")
         expected = meta.get("crc")
@@ -396,12 +469,18 @@ class TableReader:
         sees each index entry (with its zone maps) first; ``False`` skips
         the block without any disk read.
         """
-        with open(self._path, "rb") as stream:
-            for number, meta in enumerate(self.blocks):
-                if should_read is not None and not should_read(meta):
-                    continue
-                stream.seek(self._data_start + meta["offset"])
-                yield meta, self._columns(number, meta, stream.read(meta["length"]))
+        for number, meta, payload in self._payloads(should_read):
+            yield meta, self._columns(number, meta, payload)
+
+    def iter_block_payloads(self) -> Iterator[tuple[dict[str, Any], bytes]]:
+        """Yield ``(index_entry, payload)`` per block, in file order, each
+        payload verified as :meth:`iter_block_columns` verifies it (length,
+        CRC, page lengths, code range) and handed back as read: what a
+        re-save at this file's block size writes without decoding a page
+        or taking a zone map again (:func:`assemble_table_file`)."""
+        for number, meta, payload in self._payloads():
+            self._columns(number, meta, payload)
+            yield meta, payload
 
     def joined_columns(
         self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None

@@ -6,8 +6,11 @@ to files and recording the catalog's declared keys and foreign keys, so a
 reopened store keeps the same rewrite-law preconditions available.
 
 A save writes every table from its **code columns**, never from tuples:
-an in-memory relation's cached encoding, or a reopened store's verified
-pages streamed block by block (no tuple is built, nothing stays loaded).
+an in-memory relation's cached encoding is encoded block by block; a
+reopened store's blocks are verified and their payloads written as they
+are, zone maps and CRCs reused (or its pages joined and encoded again when
+the save asks for another block size).  No tuple is built, nothing stays
+loaded.
 
 Saves are **crash-safe**: table files are written under fresh
 generation-suffixed names (never overwriting the files the current
@@ -48,8 +51,8 @@ from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 from repro.relation.encoding import CodeColumn
-from repro.storage.format import DEFAULT_BLOCK_SIZE, Columns, PathLike, TableReader
-from repro.storage.format import column_blocks, write_table_file
+from repro.storage.format import DEFAULT_BLOCK_SIZE, EncodedBlock, PathLike, TableReader
+from repro.storage.format import assemble_table_file, column_blocks, encode_blocks
 
 __all__ = [
     "MANIFEST_NAME",
@@ -157,6 +160,11 @@ class StoredRelation(Relation):
         reader = self._reader
         return tuple(map(CodeColumn, reader.dictionary_pages, reader.joined_columns()))
 
+    @property
+    def summaries_from_pages(self) -> bool:
+        """True unless a column is stored as raw pages (no codes to count)."""
+        return None not in self._reader.dictionary_pages
+
     # -- metadata-only answers -----------------------------------------
     def __len__(self) -> int:
         return self._reader.tuple_count
@@ -252,22 +260,27 @@ def _sweep_orphans(path: Path, keep: "set[str]") -> None:
 
 def _table_source(
     relation: Relation, block_size: int
-) -> "tuple[tuple[str, ...], list[Optional[list[Any]]], Iterator[Columns]]":
-    """``(attributes, dictionary pages, blocks)`` for :func:`write_table_file`:
-    an in-memory relation's cached encoding, or a stored one's verified
-    pages (joined and re-cut only for another ``block_size``) under the
+) -> "tuple[tuple[str, ...], list[Optional[list[Any]]], Iterator[EncodedBlock]]":
+    """``(attributes, dictionary pages, blocks)`` for
+    :func:`assemble_table_file`.  A stored table at the same ``block_size``
+    hands over its verified payloads as they are, with their index entries
+    (zone maps, CRCs) — no page decoded or encoded again; re-cut to another
+    ``block_size`` its pages are joined and encoded, as an in-memory
+    relation's cached encoding is.  A stored table is written under its
     header's own name strings — pickle shares strings by identity, so this
     is what makes a re-saved file byte-identical to its source."""
     if isinstance(relation, StoredRelation):
         reader = relation.reader
+        attributes, pages = reader.attributes, reader.dictionary_pages
         if reader.block_size == block_size:
-            blocks = (columns for _meta, columns in reader.iter_block_columns())
-        else:
-            blocks = column_blocks(reader.joined_columns(), block_size)
-        return reader.attributes, reader.dictionary_pages, blocks
-    columns = relation.encoded_columns()
-    blocks = column_blocks([column.codes for column in columns], block_size)
-    return relation.schema.names, [column.dictionary for column in columns], blocks
+            return attributes, pages, reader.iter_block_payloads()
+        columns = reader.joined_columns()
+    else:
+        encoding = relation.encoded_columns()
+        attributes = relation.schema.names
+        pages = [column.dictionary for column in encoding]
+        columns = [column.codes for column in encoding]
+    return attributes, pages, encode_blocks(attributes, pages, column_blocks(columns, block_size))
 
 
 def save_database(
@@ -309,7 +322,7 @@ def save_database(
             filename = _table_filename(index, name, generation)
             fault_registry.fire("storage.table_write")
             written.append(path / filename)
-            write_table_file(
+            assemble_table_file(
                 path / filename,
                 name,
                 *_table_source(relation, block_size),

@@ -5,9 +5,14 @@ definitions they replaced are kept here (``reference_*``) as the oracle of
 the ``coded ≡ tuple definition`` properties at the bottom.
 """
 
+import itertools
+import tempfile
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.laws.conditions import (
     attribute_is_key,
     condition_c1,
@@ -18,6 +23,9 @@ from repro.laws.conditions import (
 )
 from repro.relation import Relation
 from repro.relation.schema import as_schema
+from repro.storage.format import TableReader, column_blocks, write_table_file
+from repro.storage.store import StoredRelation
+from tests.storage.tables import table_columns
 from tests.strategies import dividends, divisors
 
 
@@ -123,17 +131,38 @@ TUPLES = st.lists(st.tuples(MIXED, MIXED, MIXED), max_size=8)
 ATTRIBUTES = st.lists(st.sampled_from(NAMES), unique=True)
 
 
+#: Where stored operands are written (removed when the interpreter exits).
+_STORED = tempfile.TemporaryDirectory(prefix="conditions-")
+_stored_names = itertools.count()
+
+
+def stored(names, tuples, spare=False):
+    """``tuples`` as a bare stored table of two-tuple blocks; ``spare``
+    gives every dictionary an entry no tuple holds, as a foreign writer's
+    may."""
+    pages, columns = table_columns(names, tuples)
+    if spare:
+        pages = [page + [("spare", position)] for position, page in enumerate(pages)]
+    path = Path(_STORED.name) / f"t{next(_stored_names)}.rpb"
+    write_table_file(path, "t", names, pages, column_blocks(columns, 2), block_size=2)
+    return StoredRelation(TableReader(path))
+
+
 @st.composite
 def operands(draw):
-    """A relation over a permutation of ``NAMES`` in one of the three
-    states a condition meets: no cached encoding, a fresh one, or one
-    carried over ``with_delta`` edits (which empty dictionary entries and
-    bring them back)."""
+    """A relation over a permutation of ``NAMES`` in one of the states a
+    condition meets: no cached encoding, a fresh one, one carried over
+    ``with_delta`` edits (which empty dictionary entries and bring them
+    back), or a bare stored table (its dictionaries with or without entries
+    no tuple holds)."""
     names = draw(st.permutations(NAMES))
-    relation = Relation(names, draw(TUPLES))
-    state = draw(st.sampled_from(["plain", "encoded", "edited"]))
+    tuples = draw(TUPLES)
+    relation = Relation(names, tuples)
+    state = draw(st.sampled_from(["plain", "encoded", "edited", "stored", "stored-spare"]))
     if state == "plain":
         return relation
+    if state.startswith("stored"):
+        return stored(names, tuples, spare=state == "stored-spare")
     relation.encoded_columns()
     if state == "edited":
         for _ in range(draw(st.integers(1, 3))):
@@ -201,3 +230,33 @@ class TestCodedConditionsEqualTheTupleDefinitions:
         relation.encoded_columns()
         assert not attribute_is_key(relation, ["a"]) and attribute_is_key(relation, ["b"])
         assert inclusion_holds(Relation(["a"], [(True,)]), relation, ["a"])
+
+    def test_a_stored_table_answers_from_its_frequencies(self):
+        """One attribute of a bare stored table: the entries some tuple
+        holds, from the pages' code frequencies — a dictionary entry no
+        tuple holds is no value, and no tuple is loaded."""
+        table = stored(("a", "b"), [(1, "x"), (2, "x"), (1, "y")], spare=True)
+        assert not attribute_is_key(table, ["a"]) and not attribute_is_key(table, ["b"])
+        assert not inclusion_holds(Relation(["a"], [(("spare", 0),)]), table, ["a"])
+        assert inclusion_holds(Relation(["a"], [(2,)]), table, ["a"])
+        assert projections_disjoint(Relation(["b"], [("z",)]), table, ["b"])
+        assert not table.is_loaded
+
+
+def test_a_small_divide_over_a_stored_dividend_loads_no_tuple(tmp_path):
+    """The grouping law checks ``s_no`` as a key of the bare stored
+    dividend on a σ-divisor's first rewrite: answered from the table's
+    code frequencies, the dividend's tuples are never loaded."""
+    supplies = Relation(
+        ("s_no", "p_no"),
+        [(f"s{i}", f"p{j}") for i in range(40) for j in range(8 if i % 5 == 0 else 4)],
+    )
+    parts = Relation(("p_no", "color"), [(f"p{j}", "blue" if j % 2 else "red") for j in range(8)])
+    repro.connect({"supplies": supplies, "parts": parts}).save(tmp_path)
+    db = repro.connect(tmp_path)
+    result = db.sql(
+        "SELECT s_no FROM supplies AS s DIVIDE BY "
+        "(SELECT p_no FROM parts WHERE color = 'blue') AS p ON s.p_no = p.p_no"
+    ).run()
+    assert result.relation == Relation(("s_no",), [(f"s{i}",) for i in range(0, 40, 5)])
+    assert not db.catalog["supplies"].is_loaded

@@ -200,3 +200,13 @@ class TestExample4:
         predicate = P.equals(P.attr("a1"), P.attr("c"))
         expr = B.theta_join(lit(outer), B.great_divide(lit(dividend), lit(figure2_divisor)), predicate)
         assert not rule.matches(expr)
+
+    def test_rule_rejects_an_outer_side_holding_a_divisor_attribute(self):
+        """``r1*`` with a ``B`` attribute joins the quotient, which lacks
+        it; pushed below the divide it would share it with the dividend."""
+        rule = Example4JoinPushdown()
+        outer = B.rename(B.ref("r1", ["a", "b"]), {"a": "a_"})
+        divide = B.great_divide(B.ref("r1", ["a", "b"]), B.ref("r3", ["b", "c"]))
+        expr = B.theta_join(outer, divide, P.equals(P.attr("a_"), P.attr("a")))
+        assert expr.schema.names == ("a_", "b", "a", "c")
+        assert not rule.matches(expr)

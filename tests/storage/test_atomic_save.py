@@ -1,15 +1,15 @@
 """Crash-safe saves: an interrupted save never damages the committed store.
 
 Each test arms a fault plan that kills the save at a different stage
-(table-file write, manifest write) and then proves the invariant the
-manifest-boundary commit guarantees: the previously committed store loads
-byte-identically, and the failed save leaves no debris behind.
+(source block read, table-file write, manifest write) and then proves the
+invariant the manifest-boundary commit guarantees: the previously committed
+store loads byte-identically, and the failed save leaves no debris behind.
 """
 
 import pytest
 
 import repro
-from repro.errors import InjectedFaultError, StorageError
+from repro.errors import InjectedFaultError, StorageCorruptionError, StorageError
 from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan, reset_counters
 from repro.relation import Relation
 from repro.storage.store import MANIFEST_NAME, load_store, save_database
@@ -44,6 +44,10 @@ def catalog_v2():
 
 def stored_tuples(path):
     catalog, _versions, _views = load_store(path)
+    return {name: sorted(catalog[name].aligned_tuples()) for name in sorted(catalog)}
+
+
+def stored_tuples_of(catalog):
     return {name: sorted(catalog[name].aligned_tuples()) for name in sorted(catalog)}
 
 
@@ -126,3 +130,43 @@ def test_session_save_is_atomic_end_to_end(tmp_path):
         ("s", "p"), [(1, 1), (1, 2), (2, 1)]
     )
     assert stored_tuples(tmp_path) == before
+
+
+def store_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "action,error", [("raise", InjectedFaultError), ("corrupt", StorageCorruptionError)]
+)
+def test_a_failed_block_read_during_a_resave_keeps_the_store(tmp_path, action, error):
+    """A re-save of an opened store reads and verifies every source block
+    before writing its payload: a block read that fails (or hands back a
+    flipped bit) stops the save, and the store it was reading stays as
+    committed, with no debris beside it."""
+    save_database(tmp_path, catalog_v1())
+    before = store_bytes(tmp_path)
+    catalog, _versions, _views = load_store(tmp_path)
+
+    install_plan(FaultPlan((FaultSpec(point="storage.block_read", action=action, limit=1),)))
+    with pytest.raises(error):
+        save_database(tmp_path, catalog)
+    clear_plan()
+
+    assert store_bytes(tmp_path) == before
+    assert stored_tuples(tmp_path) == stored_tuples_of(catalog_v1())
+
+
+def test_a_flipped_bit_in_a_source_block_is_not_copied(tmp_path):
+    """The source file itself damaged: its block fails its CRC on the
+    re-save, which raises rather than write the block into a new store."""
+    save_database(tmp_path / "source", catalog_v1())
+    table = next((tmp_path / "source").glob("*-r1.*.rpb"))
+    data = bytearray(table.read_bytes())
+    data[-1] ^= 0x01  # the last byte of the last block's payload
+    table.write_bytes(bytes(data))
+    catalog, _versions, _views = load_store(tmp_path / "source")
+
+    with pytest.raises(StorageCorruptionError, match="block 0 checksum mismatch"):
+        save_database(tmp_path / "copy", catalog)
+    assert store_files(tmp_path / "copy") == []

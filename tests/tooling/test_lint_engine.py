@@ -292,6 +292,28 @@ class TestRP407StoredBlocksStayCodeBuffers:
             "save_database is on the save path and asks for tuples (aligned_tuples)"
         )
 
+    def test_the_payload_pass_through_may_not_ask_for_tuples(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class TableReader:\n"
+            "    def iter_block_payloads(self):\n"
+            "        for meta, block in self.iter_blocks():\n"
+            "            yield meta, encode(block)\n"
+            "def assemble_table_file(path, table, attributes, pages, blocks):\n"
+            "    return [decode_columns(columns, pages) for _meta, columns in blocks]\n"
+            "def encode_blocks(attributes, pages, blocks):\n"
+            "    for columns in blocks:\n"
+            "        yield {}, narrow(columns)\n",
+        )
+        findings = list(lint._check_storage_file(path))
+        asked = sorted(f.message for f in findings if "on the save path" in f.message)
+        assert asked == [
+            "assemble_table_file is on the save path and asks for tuples (decode_columns); "
+            "write from code columns",
+            "iter_block_payloads is on the save path and asks for tuples (iter_blocks); "
+            "write from code columns",
+        ]
+
     def test_rule_covers_the_storage_package(self, lint):
         checked = list(lint._python_files(lint.STORAGE_DIR))
         assert {path.name for path in checked} >= {"format.py", "scan.py", "spill.py", "store.py"}
