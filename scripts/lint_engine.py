@@ -53,9 +53,10 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   ``iter_blocks`` (which the scan's raw-page branch reads) and
   ``StoredRelation.aligned_tuples``.  And nothing on the save path
   (``save_database`` and what it writes through: the source's
-  ``iter_block_payloads``, ``encode_blocks``, ``assemble_table_file``)
+  ``iter_block_payloads``, ``encode_blocks``, ``assemble_table_file``,
+  and the summary writer, ``_bitmap_summaries`` / ``encode_summaries``)
   may ask for tuples at all: saving a reopened store streams verified
-  payloads or pages, it does not load tables.
+  payloads or pages and the bitmaps it holds, it does not load tables.
 
 * **RP408** — a table edit is O(delta).  ``Database.insert`` and
   ``Database.delete`` record their rows through ``Catalog.apply_delta``:
@@ -398,6 +399,8 @@ SAVE_PATH = {
     "block_zones",
     "iter_block_payloads",
     "assemble_table_file",
+    "encode_summaries",
+    "_bitmap_summaries",
 }
 TUPLE_SOURCES = {"aligned_tuples", "iter_blocks", "decode_columns"}
 

@@ -45,7 +45,7 @@ __all__ = [
 #: so the typo is *reportable* rather than silently inert).
 FAULT_POINTS = frozenset(
     {
-        "storage.block_read",  # TableReader, before a block payload is decoded
+        "storage.block_read",  # TableReader, before a block payload / summary section is checked
         "storage.manifest_load",  # load_store, before the manifest is parsed
         "storage.table_write",  # save_database, before each table file commit
         "storage.manifest_write",  # save_database, before the manifest replace

@@ -50,6 +50,7 @@ __all__ = [
     "PythonBitsetKernel",
     "NumpyBitsetKernel",
     "active_kernel",
+    "row_words",
     "use_kernel",
 ]
 
@@ -149,6 +150,17 @@ class PythonBitsetKernel:
         if current >= 0:
             masks[current] |= mask
         return masks
+
+    def word_rows(self, words: Any, count: int, width: int) -> Any:
+        """A containment bitmap kept as bytes — ``count`` rows of
+        ``⌈width/64⌉`` (at least one) little-endian ``uint64`` words, bit
+        ``i`` of a row being candidate ``i`` — as :meth:`gather_sweep`
+        builds its rows: Python ``int`` masks here."""
+        size = 8 * max(1, -(-width // 64))
+        return [
+            int.from_bytes(words[start : start + size], "little")
+            for start in range(0, count * size, size)
+        ]
 
     # -- match scans ----------------------------------------------------
     # Each returns the matching indices ascending, as an index array:
@@ -366,6 +378,10 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             _np.bitwise_or.at(masks, candidate, bit_of[value])
         return masks.reshape(count, words)
 
+    def word_rows(self, words: Any, count: int, width: int) -> Any:
+        # The words themselves, read in place.
+        return _np.frombuffer(words, dtype="<u8").reshape(count, max(1, -(-width // 64)))
+
     def merge_runs(
         self,
         count: int,
@@ -464,6 +480,17 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             _np.concatenate(candidates).astype(_np.int32),
             _np.concatenate(owners).astype(_np.int32),
         )
+
+
+def row_words(rows: Any, width: int) -> bytes:
+    """Inverse of :meth:`PythonBitsetKernel.word_rows`: a containment
+    bitmap's rows as either kernel builds them — a ``uint64`` word array, or
+    Python ``int`` masks — as bytes, ``⌈width/64⌉`` (at least one)
+    little-endian words a row."""
+    if isinstance(rows, list):
+        size = 8 * max(1, -(-width // 64))
+        return b"".join([row.to_bytes(size, "little") for row in rows])
+    return rows.astype("<u8", copy=False).tobytes()
 
 
 class _IntRows:

@@ -75,6 +75,7 @@ from repro.relation.encoding import (
     as_code_buffer,
     merge_code_columns,
 )
+from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 
 __all__ = ["KeySide", "Containment", "EncodedKeys", "KeyedDivisionOperator", "encode_keys"]
@@ -292,9 +293,11 @@ def _containment(
     )
     if bitmap is None:
         return None
-    rows, candidates, values = bitmap
+    rows, candidates, values, origin = bitmap
     count = len(candidates)
-    description = f"{schema.names[a]} → {schema.names[b]}, {count} rows × {len(values)} bits"
+    description = (
+        f"{schema.names[a]} → {schema.names[b]}, {count} rows × {len(values)} bits, {origin}"
+    )
     if restriction is not None:
         masked = "candidates" if restriction[0] == a else "values"
         description += f", σ on {schema.names[restriction[0]]} masks {masked}"
@@ -305,14 +308,23 @@ def _containment(
 
 
 def _containment_bitmap(
-    kernel: PythonBitsetKernel, a: int, b: int, columns: tuple[CodeColumn, ...]
-) -> Optional[tuple[Any, list[Any], list[Any]]]:
-    """``(rows, candidate keys, value keys)``: row ``b``, bit ``a`` set iff
-    the relation holds ``(a, b)`` — the kernel's gather sweep with the
-    value codes as rows, at identity positions — over the two columns'
-    dictionaries.  ``None`` when the bitmap's bytes would exceed those of
-    the two code buffers it summarises — a structural bound, so no bitmap
-    outgrows the encoding it sits beside."""
+    kernel: PythonBitsetKernel, a: int, b: int, relation: Relation
+) -> Optional[tuple[Any, list[Any], list[Any], str]]:
+    """``(rows, candidate keys, value keys, origin)``: row ``b``, bit ``a``
+    set iff the relation holds ``(a, b)``, over the two columns'
+    dictionaries — the words a saved store holds
+    (:meth:`~repro.relation.relation.Relation.stored_bitmap`) as the
+    kernel's rows, else the kernel's gather sweep with the value codes as
+    rows, at identity positions.  ``None`` when the bitmap's bytes would
+    exceed those of the two code buffers it summarises — a structural
+    bound, so no bitmap outgrows the encoding it sits beside (and a store
+    holds none such).  ``origin`` is what ``explain`` says of it."""
+    stored = relation.stored_bitmap(a, b)
+    if stored is not None:
+        words, candidate_keys, value_keys = stored
+        rows = kernel.word_rows(words, len(value_keys), len(candidate_keys))
+        return rows, candidate_keys, value_keys, "read from the store"
+    columns = relation._summary_columns()
     candidates, values = columns[a], columns[b]
     width = len(candidates.dictionary)
     summarised = candidates.codes.nbytes + values.codes.nbytes
@@ -321,7 +333,7 @@ def _containment_bitmap(
     rows = kernel.gather_sweep(
         len(values.dictionary), values.codes, candidates.codes, range(width), width
     )
-    return rows, candidates.dictionary, values.dictionary
+    return rows, candidates.dictionary, values.dictionary, f"built from {relation.summary_source}"
 
 
 def _cached_side(chunks: list[Chunk], positions: list[int]) -> KeySide:

@@ -58,6 +58,7 @@ __all__ = [
     "route_codes",
     "split_code_columns",
     "widen_codes",
+    "narrow_view",
     "flag_table",
     "take",
     "mask_and",
@@ -69,6 +70,7 @@ __all__ = [
     "code_frequencies",
     "passing_count",
     "packed_table",
+    "sets_padding",
 ]
 
 
@@ -174,17 +176,24 @@ def narrow_codes(codes: Any, entries: int) -> bytes:
     return codes.astype(f"<u{code_width(entries)}").tobytes()
 
 
-def widen_codes(data: bytes, entries: int, checked: bool = True) -> Any:
-    """Inverse of :func:`narrow_codes`: the bytes as an int32 code buffer,
-    copied once.  Raises ``ValueError`` for bytes that are no whole number
-    of codes or — unless ``checked`` is off: bytes the engine narrowed
-    itself, not a file's — hold a code outside the dictionary."""
+def narrow_view(data: Any, entries: int, checked: bool = True) -> Any:
+    """The bytes of :func:`narrow_codes` read in place: a read-only array of
+    :func:`code_width` bytes a code, nothing copied.  Raises ``ValueError``
+    for bytes that are no whole number of codes or — unless ``checked`` is
+    off: bytes the engine narrowed itself, not a file's — hold a code
+    outside the dictionary."""
     narrow = _np.frombuffer(data, dtype=f"<u{code_width(entries)}")
     if checked and len(narrow):
         highest = int(narrow.max())
         if highest >= entries:
             raise ValueError(f"code {highest} outside a dictionary of {entries}")
-    return narrow.astype(_np.int32)
+    return narrow
+
+
+def widen_codes(data: Any, entries: int, checked: bool = True) -> Any:
+    """Inverse of :func:`narrow_codes`: the bytes as an int32 code buffer,
+    copied once (:func:`narrow_view`, then one cast)."""
+    return narrow_view(data, entries, checked).astype(_np.int32)
 
 
 def code_buffer(codes: Iterable[int], count: int) -> Any:
@@ -711,3 +720,14 @@ def packed_table(table: Any) -> Any:
     packed = _np.zeros(-(-len(table) // 64) * 8, dtype=_np.uint8)
     packed[: -(-len(table) // 8)] = _np.packbits(table, bitorder="little")
     return packed.view("<u8")
+
+
+def sets_padding(words: Any, row_words: int, width: int) -> bool:
+    """Whether rows of ``row_words`` little-endian ``uint64`` words (the
+    bytes of a containment bitmap's rows of ``width`` bits) set any bit at
+    or past ``width``: the padding :func:`packed_table` keeps clear."""
+    spare = 64 * row_words - width
+    if not spare:
+        return False
+    last = _np.frombuffer(words, dtype="<u8")[row_words - 1 :: row_words]
+    return bool((last >> _np.uint64(64 - spare)).any())

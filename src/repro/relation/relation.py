@@ -354,9 +354,9 @@ class Relation:
             self._encoding = encoding
         return encoding
 
-    def _summary(self, key: Hashable, build: Callable[[tuple[CodeColumn, ...]], Any]) -> Any:
-        """What ``build`` derives from :meth:`_summary_columns` — a column's
-        code frequencies, two columns' containment bitmap (the division
+    def _summary(self, key: Hashable, build: Callable[["Relation"], Any]) -> Any:
+        """What ``build`` derives from this value — a column's code
+        frequencies, two columns' containment bitmap (the division
         operators') — built on the first ask and kept under ``key``.
 
         The summaries share the encoding's lifetime: they are this value's,
@@ -368,21 +368,35 @@ class Relation:
         if summaries is None:
             summaries = self._summaries = {}
         if key not in summaries:
-            summaries[key] = build(self._summary_columns())
+            summaries[key] = build(self)
         return summaries[key]
 
     def _summary_columns(self) -> tuple[CodeColumn, ...]:
-        """The code columns :meth:`_summary` builds from: the encoding
-        (a stored table's value reads its pages instead)."""
+        """The code columns a summary is built from: the encoding (a stored
+        table's value reads its pages instead)."""
         return self.encoded_columns()
+
+    @property
+    def summary_source(self) -> str:
+        """What :meth:`_summary_columns` reads, as ``explain`` names it."""
+        return "the encoding"
+
+    def stored_bitmap(self, a: int, b: int) -> Optional[tuple[Any, list[Any], list[Any]]]:
+        """``(words, candidate keys, value keys)`` of the containment bitmap
+        of the columns at ``a`` and ``b`` as a saved store holds it (a
+        stored table's value), else ``None``: build it from
+        :meth:`_summary_columns`."""
+        return None
 
     def column_frequencies(self, position: int) -> tuple[list[Any], Any]:
         """``(dictionary, tuples per entry)`` of the column at ``position``:
         the ``("frequencies", position)`` summary, kept on this value."""
-        return self._summary(
-            ("frequencies", position),
-            lambda columns: (columns[position].dictionary, code_frequencies(columns[position])),
-        )
+
+        def build(relation: Relation) -> tuple[list[Any], Any]:
+            column = relation._summary_columns()[position]
+            return column.dictionary, code_frequencies(column)
+
+        return self._summary(("frequencies", position), build)
 
     @property
     def summaries_from_pages(self) -> bool:

@@ -20,10 +20,27 @@ typed error — every store is re-written by the version that reads it)::
     header (pickled dict: attributes, dictionary pages, statistics
             payload, block index)
     block payloads, concatenated (offsets relative to the first one)
+    summary section (optional; absent, the file ends at the last payload)
 
     block payload = column page 0 | column page 1 | …
     block index entry = offset, length, count, pages (byte length of each
                         column page), zones, crc
+    summary section = SUMMARY_MAGIC (8 bytes) | body length (8 bytes,
+                      big-endian) | body CRC32 (4 bytes, big-endian) | body
+    body = n | n × (a, b, rows, words) | the bitmaps' words, in that order
+           (every number a little-endian uint64)
+
+The **summary section** carries what a division reads instead of a
+dividend's blocks: containment bitmaps (value-major bitmap indexes — per
+entry of column ``b``'s dictionary page, a row of ``words`` little-endian
+``uint64`` words whose bit ``i`` is set iff a tuple holds candidate ``i``
+of column ``a``'s page and that value).  The rows index the file's own
+dictionary pages, so a bitmap always describes the blocks beside it.  It
+sits after the payloads, found from the block index's payload end, so the
+header is the same with or without it, and files without one (every file
+written before it existed, or by a save that held no bitmap) read as they
+always have.  :meth:`TableReader.summary_section` reads it once and checks
+its CRC before using a byte.
 
 The header CRC sits *before* the pickled header, so a torn header never
 reaches ``pickle.loads``.  Every read verifies its payload: a CRC mismatch
@@ -31,9 +48,13 @@ raises :class:`~repro.errors.StorageCorruptionError` (file, block,
 expected-vs-actual CRC), and a checksum-valid page of the wrong length or
 with a code outside its dictionary (a foreign writer) raises
 :class:`~repro.errors.StorageError` the same way — never an ``IndexError``
-in a kernel later.  ``checksums=False`` leaves the block CRCs out (the
+in a kernel later; so does a checksum-valid summary section whose
+directory does not fit the dictionary pages.  Code pages are verified at
+their narrow width, in place; only a reader that keeps ``int32`` code
+buffers widens them.  ``checksums=False`` leaves the block CRCs out (the
 control arm of the ``--faults`` benchmark gate).  The ``storage.block_read``
-fault point (:mod:`repro.faults`) hooks each payload read.
+fault point (:mod:`repro.faults`) hooks each payload read and the summary
+section's.
 
 A block's index entry carries per-attribute ``(min, max)`` **zone maps**
 taken from its *distinct* codes; an attribute whose block values are not
@@ -48,7 +69,8 @@ its payload and index entry (pages, zone maps), and
 at its own block size skips the first: the source's payloads, verified as
 any read verifies them (:meth:`TableReader.iter_block_payloads`), go to
 the new file as they are, their zone maps and CRCs reused — the file is
-byte for byte the one an encode would write.
+byte for byte the one an encode would write — and a header equal to the
+source's is written as the source's bytes, not pickled again.
 
 Free of optimizer/physical imports: the statistics payload stays a plain
 dict here and is converted by :mod:`repro.storage.store`.
@@ -58,9 +80,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.algebra.predicates import (
     And,
@@ -75,12 +98,20 @@ from repro.algebra.predicates import (
 )
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
-from repro.relation.encoding import CodeColumn, code_width, empty_codes, narrow_codes, widen_codes
+from repro.relation.encoding import (
+    CodeColumn,
+    code_width,
+    empty_codes,
+    narrow_codes,
+    narrow_view,
+    sets_padding,
+)
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FORMAT_VERSION",
     "MAGIC",
+    "SUMMARY_MAGIC",
     "EncodedBlock",
     "TableReader",
     "assemble_table_file",
@@ -91,11 +122,18 @@ __all__ = [
     "decode_raw_page",
     "encode_blocks",
     "encode_raw_page",
+    "encode_summaries",
     "write_table_file",
 ]
 
 MAGIC = b"RPROBLK3"
 FORMAT_VERSION = 3
+
+#: Opens a table file's optional summary section (after the last payload).
+SUMMARY_MAGIC = b"RPROSUM1"
+
+#: The section's frame before its body: magic, body length, body CRC32.
+_SUMMARY_FRAME = len(SUMMARY_MAGIC) + 8 + 4
 
 #: Magics of the formats this one replaced; recognized only to say so.
 _OLDER_MAGICS = {b"RPROBLK1": 1, b"RPROBLK2": 2}
@@ -228,6 +266,41 @@ def encode_blocks(
         yield entry, b"".join(encoded)
 
 
+def _bitmap_words(candidates: int) -> int:
+    """Words in a row of a containment bitmap over ``candidates``
+    candidates: ⌈candidates / 64⌉, at least one."""
+    return max(1, -(-candidates // 64))
+
+
+def encode_summaries(
+    pages: Sequence[Optional[list[Any]]], bitmaps: Mapping[tuple[int, int], Any]
+) -> bytes:
+    """The summary section holding ``bitmaps``, in key order; ``b""`` when
+    there is none, so the file ends at its last payload as it always has.
+
+    ``bitmaps`` maps the positions ``(a, b)`` of a containment bitmap's
+    candidate and value columns to its rows as bytes: per entry of page
+    ``b``, a row of :func:`_bitmap_words` little-endian ``uint64`` words
+    over page ``a``, bit ``i`` (bit ``i % 64`` of word ``i // 64``) set iff
+    candidate ``i`` holds the value.
+    """
+    if not bitmaps:
+        return b""
+    keys = sorted(bitmaps)
+    directory = [len(keys)]
+    for a, b in keys:
+        rows, words = len(pages[b]), _bitmap_words(len(pages[a]))
+        if len(bitmaps[a, b]) != 8 * rows * words:
+            raise StorageError(
+                f"a containment bitmap of {len(bitmaps[a, b])} bytes for {rows} rows "
+                f"of {words} word(s)"
+            )
+        directory += (a, b, rows, words)
+    body = b"".join([struct.pack(f"<{len(directory)}Q", *directory), *map(bitmaps.get, keys)])
+    crc = zlib.crc32(body).to_bytes(4, "big")
+    return b"".join((SUMMARY_MAGIC, len(body).to_bytes(8, "big"), crc, body))
+
+
 def assemble_table_file(
     path: PathLike,
     table: str,
@@ -238,8 +311,11 @@ def assemble_table_file(
     statistics: Optional[dict[str, Any]] = None,
     checksums: bool = True,
     fsync: bool = True,
+    summaries: Optional[Mapping[tuple[int, int], Any]] = None,
+    source: Optional["TableReader"] = None,
 ) -> Path:
-    """Write the header, then the payloads of ``blocks`` in the order given.
+    """Write the header, the payloads of ``blocks`` in the order given, then
+    the summary section of ``summaries`` (:func:`encode_summaries`), if any.
 
     ``blocks`` yields ``(index entry, payload)`` per block: encoded by
     :func:`encode_blocks`, or a stored table's verified payloads as
@@ -247,8 +323,10 @@ def assemble_table_file(
     at the same ``block_size`` writes as they are — its entry's ``count``,
     ``pages`` and ``zones`` reused, its ``crc`` too when it has one.  Blocks
     go to disk in the order given: a clustered relation gets disjoint zone
-    maps that prune hard.  ``checksums=False`` leaves the per-block CRCs
-    out; ``fsync=False`` skips the flush-to-disk barrier.
+    maps that prune hard.  A header equal to the one ``source`` (the file a
+    stored table is re-saved from) holds is written as that file's
+    CRC-verified bytes, not pickled again.  ``checksums=False`` leaves the
+    per-block CRCs out; ``fsync=False`` skips the flush-to-disk barrier.
     """
     if block_size < 1:
         raise StorageError(f"block size must be at least 1, got {block_size}")
@@ -287,7 +365,10 @@ def assemble_table_file(
         "blocks": index,
         "statistics": statistics,
     }
-    header_bytes = pickle.dumps(header, protocol=_PROTOCOL)
+    header_bytes = None if source is None else source.header_bytes(header)
+    if header_bytes is None:
+        header_bytes = pickle.dumps(header, protocol=_PROTOCOL)
+    section = encode_summaries(pages, summaries or {})
     path = Path(path)
     with open(path, "wb") as stream:
         stream.write(MAGIC)
@@ -295,6 +376,7 @@ def assemble_table_file(
         stream.write(zlib.crc32(header_bytes).to_bytes(4, "big"))
         stream.write(header_bytes)
         stream.writelines(payloads)
+        stream.write(section)
         if fsync:
             stream.flush()
             os.fsync(stream.fileno())
@@ -308,12 +390,13 @@ class TableReader:
     """Metadata-first reader for one table file.
 
     Construction reads only the header (attributes, block index, zone
-    maps, dictionary pages, statistics payload); block payloads are read
-    and verified on demand by :meth:`iter_block_columns` /
-    :meth:`iter_blocks`.
+    maps, dictionary pages, statistics payload) and keeps its bytes for an
+    unchanged re-save (:meth:`header_bytes`); block payloads are read and
+    verified on demand by :meth:`iter_block_columns` / :meth:`iter_blocks`,
+    the summary section by :meth:`summary_section`.
     """
 
-    __slots__ = ("_path", "_header", "_data_start", "_pages")
+    __slots__ = ("_path", "_header", "_header_bytes", "_data_start", "_pages")
 
     def __init__(self, path: PathLike) -> None:
         self._path = Path(path)
@@ -360,7 +443,7 @@ class TableReader:
                 f"{self._path} declares format version {header['format']}, "
                 f"but its magic says {FORMAT_VERSION}"
             )
-        self._header = header
+        self._header, self._header_bytes = header, header_bytes
         self._pages = [header["dictionaries"].get(name) for name in header["attributes"]]
 
     # -- metadata (no block reads) -------------------------------------
@@ -404,6 +487,12 @@ class TableReader:
     def statistics_payload(self) -> Optional[dict[str, Any]]:
         return self._header.get("statistics")
 
+    def header_bytes(self, header: dict[str, Any]) -> Optional[bytes]:
+        """This file's header as read (its CRC checked at open) if
+        ``header`` equals it, else ``None``: what a re-save of an unchanged
+        table writes without pickling the header again."""
+        return self._header_bytes if header == self._header else None
+
     # -- block access ---------------------------------------------------
     def _payloads(
         self, should_read: Optional[Callable[[dict[str, Any]], bool]] = None
@@ -420,7 +509,9 @@ class TableReader:
                 yield number, meta, fault_registry.fire("storage.block_read", payload)
 
     def _columns(self, number: int, meta: dict[str, Any], payload: bytes) -> Columns:
-        """Verify one block payload and cut it into its column pages."""
+        """Verify one block payload and cut it into its column pages: a code
+        page read in place at its narrow width (:func:`narrow_view`, its
+        range checked), a raw page unpickled."""
         if len(payload) != meta["length"]:
             raise StorageError(f"{self._path} is truncated (block {number} payload incomplete)")
         expected = meta.get("crc")
@@ -453,7 +544,7 @@ class TableReader:
                     raise ValueError(
                         f"a code page of {length} bytes for {count} tuples of {width} byte(s)"
                     )
-                columns.append(widen_codes(data, len(page)))
+                columns.append(narrow_view(data, len(page)))
         except (KeyError, TypeError, ValueError) as error:
             raise StorageError(f"{self._path} block {number} is unreadable: {error}") from None
         return columns
@@ -463,9 +554,11 @@ class TableReader:
     ) -> Iterator[tuple[dict[str, Any], Columns]]:
         """Yield ``(index_entry, columns)`` per block, in file order.
 
-        The columns come back as stored — a code buffer over the
-        attribute's :attr:`dictionary_pages` entry, or the raw value list —
-        verified (length, CRC, code range) but not decoded.  ``should_read``
+        The columns come back as stored — a code page over the attribute's
+        :attr:`dictionary_pages` entry, read in place at its narrow width
+        (1, 2 or 4 bytes a code: a caller that keeps ``int32`` code buffers
+        casts it), or the raw value list — verified (length, CRC, code
+        range) but not decoded.  ``should_read``
         sees each index entry (with its zone maps) first; ``False`` skips
         the block without any disk read.
         """
@@ -487,8 +580,9 @@ class TableReader:
     ) -> Columns:
         """The columns of the blocks ``should_read`` keeps (asked once per
         block), joined in file order: a code buffer, or a raw value list.
-        Each block is copied into place as it is read and dropped, so no
-        more than one block is held beside the joined columns."""
+        Each block is copied into place as it is read and dropped — a code
+        page cast to ``int32`` by that copy — so no more than one block is
+        held beside the joined columns."""
         kept = [meta for meta in self.blocks if should_read is None or should_read(meta)]
         wanted = {id(meta) for meta in kept}
         count = sum(meta["count"] for meta in kept)
@@ -508,6 +602,77 @@ class TableReader:
         :meth:`iter_block_columns`."""
         for meta, columns in self.iter_block_columns(should_read):
             yield meta, decode_columns(columns, self._pages)
+
+    # -- the summary section ----------------------------------------------
+    def summary_section(self) -> dict[tuple[int, int], memoryview]:
+        """The containment bitmaps of the file's summary section, by the
+        positions ``(a, b)`` of their candidate and value columns: each its
+        rows' words as read (see :func:`encode_summaries`); ``{}`` for a
+        file that ends at its last payload, as every file written without a
+        bitmap does.
+
+        One read, on which the ``storage.block_read`` fault point fires.  The
+        CRC is checked before any byte is used: a mismatch raises
+        :class:`~repro.errors.StorageCorruptionError`, a truncated section or
+        a checksum-valid one whose directory does not fit the dictionary
+        pages (a foreign writer) :class:`~repro.errors.StorageError`.
+        """
+        end = self._data_start + max(
+            (meta["offset"] + meta["length"] for meta in self.blocks), default=0
+        )
+        try:
+            with open(self._path, "rb") as stream:
+                stream.seek(end)
+                frame = stream.read(_SUMMARY_FRAME)
+                if not frame:
+                    return {}
+                length = int.from_bytes(frame[len(SUMMARY_MAGIC) : -4], "big")
+                # Never ask for more than the file holds (a flipped length bit).
+                body = stream.read(min(length, os.fstat(stream.fileno()).st_size))
+        except OSError as error:
+            raise StorageError(f"cannot read stored table file {self._path}: {error}") from None
+        if len(frame) != _SUMMARY_FRAME or len(body) != length:
+            raise StorageError(f"{self._path} is truncated (summary section incomplete)")
+        if not frame.startswith(SUMMARY_MAGIC):
+            raise StorageError(f"{self._path} ends in bytes that are no summary section")
+        body = fault_registry.fire("storage.block_read", body)
+        expected, actual = int.from_bytes(frame[-4:], "big"), zlib.crc32(body)
+        if actual != expected:
+            raise StorageCorruptionError(
+                f"{self._path} summary section checksum mismatch "
+                f"(expected {expected:#010x}, got {actual:#010x})",
+                file=str(self._path),
+                expected=expected,
+                actual=actual,
+            )
+        try:
+            return self._bitmaps(memoryview(body))
+        except (IndexError, TypeError, ValueError, struct.error) as error:
+            raise StorageError(f"{self._path} has an unreadable summary section: {error}") from None
+
+    def _bitmaps(self, body: memoryview) -> dict[tuple[int, int], memoryview]:
+        """A checked section body cut into its bitmaps, each checked against
+        the dictionary pages: its shape, and no bit past the last candidate."""
+        (count,) = struct.unpack_from("<Q", body)
+        directory = struct.unpack_from(f"<{4 * count}Q", body, 8)
+        start = 8 + 32 * count
+        bitmaps = {}
+        for a, b, rows, words in zip(*[iter(directory)] * 4):
+            candidates, values = self._pages[a], self._pages[b]
+            if a == b or candidates is None or values is None or (a, b) in bitmaps:
+                raise ValueError(f"no containment bitmap over columns {a} and {b}")
+            if (rows, words) != (len(values), _bitmap_words(len(candidates))):
+                raise ValueError(f"a bitmap of {rows} rows × {words} words over columns {a}, {b}")
+            size = 8 * rows * words
+            bitmap = bitmaps[a, b] = body[start : start + size]
+            start += size
+            if len(bitmap) != size:
+                raise ValueError(f"the bitmap over columns {a}, {b} is cut short")
+            if sets_padding(bitmap, words, len(candidates)):
+                raise ValueError(f"the bitmap over columns {a}, {b} sets a bit past its candidates")
+        if start != len(body):
+            raise ValueError(f"a body of {len(body)} bytes for bitmaps of {start}")
+        return bitmaps
 
 
 # ----------------------------------------------------------------------

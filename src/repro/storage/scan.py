@@ -42,7 +42,7 @@ from typing import Any, Iterator, Optional
 from repro.algebra.predicates import Predicate, conjunction
 from repro.errors import ExecutionError
 from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
-from repro.relation.encoding import CodeColumn
+from repro.relation.encoding import CodeColumn, as_code_buffer
 from repro.storage.format import block_may_match
 from repro.storage.store import StoredRelation
 
@@ -162,7 +162,9 @@ class StoredScan(PhysicalOperator):
                 yield Chunk.base_block(schema, length, self.relation, read)
             return
         for _meta, buffers in reader.iter_block_columns(streams):
-            yield from Chunk.coded(schema, tuple(map(CodeColumn, pages, buffers))).pieces(size)
+            # The narrow pages cast to code buffers: one copy each, kept by the chunk.
+            columns = tuple(map(CodeColumn, pages, map(as_code_buffer, buffers)))
+            yield from Chunk.coded(schema, columns).pieces(size)
 
     def describe(self) -> str:
         description = (

@@ -9,8 +9,12 @@ A save writes every table from its **code columns**, never from tuples:
 an in-memory relation's cached encoding is encoded block by block; a
 reopened store's blocks are verified and their payloads written as they
 are, zone maps and CRCs reused (or its pages joined and encoded again when
-the save asks for another block size).  No tuple is built, nothing stays
-loaded.
+the save asks for another block size), and its header as read when
+nothing in it changed.  No tuple is built, nothing stays loaded.  Beside
+the blocks goes each containment bitmap the value holds, in the file's
+summary section (:mod:`repro.storage.format`), plus those of the source
+file's section it never loaded, carried as read: a bitmap is built over
+the dictionary pages being written, so it describes the written blocks.
 
 Saves are **crash-safe**: table files are written under fresh
 generation-suffixed names (never overwriting the files the current
@@ -28,10 +32,13 @@ tuples materialize only if something actually asks for rows — the planner
 routes stored tables through :class:`~repro.storage.scan.StoredScan`,
 which streams blocks, so ordinary query execution never materializes them.
 What a division reads instead of a dividend's blocks — the containment
-bitmap, a column's code frequencies — a :class:`StoredRelation` builds
-from one checked read of its pages and keeps, as an in-memory value keeps
-its own (:meth:`~repro.relation.relation.Relation._summary`); the pages
-themselves are not kept, and a reopened store builds them again.
+bitmap, a column's code frequencies — a :class:`StoredRelation` keeps, as
+an in-memory value keeps its own
+(:meth:`~repro.relation.relation.Relation._summary`).  A bitmap the file's
+summary section holds is read from it (the section read once, its CRC
+checked, the words handed to the kernel that asked); any other summary is
+built from one checked read of the pages, which are not kept — a
+reopened store builds it again.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from repro.algebra.catalog import Catalog
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
 from repro.optimizer.statistics import TableStatistics
+from repro.physical.compile.kernels import row_words
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 from repro.relation.encoding import CodeColumn
@@ -111,19 +119,22 @@ class StoredRelation(Relation):
     (:meth:`aligned_tuples`), so every inherited algebra method works
     unchanged.  Length, schema and :meth:`stored_statistics` are answered
     from the header alone, which is what keeps ``repro.connect(path)`` and
-    ``db.analyze()`` metadata-only.  Summaries are the inherited ones, built
-    from the pages (:meth:`_summary_columns`) and kept on this value.
+    ``db.analyze()`` metadata-only.  Summaries are the inherited ones, kept
+    on this value: a containment bitmap the file's summary section holds is
+    read from it (:meth:`stored_bitmap`), anything else built from the
+    pages (:meth:`_summary_columns`).
 
     Derived relations (projections, quotients, …) are always plain
     in-memory :class:`Relation` values: the base class builds results via
     ``Relation._from_parts`` explicitly.
     """
 
-    __slots__ = ("_reader",)
+    __slots__ = ("_reader", "_section")
 
     def __init__(self, reader: TableReader) -> None:
         self._schema = Schema.interned(reader.attributes)
         self._reader = reader
+        self._section: Optional[dict[tuple[int, int], memoryview]] = None
         self._set = self._tuples = self._codes = self._row_source = self._summaries = None
         # The inherited encoding cache stays empty until something scans the
         # materialized tuples; opening a store must not decode a block.
@@ -164,6 +175,25 @@ class StoredRelation(Relation):
     def summaries_from_pages(self) -> bool:
         """True unless a column is stored as raw pages (no codes to count)."""
         return None not in self._reader.dictionary_pages
+
+    @property
+    def summary_source(self) -> str:
+        return f"{len(self._reader.blocks)} blocks"
+
+    def stored_bitmaps(self) -> dict[tuple[int, int], memoryview]:
+        """The containment bitmaps the file's summary section holds
+        (:meth:`TableReader.summary_section`): read and checked on the first
+        ask, then kept — a section that fails its checks keeps nothing."""
+        if self._section is None:
+            self._section = self._reader.summary_section()
+        return self._section
+
+    def stored_bitmap(self, a: int, b: int) -> Optional[tuple[Any, list[Any], list[Any]]]:
+        words = self.stored_bitmaps().get((a, b))
+        if words is None:
+            return None
+        pages = self._reader.dictionary_pages
+        return words, pages[a], pages[b]
 
     # -- metadata-only answers -----------------------------------------
     def __len__(self) -> int:
@@ -283,6 +313,28 @@ def _table_source(
     return attributes, pages, encode_blocks(attributes, pages, column_blocks(columns, block_size))
 
 
+def _bitmap_summaries(
+    relation: Relation, pages: list[Optional[list[Any]]]
+) -> dict[tuple[int, int], Any]:
+    """The containment bitmaps a save writes beside ``relation``'s blocks,
+    by column positions, as bytes (:func:`encode_summaries`): a stored
+    table's section as read, plus every bitmap the value holds over the
+    dictionary pages being written — the ones its codes index, so the
+    bitmap describes the written blocks.  A bitmap over the size bound is
+    ``None`` and none is written; two kernels' bitmaps of one pair are one."""
+    bitmaps: dict[tuple[int, int], Any] = {}
+    if isinstance(relation, StoredRelation):
+        bitmaps.update(relation.stored_bitmaps())
+    for key, bitmap in (relation._summaries or {}).items():
+        if key[0] != "containment" or bitmap is None or key[1:3] in bitmaps:
+            continue
+        _kind, a, b, _kernel = key
+        rows, candidates, values, _origin = bitmap
+        if candidates is pages[a] and values is pages[b]:
+            bitmaps[a, b] = row_words(rows, len(candidates))
+    return bitmaps
+
+
 def save_database(
     path: PathLike,
     catalog: Catalog,
@@ -322,12 +374,17 @@ def save_database(
             filename = _table_filename(index, name, generation)
             fault_registry.fire("storage.table_write")
             written.append(path / filename)
+            attributes, pages, blocks = _table_source(relation, block_size)
             assemble_table_file(
                 path / filename,
                 name,
-                *_table_source(relation, block_size),
+                attributes,
+                pages,
+                blocks,
                 block_size=block_size,
                 statistics=statistics_payload(statistics),
+                summaries=_bitmap_summaries(relation, pages),
+                source=relation.reader if isinstance(relation, StoredRelation) else None,
             )
             tables[name] = filename
         manifest: dict[str, Any] = {

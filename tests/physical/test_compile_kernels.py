@@ -24,6 +24,7 @@ from repro.physical.compile.kernels import (
     PythonBitsetKernel,
     _IntRows,
     active_kernel,
+    row_words,
 )
 from repro.relation.encoding import packed_table
 from repro.workloads import make_division_workload, make_great_division_workload
@@ -338,6 +339,22 @@ def test_intersection_matches_equals_the_python_reference(count, table):
     assert [a for a, number in found if number == 0] == [a for a in range(count) if truth[a]]
     assert all(a < count for a, _ in found)
     assert not [number for _, number in found if number in (1, 5, 70, 71)]
+
+
+@pytest.mark.parametrize("count", INTERSECTION_COUNTS)
+def test_bitmap_rows_round_trip_through_their_words(count):
+    """Either kernel's rows as bytes (a saved store's words) and back as
+    each kernel's rows: the same bits, ``⌈count/64⌉`` words a row."""
+    values, candidates = containment_input(count, seed=count + 9)
+    python, vectorized = PythonBitsetKernel(), NumpyBitsetKernel()
+    rows = containment_rows(vectorized, count, values, candidates)
+    reference_rows = containment_rows(python, count, values, candidates)
+    words = row_words(rows, count)
+    assert words == row_words(reference_rows, count)
+    assert len(words) == 8 * INTERSECTION_VALUES * -(-count // 64)
+    assert python.word_rows(words, INTERSECTION_VALUES, count) == reference_rows
+    assert numpy.array_equal(vectorized.word_rows(words, INTERSECTION_VALUES, count), rows)
+    assert python.word_rows(b"", 0, count) == [] and row_words([], count) == b""
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 63, 64, 65, 130])

@@ -1,6 +1,7 @@
 """The on-disk block format: page codec, zone maps, header integrity."""
 
 import pickle
+import struct
 import zlib
 
 import pytest
@@ -16,11 +17,16 @@ from repro.storage.format import (
     DEFAULT_BLOCK_SIZE,
     FORMAT_VERSION,
     MAGIC,
+    SUMMARY_MAGIC,
     TableReader,
+    assemble_table_file,
     block_may_match,
     block_zones,
+    column_blocks,
     decode_raw_page,
+    encode_blocks,
     encode_raw_page,
+    write_table_file,
 )
 from repro.storage.store import load_catalog, save_database
 from tests.storage.tables import table_columns, write_tuples
@@ -322,3 +328,78 @@ class TestBlockMayMatch:
 
     def test_incomparable_literal_is_conservative(self):
         assert block_may_match(P.less_than(P.attr("k"), "zzz"), self.ZONES) is True
+
+
+class TestSummarySection:
+    """The optional section after the last payload: containment bitmaps."""
+
+    PAIRS = [(a, b) for a in range(70) for b in range(3) if (a + b) % 4]
+
+    def pages_and_blocks(self):
+        pages, columns = table_columns(("a", "b"), self.PAIRS)
+        return pages, encode_blocks(("a", "b"), pages, column_blocks(columns, 16))
+
+    def bitmap(self):
+        """Row ``b`` of the ``a → b`` bitmap: the candidates holding ``b``,
+        two words a row (70 candidates)."""
+        rows = [sum(1 << a for a, value in self.PAIRS if value == b) for b in range(3)]
+        return b"".join(row.to_bytes(16, "little") for row in rows)
+
+    def write(self, path, summaries=None):
+        pages, blocks = self.pages_and_blocks()
+        return assemble_table_file(
+            path, "t", ("a", "b"), pages, blocks, block_size=16, summaries=summaries
+        )
+
+    def test_no_bitmap_writes_no_section(self, tmp_path):
+        pages, columns = table_columns(("a", "b"), self.PAIRS)
+        plain = write_table_file(
+            tmp_path / "plain.rpb", "t", ("a", "b"), pages, column_blocks(columns, 16), 16
+        )
+        empty = self.write(tmp_path / "empty.rpb", {})
+        assert empty.read_bytes() == plain.read_bytes()
+        assert TableReader(empty).summary_section() == {}
+
+    def test_a_bitmap_reads_back_as_written(self, tmp_path):
+        path = self.write(tmp_path / "t.rpb", {(0, 1): self.bitmap()})
+        reader = TableReader(path)
+        assert bytes(reader.summary_section()[0, 1]) == self.bitmap()
+        assert read_all(path) == self.PAIRS  # the blocks are untouched
+        assert path.read_bytes().endswith(self.bitmap())
+
+    def test_a_bitmap_of_the_wrong_size_is_refused_at_write(self, tmp_path):
+        with pytest.raises(StorageError, match="containment bitmap of 40 bytes"):
+            self.write(tmp_path / "t.rpb", {(0, 1): self.bitmap()[:40]})
+
+    def foreign(self, tmp_path, directory, words):
+        """A checksum-valid section no writer of ours would write."""
+        path = self.write(tmp_path / "t.rpb")
+        body = struct.pack(f"<{len(directory)}Q", *directory) + words
+        frame = SUMMARY_MAGIC + len(body).to_bytes(8, "big") + zlib.crc32(body).to_bytes(4, "big")
+        path.write_bytes(path.read_bytes() + frame + body)
+        return TableReader(path)
+
+    @pytest.mark.parametrize(
+        "directory, words",
+        [
+            ((1, 0, 1, 3, 1), bytes(24)),  # one word a row for 70 candidates
+            ((1, 0, 1, 2, 2), bytes(32)),  # two rows for three values
+            ((1, 0, 0, 70, 2), bytes(1120)),  # a bitmap of a column over itself
+            ((1, 0, 5, 3, 2), bytes(48)),  # no such column
+            ((1, 0, 1, 3, 2), bytes(40)),  # the words cut short
+            ((1, 0, 1, 3, 2), bytes(56)),  # bytes left over
+            ((2, 0, 1, 3, 2), bytes(48)),  # a directory longer than the body holds
+        ],
+    )
+    def test_a_foreign_section_is_a_typed_error(self, tmp_path, directory, words):
+        reader = self.foreign(tmp_path, directory, words)
+        with pytest.raises(StorageError, match="unreadable summary section"):
+            reader.summary_section()
+
+    def test_a_bit_past_the_last_candidate_is_a_typed_error(self, tmp_path):
+        words = bytearray(self.bitmap())
+        words[15] |= 0x80  # bit 127 of row 0: candidate 127 of 70
+        reader = self.foreign(tmp_path, (1, 0, 1, 3, 2), bytes(words))
+        with pytest.raises(StorageError, match="sets a bit past its candidates"):
+            reader.summary_section()
+        assert self.foreign(tmp_path, (1, 0, 1, 3, 2), self.bitmap()).summary_section()

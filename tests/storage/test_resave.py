@@ -7,12 +7,16 @@ byte the one an encode writes.  Another block size joins the pages and
 encodes them as an in-memory table is encoded.
 """
 
+import pickle
+
 import pytest
 
+import repro.relation.encoding as encoding_module
 import repro.storage.format as format_module
 from repro.algebra.catalog import Catalog
 from repro.optimizer.statistics import TableStatistics
 from repro.relation import Relation
+from repro.relation.encoding import code_width
 from repro.storage.format import TableReader, column_blocks, write_table_file
 from repro.storage.store import StoredRelation, load_catalog, save_database, statistics_payload
 
@@ -131,3 +135,79 @@ def test_a_resave_encodes_nothing_and_verifies_each_block_once(tmp_path, opened,
     assert sorted(calls["verified"]) == blocks
     recut = sum(len(TableReader(path).blocks) for path in (tmp_path / "recut").glob("*.rpb"))
     assert calls["block_zones"] == recut
+
+
+def header_and_widen_trap(monkeypatch):
+    """Count header ``pickle.dumps`` calls (by table) and ``widen_codes``
+    calls, and check that every code page a verification cuts stays at its
+    narrow width."""
+    calls = {"headers": [], "widen_codes": 0, "pages": 0}
+    dumps, widen, verify = pickle.dumps, encoding_module.widen_codes, TableReader._columns
+
+    def counted_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "blocks" in obj:
+            calls["headers"].append(obj["table"])
+        return dumps(obj, *args, **kwargs)
+
+    def counted_widen(*args, **kwargs):
+        calls["widen_codes"] += 1
+        return widen(*args, **kwargs)
+
+    def narrow(reader, number, meta, payload):
+        columns = verify(reader, number, meta, payload)
+        for column, page in zip(columns, reader.dictionary_pages):
+            if page is not None:
+                assert column.itemsize == code_width(len(page))
+                calls["pages"] += 1
+        return columns
+
+    monkeypatch.setattr(pickle, "dumps", counted_dumps)
+    monkeypatch.setattr(encoding_module, "widen_codes", counted_widen)
+    monkeypatch.setattr(TableReader, "_columns", narrow)
+    return calls
+
+
+def test_an_unchanged_resave_writes_its_header_as_read(tmp_path, opened, monkeypatch):
+    """Name, block size, checksums and statistics as the source's: the
+    source's header bytes are written, not pickled again, and no verified
+    page is widened."""
+    source, catalog = opened
+    calls = header_and_widen_trap(monkeypatch)
+    save_database(tmp_path / "copy", catalog, block_size=BLOCK_SIZE)
+    assert calls["headers"] == [] and calls["widen_codes"] == 0
+    assert calls["pages"] > len(catalog)
+    assert table_files(tmp_path / "copy") == table_files(source)
+
+
+def test_a_changed_table_gets_a_fresh_header(tmp_path, opened, monkeypatch):
+    """A renamed, a re-cut and an unchecksummed source pickle their header."""
+    _source, catalog = opened
+    calls = header_and_widen_trap(monkeypatch)
+    renamed = Catalog()
+    renamed.add_table("supplies_copy", catalog["supplies"])
+    save_database(tmp_path / "renamed", renamed, block_size=BLOCK_SIZE)
+    assert calls["headers"] == ["supplies_copy"]
+    save_database(tmp_path / "recut", catalog, block_size=BLOCK_SIZE // 3)
+    assert sorted(calls["headers"][1:]) == sorted(catalog)
+    relation = source_catalog()["supplies"]
+    columns = relation.encoded_columns()
+    plain = write_table_file(
+        tmp_path / "plain.rpb",
+        "supplies",
+        relation.schema.names,
+        [column.dictionary for column in columns],
+        column_blocks([column.codes for column in columns], BLOCK_SIZE),
+        block_size=BLOCK_SIZE,
+        statistics=statistics_payload(TableStatistics.from_relation(relation)),
+        checksums=False,
+    )
+    unchecksummed = Catalog()
+    unchecksummed.add_table("supplies", StoredRelation(TableReader(plain)))
+    calls["headers"].clear()
+    save_database(tmp_path / "checksummed", unchecksummed, block_size=BLOCK_SIZE)
+    assert calls["headers"] == ["supplies"]
+    assert calls["widen_codes"] == 0
+    expected = source_catalog()["supplies"].aligned_tuples()
+    stores = {"renamed": "supplies_copy", "recut": "supplies", "checksummed": "supplies"}
+    for store, name in stores.items():
+        assert load_catalog(tmp_path / store)[name].aligned_tuples() == expected

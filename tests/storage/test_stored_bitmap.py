@@ -308,3 +308,124 @@ def test_an_exchange_dividend_is_not_one_block(store):
     plan = planner.plan(expression("small", None))
     assert isinstance(plan, PartitionedDivision)
     assert not any(op.one_block for op in plan.walk() if isinstance(op, StoredScan))
+
+
+# ----------------------------------------------------------------------
+# the summary section: a store saved after warm divisions carries the bitmap
+# ----------------------------------------------------------------------
+def table_files(path):
+    """Table file contents by table index (names differ by generation tag)."""
+    return {file.name.split(".")[0]: file.read_bytes() for file in sorted(path.glob("*.rpb"))}
+
+
+@pytest.fixture(scope="module")
+def sectioned(store, tmp_path_factory):
+    """The store re-saved by a session whose divisions built ``r``'s bitmap."""
+    path = tmp_path_factory.mktemp("sectioned")
+    db = repro.connect(store, result_cache_size=0)
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            db.sql(GREAT).run()
+            db.sql(FILTERED).run()
+    db.save(path, block_size=BLOCK_SIZE)
+    return path
+
+
+def test_a_save_writes_the_bitmaps_the_session_holds(store, sectioned):
+    plain, carried = load_catalog(store)["r"], load_catalog(sectioned)["r"]
+    assert plain.stored_bitmaps() == {}  # saved before any division
+    bitmaps = carried.stored_bitmaps()
+    assert list(bitmaps) == [(0, 1)]  # one bitmap for both kernels' summaries
+    candidates, values = carried.reader.dictionary_pages
+    assert len(bitmaps[0, 1]) == 8 * len(values) * -(-len(candidates) // 64)
+    # The divisors never divide: no section, their files as the source's.
+    for name in ("small", "great"):
+        assert load_catalog(sectioned)[name].stored_bitmaps() == {}
+
+
+@pytest.mark.parametrize("skipping", [True, False], ids=["skipping", "no-skipping"])
+@pytest.mark.parametrize("name", ["none", "A", "B"])
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kind, algorithm", CASES)
+def test_a_read_bitmap_agrees_with_a_built_one(
+    store, sectioned, kind, algorithm, kernel, name, skipping
+):
+    """The same quotient and every operator's ``tuples_out`` from a store
+    with the section, one without, and the tables in memory."""
+    predicate = FILTERS[name]
+    with use_kernel(kernel):
+        plan, quotient, counts, skipped = run(
+            load_catalog(sectioned), kind, algorithm, predicate, skipping
+        )
+        built_plan, built, built_counts, built_skipped = run(
+            load_catalog(store), kind, algorithm, predicate, skipping
+        )
+        _, in_memory, memory_counts, _ = run(tables(), kind, algorithm, predicate, skipping)
+    assert quotient == built == in_memory == reference(kind, predicate)
+    assert counts == built_counts and skipped == built_skipped
+    position = next(i for i, op in enumerate(plan.walk()) if isinstance(op, StoredScan))
+    memory_counts[position] = counts[position]  # an in-memory scan skips no block
+    assert counts == memory_counts
+    assert ", read from the store" in plan._bitmap_source
+    blocks = len(load_catalog(store)["r"].reader.blocks)
+    assert f", built from {blocks} blocks" in built_plan._bitmap_source
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_cold_first_division_reads_no_dividend_block(sectioned, monkeypatch, kernel):
+    calls = count_reads(monkeypatch)
+    db = repro.connect(sectioned, result_cache_size=0)
+    stored = db.relation("r")
+    with use_kernel(kernel):
+        result = db.sql(GREAT).run()
+        explained = db.sql(GREAT).explain(analyze=True)
+    assert result.relation == great_divide(DIVIDEND, DIVISORS["great"])
+    assert calls["r"] == 0
+    assert "read 0 bytes" in explained
+    assert "· bitmap: a → b, 40 rows × 10 bits, read from the store" in explained
+    rows = stored._summaries[("containment", 0, 1, kernel)][0]
+    assert isinstance(rows, list) == (kernel == "python")  # int rows for the Python kernel
+    assert not stored.is_loaded and stored._encoding is None
+
+
+def test_explain_says_where_the_bitmap_came_from(store):
+    in_memory = repro.connect(tables(), result_cache_size=0)
+    assert "10 bits, built from the encoding\n" in in_memory.sql(GREAT).explain(analyze=True)
+    blocks = -(-len(DIVIDEND) // BLOCK_SIZE)
+    explained = repro.connect(store, result_cache_size=0).sql(GREAT).explain(analyze=True)
+    assert f"10 bits, built from {blocks} blocks\n" in explained
+
+
+def test_a_resave_keeps_a_section_it_never_loaded(sectioned, tmp_path, monkeypatch):
+    calls = count_reads(monkeypatch)
+    repro.connect(sectioned).save(tmp_path / "copy", block_size=BLOCK_SIZE)
+    assert table_files(tmp_path / "copy") == table_files(sectioned)
+    assert calls["r"] == 0
+
+
+def test_a_resave_after_reading_the_section_writes_it_again(sectioned, tmp_path):
+    db = repro.connect(sectioned, result_cache_size=0)
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            db.sql(GREAT).run()
+    db.save(tmp_path / "copy", block_size=BLOCK_SIZE)
+    assert table_files(tmp_path / "copy") == table_files(sectioned)
+    # Re-cut to another block size, the bitmap (over dictionary codes) is kept.
+    db.save(tmp_path / "recut", block_size=BLOCK_SIZE * 2)
+    recut = load_catalog(tmp_path / "recut")["r"]
+    assert recut.stored_bitmaps() == load_catalog(sectioned)["r"].stored_bitmaps()
+    assert repro.connect(tmp_path / "recut").sql(GREAT).run().relation == great_divide(
+        DIVIDEND, DIVISORS["great"]
+    )
+
+
+def test_a_bitmap_over_the_bound_is_never_written(tmp_path):
+    """One tuple per candidate over many values: the bitmap would outgrow
+    the code buffers, so the session holds ``None`` and the file no section."""
+    wide = Relation(["a", "b"], [(a, a) for a in range(300)])
+    divisor = Relation(["b", "c"], [(1, "x"), (2, "y")])
+    db = repro.connect({"r": wide, "great": divisor}, result_cache_size=0)
+    assert db.sql(GREAT).run().relation == great_divide(wide, divisor)
+    assert db.relation("r")._summaries == {("containment", 0, 1, "numpy"): None}
+    db.save(tmp_path / "wide")
+    assert load_catalog(tmp_path / "wide")["r"].stored_bitmaps() == {}

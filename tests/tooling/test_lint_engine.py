@@ -314,6 +314,22 @@ class TestRP407StoredBlocksStayCodeBuffers:
             "write from code columns",
         ]
 
+    def test_the_summary_writer_may_not_ask_for_tuples(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "def _bitmap_summaries(relation, pages):\n"
+            "    return {(0, 1): bitmap_of(relation.aligned_tuples())}\n"
+            "def encode_summaries(pages, bitmaps):\n"
+            "    return b''.join(words(block) for _meta, block in reader.iter_blocks())\n",
+        )
+        findings = list(lint._check_storage_file(path))
+        assert sorted(f.message for f in findings) == [
+            "_bitmap_summaries is on the save path and asks for tuples (aligned_tuples); "
+            "write from code columns",
+            "encode_summaries is on the save path and asks for tuples (iter_blocks); "
+            "write from code columns",
+        ]
+
     def test_rule_covers_the_storage_package(self, lint):
         checked = list(lint._python_files(lint.STORAGE_DIR))
         assert {path.name for path in checked} >= {"format.py", "scan.py", "spill.py", "store.py"}
