@@ -65,6 +65,14 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   inside ``delete``'s predicate branch.  Inside ``Catalog`` an existing
   table's value is written only where the pending delta is accounted for:
   ``add_table``, ``replace_table``, ``__getitem__`` and the fold helper.
+  And the fold is O(delta) too: ``Relation.with_delta``, every function it
+  reaches by name in ``relation/``, ``encoding.py``, the kernels and the
+  key seam, and every summary patch registered in ``_SUMMARY_PATCHES``
+  call no whole-table builder (``gather_sweep``, ``encode_columns``,
+  ``code_frequencies`` and the column's ``frequencies`` / ``bounds`` /
+  ``top_frequency``, ``aligned_tuples``, ``from_relation``,
+  ``column_frequencies``): what the folded value carries is patched by
+  the edit, anything else is built when something asks for it.
 
 * **RP409** — the law preconditions in ``src/repro/laws/conditions.py``
   read a relation through its code columns or one sweep over its aligned
@@ -533,6 +541,65 @@ def _check_edit_methods(path: Path) -> Iterator[Finding]:
             )
 
 
+#: Modules a table's fold runs through (its summary patches included).
+FOLD_MODULES = (
+    SOURCE_DIR / "relation" / "relation.py",
+    SOURCE_DIR / "relation" / "encoding.py",
+    PHYSICAL_DIR / "compile" / "kernels.py",
+    DIVISION_DIR / "keys.py",
+)
+#: Where the fold starts, and the registry its summary patches are found in.
+FOLD_ROOT = "with_delta"
+FOLD_REGISTRY = "_SUMMARY_PATCHES"
+#: Calls that build from the whole table, which no fold may make.
+WHOLE_TABLE_BUILDERS = {
+    "gather_sweep", "encode_columns", "code_frequencies", "frequencies", "bounds",
+    "top_frequency", "aligned_tuples", "from_relation", "column_frequencies",
+}  # fmt: skip
+
+
+def _check_fold_path(paths: Sequence[Path]) -> Iterator[Finding]:
+    """Every function a fold reaches by name from ``with_delta`` or a
+    registered summary patch, in ``paths``, calls no whole-table builder."""
+    defined: dict[str, list[tuple[Path, ast.FunctionDef]]] = {}
+    roots = {FOLD_ROOT}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append((path, node))
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                if any(
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == FOLD_REGISTRY
+                    for target in node.targets
+                ):
+                    roots.add(node.value.id)
+    if FOLD_ROOT not in defined:
+        yield finding(
+            "RP408", f"no {FOLD_ROOT} to check the fold path from", str(paths[0]), "engine"
+        )
+    pending, reached = sorted(roots & defined.keys()), set()
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for path, function in defined[name]:
+            for call in (node for node in ast.walk(function) if isinstance(node, ast.Call)):
+                called = _called_name(call)
+                if called in WHOLE_TABLE_BUILDERS:
+                    yield finding(
+                        "RP408",
+                        f"{function.name} is on a table's fold path and calls {called}; "
+                        "patch what the folded value carries by the edit",
+                        _where(path, call),
+                        "engine",
+                    )
+                elif called in defined and called not in reached:
+                    pending.append(called)
+
+
 def _check_catalog_writes(path: Path) -> Iterator[Finding]:
     tree = ast.parse(path.read_text(), filename=str(path))
     for function in _methods(tree, "Catalog"):
@@ -871,6 +938,7 @@ def run() -> list[Finding]:
     findings.extend(_check_conditions_file(CONDITIONS_FILE))
     findings.extend(_check_edit_methods(DATABASE_FILE))
     findings.extend(_check_catalog_writes(CATALOG_FILE))
+    findings.extend(_check_fold_path(FOLD_MODULES))
     findings.extend(_check_cost_model_file(COST_MODEL_FILE))
     for path in _python_files(SOURCE_DIR):
         findings.extend(_check_numpy_imports(path))

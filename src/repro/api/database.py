@@ -42,7 +42,7 @@ from repro.algebra.predicates import Predicate
 from repro.api.fingerprint import optimizer_signature, plan_cache_key
 from repro.api.query import Query
 from repro.api.result import AnalyzeReport, CacheInfo, MutationResult, QueryResult
-from repro.errors import ReproError, SchemaError, ViewError
+from repro.errors import RelationError, ReproError, SchemaError, ViewError
 from repro.faults import registry as fault_registry
 from repro.faults.plan import FaultPlan
 from repro.optimizer.optimizer import Optimizer
@@ -101,6 +101,18 @@ def _coerce_rows(schema: Schema, rows: RowsLike) -> list[Row]:
             ) from None
         tuples = [_coerce_row(names, row) for row in candidates]
     return Row.block(schema, tuples)
+
+
+def _refuse_nan(schema: Schema, rows: list[Row]) -> None:
+    """Raise :class:`RelationError`, naming the attribute, for the first
+    float NaN among the rows' values."""
+    for row in rows:
+        for name, value in zip(schema.names, row.values_tuple):
+            if isinstance(value, float) and math.isnan(value):
+                raise RelationError(
+                    f"insert: {name!r} is NaN in row {row.values_tuple!r}; a NaN equals "
+                    "no value, itself included, so a set cannot hold it"
+                )
 
 
 def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:
@@ -490,11 +502,16 @@ class Database:
         folds them in (:meth:`Catalog.apply_delta`); the version counter
         bumps only when the delta is non-empty, and every maintained view
         over the table incorporates the delta through its counter table.
-        A malformed row, or one that would break a declared key, fails the
-        whole batch with nothing changed.
+        A malformed row, one holding a float NaN (:class:`RelationError`
+        naming the attribute: a NaN equals nothing, itself included, so no
+        set can tell whether it holds it, and it leaves a column's minimum
+        and maximum to the order its values come in), or one that would
+        break a declared key fails the whole batch with nothing changed.
         """
         schema = self.catalog.schema(table)
-        delta = self.catalog.apply_delta(table, _coerce_rows(schema, rows), ())
+        rows = _coerce_rows(schema, rows)
+        _refuse_nan(schema, rows)
+        delta = self.catalog.apply_delta(table, rows, ())
         return self._note_edit(table, schema, *delta)
 
     def delete(self, table: str, rows_or_predicate: "DeleteSpec") -> MutationResult:
@@ -520,8 +537,10 @@ class Database:
     def _note_edit(
         self, table: str, schema: Schema, inserted: list[Row], deleted: list[Row]
     ) -> MutationResult:
-        """Wrap an edit's effective rows; bump the version, notify views."""
-        added, removed = Relation(schema, inserted), Relation(schema, deleted)
+        """Wrap an edit's effective rows (aligned with ``schema``, the
+        table's own); bump the version, notify views."""
+        added = Relation._from_parts(schema, inserted)
+        removed = Relation._from_parts(schema, deleted)
         version = self._note_mutation(table, added, removed)
         return MutationResult(table=table, inserted=added, deleted=removed, version=version)
 

@@ -113,12 +113,20 @@ class TableStatistics:
         Reads the relation's length and cached dictionary encoding
         (:meth:`~repro.relation.relation.Relation.encoded_columns`) and
         nothing else — no tuple is decoded: the distinct count is the
-        dictionary size, min/max range over the dictionary, the top
-        frequency is a bincount of the codes, the scan is sorted on an
-        attribute iff its codes never step down over a non-decreasing
-        dictionary, and the lexicographic prefix is read off the codes too
-        (:func:`~repro.relation.encoding.lexicographic_prefix`).  The first
-        scan of the same relation value reuses the encoding.
+        dictionary size, min/max range over the dictionary
+        (:meth:`~repro.relation.encoding.CodeColumn.bounds`), the top
+        frequency is the largest count of the codes
+        (:meth:`~repro.relation.encoding.CodeColumn.frequencies`), the scan
+        is sorted on an attribute iff its codes never step down over a
+        non-decreasing dictionary, and the lexicographic prefix is read off
+        the codes too (:func:`~repro.relation.encoding.lexicographic_prefix`).
+        The first scan of the same relation value reuses the encoding.
+        Bounds and counts are kept on the encoding's columns, and a table's
+        edit patches them over to the folded value's
+        (:func:`~repro.relation.encoding.fold_code_columns`): statistics of
+        a folded table recollect neither, except the bounds of a column
+        whose patch could not prove them exact (NaN, mixed types, a bound
+        that left).
 
         Stored tables (:class:`~repro.storage.store.StoredRelation`) carry
         statistics gathered at save time in their file header; for them
@@ -143,11 +151,8 @@ class TableStatistics:
                 dictionary = column.dictionary
                 distinct[name] = len(dictionary)
                 top_frequencies[name] = column.top_frequency()
-                try:
-                    bounds = min(dictionary), max(dictionary)
-                except TypeError:
-                    pass  # incomparable values: neither bound is known
-                else:
+                bounds = column.bounds()
+                if bounds is not None:  # else incomparable: neither bound is known
                     minima[name], maxima[name] = bounds
                 if column.is_non_decreasing() and _non_decreasing(dictionary):
                     sorted_names.add(name)

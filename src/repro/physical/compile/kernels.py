@@ -10,7 +10,9 @@ the required popcount.  A division over a relation's containment bitmap
 (value-major: the gather sweep with the value codes as rows, one row of
 candidate bits per value) has one scan of its own, the *intersection
 scan*: per divisor set, the AND of its values' rows, every set of the
-division in one call.  All work on the integer key codes the key-column
+division in one call; a table's edit patches that bitmap instead of
+sweeping again (*patch_rows*, one per row form: ``uint64`` words here,
+``int`` masks in the reference).  All work on the integer key codes the key-column
 seam (:mod:`repro.physical.division.keys`) hands out.  Two implementations
 exist:
 
@@ -161,6 +163,49 @@ class PythonBitsetKernel:
             int.from_bytes(words[start : start + size], "little")
             for start in range(0, count * size, size)
         ]
+
+    def patch_rows(
+        self,
+        rows: Any,
+        width: int,
+        renumberings: tuple[Any, Any],
+        changes: tuple[tuple[Any, Any], tuple[Any, Any]],
+        shape: tuple[int, int],
+        tuples: int,
+    ) -> Any:
+        """A containment bitmap's rows after an edit, as :meth:`gather_sweep`
+        would build them over the edited columns — the old ``rows`` (one
+        per value, ``width`` candidate bits each) patched, never swept.
+
+        ``renumberings`` are the candidate and the value column's
+        :class:`~repro.relation.encoding.Renumbering` (``None``: no code
+        moved), ``changes`` the ``(candidates, values)`` code pairs whose
+        bits clear (old codes) and set (new codes), and the edited columns
+        carry ``shape`` = ``(values, candidates)`` entries over ``tuples``
+        tuples.  The cleared bits go first, then the rows and the bits move
+        (a candidate that left has none set any more), then the new pairs'
+        bits are set: a new value is a new row, a new candidate the next
+        bit.  Int masks here."""
+        candidate_renumbering, value_renumbering = renumberings
+        (lost_a, lost_b), (new_a, new_b) = changes
+        count, new_width = shape
+        if isinstance(rows, list):
+            rows = list(rows)
+        else:
+            rows = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        for candidate, value in zip(lost_a.tolist(), lost_b.tolist()):
+            rows[value] &= ~(1 << candidate)
+        if value_renumbering is not None:
+            rows = [rows[old] for old in value_renumbering.survivors.tolist()]
+        if candidate_renumbering is not None:
+            to = [-1] * width
+            for new, old in enumerate(candidate_renumbering.survivors.tolist()):
+                to[old] = new
+            rows = [_mask_of([to[bit] for bit in _set_bits(row)], new_width) for row in rows]
+        rows += [0] * (count - len(rows))
+        for candidate, value in zip(new_a.tolist(), new_b.tolist()):
+            rows[value] |= 1 << candidate
+        return rows
 
     # -- match scans ----------------------------------------------------
     # Each returns the matching indices ascending, as an index array:
@@ -382,6 +427,53 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         # The words themselves, read in place.
         return _np.frombuffer(words, dtype="<u8").reshape(count, max(1, -(-width // 64)))
 
+    def patch_rows(
+        self,
+        rows: Any,
+        width: int,
+        renumberings: tuple[Any, Any],
+        changes: tuple[tuple[Any, Any], tuple[Any, Any]],
+        shape: tuple[int, int],
+        tuples: int,
+    ) -> Any:
+        if tuples < _MIN_VECTOR_SIZE:  # what the sweep hands the reference
+            return super().patch_rows(rows, width, renumberings, changes, shape, tuples)
+        candidate_renumbering, value_renumbering = renumberings
+        (lost_a, lost_b), (new_a, new_b) = changes
+        count, new_width = shape
+        words, new_words = max(1, -(-width // 64)), max(1, -(-new_width // 64))
+        if isinstance(rows, list):
+            rows = self._words(rows, words)
+        patched = _np.array(rows, dtype="<u8")  # a copy: the old value keeps its rows
+        if len(lost_a):
+            _np.bitwise_and.at(patched, (lost_b, lost_a >> 6), ~_bits(lost_a))
+        if value_renumbering is not None:
+            patched = patched[value_renumbering.survivors]
+        heads = [] if candidate_renumbering is None else candidate_renumbering.heads
+        if len(heads) <= _SHIFTED_HEADS:
+            # Few entries moved: each one's bit is taken out and put back
+            # where its entry now is, the bits between shifting by one.
+            flags = [patched[:, old >> 6] >> _np.uint64(old & 63) & _ONE for old, _new in heads]
+            for old, _new in reversed(heads):
+                _drop_bit(patched, old)
+            for (_old, new), flag in sorted(zip(heads, flags), key=lambda head: head[0][1]):
+                if new >= 0:
+                    _put_bit(patched, new, flag)
+        else:  # one flag per candidate: unpacked, gathered, packed
+            survivors = candidate_renumbering.survivors
+            flags = _np.unpackbits(patched.view(_np.uint8), axis=1, bitorder="little")
+            spread = _np.zeros((len(patched), 64 * new_words), dtype=_np.uint8)
+            spread[:, : len(survivors)] = flags.take(survivors, axis=1)
+            patched = _np.packbits(spread, axis=1, bitorder="little").view("<u8")
+        kept_words = min(words, new_words)  # past them every bit is clear, or new
+        if patched.shape != (count, new_words):
+            grown = _np.zeros((count, new_words), dtype="<u8")
+            grown[: len(patched), :kept_words] = patched[:, :kept_words]
+            patched = grown
+        if len(new_a):
+            _np.bitwise_or.at(patched, (new_b, new_a >> 6), _bits(new_a))
+        return patched
+
     def merge_runs(
         self,
         count: int,
@@ -515,6 +607,46 @@ def _passes(bounds: list[int], budget: int) -> Iterator[tuple[int, int]]:
             yield first, stop - 1
             first = stop - 1
     yield first, len(bounds) - 1
+
+
+_ONE = _np.uint64(1)
+
+
+def _bits(codes: Any) -> Any:
+    """Each code's bit within its word (``1 << code % 64``)."""
+    return _ONE << (codes & 63).astype(_np.uint64)
+
+
+def _drop_bit(rows: Any, bit: int) -> None:
+    """Take bit ``bit`` out of every row in place: the bits above it move
+    down by one (the row's top bit clears)."""
+    word, offset = divmod(bit, 64)
+    tail = rows[:, word:]
+    shifted = tail >> _ONE
+    shifted[:, :-1] |= tail[:, 1:] << _np.uint64(63)
+    below = _np.uint64((1 << offset) - 1)
+    shifted[:, 0] = (tail[:, 0] & below) | (shifted[:, 0] & ~below)
+    rows[:, word:] = shifted
+
+
+def _put_bit(rows: Any, bit: int, flags: Any) -> None:
+    """Put one bit per row in at bit ``bit`` in place, ``flags`` (0 or 1
+    a row): the bits from it up move up by one (the row's top bit, clear,
+    falls off)."""
+    word, offset = divmod(bit, 64)
+    tail = rows[:, word:]
+    shifted = tail << _ONE
+    shifted[:, 1:] |= tail[:, :-1] >> _np.uint64(63)
+    below = _np.uint64((1 << offset) - 1)
+    above = ~_np.uint64((1 << (offset + 1)) - 1)
+    shifted[:, 0] = (tail[:, 0] & below) | (shifted[:, 0] & above) | (flags << _np.uint64(offset))
+    rows[:, word:] = shifted
+
+
+#: Entries that lost their first tuple that the numpy bitmap patch moves one
+#: bit at a time (a few whole-row shifts each); more take one unpack, gather
+#: and pack of every row.
+_SHIFTED_HEADS = 4
 
 
 #: Shared kernel instances (both are stateless), by the name

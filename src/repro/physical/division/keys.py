@@ -42,7 +42,9 @@ candidates ``a`` with ``(a, b)`` a tuple; built once per relation value by
 the kernel's gather sweep with the value codes as rows, at identity
 positions, and kept on the value with the two dictionaries,
 :meth:`~repro.relation.relation.Relation._summary`; a stored table's value
-builds it from one checked read of its pages) plus the restriction —
+builds it from one checked read of its pages, and a table's edit hands
+the folded value its bitmap patched by the edit, :func:`_patched_bitmap`)
+plus the restriction —
 nothing reads the chunk's codes, or a stored table's pages.
 A divisor (group) of ``d`` values is then the AND of those ``d`` rows, and
 every set of a division is answered in one kernel call
@@ -68,14 +70,15 @@ from collections.abc import Iterator, Sequence
 from typing import Any, NamedTuple, Optional
 
 from repro.physical.base import Chunk, PhysicalOperator, TupleProjector, _shares_dictionaries
-from repro.physical.compile.kernels import PythonBitsetKernel, active_kernel
+from repro.physical.compile.kernels import _KERNELS, PythonBitsetKernel, active_kernel
 from repro.relation.encoding import (
     CodeColumn,
+    CodeFold,
     DenseEncoder,
     as_code_buffer,
     merge_code_columns,
 )
-from repro.relation.relation import Relation
+from repro.relation.relation import _DROPPED, _SUMMARY_PATCHES, Relation
 from repro.relation.schema import Schema
 
 __all__ = ["KeySide", "Containment", "EncodedKeys", "KeyedDivisionOperator", "encode_keys"]
@@ -296,7 +299,7 @@ def _containment(
     rows, candidates, values, origin = bitmap
     count = len(candidates)
     description = (
-        f"{schema.names[a]} → {schema.names[b]}, {count} rows × {len(values)} bits, {origin}"
+        f"{schema.names[a]} → {schema.names[b]}, {len(values)} rows × {count} bits, {origin}"
     )
     if restriction is not None:
         masked = "candidates" if restriction[0] == a else "values"
@@ -326,14 +329,58 @@ def _containment_bitmap(
         return rows, candidate_keys, value_keys, "read from the store"
     columns = relation._summary_columns()
     candidates, values = columns[a], columns[b]
-    width = len(candidates.dictionary)
-    summarised = candidates.codes.nbytes + values.codes.nbytes
-    if len(values.dictionary) * -(-width // 64) * 8 > summarised:
+    if _over_bound(candidates, values):
         return None
+    width = len(candidates.dictionary)
     rows = kernel.gather_sweep(
         len(values.dictionary), values.codes, candidates.codes, range(width), width
     )
     return rows, candidates.dictionary, values.dictionary, f"built from {relation.summary_source}"
+
+
+def _over_bound(candidates: CodeColumn, values: CodeColumn) -> bool:
+    """Whether the containment bitmap of these two columns would take more
+    bytes than their code buffers (then no bitmap is kept)."""
+    width = len(candidates.dictionary)
+    summarised = candidates.codes.nbytes + values.codes.nbytes
+    return len(values.dictionary) * -(-width // 64) * 8 > summarised
+
+
+def _patched_bitmap(bitmap: Any, key: tuple[Any, ...], fold: CodeFold) -> Any:
+    """A held ``("containment", a, b, kernel)`` summary carried over a
+    table's edit: the rows patched by the kernel that built them
+    (:meth:`~repro.physical.compile.kernels.PythonBitsetKernel.patch_rows`)
+    over the edited columns' dictionaries — what
+    :func:`_containment_bitmap` would build on the folded value, ``None``
+    included once the size bound is crossed.  Left to that build
+    (``_DROPPED``) when the parent held ``None`` and the bound is no
+    longer crossed, when the bitmap is not over the parent's encoding, or
+    when the edit cannot say which pairs went (:meth:`CodeFold.pairs`)."""
+    _kind, a, b, kernel_name = key
+    candidates, values = fold.columns[a], fold.columns[b]
+    over = _over_bound(candidates, values)
+    if bitmap is None or over:
+        return None if over else _DROPPED
+    rows, candidate_keys, value_keys, _origin = bitmap
+    before = fold.before
+    if candidate_keys is not before[a].dictionary or value_keys is not before[b].dictionary:
+        return _DROPPED
+    changes = fold.pairs(a, b)
+    if changes is None:
+        return _DROPPED
+    rows = _KERNELS[kernel_name].patch_rows(
+        rows,
+        len(candidate_keys),
+        (fold.renumberings[a], fold.renumberings[b]),
+        changes,
+        (len(values.dictionary), len(candidates.dictionary)),
+        fold.tuples,
+    )
+    edit = len(fold.dropped) + fold.appended
+    return rows, candidates.dictionary, values.dictionary, f"patched by a {edit}-row edit"
+
+
+_SUMMARY_PATCHES["containment"] = _patched_bitmap
 
 
 def _cached_side(chunks: list[Chunk], positions: list[int]) -> KeySide:

@@ -20,7 +20,8 @@ concatenate / mixed-radix step behind the division operators' key columns;
 few callers that must count them), :func:`repeat_codes` and
 :func:`as_code_buffer` (a quotient's code columns out of the kernels' match
 scans), :func:`split_code_columns` (the exchange's partition pass),
-:func:`patch_code_columns` (a table edit carried over to the encoding),
+:func:`fold_code_columns` (a table edit carried over to the encoding, and
+to the counts and bounds its columns keep),
 the mask helpers (boolean arrays; callers treat masks as opaque values
 produced and consumed by these functions only) and, at the bottom, what a
 restricted block and the division operators' containment bitmap read of
@@ -35,7 +36,7 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as _np
 
@@ -54,6 +55,9 @@ __all__ = [
     "merge_code_columns",
     "narrow_codes",
     "patch_code_columns",
+    "fold_code_columns",
+    "CodeFold",
+    "Renumbering",
     "repeat_codes",
     "route_codes",
     "split_code_columns",
@@ -77,7 +81,7 @@ __all__ = [
 class CodeColumn:
     """One attribute as dictionary codes (a slice shares the dictionary)."""
 
-    __slots__ = ("dictionary", "codes", "_table", "_first")
+    __slots__ = ("dictionary", "codes", "_table", "_first", "_counts", "_bounds")
 
     def __init__(self, dictionary: list[Any], codes: Any) -> None:
         #: code → value, first-seen order; shared by every slice of a column.
@@ -91,6 +95,11 @@ class CodeColumn:
         #: the first edit).  ``None`` until then; never pickled.
         self._table: Optional[dict[Any, int]] = None
         self._first: Any = None
+        #: What the statistics read, kept once asked for and patched by a
+        #: fold like the two above: :func:`code_frequencies` and
+        #: ``(bounds, family)`` of :meth:`bounds`.
+        self._counts: Any = None
+        self._bounds: Optional[tuple[Optional[tuple[Any, Any]], Optional[str]]] = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -144,16 +153,32 @@ class CodeColumn:
         head[1:] = ordered[1:] != ordered[:-1]
         return list(map(self.dictionary.__getitem__, ordered[head].tolist()))
 
+    def frequencies(self) -> Any:
+        """:func:`code_frequencies` of this column, counted once."""
+        if self._counts is None:
+            self._counts = code_frequencies(self)
+        return self._counts
+
     def top_frequency(self) -> int:
         """Tuple count of the most frequent value (0 for an empty column)."""
-        if not len(self.codes):
-            return 0
-        return int(_np.bincount(self.codes).max())
+        return int(self.frequencies().max()) if len(self.codes) else 0
+
+    def bounds(self) -> Optional[tuple[Any, Any]]:
+        """``(min, max)`` over the dictionary's values, ``None`` when they do
+        not compare (or there are none); computed once."""
+        if self._bounds is None:
+            self._bounds = _bounds_of(self.dictionary)
+        return self._bounds[0]
 
     def is_non_decreasing(self) -> bool:
         """Whether the *codes* never step down (equal values are contiguous
-        runs in first-seen order; the dictionary decides the value order)."""
+        runs in first-seen order; the dictionary decides the value order).
+        The first steps are looked at alone first: a scan in no order
+        steps down within them, and the whole column is not read."""
         codes = self.codes
+        head = codes[: _PROBED_STEPS + 1]
+        if not (head[1:] >= head[:-1]).all():
+            return False
         return bool((codes[1:] >= codes[:-1]).all())
 
 
@@ -161,6 +186,32 @@ def _widened(dictionary: list[Any], data: bytes) -> CodeColumn:
     """Unpickle a :class:`CodeColumn` (see its ``__reduce__``): bytes of
     our own, widened without the range check a file's pages get."""
     return CodeColumn(dictionary, widen_codes(data, len(dictionary), checked=False))
+
+
+def _bounds_of(values: list[Any]) -> tuple[Optional[tuple[Any, Any]], Optional[str]]:
+    """``(bounds, family)`` of a dictionary: ``(min, max)`` of its values
+    (``None``: they do not compare, or there are none) and the family of
+    values a fold can patch those bounds over exactly (see
+    :func:`_value_family`)."""
+    try:
+        bounds = min(values), max(values)
+    except (TypeError, ValueError):
+        bounds = None
+    return bounds, _value_family(values)
+
+
+def _value_family(values: list[Any]) -> Optional[str]:
+    """``"text"`` when every value is a ``str``, ``"number"`` when every
+    value is an ``int``, ``float`` or ``bool`` and none is NaN, else
+    ``None``: only over one of the two are ``min`` and ``max`` independent
+    of the order the values come in, so that bounds patched value by value
+    are the ones a fresh pass would find."""
+    kinds = set(map(type, values))
+    if kinds <= {str}:
+        return "text"
+    if kinds <= {int, float, bool} and (float not in kinds or all(v == v for v in values)):
+        return "number"
+    return None
 
 
 def code_width(entries: int) -> int:
@@ -285,7 +336,7 @@ def merge_code_columns(
     arrays = [concatenate_codes(buffers) for buffers in parts]
     if len(arrays) == 1:
         return arrays[0], dictionaries[0]
-    combined = _combine_codes(arrays, dictionaries)
+    combined = _combine_codes(arrays, [len(dictionary) for dictionary in dictionaries])
     if combined is None:
         return _merge_by_dict([array.tolist() for array in arrays], dictionaries)
     unique, codes = _np.unique(combined, return_inverse=True)
@@ -296,15 +347,15 @@ def merge_code_columns(
     return codes, list(zip(*reversed(digits)))
 
 
-def _combine_codes(arrays: Sequence[Any], dictionaries: Sequence[list[Any]]) -> Any:
-    """Aligned code buffers as one int64 buffer of mixed-radix
-    composites; ``None`` when the radix product overflows int64 (callers
-    combine as code tuples, or do without)."""
-    if math.prod(map(len, dictionaries)) >= 1 << 62:
+def _combine_codes(arrays: Sequence[Any], sizes: Sequence[int]) -> Any:
+    """Aligned code buffers as one int64 buffer of mixed-radix composites
+    over dictionaries of ``sizes`` entries; ``None`` when the radix product
+    overflows int64 (callers combine as code tuples, or do without)."""
+    if math.prod(sizes) >= 1 << 62:
         return None
     combined = arrays[0].astype(_np.int64)
-    for array_, dictionary in zip(arrays[1:], dictionaries[1:]):
-        combined = combined * len(dictionary) + array_
+    for array_, size in zip(arrays[1:], sizes[1:]):
+        combined = combined * size + array_
     return combined
 
 
@@ -368,45 +419,231 @@ def patch_code_columns(
     removed: Sequence[tuple[Any, ...]],
     added: Sequence[tuple[Any, ...]],
 ) -> Optional[tuple[list[int], tuple[CodeColumn, ...]]]:
+    """``(dropped, columns)`` of :func:`fold_code_columns`: the ascending
+    positions of the removed tuples in the old block (for
+    :func:`drop_positions`) and the edited block's encoding (``None``
+    where the fold is)."""
+    fold = fold_code_columns(columns, removed, added)
+    return None if fold is None else (fold.dropped, fold.columns)
+
+
+class Renumbering(NamedTuple):
+    """How a fold renumbered one column (:meth:`CodeFold.renumberings`)."""
+
+    #: The old code of each entry the column still carries, by new code.
+    survivors: Any
+    #: ``(old code, new code)`` of each entry that lost its first tuple,
+    #: ascending by old code; new code ``-1``: no tuple carries it any
+    #: more.  Every other entry keeps its place among the survivors.
+    heads: list[tuple[int, int]]
+
+
+class CodeFold:
+    """A tuple block's encoding carried over an edit (:func:`fold_code_columns`).
+
+    Holds the encoding before (:attr:`before`) and after (:attr:`columns`)
+    the edit and how every column's codes moved, which is what a folded
+    value's summaries are patched by: :meth:`counts` patches a count per
+    entry, :meth:`value_bounds` a column's bounds and :meth:`pairs` names
+    the ``(a, b)`` code pairs a containment bitmap loses and gains.
+    Nothing here reads a kept tuple.
+    """
+
+    __slots__ = ("before", "columns", "dropped", "renumberings", "_lost", "_tails", "_hits")
+
+    def __init__(
+        self,
+        before: Sequence[CodeColumn],
+        columns: tuple[CodeColumn, ...],
+        dropped: list[int],
+        renumberings: list[Optional[Renumbering]],
+        lost: list[Any],
+        tails: list[Any],
+        hits: Optional[tuple[int, Any]],
+    ) -> None:
+        self.before = tuple(before)
+        #: The edited block's encoding, as :func:`encode_columns` would build it.
+        self.columns = columns
+        #: Ascending positions of the removed tuples in the old block.
+        self.dropped = dropped
+        #: Per column its :class:`Renumbering`, ``None`` when every old
+        #: code kept its number (then no entry left either).
+        self.renumberings = renumberings
+        #: Per column the removed tuples' old codes and the appended
+        #: tuples' new codes; the column searched for the removed tuples
+        #: and the positions of every tuple sharing a removed one's code
+        #: there (``None``: nothing was removed).
+        self._lost, self._tails, self._hits = lost, tails, hits
+
+    @property
+    def tuples(self) -> int:
+        """Tuples in the edited block."""
+        return len(self.columns[0].codes)
+
+    @property
+    def appended(self) -> int:
+        """Tuples the edit appended (the edited block's last ones)."""
+        return len(self._tails[0])
+
+    def departed(self, position: int) -> list[Any]:
+        """The values whose last tuple the edit removed (their entries left)."""
+        renumbering = self.renumberings[position]
+        if renumbering is None:
+            return []
+        dictionary = self.before[position].dictionary
+        return [dictionary[old] for old, new in renumbering.heads if new < 0]
+
+    def fresh(self, position: int) -> list[Any]:
+        """The values the edit added as new entries (the dictionary's tail)."""
+        renumbering = self.renumberings[position]
+        before = self.before[position].dictionary
+        kept = len(before if renumbering is None else renumbering.survivors)
+        return self.columns[position].dictionary[kept:]
+
+    def counts(self, position: int, counts: Any) -> Any:
+        """:func:`code_frequencies` of the edited column, from the old
+        column's ``counts``: the removed tuples' codes counted off, the
+        entries moved to their new codes, the appended tuples' counted on."""
+        counts = counts.copy()
+        _np.subtract.at(counts, self._lost[position], 1)
+        renumbering = self.renumberings[position]
+        if renumbering is not None:
+            counts = counts[renumbering.survivors]
+        entries = len(self.columns[position].dictionary)
+        if entries > len(counts):
+            grown = _np.zeros(entries, dtype=counts.dtype)
+            grown[: len(counts)] = counts
+            counts = grown
+        _np.add.at(counts, self._tails[position], 1)
+        return counts
+
+    def value_bounds(
+        self, position: int, held: tuple[Optional[tuple[Any, Any]], Optional[str]]
+    ) -> Optional[tuple[Optional[tuple[Any, Any]], Optional[str]]]:
+        """:meth:`CodeColumn.bounds`' ``(bounds, family)`` of the edited
+        column, from the old column's ``held``: the new values compared with
+        the old bounds.  ``None`` (collect afresh) unless the patch is exact:
+        the values and the new ones are of one family and no bound left."""
+        bounds, family = held
+        if family is None or bounds is None:
+            return None
+        low, high = bounds
+        if any(value == low or value == high for value in self.departed(position)):
+            return None
+        fresh = self.fresh(position)
+        if fresh:
+            if _value_family(fresh) != family:
+                return None
+            low, high = min(low, min(fresh)), max(high, max(fresh))
+        return (low, high), family
+
+    def pairs(self, a: int, b: int) -> Optional[tuple[tuple[Any, Any], tuple[Any, Any]]]:
+        """``(cleared, set)``: the code pairs of the columns at ``a`` and
+        ``b`` that no tuple holds any more (old codes) and the pairs the
+        appended tuples hold (new codes), each as two aligned code arrays.
+
+        Over a whole two-column schema a removed tuple is its pair.  Over
+        a wider one a pair is cleared only if no kept tuple holds it, which
+        the tuples sharing a removed tuple's code in the searched column
+        tell when that column is ``a`` or ``b``; ``None`` otherwise."""
+        cleared = self._lost[a], self._lost[b]
+        if self._hits is not None and len(self.before) > 2:
+            pivot, hits = self._hits
+            if pivot not in (a, b):
+                return None
+            before, gone = self.before, set(self.dropped)
+            hit_pairs = zip(before[a].codes[hits].tolist(), before[b].codes[hits].tolist())
+            held = {pair for at, pair in zip(hits.tolist(), hit_pairs) if at not in gone}
+            lost_pairs = zip(cleared[0].tolist(), cleared[1].tolist())
+            free = [i for i, pair in enumerate(lost_pairs) if pair not in held]
+            cleared = cleared[0][free], cleared[1][free]
+        return cleared, (self._tails[a], self._tails[b])
+
+
+def fold_code_columns(
+    columns: Sequence[CodeColumn],
+    removed: Sequence[tuple[Any, ...]],
+    added: Sequence[tuple[Any, ...]],
+) -> Optional[CodeFold]:
     """The encoding of a tuple block after an edit, from the block's own.
 
     ``columns`` encode the block; the edit drops the tuples ``removed``
     (each of them in the block) and appends the tuples ``added`` (none of
-    them in it).  Returns ``(dropped, columns)``: the ascending positions
-    of the removed tuples in the old block (for :func:`drop_positions`) and
-    the columns :func:`encode_columns` would build from the edited block —
-    dictionaries hold the values still carried, in first-seen order.
+    them in it).  The fold's :attr:`~CodeFold.columns` are what
+    :func:`encode_columns` would build from the edited block —
+    dictionaries hold the values still carried, in first-seen order — and
+    it says where the removed tuples were and how each column's codes
+    moved (:class:`CodeFold`).  The counts and bounds a column holds
+    (:meth:`CodeColumn.frequencies`, :meth:`CodeColumn.bounds`) come over
+    patched.
 
     No kept tuple is read and nothing is redone per dictionary entry: the
     removed tuples are found among the few that share their value of the
     column with the largest dictionary (one gather over its codes); a
     column is renumbered only when a removed tuple was its value's first
-    one, and then only the entries that move are looked at; added values
-    take the next free codes.  The value → code tables and first positions
-    this reads are carried from column to column (see :class:`CodeColumn`).
-    A dictionary that changes is a new list (older blocks and chunk slices
-    share the old one).  ``None`` when the columns cannot say where the
-    removed tuples are (no attribute, or a composite past int64): the
-    caller encodes the edited block afresh.
+    one, and then only the entries that move are looked at (each such
+    value's next tuple is searched for from where its first one was); the
+    edited codes are one pass over the kept ones (plus one through the
+    renumbering), the added values taking the next free codes.  The value →
+    code tables and first positions this reads are carried from column to
+    column (see :class:`CodeColumn`).  A dictionary that changes is a new
+    list (older blocks and chunk slices share the old one).  ``None`` when
+    the columns cannot say where the removed tuples are (no attribute, or a
+    composite past int64): the caller encodes the edited block afresh.
     """
     dropped: list[int] = []
-    pivot, hits = -1, None
+    hits: Optional[tuple[int, Any]] = None
     if removed:
         if not columns:
             return None
         located = _positions_of(columns, removed)
         if located is None:
             return None
-        dropped, pivot, hits = located
+        dropped, pivot, positions = located
+        hits = pivot, positions
     gone = _np.array(dropped, dtype=_np.int64)
-    patched = []
+    size = len(columns[0].codes) if columns else 0
+    # The kept tuples are the runs between removed ones: each column's
+    # edited codes are one copy of those runs and the appended codes.
+    bounds = [-1, *dropped, size]
+    runs = [(start + 1, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start + 1]
+    patched, renumberings, lost, tails = [], [], [], []
     for position, column in enumerate(columns):
+        dictionary, table, first = column.dictionary, column._table, column._first
+        codes, renumbered, renumbering = column.codes, None, None
+        lost.append(codes[gone])
+        parts = [codes]
         if dropped:
-            column = _without(column, gone, hits if position == pivot else None)
+            searched = positions if position == pivot else None
+            dictionary, table, first, renumbered, renumbering = _without(
+                column, gone, lost[-1], searched
+            )
+            parts = [codes[start:stop] for start, stop in runs]
+        tail = empty_codes(0)
         if added:
-            column = _with_tail(column, [values[position] for values in added])
-        patched.append(column)
-    return dropped, tuple(patched)
+            values = [values[position] for values in added]
+            dictionary, table, first, tail = _with_tail(
+                dictionary, table, first, values, size - len(dropped)
+            )
+        if renumbered is None:
+            codes = concatenate_codes([*parts, tail])
+        else:  # the kept codes through the renumbering, into the edited buffer
+            codes = empty_codes(size - len(dropped) + len(tail))
+            # Every code indexes the table: "clip" checks nothing and, unlike
+            # the default, writes ``out`` without buffering it first.
+            kept = concatenate_codes(parts)
+            _np.take(renumbered, kept, out=codes[: len(kept)], mode="clip")
+            codes[len(kept) :] = tail
+        patched.append(_carried(dictionary, codes, table, first))
+        renumberings.append(renumbering)
+        tails.append(tail)
+    fold = CodeFold(columns, tuple(patched), dropped, renumberings, lost, tails, hits)
+    for position, (before, after) in enumerate(zip(columns, patched)):
+        if before._counts is not None:
+            after._counts = fold.counts(position, before._counts)
+        if before._bounds is not None:
+            after._bounds = fold.value_bounds(position, before._bounds)
+    return fold
 
 
 def _code_table(dictionary: list[Any]) -> dict[Any, int]:
@@ -458,67 +695,87 @@ def _positions_of(
     tuple's code there; ``None`` when the composite overflows int64.
 
     The column with the largest dictionary is searched (one gather over
-    its codes) and only its hits are compared on every column."""
-    dictionaries = [column.dictionary for column in columns]
+    its codes) and only its hits are compared on every column, as
+    mixed-radix composites of their codes."""
+    sizes = [len(column.dictionary) for column in columns]
+    if math.prod(sizes) >= 1 << 62:
+        return None
     targets = [
-        _np.array(list(map(_lookup(column).__getitem__, values)), dtype=_np.int64)
+        list(map(_lookup(column).__getitem__, values))
         for column, values in zip(columns, zip(*removed))
     ]
-    wanted = _combine_codes(targets, dictionaries)
-    if wanted is None:
-        return None
-    pivot = max(range(len(columns)), key=lambda position: len(dictionaries[position]))
-    hits = _occurrences(columns[pivot].codes, targets[pivot], len(dictionaries[pivot]))
-    found = _combine_codes([column.codes[hits] for column in columns], dictionaries)
-    wanted.sort()
-    matched = wanted[_np.minimum(_np.searchsorted(wanted, found), len(wanted) - 1)] == found
+    wanted = [0] * len(removed)
+    for size, codes in zip(sizes, targets):
+        wanted = [key * size + code for key, code in zip(wanted, codes)]
+    wanted = _np.array(sorted(wanted), dtype=_np.int64)
+    pivot = max(range(len(columns)), key=sizes.__getitem__)
+    hits = _occurrences(columns[pivot].codes, targets[pivot], sizes[pivot])
+    found = _combine_codes([column.codes[hits] for column in columns], sizes)
+    matched = wanted.take(_np.searchsorted(wanted, found), mode="clip") == found
     return hits[matched].tolist(), pivot, hits
 
 
-def _without(column: CodeColumn, gone: Any, hits: Any) -> CodeColumn:
-    """The column without the tuples at the ascending positions ``gone``,
-    renumbered to first-seen order if a value lost its first tuple.
+#: Heads (values that lost their first tuple) :func:`_without` searches
+#: for one by one, from where each was first seen; more take one gather
+#: over the whole column.
+_SEARCHED_HEADS = 8
 
-    ``hits`` (``None``: searched here) holds the position of every tuple
-    whose code is a removed tuple's, which covers those values' tuples."""
+
+def _without(
+    column: CodeColumn, gone: Any, lost: Any, hits: Any
+) -> tuple[list[Any], Any, Any, Any, Optional[Renumbering]]:
+    """What dropping the tuples at the ascending positions ``gone`` does
+    to the column's entries: ``(dictionary, table, first, renumbered,
+    renumbering)`` — the value → code table and first positions after the
+    drop, and when a value lost its first tuple, the old code → new code
+    table the kept codes go through and the :class:`Renumbering` (both
+    ``None``: no code moved).  The codes themselves are not touched.
+
+    ``lost`` are the codes at ``gone``; ``hits`` (``None``: searched
+    here) holds the position of every tuple whose code is a removed
+    tuple's, which covers those values' tuples."""
     codes, dictionary, first = column.codes, column.dictionary, _first_positions(column)
-    kept = drop_positions(codes, gone)
-    lost = codes[gone]
     heads = lost[first[lost] == gone]  # values whose first tuple goes
     if not len(heads):
-        return _carried(dictionary, kept, column._table, first - _np.searchsorted(gone, first))
+        return dictionary, column._table, first - _np.searchsorted(gone, first), None, None
     entries, size = len(dictionary), len(codes)
-    flags = _np.zeros(entries, dtype=bool)
-    flags[heads] = True
-    if hits is None:
-        hits = _np.flatnonzero(_np.take(flags, codes))
-    else:
-        hits = hits[_np.take(flags, codes[hits])]
-    hits = hits[gone[_np.minimum(_np.searchsorted(gone, hits), len(gone) - 1)] != hits]
-    # Each such value's first tuple left (``size``: none is), then the
+    # Each such value's first kept tuple (``size``: none is), then the
     # entries in first-seen order again.
     moved = first.copy()
-    moved[heads] = size
-    _np.minimum.at(moved, codes[hits], hits)
+    if hits is None and len(heads) <= _SEARCHED_HEADS:
+        moved[heads] = [
+            _next_kept(codes, code, int(first[code]) + 1, gone) for code in heads.tolist()
+        ]
+    else:
+        flags = _np.zeros(entries, dtype=bool)
+        flags[heads] = True
+        if hits is None:
+            hits = _np.flatnonzero(_np.take(flags, codes))
+        else:
+            hits = hits[_np.take(flags, codes[hits])]
+        hits = hits[gone[_np.minimum(_np.searchsorted(gone, hits), len(gone) - 1)] != hits]
+        moved[heads] = size
+        _np.minimum.at(moved, codes[hits], hits)
     order = _np.argsort(moved, kind="stable")
     carried = entries - int(_np.count_nonzero(moved == size))
     survivors = order[:carried]
     shifted = _np.flatnonzero(survivors != _np.arange(carried))
+    first = moved[survivors]
+    first -= _np.searchsorted(gone, first)
     if carried == entries and not len(shifted):
-        return _carried(dictionary, kept, column._table, moved - _np.searchsorted(gone, moved))
+        return dictionary, column._table, first, None, None
     renumbered = _np.empty(entries, dtype=_np.int32)
     renumbered[order] = _np.arange(entries, dtype=_np.int32)
-    if len(shifted):
-        kept = _np.take(renumbered, kept)
     # Only the heads moved: out of the list, then back in where they now
     # are first seen (ascending), every other entry in its old order.
     heads = sorted(heads.tolist())
+    new_codes = renumbered[heads].tolist()
     carried_values = list(dictionary)
     for code in reversed(heads):
         del carried_values[code]
-    for code in sorted(heads, key=renumbered.__getitem__):
-        if renumbered[code] < carried:
-            carried_values.insert(int(renumbered[code]), dictionary[code])
+    for code, new in sorted(zip(heads, new_codes), key=lambda head: head[1]):
+        if new < carried:
+            carried_values.insert(new, dictionary[code])
     table = column._table
     if table is not None:  # the old table, less what went, moved entries re-coded
         table = dict(table)
@@ -526,14 +783,32 @@ def _without(column: CodeColumn, gone: Any, hits: Any) -> CodeColumn:
             del table[dictionary[code]]
         codes_moved = shifted.tolist()
         table.update(zip(map(carried_values.__getitem__, codes_moved), codes_moved))
-    first = moved[survivors]
-    return _carried(carried_values, kept, table, first - _np.searchsorted(gone, first))
+    moved_heads = [(code, new if new < carried else -1) for code, new in zip(heads, new_codes)]
+    return carried_values, table, first, renumbered, Renumbering(survivors, moved_heads)
 
 
-def _with_tail(column: CodeColumn, values: list[Any]) -> CodeColumn:
-    """The column with one tuple per value of ``values`` appended; a value
-    the dictionary lacks takes the next free code."""
-    dictionary, table, first = column.dictionary, _lookup(column), column._first
+def _next_kept(codes: Any, code: int, start: int, gone: Any) -> int:
+    """The first position from ``start`` on that holds ``code`` and is not
+    in ``gone`` (``len(codes)``: none), searched in windows that double."""
+    window = 256
+    while start < len(codes):
+        at = _np.flatnonzero(codes[start : start + window] == code) + start
+        at = at[gone[_np.minimum(_np.searchsorted(gone, at), len(gone) - 1)] != at]
+        if len(at):
+            return int(at[0])
+        start += window
+        window *= 2
+    return len(codes)
+
+
+def _with_tail(
+    dictionary: list[Any], table: Optional[dict[Any, int]], first: Any, values: list[Any], size: int
+) -> tuple[list[Any], dict[Any, int], Any, Any]:
+    """What appending one tuple per value of ``values`` to a column of
+    ``size`` tuples does: ``(dictionary, table, first, tail)``, a value the
+    dictionary lacks taking the next free code, and the tail's codes."""
+    if table is None:
+        table = _code_table(dictionary)
     fresh = [value for value in dict.fromkeys(values) if value not in table]
     if fresh:
         table = dict(table)
@@ -541,10 +816,9 @@ def _with_tail(column: CodeColumn, values: list[Any]) -> CodeColumn:
         dictionary = dictionary + fresh
         if first is not None:
             at = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
-            tail_first = [len(column.codes) + at[value] for value in fresh]
+            tail_first = [size + at[value] for value in fresh]
             first = _np.concatenate((first, _np.array(tail_first, dtype=_np.int64)))
-    tail = code_buffer(map(table.__getitem__, values), len(values))
-    return _carried(dictionary, concatenate_codes([column.codes, tail]), table, first)
+    return dictionary, table, first, code_buffer(map(table.__getitem__, values), len(values))
 
 
 #: Scan steps :func:`lexicographic_prefix` walks one by one before any
@@ -619,12 +893,9 @@ def lexicographic_prefix(
     return limit
 
 
-def drop_positions(items: Any, positions: Any) -> Any:
-    """A list or code buffer without the elements at the ascending
-    ``positions`` (a list, or an int array for a buffer): the runs between
-    them joined, no per-element work."""
-    if not isinstance(items, list):
-        return _np.delete(items, positions)
+def drop_positions(items: list[Any], positions: Sequence[int]) -> list[Any]:
+    """A list without the elements at the ascending ``positions``: the
+    runs between them joined, no per-element work."""
     kept = items[:0]
     start = 0
     for position in positions:

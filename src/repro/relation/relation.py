@@ -39,10 +39,10 @@ from typing import Any, Optional, Union
 from repro.errors import RelationError, SchemaError
 from repro.relation.encoding import (
     CodeColumn,
-    code_frequencies,
+    CodeFold,
     drop_positions,
     encode_columns,
-    patch_code_columns,
+    fold_code_columns,
 )
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
@@ -59,6 +59,16 @@ _RowSource = Callable[["Relation"], Optional[frozenset[Row]]]
 #: A folded value's block source: the parent's tuple list, the ascending
 #: positions the edit dropped from it and the tuples it appended.
 _BlockSource = tuple[list[tuple[Any, ...]], list[int], list[tuple[Any, ...]]]
+
+#: How a fold carries a held summary over (:meth:`Relation.with_delta`):
+#: per summary kind (a key's first element), ``patch(summary, key, fold)``
+#: returns the folded value's summary, or :data:`_DROPPED` to leave it to
+#: a fresh build.  A kind with no entry is dropped.  The division
+#: operators' key seam registers its containment bitmaps.
+_SUMMARY_PATCHES: dict[str, Callable[[Any, tuple[Any, ...], CodeFold], Any]] = {}
+
+#: What a summary patch returns for a summary it cannot carry exactly.
+_DROPPED = object()
 
 
 class _Null:
@@ -190,13 +200,16 @@ class Relation:
         return relation
 
     @classmethod
-    def _from_block(cls, schema: Schema, tuples: list[tuple[Any, ...]]) -> "Relation":
+    def _from_block(
+        cls, schema: Schema, tuples: list[tuple[Any, ...]], distinct: bool = False
+    ) -> "Relation":
         """Internal constructor of the block state: ``schema`` is interned,
         every tuple aligned with it, and the list is the relation's to keep.
         Duplicates go here (the first one stays, as in a set built from the
-        same tuples); no ``Row`` is built."""
+        same tuples) unless the caller knows there are none (``distinct``);
+        no ``Row`` is built."""
         try:
-            if len(set(tuples)) != len(tuples):
+            if not distinct and len(set(tuples)) != len(tuples):
                 tuples = list(dict.fromkeys(tuples))
         except TypeError:
             Row.block(schema, tuples)  # raises RelationError, naming the tuple
@@ -239,32 +252,38 @@ class Relation:
         not hold (the catalog's pending delta guarantees both).  With a
         cached encoding the new value is its *code columns*: the encoding
         patched to the scan order "this one's minus the removed tuples,
-        then the added ones" (:func:`~repro.relation.encoding.patch_code_columns`),
-        which is what a fresh encode of that block would give.  Nothing
-        else is built: this value's row set is neither read nor copied, and
-        its tuple list, if it was built, becomes the new value's block
-        source — dropped to the new block only if something reads tuples
-        (:meth:`aligned_tuples`; a later fold links to that list, or to
-        none).  The new row set is built only if something asks for it (see
-        :attr:`_row_source`).  A zero-attribute value has no code column
-        to hold its count, so it folds into a block.  Without a cached
-        encoding (or one that cannot be patched) the row set is one C-level
-        copy per non-empty side, and block and encoding are rebuilt on first
-        use, as for any new value.
+        then the added ones" (:func:`~repro.relation.encoding.fold_code_columns`),
+        which is what a fresh encode of that block would give, and the
+        columns' counts and bounds (what statistics read) come patched
+        along.  The summaries this value holds come over patched by the
+        edit (:data:`_SUMMARY_PATCHES`), each equal to what a fresh build
+        on the new value would give; one the patch cannot prove exact is
+        left to that build.  Nothing else is built: this value's row set is
+        neither read nor copied, and its tuple list, if it was built,
+        becomes the new value's block source — dropped to the new block
+        only if something reads tuples (:meth:`aligned_tuples`; a later
+        fold links to that list, or to none).  The new row set is built
+        only if something asks for it (see :attr:`_row_source`).  A
+        zero-attribute value has no code column to hold its count, so it
+        folds into a block.  Without a cached encoding (or one that cannot
+        be patched) the row set is one C-level copy per non-empty side, and
+        block, encoding and summaries are rebuilt on first use, as for any
+        new value.
         """
         added = [self._align(row) for row in added]
         removed = [self._align(row) for row in removed]
         encoding, block = self._encoding, self._block
         if encoding is not None:
             appended = [row._values for row in added]
-            patched = patch_code_columns(encoding, [row._values for row in removed], appended)
-            if patched is not None:
-                dropped, columns = patched
+            fold = fold_code_columns(encoding, [row._values for row in removed], appended)
+            if fold is not None:
+                columns = fold.columns
                 if columns:
                     relation = Relation._from_columns(self._schema, columns)
                     relation._encoding = columns
+                    relation._summaries = self._carried_summaries(fold)
                     if block is not None:
-                        relation._block_source = block, dropped, appended
+                        relation._block_source = block, fold.dropped, appended
                     return relation
                 if block is not None:  # no attribute: nothing to drop
                     relation = Relation._from_block(self._schema, block + appended)
@@ -279,6 +298,18 @@ class Relation:
         if added:
             rows = rows.union(added)
         return Relation._from_parts(self._schema, rows)
+
+    def _carried_summaries(self, fold: CodeFold) -> Optional[dict[Hashable, Any]]:
+        """The summaries this value holds, patched by ``fold`` for the
+        folded value (``None``: none carries over)."""
+        carried = {}
+        for key, summary in (self._summaries or {}).items():
+            patch = _SUMMARY_PATCHES.get(key[0])  # type: ignore[index]
+            if patch is not None:
+                patched = patch(summary, key, fold)  # type: ignore[arg-type]
+                if patched is not _DROPPED:
+                    carried[key] = patched
+        return carried or None
 
     @property
     def _tuples(self) -> Optional[list[tuple[Any, ...]]]:
@@ -360,9 +391,11 @@ class Relation:
         operators') — built on the first ask and kept under ``key``.
 
         The summaries share the encoding's lifetime: they are this value's,
-        so they die with it, and a table's edit, which folds into a new
-        value, needs no invalidation (the new value builds its own).  A
-        build that raises keeps nothing.
+        so they die with it and never need invalidating.  A table's edit
+        folds into a new value, which gets each of them patched by the edit
+        where :data:`_SUMMARY_PATCHES` knows how (:meth:`with_delta`), and
+        builds the others itself when asked.  A build that raises keeps
+        nothing.
         """
         summaries = self._summaries
         if summaries is None:
@@ -394,7 +427,7 @@ class Relation:
 
         def build(relation: Relation) -> tuple[list[Any], Any]:
             column = relation._summary_columns()[position]
-            return column.dictionary, code_frequencies(column)
+            return column.dictionary, column.frequencies()
 
         return self._summary(("frequencies", position), build)
 

@@ -14,7 +14,7 @@ falls back to full recompute through the ordinary prepared-plan path and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.api.result import QueryResult
 from repro.errors import ViewError
@@ -130,32 +130,47 @@ class MaintainedView:
         """Incorporate one table mutation (called by the database)."""
         if table not in self.tables:
             return
-        self._cached_result = None
         if self.shape is None or self.counters is None:
             # Fallback view, or maintained view not built yet: the next
             # read recomputes/builds from the current catalog.
+            self._cached_result = None
             self._dirty = True
             return
         shape, counters = self.shape, self.counters
+        rules, moved = len(self.rules_used), False
         if table == shape.dividend.table:
             extract = self._dividend_extract
             assert extract is not None
             for a, b in extract.pairs(deleted):
-                counters.delete_dividend(a, b)
+                moved |= self._moves(counters.delete_dividend, a, b)
                 self._note_rule("dividend", "delete")
             for a, b in extract.pairs(inserted):
-                counters.insert_dividend(a, b)
+                moved |= self._moves(counters.insert_dividend, a, b)
                 self._note_rule("dividend", "insert")
         if table == shape.divisor.table:
             extract = self._divisor_extract
             assert extract is not None
             for c, b in extract.pairs(deleted):
-                counters.delete_divisor(b, c)
+                moved |= self._moves(counters.delete_divisor, b, c)
                 self._note_rule("divisor", "delete")
             for c, b in extract.pairs(inserted):
-                counters.insert_divisor(b, c)
+                moved |= self._moves(counters.insert_divisor, b, c)
                 self._note_rule("divisor", "insert")
+        if moved or len(self.rules_used) != rules:
+            # The last read's result holds the old quotient or rule names;
+            # an edit that moved neither leaves it the answer.
+            self._cached_result = None
         self.applied_versions[table] = version
+
+    def _moves(
+        self, delta: Callable[[Values, Values], None], first: Values, second: Values
+    ) -> bool:
+        """Apply one counter-table delta; whether it moved the quotient (a
+        delta only adds members or only removes them, so its size says)."""
+        assert self.counters is not None
+        size = len(self.counters)
+        delta(first, second)
+        return len(self.counters) != size
 
     def _note_rule(self, target: str, operation: str) -> None:
         name = self.delta_rules[(target, operation)].name
@@ -195,6 +210,12 @@ class MaintainedView:
         self._ensure_built()
         assert self.counters is not None
         return self.counters.quotient_tuples()
+
+    def quotient_block(self) -> list[Values]:
+        """:meth:`quotient_tuples` as a list, each tuple once."""
+        self._ensure_built()
+        assert self.counters is not None
+        return self.counters.quotient_block()
 
     def run(self) -> QueryResult:
         """Answer the view: counter-table scan, or recompute on fallback."""

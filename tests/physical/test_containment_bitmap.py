@@ -312,4 +312,4 @@ def test_a_warm_division_over_a_large_table_reads_no_codes(kind, large_reads):
     explained = db.sql(text).explain(analyze=True)
     assert ("hash_division" if kind == "small" else "_great_division") in explained
     assert "· keys: cached codes (1 chunk) → coded quotient, kernel: numpy" in explained
-    assert "· bitmap: a → b, 9000 rows × " in explained
+    assert "· bitmap: a → b, " in explained and " rows × 9000 bits, " in explained

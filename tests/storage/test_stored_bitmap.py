@@ -382,7 +382,7 @@ def test_a_cold_first_division_reads_no_dividend_block(sectioned, monkeypatch, k
     assert result.relation == great_divide(DIVIDEND, DIVISORS["great"])
     assert calls["r"] == 0
     assert "read 0 bytes" in explained
-    assert "· bitmap: a → b, 40 rows × 10 bits, read from the store" in explained
+    assert "· bitmap: a → b, 10 rows × 40 bits, read from the store" in explained
     rows = stored._summaries[("containment", 0, 1, kernel)][0]
     assert isinstance(rows, list) == (kernel == "python")  # int rows for the Python kernel
     assert not stored.is_loaded and stored._encoding is None
@@ -390,10 +390,11 @@ def test_a_cold_first_division_reads_no_dividend_block(sectioned, monkeypatch, k
 
 def test_explain_says_where_the_bitmap_came_from(store):
     in_memory = repro.connect(tables(), result_cache_size=0)
-    assert "10 bits, built from the encoding\n" in in_memory.sql(GREAT).explain(analyze=True)
+    explained = in_memory.sql(GREAT).explain(analyze=True)
+    assert "10 rows × 40 bits, built from the encoding\n" in explained
     blocks = -(-len(DIVIDEND) // BLOCK_SIZE)
     explained = repro.connect(store, result_cache_size=0).sql(GREAT).explain(analyze=True)
-    assert f"10 bits, built from {blocks} blocks\n" in explained
+    assert f"10 rows × 40 bits, built from {blocks} blocks\n" in explained
 
 
 def test_a_resave_keeps_a_section_it_never_loaded(sectioned, tmp_path, monkeypatch):

@@ -403,9 +403,42 @@ class TestRP408EditsRecordADelta:
         assert codes(findings) == ["RP408"]
         assert findings[0].message.startswith("Catalog.apply_delta assigns a table's value")
 
+    def test_the_fold_and_its_summary_patches_build_nothing_whole(self, lint, tmp_path):
+        relation = tmp_path / "relation.py"
+        relation.write_text(
+            "class Relation:\n"
+            "    def with_delta(self, added, removed):\n"
+            "        fold = fold_columns(self._encoding, removed, added)\n"
+            "        return self._carried(fold)\n"
+            "    def _carried(self, fold):\n"
+            "        return {key: patch(value, fold) for key, value in self._summaries.items()}\n"
+            "def fold_columns(columns, removed, added):\n"
+            "    counts = [code_frequencies(column) for column in columns]\n"
+            "    return columns, counts\n"
+            "def unreached(relation):\n"
+            "    return relation.aligned_tuples()\n"
+        )
+        keys = tmp_path / "keys.py"
+        keys.write_text(
+            "def _patched(bitmap, fold):\n"
+            "    return kernel.gather_sweep(len(fold), fold.codes, fold.codes, range(3), 3)\n"
+            "_SUMMARY_PATCHES['containment'] = _patched\n"
+        )
+        findings = list(lint._check_fold_path([relation, keys]))
+        assert codes(findings) == ["RP408", "RP408"]
+        messages = sorted(finding.message for finding in findings)
+        assert messages[0].startswith(
+            "_patched is on a table's fold path and calls gather_sweep"
+        )
+        assert messages[1].startswith(
+            "fold_columns is on a table's fold path and calls code_frequencies"
+        )
+        assert list(lint._check_fold_path([keys]))[0].message.startswith("no with_delta")
+
     def test_rule_covers_the_session_and_the_catalog(self, lint):
         assert list(lint._check_edit_methods(lint.DATABASE_FILE)) == []
         assert list(lint._check_catalog_writes(lint.CATALOG_FILE)) == []
+        assert list(lint._check_fold_path(lint.FOLD_MODULES)) == []
         names = {function.name for function in lint._methods(
             lint.ast.parse(lint.DATABASE_FILE.read_text()), "Database"
         )}
