@@ -537,10 +537,8 @@ class Database:
     def _note_edit(
         self, table: str, schema: Schema, inserted: list[Row], deleted: list[Row]
     ) -> MutationResult:
-        """Wrap an edit's effective rows (aligned with ``schema``, the
-        table's own); bump the version, notify views."""
-        added = Relation._from_parts(schema, inserted)
-        removed = Relation._from_parts(schema, deleted)
+        """Wrap an edit's effective rows; bump the version, notify views."""
+        added, removed = Relation(schema, inserted), Relation(schema, deleted)
         version = self._note_mutation(table, added, removed)
         return MutationResult(table=table, inserted=added, deleted=removed, version=version)
 

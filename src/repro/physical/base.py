@@ -533,10 +533,6 @@ class PhysicalOperator:
     #: key; anything else must stay False and never be wrapped.
     key_disjoint_safe = False
 
-    #: True for an operator whose tuples are a set by construction (no
-    #: tuple twice): :meth:`execute` then keeps its block as it is.
-    distinct_output = False
-
     #: Process-wide construction counter backing collision-free labels.
     _construction_ids = itertools.count()
 
@@ -676,8 +672,7 @@ class PhysicalOperator:
         an exchange partition of one — and the relation is handed the
         joined code buffers: no tuple is decoded and no set pass runs.
         Otherwise value tuples flow from the last operator straight into
-        the relation, de-duplicated there (unless the operator's output is
-        a set by construction, :attr:`distinct_output`).  Either way its ``Row`` objects
+        the relation, de-duplicated there.  Either way its ``Row`` objects
         and row set are built only if someone asks.
         """
         schema = self._schema
@@ -695,7 +690,7 @@ class PhysicalOperator:
         tuples: list[tuple[Any, ...]] = []
         for chunk in itertools.chain(chunks, stream):
             tuples.extend(chunk.tuples)
-        return Relation._from_block(schema, tuples, distinct=self.distinct_output)
+        return Relation._from_block(schema, tuples)
 
     def reset_counters(self) -> None:
         """Reset tuple counters in the whole subtree (before a fresh run)."""

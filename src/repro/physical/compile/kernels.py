@@ -449,17 +449,8 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             _np.bitwise_and.at(patched, (lost_b, lost_a >> 6), ~_bits(lost_a))
         if value_renumbering is not None:
             patched = patched[value_renumbering.survivors]
-        heads = [] if candidate_renumbering is None else candidate_renumbering.heads
-        if len(heads) <= _SHIFTED_HEADS:
-            # Few entries moved: each one's bit is taken out and put back
-            # where its entry now is, the bits between shifting by one.
-            flags = [patched[:, old >> 6] >> _np.uint64(old & 63) & _ONE for old, _new in heads]
-            for old, _new in reversed(heads):
-                _drop_bit(patched, old)
-            for (_old, new), flag in sorted(zip(heads, flags), key=lambda head: head[0][1]):
-                if new >= 0:
-                    _put_bit(patched, new, flag)
-        else:  # one flag per candidate: unpacked, gathered, packed
+        if candidate_renumbering is not None:
+            # Entries moved: one flag per candidate, unpacked, gathered, packed.
             survivors = candidate_renumbering.survivors
             flags = _np.unpackbits(patched.view(_np.uint8), axis=1, bitorder="little")
             spread = _np.zeros((len(patched), 64 * new_words), dtype=_np.uint8)
@@ -615,38 +606,6 @@ _ONE = _np.uint64(1)
 def _bits(codes: Any) -> Any:
     """Each code's bit within its word (``1 << code % 64``)."""
     return _ONE << (codes & 63).astype(_np.uint64)
-
-
-def _drop_bit(rows: Any, bit: int) -> None:
-    """Take bit ``bit`` out of every row in place: the bits above it move
-    down by one (the row's top bit clears)."""
-    word, offset = divmod(bit, 64)
-    tail = rows[:, word:]
-    shifted = tail >> _ONE
-    shifted[:, :-1] |= tail[:, 1:] << _np.uint64(63)
-    below = _np.uint64((1 << offset) - 1)
-    shifted[:, 0] = (tail[:, 0] & below) | (shifted[:, 0] & ~below)
-    rows[:, word:] = shifted
-
-
-def _put_bit(rows: Any, bit: int, flags: Any) -> None:
-    """Put one bit per row in at bit ``bit`` in place, ``flags`` (0 or 1
-    a row): the bits from it up move up by one (the row's top bit, clear,
-    falls off)."""
-    word, offset = divmod(bit, 64)
-    tail = rows[:, word:]
-    shifted = tail << _ONE
-    shifted[:, 1:] |= tail[:, :-1] >> _np.uint64(63)
-    below = _np.uint64((1 << offset) - 1)
-    above = ~_np.uint64((1 << (offset + 1)) - 1)
-    shifted[:, 0] = (tail[:, 0] & below) | (shifted[:, 0] & above) | (flags << _np.uint64(offset))
-    rows[:, word:] = shifted
-
-
-#: Entries that lost their first tuple that the numpy bitmap patch moves one
-#: bit at a time (a few whole-row shifts each); more take one unpack, gather
-#: and pack of every row.
-_SHIFTED_HEADS = 4
 
 
 #: Shared kernel instances (both are stateless), by the name

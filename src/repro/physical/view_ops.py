@@ -32,8 +32,6 @@ class CounterTableScan(PhysicalOperator):
     #: cost shape as an in-memory scan; no division work remains at read
     #: time (that is the whole point of maintenance).
     properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5)
-    #: The quotient set's tuples, each once.
-    distinct_output = True
 
     def __init__(self, view: "MaintainedView") -> None:
         super().__init__(Schema.interned(view.schema_names))
@@ -41,7 +39,7 @@ class CounterTableScan(PhysicalOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
-        tuples = self.view.quotient_block()
+        tuples = list(self.view.quotient_tuples())
         size = self.batch_size
         for start in range(0, len(tuples), size):
             yield Chunk(schema, tuples[start : start + size])

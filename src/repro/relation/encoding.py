@@ -172,13 +172,8 @@ class CodeColumn:
 
     def is_non_decreasing(self) -> bool:
         """Whether the *codes* never step down (equal values are contiguous
-        runs in first-seen order; the dictionary decides the value order).
-        The first steps are looked at alone first: a scan in no order
-        steps down within them, and the whole column is not read."""
+        runs in first-seen order; the dictionary decides the value order)."""
         codes = self.codes
-        head = codes[: _PROBED_STEPS + 1]
-        if not (head[1:] >= head[:-1]).all():
-            return False
         return bool((codes[1:] >= codes[:-1]).all())
 
 
@@ -422,7 +417,9 @@ def patch_code_columns(
     """``(dropped, columns)`` of :func:`fold_code_columns`: the ascending
     positions of the removed tuples in the old block (for
     :func:`drop_positions`) and the edited block's encoding (``None``
-    where the fold is)."""
+    where the fold is).  Nothing in the package calls it any more; it is
+    kept for ``tests/relation/test_with_delta.py``, which reads it, and
+    goes once those tests read :func:`fold_code_columns` directly."""
     fold = fold_code_columns(columns, removed, added)
     return None if fold is None else (fold.dropped, fold.columns)
 
@@ -715,12 +712,6 @@ def _positions_of(
     return hits[matched].tolist(), pivot, hits
 
 
-#: Heads (values that lost their first tuple) :func:`_without` searches
-#: for one by one, from where each was first seen; more take one gather
-#: over the whole column.
-_SEARCHED_HEADS = 8
-
-
 def _without(
     column: CodeColumn, gone: Any, lost: Any, hits: Any
 ) -> tuple[list[Any], Any, Any, Any, Optional[Renumbering]]:
@@ -742,20 +733,15 @@ def _without(
     # Each such value's first kept tuple (``size``: none is), then the
     # entries in first-seen order again.
     moved = first.copy()
-    if hits is None and len(heads) <= _SEARCHED_HEADS:
-        moved[heads] = [
-            _next_kept(codes, code, int(first[code]) + 1, gone) for code in heads.tolist()
-        ]
+    flags = _np.zeros(entries, dtype=bool)
+    flags[heads] = True
+    if hits is None:
+        hits = _np.flatnonzero(_np.take(flags, codes))
     else:
-        flags = _np.zeros(entries, dtype=bool)
-        flags[heads] = True
-        if hits is None:
-            hits = _np.flatnonzero(_np.take(flags, codes))
-        else:
-            hits = hits[_np.take(flags, codes[hits])]
-        hits = hits[gone[_np.minimum(_np.searchsorted(gone, hits), len(gone) - 1)] != hits]
-        moved[heads] = size
-        _np.minimum.at(moved, codes[hits], hits)
+        hits = hits[_np.take(flags, codes[hits])]
+    hits = hits[gone[_np.minimum(_np.searchsorted(gone, hits), len(gone) - 1)] != hits]
+    moved[heads] = size
+    _np.minimum.at(moved, codes[hits], hits)
     order = _np.argsort(moved, kind="stable")
     carried = entries - int(_np.count_nonzero(moved == size))
     survivors = order[:carried]
@@ -785,20 +771,6 @@ def _without(
         table.update(zip(map(carried_values.__getitem__, codes_moved), codes_moved))
     moved_heads = [(code, new if new < carried else -1) for code, new in zip(heads, new_codes)]
     return carried_values, table, first, renumbered, Renumbering(survivors, moved_heads)
-
-
-def _next_kept(codes: Any, code: int, start: int, gone: Any) -> int:
-    """The first position from ``start`` on that holds ``code`` and is not
-    in ``gone`` (``len(codes)``: none), searched in windows that double."""
-    window = 256
-    while start < len(codes):
-        at = _np.flatnonzero(codes[start : start + window] == code) + start
-        at = at[gone[_np.minimum(_np.searchsorted(gone, at), len(gone) - 1)] != at]
-        if len(at):
-            return int(at[0])
-        start += window
-        window *= 2
-    return len(codes)
 
 
 def _with_tail(

@@ -200,16 +200,13 @@ class Relation:
         return relation
 
     @classmethod
-    def _from_block(
-        cls, schema: Schema, tuples: list[tuple[Any, ...]], distinct: bool = False
-    ) -> "Relation":
+    def _from_block(cls, schema: Schema, tuples: list[tuple[Any, ...]]) -> "Relation":
         """Internal constructor of the block state: ``schema`` is interned,
         every tuple aligned with it, and the list is the relation's to keep.
         Duplicates go here (the first one stays, as in a set built from the
-        same tuples) unless the caller knows there are none (``distinct``);
-        no ``Row`` is built."""
+        same tuples); no ``Row`` is built."""
         try:
-            if not distinct and len(set(tuples)) != len(tuples):
+            if len(set(tuples)) != len(tuples):
                 tuples = list(dict.fromkeys(tuples))
         except TypeError:
             Row.block(schema, tuples)  # raises RelationError, naming the tuple

@@ -216,11 +216,6 @@ class CounterTable:
         """The maintained quotient as aligned value tuples (A then C)."""
         return frozenset(self._quotient)
 
-    def quotient_block(self) -> list[Values]:
-        """The same tuples as a list, each once: one copy, what a scan of
-        the view hands out."""
-        return list(self._quotient)
-
     def __len__(self) -> int:
         return len(self._quotient)
 

@@ -211,12 +211,6 @@ class MaintainedView:
         assert self.counters is not None
         return self.counters.quotient_tuples()
 
-    def quotient_block(self) -> list[Values]:
-        """:meth:`quotient_tuples` as a list, each tuple once."""
-        self._ensure_built()
-        assert self.counters is not None
-        return self.counters.quotient_block()
-
     def run(self) -> QueryResult:
         """Answer the view: counter-table scan, or recompute on fallback."""
         if self.maintained:
