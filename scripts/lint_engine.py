@@ -117,6 +117,11 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   pulling its input leaves its children's counts as the chunks they
   emitted made them.
 
+* **RP416** — a law is stated once: every class deriving ``RewriteRule``
+  under ``src/repro/laws/`` defines ``lhs`` and ``rhs`` (its two sides)
+  and neither ``matches`` nor ``apply``, which ``RewriteRule`` derives
+  from them and ``holds``.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -864,6 +869,29 @@ def _check_laws_file(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP416: a law states its two sides; matches / apply are derived
+# ----------------------------------------------------------------------
+def _check_law_statement(path: Path) -> Iterator[Finding]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for class_node in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        if "RewriteRule" not in _base_names(class_node):
+            continue
+        defined = {n.name for n in class_node.body if isinstance(n, ast.FunctionDef)}
+        missing = sorted({"lhs", "rhs"} - defined)
+        hand_written = sorted({"matches", "apply"} & defined)
+        if missing or hand_written:
+            problems = [f"defines no {name}" for name in missing]
+            problems += [f"hand-writes {name}" for name in hand_written]
+            yield finding(
+                "RP416",
+                f"law class {class_node.name} {' and '.join(problems)} "
+                "(state lhs / rhs / holds; RewriteRule derives matches and apply)",
+                _where(path, class_node),
+                "engine",
+            )
+
+
+# ----------------------------------------------------------------------
 # RP404: operators declaring a name also declare properties
 # ----------------------------------------------------------------------
 def _is_operator_class(class_node: ast.ClassDef, classes: dict[str, ast.ClassDef]) -> bool:
@@ -933,6 +961,7 @@ def run() -> list[Finding]:
             findings.extend(_check_exchange_file(path))
     for path in _python_files(LAWS_DIR):
         findings.extend(_check_laws_file(path))
+        findings.extend(_check_law_statement(path))
     for path in _python_files(STORAGE_DIR):
         findings.extend(_check_storage_file(path))
     findings.extend(_check_conditions_file(CONDITIONS_FILE))

@@ -16,10 +16,11 @@ to integer bitmask arithmetic on the per-quotient-key counter table
 * divisor shrink:    ``r1 ÷ (r2 − Δ)``  — the threshold falls: only
   non-members can join; one pass over counters, never over the data.
 
-The rules are :class:`~repro.laws.base.RewriteRule` subclasses so they
-live in the same registry, carry the same ``conditions`` contract (RP403),
-and are checked by the same style of property tests as the 21 rewrite
-laws — but ``apply`` is the identity: a delta rule does not rewrite the
+The rules live in the same registry as the 21 rewrite laws, carry the
+same ``name`` / ``paper_reference`` / ``conditions`` attributes and answer
+the same ``matches`` / ``apply`` calls, but they are not
+:class:`~repro.laws.base.RewriteRule` subclasses: they state no left and
+right side.  ``apply`` is the identity — a delta rule does not rewrite the
 tree, it licenses ``MaintainedView`` to update counters instead of
 re-running the plan.  ``Database.create_view`` registers a view for
 maintenance only when **all four** rules match; otherwise the view runs
@@ -31,7 +32,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algebra.expressions import Expression
-from repro.laws.base import RewriteContext, RewriteRule
+from repro.errors import RewriteError
+from repro.laws.base import RewriteContext
 
 __all__ = [
     "DeltaRule",
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 
-class DeltaRule(RewriteRule):
+class DeltaRule:
     """Base class for the four maintenance rules.
 
     Class attributes ``target`` (``"dividend"`` | ``"divisor"``) and
@@ -69,7 +71,10 @@ class DeltaRule(RewriteRule):
 
     def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
         if not self.matches(expression, context):
-            raise self._reject(expression, "inputs are not base tables under selections/renames")
+            raise RewriteError(
+                f"{self.name} does not apply to {expression.to_text()}: "
+                "inputs are not base tables under selections/renames"
+            )
         # Identity on the tree: the rule's effect is the counter update.
         return expression
 

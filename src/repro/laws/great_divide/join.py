@@ -12,8 +12,6 @@ dividend groups have to be tested against the divisor.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, GreatDivide, ThetaJoin
 from repro.algebra.predicates import Predicate
 from repro.laws.base import RewriteContext, RewriteRule
@@ -29,35 +27,20 @@ class Example4JoinPushdown(RewriteRule):
     description = "Push a theta-join on dividend-only attributes below the great divide."
     requires_data = False
     conditions = (
-        "the join predicate references dividend-only (A) attributes",
+        "the join predicate references r1* and dividend-only (A) attributes only",
         "r1* shares no attribute with the dividend",
     )
 
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, ThetaJoin) and isinstance(expression.right, GreatDivide)):
-            return False
-        divide: GreatDivide = expression.right  # type: ignore[assignment]
-        dividend_only = divide.left.schema.difference(divide.right.schema)
-        allowed = expression.left.schema.name_set | dividend_only.name_set
-        return expression.predicate.attributes <= allowed and expression.left.schema.is_disjoint(
-            divide.left.schema
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(
-                expression,
-                "join predicate must reference only r1* and dividend-only attributes, "
-                "and r1* must share no attribute with the dividend",
-            )
-        divide: GreatDivide = expression.right  # type: ignore[assignment]
-        return GreatDivide(
-            ThetaJoin(expression.left, divide.left, expression.predicate), divide.right
-        )
+    @staticmethod
+    def lhs(outer: Expression, dividend: Expression, divisor: Expression, predicate: Predicate):
+        return ThetaJoin(outer, GreatDivide(dividend, divisor), predicate)
 
     @staticmethod
-    def sides(outer: Expression, dividend: Expression, divisor: Expression, predicate: Predicate):
-        """r1* ⋈_θ (r1** ÷* r2)  vs  (r1* ⋈_θ r1**) ÷* r2."""
-        lhs = ThetaJoin(outer, GreatDivide(dividend, divisor), predicate)
-        rhs = GreatDivide(ThetaJoin(outer, dividend, predicate), divisor)
-        return lhs, rhs
+    def rhs(outer: Expression, dividend: Expression, divisor: Expression, predicate: Predicate):
+        return GreatDivide(ThetaJoin(outer, dividend, predicate), divisor)
+
+    @staticmethod
+    def holds(context: RewriteContext, outer, dividend, divisor, predicate) -> bool:
+        dividend_only = dividend.schema.difference(divisor.schema)
+        allowed = outer.schema.name_set | dividend_only.name_set
+        return predicate.attributes <= allowed and outer.schema.is_disjoint(dividend.schema)

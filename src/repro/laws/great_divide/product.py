@@ -8,8 +8,6 @@ optimizer rewrite expressions mixing joins and the great divide
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, GreatDivide, Product
 from repro.laws.base import RewriteContext, RewriteRule
 
@@ -23,30 +21,24 @@ class Law17ProductFactorOut(RewriteRule):
     paper_reference = "Law 17"
     description = "(r1* × r1**) ÷* r2 = r1* × (r1** ÷* r2) when B ⊆ attrs(r1**)"
     requires_data = False
-    conditions = ("B \u2286 attrs(r1**)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, GreatDivide) and isinstance(expression.left, Product)):
-            return False
-        product: Product = expression.left  # type: ignore[assignment]
-        divisor_schema = expression.right.schema
-        factor_out, keep = product.left, product.right
-        shared_with_keep = keep.schema.intersection(divisor_schema)
-        return (
-            factor_out.schema.is_disjoint(divisor_schema)
-            and len(shared_with_keep) > 0
-            and len(keep.schema.difference(divisor_schema)) > 0
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "shared attributes must come from the right factor")
-        product: Product = expression.left  # type: ignore[assignment]
-        return Product(product.left, GreatDivide(product.right, expression.right))
+    conditions = (
+        "attrs(r1*) ∩ attrs(r2) = ∅",
+        "r1** shares an attribute with r2 and keeps a dividend-only one",
+    )
 
     @staticmethod
-    def sides(factor: Expression, dividend_part: Expression, divisor: Expression):
-        """(r1* × r1**) ÷* r2  vs  r1* × (r1** ÷* r2)."""
-        lhs = GreatDivide(Product(factor, dividend_part), divisor)
-        rhs = Product(factor, GreatDivide(dividend_part, divisor))
-        return lhs, rhs
+    def lhs(factor: Expression, dividend_part: Expression, divisor: Expression):
+        return GreatDivide(Product(factor, dividend_part), divisor)
+
+    @staticmethod
+    def rhs(factor: Expression, dividend_part: Expression, divisor: Expression):
+        return Product(factor, GreatDivide(dividend_part, divisor))
+
+    @staticmethod
+    def holds(context: RewriteContext, factor, dividend_part, divisor) -> bool:
+        divisor_schema = divisor.schema
+        return (
+            factor.schema.is_disjoint(divisor_schema)
+            and len(dividend_part.schema.intersection(divisor_schema)) > 0
+            and len(dividend_part.schema.difference(divisor_schema)) > 0
+        )

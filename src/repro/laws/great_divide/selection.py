@@ -10,10 +10,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, GreatDivide, Select
+from repro.algebra.predicates import Predicate
 from repro.laws.base import RewriteContext, RewriteRule
+from repro.laws.small_divide.selection import restricted_by
 
 __all__ = ["Law14QuotientSelectionPushdown", "Law15GroupSelectionPushdown", "Law16SharedSelectionReplication"]
 
@@ -25,27 +25,19 @@ class Law14QuotientSelectionPushdown(RewriteRule):
     paper_reference = "Law 14"
     description = "Push a selection over dividend-only attributes into the dividend."
     requires_data = False
-    conditions = ("the predicate references dividend-only (A) attributes",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, Select) and isinstance(expression.child, GreatDivide)):
-            return False
-        divide: GreatDivide = expression.child  # type: ignore[assignment]
-        a_attributes = divide.left.schema.difference(divide.right.schema)
-        return expression.predicate.attributes <= a_attributes.name_set
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "predicate must reference A attributes only")
-        divide: GreatDivide = expression.child  # type: ignore[assignment]
-        return GreatDivide(Select(divide.left, expression.predicate), divide.right)
+    conditions = ("the predicate references dividend-only (A) attributes only",)
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, predicate):
-        """σ_p(r1 ÷* r2)  vs  σ_p(r1) ÷* r2."""
-        lhs = Select(GreatDivide(dividend, divisor), predicate)
-        rhs = GreatDivide(Select(dividend, predicate), divisor)
-        return lhs, rhs
+    def lhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return Select(GreatDivide(dividend, divisor), predicate)
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return GreatDivide(Select(dividend, predicate), divisor)
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, predicate) -> bool:
+        return predicate.attributes <= dividend.schema.difference(divisor.schema).name_set
 
 
 class Law15GroupSelectionPushdown(RewriteRule):
@@ -55,29 +47,20 @@ class Law15GroupSelectionPushdown(RewriteRule):
     paper_reference = "Law 15"
     description = "Push a selection over divisor-only attributes into the divisor."
     requires_data = False
-    conditions = ("the predicate references divisor-only (C) attributes",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, Select) and isinstance(expression.child, GreatDivide)):
-            return False
-        divide: GreatDivide = expression.child  # type: ignore[assignment]
-        c_attributes = divide.right.schema.difference(divide.left.schema)
-        if len(c_attributes) == 0:
-            return False
-        return expression.predicate.attributes <= c_attributes.name_set
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "predicate must reference C attributes only")
-        divide: GreatDivide = expression.child  # type: ignore[assignment]
-        return GreatDivide(divide.left, Select(divide.right, expression.predicate))
+    conditions = ("C ≠ ∅ and the predicate references divisor-only (C) attributes only",)
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, predicate):
-        """σ_p(r1 ÷* r2)  vs  r1 ÷* σ_p(r2)."""
-        lhs = Select(GreatDivide(dividend, divisor), predicate)
-        rhs = GreatDivide(dividend, Select(divisor, predicate))
-        return lhs, rhs
+    def lhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return Select(GreatDivide(dividend, divisor), predicate)
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return GreatDivide(dividend, Select(divisor, predicate))
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, predicate) -> bool:
+        c_attributes = divisor.schema.difference(dividend.schema)
+        return len(c_attributes) > 0 and predicate.attributes <= c_attributes.name_set
 
 
 class Law16SharedSelectionReplication(RewriteRule):
@@ -93,31 +76,20 @@ class Law16SharedSelectionReplication(RewriteRule):
     paper_reference = "Law 16"
     description = "Replicate a selection over the shared attributes B onto the dividend."
     requires_data = False
-    conditions = ("the predicate ranges over the shared attributes B",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, GreatDivide) and isinstance(expression.right, Select)):
-            return False
-        divisor_select: Select = expression.right  # type: ignore[assignment]
-        shared = expression.left.schema.intersection(divisor_select.schema)
-        if not divisor_select.predicate.attributes <= shared.name_set:
-            return False
-        # Idempotence guard: do not re-fire on our own output.
-        return not (
-            isinstance(expression.left, Select)
-            and expression.left.predicate == divisor_select.predicate
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "predicate must reference shared attributes B only")
-        divisor_select: Select = expression.right  # type: ignore[assignment]
-        predicate = divisor_select.predicate
-        return GreatDivide(Select(expression.left, predicate), divisor_select)
+    conditions = (
+        "the predicate references shared (B) attributes only",
+        "r1 is not already restricted by p",
+    )
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, predicate):
-        """r1 ÷* σ_p(r2)  vs  σ_p(r1) ÷* σ_p(r2)."""
-        lhs = GreatDivide(dividend, Select(divisor, predicate))
-        rhs = GreatDivide(Select(dividend, predicate), Select(divisor, predicate))
-        return lhs, rhs
+    def lhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return GreatDivide(dividend, Select(divisor, predicate))
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return GreatDivide(Select(dividend, predicate), Select(divisor, predicate))
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, predicate) -> bool:
+        shared = dividend.schema.intersection(divisor.schema)
+        return predicate.attributes <= shared.name_set and not restricted_by(dividend, predicate)

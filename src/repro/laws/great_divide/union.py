@@ -8,10 +8,8 @@ the divisor groups over ``n`` nodes and merge the partial quotients.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, GreatDivide, Union
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 from repro.laws.conditions import projections_disjoint
 
 __all__ = ["Law13DivisorPartitioning"]
@@ -24,33 +22,21 @@ class Law13DivisorPartitioning(RewriteRule):
     paper_reference = "Law 13"
     description = "r1 ÷* (r2' ∪ r2'') = (r1 ÷* r2') ∪ (r1 ÷* r2'') when π_C are disjoint"
     requires_data = True
-    conditions = ("\u03c0_C(r2') \u2229 \u03c0_C(r2'') = \u2205 (verified on data)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not (isinstance(expression, GreatDivide) and isinstance(expression.right, Union)):
-            return False
-        union: Union = expression.right  # type: ignore[assignment]
-        group_attributes = union.schema.difference(expression.left.schema)
-        if len(group_attributes) == 0:
-            # No C attributes: the operator degenerates to a small divide and
-            # Law 13's precondition cannot be met by nonempty partitions.
-            return False
-        if not context.can_inspect_data:
-            return False
-        return projections_disjoint(
-            context.evaluate(union.left), context.evaluate(union.right), group_attributes
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "divisor partitions must be disjoint on C")
-        union: Union = expression.right  # type: ignore[assignment]
-        return Union(GreatDivide(expression.left, union.left), GreatDivide(expression.left, union.right))
+    conditions = ("C ≠ ∅", "π_C(r2') ∩ π_C(r2'') = ∅ (verified on data)")
 
     @staticmethod
-    def sides(dividend: Expression, divisor_a: Expression, divisor_b: Expression):
-        """r1 ÷* (r2' ∪ r2'')  vs  (r1 ÷* r2') ∪ (r1 ÷* r2'')."""
-        lhs = GreatDivide(dividend, Union(divisor_a, divisor_b))
-        rhs = Union(GreatDivide(dividend, divisor_a), GreatDivide(dividend, divisor_b))
-        return lhs, rhs
+    def lhs(dividend: Expression, divisor_a: Expression, divisor_b: Expression):
+        return GreatDivide(dividend, Union(divisor_a, divisor_b))
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor_a: Expression, divisor_b: Expression):
+        return Union(GreatDivide(dividend, divisor_a), GreatDivide(dividend, divisor_b))
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor_a, divisor_b) -> bool:
+        group_attributes = divisor_a.schema.difference(dividend.schema)
+        # No C attributes: the operator degenerates to a small divide and
+        # the condition cannot be met by nonempty partitions.
+        return len(group_attributes) > 0 and projections_disjoint(
+            context.evaluate(divisor_a), context.evaluate(divisor_b), group_attributes
+        )

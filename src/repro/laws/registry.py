@@ -7,7 +7,7 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from repro.errors import RewriteError
 from repro.laws.base import RewriteRule
@@ -124,7 +124,7 @@ def pushdown_rules() -> list[RewriteRule]:
     return [rule for rule in all_rules() if not rule.requires_data]
 
 
-def get_rule(name: str) -> RewriteRule:
+def get_rule(name: str) -> Union[RewriteRule, DeltaRule]:
     """Look up a rule instance by its machine-readable name."""
     for rule in all_rules() + list(delta_rules()):
         if rule.name == name:

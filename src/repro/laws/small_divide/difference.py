@@ -13,11 +13,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Difference, Expression, Select, SmallDivide
 from repro.algebra.predicates import And, Predicate
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 from repro.laws.conditions import is_superset_of, projections_disjoint
 
 __all__ = ["Law6DifferencePushdown", "Law7DisjointDifferenceElimination", "predicate_implies"]
@@ -44,54 +42,35 @@ class Law6DifferencePushdown(RewriteRule):
     name = "law_06_difference_pushdown"
     paper_reference = "Law 6"
     description = "(σ_p'(A)(r1) − σ_p''(A)(r1)) ÷ r2 = (σ_p'(A)(r1) ÷ r2) − (σ_p''(A)(r1) ÷ r2)"
-    requires_data = False
-    conditions = ("both operands select over A-attributes of the same dividend r1",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, Difference)):
-            return False
-        diff: Difference = expression.left  # type: ignore[assignment]
-        left, right = diff.left, diff.right
-        if not (isinstance(left, Select) and isinstance(right, Select)):
-            return False
-        if left.child != right.child:
-            return False
-        quotient_attributes = expression.schema.name_set
-        if not (
-            left.predicate.attributes <= quotient_attributes
-            and right.predicate.attributes <= quotient_attributes
-        ):
-            return False
-        # containment r1' ⊇ r1'': syntactic implication or a data check
-        if predicate_implies(right.predicate, left.predicate):
-            return True
-        if context.can_inspect_data:
-            return is_superset_of(context.evaluate(left), context.evaluate(right))
-        return False
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(
-                expression,
-                "requires σ_p'(A)(r) − σ_p''(A)(r) over the same relation with p'' ⇒ p'",
-            )
-        diff: Difference = expression.left  # type: ignore[assignment]
-        divisor = expression.right
-        return Difference(SmallDivide(diff.left, divisor), SmallDivide(diff.right, divisor))
+    requires_data = True
+    conditions = (
+        "both predicates reference quotient (A) attributes only",
+        "σ_p'(r1) ⊇ σ_p''(r1): p'' ⇒ p' syntactically, or verified on data",
+    )
 
     @staticmethod
-    def sides(relation: Expression, predicate_outer, predicate_inner, divisor: Expression):
-        """Both sides for dividends ``σ_p'(relation)`` and ``σ_p''(relation)``.
+    def lhs(relation: Expression, predicate_outer, predicate_inner, divisor: Expression):
+        return SmallDivide(
+            Difference(Select(relation, predicate_outer), Select(relation, predicate_inner)),
+            divisor,
+        )
 
-        ``predicate_inner`` must imply ``predicate_outer`` so that the
-        precondition ``r1' ⊇ r1''`` holds.
-        """
-        part_outer = Select(relation, predicate_outer)
-        part_inner = Select(relation, predicate_inner)
-        lhs = SmallDivide(Difference(part_outer, part_inner), divisor)
-        rhs = Difference(SmallDivide(part_outer, divisor), SmallDivide(part_inner, divisor))
-        return lhs, rhs
+    @staticmethod
+    def rhs(relation: Expression, predicate_outer, predicate_inner, divisor: Expression):
+        return Difference(
+            SmallDivide(Select(relation, predicate_outer), divisor),
+            SmallDivide(Select(relation, predicate_inner), divisor),
+        )
+
+    @staticmethod
+    def holds(context: RewriteContext, relation, predicate_outer, predicate_inner, divisor) -> bool:
+        quotient = relation.schema.difference(divisor.schema).name_set
+        if not (predicate_outer.attributes <= quotient and predicate_inner.attributes <= quotient):
+            return False
+        return predicate_implies(predicate_inner, predicate_outer) or is_superset_of(
+            context.evaluate(Select(relation, predicate_outer)),
+            context.evaluate(Select(relation, predicate_inner)),
+        )
 
 
 class Law7DisjointDifferenceElimination(RewriteRule):
@@ -101,33 +80,19 @@ class Law7DisjointDifferenceElimination(RewriteRule):
     paper_reference = "Law 7"
     description = "(r1' ÷ r2) − (r1'' ÷ r2) = r1' ÷ r2 when π_A(r1') ∩ π_A(r1'') = ∅"
     requires_data = True
-    conditions = ("\u03c0_A(r1') \u2229 \u03c0_A(r1'') = \u2205 (verified on data)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not isinstance(expression, Difference):
-            return False
-        left, right = expression.left, expression.right
-        if not (isinstance(left, SmallDivide) and isinstance(right, SmallDivide)):
-            return False
-        if left.right != right.right:
-            return False
-        if left.schema != right.schema:
-            return False
-        if not context.can_inspect_data:
-            return False
-        return projections_disjoint(
-            context.evaluate(left.left), context.evaluate(right.left), left.schema
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "π_A projections of the dividends must be disjoint")
-        return expression.left  # type: ignore[union-attr]
+    conditions = ("π_A(r1') ∩ π_A(r1'') = ∅ (verified on data)",)
 
     @staticmethod
-    def sides(part1: Expression, part2: Expression, divisor: Expression):
-        """(r1' ÷ r2) − (r1'' ÷ r2)  vs  r1' ÷ r2 (callers ensure disjointness)."""
-        lhs = Difference(SmallDivide(part1, divisor), SmallDivide(part2, divisor))
-        rhs = SmallDivide(part1, divisor)
-        return lhs, rhs
+    def lhs(part1: Expression, part2: Expression, divisor: Expression):
+        return Difference(SmallDivide(part1, divisor), SmallDivide(part2, divisor))
+
+    @staticmethod
+    def rhs(part1: Expression, part2: Expression, divisor: Expression):
+        return SmallDivide(part1, divisor)
+
+    @staticmethod
+    def holds(context: RewriteContext, part1, part2, divisor) -> bool:
+        quotient = part1.schema.difference(divisor.schema)
+        return quotient == part2.schema.difference(divisor.schema) and projections_disjoint(
+            context.evaluate(part1), context.evaluate(part2), quotient
+        )

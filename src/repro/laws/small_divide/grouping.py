@@ -41,7 +41,7 @@ from repro.algebra.expressions import (
     SmallDivide,
 )
 from repro.division.schemas import small_divide_schemas
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 from repro.laws.conditions import attribute_is_key, inclusion_holds
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -92,41 +92,29 @@ class Law11GroupedDividend(RewriteRule):
     paper_reference = "Law 11"
     description = "r1 ÷ r2 with single-tuple quotient groups becomes a semi-join (or a constant)"
     requires_data = True
-    conditions = ("every dividend A-group holds exactly one tuple (verified on data)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not isinstance(expression, SmallDivide):
-            return False
-        quotient_attributes = expression.schema
-        if not context.can_inspect_data:
-            return _dividend_grouped_by(expression.left, quotient_attributes, context.catalog)
-        if _dividend_grouped_by(expression.left, quotient_attributes, context.catalog):
-            return True
-        return attribute_is_key(context.evaluate(expression.left), quotient_attributes)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        context = ensure_context(context)
-        if not self.matches(expression, context):
-            raise self._reject(expression, "quotient attributes must be a key of the dividend")
-        if not context.can_inspect_data:
-            raise self._reject(
-                expression, "the divisor cardinality is needed to pick the Law 11 branch"
-            )
-        divide: SmallDivide = expression  # type: ignore[assignment]
-        divisor_size = len(context.evaluate(divide.right))
-        quotient_attributes = divide.schema
-        if divisor_size == 0:
-            return Project(divide.left, quotient_attributes)
-        if divisor_size == 1:
-            return Project(SemiJoin(divide.left, divide.right), quotient_attributes)
-        empty = Relation.empty(quotient_attributes)
-        return LiteralRelation(empty, label="empty_quotient")
+    conditions = ("A a key of r1: r1 groups on A, a declared key, or verified on data",)
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression):
-        """LHS only; the RHS depends on the divisor cardinality (see law11_divide)."""
+    def lhs(dividend: Expression, divisor: Expression):
         return SmallDivide(dividend, divisor)
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, context: RewriteContext):
+        """The branch the divisor's cardinality picks (see :func:`law11_divide`)."""
+        divisor_size = len(context.evaluate(divisor))
+        quotient = dividend.schema.difference(divisor.schema)
+        if divisor_size == 0:
+            return Project(dividend, quotient)
+        if divisor_size == 1:
+            return Project(SemiJoin(dividend, divisor), quotient)
+        return LiteralRelation(Relation.empty(quotient), label="empty_quotient")
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor) -> bool:
+        quotient = dividend.schema.difference(divisor.schema)
+        return _dividend_grouped_by(dividend, quotient, context.catalog) or attribute_is_key(
+            context.evaluate(dividend), quotient
+        )
 
 
 class Law12GroupedDivisorKey(RewriteRule):
@@ -136,40 +124,29 @@ class Law12GroupedDivisorKey(RewriteRule):
     paper_reference = "Law 12"
     description = "r1 ÷ r2 with single-tuple B-groups becomes π_A(r1 ⋉ r2) or ∅"
     requires_data = True
-    conditions = ("every divisor B-group holds exactly one tuple (verified on data)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not isinstance(expression, SmallDivide):
-            return False
-        if not context.can_inspect_data:
-            return False
-        divide: SmallDivide = expression  # type: ignore[assignment]
-        divisor_schema = divide.right.schema
-        # Cheapest first: the dividend is the value Law 11 just asked for,
-        # so a non-key dividend refuses before the divisor is ever run.
-        dividend_value = context.evaluate(divide.left)
-        if not attribute_is_key(dividend_value, divisor_schema):
-            return False
-        divisor_value = context.evaluate(divide.right)
-        if divisor_value.is_empty():
-            return False
-        return inclusion_holds(divisor_value, dividend_value, divisor_schema)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        context = ensure_context(context)
-        if not self.matches(expression, context):
-            raise self._reject(
-                expression, "requires single-tuple B groups and the foreign key r2.B ⊆ π_B(r1)"
-            )
-        divide: SmallDivide = expression  # type: ignore[assignment]
-        quotient_attributes = divide.schema
-        candidate = Project(SemiJoin(divide.left, divide.right), quotient_attributes)
-        if len(context.evaluate(candidate)) == 1:
-            return candidate
-        return LiteralRelation(Relation.empty(quotient_attributes), label="empty_quotient")
+    conditions = ("B a key of r1, r2.B ⊆ π_B(r1), r2 ≠ ∅ (verified on data)",)
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression):
-        """LHS only; the RHS depends on data (see law12_divide)."""
+    def lhs(dividend: Expression, divisor: Expression):
         return SmallDivide(dividend, divisor)
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, context: RewriteContext):
+        """``π_A(r1 ⋉ r2)`` when it holds one tuple, else ∅ (see :func:`law12_divide`)."""
+        quotient = dividend.schema.difference(divisor.schema)
+        candidate = Project(SemiJoin(dividend, divisor), quotient)
+        if len(context.evaluate(candidate)) == 1:
+            return candidate
+        return LiteralRelation(Relation.empty(quotient), label="empty_quotient")
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor) -> bool:
+        # Cheapest first: the dividend is the value Law 11 just asked for,
+        # so a non-key dividend refuses before the divisor is ever run.
+        dividend_value = context.evaluate(dividend)
+        if not attribute_is_key(dividend_value, divisor.schema):
+            return False
+        divisor_value = context.evaluate(divisor)
+        return not divisor_value.is_empty() and inclusion_holds(
+            divisor_value, dividend_value, divisor.schema
+        )

@@ -8,15 +8,13 @@ Like the paper's proof (which merges the two witnesses ``t1 ∈ r1'`` and
 *nonempty*: any shared divisor element witnesses a shared dividend tuple.
 For an empty divisor ``π_A(r1' ∩ r1'')`` can be a strict subset of
 ``π_A(r1') ∩ π_A(r1'')``.  The rule therefore checks divisor nonemptiness
-against the context database (or accepts ``assume_nonempty_divisor=True``).
+against the context database.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, Intersection, SmallDivide
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 
 __all__ = ["Law5IntersectionPushdown"]
 
@@ -28,33 +26,16 @@ class Law5IntersectionPushdown(RewriteRule):
     paper_reference = "Law 5"
     description = "(r1' ∩ r1'') ÷ r2 = (r1' ÷ r2) ∩ (r1'' ÷ r2)"
     requires_data = True
-    conditions = ("both intersection operands share the dividend schema",)
-
-    def __init__(self, assume_nonempty_divisor: bool = False) -> None:
-        self.assume_nonempty_divisor = assume_nonempty_divisor
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, Intersection)):
-            return False
-        if self.assume_nonempty_divisor:
-            return True
-        context = ensure_context(context)
-        if not context.can_inspect_data:
-            return False
-        return not context.evaluate(expression.right).is_empty()
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression)
-        intersection: Intersection = expression.left  # type: ignore[assignment]
-        divisor = expression.right
-        return Intersection(
-            SmallDivide(intersection.left, divisor), SmallDivide(intersection.right, divisor)
-        )
+    conditions = ("r2 ≠ ∅ (verified on data)",)
 
     @staticmethod
-    def sides(part1: Expression, part2: Expression, divisor: Expression):
-        """(r1' ∩ r1'') ÷ r2  vs  (r1' ÷ r2) ∩ (r1'' ÷ r2)."""
-        lhs = SmallDivide(Intersection(part1, part2), divisor)
-        rhs = Intersection(SmallDivide(part1, divisor), SmallDivide(part2, divisor))
-        return lhs, rhs
+    def lhs(part1: Expression, part2: Expression, divisor: Expression):
+        return SmallDivide(Intersection(part1, part2), divisor)
+
+    @staticmethod
+    def rhs(part1: Expression, part2: Expression, divisor: Expression):
+        return Intersection(SmallDivide(part1, divisor), SmallDivide(part2, divisor))
+
+    @staticmethod
+    def holds(context: RewriteContext, part1, part2, divisor) -> bool:
+        return not context.evaluate(divisor).is_empty()

@@ -13,8 +13,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import (
     Difference,
     Expression,
@@ -26,8 +24,9 @@ from repro.algebra.expressions import (
     ThetaJoin,
 )
 from repro.algebra.predicates import Predicate
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 from repro.laws.conditions import inclusion_holds
+from repro.laws.small_divide.product import drops_divisor_factor
 
 __all__ = ["Law10SemiJoinCommute", "Example3JoinElimination"]
 
@@ -39,28 +38,21 @@ class Law10SemiJoinCommute(RewriteRule):
     paper_reference = "Law 10"
     description = "(r1 ÷ r2) ⋉ r3 = (r1 ⋉ r3) ÷ r2"
     requires_data = False
-    conditions = ("the semi-join key lies within the quotient (A) attributes",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, SemiJoin) and isinstance(expression.left, SmallDivide)):
-            return False
-        divide: SmallDivide = expression.left  # type: ignore[assignment]
-        filter_schema = expression.right.schema
-        quotient_schema = divide.schema
-        return len(filter_schema) > 0 and filter_schema.is_subset(quotient_schema)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "the filter relation must use quotient attributes only")
-        divide: SmallDivide = expression.left  # type: ignore[assignment]
-        return SmallDivide(SemiJoin(divide.left, expression.right), divide.right)
+    conditions = ("∅ ≠ attrs(r3) ⊆ quotient (A) attributes",)
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, filter_relation: Expression):
-        """(r1 ÷ r2) ⋉ r3  vs  (r1 ⋉ r3) ÷ r2."""
-        lhs = SemiJoin(SmallDivide(dividend, divisor), filter_relation)
-        rhs = SmallDivide(SemiJoin(dividend, filter_relation), divisor)
-        return lhs, rhs
+    def lhs(dividend: Expression, divisor: Expression, filter_relation: Expression):
+        return SemiJoin(SmallDivide(dividend, divisor), filter_relation)
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, filter_relation: Expression):
+        return SmallDivide(SemiJoin(dividend, filter_relation), divisor)
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, filter_relation) -> bool:
+        filter_schema = filter_relation.schema
+        quotient = dividend.schema.difference(divisor.schema)
+        return len(filter_schema) > 0 and filter_schema.is_subset(quotient)
 
 
 class Example3JoinElimination(RewriteRule):
@@ -74,7 +66,10 @@ class Example3JoinElimination(RewriteRule):
     * ``π_{B2}(r2) ⊆ r1**`` (foreign key / inclusion dependency).
 
     The rewrite avoids the join between ``r1*`` and ``r1**`` altogether —
-    the paper motivates it with the case where only ``r2`` is indexed.
+    the paper motivates it with the case where only ``r2`` is indexed.  An
+    entirely empty divisor would turn the left side into ``π_A(r1* ⋈_θ
+    r1**)`` but the right side into ``π_A(r1*)``: the derivation's Law 4
+    step needs a nonempty divisor.
     """
 
     name = "example_3_join_elimination"
@@ -82,56 +77,35 @@ class Example3JoinElimination(RewriteRule):
     description = "(r1* ⋈_θ r1**) ÷ r2 = (r1* ÷ π_B1(σ_θ(r2))) − π_A(π_A(r1*) × σ_¬θ(r2))"
     requires_data = True
     conditions = (
-        "\u03b8 relates dividend-only to divisor attributes",
-        "the \u03c3_\u00ac\u03b8 correction term is evaluated on data",
+        "attrs(r1**) = B2 ⊆ B, ∅ ≠ B1 = B − B2 ⊆ attrs(r1*), r1* keeps a quotient attribute",
+        "θ references divisor (B) attributes only",
+        "r2 ≠ ∅ and π_B2(r2) ⊆ r1** (verified on data)",
     )
 
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, ThetaJoin)):
-            return False
-        join: ThetaJoin = expression.left  # type: ignore[assignment]
-        divisor = expression.right
-        keep, drop = join.left, join.right
-        b2 = drop.schema
-        if not b2.is_subset(divisor.schema):
-            return False
-        b1 = divisor.schema.difference(b2)
-        if len(b1) == 0 or not b1.is_subset(keep.schema):
-            return False
-        if len(keep.schema.difference(divisor.schema)) == 0:
-            return False
-        if not join.predicate.attributes <= divisor.schema.name_set:
-            return False
-        if not context.can_inspect_data:
-            return False
-        divisor_value = context.evaluate(divisor)
-        dropped_value = context.evaluate(drop)
-        # An entirely empty divisor would turn the left-hand side into
-        # π_A(r1* ⋈_θ r1**) but the right-hand side into π_A(r1*); the
-        # derivation's Law 4 step needs a nonempty divisor.
-        if divisor_value.is_empty():
-            return False
-        return inclusion_holds(divisor_value, dropped_value, b2)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "requires the Example 3 join/foreign-key pattern")
-        join: ThetaJoin = expression.left  # type: ignore[assignment]
-        return self.sides(join.left, join.right, expression.right, join.predicate)[1]
+    @staticmethod
+    def lhs(keep: Expression, drop: Expression, divisor: Expression, predicate: Predicate):
+        return SmallDivide(ThetaJoin(keep, drop, predicate), divisor)
 
     @staticmethod
-    def sides(keep: Expression, drop: Expression, divisor: Expression, predicate: Predicate):
-        """Both sides of Example 3 (callers ensure the FK precondition)."""
-        b2 = drop.schema
-        b1 = divisor.schema.difference(b2)
+    def rhs(keep: Expression, drop: Expression, divisor: Expression, predicate: Predicate):
+        b1 = divisor.schema.difference(drop.schema)
         quotient = keep.schema.difference(divisor.schema)
-        lhs = SmallDivide(ThetaJoin(keep, drop, predicate), divisor)
-        rhs = Difference(
+        return Difference(
             SmallDivide(keep, Project(Select(divisor, predicate), b1)),
             Project(
                 Product(Project(keep, quotient), Select(divisor, predicate.negate())),
                 quotient,
             ),
         )
-        return lhs, rhs
+
+    @staticmethod
+    def holds(context: RewriteContext, keep, drop, divisor, predicate) -> bool:
+        if not (
+            drops_divisor_factor(keep, drop, divisor)
+            and predicate.attributes <= divisor.schema.name_set
+        ):
+            return False
+        divisor_value = context.evaluate(divisor)
+        return not divisor_value.is_empty() and inclusion_holds(
+            divisor_value, context.evaluate(drop), drop.schema
+        )

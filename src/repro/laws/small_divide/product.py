@@ -14,10 +14,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, Product, Project, SmallDivide
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 from repro.laws.conditions import inclusion_holds
 
 __all__ = ["Law8ProductFactorOut", "Law9ProductElimination", "Example2CommonFactorCancellation"]
@@ -30,91 +28,74 @@ class Law8ProductFactorOut(RewriteRule):
     paper_reference = "Law 8"
     description = "(r1* × r1**) ÷ r2 = r1* × (r1** ÷ r2) when B ⊆ attrs(r1**)"
     requires_data = False
-    conditions = ("B \u2286 attrs(r1**)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, Product)):
-            return False
-        product: Product = expression.left  # type: ignore[assignment]
-        divisor_schema = expression.right.schema
-        factor_out, keep = product.left, product.right
-        # The divisor attributes must all belong to the kept factor and the
-        # kept factor must retain at least one non-divisor attribute so that
-        # the inner divide has a nonempty quotient schema.
-        return (
-            divisor_schema.is_subset(keep.schema)
-            and factor_out.schema.is_disjoint(divisor_schema)
-            and len(keep.schema.difference(divisor_schema)) > 0
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "divisor attributes must come from the right factor")
-        product: Product = expression.left  # type: ignore[assignment]
-        return Product(product.left, SmallDivide(product.right, expression.right))
+    conditions = ("B ⊆ attrs(r1**) and attrs(r1*) ∩ B = ∅", "r1** keeps a quotient attribute")
 
     @staticmethod
-    def sides(factor: Expression, dividend_part: Expression, divisor: Expression):
-        """(r1* × r1**) ÷ r2  vs  r1* × (r1** ÷ r2)."""
-        lhs = SmallDivide(Product(factor, dividend_part), divisor)
-        rhs = Product(factor, SmallDivide(dividend_part, divisor))
-        return lhs, rhs
+    def lhs(factor: Expression, dividend_part: Expression, divisor: Expression):
+        return SmallDivide(Product(factor, dividend_part), divisor)
+
+    @staticmethod
+    def rhs(factor: Expression, dividend_part: Expression, divisor: Expression):
+        return Product(factor, SmallDivide(dividend_part, divisor))
+
+    @staticmethod
+    def holds(context: RewriteContext, factor, dividend_part, divisor) -> bool:
+        # The kept factor must retain a non-divisor attribute so that the
+        # inner divide has a nonempty quotient schema.
+        return (
+            divisor.schema.is_subset(dividend_part.schema)
+            and factor.schema.is_disjoint(divisor.schema)
+            and len(dividend_part.schema.difference(divisor.schema)) > 0
+        )
+
+
+def drops_divisor_factor(keep: Expression, drop: Expression, divisor: Expression) -> bool:
+    """The schema half of Law 9 / Example 3's condition: ``r1**`` holds
+    divisor attributes ``B2`` only, the rest ``B1 ≠ ∅`` lie in ``r1*``, and
+    ``r1*`` keeps a quotient attribute."""
+    b1 = divisor.schema.difference(drop.schema)
+    return (
+        drop.schema.is_subset(divisor.schema)
+        and len(b1) > 0
+        and b1.is_subset(keep.schema)
+        and len(keep.schema.difference(divisor.schema)) > 0
+    )
 
 
 class Law9ProductElimination(RewriteRule):
     """Law 9: drop a product factor that only covers divisor attributes.
 
-    Precondition ``π_{B2}(r2) ⊆ r1**`` is established either from a declared
-    foreign key in the catalog (when both sides are base tables) or by a
-    data check.  To avoid the degenerate corner where both the divisor and
-    the dropped factor are empty (the two sides then disagree), the data
-    check also requires that not both are empty.
+    Precondition ``π_{B2}(r2) ⊆ r1**`` is established by a data check.  To
+    avoid the degenerate corner where both the divisor and the dropped
+    factor are empty (the two sides then disagree), the check also requires
+    that not both are empty.
     """
 
     name = "law_09_product_elimination"
     paper_reference = "Law 9"
     description = "(r1* × r1**) ÷ r2 = r1* ÷ π_B1(r2) when π_B2(r2) ⊆ r1**"
     requires_data = True
-    conditions = ("\u03c0_B2(r2) \u2286 r1** (verified on data)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, Product)):
-            return False
-        product: Product = expression.left  # type: ignore[assignment]
-        divisor = expression.right
-        keep, drop = product.left, product.right
-        b2 = drop.schema
-        b1 = divisor.schema.difference(b2)
-        if not b2.is_subset(divisor.schema):
-            return False
-        if len(b1) == 0 or not b1.is_subset(keep.schema):
-            return False
-        if len(keep.schema.difference(divisor.schema)) == 0:
-            return False
-        if not context.can_inspect_data:
-            return False
-        divisor_value = context.evaluate(divisor)
-        dropped_value = context.evaluate(drop)
-        if divisor_value.is_empty() and dropped_value.is_empty():
-            return False
-        return inclusion_holds(divisor_value, dropped_value, b2)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "requires π_B2(r2) ⊆ r1**")
-        product: Product = expression.left  # type: ignore[assignment]
-        divisor = expression.right
-        b1 = divisor.schema.difference(product.right.schema)
-        return SmallDivide(product.left, Project(divisor, b1))
+    conditions = (
+        "attrs(r1**) = B2 ⊆ B, ∅ ≠ B1 = B − B2 ⊆ attrs(r1*), r1* keeps a quotient attribute",
+        "π_B2(r2) ⊆ r1**, not both empty (verified on data)",
+    )
 
     @staticmethod
-    def sides(keep: Expression, drop: Expression, divisor: Expression):
-        """(r1* × r1**) ÷ r2  vs  r1* ÷ π_B1(r2) (callers ensure the inclusion)."""
-        b1 = divisor.schema.difference(drop.schema)
-        lhs = SmallDivide(Product(keep, drop), divisor)
-        rhs = SmallDivide(keep, Project(divisor, b1))
-        return lhs, rhs
+    def lhs(keep: Expression, drop: Expression, divisor: Expression):
+        return SmallDivide(Product(keep, drop), divisor)
+
+    @staticmethod
+    def rhs(keep: Expression, drop: Expression, divisor: Expression):
+        return SmallDivide(keep, Project(divisor, divisor.schema.difference(drop.schema)))
+
+    @staticmethod
+    def holds(context: RewriteContext, keep, drop, divisor) -> bool:
+        if not drops_divisor_factor(keep, drop, divisor):
+            return False
+        divisor_value, dropped_value = context.evaluate(divisor), context.evaluate(drop)
+        if divisor_value.is_empty() and dropped_value.is_empty():
+            return False
+        return inclusion_holds(divisor_value, dropped_value, drop.schema)
 
 
 class Example2CommonFactorCancellation(RewriteRule):
@@ -130,37 +111,20 @@ class Example2CommonFactorCancellation(RewriteRule):
     paper_reference = "Example 2"
     description = "(r1 × s) ÷ (r2 × s) = r1 ÷ r2"
     requires_data = True
-    conditions = ("the factored relation s is identical on both sides (verified on data)",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not isinstance(expression, SmallDivide):
-            return False
-        if not (isinstance(expression.left, Product) and isinstance(expression.right, Product)):
-            return False
-        dividend: Product = expression.left  # type: ignore[assignment]
-        divisor: Product = expression.right  # type: ignore[assignment]
-        if dividend.right != divisor.right:
-            return False
-        core_dividend, core_divisor = dividend.left, divisor.left
-        if not core_divisor.schema.is_subset(core_dividend.schema):
-            return False
-        if len(core_dividend.schema.difference(core_divisor.schema)) == 0:
-            return False
-        if not context.can_inspect_data:
-            return False
-        return not context.evaluate(dividend.right).is_empty()
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "requires a shared nonempty product factor")
-        dividend: Product = expression.left  # type: ignore[assignment]
-        divisor: Product = expression.right  # type: ignore[assignment]
-        return SmallDivide(dividend.left, divisor.left)
+    conditions = ("attrs(r2) ⊂ attrs(r1)", "s ≠ ∅ (verified on data)")
 
     @staticmethod
-    def sides(core_dividend: Expression, core_divisor: Expression, shared: Expression):
-        """(r1 × s) ÷ (r2 × s)  vs  r1 ÷ r2 (callers ensure s is nonempty)."""
-        lhs = SmallDivide(Product(core_dividend, shared), Product(core_divisor, shared))
-        rhs = SmallDivide(core_dividend, core_divisor)
-        return lhs, rhs
+    def lhs(core_dividend: Expression, core_divisor: Expression, shared: Expression):
+        return SmallDivide(Product(core_dividend, shared), Product(core_divisor, shared))
+
+    @staticmethod
+    def rhs(core_dividend: Expression, core_divisor: Expression, shared: Expression):
+        return SmallDivide(core_dividend, core_divisor)
+
+    @staticmethod
+    def holds(context: RewriteContext, core_dividend, core_divisor, shared) -> bool:
+        return (
+            core_divisor.schema.is_subset(core_dividend.schema)
+            and len(core_dividend.schema.difference(core_divisor.schema)) > 0
+            and not context.evaluate(shared).is_empty()
+        )

@@ -6,11 +6,12 @@
 * **Example 1**: a restriction on the *dividend's* ``B`` attributes —
   ``σ_{p(B)}(r1) ÷ r2 = (σ_{p(B)}(r1) ÷ σ_{p(B)}(r2)) −
   π_A(π_A(r1) × σ_{¬p(B)}(r2))`` (Figure 6 of the paper).
+
+Law 4 and Example 1 refuse their own output (a dividend, or a divisor,
+already restricted by the same predicate), so the fixpoint ends.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.algebra.expressions import (
     Difference,
@@ -20,6 +21,7 @@ from repro.algebra.expressions import (
     Select,
     SmallDivide,
 )
+from repro.algebra.predicates import Predicate
 from repro.laws.base import RewriteContext, RewriteRule
 
 __all__ = [
@@ -27,6 +29,11 @@ __all__ = [
     "Law4ReplicateSelection",
     "Example1DividendRestriction",
 ]
+
+
+def restricted_by(expression: Expression, predicate: Predicate) -> bool:
+    """True if ``expression`` is ``σ_predicate(…)``."""
+    return isinstance(expression, Select) and expression.predicate == predicate
 
 
 class Law3SelectionPushdown(RewriteRule):
@@ -38,25 +45,17 @@ class Law3SelectionPushdown(RewriteRule):
     requires_data = False
     conditions = ("the predicate references quotient (A) attributes only",)
 
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, Select) and isinstance(expression.child, SmallDivide)):
-            return False
-        divide: SmallDivide = expression.child  # type: ignore[assignment]
-        quotient_attributes = divide.schema.name_set
-        return expression.predicate.attributes <= quotient_attributes
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "predicate must reference quotient attributes only")
-        divide: SmallDivide = expression.child  # type: ignore[assignment]
-        return SmallDivide(Select(divide.left, expression.predicate), divide.right)
+    @staticmethod
+    def lhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return Select(SmallDivide(dividend, divisor), predicate)
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, predicate):
-        """σ_p(r1 ÷ r2)  vs  σ_p(r1) ÷ r2."""
-        lhs = Select(SmallDivide(dividend, divisor), predicate)
-        rhs = SmallDivide(Select(dividend, predicate), divisor)
-        return lhs, rhs
+    def rhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return SmallDivide(Select(dividend, predicate), divisor)
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, predicate) -> bool:
+        return predicate.attributes <= dividend.schema.difference(divisor.schema).name_set
 
 
 class Law4ReplicateSelection(RewriteRule):
@@ -66,58 +65,34 @@ class Law4ReplicateSelection(RewriteRule):
     and argues ``σ_¬p(r1) ÷ σ_p(r2) = ∅`` — which requires the *selected
     divisor to be nonempty* (an empty divisor makes every dividend group a
     quotient candidate).  The rule therefore verifies ``σ_p(r2) ≠ ∅``
-    against the context database; set ``assume_nonempty_divisor=True`` to
-    apply the rewrite without that check (e.g. when a NOT NULL/CHECK
-    constraint already guarantees it).
+    against the context database.
     """
 
     name = "law_04_replicate_selection"
     paper_reference = "Law 4"
     description = "r1 ÷ σ_p(B)(r2) = σ_p(B)(r1) ÷ σ_p(B)(r2)"
     requires_data = True
-    conditions = ("the predicate references divisor (B) attributes only",)
-
-    def __init__(self, assume_nonempty_divisor: bool = False) -> None:
-        self.assume_nonempty_divisor = assume_nonempty_divisor
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        from repro.laws.base import ensure_context
-
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.right, Select)):
-            return False
-        divisor_select: Select = expression.right  # type: ignore[assignment]
-        divisor_attributes = divisor_select.schema.name_set
-        # The predicate necessarily references divisor attributes only (they
-        # are the only attributes in scope); we re-check for robustness.
-        if not divisor_select.predicate.attributes <= divisor_attributes:
-            return False
-        # Idempotence guard: do not re-fire on our own output (the dividend
-        # already carries the replicated selection).
-        if (
-            isinstance(expression.left, Select)
-            and expression.left.predicate == divisor_select.predicate
-        ):
-            return False
-        if self.assume_nonempty_divisor:
-            return True
-        context = ensure_context(context)
-        if not context.can_inspect_data:
-            return False
-        return not context.evaluate(divisor_select).is_empty()
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression)
-        divisor_select: Select = expression.right  # type: ignore[assignment]
-        predicate = divisor_select.predicate
-        return SmallDivide(Select(expression.left, predicate), divisor_select)
+    conditions = (
+        "the predicate references divisor (B) attributes only",
+        "r1 is not already restricted by p",
+        "σ_p(r2) ≠ ∅ (verified on data)",
+    )
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, predicate):
-        """r1 ÷ σ_p(r2)  vs  σ_p(r1) ÷ σ_p(r2)."""
-        lhs = SmallDivide(dividend, Select(divisor, predicate))
-        rhs = SmallDivide(Select(dividend, predicate), Select(divisor, predicate))
-        return lhs, rhs
+    def lhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return SmallDivide(dividend, Select(divisor, predicate))
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return SmallDivide(Select(dividend, predicate), Select(divisor, predicate))
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, predicate) -> bool:
+        return (
+            predicate.attributes <= divisor.schema.name_set
+            and not restricted_by(dividend, predicate)
+            and not context.evaluate(Select(divisor, predicate)).is_empty()
+        )
 
 
 class Example1DividendRestriction(RewriteRule):
@@ -137,38 +112,27 @@ class Example1DividendRestriction(RewriteRule):
     paper_reference = "Example 1"
     description = "σ_p(B)(r1) ÷ r2 rewritten to expose the empty-result short-circuit"
     requires_data = False
-    conditions = ("the dividend restriction predicate ranges over B attributes",)
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, Select)):
-            return False
-        dividend_select: Select = expression.left  # type: ignore[assignment]
-        divisor_attributes = expression.right.schema.name_set
-        if not dividend_select.predicate.attributes <= divisor_attributes:
-            return False
-        # Idempotence guard: the rewrite's own output has the divisor already
-        # restricted by the same predicate — nothing left to expose there.
-        return not (
-            isinstance(expression.right, Select)
-            and expression.right.predicate == dividend_select.predicate
-        )
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "predicate must reference divisor attributes only")
-        dividend_select: Select = expression.left  # type: ignore[assignment]
-        return self.sides(dividend_select.child, expression.right, dividend_select.predicate)[1]
+    conditions = (
+        "the predicate references divisor (B) attributes only",
+        "r2 is not already restricted by p",
+    )
 
     @staticmethod
-    def sides(dividend: Expression, divisor: Expression, predicate):
-        """σ_p(r1) ÷ r2  vs  (σ_p(r1) ÷ σ_p(r2)) − π_A(π_A(r1) × σ_¬p(r2))."""
-        lhs = SmallDivide(Select(dividend, predicate), divisor)
-        quotient_attributes = lhs.schema
-        rhs = Difference(
+    def lhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        return SmallDivide(Select(dividend, predicate), divisor)
+
+    @staticmethod
+    def rhs(dividend: Expression, divisor: Expression, predicate: Predicate):
+        quotient = dividend.schema.difference(divisor.schema)
+        return Difference(
             SmallDivide(Select(dividend, predicate), Select(divisor, predicate)),
             Project(
-                Product(Project(dividend, quotient_attributes), Select(divisor, predicate.negate())),
-                quotient_attributes,
+                Product(Project(dividend, quotient), Select(divisor, predicate.negate())), quotient
             ),
         )
-        return lhs, rhs
+
+    @staticmethod
+    def holds(context: RewriteContext, dividend, divisor, predicate) -> bool:
+        return predicate.attributes <= divisor.schema.name_set and not restricted_by(
+            divisor, predicate
+        )

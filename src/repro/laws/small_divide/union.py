@@ -13,10 +13,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra.expressions import Expression, SemiJoin, SmallDivide, Union
-from repro.laws.base import RewriteContext, RewriteRule, ensure_context
+from repro.laws.base import RewriteContext, RewriteRule
 from repro.laws.conditions import condition_c1, condition_c2
 
 __all__ = ["Law1DivisorUnionSplit", "Law2DividendUnionSplit"]
@@ -31,68 +29,42 @@ class Law1DivisorUnionSplit(RewriteRule):
     requires_data = False
     conditions = ()  # unconditional: any divisor union splits into pipelined stages
 
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        return isinstance(expression, SmallDivide) and isinstance(expression.right, Union)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression)
-        dividend = expression.left
-        divisor_union: Union = expression.right  # type: ignore[assignment]
-        first, second = divisor_union.left, divisor_union.right
-        return self.sides(dividend, first, second)[1]
+    @staticmethod
+    def lhs(dividend: Expression, divisor_a: Expression, divisor_b: Expression):
+        return SmallDivide(dividend, Union(divisor_a, divisor_b))
 
     @staticmethod
-    def sides(dividend: Expression, divisor_a: Expression, divisor_b: Expression):
-        """Both sides of Law 1 built from the dividend and the two divisor parts."""
-        lhs = SmallDivide(dividend, Union(divisor_a, divisor_b))
-        rhs = SmallDivide(SemiJoin(dividend, SmallDivide(dividend, divisor_a)), divisor_b)
-        return lhs, rhs
+    def rhs(dividend: Expression, divisor_a: Expression, divisor_b: Expression):
+        return SmallDivide(SemiJoin(dividend, SmallDivide(dividend, divisor_a)), divisor_b)
 
 
 class Law2DividendUnionSplit(RewriteRule):
     """Law 2: ``(r1' ∪ r1'') ÷ r2 = (r1' ÷ r2) ∪ (r1'' ÷ r2)`` under ``c1``.
 
-    The rule verifies condition ``c1`` against the database in the rewrite
-    context; with ``prefer_c2=True`` it only accepts the stricter (cheaper)
-    condition ``c2`` — disjoint quotient candidates — which is the condition
-    a range- or hash-partitioned table satisfies by construction.
+    ``holds`` tries the stricter, cheaper condition ``c2`` first — disjoint
+    quotient candidates, which a range- or hash-partitioned table satisfies
+    by construction — and runs ``c1`` only when ``c2`` fails.  Since ``c2``
+    implies ``c1`` the verdict is ``c1``'s.
     """
 
     name = "law_02_dividend_union_split"
     paper_reference = "Law 2"
     description = "Distribute a small divide over a partitioned dividend."
     requires_data = True
-    conditions = ("c1: the dividend parts share no quotient-candidate A-value",)
-
-    def __init__(self, prefer_c2: bool = False) -> None:
-        self.prefer_c2 = prefer_c2
-
-    def matches(self, expression: Expression, context: Optional[RewriteContext] = None) -> bool:
-        context = ensure_context(context)
-        if not (isinstance(expression, SmallDivide) and isinstance(expression.left, Union)):
-            return False
-        if not context.can_inspect_data:
-            return False
-        union: Union = expression.left  # type: ignore[assignment]
-        part1 = context.evaluate(union.left)
-        part2 = context.evaluate(union.right)
-        divisor = context.evaluate(expression.right)
-        quotient_attributes = expression.schema
-        if self.prefer_c2:
-            return condition_c2(part1, part2, quotient_attributes)
-        return condition_c1(part1, part2, divisor)
-
-    def apply(self, expression: Expression, context: Optional[RewriteContext] = None) -> Expression:
-        if not self.matches(expression, context):
-            raise self._reject(expression, "condition c1/c2 could not be established")
-        union: Union = expression.left  # type: ignore[assignment]
-        divisor = expression.right
-        return Union(SmallDivide(union.left, divisor), SmallDivide(union.right, divisor))
+    conditions = ("c2: π_A(r1') ∩ π_A(r1'') = ∅, or else c1(r1', r1'') (verified on data)",)
 
     @staticmethod
-    def sides(part1: Expression, part2: Expression, divisor: Expression):
-        """Both sides of Law 2 (callers must ensure condition c1 themselves)."""
-        lhs = SmallDivide(Union(part1, part2), divisor)
-        rhs = Union(SmallDivide(part1, divisor), SmallDivide(part2, divisor))
-        return lhs, rhs
+    def lhs(part1: Expression, part2: Expression, divisor: Expression):
+        return SmallDivide(Union(part1, part2), divisor)
+
+    @staticmethod
+    def rhs(part1: Expression, part2: Expression, divisor: Expression):
+        return Union(SmallDivide(part1, divisor), SmallDivide(part2, divisor))
+
+    @staticmethod
+    def holds(context: RewriteContext, part1, part2, divisor) -> bool:
+        first, second = context.evaluate(part1), context.evaluate(part2)
+        quotient = part1.schema.difference(divisor.schema)
+        return condition_c2(first, second, quotient) or condition_c1(
+            first, second, context.evaluate(divisor)
+        )

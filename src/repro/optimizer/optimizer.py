@@ -38,7 +38,8 @@ class Optimizer:
         self.statistics = StatisticsCatalog.from_database(catalog)
         # Operands of law preconditions are planned apart from the query.
         operands = PhysicalPlanner(catalog, statistics=self.statistics)
-        context = RewriteContext(catalog, catalog, not allow_data_inspection, _planner=operands)
+        database = catalog if allow_data_inspection else None
+        context = RewriteContext(database, catalog, _planner=operands)
         self._rewriter = Rewriter(rules=rules, context=context)
         self._planner = PhysicalPlanner(
             catalog, planner_options, statistics=self.statistics, memory_budget_mb=memory_budget_mb

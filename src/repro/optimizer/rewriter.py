@@ -1,11 +1,15 @@
 """Rule-based rewriting of logical expressions.
 
 :class:`Rewriter` repeatedly applies the rule set bottom-up until no rule
-matches anywhere (a Starburst-style fixpoint rewriter), and records the
-rewrite trace so experiments can show *which* laws fired.  It does not
-price what it applies: the physical price of the expression before and
-after (:meth:`repro.optimizer.Optimizer.cost`) is what ``explain()``
-reports beside the rules that fired.
+matches anywhere (a Starburst-style fixpoint rewriter, at most
+:data:`MAX_PASSES` passes), and records the rewrite trace so experiments
+can show *which* laws fired.  A node is offered only the rules whose
+pattern has its class at the root, in registry order, so the same rule
+wins on every node; each is asked once (``try_apply``), so its conditions
+are checked once.  The rewriter does not price what it applies: the
+physical price of the expression before and after
+(:meth:`repro.optimizer.Optimizer.cost`) is what ``explain()`` reports
+beside the rules that fired.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from repro.errors import RewriteError
 from repro.laws.base import Rewrite, RewriteContext, RewriteRule
 from repro.laws.registry import all_rules
 
-__all__ = ["RewriteReport", "Rewriter"]
+__all__ = ["MAX_PASSES", "RewriteReport", "Rewriter"]
+
+#: Bottom-up passes before the rewriter stops short of a fixpoint.
+MAX_PASSES = 10
 
 
 @dataclass
@@ -46,11 +53,12 @@ class Rewriter:
         self,
         rules: Optional[Sequence[RewriteRule]] = None,
         context: Optional[RewriteContext] = None,
-        max_passes: int = 10,
     ) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
         self.context = context if context is not None else RewriteContext()
-        self.max_passes = max_passes
+        self._rules_by_root: dict[type, list[RewriteRule]] = {}
+        for rule in self.rules:
+            self._rules_by_root.setdefault(rule.root, []).append(rule)
 
     def rewrite(self, expression: Expression) -> RewriteReport:
         """Rewrite ``expression`` to fixpoint and report the applied rules."""
@@ -58,7 +66,7 @@ class Rewriter:
         current = expression
         self.context._operands = {}  # each precondition operand runs once per rewrite
         try:
-            for _ in range(self.max_passes):
+            for _ in range(MAX_PASSES):
                 rewritten = self._one_pass(current, report)
                 if rewritten == current:
                     break
@@ -70,14 +78,12 @@ class Rewriter:
 
     def _one_pass(self, expression: Expression, report: RewriteReport) -> Expression:
         def visit(node: Expression) -> Expression:
-            for rule in self.rules:
+            for rule in self._rules_by_root.get(type(node), ()):
                 try:
-                    if not rule.matches(node, self.context):
-                        continue
-                    replacement = rule.apply(node, self.context)
+                    replacement = rule.try_apply(node, self.context)
                 except RewriteError:
                     continue
-                if replacement == node:
+                if replacement is None or replacement == node:
                     continue
                 report.applied.append(
                     Rewrite(rule=rule.name, before=node, after=replacement, note=rule.paper_reference)

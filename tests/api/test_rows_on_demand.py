@@ -150,8 +150,8 @@ def test_a_cold_selected_division_decodes_nothing_and_runs_each_operand_once(tab
         )
         patch.setattr(
             Law12GroupedDivisorKey,
-            "matches",
-            counted(calls, "law 12", Law12GroupedDivisorKey.matches),
+            "try_apply",
+            counted(calls, "law 12", Law12GroupedDivisorKey.try_apply),
         )
         patch.setattr(planner, "plan", lambda operand: planned.append(operand) or plan(operand))
         result = db.sql(QUERIES["small"]).run()

@@ -60,13 +60,19 @@ class TestRewriteContext:
         assert context.can_inspect_data
         assert context.evaluate(catalog.ref("r1")) == figure1_dividend
 
-    def test_static_only_blocks_data_access(self, figure1_dividend):
+    def test_a_catalog_without_a_database_refuses_data_checks(self, figure1_dividend):
         catalog = Catalog()
         catalog.add_table("r1", figure1_dividend)
-        context = RewriteContext.from_catalog(catalog, static_only=True)
+        context = RewriteContext(catalog=catalog)
         assert not context.can_inspect_data
         with pytest.raises(RewriteError):
             context.evaluate(catalog.ref("r1"))
+        # A data-dependent law reads the refusal as "does not hold".
+        expr = B.difference(
+            B.divide(catalog.ref("r1"), B.ref("r2", ["b"])),
+            B.divide(catalog.ref("r1"), B.ref("r2", ["b"])),
+        )
+        assert not get_rule("law_07_disjoint_difference_elimination").matches(expr, context)
 
     def test_empty_context_cannot_inspect_data(self):
         context = RewriteContext()

@@ -58,15 +58,15 @@ def ref(name):
     return RelationRef(name, TABLES[name])
 
 
-def shapes(cut, other):
-    """One left-hand side per rule of the registry, over selected operands."""
+def operand_table(cut, other):
+    """Per rule of the registry, the operands of one left-hand side."""
     r1, s1 = below("r1", "a", cut), below("s1", "a", other)
     r2, s2 = below("r2", "b", cut), below("s2", "b", other)
     g2, h2 = below("g2", "c", cut), below("h2", "c", other)
     w1, k = below("w1", "b1", cut), below("k", "k", other)
     on_a, on_b, on_c = (P.less_than(P.attr(name), other) for name in "abc")
     keep, divisor = Project(w1, ["a", "b1"]), Project(w1, ["b1", "b2"])
-    parts = {
+    return {
         "law_01_divisor_union_split": (r1, r2, s2),
         "law_02_dividend_union_split": (r1, s1, r2),
         "law_03_selection_pushdown": (r1, r2, on_a),
@@ -101,6 +101,11 @@ def shapes(cut, other):
             P.equals(P.attr("a1"), P.attr("a2")),
         ),
     }
+
+
+def shapes(cut, other):
+    """One left-hand side per rule of the registry, over selected operands."""
+    parts = operand_table(cut, other)
     found = {}
     for rule in all_rules():
         sides = type(rule).sides(*parts[rule.name])

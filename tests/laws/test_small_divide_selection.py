@@ -97,7 +97,7 @@ class TestLaw4:
         predicate = P.less_than(P.attr("b"), 3)
         expr = B.divide(lit(figure1_dividend), B.select(lit(figure1_divisor), predicate))
         assert not rule.matches(expr)  # no database available
-        assert Law4ReplicateSelection(assume_nonempty_divisor=True).matches(expr)
+        assert rule.matches(expr, context_for())
 
     def test_rule_rejects_empty_selected_divisor(self, figure1_dividend, figure1_divisor):
         rule = Law4ReplicateSelection()

@@ -55,7 +55,6 @@ class TestLaw5:
             B.intersection(lit(figure1_dividend), lit(figure1_dividend)), lit(figure1_divisor)
         )
         assert not rule.matches(expr)
-        assert Law5IntersectionPushdown(assume_nonempty_divisor=True).matches(expr)
         assert rule.matches(expr, context_for())
 
 

@@ -2,6 +2,7 @@
 
 from hypothesis import assume, given
 
+import repro.laws.small_divide.union as union_laws
 from repro.algebra import builders as B
 from repro.division import small_divide
 from repro.laws.conditions import condition_c1, condition_c2
@@ -99,15 +100,24 @@ class TestLaw2:
         expr = B.divide(B.union(lit(part1), lit(part2)), lit(divisor))
         assert not rule.matches(expr, context_for())
 
-    def test_prefer_c2_is_stricter(self):
-        rule_c2 = Law2DividendUnionSplit(prefer_c2=True)
-        rule_c1 = Law2DividendUnionSplit()
-        # Satisfies c1 (part1 contains the divisor for the shared candidate)
-        # but not c2 (the candidate appears in both parts).
-        part1 = Relation(["a", "b"], [(1, 1), (1, 4)])
-        part2 = Relation(["a", "b"], [(1, 2)])
+    def test_c1_runs_only_when_c2_fails(self, monkeypatch):
+        calls = []
+
+        def counting_c1(*args):
+            calls.append(args)
+            return condition_c1(*args)
+
+        monkeypatch.setattr(union_laws, "condition_c1", counting_c1)
+        rule = Law2DividendUnionSplit()
         divisor = Relation(["b"], [(1,), (4,)])
-        expr = B.divide(B.union(lit(part1), lit(part2)), lit(divisor))
-        context = context_for()
-        assert rule_c1.matches(expr, context)
-        assert not rule_c2.matches(expr, context)
+        # Disjoint quotient candidates: c2 holds and c1 never runs.
+        low = Relation(["a", "b"], [(1, 1), (1, 4)])
+        high = Relation(["a", "b"], [(2, 1)])
+        assert rule.matches(B.divide(B.union(lit(low), lit(high)), lit(divisor)), context_for())
+        assert calls == []
+        # Satisfies c1 (part1 contains the divisor for the shared candidate)
+        # but not c2 (the candidate appears in both parts): c1 decides.
+        part2 = Relation(["a", "b"], [(1, 2)])
+        expr = B.divide(B.union(lit(low), lit(part2)), lit(divisor))
+        assert rule.matches(expr, context_for())
+        assert len(calls) == 1

@@ -120,7 +120,7 @@ class TestRewriter:
 
     def test_static_rule_set_never_needs_data(self, catalog):
         rewriter = Rewriter(
-            rules=pushdown_rules(), context=RewriteContext(static_only=True)
+            rules=pushdown_rules(), context=RewriteContext()
         )
         r1, r2 = catalog.ref("r1"), catalog.ref("r2")
         query = B.select(B.divide(r1, r2), P.equals(P.attr("a"), 1))

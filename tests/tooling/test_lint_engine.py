@@ -684,3 +684,48 @@ class TestRP415NoOperatorChargesAnothersCounter:
         base = lint.PHYSICAL_DIR / "base.py"
         source = base.read_text()
         assert source.count(".tuples_out = 0") == 2 and source.count(".tuples_out += ") == 1
+
+
+class TestRP416LawsStateTheirSides:
+    def test_hand_written_matches_and_apply_are_flagged(self, lint, tmp_path):
+        """The fixture is the shape every law had before: a pattern re-derived
+        by hand in ``matches`` and a right side in ``apply``."""
+        path = write(
+            tmp_path,
+            "class Law3(RewriteRule):\n"
+            "    conditions = ()\n"
+            "    def matches(self, expression, context=None):\n"
+            "        return isinstance(expression, Select)\n"
+            "    def apply(self, expression, context=None):\n"
+            "        return expression.child\n"
+            "class Helper:\n"
+            "    def apply(self, expression):\n"
+            "        return expression\n",
+        )
+        findings = list(lint._check_law_statement(path))
+        assert codes(findings) == ["RP416"]
+        assert findings[0].where.rsplit(":", 1)[1] == "1"
+        assert findings[0].message.startswith(
+            "law class Law3 defines no lhs and defines no rhs and hand-writes apply"
+        )
+
+    def test_a_law_stating_lhs_rhs_and_holds_is_clean(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "class Law3(RewriteRule):\n"
+            "    conditions = ('p references A only',)\n"
+            "    @staticmethod\n"
+            "    def lhs(dividend, divisor, predicate):\n"
+            "        return Select(SmallDivide(dividend, divisor), predicate)\n"
+            "    @staticmethod\n"
+            "    def rhs(dividend, divisor, predicate):\n"
+            "        return SmallDivide(Select(dividend, predicate), divisor)\n"
+            "    @staticmethod\n"
+            "    def holds(context, dividend, divisor, predicate):\n"
+            "        return True\n",
+        )
+        assert list(lint._check_law_statement(path)) == []
+
+    def test_every_law_in_the_repository_states_its_sides(self, lint):
+        for path in lint._python_files(lint.LAWS_DIR):
+            assert list(lint._check_law_statement(path)) == [], path
