@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-pairs
+.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-pairs code-lines
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -80,3 +80,8 @@ WORKLOAD ?= divide_mem
 PARENT ?= HEAD~1
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT)
+
+## Code lines of src/ and scripts/ (no blank lines, comments or
+## docstrings): the line delta a change reports.
+code-lines:
+	$(PYTHON) scripts/code_lines.py

@@ -59,9 +59,8 @@ class QueryExperiment:
     sql: str
     expression: Expression
     result: Relation
-    #: Full execution details (rules fired, tuple counts, timing); ``None``
-    #: only for experiments constructed by legacy code paths.
-    details: Optional[QueryResult] = None
+    #: Full execution details (rules fired, tuple counts, timing).
+    details: QueryResult
 
 
 def run_query(

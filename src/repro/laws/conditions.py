@@ -50,7 +50,7 @@ def _distinct_values(operand: Relation, schema: Schema) -> Collection[Any]:
     With a cached encoding the answer for one attribute is its dictionary
     *itself*: every entry of a relation's own dictionary occurs (a fresh
     :func:`~repro.relation.encoding.encode_columns` by construction, a
-    folded edit by :func:`~repro.relation.encoding.patch_code_columns`'
+    folded edit by :func:`~repro.relation.encoding.fold_code_columns`'
     first-seen canonicalisation).  That holds for the relation's own cache
     only — a chunk's slice, a ``bounded()`` column, a stored page or a
     plan result's :attr:`~repro.relation.relation.Relation.code_columns`

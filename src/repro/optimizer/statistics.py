@@ -253,10 +253,6 @@ class Estimate:
         return max(1.0, self.distinct_values.get(attribute, self.cardinality or 1.0))
 
 
-#: Backwards-compatible alias (the estimate type used to be private).
-_Estimate = Estimate
-
-
 class CardinalityEstimator:
     """Estimates output cardinalities of logical expressions."""
 
@@ -323,11 +319,11 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # recursive estimation
     # ------------------------------------------------------------------
-    def _estimate(self, expression: Expression) -> _Estimate:
+    def _estimate(self, expression: Expression) -> Estimate:
         """One node's estimate, its inputs' through :meth:`estimate`."""
         if isinstance(expression, RelationRef):
             stats = self._statistics.table(expression.name)
-            return _Estimate(
+            return Estimate(
                 cardinality=float(stats.cardinality),
                 distinct_values={
                     name: float(stats.distinct(name)) for name in expression.schema.names
@@ -335,7 +331,7 @@ class CardinalityEstimator:
             )
         if isinstance(expression, LiteralRelation):
             stats = self.literal_statistics(expression.relation)
-            return _Estimate(
+            return Estimate(
                 cardinality=float(stats.cardinality),
                 distinct_values={k: float(v) for k, v in stats.distinct_values.items()},
             )
@@ -349,24 +345,24 @@ class CardinalityEstimator:
             if isinstance(expression, Project):
                 # Duplicate elimination: bounded by the product of distinct counts.
                 bound = math.prod(min(child.distinct(name), child.cardinality) for name in expression.schema.names) if len(expression.schema) else 1.0
-                return _Estimate(cardinality=min(child.cardinality, bound), distinct_values=kept)
-            return _Estimate(cardinality=child.cardinality, distinct_values=kept)
+                return Estimate(cardinality=min(child.cardinality, bound), distinct_values=kept)
+            return Estimate(cardinality=child.cardinality, distinct_values=kept)
         if isinstance(expression, Select):
             child = self.estimate(expression.child)
             selectivity = self._selectivity(expression, child)
             scaled = {name: value * selectivity for name, value in child.distinct_values.items()}
-            return _Estimate(cardinality=child.cardinality * selectivity, distinct_values=scaled)
+            return Estimate(cardinality=child.cardinality * selectivity, distinct_values=scaled)
         if isinstance(expression, GroupBy):
             child = self.estimate(expression.child)
             groups = math.prod(child.distinct(name) for name in expression.grouping.names) if len(expression.grouping) else 1.0
             cardinality = min(child.cardinality, groups)
-            return _Estimate(
+            return Estimate(
                 cardinality=cardinality,
                 distinct_values={name: cardinality for name in expression.schema.names},
             )
         if isinstance(expression, Union):
             left, right = self.estimate(expression.left), self.estimate(expression.right)
-            return _Estimate(
+            return Estimate(
                 cardinality=left.cardinality + right.cardinality,
                 distinct_values={
                     name: left.distinct(name) + right.distinct(name)
@@ -376,7 +372,7 @@ class CardinalityEstimator:
         if isinstance(expression, Intersection):
             left, right = self.estimate(expression.left), self.estimate(expression.right)
             cardinality = min(left.cardinality, right.cardinality) * 0.5
-            return _Estimate(
+            return Estimate(
                 cardinality=cardinality,
                 distinct_values={name: min(left.distinct(name), right.distinct(name)) for name in expression.schema.names},
             )
@@ -386,13 +382,13 @@ class CardinalityEstimator:
             left, right = self.estimate(expression.left), self.estimate(expression.right)
             distinct = dict(left.distinct_values)
             distinct.update(right.distinct_values)
-            return _Estimate(cardinality=left.cardinality * right.cardinality, distinct_values=distinct)
+            return Estimate(cardinality=left.cardinality * right.cardinality, distinct_values=distinct)
         if isinstance(expression, ThetaJoin):
             left, right = self.estimate(expression.left), self.estimate(expression.right)
             distinct = dict(left.distinct_values)
             distinct.update(right.distinct_values)
             selectivity = self._join_selectivity(expression, left, right)
-            return _Estimate(
+            return Estimate(
                 cardinality=left.cardinality * right.cardinality * selectivity,
                 distinct_values=distinct,
             )
@@ -405,7 +401,7 @@ class CardinalityEstimator:
                 cardinality = max(cardinality, left.cardinality)
             distinct = dict(left.distinct_values)
             distinct.update(right.distinct_values)
-            return _Estimate(cardinality=cardinality, distinct_values=distinct)
+            return Estimate(cardinality=cardinality, distinct_values=distinct)
         if isinstance(expression, (SemiJoin, AntiJoin)):
             left = self.estimate(expression.left)
             right = self.estimate(expression.right)
@@ -419,7 +415,7 @@ class CardinalityEstimator:
             else:
                 matching = 1.0 if right.cardinality else 0.0
             selectivity = matching if isinstance(expression, SemiJoin) else 1.0 - matching
-            return _Estimate(
+            return Estimate(
                 cardinality=left.cardinality * selectivity,
                 distinct_values={
                     name: value * selectivity for name, value in left.distinct_values.items()
@@ -432,12 +428,12 @@ class CardinalityEstimator:
         # Unknown node type: be conservative.
         children = [self.estimate(child) for child in expression.children]
         cardinality = max((child.cardinality for child in children), default=1.0)
-        return _Estimate(cardinality=cardinality, distinct_values={})
+        return Estimate(cardinality=cardinality, distinct_values={})
 
     # ------------------------------------------------------------------
     # operator-specific formulas
     # ------------------------------------------------------------------
-    def _selectivity(self, expression: Select, child: _Estimate) -> float:
+    def _selectivity(self, expression: Select, child: Estimate) -> float:
         from repro.algebra.predicates import And, Comparison, Not, Or, TruePredicate, FalsePredicate
 
         predicate = expression.predicate
@@ -539,7 +535,7 @@ class CardinalityEstimator:
             return self._column_bounds(expression.child, inverse.get(attribute, attribute))
         return (None, None)
 
-    def _join_selectivity(self, expression: ThetaJoin, left: _Estimate, right: _Estimate) -> float:
+    def _join_selectivity(self, expression: ThetaJoin, left: Estimate, right: Estimate) -> float:
         from repro.algebra.predicates import Comparison
 
         predicate = expression.predicate
@@ -552,7 +548,7 @@ class CardinalityEstimator:
             return 1.0 / max(max(denominators, default=1.0), 1.0)
         return DEFAULT_SELECTIVITY
 
-    def _estimate_small_divide(self, expression: SmallDivide) -> _Estimate:
+    def _estimate_small_divide(self, expression: SmallDivide) -> Estimate:
         dividend = self.estimate(expression.left)
         divisor = self.estimate(expression.right)
         quotient_schema = expression.schema
@@ -566,12 +562,12 @@ class CardinalityEstimator:
         p_single = min(1.0, group_size / max(domain, 1.0))
         selectivity = p_single ** max(divisor.cardinality, 0.0)
         cardinality = candidates * selectivity
-        return _Estimate(
+        return Estimate(
             cardinality=cardinality,
             distinct_values={name: cardinality for name in quotient_schema.names},
         )
 
-    def _estimate_great_divide(self, expression: GreatDivide) -> _Estimate:
+    def _estimate_great_divide(self, expression: GreatDivide) -> Estimate:
         dividend = self.estimate(expression.left)
         divisor = self.estimate(expression.right)
         shared = expression.left.schema.intersection(expression.right.schema)
@@ -591,4 +587,4 @@ class CardinalityEstimator:
         selectivity = p_single ** max(divisor_group_size, 0.0)
         cardinality = candidates * groups * selectivity
         distinct = {name: cardinality for name in expression.schema.names}
-        return _Estimate(cardinality=cardinality, distinct_values=distinct)
+        return Estimate(cardinality=cardinality, distinct_values=distinct)

@@ -10,10 +10,11 @@ the required popcount.  A division over a relation's containment bitmap
 (value-major: the gather sweep with the value codes as rows, one row of
 candidate bits per value) has one scan of its own, the *intersection
 scan*: per divisor set, the AND of its values' rows, every set of the
-division in one call; a table's edit patches that bitmap instead of
-sweeping again (*patch_rows*, one per row form: ``uint64`` words here,
-``int`` masks in the reference).  All work on the integer key codes the key-column
-seam (:mod:`repro.physical.division.keys`) hands out.  Two implementations
+division in one call.  That bitmap has one row form whatever the kernel,
+``uint64`` word rows (:func:`bitmap_rows`), and one patch: a table's edit
+patches it instead of sweeping again (:meth:`NumpyBitsetKernel.patch_rows`).
+All work on the integer key codes the key-column seam
+(:mod:`repro.physical.division.keys`) hands out.  Two implementations
 exist:
 
 * :class:`NumpyBitsetKernel` — the one the engine runs: batch operations
@@ -24,10 +25,11 @@ exist:
   scan that gathers every set's rows, ANDs them with one ``reduceat`` and
   unpacks the result words with a hit in one pass);
 * :class:`PythonBitsetKernel` — plain loops over Python ``int`` bitmasks
-  (arbitrary precision).  The numpy kernel hands it the inputs it is
-  measured faster on — fewer than ``_MIN_VECTOR_SIZE`` tuples, int-mask
-  lists that short, or an intersection scan of that few values over short
-  rows — and the tests hold every result of the numpy kernel against it.
+  (arbitrary precision), a bitmap's word rows read as ``int`` masks.  The
+  numpy kernel hands it the inputs it is measured faster on — fewer than
+  ``_MIN_VECTOR_SIZE`` tuples, int-mask lists that short, or an
+  intersection scan of that few values over short rows — and the tests
+  hold every result of the numpy kernel against it.
 
 Results never depend on the kernel in use.  The partitioned wrappers run
 the unchanged serial operators over each partition, so the kernel
@@ -52,7 +54,7 @@ __all__ = [
     "PythonBitsetKernel",
     "NumpyBitsetKernel",
     "active_kernel",
-    "row_words",
+    "bitmap_rows",
     "use_kernel",
 ]
 
@@ -153,60 +155,6 @@ class PythonBitsetKernel:
             masks[current] |= mask
         return masks
 
-    def word_rows(self, words: Any, count: int, width: int) -> Any:
-        """A containment bitmap kept as bytes — ``count`` rows of
-        ``⌈width/64⌉`` (at least one) little-endian ``uint64`` words, bit
-        ``i`` of a row being candidate ``i`` — as :meth:`gather_sweep`
-        builds its rows: Python ``int`` masks here."""
-        size = 8 * max(1, -(-width // 64))
-        return [
-            int.from_bytes(words[start : start + size], "little")
-            for start in range(0, count * size, size)
-        ]
-
-    def patch_rows(
-        self,
-        rows: Any,
-        width: int,
-        renumberings: tuple[Any, Any],
-        changes: tuple[tuple[Any, Any], tuple[Any, Any]],
-        shape: tuple[int, int],
-        tuples: int,
-    ) -> Any:
-        """A containment bitmap's rows after an edit, as :meth:`gather_sweep`
-        would build them over the edited columns — the old ``rows`` (one
-        per value, ``width`` candidate bits each) patched, never swept.
-
-        ``renumberings`` are the candidate and the value column's
-        :class:`~repro.relation.encoding.Renumbering` (``None``: no code
-        moved), ``changes`` the ``(candidates, values)`` code pairs whose
-        bits clear (old codes) and set (new codes), and the edited columns
-        carry ``shape`` = ``(values, candidates)`` entries over ``tuples``
-        tuples.  The cleared bits go first, then the rows and the bits move
-        (a candidate that left has none set any more), then the new pairs'
-        bits are set: a new value is a new row, a new candidate the next
-        bit.  Int masks here."""
-        candidate_renumbering, value_renumbering = renumberings
-        (lost_a, lost_b), (new_a, new_b) = changes
-        count, new_width = shape
-        if isinstance(rows, list):
-            rows = list(rows)
-        else:
-            rows = [int.from_bytes(row.tobytes(), "little") for row in rows]
-        for candidate, value in zip(lost_a.tolist(), lost_b.tolist()):
-            rows[value] &= ~(1 << candidate)
-        if value_renumbering is not None:
-            rows = [rows[old] for old in value_renumbering.survivors.tolist()]
-        if candidate_renumbering is not None:
-            to = [-1] * width
-            for new, old in enumerate(candidate_renumbering.survivors.tolist()):
-                to[old] = new
-            rows = [_mask_of([to[bit] for bit in _set_bits(row)], new_width) for row in rows]
-        rows += [0] * (count - len(rows))
-        for candidate, value in zip(new_a.tolist(), new_b.tolist()):
-            rows[value] |= 1 << candidate
-        return rows
-
     # -- match scans ----------------------------------------------------
     # Each returns the matching indices ascending, as an index array:
     # candidate codes, which the operators hand on as the quotient's code
@@ -244,10 +192,12 @@ class PythonBitsetKernel:
         per set, the AND of its values' rows.
 
         Set ``s`` holds every value ``value_codes[i]`` with ``set_codes[i]
-        == s``; value ``v``'s row is ``rows[row_of[v]]`` (a :meth:`gather_sweep`
-        mask of width ``count``), a negative ``row_of`` entry an empty row.
-        Two index arrays, candidates and sets: by set code, candidates
-        ascending within a set."""
+        == s``; value ``v``'s row is ``rows[row_of[v]]`` (``rows`` a
+        containment bitmap, :func:`bitmap_rows`, each row read here as an
+        ``int`` mask of width ``count``), a negative ``row_of`` entry an
+        empty row.  Two index arrays, candidates and sets: by set code,
+        candidates ascending within a set."""
+        row = _IntRows(rows).__getitem__
         members: dict[int, list[int]] = {}
         pairs = zip(self.prepare_indices(set_codes), self.prepare_indices(value_codes))
         for set_code, value in pairs:
@@ -261,7 +211,7 @@ class PythonBitsetKernel:
             codes = members[set_code]
             mask = 0
             if min(codes) >= 0:
-                mask = functools.reduce(operator.and_, map(rows.__getitem__, codes), every)
+                mask = functools.reduce(operator.and_, map(row, codes), every)
             hits = _set_bits(mask)
             candidates += hits
             sets += [set_code] * len(hits)
@@ -423,10 +373,6 @@ class NumpyBitsetKernel(PythonBitsetKernel):
             _np.bitwise_or.at(masks, candidate, bit_of[value])
         return masks.reshape(count, words)
 
-    def word_rows(self, words: Any, count: int, width: int) -> Any:
-        # The words themselves, read in place.
-        return _np.frombuffer(words, dtype="<u8").reshape(count, max(1, -(-width // 64)))
-
     def patch_rows(
         self,
         rows: Any,
@@ -434,17 +380,25 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         renumberings: tuple[Any, Any],
         changes: tuple[tuple[Any, Any], tuple[Any, Any]],
         shape: tuple[int, int],
-        tuples: int,
     ) -> Any:
-        if tuples < _MIN_VECTOR_SIZE:  # what the sweep hands the reference
-            return super().patch_rows(rows, width, renumberings, changes, shape, tuples)
+        """A containment bitmap's rows after an edit, as :func:`bitmap_rows`
+        holds them and a build over the edited columns gives them — the old
+        ``rows`` (one per value, ``width`` candidate bits each) patched,
+        never swept.
+
+        ``renumberings`` are the candidate and the value column's
+        :class:`~repro.relation.encoding.Renumbering` (``None``: no code
+        moved), ``changes`` the ``(candidates, values)`` code pairs whose
+        bits clear (old codes) and set (new codes), and the edited columns
+        carry ``shape`` = ``(values, candidates)`` entries.  The cleared
+        bits go first, then the rows and the bits move (a candidate that
+        left has none set any more), then the new pairs' bits are set: a
+        new value is a new row, a new candidate the next bit."""
         candidate_renumbering, value_renumbering = renumberings
         (lost_a, lost_b), (new_a, new_b) = changes
         count, new_width = shape
-        words, new_words = max(1, -(-width // 64)), max(1, -(-new_width // 64))
-        if isinstance(rows, list):
-            rows = self._words(rows, words)
-        patched = _np.array(rows, dtype="<u8")  # a copy: the old value keeps its rows
+        words, new_words = _words_per_row(width), _words_per_row(new_width)
+        patched = rows.copy()  # the old value keeps its rows
         if len(lost_a):
             _np.bitwise_and.at(patched, (lost_b, lost_a >> 6), ~_bits(lost_a))
         if value_renumbering is not None:
@@ -520,16 +474,12 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         count: int,
         allowed: Any = None,
     ) -> tuple[Any, Any]:
-        if not isinstance(rows, _np.ndarray):  # a sweep of under 32 tuples
-            return super().intersection_matches(
-                rows, set_codes, value_codes, row_of, count, allowed
-            )
         pairs, words = len(value_codes), rows.shape[1]
         if pairs < _MIN_VECTOR_SIZE and pairs * words < _MIN_VECTOR_WORDS:
             # Few values over short rows: numpy's per-call cost would be most
             # of the time, so the reference ANDs them as ``int`` rows.
             return super().intersection_matches(
-                _IntRows(rows), set_codes, value_codes, row_of, count, allowed
+                rows, set_codes, value_codes, row_of, count, allowed
             )
         # The pairs set by set: each set's rows are one run of ``codes``.
         sets = self._index_array(set_codes)
@@ -565,19 +515,26 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         )
 
 
-def row_words(rows: Any, width: int) -> bytes:
-    """Inverse of :meth:`PythonBitsetKernel.word_rows`: a containment
-    bitmap's rows as either kernel builds them — a ``uint64`` word array, or
-    Python ``int`` masks — as bytes, ``⌈width/64⌉`` (at least one)
-    little-endian words a row."""
-    if isinstance(rows, list):
-        size = 8 * max(1, -(-width // 64))
-        return b"".join([row.to_bytes(size, "little") for row in rows])
-    return rows.astype("<u8", copy=False).tobytes()
+def bitmap_rows(words: Any, count: int, width: int) -> Any:
+    """A containment bitmap's one row form: ``count`` rows of ``width``
+    candidate bits as a ``(count, ⌈width/64⌉)`` (at least one word)
+    little-endian ``uint64`` array, bit ``i`` of a row being candidate
+    ``i``.  ``words`` are the rows' bytes (a saved store's, read in place)
+    or the reference sweep's ``int`` masks (a sweep of under 32 tuples),
+    packed."""
+    size = _words_per_row(width)
+    if isinstance(words, list):
+        return NumpyBitsetKernel._words(words, size)
+    return _np.frombuffer(words, dtype="<u8").reshape(count, size)
+
+
+def _words_per_row(width: int) -> int:
+    """Words in a bitmap row of ``width`` bits (at least one)."""
+    return max(1, -(-width // 64))
 
 
 class _IntRows:
-    """Word-array rows read as Python ``int`` masks, a row at a time."""
+    """A bitmap's word rows read as Python ``int`` masks, a row at a time."""
 
     __slots__ = ("_rows",)
 

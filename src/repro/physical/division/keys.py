@@ -38,9 +38,9 @@ block a :class:`~repro.physical.basic.Filter` made of one (see
 attributes, :func:`encode_keys` answers with a :class:`Containment`
 before anything reads the chunk's columns: the relation's *containment
 bitmap* (value-major: row ``b`` holds, as ``⌈|A|/64⌉`` words, the
-candidates ``a`` with ``(a, b)`` a tuple; built once per relation value by
-the kernel's gather sweep with the value codes as rows, at identity
-positions, and kept on the value with the two dictionaries,
+candidates ``a`` with ``(a, b)`` a tuple; built once per relation value,
+whatever the kernel, by the numpy gather sweep with the value codes as
+rows, at identity positions, and kept on the value with the two dictionaries,
 :meth:`~repro.relation.relation.Relation._summary`; a stored table's value
 builds it from one checked read of its pages, and a table's edit hands
 the folded value its bitmap patched by the edit, :func:`_patched_bitmap`)
@@ -70,7 +70,7 @@ from collections.abc import Iterator, Sequence
 from typing import Any, NamedTuple, Optional
 
 from repro.physical.base import Chunk, PhysicalOperator, TupleProjector, _shares_dictionaries
-from repro.physical.compile.kernels import _KERNELS, PythonBitsetKernel, active_kernel
+from repro.physical.compile.kernels import _KERNELS, PythonBitsetKernel, active_kernel, bitmap_rows
 from repro.relation.encoding import (
     CodeColumn,
     CodeFold,
@@ -122,8 +122,8 @@ class Containment(NamedTuple):
     set of divisor values costs the AND of its rows — ``d`` rows of
     ``⌈|A|/64⌉`` words — and not a compare with every candidate's row."""
 
-    #: Per value code, the candidates holding it (a kernel's sweep result:
-    #: ``(|B|, ⌈|A|/64⌉)`` ``uint64`` rows, or Python ints).
+    #: Per value code, the candidates holding it: ``(|B|, ⌈|A|/64⌉)``
+    #: ``uint64`` rows (:func:`~repro.physical.compile.kernels.bitmap_rows`).
     rows: Any
     #: The relation's value dictionary (code → key of ``B``).
     values: list[Any]
@@ -195,7 +195,7 @@ class KeyedDivisionOperator(PhysicalOperator):
         (first child); ``containment`` only if ``bitmap`` asks for it and
         :func:`encode_keys` can answer with one."""
         kernel = active_kernel()
-        keys = encode_keys(self._children[0], a, b, bitmap_kernel=kernel if bitmap else None)
+        keys = encode_keys(self._children[0], a, b, bitmap=bitmap)
         self.key_source, self.kernel_name = keys.source, kernel.name
         containment = keys.containment
         self._bitmap_source = None if containment is None else containment.description
@@ -229,19 +229,19 @@ class KeyedDivisionOperator(PhysicalOperator):
 def encode_keys(
     source: PhysicalOperator,
     *attribute_sets: Schema,
-    bitmap_kernel: Optional[PythonBitsetKernel] = None,
+    bitmap: bool = False,
 ) -> EncodedKeys:
     """Drain ``source`` and encode each attribute set as one key side.
 
-    With ``bitmap_kernel`` (two single-attribute sets ``A``, ``B``), a
-    dividend that is one whole or restricted block comes back with its
-    relation's :class:`Containment`, built by that kernel if need be."""
+    With ``bitmap`` (two single-attribute sets ``A``, ``B``), a dividend
+    that is one whole or restricted block comes back with its relation's
+    :class:`Containment`, built if need be."""
     stream = source.chunks()
     first = next(stream, None)
-    if bitmap_kernel is not None and first is not None and first._base is not None:
+    if bitmap and first is not None and first._base is not None:
         rest = list(stream)
         if not rest and first.schema.names == source.schema.names:
-            keys = _containment(first, source.schema, attribute_sets, bitmap_kernel)
+            keys = _containment(first, source.schema, attribute_sets)
             if keys is not None:
                 return keys
         stream = iter(rest)
@@ -274,7 +274,7 @@ def encode_keys(
 
 
 def _containment(
-    chunk: Chunk, schema: Schema, attribute_sets: Sequence[Schema], kernel: PythonBitsetKernel
+    chunk: Chunk, schema: Schema, attribute_sets: Sequence[Schema]
 ) -> Optional[EncodedKeys]:
     """The keys of a whole or restricted block with its relation's
     containment bitmap (None: a composite side, or a bitmap over the bound)."""
@@ -291,9 +291,7 @@ def _containment(
             candidate_table = packed
         else:
             value_table = table
-    bitmap = relation._summary(
-        ("containment", a, b, kernel.name), functools.partial(_containment_bitmap, kernel, a, b)
-    )
+    bitmap = relation._summary(("containment", a, b), functools.partial(_containment_bitmap, a, b))
     if bitmap is None:
         return None
     rows, candidates, values, origin = bitmap
@@ -311,30 +309,32 @@ def _containment(
 
 
 def _containment_bitmap(
-    kernel: PythonBitsetKernel, a: int, b: int, relation: Relation
+    a: int, b: int, relation: Relation
 ) -> Optional[tuple[Any, list[Any], list[Any], str]]:
     """``(rows, candidate keys, value keys, origin)``: row ``b``, bit ``a``
     set iff the relation holds ``(a, b)``, over the two columns'
-    dictionaries — the words a saved store holds
-    (:meth:`~repro.relation.relation.Relation.stored_bitmap`) as the
-    kernel's rows, else the kernel's gather sweep with the value codes as
-    rows, at identity positions.  ``None`` when the bitmap's bytes would
+    dictionaries, as :func:`~repro.physical.compile.kernels.bitmap_rows`
+    holds them whatever the kernel — the words a saved store holds
+    (:meth:`~repro.relation.relation.Relation.stored_bitmap`) read in
+    place, else the numpy gather sweep with the value codes as rows, at
+    identity positions.  ``None`` when the bitmap's bytes would
     exceed those of the two code buffers it summarises — a structural
     bound, so no bitmap outgrows the encoding it sits beside (and a store
     holds none such).  ``origin`` is what ``explain`` says of it."""
     stored = relation.stored_bitmap(a, b)
     if stored is not None:
         words, candidate_keys, value_keys = stored
-        rows = kernel.word_rows(words, len(value_keys), len(candidate_keys))
+        rows = bitmap_rows(words, len(value_keys), len(candidate_keys))
         return rows, candidate_keys, value_keys, "read from the store"
     columns = relation._summary_columns()
     candidates, values = columns[a], columns[b]
     if _over_bound(candidates, values):
         return None
-    width = len(candidates.dictionary)
-    rows = kernel.gather_sweep(
-        len(values.dictionary), values.codes, candidates.codes, range(width), width
-    )
+    width, count = len(candidates.dictionary), len(values.dictionary)
+    sweep = _KERNELS["numpy"].gather_sweep
+    rows = sweep(count, values.codes, candidates.codes, range(width), width)
+    if isinstance(rows, list):  # under 32 tuples: the reference's int masks
+        rows = bitmap_rows(rows, count, width)
     return rows, candidates.dictionary, values.dictionary, f"built from {relation.summary_source}"
 
 
@@ -347,16 +347,16 @@ def _over_bound(candidates: CodeColumn, values: CodeColumn) -> bool:
 
 
 def _patched_bitmap(bitmap: Any, key: tuple[Any, ...], fold: CodeFold) -> Any:
-    """A held ``("containment", a, b, kernel)`` summary carried over a
-    table's edit: the rows patched by the kernel that built them
-    (:meth:`~repro.physical.compile.kernels.PythonBitsetKernel.patch_rows`)
+    """A held ``("containment", a, b)`` summary carried over a table's
+    edit: the rows patched
+    (:meth:`~repro.physical.compile.kernels.NumpyBitsetKernel.patch_rows`)
     over the edited columns' dictionaries — what
     :func:`_containment_bitmap` would build on the folded value, ``None``
     included once the size bound is crossed.  Left to that build
     (``_DROPPED``) when the parent held ``None`` and the bound is no
     longer crossed, when the bitmap is not over the parent's encoding, or
     when the edit cannot say which pairs went (:meth:`CodeFold.pairs`)."""
-    _kind, a, b, kernel_name = key
+    _kind, a, b = key
     candidates, values = fold.columns[a], fold.columns[b]
     over = _over_bound(candidates, values)
     if bitmap is None or over:
@@ -368,13 +368,12 @@ def _patched_bitmap(bitmap: Any, key: tuple[Any, ...], fold: CodeFold) -> Any:
     changes = fold.pairs(a, b)
     if changes is None:
         return _DROPPED
-    rows = _KERNELS[kernel_name].patch_rows(
+    rows = _KERNELS["numpy"].patch_rows(
         rows,
         len(candidate_keys),
         (fold.renumberings[a], fold.renumberings[b]),
         changes,
         (len(values.dictionary), len(candidates.dictionary)),
-        fold.tuples,
     )
     edit = len(fold.dropped) + fold.appended
     return rows, candidates.dictionary, values.dictionary, f"patched by a {edit}-row edit"

@@ -54,7 +54,6 @@ __all__ = [
     "lexicographic_prefix",
     "merge_code_columns",
     "narrow_codes",
-    "patch_code_columns",
     "fold_code_columns",
     "CodeFold",
     "Renumbering",
@@ -88,7 +87,7 @@ class CodeColumn:
         self.dictionary = dictionary
         #: One code per tuple, in scan order.
         self.codes = codes
-        #: What :func:`patch_code_columns` reads of a relation's encoding,
+        #: What :func:`fold_code_columns` reads of a relation's encoding,
         #: carried from one table version to the next: value → code of the
         #: dictionary (kept by :func:`encode_columns`, which builds it
         #: anyway) and the position of each entry's first tuple (found by
@@ -409,21 +408,6 @@ def split_code_columns(
     return [tuple(column.bounded() for column in block) for block in blocks]
 
 
-def patch_code_columns(
-    columns: Sequence[CodeColumn],
-    removed: Sequence[tuple[Any, ...]],
-    added: Sequence[tuple[Any, ...]],
-) -> Optional[tuple[list[int], tuple[CodeColumn, ...]]]:
-    """``(dropped, columns)`` of :func:`fold_code_columns`: the ascending
-    positions of the removed tuples in the old block (for
-    :func:`drop_positions`) and the edited block's encoding (``None``
-    where the fold is).  Nothing in the package calls it any more; it is
-    kept for ``tests/relation/test_with_delta.py``, which reads it, and
-    goes once those tests read :func:`fold_code_columns` directly."""
-    fold = fold_code_columns(columns, removed, added)
-    return None if fold is None else (fold.dropped, fold.columns)
-
-
 class Renumbering(NamedTuple):
     """How a fold renumbered one column (:meth:`CodeFold.renumberings`)."""
 
@@ -471,11 +455,6 @@ class CodeFold:
         #: and the positions of every tuple sharing a removed one's code
         #: there (``None``: nothing was removed).
         self._lost, self._tails, self._hits = lost, tails, hits
-
-    @property
-    def tuples(self) -> int:
-        """Tuples in the edited block."""
-        return len(self.columns[0].codes)
 
     @property
     def appended(self) -> int:
@@ -965,12 +944,12 @@ def packed_table(table: Any) -> Any:
     return packed.view("<u8")
 
 
-def sets_padding(words: Any, row_words: int, width: int) -> bool:
-    """Whether rows of ``row_words`` little-endian ``uint64`` words (the
+def sets_padding(words: Any, size: int, width: int) -> bool:
+    """Whether rows of ``size`` little-endian ``uint64`` words (the
     bytes of a containment bitmap's rows of ``width`` bits) set any bit at
     or past ``width``: the padding :func:`packed_table` keeps clear."""
-    spare = 64 * row_words - width
+    spare = 64 * size - width
     if not spare:
         return False
-    last = _np.frombuffer(words, dtype="<u8")[row_words - 1 :: row_words]
+    last = _np.frombuffer(words, dtype="<u8")[size - 1 :: size]
     return bool((last >> _np.uint64(64 - spare)).any())

@@ -64,7 +64,8 @@ _BlockSource = tuple[list[tuple[Any, ...]], list[int], list[tuple[Any, ...]]]
 #: per summary kind (a key's first element), ``patch(summary, key, fold)``
 #: returns the folded value's summary, or :data:`_DROPPED` to leave it to
 #: a fresh build.  A kind with no entry is dropped.  The division
-#: operators' key seam registers its containment bitmaps.
+#: operators' key seam registers its containment bitmaps: one patch for
+#: the one row form every ``("containment", a, b)`` bitmap is held in.
 _SUMMARY_PATCHES: dict[str, Callable[[Any, tuple[Any, ...], CodeFold], Any]] = {}
 
 #: What a summary patch returns for a summary it cannot carry exactly.

@@ -36,7 +36,7 @@ bitmap, a column's code frequencies — a :class:`StoredRelation` keeps, as
 an in-memory value keeps its own
 (:meth:`~repro.relation.relation.Relation._summary`).  A bitmap the file's
 summary section holds is read from it (the section read once, its CRC
-checked, the words handed to the kernel that asked); any other summary is
+checked, the words read in place as the bitmap's rows); any other summary is
 built from one checked read of the pages, which are not kept — a
 reopened store builds it again.
 """
@@ -55,7 +55,6 @@ from repro.algebra.catalog import Catalog
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
 from repro.optimizer.statistics import TableStatistics
-from repro.physical.compile.kernels import row_words
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 from repro.relation.encoding import CodeColumn
@@ -321,17 +320,17 @@ def _bitmap_summaries(
     table's section as read, plus every bitmap the value holds over the
     dictionary pages being written — the ones its codes index, so the
     bitmap describes the written blocks.  A bitmap over the size bound is
-    ``None`` and none is written; two kernels' bitmaps of one pair are one."""
+    ``None`` and none is written."""
     bitmaps: dict[tuple[int, int], Any] = {}
     if isinstance(relation, StoredRelation):
         bitmaps.update(relation.stored_bitmaps())
     for key, bitmap in (relation._summaries or {}).items():
-        if key[0] != "containment" or bitmap is None or key[1:3] in bitmaps:
+        if key[0] != "containment" or bitmap is None:
             continue
-        _kind, a, b, _kernel = key
+        _kind, a, b = key
         rows, candidates, values, _origin = bitmap
         if candidates is pages[a] and values is pages[b]:
-            bitmaps[a, b] = row_words(rows, len(candidates))
+            bitmaps[a, b] = rows.tobytes()
     return bitmaps
 
 

@@ -175,7 +175,7 @@ def test_a_failed_section_read_keeps_no_summary(sectioned, action, error):
     clear_plan()
     assert db.sql(QUERIES["whole"]).run().relation == EXPECTED["whole"]
     assert list(stored._section) == [(0, 1)]  # read from the section, and kept
-    assert stored._summaries[("containment", 0, 1, "numpy")][-1] == "read from the store"
+    assert stored._summaries[("containment", 0, 1)][-1] == "read from the store"
 
 
 def test_an_interrupted_save_of_held_bitmaps_leaves_the_store_as_committed(

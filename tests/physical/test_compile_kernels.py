@@ -22,9 +22,8 @@ from repro.physical import (
 from repro.physical.compile.kernels import (
     NumpyBitsetKernel,
     PythonBitsetKernel,
-    _IntRows,
     active_kernel,
-    row_words,
+    bitmap_rows,
 )
 from repro.relation.encoding import packed_table
 from repro.workloads import make_division_workload, make_great_division_workload
@@ -328,7 +327,7 @@ def test_intersection_matches_equals_the_python_reference(count, table):
     ]
     packed = None if allowed is None else packed_table(allowed)
     arguments = (set_codes, value_codes, ROW_OF, count, packed)
-    reference = hit_pairs(python.intersection_matches(reference_rows, *arguments))
+    reference = hit_pairs(python.intersection_matches(rows, *arguments))
     found = hit_pairs(vectorized.intersection_matches(rows, *arguments))
     truth = allowed if allowed is not None else [True] * count
     emptied = [[code if code != 3 else 1 for code in codes] for codes in code_sets]
@@ -342,19 +341,20 @@ def test_intersection_matches_equals_the_python_reference(count, table):
 
 
 @pytest.mark.parametrize("count", INTERSECTION_COUNTS)
-def test_bitmap_rows_round_trip_through_their_words(count):
-    """Either kernel's rows as bytes (a saved store's words) and back as
-    each kernel's rows: the same bits, ``⌈count/64⌉`` words a row."""
+def test_the_reference_sweep_packed_to_words_is_the_numpy_sweep(count):
+    """The Python reference sweep's ``int`` rows, packed into the bitmap's
+    one row form, are the numpy sweep's rows word for word, ``⌈count/64⌉``
+    words a row; their bytes (a saved store's words) read back in place."""
     values, candidates = containment_input(count, seed=count + 9)
-    python, vectorized = PythonBitsetKernel(), NumpyBitsetKernel()
-    rows = containment_rows(vectorized, count, values, candidates)
-    reference_rows = containment_rows(python, count, values, candidates)
-    words = row_words(rows, count)
-    assert words == row_words(reference_rows, count)
-    assert len(words) == 8 * INTERSECTION_VALUES * -(-count // 64)
-    assert python.word_rows(words, INTERSECTION_VALUES, count) == reference_rows
-    assert numpy.array_equal(vectorized.word_rows(words, INTERSECTION_VALUES, count), rows)
-    assert python.word_rows(b"", 0, count) == [] and row_words([], count) == b""
+    rows = containment_rows(NumpyBitsetKernel(), count, values, candidates)
+    reference_rows = containment_rows(PythonBitsetKernel(), count, values, candidates)
+    packed = bitmap_rows(reference_rows, INTERSECTION_VALUES, count)
+    assert packed.dtype == rows.dtype == numpy.dtype("<u8")
+    assert packed.shape == rows.shape == (INTERSECTION_VALUES, -(-count // 64))
+    assert numpy.array_equal(packed, rows)
+    assert numpy.array_equal(bitmap_rows(rows.tobytes(), INTERSECTION_VALUES, count), rows)
+    empty = (0, rows.shape[1])
+    assert bitmap_rows([], 0, count).shape == bitmap_rows(b"", 0, count).shape == empty
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 63, 64, 65, 130])
@@ -372,7 +372,7 @@ def test_packed_table_is_a_bitmap_row(count):
 @pytest.mark.parametrize("count", [20, 200])
 def test_packed_candidates_restrict_both_kernels_alike(count):
     """A packed candidate table is one more row ANDed into every set, on
-    the reference, on its ``int``-row fallback and vectorized."""
+    the reference and vectorized."""
     values, candidates = containment_input(count, seed=count + 5)
     code_sets = intersection_sets(seed=count + 6)
     set_codes, value_codes = as_pairs(code_sets, seed=count + 7)
@@ -380,21 +380,22 @@ def test_packed_candidates_restrict_both_kernels_alike(count):
     allowed = numpy.array([rng.random() < 0.3 for _ in range(count)], dtype=bool)
     python, vectorized = PythonBitsetKernel(), NumpyBitsetKernel()
     rows = containment_rows(vectorized, count, values, candidates)
-    reference_rows = containment_rows(python, count, values, candidates)
     arguments = (set_codes, value_codes, list(range(INTERSECTION_VALUES)), count)
     expected = intersection_definition(count, values, candidates, code_sets, allowed)
     packed = packed_table(allowed)
-    assert hit_pairs(python.intersection_matches(reference_rows, *arguments, packed)) == expected
+    assert hit_pairs(python.intersection_matches(rows, *arguments, packed)) == expected
     assert hit_pairs(vectorized.intersection_matches(rows, *arguments, packed)) == expected
-    fallback = python.intersection_matches(_IntRows(rows), *arguments, packed)
-    assert hit_pairs(fallback) == expected
 
 
-def test_intersection_matches_over_int_rows_is_the_reference():
-    """A sweep of under 32 tuples gives ``int`` rows: the reference answers."""
-    kernel = NumpyBitsetKernel()
-    rows = kernel.gather_sweep(3, [0, 1, 1, 2], [0, 0, 1, 1], range(2), 2)
-    assert rows == [0b01, 0b11, 0b10]
+@pytest.mark.parametrize(
+    "kernel", [PythonBitsetKernel(), NumpyBitsetKernel()], ids=["python", "numpy"]
+)
+def test_intersection_matches_over_a_sweep_of_under_32_tuples(kernel):
+    """A sweep of under 32 tuples gives the reference's ``int`` rows; packed
+    into words, both kernels answer from them."""
+    masks = NumpyBitsetKernel().gather_sweep(3, [0, 1, 1, 2], [0, 0, 1, 1], range(2), 2)
+    assert masks == [0b01, 0b11, 0b10]
+    rows = bitmap_rows(masks, 3, 2)
     found = kernel.intersection_matches(rows, [2, 0, 1, 0, 2], [0, 1, 0, 2, 2], [0, 1, 2], 2)
     assert hit_pairs(found) == [(1, 0), (0, 1)]
     assert hit_pairs(kernel.intersection_matches(rows, [], [], [0, 1, 2], 2)) == []
@@ -404,8 +405,8 @@ def test_intersection_matches_over_int_rows_is_the_reference():
 @pytest.mark.parametrize("count", [40, 2500])
 def test_few_values_over_short_rows_go_to_the_reference(count, monkeypatch):
     """Under 32 divisor values gathering under ``_MIN_VECTOR_WORDS`` words,
-    the numpy kernel hands the scan to the reference, its word rows read as
-    ``int`` rows; the answer is the vectorized one."""
+    the numpy kernel hands the scan to the reference, which reads its word
+    rows as ``int`` rows; the answer is the vectorized one."""
     values, candidates = containment_input(count, seed=count)
     set_codes, value_codes = as_pairs([[0, 7, 9], [4], [5, 5, 6, 8]], seed=1)
     rows = containment_rows(NumpyBitsetKernel(), count, values, candidates)
@@ -419,12 +420,12 @@ def test_few_values_over_short_rows_go_to_the_reference(count, monkeypatch):
 
     monkeypatch.setattr(PythonBitsetKernel, "intersection_matches", spy)
     found = hit_pairs(NumpyBitsetKernel().intersection_matches(*arguments))
-    assert handed == ["_IntRows"]
+    assert handed == ["ndarray"]
     from repro.physical.compile import kernels
 
     monkeypatch.setattr(kernels, "_MIN_VECTOR_WORDS", 0)
     assert hit_pairs(NumpyBitsetKernel().intersection_matches(*arguments)) == found
-    assert handed == ["_IntRows"]  # vectorized this time
+    assert handed == ["ndarray"]  # vectorized this time
     assert found  # value 0: every candidate
 
 

@@ -13,6 +13,7 @@ tests say which path each case must take.
 
 import sys
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,10 @@ from repro.physical import (
     use_kernel,
 )
 from repro.physical.compile.kernels import NumpyBitsetKernel, PythonBitsetKernel
+from repro.physical.division.keys import _containment_bitmap
 from repro.relation import Relation
 from repro.relation import encoding
+from repro.relation.row import Row
 from repro.workloads import make_division_workload, make_great_division_workload
 
 #: The algorithms that read the bitmap, by division kind.
@@ -249,7 +252,7 @@ def test_a_folded_value_builds_its_own_bitmap(kind, algorithm, kernel):
         folded = db.relation("r1")
     assert folded is not parent
     assert second == expected(kind, folded, divisor, FILTERS["A"]) != first
-    key = ("containment", 0, 1, kernel)  # over (a, b), built by this kernel
+    key = ("containment", 0, 1)  # over (a, b)
     assert parent._summaries[key] is not None and folded._summaries[key] is not None
     assert folded._summaries[key] is not parent._summaries[key]
 
@@ -313,3 +316,81 @@ def test_a_warm_division_over_a_large_table_reads_no_codes(kind, large_reads):
     assert ("hash_division" if kind == "small" else "_great_division") in explained
     assert "· keys: cached codes (1 chunk) → coded quotient, kernel: numpy" in explained
     assert "· bitmap: a → b, " in explained and " rows × 9000 bits, " in explained
+
+
+# ----------------------------------------------------------------------
+# one row form: whatever the kernel, the bitmap is uint64 word rows
+# ----------------------------------------------------------------------
+#: Under and over the 32 tuples below which the numpy sweep hands its input
+#: to the Python reference.
+SIZES = {"under 32 tuples": 6, "32 tuples or more": 40}
+ONE_FORM_DIVISORS = {
+    "small": Relation(["b"], [(0,), (1,)]),
+    "great": Relation(["b", "c"], [(0, "x"), (1, "x"), (2, "y")]),
+}
+
+
+def small_table(candidates):
+    """``candidates`` × four values, a third of the pairs left out."""
+    pairs = [(a, b) for a in range(candidates) for b in range(4) if (a + 2 * b) % 3]
+    return Relation(["a", "b"], pairs)
+
+
+def assert_word_rows(relation):
+    """The relation holds one containment bitmap, as ``(|B|, ⌈|A|/64⌉)`` words."""
+    held = {key: value for key, value in relation._summaries.items() if key[0] == "containment"}
+    assert list(held) == [("containment", 0, 1)]
+    rows, candidates, values, _origin = held["containment", 0, 1]
+    assert isinstance(rows, numpy.ndarray) and rows.dtype == numpy.dtype("<u8")
+    assert rows.shape == (len(values), max(1, -(-len(candidates) // 64)))
+    return rows
+
+
+@pytest.mark.parametrize("kind, algorithm", [("small", "hash"), ("great", "groupwise")])
+@pytest.mark.parametrize("size", SIZES.values(), ids=SIZES.keys())
+def test_the_python_kernel_builds_the_word_rows_the_numpy_kernel_reads(
+    kind, algorithm, size, monkeypatch
+):
+    """Pinned to the Python kernel, a division builds the bitmap as word
+    rows; a later numpy-kernel division reads that bitmap and sweeps
+    nothing, for the same quotient."""
+    dividend, divisor = small_table(size), ONE_FORM_DIVISORS[kind]
+    assert (len(dividend) < 32) == (size == SIZES["under 32 tuples"])
+    with use_kernel("python"):
+        plan, first, _ = divide(kind, algorithm, dividend, divisor, None)
+    assert plan.kernel_name == "python" and plan._bitmap_source is not None
+    rows = assert_word_rows(dividend)
+    sweeps = []
+    for cls in (PythonBitsetKernel, NumpyBitsetKernel):
+        sweep = cls.gather_sweep
+        monkeypatch.setattr(
+            cls, "gather_sweep", lambda *args, sweep=sweep: sweeps.append(1) or sweep(*args)
+        )
+    with use_kernel("numpy"):
+        plan, second, _ = divide(kind, algorithm, dividend, divisor, None)
+    assert plan.kernel_name == "numpy" and plan._bitmap_source is not None
+    assert sweeps == []
+    assert second == first == expected(kind, dividend, divisor, None)
+    assert assert_word_rows(dividend) is rows
+
+
+@pytest.mark.parametrize("size", SIZES.values(), ids=SIZES.keys())
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_fold_under_either_kernel_patches_the_bitmap_to_a_fresh_build(kernel, size):
+    dividend, divisor = small_table(size), ONE_FORM_DIVISORS["small"]
+    removed = [values for values in dividend.aligned_tuples() if values[0] == 1]
+    added = [(size, 0), (size, 1), (size + 1, 5)]  # a new candidate, a new value
+    rows = lambda tuples: [Row.from_schema(dividend.schema, values) for values in tuples]
+    with use_kernel(kernel):
+        divide("small", "hash", dividend, divisor, None)
+        folded = dividend.with_delta(rows(added), rows(removed))
+        plan, quotient, _ = divide("small", "hash", folded, divisor, None)
+    patched = folded._summaries["containment", 0, 1]
+    assert patched[3] == f"patched by a {len(removed) + len(added)}-row edit"
+    assert plan._bitmap_source.endswith(patched[3])
+    assert_word_rows(folded)
+    fresh = _containment_bitmap(
+        0, 1, Relation._from_block(folded.schema, list(folded.aligned_tuples()))
+    )
+    assert numpy.array_equal(patched[0], fresh[0]) and patched[1:3] == fresh[1:3]
+    assert quotient == expected("small", folded, divisor, None)

@@ -4,7 +4,7 @@
 value bounds of its encoding's columns and every containment bitmap its
 parent held, each patched by the edit.  Nothing may tell them from a fresh
 build: over the same scan order they are equal code for code and word for
-word (both kernels' row forms, ``None`` past the size bound), and in value
+word (``None`` past the size bound), and in value
 terms they equal what a build over ``Relation.from_aligned`` of the folded
 tuples finds.  A summary the patch cannot prove exact is left to that
 build, which then gives the same.
@@ -25,7 +25,7 @@ import repro.relation.encoding as encoding_module
 from repro.division import small_divide
 from repro.errors import RelationError
 from repro.optimizer.statistics import TableStatistics
-from repro.physical.compile.kernels import active_kernel, use_kernel
+from repro.physical.compile.kernels import use_kernel
 from repro.physical.division.keys import _containment_bitmap
 from repro.relation import Relation
 from repro.relation.encoding import code_frequencies
@@ -35,28 +35,19 @@ KERNELS = ("numpy", "python")
 NAN = float("nan")
 
 
-def kernel_named(name):
-    with use_kernel(name):
-        return active_kernel()
+def bitmap(relation, a, b):
+    """The relation's ``("containment", a, b)`` summary, built if not held."""
+    return relation._summary(("containment", a, b), lambda value: _containment_bitmap(a, b, value))
 
 
-def bitmap(relation, name, a, b):
-    """The relation's ``("containment", a, b, name)`` summary, built if not held."""
-    kernel = kernel_named(name)
-    return relation._summary(
-        ("containment", a, b, name), lambda value: _containment_bitmap(kernel, a, b, value)
-    )
-
-
-def fresh_bitmap(relation, name, a, b):
-    return _containment_bitmap(kernel_named(name), a, b, relation)
+def fresh_bitmap(relation, a, b):
+    return _containment_bitmap(a, b, relation)
 
 
 def pairs(summary):
     """A bitmap as the set of ``(candidate, value)`` pairs it holds."""
     rows, candidates, values, _origin = summary
-    if not isinstance(rows, list):
-        rows = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    rows = [int.from_bytes(row.tobytes(), "little") for row in rows]
     return {
         (candidates[bit], values[row])
         for row, mask in enumerate(rows)
@@ -71,24 +62,20 @@ def assert_same_bitmap(carried, fresh):
         return
     assert carried is not None
     rows, candidates, values, origin = carried
-    assert isinstance(rows, list) == isinstance(fresh[0], list)  # the kernel's row form
-    if isinstance(rows, list):
-        assert rows == fresh[0]
-    else:
-        assert rows.shape == fresh[0].shape and np.array_equal(rows, fresh[0])
+    assert rows.dtype == np.dtype("<u8") == fresh[0].dtype  # the one row form
+    assert rows.shape == fresh[0].shape and np.array_equal(rows, fresh[0])
     assert candidates == fresh[1] and values == fresh[2]
 
 
 def collect(relation):
     """Everything a session asks of a table: statistics and, over every
-    ordered pair of columns, both kernels' bitmaps."""
+    ordered pair of columns, the bitmap."""
     statistics = TableStatistics.from_relation(relation)
     width = len(relation.schema)
     for a in range(width):
         for b in range(width):
             if a != b:
-                for name in KERNELS:
-                    bitmap(relation, name, a, b)
+                bitmap(relation, a, b)
     return statistics
 
 
@@ -132,10 +119,10 @@ def assert_carried_exactly(parent, child):
                 parent_column.dictionary
             ), "bounds the patch could prove were dropped"
     for key, summary in held.items():
-        kind, a, b, name = key
+        kind, a, b = key
         assert kind == "containment"
-        assert_same_bitmap(summary, fresh_bitmap(same, name, a, b))
-        loose_bitmap = fresh_bitmap(loose, name, a, b)
+        assert_same_bitmap(summary, fresh_bitmap(same, a, b))
+        loose_bitmap = fresh_bitmap(loose, a, b)
         assert (summary is None) == (loose_bitmap is None)
         if summary is not None:
             assert pairs(summary) == pairs(loose_bitmap)
@@ -144,7 +131,7 @@ def assert_carried_exactly(parent, child):
         for key, summary in (parent._summaries or {}).items():
             if key[0] != "containment":
                 continue
-            over = fresh_bitmap(same, key[3], key[1], key[2]) is None
+            over = fresh_bitmap(same, key[1], key[2]) is None
             assert (key in held) == (summary is not None or over)
     statistics = TableStatistics.from_relation(child)
     assert statistics == TableStatistics.from_relation(same)
@@ -267,10 +254,10 @@ def test_a_value_losing_its_first_or_last_tuple(end, width):
 def test_new_candidates_cross_a_word():
     parent = Relation(["a", "b"], [(a, a % 5) for a in range(60)] + [(a, 0) for a in range(60)])
     child = carried(parent, [(a, 1) for a in range(60, 130)], [])
-    rows = child._summaries[("containment", 0, 1, "numpy")][0]
+    rows = child._summaries[("containment", 0, 1)][0]
     assert rows.shape == (5, 3)  # 130 candidates: a third word
     grandchild = carried(child, [], [(a, 1) for a in range(60, 130)] + [(a, 0) for a in range(40)])
-    assert grandchild._summaries[("containment", 0, 1, "numpy")][0].shape == (5, 1)
+    assert grandchild._summaries[("containment", 0, 1)][0].shape == (5, 1)
 
 
 def test_the_size_bound_crossed_both_ways():
@@ -280,15 +267,15 @@ def test_the_size_bound_crossed_both_ways():
     bitmap to a fresh build; deleting them takes it past again."""
     sparse = Relation(["a", "b"], [(a, a) for a in range(100)])
     collect(sparse)
-    assert sparse._summaries[("containment", 0, 1, "numpy")] is None
+    assert sparse._summaries[("containment", 0, 1)] is None
     dense = fold(sparse, [(a, b) for a in range(100) for b in range(3) if a != b], [])
     assert_carried_exactly(sparse, dense)
-    assert ("containment", 0, 1, "numpy") not in (dense._summaries or {})
+    assert ("containment", 0, 1) not in (dense._summaries or {})
     collect(dense)
-    assert dense._summaries[("containment", 0, 1, "numpy")] is not None
+    assert dense._summaries[("containment", 0, 1)] is not None
     thinned = fold(dense, [], [(a, b) for a in range(100) for b in range(3) if a != b])
     assert_carried_exactly(dense, thinned)
-    assert thinned._summaries[("containment", 0, 1, "numpy")] is None
+    assert thinned._summaries[("containment", 0, 1)] is None
 
 
 @pytest.mark.parametrize(
@@ -322,7 +309,7 @@ def test_a_three_column_pair_clears_only_what_no_tuple_keeps(kernel):
     # (0, 0) keeps one tuple, (1, 1) loses both: a bit stays, a bit clears
     child = fold(parent, [], [(0, 0, 0), (1, 1, 0), (1, 1, 1)])
     assert_carried_exactly(parent, child)
-    held = pairs(child._summaries[("containment", 0, 1, kernel)])
+    held = pairs(child._summaries[("containment", 0, 1)])
     assert (0, 0) in held and (1, 1) not in held
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.algebra.catalog import Catalog
 from repro.errors import SchemaError
 from repro.relation import Relation
-from repro.relation.encoding import CodeColumn, code_buffer, encode_columns, patch_code_columns
+from repro.relation.encoding import CodeColumn, code_buffer, encode_columns, fold_code_columns
 from repro.relation.row import Row
 
 #: ``1`` / ``1.0`` / ``True`` share a dictionary entry; ``None`` is unorderable.
@@ -104,8 +104,8 @@ def test_a_composite_past_int64_rebuilds_instead():
     wide = 1 << 13  # five 8192-entry dictionaries: 2^65 combinations
     parent = Relation(list("abcde"), [(i,) * 5 for i in range(wide)])
     columns = parent.encoded_columns()
-    assert patch_code_columns(columns, [(0,) * 5], []) is None
-    assert patch_code_columns(columns, [], [(wide,) * 5]) is not None
+    assert fold_code_columns(columns, [(0,) * 5], []) is None
+    assert fold_code_columns(columns, [], [(wide,) * 5]) is not None
     child = parent.with_delta([], rows_of(parent, [(0,) * 5]))
     assert child._tuples is None and child._encoding is None
     assert len(child) == wide - 1
@@ -113,7 +113,7 @@ def test_a_composite_past_int64_rebuilds_instead():
 
 
 def test_no_attributes_no_positions():
-    assert patch_code_columns((), [()], []) is None
+    assert fold_code_columns((), [()], []) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,9 +125,9 @@ def test_patched_columns_over_any_near_miss_dictionary_order(codes):
     tuples = [(values[code],) for code in codes]
     (column,) = encode_columns(tuples, 1)
     for gone in {t for t in tuples}:
-        patched = patch_code_columns((column,), [gone], [])
-        assert patched is not None
-        dropped, (after,) = patched
+        fold = fold_code_columns((column,), [gone], [])
+        assert fold is not None
+        dropped, (after,) = fold.dropped, fold.columns
         kept = [t for t in tuples if t != gone]
         (fresh,) = encode_columns(kept, 1)
         assert dropped == [i for i, t in enumerate(tuples) if t == gone]
@@ -138,7 +138,8 @@ def test_patched_columns_over_any_near_miss_dictionary_order(codes):
 def test_code_columns_are_not_mutated_in_place():
     column = CodeColumn(["a", "b"], code_buffer([0, 1, 0], 3))
     # ("a",) sits at two positions in this (multiset) block: both go.
-    dropped, (after,) = patch_code_columns((column,), [("a",)], [("c",)])
+    fold = fold_code_columns((column,), [("a",)], [("c",)])
+    dropped, (after,) = fold.dropped, fold.columns
     assert dropped == [0, 2]
     assert after.dictionary == ["b", "c"] and list(after.codes) == [0, 1]
     assert column.dictionary == ["a", "b"] and list(column.codes) == [0, 1, 0]
@@ -163,7 +164,8 @@ def test_patches_chained_over_carried_columns_stay_fresh_encodings(base, steps):
     for picks, extra in steps:
         removed = list(dict.fromkeys(tuples[i] for i in picks if i < len(tuples)))
         added = [values for values in dict.fromkeys(extra) if values not in set(tuples)]
-        dropped, columns = patch_code_columns(columns, removed, added)
+        fold = fold_code_columns(columns, removed, added)
+        dropped, columns = fold.dropped, fold.columns
         assert dropped == [i for i, values in enumerate(tuples) if values in set(removed)]
         tuples = [values for values in tuples if values not in set(removed)] + added
         for carried, built in zip(columns, encode_columns(tuples, 2)):
