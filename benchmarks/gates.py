@@ -91,9 +91,16 @@ GATES = {
         Gate("numpy-kernel", "the numpy bitset kernel", "the python kernel", 1 / 1.3),
         Gate(
             "planner-choice",
-            "the cost-chosen division algorithm",
+            "the default division algorithm",
             "the best forced algorithm",
             1.5,
+            floor=0.003,
+        ),
+        Gate(
+            "law1-default",
+            "Law 1's rewritten plan in a default session",
+            "the same plan with hash division forced",
+            1.2,
             floor=0.003,
         ),
         Gate(

@@ -1,10 +1,12 @@
 """Benchmarks for the physical small-divide algorithms.
 
-Reproduces the two quantitative arguments the paper leans on:
-
-* Graefe's comparison of division algorithms — hash-division beats the
-  nested-loops and sort-based variants, and all of them beat the
-  basic-algebra simulation;
+* Each algorithm over the same scanned inputs.  A scan with no batch size
+  hands the division its relation's whole block, and hash, merge-sort and
+  merge-count division all answer that block from the relation's
+  containment bitmap: their three timings are one bitmap path under three
+  names, not Graefe's comparison of the algorithms.  Nested loops sweeps
+  on purpose and the algebra simulation has no sweep, so those two still
+  time their own algorithms.
 * Leinders & Van den Bussche's result — the algebra simulation produces a
   quadratic intermediate result while the special-purpose operators stay
   linear (measured via the operators' tuple counters).

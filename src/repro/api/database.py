@@ -46,7 +46,6 @@ from repro.errors import RelationError, ReproError, SchemaError, ViewError
 from repro.faults import registry as fault_registry
 from repro.faults.plan import FaultPlan
 from repro.optimizer.optimizer import Optimizer
-from repro.optimizer.physical_cost import PlanDecision
 from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rewriter import RewriteReport
 from repro.optimizer.statistics import TableStatistics
@@ -103,16 +102,25 @@ def _coerce_rows(schema: Schema, rows: RowsLike) -> list[Row]:
     return Row.block(schema, tuples)
 
 
-def _refuse_nan(schema: Schema, rows: list[Row]) -> None:
-    """Raise :class:`RelationError`, naming the attribute, for the first
-    float NaN among the rows' values."""
-    for row in rows:
-        for name, value in zip(schema.names, row.values_tuple):
-            if isinstance(value, float) and math.isnan(value):
-                raise RelationError(
-                    f"insert: {name!r} is NaN in row {row.values_tuple!r}; a NaN equals "
-                    "no value, itself included, so a set cannot hold it"
-                )
+def _refuse_nan(method: str, schema: Schema, columns: Iterable[Iterable[Any]]) -> None:
+    """Raise :class:`RelationError`, naming ``method`` and the attribute,
+    for the first float NaN among ``columns`` (one iterable of values per
+    attribute: an edit's rows transposed, or a table's dictionaries)."""
+    for name, values in zip(schema.names, columns):
+        if any(isinstance(value, float) and math.isnan(value) for value in values):
+            raise RelationError(
+                f"{method}: {name!r} holds a NaN; a NaN equals no value, itself "
+                "included, so a set cannot hold it"
+            )
+
+
+def _refuse_nan_table(method: str, relation: Any) -> None:
+    """:func:`_refuse_nan` over a relation's dictionaries, from its encoding
+    (which its statistics read next): no tuple is visited.  A non-relation
+    is left to the catalog's own refusal."""
+    if isinstance(relation, Relation):
+        dictionaries = (column.dictionary for column in relation.encoded_columns())
+        _refuse_nan(method, relation.schema, dictionaries)
 
 
 def _coerce_row(names: tuple[str, ...], row: Any) -> tuple[Any, ...]:
@@ -160,8 +168,6 @@ class PreparedPlan:
     original_cost: float
     rewritten_cost: float
     plan: PhysicalOperator
-    #: Algorithm decisions the cost-based planner made while building ``plan``.
-    decisions: tuple[PlanDecision, ...] = ()
     #: The table versions the plan was built against.  A lookup whose
     #: current versions differ sees a stale entry: the plan embedded the
     #: old relation contents at build time.
@@ -468,7 +474,10 @@ class Database:
     # catalog management
     # ------------------------------------------------------------------
     def add_table(self, name: str, relation: Relation, key=None) -> Query:
-        """Register a relation; statistics and cached plans are refreshed."""
+        """Register a relation; statistics and cached plans are refreshed.
+        A relation holding a float NaN is refused, as :meth:`insert`
+        refuses one."""
+        _refuse_nan_table("add_table", relation)
         self.catalog.add_table(name, relation, key=key)
         self._versions.setdefault(name, 0)
         self._refresh(name)
@@ -477,7 +486,9 @@ class Database:
     def replace_table(self, name: str, relation: Relation) -> None:
         """Swap a table's contents (same schema); bumps the table version,
         routes the effective delta to maintained views, and invalidates
-        cached plans."""
+        cached plans.  A relation holding a float NaN is refused, as
+        :meth:`insert` refuses one."""
+        _refuse_nan_table("replace_table", relation)
         old = self.relation(name)
         # Read before the replacement drops the catalog's live set, which
         # the rows of a folded table are copied from.
@@ -510,7 +521,7 @@ class Database:
         """
         schema = self.catalog.schema(table)
         rows = _coerce_rows(schema, rows)
-        _refuse_nan(schema, rows)
+        _refuse_nan("insert", schema, zip(*(row.values_tuple for row in rows)))
         delta = self.catalog.apply_delta(table, rows, ())
         return self._note_edit(table, schema, *delta)
 
@@ -635,17 +646,18 @@ class Database:
         """Recollect table statistics from the session's current relations.
 
         The ``ANALYZE`` path: refreshes cardinality, per-attribute distinct
-        counts, min/max and scan-order sortedness for the given tables
-        (default: all of them) and drops cached plans, since the cost-based
-        planner may now choose different algorithms.  Unknown names raise
+        counts, min/max and top frequencies for the given tables (default:
+        all of them) and drops cached plans, whose prices and exchange
+        partitions came from the old statistics.  Unknown names raise
         :class:`SchemaError` (from the statistics layer), listing the known
         tables.
         """
         gathered = self._optimizer.analyze(list(names) or None)
         for name in gathered:
             self._stats_versions[name] = self._versions.get(name, 0)
-        # New statistics can flip planner decisions without any version
-        # movement; cached results carry the old decisions, so drop them too.
+        # New statistics move plan prices and exchange partitions without any
+        # version movement; cached results carry the old prices, so drop
+        # them too.
         self._cache.clear()
         self._result_cache.clear()
         return AnalyzeReport(tables=gathered)
@@ -736,7 +748,6 @@ class Database:
         optimizer = self._optimizer
         rewrite_report = optimizer.rewrite(canonical)
         plan = optimizer.plan(rewrite_report.result)
-        decisions = optimizer.planner_decisions
         rewritten_cost = optimizer.cost(rewrite_report.result, plan)
         prepared = PreparedPlan(
             fingerprint=key.split(":", 1)[0],
@@ -747,7 +758,6 @@ class Database:
             original_cost=optimizer.cost(canonical) if rewrite_report.applied else rewritten_cost,
             rewritten_cost=rewritten_cost,
             plan=plan,
-            decisions=decisions,
             table_versions=versions,
             cache_key=key,
         )
@@ -796,7 +806,6 @@ class Database:
             cache_hit=cache_hit,
             estimated_cost_before=prepared.original_cost,
             estimated_cost_after=prepared.rewritten_cost,
-            decisions=prepared.decisions,
         )
         self._result_cache.put(prepared.cache_key, versions, result)
         return result

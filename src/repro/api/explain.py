@@ -15,11 +15,7 @@ remaining nodes from their children, so every plan node carries an
 estimate.
 
 ``Estimated cost : a -> b`` is the physical cost model's price of the plan
-for the expression as written and of the plan that runs, in the units of
-every ``est cost`` below it.  Operators chosen by the cost-based planner
-additionally render their
-:class:`~repro.optimizer.physical_cost.PlanDecision` — the chosen
-algorithm, its estimated cost, and the priced alternatives it beat.  An
+for the expression as written and of the plan that runs.  An
 operator the memory budget put behind an exchange says so on its
 ``· exchange:`` line.  After an analyzed run each ``Filter`` says whether
 it filtered on the dictionary or (for at least one chunk) per tuple, and a
@@ -285,8 +281,6 @@ def _physical_lines(
             measured = actual.get(id(operator), 0)
             annotation += f", actual={measured}, q={q_error(estimate, measured):.2f}"
         lines.append(f"  {'  ' * indent}{operator.describe()}  [{annotation} rows]")
-        if operator.decision is not None:
-            lines.append(f"  {'  ' * indent}  · {operator.decision.describe()}")
         if actual is not None and isinstance(operator, Filter) and operator._filter_mode:
             how = "on the dictionary" if operator._filter_mode == "dictionary" else "per tuple"
             lines.append(f"  {'  ' * indent}  · filtered {how}")

@@ -9,11 +9,10 @@ of running a query twice through disjoint paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 from repro.algebra.expressions import Expression
-from repro.optimizer.physical_cost import PlanDecision
 from repro.optimizer.statistics import TableStatistics
 from repro.physical.base import PlanStatistics
 from repro.relation.relation import Relation
@@ -41,8 +40,6 @@ class AnalyzeReport:
                     extras.append(f"min={minimum!r}")
                 if maximum is not None:
                     extras.append(f"max={maximum!r}")
-                if stats.is_sorted(attribute):
-                    extras.append("sorted")
                 if stats.top_frequency(attribute):
                     extras.append(f"top={stats.top_frequency(attribute)}")
                 lines.append(f"  {attribute}: {', '.join(extras)}")
@@ -132,11 +129,9 @@ class QueryResult:
     #: True if the physical plan came from the prepared-plan cache.
     cache_hit: bool
     #: Estimated plan price before and after rewriting (the physical cost
-    #: model's units, those of every :class:`PlanDecision`).
+    #: model's units).
     estimated_cost_before: float
     estimated_cost_after: float
-    #: Algorithm decisions the cost-based planner made for this plan.
-    decisions: tuple[PlanDecision, ...] = field(default=())
     #: True if the whole QueryResult came from the version-keyed result
     #: cache (no physical execution happened for this call).
     result_cache_hit: bool = False

@@ -19,9 +19,9 @@ Commands
 ``explain {Q1,Q2,Q3}``
     EXPLAIN ANALYZE one of the Section 4 queries.
 ``analyze``
-    Collect table statistics (cardinality, distinct counts, min/max,
-    scan-order sortedness) for a database — the input the cost-based
-    physical planner consumes.
+    Collect table statistics (cardinality, distinct counts, min/max, top
+    frequencies) for a database — the input the cardinality estimator and
+    the plan prices consume.
 ``check``
     Statically verify the prepared plans of the paper workloads — schema
     soundness and operator contracts — without executing anything

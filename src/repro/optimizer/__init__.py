@@ -1,7 +1,7 @@
 """Rule-based query optimizer: rewriter, statistics, cost model, planner."""
 
 from repro.optimizer.optimizer import Optimizer
-from repro.optimizer.physical_cost import PhysicalCostModel, PlanAlternative, PlanDecision
+from repro.optimizer.physical_cost import PhysicalCostModel
 from repro.optimizer.planner import PhysicalPlanner, PlannerOptions
 from repro.optimizer.rewriter import Rewriter, RewriteReport
 from repro.optimizer.statistics import (
@@ -14,8 +14,6 @@ from repro.optimizer.statistics import (
 __all__ = [
     "Optimizer",
     "PhysicalCostModel",
-    "PlanAlternative",
-    "PlanDecision",
     "PhysicalPlanner",
     "PlannerOptions",
     "Rewriter",

@@ -3,8 +3,8 @@
 :class:`Optimizer` wires the pieces together the way the paper's
 introduction describes a rule-based optimizer: algebraic rewrite rules at
 the logical level (the laws), then a mapping of logical operators to
-physical operators.  One cost model prices both the algorithm choices and
-the plan as a whole.
+physical operators, one per logical operator.  One cost model prices the
+plan as a whole.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from repro.algebra.catalog import Catalog
 from repro.algebra.expressions import Expression
 from repro.laws.base import RewriteContext, RewriteRule
-from repro.optimizer.physical_cost import PlanDecision
 from repro.optimizer.planner import PhysicalPlanner, PlannerOptions
 from repro.optimizer.rewriter import Rewriter, RewriteReport
 from repro.optimizer.statistics import StatisticsCatalog, TableStatistics
@@ -24,7 +23,7 @@ __all__ = ["Optimizer"]
 
 
 class Optimizer:
-    """Rule-based rewriting, then cost-based physical planning."""
+    """Rule-based rewriting, then physical planning."""
 
     def __init__(
         self,
@@ -56,10 +55,9 @@ class Optimizer:
     def cost(self, expression: Expression, plan: Optional[PhysicalOperator] = None) -> float:
         """Phase 2: the estimated price of running ``expression``.
 
-        The price of the plan :meth:`plan` builds for it, in the units of
-        every :class:`PlanDecision`.  Pass that ``plan`` when it is already
-        built; otherwise ``expression`` is planned here, which replaces
-        :attr:`planner_decisions`.
+        The price of the plan :meth:`plan` builds for it.  Pass that
+        ``plan`` when it is already built; otherwise ``expression`` is
+        planned here.
         """
         if plan is None:
             plan = self.plan(expression)
@@ -70,18 +68,14 @@ class Optimizer:
     cost_report = cost
 
     def plan(self, expression: Expression) -> PhysicalOperator:
-        """Phase 3: physical plan for ``expression`` exactly as given.
-
-        The planner prices the applicable algorithms per division/join and
-        picks the cheapest; the decisions of the most recent call are
-        available as :attr:`planner_decisions`.
-        """
+        """Phase 3: physical plan for ``expression`` exactly as given:
+        one physical operator per logical operator."""
         return self._planner.plan(expression)
 
-    @property
-    def planner_decisions(self) -> tuple[PlanDecision, ...]:
-        """Algorithm decisions recorded by the most recent planning call."""
-        return tuple(self._planner.decisions)
+    #: Always empty: the planner prices no alternatives.  ``bench/layers.py``
+    #: still reads it; the [benchmark] change that rewrites that file
+    #: (ROADMAP item 1) deletes it.
+    planner_decisions: tuple = ()
 
     #: Always ``None``: plans are not compiled.  ``bench/layers.py`` still
     #: reads it; the [benchmark] change that rewrites that file (ROADMAP
@@ -92,7 +86,7 @@ class Optimizer:
         """Recollect table statistics from the catalog's current relations.
 
         The ANALYZE path: refreshes cardinalities, distinct counts, min/max
-        and scan-order sortedness for ``names`` (default: every table) in
+        and top frequencies for ``names`` (default: every table) in
         the shared :class:`StatisticsCatalog`, so subsequent planning uses
         the real data profile.  Returns the freshly gathered statistics.
         """

@@ -1,22 +1,16 @@
-"""Cost-driven mapping of logical expressions to physical plans.
+"""Mapping of logical expressions to physical plans.
 
 This is the second kind of transformation rule the paper describes in its
 introduction: logical operators are mapped to physical operators (join →
-hash-join, small divide → hash-division, …).  The mapping used to be
-rule-driven — one hard-coded default per logical operator — but the paper's
-own experiments show that no division algorithm dominates, so the planner
-now *enumerates* the applicable algorithms per division (and hash vs
-nested-loops per natural join), prices each alternative with the
-:class:`~repro.optimizer.physical_cost.PhysicalCostModel` (cardinality
-estimates × the operators' declarative cost descriptors, including
-interesting-order exploitation for pre-clustered dividends), and picks the
-cheapest.  Per-operator-kind overrides in :class:`PlannerOptions` remain as
-a forced-choice escape hatch for the algorithm-comparison benchmarks.
-
-Every cost-based (or forced) choice is recorded as a
-:class:`~repro.optimizer.physical_cost.PlanDecision` on the chosen operator
-and in :attr:`PhysicalPlanner.decisions`, so ``explain()`` can report the
-rationale.
+hash-join, small divide → hash-division, …).  The mapping is one physical
+operator per logical operator: :class:`~repro.physical.HashDivision` for a
+small divide, :class:`~repro.physical.NestedLoopsGreatDivision` for a great
+divide and :class:`~repro.physical.HashJoin` for a natural join.  Hash
+division is linear whatever the estimates say (Graefe & Cole, TODS 1995),
+so no estimate can steer it wrong; both divisions answer a base block from
+its containment bitmap.  :class:`PlannerOptions` forces another algorithm
+per operator kind, the escape hatch the algorithm-comparison benchmarks
+use.
 
 The session's memory budget is the one reason a plan is partitioned: a
 division, natural join or grouped aggregation whose partitioned input is
@@ -53,7 +47,7 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.errors import PlanningError
-from repro.optimizer.physical_cost import PhysicalCostModel, PlanDecision, decision_for
+from repro.optimizer.physical_cost import PhysicalCostModel
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.physical import (
     GREAT_DIVIDE_ALGORITHMS,
@@ -75,7 +69,6 @@ from repro.physical import (
     TableScan,
     UnionOp,
 )
-from repro.physical.division import MergeSortDivision
 from repro.physical.parallel import (
     PartitionedAggregate,
     PartitionedDivision,
@@ -91,10 +84,10 @@ __all__ = ["PlannerOptions", "PhysicalPlanner"]
 
 @dataclass(frozen=True)
 class PlannerOptions:
-    """Physical algorithm choices for the logical→physical mapping.
+    """Forced physical algorithms for the logical→physical mapping.
 
-    ``None`` (the default) means *cost-based selection*: the planner prices
-    every applicable algorithm and picks the cheapest.  A string forces that
+    ``None`` (the default) keeps the operator kind's one algorithm: hash
+    division, nested-loops great division, hash join.  A string forces that
     algorithm for every operator of the kind — the escape hatch the
     algorithm-comparison benchmarks use.  Unknown names are reported (with
     the valid choices for that operator kind) as a :class:`PlanningError`
@@ -135,8 +128,6 @@ class PhysicalPlanner:
         #: the operator is planned behind an exchange.
         self._memory_budget_mb = memory_budget_mb
         self._cost_model: Optional[PhysicalCostModel] = None
-        #: Algorithm decisions of the most recent :meth:`plan` call.
-        self.decisions: list[PlanDecision] = []
 
     def plan(self, expression: Expression) -> PhysicalOperator:
         """Build the physical plan for ``expression``.
@@ -145,16 +136,15 @@ class PhysicalPlanner:
         algorithm override names an unknown algorithm.
         """
         self.validate_options()
-        self.decisions = []
         if self._statistics is None:
             # No injected statistics (standalone planner): re-snapshot the
             # database per planning call so catalog mutations between plans
-            # cannot leave the cost model pricing with stale statistics.
+            # cannot leave the exchange sized by stale statistics.
             # (The Optimizer injects its shared, analyze()-refreshed
             # catalog, so it never pays this re-collection.)
             self._cost_model = None
             return self._plan(expression)
-        # Each node is estimated once per call, however often it is priced.
+        # Each node is estimated once per call, however often it is asked.
         with self.cost_model.estimator._memoized():
             return self._plan(expression)
 
@@ -165,7 +155,7 @@ class PhysicalPlanner:
             if forced is not None and forced not in registry:
                 raise PlanningError(
                     f"PlannerOptions.{attribute}: unknown {kind} algorithm {forced!r}; "
-                    f"choose from {sorted(registry)} (or None for cost-based selection)"
+                    f"choose from {sorted(registry)} (or None for the default)"
                 )
 
     @property
@@ -228,46 +218,25 @@ class PhysicalPlanner:
         if isinstance(expression, LeftOuterJoin):
             return HashLeftOuterJoin(self._plan(expression.left), self._plan(expression.right))
         if isinstance(expression, SmallDivide):
-            return self._plan_division(
-                expression,
-                "small divide",
-                self.options.small_divide_algorithm,
-                self.cost_model.small_divide_alternatives,
-            )
+            algorithm = self.options.small_divide_algorithm or "hash"
+            return self._plan_division(expression, "small", algorithm)
         if isinstance(expression, GreatDivide):
-            return self._plan_division(
-                expression,
-                "great divide",
-                self.options.great_divide_algorithm,
-                self.cost_model.great_divide_alternatives,
-            )
+            algorithm = self.options.great_divide_algorithm or "nested_loops"
+            return self._plan_division(expression, "great", algorithm)
         raise PlanningError(f"no physical mapping for {type(expression).__name__}")
 
     # ------------------------------------------------------------------
-    # cost-based operator choice
+    # operators that may run behind an exchange
     # ------------------------------------------------------------------
-    def _plan_division(self, expression, kind, forced, alternatives_for) -> PhysicalOperator:
-        decision = decision_for(kind, alternatives_for(expression), forced)
+    def _plan_division(self, expression, kind: str, algorithm: str) -> PhysicalOperator:
         left = self._plan(expression.left)
         right = self._plan(expression.right)
-        chosen = decision.chosen
         partitions = self.cost_model.exchange_partitions(expression.left)
         if partitions > 1:
-            operator: PhysicalOperator = self._budgeted(
-                PartitionedDivision(
-                    left,
-                    right,
-                    algorithm=chosen.name,
-                    kind="small" if kind == "small divide" else "great",
-                    partitions=partitions,
-                    assume_clustered=chosen.clustered,
-                )
-            )
-        elif chosen.operator is MergeSortDivision:
-            operator = MergeSortDivision(left, right, assume_clustered=chosen.clustered)
-        else:
-            operator = chosen.operator(left, right)
-        if partitions == 1 and chosen.operator._reads_bitmap:
+            return self._budgeted(PartitionedDivision(left, right, algorithm, kind, partitions))
+        registry = SMALL_DIVIDE_ALGORITHMS if kind == "small" else GREAT_DIVIDE_ALGORITHMS
+        operator_class = registry[algorithm]
+        if operator_class._reads_bitmap:
             # A stored dividend, whole or under one single-attribute filter,
             # is answered from the table's containment bitmap: one chunk,
             # whose pages are read only if the operator sweeps after all.
@@ -276,28 +245,19 @@ class PhysicalPlanner:
                 scan is left or len(expression.left.predicate.attributes) == 1
             ):
                 scan.set_one_block()
-        return self._record(operator, decision)
+        return operator_class(left, right)
 
     def _plan_natural_join(self, expression: NaturalJoin) -> PhysicalOperator:
-        decision = decision_for(
-            "natural join",
-            self.cost_model.natural_join_alternatives(expression),
-            self.options.join_algorithm,
-        )
+        algorithm = self.options.join_algorithm or "hash"
         left = self._plan(expression.left)
         right = self._plan(expression.right)
-        chosen = decision.chosen
         partitions = 1
         if len(expression.left.schema.intersection(expression.right.schema)):
             # A cross product has no join key to partition on.
             partitions = max(map(self.cost_model.exchange_partitions, expression.children))
         if partitions > 1:
-            operator: PhysicalOperator = self._budgeted(
-                PartitionedHashJoin(left, right, algorithm=chosen.name, partitions=partitions)
-            )
-        else:
-            operator = chosen.operator(left, right)
-        return self._record(operator, decision)
+            return self._budgeted(PartitionedHashJoin(left, right, algorithm, partitions))
+        return JOIN_ALGORITHMS[algorithm](left, right)
 
     def _plan_group_by(self, expression: GroupBy) -> PhysicalOperator:
         aggregations = {spec.output: spec.build() for spec in expression.aggregates}
@@ -316,8 +276,3 @@ class PhysicalPlanner:
         static ``explain`` shows why it is there)."""
         exchange.memory_budget_mb = self._memory_budget_mb
         return exchange
-
-    def _record(self, operator: PhysicalOperator, decision: PlanDecision) -> PhysicalOperator:
-        operator.decision = decision
-        self.decisions.append(decision)
-        return operator

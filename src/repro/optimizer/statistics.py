@@ -16,7 +16,6 @@ calls are always read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
@@ -44,7 +43,6 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.errors import SchemaError
-from repro.relation.encoding import lexicographic_prefix
 from repro.relation.relation import Relation
 
 __all__ = [
@@ -59,48 +57,18 @@ __all__ = [
 DEFAULT_SELECTIVITY = 0.33
 
 
-def _ordered(previous: Any, value: Any) -> bool:
-    """Whether a scan step from ``previous`` to ``value`` keeps the order
-    non-decreasing: only if ``previous < value`` or ``previous == value``.
-    ``not value < previous`` would also pass NaN and incomparable members
-    of a partial order (two ``frozenset`` values neither of which holds the
-    other); mixed types that cannot be compared at all are not ordered
-    (equal values are, ``None`` included: ``==`` is asked first)."""
-    try:
-        return bool(previous == value or previous < value)
-    except TypeError:
-        return False
-
-
-def _non_decreasing(column: list[Any]) -> bool:
-    """Whether a column's values appear in non-decreasing (scan) order:
-    each value ordered with itself (it may repeat) and with the next."""
-    return all(map(_ordered, column, column)) and all(
-        map(_ordered, column, itertools.islice(column, 1, None))
-    )
-
-
 @dataclass(frozen=True)
 class TableStatistics:
     """Cardinality plus per-attribute statistics of one table.
 
     Beyond the distinct counts the System-R formulas need, ``analyze()``
-    records per-attribute minima/maxima and — crucially for the physical
-    planner — which attributes the table's *scan order* is sorted on
-    (non-decreasing over :meth:`Relation.aligned_tuples`).  Order-exploiting
-    algorithms (streaming merge-group division) are only priced as cheap
-    when the dividend actually arrives clustered.
+    records per-attribute minima/maxima and top frequencies.
     """
 
     cardinality: int
     distinct_values: Mapping[str, int]
     minima: Mapping[str, Any] = field(default_factory=dict)
     maxima: Mapping[str, Any] = field(default_factory=dict)
-    sorted_attributes: frozenset[str] = frozenset()
-    #: Longest schema-order prefix the scan is *lexicographically* sorted
-    #: on — records composite clustering (``clustered(["a", "b"])``) that
-    #: the per-attribute ``sorted_attributes`` flags cannot express.
-    lexicographic_prefix: tuple[str, ...] = ()
     #: Per-attribute frequency of the *most common* value (the top key):
     #: a hash-partition exchange on an attribute can never split the rows
     #: of one value, so its largest partition holds at least that many.
@@ -114,13 +82,10 @@ class TableStatistics:
         (:meth:`~repro.relation.relation.Relation.encoded_columns`) and
         nothing else — no tuple is decoded: the distinct count is the
         dictionary size, min/max range over the dictionary
-        (:meth:`~repro.relation.encoding.CodeColumn.bounds`), the top
+        (:meth:`~repro.relation.encoding.CodeColumn.bounds`) and the top
         frequency is the largest count of the codes
-        (:meth:`~repro.relation.encoding.CodeColumn.frequencies`), the scan
-        is sorted on an attribute iff its codes never step down over a
-        non-decreasing dictionary, and the lexicographic prefix is read off
-        the codes too (:func:`~repro.relation.encoding.lexicographic_prefix`).
-        The first scan of the same relation value reuses the encoding.
+        (:meth:`~repro.relation.encoding.CodeColumn.frequencies`).  The
+        first scan of the same relation value reuses the encoding.
         Bounds and counts are kept on the encoding's columns, and a table's
         edit patches them over to the folded value's
         (:func:`~repro.relation.encoding.fold_code_columns`): statistics of
@@ -142,28 +107,19 @@ class TableStatistics:
         distinct: dict[str, int] = {name: 0 for name in names}
         minima: dict[str, Any] = {}
         maxima: dict[str, Any] = {}
-        sorted_names: set[str] = set()
         top_frequencies: dict[str, int] = {}
-        prefix: tuple[str, ...] = ()
         if cardinality:
-            columns = relation.encoded_columns()
-            for name, column in zip(names, columns):
-                dictionary = column.dictionary
-                distinct[name] = len(dictionary)
+            for name, column in zip(names, relation.encoded_columns()):
+                distinct[name] = len(column.dictionary)
                 top_frequencies[name] = column.top_frequency()
                 bounds = column.bounds()
                 if bounds is not None:  # else incomparable: neither bound is known
                     minima[name], maxima[name] = bounds
-                if column.is_non_decreasing() and _non_decreasing(dictionary):
-                    sorted_names.add(name)
-            prefix = names[: lexicographic_prefix(columns, _ordered)]
         return cls(
             cardinality=cardinality,
             distinct_values=distinct,
             minima=minima,
             maxima=maxima,
-            sorted_attributes=frozenset(sorted_names),
-            lexicographic_prefix=prefix,
             top_frequencies=top_frequencies,
         )
 
@@ -178,10 +134,6 @@ class TableStatistics:
     def maximum(self, attribute: str) -> Any:
         """Largest value of one attribute (``None`` when unknown)."""
         return self.maxima.get(attribute)
-
-    def is_sorted(self, attribute: str) -> bool:
-        """Whether the table's scan order is non-decreasing on ``attribute``."""
-        return attribute in self.sorted_attributes
 
     def top_frequency(self, attribute: str) -> int:
         """Row count of the attribute's most frequent value (0 when unknown)."""

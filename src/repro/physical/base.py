@@ -68,19 +68,10 @@ class PhysicalProperties:
     """Declarative cost/behaviour descriptor of one physical operator class.
 
     The physical cost model (:mod:`repro.optimizer.physical_cost`) prices
-    every applicable algorithm for a logical operator from these
-    coefficients plus the cardinality estimates — the knowledge that used to
-    live as penalty constants inside the logical cost model now sits on the
-    operator classes themselves.  The coefficients are abstract tuple-touch
-    units; only their *ratios* matter (they rank alternatives, they do not
-    predict wall-clock time).
-
-    ``sort_factor`` and ``clustered_input_discount`` encode interesting-order
-    handling: a sort-based algorithm pays ``sort_factor · n·log2(n)`` on its
-    build input *unless* that input is already clustered on the grouping
-    attributes, in which case the sort is waived and the per-input
-    coefficient is multiplied by the discount (streaming merge needs no
-    candidate hash table).
+    a plan from these coefficients plus the cardinality estimates, so what
+    an operator costs sits on its class.  The coefficients are abstract
+    tuple-touch units; only their *ratios* matter (they compare plans, they
+    do not predict wall-clock time).
     """
 
     #: Emits output while consuming input (False → materializes/blocks).
@@ -91,7 +82,7 @@ class PhysicalProperties:
     per_input_cost: float = 1.0
     #: Cost per output tuple.
     per_output_cost: float = 1.0
-    #: × n·log2(n) on the build/dividend input; waived when pre-clustered.
+    #: × n·log2(n) on the build/dividend input (a sort-based algorithm).
     sort_factor: float = 0.0
     #: × quadratic term (pairs × groups; operator-shape specific).
     pairwise_factor: float = 0.0
@@ -99,15 +90,6 @@ class PhysicalProperties:
     #: from the cost model's quantity table ("left", "right", "candidates",
     #: "divisor_groups").
     pairwise_operands: tuple[str, str] = ("left", "right")
-    #: Multiplier applied to ``per_input_cost`` when the input is clustered
-    #: on the grouping attributes (< 1.0 for order-exploiting algorithms).
-    clustered_input_discount: float = 1.0
-    #: The planner's order propagation
-    #: (:meth:`~repro.optimizer.physical_cost.PhysicalCostModel.ordered_attributes`)
-    #: may rely on this operator passing its (first) input's scan order
-    #: through unchanged.  Kept in lockstep with the logical-side dispatch
-    #: by ``tests/optimizer/test_physical_cost.py``.
-    preserves_order: bool = False
 
 
 class BaseBlock(NamedTuple):
@@ -515,10 +497,6 @@ class PhysicalOperator:
     #: Declarative cost/behaviour descriptor consumed by the physical cost
     #: model; subclasses override with their own coefficients.
     properties = PhysicalProperties()
-
-    #: Cost-based planning decision that produced this operator (set by the
-    #: planner on the instance; ``None`` for directly constructed plans).
-    decision = None
 
     #: True for exchange operators, which run their work per partition;
     #: :meth:`set_memory_budget` sets their spill budget.

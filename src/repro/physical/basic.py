@@ -283,7 +283,7 @@ class Filter(PhysicalOperator):
     name = "filter"
 
     #: Streams; one predicate test per tuple (or per dictionary entry).
-    properties = PhysicalProperties(per_input_cost=1.2, per_output_cost=0.0, preserves_order=True)
+    properties = PhysicalProperties(per_input_cost=1.2, per_output_cost=0.0)
 
     #: How the most recent execution filtered: "dictionary" (every chunk on
     #: the dictionary) or "per tuple" (at least one chunk fell back).
@@ -357,9 +357,8 @@ class ProjectOp(PhysicalOperator):
 
     name = "project"
 
-    #: Duplicate elimination keeps a hash set over the output; first-seen
-    #: order makes the output follow the input's scan order.
-    properties = PhysicalProperties(per_input_cost=1.0, per_output_cost=1.0, preserves_order=True)
+    #: Duplicate elimination keeps a hash set over the output.
+    properties = PhysicalProperties(per_input_cost=1.0, per_output_cost=1.0)
 
     def __init__(self, child: PhysicalOperator, attributes: AttributeNames) -> None:
         schema = child.schema.project(as_schema(attributes))
@@ -388,7 +387,7 @@ class RenameOp(PhysicalOperator):
 
     name = "rename"
 
-    properties = PhysicalProperties(per_input_cost=0.1, per_output_cost=0.0, preserves_order=True)
+    properties = PhysicalProperties(per_input_cost=0.1, per_output_cost=0.0)
 
     def __init__(self, child: PhysicalOperator, mapping: Mapping[str, str]) -> None:
         super().__init__(child.schema.rename(dict(mapping)), (child,))
@@ -406,7 +405,7 @@ class DuplicateElimination(PhysicalOperator):
 
     name = "distinct"
 
-    properties = PhysicalProperties(per_input_cost=1.0, per_output_cost=1.0, preserves_order=True)
+    properties = PhysicalProperties(per_input_cost=1.0, per_output_cost=1.0)
 
     def __init__(self, child: PhysicalOperator) -> None:
         super().__init__(child.schema, (child,))

@@ -122,25 +122,22 @@ class PythonBitsetKernel:
         value_codes: Any,
         positions: Sequence[int],
         width: int,
-        sort: bool = False,
     ) -> Any:
-        """The masks of :meth:`gather_sweep`, merged run by run.
+        """The masks of :meth:`gather_sweep`, sorted and merged run by run.
 
-        Each contiguous run of one candidate code accumulates its mask and
-        is ORed into the candidate's slot at the run boundary — one slot
-        access per run instead of per tuple when the input is clustered on
-        the candidate, and still correct when it is not (a candidate's runs
-        land in the same slot).  ``sort`` orders the pairs by candidate
-        first: the merge-sort variant for unclustered input.  This loop
-        serves inputs under 32 tuples.
+        The pairs are sorted by candidate code, then each run of one
+        candidate accumulates its mask and is stored in the candidate's
+        slot at the run boundary.  This loop serves inputs under 32 tuples.
         """
         bits = [1 << position if position >= 0 else 0 for position in positions]
-        pairs: Any = zip(
-            self.prepare_indices(candidate_codes),
-            map(bits.__getitem__, self.prepare_indices(value_codes)),
+        pairs = sorted(
+            pair
+            for pair in zip(
+                self.prepare_indices(candidate_codes),
+                map(bits.__getitem__, self.prepare_indices(value_codes)),
+            )
+            if pair[1]
         )
-        if sort:
-            pairs = sorted(pair for pair in pairs if pair[1])
         masks = [0] * count
         current = -1
         mask = 0
@@ -426,10 +423,9 @@ class NumpyBitsetKernel(PythonBitsetKernel):
         value_codes: Any,
         positions: Sequence[int],
         width: int,
-        sort: bool = False,
     ) -> Any:
         if len(candidate_codes) < _MIN_VECTOR_SIZE:
-            return super().merge_runs(count, candidate_codes, value_codes, positions, width, sort)
+            return super().merge_runs(count, candidate_codes, value_codes, positions, width)
         # ORs into a slot commute: the sweep builds these masks whatever the
         # order of the pairs, so there are no runs to find and nothing to sort.
         return self.gather_sweep(count, candidate_codes, value_codes, positions, width)

@@ -1,6 +1,8 @@
 """Physical algorithms for the great divide (set containment division).
 
-Three algorithms in the spirit of Rantzau et al. [36]:
+Three algorithms in the spirit of Rantzau et al. [36].  The planner builds
+:class:`NestedLoopsGreatDivision`; the others run when ``PlannerOptions``
+forces them:
 
 * :class:`NestedLoopsGreatDivision` — materialize dividend and divisor
   groups as bitmasks over one shared divisor dictionary, then test every
@@ -252,7 +254,8 @@ class GroupwiseSmallDivision(GreatDivisionOperator):
         return matches
 
 
-#: Algorithm registry used by tests and benches.
+#: Algorithm registry: ``nested_loops`` is the planner's, the others are
+#: forced through ``PlannerOptions`` (tests, benches).
 GREAT_DIVIDE_ALGORITHMS = {
     "nested_loops": NestedLoopsGreatDivision,
     "hash": HashGreatDivision,

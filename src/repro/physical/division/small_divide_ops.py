@@ -3,7 +3,9 @@
 The paper motivates treating division as a first-class operator by pointing
 at the algorithm repertoire of Graefe [14] and Graefe & Cole [16] and at the
 complexity result of Leinders & Van den Bussche [25].  This module provides
-that repertoire:
+that repertoire.  The planner builds :class:`HashDivision`, linear whatever
+the estimates say; the others run when ``PlannerOptions`` forces them, for
+the comparisons:
 
 * :class:`NestedLoopsDivision` — the naive algorithm: for every quotient
   candidate scan all pairs and check containment;
@@ -214,50 +216,22 @@ class MergeSortDivision(DivisionOperator):
     ``repr`` keys — and one interleaved merge scan accumulates each
     candidate run's bitmask against the divisor (the kernel's
     ``merge_runs``; vectorized, sort and merge collapse into one order-blind
-    gather sweep that builds the same masks).
-
-    With ``assume_clustered=True`` (set by the cost-based planner when the
-    statistics show the dividend's scan order is already sorted on the
-    quotient attributes) the sort is skipped entirely: the merge scan
-    streams the dividend, accumulating one bitmask per contiguous candidate
-    run.  A run boundary ORs the mask into the candidate's slot, so the
-    result stays correct even when the clustering assumption turns out to
-    be wrong — only the performance degrades toward hash-division."""
+    gather sweep that builds the same masks)."""
 
     name = "merge_sort_division"
 
-    #: The n·log2(n) sort is waived when the dividend arrives clustered on
-    #: the quotient attributes, and the streaming merge also skips the
-    #: candidate hash table (the per-input discount).
+    #: The n·log2(n) sort of the dividend pairs, then one merge scan.
     properties = PhysicalProperties(
         streaming=False,
         startup_cost=16.0,
         per_input_cost=1.8,
         per_output_cost=1.0,
         sort_factor=0.25,
-        clustered_input_discount=0.6,
     )
-
-    def __init__(
-        self,
-        dividend: PhysicalOperator,
-        divisor: PhysicalOperator,
-        assume_clustered: bool = False,
-    ) -> None:
-        super().__init__(dividend, divisor)
-        self.assume_clustered = assume_clustered
-
-    def describe(self) -> str:
-        return f"{self.name}(streaming)" if self.assume_clustered else self.name
 
     def _matches(self, kernel, candidates, value_codes, positions, width):
         masks = kernel.merge_runs(
-            len(candidates.keys),
-            candidates.codes,
-            value_codes,
-            positions,
-            width,
-            sort=not self.assume_clustered,
+            len(candidates.keys), candidates.codes, value_codes, positions, width
         )
         return kernel.full_matches(masks, (1 << width) - 1)
 
@@ -325,7 +299,8 @@ class AlgebraSimulationDivision(DivisionOperator):
         return self._plan.chunks()
 
 
-#: Algorithm registry used by tests and by the Graefe-style comparison bench.
+#: Algorithm registry: :class:`HashDivision` is the planner's, the others
+#: are forced through ``PlannerOptions`` (tests, the comparison benchmarks).
 SMALL_DIVIDE_ALGORITHMS = {
     "nested_loops": NestedLoopsDivision,
     "hash": HashDivision,

@@ -154,9 +154,9 @@ class NestedLoopsNaturalJoin(PhysicalOperator, _SharedKeyMixin):
     """Natural join by nested loops: no hash table, one key comparison per pair.
 
     Emits exactly the same tuple set (and therefore the same per-operator
-    counts) as :class:`HashJoin`; it exists as the cost-based alternative
-    for tiny inputs, where skipping the hash-table build beats the O(n·m)
-    pair scan.
+    counts) as :class:`HashJoin`; ``PlannerOptions(join_algorithm=
+    "nested_loops")`` forces it, for tiny inputs, where skipping the
+    hash-table build can beat the O(n·m) pair scan.
     """
 
     name = "nested_loops_natural_join"
@@ -325,7 +325,8 @@ class HashLeftOuterJoin(PhysicalOperator, _SharedKeyMixin):
         yield from chunked(joined(), schema, self.batch_size)
 
 
-#: Natural-join algorithm registry used by the cost-based planner.
+#: Natural-join algorithm registry: ``hash`` is the planner's, ``nested_loops``
+#: is forced through ``PlannerOptions``.
 JOIN_ALGORITHMS = {
     "hash": HashJoin,
     "nested_loops": NestedLoopsNaturalJoin,

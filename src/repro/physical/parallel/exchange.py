@@ -118,7 +118,7 @@ class PartitionSource(PhysicalOperator):
 
     name = "partition_source"
 
-    properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5, preserves_order=True)
+    properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5)
 
     def __init__(self, attributes: AttributeNames, block: Union[Partition, Piece]) -> None:
         super().__init__(as_schema(attributes))

@@ -217,12 +217,6 @@ class PartitionedDivision(PartitionedOperator):
     and read by every partition, exactly like the small relation of a
     Grace hash join.  For the great divide the same holds per ``(a, c)``
     pair, so partitioning on ``A`` alone is sufficient.
-
-    Hash partitioning keeps contiguous equal-key runs contiguous within
-    their bucket, so a dividend that arrives clustered on the quotient
-    attributes stays clustered per partition and the streaming merge-group
-    mode of :class:`~repro.physical.division.MergeSortDivision` remains
-    valid (``assume_clustered`` is forwarded).
     """
 
     name = "partitioned_division"
@@ -230,8 +224,9 @@ class PartitionedDivision(PartitionedOperator):
     #: What the exchange adds to the wrapped algorithm's price, in the
     #: division operators' units (≈10 ns): a tuple through a budgeted
     #: exchange — the tuple route, the spill write and the re-read, ≈0.9 µs
-    #: at 104k tuples (2 vCPU).  A planned partitioned division is priced
-    #: at its algorithm's decision; this prices a hand-built one.
+    #: at 104k tuples (2 vCPU).  The cost model prices a partitioned
+    #: division as its :attr:`operator_class`, which the budget does not
+    #: choose; this descriptor is the exchange's own.
     properties = PhysicalProperties(streaming=False, per_input_cost=90.0)
 
     def __init__(
@@ -241,7 +236,6 @@ class PartitionedDivision(PartitionedOperator):
         algorithm: str = "hash",
         kind: str = "small",
         partitions: int = 2,
-        assume_clustered: bool = False,
     ) -> None:
         if kind == "small":
             if algorithm not in SMALL_DIVIDE_ALGORITHMS:
@@ -264,7 +258,12 @@ class PartitionedDivision(PartitionedOperator):
         super().__init__(schema, (dividend, divisor), key, partitions)
         self.algorithm = algorithm
         self.kind = kind
-        self.assume_clustered = assume_clustered
+
+    @property
+    def operator_class(self) -> type[PhysicalOperator]:
+        """The serial division algorithm each partition runs."""
+        registry = GREAT_DIVIDE_ALGORITHMS if self.kind == "great" else SMALL_DIVIDE_ALGORITHMS
+        return registry[self.algorithm]
 
     def _subplans(self) -> list[PhysicalOperator]:
         dividend, divisor = self._children
@@ -272,26 +271,17 @@ class PartitionedDivision(PartitionedOperator):
         divisor_block = exchange.collect(divisor)
         buckets = exchange.partition(dividend)
         self.partition_input_sizes = [len(bucket) for bucket in buckets]
-        if self.kind == "great":
-            operator_class = GREAT_DIVIDE_ALGORITHMS[self.algorithm]
-        else:
-            operator_class = SMALL_DIVIDE_ALGORITHMS[self.algorithm]
-        options: dict[str, Any] = {}
-        if self.kind == "small" and self.algorithm == "merge_sort" and self.assume_clustered:
-            options["assume_clustered"] = True
         return [
-            operator_class(
+            self.operator_class(
                 PartitionSource(dividend.schema.names, bucket),
                 PartitionSource(divisor.schema.names, divisor_block),
-                **options,
             )
             for bucket in buckets
             if bucket
         ]
 
     def describe(self) -> str:
-        mode = f"{self.algorithm}(streaming)" if self.assume_clustered else self.algorithm
-        return f"PartitionedDivision[{mode}, {self._exchange_summary()}]"
+        return f"PartitionedDivision[{self.algorithm}, {self._exchange_summary()}]"
 
 
 class PartitionedHashJoin(PartitionedOperator):
@@ -307,7 +297,8 @@ class PartitionedHashJoin(PartitionedOperator):
     name = "partitioned_hash_join"
 
     #: The budgeted exchange's ≈0.9 µs a tuple (see ``PartitionedDivision``)
-    #: in the join operators' units (≈550 ns).
+    #: in the join operators' units (≈550 ns); the cost model prices a
+    #: partitioned join as its :attr:`operator_class`.
     properties = PhysicalProperties(per_input_cost=1.6)
 
     def __init__(
@@ -331,6 +322,11 @@ class PartitionedHashJoin(PartitionedOperator):
         super().__init__(left.schema.union(right.schema), (left, right), key, partitions)
         self.algorithm = algorithm
 
+    @property
+    def operator_class(self) -> type[PhysicalOperator]:
+        """The serial join algorithm each partition runs."""
+        return JOIN_ALGORITHMS[self.algorithm]
+
     def _subplans(self) -> list[PhysicalOperator]:
         left, right = self._children
         exchange = self._exchange()
@@ -340,9 +336,8 @@ class PartitionedHashJoin(PartitionedOperator):
             len(left_bucket) + len(right_bucket)
             for left_bucket, right_bucket in zip(left_buckets, right_buckets)
         ]
-        operator_class = JOIN_ALGORITHMS[self.algorithm]
         return [
-            operator_class(
+            self.operator_class(
                 PartitionSource(left.schema.names, left_bucket),
                 PartitionSource(right.schema.names, right_bucket),
             )

@@ -32,7 +32,7 @@ class _ScanBase(PhysicalOperator):
 
     #: The cached code columns and tuple block as they are; delivers the
     #: relation's physical scan order unchanged (clustered layouts survive).
-    properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5, preserves_order=True)
+    properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5)
 
     def __init__(self, relation: Relation) -> None:
         super().__init__(relation.schema)

@@ -35,7 +35,7 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any, NamedTuple, Optional
 
 import numpy as _np
@@ -51,7 +51,6 @@ __all__ = [
     "empty_codes",
     "encode_columns",
     "iter_codes",
-    "lexicographic_prefix",
     "merge_code_columns",
     "narrow_codes",
     "fold_code_columns",
@@ -168,12 +167,6 @@ class CodeColumn:
         if self._bounds is None:
             self._bounds = _bounds_of(self.dictionary)
         return self._bounds[0]
-
-    def is_non_decreasing(self) -> bool:
-        """Whether the *codes* never step down (equal values are contiguous
-        runs in first-seen order; the dictionary decides the value order)."""
-        codes = self.codes
-        return bool((codes[1:] >= codes[:-1]).all())
 
 
 def _widened(dictionary: list[Any], data: bytes) -> CodeColumn:
@@ -770,78 +763,6 @@ def _with_tail(
             tail_first = [size + at[value] for value in fresh]
             first = _np.concatenate((first, _np.array(tail_first, dtype=_np.int64)))
     return dictionary, table, first, code_buffer(map(table.__getitem__, values), len(values))
-
-
-#: Scan steps :func:`lexicographic_prefix` walks one by one before any
-#: whole-column pass: a scan in no particular order is decided within them.
-_PROBED_STEPS = 32
-
-
-def lexicographic_prefix(
-    columns: Sequence[CodeColumn], ordered: Callable[[Any, Any], bool]
-) -> int:
-    """Longest ``k`` with the scan lexicographically non-decreasing on the
-    first ``k`` columns (all of them for fewer than two tuples).
-
-    A scan step is decided by the first column whose value changes, and
-    counts as ordered only if ``ordered(previous, value)`` holds there; a
-    value that repeats is a change unless ``ordered(value, value)`` (so a
-    NaN never lets a later column decide).  Everything is read off the
-    codes of first-seen columns, whose distinct codes are distinct values:
-    the first steps one by one (a scan in no order is decided there), then
-    one pass per column over the steps no earlier column decided.  A column
-    whose dictionary is in order as first seen (a sorted column's is)
-    compares its codes; any other asks ``ordered`` once per distinct code
-    pair, never more often than the tuple walk this replaces.  Assumes
-    ``ordered`` is transitive on such a dictionary, as ``<`` is on numbers,
-    strings and nested sets.
-    """
-    limit = len(columns)
-    size = len(columns[0]) if limit else 0
-    if size < 2:
-        return limit
-    head = list(zip(*(
-        [column.dictionary[code] for code in column.codes[: _PROBED_STEPS + 1].tolist()]
-        for column in columns
-    )))
-    for previous, current in zip(head, head[1:]):
-        for position in range(limit):
-            before, after = previous[position], current[position]
-            if before is after and ordered(before, after):
-                continue
-            if not ordered(before, after):
-                limit = position
-            break
-        if not limit:
-            return 0
-    undecided = None  # steps ``i → i + 1`` no earlier column decided (None: all)
-    for position in range(limit):
-        column = columns[position]
-        codes, dictionary = column.codes, column.dictionary
-        if undecided is None:
-            previous, current = codes[:-1], codes[1:]
-        else:
-            previous, current = codes[undecided], codes[undecided + 1]
-        same = previous == current
-        changed = ~same
-        in_order = all(map(ordered, dictionary, dictionary)) and all(
-            map(ordered, dictionary, itertools.islice(dictionary, 1, None))
-        )
-        if in_order:
-            if (previous[changed] > current[changed]).any():
-                return position
-        else:
-            pairs = dict.fromkeys(zip(previous[changed].tolist(), current[changed].tolist()))
-            repeated = map(dictionary.__getitem__, set(previous[same].tolist()))
-            if not all(ordered(dictionary[before], dictionary[after]) for before, after in pairs):
-                return position
-            if not all(ordered(value, value) for value in repeated):
-                return position
-        steps = _np.flatnonzero(same)
-        undecided = steps if undecided is None else undecided[steps]
-        if not len(undecided):
-            break
-    return limit
 
 
 def drop_positions(items: list[Any], positions: Sequence[int]) -> list[Any]:

@@ -559,10 +559,9 @@ class Relation:
 
         The relation value (set of rows) is unchanged — only the cached
         aligned-tuple block that scans slice from is pre-sorted, the way a
-        clustered index lays out a table.  ``TableStatistics.from_relation``
-        detects this order and flags the attributes as sorted, which lets
-        the cost-based planner pick order-exploiting algorithms (e.g. the
-        streaming merge-group division).  Defaults to the full schema.
+        clustered index lays out a table; a saved copy keeps that order, so
+        its zone maps skip the blocks a range predicate on ``attributes``
+        excludes.  Defaults to the full schema.
         """
         schema = self._schema if attributes is None else as_schema(attributes)
         self._schema.require(schema, "clustered")

@@ -55,13 +55,8 @@ class StoredScan(PhysicalOperator):
     name = "stored_scan"
 
     #: Same pricing as the in-memory scans: no input side, cheap streaming
-    #: emission, and the stored block order is the save-time scan order, so
-    #: order-exploiting consumers may rely on it.
-    properties = PhysicalProperties(
-        per_input_cost=0.0,
-        per_output_cost=0.5,
-        preserves_order=True,
-    )
+    #: emission.
+    properties = PhysicalProperties(per_input_cost=0.0, per_output_cost=0.5)
 
     def __init__(
         self,

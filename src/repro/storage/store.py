@@ -85,22 +85,19 @@ def statistics_payload(statistics: TableStatistics) -> dict[str, Any]:
         "distinct_values": dict(statistics.distinct_values),
         "minima": dict(statistics.minima),
         "maxima": dict(statistics.maxima),
-        "sorted_attributes": sorted(statistics.sorted_attributes),
-        "lexicographic_prefix": list(statistics.lexicographic_prefix),
         "top_frequencies": dict(statistics.top_frequencies),
     }
 
 
 def statistics_from_payload(payload: dict[str, Any]) -> TableStatistics:
-    """Inverse of :func:`statistics_payload`."""
+    """Inverse of :func:`statistics_payload`.  Keys a payload carries
+    beyond those (the scan-order keys older headers wrote) are ignored."""
     try:
         return TableStatistics(
             cardinality=payload["cardinality"],
             distinct_values=dict(payload["distinct_values"]),
             minima=dict(payload["minima"]),
             maxima=dict(payload["maxima"]),
-            sorted_attributes=frozenset(payload["sorted_attributes"]),
-            lexicographic_prefix=tuple(payload["lexicographic_prefix"]),
             top_frequencies=dict(payload["top_frequencies"]),
         )
     except (KeyError, TypeError) as error:

@@ -96,17 +96,18 @@ class TestEstimatedCost:
         assert f"Estimated cost : {before:.0f} -> {after:.0f} " in query.explain()
 
     def test_the_price_after_is_the_plan_that_ran(self, divisor_union):
-        """The chosen algorithm's price is part of it: the decision explain
-        prints adds up, with the scans, to the price after."""
+        """With no rule fired the two prices are one: the hash division that
+        ran, over its two scans."""
         db, _query = divisor_union
         result = db.table("r1").divide(db.table("r2a")).run()
         assert result.rules_fired == ()
         assert result.estimated_cost_before == result.estimated_cost_after
-        (decision,) = result.decisions
+        assert result.estimated_cost_after == pytest.approx(db.optimizer.cost(result.rewritten))
+        assert "00:hash_division" in result.tuple_counts
         scans = db.optimizer.cost(db.table("r1").expression) + db.optimizer.cost(
             db.table("r2a").expression
         )
-        assert result.estimated_cost_after == pytest.approx(decision.chosen.cost + scans)
+        assert result.estimated_cost_after > scans
 
 
 class TestExplainAnalyzeQError:
@@ -142,11 +143,14 @@ class TestExplainAnalyzeQError:
         assert all("est~" in line and "q=" in line for line in node_lines)
         assert "est=?" not in physical
 
-    def test_division_decision_rationale_is_shown(self, db):
-        text = db.sql(Q1).explain()
-        assert "algorithm=" in text
-        assert "cost-based" in text
-        assert "alternatives:" in text
+    def test_each_division_is_one_operator_of_its_kind(self, db):
+        """No alternatives are priced, so none are listed: the plan names
+        the one operator of each kind."""
+        great = db.sql(Q1).explain().split("Physical plan")[1]
+        small = db.sql(Q2).explain().split("Physical plan")[1]
+        assert great.split()[0] == "nested_loops_great_division"
+        assert small.split()[0] == "hash_division"
+        assert "algorithm=" not in great + small and "alternatives" not in great + small
 
     def test_q_error_helper(self):
         from repro.api.explain import q_error
@@ -176,11 +180,10 @@ class TestKeyColumnAnnotations:
         from repro.physical import active_kernel
 
         text = db.sql(self.SELECTIVE).explain(analyze=True)
-        annotations = [
-            line for line in self.physical_section(text) if not line.startswith("· algorithm=")
-        ]
-        assert annotations == [
+        assert self.physical_section(text) == [
             f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
+            "· bitmap: s_no → p_no, 5 rows × 3 bits, built from the encoding, "
+            "σ on s_no masks candidates",
             "· filtered on the dictionary",
             # the divisor's projection above its filter eliminates duplicates
             "· filtered on the dictionary",
@@ -215,27 +218,31 @@ class TestKeyColumnAnnotations:
 
     def test_snapshot_of_a_stored_division(self, tmp_path):
         """The storage line: how the pages reach the plan (typed code
-        buffers, 1 byte a code at these dictionary sizes) and what the
-        analyzed run read — supplies: 8 tuples x 2 columns, parts: 5 x 2."""
+        buffers, 1 byte a code at these dictionary sizes; supplies as one
+        deferred block, whose bitmap answers without its pages) and what
+        the analyzed run read — supplies: nothing, parts: 5 tuples x 2
+        columns."""
         from repro.physical import active_kernel
 
         connect(textbook_catalog).save(tmp_path / "store")
         stored = connect(tmp_path / "store")
         text = stored.sql(self.SELECTIVE).explain(analyze=True)
-        annotations = [
-            line for line in self.physical_section(text) if not line.startswith("· algorithm=")
-        ]
-        assert annotations == [
+        assert self.physical_section(text) == [
             f"· keys: cached codes (1 chunk) → coded quotient, kernel: {active_kernel().name}",
+            "· bitmap: s_no → p_no, 5 rows × 3 bits, built from 1 blocks, "
+            "σ on s_no masks candidates",
             "· filtered on the dictionary",
-            "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2', "
-            "skipped=0, read 16 bytes",
+            "· storage: blocks=1, pages: code buffers, one deferred block, "
+            "zone-map skip on s_no >= 's2', skipped=0, read 0 bytes",
             "· filtered on the dictionary",
             "· storage: blocks=1, pages: code buffers, zone-map skip on color = 'red', "
             "skipped=0, read 10 bytes",
         ]
         static = self.physical_section(stored.sql(self.SELECTIVE).explain())
-        assert "· storage: blocks=1, pages: code buffers, zone-map skip on s_no >= 's2'" in static
+        assert (
+            "· storage: blocks=1, pages: code buffers, one deferred block, "
+            "zone-map skip on s_no >= 's2'"
+        ) in static
         assert not any("read" in line or "skipped=" in line for line in static)
 
     def test_raw_pages_are_reported(self, tmp_path):
@@ -271,22 +278,20 @@ class TestKeyColumnAnnotations:
         assert "· keys: cached codes (1 chunk) → coded quotient, kernel: python" in text
 
 
-class TestAlgorithmLine:
-    """The ``· algorithm=`` line: the chosen algorithm and the priced
-    alternatives it beat, budget or not (the budget shows on the
-    ``· exchange:`` line)."""
+class TestPlannedOperator:
+    """The physical plan's division is the default one, budget or not (the
+    budget shows on the ``· exchange:`` line), and so is its price."""
 
     @staticmethod
-    def algorithm_line(**options):
+    def explained(**options):
         text = connect(textbook_catalog, **options).sql(Q2).explain()
-        (line,) = [line.strip() for line in text.splitlines() if "· algorithm=" in line]
-        return line
+        (price,) = [line for line in text.splitlines() if line.startswith("Estimated cost")]
+        return price, text.split("Physical plan")[1].split()[0]
 
-    def test_the_slate_is_the_serial_algorithms(self):
-        assert self.algorithm_line() == (
-            "· algorithm=nested_loops (cost-based, est cost 22); alternatives: "
-            "algebra_simulation=36, merge_sort=41, hash=45, merge_count=47"
-        )
+    def test_the_default_is_hash_division(self):
+        assert self.explained() == ("Estimated cost : 61 -> 61 (x1.00)", "hash_division")
 
     def test_a_budget_partitions_but_does_not_reprice(self):
-        assert self.algorithm_line(memory_budget_mb=0.0001) == self.algorithm_line()
+        price, operator = self.explained(memory_budget_mb=0.0001)
+        assert price == self.explained()[0]
+        assert operator == "PartitionedDivision[hash,"

@@ -26,6 +26,7 @@ import repro
 from repro.algebra.expressions import Expression
 from repro.division import great_divide, small_divide
 from repro.laws.small_divide.grouping import Law12GroupedDivisorKey
+from repro.optimizer.physical_cost import PhysicalCostModel
 from repro.optimizer.planner import PhysicalPlanner
 from repro.optimizer.statistics import CardinalityEstimator
 from repro.relation import Relation, Row
@@ -124,13 +125,10 @@ def test_a_cold_selected_division_interprets_nothing_and_builds_no_rows(tables, 
         assert calls["block"] == 1 and calls["evaluate"] == calls["select"] == 0
     expected = reference("small", tables["supplies"], tables["parts"])
     assert rows == set(expected.rows) and result.relation == expected
-    # The operands were planned apart from the query: its decisions and
-    # explain() name its one division only.
-    assert [decision.kind for decision in result.decisions] == ["small divide"]
-    assert [decision.kind for decision in db.optimizer.planner_decisions] == ["small divide"]
-    explained = db.sql(QUERIES["small"]).explain().splitlines()
-    algorithms = [line for line in explained if "algorithm=" in line]
-    assert len(algorithms) == 1 and algorithms[0].strip().startswith("· algorithm=hash")
+    # The operands were planned apart from the query: its explain() names
+    # its one division only.
+    explained = db.sql(QUERIES["small"]).explain().split("Physical plan")[1]
+    assert explained.count("_division") == 1 and explained.split()[0] == "hash_division"
 
 
 def test_a_cold_selected_division_decodes_nothing_and_runs_each_operand_once(tables, monkeypatch):
@@ -200,18 +198,21 @@ def test_a_maintained_view_read_builds_no_rows_until_asked(tables, monkeypatch):
 
 def test_a_cold_selected_division_derives_each_fact_once(tables, monkeypatch):
     """A first-seen σ-small divide computes each node's raw signature once
-    in the whole query, and each node's estimate once per ``plan()`` call,
-    however often the node is compared, hashed or priced."""
+    in the whole query, and each node's estimate at most once per
+    ``plan_cost()`` call, however often the node is compared or hashed;
+    planning without a budget estimates nothing."""
     db = repro.connect(tables, result_cache_size=0)
-    signatures, estimates, per_plan = {}, {}, []
-    plan = PhysicalPlanner.plan
+    signatures, estimates, per_plan, per_price = {}, {}, [], []
 
-    def recorded_plan(self, expression):
-        estimates.clear()
-        try:
-            return plan(self, expression)
-        finally:
-            per_plan.append(max((count for _, count in estimates.values()), default=0))
+    def recorded(function, counts):
+        def call(*args):
+            estimates.clear()
+            try:
+                return function(*args)
+            finally:
+                counts.append(max((count for _, count in estimates.values()), default=0))
+
+        return call
 
     with monkeypatch.context() as patch:
         for cls in defining("_signature"):
@@ -221,11 +222,15 @@ def test_a_cold_selected_division_derives_each_fact_once(tables, monkeypatch):
             "_estimate",
             per_node(estimates, CardinalityEstimator._estimate, 1),
         )
-        patch.setattr(PhysicalPlanner, "plan", recorded_plan)
+        patch.setattr(PhysicalPlanner, "plan", recorded(PhysicalPlanner.plan, per_plan))
+        patch.setattr(
+            PhysicalCostModel, "plan_cost", recorded(PhysicalCostModel.plan_cost, per_price)
+        )
         result = db.sql(QUERIES["small"]).run()
     assert not result.cache_hit and len(result) > 0
     assert signatures and max(count for _, count in signatures.values()) == 1
-    # The query's own plan prices its division, so estimates ran; none twice.
-    assert per_plan and max(per_plan) == 1, per_plan
+    assert per_plan and max(per_plan) == 0, per_plan
+    # The query's plan is priced, so estimates ran; none twice.
+    assert per_price and max(per_price) == 1, per_price
     expected = reference("small", tables["supplies"], tables["parts"])
     assert result.relation == expected

@@ -217,27 +217,26 @@ def test_an_operand_error_propagates_typed():
         law_11.matches(expression, Optimizer(catalog)._rewriter.context)
 
 
-def test_an_operand_plan_leaves_the_query_plans_decisions_alone():
+def test_an_operand_plan_is_planned_apart_from_the_query():
     """Law 11 asks about a dividend that is itself a division: the operand's
-    plan prices a division, and the query's planner never hears of it."""
+    own planner builds that division, and the query's planner is not asked."""
     tables = fixed_tables()
     tables["w1"] = tables["w1"].union(Relation(["a", "b1", "b2"], [(0, 0, 2)]))  # no Law 11
     optimizer = Optimizer(catalog_of(tables))
-    query = SmallDivide(below("r1", "a", 3), ref("r2"))
-    optimizer.plan(query)
-    before = optimizer.planner_decisions
-    operand_planner, operand_kinds = optimizer._rewriter.context._planner, []
+    operand_planner, operand_operators, query_plans = optimizer._rewriter.context._planner, [], []
+    assert operand_planner is not optimizer._planner
 
     def plan(expression):
         operator = PhysicalPlanner.plan(operand_planner, expression)
-        operand_kinds.extend(decision.kind for decision in operand_planner.decisions)
+        operand_operators.extend(op.name for op in operator.walk())
         return operator
 
     operand_planner.plan = plan
+    optimizer._planner.plan = query_plans.append
     inner = SmallDivide(ref("w1"), Project(below("w1", "b2", 4), ["b2"]))
     optimizer.rewrite(SmallDivide(inner, Rename(below("s2", "b", 3), {"b": "b1"})))
-    assert "small divide" in operand_kinds
-    assert optimizer.planner_decisions == before and len(before) == 1
+    assert "hash_division" in operand_operators
+    assert query_plans == []
 
 
 # ----------------------------------------------------------------------

@@ -51,4 +51,4 @@ class TestAlgorithmOptionNaming:
             plan_with(catalog, small_divide_algorithm="quantum")
         message = str(excinfo.value)
         assert "hash" in message and "merge_sort" in message
-        assert "None for cost-based selection" in message
+        assert "None for the default" in message

@@ -4,8 +4,8 @@ A division, natural join or grouped aggregation whose partitioned input is
 estimated above the session's budget is planned behind an exchange, with
 as many partitions as it takes for each to fit the budget (at least 2, at
 most ``MAX_PLANNED_PARTITIONS``).  Without a budget, or below it, nothing
-is partitioned, however large the input; the price of the algorithm is
-what it was.
+is partitioned, however large the input; the algorithm and its price are
+what they were.
 """
 
 import math
@@ -80,11 +80,8 @@ class TestDivision:
         assert isinstance(plan, PartitionedDivision)
         assert plan.partitions >= 2
         assert plan.memory_budget_mb == 0.05  # a static explain shows why
-        # the algorithm is still the cost-based choice, priced serially
-        decision = planner.decisions[0]
-        assert plan.algorithm == decision.chosen.name
-        assert plan.decision is decision
-        assert "dop" not in decision.describe() and "budget" not in decision.describe()
+        # the algorithm is still the serial plan's
+        assert plan.algorithm == "hash" and plan.operator_class is HashDivision
 
     def test_input_below_the_budget_stays_serial(self, small_catalog):
         planner = PhysicalPlanner(small_catalog, memory_budget_mb=64.0)
@@ -156,13 +153,14 @@ class TestForcedAlgorithm:
         serial = PhysicalPlanner(catalog, options).plan(query)
         planner = PhysicalPlanner(catalog, options, memory_budget_mb=budget_mb)
         plan = planner.plan(query)
-        assert planner.decisions[0].chosen.name == algorithm
+        registry = SMALL_DIVIDE_ALGORITHMS if kind == "small" else GREAT_DIVIDE_ALGORITHMS
         if budget_mb < 1:
             assert isinstance(plan, PartitionedDivision)
             assert (plan.algorithm, plan.kind) == (algorithm, kind)
+            assert plan.operator_class is registry[algorithm]
             assert plan.partitions >= 2
         else:
-            assert type(plan) is type(serial) and not plan.parallel
+            assert type(plan) is type(serial) is registry[algorithm] and not plan.parallel
         assert plan.execute() == serial.execute()
 
 
@@ -188,7 +186,7 @@ class TestJoinAndAggregate:
         budgeted = PhysicalPlanner(catalog, statistics=self._statistics(), memory_budget_mb=1.0)
         plan = budgeted.plan(join)
         assert isinstance(plan, PartitionedHashJoin)
-        assert plan.algorithm == plan.decision.chosen.name
+        assert plan.algorithm == "hash" and plan.operator_class is HashJoin
         assert isinstance(PhysicalPlanner(catalog, memory_budget_mb=1.0).plan(join), HashJoin)
 
     def test_cross_product_is_never_partitioned(self):

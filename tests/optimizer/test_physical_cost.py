@@ -1,35 +1,32 @@
-"""Tests for the physical cost model and the cost-driven planner choices.
+"""Tests for the planner's one-operator-per-kind mapping and the plan price.
 
-The paper's experimental claim is that no division algorithm dominates;
-these tests pin down that the cost-based planner picks the measured-fastest
-algorithm *family* on the benchmark scenario shapes:
-
-* big divisor, many groups, arbitrary scan order → hash-division;
-* the same workload pre-clustered on the quotient attribute → streaming
-  merge-group (merge-sort) division with the sort waived;
-* tiny dividend → nested-loops division;
-
-plus a hypothesis sweep showing forced and cost-chosen plans return
-identical quotients.
+With no :class:`PlannerOptions` the planner builds hash division for a
+small divide, nested-loops great division for a great divide and hash join
+for a natural join, whatever the shapes and the statistics say; a forced
+algorithm builds that algorithm.  :meth:`PhysicalCostModel.plan_cost`
+prices each operator once, a division over its quotient candidates and
+divisor groups.
 """
 
 import pytest
 from hypothesis import given, settings
 
+import repro.algebra.predicates as P
 from repro.algebra import builders as B
 from repro.algebra.catalog import Catalog
-from repro.optimizer import PhysicalPlanner, PlannerOptions
+from repro.api import connect
+from repro.optimizer import Optimizer, PhysicalPlanner, PlannerOptions
 from repro.optimizer.physical_cost import PhysicalCostModel
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.physical import (
+    GREAT_DIVIDE_ALGORITHMS,
+    JOIN_ALGORITHMS,
+    SMALL_DIVIDE_ALGORITHMS,
     HashDivision,
     HashJoin,
-    NestedLoopsDivision,
     NestedLoopsGreatDivision,
-    NestedLoopsNaturalJoin,
-    SMALL_DIVIDE_ALGORITHMS,
 )
-from repro.physical.division import MergeSortDivision
+from repro.physical.parallel import PartitionedDivision
 from repro.relation import Relation
 from repro.workloads import make_division_workload, make_great_division_workload
 from tests.strategies import dividends, divisors
@@ -50,218 +47,207 @@ def benchmark_workload():
     )
 
 
-class TestPlannerChoices:
-    def test_big_divisor_scenario_chooses_hash(self, benchmark_workload):
-        catalog = catalog_for(benchmark_workload.dividend, benchmark_workload.divisor)
-        planner = PhysicalPlanner(catalog)
-        plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(plan, HashDivision)
-        decision = planner.decisions[0]
-        assert decision.chosen.name == "hash"
-        assert not decision.forced
-        # every registered algorithm was priced
-        assert {alt.name for alt in decision.alternatives} == set(SMALL_DIVIDE_ALGORITHMS)
-
-    def test_clustered_dividend_chooses_streaming_merge_sort(self, benchmark_workload):
-        clustered = benchmark_workload.dividend.clustered(["a"])
-        catalog = catalog_for(clustered, benchmark_workload.divisor)
-        planner = PhysicalPlanner(catalog)
-        plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(plan, MergeSortDivision)
-        assert plan.assume_clustered
-        decision = planner.decisions[0]
-        assert decision.chosen.name == "merge_sort"
-        assert decision.chosen.clustered
-        # clustering survives an order-preserving selection on top
-        import repro.algebra.predicates as P
-
-        selected = B.select(catalog.ref("r1"), P.not_equals(P.attr("b"), -1))
-        plan = planner.plan(B.divide(selected, catalog.ref("r2")))
-        assert isinstance(plan, MergeSortDivision) and plan.assume_clustered
-
-    def test_tiny_dividend_chooses_nested_loops(self):
-        catalog = catalog_for(
+def small_scenarios(workload):
+    """Dividends of several sizes and scan orders, with their divisors."""
+    composite = Relation(
+        ["a1", "a2", "b"],
+        [(g1, g2, v) for g1 in range(12) for g2 in range(12) for v in range(4)],
+    )
+    return {
+        "big": (workload.dividend, workload.divisor),
+        "tiny": (
             Relation(["a", "b"], [(1, 1), (1, 2), (2, 1), (3, 2)]),
             Relation(["b"], [(1,), (2,)]),
-        )
-        planner = PhysicalPlanner(catalog)
-        plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(plan, NestedLoopsDivision)
+        ),
+        "clustered": (workload.dividend.clustered(["a"]), workload.divisor),
+        "composite-clustered": (
+            composite.clustered(["a1", "a2"]),
+            Relation(["b"], [(v,) for v in range(4)]),
+        ),
+    }
 
-    def test_great_divide_records_decision(self):
-        workload = make_great_division_workload(
-            dividend_groups=200,
-            dividend_group_size=14,
-            divisor_groups=20,
-            divisor_group_size=5,
-            domain_size=60,
-            seed=3,
-        )
-        catalog = catalog_for(workload.dividend, workload.divisor)
-        planner = PhysicalPlanner(catalog)
-        plan = planner.plan(B.great_divide(catalog.ref("r1"), catalog.ref("r2")))
-        # the measured-fastest family on this shape (see benchmarks)
-        assert isinstance(plan, NestedLoopsGreatDivision)
-        assert planner.decisions[0].kind == "great divide"
 
-    def test_forced_choice_is_marked_forced(self, benchmark_workload):
+@pytest.fixture(scope="module")
+def great_workload():
+    return make_great_division_workload(
+        dividend_groups=200,
+        dividend_group_size=14,
+        divisor_groups=20,
+        divisor_group_size=5,
+        domain_size=60,
+        seed=3,
+    )
+
+
+class TestDefaultMapping:
+    @pytest.mark.parametrize("scenario", ["big", "tiny", "clustered", "composite-clustered"])
+    def test_a_small_divide_is_hash_division(self, benchmark_workload, scenario):
+        catalog = catalog_for(*small_scenarios(benchmark_workload)[scenario])
+        plan = PhysicalPlanner(catalog).plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
+        assert type(plan) is HashDivision
+
+    def test_a_selected_dividend_is_hash_division_too(self, benchmark_workload):
+        catalog = catalog_for(benchmark_workload.dividend.clustered(["a"]), benchmark_workload.divisor)
+        selected = B.select(catalog.ref("r1"), P.not_equals(P.attr("b"), -1))
+        plan = PhysicalPlanner(catalog).plan(B.divide(selected, catalog.ref("r2")))
+        assert type(plan) is HashDivision
+
+    @pytest.mark.parametrize("shape", ["workload", "tiny"])
+    def test_a_great_divide_is_nested_loops_great_division(self, great_workload, shape):
+        if shape == "workload":
+            catalog = catalog_for(great_workload.dividend, great_workload.divisor)
+        else:
+            catalog = catalog_for(
+                Relation(["a", "b"], [(1, 1), (1, 2), (2, 1)]),
+                Relation(["b", "c"], [(1, 0), (2, 0), (1, 1)]),
+            )
+        plan = PhysicalPlanner(catalog).plan(B.great_divide(catalog.ref("r1"), catalog.ref("r2")))
+        assert type(plan) is NestedLoopsGreatDivision
+
+    @pytest.mark.parametrize("size", ["tiny", "big", "cross-product"])
+    def test_a_natural_join_is_hash_join(self, size):
+        catalog = Catalog()
+        if size == "tiny":
+            catalog.add_table("l", Relation(["a", "b"], [(1, 1), (2, 2)]))
+            catalog.add_table("r", Relation(["b", "c"], [(1, 10), (2, 20)]))
+        elif size == "big":
+            catalog.add_table("l", Relation(["a", "b"], [(i, i % 50) for i in range(400)]))
+            catalog.add_table("r", Relation(["b", "c"], [(i, i) for i in range(50)]))
+        else:
+            catalog.add_table("l", Relation(["a"], [(1,), (2,)]))
+            catalog.add_table("r", Relation(["c"], [(3,)]))
+        join = B.natural_join(catalog.ref("l"), catalog.ref("r"))
+        plan = PhysicalPlanner(catalog).plan(join)
+        assert type(plan) is HashJoin
+        assert plan.execute() == catalog["l"].natural_join(catalog["r"])
+
+    def test_planning_prices_nothing(self, benchmark_workload, monkeypatch):
+        """No code path prices an alternative: the planner never asks the
+        cost model for a price."""
+        calls = []
+        price = PhysicalCostModel._price
+        monkeypatch.setattr(
+            PhysicalCostModel, "_price", lambda self, *args: calls.append(args) or price(self, *args)
+        )
         catalog = catalog_for(benchmark_workload.dividend, benchmark_workload.divisor)
-        planner = PhysicalPlanner(catalog, PlannerOptions(small_divide_algorithm="merge_sort"))
-        plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(plan, MergeSortDivision)
-        decision = planner.decisions[0]
-        assert decision.forced and decision.chosen.name == "merge_sort"
-        assert "forced" in decision.describe()
+        optimizer = Optimizer(catalog)
+        query = B.natural_join(B.divide(catalog.ref("r1"), catalog.ref("r2")), catalog.ref("r1"))
+        optimizer.plan(query)
+        assert calls == [] and optimizer.planner_decisions == ()
 
-    def test_tiny_join_uses_nested_loops_large_join_uses_hash(self):
-        tiny = Catalog()
-        tiny.add_table("l", Relation(["a", "b"], [(1, 1), (2, 2)]))
-        tiny.add_table("r", Relation(["b", "c"], [(1, 10), (2, 20)]))
-        planner = PhysicalPlanner(tiny)
-        assert isinstance(
-            planner.plan(B.natural_join(tiny.ref("l"), tiny.ref("r"))), NestedLoopsNaturalJoin
+    def test_law_1_rewrite_runs_two_hash_divisions(self):
+        """ROADMAP's Law 1 fixture: the rewrite splits the divisor union
+        into two divisions, and the default session runs both as hash
+        division, whatever the outer one's input is estimated at (17
+        tuples, against 24 008)."""
+        workload = make_division_workload(num_groups=3000, divisor_size=20, seed=4)
+        values = sorted(workload.divisor.to_set("b"))
+        half = set(values[: len(values) // 2])
+        db = connect(
+            {
+                "r1": workload.dividend,
+                "r2a": workload.divisor.select(lambda row: row["b"] in half),
+                "r2b": workload.divisor.select(lambda row: row["b"] not in half),
+            }
         )
+        query = db.table("r1").divide(db.table("r2a").union(db.table("r2b")))
+        report = db.optimizer.rewrite(query.expression.canonical())
+        assert [step.rule for step in report.applied] == ["law_01_divisor_union_split"]
+        names = [operator.name for operator in db.optimizer.plan(report.result).walk()]
+        assert names.count("hash_division") == 2
+        assert "nested_loops_division" not in names
 
-        big = Catalog()
-        big.add_table("l", Relation(["a", "b"], [(i, i % 50) for i in range(400)]))
-        big.add_table("r", Relation(["b", "c"], [(i, i) for i in range(50)]))
-        planner = PhysicalPlanner(big)
-        assert isinstance(planner.plan(B.natural_join(big.ref("l"), big.ref("r"))), HashJoin)
+
+#: Every algorithm of every operator kind, forced through ``PlannerOptions``.
+FORCED = (
+    [("small_divide", name) for name in sorted(SMALL_DIVIDE_ALGORITHMS)]
+    + [("great_divide", name) for name in sorted(GREAT_DIVIDE_ALGORITHMS)]
+    + [("join", name) for name in sorted(JOIN_ALGORITHMS)]
+)
+
+
+class TestForcedAlgorithm:
+    @pytest.mark.parametrize("kind,algorithm", FORCED)
+    def test_a_forced_algorithm_builds_that_operator(self, benchmark_workload, kind, algorithm):
+        catalog = catalog_for(benchmark_workload.dividend, benchmark_workload.divisor)
+        r1, r2 = catalog.ref("r1"), catalog.ref("r2")
+        query, registry = {
+            "small_divide": (B.divide(r1, r2), SMALL_DIVIDE_ALGORITHMS),
+            "great_divide": (
+                B.great_divide(r1, B.product(r2, B.literal(Relation(["c"], [(0,), (1,)])))),
+                GREAT_DIVIDE_ALGORITHMS,
+            ),
+            "join": (B.natural_join(r1, r2), JOIN_ALGORITHMS),
+        }[kind]
+        options = PlannerOptions(**{f"{kind}_algorithm": algorithm})
+        plan = PhysicalPlanner(catalog, options).plan(query)
+        assert type(plan) is registry[algorithm]
+        assert plan.execute() == PhysicalPlanner(catalog).plan(query).execute()
 
     @settings(max_examples=25, deadline=None)
     @given(dividend=dividends(), divisor=divisors())
-    def test_forced_and_chosen_plans_return_identical_quotients(self, dividend, divisor):
+    def test_forced_and_default_plans_return_identical_quotients(self, dividend, divisor):
         catalog = catalog_for(dividend, divisor)
         query = B.divide(catalog.ref("r1"), catalog.ref("r2"))
-        chosen = PhysicalPlanner(catalog).plan(query).execute()
+        default = PhysicalPlanner(catalog).plan(query).execute()
         for algorithm in SMALL_DIVIDE_ALGORITHMS:
             options = PlannerOptions(small_divide_algorithm=algorithm)
             forced = PhysicalPlanner(catalog, options).plan(query).execute()
-            assert forced == chosen, algorithm
+            assert forced == default, algorithm
 
 
-class TestOrderPropagation:
-    def test_base_table_order_comes_from_statistics(self, benchmark_workload):
-        clustered = benchmark_workload.dividend.clustered(["a"])
-        catalog = catalog_for(clustered, benchmark_workload.divisor)
-        model = PhysicalCostModel(StatisticsCatalog.from_database(catalog))
-        assert "a" in model.ordered_attributes(catalog.ref("r1"))
+class TestPlanPrice:
+    def test_a_division_is_priced_once_over_its_quantities(self, benchmark_workload):
+        """Its descriptor over the dividend and divisor sizes, the quotient
+        candidates (distinct ``a``) and the estimated quotient."""
+        catalog = catalog_for(benchmark_workload.dividend, benchmark_workload.divisor)
+        statistics = StatisticsCatalog.from_database(catalog)
+        model = PhysicalCostModel(statistics)
+        r1, r2 = catalog.ref("r1"), catalog.ref("r2")
+        query = B.divide(r1, r2)
+        plan = PhysicalPlanner(catalog, statistics=statistics).plan(query)
+        left, right = len(catalog["r1"]), len(catalog["r2"])
+        quantities = {
+            "left": left,
+            "right": right,
+            "candidates": statistics.table("r1").distinct("a"),
+            "divisor_groups": 1.0,
+        }
+        own = model._price(HashDivision, quantities, model.estimator.cardinality(query))
+        scans = model.plan_cost(plan.inputs[0], r1) + model.plan_cost(plan.inputs[1], r2)
+        assert model.plan_cost(plan, query) == pytest.approx(own + scans)
 
-    def test_rename_remaps_and_project_filters_order(self, benchmark_workload):
-        clustered = benchmark_workload.dividend.clustered(["a"])
-        catalog = catalog_for(clustered, benchmark_workload.divisor)
-        model = PhysicalCostModel(StatisticsCatalog.from_database(catalog))
-        renamed = B.rename(catalog.ref("r1"), {"a": "group"})
-        assert "group" in model.ordered_attributes(renamed)
-        assert "a" not in model.ordered_attributes(renamed)
-        projected = B.project(catalog.ref("r1"), ["b"])
-        assert "a" not in model.ordered_attributes(projected)
+    def test_scan_order_does_not_move_the_price(self, benchmark_workload):
+        prices = []
+        for dividend in (benchmark_workload.dividend, benchmark_workload.dividend.clustered(["a"])):
+            catalog = catalog_for(dividend, benchmark_workload.divisor)
+            prices.append(Optimizer(catalog).cost(B.divide(catalog.ref("r1"), catalog.ref("r2"))))
+        assert prices[0] == prices[1]
 
-    def test_joins_destroy_order(self, benchmark_workload):
-        clustered = benchmark_workload.dividend.clustered(["a"])
-        catalog = catalog_for(clustered, benchmark_workload.divisor)
-        model = PhysicalCostModel(StatisticsCatalog.from_database(catalog))
-        joined = B.natural_join(catalog.ref("r1"), catalog.ref("r2"))
-        assert model.ordered_attributes(joined) == frozenset()
-
-    def test_streaming_merge_is_correct_even_when_statistics_lie(self, benchmark_workload):
-        """The clustered fast path degrades, never corrupts: feeding an
-        unclustered dividend to the streaming mode yields the same quotient."""
-        from repro.physical import RelationScan
-
-        reference = HashDivision(
-            RelationScan(benchmark_workload.dividend), RelationScan(benchmark_workload.divisor)
-        ).execute()
-        streamed = MergeSortDivision(
-            RelationScan(benchmark_workload.dividend),
-            RelationScan(benchmark_workload.divisor),
-            assume_clustered=True,
-        ).execute()
-        assert streamed == reference
-
-
-class TestCompositeClustering:
-    def test_multi_attribute_quotient_gets_streaming_merge(self):
-        """clustered(["a1", "a2"]) leaves a2 globally unsorted, but the
-        lexicographic-prefix statistics still enable the streaming merge
-        for the composite (a1, a2) quotient."""
-        dividend = Relation(
-            ["a1", "a2", "b"],
-            [(g1, g2, v) for g1 in range(12) for g2 in range(12) for v in range(4)],
-        ).clustered(["a1", "a2"])
-        divisor = Relation(["b"], [(v,) for v in range(4)])
-        catalog = catalog_for(dividend, divisor)
-        model = PhysicalCostModel(StatisticsCatalog.from_database(catalog))
-        stats = StatisticsCatalog.from_database(catalog).table("r1")
-        assert stats.lexicographic_prefix[:2] == ("a1", "a2")
-        assert not stats.is_sorted("a2")  # per-attribute flags cannot see this
-
-        planner = PhysicalPlanner(catalog)
-        plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(plan, MergeSortDivision) and plan.assume_clustered
-        assert model.ordered_attributes(catalog.ref("r1")) < {"a1", "a2"}
-        # and the streamed result matches the forced hash division
-        forced = PhysicalPlanner(
-            catalog, PlannerOptions(small_divide_algorithm="hash")
-        ).plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert plan.execute() == forced.execute()
-
-    def test_prefix_survives_rename_but_not_join(self):
-        dividend = Relation(
-            ["a1", "a2", "b"],
-            [(g1, g2, v) for g1 in range(5) for g2 in range(5) for v in range(3)],
-        ).clustered(["a1", "a2"])
-        catalog = catalog_for(dividend, Relation(["b"], [(0,), (1,)]))
-        model = PhysicalCostModel(StatisticsCatalog.from_database(catalog))
-        renamed = B.rename(catalog.ref("r1"), {"a1": "x"})
-        assert model.clustered_prefix(renamed)[:2] == ("x", "a2")
-        joined = B.natural_join(catalog.ref("r1"), catalog.ref("r2"))
-        assert model.clustered_prefix(joined) == ()
-
-
-class TestPropertiesConsistency:
-    def test_order_flags_match_the_logical_order_propagation(self):
-        """The declarative ``preserves_order`` flags and the logical-side
-        dispatch in ``ordered_attributes`` are two encodings of the same
-        knowledge; this pins them together so they cannot drift silently.
-
-        ``ordered_attributes`` propagates order through Select, Rename and
-        Project — exactly the logical operators the planner maps to the
-        physical classes that declare ``preserves_order=True``."""
-        from repro.physical import (
-            DuplicateElimination,
-            Filter,
-            HashAggregate,
-            ProjectOp,
-            ProductOp,
-            RelationScan,
-            RenameOp,
-            TableScan,
-            UnionOp,
-        )
-
-        order_preserving = [Filter, ProjectOp, RenameOp, RelationScan, TableScan,
-                            DuplicateElimination]
-        for operator in order_preserving:
-            assert operator.properties.preserves_order, operator.__name__
-        order_destroying = [HashJoin, NestedLoopsNaturalJoin, HashAggregate, ProductOp,
-                            UnionOp, HashDivision, MergeSortDivision]
-        for operator in order_destroying:
-            assert not operator.properties.preserves_order, operator.__name__
+    def test_a_partitioned_division_is_priced_as_its_algorithm(self, benchmark_workload):
+        """The budget decides where an exchange goes, not what the plan
+        costs: the partitioned plan is priced as the serial one."""
+        catalog = catalog_for(benchmark_workload.dividend, benchmark_workload.divisor)
+        query = B.divide(catalog.ref("r1"), catalog.ref("r2"))
+        budgeted = Optimizer(catalog, memory_budget_mb=0.05)
+        plan = budgeted.plan(query)
+        assert isinstance(plan, PartitionedDivision) and plan.operator_class is HashDivision
+        assert budgeted.cost(query, plan) == pytest.approx(Optimizer(catalog).cost(query))
 
 
 class TestStandalonePlannerStatistics:
     def test_catalog_mutation_is_seen_by_the_next_plan(self, benchmark_workload):
         """A standalone planner (no injected statistics) re-snapshots the
-        database per plan() call, so catalog changes flip later choices."""
+        database per plan() call, so a table that grew past the memory
+        budget is planned behind an exchange the next time."""
         catalog = catalog_for(
             Relation(["a", "b"], [(1, 1), (1, 2), (2, 1), (3, 2)]),
             Relation(["b"], [(1,), (2,)]),
         )
-        planner = PhysicalPlanner(catalog)
+        planner = PhysicalPlanner(catalog, memory_budget_mb=0.05)
         tiny_plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(tiny_plan, NestedLoopsDivision)
+        assert isinstance(tiny_plan, HashDivision)
         catalog.replace_table("r1", benchmark_workload.dividend)
         catalog.replace_table("r2", benchmark_workload.divisor)
         big_plan = planner.plan(B.divide(catalog.ref("r1"), catalog.ref("r2")))
-        assert isinstance(big_plan, HashDivision)
+        assert isinstance(big_plan, PartitionedDivision)

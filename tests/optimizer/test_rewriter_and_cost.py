@@ -6,7 +6,8 @@ from repro.algebra import builders as B
 from repro.algebra import predicates as P
 from repro.algebra.catalog import Catalog
 from repro.laws import RewriteContext, get_rule, pushdown_rules
-from repro.optimizer import Optimizer, PlannerOptions, Rewriter
+from repro.optimizer import Optimizer, PhysicalCostModel, PlannerOptions, Rewriter
+from repro.physical import SMALL_DIVIDE_ALGORITHMS
 from repro.relation import Relation
 from repro.workloads import make_division_workload
 
@@ -52,36 +53,42 @@ class TestPlanPrice:
         only_first = B.divide(low, r2)
         assert optimizer.cost(only_first) < optimizer.cost(both)
 
-    def test_price_adds_the_chosen_algorithm_to_its_inputs(self, catalog, optimizer):
+    def test_the_default_price_is_hash_division_over_its_inputs(self, catalog, optimizer):
         r1, r2 = catalog.ref("r1"), catalog.ref("r2")
         price = optimizer.cost(B.divide(r1, r2))
-        (decision,) = optimizer.planner_decisions
-        assert price == pytest.approx(
-            decision.chosen.cost + optimizer.cost(r1) + optimizer.cost(r2)
-        )
+        hashed = Optimizer(catalog, planner_options=PlannerOptions(small_divide_algorithm="hash"))
+        assert price == hashed.cost(B.divide(r1, r2))
+        assert price > optimizer.cost(r1) + optimizer.cost(r2)
 
     def test_a_built_plan_is_priced_without_planning_again(self, catalog, optimizer):
         query = B.divide(catalog.ref("r1"), catalog.ref("r2"))
         plan = optimizer.plan(query)
-        optimizer.plan(catalog.ref("r1"))  # a plan with no decision
+        optimizer.plan(catalog.ref("r1"))  # the planner's last plan is another
         price = optimizer.cost(query, plan)
-        assert optimizer.planner_decisions == ()
         assert price == optimizer.cost(query)
 
     @pytest.mark.parametrize(
         "algorithm", ["hash", "nested_loops", "merge_sort", "merge_count", "algebra_simulation"]
     )
-    def test_the_cost_based_pick_is_never_dearer_than_a_forced_one(self, catalog, algorithm):
-        """Forcing an algorithm prices the plan that runs it; the composite
-        algebra simulation is priced over its inputs, not its sub-plan."""
+    def test_a_forced_algorithm_is_priced_as_itself(self, catalog, algorithm):
+        """Forcing an algorithm prices the plan that runs it, its own
+        descriptor over the division's quantities; the composite algebra
+        simulation is priced over its inputs, not its sub-plan."""
         query = B.divide(catalog.ref("r1"), catalog.ref("r2"))
         forced = Optimizer(catalog, planner_options=PlannerOptions(small_divide_algorithm=algorithm))
         price = forced.cost(query)
-        (decision,) = forced.planner_decisions
-        assert decision.chosen.name == algorithm
+        model = PhysicalCostModel(forced.statistics)
+        quantities = {
+            "left": len(catalog["r1"]),
+            "right": len(catalog["r2"]),
+            "candidates": forced.statistics.table("r1").distinct("a"),
+            "divisor_groups": 1.0,
+        }
+        own = model._price(
+            SMALL_DIVIDE_ALGORITHMS[algorithm], quantities, model.estimator.cardinality(query)
+        )
         inputs = forced.cost(catalog.ref("r1")) + forced.cost(catalog.ref("r2"))
-        assert price == pytest.approx(decision.chosen.cost + inputs)
-        assert Optimizer(catalog).cost(query) <= price
+        assert price == pytest.approx(own + inputs)
 
 
 class TestRewriter:

@@ -1,11 +1,16 @@
 """Tests for table statistics and cardinality estimation."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import builders as B
 from repro.algebra import predicates as P
 from repro.optimizer import CardinalityEstimator, StatisticsCatalog, TableStatistics
 from repro.relation import Relation
+from repro.relation.row import Row
 from repro.workloads import make_division_workload
 
 
@@ -111,50 +116,47 @@ class TestExtendedStatistics:
         assert stats.maximum("b") == max(column)
         assert stats.minimum("missing") is None
 
-    def test_sortedness_reflects_scan_order(self):
-        clustered = Relation(
-            ["a", "b"], [(g, v) for g in range(40) for v in range(3)]
-        ).clustered(["a"])
-        stats = TableStatistics.from_relation(clustered)
-        assert stats.is_sorted("a")
-        assert stats.sorted_attributes <= {"a", "b"}
+    def test_statistics_do_not_depend_on_the_scan_order(self):
+        """The statistics describe the relation value, not its scan order:
+        a clustered copy has the same ones."""
+        rows = [(g, v) for g in range(40) for v in range(3)]
+        relation = Relation(["a", "b"], rows)
+        for attributes in (["a"], ["b"], ["b", "a"]):
+            clustered = relation.clustered(attributes)
+            assert TableStatistics.from_relation(clustered) == TableStatistics.from_relation(
+                relation
+            )
 
     def test_single_row_and_empty_relations(self):
         one = TableStatistics.from_relation(Relation(["a"], [(7,)]))
-        assert one.is_sorted("a") and one.minimum("a") == 7
+        assert one.minimum("a") == 7 and one.maximum("a") == 7 and one.top_frequency("a") == 1
         empty = TableStatistics.from_relation(Relation.empty(["a"]))
         assert empty.cardinality == 0
         assert empty.distinct_values == {"a": 0}
-        assert not empty.is_sorted("a")
+        assert empty.minimum("a") is None and empty.top_frequency("a") == 0
 
-    def test_mixed_incomparable_types_are_not_sorted(self):
+    def test_mixed_incomparable_types_have_no_bounds(self):
         mixed = Relation(["a"], [(1,), ("x",), (2,)])
         stats = TableStatistics.from_relation(mixed)
-        assert not stats.is_sorted("a")
-        assert stats.minimum("a") is None
+        assert stats.minimum("a") is None and stats.maximum("a") is None
+        assert stats.distinct("a") == 3
 
-    def test_nan_is_not_taken_for_an_ordered_step(self):
-        """``3.0 → nan → 1.0``: neither step is ``<`` nor ``==``, so ``a``
-        is neither sorted nor a prefix of the scan order."""
+    def test_incomparable_sets_keep_their_distinct_count(self):
+        """``{1}`` and ``{2}``: neither set is below the other, so the
+        column's bounds are whatever ``min`` and ``max`` find, and the
+        distinct count is exact."""
+        rows = [(frozenset({1}), 1), (frozenset({2}), 2), (frozenset({1}), 3)]
+        stats = TableStatistics.from_relation(Relation.from_aligned(["a", "b"], rows))
+        assert stats.distinct("a") == 2 and stats.top_frequency("a") == 2
+        assert (stats.minimum("b"), stats.maximum("b")) == (1, 3)
+
+    def test_a_nan_column_keeps_its_distinct_count(self):
+        """A NaN equals nothing, itself included: each is its own entry."""
         nan = float("nan")
         rows = [(3.0, 1), (nan, 2), (1.0, 3)]
-        clustered = Relation.from_aligned(["a", "b"], rows).clustered(["b"])
-        stats = TableStatistics.from_relation(clustered)
-        assert stats.sorted_attributes == {"b"}
-        assert stats.lexicographic_prefix == ()
-        repeated = Relation.from_aligned(["a", "b"], [(nan, 1), (nan, 2)]).clustered(["b"])
-        stats = TableStatistics.from_relation(repeated)
-        assert stats.sorted_attributes == {"b"}
-        assert stats.lexicographic_prefix == ()
-
-    def test_incomparable_sets_are_not_taken_for_an_ordered_step(self):
-        """``{1} → {2} → {1}``: the ``{1}`` values are not contiguous, and
-        neither set is below the other."""
-        rows = [(frozenset({1}), 1), (frozenset({2}), 2), (frozenset({1}), 3)]
-        clustered = Relation.from_aligned(["a", "b"], rows).clustered(["b"])
-        stats = TableStatistics.from_relation(clustered)
-        assert stats.sorted_attributes == {"b"}
-        assert stats.lexicographic_prefix == ()
+        stats = TableStatistics.from_relation(Relation.from_aligned(["a", "b"], rows))
+        assert stats.cardinality == 3 and stats.distinct("a") == 3
+        assert stats.top_frequency("a") == 1
 
     def test_bounds_are_all_or_nothing(self):
         """A value type whose ``<`` works but whose ``>`` raises used to
@@ -229,3 +231,62 @@ class TestExtendedStatistics:
         with pytest.raises(SchemaError) as excinfo:
             catalog.analyze({"r1": workload.dividend}, ["typo"])
         assert "typo" in str(excinfo.value) and "r1" in str(excinfo.value)
+
+
+#: Value pools one relation draws from: one type, or several at once.
+POOLS = [
+    list(range(-2, 4)),
+    ["a", "b", "c", "ab"],
+    [0, 1, 1.0, True, 2, 2.5],
+    [None, 0, 1, 2],
+    [math.nan, 0.5, 1.0, 2.0],
+    [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})],
+    [0, "a", None, math.nan, frozenset({1})],
+]
+
+
+@st.composite
+def relations(draw):
+    """A two- or three-attribute relation over one pool per attribute, in
+    a drawn scan order, a set's order or clustered on a drawn prefix."""
+    width = draw(st.integers(2, 3))
+    pools = [draw(st.sampled_from(POOLS)) for _ in range(width)]
+    rows = draw(
+        st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=90, unique=True)
+    )
+    names = ["a", "b", "c"][:width]
+    layout = draw(st.sampled_from(["drawn", "set", "clustered"]))
+    if layout == "set":
+        return Relation.from_aligned(names, rows)
+    relation = Relation.from_aligned(names, draw(st.permutations(rows)))
+    if layout == "drawn":
+        return Relation._from_block(relation.schema, draw(st.permutations(rows)))
+    return relation.clustered(names[: draw(st.integers(1, width))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    relation=relations(),
+    picks=st.lists(st.integers(0, 89), max_size=6),
+    extra=st.lists(st.tuples(st.integers(10, 12), st.integers(10, 12)), max_size=4),
+)
+def test_a_folded_value_has_the_statistics_of_its_scan_block(relation, picks, extra):
+    """Statistics of a table's folded value (code columns, tuples never
+    built) equal those of a block built from its scan order."""
+    relation.encoded_columns()
+    order = relation.aligned_tuples()
+    removed = list(dict.fromkeys(order[i] for i in picks if i < len(order)))
+    width = len(relation.schema)
+    added = [values + (10,) * (width - 2) for values in dict.fromkeys(extra)]
+    added = [values for values in added if values not in set(order)]
+    folded = relation.with_delta(
+        [Row.from_schema(relation.schema, values) for values in added],
+        [Row.from_schema(relation.schema, values) for values in removed],
+    )
+    assert folded.code_columns is not None and folded._block is None
+    carried = TableStatistics.from_relation(folded)
+    assert folded._block is None  # the statistics read no tuple
+    rebuilt = TableStatistics.from_relation(
+        Relation._from_block(folded.schema, list(folded.aligned_tuples()))
+    )
+    assert carried == rebuilt

@@ -387,6 +387,8 @@ def merge_input(width: int, order: str, seed: int):
     ]
     if order == "clustered":
         pairs.sort(key=lambda pair: pair[0])
+    elif order == "descending":
+        pairs.sort(key=lambda pair: -pair[0])
     else:
         rng.shuffle(pairs)
     bits = list(range(width)) + [-1] * 5
@@ -405,12 +407,8 @@ def reference_masks(count, candidates, values, positions):
 
 @pytest.mark.parametrize("kernel", ("python", "numpy"))
 @pytest.mark.parametrize("width", MERGE_WIDTHS)
-@pytest.mark.parametrize(
-    "order,sort",
-    [("clustered", False), ("unclustered", True), ("unclustered", False)],
-    ids=["clustered", "unclustered-sorted", "wrongly-assumed-clustered"],
-)
-def test_merge_runs_equals_the_definition(kernel, width, order, sort):
+@pytest.mark.parametrize("order", ["clustered", "descending", "unclustered"])
+def test_merge_runs_equals_the_definition(kernel, width, order):
     from repro.relation.encoding import code_buffer
 
     count, candidates, values, positions = merge_input(width, order, seed=width)
@@ -420,15 +418,15 @@ def test_merge_runs_equals_the_definition(kernel, width, order, sort):
         active = active_kernel()
         for buffers in (list, lambda codes: code_buffer(codes, len(codes))):
             merged = active.merge_runs(
-                count, buffers(candidates), buffers(values), positions, width, sort=sort
+                count, buffers(candidates), buffers(values), positions, width
             )
             assert mask_ints(merged) == expected
             swept = active.gather_sweep(count, buffers(candidates), buffers(values), positions, width)
             assert mask_ints(swept) == expected
         # Below the vector threshold the numpy kernel takes the Python body.
-        few = active.merge_runs(count, candidates[:20], values[:20], positions, width, sort=sort)
+        few = active.merge_runs(count, candidates[:20], values[:20], positions, width)
         assert mask_ints(few) == reference_masks(count, candidates[:20], values[:20], positions)
-        assert mask_ints(active.merge_runs(count, [], [], positions, width, sort=sort)) == [0] * count
+        assert mask_ints(active.merge_runs(count, [], [], positions, width)) == [0] * count
 
 
 @pytest.mark.parametrize("kernel", ("python", "numpy"))
@@ -608,22 +606,19 @@ def test_a_quotient_stays_columns_until_the_result(kind, monkeypatch):
     assert (counted["from_schema"], counted["value_tuple"], counted["hash_values"]) == (0, 0, 0)
 
 
-@pytest.mark.parametrize("assume_clustered", [True, False])
-def test_merge_sort_division_never_iterates_pairs_in_python(assume_clustered, monkeypatch):
-    """From 32 tuples up both variants — the streaming merge and the sort
-    before it — are one array sweep in the kernel, no ``for candidate, bit
-    in pairs``."""
+@pytest.mark.parametrize("clustered", [True, False])
+def test_merge_sort_division_never_iterates_pairs_in_python(clustered, monkeypatch):
+    """From 32 tuples up the sort and the merge are one array sweep in the
+    kernel, no ``for candidate, bit in pairs``, whatever the scan order."""
     from repro.physical.division import small_divide_ops
 
-    dividend = Relation(
-        ["a", "b"], [(a, b) for a in range(40) for b in range(70) if (a + b) % 11]
-    ).clustered(["a"])
+    dividend = Relation(["a", "b"], [(a, b) for a in range(40) for b in range(70) if (a + b) % 11])
+    if clustered:
+        dividend = dividend.clustered(["a"])
     divisor = Relation(["b"], [(b,) for b in range(0, 70, 2) if b % 11])
     merge_sort = SMALL_DIVIDE_ALGORITHMS["merge_sort"]
     with use_kernel("python"):
-        expected = execute_plan(
-            merge_sort(RelationScan(dividend), RelationScan(divisor), assume_clustered)
-        ).relation
+        expected = execute_plan(merge_sort(RelationScan(dividend), RelationScan(divisor))).relation
     assert expected.to_tuples(["a"]) == {(0,), (11,), (22,), (33,)}
 
     def forbidden(*_args, **_kwargs):
@@ -632,7 +627,7 @@ def test_merge_sort_division_never_iterates_pairs_in_python(assume_clustered, mo
     monkeypatch.setattr(PythonBitsetKernel, "merge_runs", forbidden)
     monkeypatch.setattr(small_divide_ops, "_pair_bits", forbidden)
     with use_kernel("numpy"):
-        plan = merge_sort(RelationScan(dividend), RelationScan(divisor), assume_clustered)
+        plan = merge_sort(RelationScan(dividend), RelationScan(divisor))
         assert execute_plan(plan).relation == expected
         assert plan.key_source == "cached codes (1 chunk) → coded quotient"
         assert plan.kernel_name == "numpy"

@@ -368,7 +368,7 @@ class TestExchange:
                     assert values[0] not in seen, "group split across runs in one bucket"
                     seen.append(values[0])
 
-    def test_streaming_merge_sort_per_partition(self):
+    def test_merge_sort_per_partition_of_a_clustered_dividend(self):
         workload = make_division_workload(
             num_groups=100, divisor_size=5, containing_fraction=0.4, extra_values_per_group=3, seed=13
         )
@@ -379,11 +379,10 @@ class TestExchange:
             RelationScan(workload.divisor),
             algorithm="merge_sort",
             partitions=3,
-            assume_clustered=True,
         )
         result = execute_plan(operator)
         assert result.relation == serial.relation
-        assert "streaming" in operator.describe()
+        assert operator.describe().startswith("PartitionedDivision[merge_sort, partitions=3")
 
     def test_invalid_configuration_raises(self, workload):
         scan = RelationScan(workload.dividend)

@@ -387,8 +387,21 @@ def test_a_requery_after_edits_sweeps_nothing(monkeypatch):
 @pytest.mark.parametrize("nan", [NAN, np.float64("nan")])
 def test_insert_refuses_nan_and_records_nothing(nan):
     db = repro.connect({"t": Relation(["a", "b"], [(1, 1.5)])})
-    with pytest.raises(RelationError, match="'b'"):
+    with pytest.raises(RelationError, match="^insert: 'b' holds a NaN"):
         db.insert("t", [(2, 2.5), (3, nan)])
     assert db.table_version("t") == 0 and not db.catalog._pending
     assert db.relation("t").to_tuples() == {(1, 1.5)}
     assert db.insert("t", [(2, 2.5)]).version == 1
+
+
+@pytest.mark.parametrize("nan", [NAN, np.float64("nan")])
+@pytest.mark.parametrize("method", ["add_table", "replace_table"])
+def test_a_table_holding_nan_is_refused_and_changes_nothing(method, nan):
+    """A whole table is held to the rule an insert is held to, its
+    dictionaries checked, and the message names the method refusing it."""
+    db = repro.connect({"t": Relation(["a", "b"], [(1, 1.5)])})
+    name = "u" if method == "add_table" else "t"
+    with pytest.raises(RelationError, match=f"^{method}: 'b' holds a NaN"):
+        getattr(db, method)(name, Relation(["a", "b"], [(2, 2.5), (3, nan)]))
+    assert db.tables == ("t",) and db.table_version("t") == 0
+    assert db.relation("t").to_tuples() == {(1, 1.5)}

@@ -5,7 +5,9 @@ import json
 import pytest
 
 import repro
+import repro.storage.store as store_module
 from repro.algebra.catalog import Catalog
+from repro.division import small_divide
 from repro.errors import StorageError
 from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
@@ -181,7 +183,7 @@ class TestStoredStatistics:
         assert dict(stored.distinct_values) == dict(scanned.distinct_values)
         assert dict(stored.minima) == dict(scanned.minima)
         assert dict(stored.maxima) == dict(scanned.maxima)
-        assert stored.sorted_attributes == scanned.sorted_attributes
+        assert dict(stored.top_frequencies) == dict(scanned.top_frequencies)
 
     def test_from_relation_dispatches_to_the_header(self, store_path):
         relation = load_catalog(store_path)["parts"]
@@ -194,9 +196,36 @@ class TestStoredStatistics:
             Relation(["a", "b"], [(1, "x"), (2, "y"), (3, "x")])
         )
         rebuilt = statistics_from_payload(statistics_payload(statistics))
-        assert rebuilt.cardinality == statistics.cardinality
-        assert dict(rebuilt.distinct_values) == dict(statistics.distinct_values)
-        assert rebuilt.sorted_attributes == statistics.sorted_attributes
+        assert rebuilt == statistics
+        assert set(statistics_payload(statistics)) == {
+            "cardinality", "distinct_values", "minima", "maxima", "top_frequencies"
+        }
+
+    def test_a_header_with_the_scan_order_keys_still_opens(self, tmp_path, monkeypatch):
+        """A store written while the statistics kept the scan order carries
+        ``sorted_attributes`` and ``lexicographic_prefix`` in each header:
+        it opens, its statistics come from the header, and it divides as
+        the tables it was saved from do."""
+        from repro.workloads import make_division_workload
+
+        workload = make_division_workload(num_groups=60, divisor_size=6, seed=4)
+        tables = {"r1": workload.dividend.clustered(["a"]), "r2": workload.divisor}
+        payload = store_module.statistics_payload
+
+        def with_order_keys(statistics):
+            order = {"sorted_attributes": ["a"], "lexicographic_prefix": ["a"]}
+            return {**payload(statistics), **order}
+
+        monkeypatch.setattr(store_module, "statistics_payload", with_order_keys)
+        repro.connect(tables).save(tmp_path / "store")
+        monkeypatch.undo()
+        opened = repro.connect(tmp_path / "store")
+        relation = opened.relation("r1")
+        assert relation.reader.statistics_payload["lexicographic_prefix"] == ["a"]
+        assert TableStatistics.from_relation(relation) == TableStatistics.from_relation(tables["r1"])
+        assert not relation.is_loaded
+        quotient = opened.table("r1").divide("r2").run().relation
+        assert quotient == small_divide(tables["r1"], tables["r2"])
 
     def test_malformed_payload_raises(self):
         with pytest.raises(StorageError):

@@ -21,6 +21,7 @@ import repro.relation.relation as relation_module
 from repro.algebra.catalog import Catalog
 from repro.api import connect
 from repro.division import small_divide
+from repro.optimizer import TableStatistics
 from repro.relation import Relation
 from repro.relation.encoding import CodeColumn
 from repro.relation.row import Row
@@ -86,30 +87,31 @@ def test_edits_touch_nothing_but_the_delta_and_the_first_read_folds_once(workloa
     assert folds == [(EDITS // 2, EDITS // 2)]  # later reads find nothing pending
 
 
-def test_delete_only_edits_keep_a_clustered_table_sorted(workload):
+def test_edits_to_a_clustered_table_keep_hash_division_and_true_statistics(workload):
+    """Deletes keep a clustered table's scan order and an insert lands at
+    its tail; neither moves the plan (hash division) or leaves the
+    statistics other than a fresh relation's."""
     renamed = workload.dividend.rename({"a": "s_no", "b": "p_no"})
     divisor = workload.divisor.rename({"b": "p_no"})
     db = connect({"supplies": renamed.clustered(["s_no"]), "parts": divisor})
     query = db.table("supplies").divide(db.table("parts"), on=["p_no"])
 
-    def choice():
-        decision = query.run().decisions[0].chosen
-        return decision.name, decision.clustered
+    def check():
+        result = query.run()
+        assert list(result.tuple_counts)[0] == "00:hash_division"
+        supplies = db.relation("supplies")
+        fresh = Relation.from_aligned(supplies.schema, supplies.aligned_tuples())
+        statistics = db.optimizer.statistics.table("supplies")
+        assert statistics == TableStatistics.from_relation(fresh)
+        assert result.relation == small_divide(supplies, db.relation("parts"))
 
-    assert choice() == ("merge_sort", True)
+    check()
     rng = random.Random(6)
     for row in rng.sample(sorted(renamed.aligned_tuples()), 40):
         db.delete("supplies", [row])
-    result = query.run()
-    assert db.optimizer.statistics.table("supplies").is_sorted("s_no")
-    assert choice() == ("merge_sort", True)
-    assert "merge_sort_division(streaming)" in query.explain()
-    assert result.relation == small_divide(db.relation("supplies"), db.relation("parts"))
-    # an insert lands at the tail of the scan: the order is gone, and the
-    # statistics say so
+    check()
     db.insert("supplies", [(-1, 0)])
-    assert choice() != ("merge_sort", True)
-    assert not db.optimizer.statistics.table("supplies").is_sorted("s_no")
+    check()
 
 
 DIVIDE_BY_COLOUR = (

@@ -167,12 +167,6 @@ class EditSession(RuleBasedStateMachine):
             rebuilt = TableStatistics.from_relation(fresh(table, expected))
             for field in ("cardinality", "distinct_values", "minima", "maxima", "top_frequencies"):
                 assert getattr(carried, field) == getattr(rebuilt, field), (table, field)
-            # Order-dependent fields: truthful about this value's own scan order.
-            twin = Relation.from_aligned(SCHEMAS[table], relation.aligned_tuples())
-            twin._tuples = list(relation.aligned_tuples())
-            reordered = TableStatistics.from_relation(twin)
-            assert carried.sorted_attributes == reordered.sorted_attributes, table
-            assert carried.lexicographic_prefix == reordered.lexicographic_prefix, table
 
     @invariant()
     def views_equal_a_recompute(self):
