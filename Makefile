@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-pairs code-lines
+.PHONY: check test chaos examples lint lint-engine typecheck verify-plans bench-smoke bench bench-e2e bench-pairs bench-guard code-lines
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -78,8 +78,14 @@ bench-e2e:
 ## e.g. `make bench-pairs WORKLOAD=divide_mem PARENT=HEAD~1`.
 WORKLOAD ?= divide_mem
 PARENT ?= HEAD~1
+PAIRS ?= 10
 bench-pairs:
-	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT)
+	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
+
+## Every end-to-end metric's median change against its BENCHMARK.json
+## bound, e.g. `make bench-guard WORKLOAD=view_churn PAIRS=3`.
+bench-guard:
+	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) --bounds
 
 ## Code lines of src/ and scripts/ (no blank lines, comments or
 ## docstrings): the line delta a change reports.

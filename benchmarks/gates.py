@@ -124,10 +124,15 @@ GATES = {
 def _best_times(runs: list[Run]) -> dict[Run, float]:
     """Best time of each run, the cyclic collector off while one is timed
     (as ``timeit`` does): a collection's cost is the size of the whole
-    session's heap, which a worker process's arm never pays."""
+    session's heap, which a worker process's arm never pays.  The order
+    turns each round: every other round runs it backwards, and the rest
+    start one run later each time, so no run always follows the same one
+    (the run before leaves its garbage and cache state to the next)."""
     best = dict.fromkeys(runs, float("inf"))
-    for _round in range(REPEATS):
-        for run in runs:
+    for round_ in range(REPEATS):
+        start = round_ // 2 % len(runs)
+        order = runs[start:] + runs[:start]
+        for run in reversed(order) if round_ % 2 else order:
             timed = run()
             gc.disable()
             try:

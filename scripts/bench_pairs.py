@@ -11,6 +11,11 @@ and no more of its operations fail than the parent's.
     python3 scripts/bench_pairs.py --workload divide_mem --parent HEAD~1
     make bench-pairs WORKLOAD=divide_mem PARENT=HEAD~1
 
+With ``--bounds`` it checks a workload the change does not claim instead:
+for every end-to-end metric it prints the median relative change over the
+pairs and whether that stays inside the metric's ``bound`` in
+``BENCHMARK.json`` (``make bench-guard WORKLOAD=view_churn PAIRS=3``).
+
 The parent is extracted with ``git archive`` into a temporary directory;
 the change is this checkout as it stands (uncommitted edits included).  A
 first pair on one more seed is run and not counted: it warms the file
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -94,6 +100,34 @@ def verdict(
     )
 
 
+@dataclass(frozen=True)
+class BoundCheck:
+    """One metric's median relative change against its bound."""
+
+    change: float  # median over the pairs of change / parent - 1
+    bound: float
+    higher_is_better: bool
+
+    @property
+    def inside(self) -> bool:
+        """The change is no worse than ``bound`` (a fraction of the parent)."""
+        worse = -self.change if self.higher_is_better else self.change
+        return worse <= self.bound
+
+
+def bound_check(
+    parent: list[float], change: list[float], higher_is_better: bool, bound: float
+) -> BoundCheck:
+    """Pair ``i`` is ``(parent[i], change[i])``; the metrics are never
+    negative, so from a parent's 0 any rise is an infinite one."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need one or more pairs, each with a parent and a change value")
+    ratios = [
+        new / old - 1 if old else (0.0 if new == 0 else math.inf) for old, new in zip(parent, change)
+    ]
+    return BoundCheck(statistics.median(ratios), bound, higher_is_better)
+
+
 def extract(rev: str, into: Path) -> Path:
     """The tree of ``rev`` written under ``into`` (``git archive``)."""
     archive = subprocess.run(
@@ -130,8 +164,15 @@ def main(argv: list[str] | None = None) -> int:
         "--metric", action="append", help="an end-to-end metric (repeatable; ops_per_s if none)"
     )
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--bounds", action="store_true", help="check every end-to-end metric against its bound"
+    )
     args = parser.parse_args(argv)
-    metrics = {metric: higher_is_better(metric) for metric in args.metric or ["ops_per_s"]}
+    if args.bounds:
+        names = [entry["name"] for entry in SPEC["end_to_end"]]
+    else:
+        names = args.metric or ["ops_per_s"]
+    metrics = {metric: higher_is_better(metric) for metric in names}
 
     values: dict[str, dict[str, list[float]]] = {
         metric: {"parent": [], "change": []} for metric in metrics
@@ -161,7 +202,16 @@ def main(argv: list[str] | None = None) -> int:
                         values[metric][name].append(value)
             sys.stdout.flush()
 
+    bounds = {entry["name"]: entry["bound"] for entry in SPEC["end_to_end"]}
     for metric, higher in metrics.items():
+        if args.bounds:
+            check = bound_check(values[metric]["parent"], values[metric]["change"], higher, bounds[metric])
+            print(
+                f"{args.workload} {metric} ({'higher' if higher else 'lower'} is better): "
+                f"median change {check.change:+.1%} over {len(values[metric]['parent'])} pairs, "
+                f"bound {check.bound:.0%}: {'inside' if check.inside else 'OUTSIDE'}"
+            )
+            continue
         result = verdict(
             values[metric]["parent"],
             values[metric]["change"],
@@ -177,6 +227,8 @@ def main(argv: list[str] | None = None) -> int:
             f"failed operations {failed['parent']} → {failed['change']}; "
             f"verdict: the claim {'holds' if result.holds else 'does not hold'}"
         )
+    if args.bounds:
+        print(f"failed operations {failed['parent']} → {failed['change']}")
     return 0
 
 

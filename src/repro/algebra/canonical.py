@@ -1,13 +1,17 @@
 """Canonicalization of logical expressions, and canonical fingerprints.
 
-The SQL frontend qualifies every attribute with its correlation name
-(``s_no`` → ``s.s_no``) by inserting :class:`~repro.algebra.expressions.Rename`
-nodes around each table reference, and renames the outputs back at the very
-end.  A hand-built fluent-algebra query for the *same* question carries none
-of those bookkeeping renames, so the two trees — though equivalent — would
-neither compare equal nor produce identical physical plans.
+Two trees for the same question can differ only in where they rename
+attributes.  A fluent-algebra query, a hand-built tree and an expression
+the laws rewrote each place their :class:`~repro.algebra.expressions.Rename`
+nodes where it suited them, so the trees — though equivalent — would
+neither compare equal nor produce identical physical plans.  (The SQL
+translator already emits the canonical placement: it resolves correlation
+names in its own scope and renames only where a name changes — an
+attribute two FROM items share, a divisor's ON attributes, the output
+names — so its trees leave the pull-up little more than identity
+projections to drop.)
 
-:func:`canonicalize` normalizes both to the same tree by *pulling renames up*:
+:func:`canonicalize` normalizes them all to the same tree by *pulling renames up*:
 
 * adjacent renames are composed, identity renames are dropped;
 * a rename below a projection / selection / grouping is hoisted above it
@@ -17,8 +21,8 @@ neither compare equal nor produce identical physical plans.
   compensating rename on the other input so that shared-attribute semantics
   (natural join, semi/anti join, division) are preserved exactly.
 
-Renames therefore accumulate at the root, where the SQL translator's final
-output rename cancels them; what remains is the bare algebraic skeleton.
+Renames therefore accumulate at the root, where an output rename cancels
+them; what remains is the bare algebraic skeleton.
 Every step is validated — if hoisting a rename would change the attribute
 set of the node (or is structurally unsafe, e.g. it would introduce an
 accidental shared attribute), the node is left untouched.  Canonicalization

@@ -80,10 +80,6 @@ class Token(NamedTuple):
     value: str
     position: int
 
-    def is_keyword(self, word: str) -> bool:
-        """True if this token is the given (case-insensitive) keyword."""
-        return self.type is TokenType.KEYWORD and self.value == word.upper()
-
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`SQLSyntaxError` on unknown characters."""

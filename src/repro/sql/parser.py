@@ -74,7 +74,10 @@ class _Parser:
         return token
 
     def check_keyword(self, word: str) -> bool:
-        return self.current.is_keyword(word)
+        """True if the current token is ``word``, an upper-case keyword
+        (the lexer stores keywords upper-cased)."""
+        token = self._tokens[self._position]
+        return token.value == word and token.type is TokenType.KEYWORD
 
     def accept_keyword(self, word: str) -> bool:
         if self.check_keyword(word):

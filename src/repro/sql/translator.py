@@ -17,7 +17,7 @@ Two features matter for the paper:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Optional, Union
 
 from repro.algebra import builders as B
@@ -62,10 +62,13 @@ class SQLTranslator:
         """Translate a query (text or AST) into a logical expression."""
         statement = parse(query) if isinstance(query, str) else query
         pattern = match_universal_quantification(statement)
-        if pattern is not None:
-            return self._translate_universal(statement, pattern)
-        expression, scope = self._translate_statement(statement)
-        return expression
+        if pattern is None:
+            expression, scope = self._translate_statement(statement)
+        else:
+            expression, scope = self._translate_universal(statement, pattern)
+        # The one output rename: select-list names, or SELECT *'s alias.column.
+        outputs = {attribute: name for name, attribute in scope.items() if attribute != name}
+        return B.rename(expression, outputs) if outputs else expression
 
     # ------------------------------------------------------------------
     # ordinary statements
@@ -73,9 +76,11 @@ class SQLTranslator:
     def _translate_statement(self, statement: ast.SelectStatement) -> tuple[Expression, dict[str, str]]:
         """Translate a statement; returns the expression and its scope.
 
-        The scope maps qualified attribute names (``alias.column``) to the
-        attribute names used in the expression (identical strings here, kept
-        as a mapping for clarity and future extension).
+        The scope maps each name the statement's text can use for a column
+        (``alias.column`` in the FROM list, the output name after a select
+        list) to the attribute the expression calls it.  That is the
+        column's own name, unless another FROM item already holds that
+        name: then :func:`_apart` renames it to ``alias.column``.
         """
         if statement.where is not None and self._contains_exists(statement.where):
             raise SQLTranslationError(
@@ -86,11 +91,11 @@ class SQLTranslator:
         scope: dict[str, str] = {}
         for item in statement.from_items:
             item_expression, item_scope = self._translate_table_reference(item)
-            overlap = set(scope) & set(item_scope)
-            if overlap:
-                raise SQLTranslationError(f"duplicate correlation names for attributes {sorted(overlap)}")
-            scope.update(item_scope)
-            expression = item_expression if expression is None else B.product(expression, item_expression)
+            if expression is not None:
+                taken = expression.schema.name_set
+                item_expression, item_scope = _apart(item_expression, item_scope, taken)
+                item_expression = B.product(expression, item_expression)
+            expression, scope = item_expression, _merged(scope, item_scope)
         if expression is None:
             raise SQLTranslationError("FROM clause must reference at least one table")
         if statement.where is not None:
@@ -100,81 +105,63 @@ class SQLTranslator:
         return self._apply_select_list(expression, statement, scope)
 
     def _apply_select_list(
-        self,
-        expression: Expression,
-        statement: ast.SelectStatement,
-        scope: dict[str, str],
+        self, expression: Expression, statement: ast.SelectStatement, scope: dict[str, str]
     ) -> tuple[Expression, dict[str, str]]:
-        resolved: list[str] = []
-        outputs: list[str] = []
+        """Project on the selected attributes; the scope names them by
+        their output names (the rename to those is the caller's)."""
+        outputs: dict[str, str] = {}
         for item in statement.select_items:
-            attribute = self._resolve_column(item.column, scope)
+            attribute = scope[self._resolve(item.column, scope)]
             output = item.output_name
-            if attribute in resolved:
+            if attribute in outputs.values():
                 raise SQLTranslationError(f"column {item.column} selected twice")
             if output in outputs:
                 raise SQLTranslationError(f"duplicate output column name {output!r}")
-            resolved.append(attribute)
-            outputs.append(output)
-        projected = B.project(expression, resolved)
-        renames = {attr: out for attr, out in zip(resolved, outputs) if attr != out}
-        result: Expression = B.rename(projected, renames) if renames else projected
-        return result, {out: out for out in outputs}
+            outputs[output] = attribute
+        return B.project(expression, list(outputs.values())), outputs
 
     # ------------------------------------------------------------------
     # table references
     # ------------------------------------------------------------------
     def _translate_table_reference(self, reference: ast.TableReference) -> tuple[Expression, dict[str, str]]:
         if isinstance(reference, ast.TableName):
-            return self._translate_table_name(reference)
+            schema = self._table_schema(reference.name)
+            columns = {name: name for name in schema.names}
+            return B.ref(reference.name, schema), _qualify(columns, reference.effective_name)
         if isinstance(reference, ast.SubqueryTable):
             inner, inner_scope = self._translate_statement(reference.query)
-            return self._qualify(inner, reference.alias)
+            return inner, _qualify(inner_scope, reference.alias)
         if isinstance(reference, ast.DivideTable):
             return self._translate_divide(reference)
         raise SQLTranslationError(f"unsupported table reference {reference!r}")
 
-    def _translate_table_name(self, table: ast.TableName) -> tuple[Expression, dict[str, str]]:
-        expression: Expression = B.ref(table.name, self._table_schema(table.name))
-        return self._qualify(expression, table.effective_name)
-
-    @staticmethod
-    def _qualify(expression: Expression, alias: str) -> tuple[Expression, dict[str, str]]:
-        mapping = {name: f"{alias}.{name.split('.')[-1]}" for name in expression.schema.names}
-        qualified = B.rename(expression, mapping)
-        scope = {qualified_name: qualified_name for qualified_name in mapping.values()}
-        return qualified, scope
-
     def _translate_divide(self, reference: ast.DivideTable) -> tuple[Expression, dict[str, str]]:
         dividend, dividend_scope = self._translate_table_reference(reference.dividend)
         divisor, divisor_scope = self._translate_table_reference(reference.divisor)
-        pairs = self._equi_join_pairs(reference.condition, dividend_scope, divisor_scope)
+        scope = _merged(dividend_scope, divisor_scope)
+        pairs = self._equi_join_pairs(reference.condition, dividend_scope, scope)
         if not pairs:
             raise SQLTranslationError(
                 "the ON clause of DIVIDE BY must be a conjunction of equalities between "
                 "dividend and divisor columns"
             )
-        # Rename the divisor's join attributes to the dividend's names so the
-        # division operators see them as the shared attribute set B.
+        # The divisor's join attributes take the dividend's names, so the
+        # division operators see them as the shared attribute set B; a
+        # divisor-only attribute that the dividend also names is moved apart.
         renames = {divisor_attr: dividend_attr for dividend_attr, divisor_attr in pairs}
-        renamed_divisor: Expression = B.rename(divisor, renames) if renames else divisor
-        joined_divisor_attributes = {dividend_attr for dividend_attr, _ in pairs}
-        divisor_only = [
-            name for name in renamed_divisor.schema.names if name not in joined_divisor_attributes
-        ]
-        if divisor_only:
-            expression: Expression = B.great_divide(dividend, renamed_divisor)
-        else:
-            expression = B.divide(dividend, renamed_divisor)
-        scope = {name: name for name in expression.schema.names}
-        return expression, scope
+        divisor_only = {name: attr for name, attr in divisor_scope.items() if attr not in renames}
+        divisor, divisor_only = _apart(divisor, divisor_only, dividend.schema.name_set, renames.items())
+        expression = (B.great_divide if divisor_only else B.divide)(dividend, divisor)
+        kept = expression.schema.name_set
+        scope = {**dividend_scope, **divisor_only}
+        return expression, {name: attr for name, attr in scope.items() if attr in kept}
 
     def _equi_join_pairs(
-        self,
-        condition: ast.Condition,
-        dividend_scope: dict[str, str],
-        divisor_scope: dict[str, str],
+        self, condition: ast.Condition, dividend_scope: dict[str, str], scope: dict[str, str]
     ) -> list[tuple[str, str]]:
+        """(dividend attribute, divisor attribute) per ON equality; ``scope``
+        holds both operands' names, the divisor's being the ones not in
+        ``dividend_scope``."""
         pairs: list[tuple[str, str]] = []
         for conjunct in _conjuncts(condition):
             if not isinstance(conjunct, ast.Comparison) or conjunct.operator != "=":
@@ -185,16 +172,14 @@ class SQLTranslator:
             left, right = conjunct.left, conjunct.right
             if not (isinstance(left, ast.ColumnRef) and isinstance(right, ast.ColumnRef)):
                 raise SQLTranslationError("the ON clause must compare columns, not literals")
-            left_attr = self._resolve_column(left, {**dividend_scope, **divisor_scope})
-            right_attr = self._resolve_column(right, {**dividend_scope, **divisor_scope})
-            if left_attr in dividend_scope and right_attr in divisor_scope:
-                pairs.append((left_attr, right_attr))
-            elif right_attr in dividend_scope and left_attr in divisor_scope:
-                pairs.append((right_attr, left_attr))
-            else:
+            left_name, right_name = self._resolve(left, scope), self._resolve(right, scope)
+            if (left_name in dividend_scope) == (right_name in dividend_scope):
                 raise SQLTranslationError(
                     "each ON equality must relate one dividend column and one divisor column"
                 )
+            if right_name in dividend_scope:
+                left_name, right_name = right_name, left_name
+            pairs.append((scope[left_name], scope[right_name]))
         return pairs
 
     # ------------------------------------------------------------------
@@ -226,18 +211,19 @@ class SQLTranslator:
     def _translate_operand(self, operand: ast.Operand, scope: dict[str, str]):
         if isinstance(operand, ast.Literal):
             return P.lit(operand.value)
-        return P.attr(self._resolve_column(operand, scope))
+        return P.attr(scope[self._resolve(operand, scope)])
 
     @staticmethod
-    def _resolve_column(column: ast.ColumnRef, scope: dict[str, str]) -> str:
+    def _resolve(column: ast.ColumnRef, scope: dict[str, str]) -> str:
+        """The name in ``scope`` that ``column`` refers to."""
         if column.qualifier is not None:
             qualified = f"{column.qualifier}.{column.name}"
             if qualified in scope:
-                return scope[qualified]
+                return qualified
             raise SQLTranslationError(f"unknown column {qualified!r}; in scope: {sorted(scope)}")
-        matches = [attr for attr in scope if attr == column.name or attr.endswith(f".{column.name}")]
+        matches = [name for name in scope if name == column.name or name.endswith(f".{column.name}")]
         if len(matches) == 1:
-            return scope[matches[0]]
+            return matches[0]
         if not matches:
             raise SQLTranslationError(f"unknown column {column.name!r}; in scope: {sorted(scope)}")
         raise SQLTranslationError(f"ambiguous column {column.name!r}: {sorted(matches)}")
@@ -247,7 +233,7 @@ class SQLTranslator:
     # ------------------------------------------------------------------
     def _translate_universal(
         self, statement: ast.SelectStatement, pattern: UniversalQuantificationPattern
-    ) -> Expression:
+    ) -> tuple[Expression, dict[str, str]]:
         dividend_schema = self._table_schema(pattern.dividend_table)
         divisor_schema = self._table_schema(pattern.divisor_table)
 
@@ -289,7 +275,7 @@ class SQLTranslator:
             divided = self._simulate_division(dividend, divisor, dividend_a, pattern)
 
         scope = {name: name for name in divided.schema.names}
-        return self._apply_select_list(divided, statement, scope)[0]
+        return self._apply_select_list(divided, statement, scope)
 
     def _simulate_division(
         self,
@@ -321,6 +307,42 @@ class SQLTranslator:
         if name not in catalog:
             raise SQLTranslationError(f"unknown table {name!r}")
         return catalog.schema(name) if isinstance(catalog, Catalog) else catalog[name].schema
+
+
+def _qualify(scope: dict[str, str], alias: str) -> dict[str, str]:
+    """``scope`` seen through a FROM item's ``alias``: ``alias.column`` names."""
+    names = [f"{alias}.{name.split('.')[-1]}" for name in scope]
+    qualified = dict(zip(names, scope.values()))
+    if len(qualified) < len(names):
+        Schema(names)  # raises: the alias gives two columns one name
+    return qualified
+
+
+def _merged(scope: dict[str, str], item_scope: dict[str, str]) -> dict[str, str]:
+    overlap = scope.keys() & item_scope.keys()
+    if overlap:
+        raise SQLTranslationError(f"duplicate correlation names for attributes {sorted(overlap)}")
+    return {**scope, **item_scope}
+
+
+def _apart(
+    expression: Expression, scope: dict[str, str], taken: frozenset[str], renames: Iterable = ()
+) -> tuple[Expression, dict[str, str]]:
+    """Rename each attribute of ``expression`` that ``taken`` already holds
+    to its ``alias.column`` name in ``scope``, along with the (old, new)
+    pairs of ``renames``.
+
+    Returns the expression and ``scope``, both renamed.  The names are the
+    ones the canonical form gives such an attribute, so the translated tree
+    needs no rename hoisted to be canonical.
+    """
+    mapping = {attribute: name for name, attribute in scope.items() if attribute in taken}
+    mapping.update(renames)
+    effective = {old: new for old, new in mapping.items() if old != new}
+    if not effective:
+        return expression, scope
+    renamed = {name: mapping.get(attribute, attribute) for name, attribute in scope.items()}
+    return B.rename(expression, effective), renamed
 
 
 def translate_sql(

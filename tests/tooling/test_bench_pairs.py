@@ -66,3 +66,28 @@ def test_a_gain_that_fails_more_operations_does_not_hold():
     assert more.wins == 10 and not more.holds
     assert bench_pairs.verdict(PARENT, change, True, failed=(2, 2)).holds
     assert bench_pairs.verdict(PARENT, change, True, failed=(2, 1)).holds
+
+
+def test_a_bound_check_reads_the_median_relative_change():
+    slower = [value * 1.12 for value in PARENT]
+    slower[0] = PARENT[0] * 2  # one wild pair moves the median no further
+    lower_is_better = bench_pairs.bound_check(PARENT, slower, higher_is_better=False, bound=0.25)
+    assert lower_is_better.change == pytest.approx(0.12)
+    assert lower_is_better.inside
+    assert not bench_pairs.bound_check(PARENT, slower, False, bound=0.1).inside
+    # The same rise is a gain when higher is better, whatever the bound.
+    assert bench_pairs.bound_check(PARENT, slower, True, bound=0.0).inside
+
+
+def test_a_bound_check_counts_a_fall_against_a_higher_is_better_metric():
+    fewer = [value * 0.85 for value in PARENT]
+    assert bench_pairs.bound_check(PARENT, fewer, True, bound=0.2).inside
+    assert not bench_pairs.bound_check(PARENT, fewer, True, bound=0.1).inside
+    assert bench_pairs.bound_check(PARENT, fewer, False, bound=0.0).inside
+
+
+def test_a_bound_check_over_zero_parents_and_uneven_pairs():
+    assert bench_pairs.bound_check([0.0], [0.0], False, bound=0.0).inside
+    assert not bench_pairs.bound_check([0.0], [1.0], False, bound=0.25).inside
+    with pytest.raises(ValueError):
+        bench_pairs.bound_check(PARENT, PARENT[:-1], False, bound=0.25)
