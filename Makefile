@@ -82,7 +82,7 @@ PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
 
-## Every end-to-end metric's median change against its BENCHMARK.json
+## Every end-to-end metric's median against the parent's and its BENCHMARK.json
 ## bound, e.g. `make bench-guard WORKLOAD=view_churn PAIRS=3`.
 bench-guard:
 	$(PYTHON) scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) --bounds

@@ -12,9 +12,10 @@ and no more of its operations fail than the parent's.
     make bench-pairs WORKLOAD=divide_mem PARENT=HEAD~1
 
 With ``--bounds`` it checks a workload the change does not claim instead:
-for every end-to-end metric it prints the median relative change over the
-pairs and whether that stays inside the metric's ``bound`` in
-``BENCHMARK.json`` (``make bench-guard WORKLOAD=view_churn PAIRS=3``).
+for every end-to-end metric it prints how the change's median compares
+with the parent's and whether that stays inside the metric's ``bound`` in
+``BENCHMARK.json``, or is unresolved because the parent's own spread is
+wider than the bound (``make bench-guard WORKLOAD=view_churn PAIRS=3``).
 
 The parent is extracted with ``git archive`` into a temporary directory;
 the change is this checkout as it stands (uncommitted edits included).  A
@@ -57,6 +58,7 @@ class Verdict:
     parent_iqr: float
     higher_is_better: bool
     failed: tuple[int, int]  # failed operations over every run, parent's first
+    separated: bool  # every run of the change reads better than every run of the parent
 
     @property
     def holds(self) -> bool:
@@ -71,6 +73,25 @@ class Verdict:
             and gain > self.parent_iqr
             and self.failed[1] <= self.failed[0]
         )
+
+    @property
+    def relative(self) -> float:
+        """The change's median over the parent's, minus 1.  The metrics are
+        never negative, so from a parent's 0 any rise is an infinite one."""
+        if self.parent_median:
+            return self.change_median / self.parent_median - 1
+        return 0.0 if self.change_median == 0 else math.inf
+
+    def against(self, bound: float) -> str:
+        """The no-regression rule for a metric the change does not claim:
+        "inside" when the change's median is worse than the parent's by no
+        more than ``bound`` (a fraction of the parent's median), else
+        "OUTSIDE"; "unresolved" when the parent's inter-quartile distance is
+        wider than the bound, unless every run of the change reads better."""
+        if self.parent_iqr > bound * self.parent_median and not self.separated:
+            return "unresolved"
+        worse = -self.relative if self.higher_is_better else self.relative
+        return "inside" if worse <= bound else "OUTSIDE"
 
 
 def verdict(
@@ -89,6 +110,7 @@ def verdict(
     low, _, high = (
         statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
     )
+    best, worst = (max, min) if higher_is_better else (min, max)
     return Verdict(
         len(parent),
         wins,
@@ -97,35 +119,8 @@ def verdict(
         high - low,
         higher_is_better,
         failed,
+        sign * (worst(change) - best(parent)) > 0,
     )
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One metric's median relative change against its bound."""
-
-    change: float  # median over the pairs of change / parent - 1
-    bound: float
-    higher_is_better: bool
-
-    @property
-    def inside(self) -> bool:
-        """The change is no worse than ``bound`` (a fraction of the parent)."""
-        worse = -self.change if self.higher_is_better else self.change
-        return worse <= self.bound
-
-
-def bound_check(
-    parent: list[float], change: list[float], higher_is_better: bool, bound: float
-) -> BoundCheck:
-    """Pair ``i`` is ``(parent[i], change[i])``; the metrics are never
-    negative, so from a parent's 0 any rise is an infinite one."""
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need one or more pairs, each with a parent and a change value")
-    ratios = [
-        new / old - 1 if old else (0.0 if new == 0 else math.inf) for old, new in zip(parent, change)
-    ]
-    return BoundCheck(statistics.median(ratios), bound, higher_is_better)
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -204,26 +199,23 @@ def main(argv: list[str] | None = None) -> int:
 
     bounds = {entry["name"]: entry["bound"] for entry in SPEC["end_to_end"]}
     for metric, higher in metrics.items():
-        if args.bounds:
-            check = bound_check(values[metric]["parent"], values[metric]["change"], higher, bounds[metric])
-            print(
-                f"{args.workload} {metric} ({'higher' if higher else 'lower'} is better): "
-                f"median change {check.change:+.1%} over {len(values[metric]['parent'])} pairs, "
-                f"bound {check.bound:.0%}: {'inside' if check.inside else 'OUTSIDE'}"
-            )
-            continue
         result = verdict(
             values[metric]["parent"],
             values[metric]["change"],
             higher,
             (failed["parent"], failed["change"]),
         )
-        print(
+        head = (
             f"{args.workload} {metric} ({'higher' if higher else 'lower'} is better): "
-            f"wins {result.wins}/{result.pairs}, median parent {result.parent_median:.4g} → "
-            f"change {result.change_median:.4g} "
-            f"({result.change_median / result.parent_median:.3f}×), "
-            f"parent IQR {result.parent_iqr:.4g}, "
+            f"median parent {result.parent_median:.4g} → change {result.change_median:.4g} "
+            f"({result.relative:+.1%}), parent IQR {result.parent_iqr:.4g}"
+        )
+        if args.bounds:
+            bound = bounds[metric]
+            print(f"{head}, bound {bound:.0%}: {result.against(bound)}")
+            continue
+        print(
+            f"{head}, wins {result.wins}/{result.pairs}, "
             f"failed operations {failed['parent']} → {failed['change']}; "
             f"verdict: the claim {'holds' if result.holds else 'does not hold'}"
         )

@@ -148,12 +148,13 @@ def _simplify_rename(node: Rename) -> Expression:
 
 def _hoist_through_project(node: Project) -> Expression:
     child = node.child
+    if node.attributes.name_set == child.schema.name_set:
+        # Identity projection: under set semantics it changes nothing, and
+        # the child's column order stands (a projection's too).
+        return child
     if isinstance(child, Project):
         # π_B(π_A(x)) = π_B(x) whenever B ⊆ A (guaranteed by schema checks).
         return Project(child.child, node.attributes)
-    if node.attributes.name_set == child.schema.name_set:
-        # Identity projection: under set semantics it changes nothing.
-        return child
     if not isinstance(child, Rename):
         return node
     base, mapping = _split_rename(child)

@@ -17,13 +17,13 @@ Two features matter for the paper:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from typing import Optional, Union
 
 from repro.algebra import builders as B
 from repro.algebra import predicates as P
 from repro.algebra.catalog import Catalog
-from repro.algebra.expressions import Expression
+from repro.algebra.expressions import Expression, Project
 from repro.errors import SQLTranslationError
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -47,11 +47,7 @@ def _conjuncts(condition: ast.Condition) -> list[ast.Condition]:
 class SQLTranslator:
     """Translate SQL text or parsed statements into logical expressions."""
 
-    def __init__(
-        self,
-        catalog: Mapping[str, Relation],
-        recognize_division: bool = True,
-    ) -> None:
+    def __init__(self, catalog: Mapping[str, Relation], recognize_division: bool = True) -> None:
         self.catalog = catalog
         self.recognize_division = recognize_division
 
@@ -66,6 +62,9 @@ class SQLTranslator:
             expression, scope = self._translate_statement(statement)
         else:
             expression, scope = self._translate_universal(statement, pattern)
+        attributes = list(scope.values())
+        if list(expression.schema.names) != attributes:
+            expression = B.project(expression, attributes)  # the select list's order
         # The one output rename: select-list names, or SELECT *'s alias.column.
         outputs = {attribute: name for name, attribute in scope.items() if attribute != name}
         return B.rename(expression, outputs) if outputs else expression
@@ -79,7 +78,7 @@ class SQLTranslator:
         The scope maps each name the statement's text can use for a column
         (``alias.column`` in the FROM list, the output name after a select
         list) to the attribute the expression calls it.  That is the
-        column's own name, unless another FROM item already holds that
+        column's own name, unless an earlier FROM item already holds that
         name: then :func:`_apart` renames it to ``alias.column``.
         """
         if statement.where is not None and self._contains_exists(statement.where):
@@ -92,10 +91,10 @@ class SQLTranslator:
         for item in statement.from_items:
             item_expression, item_scope = self._translate_table_reference(item)
             if expression is not None:
-                taken = expression.schema.name_set
-                item_expression, item_scope = _apart(item_expression, item_scope, taken)
+                _disjoint(scope, item_scope)
+                expression, scope, item_expression, item_scope = _apart(expression, scope, item_expression, item_scope)
                 item_expression = B.product(expression, item_expression)
-            expression, scope = item_expression, _merged(scope, item_scope)
+            expression, scope = item_expression, {**scope, **item_scope}
         if expression is None:
             raise SQLTranslationError("FROM clause must reference at least one table")
         if statement.where is not None:
@@ -108,7 +107,8 @@ class SQLTranslator:
         self, expression: Expression, statement: ast.SelectStatement, scope: dict[str, str]
     ) -> tuple[Expression, dict[str, str]]:
         """Project on the selected attributes; the scope names them by
-        their output names (the rename to those is the caller's)."""
+        their output names, in the select list's order (the rename to those
+        names, and the order at the root, are the caller's)."""
         outputs: dict[str, str] = {}
         for item in statement.select_items:
             attribute = scope[self._resolve(item.column, scope)]
@@ -118,7 +118,16 @@ class SQLTranslator:
             if output in outputs:
                 raise SQLTranslationError(f"duplicate output column name {output!r}")
             outputs[output] = attribute
-        return B.project(expression, list(outputs.values())), outputs
+        attributes = list(outputs.values())
+        if isinstance(expression, Project) and all(name == attr for name, attr in scope.items()):
+            # π_B(π_A(x)) = π_B(x), as the canonical form merges two
+            # projections that no rename stands between.
+            return B.project(expression.child, attributes), outputs
+        if set(attributes) == expression.schema.name_set:
+            # Every column kept: the tree keeps its order, as its canonical
+            # form would, and the scope keeps the select list's.
+            return expression, outputs
+        return B.project(expression, attributes), outputs
 
     # ------------------------------------------------------------------
     # table references
@@ -138,7 +147,8 @@ class SQLTranslator:
     def _translate_divide(self, reference: ast.DivideTable) -> tuple[Expression, dict[str, str]]:
         dividend, dividend_scope = self._translate_table_reference(reference.dividend)
         divisor, divisor_scope = self._translate_table_reference(reference.divisor)
-        scope = _merged(dividend_scope, divisor_scope)
+        _disjoint(dividend_scope, divisor_scope)
+        scope = {**dividend_scope, **divisor_scope}
         pairs = self._equi_join_pairs(reference.condition, dividend_scope, scope)
         if not pairs:
             raise SQLTranslationError(
@@ -148,17 +158,15 @@ class SQLTranslator:
         # The divisor's join attributes take the dividend's names, so the
         # division operators see them as the shared attribute set B; a
         # divisor-only attribute that the dividend also names is moved apart.
-        renames = {divisor_attr: dividend_attr for dividend_attr, divisor_attr in pairs}
-        divisor_only = {name: attr for name, attr in divisor_scope.items() if attr not in renames}
-        divisor, divisor_only = _apart(divisor, divisor_only, dividend.schema.name_set, renames.items())
+        joined = {divisor_attr: dividend_attr for dividend_attr, divisor_attr in pairs}
+        divisor_only = {name: attr for name, attr in divisor_scope.items() if attr not in joined}
+        dividend, dividend_scope, divisor, divisor_only = _apart(dividend, dividend_scope, divisor, divisor_only, joined)
         expression = (B.great_divide if divisor_only else B.divide)(dividend, divisor)
         kept = expression.schema.name_set
         scope = {**dividend_scope, **divisor_only}
         return expression, {name: attr for name, attr in scope.items() if attr in kept}
 
-    def _equi_join_pairs(
-        self, condition: ast.Condition, dividend_scope: dict[str, str], scope: dict[str, str]
-    ) -> list[tuple[str, str]]:
+    def _equi_join_pairs(self, condition: ast.Condition, dividend_scope: dict, scope: dict) -> list[tuple[str, str]]:
         """(dividend attribute, divisor attribute) per ON equality; ``scope``
         holds both operands' names, the divisor's being the ones not in
         ``dividend_scope``."""
@@ -196,11 +204,8 @@ class SQLTranslator:
 
     def _translate_condition(self, condition: ast.Condition, scope: dict[str, str]) -> P.Predicate:
         if isinstance(condition, ast.Comparison):
-            return P.Comparison(
-                self._translate_operand(condition.left, scope),
-                condition.operator,
-                self._translate_operand(condition.right, scope),
-            )
+            left, right = (self._translate_operand(side, scope) for side in (condition.left, condition.right))
+            return P.Comparison(left, condition.operator, right)
         if isinstance(condition, ast.BooleanOp):
             operands = [self._translate_condition(op, scope) for op in condition.operands]
             return P.And(*operands) if condition.operator == "AND" else P.Or(*operands)
@@ -249,28 +254,16 @@ class SQLTranslator:
         dividend: Expression = B.ref(pattern.dividend_table, dividend_schema)
         divisor: Expression = B.ref(pattern.divisor_table, divisor_schema)
         if pattern.divisor_filters:
-            divisor = B.select(
-                divisor,
-                P.conjunction(
-                    P.Comparison(P.attr(column), operator, P.lit(value))
-                    for column, operator, value in pattern.divisor_filters
-                ),
-            )
+            filters = pattern.divisor_filters
+            predicate = P.conjunction(P.Comparison(P.attr(c), op, P.lit(value)) for c, op, value in filters)
+            divisor = B.select(divisor, predicate)
         divisor = B.project(divisor, list(divisor_b) + list(pattern.c_columns))
-        renames = {
-            divisor_attr: dividend_attr
-            for dividend_attr, divisor_attr in pattern.b_pairs
-            if divisor_attr != dividend_attr
-        }
+        renames = {divisor_attr: dividend_attr for dividend_attr, divisor_attr in pattern.b_pairs if divisor_attr != dividend_attr}
         if renames:
             divisor = B.rename(divisor, renames)
 
         if self.recognize_division:
-            divided: Expression = (
-                B.great_divide(dividend, divisor)
-                if pattern.is_great_divide
-                else B.divide(dividend, divisor)
-            )
+            divided = (B.great_divide if pattern.is_great_divide else B.divide)(dividend, divisor)
         else:
             divided = self._simulate_division(dividend, divisor, dividend_a, pattern)
 
@@ -278,11 +271,7 @@ class SQLTranslator:
         return self._apply_select_list(divided, statement, scope)
 
     def _simulate_division(
-        self,
-        dividend: Expression,
-        divisor: Expression,
-        dividend_a: list[str],
-        pattern: UniversalQuantificationPattern,
+        self, dividend: Expression, divisor: Expression, dividend_a: list[str], pattern: UniversalQuantificationPattern
     ) -> Expression:
         """The divide-less plan: Definition 2 (small) or Definition 6 (great)."""
         candidates_a = B.project(dividend, dividend_a)
@@ -318,26 +307,52 @@ def _qualify(scope: dict[str, str], alias: str) -> dict[str, str]:
     return qualified
 
 
-def _merged(scope: dict[str, str], item_scope: dict[str, str]) -> dict[str, str]:
+def _disjoint(scope: dict[str, str], item_scope: dict[str, str]) -> None:
     overlap = scope.keys() & item_scope.keys()
     if overlap:
         raise SQLTranslationError(f"duplicate correlation names for attributes {sorted(overlap)}")
-    return {**scope, **item_scope}
 
 
 def _apart(
-    expression: Expression, scope: dict[str, str], taken: frozenset[str], renames: Iterable = ()
-) -> tuple[Expression, dict[str, str]]:
-    """Rename each attribute of ``expression`` that ``taken`` already holds
-    to its ``alias.column`` name in ``scope``, along with the (old, new)
-    pairs of ``renames``.
+    left: Expression, left_scope: dict[str, str], right: Expression, right_scope: dict[str, str], joined=None
+) -> tuple[Expression, dict[str, str], Expression, dict[str, str]]:
+    """Name ``right``'s attributes apart from ``left``'s.
 
-    Returns the expression and ``scope``, both renamed.  The names are the
-    ones the canonical form gives such an attribute, so the translated tree
-    needs no rename hoisted to be canonical.
+    The attributes in ``joined`` (a divisor's ON attributes) take the
+    ``left`` attribute it maps them to; ``right_scope`` names every other
+    attribute of ``right``.  Each of those, in ``right``'s column order (its
+    canonical form's: no projection that keeps every column is emitted
+    below the root), keeps its own name if no ``left`` attribute or earlier
+    choice holds it, else takes its ``alias.column`` name.  If both are
+    held, both operands take their ``alias.column`` names throughout, which
+    the text's distinct correlation names keep apart.  This is the choice,
+    in the same order, that canonicalization makes when it hoists the
+    operands' qualifying renames, and the tree it leaves when it cannot, so
+    the translated tree is already canonical.
+
+    Returns both operands and both scopes, renamed.
     """
-    mapping = {attribute: name for name, attribute in scope.items() if attribute in taken}
-    mapping.update(renames)
+    joined = joined or {}
+    names = {attribute: name for name, attribute in right_scope.items()}
+    mapping = dict(joined)
+    taken = set(left.schema.names)
+    for attribute in right.schema.names:
+        if attribute in mapping:
+            continue
+        free = [name for name in (attribute, names[attribute]) if name not in taken]
+        if not free:
+            qualified = {attr: name for name, attr in left_scope.items()}
+            mapping = {**names, **{old: qualified[new] for old, new in joined.items()}}
+            left, left_scope = _renamed(left, left_scope, qualified)
+            break
+        mapping[attribute] = free[0]
+        taken.add(free[0])
+    right, right_scope = _renamed(right, right_scope, mapping)
+    return left, left_scope, right, right_scope
+
+
+def _renamed(expression: Expression, scope: dict[str, str], mapping: dict[str, str]) -> tuple[Expression, dict[str, str]]:
+    """``expression`` and ``scope`` with attributes renamed per ``mapping``."""
     effective = {old: new for old, new in mapping.items() if old != new}
     if not effective:
         return expression, scope

@@ -224,6 +224,37 @@ PINS = [
      '20ab6695f2f43d6324cae632dacd53435e827d5b44a0c886a192992ce633e92c',
      ('s_no',),
      [('s1',), ('s2',), ('s3',)]),
+    # A name leaks out of a subquery (b.p_no) that the outer alias b would give parts' p_no:
+    # both operands keep their qualified names, as canonicalization leaves them.
+    ('SELECT q.x FROM (SELECT a.p_no AS x, b.p_no AS y FROM supplies AS a, supplies AS b) AS q, parts AS b', True,
+     'rename[q.x->x](project[q.x](product(rename[b.p_no->q.y, p_no->q.x](project[p_no, b.p_no](product(supplies, rename[p_no->b.p_no, s_no->b.s_no](supplies)))), rename[color->b.color, p_no->b.p_no](parts))))',
+     '44bb906f6a6579abb0f368774aac61c2d0d431113815f950c5ebc71caa794335',
+     ('x',),
+     [('p1',), ('p2',), ('p3',), ('p4',), ('p5',)]),
+    # The divisor's p.color is a dividend attribute too: still a great divide, kept apart.
+    ('SELECT * FROM (SELECT s.s_no, s.p_no, t.color, p.color AS c FROM supplies AS s, parts AS t, parts AS p) AS d DIVIDE BY parts AS p ON d.p_no = p.p_no', True,
+     'great_divide(rename[color->d.color, p.color->d.c, p_no->d.p_no, s_no->d.s_no](project[s_no, p_no, color, p.color](product(product(supplies, rename[p_no->t.p_no](parts)), rename[color->p.color, p_no->p.p_no](parts)))), rename[color->p.color, p_no->d.p_no](parts))',
+     '8d4d194051501e62d705f7b5308e32c2ca3d5500063540007470ed9e30a72c68',
+     ('d.s_no', 'd.color', 'd.c', 'p.color'),
+     [('s1', 'blue', 'blue', 'blue'), ('s1', 'blue', 'blue', 'red'), ('s1', 'blue', 'green', 'blue'), ('s1', 'blue', 'green', 'red'), ('s1', 'blue', 'red', 'blue'), ('s1', 'blue', 'red', 'red'), ('s1', 'green', 'blue', 'blue'), ('s1', 'green', 'blue', 'red'), ('s1', 'green', 'green', 'blue'), ('s1', 'green', 'green', 'red'), ('s1', 'green', 'red', 'blue'), ('s1', 'green', 'red', 'red'), ('s1', 'red', 'blue', 'blue'), ('s1', 'red', 'blue', 'red'), ('s1', 'red', 'green', 'blue'), ('s1', 'red', 'green', 'red'), ('s1', 'red', 'red', 'blue'), ('s1', 'red', 'red', 'red'), ('s2', 'blue', 'blue', 'blue'), ('s2', 'blue', 'blue', 'green'), ('s2', 'blue', 'green', 'blue'), ('s2', 'blue', 'green', 'green'), ('s2', 'blue', 'red', 'blue'), ('s2', 'blue', 'red', 'green'), ('s2', 'green', 'blue', 'blue'), ('s2', 'green', 'blue', 'green'), ('s2', 'green', 'green', 'blue'), ('s2', 'green', 'green', 'green'), ('s2', 'green', 'red', 'blue'), ('s2', 'green', 'red', 'green'), ('s2', 'red', 'blue', 'blue'), ('s2', 'red', 'blue', 'green'), ('s2', 'red', 'green', 'blue'), ('s2', 'red', 'green', 'green'), ('s2', 'red', 'red', 'blue'), ('s2', 'red', 'red', 'green')]),
+    # Names are chosen in the subquery's canonical column order, not its select list's.
+    ('SELECT * FROM wanted, (SELECT b.p_no AS x, wanted.p_no, color AS c FROM wanted, parts AS b) AS b', True,
+     'rename[color->b.c, p_no->wanted.p_no](product(wanted, rename[b.p_no->b.x, p_no->b.p_no](product(wanted, rename[p_no->b.p_no](parts)))))',
+     '5b4640a60bf559078a8257ee95db4778873262049ac0950e5393cbf702b3aa55',
+     ('wanted.p_no', 'b.x', 'b.p_no', 'b.c'),
+     [('p1', 'p1', 'p1', 'blue'), ('p1', 'p1', 'p3', 'blue'), ('p1', 'p2', 'p1', 'blue'), ('p1', 'p2', 'p3', 'blue'), ('p1', 'p3', 'p1', 'red'), ('p1', 'p3', 'p3', 'red'), ('p1', 'p4', 'p1', 'red'), ('p1', 'p4', 'p3', 'red'), ('p1', 'p5', 'p1', 'green'), ('p1', 'p5', 'p3', 'green'), ('p3', 'p1', 'p1', 'blue'), ('p3', 'p1', 'p3', 'blue'), ('p3', 'p2', 'p1', 'blue'), ('p3', 'p2', 'p3', 'blue'), ('p3', 'p3', 'p1', 'red'), ('p3', 'p3', 'p3', 'red'), ('p3', 'p4', 'p1', 'red'), ('p3', 'p4', 'p3', 'red'), ('p3', 'p5', 'p1', 'green'), ('p3', 'p5', 'p3', 'green')]),
+    # A projection that keeps every column of a renamed subquery keeps the subquery's order.
+    ('SELECT y, x FROM (SELECT p.color AS x, s.s_no AS y FROM supplies AS s, parts AS p WHERE s.p_no = p.p_no) AS q', True,
+     'rename[color->x, s_no->y](project[color, s_no](select[p_no = p.p_no](product(supplies, rename[p_no->p.p_no](parts)))))',
+     '36547c47481cb2ed31e9899258c67d30f52269f11e4ab6b541711210a525d05e',
+     ('y', 'x'),
+     [('s1', 'blue'), ('s1', 'red'), ('s2', 'blue'), ('s2', 'green'), ('s3', 'red')]),
+    # ... but one over a subquery that renames nothing takes the select list's order.
+    ('SELECT s_no, p_no FROM (SELECT b.p_no, b.s_no FROM supplies AS a, supplies AS b) AS b', True,
+     'rename[b.p_no->p_no, b.s_no->s_no](project[b.s_no, b.p_no](product(supplies, rename[p_no->b.p_no, s_no->b.s_no](supplies))))',
+     'b2739f4dd3956f1279edf8a0214405177427d1cf4acded979f1b3e8de13719f3',
+     ('s_no', 'p_no'),
+     [('s1', 'p1'), ('s1', 'p2'), ('s1', 'p3'), ('s1', 'p4'), ('s2', 'p1'), ('s2', 'p2'), ('s2', 'p5'), ('s3', 'p3')]),
 ]
 
 

@@ -68,26 +68,35 @@ def test_a_gain_that_fails_more_operations_does_not_hold():
     assert bench_pairs.verdict(PARENT, change, True, failed=(2, 1)).holds
 
 
-def test_a_bound_check_reads_the_median_relative_change():
+def test_a_bound_check_compares_the_medians():
     slower = [value * 1.12 for value in PARENT]
-    slower[0] = PARENT[0] * 2  # one wild pair moves the median no further
-    lower_is_better = bench_pairs.bound_check(PARENT, slower, higher_is_better=False, bound=0.25)
-    assert lower_is_better.change == pytest.approx(0.12)
-    assert lower_is_better.inside
-    assert not bench_pairs.bound_check(PARENT, slower, False, bound=0.1).inside
+    slower[0] = PARENT[0] * 2  # one wild pair moves the median one place only
+    result = bench_pairs.verdict(PARENT, slower, higher_is_better=False, **CLEAN)
+    assert result.relative == pytest.approx(112.28 / 100 - 1)
+    assert result.against(0.25) == "inside"
+    assert result.against(0.1) == "OUTSIDE"
     # The same rise is a gain when higher is better, whatever the bound.
-    assert bench_pairs.bound_check(PARENT, slower, True, bound=0.0).inside
+    assert bench_pairs.verdict(PARENT, slower, True, **CLEAN).against(0.02) == "inside"
 
 
 def test_a_bound_check_counts_a_fall_against_a_higher_is_better_metric():
-    fewer = [value * 0.85 for value in PARENT]
-    assert bench_pairs.bound_check(PARENT, fewer, True, bound=0.2).inside
-    assert not bench_pairs.bound_check(PARENT, fewer, True, bound=0.1).inside
-    assert bench_pairs.bound_check(PARENT, fewer, False, bound=0.0).inside
+    fewer = bench_pairs.verdict(PARENT, [value * 0.85 for value in PARENT], True, **CLEAN)
+    assert fewer.against(0.2) == "inside"
+    assert fewer.against(0.1) == "OUTSIDE"
+    fell = bench_pairs.verdict(PARENT, [value * 0.85 for value in PARENT], False, **CLEAN)
+    assert fell.against(0.02) == "inside"
 
 
-def test_a_bound_check_over_zero_parents_and_uneven_pairs():
-    assert bench_pairs.bound_check([0.0], [0.0], False, bound=0.0).inside
-    assert not bench_pairs.bound_check([0.0], [1.0], False, bound=0.25).inside
-    with pytest.raises(ValueError):
-        bench_pairs.bound_check(PARENT, PARENT[:-1], False, bound=0.25)
+def test_a_bound_narrower_than_the_parents_spread_is_unresolved():
+    # The parent's quartiles are 1.25 apart, 1.25% of its median.
+    slower = bench_pairs.verdict(PARENT, [value + 0.5 for value in PARENT], False, **CLEAN)
+    assert slower.against(0.01) == "unresolved"
+    assert slower.against(0.02) == "inside"
+    # Unless every run of the change reads better than every run of the parent.
+    faster = bench_pairs.verdict(PARENT, [value - 5 for value in PARENT], False, **CLEAN)
+    assert faster.separated and faster.against(0.01) == "inside"
+
+
+def test_a_bound_check_over_a_parent_median_of_zero():
+    assert bench_pairs.verdict([0.0], [0.0], False, **CLEAN).against(0.0) == "inside"
+    assert bench_pairs.verdict([0.0], [1.0], False, **CLEAN).against(0.25) == "OUTSIDE"
