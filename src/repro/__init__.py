@@ -13,10 +13,12 @@ subpackages provide the full API:
 * :mod:`repro.sql`        — SQL frontend with the DIVIDE BY syntax
 * :mod:`repro.mining`     — frequent itemset discovery via great divide
 * :mod:`repro.workloads`  — synthetic data generators
-* :mod:`repro.fuzzy`      — fuzzy-division extension
-* :mod:`repro.has`        — Carlis' HAS operator extension
 * :mod:`repro.experiments`— figure regeneration and experiment harness
 * :mod:`repro.api`        — the session front door (:func:`repro.connect`)
+* :mod:`repro.storage`    — persistent columnar store and spill partitions
+* :mod:`repro.views`      — delta-maintained quotient views
+* :mod:`repro.analysis`   — static plan verifier and engine-contract findings
+* :mod:`repro.faults`     — deterministic fault injection for storage and spill
 """
 
 from repro.api import AnalyzeReport, Database, Query, QueryResult, connect

@@ -331,18 +331,18 @@ class Database:
         ``REPRO_FAULTS`` environment variable) untouched.
     workers:
         Accepted and without effect: ``bench/`` reads it; the [benchmark]
-        PR (ROADMAP item 4) deletes it.
+        PR (ROADMAP item 1) deletes it.
 
     Every option is checked before anything is built; a malformed one
     raises a :class:`ReproError` that names it.
     """
 
     #: Always ``False``: there is one rewriter.  ``bench/`` reads it; the
-    #: [benchmark] PR (ROADMAP item 4) deletes it.
+    #: [benchmark] PR (ROADMAP item 1) deletes it.
     cost_based = False
 
     #: Always 1: plans run in this process.  ``bench/`` reads it; the
-    #: [benchmark] PR (ROADMAP item 4) deletes it.
+    #: [benchmark] PR (ROADMAP item 1) deletes it.
     workers = 1
 
     def __init__(
@@ -404,19 +404,6 @@ class Database:
 
             for payload in stored_views:
                 view_from_payload(self, payload)
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_catalog(cls, catalog: Catalog, **options) -> "Database":
-        """A session over an existing catalog."""
-        return cls(catalog, **options)
-
-    @classmethod
-    def from_relations(cls, relations: Mapping[str, Relation], **options) -> "Database":
-        """A session over plain named relations (no declared constraints)."""
-        return cls(relations, **options)
 
     # ------------------------------------------------------------------
     # query entry points
@@ -783,7 +770,11 @@ class Database:
                 self._result_cache.sweep(name, version)
 
     def _run(self, query: Query) -> QueryResult:
+        """Answer ``query`` in its own column order: the plan and the cached
+        result are the canonical tree's, which texts differing only in
+        column order share."""
         expression = query.expression
+        names = expression.schema.names
         prepared, cache_hit = self._prepare(expression)
         versions = prepared.table_versions
         cached = self._result_cache.lookup(prepared.cache_key, versions)
@@ -792,12 +783,18 @@ class Database:
             # relation is exact; no physical execution happens.
             # ``cache_hit`` reflects *this* call's plan lookup, not the
             # snapshot taken when the entry was first executed.
-            return replace(cached, cache_hit=cache_hit, result_cache_hit=True)
+            return replace(
+                cached,
+                relation=_in_order(cached.relation, names),
+                expression=expression,
+                cache_hit=cache_hit,
+                result_cache_hit=True,
+            )
         execution = execute_plan(
             prepared.plan, batch_size=self.batch_size, memory_budget_mb=self.memory_budget_mb
         )
         result = QueryResult(
-            relation=execution.relation,
+            relation=_in_order(execution.relation, names),
             expression=expression,
             rewritten=prepared.rewritten,
             rules_fired=tuple(prepared.rules_fired),
@@ -875,6 +872,21 @@ def connect(source: DatabaseSource = None, **options) -> Database:
     :class:`ReproError` that names it.
     """
     return Database(source, **options)
+
+
+def _in_order(relation: Relation, names: tuple[str, ...]) -> Relation:
+    """``relation`` with its columns in ``names`` order: itself when they
+    already are, else its code columns permuted (no copy) or its tuples
+    picked into a new block."""
+    schema = relation.schema
+    if schema.names == names:
+        return relation
+    target = Schema.interned(names)
+    columns = relation.code_columns
+    if columns is not None:
+        return Relation._from_columns(target, tuple(columns[i] for i in schema.picker(target)))
+    get = schema.tuple_getter(target)
+    return Relation._from_block(target, [get(values) for values in relation.aligned_tuples()])
 
 
 def _coerce_catalog(source: DatabaseSource) -> Catalog:

@@ -33,7 +33,7 @@ def optimizer_signature(
     whether rules may inspect data to establish their preconditions, and
     the physical algorithm choices.  ``cost_based`` is ignored (there is
     one rewriter): ``bench/`` passes it; the [benchmark] PR (ROADMAP item
-    4) drops it.
+    1) drops it.
     """
     parts = (
         "inspecting" if allow_data_inspection else "static",

@@ -154,13 +154,6 @@ class QueryResult:
         """Wall-clock seconds of the one physical execution."""
         return self.statistics.elapsed_seconds
 
-    @property
-    def estimated_speedup(self) -> float:
-        """Ratio of estimated costs (original / rewritten)."""
-        if self.estimated_cost_after == 0:
-            return float("inf")
-        return self.estimated_cost_before / self.estimated_cost_after
-
     # ------------------------------------------------------------------
     # relation conveniences
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ size).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Any
 
 from repro.division.schemas import DivisionSchemas, small_divide_schemas
@@ -158,13 +157,6 @@ def forall_divide(dividend: Relation, divisor: Relation) -> Relation:
         if all((key, value) in dividend_pairs for value in divisor_values):
             quotient_rows.append(candidate)
     return Relation(schemas.quotient, quotient_rows)
-
-
-def divide_by_values(
-    dividend: Relation, divisor_values: Mapping[str, Any] | None, divisor: Relation
-) -> Relation:
-    """Internal helper kept for symmetry with the great-divide module."""
-    return small_divide(dividend, divisor)
 
 
 #: All equivalent definitions, keyed by the name used in tests and benches.

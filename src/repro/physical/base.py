@@ -321,7 +321,7 @@ class PlanStatistics:
     #: wall-clock seconds spent executing the plan (filled by the executor)
     elapsed_seconds: float = 0.0
     #: Always zero: there is no worker pool.  ``bench/`` reads them; the
-    #: [benchmark] PR (ROADMAP item 4) deletes them.
+    #: [benchmark] PR (ROADMAP item 1) deletes them.
     worker_seconds = 0.0
     tasks_retried = 0
     tasks_degraded = 0

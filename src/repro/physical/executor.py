@@ -69,10 +69,6 @@ class ExecutionResult:
         """Iterate over the rows of the (already materialized) result."""
         return iter(self.relation)
 
-    def to_relation(self) -> Relation:
-        """The result as a :class:`Relation` (convenience accessor)."""
-        return self.relation
-
     def __len__(self) -> int:
         return len(self.relation)
 
@@ -91,7 +87,7 @@ def execute_plan(
     exchange operators spill buffered partitions to disk once they
     outgrow the budget.  The produced relation and per-operator tuple
     counts are independent of both.  ``workers`` is accepted and has no
-    effect: ``bench/`` passes it; the [benchmark] PR (ROADMAP item 4)
+    effect: ``bench/`` passes it; the [benchmark] PR (ROADMAP item 1)
     deletes it.
 
     ``verify=True`` (or the process-wide debug switch, ``REPRO_VERIFY=1``

@@ -31,5 +31,5 @@ __all__ = [
 def shutdown_pool() -> None:
     """Does nothing: there is no worker pool.
 
-    ``bench/`` reads it; the [benchmark] PR (ROADMAP item 4) deletes it.
+    ``bench/`` reads it; the [benchmark] PR (ROADMAP item 1) deletes it.
     """

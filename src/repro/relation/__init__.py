@@ -7,7 +7,6 @@ Public surface:
 * :class:`~repro.relation.relation.Relation` — relations with the basic
   operators of the relational algebra (Appendix A of the paper)
 * :mod:`~repro.relation.aggregates` — aggregate functions for grouping
-* :mod:`~repro.relation.operators` — prefix-style operator functions
 * :mod:`~repro.relation.render` — ASCII rendering used to regenerate the
   paper's figures
 """
@@ -15,7 +14,7 @@ Public surface:
 from repro.relation.relation import NULL, Relation, RowPredicate
 from repro.relation.row import Row
 from repro.relation.schema import Schema, as_schema
-from repro.relation import aggregates, operators, render
+from repro.relation import aggregates, render
 
 __all__ = [
     "NULL",
@@ -25,6 +24,5 @@ __all__ = [
     "Schema",
     "as_schema",
     "aggregates",
-    "operators",
     "render",
 ]

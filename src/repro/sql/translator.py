@@ -303,7 +303,8 @@ def _qualify(scope: dict[str, str], alias: str) -> dict[str, str]:
     names = [f"{alias}.{name.split('.')[-1]}" for name in scope]
     qualified = dict(zip(names, scope.values()))
     if len(qualified) < len(names):
-        Schema(names)  # raises: the alias gives two columns one name
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise SQLTranslationError(f"subquery {alias} repeats column names {repeated}")
     return qualified
 
 

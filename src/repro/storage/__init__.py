@@ -1,6 +1,6 @@
 """Persistent columnar storage: block files, stored scans, spill partitions.
 
-The out-of-core layer of the library (ROADMAP item 3):
+The out-of-core layer of the library:
 
 * :mod:`repro.storage.format` — the on-disk block format: per-table files
   of fixed-size column-major blocks — typed code pages over per-column

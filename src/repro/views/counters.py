@@ -227,10 +227,6 @@ class CounterTable:
     def divisor_groups(self) -> int:
         return len(self._divisor_masks)
 
-    @property
-    def distinct_divisor_values(self) -> int:
-        return len(self._value_of)
-
     # ------------------------------------------------------------------
     # decoded counters (equivalence testing / verifier)
     # ------------------------------------------------------------------

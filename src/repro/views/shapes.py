@@ -60,10 +60,6 @@ class InputShape:
     renames: tuple[tuple[str, str], ...]
     predicate: Optional[Predicate]
 
-    def rename_map(self) -> dict[str, str]:
-        """base name → view-side name."""
-        return dict(self.renames)
-
     def inverse_map(self) -> dict[str, str]:
         """view-side name → base name."""
         return {view: base for base, view in self.renames}

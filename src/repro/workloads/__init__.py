@@ -10,7 +10,6 @@ from repro.workloads.generators import (
     split_dividend_by_quotient,
     split_horizontal,
 )
-from repro.workloads.random_databases import random_databases, random_relation
 from repro.workloads.suppliers_parts import COLORS, generate_catalog, textbook_catalog
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "make_great_division_workload",
     "split_horizontal",
     "split_dividend_by_quotient",
-    "random_relation",
-    "random_databases",
     "textbook_catalog",
     "generate_catalog",
     "COLORS",

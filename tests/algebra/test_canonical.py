@@ -181,7 +181,7 @@ def databases(draw):
 class TestCanonicalizationIsSemanticsPreserving:
     @settings(max_examples=80, deadline=None)
     @given(expression=renamed_trees(), catalog=databases())
-    def test_same_result_on_random_databases(self, expression, catalog):
+    def test_same_result_on_generated_databases(self, expression, catalog):
         canonical = canonicalize(expression)
         assert canonical.evaluate(catalog) == expression.evaluate(catalog)
         assert canonical.schema.name_set == expression.schema.name_set

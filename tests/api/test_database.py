@@ -25,7 +25,7 @@ class TestConstruction:
         assert set(db.tables) == {"supplies", "parts"}
 
     def test_from_relation_mapping(self):
-        db = Database.from_relations(
+        db = Database(
             {
                 "r1": Relation(["a", "b"], [(1, 1), (1, 2)]),
                 "r2": Relation(["b"], [(1,), (2,)]),
@@ -121,6 +121,18 @@ class TestSingleExecutionPath:
         recognized = db.sql(Q3, recognize_division=True).run()
         assert recognized.expression.contains_division()
         assert result.relation == recognized.relation
+
+    def test_an_answer_comes_in_its_select_lists_order_from_one_cached_result(self, db):
+        swapped = db.sql("SELECT p_no, s_no FROM supplies").run()
+        straight = db.sql("SELECT s_no, p_no FROM supplies").run()
+        assert not swapped.result_cache_hit and straight.result_cache_hit
+        assert swapped.relation.schema.names == ("p_no", "s_no")
+        assert straight.relation.schema.names == straight.expression.schema.names == ("s_no", "p_no")
+        assert swapped.relation == straight.relation
+        # A coded answer is reordered by permuting its code columns: no copy.
+        assert [id(column) for column in swapped.relation.code_columns] == [
+            id(column) for column in reversed(straight.relation.code_columns)
+        ]
 
 
 class TestPlanCache:

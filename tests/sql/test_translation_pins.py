@@ -10,6 +10,7 @@ merge cache slots; the output schema is what ``db.sql(text).schema`` shows.
 import pytest
 
 from repro.algebra.expressions import Rename
+from repro.api import connect
 from repro.errors import SQLTranslationError
 from repro.relation.relation import Relation
 from repro.sql import translate_sql
@@ -275,6 +276,16 @@ def test_translation_keeps_its_pinned_canonical_form(tables, text, recognize, ca
     assert expression.fingerprint() == fingerprint
     assert expression.schema.names == schema
     assert sorted(expression.evaluate(tables).to_tuples(list(schema))) == rows
+
+
+@pytest.mark.parametrize(
+    "text, recognize, canonical, fingerprint, schema, rows", PINS, ids=[str(i) for i in range(len(PINS))]
+)
+def test_a_run_answers_in_the_select_lists_order(tables, text, recognize, canonical, fingerprint, schema, rows):
+    # The plan is the canonical tree's; the answer is the text's.
+    relation = connect(tables).sql(text, recognize_division=recognize).run().relation
+    assert relation.schema.names == schema
+    assert sorted(relation.to_tuples()) == rows
 
 
 @pytest.mark.parametrize(

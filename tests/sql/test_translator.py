@@ -114,6 +114,16 @@ class TestPlainQueries:
         with pytest.raises(SQLTranslationError, match="universal-quantification"):
             translate_sql(query, catalog)
 
+    def test_a_repeated_output_name_is_refused(self, catalog):
+        query = "SELECT s_no AS x, p_no AS x FROM supplies"
+        with pytest.raises(SQLTranslationError, match="duplicate output column name 'x'"):
+            translate_sql(query, catalog)
+
+    def test_a_star_subquery_with_repeated_names_is_refused_by_its_alias(self, catalog):
+        query = "SELECT * FROM (SELECT * FROM supplies AS a, supplies AS b) AS q"
+        with pytest.raises(SQLTranslationError, match="subquery q repeats column names"):
+            translate_sql(query, catalog)
+
 
 class TestUniversalQuantification:
     def test_q3_pattern_is_recognized(self):

@@ -12,8 +12,6 @@ from repro.workloads import (
     make_divisor,
     make_great_division_workload,
     make_great_divisor,
-    random_databases,
-    random_relation,
     split_dividend_by_quotient,
     split_horizontal,
     textbook_catalog,
@@ -105,15 +103,3 @@ class TestSuppliersParts:
     def test_generated_catalog_validation(self):
         with pytest.raises(WorkloadError):
             generate_catalog(num_parts=3, parts_per_supplier=5)
-
-
-class TestRandomDatabases:
-    def test_random_relation_bounds(self):
-        relation = random_relation(("a", "b"), max_rows=5)
-        assert len(relation) <= 5
-        assert relation.schema.names == ("a", "b")
-
-    def test_random_databases_yield_requested_count(self):
-        databases = list(random_databases({"r1": ("a", "b"), "r2": ("b",)}, count=7, seed=1))
-        assert len(databases) == 7
-        assert all(set(db) == {"r1", "r2"} for db in databases)
