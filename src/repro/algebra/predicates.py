@@ -163,10 +163,6 @@ class Predicate:
         """Return the logical negation (pushes through Not)."""
         return Not(self)
 
-    def references_only(self, attributes: Iterable[str]) -> bool:
-        """True if every referenced attribute is in ``attributes``."""
-        return self.attributes <= frozenset(attributes)
-
     # convenience combinators -------------------------------------------------
     def __and__(self, other: "Predicate") -> "Predicate":
         return And(self, other)

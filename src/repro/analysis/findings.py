@@ -15,7 +15,7 @@ Code ranges
 * ``RP5xx`` — storage invariants (stored-scan headers, zone maps, spill
   budgets, where a stored scan may hand up one block);
 * ``RP6xx`` — maintained-view invariants (counter-table/schema agreement,
-  delta-rule coverage, version monotonicity, view-over-view rejection);
+  shape agreement, version monotonicity, view-over-view rejection);
 * ``RP7xx`` — fault-tolerance invariants (checksum coverage of stored
   files, fault-point registration).
 
@@ -98,7 +98,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP506": (Severity.ERROR, "one-block stored scan is not a division's dividend (or its filter's)"),
     # -- RP6xx: maintained-view invariants ---------------------------------
     "RP601": (Severity.ERROR, "counter table disagrees with the view's quotient schema"),
-    "RP602": (Severity.ERROR, "maintained view lacks full delta-rule coverage"),
+    "RP602": (Severity.ERROR, "maintained view's shape no longer matches its expression"),
     "RP603": (Severity.ERROR, "view's applied versions are not monotone with the tables"),
     "RP604": (Severity.ERROR, "view is defined over another view"),
     # -- RP7xx: fault-tolerance invariants ---------------------------------

@@ -1,10 +1,10 @@
 """View verifier: maintained-view invariants (RP6xx).
 
 A maintained view is a cache with an algebraic contract: its counter
-table must agree with the view's quotient schema (RP601), the four delta
-rules must actually cover {dividend, divisor} x {insert, delete} with
-declared conditions (RP602), and the versions the view claims to have
-applied must be monotone with the tables' current versions (RP603) —
+table must agree with the view's quotient schema (RP601), its expression
+must still analyze to the shape its deltas are routed by (RP602), and the
+versions the view claims to have applied must be monotone with the
+tables' current versions (RP603) —
 a view "ahead" of its base table has incorporated a delta that never
 happened.  RP604 rejects views defined over other views: delta routing
 is keyed by *base-table* name, so a view-over-view would silently miss
@@ -22,16 +22,9 @@ from typing import Any, Optional
 
 from repro.analysis.findings import VerificationReport, finding
 from repro.errors import ReproError
+from repro.views.shapes import UnsupportedViewShape, analyze_division
 
 __all__ = ["verify_view"]
-
-#: The coverage the maintenance path requires before trusting counters.
-_REQUIRED_DELTAS: tuple[tuple[str, str], ...] = (
-    ("dividend", "insert"),
-    ("dividend", "delete"),
-    ("divisor", "insert"),
-    ("divisor", "delete"),
-)
 
 
 def _check_counter_schema(view: Any, where: str) -> list[Any]:
@@ -94,43 +87,20 @@ def _check_counter_schema(view: Any, where: str) -> list[Any]:
     return findings
 
 
-def _check_delta_coverage(view: Any, where: str) -> list[Any]:
-    """RP602: full {target} x {operation} rule coverage, with conditions."""
-    findings = []
-    rules = getattr(view, "delta_rules", {}) or {}
-    for key in _REQUIRED_DELTAS:
-        rule = rules.get(key)
-        if rule is None:
-            findings.append(
-                finding(
-                    "RP602",
-                    f"no delta rule registered for {key[0]} {key[1]}",
-                    where,
-                    origin="view",
-                )
-            )
-            continue
-        if not getattr(rule, "conditions", ()):
-            findings.append(
-                finding(
-                    "RP602",
-                    f"delta rule {rule.name!r} declares no conditions "
-                    "(RP403 contract)",
-                    where,
-                    origin="view",
-                )
-            )
-        if getattr(view, "maintained", False) and not rule.matches(view.expression):
-            findings.append(
-                finding(
-                    "RP602",
-                    f"view is marked maintained but delta rule {rule.name!r} "
-                    "does not match its expression",
-                    where,
-                    origin="view",
-                )
-            )
-    return findings
+def _check_shape(view: Any, where: str) -> list[Any]:
+    """RP602: a maintained view's expression still analyzes to its shape."""
+    shape = getattr(view, "shape", None)
+    if shape is None:
+        return []  # fallback views route no deltas
+    try:
+        current = analyze_division(view.expression)
+    except UnsupportedViewShape as error:
+        message = f"view is maintained but its expression has no shape ({error.reason})"
+    else:
+        if current == shape:
+            return []
+        message = f"view routes deltas by {shape!r}, but its expression analyzes to {current!r}"
+    return [finding("RP602", message, where, origin="view")]
 
 
 def _check_version_monotonicity(view: Any, database: Any, where: str) -> list[Any]:
@@ -208,8 +178,8 @@ def verify_view(view: Any, database: Optional[Any] = None) -> VerificationReport
     where = f"view {getattr(view, 'name', '?')!r}"
     findings = []
     findings.extend(_check_counter_schema(view, where))
-    findings.extend(_check_delta_coverage(view, where))
+    findings.extend(_check_shape(view, where))
     findings.extend(_check_version_monotonicity(view, database, where))
     findings.extend(_check_base_tables(view, database, where))
-    checked = 1 + len(_REQUIRED_DELTAS) + len(view.tables)
+    checked = 2 + len(view.tables)
     return VerificationReport(findings=tuple(findings), passes=("view",), checked=checked)

@@ -569,12 +569,14 @@ class Database:
     ) -> "MaintainedView":
         """Register a division query as a (delta-maintained) view.
 
-        When the query's shape supports all four delta rules of
-        :mod:`repro.laws.delta`, subsequent mutations of the base tables
-        update the view's counter table in O(delta) and reads answer from
-        it; otherwise the view recomputes on read (``view.explain()``
-        reports which).  Views over views are rejected (RP604) — maintain
-        the base-table view directly instead.
+        When :func:`repro.views.shapes.analyze_division` finds the query's
+        shape (a division over base tables under selections and renames,
+        its select list in any column order), subsequent mutations of the
+        base tables update the view's counter table in O(delta) and reads
+        answer from it; otherwise a read runs the query like
+        :meth:`Query.run`, through the session's result cache
+        (``view.explain()`` reports which).  Views over views are rejected
+        (RP604) — maintain the base-table view directly instead.
         """
         from repro.views.view import MaintainedView
 

@@ -5,16 +5,16 @@
 * :mod:`repro.laws.registry` — rule registry used by the optimizer
 * :mod:`repro.laws.conditions` — the preconditions (c1, c2, disjointness,
   inclusion/foreign-key and key checks) as standalone functions
-* :mod:`repro.laws.delta` — the laws read as *delta equations*: the four
-  maintenance rules behind delta-maintained quotient views
+
+The union/difference laws read as *delta equations* are not rules here:
+they rewrite no tree.  :mod:`repro.views` applies them as counter updates
+on every view :func:`repro.views.shapes.analyze_division` accepts.
 """
 
-from repro.laws import conditions, delta, great_divide, registry, small_divide
+from repro.laws import conditions, great_divide, registry, small_divide
 from repro.laws.base import Rewrite, RewriteContext, RewriteRule
-from repro.laws.delta import DeltaRule
 from repro.laws.registry import (
     all_rules,
-    delta_rules,
     find_applicable,
     get_rule,
     great_divide_rules,
@@ -27,16 +27,13 @@ __all__ = [
     "conditions",
     "small_divide",
     "great_divide",
-    "delta",
     "registry",
     "Rewrite",
     "RewriteContext",
     "RewriteRule",
-    "DeltaRule",
     "all_rules",
     "small_divide_rules",
     "great_divide_rules",
-    "delta_rules",
     "pushdown_rules",
     "get_rule",
     "rules_by_reference",

@@ -82,11 +82,6 @@ class RewriteContext:
         """A context whose database *and* constraints come from one catalog."""
         return cls(database=catalog, catalog=catalog)
 
-    @property
-    def can_inspect_data(self) -> bool:
-        """True if rules may evaluate subexpressions on data."""
-        return self.database is not None
-
     def evaluate(self, expression: Expression):
         """The value of an operand, for a data-dependent precondition check."""
         if self.database is None:

@@ -7,17 +7,10 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.errors import RewriteError
 from repro.laws.base import RewriteRule
-from repro.laws.delta import (
-    DeltaRule,
-    DividendDeleteDelta,
-    DividendInsertDelta,
-    DivisorDeleteDelta,
-    DivisorInsertDelta,
-)
 from repro.laws.great_divide import (
     Example4JoinPushdown,
     Law13DivisorPartitioning,
@@ -48,7 +41,6 @@ __all__ = [
     "all_rules",
     "small_divide_rules",
     "great_divide_rules",
-    "delta_rules",
     "pushdown_rules",
     "get_rule",
     "rules_by_reference",
@@ -92,24 +84,6 @@ def great_divide_rules() -> list[RewriteRule]:
     return [rule_class() for rule_class in _GREAT_DIVIDE_RULE_CLASSES]
 
 
-_DELTA_RULE_CLASSES = (
-    DividendInsertDelta,
-    DividendDeleteDelta,
-    DivisorInsertDelta,
-    DivisorDeleteDelta,
-)
-
-
-def delta_rules() -> list[DeltaRule]:
-    """Fresh instances of the four view-maintenance delta rules.
-
-    Kept out of :func:`all_rules` on purpose: ``apply`` is the identity
-    (the rule licenses a counter update, it does not rewrite the tree), so
-    feeding them to the fixpoint rewriter would be pure noise.
-    """
-    return [rule_class() for rule_class in _DELTA_RULE_CLASSES]
-
-
 def all_rules() -> list[RewriteRule]:
     """Fresh instances of every rule implemented by the library."""
     return small_divide_rules() + great_divide_rules()
@@ -124,9 +98,9 @@ def pushdown_rules() -> list[RewriteRule]:
     return [rule for rule in all_rules() if not rule.requires_data]
 
 
-def get_rule(name: str) -> Union[RewriteRule, DeltaRule]:
+def get_rule(name: str) -> RewriteRule:
     """Look up a rule instance by its machine-readable name."""
-    for rule in all_rules() + list(delta_rules()):
+    for rule in all_rules():
         if rule.name == name:
             return rule
     raise RewriteError(f"no rewrite rule named {name!r}")

@@ -693,14 +693,6 @@ class PhysicalOperator:
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} schema={self._schema.names!r}>"
 
-    # ------------------------------------------------------------------
-    # helpers for subclasses
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _require_children(children: tuple["PhysicalOperator", ...], count: int, name: str) -> None:
-        if len(children) != count:
-            raise ExecutionError(f"{name} expects {count} input(s), got {len(children)}")
-
 
 def _shares_dictionaries(chunks: list[Chunk], schema: Schema, positions: Iterable[int]) -> bool:
     """Do all chunks carry code columns, aligned with ``schema``, over the

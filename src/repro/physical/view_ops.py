@@ -5,14 +5,17 @@ but its source is the view's maintained quotient set rather than a base
 relation: the division was already "executed" incrementally by the delta
 rules, so reading the view is pure chunked emission of the counter table's
 A+C value tuples, in the quotient set's own order (the result is a set;
-sorting it on every read after an edit was most of what a read cost).  The
-operator reports the applied-delta count in
-``describe()`` so ``explain(analyze=True)`` shows what the plan replaced.
+sorting it on every read after an edit was most of what a read cost).  A
+view whose select list is not in A+C order gets its columns permuted by one
+``itemgetter`` over the shape's ``order``.  The operator reports the
+applied-delta count in ``describe()`` so ``explain(analyze=True)`` shows
+what the plan replaced.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.physical.base import Chunk, PhysicalOperator, PhysicalProperties
@@ -39,7 +42,10 @@ class CounterTableScan(PhysicalOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
-        tuples = list(self.view.quotient_tuples())
+        quotient = self.view.quotient_tuples()
+        shape = self.view.shape
+        assert shape is not None
+        tuples = list(quotient if shape.in_order else map(itemgetter(*shape.order), quotient))
         size = self.batch_size
         for start in range(0, len(tuples), size):
             yield Chunk(schema, tuples[start : start + size])

@@ -817,14 +817,6 @@ class Relation:
         }
         return Relation._from_parts(over_schema, frozenset(Row.block(over_schema, projected)))
 
-    def partition_horizontal(self, predicate: RowPredicate) -> tuple["Relation", "Relation"]:
-        """Split rows into (matching, non-matching) relations."""
-        matching = frozenset(row for row in self._rows if predicate(row))
-        return (
-            Relation._from_parts(self._schema, matching),
-            Relation._from_parts(self._schema, self._rows - matching),
-        )
-
 
 def _sort_key(value: Any) -> tuple[str, Any]:
     """Total order over heterogeneous attribute values (None/NULL first)."""

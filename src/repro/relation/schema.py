@@ -251,10 +251,6 @@ class Schema:
         """Return ``True`` if every attribute of ``self`` appears in ``other``."""
         return self._name_set <= as_schema(other).name_set
 
-    def is_superset(self, other: AttributeNames) -> bool:
-        """Return ``True`` if ``self`` contains every attribute of ``other``."""
-        return self._name_set >= as_schema(other).name_set
-
     # ------------------------------------------------------------------
     # set operations (order of the left operand is preserved)
     # ------------------------------------------------------------------

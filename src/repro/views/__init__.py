@@ -5,17 +5,18 @@ selection, union and difference — exactly the algebra needed to maintain a
 quotient under single-table deltas instead of recomputing it.  This package
 implements that maintenance on the engine's own representation choices:
 
-* :mod:`repro.views.shapes` — decides whether a division query has a
-  *maintainable shape* (each input a base table under selections/renames)
-  and extracts the delta-routing metadata.
+* :mod:`repro.views.shapes` — the one test of maintainability: whether a
+  division query has a *maintainable shape* (each input a base table under
+  selections/renames, the select list in any column order), and the
+  delta-routing metadata.
 * :mod:`repro.views.counters` — the per-quotient-key bitset counter table:
   a dividend insert/delete is an int-mask OR / AND-NOT plus a subset test
   on the dictionary-encoded divisor bits, a divisor grow/shrink is a
   popcount-threshold change re-checked against the existing counters.
 * :mod:`repro.views.view` — :class:`MaintainedView`, the object registered
-  by ``Database.create_view``: it routes mutation deltas through the delta
-  rules in :mod:`repro.laws.delta` and answers reads from the counter
-  table (or falls back to full recompute when the shape is unsupported).
+  by ``Database.create_view``: it routes mutation deltas to the counter
+  table and answers reads from it (or runs the query through the session
+  when the shape is unsupported).
 * :mod:`repro.views.persist` — JSON payloads so counter-backed views
   survive ``Database.save`` / ``repro.connect(path)`` round trips.
 """

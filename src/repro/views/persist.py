@@ -2,9 +2,10 @@
 
 A maintainable view is fully determined by its :class:`DivisionShape`:
 two base tables, each under an optional selection (stored over *base*
-attribute names) and a rename.  That is what the manifest stores — the
-counter table itself is rebuilt deterministically from the reopened base
-tables on first read, which keeps ``repro.connect(path)`` lazy.
+attribute names) and a rename, and the view's column order.  That is
+what the manifest stores — the counter table itself is rebuilt
+deterministically from the reopened base tables on first read, which keeps
+``repro.connect(path)`` lazy.
 
 Predicates serialize the small AST of :mod:`repro.algebra.predicates`;
 literals must be JSON-representable scalars or the save fails loudly
@@ -114,6 +115,9 @@ def view_payload(view: MaintainedView) -> dict[str, Any]:
         # The view's output attribute names: differ from the divide's own
         # schema when a top-level rename was peeled (SQL output aliases).
         "output": list(shape.schema_names),
+        # Positions into A+C of the output columns; a manifest without it
+        # answers in A+C order.
+        "order": list(shape.order),
     }
 
 
@@ -121,10 +125,12 @@ def view_from_payload(database: Any, payload: dict[str, Any]) -> MaintainedView:
     """Re-register a view from its manifest payload.
 
     Rebuilds the expression as σ (over base names) then ρ over each base
-    table — semantically identical to the original definition, and
-    analyzed back into the same :class:`DivisionShape`.
+    table, divides them, permutes the quotient into the recorded column
+    order and renames it to the recorded output names — semantically
+    identical to the original definition, and analyzed back into the same
+    :class:`DivisionShape`.
     """
-    from repro.algebra.expressions import Expression, GreatDivide, SmallDivide
+    from repro.algebra.expressions import Expression, GreatDivide, Project, Rename, SmallDivide
 
     dividend = _input_expression(database, payload["dividend"])
     divisor = _input_expression(database, payload["divisor"])
@@ -136,10 +142,17 @@ def view_from_payload(database: Any, payload: dict[str, Any]) -> MaintainedView:
         expression = GreatDivide(dividend, divisor)
     else:
         raise ViewError(f"unknown view kind {kind!r} in manifest")
+    quotient = expression.schema.names
+    order = tuple(payload.get("order") or range(len(quotient)))
+    if sorted(order) != list(range(len(quotient))):
+        raise ViewError(
+            f"view {payload['name']!r} manifest order {order!r} is not a "
+            f"permutation of the quotient schema {quotient!r}"
+        )
+    if order != tuple(range(len(quotient))):
+        expression = Project(expression, [quotient[i] for i in order])
     output = tuple(payload.get("output") or expression.schema.names)
     if output != expression.schema.names:
-        from repro.algebra.expressions import Rename
-
         if len(output) != len(expression.schema.names):
             raise ViewError(
                 f"view {payload['name']!r} manifest output {output!r} does not "

@@ -12,6 +12,11 @@ Anything else — a projection (deleting through ``π`` needs multiplicity
 counts the engine does not keep), a join, a nested division — raises
 :class:`UnsupportedViewShape`, and ``Database.create_view`` registers the
 view in full-recompute fallback mode instead.
+
+:func:`analyze_division` is the one test of maintainability: a view with a
+shape is maintained under all four single-table deltas (dividend or
+divisor, insert or delete), because each of the paper's union/difference
+laws reads as a counter update on that shape.
 """
 
 from __future__ import annotations
@@ -81,10 +86,18 @@ class DivisionShape:
     c_names: tuple[str, ...]
     #: Output schema names of the quotient, as the expression infers them.
     schema_names: tuple[str, ...]
+    #: The view's column order: for each output column, its position in
+    #: A+C (the order the counter table emits).
+    order: tuple[int, ...]
 
     @property
     def tables(self) -> frozenset[str]:
         return frozenset({self.dividend.table, self.divisor.table})
+
+    @property
+    def in_order(self) -> bool:
+        """True when the view answers in A+C order (no permutation)."""
+        return self.order == tuple(range(len(self.order)))
 
 
 def _analyze_input(node: Expression) -> InputShape:
@@ -113,21 +126,21 @@ def analyze_division(expression: Expression) -> DivisionShape:
 
     Raises :class:`UnsupportedViewShape` when the expression is not a
     small/great divide over σ/ρ-over-base-table inputs.  A chain of
-    top-level ``Rename`` and *identity* ``Project`` nodes above the
-    division (the SQL translator's output-alias wrapper) is peeled: a
-    rename relabels quotient attributes positionally and an identity
-    projection (same attributes, same order) keeps every tuple, so the
-    counter table serves the outer schema unchanged.  A *reordering*
-    projection is not peeled — the counters emit A-then-C order.
+    top-level ``Rename`` nodes and ``Project`` nodes whose attributes are a
+    permutation of their child's (the SQL translator's select-list
+    wrapper) is peeled: a rename relabels quotient attributes positionally
+    and a permutation keeps every tuple, so the counter table serves the
+    outer schema once its A+C tuples are put in the recorded ``order``.
     """
+    wrappers: list[Expression] = []
     divide = expression
-    while True:
-        if isinstance(divide, Rename):
-            divide = divide.child
-        elif isinstance(divide, Project) and divide.attributes.names == divide.child.schema.names:
-            divide = divide.child
-        else:
-            break
+    while isinstance(divide, Rename) or (
+        isinstance(divide, Project)
+        and len(divide.attributes) == len(divide.child.schema)
+        and divide.attributes.name_set == divide.child.schema.name_set
+    ):
+        wrappers.append(divide)
+        divide = divide.child
     if isinstance(divide, SmallDivide):
         kind = "small"
     elif isinstance(divide, GreatDivide):
@@ -149,15 +162,12 @@ def analyze_division(expression: Expression) -> DivisionShape:
         if kind == "great"
         else ()
     )
-    if divide.schema.names != a_names + c_names:
-        # The counter table emits A-values then C-values; a quotient schema
-        # in any other order would need a post-permutation we don't build.
-        raise UnsupportedViewShape(
-            f"quotient schema {divide.schema.names!r} is not A+C ordered "
-            f"({a_names + c_names!r})"
-        )
-    # The view's output schema: the divide's, through any peeled renames.
-    schema_names = expression.schema.names
+    # The divide's own schema is A+C; each peeled projection permutes the
+    # positions of its child's columns.
+    order = tuple(range(len(a_names) + len(c_names)))
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, Project):
+            order = tuple(order[i] for i in wrapper.child.schema.picker(wrapper.attributes))
     return DivisionShape(
         kind=kind,
         dividend=dividend,
@@ -165,5 +175,7 @@ def analyze_division(expression: Expression) -> DivisionShape:
         a_names=a_names,
         b_names=b_names,
         c_names=c_names,
-        schema_names=schema_names,
+        # The view's output schema: the divide's, through the peeled nodes.
+        schema_names=expression.schema.names,
+        order=order,
     )

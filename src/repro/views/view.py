@@ -1,15 +1,17 @@
 """Maintained quotient views: the object behind ``Database.create_view``.
 
 A :class:`MaintainedView` decides once, at registration, whether its
-division query has a maintainable shape (all four delta rules of
-:mod:`repro.laws.delta` match); if so it owns a
+division query has a maintainable shape
+(:func:`~repro.views.shapes.analyze_division`); if so it owns a
 :class:`~repro.views.counters.CounterTable` and every table mutation routed
-in by the database becomes an O(delta) bitmask update.  Reads are served by
-a :class:`~repro.physical.view_ops.CounterTableScan` — no rewrite, no
-planning, no division at read time.  When any delta rule's ``conditions``
-do not hold (a projection, join or nested division in an input), the view
-falls back to full recompute through the ordinary prepared-plan path and
-``explain()`` says so.
+in by the database becomes an O(delta) bitmask update — the paper's
+union/difference laws read as delta equations, one per
+{dividend, divisor} × {insert, delete}, named in :data:`DELTA_RULES`.
+Reads are served by a :class:`~repro.physical.view_ops.CounterTableScan` —
+no rewrite, no planning, no division at read time.  A view without a shape
+(a projection, join or nested division in an input) runs its query through
+the session like any other, result cache included, and ``explain()`` says
+so.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.api.result import QueryResult
 from repro.errors import ViewError
-from repro.laws.registry import delta_rules
 from repro.physical.executor import execute_plan
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -28,11 +29,19 @@ from repro.views.shapes import DivisionShape, InputShape, UnsupportedViewShape, 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.database import Database
     from repro.api.query import Query
-    from repro.laws.delta import DeltaRule
 
-__all__ = ["MaintainedView"]
+__all__ = ["DELTA_RULES", "MaintainedView"]
 
 Values = tuple[Any, ...]
+
+#: The name a view's ``rules_fired`` gives each delta it applied, keyed by
+#: (input, operation).
+DELTA_RULES: dict[tuple[str, str], str] = {
+    ("dividend", "insert"): "delta_dividend_insert",
+    ("dividend", "delete"): "delta_dividend_delete",
+    ("divisor", "insert"): "delta_divisor_insert",
+    ("divisor", "delete"): "delta_divisor_delete",
+}
 
 
 class _SideExtractor:
@@ -76,15 +85,8 @@ class MaintainedView:
         #: Delta-rule names that have fired for this view, in first-use order.
         self.rules_used: list[str] = []
 
-        #: The four maintenance rules, keyed by (target, operation).
-        self.delta_rules: dict[tuple[str, str], "DeltaRule"] = {
-            (rule.target, rule.operation): rule for rule in delta_rules()
-        }
         self.shape: Optional[DivisionShape] = None
         self.unsupported_reason = ""
-        # Every delta rule matches exactly the expressions that have a
-        # shape, so a shape is full {dividend,divisor} × {insert,delete}
-        # coverage (RP602 re-checks the rules on the live view).
         try:
             self.shape = analyze_division(self.expression)
         except UnsupportedViewShape as error:
@@ -92,8 +94,8 @@ class MaintainedView:
         self.counters: Optional[CounterTable] = None
         self._dividend_extract: Optional[_SideExtractor] = None
         self._divisor_extract: Optional[_SideExtractor] = None
+        #: A maintained view's last answer, kept until a delta moves it.
         self._cached_result: Optional[QueryResult] = None
-        self._dirty = True
 
         # One-time prepare: fingerprint + cost estimates for results served
         # from the counter table (maintained reads never re-plan).
@@ -130,11 +132,9 @@ class MaintainedView:
         """Incorporate one table mutation (called by the database)."""
         if table not in self.tables:
             return
-        if self.shape is None or self.counters is None:
+        if self.counters is None:
             # Fallback view, or maintained view not built yet: the next
             # read recomputes/builds from the current catalog.
-            self._cached_result = None
-            self._dirty = True
             return
         shape, counters = self.shape, self.counters
         rules, moved = len(self.rules_used), False
@@ -173,17 +173,15 @@ class MaintainedView:
         return len(self.counters) != size
 
     def _note_rule(self, target: str, operation: str) -> None:
-        name = self.delta_rules[(target, operation)].name
+        name = DELTA_RULES[(target, operation)]
         if name not in self.rules_used:
             self.rules_used.append(name)
 
     def rebuild(self) -> None:
         """Full (re)build of the counters from the current base tables."""
-        if self.shape is None:
-            self._dirty = True
-            self._cached_result = None
-            return
         shape = self.shape
+        if shape is None:
+            return
         self._dividend_extract = _SideExtractor(shape.dividend, shape.a_names, shape.b_names)
         self._divisor_extract = _SideExtractor(shape.divisor, shape.c_names, shape.b_names)
         counters = CounterTable(shape.kind, len(shape.a_names), len(shape.c_names))
@@ -212,38 +210,28 @@ class MaintainedView:
         return self.counters.quotient_tuples()
 
     def run(self) -> QueryResult:
-        """Answer the view: counter-table scan, or recompute on fallback."""
-        if self.maintained:
-            self._ensure_built()
-            if self._cached_result is not None:
-                return self._cached_result
-            from repro.physical.view_ops import CounterTableScan
-
-            execution = execute_plan(
-                CounterTableScan(self), batch_size=self.database.batch_size
-            )
-            result = QueryResult(
-                relation=execution.relation,
-                expression=self.expression,
-                rewritten=self._rewritten,
-                rules_fired=tuple(self.rules_used),
-                statistics=execution.statistics,
-                fingerprint=self._fingerprint,
-                cache_hit=True,
-                estimated_cost_before=self._cost_before,
-                estimated_cost_after=self._cost_after,
-            )
-            self._cached_result = result
-            return result
-        # Fallback: the ordinary prepared-plan path (version checks inside
-        # _prepare keep it correct under mutations).
-        if self._cached_result is not None and not self._dirty:
+        """Answer the view: counter-table scan, or the session's query path
+        (whose result cache is keyed by table versions) on fallback."""
+        if not self.maintained:
+            return self.database._run(self.query)
+        self._ensure_built()
+        if self._cached_result is not None:
             return self._cached_result
-        result = self.database._run(self.query)
+        from repro.physical.view_ops import CounterTableScan
+
+        execution = execute_plan(CounterTableScan(self), batch_size=self.database.batch_size)
+        result = QueryResult(
+            relation=execution.relation,
+            expression=self.expression,
+            rewritten=self._rewritten,
+            rules_fired=tuple(self.rules_used),
+            statistics=execution.statistics,
+            fingerprint=self._fingerprint,
+            cache_hit=True,
+            estimated_cost_before=self._cost_before,
+            estimated_cost_after=self._cost_after,
+        )
         self._cached_result = result
-        self._dirty = False
-        for table in self.tables:
-            self.applied_versions[table] = self.database.table_version(table)
         return result
 
     def relation(self) -> Relation:

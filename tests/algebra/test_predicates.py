@@ -114,11 +114,6 @@ class TestHelpers:
     def test_disjunction_of_none_is_false(self):
         assert P.disjunction([]) == P.FALSE
 
-    def test_references_only(self):
-        p = P.equals(P.attr("a"), P.attr("b"))
-        assert p.references_only({"a", "b", "c"})
-        assert not p.references_only({"a"})
-
     def test_attribute_equality_builder(self):
         p = P.attribute_equality([("a", "x"), ("b", "y")])
         assert p(Row({"a": 1, "x": 1, "b": 2, "y": 2}))

@@ -57,14 +57,12 @@ class TestRewriteContext:
         catalog = Catalog()
         catalog.add_table("r1", figure1_dividend)
         context = RewriteContext.from_catalog(catalog)
-        assert context.can_inspect_data
         assert context.evaluate(catalog.ref("r1")) == figure1_dividend
 
     def test_a_catalog_without_a_database_refuses_data_checks(self, figure1_dividend):
         catalog = Catalog()
         catalog.add_table("r1", figure1_dividend)
         context = RewriteContext(catalog=catalog)
-        assert not context.can_inspect_data
         with pytest.raises(RewriteError):
             context.evaluate(catalog.ref("r1"))
         # A data-dependent law reads the refusal as "does not hold".
@@ -74,9 +72,9 @@ class TestRewriteContext:
         )
         assert not get_rule("law_07_disjoint_difference_elimination").matches(expr, context)
 
-    def test_empty_context_cannot_inspect_data(self):
-        context = RewriteContext()
-        assert not context.can_inspect_data
+    def test_empty_context_refuses_data_checks(self):
+        with pytest.raises(RewriteError):
+            RewriteContext().evaluate(B.ref("r1", ["a"]))
 
 
 class TestRuleProtocol:

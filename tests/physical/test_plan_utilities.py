@@ -1,12 +1,8 @@
 """Tests for plan statistics, explain output and operator plumbing."""
 
-import pytest
-
-from repro.errors import ExecutionError
 from repro.physical import (
     Filter,
     HashDivision,
-    PhysicalOperator,
     PlanStatistics,
     ProjectOp,
     RelationScan,
@@ -71,10 +67,6 @@ class TestOperatorPlumbing:
     def test_label_contains_operator_name(self, figure1_dividend):
         scan = RelationScan(figure1_dividend)
         assert scan.label.startswith("relation_scan#")
-
-    def test_base_class_requires_children_helper(self):
-        with pytest.raises(ExecutionError):
-            PhysicalOperator._require_children((), 2, "test-operator")
 
     def test_repr_mentions_schema(self, figure1_dividend):
         assert "('a', 'b')" in repr(RelationScan(figure1_dividend))

@@ -86,7 +86,6 @@ def row_reads(relation, other):
         "group_by": relation.group_by(["a"], {"n": count(), "bs": collect_set("b")}),
         "clustered": relation.clustered(["a"]),
         "image": relation.image_set({"a": 1}, ["b"]),
-        "split": relation.partition_horizontal(a_is_one),
     }
 
 

@@ -214,12 +214,6 @@ class TestHelpers:
         image = figure1_dividend.image_set({"a": 2}, ["b"])
         assert image.to_set("b") == {1, 2, 3, 4}
 
-    def test_partition_horizontal(self):
-        relation = Relation(["a"], [(1,), (2,), (3,)])
-        low, high = relation.partition_horizontal(lambda row: row["a"] <= 1)
-        assert low.to_set("a") == {1}
-        assert high.to_set("a") == {2, 3}
-
     def test_sorted_rows(self):
         relation = Relation(["a"], [(3,), (1,), (2,)])
         assert [row["a"] for row in relation.sorted_rows()] == [1, 2, 3]

@@ -54,9 +54,8 @@ class TestSetSemantics:
         assert Schema(["a"]).is_disjoint(Schema(["b"]))
         assert not Schema(["a", "b"]).is_disjoint(Schema(["b"]))
 
-    def test_subset_and_superset(self):
+    def test_subset(self):
         assert Schema(["a"]).is_subset(Schema(["a", "b"]))
-        assert Schema(["a", "b"]).is_superset(Schema(["b"]))
         assert not Schema(["a", "c"]).is_subset(Schema(["a", "b"]))
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.api import connect
 from repro.errors import StorageError, ViewError
 from repro.relation import Relation
-from repro.storage.store import MANIFEST_NAME, load_store, save_database
+from repro.storage.store import MANIFEST_NAME, _manifest_digest, load_store, save_database
 
 
 def mutated_session():
@@ -77,6 +77,46 @@ class TestRoundTrip:
         assert view.schema.names == db.view("q").schema.names
         assert view.relation() == db.view("q").relation()
 
+    def test_reordered_views_round_trip(self, tmp_path):
+        """A select list in C-before-A order persists and answers in it."""
+        from repro.workloads import textbook_catalog
+
+        text = "SELECT color, s_no FROM supplies AS s DIVIDE BY parts AS p ON s.p_no = p.p_no"
+        db = connect(textbook_catalog)
+        db.create_view("v", text)
+        db.delete("supplies", [db.relation("supplies").aligned_tuples()[0]])
+        store = tmp_path / "store"
+        db.save(store)
+        reopened = connect(store)
+        view = reopened.view("v")
+        assert view.maintained and view.shape == db.view("v").shape
+        assert view.schema.names == ("color", "s_no")
+        assert view.relation() == db.view("v").relation()
+        parts = reopened.relation("parts").project(["p_no"]).aligned_tuples()
+        reopened.insert("supplies", [("s9", p_no) for (p_no,) in parts])
+        expected = reopened.sql(text).run().relation
+        assert view.relation().schema.names == expected.schema.names
+        assert set(view.relation().aligned_tuples()) == set(expected.aligned_tuples())
+
+    def test_a_manifest_without_an_order_answers_in_a_plus_c_order(self, tmp_path):
+        """Stores written before views kept their column order open as
+        they did then."""
+        db = connect()
+        db.add_table("r1", Relation(["a", "b"], [(1, 1), (1, 2), (3, 1)]))
+        db.add_table("r3", Relation(["b", "c"], [(1, 10), (2, 10), (1, 20)]))
+        db.create_view("g", db.table("r1").great_divide(db.table("r3")))
+        store = tmp_path / "store"
+        db.save(store)
+        manifest = json.loads((store / MANIFEST_NAME).read_text())
+        (payload,) = manifest["views"]
+        assert payload.pop("order") == [0, 1]
+        manifest["digest"] = _manifest_digest(manifest)  # as the older code wrote it
+        (store / MANIFEST_NAME).write_text(json.dumps(manifest))
+        view = connect(store).view("g")
+        assert view.maintained and view.shape.in_order
+        assert view.schema.names == ("a", "c")
+        assert set(view.relation().aligned_tuples()) == {(1, 10), (1, 20), (3, 20)}
+
     def test_manifest_keys_are_optional(self, tmp_path):
         """Stores written by pre-mutation code still load (no new format)."""
         db = connect()
@@ -119,6 +159,17 @@ class TestLoudFailures:
         (store / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(StorageError, match="table_versions"):
             load_store(store)
+
+    def test_a_manifest_order_that_is_no_permutation_fails(self, tmp_path):
+        db = mutated_session()
+        store = tmp_path / "store"
+        db.save(store)
+        manifest = json.loads((store / MANIFEST_NAME).read_text())
+        manifest["views"][0]["order"] = [1]
+        manifest["digest"] = _manifest_digest(manifest)
+        (store / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ViewError, match="not a permutation"):
+            connect(store)
 
     def test_malformed_manifest_views_fail(self, tmp_path):
         db = connect()

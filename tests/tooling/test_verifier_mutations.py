@@ -213,19 +213,25 @@ class TestViewCorruptions:
         view.schema_names = ("b", "a")
         assert "RP601" in codes(verify_view(view).findings)
 
-    def test_missing_delta_rule_is_rp602(self):
+    def test_shape_drifted_from_its_expression_is_rp602(self):
+        from dataclasses import replace
+
+        from repro.algebra import predicates as P
+
         _database, view = _view_database()
-        del view.delta_rules[("divisor", "delete")]
+        # Deltas would be routed through a selection the query does not have.
+        selected = replace(view.shape.dividend, predicate=P.Comparison(P.attr("a"), "<", 3))
+        view.shape = replace(view.shape, dividend=selected)
         findings = verify_view(view).findings
         assert codes(findings) == ["RP602"]
-        assert "divisor delete" in findings[0].message
+        assert "analyzes to" in findings[0].message
 
-    def test_rule_without_conditions_is_rp602(self, monkeypatch):
-        from repro.laws.delta import DividendInsertDelta
-
-        _database, view = _view_database()
-        monkeypatch.setattr(DividendInsertDelta, "conditions", ())
-        assert "RP602" in codes(verify_view(view).findings)
+    def test_maintained_view_over_an_unmaintainable_expression_is_rp602(self):
+        database, view = _view_database()
+        view.expression = database.table("r1").project(["a"]).expression
+        findings = verify_view(view).findings
+        assert codes(findings) == ["RP602"]
+        assert "Project" in findings[0].message
 
     def test_view_ahead_of_table_is_rp603(self):
         _database, view = _view_database()

@@ -1,101 +1,18 @@
-"""The four delta rules: registry contract, matching, and delta equations.
+"""The delta equations at the counter level.
 
-The delta equations are the paper's union/difference laws read as
-maintenance rules: ``(r1 ∪ Δ) ÷ r2`` from ``r1 ÷ r2`` by a per-group mask
-OR, and so on.  Each property test applies one rule's counter update and
-compares against the from-scratch division of the mutated inputs.
+The paper's union/difference laws read as maintenance rules: ``(r1 ∪ Δ) ÷
+r2`` from ``r1 ÷ r2`` by a per-group mask OR, and so on.  Each property test
+applies one counter update and compares against the from-scratch division
+of the mutated inputs.
 """
 
 from hypothesis import given, settings
 
-from repro.algebra import builders as B
-from repro.algebra.expressions import SmallDivide
 from repro.division import great_divide, small_divide
-from repro.laws import delta_rules
-from repro.laws.delta import (
-    DeltaRule,
-    DividendDeleteDelta,
-    DividendInsertDelta,
-    DivisorDeleteDelta,
-    DivisorInsertDelta,
-)
-from repro.laws.registry import all_rules, get_rule
 from repro.views.counters import CounterTable
 from tests.strategies import VALUES, dividends, divisors, great_divisors
 
 
-def small_expression():
-    return SmallDivide(B.ref("r1", ["a", "b"]), B.ref("r2", ["b"]))
-
-
-class TestRegistryContract:
-    def test_four_rules_with_full_coverage(self):
-        rules = delta_rules()
-        assert len(rules) == 4
-        assert {(rule.target, rule.operation) for rule in rules} == {
-            ("dividend", "insert"),
-            ("dividend", "delete"),
-            ("divisor", "insert"),
-            ("divisor", "delete"),
-        }
-
-    def test_delta_rules_stay_out_of_the_rewrite_registry(self):
-        # ``apply`` is the identity; in ``all_rules()`` they would pollute
-        # every fixpoint rewrite with no-op "rewrites".
-        rewrite_names = {rule.name for rule in all_rules()}
-        for rule in delta_rules():
-            assert rule.name not in rewrite_names
-
-    def test_get_rule_still_finds_them_by_name(self):
-        rule = get_rule("delta_dividend_insert")
-        assert isinstance(rule, DividendInsertDelta)
-
-    def test_conditions_declared_rp403_contract(self):
-        for rule in delta_rules():
-            assert rule.conditions, rule.name
-            assert rule.paper_reference
-            assert rule.description
-
-    def test_popcount_rules_declare_the_threshold_condition(self):
-        assert "popcount_threshold" in DivisorInsertDelta().conditions
-        assert "popcount_threshold" in DivisorDeleteDelta().conditions
-        assert "set_semantics" in DividendDeleteDelta().conditions
-
-
-class TestMatching:
-    def test_maintainable_shape_matches(self):
-        for rule in delta_rules():
-            assert rule.matches(small_expression())
-
-    def test_projection_input_does_not_match(self):
-        expression = SmallDivide(
-            B.project(B.ref("r1", ["a", "b"]), ["a", "b"]), B.ref("r2", ["b"])
-        )
-        for rule in delta_rules():
-            assert not rule.matches(expression)
-
-    def test_apply_is_the_identity(self):
-        expression = small_expression()
-        assert DividendInsertDelta().apply(expression) is expression
-
-    def test_apply_rejects_unmaintainable_shapes(self):
-        import pytest
-
-        from repro.errors import ReproError
-
-        expression = SmallDivide(
-            B.project(B.ref("r1", ["a", "b", "x"]), ["a", "b"]), B.ref("r2", ["b"])
-        )
-        with pytest.raises(ReproError):
-            DividendDeleteDelta().apply(expression)
-
-    def test_delta_rule_base_is_abstractly_empty(self):
-        assert DeltaRule.target == "" and DeltaRule.operation == ""
-
-
-# ----------------------------------------------------------------------
-# the delta equations, at the counter level
-# ----------------------------------------------------------------------
 def build_small(dividend, divisor):
     counters = CounterTable("small", 1)
     counters.rebuild(

@@ -2,10 +2,12 @@
 
 The sweep drives a random insert/delete sequence against the dividend and
 divisor of a registered view and, after **every** edit, compares the
-maintained answer against a from-scratch recompute of the same query —
-crossed over all 8 division algorithms (5 small-divide, 3 great-divide)
-and 1 or 4 planned partitions, so the counter table must agree with every
-physical implementation of division the engine has.
+maintained answer against a from-scratch recompute of the same query,
+column for column — crossed over all 8 division algorithms (5 small-divide,
+3 great-divide) and 1 or 4 planned partitions, so the counter table must
+agree with every physical implementation of division the engine has.  One
+great-divide sweep selects the divisor's group keys before the quotient
+keys, so the view's column order is swept too.
 
 A second assertion digs below the quotient: the incrementally-updated
 counter table must equal a counter table *rebuilt* from the final base
@@ -60,8 +62,10 @@ def connect_pair(dividend, divisor, kind, algorithm):
     db.add_table("r2", divisor)
     if kind == "small":
         build = lambda: db.table("r1").divide(db.table("r2"), on=["b"])
-    else:
+    elif kind == "great":
         build = lambda: db.table("r1").great_divide(db.table("r2"))
+    else:  # a great divide whose select list puts C before A
+        build = lambda: db.sql("SELECT c, a FROM r1 AS s DIVIDE BY r2 AS t ON s.b = t.b")
     view = db.create_view("q", build())
     view.run()
     return db, view, build
@@ -89,7 +93,11 @@ def assert_maintained_matches_recompute(dividend, divisor, kind, algorithm, part
                 db.delete(table, rows)
             recomputed = build().run().relation
             label = f"{kind}/{algorithm} partitions={partitions} step={step} edit={edit}"
-            assert view.relation() == recomputed, label
+            maintained = view.relation()
+            assert maintained == recomputed, label
+            # column for column, not only as sets of named rows
+            assert maintained.schema.names == recomputed.schema.names, label
+            assert set(maintained.aligned_tuples()) == set(recomputed.aligned_tuples()), label
 
         # Below the quotient: incremental counters == rebuilt counters.
         db2, view2, _build2 = connect_pair(db.relation("r1"), db.relation("r2"), kind, algorithm)
@@ -123,6 +131,20 @@ class TestIVMEquivalenceSweep:
     def test_great_divide_sequences(self, algorithm, partitions, dividend, divisor, edits):
         assert_maintained_matches_recompute(
             dividend, divisor, "great", algorithm, partitions, edits
+        )
+
+    @pytest.mark.parametrize("algorithm,partitions", GREAT_GRID)
+    @settings(max_examples=5, deadline=None)
+    @given(
+        dividend=dividends(max_rows=10),
+        divisor=great_divisors(max_rows=6),
+        edits=edit_sequences(row_width=2),
+    )
+    def test_great_divide_c_before_a_sequences(
+        self, algorithm, partitions, dividend, divisor, edits
+    ):
+        assert_maintained_matches_recompute(
+            dividend, divisor, "great_c_first", algorithm, partitions, edits
         )
 
 

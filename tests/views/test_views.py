@@ -59,7 +59,7 @@ class TestRegistration:
         db.insert("r1", [(2, 2)])
         assert set(view.relation().aligned_tuples()) == {(1,), (2,), (3,)}
 
-    def test_reordering_projection_falls_back(self):
+    def test_reordering_projection_is_maintained(self):
         db = fresh_db()
         from repro.algebra import builders as B
 
@@ -67,7 +67,21 @@ class TestRegistration:
             db.table("r1").great_divide(db.table("r3")).expression, ["c", "a"]
         )
         view = db.create_view("q", db.query(reordered))
-        assert not view.maintained  # counters emit A-then-C order only
+        assert view.maintained and view.shape.order == (1, 0)
+        expected = great_divide(db.relation("r1"), db.relation("r3"))
+        assert view.schema.names == ("c", "a")
+        assert set(view.relation().aligned_tuples()) == {
+            (c, a) for a, c in expected.aligned_tuples()
+        }
+
+    def test_dropping_projection_falls_back(self):
+        db = fresh_db()
+        from repro.algebra import builders as B
+
+        dropped = B.project(db.table("r1").great_divide(db.table("r3")).expression, ["c"])
+        view = db.create_view("q", db.query(dropped))
+        assert not view.maintained
+        assert "Project" in view.unsupported_reason
 
     def test_projection_input_falls_back(self):
         db = fresh_db()
@@ -157,6 +171,17 @@ class TestMaintenance:
         assert "delta_dividend_insert" in result.rules_fired
         assert "delta_dividend_delete" in result.rules_fired
 
+    def test_fallback_view_reads_through_the_session_result_cache(self):
+        db = fresh_db()
+        query = db.table("r1").project(["a", "b"]).divide(db.table("r2"), on=["b"])
+        view = db.create_view("q", query)
+        assert not view.run().result_cache_hit
+        assert view.run().result_cache_hit
+        db.insert("r1", [(2, 2)])
+        after = view.run()
+        assert not after.result_cache_hit
+        assert set(after.relation.aligned_tuples()) == {(1,), (2,), (3,)}
+
     def test_fallback_view_recomputes_after_mutation(self):
         db = fresh_db()
         query = db.table("r1").project(["a", "b"]).divide(db.table("r2"), on=["b"])
@@ -164,6 +189,68 @@ class TestMaintenance:
         assert set(view.relation().aligned_tuples()) == {(1,), (3,)}
         db.delete("r1", [(3, 2)])
         assert set(view.relation().aligned_tuples()) == {(1,)}
+
+
+REORDERED = "SELECT color, s_no FROM supplies AS s DIVIDE BY parts AS p ON s.p_no = p.p_no"
+
+
+def assert_same_answer(view_result, query_result):
+    """Same columns in the same order, same rows."""
+    assert view_result.schema.names == query_result.schema.names
+    assert set(view_result.aligned_tuples()) == set(query_result.aligned_tuples())
+
+
+class TestSelectListOrder:
+    """A view answers in its select list's order and stays maintained."""
+
+    def textbook_db(self):
+        from repro.workloads import textbook_catalog
+
+        return connect(textbook_catalog)
+
+    def test_c_before_a_is_maintained(self):
+        db = self.textbook_db()
+        view = db.create_view("v", REORDERED)
+        assert view.maintained
+        assert view.schema.names == ("color", "s_no")
+        assert_same_answer(view.relation(), db.sql(REORDERED).run().relation)
+
+    def test_equals_the_query_after_an_insert(self):
+        db = self.textbook_db()
+        view = db.create_view("v", REORDERED)
+        view.run()
+        parts = db.relation("parts").project(["p_no"]).aligned_tuples()
+        db.insert("supplies", [("s9", p_no) for (p_no,) in parts])
+        assert view.deltas_applied > 0
+        assert ("red", "s9") in set(view.relation().aligned_tuples())
+        assert_same_answer(view.relation(), db.sql(REORDERED).run().relation)
+
+    def test_equals_the_query_after_a_delete(self):
+        db = self.textbook_db()
+        view = db.create_view("v", REORDERED)
+        before = set(view.relation().aligned_tuples())
+        db.delete("supplies", [db.relation("supplies").aligned_tuples()[0]])
+        assert view.deltas_applied == 1
+        assert_same_answer(view.relation(), db.sql(REORDERED).run().relation)
+        assert set(view.relation().aligned_tuples()) <= before
+
+    def test_renamed_select_list_keeps_its_order(self):
+        db = self.textbook_db()
+        text = (
+            "SELECT color AS shade, s_no AS who FROM supplies AS s "
+            "DIVIDE BY parts AS p ON s.p_no = p.p_no"
+        )
+        view = db.create_view("v", text)
+        assert view.maintained and view.schema.names == ("shade", "who")
+        db.delete("parts", [db.relation("parts").aligned_tuples()[0]])
+        assert_same_answer(view.relation(), db.sql(text).run().relation)
+
+    def test_in_order_select_list_needs_no_permutation(self):
+        db = self.textbook_db()
+        view = db.create_view(
+            "v", "SELECT s_no, color FROM supplies AS s DIVIDE BY parts AS p ON s.p_no = p.p_no"
+        )
+        assert view.maintained and view.shape.in_order
 
 
 class TestExplain:
@@ -194,3 +281,14 @@ class TestVerifyIntegration:
         db.insert("r1", [(6, 1), (6, 2)])
         db.delete("r2", [(2,)])
         assert db.verify_view("q").ok
+
+    def test_reordered_and_fallback_views_verify_clean(self):
+        db = fresh_db()
+        reordered = db.sql("SELECT c, a FROM r1 AS s DIVIDE BY r3 AS t ON s.b = t.b")
+        db.create_view("g", reordered)
+        fallback = db.table("r1").project(["a", "b"]).divide(db.table("r2"), on=["b"])
+        db.create_view("f", fallback)
+        assert db.view("g").maintained and not db.view("f").maintained
+        db.insert("r1", [(6, 1), (6, 2)])
+        assert db.verify_view("g").ok
+        assert db.verify_view("f").ok
