@@ -122,6 +122,12 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   and neither ``matches`` nor ``apply``, which ``RewriteRule`` derives
   from them and ``holds``.
 
+* **RP417** — routing does not depend on the hash seed: under
+  ``src/repro/physical/`` and in ``src/repro/relation/encoding.py`` the
+  builtin ``hash`` is named only inside ``stable_hash``, the one hash both
+  exchange routes take, so one value goes to one partition in every
+  process.
+
 Exit code 1 when any severity-``error`` finding is emitted; ``--json``
 prints the findings as a JSON document for the CI gate.
 """
@@ -150,7 +156,8 @@ CONDITIONS_FILE = LAWS_DIR / "conditions.py"
 DATABASE_FILE = REPO_ROOT / "src" / "repro" / "api" / "database.py"
 CATALOG_FILE = REPO_ROOT / "src" / "repro" / "algebra" / "catalog.py"
 COST_MODEL_FILE = REPO_ROOT / "src" / "repro" / "optimizer" / "physical_cost.py"
-NUMPY_SEAMS = (SOURCE_DIR / "relation" / "encoding.py", PHYSICAL_DIR / "compile" / "kernels.py")
+ENCODING_FILE = SOURCE_DIR / "relation" / "encoding.py"
+NUMPY_SEAMS = (ENCODING_FILE, PHYSICAL_DIR / "compile" / "kernels.py")
 
 PRAGMA = "# contract: rows-ok"
 EVALUATE_PRAGMA = "# contract: evaluate-ok"
@@ -824,6 +831,31 @@ def _check_counter_writes(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
+# RP417: routing hashes the same in every process
+# ----------------------------------------------------------------------
+#: The one function that may call the builtin ``hash`` (on numbers).
+STABLE_HASH = "stable_hash"
+
+
+def _check_seeded_hash(path: Path) -> Iterator[Finding]:
+    def visit(node: ast.AST) -> Iterator[Finding]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name == STABLE_HASH:
+                continue
+            if isinstance(child, ast.Name) and child.id == "hash":
+                yield finding(
+                    "RP417",
+                    "the builtin hash changes with the process's hash seed; "
+                    f"route by {STABLE_HASH}",
+                    _where(path, child),
+                    "engine",
+                )
+            yield from visit(child)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)))
+
+
+# ----------------------------------------------------------------------
 # RP403: laws declare their conditions
 # ----------------------------------------------------------------------
 def _assigned_names(class_node: ast.ClassDef) -> set[str]:
@@ -955,6 +987,7 @@ def run() -> list[Finding]:
         findings.extend(_check_row_builders(path))
         findings.extend(_check_operator_declarations(path))
         findings.extend(_check_division_keys(path))
+        findings.extend(_check_seeded_hash(path))
         if path.parent == DIVISION_DIR and path.name != "keys.py":
             findings.extend(_check_division_output(path))
         if path.parent == PARALLEL_DIR:
@@ -969,6 +1002,7 @@ def run() -> list[Finding]:
     findings.extend(_check_catalog_writes(CATALOG_FILE))
     findings.extend(_check_fold_path(FOLD_MODULES))
     findings.extend(_check_cost_model_file(COST_MODEL_FILE))
+    findings.extend(_check_seeded_hash(ENCODING_FILE))
     for path in _python_files(SOURCE_DIR):
         findings.extend(_check_numpy_imports(path))
         findings.extend(_check_code_runners(path))

@@ -89,6 +89,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP414": (Severity.ERROR, "query path runs the logical interpreter (Expression.evaluate)"),
     "RP415": (Severity.ERROR, "tuples_out assigned outside PhysicalOperator.chunks and its resets"),
     "RP416": (Severity.ERROR, "law class hand-writes matches/apply instead of stating lhs and rhs"),
+    "RP417": (Severity.ERROR, "partition routing uses the seeded builtin hash, not stable_hash"),
     # -- RP5xx: storage invariants -----------------------------------------
     "RP501": (Severity.ERROR, "stored scan schema disagrees with the table file header"),
     "RP502": (Severity.ERROR, "block zone map malformed (unknown attribute or min > max)"),

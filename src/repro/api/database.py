@@ -535,8 +535,10 @@ class Database:
     def _note_edit(
         self, table: str, schema: Schema, inserted: list[Row], deleted: list[Row]
     ) -> MutationResult:
-        """Wrap an edit's effective rows; bump the version, notify views."""
-        added, removed = Relation(schema, inserted), Relation(schema, deleted)
+        """Wrap an edit's effective rows (aligned with the table's schema, so
+        held as they are); bump the version, notify views."""
+        added = Relation._from_parts(schema, inserted)
+        removed = Relation._from_parts(schema, deleted)
         version = self._note_mutation(table, added, removed)
         return MutationResult(table=table, inserted=added, deleted=removed, version=version)
 
@@ -902,8 +904,12 @@ def _coerce_catalog(source: DatabaseSource) -> Catalog:
         return load_catalog(source)
     if callable(source):
         produced = source()
-        if isinstance(produced, (Catalog, Mapping)):
-            return _coerce_catalog(produced)  # type: ignore[arg-type]
+        if isinstance(produced, Catalog):
+            for name in produced:
+                _refuse_nan_table("connect", produced[name])
+            return produced
+        if isinstance(produced, Mapping):
+            return _coerce_catalog(produced)
         raise ReproError(
             f"workload generator {source!r} returned {type(produced).__name__}; "
             "expected a Catalog or a name → Relation mapping"
@@ -915,6 +921,7 @@ def _coerce_catalog(source: DatabaseSource) -> Catalog:
                 raise ReproError(
                     f"table {name!r} is a {type(relation).__name__}, expected a Relation"
                 )
+            _refuse_nan_table("connect", relation)
             catalog.add_table(name, relation)
         return catalog
     raise ReproError(

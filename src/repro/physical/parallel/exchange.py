@@ -2,17 +2,21 @@
 
 :class:`HashPartitionExchange` consumes a physical operator's chunk stream
 and materializes it as ``K`` *key-disjoint* partitions: every tuple lands in
-the bucket ``hash(key) % K`` of its partition-key value, so all tuples that
+the bucket ``stable_hash(key) % K`` of its partition-key value, so all tuples that
 agree on the key — one quotient-candidate group, one join-key equivalence
 class, one aggregation group — end up in the same partition.  That
 disjointness is what makes partition-wise execution sound: each partition
 can run the existing *serial* algorithm to completion and the concatenated
 outputs are exactly the unpartitioned result (no key spans two partitions,
 so no merge step and no cross-partition duplicate elimination is needed).
+:func:`~repro.relation.encoding.stable_hash` depends on no hash seed (lint
+rule RP417 keeps the builtin ``hash`` off both routes), so one value lands
+in one partition, and partition sizes and spill files repeat, in every
+process.
 
 A :class:`Partition` is a block of **code columns**, not a list of tuples.
 Chunks that carry dictionary codes (scans, filters over them)
-are routed without their values being touched: ``hash(value) % K`` is
+are routed without their values being touched: ``stable_hash(value) % K`` is
 computed once per *dictionary entry* (a route table, kept per dictionary
 object by whoever owns the plan; composite keys go through
 :func:`~repro.relation.encoding.merge_code_columns` first), a table lookup
@@ -22,7 +26,7 @@ dictionary is larger than the partition is compacted to the entries the
 partition carries.  A partition is therefore dictionaries plus int32
 code buffers — integers plus distinct values, never more values than
 codes.  The buckets, their order and their sizes are exactly those of
-``hash(key) % K`` per tuple.
+``stable_hash(key) % K`` per tuple.
 
 Chunks without code columns (join output, raw-stored columns) and every
 chunk of a run under a memory budget take the *tuple route*
@@ -58,6 +62,7 @@ from repro.relation.encoding import (
     merge_code_columns,
     route_codes,
     split_code_columns,
+    stable_hash,
 )
 from repro.relation.schema import AttributeNames, as_schema
 
@@ -230,7 +235,7 @@ class HashPartitionExchange:
         share exactly.  With one partition nothing is hashed.  Neither
         the coded route nor
         spilling changes a partition's content or order: both hold exactly
-        the tuples ``hash(key) % partitions`` per tuple would have appended.
+        the tuples ``stable_hash(key) % partitions`` per tuple would have appended.
         """
         if self.memory_budget_mb is not None:
             partitions = self._partition_with_budget(source)
@@ -305,7 +310,7 @@ class HashPartitionExchange:
         self, chunk: Chunk, buckets: list[list[tuple[Any, ...]]]
     ) -> list[tuple[Any, ...]]:
         """The tuple route: append each tuple of ``chunk`` to the bucket
-        ``hash(key) % len(buckets)``; returns the chunk's tuples.  The one
+        ``stable_hash(key) % len(buckets)``; returns the chunk's tuples.  The one
         place in this package that reads ``chunk.tuples`` (RP406)."""
         tuples = chunk.tuples
         count = len(buckets)
@@ -313,7 +318,7 @@ class HashPartitionExchange:
             buckets[0].extend(tuples)
         else:
             for values, key in zip(tuples, self._key_of.keys_of(chunk)):
-                buckets[hash(key) % count].append(values)
+                buckets[stable_hash(key) % count].append(values)
         return tuples
 
     def _partition_with_budget(self, source: PhysicalOperator) -> list[Partition]:

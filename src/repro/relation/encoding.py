@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from typing import Any, NamedTuple, Optional
@@ -58,6 +59,7 @@ __all__ = [
     "Renumbering",
     "repeat_codes",
     "route_codes",
+    "stable_hash",
     "split_code_columns",
     "widen_codes",
     "narrow_view",
@@ -371,10 +373,41 @@ def _merge_by_dict(
     return encoder.codes, keys
 
 
+#: Keeps :func:`stable_hash` of a tuple inside ``int64``.
+_HASH_MASK = (1 << 61) - 1
+
+
+def stable_hash(value: Any) -> int:
+    """A hash of ``value`` that is the same in every process, for routing.
+
+    The builtin ``hash`` of a string (and of a tuple holding one, and of
+    ``None``) changes with the process's hash seed; this one does not, so
+    one value goes to one partition in every run.  Equal values hash alike
+    as under ``hash`` (``1``, ``1.0`` and ``True`` too): numbers keep the
+    builtin's hash, which depends on no seed; strings hash by CRC-32 of
+    their UTF-8, tuples combine their items' hashes in order, frozensets
+    (nested values) sum theirs.  Any other value falls back to the builtin
+    ``hash``.
+    """
+    if isinstance(value, str):
+        return zlib.crc32(value.encode("utf-8", "surrogatepass"))
+    if isinstance(value, tuple):
+        combined = 0x345678
+        for item in value:
+            combined = (combined * 1000003 ^ stable_hash(item)) & _HASH_MASK
+        return combined
+    if value is None:
+        return 0x2F1E
+    if isinstance(value, frozenset):
+        return sum(map(stable_hash, value)) & _HASH_MASK
+    return hash(value)
+
+
 def route_codes(keys: Sequence[Any], count: int) -> Any:
-    """``hash(key) % count`` per key: the table :func:`split_code_columns`
-    routes by (numpy's modulo, like Python's: never negative)."""
-    return _np.fromiter(map(hash, keys), dtype=_np.int64, count=len(keys)) % count
+    """``stable_hash(key) % count`` per key: the table
+    :func:`split_code_columns` routes by (numpy's modulo, like Python's:
+    never negative)."""
+    return _np.fromiter(map(stable_hash, keys), dtype=_np.int64, count=len(keys)) % count
 
 
 def split_code_columns(

@@ -16,15 +16,18 @@ attribute order.  The operators exploit this with precomputed attribute
 index arrays ("pickers"): projection, joins, semi-joins and grouping pick
 values positionally out of the tuples instead of rebuilding per-row dicts.
 
-A relation is held in one of three states: a ``frozenset`` of rows (what
-the constructor and the algebra build), a de-duplicated block of aligned
-value tuples (what a stored table and a plan emitting tuples hand over), or
+A relation is held in one of three states: a de-duplicated block of
+aligned value tuples (what the constructor and :meth:`Relation.from_aligned`
+build, in the order given, and what a stored table and a plan emitting
+tuples hand over), a ``frozenset`` of rows (what the algebra builds), or
 one dictionary-code column per attribute (what a plan whose every chunk is
 coded over shared dictionaries hands over: a set by construction, whose
 dictionaries may carry entries no tuple holds; and what a table's edits
 fold into when its encoding is cached: the patched encoding itself).  The
 block is built from the codes, and the rows from the block, the first time
-something needs them.  A table's folded value first asks for both
+something needs them, so a base table's scan order, dictionaries and
+stored bytes are those of the order it was given, whatever the process's
+hash seed.  A table's folded value first asks for both
 elsewhere: its block is the parent's tuple list less the removed tuples
 plus the added ones when that list had been built (one link, never a chain
 of versions; else the codes are decoded), and its rows a copy of the
@@ -33,7 +36,7 @@ catalog's live set of the table's rows while that still holds exactly them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Sized
 from typing import Any, Optional, Union
 
 from repro.errors import RelationError, SchemaError
@@ -96,24 +99,26 @@ NULL = _Null()
 class Relation:
     """An immutable relation: a schema plus a *set* of rows.
 
-    The set may be held as a de-duplicated tuple block or as code columns
-    instead (see the module docstring): ``len`` reads either, ``to_tuples``
-    and ``to_set`` read the block (built once from its source or the
-    codes), and
-    ``encoded_columns`` renumbers the codes or encodes the block; the first
-    iteration, membership test, ``rows``, ``==``, ``hash`` or algebra call
-    builds the ``frozenset`` once.  Every state answers every method alike;
-    only the scan order of :meth:`aligned_tuples` follows how the value was
-    built.
+    A new relation holds the set as a de-duplicated tuple block, in the
+    order its rows were given; a plan's result may hold code columns, and
+    the algebra a ``frozenset`` (see the module docstring).  ``len`` reads
+    any state, ``to_tuples`` and ``to_set`` read the block (built once from
+    its source or the codes), and ``encoded_columns`` renumbers the codes or
+    encodes the block; the first iteration, membership test, ``rows``,
+    ``==``, ``hash`` or algebra call builds the ``frozenset`` once.  Every
+    state answers every method alike; only the scan order of
+    :meth:`aligned_tuples` follows how the value was built.
 
     Parameters
     ----------
     attributes:
         The attribute names of the schema, in display order.
     rows:
-        An iterable of rows.  Each row may be a mapping from attribute name
-        to value or a sequence of values aligned with ``attributes``.
-        Duplicates are silently removed (set semantics).
+        An iterable of rows.  Each row may be a ``Row``, a mapping from
+        attribute name to value or a sequence of values aligned with
+        ``attributes``; each becomes an aligned value tuple, and no ``Row``
+        is built until something asks for rows.  Duplicates are silently
+        removed (set semantics), the first one kept.
 
     Examples
     --------
@@ -135,32 +140,22 @@ class Relation:
         rows: Iterable[Union[Mapping[str, Any], Sequence[Any]]] = (),
     ) -> None:
         schema = Schema.interned(as_schema(attributes).names)
-        coerce = self._coerce_row
-        self._schema = schema
-        self._set: Optional[frozenset[Row]] = frozenset(coerce(schema, raw) for raw in rows)
-        self._block: Optional[list[tuple[Any, ...]]] = None
-        #: Where a table's folded value gets its block without decoding
-        #: (see :meth:`with_delta`); dropped once the block is built.
-        self._block_source: Optional[_BlockSource] = None
-        self._encoding: Optional[tuple[CodeColumn, ...]] = None
-        self._codes: Optional[tuple[CodeColumn, ...]] = None
-        #: Asked for the row set the first time it is needed, before the
-        #: block is: the catalog sets it on a table's folded value, to hand
-        #: over a copy of its live set (``None``: build from the block).
-        self._row_source: Optional[_RowSource] = None
-        #: What :meth:`_summary` derived from the encoding (``None``: nothing yet).
-        self._summaries: Optional[dict[Hashable, Any]] = None
+        align = self._aligned_values
+        self._hold_block(schema, [align(schema, raw) for raw in rows])
 
     @staticmethod
-    def _coerce_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> Row:
+    def _aligned_values(
+        schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]
+    ) -> tuple[Any, ...]:
+        """``raw`` as a value tuple aligned with ``schema``: no ``Row`` is built."""
         if isinstance(raw, Row):
             raw_schema = raw.schema
             if raw_schema is schema:
-                return raw
+                return raw._values
             if raw_schema.name_set == schema.name_set:
                 # Same attribute set, possibly another declaration order:
                 # realign the value tuple with this relation's schema.
-                return Row.from_schema(schema, raw.values_for(schema))
+                return raw.values_for(schema)
             raise RelationError(
                 f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
             )
@@ -175,19 +170,18 @@ class Relation:
                     f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
                 )
             try:
-                values = tuple(raw[name] for name in schema.names)
+                return tuple(raw[name] for name in schema.names)
             except KeyError:
                 raise RelationError(
                     f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
                 ) from None
-            return Row.from_schema(schema, values)
         values = tuple(raw)
         if len(values) != len(schema):
             raise RelationError(
                 f"row {values!r} has {len(values)} values but schema {schema.names!r} "
                 f"has {len(schema)} attributes"
             )
-        return Row.from_schema(schema, values)
+        return values
 
     @classmethod
     def _from_parts(cls, schema: Schema, rows: Iterable[Row]) -> "Relation":
@@ -206,17 +200,34 @@ class Relation:
         every tuple aligned with it, and the list is the relation's to keep.
         Duplicates go here (the first one stays, as in a set built from the
         same tuples); no ``Row`` is built."""
+        relation = object.__new__(cls)
+        relation._hold_block(schema, tuples)
+        return relation
+
+    def _hold_block(self, schema: Schema, tuples: list[tuple[Any, ...]]) -> None:
+        """Set this value to the block state over ``tuples`` (see
+        :meth:`_from_block`), de-duplicated in first-seen order."""
         try:
             if len(set(tuples)) != len(tuples):
                 tuples = list(dict.fromkeys(tuples))
         except TypeError:
             Row.block(schema, tuples)  # raises RelationError, naming the tuple
             raise
-        relation = object.__new__(cls)
-        relation._schema = schema
-        relation._set = relation._encoding = relation._codes = relation._row_source = None
-        relation._block, relation._block_source, relation._summaries = tuples, None, None
-        return relation
+        self._schema = schema
+        self._block = tuples
+        #: The row set, built the first time it is asked for (:attr:`_rows`).
+        self._set: Optional[frozenset[Row]] = None
+        #: Where a table's folded value gets its block without decoding
+        #: (see :meth:`with_delta`); dropped once the block is built.
+        self._block_source: Optional[_BlockSource] = None
+        self._encoding: Optional[tuple[CodeColumn, ...]] = None
+        self._codes: Optional[tuple[CodeColumn, ...]] = None
+        #: Asked for the row set the first time it is needed, before the
+        #: block is: the catalog sets it on a table's folded value, to hand
+        #: over a copy of its live set (``None``: build from the block).
+        self._row_source: Optional[_RowSource] = None
+        #: What :meth:`_summary` derived from the encoding (``None``: nothing yet).
+        self._summaries: Optional[dict[Hashable, Any]] = None
 
     @classmethod
     def _from_columns(cls, schema: Schema, columns: tuple[CodeColumn, ...]) -> "Relation":
@@ -235,13 +246,31 @@ class Relation:
         """Build a relation from value tuples already aligned with the schema.
 
         Each element of ``tuples`` must be a tuple of values in schema
-        attribute order, so no per-row mapping coercion or length checking
-        is needed.  The rows are built at once and the scan order is the
-        set's own; a plan's result is a block instead
-        (:meth:`~repro.physical.base.PhysicalOperator.execute`).
+        attribute order, so no per-row mapping coercion is needed; one of
+        another width is refused with a :class:`RelationError` naming it.
+        The tuples are copied into a list the relation owns (a later change
+        to the caller's list changes nothing) and de-duplicated in
+        first-seen order: the relation starts in the block state, its scan
+        order is the order given, and no ``Row`` is built until something
+        asks for rows.
         """
         schema = Schema.interned(as_schema(attributes).names)
-        return cls._from_parts(schema, frozenset(Row.block(schema, tuples)))
+        tuples = list(tuples)
+        width = len(schema)
+        try:
+            wrong = bool(set(map(len, tuples)) - {width})
+        except TypeError:  # an element without a length
+            wrong = True
+        if wrong:
+            culprit = next(
+                values for values in tuples
+                if not isinstance(values, Sized) or len(values) != width
+            )  # fmt: skip
+            raise RelationError(
+                f"from_aligned: {culprit!r} is not a tuple of {width} values "
+                f"aligned with {schema.names!r}"
+            )
+        return cls._from_block(schema, tuples)
 
     def with_delta(self, added: Iterable[Row], removed: Iterable[Row]) -> "Relation":
         """This value minus ``removed`` plus ``added``: a table after its edits.
@@ -353,7 +382,9 @@ class Relation:
             if source is not None:
                 rows = source(self)
             if rows is None:
-                rows = frozenset(Row.block(self._schema, self.aligned_tuples()))
+                tuples = self._tuples  # the block held or linked, else decoded
+                tuples = self.aligned_tuples() if tuples is None else tuples
+                rows = frozenset(Row.block(self._schema, tuples))
             self._set = rows
         return rows
 
@@ -566,12 +597,13 @@ class Relation:
         schema = self._schema if attributes is None else as_schema(attributes)
         self._schema.require(schema, "clustered")
         picks = self._schema.picker(schema)
-        relation = Relation._from_parts(self._schema, self._rows)
-        relation._block = sorted(
-            self.aligned_tuples(),
-            key=lambda values: tuple(_sort_key(values[i]) for i in picks),
+        return Relation._from_block(
+            self._schema,
+            sorted(
+                self.aligned_tuples(),
+                key=lambda values: tuple(_sort_key(values[i]) for i in picks),
+            ),
         )
-        return relation
 
     def to_set(self, attribute: str) -> set[Any]:
         """Values of a single attribute as a Python set."""

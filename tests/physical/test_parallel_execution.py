@@ -27,7 +27,7 @@ from repro.physical import (
 )
 from repro.physical.base import Chunk, PhysicalOperator
 from repro.relation import Relation
-from repro.relation.encoding import CodeColumn, code_buffer
+from repro.relation.encoding import CodeColumn, code_buffer, route_codes, stable_hash
 from repro.relation.aggregates import count, sum_of
 from repro.workloads import make_division_workload, make_great_division_workload
 from tests.strategies import dividends, divisors, great_divisors
@@ -430,12 +430,12 @@ class TestExchange:
                     assert len(column.dictionary) <= len(column.codes)
 
     def test_route_table_is_kept_across_executions(self, workload):
-        """One ``hash(value) % K`` per dictionary entry, once per plan: a
+        """One ``stable_hash(value) % K`` per dictionary entry, once per plan: a
         re-executed plan routes by the table it built the first time."""
         _result, operator = partitioned_small(workload.dividend, workload.divisor, "hash", 3)
         ((dictionary, routes),) = operator._route_tables.values()
         assert dictionary is workload.dividend.encoded_columns()[0].dictionary
-        assert list(routes) == [hash(value) % 3 for value in dictionary]
+        assert list(routes) == [stable_hash(value) % 3 for value in dictionary]
         execute_plan(operator)
         ((_dictionary, again),) = operator._route_tables.values()
         assert again is routes
@@ -458,8 +458,28 @@ class TestExchange:
         expected = [[], []]
         for relation in (first, second, third):
             for values in relation.aligned_tuples():
-                expected[hash(values[0]) % 2].append(values)
+                expected[stable_hash(values[0]) % 2].append(values)
         assert bucket_tuples(stream, partitions) == expected
+
+    @pytest.mark.parametrize("key", [["a"], ["a", "b"]], ids=["one attribute", "composite"])
+    def test_both_routes_send_a_string_key_to_one_partition(self, key):
+        """The coded route (one route per dictionary entry) and the tuple
+        route (one per tuple) hash alike, strings and tuples included, and
+        ``stable_hash`` keeps equal values together as ``hash`` does."""
+        relation = Relation(
+            ["a", "b", "c"], [(f"k{i % 53}", ("x", "y", None)[i % 3], i) for i in range(400)]
+        )
+        buckets = []
+        for source in (RelationScan(relation), Uncoded(RelationScan(relation))):
+            exchange = HashPartitionExchange(key, 5)
+            buckets.append(bucket_tuples(source, exchange.partition(source)))
+        assert buckets[0] == buckets[1]
+        get = relation.schema.tuple_getter(key)
+        for route, bucket in enumerate(buckets[0]):
+            keys = [get(values) if len(key) > 1 else values[0] for values in bucket]
+            assert list(route_codes(keys, 5)) == [route] * len(keys)
+        assert len({stable_hash(value) for value in (1, 1.0, True)}) == 1
+        assert stable_hash(("k1", None)) == stable_hash(("k1", None)) != stable_hash(("k1", "x"))
 
     @pytest.mark.parametrize("kind,algorithm", EXCHANGE_ALGORITHMS)
     @settings(max_examples=6, deadline=None)

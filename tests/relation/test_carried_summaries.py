@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import repro
 import repro.physical.compile.kernels as kernels_module
 import repro.relation.encoding as encoding_module
+from repro.algebra.catalog import Catalog
 from repro.division import small_divide
 from repro.errors import RelationError
 from repro.optimizer.statistics import TableStatistics
@@ -289,7 +290,9 @@ def test_the_size_bound_crossed_both_ways():
 )
 def test_unordered_columns_from_add_table_fall_back(values):
     table = Relation(["a", "b"], [(value, b) for value in values for b in range(4)])
-    db = repro.connect({"t": table}, result_cache_size=0)
+    catalog = Catalog()  # a catalog's own add_table lets a NaN through
+    catalog.add_table("t", table)
+    db = repro.connect(catalog, result_cache_size=0)
     db.sql("SELECT a FROM t AS x DIVIDE BY (SELECT b FROM t WHERE b < 2) AS y ON x.b = y.b").run()
     parent = db.relation("t")
     (doomed,) = [row for row in parent.aligned_tuples() if row[1] == 0][:1]
@@ -405,3 +408,31 @@ def test_a_table_holding_nan_is_refused_and_changes_nothing(method, nan):
         getattr(db, method)(name, Relation(["a", "b"], [(2, 2.5), (3, nan)]))
     assert db.tables == ("t",) and db.table_version("t") == 0
     assert db.relation("t").to_tuples() == {(1, 1.5)}
+
+
+@pytest.mark.parametrize("nan", [NAN, np.float64("nan")])
+@pytest.mark.parametrize("source", ["mapping", "generator of a mapping", "generator of a catalog"])
+def test_connect_refuses_a_table_holding_nan(source, nan):
+    """``connect`` holds a mapping's or a generator's tables to the rule
+    ``add_table`` holds one to, reading the dictionaries the statistics
+    refresh reads next: one encode per table, no other pass."""
+    table = Relation.from_aligned(["a", "b"], [(3, 1.5), (4, nan)])
+    tables = {"ok": Relation(["a"], [(1,)]), "t": table}
+
+    def catalog():
+        made = Catalog()
+        for name, relation in tables.items():
+            made.add_table(name, relation)
+        return made
+
+    given = {
+        "mapping": tables,
+        "generator of a mapping": lambda: tables,
+        "generator of a catalog": catalog,
+    }[source]
+    with pytest.raises(RelationError, match="^connect: 'b' holds a NaN"):
+        repro.connect(given)
+    assert table.cached_encoding is not None and table._set is None
+    clean = Relation.from_aligned(["a", "b"], [(3, 1.5), (4, 2.5)])
+    db = repro.connect({"t": clean})
+    assert db.relation("t").cached_encoding is clean.cached_encoding is not None

@@ -729,3 +729,44 @@ class TestRP416LawsStateTheirSides:
     def test_every_law_in_the_repository_states_its_sides(self, lint):
         for path in lint._python_files(lint.LAWS_DIR):
             assert list(lint._check_law_statement(path)) == [], path
+
+
+class TestRP417RoutingHashesAlikeInEveryProcess:
+    def test_a_planted_seeded_hash_on_the_tuple_route_is_flagged(self, lint, tmp_path):
+        """Mutation check: the real exchange module with its tuple route put
+        back on the builtin ``hash`` fails the rule, at that line."""
+        exchange = (lint.PARALLEL_DIR / "exchange.py").read_text()
+        assert list(lint._check_seeded_hash(lint.PARALLEL_DIR / "exchange.py")) == []
+        planted = "buckets[stable_hash(key) % count]"
+        assert exchange.count(planted) == 1
+        path = write(tmp_path, exchange.replace(planted, "buckets[hash(key) % count]"))
+        findings = list(lint._check_seeded_hash(path))
+        assert codes(findings) == ["RP417"]
+        line = int(findings[0].where.rsplit(":", 1)[1])
+        assert "hash(key) % count" in path.read_text().splitlines()[line - 1]
+
+    def test_only_stable_hash_may_name_the_builtin(self, lint, tmp_path):
+        path = write(
+            tmp_path,
+            "def stable_hash(value):\n"
+            "    return hash(value)\n"
+            "def route_codes(keys, count):\n"
+            "    return np.fromiter(map(hash, keys), dtype=np.int64) % count\n"
+            "def route(key, count):\n"
+            "    return stable_hash(key) % count\n"
+            "class Key:\n"
+            "    def __hash__(self):\n"
+            "        return hash(self.values)\n",
+        )
+        findings = list(lint._check_seeded_hash(path))
+        assert codes(findings) == ["RP417"] * 2
+        assert [f.where.rsplit(":", 1)[1] for f in findings] == ["4", "9"]
+
+    def test_rule_covers_the_physical_layer_and_the_encoding(self, lint, tmp_path, monkeypatch):
+        for path in [*lint._python_files(lint.PHYSICAL_DIR), lint.ENCODING_FILE]:
+            assert list(lint._check_seeded_hash(path)) == [], path
+        encoding = lint.ENCODING_FILE.read_text()
+        assert encoding.count("map(stable_hash, keys)") == 1
+        path = write(tmp_path, encoding.replace("map(stable_hash, keys)", "map(hash, keys)"))
+        monkeypatch.setattr(lint, "ENCODING_FILE", path)
+        assert codes(lint.run()) == ["RP417"]
