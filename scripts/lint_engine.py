@@ -78,8 +78,7 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   read a relation through its code columns or one sweep over its aligned
   tuples: no ``for … in <relation>`` (a loop or comprehension over a
   ``Relation`` parameter), no ``.rows``, no ``.project(`` and no
-  ``values_for(``.  The condition that still works on rows
-  (``condition_c1``) carries the RP401 waiver pragma with its reason.
+  ``values_for(``.
 
 * **RP410** — ``src/repro/optimizer/physical_cost.py`` binds no
   module-level name to a number.  Cost coefficients live on the operator
@@ -97,11 +96,12 @@ the stable-code registry of :mod:`repro.analysis.findings`:
   ``exec`` or ``eval``: no code is generated at run time, so there is no
   generated source to audit.  Attribute calls (``re.compile``) are fine.
 
-* **RP413** — under ``src/repro/physical/`` a result stays code columns
+* **RP413** — under ``src/repro/physical/``, ``algebra/``, ``api/``,
+  ``views/`` and ``laws/`` a result, a table and an edit stay code columns
   or a tuple block: ``Row.block``, ``Row.from_schema`` and
   ``Relation.from_aligned`` may be named only inside a function carrying
   the RP401 waiver pragma (on it or on a function around it), so no
-  operator builds rows nobody asked for.
+  operator, edit or view builds rows nobody asked for.
 
 * **RP414** — a law precondition is answered by the physical engine: under
   ``src/repro/{laws,optimizer,api,views}/`` nothing names ``.evaluate``,
@@ -163,6 +163,8 @@ PRAGMA = "# contract: rows-ok"
 EVALUATE_PRAGMA = "# contract: evaluate-ok"
 #: The packages on the query path, where no expression is interpreted.
 QUERY_PATH_PACKAGES = ("laws", "optimizer", "api", "views")
+#: The packages besides ``physical/`` where no row is built unwaived (RP413).
+ROW_FREE_PACKAGES = ("algebra", "api", "views", "laws")
 
 #: Calls inside _produce_chunks that mean "a Row object was materialized".
 ROW_MATERIALIZERS = {"rows", "from_schema", "from_rows", "batched"}
@@ -741,7 +743,7 @@ def _check_code_runners(path: Path) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RP413: the physical layer builds rows only where it is waived
+# RP413: the engine builds rows only where it is waived
 # ----------------------------------------------------------------------
 #: (receiver, attribute) pairs that build ``Row`` objects or a row set.
 ROW_BUILDERS = {("Row", "block"), ("Row", "from_schema"), ("Relation", "from_aligned")}
@@ -984,7 +986,6 @@ def run() -> list[Finding]:
     findings: list[Finding] = []
     for path in _python_files(PHYSICAL_DIR):
         findings.extend(_check_physical_file(path))
-        findings.extend(_check_row_builders(path))
         findings.extend(_check_operator_declarations(path))
         findings.extend(_check_division_keys(path))
         findings.extend(_check_seeded_hash(path))
@@ -1007,8 +1008,11 @@ def run() -> list[Finding]:
         findings.extend(_check_numpy_imports(path))
         findings.extend(_check_code_runners(path))
         findings.extend(_check_counter_writes(path))
-        if path.relative_to(SOURCE_DIR).parts[0] in QUERY_PATH_PACKAGES:
+        package = path.relative_to(SOURCE_DIR).parts[0]
+        if package in QUERY_PATH_PACKAGES:
             findings.extend(_check_interpreter_calls(path))
+        if package == "physical" or package in ROW_FREE_PACKAGES:
+            findings.extend(_check_row_builders(path))
     return findings
 
 

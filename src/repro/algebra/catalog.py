@@ -14,17 +14,17 @@ The :class:`Catalog` records these constraints so that rewrite rules can
 check them declaratively, and it doubles as the database (name → relation
 mapping) the evaluator and the physical executor read from.
 
-Edits are O(delta): :meth:`Catalog.apply_delta` records the rows an edit
-adds and removes beside the table's immutable relation value, tests
-membership against one live set of the table's current rows (built by its
-first edit, kept up to date by every edit), and the first *read* of the
-table (``catalog[name]`` — the one way every reader gets at a relation)
-folds what is pending into a new value: a patch of the carried scan block
-that copies no row set (:meth:`Relation.with_delta`).  A reader that asks
-the folded value for its rows gets a copy of the live set, the same
-``Row`` objects, while the value is still the table's with nothing
-pending.  Declared keys are enforced on the way in, so a law that trusts
-``has_key`` never sees a table that breaks it.
+Edits are O(delta): :meth:`Catalog.apply_delta` records the value tuples
+an edit adds and removes beside the table's immutable relation value,
+tests membership against one live set of the table's current tuples (built
+by its first edit, kept up to date by every edit), and the first *read* of
+the table (``catalog[name]`` — the one way every reader gets at a relation)
+folds what is pending into a new value: a patch of the carried encoding
+and scan block (:meth:`Relation.with_delta`).  No ``Row`` is built on the
+way: the delta, the live set and the folded value hold value tuples, and a
+reader that asks the folded value for its rows builds them from its block.
+Declared keys are enforced on the way in, so a law that trusts ``has_key``
+never sees a table that breaks it.
 """
 
 from __future__ import annotations
@@ -32,16 +32,17 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Optional
+from typing import Any
 
 from repro.algebra.expressions import RelationRef
 from repro.errors import SchemaError
 from repro.relation.relation import Relation
-from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
 
 __all__ = ["Catalog", "ForeignKey"]
+
+#: A value tuple aligned with a table's schema.
+Values = tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,14 @@ class Catalog(Mapping[str, Relation]):
 
     def __init__(self) -> None:
         self._tables: dict[str, Relation] = {}
-        #: Edits not yet folded into ``_tables``: per table the rows added
-        #: (insertion-ordered) and the rows of the base value removed.
-        self._pending: dict[str, tuple[dict[Row, None], set[Row]]] = {}
-        #: Per edited table its current rows, pending edits included: built
-        #: by the table's first edit, moved by every effective delta and
-        #: dropped by :meth:`replace_table`, so no edit reads a table value;
-        #: the fold's row source (:meth:`_live_rows`) copies it.
-        self._live: dict[str, set[Row]] = {}
+        #: Edits not yet folded into ``_tables``: per table the value tuples
+        #: added (insertion-ordered) and those of the base value removed.
+        self._pending: dict[str, tuple[dict[Values, None], set[Values]]] = {}
+        #: Per edited table its current value tuples, pending edits
+        #: included: built by the table's first edit, moved by every
+        #: effective delta and dropped by :meth:`replace_table`, so no edit
+        #: reads a table value.
+        self._live: dict[str, set[Values]] = {}
         self._keys: dict[str, set[frozenset[str]]] = {}
         #: Per declared key the count of each key value among the table's
         #: current rows; built by the first edit of a table that has a key.
@@ -108,18 +109,7 @@ class Catalog(Mapping[str, Relation]):
         relation = self._tables[name]
         if added or removed:
             relation = self._tables[name] = relation.with_delta(added, removed)
-            # Asked for its rows, a folded block copies the live set.
-            relation._row_source = partial(self._live_rows, name)
         return relation
-
-    def _live_rows(self, name: str, relation: Relation) -> Optional[frozenset[Row]]:
-        """A copy of the live set of ``name`` while ``relation`` is the
-        table's value with nothing pending (the set then holds exactly its
-        rows, as the same ``Row`` objects), else ``None``."""
-        live = self._live.get(name)
-        if live is None or name in self._pending or self._tables.get(name) is not relation:
-            return None
-        return frozenset(live)
 
     # ------------------------------------------------------------------
     # definition API
@@ -173,17 +163,17 @@ class Catalog(Mapping[str, Relation]):
         self._tables[name] = relation
 
     def apply_delta(
-        self, name: str, inserted: Iterable[Row], deleted: Iterable[Row]
-    ) -> tuple[list[Row], list[Row]]:
-        """Record an edit of ``name`` and return its *effective* rows.
+        self, name: str, inserted: Iterable[Values], deleted: Iterable[Values]
+    ) -> tuple[list[Values], list[Values]]:
+        """Record an edit of ``name`` and return its *effective* value tuples.
 
         ``(current − deleted) ∪ inserted`` under set semantics, in
-        O(delta): membership is read off the table's live row set (built
-        by its first edit), nothing is copied and nothing is folded.  A row
+        O(delta): membership is read off the table's live set (built by its
+        first edit), nothing is copied and nothing is folded.  A tuple
         counts as inserted when the table does not hold it (inserting a
-        pending-removed row cancels the removal), as deleted when it does
-        (deleting a pending-added row cancels the addition).  Rows must be
-        aligned with the table's schema (:meth:`schema`).  An edit that
+        pending-removed tuple cancels the removal), as deleted when it does
+        (deleting a pending-added tuple cancels the addition).  Tuples must
+        be aligned with the table's schema (:meth:`schema`).  An edit that
         would break a declared key raises :class:`SchemaError` and records
         nothing.
         """
@@ -193,26 +183,26 @@ class Catalog(Mapping[str, Relation]):
             self._key_counts[name] = self._count_keys(name, self[name])
         live = self._live.get(name)
         if live is None:  # the table's first edit: nothing is pending
-            live = self._live[name] = set(self._require_table(name).rows)
+            live = self._live[name] = self._require_table(name).to_tuples()
         added, removed = self._pending.get(name) or ({}, set())
         gone = dict.fromkeys(filter(live.__contains__, deleted))
-        new = dict.fromkeys(row for row in inserted if row in gone or row not in live)
+        new = dict.fromkeys(values for values in inserted if values in gone or values not in live)
         if not gone and not new:
             return [], []
         if keyed:
             self._claim_keys(name, new, gone)
         live.difference_update(gone)
         live.update(new)
-        for row in gone:
-            if row in added:
-                del added[row]
+        for values in gone:
+            if values in added:
+                del added[values]
             else:
-                removed.add(row)
-        for row in new:
-            if row in removed:
-                removed.discard(row)
+                removed.add(values)
+        for values in new:
+            if values in removed:
+                removed.discard(values)
             else:
-                added[row] = None
+                added[values] = None
         self._pending[name] = added, removed
         return list(new), list(gone)
 
@@ -224,21 +214,22 @@ class Catalog(Mapping[str, Relation]):
             for key in self._keys[name]
         }
 
-    def _claim_keys(self, name: str, new: Iterable[Row], gone: Iterable[Row]) -> None:
+    def _claim_keys(self, name: str, new: Iterable[Values], gone: Iterable[Values]) -> None:
         """Move the key counts of ``name`` to "minus ``gone`` plus ``new``",
         or raise (counts untouched) if a key value would occur twice."""
         schema = self.schema(name)
         shifts = []
         for key, counter in self._key_counts[name].items():
             getter = schema.tuple_getter(sorted(key))
-            shift = Counter(getter(row.values_tuple) for row in new)
-            shift.subtract(getter(row.values_tuple) for row in gone)
-            for row in new:
-                value = getter(row.values_tuple)
+            shift = Counter(map(getter, new))
+            shift.subtract(map(getter, gone))
+            for values in new:
+                value = getter(values)
                 if counter[value] + shift[value] > 1:
+                    row = ", ".join(f"{n}={v!r}" for n, v in zip(schema.names, values))
                     raise SchemaError(
                         f"key {sorted(key)!r} of table {name!r} would be violated by "
-                        f"row {row!r}: {value!r} is already taken"
+                        f"row ({row}): {value!r} is already taken"
                     )
             shifts.append((counter, shift))
         for counter, shift in shifts:
@@ -344,9 +335,7 @@ class Catalog(Mapping[str, Relation]):
         for fk in self._foreign_keys:
             source = self[fk.table]
             target = self[fk.ref_table]
-            source_values = {row.values_for(fk.attributes) for row in source}
-            target_values = {row.values_for(fk.ref_attributes) for row in target}
-            if not source_values <= target_values:
+            if not source.to_tuples(fk.attributes) <= target.to_tuples(fk.ref_attributes):
                 raise SchemaError(
                     f"foreign key {fk.table}.{fk.attributes!r} -> "
                     f"{fk.ref_table}.{fk.ref_attributes!r} is violated"

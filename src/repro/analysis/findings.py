@@ -85,7 +85,7 @@ FINDING_CODES: dict[str, tuple[Severity, str]] = {
     "RP410": (Severity.ERROR, "physical cost model declares a module-level cost coefficient"),
     "RP411": (Severity.ERROR, "numpy imported outside relation/encoding.py and physical/compile/kernels.py"),
     "RP412": (Severity.ERROR, "engine source calls the builtin compile, exec or eval"),
-    "RP413": (Severity.ERROR, "physical layer builds rows outside a rows-ok function"),
+    "RP413": (Severity.ERROR, "engine builds rows outside a rows-ok function"),
     "RP414": (Severity.ERROR, "query path runs the logical interpreter (Expression.evaluate)"),
     "RP415": (Severity.ERROR, "tuples_out assigned outside PhysicalOperator.chunks and its resets"),
     "RP416": (Severity.ERROR, "law class hand-writes matches/apply instead of stating lhs and rhs"),

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.views.view import MaintainedView
 
 from repro.algebra.catalog import Catalog
-from repro.algebra.expressions import Expression
+from repro.algebra.expressions import Expression, Select
 from repro.algebra.predicates import Predicate
 from repro.api.fingerprint import optimizer_signature, plan_cache_key
 from repro.api.query import Query
@@ -50,6 +50,7 @@ from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rewriter import RewriteReport
 from repro.optimizer.statistics import TableStatistics
 from repro.physical.base import PhysicalOperator
+from repro.physical.basic import Filter
 from repro.physical.executor import execute_plan
 from repro.relation.relation import Relation
 from repro.relation.row import Row
@@ -75,21 +76,23 @@ RowsLike = Union[Relation, Iterable[Any]]
 DeleteSpec = Union[Predicate, Callable[[Row], bool], Relation, Iterable[Any]]
 
 
-def _coerce_rows(schema: Schema, rows: RowsLike) -> list[Row]:
-    """Normalize mutation input to rows aligned with the table's schema.
+def _coerce_rows(schema: Schema, rows: RowsLike) -> list[tuple[Any, ...]]:
+    """Normalize mutation input to value tuples aligned with the table's
+    schema, in the order given.
 
-    Every row is built (and hashed) before the caller records anything, so
-    a malformed k-th row fails the whole batch with nothing applied.
+    Every tuple is built (and hashed) before the caller records anything,
+    so a malformed or unhashable k-th row fails the whole batch with nothing
+    applied.
     """
     names = schema.names
-    tuples: Iterable[tuple[Any, ...]]
+    tuples: list[tuple[Any, ...]]
     if isinstance(rows, Relation):
         if rows.schema.name_set != schema.name_set:
             raise SchemaError(
                 f"mutation rows have attributes {rows.schema.names!r}, "
                 f"table has {names!r}"
             )
-        tuples = rows.to_tuples(names)
+        tuples = rows._tuples_as(schema)
     else:
         try:
             candidates = iter(rows)
@@ -99,7 +102,7 @@ def _coerce_rows(schema: Schema, rows: RowsLike) -> list[Row]:
                 "iterable of Rows, mappings or value tuples"
             ) from None
         tuples = [_coerce_row(names, row) for row in candidates]
-    return Row.block(schema, tuples)
+    return Relation._from_block(schema, tuples).aligned_tuples()
 
 
 def _refuse_nan(method: str, schema: Schema, columns: Iterable[Iterable[Any]]) -> None:
@@ -477,15 +480,14 @@ class Database:
         :meth:`insert` refuses one."""
         _refuse_nan_table("replace_table", relation)
         old = self.relation(name)
-        # Read before the replacement drops the catalog's live set, which
-        # the rows of a folded table are copied from.
-        old_rows = old.rows
         self.catalog.replace_table(name, relation)
-        new_rows = self.catalog[name].rows
+        schema = old.schema
+        before, after = old.aligned_tuples(), relation._tuples_as(schema)
+        old_values, new_values = set(before), set(after)
         self._note_mutation(
             name,
-            Relation(old.schema, new_rows - old_rows),
-            Relation(old.schema, old_rows - new_rows),
+            Relation._from_block(schema, [v for v in after if v not in old_values]),
+            Relation._from_block(schema, [v for v in before if v not in new_values]),
         )
         self._refresh(name)
 
@@ -507,9 +509,9 @@ class Database:
         break a declared key fails the whole batch with nothing changed.
         """
         schema = self.catalog.schema(table)
-        rows = _coerce_rows(schema, rows)
-        _refuse_nan("insert", schema, zip(*(row.values_tuple for row in rows)))
-        delta = self.catalog.apply_delta(table, rows, ())
+        tuples = _coerce_rows(schema, rows)
+        _refuse_nan("insert", schema, zip(*tuples))
+        delta = self.catalog.apply_delta(table, tuples, ())
         return self._note_edit(table, schema, *delta)
 
     def delete(self, table: str, rows_or_predicate: "DeleteSpec") -> MutationResult:
@@ -518,27 +520,37 @@ class Database:
         ``rows_or_predicate`` may be a predicate AST node, any row
         callable, or the same row forms :meth:`insert` accepts; rows not
         currently present are no-ops (set semantics).  By value the edit
-        is O(delta) like :meth:`insert`; a predicate is evaluated over the
-        (folded) table, which is O(table) by nature.
+        is O(delta) like :meth:`insert`; a predicate runs as the engine's
+        ``Filter`` over the (folded) table's scan, which is O(table) by
+        nature: an AST predicate reads the codes and builds no ``Row``,
+        an opaque callable gets one per tuple (its API takes a ``Row``).
         """
         schema = self.catalog.schema(table)
-        doomed: Iterable[Row]
-        if isinstance(rows_or_predicate, Predicate) or (
-            callable(rows_or_predicate) and not isinstance(rows_or_predicate, Relation)
-        ):
-            doomed = self.relation(table).select(rows_or_predicate)
+        spec = rows_or_predicate
+        doomed: list[tuple[Any, ...]]
+        if isinstance(spec, Predicate) or (callable(spec) and not isinstance(spec, Relation)):
+            ref = self.catalog.ref(table)
+            if isinstance(spec, Predicate):
+                plan = self._optimizer.plan(Select(ref, spec))
+            else:
+                plan = Filter(self._optimizer.plan(ref), spec)
+            doomed = plan.execute().aligned_tuples()
         else:
-            doomed = _coerce_rows(schema, rows_or_predicate)
+            doomed = _coerce_rows(schema, spec)
         delta = self.catalog.apply_delta(table, (), doomed)
         return self._note_edit(table, schema, *delta)
 
     def _note_edit(
-        self, table: str, schema: Schema, inserted: list[Row], deleted: list[Row]
+        self,
+        table: str,
+        schema: Schema,
+        inserted: list[tuple[Any, ...]],
+        deleted: list[tuple[Any, ...]],
     ) -> MutationResult:
-        """Wrap an edit's effective rows (aligned with the table's schema, so
-        held as they are); bump the version, notify views."""
-        added = Relation._from_parts(schema, inserted)
-        removed = Relation._from_parts(schema, deleted)
+        """Wrap an edit's effective value tuples (aligned with the table's
+        schema, so held as they are); bump the version, notify views."""
+        added = Relation._from_block(schema, inserted)
+        removed = Relation._from_block(schema, deleted)
         version = self._note_mutation(table, added, removed)
         return MutationResult(table=table, inserted=added, deleted=removed, version=version)
 

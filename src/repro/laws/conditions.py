@@ -75,7 +75,6 @@ def _distinct_values(operand: Relation, schema: Schema) -> Collection[Any]:
     return frozenset(map(operand.schema.key_getter(schema), operand.aligned_tuples()))
 
 
-# contract: rows-ok (on no workload's path; moves to the kernel seam with ROADMAP 1(b))
 def condition_c1(part1: Relation, part2: Relation, divisor: Relation) -> bool:
     """Condition ``c1(r1', r1'')`` of Law 2.
 
@@ -83,24 +82,24 @@ def condition_c1(part1: Relation, part2: Relation, divisor: Relation) -> bool:
     partitions, either one of the partitions already contains the whole
     divisor in ``a``'s group, or even the union of the two groups does not —
     i.e. the quotient membership of ``a`` is decided identically with or
-    without the union.
+    without the union.  Each operand is read in one sweep over its aligned
+    tuples.
     """
     schemas = small_divide_schemas(part1, divisor)
-    divisor_values = {row.values_for(schemas.b) for row in divisor}
+    divisor_values = set(map(divisor.schema.tuple_getter(schemas.b), divisor.aligned_tuples()))
 
-    def group(relation: Relation, key: tuple) -> set[tuple]:
-        return {
-            row.values_for(schemas.b)
-            for row in relation
-            if row.values_for(schemas.a) == key
-        }
+    def groups(relation: Relation) -> dict[tuple[Any, ...], set[tuple[Any, ...]]]:
+        """Each quotient candidate's ``b`` values in ``relation``."""
+        key_of = relation.schema.tuple_getter(schemas.a)
+        b_of = relation.schema.tuple_getter(schemas.b)
+        grouped: dict[tuple[Any, ...], set[tuple[Any, ...]]] = {}
+        for values in relation.aligned_tuples():
+            grouped.setdefault(key_of(values), set()).add(b_of(values))
+        return grouped
 
-    shared_candidates = {row.values_for(schemas.a) for row in part1} & {
-        row.values_for(schemas.a) for row in part2
-    }
-    for key in shared_candidates:
-        group1 = group(part1, key)
-        group2 = group(part2, key)
+    first, second = groups(part1), groups(part2)
+    for key in first.keys() & second.keys():
+        group1, group2 = first[key], second[key]
         in_first = divisor_values <= group1
         in_second = divisor_values <= group2
         in_union = divisor_values <= (group1 | group2)

@@ -16,22 +16,23 @@ attribute order.  The operators exploit this with precomputed attribute
 index arrays ("pickers"): projection, joins, semi-joins and grouping pick
 values positionally out of the tuples instead of rebuilding per-row dicts.
 
-A relation is held in one of three states: a de-duplicated block of
-aligned value tuples (what the constructor and :meth:`Relation.from_aligned`
-build, in the order given, and what a stored table and a plan emitting
-tuples hand over), a ``frozenset`` of rows (what the algebra builds), or
-one dictionary-code column per attribute (what a plan whose every chunk is
-coded over shared dictionaries hands over: a set by construction, whose
-dictionaries may carry entries no tuple holds; and what a table's edits
-fold into when its encoding is cached: the patched encoding itself).  The
-block is built from the codes, and the rows from the block, the first time
-something needs them, so a base table's scan order, dictionaries and
-stored bytes are those of the order it was given, whatever the process's
-hash seed.  A table's folded value first asks for both
-elsewhere: its block is the parent's tuple list less the removed tuples
-plus the added ones when that list had been built (one link, never a chain
-of versions; else the codes are decoded), and its rows a copy of the
-catalog's live set of the table's rows while that still holds exactly them.
+A relation is held in one of two states: a de-duplicated block of
+aligned value tuples (what the constructor, :meth:`Relation.from_aligned`
+and every algebra operator build, in first-seen order, and what a stored
+table and a plan emitting tuples hand over), or one dictionary-code column
+per attribute (what a plan whose every chunk is coded over shared
+dictionaries hands over: a set by construction, whose dictionaries may
+carry entries no tuple holds; and what a table's edits fold into when its
+encoding is cached: the patched encoding itself).  The block is built from
+the codes the first time something needs it: a folded value's block is the
+parent's tuple list less the removed tuples plus the added ones when that
+list had been built (one link, never a chain of versions), else the codes
+are decoded.  So the scan order, dictionaries and stored bytes of a table
+and of any algebra result are those of the order its tuples were given,
+whatever the process's hash seed.  ``Row`` objects are a cache: the row
+set behind :attr:`Relation.rows`, iteration, ``in``, ``==`` and ``hash``
+is built from the block the first time one of them asks, and is never a
+source.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ __all__ = ["Relation", "RowPredicate", "NULL"]
 
 #: Predicates used by :meth:`Relation.select` take a row and return a bool.
 RowPredicate = Callable[[Row], bool]
-
-#: A relation's row source: given the relation, its row set, or ``None``
-#: to have it built from the block.
-_RowSource = Callable[["Relation"], Optional[frozenset[Row]]]
 
 #: A folded value's block source: the parent's tuple list, the ascending
 #: positions the edit dropped from it and the tuples it appended.
@@ -99,14 +96,15 @@ NULL = _Null()
 class Relation:
     """An immutable relation: a schema plus a *set* of rows.
 
-    A new relation holds the set as a de-duplicated tuple block, in the
-    order its rows were given; a plan's result may hold code columns, and
-    the algebra a ``frozenset`` (see the module docstring).  ``len`` reads
-    any state, ``to_tuples`` and ``to_set`` read the block (built once from
-    its source or the codes), and ``encoded_columns`` renumbers the codes or
-    encodes the block; the first iteration, membership test, ``rows``,
-    ``==``, ``hash`` or algebra call builds the ``frozenset`` once.  Every
-    state answers every method alike; only the scan order of
+    A relation holds the set as a de-duplicated tuple block, in the order
+    its rows were given (the algebra's results too, in first-seen order),
+    or, as a plan's result or a table's folded value, as code columns (see
+    the module docstring).  ``len`` reads either state; ``to_tuples``,
+    ``to_set`` and the algebra read the block (built once from its source
+    or the codes), and ``encoded_columns`` renumbers the codes or encodes
+    the block.  The row set is a cache: the first iteration, membership
+    test, ``rows``, ``==`` or ``hash`` builds it once from the block.  Both
+    states answer every method alike; only the scan order of
     :meth:`aligned_tuples` follows how the value was built.
 
     Parameters
@@ -130,8 +128,7 @@ class Relation:
     """
 
     __slots__ = (
-        "_schema", "_set", "_block", "_block_source", "_encoding", "_codes", "_row_source",
-        "_summaries",
+        "_schema", "_set", "_block", "_block_source", "_encoding", "_codes", "_summaries",
     )  # fmt: skip
 
     def __init__(
@@ -184,17 +181,6 @@ class Relation:
         return values
 
     @classmethod
-    def _from_parts(cls, schema: Schema, rows: Iterable[Row]) -> "Relation":
-        """Internal constructor: ``schema`` is interned and every row is
-        already aligned with it — no coercion."""
-        relation = object.__new__(cls)
-        relation._schema = schema
-        relation._set = rows if isinstance(rows, frozenset) else frozenset(rows)
-        relation._block = relation._block_source = relation._encoding = relation._codes = None
-        relation._row_source = relation._summaries = None
-        return relation
-
-    @classmethod
     def _from_block(cls, schema: Schema, tuples: list[tuple[Any, ...]]) -> "Relation":
         """Internal constructor of the block state: ``schema`` is interned,
         every tuple aligned with it, and the list is the relation's to keep.
@@ -215,17 +201,14 @@ class Relation:
             raise
         self._schema = schema
         self._block = tuples
-        #: The row set, built the first time it is asked for (:attr:`_rows`).
+        #: The row set, a cache built from the block the first time it is
+        #: asked for (:attr:`_rows`).
         self._set: Optional[frozenset[Row]] = None
         #: Where a table's folded value gets its block without decoding
         #: (see :meth:`with_delta`); dropped once the block is built.
         self._block_source: Optional[_BlockSource] = None
         self._encoding: Optional[tuple[CodeColumn, ...]] = None
         self._codes: Optional[tuple[CodeColumn, ...]] = None
-        #: Asked for the row set the first time it is needed, before the
-        #: block is: the catalog sets it on a table's folded value, to hand
-        #: over a copy of its live set (``None``: build from the block).
-        self._row_source: Optional[_RowSource] = None
         #: What :meth:`_summary` derived from the encoding (``None``: nothing yet).
         self._summaries: Optional[dict[Hashable, Any]] = None
 
@@ -237,7 +220,7 @@ class Relation:
         relation = object.__new__(cls)
         relation._schema = schema
         relation._set = relation._block = relation._block_source = relation._encoding = None
-        relation._row_source = relation._summaries = None
+        relation._summaries = None
         relation._codes = columns
         return relation
 
@@ -272,37 +255,37 @@ class Relation:
             )
         return cls._from_block(schema, tuples)
 
-    def with_delta(self, added: Iterable[Row], removed: Iterable[Row]) -> "Relation":
+    def with_delta(
+        self, added: Iterable[tuple[Any, ...]], removed: Iterable[tuple[Any, ...]]
+    ) -> "Relation":
         """This value minus ``removed`` plus ``added``: a table after its edits.
 
-        ``removed`` are rows of this relation and ``added`` rows it does
-        not hold (the catalog's pending delta guarantees both).  With a
-        cached encoding the new value is its *code columns*: the encoding
-        patched to the scan order "this one's minus the removed tuples,
-        then the added ones" (:func:`~repro.relation.encoding.fold_code_columns`),
-        which is what a fresh encode of that block would give, and the
-        columns' counts and bounds (what statistics read) come patched
-        along.  The summaries this value holds come over patched by the
-        edit (:data:`_SUMMARY_PATCHES`), each equal to what a fresh build
-        on the new value would give; one the patch cannot prove exact is
-        left to that build.  Nothing else is built: this value's row set is
-        neither read nor copied, and its tuple list, if it was built,
-        becomes the new value's block source — dropped to the new block
-        only if something reads tuples (:meth:`aligned_tuples`; a later
-        fold links to that list, or to none).  The new row set is built
-        only if something asks for it (see :attr:`_row_source`).  A
-        zero-attribute value has no code column to hold its count, so it
-        folds into a block.  Without a cached encoding (or one that cannot
-        be patched) the row set is one C-level copy per non-empty side, and
-        block, encoding and summaries are rebuilt on first use, as for any
-        new value.
+        Both are value tuples aligned with this relation's schema:
+        ``removed`` tuples it holds, ``added`` tuples it does not, in the
+        order they are appended (the catalog's pending delta guarantees
+        both).  With a cached encoding the new value is its *code columns*:
+        the encoding patched to the scan order "this one's minus the removed
+        tuples, then the added ones"
+        (:func:`~repro.relation.encoding.fold_code_columns`), which is what a
+        fresh encode of that block would give, and the columns' counts and
+        bounds (what statistics read) come patched along.  The summaries
+        this value holds come over patched by the edit
+        (:data:`_SUMMARY_PATCHES`), each equal to what a fresh build on the
+        new value would give; one the patch cannot prove exact is left to
+        that build.  Nothing else is built: this value's tuple list, if it
+        was built, becomes the new value's block source — dropped to the new
+        block only if something reads tuples (:meth:`aligned_tuples`; a later
+        fold links to that list, or to none).  A zero-attribute value has no
+        code column to hold its count, so it folds into a block.  Without a
+        cached encoding (or one that cannot be patched) the new block is
+        this value's tuples less the removed ones, then the added ones, one
+        pass over the table, and encoding and summaries are rebuilt on first
+        use, as for any new value.
         """
-        added = [self._align(row) for row in added]
-        removed = [self._align(row) for row in removed]
+        added, removed = list(added), list(removed)
         encoding, block = self._encoding, self._block
         if encoding is not None:
-            appended = [row._values for row in added]
-            fold = fold_code_columns(encoding, [row._values for row in removed], appended)
+            fold = fold_code_columns(encoding, removed, added)
             if fold is not None:
                 columns = fold.columns
                 if columns:
@@ -310,21 +293,15 @@ class Relation:
                     relation._encoding = columns
                     relation._summaries = self._carried_summaries(fold)
                     if block is not None:
-                        relation._block_source = block, fold.dropped, appended
+                        relation._block_source = block, fold.dropped, added
                     return relation
                 if block is not None:  # no attribute: nothing to drop
-                    relation = Relation._from_block(self._schema, block + appended)
+                    relation = Relation._from_block(self._schema, block + added)
                     relation._encoding = columns
                     return relation
-        # Superseded from here on: the live set a row source would copy
-        # already holds the edited rows, so this value's come from its block.
-        self._row_source = None
-        rows = self._rows
-        if removed:
-            rows = rows.difference(removed)
-        if added:
-            rows = rows.union(added)
-        return Relation._from_parts(self._schema, rows)
+        gone = set(removed)
+        kept = [values for values in self._value_tuples if values not in gone]
+        return Relation._from_block(self._schema, kept + added)
 
     def _carried_summaries(self, fold: CodeFold) -> Optional[dict[Hashable, Any]]:
         """The summaries this value holds, patched by ``fold`` for the
@@ -357,43 +334,30 @@ class Relation:
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
         """Value tuples of all rows, aligned with the schema (cached).
 
-        Every row of a relation shares the relation's interned schema, so
-        this is a plain attribute sweep (one decode per column in the coded
-        state, unless a folded value's block source has the list); the
-        result is cached because scans re-chunk the same relation on every
-        execution.
+        The block itself, or, in the coded state, one decode per column
+        (unless a folded value's block source has the list); the result is
+        cached because scans re-chunk the same relation on every execution.
         """
         tuples = self._tuples
         if tuples is None:
-            if self._codes is not None:
-                tuples = list(zip(*map(CodeColumn.values, self._codes)))
-            else:
-                tuples = [row._values for row in self._set]  # type: ignore[union-attr]
-            self._block = tuples
+            tuples = self._block = list(zip(*map(CodeColumn.values, self._codes)))  # type: ignore[arg-type]
         return tuples
 
     @property
+    def _value_tuples(self) -> list[tuple[Any, ...]]:
+        """Every value tuple once: the block held or linked, else
+        :meth:`aligned_tuples` (a decode, or a stored table's read)."""
+        tuples = self._tuples
+        return self.aligned_tuples() if tuples is None else tuples
+
+    @property
     def _rows(self) -> frozenset[Row]:
-        """The row set, built the first time it is asked for: from the
-        value's row source if it has one that answers, else from the block."""
+        """The row set: a cache, built from the block the first time it is
+        asked for."""
         rows = self._set
         if rows is None:
-            source, self._row_source = self._row_source, None
-            if source is not None:
-                rows = source(self)
-            if rows is None:
-                tuples = self._tuples  # the block held or linked, else decoded
-                tuples = self.aligned_tuples() if tuples is None else tuples
-                rows = frozenset(Row.block(self._schema, tuples))
-            self._set = rows
+            rows = self._set = frozenset(Row.block(self._schema, self._value_tuples))
         return rows
-
-    def _value_tuples(self) -> Iterable[tuple[Any, ...]]:
-        """Every value tuple once, from whichever state holds them most
-        cheaply: the row set only when no block is held or linked."""
-        if self._set is not None and self._block is None and self._block_source is None:
-            return (row._values for row in self._set)
-        return self.aligned_tuples()
 
     def encoded_columns(self) -> tuple[CodeColumn, ...]:
         """Per-attribute dictionary codes of :meth:`aligned_tuples` (cached).
@@ -483,26 +447,26 @@ class Relation:
         return self._codes
 
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
-        """Pickle the value as its code columns, else its block, else its
-        row set — not the derived encoding."""
+        """Pickle the value as its code columns, else its block — not the
+        derived encoding, summaries or rows."""
         codes = self._codes
-        tuples = self._tuples if codes is None else None
         return None, {
             "_schema": self._schema,
-            "_set": self._set if tuples is None and codes is None else None,
-            "_block": tuples,
+            "_set": None,
+            "_block": self._tuples if codes is None else None,
             "_block_source": None,
             "_encoding": None,
             "_codes": codes,
-            "_row_source": None,
             "_summaries": None,
         }
 
-    def _align(self, row: Row) -> Row:
-        """Realign a same-attribute-set row with this relation's schema."""
-        if row.schema is self._schema:
-            return row
-        return Row.from_schema(self._schema, row.values_for(self._schema))
+    def _tuples_as(self, schema: Schema) -> list[tuple[Any, ...]]:
+        """This value's tuples aligned with ``schema``, an order of the same
+        attribute set."""
+        tuples = self.aligned_tuples()
+        if schema is self._schema:
+            return tuples
+        return list(map(self._schema.tuple_getter(schema), tuples))
 
     # ------------------------------------------------------------------
     # constructors
@@ -556,8 +520,8 @@ class Relation:
         return self._rows
 
     def __len__(self) -> int:
-        held = self._set if self._set is not None else self._block
-        return len(self._codes[0] if held is None else held)  # type: ignore[index]
+        block = self._block
+        return len(self._codes[0] if block is None else block)  # type: ignore[index]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)
@@ -609,14 +573,15 @@ class Relation:
         """Values of a single attribute as a Python set."""
         self._schema.require([attribute], "to_set")
         position = self._schema.position(attribute)
-        return {values[position] for values in self._value_tuples()}
+        return {values[position] for values in self._value_tuples}
 
     def to_tuples(self, attributes: Optional[AttributeNames] = None) -> set[tuple[Any, ...]]:
         """Rows as value tuples (ordered by ``attributes`` or the schema)."""
         schema = self._schema if attributes is None else as_schema(attributes)
         self._schema.require(schema, "to_tuples")
-        get = self._schema.tuple_getter(schema)
-        return {get(values) for values in self._value_tuples()}
+        if schema.names == self._schema.names:
+            return set(self._value_tuples)
+        return set(map(self._schema.tuple_getter(schema), self._value_tuples))
 
     # ------------------------------------------------------------------
     # value semantics
@@ -639,20 +604,20 @@ class Relation:
         """Projection ``π_A(r)`` with duplicate elimination."""
         target = Schema.interned(self._schema.project(attributes).names)
         get = self._schema.tuple_getter(target)
-        projected = {get(row.values_tuple) for row in self._rows}
-        return Relation._from_parts(target, frozenset(Row.block(target, projected)))
+        return Relation._from_block(target, list(map(get, self.aligned_tuples())))
 
     def select(self, predicate: RowPredicate) -> "Relation":
         """Selection ``σ_θ(r)``; ``predicate`` is evaluated on every row."""
-        return Relation._from_parts(
-            self._schema, frozenset(row for row in self._rows if predicate(row))
+        tuples = self.aligned_tuples()
+        rows = Row.block(self._schema, tuples)
+        return Relation._from_block(
+            self._schema, [values for values, row in zip(tuples, rows) if predicate(row)]
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename attributes according to ``mapping`` (ρ operator)."""
         new_schema = Schema.interned(self._schema.rename(dict(mapping)).names)
-        renamed = Row.block(new_schema, [row._values for row in self._rows])
-        return Relation._from_parts(new_schema, frozenset(renamed))
+        return Relation._from_block(new_schema, list(self.aligned_tuples()))
 
     def prefix(self, prefix: str, separator: str = ".") -> "Relation":
         """Rename every attribute to ``prefix`` + separator + name.
@@ -673,27 +638,25 @@ class Relation:
     def union(self, other: "Relation") -> "Relation":
         """Set union ``r1 ∪ r2``."""
         self._require_same_schema(other, "union")
-        if other._schema is self._schema:
-            rows = self._rows | other._rows
-        else:
-            rows = self._rows | frozenset(self._align(row) for row in other._rows)
-        return Relation._from_parts(self._schema, rows)
+        return Relation._from_block(
+            self._schema, self.aligned_tuples() + other._tuples_as(self._schema)
+        )
 
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection ``r1 ∩ r2``."""
         self._require_same_schema(other, "intersection")
-        if other._schema is self._schema:
-            rows = self._rows & other._rows
-        else:
-            # Row hashing is order-insensitive, so membership tests work
-            # across schema orders; keep elements of `self` for alignment.
-            rows = frozenset(row for row in self._rows if row in other._rows)
-        return Relation._from_parts(self._schema, rows)
+        kept = set(other._tuples_as(self._schema))
+        return Relation._from_block(
+            self._schema, [values for values in self.aligned_tuples() if values in kept]
+        )
 
     def difference(self, other: "Relation") -> "Relation":
         """Set difference ``r1 − r2``."""
         self._require_same_schema(other, "difference")
-        return Relation._from_parts(self._schema, self._rows - other._rows)
+        gone = set(other._tuples_as(self._schema))
+        return Relation._from_block(
+            self._schema, [values for values in self.aligned_tuples() if values not in gone]
+        )
 
     def __or__(self, other: "Relation") -> "Relation":
         return self.union(other)
@@ -715,12 +678,10 @@ class Relation:
                 f"product: attribute sets must be disjoint, both sides contain {shared!r}"
             )
         schema = Schema.interned(self._schema.union(other._schema).names)
-        rows = frozenset(
-            Row.from_schema(schema, left.values_tuple + right.values_tuple)
-            for left in self._rows
-            for right in other._rows
+        right = other.aligned_tuples()
+        return Relation._from_block(
+            schema, [left + values for left in self.aligned_tuples() for values in right]
         )
-        return Relation._from_parts(schema, rows)
 
     def __mul__(self, other: "Relation") -> "Relation":
         return self.product(other)
@@ -742,18 +703,17 @@ class Relation:
         right_key = other._schema.key_getter(shared)
         right_extra = other._schema.tuple_getter(extra)
         index: dict[Any, list[tuple[Any, ...]]] = {}
-        for row in other._rows:
-            values = row.values_tuple
+        for values in other.aligned_tuples():
             index.setdefault(right_key(values), []).append(right_extra(values))
-        rows: set[Row] = set()
-        add = rows.add
         lookup = index.get
-        from_schema = Row.from_schema
-        for left in self._rows:
-            values = left.values_tuple
-            for extras in lookup(left_key(values), ()):
-                add(from_schema(schema, values + extras))
-        return Relation._from_parts(schema, frozenset(rows))
+        return Relation._from_block(
+            schema,
+            [
+                values + extras
+                for values in self.aligned_tuples()
+                for extras in lookup(left_key(values), ())
+            ],
+        )
 
     def semijoin(self, other: "Relation") -> "Relation":
         """Left semi-join ``r1 ⋉ r2``: rows of ``r1`` with a join partner."""
@@ -762,10 +722,9 @@ class Relation:
             return self if other else Relation.empty(self._schema)
         left_key = self._schema.key_getter(shared)
         right_key = other._schema.key_getter(shared)
-        keys = {right_key(row.values_tuple) for row in other._rows}
-        return Relation._from_parts(
-            self._schema,
-            frozenset(row for row in self._rows if left_key(row.values_tuple) in keys),
+        keys = set(map(right_key, other.aligned_tuples()))
+        return Relation._from_block(
+            self._schema, [values for values in self.aligned_tuples() if left_key(values) in keys]
         )
 
     def antijoin(self, other: "Relation") -> "Relation":
@@ -775,13 +734,9 @@ class Relation:
     def left_outer_join(self, other: "Relation") -> "Relation":
         """Left outer join ``r1 ⟕ r2`` padding missing partners with NULL."""
         joined = self.natural_join(other)
-        dangling = self.antijoin(other)
-        pad_attributes = other._schema.difference(self._schema)
-        padded_rows = {
-            row.with_values({name: NULL for name in pad_attributes}) for row in dangling
-        }
-        schema = self._schema.union(other._schema)
-        return Relation(schema, set(joined.rows) | padded_rows)
+        pad = (NULL,) * len(other._schema.difference(self._schema))
+        padded = [values + pad for values in self.antijoin(other).aligned_tuples()]
+        return Relation._from_block(joined._schema, joined.aligned_tuples() + padded)
 
     # ------------------------------------------------------------------
     # grouping / aggregation
@@ -813,19 +768,19 @@ class Relation:
         key_of = self._schema.tuple_getter(group_schema)
 
         groups: dict[tuple[Any, ...], list[Row]] = {}
-        for row in self._rows:
-            groups.setdefault(key_of(row.values_tuple), []).append(row)
+        tuples = self.aligned_tuples()
+        for values, row in zip(tuples, Row.block(self._schema, tuples)):
+            groups.setdefault(key_of(values), []).append(row)
 
         if not groups and not len(group_schema):
             # Global aggregate over an empty relation: one row of aggregates
             # over the empty group, mirroring SQL's behaviour for COUNT.
             groups[()] = []
         aggregate_fns = tuple(fn for (_doc, fn) in aggregations.values())
-        result_rows = frozenset(
-            Row.from_schema(output_schema, key + tuple(fn(members) for fn in aggregate_fns))
-            for key, members in groups.items()
+        return Relation._from_block(
+            output_schema,
+            [key + tuple(fn(members) for fn in aggregate_fns) for key, members in groups.items()],
         )
-        return Relation._from_parts(output_schema, result_rows)
 
     # ------------------------------------------------------------------
     # convenience used throughout the law implementations
@@ -842,12 +797,10 @@ class Relation:
         over_get = self._schema.tuple_getter(over_schema)
         fixed_get = self._schema.tuple_getter(fixed.schema)
         fixed_values = fixed.values_tuple
-        projected = {
-            over_get(row.values_tuple)
-            for row in self._rows
-            if fixed_get(row.values_tuple) == fixed_values
-        }
-        return Relation._from_parts(over_schema, frozenset(Row.block(over_schema, projected)))
+        projected = [
+            over_get(values) for values in self.aligned_tuples() if fixed_get(values) == fixed_values
+        ]
+        return Relation._from_block(over_schema, projected)
 
 
 def _sort_key(value: Any) -> tuple[str, Any]:

@@ -121,8 +121,8 @@ class StoredRelation(Relation):
     pages (:meth:`_summary_columns`).
 
     Derived relations (projections, quotients, …) are always plain
-    in-memory :class:`Relation` values: the base class builds results via
-    ``Relation._from_parts`` explicitly.
+    in-memory :class:`Relation` values: the algebra builds its results with
+    ``Relation._from_block`` over this value's tuples.
     """
 
     __slots__ = ("_reader", "_section")
@@ -131,7 +131,7 @@ class StoredRelation(Relation):
         self._schema = Schema.interned(reader.attributes)
         self._reader = reader
         self._section: Optional[dict[tuple[int, int], memoryview]] = None
-        self._set = self._tuples = self._codes = self._row_source = self._summaries = None
+        self._set = self._tuples = self._codes = self._summaries = None
         # The inherited encoding cache stays empty until something scans the
         # materialized tuples; opening a store must not decode a block.
         self._encoding = None

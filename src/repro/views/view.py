@@ -22,6 +22,7 @@ from repro.api.result import QueryResult
 from repro.errors import ViewError
 from repro.physical.executor import execute_plan
 from repro.relation.relation import Relation
+from repro.relation.row import Row
 from repro.relation.schema import Schema
 from repro.views.counters import CounterTable
 from repro.views.shapes import DivisionShape, InputShape, UnsupportedViewShape, analyze_division
@@ -45,13 +46,13 @@ DELTA_RULES: dict[tuple[str, str], str] = {
 
 
 class _SideExtractor:
-    """Maps base-table rows of one division input to (key, b) value pairs.
+    """Maps base-table tuples of one division input to (key, b) value pairs.
 
     ``key_names``/``b_names`` are *base* attribute names (the shape's
-    inverse rename applied), so the extractor works directly on mutation
-    delta rows; rows failing the input's selection predicate are filtered
-    out — the delta never reaches the counters (Laws 3/4: selection
-    commutes with division).
+    inverse rename applied), so the extractor works directly on a table or
+    a mutation delta, reading its value tuples; tuples failing the input's
+    selection predicate are filtered out — the delta never reaches the
+    counters (Laws 3/4: selection commutes with division).
     """
 
     __slots__ = ("predicate", "key_names", "b_names")
@@ -62,12 +63,16 @@ class _SideExtractor:
         self.key_names = tuple(inverse[name] for name in key_names)
         self.b_names = tuple(inverse[name] for name in b_names)
 
+    # contract: rows-ok (an input's selection predicate takes a Row)
     def pairs(self, relation: Relation) -> Iterator[tuple[Values, Values]]:
-        predicate = self.predicate
-        key_names, b_names = self.key_names, self.b_names
-        for row in relation:
-            if predicate is None or predicate(row):
-                yield row.values_for(key_names), row.values_for(b_names)
+        schema, predicate = relation.schema, self.predicate
+        key_of, b_of = schema.tuple_getter(self.key_names), schema.tuple_getter(self.b_names)
+        tuples = relation.aligned_tuples()
+        if predicate is not None:
+            from_schema = Row.from_schema
+            tuples = [values for values in tuples if predicate(from_schema(schema, values))]
+        for values in tuples:
+            yield key_of(values), b_of(values)
 
 
 class MaintainedView:

@@ -3,8 +3,9 @@
 Python seeds its string hash per process (``PYTHONHASHSEED``).  A table's
 scan order is the order it was given, not a set's, and the exchange routes
 by a hash that no seed moves, so each script below prints the same thing
-under three hash seeds: table files byte for byte, ``explain`` text with
-its estimated costs, and the partition sizes of a budgeted division.
+under three hash seeds: table files byte for byte (tables given in order,
+built by the algebra, or edited and folded), ``explain`` text with its
+estimated costs, and the partition sizes of a budgeted division.
 """
 
 import json
@@ -42,6 +43,40 @@ db.save(out)
 manifest = json.loads((out / "manifest.json").read_text())
 files = [(name, (out / file).read_bytes().hex()) for name, file in manifest["tables"].items()]
 print(json.dumps({"explain": query.explain(), "quotient": quotient, "files": files}))
+"""
+
+#: Registers tables built by the algebra (a projection, a union and a
+#: natural join over string keys) and one edited, folded and edited again,
+#: saves, and prints every table file's bytes in manifest order.
+ALGEBRA_SCRIPT = """
+import json, sys
+from pathlib import Path
+import repro
+from repro.algebra import predicates as P
+from repro.relation import Relation
+
+out = Path(sys.argv[1])
+supplies = Relation.from_aligned(
+    ["s_no", "p_no"], [(f"s{i % 37}", f"p{i * 7 % 23}") for i in range(500)]
+)
+parts = Relation.from_aligned(
+    ["p_no", "color"], [(f"p{i}", ("red", "blue", "green")[i % 3]) for i in range(23)]
+)
+projected = supplies.project(["p_no"])
+united = projected.union(Relation.from_aligned(["p_no"], [(f"p{i}",) for i in range(15, 40)]))
+db = repro.connect({
+    "projected": projected, "united": united, "joined": supplies.natural_join(parts),
+    "edited": supplies.rename({"s_no": "s", "p_no": "p"}),
+})
+db.insert("edited", [("s40", "p1"), ("s41", "p2")])
+db.delete("edited", [("s0", "p0"), ("s1", "p7")])
+db.sql("SELECT s FROM edited AS e DIVIDE BY (SELECT p FROM edited WHERE s = 's5') AS f ON e.p = f.p").run()
+db.delete("edited", P.equals(P.attr("s"), "s2"))
+db.insert("edited", Relation.from_aligned(["p", "s"], [("p3", "s42"), ("p4", "s43")]))
+db.save(out)
+manifest = json.loads((out / "manifest.json").read_text())
+files = [(name, (out / file).read_bytes().hex()) for name, file in manifest["tables"].items()]
+print(json.dumps({"files": files}))
 """
 
 #: A division over string keys under a memory budget: its exchange routes
@@ -93,6 +128,14 @@ def test_saved_bytes_and_explain_repeat_under_every_hash_seed(tmp_path):
         assert other["files"] == first["files"]
         assert other["explain"] == first["explain"]
         assert other["quotient"] == first["quotient"]
+
+
+def test_algebra_results_and_edited_tables_save_the_same_bytes_under_every_hash_seed(tmp_path):
+    outputs = run_under_each_seed(ALGEBRA_SCRIPT, tmp_path / "algebra-")
+    names = [name for name, _bytes in outputs[0]["files"]]
+    assert names == ["edited", "joined", "projected", "united"]
+    for other in outputs[1:]:
+        assert other == outputs[0]
 
 
 def test_budgeted_partitions_repeat_under_every_hash_seed():

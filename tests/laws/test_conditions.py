@@ -166,10 +166,10 @@ def operands(draw):
     relation.encoded_columns()
     if state == "edited":
         for _ in range(draw(st.integers(1, 3))):
-            held = sorted(relation.rows, key=repr)
+            held = sorted(relation.aligned_tuples(), key=repr)
             removed = draw(st.lists(st.sampled_from(held), unique=True)) if held else []
             added = Relation(names, draw(TUPLES)).difference(relation)
-            relation = relation.with_delta(added.rows, removed)
+            relation = relation.with_delta(added.aligned_tuples(), removed)
             assert relation.cached_encoding is not None
     return relation
 
@@ -205,12 +205,12 @@ class TestCodedConditionsEqualTheTupleDefinitions:
         base = Relation(["a", "b"], [(1, 10), (2, 20), (3, 30)])
         base.encoded_columns()
         gone = next(row for row in base if row["a"] == 2)
-        emptied = base.with_delta([], [gone])
+        emptied = base.with_delta([], [gone.values_tuple])
         assert sorted(emptied.cached_encoding[0].dictionary) == [1, 3]
         assert attribute_is_key(emptied, ["a"])
         assert not inclusion_holds(Relation(["a"], [(2,)]), emptied, ["a"])
         assert projections_disjoint(Relation(["a"], [(2,)]), emptied, ["a"])
-        back = emptied.with_delta(Relation(["a", "b"], [(2, 21), (3, 31)]).rows, [])
+        back = emptied.with_delta([(2, 21), (3, 31)], [])
         assert sorted(back.cached_encoding[0].dictionary) == [1, 2, 3]
         assert not attribute_is_key(back, ["a"]) and attribute_is_key(back, ["b"])
         assert attribute_is_key(back, ["b", "a"])

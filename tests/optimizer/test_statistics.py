@@ -10,7 +10,6 @@ from repro.algebra import builders as B
 from repro.algebra import predicates as P
 from repro.optimizer import CardinalityEstimator, StatisticsCatalog, TableStatistics
 from repro.relation import Relation
-from repro.relation.row import Row
 from repro.workloads import make_division_workload
 
 
@@ -279,10 +278,7 @@ def test_a_folded_value_has_the_statistics_of_its_scan_block(relation, picks, ex
     width = len(relation.schema)
     added = [values + (10,) * (width - 2) for values in dict.fromkeys(extra)]
     added = [values for values in added if values not in set(order)]
-    folded = relation.with_delta(
-        [Row.from_schema(relation.schema, values) for values in added],
-        [Row.from_schema(relation.schema, values) for values in removed],
-    )
+    folded = relation.with_delta(added, removed)
     assert folded.code_columns is not None and folded._block is None
     carried = TableStatistics.from_relation(folded)
     assert folded._block is None  # the statistics read no tuple

@@ -140,8 +140,8 @@ def test_a_result_is_the_relation_its_tuples_make(monkeypatch, tmp_path_factory,
     # Registered as a table, a result must plan as its twin does: the same
     # statistics, and the same value, scan order and encoding after an edit
     # — fresh (nothing cached to carry) and after both were read.
-    removed = sorted(twin.rows, key=lambda row: repr(row.values_tuple))[:1]
-    added = list(Relation(plan.schema.names, [(9,) * len(plan.schema)]).rows)
+    removed = sorted(twin.aligned_tuples(), key=repr)[:1]
+    added = [(9,) * len(plan.schema)]
     fresh_twin = Relation._from_block(plan.schema, plan.drain())
     for value, reference in ((plan.execute(), fresh_twin), (result, twin)):
         assert TableStatistics.from_relation(value) == TableStatistics.from_relation(reference)

@@ -33,7 +33,6 @@ from repro.physical.compile.kernels import NumpyBitsetKernel, PythonBitsetKernel
 from repro.physical.division.keys import _containment_bitmap
 from repro.relation import Relation
 from repro.relation import encoding
-from repro.relation.row import Row
 from repro.workloads import make_division_workload, make_great_division_workload
 
 #: The algorithms that read the bitmap, by division kind.
@@ -380,7 +379,7 @@ def test_a_fold_under_either_kernel_patches_the_bitmap_to_a_fresh_build(kernel, 
     dividend, divisor = small_table(size), ONE_FORM_DIVISORS["small"]
     removed = [values for values in dividend.aligned_tuples() if values[0] == 1]
     added = [(size, 0), (size, 1), (size + 1, 5)]  # a new candidate, a new value
-    rows = lambda tuples: [Row.from_schema(dividend.schema, values) for values in tuples]
+    rows = lambda tuples: [tuple(values) for values in tuples]
     with use_kernel(kernel):
         divide("small", "hash", dividend, divisor, None)
         folded = dividend.with_delta(rows(added), rows(removed))

@@ -30,7 +30,6 @@ from repro.physical.compile.kernels import use_kernel
 from repro.physical.division.keys import _containment_bitmap
 from repro.relation import Relation
 from repro.relation.encoding import code_frequencies
-from repro.relation.row import Row
 
 KERNELS = ("numpy", "python")
 NAN = float("nan")
@@ -147,7 +146,7 @@ def assert_carried_exactly(parent, child):
 
 
 def fold(relation, added, removed):
-    rows = lambda tuples: [Row.from_schema(relation.schema, values) for values in tuples]
+    rows = lambda tuples: [tuple(values) for values in tuples]
     return relation.with_delta(rows(added), rows(removed))
 
 

@@ -17,7 +17,6 @@ from repro.algebra.catalog import Catalog
 from repro.errors import SchemaError
 from repro.relation import Relation
 from repro.relation.encoding import CodeColumn, code_buffer, encode_columns, fold_code_columns
-from repro.relation.row import Row
 
 #: ``1`` / ``1.0`` / ``True`` share a dictionary entry; ``None`` is unorderable.
 VALUES = st.sampled_from([0, 1, 1.0, True, 2, 3, None, "x"])
@@ -25,7 +24,7 @@ TUPLES = st.lists(st.tuples(VALUES, VALUES), max_size=14)
 
 
 def rows_of(relation, tuples):
-    return [Row.from_schema(relation.schema, values) for values in tuples]
+    return [tuple(values) for values in tuples]
 
 
 def assert_fresh(relation):
@@ -87,7 +86,7 @@ def test_without_a_cached_encoding_nothing_is_carried():
     parent = Relation(["a", "b"], [(1, 10), (2, 20)])
     parent.aligned_tuples()
     child = parent.with_delta(rows_of(parent, [(3, 30)]), rows_of(parent, [(1, 10)]))
-    assert child._tuples is None and child._encoding is None
+    assert child._tuples == [(2, 20), (3, 30)] and child._encoding is None
     assert child.to_tuples() == {(2, 20), (3, 30)}
     assert_fresh(child)
 
@@ -107,7 +106,7 @@ def test_a_composite_past_int64_rebuilds_instead():
     assert fold_code_columns(columns, [(0,) * 5], []) is None
     assert fold_code_columns(columns, [], [(wide,) * 5]) is not None
     child = parent.with_delta([], rows_of(parent, [(0,) * 5]))
-    assert child._tuples is None and child._encoding is None
+    assert child._codes is None and child._encoding is None
     assert len(child) == wide - 1
     assert_fresh(child)
 
@@ -270,16 +269,16 @@ def test_a_table_under_edits_and_reads_stays_a_fresh_value(base, keyed, steps):
         edit = partial(
             catalog.apply_delta,
             "t",
-            [Row.from_schema(schema, row) for row in inserted],
-            [Row.from_schema(schema, row) for row in deleted],
+            [tuple(row) for row in inserted],
+            [tuple(row) for row in deleted],
         )
         if keyed and not keys_unique(after):
             with pytest.raises(SchemaError):
                 edit()
             continue
         added, removed = edit()
-        assert [row.values_tuple for row in added] == new
-        assert [row.values_tuple for row in removed] == gone
+        assert added == new
+        assert removed == gone
         model = after
     assert_read(catalog, model, True)
     # values read before later edits, replacements and folds: rows asked last
@@ -294,7 +293,7 @@ def test_a_nullary_table_folds_through_its_block():
     catalog = Catalog()
     catalog.add_table("t", Relation([], []))
     assert catalog["t"].encoded_columns() == ()
-    empty = Row.from_schema(catalog.schema("t"), ())
+    empty = ()
     assert len(catalog["t"]) == 0
     assert catalog.apply_delta("t", [empty], []) == ([empty], [])
     inserted = catalog["t"]

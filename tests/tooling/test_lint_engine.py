@@ -487,9 +487,10 @@ class TestRP409ConditionsReadCodeColumns:
             for function in tree.body
             if isinstance(function, lint.ast.FunctionDef)
         }
-        assert {name for name, found in reads.items() if found} == {"condition_c1"}
+        assert {name for name, found in reads.items() if found} == set()
         assert {
             "attribute_is_key",
+            "condition_c1",
             "inclusion_holds",
             "is_superset_of",
             "projections_disjoint",
@@ -617,6 +618,37 @@ class TestRP413PhysicalResultsStayBlocks:
         # Chunk.rows (joins and aggregates hand rows to user code) and a
         # Filter over an opaque callable: nothing builds a result's rows.
         assert sites == ["Row.block in base.py", "Row.from_schema in basic.py"]
+
+    def test_a_row_built_in_a_copy_of_the_catalog_is_flagged(self, lint, tmp_path):
+        source = lint.CATALOG_FILE.read_text()
+        planted = source.replace(
+            "        self._pending.pop(name, None)\n",
+            "        self._pending.pop(name, None)\n        Row.block(relation.schema, [])\n",
+        )
+        assert planted != source
+        path = tmp_path / "catalog.py"
+        path.write_text(planted)
+        (finding,) = lint._check_row_builders(path)
+        assert finding.code == "RP413"
+        assert finding.message.startswith("Row.block builds rows outside")
+
+    def test_the_rule_covers_the_catalog_session_views_and_laws(self, lint, monkeypatch):
+        checked = [
+            path
+            for path in lint._python_files(lint.SOURCE_DIR)
+            if path.relative_to(lint.SOURCE_DIR).parts[0] in lint.ROW_FREE_PACKAGES
+        ]
+        assert {lint.CATALOG_FILE, lint.DATABASE_FILE, lint.CONDITIONS_FILE} <= set(checked)
+        assert [finding for path in checked for finding in lint._check_row_builders(path)] == []
+        monkeypatch.setattr(lint, "_has_rows_ok_pragma", lambda lines, line: False)
+        sites = [
+            finding.message.split(" ")[0] + " in " + Path(finding.where.split(":")[0]).name
+            for path in checked
+            for finding in lint._check_row_builders(path)
+        ]
+        # A view input's selection predicate takes a Row; nothing else
+        # outside the physical layer builds one.
+        assert sites == ["Row.from_schema in view.py"]
 
 
 class TestRP414QueryPathInterpretsNoExpression:

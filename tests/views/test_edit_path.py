@@ -18,6 +18,7 @@ import pytest
 
 import repro.relation.encoding as encoding_module
 import repro.relation.relation as relation_module
+from repro.algebra import predicates as P
 from repro.algebra.catalog import Catalog
 from repro.api import connect
 from repro.division import small_divide
@@ -54,12 +55,20 @@ def test_edits_touch_nothing_but_the_delta_and_the_first_read_folds_once(workloa
 
         return sprung
 
+    aligned = Relation.aligned_tuples
+
+    def guarded_aligned(self):
+        # An edit's own delta is read as tuples; the table's block is not.
+        assert len(self) < 1000, "Relation.aligned_tuples ran on the table on the edit path"
+        return aligned(self)
+
     folds = []
     encoded = []
     fold, encode = Relation.with_delta, relation_module.encode_columns
     with monkeypatch.context() as patch:
-        for name in ("union", "difference", "intersection", "aligned_tuples", "with_delta"):
+        for name in ("union", "difference", "intersection", "with_delta"):
             patch.setattr(Relation, name, trap(f"Relation.{name}"))
+        patch.setattr(Relation, "aligned_tuples", guarded_aligned)
         patch.setattr(relation_module, "encode_columns", trap("encode_columns"))
         for step, row in enumerate(present):
             assert db.delete("r1", [row]).changed
@@ -259,59 +268,85 @@ def test_the_fold_and_the_edits_after_it_copy_no_row_set(workload, monkeypatch):
     assert query.run().relation == view.relation() == small_divide(current, db.relation("r2"))
 
 
-def test_row_reads_of_a_folded_table_share_the_live_rows(workload, monkeypatch):
-    """Asked for its rows, a folded table copies the catalog's live set
-    (the same ``Row`` objects) instead of building a ``Row`` per tuple:
-    iterating it, a predicate delete and ``replace_table`` after edits
-    build no ``Row`` of the table.  A value read before a later edit still
-    builds its own rows from its block, and they are its rows."""
-    db = connect({"r1": workload.dividend, "r2": workload.divisor})
-    db.table("r1").divide(db.table("r2"), on=["b"]).run()
-    rng = random.Random(8)
-    present = rng.sample(sorted(workload.dividend.aligned_tuples()), 6)
-    for row in present[:4]:
-        assert db.delete("r1", [row]).changed
-    assert db.insert("r1", [(10**6, 0)]).changed
-    expected = set(workload.dividend.aligned_tuples()) - set(present[:4]) | {(10**6, 0)}
-    schema = db.catalog.schema("r1")
-    replacement = Relation(["a", "b"], expected - {present[4], present[5]})
-    # the caller's rows, built before the trap: the trap counts the table's
-    assert len(replacement.rows) == len(expected) - 2
-    assert present[5] in expected
-    block = Row.block.__func__
+def count_table_rows(monkeypatch, names):
+    """Count every ``Row`` built over the attribute set ``names`` (both
+    builders trapped); the list of their value tuples is returned."""
+    block, from_schema = Row.block.__func__, Row.from_schema.__func__
     built = []
 
-    def counted_block(cls, block_schema, tuples):
-        rows = block(cls, block_schema, tuples)
-        built.extend(rows if block_schema == schema else ())
+    def counted_block(cls, schema, tuples):
+        rows = block(cls, schema, tuples)
+        built.extend(row.values_tuple for row in rows if schema.name_set == names)
         return rows
 
+    def counted_from_schema(cls, schema, values):
+        built.extend([values] if schema.name_set == names else ())
+        return from_schema(cls, schema, values)
+
+    monkeypatch.setattr(Row, "block", classmethod(counted_block))
+    monkeypatch.setattr(Row, "from_schema", classmethod(counted_from_schema))
+    return built
+
+
+def test_no_row_of_the_table_on_the_edit_and_view_path(workload, monkeypatch):
+    """Opening a session, two maintained views over the unfiltered dividend
+    and their first reads, ten inserts and ten deletes by value, a
+    re-query and its fold, an AST-predicate delete and ``replace_table``
+    build no ``Row`` of the table: deltas, the live set and every value
+    hold value tuples.  A value read before later edits still answers its
+    rows, from its own block."""
+    rng = random.Random(8)
+    present = rng.sample(sorted(workload.dividend.aligned_tuples()), 11)
+    doomed = {values for values in workload.dividend.aligned_tuples() if values[0] == present[10][0]}
+    replacement = Relation(["b", "a"], [(b, a) for a, b in present[:5]] + [(0, -1)])
     with monkeypatch.context() as patch:
-        patch.setattr(Row, "block", classmethod(counted_block))
-        folded = db.relation("r1")
-        assert folded._set is None
-        assert {row.values_tuple for row in folded} == expected
-        live = db.catalog._live["r1"]
-        assert {id(row) for row in folded.rows} == {id(row) for row in live}
-        assert not built, f"iterating the folded table built {len(built)} Rows"
-        deleted = db.delete("r1", lambda row: row.values_tuple == present[4])
-        assert deleted.deleted.to_tuples() == {present[4]}
-        assert not built, f"a predicate delete built {len(built)} Rows"
-        expected.discard(present[4])
-        stale = db.relation("r1")
-        assert stale is not folded and stale._set is None
-        assert db.insert("r1", [(10**6 + 1, 1)]).changed
-        del built[:]  # the inserted row
-        # ``stale`` was folded before that edit: its rows come from its block
-        assert {row.values_tuple for row in stale.rows} == expected
-        assert len(built) == len(expected)
-        del built[:]
-        expected.add((10**6 + 1, 1))
-        version = db.table_version("r1")
+        built = count_table_rows(patch, frozenset({"a", "b"}))
+        db = connect({"r1": workload.dividend, "r2": workload.divisor})
+        views = [
+            db.create_view("q", db.table("r1").divide(db.table("r2"), on=["b"])),
+            db.create_view("p", "SELECT a FROM r1 AS x DIVIDE BY r2 AS y ON x.b = y.b"),
+        ]
+        assert all(view.maintained for view in views)
+        first = [view.relation() for view in views]
+        for step, values in enumerate(present[:10]):
+            assert db.insert("r1", [(10**6 + step, step)]).changed
+            assert db.delete("r1", [values]).changed
+        query = db.table("r1").divide(db.table("r2"), on=["b"])
+        result = query.run()
+        assert not db.catalog._pending
+        held = db.relation("r1")
+        deleted = db.delete("r1", P.equals(P.attr("a"), present[10][0]))
         db.replace_table("r1", replacement)
-        assert db.table_version("r1") == version + 1
-        assert not built, f"replace_table built {len(built)} Rows"
-        assert db.relation("r1").to_tuples() == expected - {present[5], (10**6 + 1, 1)}
+        replaced = [view.relation() for view in views]
+    assert not built, f"{len(built)} Rows of the table were built"
+    assert first[0] == first[1] == small_divide(workload.dividend, workload.divisor)
+    edited = set(workload.dividend.aligned_tuples()) - set(present[:10])
+    edited |= {(10**6 + step, step) for step in range(10)}
+    assert held.to_tuples() == edited and len(held) == len(edited)
+    assert {row.values_tuple for row in held.rows} == set(held.aligned_tuples())
+    assert result.relation == small_divide(held, db.relation("r2"))
+    assert deleted.deleted.to_tuples() == doomed - set(present[:10])
+    assert db.relation("r1").to_tuples(["a", "b"]) == {(a, b) for a, b in present[:5]} | {(-1, 0)}
+    expected = small_divide(db.relation("r1"), db.relation("r2"))
+    assert replaced[0] == replaced[1] == query.run().relation == expected
+
+
+def test_creating_and_reading_a_view_builds_no_row_of_the_dividend(workload, monkeypatch):
+    """A maintained view's extractor reads the dividend's value tuples;
+    only a filtered input tests its predicate on a ``Row``, one per tuple
+    of that input."""
+    cut = sorted(workload.divisor.to_set("b"))[len(workload.divisor) // 2]
+    low = P.less_than(P.attr("b"), cut)
+    with monkeypatch.context() as patch:
+        built = count_table_rows(patch, frozenset({"a", "b"}))
+        tested = count_table_rows(patch, frozenset({"b"}))
+        db = connect({"r1": workload.dividend, "r2": workload.divisor})
+        view = db.create_view("q", db.table("r1").divide(db.table("r2").where(low), on=["b"]))
+        assert view.maintained
+        quotient = view.relation()
+    assert not built, f"{len(built)} Rows of the dividend were built"
+    assert len(tested) == len(workload.divisor)
+    assert quotient == small_divide(workload.dividend, workload.divisor.select(low))
 
 
 def test_the_requery_after_edits_decodes_nothing(workload, monkeypatch):
